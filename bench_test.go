@@ -1,10 +1,9 @@
 // Benchmarks regenerating the paper's quantitative artifacts, one family
-// per experiment of DESIGN.md §3. Run:
+// per experiment (EXP-1..7). Run:
 //
 //	go test -bench=. -benchmem
 //
-// cmd/experiments prints the corresponding full tables; EXPERIMENTS.md
-// records a reference run of both.
+// cmd/experiments prints the corresponding full tables.
 package codsim
 
 import (
@@ -161,6 +160,7 @@ func BenchmarkSurroundViewSynced(b *testing.B) {
 // BenchmarkCBRoutingLocal measures the in-process fast path: one op = one
 // UPDATE pushed and reflected on the same computer.
 func BenchmarkCBRoutingLocal(b *testing.B) {
+	ctx := context.Background()
 	lan := transport.NewMemLAN()
 	node, err := cb.New(lan, "solo", benchCB())
 	if err != nil {
@@ -182,7 +182,7 @@ func BenchmarkCBRoutingLocal(b *testing.B) {
 		if err := pub.Update(float64(i), attrs); err != nil {
 			b.Fatal(err)
 		}
-		if _, ok := sub.Next(5 * time.Second); !ok {
+		if _, err := sub.NextContext(ctx); err != nil {
 			b.Fatal("reflection lost")
 		}
 	}
@@ -192,6 +192,7 @@ func BenchmarkCBRoutingLocal(b *testing.B) {
 // one UPDATE serialized, routed over the (zero-latency in-memory) LAN, and
 // reflected on the other computer.
 func BenchmarkCBRoutingRemote(b *testing.B) {
+	ctx := context.Background()
 	lan := transport.NewMemLAN()
 	pubNode, err := cb.New(lan, "pub-pc", benchCB())
 	if err != nil {
@@ -211,7 +212,7 @@ func BenchmarkCBRoutingRemote(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !sub.WaitMatched(5 * time.Second) {
+	if err := sub.WaitMatchedContext(ctx); err != nil {
 		b.Fatal("channel never established")
 	}
 	attrs := fom.CraneState{Stability: 1}.Encode()
@@ -221,7 +222,7 @@ func BenchmarkCBRoutingRemote(b *testing.B) {
 		if err := pub.Update(float64(i), attrs); err != nil {
 			b.Fatal(err)
 		}
-		if _, ok := sub.Next(5 * time.Second); !ok {
+		if _, err := sub.NextContext(ctx); err != nil {
 			b.Fatal("reflection lost")
 		}
 	}
@@ -244,6 +245,7 @@ func BenchmarkCBRoutingReliable(b *testing.B) {
 // benchRemoteDelivery measures one UPDATE over a cross-node virtual
 // channel under the given subscription options, consuming as it goes.
 func benchRemoteDelivery(b *testing.B, opts ...cb.SubscribeOption) {
+	ctx := context.Background()
 	lan := transport.NewMemLAN()
 	pubNode, err := cb.New(lan, "pub-pc", benchCB())
 	if err != nil {
@@ -263,10 +265,10 @@ func benchRemoteDelivery(b *testing.B, opts ...cb.SubscribeOption) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !sub.WaitMatched(5 * time.Second) {
+	if err := sub.WaitMatchedContext(ctx); err != nil {
 		b.Fatal("channel never established")
 	}
-	if !pub.WaitChannels(1, 5*time.Second) {
+	if err := pub.WaitChannelsContext(ctx, 1); err != nil {
 		b.Fatal("publisher never linked")
 	}
 	attrs := fom.CraneState{Stability: 1}.Encode()
@@ -276,7 +278,7 @@ func benchRemoteDelivery(b *testing.B, opts ...cb.SubscribeOption) {
 		if err := pub.Update(float64(i), attrs); err != nil {
 			b.Fatal(err)
 		}
-		if _, ok := sub.Next(5 * time.Second); !ok {
+		if _, err := sub.NextContext(ctx); err != nil {
 			b.Fatal("reflection lost")
 		}
 	}
@@ -290,6 +292,7 @@ func benchRemoteDelivery(b *testing.B, opts ...cb.SubscribeOption) {
 // the per-core headline frames/s/core (README "Raw speed"). Run at
 // -benchtime 1000x for a steady-state reading (check.sh/CI do).
 func BenchmarkCBThroughput(b *testing.B) {
+	ctx := context.Background()
 	lan := transport.NewMemLAN()
 	pubNode, err := cb.New(lan, "pub-pc", benchCB())
 	if err != nil {
@@ -309,21 +312,20 @@ func BenchmarkCBThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !sub.WaitMatched(5 * time.Second) {
+	if err := sub.WaitMatchedContext(ctx); err != nil {
 		b.Fatal("channel never established")
 	}
-	if !pub.WaitChannels(1, 5*time.Second) {
+	if err := pub.WaitChannelsContext(ctx, 1); err != nil {
 		b.Fatal("publisher never linked")
 	}
 	attrs := fom.CraneState{Stability: 1}.Encode()
-	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < b.N; i++ {
-			if _, ok := sub.Next(10 * time.Second); !ok {
+			if _, err := sub.NextContext(ctx); err != nil {
 				b.Error("reflection lost")
 				return
 			}
@@ -348,6 +350,7 @@ func BenchmarkCBThroughput(b *testing.B) {
 // = register a subscriber, broadcast SUBSCRIPTION, receive ACKNOWLEDGE,
 // build the virtual channel, and tear it down again.
 func BenchmarkChannelSetup(b *testing.B) {
+	ctx := context.Background()
 	lan := transport.NewMemLAN()
 	pubNode, err := cb.New(lan, "pub-pc", benchCB())
 	if err != nil {
@@ -368,7 +371,7 @@ func BenchmarkChannelSetup(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !sub.WaitMatched(10 * time.Second) {
+		if err := sub.WaitMatchedContext(ctx); err != nil {
 			b.Fatal("never matched")
 		}
 		b.StopTimer()
@@ -506,7 +509,7 @@ func BenchmarkScenarioLibrary(b *testing.B) {
 		b.Run(spec.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := trace.Run(spec, 900)
+				res, err := trace.RunContext(context.Background(), spec, 900)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,6 +1,6 @@
 // Command codvet runs the project-invariant analyzer suite
 // (internal/analysis) over the module: determinism, policydecl,
-// layering, ctxwait and errwrap — the conventions the simulator's
+// layering, errwrap and nopool — the conventions the simulator's
 // correctness leans on, turned into a CI gate.
 //
 // Usage:

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"unsafe"
+
+	"codsim/internal/wire"
 )
 
 // allKinds exercises every supported field kind of the codec.
@@ -41,9 +44,10 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attrs := c.encode(reflect.ValueOf(in))
+	var attrs wire.AttrSet
+	c.encodeInto(&attrs, unsafe.Pointer(&in))
 	var out allKinds
-	if err := c.decode(attrs, reflect.ValueOf(&out).Elem()); err != nil {
+	if err := c.decodeInto(attrs, unsafe.Pointer(&out)); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(in, out) {
@@ -82,8 +86,10 @@ func TestCodecNamedSliceTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var attrs wire.AttrSet
+	c.encodeInto(&attrs, unsafe.Pointer(&in))
 	var out ok
-	if err := c.decode(c.encode(reflect.ValueOf(in)), reflect.ValueOf(&out).Elem()); err != nil {
+	if err := c.decodeInto(attrs, unsafe.Pointer(&out)); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(in, out) {
@@ -127,9 +133,10 @@ func TestCodecMissingAttr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attrs := nc.encode(reflect.ValueOf(narrow{A: 1}))
+	var attrs wire.AttrSet
+	nc.encodeInto(&attrs, unsafe.Pointer(&narrow{A: 1}))
 	var out wide
-	if err := wc.decode(attrs, reflect.ValueOf(&out).Elem()); !errors.Is(err, ErrMissingAttr) {
+	if err := wc.decodeInto(attrs, unsafe.Pointer(&out)); !errors.Is(err, ErrMissingAttr) {
 		t.Fatalf("decode with missing attr: got %v, want ErrMissingAttr", err)
 	}
 }

@@ -94,10 +94,6 @@ func WithLAN(lan LAN) Option {
 	return func(c *nodeConfig) { c.lan = lan }
 }
 
-// WithMemLAN is WithLAN under its historical name: it predates segments
-// other than MemLAN being shareable this way.
-func WithMemLAN(lan LAN) Option { return WithLAN(lan) }
-
 // defaultUDPSlots is the segment size WithUDP assumes: the paper's rack
 // held eight computers, sixteen leaves room to double it.
 const defaultUDPSlots = 16

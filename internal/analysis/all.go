@@ -2,7 +2,7 @@ package analysis
 
 // All returns the full codvet analyzer suite, in report order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, PolicyDecl, Layering, CtxWait, ErrWrap, NoPool}
+	return []*Analyzer{Determinism, PolicyDecl, Layering, ErrWrap, NoPool}
 }
 
 // ByName returns the named analyzer, or nil.

@@ -10,13 +10,12 @@ import (
 )
 
 // The fixtures live under two overlay roots. testdata/src is the shared
-// root: fixture-local packages (policyfix, ctxwaitfix, errwrapfix) and
+// root: fixture-local packages (policyfix, errwrapfix) and
 // boundary-scoped shadows (codsim/cmd/layerfix). The determinism
 // fixtures shadow real declared-deterministic packages
 // (codsim/internal/scenario, codsim/internal/mathx) and therefore get
-// their own root, testdata/src_determinism — the ctxwait fixture imports
-// codsim/internal/trace, which must keep seeing the real scenario
-// package, not the shadow.
+// their own root, testdata/src_determinism, so fixtures importing the
+// real packages keep seeing them, not the shadows.
 
 func determinismRoot() string {
 	return filepath.Join(analysis.Testdata(), "..", "src_determinism")
@@ -87,10 +86,6 @@ func TestLayeringAllowlist(t *testing.T) {
 	if len(rec.errors) != 1 || !strings.Contains(rec.errors[0], "codsim/internal/cb") {
 		t.Fatalf("expected exactly one boundary diagnostic without the allow entry, got %q", rec.errors)
 	}
-}
-
-func TestCtxWaitFixture(t *testing.T) {
-	analysis.RunFixture(t, analysis.Testdata(), analysis.CtxWait, nil, "ctxwaitfix")
 }
 
 func TestErrWrapFixture(t *testing.T) {

@@ -29,21 +29,6 @@ var DefaultAllowlist = []AllowEntry{
 			"through an exhaustive switch over the three constructors; the " +
 			"analyzer cannot prove a variable option is a policy",
 	},
-	{
-		Analyzer: "ctxwait",
-		Pkg:      "codsim/internal/displaysync",
-		Detail:   "serve",
-		Reason: "the swap-lock server polls FRAME READY at a fixed cadence " +
-			"between stall-reaping passes; the duration shim is the documented " +
-			"legacy form for this pre-SDK module and allocates no context per frame",
-	},
-	{
-		Analyzer: "ctxwait",
-		Pkg:      "codsim/internal/displaysync",
-		Detail:   "WaitSwap",
-		Reason: "WaitSwap's deadline loop re-arms the shim with the remaining " +
-			"budget each FRAME SWAP; same documented legacy-module exception as serve",
-	},
 }
 
 // DeterministicPackages are the packages whose outputs must be a pure

@@ -1,6 +1,8 @@
 package cb
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -11,21 +13,24 @@ import (
 )
 
 func TestWaitChannels(t *testing.T) {
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	pubNode := newBackbone(t, lan, "pub")
 	pub, err := pubNode.PublishObjectClass("p", "State")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No subscribers yet: WaitChannels must time out.
-	if pub.WaitChannels(1, 30*time.Millisecond) {
+	// No subscribers yet: the wait must end with its context.
+	short, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
+	defer cancel()
+	if pub.WaitChannelsContext(short, 1) == nil {
 		t.Fatal("WaitChannels succeeded with no subscribers")
 	}
 	subNode := newBackbone(t, lan, "sub")
 	if _, err := subNode.SubscribeObjectClass("s", "State"); err != nil {
 		t.Fatal(err)
 	}
-	if !pub.WaitChannels(1, waitLong) {
+	if pub.WaitChannelsContext(ctx, 1) != nil {
 		t.Fatal("WaitChannels never saw the channel")
 	}
 	if pub.Channels() != 1 {
@@ -34,6 +39,7 @@ func TestWaitChannels(t *testing.T) {
 }
 
 func TestTablesAcrossNodes(t *testing.T) {
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	pubNode := newBackbone(t, lan, "pub")
 	subNode := newBackbone(t, lan, "sub")
@@ -45,7 +51,7 @@ func TestTablesAcrossNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctx) != nil {
 		t.Fatal("not matched")
 	}
 	pubs, _ := pubNode.Tables()
@@ -97,6 +103,7 @@ func TestSilentPendingLinkReaped(t *testing.T) {
 // TestMalformedStreamDropsLink sends garbage on a fresh connection: the
 // backbone must tear the link down without disturbing other traffic.
 func TestMalformedStreamDropsLink(t *testing.T) {
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	b := newBackbone(t, lan, "server")
 	pub, err := b.PublishObjectClass("p", "State")
@@ -126,7 +133,7 @@ func TestMalformedStreamDropsLink(t *testing.T) {
 	if err := pub.Update(1, attrsWith(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sub.Next(waitLong); !ok {
+	if _, err := sub.NextContext(ctx); err != nil {
 		t.Fatal("local traffic broken by malformed remote frame")
 	}
 }
@@ -136,6 +143,7 @@ func TestMalformedStreamDropsLink(t *testing.T) {
 // writes keep succeeding (stale-channel updates are dropped at the
 // receiver).
 func TestSubscriptionCloseDuringTraffic(t *testing.T) {
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	pubNode := newBackbone(t, lan, "pub")
 	subNode := newBackbone(t, lan, "sub")
@@ -147,7 +155,7 @@ func TestSubscriptionCloseDuringTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctx) != nil {
 		t.Fatal("not matched")
 	}
 	var wg sync.WaitGroup
@@ -173,6 +181,7 @@ func TestSubscriptionCloseDuringTraffic(t *testing.T) {
 // without it the publisher's stale channel entry silences the new
 // SUBSCRIPTION broadcasts forever.
 func TestSubscriberRestartRematches(t *testing.T) {
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	pubNode := newBackbone(t, lan, "pub")
 	subNode := newBackbone(t, lan, "sub")
@@ -185,13 +194,13 @@ func TestSubscriberRestartRematches(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if !sub.WaitMatched(waitLong) {
+		if sub.WaitMatchedContext(ctx) != nil {
 			t.Fatalf("round %d: restarted subscriber never re-matched", round)
 		}
 		if err := pub.Update(float64(round), attrsWith(float64(round))); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := sub.Next(waitLong); !ok {
+		if _, err := sub.NextContext(ctx); err != nil {
 			t.Fatalf("round %d: no traffic after restart", round)
 		}
 		if err := sub.Close(); err != nil {
@@ -204,6 +213,7 @@ func TestSubscriberRestartRematches(t *testing.T) {
 // closes and a new one registers; the standing subscriber must notice the
 // dead channel (scoped BYE) and re-match the replacement.
 func TestPublisherRestartRematches(t *testing.T) {
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	pubNode := newBackbone(t, lan, "pub")
 	subNode := newBackbone(t, lan, "sub")
@@ -216,13 +226,13 @@ func TestPublisherRestartRematches(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if !sub.WaitMatched(waitLong) {
+		if sub.WaitMatchedContext(ctx) != nil {
 			t.Fatalf("round %d: subscriber never matched restarted publisher", round)
 		}
 		if err := pub.Update(float64(round), attrsWith(float64(round))); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := sub.Next(waitLong); !ok {
+		if _, err := sub.NextContext(ctx); err != nil {
 			t.Fatalf("round %d: no traffic", round)
 		}
 		if err := pub.Close(); err != nil {
@@ -239,8 +249,9 @@ func TestPublisherRestartRematches(t *testing.T) {
 	}
 }
 
-// TestMailboxNextAfterClose verifies Next unblocks when the subscription
-// closes underneath a waiting consumer.
+// TestMailboxNextAfterClose verifies NextContext unblocks with
+// ErrHandleClosed when the subscription closes underneath a waiting
+// consumer — the context never ends, so only the close can end the wait.
 func TestMailboxNextAfterClose(t *testing.T) {
 	lan := transport.NewMemLAN()
 	b := newBackbone(t, lan, "solo")
@@ -248,22 +259,21 @@ func TestMailboxNextAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make(chan bool, 1)
+	got := make(chan error, 1)
 	go func() {
-		_, ok := sub.Next(waitLong)
-		got <- ok
+		_, err := sub.NextContext(context.Background())
+		got <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
 	if err := sub.Close(); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case ok := <-got:
-		if ok {
-			t.Error("Next returned data from a closed subscription")
+	case err := <-got:
+		if !errors.Is(err, ErrHandleClosed) {
+			t.Errorf("NextContext on a closed subscription = %v, want ErrHandleClosed", err)
 		}
 	case <-time.After(waitLong):
-		t.Fatal("Next did not unblock on close")
+		t.Fatal("NextContext did not unblock on close")
 	}
 }
 
@@ -271,6 +281,7 @@ func TestMailboxNextAfterClose(t *testing.T) {
 // alias the publisher's buffers — mutating the attribute set after Update
 // must not change what subscribers see (copy-at-boundary).
 func TestAttrsIsolatedFromPublisherMutation(t *testing.T) {
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	b := newBackbone(t, lan, "solo")
 	pub, err := b.PublishObjectClass("p", "State")
@@ -287,8 +298,8 @@ func TestAttrsIsolatedFromPublisherMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	attrs.PutFloat64(1, -1) // publisher reuses its map
-	r, ok := sub.Next(waitLong)
-	if !ok {
+	r, err := sub.NextContext(ctx)
+	if err != nil {
 		t.Fatal("no reflection")
 	}
 	if v, _ := r.Attrs.Float64(1); v != 42 {

@@ -1,6 +1,7 @@
 package cb
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -33,6 +34,14 @@ func newBackbone(t *testing.T, lan transport.LAN, node string) *Backbone {
 
 const waitLong = 3 * time.Second
 
+// waitCtx bounds the blocking waits of one test. The deadline covers the
+// whole test rather than one wait, hence the multiple of waitLong.
+func waitCtx(t testing.TB) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*waitLong)
+	t.Cleanup(cancel)
+	return ctx
+}
+
 func attrsWith(val float64) wire.AttrSet {
 	a := wire.AttrSet{}
 	a.PutFloat64(1, val)
@@ -40,6 +49,7 @@ func attrsWith(val float64) wire.AttrSet {
 }
 
 func TestLocalPubSub(t *testing.T) {
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	b := newBackbone(t, lan, "solo")
 
@@ -58,8 +68,8 @@ func TestLocalPubSub(t *testing.T) {
 	if err := pub.Update(1.5, attrsWith(42)); err != nil {
 		t.Fatalf("Update: %v", err)
 	}
-	r, ok := sub.Next(waitLong)
-	if !ok {
+	r, err := sub.NextContext(ctx)
+	if err != nil {
 		t.Fatal("no reflection")
 	}
 	if r.Class != "CraneState" || r.PubLP != "dynamics" || r.PubNode != "solo" {
@@ -74,6 +84,7 @@ func TestLocalPubSub(t *testing.T) {
 }
 
 func TestLocalSubscribeBeforePublish(t *testing.T) {
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	b := newBackbone(t, lan, "solo")
 
@@ -94,12 +105,13 @@ func TestLocalSubscribeBeforePublish(t *testing.T) {
 	if err := pub.Update(0, attrsWith(7)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sub.Next(waitLong); !ok {
+	if _, err := sub.NextContext(ctx); err != nil {
 		t.Fatal("no reflection after late publish")
 	}
 }
 
 func TestRemotePubSub(t *testing.T) {
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	pubNode := newBackbone(t, lan, "dynamics-pc")
 	subNode := newBackbone(t, lan, "display-pc")
@@ -112,15 +124,15 @@ func TestRemotePubSub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctx) != nil {
 		t.Fatal("virtual channel never established")
 	}
 
 	if err := pub.Update(2.25, attrsWith(3.5)); err != nil {
 		t.Fatal(err)
 	}
-	r, ok := sub.Next(waitLong)
-	if !ok {
+	r, err := sub.NextContext(ctx)
+	if err != nil {
 		t.Fatal("no reflection across the LAN")
 	}
 	if r.PubNode != "dynamics-pc" || r.Time != 2.25 {
@@ -132,6 +144,7 @@ func TestRemotePubSub(t *testing.T) {
 }
 
 func TestRemotePublisherStartsLate(t *testing.T) {
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	subNode := newBackbone(t, lan, "display-pc")
 
@@ -146,18 +159,19 @@ func TestRemotePublisherStartsLate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctx) != nil {
 		t.Fatal("late publisher never matched (re-broadcast failed)")
 	}
 	if err := pub.Update(1, attrsWith(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sub.Next(waitLong); !ok {
+	if _, err := sub.NextContext(ctx); err != nil {
 		t.Fatal("no reflection from late publisher")
 	}
 }
 
 func TestDynamicJoinExtraDisplay(t *testing.T) {
+	ctx := waitCtx(t)
 	// The paper's §2.3 claim: an extra display LP can be added without
 	// restarting the system.
 	lan := transport.NewMemLAN()
@@ -172,14 +186,14 @@ func TestDynamicJoinExtraDisplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub1.WaitMatched(waitLong) {
+	if sub1.WaitMatchedContext(ctx) != nil {
 		t.Fatal("first display not matched")
 	}
 	// Steady-state traffic flowing...
 	if err := pub.Update(1, attrsWith(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sub1.Next(waitLong); !ok {
+	if _, err := sub1.NextContext(ctx); err != nil {
 		t.Fatal("no traffic to display-1")
 	}
 
@@ -189,22 +203,23 @@ func TestDynamicJoinExtraDisplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub2.WaitMatched(waitLong) {
+	if sub2.WaitMatchedContext(ctx) != nil {
 		t.Fatal("hot-added display not matched")
 	}
 	if err := pub.Update(2, attrsWith(2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sub2.Next(waitLong); !ok {
+	if _, err := sub2.NextContext(ctx); err != nil {
 		t.Fatal("no traffic to hot-added display")
 	}
 	// The original display keeps receiving as well.
-	if _, ok := sub1.Next(waitLong); !ok {
+	if _, err := sub1.NextContext(ctx); err != nil {
 		t.Fatal("display-1 stopped receiving after dynamic join")
 	}
 }
 
 func TestFanOutOnePublisherManySubscribers(t *testing.T) {
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	pubNode := newBackbone(t, lan, "pub")
 	pub, err := pubNode.PublishObjectClass("dynamics", "CraneState")
@@ -223,7 +238,7 @@ func TestFanOutOnePublisherManySubscribers(t *testing.T) {
 		subs[i] = s
 	}
 	for i, s := range subs {
-		if !s.WaitMatched(waitLong) {
+		if s.WaitMatchedContext(ctx) != nil {
 			t.Fatalf("subscriber %d unmatched", i)
 		}
 	}
@@ -231,8 +246,8 @@ func TestFanOutOnePublisherManySubscribers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, s := range subs {
-		r, ok := s.Next(waitLong)
-		if !ok {
+		r, err := s.NextContext(ctx)
+		if err != nil {
 			t.Fatalf("subscriber %d got nothing", i)
 		}
 		if v, _ := r.Attrs.Float64(1); v != 99 {
@@ -242,6 +257,7 @@ func TestFanOutOnePublisherManySubscribers(t *testing.T) {
 }
 
 func TestMultiplePublishersSameClass(t *testing.T) {
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	n1 := newBackbone(t, lan, "n1")
 	n2 := newBackbone(t, lan, "n2")
@@ -282,8 +298,8 @@ func TestMultiplePublishersSameClass(t *testing.T) {
 	}
 	got := map[string]bool{}
 	for i := 0; i < 2; i++ {
-		r, ok := sub.Next(waitLong)
-		if !ok {
+		r, err := sub.NextContext(ctx)
+		if err != nil {
 			t.Fatal("missing reflection")
 		}
 		got[r.PubLP] = true
@@ -294,6 +310,7 @@ func TestMultiplePublishersSameClass(t *testing.T) {
 }
 
 func TestTwoLPsOnOneComputer(t *testing.T) {
+	ctx := waitCtx(t)
 	// §2.1: "One or many LPs can run on a computer."
 	lan := transport.NewMemLAN()
 	b := newBackbone(t, lan, "shared-pc")
@@ -314,7 +331,7 @@ func TestTwoLPsOnOneComputer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []*Subscription{subA, subB} {
-		if _, ok := s.Next(waitLong); !ok {
+		if _, err := s.NextContext(ctx); err != nil {
 			t.Fatal("co-resident LP missed reflection")
 		}
 	}
@@ -428,39 +445,8 @@ func TestQueueOverflowDropsOldest(t *testing.T) {
 	}
 }
 
-func TestCallbackDelivery(t *testing.T) {
-	lan := transport.NewMemLAN()
-	b := newBackbone(t, lan, "solo")
-
-	var mu sync.Mutex
-	var got []float64
-	sub, err := b.SubscribeObjectClass("s", "State", WithCallback(func(r Reflection) {
-		v, _ := r.Attrs.Float64(1)
-		mu.Lock()
-		got = append(got, v)
-		mu.Unlock()
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	pub, err := b.PublishObjectClass("p", "State")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 3; i++ {
-		if err := pub.Update(float64(i), attrsWith(float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Errorf("callback saw %v", got)
-	}
-}
-
 func TestSequenceNumbersMonotone(t *testing.T) {
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	pubNode := newBackbone(t, lan, "pub")
 	subNode := newBackbone(t, lan, "sub")
@@ -473,7 +459,7 @@ func TestSequenceNumbersMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctx) != nil {
 		t.Fatal("not matched")
 	}
 	const n = 20
@@ -484,8 +470,8 @@ func TestSequenceNumbersMonotone(t *testing.T) {
 	}
 	var lastSeq uint32
 	for i := 0; i < n; i++ {
-		r, ok := sub.Next(waitLong)
-		if !ok {
+		r, err := sub.NextContext(ctx)
+		if err != nil {
 			t.Fatalf("missing reflection %d", i)
 		}
 		if r.Seq <= lastSeq {
@@ -496,6 +482,7 @@ func TestSequenceNumbersMonotone(t *testing.T) {
 }
 
 func TestNullMessages(t *testing.T) {
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	pubNode := newBackbone(t, lan, "pub")
 	subNode := newBackbone(t, lan, "sub")
@@ -508,14 +495,14 @@ func TestNullMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctx) != nil {
 		t.Fatal("not matched")
 	}
 	if err := pub.SendNull(4.5); err != nil {
 		t.Fatal(err)
 	}
-	r, ok := sub.Next(waitLong)
-	if !ok {
+	r, err := sub.NextContext(ctx)
+	if err != nil {
 		t.Fatal("no null reflection")
 	}
 	if !r.Null || r.Time != 4.5 || r.Attrs.Len() != 0 {
@@ -616,8 +603,8 @@ func TestSubscriptionCloseStopsDelivery(t *testing.T) {
 	if _, ok := sub.Poll(); ok {
 		t.Error("closed subscription still buffering")
 	}
-	if _, ok := sub.Next(10 * time.Millisecond); ok {
-		t.Error("Next on closed subscription returned data")
+	if _, err := sub.NextContext(waitCtx(t)); !errors.Is(err, ErrHandleClosed) {
+		t.Errorf("NextContext on closed subscription = %v, want ErrHandleClosed", err)
 	}
 	if err := sub.Close(); err != nil {
 		t.Errorf("double close = %v", err)
@@ -645,6 +632,7 @@ func TestBackboneCloseIdempotent(t *testing.T) {
 }
 
 func TestPublisherNodeDeathRecovery(t *testing.T) {
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	subNode := newBackbone(t, lan, "display")
 	sub, err := subNode.SubscribeObjectClass("visual", "CraneState")
@@ -660,13 +648,13 @@ func TestPublisherNodeDeathRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctx) != nil {
 		t.Fatal("initial match failed")
 	}
 	if err := pub1.Update(1, attrsWith(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sub.Next(waitLong); !ok {
+	if _, err := sub.NextContext(ctx); err != nil {
 		t.Fatal("no initial traffic")
 	}
 
@@ -689,14 +677,14 @@ func TestPublisherNodeDeathRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctx) != nil {
 		t.Fatal("replacement publisher never matched")
 	}
 	if err := pub2.Update(2, attrsWith(2)); err != nil {
 		t.Fatal(err)
 	}
-	r, ok := sub.Next(waitLong)
-	if !ok {
+	r, err := sub.NextContext(ctx)
+	if err != nil {
 		t.Fatal("no traffic from replacement publisher")
 	}
 	if r.PubNode != "dyn-2" {
@@ -705,6 +693,7 @@ func TestPublisherNodeDeathRecovery(t *testing.T) {
 }
 
 func TestLossyLANStillConverges(t *testing.T) {
+	ctx := waitCtx(t)
 	// 40% datagram loss: the periodic re-broadcast must still converge.
 	lan := transport.NewMemLAN(transport.WithLoss(0.4), transport.WithSeed(99))
 	pubNode := newBackbone(t, lan, "pub")
@@ -717,12 +706,13 @@ func TestLossyLANStillConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctx) != nil {
 		t.Fatal("never converged under 40% loss")
 	}
 }
 
 func TestEstablishLatencyRecorded(t *testing.T) {
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	pubNode := newBackbone(t, lan, "pub")
 	subNode := newBackbone(t, lan, "sub")
@@ -733,7 +723,7 @@ func TestEstablishLatencyRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctx) != nil {
 		t.Fatal("not matched")
 	}
 	if subNode.Stats().EstablishLatency.Count() != 1 {
@@ -783,6 +773,7 @@ func TestConcurrentPublishers(t *testing.T) {
 }
 
 func TestUDPLANBackbone(t *testing.T) {
+	ctx := waitCtx(t)
 	// The whole protocol over real sockets.
 	lan, err := transport.NewUDPLAN("127.0.0.1", 39500, 4)
 	if err != nil {
@@ -799,14 +790,14 @@ func TestUDPLANBackbone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctx) != nil {
 		t.Fatal("no channel over real UDP/TCP")
 	}
 	if err := pub.Update(3.5, attrsWith(8)); err != nil {
 		t.Fatal(err)
 	}
-	r, ok := sub.Next(waitLong)
-	if !ok {
+	r, err := sub.NextContext(ctx)
+	if err != nil {
 		t.Fatal("no reflection over real sockets")
 	}
 	if v, _ := r.Attrs.Float64(1); v != 8 {

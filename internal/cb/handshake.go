@@ -281,11 +281,3 @@ func (b *Backbone) dropChannel(l *peerLink, id uint32) {
 func (s *Subscription) WaitMatchedContext(ctx context.Context) error {
 	return waitCond(ctx, s.Matched)
 }
-
-// WaitMatched is the duration-based shim over WaitMatchedContext; it
-// reports whether a channel came up within the timeout.
-func (s *Subscription) WaitMatched(timeout time.Duration) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return s.WaitMatchedContext(ctx) == nil
-}

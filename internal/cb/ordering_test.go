@@ -12,10 +12,11 @@ import (
 // in strictly increasing Seq order and returns how many were seen.
 func drainOrdered(t *testing.T, sub *Subscription, want int) {
 	t.Helper()
+	ctx := waitCtx(t)
 	var lastSeq uint32
 	for n := 0; n < want; n++ {
-		r, ok := sub.Next(waitLong)
-		if !ok {
+		r, err := sub.NextContext(ctx)
+		if err != nil {
 			t.Fatalf("reflection %d/%d never arrived", n+1, want)
 		}
 		if r.Seq != lastSeq+1 {
@@ -66,6 +67,7 @@ func TestOrderedDeliveryLocalParallelUpdates(t *testing.T) {
 // updates are serialized over a peer link and must still reflect in
 // sequence order on the other computer.
 func TestOrderedDeliveryRemoteParallelUpdates(t *testing.T) {
+	ctx := waitCtx(t)
 	const (
 		writers  = 6
 		perGoro  = 100
@@ -82,7 +84,7 @@ func TestOrderedDeliveryRemoteParallelUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctx) != nil {
 		t.Fatal("channel never established")
 	}
 
@@ -168,6 +170,7 @@ func TestOrderedDeliveryDuringSubscribeChurn(t *testing.T) {
 // TestSeqRestartsPerChannel pins the scope of the guarantee: each virtual
 // channel numbers its own updates from 1.
 func TestSeqRestartsPerChannel(t *testing.T) {
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	node := newBackbone(t, lan, "solo")
 	pub, err := node.PublishObjectClass("p", "State")
@@ -188,16 +191,16 @@ func TestSeqRestartsPerChannel(t *testing.T) {
 	if err := pub.Update(1, wire.AttrSet{}); err != nil {
 		t.Fatal(err)
 	}
-	ra, ok := a.Next(waitLong)
-	if !ok || ra.Seq != 1 {
-		t.Fatalf("a first seq = %d, %v", ra.Seq, ok)
+	ra, err := a.NextContext(ctx)
+	if err != nil || ra.Seq != 1 {
+		t.Fatalf("a first seq = %d, %v", ra.Seq, err)
 	}
-	ra, ok = a.Next(waitLong)
-	if !ok || ra.Seq != 2 {
-		t.Fatalf("a second seq = %d, %v", ra.Seq, ok)
+	ra, err = a.NextContext(ctx)
+	if err != nil || ra.Seq != 2 {
+		t.Fatalf("a second seq = %d, %v", ra.Seq, err)
 	}
-	rb, ok := bSub.Next(waitLong)
-	if !ok || rb.Seq != 1 {
-		t.Fatalf("b first seq = %d, %v (late channel restarts at 1)", rb.Seq, ok)
+	rb, err := bSub.NextContext(ctx)
+	if err != nil || rb.Seq != 1 {
+		t.Fatalf("b first seq = %d, %v (late channel restarts at 1)", rb.Seq, err)
 	}
 }

@@ -13,7 +13,8 @@ import (
 // waitChannels blocks until the publication routes into n channels.
 func waitChannels(t *testing.T, pub *Publication, n int) {
 	t.Helper()
-	if !pub.WaitChannels(n, waitLong) {
+	ctx := waitCtx(t)
+	if pub.WaitChannelsContext(ctx, n) != nil {
 		t.Fatalf("publication never reached %d channel(s)", n)
 	}
 }
@@ -24,6 +25,7 @@ func waitChannels(t *testing.T, pub *Publication, n int) {
 // newest reflection per publisher, with the losses counted as
 // conflations, not drops.
 func TestLatestValueStalledSubscriberConflates(t *testing.T) {
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	// Two publisher NODES: virtual channels are deduplicated per node, so
 	// per-channel conflation needs the publishers on separate computers.
@@ -43,7 +45,7 @@ func TestLatestValueStalledSubscriberConflates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctx) != nil {
 		t.Fatal("never matched")
 	}
 	waitChannels(t, pubA, 1)
@@ -117,6 +119,7 @@ func TestLatestValueStalledSubscriberConflates(t *testing.T) {
 // mailbox grants credits and the publisher resumes, with every update
 // arriving exactly once in order.
 func TestReliableBackpressureStallsAndDrains(t *testing.T) {
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	pubNode := newBackbone(t, lan, "pub-pc")
 	subNode := newBackbone(t, lan, "sub-pc")
@@ -130,7 +133,7 @@ func TestReliableBackpressureStallsAndDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctx) != nil {
 		t.Fatal("never matched")
 	}
 	waitChannels(t, pub, 1)
@@ -173,8 +176,8 @@ func TestReliableBackpressureStallsAndDrains(t *testing.T) {
 	// Drain two: credits flow back (quarter-window batches), reopening
 	// the window for more sends.
 	for i := 0; i < 2; i++ {
-		r, ok := sub.Next(waitLong)
-		if !ok {
+		r, err := sub.NextContext(ctx)
+		if err != nil {
 			t.Fatal("drain lost a reflection")
 		}
 		if v, _ := r.Attrs.Float64(1); v != float64(i+1) {
@@ -200,8 +203,8 @@ func TestReliableBackpressureStallsAndDrains(t *testing.T) {
 	// sequence order.
 	want := []float64{3, 4, 5, 6, 7, 8, 99}
 	for _, w := range want {
-		r, ok := sub.Next(waitLong)
-		if !ok {
+		r, err := sub.NextContext(ctx)
+		if err != nil {
 			t.Fatalf("reflection %v never arrived", w)
 		}
 		if v, _ := r.Attrs.Float64(1); v != w {
@@ -280,6 +283,7 @@ func TestReliableUpdateContextBlocksUntilConsumed(t *testing.T) {
 // mid-stall (its registration closes) must release the blocked publisher
 // rather than wedge it forever.
 func TestReliableSubscriberDeathReleasesPublisher(t *testing.T) {
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	pubNode := newBackbone(t, lan, "pub-pc")
 	subNode := newBackbone(t, lan, "sub-pc")
@@ -291,7 +295,7 @@ func TestReliableSubscriberDeathReleasesPublisher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctx) != nil {
 		t.Fatal("never matched")
 	}
 	waitChannels(t, pub, 1)
@@ -325,6 +329,7 @@ func TestReliableSubscriberDeathReleasesPublisher(t *testing.T) {
 // the legacy drop-oldest behavior on the publisher: no stall, no
 // conflation, oldest dropped at the full mailbox.
 func TestLegacyHandshakeGetsDropOldest(t *testing.T) {
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	pubNode := newBackbone(t, lan, "pub-pc")
 	subNode := newBackbone(t, lan, "sub-pc")
@@ -336,7 +341,7 @@ func TestLegacyHandshakeGetsDropOldest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctx) != nil {
 		t.Fatal("never matched")
 	}
 	waitChannels(t, pub, 1)
@@ -382,6 +387,7 @@ func TestSlowSubscriberMemLANSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2 s stall")
 	}
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	pubNode := newBackbone(t, lan, "sim-pc")
 	subNode := newBackbone(t, lan, "display-pc")
@@ -402,7 +408,7 @@ func TestSlowSubscriberMemLANSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stateSub.WaitMatched(waitLong) || !cmdSub.WaitMatched(waitLong) {
+	if stateSub.WaitMatchedContext(ctx) != nil || cmdSub.WaitMatchedContext(ctx) != nil {
 		t.Fatal("never matched")
 	}
 	waitChannels(t, statePub, 1)
@@ -471,8 +477,10 @@ func TestSlowSubscriberMemLANSmoke(t *testing.T) {
 	// in order and the publisher's outstanding count reconciles exactly.
 	got := 0
 	for {
-		r, ok := cmdSub.Next(100 * time.Millisecond)
-		if !ok {
+		quiet, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
+		r, err := cmdSub.NextContext(quiet)
+		cancel()
+		if err != nil {
 			break
 		}
 		got++

@@ -18,6 +18,7 @@ import (
 //
 //	go test -race -run Pool -count=100 ./internal/cb/
 func TestPoolNoAlias(t *testing.T) {
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	pubBB := newBackbone(t, lan, "pub-pc")
 	subBB := newBackbone(t, lan, "sub-pc")
@@ -30,7 +31,7 @@ func TestPoolNoAlias(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctx) != nil {
 		t.Fatal("subscription never matched")
 	}
 
@@ -47,8 +48,8 @@ func TestPoolNoAlias(t *testing.T) {
 		if err := pub.Update(float64(i), scratch); err != nil {
 			t.Fatalf("Update %d: %v", i, err)
 		}
-		r, ok := sub.Next(waitLong)
-		if !ok {
+		r, err := sub.NextContext(ctx)
+		if err != nil {
 			t.Fatalf("no reflection for frame %d", i)
 		}
 		got = append(got, r) // retain: decoder/pool reuse must not touch it

@@ -188,7 +188,6 @@ type Subscription struct {
 	// the heartbeat piggyback covers what the batching holds back.
 	grantEvery uint32
 	mbox       *mailbox
-	onReflect  func(Reflection) // optional; bypasses the mailbox
 
 	// Guarded by b.mu:
 	channels      map[uint32]*inChannel
@@ -204,10 +203,9 @@ type Subscription struct {
 type SubscribeOption func(*subCfg)
 
 type subCfg struct {
-	depth     int
-	policy    wire.Policy
-	window    int
-	onReflect func(Reflection)
+	depth  int
+	policy wire.Policy
+	window int
 }
 
 // DefaultCreditWindow is the reliable send window used when WithReliable
@@ -261,13 +259,6 @@ func WithReliable(window int) SubscribeOption {
 // behavior every policy-less legacy peer gets.
 func WithDropOldest() SubscribeOption {
 	return func(c *subCfg) { c.policy = wire.PolicyDropOldest }
-}
-
-// WithCallback delivers reflections synchronously on the receive path
-// instead of buffering. The callback must be fast and must not call back
-// into the backbone.
-func WithCallback(fn func(Reflection)) SubscribeOption {
-	return func(c *subCfg) { c.onReflect = fn }
 }
 
 // PublishObjectClass registers lp as a publisher of class. Matching local
@@ -351,7 +342,6 @@ func (b *Backbone) SubscribeObjectClass(lp, class string, opts ...SubscribeOptio
 		window:       window,
 		grantEvery:   grantEvery,
 		mbox:         newMailbox(depth, cfg.policy, &b.stats),
-		onReflect:    cfg.onReflect,
 		channels:     make(map[uint32]*inChannel),
 		registeredAt: b.now(),
 	}
@@ -589,14 +579,6 @@ func (p *Publication) WaitChannelsContext(ctx context.Context, n int) error {
 	return waitCond(ctx, func() bool { return p.Channels() >= n })
 }
 
-// WaitChannels is the duration-based shim over WaitChannelsContext; it
-// reports whether n channels came up within the timeout.
-func (p *Publication) WaitChannels(n int, timeout time.Duration) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return p.WaitChannelsContext(ctx, n) == nil
-}
-
 // waitCond polls cond once per millisecond until it holds (nil) or ctx is
 // done (ctx.Err()). The backbone's state transitions have no subscribable
 // edge, so condition waits poll — at this period the cost is negligible
@@ -680,23 +662,15 @@ func (p *Publication) Close() error {
 	return nil
 }
 
-// deliver hands a reflection to the subscription's callback or mailbox.
+// deliver hands a reflection to the subscription's mailbox.
 func (b *Backbone) deliver(s *Subscription, r Reflection) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	closed := s.closed
-	cb := s.onReflect
 	s.mu.Unlock()
 	if closed {
-		return
-	}
-	if cb != nil {
-		cb(r)
-		b.stats.ReflectsDelivered.Inc()
-		// A callback consumes synchronously, so the credit is immediate.
-		s.consumed(r.Channel)
 		return
 	}
 	s.mbox.push(r)
@@ -751,19 +725,6 @@ func (s *Subscription) NextContext(ctx context.Context) (Reflection, error) {
 		s.consumed(r.Channel)
 	}
 	return r, err
-}
-
-// Next blocks until a reflection arrives or timeout elapses; ok is false
-// on timeout or when the subscription closes. Unlike NextContext it
-// carries no context machinery: an already-buffered reflection returns
-// without touching the clock, and the timeout rides a pooled timer — the
-// consumer hot path allocates nothing.
-func (s *Subscription) Next(timeout time.Duration) (Reflection, bool) {
-	r, ok := s.mbox.next(timeout)
-	if ok {
-		s.consumed(r.Channel)
-	}
-	return r, ok
 }
 
 // Policy returns the subscription's delivery policy.
@@ -1100,53 +1061,6 @@ func (m *mailbox) poll() (Reflection, bool) {
 	m.n--
 	m.noteRemoved(r.Channel)
 	return r, true
-}
-
-// timerPool recycles Next's timeout timers. A timer goes back only after
-// Stop-and-drain, so a pooled timer is never pending.
-var timerPool sync.Pool
-
-// next is poll-then-wait with a plain timeout: the blocking form of the
-// consumer hot path. Buffered data returns immediately; otherwise the
-// wait parks on the mailbox's notify channel against a pooled timer.
-func (m *mailbox) next(timeout time.Duration) (Reflection, bool) {
-	if r, ok := m.poll(); ok {
-		return r, true
-	}
-	var t *time.Timer
-	if v := timerPool.Get(); v != nil {
-		t = v.(*time.Timer)
-		t.Reset(timeout)
-	} else {
-		t = time.NewTimer(timeout)
-	}
-	defer func() {
-		if !t.Stop() {
-			select {
-			case <-t.C:
-			default:
-			}
-		}
-		timerPool.Put(t)
-	}()
-	for {
-		if r, ok := m.poll(); ok {
-			return r, true
-		}
-		m.mu.Lock()
-		closed := m.closed
-		m.mu.Unlock()
-		if closed {
-			return Reflection{}, false
-		}
-		select {
-		case <-m.notify:
-		case <-t.C:
-			// A push may have raced with the timeout; prefer data.
-			r, ok := m.poll()
-			return r, ok
-		}
-	}
 }
 
 func (m *mailbox) nextCtx(ctx context.Context) (Reflection, error) {

@@ -17,6 +17,7 @@
 package displaysync
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -43,8 +44,8 @@ type ServerConfig struct {
 	// wait, so one dead node cannot freeze the surround view. Zero
 	// disables eviction.
 	StallTimeout time.Duration
-	// PollInterval bounds how long the server blocks waiting for READY
-	// traffic before re-checking stalls. Defaults to 10 ms.
+	// PollInterval is the period of the server's stall check. Defaults to
+	// 10 ms.
 	PollInterval time.Duration
 	// Pipeline is the §5 frame-rate acceleration the paper left as
 	// future work ("further accelerating of the frame rate is possible
@@ -156,16 +157,23 @@ func (s *Server) Evicted() int64 { return s.evicted.Value() }
 func (s *Server) Swaps() int64 { return s.swaps.Value() }
 
 func (s *Server) serve() {
+	reap := time.NewTicker(s.cfg.PollInterval)
+	defer reap.Stop()
 	for {
 		select {
 		case <-s.stop:
 			return
-		default:
+		case <-s.sub.NotifyC():
+			for {
+				r, ok := s.sub.Poll()
+				if !ok {
+					break
+				}
+				s.handleReady(r)
+			}
+		case <-reap.C:
+			s.reapStalls()
 		}
-		if r, ok := s.sub.Next(s.cfg.PollInterval); ok {
-			s.handleReady(r)
-		}
-		s.reapStalls()
 		s.release()
 	}
 }
@@ -251,6 +259,9 @@ type Display struct {
 	name string
 	pub  *cb.Publication
 	sub  *cb.Subscription
+	// ctx ends at Close, so no wait outlives the display.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	mu       sync.Mutex
 	frame    uint32 // local frame counter
@@ -270,31 +281,28 @@ func NewDisplay(backbone *cb.Backbone, lpName string) (*Display, error) {
 		_ = pub.Close()
 		return nil, fmt.Errorf("displaysync: subscribe swap: %w", err)
 	}
-	return &Display{name: lpName, pub: pub, sub: sub}, nil
+	ctx, cancel := context.WithCancel(context.Background())
+	return &Display{name: lpName, pub: pub, sub: sub, ctx: ctx, cancel: cancel}, nil
 }
 
 // WaitServer blocks until both barrier channels — the swap subscription
-// and the ready publication — are established, or the timeout elapses.
-// Skipping this wait risks publishing the first FRAME READY into the void
-// before the server's subscription channel exists.
+// and the ready publication — are established; it reports false when the
+// timeout elapses or the display is closed first. Skipping this wait
+// risks publishing the first FRAME READY into the void before the
+// server's subscription channel exists.
 func (d *Display) WaitServer(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
+	ctx, cancel := context.WithTimeout(d.ctx, timeout)
+	defer cancel()
+	if d.sub.WaitMatchedContext(ctx) != nil || d.pub.WaitChannelsContext(ctx, 1) != nil {
+		return false
+	}
+	// Discard swaps that accumulated while we were joining: a late
+	// display must synchronize to the *live* frame edge, not race through
+	// a stale backlog.
 	for {
-		if d.sub.Matched() && d.pub.Channels() > 0 {
-			// Discard swaps that accumulated while we were joining: a
-			// late display must synchronize to the *live* frame edge,
-			// not race through a stale backlog.
-			for {
-				if _, ok := d.sub.Poll(); !ok {
-					break
-				}
-			}
+		if _, ok := d.sub.Poll(); !ok {
 			return true
 		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -330,16 +338,17 @@ func (d *Display) Ready(renderTime float64) error {
 
 // WaitSwap blocks until a swap newer than the last seen arrives, then
 // advances the local frame counter. It returns ErrTimeout when the server
-// stays silent for the whole timeout.
+// stays silent for the whole timeout and ErrStopped once the display is
+// closed.
 func (d *Display) WaitSwap(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	ctx, cancel := context.WithTimeout(d.ctx, timeout)
+	defer cancel()
 	for {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return fmt.Errorf("%w: frame %d", ErrTimeout, d.Frame())
+		r, err := d.sub.NextContext(ctx)
+		if d.ctx.Err() != nil || errors.Is(err, cb.ErrHandleClosed) {
+			return ErrStopped
 		}
-		r, ok := d.sub.Next(remain)
-		if !ok {
+		if err != nil {
 			return fmt.Errorf("%w: frame %d", ErrTimeout, d.Frame())
 		}
 		mark, err := fom.DecodeFrameMark(r.Attrs)
@@ -394,8 +403,9 @@ func (d *Display) RunFree(n int, render func(frame uint32)) {
 	}
 }
 
-// Close withdraws the display's registrations.
+// Close withdraws the display's registrations and ends its blocked waits.
 func (d *Display) Close() error {
+	d.cancel()
 	err1 := d.pub.Close()
 	err2 := d.sub.Close()
 	return errors.Join(err1, err2)

@@ -405,6 +405,41 @@ func TestWaitSwapTimeout(t *testing.T) {
 	}
 }
 
+// TestCloseEndsWaits parks each blocking call on a display no server will
+// ever answer: only Close can end the wait before its minute-long timeout.
+func TestCloseEndsWaits(t *testing.T) {
+	waits := map[string]func(*Display) (stopped bool){
+		"WaitSwap":   func(d *Display) bool { return errors.Is(d.WaitSwap(time.Minute), ErrStopped) },
+		"WaitServer": func(d *Display) bool { return !d.WaitServer(time.Minute) },
+	}
+	for name, wait := range waits {
+		t.Run(name, func(t *testing.T) {
+			bb, err := cb.New(transport.NewMemLAN(), "display-pc", fastCfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer bb.Close()
+			d, err := NewDisplay(bb, "display-1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan bool, 1)
+			go func() { done <- wait(d) }()
+			if err := d.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			select {
+			case stopped := <-done:
+				if !stopped {
+					t.Errorf("%s did not report the display stopped", name)
+				}
+			case <-time.After(waitLong):
+				t.Fatalf("%s still waiting after Close", name)
+			}
+		})
+	}
+}
+
 func TestRunFreeNoBarrier(t *testing.T) {
 	lan := transport.NewMemLAN()
 	bb, err := cb.New(lan, "display-pc", fastCfg())

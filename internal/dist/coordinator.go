@@ -42,22 +42,18 @@ type CoordinatorConfig struct {
 	Window int
 	// Log receives dispatch-state transitions (grants, results,
 	// re-dispatches) as structured records with consistent field names
-	// (sweep, job, worker, attempt, span). Nil falls back to Logf.
+	// (sweep, job, worker, attempt, span). Nil is silent.
 	Log *slog.Logger
-	// Logf is the legacy printf hook, kept as a compatibility shim: when
-	// Log is nil it is adapted into a slog handler (obs.NewLogfLogger).
-	// Nil too is silent.
-	Logf func(format string, args ...any)
 	// Spans, when set, records per-job phase latencies (the queue phase is
 	// observed here, on the coordinator's clock); nil drops them.
 	Spans *obs.Spans
 }
 
-// logger resolves the configured structured sink, shimming Logf.
+// logger resolves the configured structured sink.
 func (c CoordinatorConfig) logger() *slog.Logger {
 	log := c.Log
 	if log == nil {
-		log = obs.NewLogfLogger(c.Logf)
+		log = obs.Nop()
 	}
 	return log.With("sweep", c.Sweep)
 }

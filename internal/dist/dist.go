@@ -60,12 +60,12 @@
 // # Observability
 //
 // Both sides log through log/slog with structured fields (sweep, job,
-// worker, attempt, span) — CoordinatorConfig.Log / WorkerConfig.Log;
-// the legacy Logf hooks remain as a shim. Each job carries a trace-span
-// ID minted at dispatch and threaded through announce, grant and the
-// returned Record, with phase latencies (queue, dispatch, run, ack)
-// recorded into an optional obs.Spans histogram — each phase is timed
-// on a single machine's clock, so skew between hosts never distorts it.
+// worker, attempt, span) — CoordinatorConfig.Log / WorkerConfig.Log.
+// Each job carries a trace-span ID minted at dispatch and threaded
+// through announce, grant and the returned Record, with phase latencies
+// (queue, dispatch, run, ack) recorded into an optional obs.Spans
+// histogram — each phase is timed on a single machine's clock, so skew
+// between hosts never distorts it.
 // Coordinator.Sample and Worker.Sample expose live dispatch state for
 // the obs sampler's codsim_dist_* gauges.
 package dist

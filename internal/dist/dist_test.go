@@ -261,7 +261,6 @@ func TestUDPLANSweepMatchesLocal(t *testing.T) {
 		defer node.Close()
 		cfg := wcfg
 		cfg.Name = name
-		cfg.Logf = t.Logf
 		w, err := NewWorker(node, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -289,7 +288,6 @@ func TestUDPLANSweepMatchesLocal(t *testing.T) {
 	ccfg.DeadAfter = 5 * time.Second
 	ccfg.JobTimeout = 30 * time.Second
 	ccfg.MaxAttempts = 5
-	ccfg.Logf = t.Logf
 	coord, err := NewCoordinator(cnode, ccfg)
 	if err != nil {
 		t.Fatal(err)

@@ -39,40 +39,3 @@ func (s *sliceSource) Next(ctx context.Context) (Job, bool, error) {
 	s.at++
 	return j, true, nil
 }
-
-// FilterSource wraps a JobSource with an admission hook: keep runs for
-// every candidate job on the coordinator's polling goroutine, and jobs it
-// rejects are silently skipped — the source keeps drawing until keep
-// admits one or the inner source drains. A keep error aborts the sweep.
-//
-// This is the dispatch-time certification hook for campaigns that don't
-// pre-certify: a stream can emit statically-checked candidates at full
-// rate and attach the expensive oracle here — certifying lazily, one
-// window ahead of dispatch, instead of ahead of the whole sweep — or
-// attach a cheap predicate (dedup, quota, cache consult) the same way.
-// dist stays oracle-agnostic: keep is any func, and package dist still
-// never imports gen.
-func FilterSource(src JobSource, keep func(ctx context.Context, j Job) (bool, error)) JobSource {
-	return &filterSource{src: src, keep: keep}
-}
-
-type filterSource struct {
-	src  JobSource
-	keep func(ctx context.Context, j Job) (bool, error)
-}
-
-func (f *filterSource) Next(ctx context.Context) (Job, bool, error) {
-	for {
-		j, ok, err := f.src.Next(ctx)
-		if err != nil || !ok {
-			return Job{}, false, err
-		}
-		admit, err := f.keep(ctx, j)
-		if err != nil {
-			return Job{}, false, err
-		}
-		if admit {
-			return j, true, nil
-		}
-	}
-}

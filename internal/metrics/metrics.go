@@ -1,7 +1,7 @@
 // Package metrics provides the lightweight instrumentation used by the
-// experiment harness: streaming summaries (Welford), quantile samples,
-// counters, rate meters, frame-time trackers and fixed-width text tables.
-// Everything is safe for concurrent use unless stated otherwise.
+// experiment harness: streaming summaries (Welford), counters, rate
+// meters, frame-time trackers and fixed-width text tables. Everything is
+// safe for concurrent use unless stated otherwise.
 package metrics
 
 import (
@@ -104,75 +104,6 @@ func (s *Summary) String() string {
 		sd = math.Sqrt(s.m2 / float64(s.n-1))
 	}
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.3g min=%.4g max=%.4g", s.n, s.mean, sd, s.min, s.max)
-}
-
-// Quantiles retains up to cap samples (all samples until the cap, then
-// uniform reservoir replacement keyed by a deterministic LCG) and reports
-// order statistics.
-type Quantiles struct {
-	mu      sync.Mutex
-	samples []float64
-	seen    int64
-	capN    int
-	rng     uint64
-}
-
-// NewQuantiles returns a quantile sampler retaining up to capN samples.
-// capN <= 0 defaults to 4096.
-func NewQuantiles(capN int) *Quantiles {
-	if capN <= 0 {
-		capN = 4096
-	}
-	return &Quantiles{capN: capN, rng: 0x9E3779B97F4A7C15}
-}
-
-// Observe adds one sample.
-func (q *Quantiles) Observe(v float64) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.seen++
-	if len(q.samples) < q.capN {
-		q.samples = append(q.samples, v)
-		return
-	}
-	// Deterministic xorshift for reservoir replacement.
-	q.rng ^= q.rng << 13
-	q.rng ^= q.rng >> 7
-	q.rng ^= q.rng << 17
-	idx := q.rng % uint64(q.seen)
-	if idx < uint64(q.capN) {
-		q.samples[idx] = v
-	}
-}
-
-// Quantile returns the p-quantile (0 ≤ p ≤ 1) of the retained samples, or 0
-// when empty.
-func (q *Quantiles) Quantile(p float64) float64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.samples) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), q.samples...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	idx := p * float64(len(sorted)-1)
-	lo := int(math.Floor(idx))
-	hi := int(math.Ceil(idx))
-	frac := idx - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Count returns the number of samples seen (not retained).
-func (q *Quantiles) Count() int64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.seen
 }
 
 // Counter is a concurrency-safe monotone counter.

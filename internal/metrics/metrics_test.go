@@ -61,40 +61,6 @@ func TestSummaryConcurrent(t *testing.T) {
 	}
 }
 
-func TestQuantiles(t *testing.T) {
-	q := NewQuantiles(0) // default cap
-	for i := 1; i <= 1000; i++ {
-		q.Observe(float64(i))
-	}
-	if q.Count() != 1000 {
-		t.Errorf("Count = %d", q.Count())
-	}
-	if got := q.Quantile(0); got != 1 {
-		t.Errorf("q0 = %v", got)
-	}
-	if got := q.Quantile(1); got != 1000 {
-		t.Errorf("q1 = %v", got)
-	}
-	if got := q.Quantile(0.5); math.Abs(got-500.5) > 1 {
-		t.Errorf("median = %v, want ~500.5", got)
-	}
-	if got := NewQuantiles(8).Quantile(0.5); got != 0 {
-		t.Errorf("empty median = %v", got)
-	}
-}
-
-func TestQuantilesReservoir(t *testing.T) {
-	// More samples than capacity: retained values must still span the range.
-	q := NewQuantiles(64)
-	for i := 0; i < 100000; i++ {
-		q.Observe(float64(i % 1000))
-	}
-	med := q.Quantile(0.5)
-	if med < 200 || med > 800 {
-		t.Errorf("reservoir median = %v, want mid-range", med)
-	}
-}
-
 func TestCounter(t *testing.T) {
 	var c Counter
 	c.Inc()

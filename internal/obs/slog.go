@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"context"
-	"fmt"
 	"io"
 	"log/slog"
-	"strings"
 )
 
 // NewLogger returns a key=value text slog.Logger writing to w (typically
@@ -21,74 +18,4 @@ func NewLogger(w io.Writer, role string) *slog.Logger {
 // telemetry plane is wired.
 func Nop() *slog.Logger {
 	return slog.New(slog.DiscardHandler)
-}
-
-// NewLogfLogger adapts a legacy printf-style hook (the dist Logf config
-// field) into a structured logger: each record renders as the message
-// followed by space-separated key=value fields, emitted through logf as a
-// single "%s". A nil logf yields the discard logger, so callers can pass
-// their config field through unguarded.
-func NewLogfLogger(logf func(format string, args ...any)) *slog.Logger {
-	if logf == nil {
-		return Nop()
-	}
-	return slog.New(&logfHandler{logf: logf})
-}
-
-// logfHandler renders records for NewLogfLogger. It keeps the small
-// with-attrs/with-group state slog handlers must carry.
-type logfHandler struct {
-	logf   func(format string, args ...any)
-	prefix string // pre-rendered WithAttrs fields
-	groups string // dotted open group path
-}
-
-func (h *logfHandler) Enabled(_ context.Context, level slog.Level) bool {
-	return level >= slog.LevelInfo
-}
-
-func (h *logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	b.WriteString(h.prefix)
-	r.Attrs(func(a slog.Attr) bool {
-		appendAttr(&b, h.groups, a)
-		return true
-	})
-	h.logf("%s", b.String())
-	return nil
-}
-
-func (h *logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	var b strings.Builder
-	b.WriteString(h.prefix)
-	for _, a := range attrs {
-		appendAttr(&b, h.groups, a)
-	}
-	return &logfHandler{logf: h.logf, prefix: b.String(), groups: h.groups}
-}
-
-func (h *logfHandler) WithGroup(name string) slog.Handler {
-	if name == "" {
-		return h
-	}
-	return &logfHandler{logf: h.logf, prefix: h.prefix, groups: h.groups + name + "."}
-}
-
-func appendAttr(b *strings.Builder, groups string, a slog.Attr) {
-	if a.Equal(slog.Attr{}) {
-		return
-	}
-	v := a.Value.Resolve()
-	if v.Kind() == slog.KindGroup {
-		sub := groups + a.Key + "."
-		if a.Key == "" {
-			sub = groups
-		}
-		for _, ga := range v.Group() {
-			appendAttr(b, sub, ga)
-		}
-		return
-	}
-	fmt.Fprintf(b, " %s%s=%v", groups, a.Key, v.Any())
 }

@@ -35,7 +35,7 @@ type BatchConfig struct {
 	//     sim-seconds, from the scenario's own course.
 	Timeout time.Duration
 	// Headless skips the federation and couples dynamics, engine and
-	// autopilot directly (trace.Run) — the fast path for smoke sweeps.
+	// autopilot directly (trace.RunContext) — the fast path for smoke sweeps.
 	Headless bool
 	// Skill degrades every run's autopilots (reaction lag, overshoot,
 	// widened slack); the zero value is the flawless expert. Sweeping the
@@ -85,7 +85,7 @@ type BatchResult struct {
 
 // RunBatch executes one full federation per scenario spec, Parallel at a
 // time, and reports per-scenario outcomes in input order. This is the
-// cluster-scale counterpart of trace.Run: every run boots the whole
+// cluster-scale counterpart of trace.RunContext: every run boots the whole
 // eight-computer COD — displays, sync server, dashboard, motion,
 // instructor, sim PC — on its own in-memory LAN, drives the scenario with
 // the autopilot, and waits for the terminal phase.

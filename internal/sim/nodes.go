@@ -39,8 +39,8 @@ func lpName(base string, i int) string {
 
 // drainCraneStates folds a queued CraneState subscription into the
 // newest-state-per-crane view (states is indexed by CraneID; out-of-range
-// IDs are dropped).
-func drainCraneStates(sub *cb.Subscription, states []fom.CraneState) {
+// IDs are dropped). A non-nil have marks every crane heard from.
+func drainCraneStates(sub *cb.Subscription, states []fom.CraneState, have []bool) {
 	for {
 		r, ok := sub.Poll()
 		if !ok {
@@ -49,6 +49,9 @@ func drainCraneStates(sub *cb.Subscription, states []fom.CraneState) {
 		if st, err := fom.DecodeCraneState(r.Attrs); err == nil {
 			if st.CraneID >= 0 && st.CraneID < int64(len(states)) {
 				states[st.CraneID] = st
+				if have != nil {
+					have[st.CraneID] = true
+				}
 			}
 		}
 	}
@@ -141,18 +144,7 @@ func (c *Cluster) buildSimPC(ter *terrain.Map, spec scenario.Spec) error {
 				eng.Reset()
 			}
 		}
-		for {
-			r, ok := scenStateSub.Poll()
-			if !ok {
-				break
-			}
-			st, err := fom.DecodeCraneState(r.Attrs)
-			if err != nil || st.CraneID < 0 || st.CraneID >= int64(len(states)) {
-				continue
-			}
-			states[st.CraneID] = st
-			have[st.CraneID] = true
-		}
+		drainCraneStates(scenStateSub, states, have)
 		if !haveAll {
 			haveAll = true
 			for _, h := range have {
@@ -222,7 +214,7 @@ func (c *Cluster) buildSimPC(ter *terrain.Map, spec scenario.Spec) error {
 			}
 		}
 		// The listener sits in crane 0's cab.
-		drainCraneStates(audioStateSub, listener)
+		drainCraneStates(audioStateSub, listener, nil)
 		mixer.SetListener(listener[0].Position)
 		mixer.Render(pcmBlock)
 		if c.pcmRing != nil {
@@ -343,7 +335,7 @@ func (c *Cluster) buildDashboard(spec scenario.Spec) error {
 				_ = panel.Apply(cmd) // unknown instruments are instructor typos
 			}
 		}
-		drainCraneStates(stateSub, states)
+		drainCraneStates(stateSub, states, nil)
 		drainScenStates(scenSub, scens)
 		panel.UpdateFromState(states[0], dt)
 		var in fom.ControlInput
@@ -389,7 +381,7 @@ func (c *Cluster) buildPilotLP(b *cb.Backbone, craneIdx int, spec scenario.Spec)
 	states := make([]fom.CraneState, c.craneCount)
 	scens := make([]fom.ScenarioState, c.craneCount)
 	return c.runner(lp, 50, func(simTime, dt float64) error {
-		drainCraneStates(stateSub, states)
+		drainCraneStates(stateSub, states, nil)
 		drainScenStates(scenSub, scens)
 		var in fom.ControlInput
 		if ap != nil {
@@ -475,18 +467,7 @@ func (c *Cluster) buildInstructor() error {
 	states := make([]fom.CraneState, c.craneCount)
 	have := make([]bool, c.craneCount)
 	return c.runner("instructor", 10, func(simTime, dt float64) error {
-		for {
-			r, ok := stateSub.Poll()
-			if !ok {
-				break
-			}
-			if st, err := fom.DecodeCraneState(r.Attrs); err == nil {
-				if st.CraneID >= 0 && st.CraneID < int64(len(states)) {
-					states[st.CraneID] = st
-					have[st.CraneID] = true
-				}
-			}
-		}
+		drainCraneStates(stateSub, states, have)
 		for i := range states {
 			if have[i] {
 				c.monitor.ObserveCrane(states[i], dt)

@@ -227,9 +227,13 @@ func (c *Cluster) backbone(node string) (*cb.Backbone, error) {
 	return b, nil
 }
 
+// reportErr records a display loop's failure — unless Stop has begun,
+// when a closed barrier client is the shutdown's own doing.
 func (c *Cluster) reportErr(err error) {
-	if err == nil {
+	select {
+	case <-c.stopCh:
 		return
+	default:
 	}
 	c.errMu.Lock()
 	if c.firstErr == nil {
@@ -265,6 +269,11 @@ func (c *Cluster) Start() error {
 func (c *Cluster) Stop() {
 	c.stopOnce.Do(func() { close(c.stopCh) })
 	c.group.Stop()
+	// Closing the barrier clients ends a display parked in WaitSwap now,
+	// instead of when the server evicts a stopped peer.
+	for _, d := range c.displays {
+		_ = d.client.Close()
+	}
 	c.wg.Wait()
 	if c.server != nil {
 		c.server.Stop()
@@ -285,15 +294,10 @@ func (c *Cluster) ScenarioState() fom.ScenarioState {
 	return c.scenState
 }
 
-// WaitExam blocks until the exam reaches a terminal phase or the timeout
-// elapses.
-func (c *Cluster) WaitExam(timeout time.Duration) (fom.ScenarioState, error) {
-	return c.WaitExamContext(context.Background(), timeout)
-}
-
-// WaitExamContext is WaitExam with cancellation: a canceled context stops
-// the wait and returns ctx.Err() with the last observed state, letting a
-// batch coordinator abandon a run instead of leaking the federation.
+// WaitExamContext blocks until the exam reaches a terminal phase or the
+// timeout elapses. A canceled context stops the wait and returns ctx.Err()
+// with the last observed state, letting a batch coordinator abandon a run
+// instead of leaking the federation.
 func (c *Cluster) WaitExamContext(ctx context.Context, timeout time.Duration) (fom.ScenarioState, error) {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -517,7 +521,7 @@ func (c *Cluster) displayLoop(d *displayNode) {
 			return
 		}
 		err := d.client.RunFrames(1, 10*time.Second, func(uint32) {
-			drainCraneStates(d.stateIn, last)
+			drainCraneStates(d.stateIn, last, nil)
 			for idx := range last {
 				d.builder.UpdateCrane(idx, last[idx])
 			}
@@ -529,11 +533,7 @@ func (c *Cluster) displayLoop(d *displayNode) {
 			d.rend.Render(scene, cams[d.camIdx])
 		})
 		if err != nil {
-			select {
-			case <-c.stopCh: // shutdown race: expected
-			default:
-				c.reportErr(err)
-			}
+			c.reportErr(err)
 			return
 		}
 		frames++

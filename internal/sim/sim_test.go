@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -92,6 +93,71 @@ func TestClusterBootAndTraffic(t *testing.T) {
 	}
 }
 
+// TestClusterStopIsPrompt stops a federation in the state a shutdown race
+// leaves it in: one display loop has already left the barrier and its
+// peers are parked in WaitSwap. Stop must end those waits itself rather
+// than wait for the sync server to evict the missing display
+// (StallTimeout, 5 s).
+func TestClusterStopIsPrompt(t *testing.T) {
+	c, err := New(Config{
+		CB:        fastCB(),
+		TimeScale: 8,
+		Width:     96,
+		Height:    72,
+		Polygons:  600,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Watch the server's FRAME SWAP releases from its own node: a released
+	// swap means all three displays are inside the barrier loop.
+	swaps, err := c.Backbone(NodeSyncServer).SubscribeObjectClass("stop-test", fom.ClassFrameSwap, cb.WithQueue(64), cb.WithDropOldest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	for i := 0; i < 3; i++ {
+		if _, err := swaps.NextContext(ctx); err != nil {
+			c.Stop()
+			t.Fatalf("swap %d never released: %v (cluster err %v)", i, err, c.Err())
+		}
+	}
+	// Display 1 drops out; the other two now wait on a swap that needs it.
+	if err := c.displays[0].client.Close(); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	c.Stop()
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("Stop took %v with displays parked in the barrier, want < 1 s", took)
+	}
+}
+
+// TestClusterStopDuringStartup stops a federation whose displays are still
+// linking to the sync server: closing their clients must end that wait too,
+// and the abandoned link is not an error.
+func TestClusterStopDuringStartup(t *testing.T) {
+	c, err := New(Config{CB: fastCB(), Width: 96, Height: 72, Polygons: 600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	c.Stop()
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("Stop took %v during startup, want < 1 s", took)
+	}
+	if err := c.Err(); err != nil {
+		t.Errorf("cluster error after Stop: %v", err)
+	}
+}
+
 // TestClusterExamCompletes runs the full licensing exam over the real
 // federation at high time scale.
 func TestClusterExamCompletes(t *testing.T) {
@@ -117,7 +183,7 @@ func TestClusterExamCompletes(t *testing.T) {
 	}
 	defer c.Stop()
 
-	final, err := c.WaitExam(180 * time.Second)
+	final, err := c.WaitExamContext(context.Background(), 180*time.Second)
 	if err != nil {
 		t.Fatalf("WaitExam: %v (phase %v, msg %q)", err, final.Phase, final.Message)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -36,7 +37,7 @@ func TestClusterTandemCompletes(t *testing.T) {
 	}
 	defer c.Stop()
 
-	final, err := c.WaitExam(180 * time.Second)
+	final, err := c.WaitExamContext(context.Background(), 180*time.Second)
 	if err != nil {
 		t.Fatalf("WaitExam: %v (phase %v, msg %q)", err, final.Phase, final.Message)
 	}

@@ -1,6 +1,7 @@
 package timesync
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -70,16 +71,14 @@ func TestConservativeDeliveryOverCB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(5 * time.Second) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if sub.WaitMatchedContext(ctx) != nil {
 		t.Fatal("no channel")
 	}
 	// Wait until BOTH publishers have channels.
-	deadline := time.Now().Add(5 * time.Second)
-	for pubA.Channels() == 0 || pubB.Channels() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("channels incomplete")
-		}
-		time.Sleep(time.Millisecond)
+	if pubA.WaitChannelsContext(ctx, 1) != nil || pubB.WaitChannelsContext(ctx, 1) != nil {
+		t.Fatal("channels incomplete")
 	}
 
 	tpA, err := NewPublisher(pubA, 0.5)

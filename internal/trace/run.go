@@ -67,19 +67,14 @@ type Runner struct {
 // constructor exists for call-site clarity.
 func NewRunner() *Runner { return &Runner{} }
 
-// Run executes a scenario spec headless — one dynamics rig and one
+// RunContext executes a scenario spec headless — one dynamics rig and one
 // autopilot per declared crane coupled directly to the engine at 60 Hz,
 // no federation — until the scenario reaches a terminal phase or maxSim
 // simulated seconds elapse. This is the fast path for regression tables
 // and batch smoke runs; the cluster path in package sim runs the same
-// spec across the full federation.
-func Run(spec scenario.Spec, maxSim float64) (RunResult, error) {
-	return RunContext(context.Background(), spec, maxSim)
-}
-
-// RunContext is Run with cancellation: a canceled context stops the
-// stepping loop within one simulated second and returns ctx.Err() with the
-// state reached so far, so a batch coordinator can abandon a shard without
+// spec across the full federation. A canceled context stops the stepping
+// loop within one simulated second and returns ctx.Err() with the state
+// reached so far, so a batch coordinator can abandon a shard without
 // waiting out its sim-time budget.
 func RunContext(ctx context.Context, spec scenario.Spec, maxSim float64) (RunResult, error) {
 	return RunSkill(ctx, spec, maxSim, SkillProfile{})

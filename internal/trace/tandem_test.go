@@ -14,7 +14,7 @@ import (
 // invariants.)
 func TestTandemBeamCompletes(t *testing.T) {
 	spec := scenario.TandemBeam()
-	res, err := Run(spec, 900)
+	res, err := RunContext(context.Background(), spec, 900)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestTandemBeamCompletes(t *testing.T) {
 
 // TestTwinYardCompletes proves the staggered two-crane yard headless.
 func TestTwinYardCompletes(t *testing.T) {
-	res, err := Run(scenario.TwinYard(), 900)
+	res, err := RunContext(context.Background(), scenario.TwinYard(), 900)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 #!/bin/sh
-# check.sh mirrors the CI workflow (.github/workflows/ci.yml) locally:
-# formatting, vet, the codvet analyzer suite, and the full test suite.
-# Run it from anywhere.
+# check.sh is the one list of gates: formatting, vet, the codvet analyzer
+# suite, the full test suite and the smokes. CI (.github/workflows/ci.yml)
+# runs this script as its single gate step. Run it from anywhere; records
+# land in the git-ignored .check_out/ (CI uploads them as artifacts).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -17,11 +18,12 @@ fi
 echo "== go vet =="
 go vet ./...
 
-echo "== codvet (project invariants: determinism, policydecl, layering, ctxwait, errwrap, nopool) =="
+echo "== codvet (project invariants: determinism, policydecl, layering, errwrap, nopool) =="
 go run ./cmd/codvet ./...
 
 # staticcheck and govulncheck are external tools; CI installs them pinned
-# (see ci.yml). Locally they gate when present and are skipped offline.
+# and puts them on PATH (see ci.yml). Locally they gate when present and
+# are skipped offline.
 if command -v staticcheck >/dev/null 2>&1; then
     echo "== staticcheck =="
     staticcheck ./...
@@ -50,14 +52,15 @@ go test -run 'TestSlowSubscriberMemLANSmoke|TestReliableBackpressureStallsAndDra
 echo "== dist smoke (coordinator + workers, MemLAN) =="
 go test -run 'TestCoordinatorWorkersMemLAN|TestRedispatchOnWorkerDeath|TestMemLANTandemSweep' -count=1 ./internal/dist
 
-out=$(mktemp -d)
+out=.check_out
+rm -rf "$out"
+mkdir "$out"
 w1=; w2=
 cleanup() {
-    # || true throughout: under set -e a failed kill (process already
-    # gone) must not abort the trap before the rest of the cleanup.
+    # || true: under set -e a failed kill (process already gone) must not
+    # abort the trap before the second kill.
     [ -z "$w1" ] || kill "$w1" 2>/dev/null || true
     [ -z "$w2" ] || kill "$w2" 2>/dev/null || true
-    rm -rf "$out" || true
 }
 trap cleanup EXIT
 
@@ -85,7 +88,7 @@ go run ./cmd/benchdiff BENCH_baseline.json "$out/bench.txt"
 
 echo "== batch smoke (headless sweep incl. multi-crane, JSONL report) =="
 go build -o "$out/codbatch" ./cmd/codbatch
-"$out/codbatch" -headless -strict -out "$out/results.jsonl" >"$out/report.txt"
+"$out/codbatch" -headless -strict -repeat 3 -out "$out/results.jsonl" >"$out/report.txt"
 tail -n 3 "$out/report.txt"
 
 echo "== tandem-lift smoke (two cranes, headless + skill spread) =="
