@@ -68,7 +68,7 @@ func (m *Mesh) Triangles() []Triangle { return m.tris }
 func (m *Mesh) TriangleCount() int { return len(m.tris) }
 
 // Object is a mesh instance placed in the world. Update its pose with
-// SetPose; the world-space bounds refresh lazily.
+// SetPose; see the package doc for what is computed when.
 type Object struct {
 	ID   string
 	mesh *Mesh
@@ -76,42 +76,76 @@ type Object struct {
 	pos mathx.Vec3
 	rot mathx.Quat
 
-	worldDirty  bool
-	worldTris   []Triangle
-	worldCenter mathx.Vec3
-	worldMin    mathx.Vec3
-	worldMax    mathx.Vec3
+	shifted   bool       // rot is the identity: the world mesh is pos + local
+	center    mathx.Vec3 // world bounding-sphere centre, set by SetPose
+	worldMin  mathx.Vec3 // world AABB: set by SetPose when shifted,
+	worldMax  mathx.Vec3 // by buildTris otherwise
+	trisStale bool
+	worldTris []Triangle
 }
 
 // NewObject places mesh at the origin with identity rotation.
 func NewObject(id string, mesh *Mesh) *Object {
-	return &Object{ID: id, mesh: mesh, rot: mathx.QuatIdentity(), worldDirty: true}
+	o := &Object{ID: id, mesh: mesh}
+	o.SetPose(mathx.Vec3{}, mathx.QuatIdentity())
+	return o
 }
 
 // SetPose moves the object to pos with rotation rot.
 func (o *Object) SetPose(pos mathx.Vec3, rot mathx.Quat) {
 	o.pos = pos
 	o.rot = rot
-	o.worldDirty = true
+	o.trisStale = true
+	o.shifted = rot.W == 1 && math.Float64bits(rot.X)|math.Float64bits(rot.Y)|math.Float64bits(rot.Z) == 0
+	if o.shifted {
+		o.center = shift(pos, o.mesh.center)
+		o.worldMin = shift(pos, o.mesh.min)
+		o.worldMax = shift(pos, o.mesh.max)
+	} else {
+		o.center = pos.Add(rot.Rotate(o.mesh.center))
+	}
 }
+
+// shift is pos.Add(QuatIdentity().Rotate(v)) without the quaternion
+// products: rotating by the identity returns v with any -0 component
+// turned into +0, which is what adding zero does.
+func shift(pos, v mathx.Vec3) mathx.Vec3 { return pos.Add(v.Add(mathx.Vec3{})) }
 
 // Pos returns the object's position.
 func (o *Object) Pos() mathx.Vec3 { return o.pos }
 
-// sphere returns the world bounding sphere (center, radius).
-func (o *Object) sphere() (mathx.Vec3, float64) {
-	return o.pos.Add(o.rot.Rotate(o.mesh.center)), o.mesh.radius
+// aabb returns the world bounding box, transforming a rotated mesh if the
+// pose changed since it last was.
+func (o *Object) aabb() (min, max mathx.Vec3) {
+	if o.trisStale && !o.shifted {
+		o.buildTris()
+	}
+	return o.worldMin, o.worldMax
 }
 
-// refreshWorld recomputes world triangles and the AABB when stale.
-func (o *Object) refreshWorld() {
-	if !o.worldDirty {
-		return
+// tris returns the world triangles, transforming the mesh if the pose
+// changed since it last was.
+func (o *Object) tris() []Triangle {
+	if o.trisStale {
+		o.buildTris()
 	}
+	return o.worldTris
+}
+
+// buildTris transforms the mesh into world space; for a rotated mesh it
+// also takes the AABB of the transformed vertices.
+func (o *Object) buildTris() {
 	if cap(o.worldTris) < len(o.mesh.tris) {
 		o.worldTris = make([]Triangle, len(o.mesh.tris))
 	}
 	o.worldTris = o.worldTris[:len(o.mesh.tris)]
+	o.trisStale = false
+	if o.shifted {
+		for i, t := range o.mesh.tris {
+			o.worldTris[i] = Triangle{A: shift(o.pos, t.A), B: shift(o.pos, t.B), C: shift(o.pos, t.C)}
+		}
+		return
+	}
 	o.worldMin = mathx.V3(math.Inf(1), math.Inf(1), math.Inf(1))
 	o.worldMax = o.worldMin.Neg()
 	for i, t := range o.mesh.tris {
@@ -121,13 +155,11 @@ func (o *Object) refreshWorld() {
 			C: o.pos.Add(o.rot.Rotate(t.C)),
 		}
 		o.worldTris[i] = wt
-		for _, v := range []mathx.Vec3{wt.A, wt.B, wt.C} {
+		for _, v := range [3]mathx.Vec3{wt.A, wt.B, wt.C} {
 			o.worldMin = o.worldMin.Min(v)
 			o.worldMax = o.worldMax.Max(v)
 		}
 	}
-	o.worldCenter = o.worldMin.Add(o.worldMax).Scale(0.5)
-	o.worldDirty = false
 }
 
 // Contact reports one detected collision between two objects.
@@ -186,22 +218,17 @@ func (w *World) CheckPair(a, b *Object) (Contact, bool) {
 	w.stats.Pairs++
 	if !w.BruteForce {
 		// Level 1: bounding spheres.
-		ca, ra := a.sphere()
-		cbv, rb := b.sphere()
-		if ca.Sub(cbv).LenSq() > (ra+rb)*(ra+rb) {
+		if r := a.mesh.radius + b.mesh.radius; a.center.Sub(b.center).LenSq() > r*r {
 			w.stats.L1Reject++
 			return Contact{}, false
 		}
 		// Level 2: world AABBs.
-		a.refreshWorld()
-		b.refreshWorld()
-		if !aabbOverlap(a.worldMin, a.worldMax, b.worldMin, b.worldMax) {
+		minA, maxA := a.aabb()
+		minB, maxB := b.aabb()
+		if !aabbOverlap(minA, maxA, minB, maxB) {
 			w.stats.L2Reject++
 			return Contact{}, false
 		}
-	} else {
-		a.refreshWorld()
-		b.refreshWorld()
 	}
 	// Level 3: exact mesh intersection.
 	w.stats.L3Tests++
@@ -221,10 +248,11 @@ func aabbOverlap(minA, maxA, minB, maxB mathx.Vec3) bool {
 // meshIntersect reports whether any edge of one mesh pierces a triangle of
 // the other (the Moore–Wilhelms edge/face test, both directions).
 func (w *World) meshIntersect(a, b *Object) (mathx.Vec3, bool) {
-	if p, hit := w.edgesVsTris(a.worldTris, b.worldTris); hit {
+	ta, tb := a.tris(), b.tris()
+	if p, hit := w.edgesVsTris(ta, tb); hit {
 		return p, true
 	}
-	return w.edgesVsTris(b.worldTris, a.worldTris)
+	return w.edgesVsTris(tb, ta)
 }
 
 func (w *World) edgesVsTris(from, against []Triangle) (mathx.Vec3, bool) {

@@ -338,7 +338,7 @@ const (
 	jobDone
 )
 
-// jobState is the coordinator's view of one job.
+// jobState is the coordinator's view of one open (pending or granted) job.
 type jobState struct {
 	job      Job
 	specJSON []byte
@@ -351,7 +351,31 @@ type jobState struct {
 	announce time.Time // last announce while pending
 	span     string    // trace span ID, minted at load, rides every message
 	queueMS  float64   // load→grant latency of the winning attempt
-	rec      Record
+}
+
+// sweep is one RunStream's job table. A job lives in open, with its spec,
+// only until it has a Record; after that done keeps what a late duplicate
+// claim or result still needs (the attempt and grantee to re-send), so a
+// stream's memory follows its window, not its length, and every per-tick
+// pass ranges over open alone.
+type sweep struct {
+	open map[int64]*jobState
+	done map[int64]jobGrant
+	recs []Record
+}
+
+// finish moves job s out of the open set with its Record.
+func (c *Coordinator) finish(sw *sweep, s *jobState, rec Record) {
+	c.moveJob(s.phase, jobDone)
+	delete(sw.open, s.job.ID)
+	sw.done[s.job.ID] = jobGrant{Sweep: c.cfg.Sweep, Job: s.job.ID, Attempt: s.attempt, Worker: s.worker}
+	sw.recs = append(sw.recs, rec)
+}
+
+// records returns the finished records in job-ID order.
+func (sw *sweep) records() []Record {
+	sort.Slice(sw.recs, func(i, k int) bool { return sw.recs[i].Job < sw.recs[k].Job })
+	return sw.recs
 }
 
 // Run dispatches the jobs and blocks until every one has a Record or ctx
@@ -370,9 +394,7 @@ func (c *Coordinator) Run(ctx context.Context, jobs []Job) ([]Record, error) {
 // refills but never the draining of results already in flight by more
 // than one poll.
 func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, error) {
-	states := make(map[int64]*jobState)
-	var jobs []Job
-	done := 0
+	sw := &sweep{open: make(map[int64]*jobState), done: make(map[int64]jobGrant)}
 	exhausted := false
 
 	// load tops the in-flight set back up to the window. Malformed or
@@ -380,7 +402,7 @@ func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, e
 	// input, and dispatching around its bug would silently shrink the
 	// campaign.
 	load := func() error {
-		for !exhausted && len(states)-done < c.cfg.Window {
+		for !exhausted && len(sw.open) < c.cfg.Window {
 			j, ok, err := src.Next(ctx)
 			if err != nil {
 				return fmt.Errorf("dist: job source: %w", err)
@@ -393,14 +415,14 @@ func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, e
 			if err != nil {
 				return fmt.Errorf("dist: %s: %w", j, err)
 			}
-			if _, dup := states[j.ID]; dup {
+			_, dup := sw.open[j.ID]
+			if _, dupDone := sw.done[j.ID]; dup || dupDone {
 				return fmt.Errorf("dist: duplicate job id %d", j.ID)
 			}
-			states[j.ID] = &jobState{
+			sw.open[j.ID] = &jobState{
 				job: j, specJSON: data, attempt: 1,
 				created: time.Now(), span: obs.MintSpanID(),
 			}
-			jobs = append(jobs, j)
 			c.moveJob(-1, jobPending)
 			c.noteAttempt(false)
 		}
@@ -411,52 +433,39 @@ func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, e
 	defer tick.Stop()
 	for {
 		if err := load(); err != nil {
-			return collect(jobs, states), err
+			return sw.records(), err
 		}
 		c.drainHeartbeats()
-		if n := c.drainResults(states); n > 0 {
-			done += n
+		if c.drainResults(sw) {
 			// A result frees a worker slot: refill the window and
 			// re-announce the backlog now instead of waiting out the
 			// period, or every slot refill costs a full Announce of idle
 			// time.
 			if err := load(); err != nil {
-				return collect(jobs, states), err
+				return sw.records(), err
 			}
-			for _, s := range states {
+			for _, s := range sw.open {
 				if s.phase == jobPending {
 					s.announce = time.Time{}
 				}
 			}
 		}
-		c.drainClaims(states)
-		done += c.redispatch(states)
-		if exhausted && done == len(states) {
-			return collect(jobs, states), nil
+		c.drainClaims(sw)
+		c.redispatch(sw)
+		if exhausted && len(sw.open) == 0 {
+			return sw.records(), nil
 		}
-		c.announcePending(states)
+		c.announcePending(sw)
 
 		select {
 		case <-ctx.Done():
-			return collect(jobs, states), ctx.Err()
+			return sw.records(), ctx.Err()
 		case <-tick.C:
 		case <-c.subClaim.NotifyC():
 		case <-c.subRes.NotifyC():
 		case <-c.subHB.NotifyC():
 		}
 	}
-}
-
-// collect gathers finished records in job-ID order.
-func collect(jobs []Job, states map[int64]*jobState) []Record {
-	out := make([]Record, 0, len(jobs))
-	for _, j := range jobs {
-		if s := states[j.ID]; s.phase == jobDone {
-			out = append(out, s.rec)
-		}
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].Job < out[k].Job })
-	return out
 }
 
 func (c *Coordinator) drainHeartbeats() {
@@ -474,22 +483,24 @@ func (c *Coordinator) drainHeartbeats() {
 
 // drainResults records finished jobs; the first Record per job wins and
 // stale attempts are accepted — the work is identical.
-func (c *Coordinator) drainResults(states map[int64]*jobState) (newlyDone int) {
+func (c *Coordinator) drainResults(sw *sweep) (anyDone bool) {
 	for {
 		r, ok, err := c.subRes.Poll()
 		if err != nil {
 			continue // shape mismatch from a foreign build: skip
 		}
 		if !ok {
-			return newlyDone
+			return anyDone
 		}
 		res := r.Value
-		s := states[res.Job]
-		if res.Sweep != c.cfg.Sweep || s == nil {
+		if res.Sweep != c.cfg.Sweep {
 			continue
 		}
-		if s.phase == jobDone {
-			c.ack(res.Job) // duplicate re-send: re-ack so the worker stops
+		s := sw.open[res.Job]
+		if s == nil {
+			if _, done := sw.done[res.Job]; done {
+				c.ack(res.Job) // duplicate re-send: re-ack so the worker stops
+			}
 			continue
 		}
 		var rec Record
@@ -500,10 +511,8 @@ func (c *Coordinator) drainResults(states map[int64]*jobState) (newlyDone int) {
 		// stamped DispatchMS on its own clock before marshaling.
 		rec.Span = s.span
 		rec.QueueMS = s.queueMS
-		c.moveJob(s.phase, jobDone)
-		s.phase = jobDone
-		s.rec = rec
-		newlyDone++
+		c.finish(sw, s, rec)
+		anyDone = true
 		c.ack(res.Job)
 		c.noteWorkerDone(res.Worker)
 		c.log.Info("job done",
@@ -515,7 +524,7 @@ func (c *Coordinator) drainResults(states map[int64]*jobState) (newlyDone int) {
 // drainClaims grants each claimed pending job to its first bidder; claims
 // for already-granted or done jobs re-send the standing grant so losing
 // bidders release their slot.
-func (c *Coordinator) drainClaims(states map[int64]*jobState) {
+func (c *Coordinator) drainClaims(sw *sweep) {
 	for {
 		r, ok, err := c.subClaim.Poll()
 		if err != nil {
@@ -525,8 +534,14 @@ func (c *Coordinator) drainClaims(states map[int64]*jobState) {
 			return
 		}
 		claim := r.Value
-		s := states[claim.Job]
-		if claim.Sweep != c.cfg.Sweep || s == nil {
+		if claim.Sweep != c.cfg.Sweep {
+			continue
+		}
+		s := sw.open[claim.Job]
+		if s == nil {
+			if g, done := sw.done[claim.Job]; done && g.Worker != "" {
+				_ = c.pubGrant.Update(0, g) // as sendGrant: releases the loser
+			}
 			continue
 		}
 		switch s.phase {
@@ -551,10 +566,8 @@ func (c *Coordinator) drainClaims(states map[int64]*jobState) {
 			c.log.Info("job granted",
 				"job", s.job.ID, "worker", s.worker, "attempt", s.attempt,
 				"span", s.span, "queue_ms", s.queueMS)
-		case jobGranted, jobDone:
-			if s.worker != "" {
-				c.sendGrant(s) // idempotent re-send releases the loser
-			}
+		case jobGranted:
+			c.sendGrant(s) // idempotent re-send releases the loser
 		}
 	}
 }
@@ -579,7 +592,7 @@ func (c *Coordinator) sendGrant(s *jobState) {
 // re-announces, and the sweep must fail the job rather than hang.
 // First-attempt pending jobs never expire: an empty segment is a pool
 // that has not joined yet, not a failure.
-func (c *Coordinator) redispatch(states map[int64]*jobState) (newlyDone int) {
+func (c *Coordinator) redispatch(sw *sweep) {
 	now := time.Now()
 	// grantSlack is how long after a grant the grantee's heartbeats may
 	// still omit the job before the grant counts as lost: long enough
@@ -588,7 +601,7 @@ func (c *Coordinator) redispatch(states map[int64]*jobState) (newlyDone int) {
 	if grantSlack < 500*time.Millisecond {
 		grantSlack = 500 * time.Millisecond
 	}
-	for _, s := range states {
+	for _, s := range sw.open {
 		switch s.phase {
 		case jobGranted:
 			w := c.workers[s.worker]
@@ -614,13 +627,9 @@ func (c *Coordinator) redispatch(states map[int64]*jobState) (newlyDone int) {
 			}
 			c.log.Warn("re-dispatch unclaimed past deadline",
 				"job", s.job.ID, "attempt", s.attempt, "span", s.span)
-		default:
-			continue
 		}
 		if int(s.attempt) >= c.cfg.MaxAttempts {
-			c.moveJob(s.phase, jobDone)
-			s.phase = jobDone
-			s.rec = Record{
+			c.finish(sw, s, Record{
 				Job:      s.job.ID,
 				Attempt:  s.attempt,
 				Scenario: s.job.Spec.Name,
@@ -629,8 +638,7 @@ func (c *Coordinator) redispatch(states map[int64]*jobState) (newlyDone int) {
 				Worker:   s.worker,
 				Span:     s.span,
 				Err:      fmt.Sprintf("dist: gave up after %d attempts (last worker %s)", s.attempt, s.worker),
-			}
-			newlyDone++
+			})
 			continue
 		}
 		c.moveJob(s.phase, jobPending)
@@ -641,7 +649,6 @@ func (c *Coordinator) redispatch(states map[int64]*jobState) (newlyDone int) {
 		s.announce = time.Time{} // re-announce immediately
 		c.noteAttempt(true)
 	}
-	return newlyDone
 }
 
 // announcePending publishes every pending job whose announce period
@@ -649,9 +656,9 @@ func (c *Coordinator) redispatch(states map[int64]*jobState) (newlyDone int) {
 // ErrWindowFull that a worker's Reliable announce window is saturated
 // (the update reached every other worker) — the next period retries
 // either way, and announces are idempotent.
-func (c *Coordinator) announcePending(states map[int64]*jobState) {
+func (c *Coordinator) announcePending(sw *sweep) {
 	now := time.Now()
-	for _, s := range states {
+	for _, s := range sw.open {
 		if s.phase != jobPending || now.Sub(s.announce) < c.cfg.Announce {
 			continue
 		}

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -481,5 +482,80 @@ func TestWorkerSurvivesCoordinatorRestart(t *testing.T) {
 		}
 		_ = coord.Close()
 		_ = cnode.Close()
+	}
+}
+
+// countSource streams n jobs over two library specs without ever holding
+// them in a slice, so nothing but the coordinator can retain a job. When
+// the coordinator comes for the last job — every other one loaded, all but
+// a window of them finished — it measures the live heap into atLast.
+type countSource struct {
+	next, n int64
+	atLast  runtime.MemStats
+}
+
+func (s *countSource) Next(context.Context) (Job, bool, error) {
+	if s.next >= s.n {
+		return Job{}, false, nil
+	}
+	if s.next == s.n-1 {
+		runtime.GC()
+		runtime.ReadMemStats(&s.atLast)
+	}
+	j := testJobs(2)[s.next%2]
+	j.ID, j.Seed = s.next, s.next%3+1
+	s.next++
+	return j, true, nil
+}
+
+// TestRunStreamRetainsOnlyItsWindow streams 5000 stub jobs (≈4 KB of spec
+// JSON each, 20 MB in all) through a coordinator and two workers and
+// checks the live heap while the sweep still runs: it may hold the records
+// and a few bytes per finished job, not the specs of jobs it has finished
+// with.
+func TestRunStreamRetainsOnlyItsWindow(t *testing.T) {
+	const n = 5000
+	if data, err := scenario.MarshalSpec(testJobs(1)[0].Spec); err != nil || len(data) < 3<<10 {
+		t.Fatalf("test spec marshals to %d bytes (err %v); the bound below assumes ≈4 KB", len(data), err)
+	}
+	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()), fastTimers())
+	defer fed.Close()
+	wcfg := WorkerConfig{Slots: 4, Heartbeat: 25 * time.Millisecond, Run: stubRunner(0)}
+	startWorker(t, fed, "w1", wcfg)
+	startWorker(t, fed, "w2", wcfg)
+	cnode, err := fed.Node("coord-node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(cnode, fastCoordinator())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	if err := coord.WaitWorkers(ctx, []string{"w1", "w2"}); err != nil {
+		t.Fatalf("WaitWorkers: %v", err)
+	}
+
+	var before runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	src := &countSource{n: n}
+	recs, err := coord.RunStream(ctx, src)
+	if err != nil {
+		t.Fatalf("RunStream: %v", err)
+	}
+	if grown := int64(src.atLast.HeapAlloc) - int64(before.HeapAlloc); grown > 8<<20 {
+		t.Errorf("live heap grew %d KB by the last of %d jobs; want < 8 MB (records and the window)", grown>>10, n)
+	}
+	if len(recs) != n {
+		t.Fatalf("records = %d, want %d", len(recs), n)
+	}
+	for i, r := range recs {
+		want := testJobs(2)[i%2].Spec.Name
+		if r.Job != int64(i) || !r.Passed || r.Err != "" || r.Scenario != want || r.Seed != int64(i%3+1) {
+			t.Fatalf("record %d = %+v, want job %d of %s passed", i, r, i, want)
+		}
 	}
 }

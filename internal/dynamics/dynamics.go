@@ -144,6 +144,14 @@ const (
 
 // Model integrates the crane. Not safe for concurrent use: it belongs to
 // the dynamics LP's tick loop.
+//
+// A parked carrier asks the terrain the same question every tick, so the
+// model keeps the last answers (frame) beside the inputs they were
+// computed from. An answer is reused only while those inputs are
+// bit-identical to the live ones — (heading) for the heading's sine and
+// cosine, (x, z, heading) for ground height and posture — so a reused
+// value is the value a fresh call would return. Only NewCrane and Step
+// touch the frame; no read accessor does.
 type Model struct {
 	cfg Config
 	ter *terrain.Map
@@ -158,6 +166,7 @@ type Model struct {
 	accelFwd float64
 	engineOn bool
 	rpm      float64
+	frame    carrierFrame
 
 	// Boom axes: position + actual (lagged) rate.
 	swing, swingV  float64
@@ -193,6 +202,38 @@ type Model struct {
 	t      float64
 }
 
+// carrierFrame is the Model's memo of per-pose answers; see Model.
+type carrierFrame struct {
+	heading, sinH, cosH float64 // sinH, cosH = Sincos(heading)
+	x, z, gh, y, tp, tr float64 // y = HeightAt(x, z); tp, tr = Posture(x, z, gh)
+}
+
+// same reports bit equality: stricter than ==, so the memo needs no
+// argument that -0 and +0 get the same answer, and a NaN matches itself.
+func same(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// sincosHeading returns math.Sincos(m.heading).
+func (m *Model) sincosHeading() (sin, cos float64) {
+	f := &m.frame
+	if !same(f.heading, m.heading) {
+		f.heading = m.heading
+		f.sinH, f.cosH = math.Sincos(m.heading)
+	}
+	return f.sinH, f.cosH
+}
+
+// ground returns the terrain height under the carrier and the posture the
+// terrain gives it at the current heading.
+func (m *Model) ground() (y, pitch, roll float64) {
+	f := &m.frame
+	if !same(f.x, m.pos.X) || !same(f.z, m.pos.Z) || !same(f.gh, m.heading) {
+		f.x, f.z, f.gh = m.pos.X, m.pos.Z, m.heading
+		f.y = m.ter.HeightAt(f.x, f.z)
+		f.tp, f.tr = m.ter.Posture(f.x, f.z, f.gh, m.cfg.Wheelbase, m.cfg.Track)
+	}
+	return f.y, f.tp, f.tr
+}
+
 // New creates a single-crane model resting at start on the given terrain,
 // heading along -Z, with boom stowed and cable short. The model owns a
 // private cargo World; use NewCrane to place several rigs on one site.
@@ -224,9 +265,10 @@ func NewCrane(cfg Config, ter *terrain.Map, w *World, start mathx.Vec3, heading 
 		luff:     cfg.LuffMin,
 		boomLen:  cfg.BoomLenMin,
 		cableLen: 4.0,
+		// NaN inputs match no finite pose: the first queries compute.
+		frame: carrierFrame{heading: math.NaN(), x: math.NaN()},
 	}
-	m.pos.Y = ter.HeightAt(start.X, start.Z)
-	m.pitch, m.roll = ter.Posture(m.pos.X, m.pos.Z, m.heading, cfg.Wheelbase, cfg.Track)
+	m.pos.Y, m.pitch, m.roll = m.ground()
 	tip := m.BoomTip()
 	m.hookPos = tip.Sub(mathx.V3(0, m.cableLen, 0))
 	m.cargoPos = m.hookPos
@@ -323,7 +365,7 @@ func (m *Model) stepEngine(in fom.ControlInput) {
 }
 
 func (m *Model) stepCarrier(in fom.ControlInput, dt float64) {
-	cfg := m.cfg
+	cfg := &m.cfg
 	var drive float64
 	if m.engineOn {
 		switch in.Gear {
@@ -366,14 +408,14 @@ func (m *Model) stepCarrier(in fom.ControlInput, dt float64) {
 	m.heading = mathx.WrapAngle(m.heading + yawRate*dt)
 
 	// Advance over the ground; the forward axis at heading 0 is -Z.
-	sinH, cosH := math.Sincos(m.heading)
+	sinH, cosH := m.sincosHeading()
 	fwd := mathx.V3(sinH, 0, -cosH)
 	m.pos = m.pos.Add(fwd.Scale(m.speed * dt))
-	m.pos.Y = m.ter.HeightAt(m.pos.X, m.pos.Z)
 
 	// Terrain following with a small settling lag so grid cell borders do
 	// not kick the cab (§3.6).
-	tp, tr := m.ter.Posture(m.pos.X, m.pos.Z, m.heading, cfg.Wheelbase, cfg.Track)
+	y, tp, tr := m.ground()
+	m.pos.Y = y
 	blend := mathx.Clamp(dt/0.15, 0, 1)
 	m.pitch += (tp - m.pitch) * blend
 	m.roll += (tr - m.roll) * blend
@@ -382,7 +424,7 @@ func (m *Model) stepCarrier(in fom.ControlInput, dt float64) {
 // stepBoom integrates the four boom axes with first-order actuator lag and
 // hard position limits.
 func (m *Model) stepBoom(in fom.ControlInput, dt float64) {
-	cfg := m.cfg
+	cfg := &m.cfg
 	lag := mathx.Clamp(dt/math.Max(cfg.ControlLag, 1e-3), 0, 1)
 	operational := m.engineOn // boom hydraulics need the engine
 
@@ -464,13 +506,9 @@ func (m *Model) stepPendulum(dt float64) {
 	}
 
 	// Ground: the hook (and carried cargo) cannot sink into the terrain.
-	// A latched tandem cargo still waiting for its partner hooks rests on
-	// the ground, so it grants no hanging clearance.
-	carrying := m.world.isCarrying(m, m.cargoRef)
-	minY := m.ter.HeightAt(m.hookPos.X, m.hookPos.Z) + 0.15
-	if carrying {
-		minY += 0.6 // carried cargo hangs below the hook
-	}
+	var minY float64
+	minY, m.cargoPos = m.world.settleHook(m, m.cargoRef, m.hookPos,
+		m.ter.HeightAt(m.hookPos.X, m.hookPos.Z)+0.15, m.cargoPos)
 	if m.hookPos.Y < minY {
 		m.hookPos.Y = minY
 		if m.hookVel.Y < 0 {
@@ -479,12 +517,6 @@ func (m *Model) stepPendulum(dt float64) {
 		// Ground friction kills lateral sliding quickly.
 		m.hookVel.X *= 0.7
 		m.hookVel.Z *= 0.7
-	}
-
-	if m.cargoRef != nil {
-		m.cargoPos = m.world.trackHook(m, m.cargoRef, m.hookPos)
-	} else {
-		m.cargoPos = m.world.nearestRestingPos(m.hookPos, m.cargoPos)
 	}
 }
 
@@ -495,11 +527,11 @@ func (m *Model) stepLatch(in fom.ControlInput) {
 	if in.HookLatch && !m.latchArm {
 		m.latchArm = true
 		if !m.cargoHeld {
-			if u, ok := m.world.latch(m, m.hookPos, m.cfg.LatchDist); ok {
+			if u, share, pos, ok := m.world.latch(m, m.hookPos, m.cfg.LatchDist); ok {
 				m.cargoHeld = true
 				m.cargoRef = u
-				m.cargoMass = u.mass / float64(u.hooks)
-				m.cargoPos = u.pos
+				m.cargoMass = share
+				m.cargoPos = pos
 				m.events = append(m.events, EventCargoLatched)
 			}
 		}

@@ -92,8 +92,10 @@ func (w *World) AddCargoHooks(pos mathx.Vec3, mass float64, hooks int) int64 {
 // hook slot within latchDist of hookPos. On success the rig joins the
 // holders; a unit reaching its hook count lifts off (removed from the
 // resting list, load carried). Ties go to the later-registered unit,
-// matching the classic single-site scan.
-func (w *World) latch(m *Model, hookPos mathx.Vec3, latchDist float64) (*cargoUnit, bool) {
+// matching the classic single-site scan. share (the rig's part of the
+// unit's mass) and pos are read here, under the lock: a partner rig's
+// trackHook writes the unit from its own goroutine.
+func (w *World) latch(m *Model, hookPos mathx.Vec3, latchDist float64) (u *cargoUnit, share float64, pos mathx.Vec3, ok bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	best, bestD := -1, latchDist
@@ -106,16 +108,16 @@ func (w *World) latch(m *Model, hookPos mathx.Vec3, latchDist float64) (*cargoUn
 		}
 	}
 	if best < 0 {
-		return nil, false
+		return nil, 0, mathx.Vec3{}, false
 	}
-	u := w.resting[best]
+	u = w.resting[best]
 	u.holders = append(u.holders, holderRef{m: m, hook: hookPos})
 	if len(u.holders) == u.hooks {
 		u.carried = true
 		w.resting = append(w.resting[:best], w.resting[best+1:]...)
 		w.carried = append(w.carried, u)
 	}
-	return u, true
+	return u, u.mass / float64(u.hooks), u.pos, true
 }
 
 // release unhooks rig m from unit u. A carried unit drops to the ground
@@ -146,24 +148,29 @@ func (w *World) release(m *Model, u *cargoUnit, groundY func(x, z float64) float
 	return u.pos
 }
 
-// isCarrying reports whether rig m's latched unit is fully held (off the
-// ground). False while a tandem cargo still waits for its partner hooks.
-func (w *World) isCarrying(m *Model, u *cargoUnit) bool {
-	if u == nil {
-		return false
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return u.carried
-}
-
-// trackHook records rig m's hook position on its latched unit and returns
-// the unit's current position: the mean of the holding hooks minus the
+// settleHook is the hook's per-tick call into the world, one critical
+// section. It grounds the hook: floorY is the lowest the bare hook may
+// hang at hookPos, and a fully held unit (carried, not a tandem cargo
+// still waiting for partner hooks) hangs 0.6 m below that — minY is the
+// resulting limit, for the caller to apply to its own state. With a
+// latched unit u it then records rig m's grounded hook position and
+// returns the unit's position: the mean of the holding hooks minus the
 // sling offset while carried, or the fixed resting spot while the unit
-// still waits on the ground for its remaining hooks.
-func (w *World) trackHook(m *Model, u *cargoUnit, hookPos mathx.Vec3) mathx.Vec3 {
+// still waits on the ground for its remaining hooks. With an empty hook it
+// returns the nearest pickup (see nearestResting).
+func (w *World) settleHook(m *Model, u *cargoUnit, hookPos mathx.Vec3, floorY float64, fallback mathx.Vec3) (minY float64, cargoPos mathx.Vec3) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	minY = floorY
+	if u != nil && u.carried {
+		minY += 0.6
+	}
+	if hookPos.Y < minY {
+		hookPos.Y = minY
+	}
+	if u == nil {
+		return minY, w.nearestResting(hookPos, fallback)
+	}
 	for i := range u.holders {
 		if u.holders[i].m == m {
 			u.holders[i].hook = hookPos
@@ -171,14 +178,14 @@ func (w *World) trackHook(m *Model, u *cargoUnit, hookPos mathx.Vec3) mathx.Vec3
 		}
 	}
 	if !u.carried {
-		return u.pos
+		return minY, u.pos
 	}
 	var sum mathx.Vec3
 	for _, h := range u.holders {
 		sum = sum.Add(h.hook)
 	}
 	u.pos = sum.Scale(1 / float64(len(u.holders))).Sub(mathx.V3(0, 0.6, 0))
-	return u.pos
+	return minY, u.pos
 }
 
 // nearestRestingPos returns the grounded unit nearest to hookPos, or the
@@ -187,6 +194,11 @@ func (w *World) trackHook(m *Model, u *cargoUnit, hookPos mathx.Vec3) mathx.Vec3
 func (w *World) nearestRestingPos(hookPos, fallback mathx.Vec3) mathx.Vec3 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.nearestResting(hookPos, fallback)
+}
+
+// nearestResting is nearestRestingPos with w.mu held.
+func (w *World) nearestResting(hookPos, fallback mathx.Vec3) mathx.Vec3 {
 	best := fallback
 	bestD := math.Inf(1)
 	for _, u := range w.resting {

@@ -139,3 +139,27 @@ func BenchmarkQuatRotate(b *testing.B) {
 	}
 	_ = v
 }
+
+// TestQuatEulerIsAxisAngleComposition pins QuatEuler bit for bit to the
+// composition of QuatAxisAngle about the unit axes, signed zeros included:
+// the crane kernel's trajectories hash every bit.
+func TestQuatEulerIsAxisAngleComposition(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	special := []float64{0, math.Copysign(0, -1), math.Pi, -math.Pi, math.Pi / 2, -math.Pi / 2, 1e-300, -1e-300}
+	angle := func() float64 {
+		if r.Intn(4) == 0 {
+			return special[r.Intn(len(special))]
+		}
+		return r.Float64()*4*math.Pi - 2*math.Pi
+	}
+	bits := func(q Quat) [4]uint64 {
+		return [4]uint64{math.Float64bits(q.W), math.Float64bits(q.X), math.Float64bits(q.Y), math.Float64bits(q.Z)}
+	}
+	for i := 0; i < 20000; i++ {
+		yaw, pitch, roll := angle(), angle(), angle()
+		want := QuatAxisAngle(V3(0, 1, 0), yaw).Mul(QuatAxisAngle(V3(1, 0, 0), pitch)).Mul(QuatAxisAngle(V3(0, 0, 1), roll))
+		if got := QuatEuler(yaw, pitch, roll); bits(got) != bits(want) {
+			t.Fatalf("QuatEuler(%v, %v, %v) = %+v, composition gives %+v", yaw, pitch, roll, got, want)
+		}
+	}
+}

@@ -237,7 +237,7 @@ func (e *Engine) enter(c, i int) {
 	}
 	cur.idx = i
 	cur.waypoint = 0
-	ps := e.spec.Phases[i]
+	ps := &e.spec.Phases[i]
 	cur.phase = ps.Kind.FOMPhase()
 	switch ps.Kind {
 	case PhaseDrive:
@@ -281,7 +281,7 @@ func (e *Engine) syncPhase() {
 	e.phase = e.lead().phase
 }
 
-func phaseLabel(ps PhaseSpec) string {
+func phaseLabel(ps *PhaseSpec) string {
 	if ps.Name != "" {
 		return ps.Name
 	}
@@ -398,8 +398,8 @@ func (e *Engine) StepAll(states []fom.CraneState, dt float64) []Event {
 // snapshot (the whole slice: tandem gates count partner hooks).
 func (e *Engine) stepCursor(c int, states []fom.CraneState) {
 	cur := &e.cursors[c]
-	st := states[c]
-	ps := e.spec.Phases[cur.idx]
+	st := &states[c]
+	ps := &e.spec.Phases[cur.idx]
 	switch ps.Kind {
 	case PhaseDrive:
 		d := horizDist(st.Position, ps.Target)
@@ -417,8 +417,8 @@ func (e *Engine) stepCursor(c int, states []fom.CraneState) {
 			// every needed hook is latched — count the partners.
 			need := e.spec.Cargos[ps.Cargo].HooksNeeded()
 			holders := 0
-			for _, s := range states {
-				if s.CargoHeld && s.CargoID == int64(ps.Cargo) {
+			for i := range states {
+				if s := &states[i]; s.CargoHeld && s.CargoID == int64(ps.Cargo) {
 					holders++
 				}
 			}

@@ -36,6 +36,8 @@ type Autopilot struct {
 	workLuff   float64 // preferred luff angle during cargo work
 	boomLenMin float64 // shortest boom, bounding the reachable radius band
 	snatchDist float64 // skill-mode latch reach, just inside LatchDist
+	barTop     float64 // safe carry height: 1.6 m above the tallest bar
+	ownLast    int     // last phase node owned by the assigned crane
 
 	lastIdx    int // phase index the transient state below belongs to
 	settleTime float64
@@ -64,6 +66,17 @@ func ForCrane(spec scenario.Spec, crane int) *Autopilot {
 		lastIdx:    -1,
 	}
 	a.pickups = estimatePickups(spec)
+	for i := range spec.Phases {
+		if spec.Phases[i].Crane == crane {
+			a.ownLast = i
+		}
+	}
+	for _, b := range spec.Course.Bars {
+		if h := b.Pos.Y + b.Half.Y; h > a.barTop {
+			a.barTop = h
+		}
+	}
+	a.barTop += 1.6
 	return a
 }
 
@@ -117,16 +130,10 @@ func estimatePickups(spec scenario.Spec) []mathx.Vec3 {
 // first own-crane node matching the coarse phase; anything else out of
 // range is clamped to an own-crane node — a mismatched spec revision must
 // not panic the trainee.
-func (a *Autopilot) phaseIdx(scen fom.ScenarioState) int {
-	ownLast := 0
-	for i, ps := range a.spec.Phases {
-		if ps.Crane == a.crane {
-			ownLast = i
-		}
-	}
+func (a *Autopilot) phaseIdx(scen *fom.ScenarioState) int {
 	if scen.PhaseIndex == fom.PhaseIndexUnknown {
-		for i, ps := range a.spec.Phases {
-			if ps.Crane == a.crane && ps.Kind.FOMPhase() == scen.Phase {
+		for i := range a.spec.Phases {
+			if ps := &a.spec.Phases[i]; ps.Crane == a.crane && ps.Kind.FOMPhase() == scen.Phase {
 				return i
 			}
 		}
@@ -135,7 +142,7 @@ func (a *Autopilot) phaseIdx(scen fom.ScenarioState) int {
 	}
 	idx := int(scen.PhaseIndex)
 	if idx < 0 || idx >= len(a.spec.Phases) || a.spec.Phases[idx].Crane != a.crane {
-		idx = ownLast
+		idx = a.ownLast
 	}
 	return idx
 }
@@ -154,7 +161,7 @@ func (a *Autopilot) Control(st fom.CraneState, scen fom.ScenarioState, dt float6
 
 	// Transient controller state (latch settling, release edge) belongs to
 	// one phase node; starting another node resets it.
-	idx := a.phaseIdx(scen)
+	idx := a.phaseIdx(&scen)
 	if idx != a.lastIdx {
 		if a.spec.Phases[idx].Kind == scenario.PhaseLift {
 			if a.lastIdx > idx {
@@ -171,10 +178,10 @@ func (a *Autopilot) Control(st fom.CraneState, scen fom.ScenarioState, dt float6
 		a.released = false
 	}
 
-	ps := a.spec.Phases[idx]
+	ps := &a.spec.Phases[idx]
 	switch ps.Kind {
 	case scenario.PhaseDrive:
-		a.drive(&in, st, ps.Target, ps.Radius)
+		a.drive(&in, &st, ps.Target, ps.Radius)
 	case scenario.PhaseLift:
 		a.parkBrake(&in)
 		if ps.Tandem && st.CargoHeld && st.CargoID == int64(ps.Cargo) {
@@ -182,23 +189,23 @@ func (a *Autopilot) Control(st fom.CraneState, scen fom.ScenarioState, dt float6
 			// the scenario has not advanced, so a partner hook is still
 			// missing. Hold the latch and hover over the pick instead of
 			// hauling on a load that must not leave the ground yet.
-			a.holdTandem(&in, st)
+			a.holdTandem(&in, &st)
 		} else {
-			a.lift(&in, st, a.curPickup, dt)
+			a.lift(&in, &st, a.curPickup, dt)
 		}
 	case scenario.PhaseTraverse:
 		a.parkBrake(&in)
-		a.traverse(&in, st, scen, ps)
+		a.traverse(&in, &st, int(scen.Waypoint), ps)
 	case scenario.PhasePlace:
 		a.parkBrake(&in)
-		a.putDown(&in, st, ps.Target, dt)
+		a.putDown(&in, &st, ps.Target, dt)
 	}
 	return a.skill.apply(in, dt, &a.skillSt)
 }
 
 // holdTandem keeps the latched hook steady over a grounded tandem load
 // while the partner cranes finish their approach.
-func (a *Autopilot) holdTandem(in *fom.ControlInput, st fom.CraneState) {
+func (a *Autopilot) holdTandem(in *fom.ControlInput, st *fom.CraneState) {
 	in.HookLatch = true
 	top := st.CargoPos.Add(mathx.V3(0, 0.6, 0))
 	a.boomTo(in, st, top, top.Y+0.3, 0.8)
@@ -212,7 +219,7 @@ func (a *Autopilot) parkBrake(in *fom.ControlInput) {
 // drive steers the carrier toward the parking spot with the hook stowed:
 // the cable reeled in and the boom raised, so the dangling hook cannot
 // sweep through site obstacles on the way in.
-func (a *Autopilot) drive(in *fom.ControlInput, st fom.CraneState, target mathx.Vec3, radius float64) {
+func (a *Autopilot) drive(in *fom.ControlInput, st *fom.CraneState, target mathx.Vec3, radius float64) {
 	if st.CableLen > 1.5 {
 		in.HoistJoyY = -1 // reel in
 	}
@@ -246,7 +253,7 @@ func (a *Autopilot) drive(in *fom.ControlInput, st fom.CraneState, target mathx.
 // still satisfy the phase — a gate radius, a latch reach): the boom only
 // steepens beyond the working luff when even that slack cannot bridge the
 // gap to the shortest boom's minimum radius.
-func (a *Autopilot) boomTo(in *fom.ControlInput, st fom.CraneState, target mathx.Vec3, targetY, slack float64) {
+func (a *Autopilot) boomTo(in *fom.ControlInput, st *fom.CraneState, target mathx.Vec3, targetY, slack float64) {
 	// Pivot position in world space (carrier assumed near-level while
 	// parked on the test ground).
 	sinH, cosH := math.Sincos(st.Heading)
@@ -309,21 +316,10 @@ func (a *Autopilot) boomTo(in *fom.ControlInput, st fom.CraneState, target mathx
 	in.HoistJoyY = mathx.Clamp(0.8*(cableTarget-st.CableLen), -1, 1)
 }
 
-// barTop returns a safe carry height above the tallest bar.
-func (a *Autopilot) barTop() float64 {
-	top := 0.0
-	for _, b := range a.spec.Course.Bars {
-		if h := b.Pos.Y + b.Half.Y; h > top {
-			top = h
-		}
-	}
-	return top + 1.6
-}
-
 // lift positions the hook over the cargo, descends and latches. est is the
 // cargo's estimated resting position; the published CargoPos takes over
 // for the final approach once the hook is nearby.
-func (a *Autopilot) lift(in *fom.ControlInput, st fom.CraneState, est mathx.Vec3, dt float64) {
+func (a *Autopilot) lift(in *fom.ControlInput, st *fom.CraneState, est mathx.Vec3, dt float64) {
 	target := est
 	if math.Hypot(st.HookPos.X-est.X, st.HookPos.Z-est.Z) < 3 {
 		target = st.CargoPos
@@ -341,7 +337,7 @@ func (a *Autopilot) lift(in *fom.ControlInput, st fom.CraneState, est mathx.Vec3
 	if horiz > 0.8 {
 		// Align above the cargo first, hook held high enough to clear any
 		// bars between here and there.
-		a.boomTo(in, st, cargoTop, math.Max(cargoTop.Y+3, a.barTop()+1), 0.5)
+		a.boomTo(in, st, cargoTop, math.Max(cargoTop.Y+3, a.barTop+1), 0.5)
 		a.settleTime = 0
 		return
 	}
@@ -357,14 +353,13 @@ func (a *Autopilot) lift(in *fom.ControlInput, st fom.CraneState, est mathx.Vec3
 
 // traverse carries the cargo through the phase's waypoints above bar
 // height.
-func (a *Autopilot) traverse(in *fom.ControlInput, st fom.CraneState, scen fom.ScenarioState, ps scenario.PhaseSpec) {
+func (a *Autopilot) traverse(in *fom.ControlInput, st *fom.CraneState, wpIdx int, ps *scenario.PhaseSpec) {
 	in.HookLatch = true // keep holding
-	wpIdx := int(scen.Waypoint)
 	if wpIdx >= len(ps.Waypoints) {
 		wpIdx = len(ps.Waypoints) - 1
 	}
 	wp := ps.Waypoints[wpIdx]
-	carryY := a.barTop() + 0.8 // cargo bottom clears the bars
+	carryY := a.barTop + 0.8 // cargo bottom clears the bars
 	// The hook rides 0.6 m above the cargo center (latch offset) plus the
 	// 0.6 m cargo half height.
 	hookY := carryY + 1.2
@@ -379,7 +374,7 @@ func (a *Autopilot) traverse(in *fom.ControlInput, st fom.CraneState, scen fom.S
 }
 
 // putDown brings the cargo to the target, lowers it and releases.
-func (a *Autopilot) putDown(in *fom.ControlInput, st fom.CraneState, target mathx.Vec3, dt float64) {
+func (a *Autopilot) putDown(in *fom.ControlInput, st *fom.CraneState, target mathx.Vec3, dt float64) {
 	if a.released {
 		in.HookLatch = false
 		return
@@ -387,7 +382,7 @@ func (a *Autopilot) putDown(in *fom.ControlInput, st fom.CraneState, target math
 	in.HookLatch = true
 	horiz := math.Hypot(st.CargoPos.X-target.X, st.CargoPos.Z-target.Z)
 	if horiz > 1.2 {
-		a.boomTo(in, st, target, a.barTop()+2, 0.8)
+		a.boomTo(in, st, target, a.barTop+2, 0.8)
 		return
 	}
 	// Over the target: lower until the cargo grounds, then let go.
