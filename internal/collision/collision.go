@@ -9,6 +9,21 @@
 //
 // A brute-force mode that jumps straight to L3 for every pair exists solely
 // as the baseline of the EXP-5 ablation benchmark.
+//
+// An object pays for a level only when a pair reaches it. SetPose computes
+// the world sphere centre, all L1 needs. L2 needs the world AABB: for a
+// rotated object that is the box around its transformed vertices, built
+// (with the world triangles) the first time a pair gets past L1 after a
+// pose change. L3 needs the world triangles, built on first use likewise.
+//
+// Most poses only translate — the hook and cargo proxies move every tick
+// and never turn. When the rotation is the identity quaternion, bit for
+// bit, SetPose takes the AABB as pos + the mesh's local box and L3 the
+// triangles as pos + local vertex, with no quaternion products. The
+// results are the very floats the rotation would have produced: rotating
+// v by the identity returns v (a -0 component comes back +0, which shift
+// reproduces), and x ↦ pos+x is monotonic in floating point, so the
+// extremes of the translated vertices are the translated extremes.
 package collision
 
 import (
@@ -68,7 +83,7 @@ func (m *Mesh) Triangles() []Triangle { return m.tris }
 func (m *Mesh) TriangleCount() int { return len(m.tris) }
 
 // Object is a mesh instance placed in the world. Update its pose with
-// SetPose; see the package doc for what is computed when.
+// SetPose; the package doc says what is computed when.
 type Object struct {
 	ID   string
 	mesh *Mesh

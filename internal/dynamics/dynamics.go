@@ -527,7 +527,7 @@ func (m *Model) stepLatch(in fom.ControlInput) {
 	if in.HookLatch && !m.latchArm {
 		m.latchArm = true
 		if !m.cargoHeld {
-			if u, share, pos, ok := m.world.latch(m, m.hookPos, m.cfg.LatchDist); ok {
+			if u, share, pos := m.world.latch(m, m.hookPos, m.cfg.LatchDist); u != nil {
 				m.cargoHeld = true
 				m.cargoRef = u
 				m.cargoMass = share

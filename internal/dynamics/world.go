@@ -92,10 +92,11 @@ func (w *World) AddCargoHooks(pos mathx.Vec3, mass float64, hooks int) int64 {
 // hook slot within latchDist of hookPos. On success the rig joins the
 // holders; a unit reaching its hook count lifts off (removed from the
 // resting list, load carried). Ties go to the later-registered unit,
-// matching the classic single-site scan. share (the rig's part of the
-// unit's mass) and pos are read here, under the lock: a partner rig's
-// trackHook writes the unit from its own goroutine.
-func (w *World) latch(m *Model, hookPos mathx.Vec3, latchDist float64) (u *cargoUnit, share float64, pos mathx.Vec3, ok bool) {
+// matching the classic single-site scan. It returns the unit (nil when
+// nothing is in reach) with the rig's share of its mass and its position,
+// read here under the lock: a partner rig's settleHook writes the unit
+// from its own goroutine.
+func (w *World) latch(m *Model, hookPos mathx.Vec3, latchDist float64) (u *cargoUnit, share float64, pos mathx.Vec3) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	best, bestD := -1, latchDist
@@ -108,7 +109,7 @@ func (w *World) latch(m *Model, hookPos mathx.Vec3, latchDist float64) (u *cargo
 		}
 	}
 	if best < 0 {
-		return nil, 0, mathx.Vec3{}, false
+		return nil, 0, mathx.Vec3{}
 	}
 	u = w.resting[best]
 	u.holders = append(u.holders, holderRef{m: m, hook: hookPos})
@@ -117,7 +118,7 @@ func (w *World) latch(m *Model, hookPos mathx.Vec3, latchDist float64) (u *cargo
 		w.resting = append(w.resting[:best], w.resting[best+1:]...)
 		w.carried = append(w.carried, u)
 	}
-	return u, u.mass / float64(u.hooks), u.pos, true
+	return u, u.mass / float64(u.hooks), u.pos
 }
 
 // release unhooks rig m from unit u. A carried unit drops to the ground

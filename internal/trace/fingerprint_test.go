@@ -148,6 +148,10 @@ func (f *fingerprint) fly(t *testing.T, spec scenario.Spec, skill trace.SkillPro
 // generated candidates, expert and novice, and compares one hash over
 // every float of every tick against the committed golden.
 func TestTrajectoryFingerprint(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// The Go spec lets other ports fuse x*y+z into one rounding.
+		t.Skipf("golden was written on amd64; %s may round differently", runtime.GOARCH)
+	}
 	specs := scenario.Library()
 	for k := int64(0); k < 40; k++ {
 		spec, err := gen.Generate(gen.SubSeed(42, k), gen.DefaultParams())

@@ -37,6 +37,16 @@ else
     echo "== govulncheck: not installed, skipping (CI runs it pinned) =="
 fi
 
+echo "== kernel exactness, fast fail (trajectory fingerprint, collision pose caches; -race) =="
+# The step kernel may only change in ways that leave every trajectory bit
+# for bit where it was; these name the culprit in seconds, before the full
+# suite spends minutes. The tandem federation runs three times because the
+# race it once had (a latched unit read outside World.mu) fired about one
+# run in four.
+go test -race -count=1 -run 'TestTrajectoryFingerprint' ./internal/trace
+go test -race -count=1 -run 'TestPoseCachesMatchRecompute|TestCheckPairMatchesBruteForceRandom|TestDescentStatsPinned' ./internal/collision
+go test -race -count=3 -run 'TestClusterTandemCompletes' ./internal/sim
+
 echo "== go test =="
 go test ./...
 
@@ -84,6 +94,12 @@ go test -bench 'BenchmarkCBThroughput' -benchtime 1000x -run '^$' . >>"$out/benc
 # under its setup ceiling at 20x.
 go test -bench 'BenchmarkHeadlessRun' -benchtime 20000x -run '^$' . >>"$out/bench.txt"
 go test -bench 'BenchmarkOracleCertify' -benchtime 20x -run '^$' . >>"$out/bench.txt"
+# The same gate on what a batch worker pays: whole library flights through
+# one Runner, one op per 60 Hz tick (200000x is three passes over the
+# library, so rig builds amortize under one allocation per tick), and the
+# collision judge alone with its proxies moved every op.
+go test -bench 'BenchmarkLibraryFlight' -benchtime 200000x -run '^$' . >>"$out/bench.txt"
+go test -bench 'BenchmarkJudgeCollisions' -benchtime 20000x -run '^$' . >>"$out/bench.txt"
 go run ./cmd/benchdiff BENCH_baseline.json "$out/bench.txt"
 
 echo "== batch smoke (headless sweep incl. multi-crane, JSONL report) =="
