@@ -368,7 +368,7 @@ type sweep struct {
 func (c *Coordinator) finish(sw *sweep, s *jobState, rec Record) {
 	c.moveJob(s.phase, jobDone)
 	delete(sw.open, s.job.ID)
-	sw.done[s.job.ID] = jobGrant{Sweep: c.cfg.Sweep, Job: s.job.ID, Attempt: s.attempt, Worker: s.worker}
+	sw.done[s.job.ID] = c.grantOf(s)
 	sw.recs = append(sw.recs, rec)
 }
 
@@ -540,7 +540,7 @@ func (c *Coordinator) drainClaims(sw *sweep) {
 		s := sw.open[claim.Job]
 		if s == nil {
 			if g, done := sw.done[claim.Job]; done && g.Worker != "" {
-				_ = c.pubGrant.Update(0, g) // as sendGrant: releases the loser
+				c.sendGrant(g) // idempotent re-send releases the loser
 			}
 			continue
 		}
@@ -562,12 +562,12 @@ func (c *Coordinator) drainClaims(sw *sweep) {
 			// truncated 0 would hide the report's DISP-MS column.
 			s.queueMS = float64(queued.Microseconds()) / 1e3
 			c.spans.Observe(obs.PhaseQueue, queued)
-			c.sendGrant(s)
+			c.sendGrant(c.grantOf(s))
 			c.log.Info("job granted",
 				"job", s.job.ID, "worker", s.worker, "attempt", s.attempt,
 				"span", s.span, "queue_ms", s.queueMS)
 		case jobGranted:
-			c.sendGrant(s) // idempotent re-send releases the loser
+			c.sendGrant(c.grantOf(s)) // idempotent re-send releases the loser
 		}
 	}
 }
@@ -578,8 +578,12 @@ func (c *Coordinator) ack(job int64) {
 	_ = c.pubAck.Update(0, jobAck{Sweep: c.cfg.Sweep, Job: job})
 }
 
-func (c *Coordinator) sendGrant(s *jobState) {
-	grant := jobGrant{Sweep: c.cfg.Sweep, Job: s.job.ID, Attempt: s.attempt, Worker: s.worker}
+// grantOf is the grant message for job s as it stands.
+func (c *Coordinator) grantOf(s *jobState) jobGrant {
+	return jobGrant{Sweep: c.cfg.Sweep, Job: s.job.ID, Attempt: s.attempt, Worker: s.worker}
+}
+
+func (c *Coordinator) sendGrant(grant jobGrant) {
 	// A failed grant is recovered by JobTimeout; no subscribers means the
 	// last worker vanished between claim and grant.
 	_ = c.pubGrant.Update(0, grant)
