@@ -32,6 +32,8 @@ type renderRig struct {
 	rend    *render.Renderer
 	cam     render.Camera
 	state   fom.CraneState
+	// pixels and visited total the render ledger over the rig's frames.
+	pixels, visited int
 }
 
 func newRenderRig(polygons, w, h, camIdx, camCount int) (*renderRig, error) {
@@ -54,22 +56,26 @@ func newRenderRig(polygons, w, h, camIdx, camCount int) (*renderRig, error) {
 		CargoPos: mathx.V3(100, 1, 90),
 	}
 	eye := st.Position.Add(mathx.V3(0, 3.2, 0))
-	cams := render.SurroundCameras(eye, 0, camCount, mathx.Rad(40), float64(w)/float64(h))
-	return &renderRig{builder: builder, rend: rend, cam: cams[camIdx], state: st}, nil
+	cam := render.SurroundCamera(eye, 0, camIdx, camCount, mathx.Rad(40), float64(w)/float64(h))
+	return &renderRig{builder: builder, rend: rend, cam: cam, state: st}, nil
 }
 
 // renderFrame draws one frame with slight animation so no frame is free.
 func (r *renderRig) renderFrame(frame uint32) {
 	r.state.BoomSwing = 0.3 * mathx.Rad(float64(frame%120)-60)
 	scene := r.builder.Frame(r.state)
-	r.rend.Render(scene, r.cam)
+	stats := r.rend.Render(scene, r.cam)
+	r.pixels += stats.Pixels
+	r.visited += stats.Visited
 }
 
-// measureFreeRun renders frames unsynchronized on one display.
-func measureFreeRun(polygons, w, h, frames int) (fps float64, err error) {
+// measureFreeRun renders frames unsynchronized on one display. useful is
+// the rasterizer's useful-work ratio over the run: pixels written per
+// pixel the scan evaluated.
+func measureFreeRun(polygons, w, h, frames int) (fps, useful float64, err error) {
 	rig, err := newRenderRig(polygons, w, h, 0, 1)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	var tracker metrics.FrameTracker
 	for f := 0; f < frames; f++ {
@@ -77,7 +83,7 @@ func measureFreeRun(polygons, w, h, frames int) (fps float64, err error) {
 		rig.renderFrame(uint32(f))
 		tracker.TickInterval(time.Since(start))
 	}
-	return tracker.FPS(), nil
+	return tracker.FPS(), float64(rig.pixels) / float64(rig.visited), nil
 }
 
 // measureSynced runs n displays + the synchronization server over the CB
@@ -171,9 +177,9 @@ func exp1SurroundView(quick bool) error {
 	}
 
 	fmt.Println("paper reference: 3 displays + sync server @ 3235 polygons -> 16 fps")
-	tbl := metrics.NewTable("polygons", "free-run 1 display (fps)", "synced 3 displays (fps)", "sync overhead %")
+	tbl := metrics.NewTable("polygons", "free-run 1 display (fps)", "synced 3 displays (fps)", "sync overhead %", "pixels written / visited")
 	for _, p := range polySweep {
-		free, err := measureFreeRun(p, w, h, frames)
+		free, useful, err := measureFreeRun(p, w, h, frames)
 		if err != nil {
 			return err
 		}
@@ -182,7 +188,7 @@ func exp1SurroundView(quick bool) error {
 			return err
 		}
 		overhead := (1 - synced/free) * 100
-		tbl.AddRow(p, free, synced, overhead)
+		tbl.AddRow(p, free, synced, overhead, useful)
 	}
 	fmt.Print(tbl.String())
 

@@ -44,27 +44,32 @@ func (c Camera) ViewProj() mathx.Mat4 { return c.Proj().MulM(c.View()) }
 // SurroundCameras builds the camera set of the paper's surround view
 // (Fig. 10): count displays fan out around the cab's forward direction,
 // each covering fovH horizontally, so three displays at 40° each give the
-// ≈120° panorama. eye is the cab position, heading the cab yaw, pitch a
-// downward tilt.
+// ≈120° panorama. eye is the cab position, heading the cab yaw.
 func SurroundCameras(eye mathx.Vec3, heading float64, count int, fovH, aspect float64) []Camera {
 	if count < 1 {
 		count = 1
 	}
 	cams := make([]Camera, count)
-	// Vertical FOV from the horizontal one: tan(fovH/2) = aspect·tan(fovY/2).
-	fovY := 2 * math.Atan(math.Tan(fovH/2)/aspect)
 	for i := range cams {
-		// Offsets center the fan: for 3 displays, -fovH, 0, +fovH.
-		offset := (float64(i) - float64(count-1)/2) * fovH
-		yaw := heading + offset
-		sin, cos := math.Sincos(yaw)
-		dir := mathx.V3(sin, 0, -cos) // heading 0 looks down -Z
-		cam := DefaultCamera()
-		cam.Eye = eye
-		cam.Target = eye.Add(dir)
-		cam.FovY = fovY
-		cam.Aspect = aspect
-		cams[i] = cam
+		cams[i] = SurroundCamera(eye, heading, i, count, fovH, aspect)
 	}
 	return cams
+}
+
+// SurroundCamera is camera i of SurroundCameras' set of count, for a
+// display that needs only its own.
+func SurroundCamera(eye mathx.Vec3, heading float64, i, count int, fovH, aspect float64) Camera {
+	if count < 1 {
+		count = 1
+	}
+	// Offsets center the fan: for 3 displays, -fovH, 0, +fovH.
+	offset := (float64(i) - float64(count-1)/2) * fovH
+	sin, cos := math.Sincos(heading + offset)
+	cam := DefaultCamera()
+	cam.Eye = eye
+	cam.Target = eye.Add(mathx.V3(sin, 0, -cos)) // heading 0 looks down -Z
+	// Vertical FOV from the horizontal one: tan(fovH/2) = aspect·tan(fovY/2).
+	cam.FovY = 2 * math.Atan(math.Tan(fovH/2)/aspect)
+	cam.Aspect = aspect
+	return cam
 }

@@ -1,0 +1,175 @@
+package render
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"codsim/internal/mathx"
+)
+
+// clipTriangleRig draws single clip-space triangles with both kernels on
+// small framebuffers of their own.
+type clipTriangleRig struct {
+	r, ref *Renderer
+}
+
+func newClipTriangleRig(tb testing.TB) *clipTriangleRig {
+	tb.Helper()
+	r, err := NewRenderer(64, 48)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ref, err := NewRenderer(64, 48)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &clipTriangleRig{r: r, ref: ref}
+}
+
+// refDefined reports whether the reference scan of clip-space triangle abc
+// is defined. It is not where the bounding box it converts to int holds a
+// NaN or a bound past any int: there the old loop indexes the planes out
+// of range, or walks up from the smallest int. The span kernel rejects
+// those triangles, which is the one place the two may differ.
+func refDefined(a, b, c *clipVert, w, h float64) bool {
+	x0, y0, _ := toScreen(a, w, h)
+	x1, y1, _ := toScreen(b, w, h)
+	x2, y2, _ := toScreen(c, w, h)
+	if area := (x1-x0)*(y2-y0) - (x2-x0)*(y1-y0); area >= -1e-12 {
+		return true
+	}
+	minX := math.Max(0, math.Floor(math.Min(x0, math.Min(x1, x2))))
+	maxX := math.Min(w-1, math.Ceil(math.Max(x0, math.Max(x1, x2))))
+	minY := math.Max(0, math.Floor(math.Min(y0, math.Min(y1, y2))))
+	maxY := math.Min(h-1, math.Ceil(math.Max(y0, math.Max(y1, y2))))
+	return minX < 0x1p62 && minY < 0x1p62 && maxX == maxX && maxY == maxY
+}
+
+// check draws cv with the span kernel and, where the reference is
+// defined, with the reference, and compares planes and ledgers.
+func (rig *clipTriangleRig) check(cv [3]clipVert) error {
+	col := RGB{R: 200, G: 100, B: 50}
+	r, ref := rig.r, rig.ref
+	r.fb.Clear(RGB{})
+	var got FrameStats
+	n := r.setUp(&cv[0], &cv[1], &cv[2], &got)
+	for k := 0; k < n; k++ {
+		r.scan(&r.tris[k], col, &got)
+	}
+	if got.Visited < got.Pixels {
+		return fmt.Errorf("visited %d pixels but wrote %d", got.Visited, got.Pixels)
+	}
+
+	w, h := float64(ref.fb.W), float64(ref.fb.H)
+	var poly [4]clipVert
+	m, _ := clipNear(&cv[0], &cv[1], &cv[2], &poly)
+	for k := 1; k+1 < m; k++ {
+		if !refDefined(&poly[0], &poly[k], &poly[k+1], w, h) {
+			return nil
+		}
+	}
+	ref.fb.Clear(RGB{})
+	var want FrameStats
+	ref.refTriangle(&cv, col, &want)
+	if !sameLedger(got, want) {
+		return fmt.Errorf("ledger %+v, reference %+v", got, want)
+	}
+	if got.Visited > want.Visited {
+		return fmt.Errorf("visited %d pixels, bounding box holds %d", got.Visited, want.Visited)
+	}
+	return samePlanes(r.fb, ref.fb)
+}
+
+// FuzzRasterTriangle feeds single clip-space triangles — any float64 the
+// engine cares to make of x, y, z, w: huge, tiny, NaN, infinite — through
+// the span kernel and the reference. The seeds are the shapes a renderer
+// meets at its edges.
+func FuzzRasterTriangle(f *testing.F) {
+	nan, inf := math.NaN(), math.Inf(1)
+	seeds := [][12]float64{
+		{-0.5, -0.5, 0.2, 1, 0.5, -0.5, 0.2, 1, 0, 0.6, 0.2, 1},            // plain, front-facing
+		{-0.5, -0.5, 0.2, 1, 0, 0.6, 0.2, 1, 0.5, -0.5, 0.2, 1},            // backface
+		{-300, -200, 5, 1e3, 400, -100, 9, 1e3, 10, 500, 2, 1e3},           // huge w
+		{-3e-6, -2e-6, 0, 2e-5, 4e-6, -1e-6, 0, 3e-5, 1e-7, 5e-6, 0, 2e-5}, // w just past the near plane
+		{-1e12, -1e12, 0.5, 1, 1e12, -1e12, 0.5, 1, 0, 1e12, 0.5, 1},       // covers the screen from 1e12 away
+		{-1e12, -1e12, 1, 1e-5, 1e12, -1e12, 1, 2e-5, 3, 1e12, 1, 1e-5},    // 1e12 over a tiny w
+		{-0.5, -0.5, 0.2, 1, 0.5, -0.5, 0.2, -1, 0, 0.6, 0.2, 1},           // one vertex behind the eye
+		{-0.5, -0.5, 0.2, -1, 0.5, -0.5, 0.2, -2, 0, 0.6, 0.2, 1},          // two behind
+		{0.1, 0.1, 0.2, 1, 0.1, 0.1, 0.2, 1, 0.1, 0.1, 0.2, 1},             // a point
+		{-0.9, 0, 0.2, 1, 0, 0, 0.2, 1, 0.9, 0, 0.2, 1},                    // collinear, horizontal
+		{-0.9, -0.9, 0.2, 1, 0.9, 0.9, 0.2, 1, 0.9, 0.9000001, 0.2, 1},     // sliver along the diagonal
+		{-0.9, 0.01, 0.2, 1, 0.9, 0.01, 0.2, 1, 0, 0.0100001, 0.2, 1},      // sliver along a row
+		{0, 0, 0.2, 1, 0.01, 0, 0.2, 1, 0, 0.01, 0.2, 1},                   // inside one pixel
+		{5, 5, 0.2, 1, 6, 5, 0.2, 1, 5.5, 6, 0.2, 1},                       // off-screen
+		{-0.5, nan, 0.2, 1, 0.5, -0.5, 0.2, 1, 0, 0.6, 0.2, 1},             // NaN coordinate
+		{-0.5, -0.5, nan, 1, 0.5, -0.5, 0.2, 1, 0, 0.6, 0.2, 1},            // NaN depth
+		{-0.5, -0.5, 0.2, nan, 0.5, -0.5, 0.2, 1, 0, 0.6, 0.2, 1},          // NaN w
+		{-inf, -0.5, 0.2, 1, 0.5, -0.5, 0.2, 1, 0, 0.6, 0.2, 1},            // infinite coordinate
+		{inf, 0, 0.2, 1, inf, 1, 0.2, 1, inf, -1, 0.2, 1},                  // all at +∞
+		{-0.5, -0.5, 0.2, inf, 0.5, -0.5, 0.2, 1, 0, 0.6, 0.2, 1},          // infinite w
+		{-1e300, -1e300, 0, 1, 1e300, -1e300, 0, 1, 0, 1e300, 0, 1},        // products overflow
+		{-1e-300, -1e-300, 0, 1, 1e-300, -1e-300, 0, 1, 0, 1e-300, 0, 1},   // products underflow
+	}
+	for _, s := range seeds {
+		f.Add(s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11])
+	}
+	rig := newClipTriangleRig(f)
+	f.Fuzz(func(t *testing.T, x0, y0, z0, w0, x1, y1, z1, w1, x2, y2, z2, w2 float64) {
+		cv := [3]clipVert{
+			{mathx.V3(x0, y0, z0), w0},
+			{mathx.V3(x1, y1, z1), w1},
+			{mathx.V3(x2, y2, z2), w2},
+		}
+		if err := rig.check(cv); err != nil {
+			t.Fatalf("%v: %v", cv, err)
+		}
+	})
+}
+
+// TestRandomClipTrianglesMatchReference is the fuzz target's bulk run for
+// tier-1: seeded clip-space triangles whose coordinates and w spread over
+// twenty-four decades, ordinary ones, slivers thinner than an ulp of their
+// length, and ones with vertices behind the eye.
+func TestRandomClipTrianglesMatchReference(t *testing.T) {
+	n := 100000
+	if testing.Short() {
+		n = 20000
+	}
+	rig := newClipTriangleRig(t)
+	rng := testRNG(640480)
+	// mag is ±10^e, e uniform in [lo, hi).
+	mag := func(lo, hi float64) float64 {
+		v := math.Pow(10, rng.float(lo, hi))
+		if rng.next()&1 == 0 {
+			v = -v
+		}
+		return v
+	}
+	for i := 0; i < n; i++ {
+		var cv [3]clipVert
+		switch i % 4 {
+		case 0: // on and around the screen
+			for k := range cv {
+				cv[k] = clipVert{mathx.V3(rng.float(-1.5, 1.5), rng.float(-1.5, 1.5), rng.float(-1, 1)), 1}
+			}
+		case 1: // every magnitude
+			for k := range cv {
+				cv[k] = clipVert{mathx.V3(mag(-6, 12), mag(-6, 12), mag(-6, 12)), math.Abs(mag(-6, 6))}
+			}
+		case 2: // a sliver: the third vertex almost on the line through the others
+			a := mathx.V3(rng.float(-2, 2), rng.float(-2, 2), 0.1)
+			b := mathx.V3(rng.float(-2, 2), rng.float(-2, 2), 0.3)
+			c := a.Lerp(b, rng.float(-1, 2)).Add(mathx.V3(mag(-18, -3), mag(-18, -3), 0))
+			w := math.Abs(mag(-4, 2))
+			cv = [3]clipVert{{a.Scale(w), w}, {b.Scale(w), w}, {c.Scale(w), w}}
+		case 3: // vertices on both sides of the eye
+			for k := range cv {
+				cv[k] = clipVert{mathx.V3(mag(-2, 3), mag(-2, 3), rng.float(-1, 1)), mag(-7, 2)}
+			}
+		}
+		if err := rig.check(cv); err != nil {
+			t.Fatalf("triangle %d %v: %v", i, cv, err)
+		}
+	}
+}

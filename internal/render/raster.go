@@ -62,6 +62,7 @@ type FrameStats struct {
 	Clipped    int // triangles that needed near-plane clipping
 	Rasterized int // triangles actually scanned
 	Pixels     int // pixels shaded (depth-test passes)
+	Visited    int // pixels the scan evaluated; Pixels/Visited is its useful-work ratio
 }
 
 // Instance places a mesh in the world.
@@ -91,7 +92,9 @@ func (s *Scene) PolygonCount() int {
 // use; each display LP owns one renderer (as each display PC owned one
 // graphics card).
 type Renderer struct {
-	fb *Framebuffer
+	fb   *Framebuffer
+	clip []clipVert  // one instance's vertices in clip space, reused
+	tris [2]triSetup // the set-up fan of the triangle being drawn
 }
 
 // NewRenderer builds a renderer with a w×h framebuffer.
@@ -109,8 +112,7 @@ func (r *Renderer) Framebuffer() *Framebuffer { return r.fb }
 // Render draws the scene from the camera and returns the frame statistics.
 func (r *Renderer) Render(scene *Scene, cam Camera) FrameStats {
 	var stats FrameStats
-	fb := r.fb
-	fb.Clear(scene.Background)
+	r.fb.Clear(scene.Background)
 
 	light := scene.LightDir.Normalize()
 	if light.LenSq() == 0 {
@@ -118,39 +120,22 @@ func (r *Renderer) Render(scene *Scene, cam Camera) FrameStats {
 	}
 	vp := cam.ViewProj()
 
-	for _, inst := range scene.Instances {
-		mvp := vp.MulM(inst.Transform)
+	for i := range scene.Instances {
+		inst := &scene.Instances[i]
 		mesh := inst.Mesh
+		mvp := vp.MulM(inst.Transform)
+		clip := r.toClip(&mvp, mesh.verts)
 		for ti, tri := range mesh.tris {
 			stats.Submitted++
-			// World-space vertices for lighting.
+			n := r.setUp(&clip[tri[0]], &clip[tri[1]], &clip[tri[2]], &stats)
+			if n == 0 {
+				continue
+			}
+			// Flat shading from the world-space face normal, for the
+			// triangles that reach the scan only.
 			w0 := inst.Transform.MulPoint(mesh.verts[tri[0]])
 			w1 := inst.Transform.MulPoint(mesh.verts[tri[1]])
 			w2 := inst.Transform.MulPoint(mesh.verts[tri[2]])
-
-			// Clip-space positions.
-			c0, cw0 := mvp.MulPointW(mesh.verts[tri[0]])
-			c1, cw1 := mvp.MulPointW(mesh.verts[tri[1]])
-			c2, cw2 := mvp.MulPointW(mesh.verts[tri[2]])
-			cv := [3]clipVert{{c0, cw0}, {c1, cw1}, {c2, cw2}}
-
-			// Trivial frustum rejection: all vertices outside one plane.
-			if allOutside(cv) {
-				stats.Culled++
-				continue
-			}
-
-			// Near-plane clip (w <= nearEps would break the divide).
-			poly, clipped := clipNear(cv[:])
-			if len(poly) < 3 {
-				stats.Culled++
-				continue
-			}
-			if clipped {
-				stats.Clipped++
-			}
-
-			// Flat shading from the world-space face normal.
 			normal := w1.Sub(w0).Cross(w2.Sub(w0)).Normalize()
 			diff := math.Max(0, normal.Dot(light))
 			shade := mathx.Clamp(scene.Ambient+(1-scene.Ambient)*diff, 0, 1)
@@ -160,14 +145,8 @@ func (r *Renderer) Render(scene *Scene, cam Camera) FrameStats {
 				G: uint8(float64(base.G) * shade),
 				B: uint8(float64(base.B) * shade),
 			}
-
-			// Fan-triangulate the clipped polygon and rasterize.
-			for k := 1; k+1 < len(poly); k++ {
-				if r.rasterTriangle(poly[0], poly[k], poly[k+1], col, &stats) {
-					stats.Rasterized++
-				} else {
-					stats.Culled++
-				}
+			for k := 0; k < n; k++ {
+				r.scan(&r.tris[k], col, &stats)
 			}
 		}
 	}
@@ -179,74 +158,135 @@ type clipVert struct {
 	w float64
 }
 
-// allOutside reports whether all three vertices fall outside the same
-// frustum plane (trivial reject).
-func allOutside(v [3]clipVert) bool {
-	type test func(clipVert) bool
-	planes := []test{
-		func(c clipVert) bool { return c.p.X > c.w },
-		func(c clipVert) bool { return c.p.X < -c.w },
-		func(c clipVert) bool { return c.p.Y > c.w },
-		func(c clipVert) bool { return c.p.Y < -c.w },
-		func(c clipVert) bool { return c.p.Z > c.w },
-		func(c clipVert) bool { return c.p.Z < -c.w },
+// toClip transforms verts by m into the renderer's scratch: once per
+// vertex, however many triangles share it. The sums are MulPointW's,
+// term for term.
+func (r *Renderer) toClip(m *mathx.Mat4, verts []mathx.Vec3) []clipVert {
+	if cap(r.clip) < len(verts) {
+		r.clip = make([]clipVert, len(verts))
 	}
-	for _, outside := range planes {
-		if outside(v[0]) && outside(v[1]) && outside(v[2]) {
-			return true
+	clip := r.clip[:len(verts)]
+	for i := range verts {
+		v := &verts[i]
+		clip[i] = clipVert{
+			p: mathx.Vec3{
+				X: m[0]*v.X + m[1]*v.Y + m[2]*v.Z + m[3],
+				Y: m[4]*v.X + m[5]*v.Y + m[6]*v.Z + m[7],
+				Z: m[8]*v.X + m[9]*v.Y + m[10]*v.Z + m[11],
+			},
+			w: m[12]*v.X + m[13]*v.Y + m[14]*v.Z + m[15],
 		}
 	}
-	return false
+	return clip
+}
+
+// setUp takes one clip-space triangle through the frustum test, the near
+// clip and the screen set-up of its fan, leaving the survivors in r.tris.
+// It returns how many there are to scan and books every reject.
+func (r *Renderer) setUp(a, b, c *clipVert, stats *FrameStats) int {
+	// Trivial frustum rejection: all vertices outside one plane.
+	if allOutside(a, b, c) {
+		stats.Culled++
+		return 0
+	}
+	// Near-plane clip (w <= nearEps would break the divide).
+	var poly [4]clipVert
+	m, clipped := clipNear(a, b, c, &poly)
+	if m < 3 {
+		stats.Culled++
+		return 0
+	}
+	if clipped {
+		stats.Clipped++
+	}
+	// Fan-triangulate the clipped polygon.
+	n := 0
+	for k := 1; k+1 < m; k++ {
+		if r.tris[n].init(r.fb, &poly[0], &poly[k], &poly[k+1]) {
+			n++
+		} else {
+			stats.Culled++
+		}
+	}
+	stats.Rasterized += n
+	return n
+}
+
+// allOutside reports whether all three vertices fall outside the same
+// frustum plane (trivial reject).
+func allOutside(a, b, c *clipVert) bool {
+	return a.p.X > a.w && b.p.X > b.w && c.p.X > c.w ||
+		a.p.X < -a.w && b.p.X < -b.w && c.p.X < -c.w ||
+		a.p.Y > a.w && b.p.Y > b.w && c.p.Y > c.w ||
+		a.p.Y < -a.w && b.p.Y < -b.w && c.p.Y < -c.w ||
+		a.p.Z > a.w && b.p.Z > b.w && c.p.Z > c.w ||
+		a.p.Z < -a.w && b.p.Z < -b.w && c.p.Z < -c.w
 }
 
 const nearEps = 1e-5
 
-// clipNear clips the polygon against the w > nearEps half-space
-// (Sutherland–Hodgman on the near plane).
-func clipNear(in []clipVert) (out []clipVert, clipped bool) {
-	inside := func(v clipVert) bool { return v.w > nearEps }
-	all := true
-	for _, v := range in {
-		if !inside(v) {
-			all = false
-			break
-		}
+// clipNear clips triangle abc against the w > nearEps half-space
+// (Sutherland–Hodgman on the near plane) into out, which one plane can
+// grow to four vertices at most, and returns how many it wrote.
+func clipNear(a, b, c *clipVert, out *[4]clipVert) (n int, clipped bool) {
+	in := [3]*clipVert{a, b, c}
+	if a.w > nearEps && b.w > nearEps && c.w > nearEps {
+		out[0], out[1], out[2] = *a, *b, *c
+		return 3, false
 	}
-	if all {
-		return in, false
-	}
-	out = make([]clipVert, 0, len(in)+1)
-	for i := range in {
-		cur, next := in[i], in[(i+1)%len(in)]
-		cIn, nIn := inside(cur), inside(next)
+	for i, cur := range in {
+		next := in[(i+1)%3]
+		cIn, nIn := cur.w > nearEps, next.w > nearEps
 		if cIn {
-			out = append(out, cur)
+			out[n] = *cur
+			n++
 		}
 		if cIn != nIn {
 			t := (nearEps - cur.w) / (next.w - cur.w)
-			out = append(out, clipVert{
-				p: cur.p.Lerp(next.p, t),
-				w: nearEps,
-			})
+			out[n] = clipVert{p: cur.p.Lerp(next.p, t), w: nearEps}
+			n++
 		}
 	}
-	return out, true
+	return n, true
 }
 
-// rasterTriangle scan-converts one clip-space triangle; reports whether it
-// produced fragments (false = backface or degenerate).
-func (r *Renderer) rasterTriangle(a, b, c clipVert, col RGB, stats *FrameStats) bool {
-	fb := r.fb
-	w, h := float64(fb.W), float64(fb.H)
+// triSetup is one screen-space triangle ready to scan: the vertices, the
+// clamped bounding box and the per-edge terms of the span solve, computed
+// once so that the rows only multiply and compare.
+type triSetup struct {
+	x0, y0, z0 float64
+	x1, y1, z1 float64
+	x2, y2, z2 float64
+	area       float64 // signed, negative for the front faces that get here
+	invArea    float64
 
-	// Perspective divide to NDC, then to screen.
-	toScreen := func(v clipVert) (x, y, z float64) {
-		inv := 1 / v.w
-		return (v.p.X*inv + 1) * 0.5 * w, (1 - v.p.Y*inv) * 0.5 * h, v.p.Z * inv
-	}
-	x0, y0, z0 := toScreen(a)
-	x1, y1, z1 := toScreen(b)
-	x2, y2, z2 := toScreen(c)
+	minY, maxY int
+	fminX      float64 // the box's first and last pixel columns
+	fmaxX      float64
+
+	// Span solve. e0, e1, e2 are x0, x1, x2 relative to the first column's
+	// pixel centre; inv0, inv1, inv2 the reciprocal x-slopes of the three
+	// barycentric conditions (0: the condition does not bound x); slack
+	// is what rounding can add to an edge function anywhere in the box.
+	e0, e1, e2       float64
+	inv0, inv1, inv2 float64
+	slack            float64
+}
+
+// toScreen is the perspective divide to NDC, then to screen.
+func toScreen(v *clipVert, w, h float64) (x, y, z float64) {
+	inv := 1 / v.w
+	return (v.p.X*inv + 1) * 0.5 * w, (1 - v.p.Y*inv) * 0.5 * h, v.p.Z * inv
+}
+
+// init sets t up for clip-space triangle abc and reports whether there is
+// anything to scan: false for a backface, a degenerate triangle and one
+// whose bounding box misses the screen.
+func (t *triSetup) init(fb *Framebuffer, a, b, c *clipVert) bool {
+	w, h := float64(fb.W), float64(fb.H)
+	x0, y0, z0 := toScreen(a, w, h)
+	x1, y1, z1 := toScreen(b, w, h)
+	x2, y2, z2 := toScreen(c, w, h)
 
 	// Signed area: cull backfaces (counter-clockwise in screen space after
 	// the Y flip means the area is negative for front faces).
@@ -254,36 +294,123 @@ func (r *Renderer) rasterTriangle(a, b, c clipVert, col RGB, stats *FrameStats) 
 	if area >= -1e-12 { // backface or degenerate
 		return false
 	}
-	invArea := 1 / area
 
-	minX := int(math.Max(0, math.Floor(math.Min(x0, math.Min(x1, x2)))))
-	maxX := int(math.Min(w-1, math.Ceil(math.Max(x0, math.Max(x1, x2)))))
-	minY := int(math.Max(0, math.Floor(math.Min(y0, math.Min(y1, y2)))))
-	maxY := int(math.Min(h-1, math.Ceil(math.Max(y0, math.Max(y1, y2)))))
-	if minX > maxX || minY > maxY {
+	// The box is clamped and compared as floats, so that a coordinate no
+	// int can hold (or a NaN) rejects the triangle instead of converting
+	// to garbage.
+	xlo, xhi := math.Min(x0, math.Min(x1, x2)), math.Max(x0, math.Max(x1, x2))
+	ylo, yhi := math.Min(y0, math.Min(y1, y2)), math.Max(y0, math.Max(y1, y2))
+	fminX, fmaxX := math.Max(0, math.Floor(xlo)), math.Min(w-1, math.Ceil(xhi))
+	fminY, fmaxY := math.Max(0, math.Floor(ylo)), math.Min(h-1, math.Ceil(yhi))
+	if !(fminX <= fmaxX && fminY <= fmaxY) {
 		return false
 	}
 
-	for py := minY; py <= maxY; py++ {
+	*t = triSetup{
+		x0: x0, y0: y0, z0: z0,
+		x1: x1, y1: y1, z1: z1,
+		x2: x2, y2: y2, z2: z2,
+		area: area, invArea: 1 / area,
+		minY: int(fminY), maxY: int(fmaxY),
+		fminX: fminX, fmaxX: fmaxX,
+	}
+
+	// Span solve (package doc, "The span rule"). Every |x_i − fx| the scan
+	// can form is at most rx and every |y_i − fy| at most ry, so an edge
+	// function is off its real value by a few ulps of rx·ry; 2⁻⁴⁵ is 256
+	// ulps of 1. Past 2⁹⁰⁰ the products could overflow: no spans then,
+	// the rows run the whole box.
+	rx := math.Max(xhi, fmaxX+1) - math.Min(xlo, fminX)
+	ry := math.Max(yhi, fmaxY+1) - math.Min(ylo, fminY)
+	t.slack = 0x1p-45 * rx * ry
+	if !(rx*ry < 0x1p900) {
+		t.slack = math.Inf(1)
+	}
+	fx := fminX + 0.5
+	t.e0, t.e1, t.e2 = x0-fx, x1-fx, x2-fx
+	t.inv0, t.inv1, t.inv2 = invSlope(y1-y2), invSlope(y2-y0), invSlope(y0-y1)
+	return true
+}
+
+// invSlope is 1/b, or 0 for an edge function that does not change along a
+// row and so bounds no x.
+func invSlope(b float64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return 1 / b
+}
+
+// narrow tightens the column interval [lo, hi] by one barycentric
+// condition: g is its edge function at the box's first pixel centre (which
+// is column base), inv the reciprocal of its x-slope. The condition holds
+// only where g + slope·(fx − centre) ≤ slack; the bound lands a pixel
+// outside the solution, which is the padding. A NaN compares false and
+// leaves the interval alone.
+func narrow(lo, hi, base, g, slack, inv float64) (float64, float64) {
+	x := base + (slack-g)*inv
+	if inv > 0 {
+		if x+1 < hi {
+			hi = x + 1
+		}
+	} else if inv < 0 {
+		if x > lo {
+			lo = x
+		}
+	}
+	return lo, hi
+}
+
+// scan rasterizes a set-up triangle. Per row it solves the three
+// barycentric conditions for the columns they can admit and runs the
+// per-pixel expressions only there; see the package doc for why the
+// pixels it writes, and the values it writes, are exactly those of a scan
+// over the whole bounding box.
+func (r *Renderer) scan(t *triSetup, col RGB, stats *FrameStats) {
+	fb := r.fb
+	x0, x1, x2 := t.x0, t.x1, t.x2
+	z0, z1, z2 := t.z0, t.z1, t.z2
+	invArea := t.invArea
+	visited, pixels := 0, 0
+	for py := t.minY; py <= t.maxY; py++ {
 		fy := float64(py) + 0.5
+		dy0, dy1, dy2 := t.y0-fy, t.y1-fy, t.y2-fy
+
+		// The edge functions at the first column, as the pixel loop below
+		// forms them; the third condition, w2 ≥ 0, is w0 + w1 ≤ 1.
+		g0 := t.e1*dy2 - t.e2*dy1
+		g1 := t.e2*dy0 - t.e0*dy2
+		g2 := t.area - (g0 + g1)
+		flo, fhi := narrow(t.fminX, t.fmaxX, t.fminX, g0, t.slack, t.inv0)
+		flo, fhi = narrow(flo, fhi, t.fminX, g1, t.slack, t.inv1)
+		flo, fhi = narrow(flo, fhi, t.fminX, g2, t.slack, t.inv2)
+		if !(flo <= fhi) {
+			continue
+		}
+		lo, hi := int(flo), int(fhi)
+		visited += hi - lo + 1
+
 		rowBase := py * fb.W
-		for px := minX; px <= maxX; px++ {
-			fx := float64(px) + 0.5
+		depth := fb.Depth[rowBase+lo : rowBase+hi+1]
+		color := fb.Color[rowBase+lo : rowBase+hi+1]
+		color = color[:len(depth)]
+		for i := range depth {
+			fx := float64(lo+i) + 0.5
 			// Barycentric coordinates via edge functions.
-			w0 := ((x1-fx)*(y2-fy) - (x2-fx)*(y1-fy)) * invArea
-			w1 := ((x2-fx)*(y0-fy) - (x0-fx)*(y2-fy)) * invArea
+			w0 := ((x1-fx)*dy2 - (x2-fx)*dy1) * invArea
+			w1 := ((x2-fx)*dy0 - (x0-fx)*dy2) * invArea
 			w2 := 1 - w0 - w1
 			if w0 < 0 || w1 < 0 || w2 < 0 {
 				continue
 			}
 			z := w0*z0 + w1*z1 + w2*z2
-			idx := rowBase + px
-			if z < fb.Depth[idx] {
-				fb.Depth[idx] = z
-				fb.Color[idx] = col
-				stats.Pixels++
+			if z < depth[i] {
+				depth[i] = z
+				color[i] = col
+				pixels++
 			}
 		}
 	}
-	return true
+	stats.Visited += visited
+	stats.Pixels += pixels
 }

@@ -280,6 +280,22 @@ func TestSurroundCamerasDegenerate(t *testing.T) {
 	}
 }
 
+// TestSurroundCameraMatchesSet: the single-camera form a display uses must
+// be the set's camera, field for field, for every display count.
+func TestSurroundCameraMatchesSet(t *testing.T) {
+	eye := mathx.V3(31.5, 4.2, -17)
+	for count := 0; count <= 4; count++ {
+		for _, heading := range []float64{0, 0.7, -2.9} {
+			cams := SurroundCameras(eye, heading, count, mathx.Rad(40), 4.0/3.0)
+			for i, want := range cams {
+				if got := SurroundCamera(eye, heading, i, count, mathx.Rad(40), 4.0/3.0); got != want {
+					t.Errorf("count %d heading %v camera %d: %+v, set has %+v", count, heading, i, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestTerrainMesh(t *testing.T) {
 	ter, err := terrain.GenerateSite(terrain.DefaultSite())
 	if err != nil {
@@ -427,6 +443,34 @@ func BenchmarkRenderSiteScene(b *testing.B) {
 		b.Fatal(err)
 	}
 	cam := SurroundCameras(mathx.V3(100, 4, 106), 0, 3, mathx.Rad(40), 4.0/3.0)[1]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Render(scene, cam)
+	}
+}
+
+// BenchmarkRenderNearClip is BenchmarkRenderSiteScene from an eye 0.5 m
+// above the terrain inside a bar course: every bar crosses the near plane,
+// so the clipper runs on dozens of triangles a frame — the path the
+// cab-height benchmark never takes, and the one that used to allocate.
+func BenchmarkRenderNearClip(b *testing.B) {
+	ter, err := terrain.GenerateSite(terrain.DefaultSite())
+	if err != nil {
+		b.Fatal(err)
+	}
+	bars, eye := barCourse(ter, 100, 106, 0)
+	builder := paperScene(b, ter, bars...)
+	st := fom.CraneState{Position: mathx.V3(100, 0, 94), BoomLuff: 0.6, BoomLen: 14, CableLen: 6, HookPos: mathx.V3(100, 4, 84)}
+	scene := builder.Frame(st)
+	r, err := NewRenderer(paperW, paperH)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cam := SurroundCamera(eye, 0, 1, paperDisplays, mathx.Rad(40), float64(paperW)/paperH)
+	if s := r.Render(scene, cam); s.Clipped < 50 {
+		b.Fatalf("only %d triangles clipped: not a near-clip benchmark", s.Clipped)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

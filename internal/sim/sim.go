@@ -528,9 +528,9 @@ func (c *Cluster) displayLoop(d *displayNode) {
 			scene := d.builder.Scene()
 			// The surround view rides crane 0 — the operator cab.
 			eye := last[0].Position.Add(mathx.V3(0, 3.2, 0))
-			cams := render.SurroundCameras(eye, last[0].Heading, c.cfg.Displays,
+			cam := render.SurroundCamera(eye, last[0].Heading, d.camIdx, c.cfg.Displays,
 				mathx.Rad(40), float64(c.cfg.Width)/float64(c.cfg.Height))
-			d.rend.Render(scene, cams[d.camIdx])
+			d.rend.Render(scene, cam)
 		})
 		if err != nil {
 			c.reportErr(err)
