@@ -7,6 +7,56 @@
 // cost scales with scene complexity exactly the way the paper's headline
 // measurement (16 fps at 3235 polygons across three synchronized displays)
 // depends on — which is what the EXP-1 benchmarks exercise.
+//
+// # The span rule
+//
+// A triangle's pixels are those of its clamped bounding box whose three
+// barycentric coordinates, computed from two edge functions and
+// w2 = 1 − w0 − w1, are all ≥ 0. On the paper's scene that is two pixels
+// in five of the boxes, so the scan does not walk the box: per row it
+// solves the three conditions for the columns they can admit and
+// evaluates only those.
+//
+// Along a row each condition is linear in x. Its value at the box's first
+// pixel centre is the edge function there, formed as the pixel loop forms
+// it; its slope is a difference of two vertex ys, fixed per triangle. (The
+// third condition is the one the loop tests, w0 + w1 ≤ 1, that is
+// g0 + g1 ≥ area — not a third edge function, which would round
+// differently.) The solve admits g + slope·Δx ≤ slack, not ≤ 0. slack is
+// 2⁻⁴⁵·rx·ry, rx and ry the extents of box and vertices together: every
+// product in an edge function is at most rx·ry, so rounding moves the
+// function by a few ulps of that, and 2⁻⁴⁵ is 256 ulps. A pixel the loop
+// accepts therefore lies inside the solved interval up to the solve's own
+// rounding, which is far below the one pixel of padding each end then
+// gets. An edge parallel to the rows has slope 0 and bounds nothing; a NaN
+// compares false and bounds nothing; where rx·ry is so large that the
+// products could overflow, slack is +Inf and the rows run the whole box.
+// The span is always inside the box, so the worst a loose bound costs is
+// time.
+//
+// # The exactness contract
+//
+// The colour plane, the depth plane and every FrameStats field but
+// Visited are, bit for bit, those of the loop that evaluates every pixel
+// of the box; reference_test.go keeps that loop, TestRasterMatchesReference
+// and FuzzRasterTriangle compare against it, and testdata/frames.golden
+// pins 108 frames it rendered before this kernel existed. Inside a span
+// the per-pixel expressions are that loop's: the same operations on the
+// same operands in the same order. A subexpression may be hoisted out of
+// a loop when it does not depend on the loop variable — y_i − fy out of the
+// row, the clip-space transform out of the triangles sharing a vertex, the
+// shade out of the triangles that are culled — because the same operation
+// on the same operands yields the same float wherever it runs. Nothing is
+// evaluated incrementally (w0 += step rounds differently from the product
+// it replaces), re-associated, or replaced by an algebraically equal
+// form. The one departure is where the old loop had no defined result: a
+// bounding box holding a NaN, or a bound no int can hold, made it index
+// the planes out of range or walk up from the smallest int; such a
+// triangle is now culled.
+//
+// The golden is written and checked on amd64 only. The Go specification
+// lets an implementation fuse x*y + z into one rounding; the amd64 port
+// (at its default GOAMD64=v1) does not, others may.
 package render
 
 import (

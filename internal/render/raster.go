@@ -30,9 +30,20 @@ func NewFramebuffer(w, h int) (*Framebuffer, error) {
 
 // Clear fills the color plane and resets depth to the far plane.
 func (fb *Framebuffer) Clear(bg RGB) {
-	for i := range fb.Color {
-		fb.Color[i] = bg
-		fb.Depth[i] = math.Inf(1)
+	fill(fb.Color, bg)
+	fill(fb.Depth, math.Inf(1))
+}
+
+// fill sets every element of s to v: the first block in a loop, the rest
+// by copying that block, which stays in L1 while memmove stores 32 bytes
+// where the loop stores one element.
+func fill[T any](s []T, v T) {
+	n := min(len(s), 512)
+	for i := range s[:n] {
+		s[i] = v
+	}
+	for i := n; i < len(s); i += n {
+		copy(s[i:], s[:n])
 	}
 }
 
@@ -229,11 +240,11 @@ const nearEps = 1e-5
 // (Sutherland–Hodgman on the near plane) into out, which one plane can
 // grow to four vertices at most, and returns how many it wrote.
 func clipNear(a, b, c *clipVert, out *[4]clipVert) (n int, clipped bool) {
-	in := [3]*clipVert{a, b, c}
 	if a.w > nearEps && b.w > nearEps && c.w > nearEps {
 		out[0], out[1], out[2] = *a, *b, *c
 		return 3, false
 	}
+	in := [3]*clipVert{a, b, c}
 	for i, cur := range in {
 		next := in[(i+1)%3]
 		cIn, nIn := cur.w > nearEps, next.w > nearEps

@@ -46,6 +46,9 @@ echo "== kernel exactness, fast fail (trajectory fingerprint, collision pose cac
 go test -race -count=1 -run 'TestTrajectoryFingerprint' ./internal/trace
 go test -race -count=1 -run 'TestPoseCachesMatchRecompute|TestCheckPairMatchesBruteForceRandom|TestDescentStatsPinned' ./internal/collision
 go test -race -count=3 -run 'TestClusterTandemCompletes' ./internal/sim
+# The rasterizer is held to the same rule: every frame bit for bit where the
+# per-pixel bounding-box loop put it.
+go test -count=1 -run 'TestFrameFingerprint|TestRasterMatchesReference|TestVisitedCount' ./internal/render
 
 echo "== go test =="
 go test ./...
@@ -100,6 +103,10 @@ go test -bench 'BenchmarkOracleCertify' -benchtime 20x -run '^$' . >>"$out/bench
 # collision judge alone with its proxies moved every op.
 go test -bench 'BenchmarkLibraryFlight' -benchtime 200000x -run '^$' . >>"$out/bench.txt"
 go test -bench 'BenchmarkJudgeCollisions' -benchtime 20000x -run '^$' . >>"$out/bench.txt"
+# One rendered frame must not allocate, near-clipped or not (100x amortizes
+# the renderer's first-frame scratch under one allocation).
+go test -bench 'BenchmarkRender' -benchtime 100x -run '^$' ./internal/render >>"$out/bench.txt"
+go test -bench 'BenchmarkSurroundViewFreeRun/polys-3235' -benchtime 100x -run '^$' . >>"$out/bench.txt"
 go run ./cmd/benchdiff BENCH_baseline.json "$out/bench.txt"
 
 echo "== batch smoke (headless sweep incl. multi-crane, JSONL report) =="
@@ -124,9 +131,10 @@ grep -q '0 live dry-runs' "$out/campaign-warm.txt" || {
     exit 1
 }
 
-echo "== fuzz smoke (Spec JSON surface, 10 s per target) =="
+echo "== fuzz smoke (Spec JSON surface, rasterizer vs its reference; 10 s per target) =="
 go test -run '^$' -fuzz '^FuzzUnmarshalSpec$' -fuzztime 10s ./internal/scenario
 go test -run '^$' -fuzz '^FuzzValidate$' -fuzztime 10s ./internal/scenario
+go test -run '^$' -fuzz '^FuzzRasterTriangle$' -fuzztime 10s ./internal/render
 
 echo "== dist CLI smoke (codbatch coordinator + 2 worker processes, UDPLAN loopback) =="
 "$out/codbatch" -serve -lan 127.0.0.1:47901 -name smoke1 -headless -obs 127.0.0.1:47911 >"$out/w1.log" 2>&1 &
