@@ -118,6 +118,16 @@ func paperScene(tb testing.TB, ter *terrain.Map, obstacles ...Obstacle) *SceneBu
 	return b
 }
 
+// paperRenderer is a renderer at the paper's display size.
+func paperRenderer(tb testing.TB) *Renderer {
+	tb.Helper()
+	r, err := NewRenderer(paperW, paperH)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
@@ -165,10 +175,7 @@ func TestFrameFingerprint(t *testing.T) {
 	bars, barEye := barCourse(ter, 100, 106, 0)
 	course := paperScene(t, ter, bars...)
 
-	r, err := NewRenderer(paperW, paperH)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := paperRenderer(t)
 	rng := testRNG(20010416)
 	var got strings.Builder
 	clippedAtGround := 0

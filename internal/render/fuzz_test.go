@@ -133,7 +133,7 @@ func FuzzRasterTriangle(f *testing.F) {
 // length, and ones with vertices behind the eye.
 func TestRandomClipTrianglesMatchReference(t *testing.T) {
 	n := 100000
-	if testing.Short() {
+	if testing.Short() || underRace {
 		n = 20000
 	}
 	rig := newClipTriangleRig(t)

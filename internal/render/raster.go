@@ -333,9 +333,9 @@ func (t *triSetup) init(fb *Framebuffer, a, b, c *clipVert) bool {
 	// the rows run the whole box.
 	rx := math.Max(xhi, fmaxX+1) - math.Min(xlo, fminX)
 	ry := math.Max(yhi, fmaxY+1) - math.Min(ylo, fminY)
-	t.slack = 0x1p-45 * rx * ry
-	if !(rx*ry < 0x1p900) {
-		t.slack = math.Inf(1)
+	t.slack = math.Inf(1)
+	if rd := rx * ry; rd < 0x1p900 {
+		t.slack = 0x1p-45 * rd
 	}
 	fx := fminX + 0.5
 	t.e0, t.e1, t.e2 = x0-fx, x1-fx, x2-fx
@@ -404,7 +404,7 @@ func (r *Renderer) scan(t *triSetup, col RGB, stats *FrameStats) {
 		rowBase := py * fb.W
 		depth := fb.Depth[rowBase+lo : rowBase+hi+1]
 		color := fb.Color[rowBase+lo : rowBase+hi+1]
-		color = color[:len(depth)]
+		color = color[:len(depth)] // same length already; lets color[i] go unchecked
 		for i := range depth {
 			fx := float64(lo+i) + 0.5
 			// Barycentric coordinates via edge functions.

@@ -150,6 +150,9 @@ func (r *Renderer) refRasterTriangle(a, b, c clipVert, col RGB, stats *FrameStat
 	return true
 }
 
+// underRace is set by race_test.go in -race builds.
+var underRace bool
+
 // samePlanes compares two framebuffers bit for bit, depth by its bits so
 // that a NaN or a signed zero cannot hide.
 func samePlanes(got, want *Framebuffer) error {
@@ -182,21 +185,14 @@ func TestRasterMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	poses := 200
-	if testing.Short() {
+	if testing.Short() || underRace {
 		poses = 40
 	}
 	site := paperScene(t, ter)
 	bars, barEye := barCourse(ter, 60, 140, 2.1)
 	course := paperScene(t, ter, bars...)
 
-	r, err := NewRenderer(paperW, paperH)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewRenderer(paperW, paperH)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, ref := paperRenderer(t), paperRenderer(t)
 	rng := testRNG(3235)
 	for i := 0; i < poses; i++ {
 		b := site
@@ -232,14 +228,7 @@ func TestVisitedCount(t *testing.T) {
 	b := paperScene(t, ter)
 	p := exp1Pose(ter)
 	b.UpdateCrane(0, p.st)
-	r, err := NewRenderer(paperW, paperH)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewRenderer(paperW, paperH)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, ref := paperRenderer(t), paperRenderer(t)
 	for ci, cam := range p.cameras() {
 		got, want := r.Render(b.Scene(), cam), ref.refRender(b.Scene(), cam)
 		t.Logf("camera %d: wrote %d, visited %d, bounding boxes %d", ci, got.Pixels, got.Visited, want.Visited)

@@ -463,10 +463,7 @@ func BenchmarkRenderNearClip(b *testing.B) {
 	builder := paperScene(b, ter, bars...)
 	st := fom.CraneState{Position: mathx.V3(100, 0, 94), BoomLuff: 0.6, BoomLen: 14, CableLen: 6, HookPos: mathx.V3(100, 4, 84)}
 	scene := builder.Frame(st)
-	r, err := NewRenderer(paperW, paperH)
-	if err != nil {
-		b.Fatal(err)
-	}
+	r := paperRenderer(b)
 	cam := SurroundCamera(eye, 0, 1, paperDisplays, mathx.Rad(40), float64(paperW)/paperH)
 	if s := r.Render(scene, cam); s.Clipped < 50 {
 		b.Fatalf("only %d triangles clipped: not a near-clip benchmark", s.Clipped)
