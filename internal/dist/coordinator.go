@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -20,9 +21,15 @@ type CoordinatorConfig struct {
 	// job state by it, so two sweeps reusing job IDs never mix. 0 derives
 	// one from the wall clock.
 	Sweep int64
-	// Announce is the re-announce period for unassigned jobs (default
-	// 250 ms). This is also the coordinator's bookkeeping tick, so dead
-	// workers are detected within roughly one Announce of DeadAfter.
+	// Announce is how often a job still unassigned is announced again
+	// (default 250 ms). Workers keep what they hear and refill their slots
+	// from it, so the period is not what feeds a live pool: it reaches a
+	// worker that joined after the announce, one whose announce window was
+	// full, and one that was still draining another sweep. A worker built
+	// before the backlog (same messages, so mixed builds stay correct)
+	// refills only at this period. This is also the coordinator's
+	// bookkeeping tick, so dead workers are detected within roughly one
+	// Announce of DeadAfter.
 	Announce time.Duration
 	// DeadAfter declares a worker dead this long after its last
 	// heartbeat, re-dispatching its granted jobs (default 3 s — six of
@@ -118,6 +125,7 @@ type progress struct {
 	done         int64 // jobs with a Record
 	attempts     int64 // dispatch attempts started (first + re-dispatches)
 	redispatches int64 // re-dispatches of lost or timed-out grants
+	announces    int64 // announce publications, each to every worker
 	start        time.Time
 	workers      map[string]*workerProg
 }
@@ -299,6 +307,7 @@ func (c *Coordinator) Sample() obs.DispatchSample {
 		Done:         c.prog.done,
 		Attempts:     c.prog.attempts,
 		Redispatches: c.prog.redispatches,
+		Announces:    c.prog.announces,
 	}
 	elapsed := time.Since(c.prog.start).Seconds()
 	names := make([]string, 0, len(c.prog.workers))
@@ -357,17 +366,22 @@ type jobState struct {
 // only until it has a Record; after that done keeps what a late duplicate
 // claim or result still needs (the attempt and grantee to re-send), so a
 // stream's memory follows its window, not its length, and every per-tick
-// pass ranges over open alone.
+// pass ranges over the open jobs alone. order lists them as they were
+// loaded: workers bid on the oldest announce they hold, so announcing in
+// load order is what makes a sweep run first in, first out.
 type sweep struct {
-	open map[int64]*jobState
-	done map[int64]jobGrant
-	recs []Record
+	open  map[int64]*jobState
+	order []*jobState
+	done  map[int64]jobGrant
+	recs  []Record
 }
 
 // finish moves job s out of the open set with its Record.
 func (c *Coordinator) finish(sw *sweep, s *jobState, rec Record) {
 	c.moveJob(s.phase, jobDone)
 	delete(sw.open, s.job.ID)
+	i := slices.Index(sw.order, s)
+	sw.order = slices.Delete(sw.order, i, i+1)
 	sw.done[s.job.ID] = c.grantOf(s)
 	sw.recs = append(sw.recs, rec)
 }
@@ -389,10 +403,12 @@ func (c *Coordinator) Run(ctx context.Context, jobs []Job) ([]Record, error) {
 // RunStream is Run over an incremental work list: it keeps at most Window
 // jobs in flight, pulling more from the source as results free slots, and
 // blocks until the source is exhausted and every pulled job has a Record
-// (or ctx is done). The source is only ever polled from this goroutine; a
-// source that blocks (a generator certifying its next candidate) delays
-// refills but never the draining of results already in flight by more
-// than one poll.
+// (or ctx is done). A job is announced when it is loaded, again when it is
+// re-dispatched, and otherwise only on the Announce period; workers keep
+// the announces and refill their own slots from them. The source is only
+// ever polled from this goroutine; a source that blocks (a generator
+// certifying its next candidate) delays refills but never the draining of
+// results already in flight by more than one poll.
 func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, error) {
 	sw := &sweep{open: make(map[int64]*jobState), done: make(map[int64]jobGrant)}
 	exhausted := false
@@ -419,10 +435,12 @@ func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, e
 			if _, dupDone := sw.done[j.ID]; dup || dupDone {
 				return fmt.Errorf("dist: duplicate job id %d", j.ID)
 			}
-			sw.open[j.ID] = &jobState{
+			s := &jobState{
 				job: j, specJSON: data, attempt: 1,
 				created: time.Now(), span: obs.MintSpanID(),
 			}
+			sw.open[j.ID] = s
+			sw.order = append(sw.order, s)
 			c.moveJob(-1, jobPending)
 			c.noteAttempt(false)
 		}
@@ -437,17 +455,11 @@ func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, e
 		}
 		c.drainHeartbeats()
 		if c.drainResults(sw) {
-			// A result frees a worker slot: refill the window and
-			// re-announce the backlog now instead of waiting out the
-			// period, or every slot refill costs a full Announce of idle
-			// time.
+			// A result made room in the window: load, and so announce, its
+			// replacement now rather than after the claims below. The
+			// worker that freed the slot has already bid from its backlog.
 			if err := load(); err != nil {
 				return sw.records(), err
-			}
-			for _, s := range sw.open {
-				if s.phase == jobPending {
-					s.announce = time.Time{}
-				}
 			}
 		}
 		c.drainClaims(sw)
@@ -539,15 +551,24 @@ func (c *Coordinator) drainClaims(sw *sweep) {
 		}
 		s := sw.open[claim.Job]
 		if s == nil {
-			if g, done := sw.done[claim.Job]; done && g.Worker != "" {
-				c.sendGrant(g) // idempotent re-send releases the loser
+			if g, done := sw.done[claim.Job]; done {
+				// Idempotent re-send releases the loser. A job recorded while
+				// it was pending (a stale attempt's result, or given up) has no
+				// grantee; the empty name still tells every worker holding its
+				// announce that the job went elsewhere.
+				c.sendGrant(g)
 			}
 			continue
 		}
 		switch s.phase {
 		case jobPending:
 			if claim.Attempt != s.attempt {
-				continue // bid on a stale announce; re-announce solicits a fresh one
+				// A bid on a stale announce (the job was re-dispatched while
+				// the worker still held the old one) ties up the bidder's slot
+				// until its claim expires. Saying the current attempt again
+				// makes the worker renew the bid at once.
+				c.announce(s, time.Now())
+				continue
 			}
 			c.moveJob(s.phase, jobGranted)
 			s.phase = jobGranted
@@ -605,7 +626,9 @@ func (c *Coordinator) redispatch(sw *sweep) {
 	if grantSlack < 500*time.Millisecond {
 		grantSlack = 500 * time.Millisecond
 	}
-	for _, s := range sw.open {
+	// Backwards, because finish takes a job out of sw.order mid-pass.
+	for i := len(sw.order) - 1; i >= 0; i-- {
+		s := sw.order[i]
 		switch s.phase {
 		case jobGranted:
 			w := c.workers[s.worker]
@@ -655,27 +678,33 @@ func (c *Coordinator) redispatch(sw *sweep) {
 	}
 }
 
-// announcePending publishes every pending job whose announce period
-// elapsed. ErrNoSubscribers just means no worker has joined yet, and
-// ErrWindowFull that a worker's Reliable announce window is saturated
-// (the update reached every other worker) — the next period retries
-// either way, and announces are idempotent.
+// announcePending publishes, in load order, every pending job never
+// announced or whose announce period elapsed.
 func (c *Coordinator) announcePending(sw *sweep) {
 	now := time.Now()
-	for _, s := range sw.open {
-		if s.phase != jobPending || now.Sub(s.announce) < c.cfg.Announce {
-			continue
+	for _, s := range sw.order {
+		if s.phase == jobPending && now.Sub(s.announce) >= c.cfg.Announce {
+			c.announce(s, now)
 		}
-		s.announce = now
-		// Failures — ErrNoSubscribers or channel-level — are all retried
-		// at the next period; the announce timestamp is already set.
-		_ = c.pubJob.Update(0, jobAnnounce{
-			Sweep:   c.cfg.Sweep,
-			Job:     s.job.ID,
-			Attempt: s.attempt,
-			Seed:    s.job.Seed,
-			Spec:    s.specJSON,
-			Span:    s.span,
-		})
 	}
+}
+
+// announce publishes job s at its current attempt. ErrNoSubscribers just
+// means no worker has joined yet, and ErrWindowFull that a worker's
+// Reliable announce window is saturated (the update reached every other
+// worker) — the next period retries either way, and announces are
+// idempotent.
+func (c *Coordinator) announce(s *jobState, now time.Time) {
+	s.announce = now
+	c.progMu.Lock()
+	c.prog.announces++
+	c.progMu.Unlock()
+	_ = c.pubJob.Update(0, jobAnnounce{
+		Sweep:   c.cfg.Sweep,
+		Job:     s.job.ID,
+		Attempt: s.attempt,
+		Seed:    s.job.Seed,
+		Spec:    s.specJSON,
+		Span:    s.span,
+	})
 }

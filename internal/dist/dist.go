@@ -25,11 +25,28 @@
 // worker. The window covers slow-consumer loss; the ack/re-send loop
 // below stays for link-churn loss, which no window can see.
 //
-// The coordinator re-announces unassigned jobs on a short period, so a
-// worker that joins mid-sweep still picks up work (the backbone's dynamic
-// join finds the channels, the re-announce fills them). Claims race;
-// the coordinator grants each (job, attempt) to exactly one worker and
-// re-sends the grant on duplicate claims so losers release their bid.
+// Dispatch is pull-based. The coordinator announces a job when it is
+// loaded and again when it is re-dispatched, in load order. A worker keeps
+// every announce it cannot bid on yet in a backlog — spec undecoded, one
+// entry per job, oldest first, at most the announce channel's Reliable
+// window, emptied when the sweep changes — drops an entry when it sees
+// that attempt granted to another worker, and bids from the backlog
+// whenever a slot is free. So a slot that a finished run or a lost race
+// frees takes the next job with no word from the coordinator, and a sweep
+// runs first in, first out. The Announce period is the liveness net, not
+// the feed: a job still unassigned after a period is announced again,
+// which reaches a worker that joined mid-sweep (the backbone's dynamic
+// join finds the channels, the period fills them), one whose announce
+// window was full, and one that was still draining another sweep. The
+// messages are those of builds without a backlog, so mixed builds stay
+// correct; such a worker under this coordinator refills only at the
+// period.
+//
+// Claims race; the coordinator grants each (job, attempt) to exactly one
+// worker, and no claim goes unanswered: one for a granted or finished job
+// draws the standing grant so the loser releases its bid, one for an
+// attempt the coordinator has moved past draws the current announce so
+// the bidder renews.
 // A granted job is re-dispatched — announced again with the next attempt
 // number — when its worker misses heartbeats long enough to be declared
 // dead, or when the job outlives JobTimeout. Results ride at-least-once
@@ -67,7 +84,9 @@
 // histogram — each phase is timed on a single machine's clock, so skew
 // between hosts never distorts it.
 // Coordinator.Sample and Worker.Sample expose live dispatch state for
-// the obs sampler's codsim_dist_* gauges.
+// the obs sampler's codsim_dist_* gauges, among them the coordinator's
+// announce count (against its attempts: about one each, unless announces
+// are being lost or re-sent in a storm) and each worker's backlog depth.
 package dist
 
 import (
@@ -150,7 +169,8 @@ type jobClaim struct {
 	Worker  string
 }
 
-// jobGrant assigns a claimed job to exactly one worker.
+// jobGrant assigns a claimed job to exactly one worker. Every worker hears
+// it; an empty Worker (a job recorded without a grantee) releases them all.
 type jobGrant struct {
 	Sweep   int64
 	Job     int64

@@ -61,7 +61,7 @@ func testJobs(n int) []Job {
 }
 
 // startWorker spawns a worker on its own node and returns a stop func.
-func startWorker(t *testing.T, fed *cod.Federation, name string, cfg WorkerConfig) context.CancelFunc {
+func startWorker(t testing.TB, fed *cod.Federation, name string, cfg WorkerConfig) context.CancelFunc {
 	t.Helper()
 	node, err := fed.Node(name + "-node")
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -75,6 +76,12 @@ func DefaultRunner(ctx context.Context, job Job, cfg sim.BatchConfig) Record {
 	return NewRecord(job, res[0], "")
 }
 
+// announceDepth is the announce subscription's Reliable window and, for the
+// same reason, the cap on a worker's backlog: a coordinator cannot have more
+// announces than this outstanding to one worker, so a backlog this deep
+// holds everything the channel can deliver in one burst.
+const announceDepth = 256
+
 // wjPhase is a worker-side job state.
 type wjPhase int
 
@@ -116,12 +123,19 @@ type Worker struct {
 	sweep   int64
 	jobs    map[int64]*workerJob
 	running int
+	claimed int // jobs in wjClaimed: bids awaiting their grant
+	// backlog holds the announces this worker has not bid on, oldest
+	// first, one entry per job with the spec still undecoded. Slots refill
+	// from it, so the coordinator says each job once. At most
+	// announceDepth entries.
+	backlog []jobAnnounce
 	doneCh  chan Record // finished runs, keyed by Record.Job
 
 	// Scrape-facing mirrors of the ledger above, refreshed by the Run
 	// loop so the telemetry sampler's Sample never touches loop state.
 	obsBusy     atomic.Int64
 	obsClaimed  atomic.Int64
+	obsBacklog  atomic.Int64
 	obsFinished atomic.Int64 // cumulative runs finished
 	obsAcked    atomic.Int64 // cumulative results acknowledged
 }
@@ -147,7 +161,7 @@ func NewWorker(node *cod.Node, cfg WorkerConfig) (*Worker, error) {
 	// coordinator's publisher (which retries next period) instead of
 	// silently shedding distinct jobs from a drop-oldest mailbox.
 	var err error
-	if w.subJob, err = cod.Subscribe[jobAnnounce](node, cfg.Name, ClassJob, cod.Reliable(256)); err != nil {
+	if w.subJob, err = cod.Subscribe[jobAnnounce](node, cfg.Name, ClassJob, cod.Reliable(announceDepth)); err != nil {
 		return nil, fmt.Errorf("dist: worker %s: %w", cfg.Name, err)
 	}
 	if w.subGrant, err = cod.Subscribe[jobGrant](node, cfg.Name, ClassGrant, cod.Reliable(256)); err != nil {
@@ -225,6 +239,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		w.drainGrants(runCtx)
 		w.drainAcks()
 		w.expireClaims()
+		w.bidBacklog()
 		w.flushResults()
 		w.publishStats()
 
@@ -271,14 +286,9 @@ func (w *Worker) beat() {
 
 // publishStats refreshes the scrape-facing mirrors of the job ledger.
 func (w *Worker) publishStats() {
-	var claimed int64
-	for _, j := range w.jobs {
-		if j.phase == wjClaimed {
-			claimed++
-		}
-	}
 	w.obsBusy.Store(int64(w.running))
-	w.obsClaimed.Store(claimed)
+	w.obsClaimed.Store(int64(w.claimed))
+	w.obsBacklog.Store(int64(len(w.backlog)))
 }
 
 // Sample snapshots the worker's dispatch state for the telemetry sampler
@@ -290,25 +300,25 @@ func (w *Worker) Sample() obs.DispatchSample {
 		Slots:        int64(w.cfg.Slots),
 		Busy:         w.obsBusy.Load(),
 		Claimed:      w.obsClaimed.Load(),
+		Backlog:      w.obsBacklog.Load(),
 		Finished:     w.obsFinished.Load(),
 		ResultsAcked: w.obsAcked.Load(),
 	}
 }
 
 // free reports how many slots are neither running nor bid away.
-func (w *Worker) free() int {
-	n := w.cfg.Slots - w.running
-	for _, j := range w.jobs {
-		if j.phase == wjClaimed {
-			n--
-		}
-	}
-	return n
+func (w *Worker) free() int { return w.cfg.Slots - w.running - w.claimed }
+
+// release forgets a bid that will draw no grant, freeing its slot.
+func (w *Worker) release(job int64) {
+	delete(w.jobs, job)
+	w.claimed--
 }
 
-// drainAnnounces bids on announced jobs while slots are free. Announces
-// of finished jobs re-arm their cached result — the coordinator only
-// re-announces what it never recorded.
+// drainAnnounces files every announce: one for a job this worker already
+// holds renews its bid or re-arms its cached result — the coordinator only
+// re-announces what it never recorded — and any other goes to the backlog
+// for bidBacklog.
 func (w *Worker) drainAnnounces() {
 	for {
 		r, ok, err := w.subJob.Poll()
@@ -321,67 +331,118 @@ func (w *Worker) drainAnnounces() {
 		ann := r.Value
 		if ann.Sweep != w.sweep {
 			// A new sweep begins once the old one's slots drain; until
-			// then its announces wait for the next re-announce period.
+			// then its announces wait for the next announce period.
 			if w.running > 0 {
 				continue
 			}
 			w.sweep = ann.Sweep
 			w.jobs = make(map[int64]*workerJob)
+			w.claimed = 0
+			clear(w.backlog) // let go of the old sweep's specs
+			w.backlog = w.backlog[:0]
 		}
 		j := w.jobs[ann.Job]
-		if j != nil {
-			switch {
-			case j.phase == wjFinished:
-				// The coordinator lost or timed out our result: replay it
-				// under the announced attempt.
-				j.attempt = ann.Attempt
-				j.lastSend = time.Time{}
-			case j.phase == wjClaimed && ann.Attempt > j.attempt:
-				// Our earlier bid went stale; renew it for the new attempt.
-				j.attempt = ann.Attempt
-				w.claim(j)
+		if j == nil {
+			w.stash(ann)
+			continue
+		}
+		switch {
+		case j.phase == wjFinished:
+			// The coordinator lost or timed out our result: replay it
+			// under the announced attempt.
+			j.attempt = ann.Attempt
+			j.lastSend = time.Time{}
+		case j.phase == wjClaimed && ann.Attempt > j.attempt:
+			// Our earlier bid went stale; renew it for the new attempt.
+			j.attempt = ann.Attempt
+			w.claim(j)
+		}
+	}
+}
+
+// stash keeps ann in the backlog, one entry per job: a newer attempt takes
+// the stale entry's place in the queue, a repeat of the held attempt (the
+// coordinator's period) changes nothing. A full backlog drops the
+// announce; the period brings it back.
+func (w *Worker) stash(ann jobAnnounce) {
+	for i := range w.backlog {
+		if w.backlog[i].Job == ann.Job {
+			if ann.Attempt > w.backlog[i].Attempt {
+				w.backlog[i] = ann
 			}
-			continue
+			return
 		}
-		if w.free() <= 0 {
-			continue
+	}
+	if len(w.backlog) < announceDepth {
+		w.backlog = append(w.backlog, ann)
+	}
+}
+
+// unstash drops the backlog entry for job when another worker was granted
+// that attempt or a later one. A late grant for an older attempt says
+// nothing about the entry held.
+func (w *Worker) unstash(job, attempt int64) {
+	for i := range w.backlog {
+		if w.backlog[i].Job == job {
+			if w.backlog[i].Attempt <= attempt {
+				w.backlog = slices.Delete(w.backlog, i, i+1)
+			}
+			return
 		}
+	}
+}
+
+// bidBacklog bids on the oldest announces while slots are free, so a slot
+// that a finished run or a lost race just freed takes its next job without
+// the coordinator saying anything again.
+func (w *Worker) bidBacklog() {
+	for w.free() > 0 && len(w.backlog) > 0 {
+		ann := w.backlog[0]
 		spec, err := scenario.UnmarshalSpec(ann.Spec)
 		if err != nil {
-			continue // foreign or corrupt job; someone else may parse it
+			w.backlog = slices.Delete(w.backlog, 0, 1) // foreign or corrupt job; someone else may parse it
+			continue
 		}
-		j = &workerJob{
+		j := &workerJob{
 			phase:   wjClaimed,
 			attempt: ann.Attempt,
 			job:     Job{ID: ann.Job, Seed: ann.Seed, Spec: spec, Span: ann.Span},
 		}
 		w.jobs[ann.Job] = j
-		w.claim(j)
+		w.claimed++
+		if !w.claim(j) {
+			return // no route to the coordinator: the entry stays for the next pass
+		}
+		w.backlog = slices.Delete(w.backlog, 0, 1)
 	}
 }
 
-// claim publishes one bid; a routing failure forgets the bid so the next
-// announce can retry it.
-func (w *Worker) claim(j *workerJob) {
+// claim publishes one bid and reports whether it went out; a routing
+// failure forgets the bid so the next announce can retry it.
+func (w *Worker) claim(j *workerJob) bool {
 	err := w.pubClaim.Update(0, jobClaim{
 		Sweep: w.sweep, Job: j.job.ID, Attempt: j.attempt, Worker: w.name,
 	})
 	if err != nil {
-		delete(w.jobs, j.job.ID)
-		return
+		w.release(j.job.ID)
+		return false
 	}
 	j.claimedAt = time.Now()
+	return true
 }
 
 // expireClaims drops bids that never drew a grant — the race was lost
 // before this worker's grant channel was established, so the release
 // grant never arrived. The coordinator's next announce can renew the bid.
 func (w *Worker) expireClaims() {
+	if w.claimed == 0 {
+		return
+	}
 	ttl := 4 * w.cfg.Heartbeat
 	now := time.Now()
 	for id, j := range w.jobs {
 		if j.phase == wjClaimed && now.Sub(j.claimedAt) > ttl {
-			delete(w.jobs, id)
+			w.release(id)
 		}
 	}
 }
@@ -401,19 +462,19 @@ func (w *Worker) drainGrants(runCtx context.Context) {
 			continue
 		}
 		j := w.jobs[g.Job]
-		if j == nil {
-			continue
-		}
 		if g.Worker != w.name {
-			if j.phase == wjClaimed {
-				delete(w.jobs, g.Job) // lost the race; free the slot
+			if j == nil {
+				w.unstash(g.Job, g.Attempt)
+			} else if j.phase == wjClaimed {
+				w.release(g.Job) // lost the race; free the slot
 			}
 			continue
 		}
-		if j.phase != wjClaimed {
+		if j == nil || j.phase != wjClaimed {
 			continue // duplicate grant re-send
 		}
 		j.phase = wjRunning
+		w.claimed--
 		w.running++
 		// The dispatch phase ends here: the bid waited from claim to
 		// grant, all on this worker's clock.

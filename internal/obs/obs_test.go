@@ -158,12 +158,12 @@ func TestSamplerDispatchSeries(t *testing.T) {
 	s.AddDispatch(func() DispatchSample {
 		return DispatchSample{
 			Role: "coordinator", Name: "sweep-1",
-			Pending: 3, Granted: 2, Done: 5, Attempts: 11, Redispatches: 1,
+			Pending: 3, Granted: 2, Done: 5, Attempts: 11, Redispatches: 1, Announces: 14,
 			Workers: []WorkerSample{{Name: "host1", Done: 5, Throughput: 2.5, Busy: 2, Slots: 4, SinceSeen: 0.25}},
 		}
 	})
 	s.AddDispatch(func() DispatchSample {
-		return DispatchSample{Role: "worker", Name: "host1", Slots: 4, Busy: 2, Claimed: 1, Finished: 5, ResultsAcked: 5}
+		return DispatchSample{Role: "worker", Name: "host1", Slots: 4, Busy: 2, Claimed: 1, Backlog: 7, Finished: 5, ResultsAcked: 5}
 	})
 	s.SampleOnce()
 
@@ -176,7 +176,9 @@ func TestSamplerDispatchSeries(t *testing.T) {
 		`codsim_dist_jobs{role="coordinator",state="in_flight"} 5`,
 		`codsim_dist_jobs{role="coordinator",state="pending"} 3`,
 		`codsim_dist_jobs{role="coordinator",state="redispatches"} 1`,
+		`codsim_dist_jobs{role="coordinator",state="announces"} 14`,
 		`codsim_dist_jobs{role="worker",state="busy"} 2`,
+		`codsim_dist_jobs{role="worker",state="backlog"} 7`,
 		`codsim_dist_jobs{role="worker",state="results_acked"} 5`,
 		`codsim_dist_worker{worker="host1",stat="done"} 5`,
 		`codsim_dist_worker{worker="host1",stat="throughput_jobs_per_sec"} 2.5`,

@@ -28,18 +28,23 @@ type DispatchSample struct {
 	Name string
 
 	// Coordinator state: jobs currently pending announce or granted
-	// (InFlight = Pending + Granted), finished jobs, attempts dispatched
-	// and re-dispatches of lost grants.
+	// (InFlight = Pending + Granted), finished jobs, attempts dispatched,
+	// re-dispatches of lost grants, and announce publications — a healthy
+	// sweep says each attempt about once, so Announces far above Attempts
+	// is an announce storm.
 	Pending      int64
 	Granted      int64
 	Done         int64
 	Attempts     int64
 	Redispatches int64
+	Announces    int64
 
-	// Worker state: slot occupancy and the local job ledger.
+	// Worker state: slot occupancy, the local job ledger, and how many
+	// announces are held for the next free slot.
 	Slots        int64
 	Busy         int64
 	Claimed      int64
+	Backlog      int64
 	Finished     int64
 	ResultsAcked int64
 
@@ -159,7 +164,7 @@ func NewSampler(reg *Registry, period time.Duration) *Sampler {
 			"reflections coalesced by latest-value conflation since the subscription began",
 			"node", "lp", "class", "policy"),
 		dispatchG: reg.GaugeVec("codsim_dist_jobs",
-			"dist dispatch state by role (in_flight, pending, granted, done, attempts, redispatches, slots, busy, claimed, finished)",
+			"dist dispatch state by role (in_flight, pending, granted, done, attempts, redispatches, announces, slots, busy, claimed, backlog, finished, results_acked)",
 			"role", "state"),
 		workerG: reg.GaugeVec("codsim_dist_worker",
 			"coordinator's per-worker progress view (done, throughput_jobs_per_sec, busy, slots, since_seen_sec)",
@@ -379,10 +384,12 @@ func (s *Sampler) sampleDispatch(d DispatchSample) {
 		s.dispGauge(role, "done").Set(float64(d.Done))
 		s.dispGauge(role, "attempts").Set(float64(d.Attempts))
 		s.dispGauge(role, "redispatches").Set(float64(d.Redispatches))
+		s.dispGauge(role, "announces").Set(float64(d.Announces))
 	default: // worker roles
 		s.dispGauge(role, "slots").Set(float64(d.Slots))
 		s.dispGauge(role, "busy").Set(float64(d.Busy))
 		s.dispGauge(role, "claimed").Set(float64(d.Claimed))
+		s.dispGauge(role, "backlog").Set(float64(d.Backlog))
 		s.dispGauge(role, "finished").Set(float64(d.Finished))
 		s.dispGauge(role, "results_acked").Set(float64(d.ResultsAcked))
 	}

@@ -107,6 +107,9 @@ go test -bench 'BenchmarkJudgeCollisions' -benchtime 20000x -run '^$' . >>"$out/
 # the renderer's first-frame scratch under one allocation).
 go test -bench 'BenchmarkRender' -benchtime 100x -run '^$' ./internal/render >>"$out/bench.txt"
 go test -bench 'BenchmarkSurroundViewFreeRun/polys-3235' -benchtime 100x -run '^$' . >>"$out/bench.txt"
+# The dispatch layer alone, one op per job: an announce storm (every result
+# re-announcing the window) shows as allocs per job far over the ceiling.
+go test -bench 'BenchmarkDistDispatch' -benchtime 5000x -run '^$' ./internal/dist >>"$out/bench.txt"
 go run ./cmd/benchdiff BENCH_baseline.json "$out/bench.txt"
 
 echo "== batch smoke (headless sweep incl. multi-crane, JSONL report) =="
