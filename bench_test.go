@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"codsim/cod"
 	"codsim/internal/cb"
 	"codsim/internal/collision"
 	"codsim/internal/crane"
@@ -344,6 +345,64 @@ func BenchmarkCBThroughput(b *testing.B) {
 	fps := float64(b.N) / b.Elapsed().Seconds()
 	b.ReportMetric(fps, "frames/s")
 	b.ReportMetric(fps/float64(runtime.GOMAXPROCS(0)), "frames/s/core")
+}
+
+// benchState is a CraneState-sized typed payload: 19 scalars.
+type benchState struct {
+	Seq                                  int64
+	X, Y, Z, Heading, Pitch, Roll, Speed float64
+	Swing, Luff, BoomLen, CableLen       float64
+	HookX, HookY, HookZ, Mass, RPM       float64
+	Held, EngineOn                       bool
+}
+
+// BenchmarkCodRemoteUpdate is the typed SDK path codbench's cb_stream
+// runs: one op = one struct through cod.Pub.Update — codec, frame, MemLAN
+// link, Reliable mailbox — and out of Sub.Next on the other node. Sub.Next
+// releases each reflection after decoding it, so the steady state
+// recycles every buffer on the way; the gate is 1 alloc/op.
+func BenchmarkCodRemoteUpdate(b *testing.B) {
+	ctx := context.Background()
+	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()))
+	defer fed.Close()
+	pubNode, err := fed.Node("pub-pc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	subNode, err := fed.Node("sub-pc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	pub, err := cod.Publish[benchState](pubNode, "p", "State")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sub, err := cod.Subscribe[benchState](subNode, "s", "State", cod.Reliable(1024))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sub.WaitMatched(ctx); err != nil {
+		b.Fatal("channel never established")
+	}
+	if err := pub.WaitChannels(ctx, 1); err != nil {
+		b.Fatal("publisher never linked")
+	}
+	st := benchState{X: 100, Z: 100, Luff: 0.8, BoomLen: 14, Mass: 1800, EngineOn: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Seq = int64(i)
+		if err := pub.UpdateContext(ctx, float64(i), st); err != nil {
+			b.Fatal(err)
+		}
+		r, err := sub.Next(ctx)
+		if err != nil {
+			b.Fatal("reflection lost")
+		}
+		if r.Value.Seq != st.Seq {
+			b.Fatalf("frame %d arrived as %d", st.Seq, r.Value.Seq)
+		}
+	}
 }
 
 // --- EXP-3: initialization protocol (§2.3) ------------------------------

@@ -23,12 +23,13 @@ import (
 // so Publish/Subscribe fail fast instead of dropping data at runtime.
 //
 // Reflection runs only at build time. The cached field table holds each
-// field's byte offset and scalar kind, so the encode/decode hot path is a
-// switch over direct loads and stores through the struct pointer — no
-// reflect.Value per field, no interface boxing. Strings and slices keep
-// the reflect path (their getters allocate anyway, and reflect handles
-// named-type conversion); scalars, which dominate simulation state, go
-// through the offset fast path.
+// field's byte offset and kind, so the encode/decode hot path is a switch
+// over direct loads and stores through the struct pointer — no
+// reflect.Value per field, no interface boxing, and nothing that makes
+// the caller's value escape to the heap. That covers strings and slices
+// too: a named type (type Path []float64) has its underlying type's
+// memory layout, and named element types are rejected at build time, so
+// the field is read and written as the canonical type.
 
 // ErrUnsupportedType reports a struct field the codec cannot map.
 var ErrUnsupportedType = errors.New("cod: unsupported field type")
@@ -63,11 +64,10 @@ const (
 )
 
 type fieldCodec struct {
-	name  string
-	id    wire.AttrID
-	index int
-	off   uintptr // byte offset within the struct, fixed at build time
-	kind  fieldKind
+	name string
+	id   wire.AttrID
+	off  uintptr // byte offset within the struct, fixed at build time
+	kind fieldKind
 }
 
 type codec struct {
@@ -110,11 +110,10 @@ func buildCodec(t reflect.Type) (*codec, error) {
 			return nil, fmt.Errorf("%w: %s.%s (%s)", ErrUnsupportedType, t, f.Name, f.Type)
 		}
 		c.fields = append(c.fields, fieldCodec{
-			name:  f.Name,
-			id:    wire.AttrID(len(c.fields) + 1),
-			index: i,
-			off:   f.Offset,
-			kind:  kind,
+			name: f.Name,
+			id:   wire.AttrID(len(c.fields) + 1),
+			off:  f.Offset,
+			kind: kind,
 		})
 	}
 	if len(c.fields) == 0 {
@@ -161,9 +160,9 @@ func kindFor(t reflect.Type) (fieldKind, error) {
 }
 
 // Canonical slice types the codec serializes. Named slice types with these
-// exact element types (type Path []float64) are converted through them;
-// named *element* types ([]MyFloat) are rejected at build time because Go
-// forbids the slice conversion — rejecting keeps the fail-fast contract.
+// exact element types (type Path []float64) are accessed as them; named
+// *element* types ([]MyFloat) are rejected at build time — Go forbids the
+// slice conversion, and rejecting keeps the fail-fast contract.
 var (
 	bytesType    = reflect.TypeOf([]byte(nil))
 	float64sType = reflect.TypeOf([]float64(nil))
@@ -186,11 +185,9 @@ func sliceKind(t reflect.Type) (fieldKind, error) {
 	}
 }
 
-// encodeInto packs the struct at p (a *T matching c.typ) into a. Scalars
-// load straight through the field offset; strings and slices go through a
-// lazily built reflect view for named-type conversion.
+// encodeInto packs the struct at p (a *T matching c.typ) into a, loading
+// every field straight through its offset.
 func (c *codec) encodeInto(a *wire.AttrSet, p unsafe.Pointer) {
-	var sv reflect.Value
 	for i := range c.fields {
 		f := &c.fields[i]
 		fp := unsafe.Add(p, f.off)
@@ -221,27 +218,17 @@ func (c *codec) encodeInto(a *wire.AttrSet, p unsafe.Pointer) {
 			a.PutFloat64(f.id, float64(*(*float32)(fp)))
 		case kindFloat64:
 			a.PutFloat64(f.id, *(*float64)(fp))
-		default:
-			if !sv.IsValid() {
-				sv = reflect.NewAt(c.typ, p).Elem()
-			}
-			encodeReflect(a, f, sv.Field(f.index))
+		case kindString:
+			a.PutString(f.id, *(*string)(fp))
+		case kindBytes:
+			a.PutBytes(f.id, *(*[]byte)(fp))
+		case kindFloat64s:
+			a.PutFloat64s(f.id, *(*[]float64)(fp))
+		case kindInt64s:
+			a.PutInt64s(f.id, *(*[]int64)(fp))
+		case kindStrings:
+			a.PutStrings(f.id, *(*[]string)(fp))
 		}
-	}
-}
-
-func encodeReflect(a *wire.AttrSet, f *fieldCodec, v reflect.Value) {
-	switch f.kind {
-	case kindString:
-		a.PutString(f.id, v.String())
-	case kindBytes:
-		a.PutBytes(f.id, v.Bytes())
-	case kindFloat64s:
-		a.PutFloat64s(f.id, v.Convert(float64sType).Interface().([]float64))
-	case kindInt64s:
-		a.PutInt64s(f.id, v.Convert(int64sType).Interface().([]int64))
-	case kindStrings:
-		a.PutStrings(f.id, v.Convert(stringsType).Interface().([]string))
 	}
 }
 
@@ -250,7 +237,6 @@ func encodeReflect(a *wire.AttrSet, f *fieldCodec, v reflect.Value) {
 // reflection is rejected: a silent partial fill would hand modules
 // half-stale state.
 func (c *codec) decodeInto(a wire.AttrSet, p unsafe.Pointer) error {
-	var sv reflect.Value
 	for i := range c.fields {
 		f := &c.fields[i]
 		fp := unsafe.Add(p, f.off)
@@ -321,52 +307,37 @@ func (c *codec) decodeInto(a wire.AttrSet, p unsafe.Pointer) error {
 			if x, ok = a.Float64(f.id); ok {
 				*(*float64)(fp) = x
 			}
-		default:
-			if !sv.IsValid() {
-				sv = reflect.NewAt(c.typ, p).Elem()
+		case kindString:
+			var v string
+			if v, ok = a.String(f.id); ok {
+				*(*string)(fp) = v
 			}
-			ok = decodeReflect(a, f, sv.Field(f.index))
+		case kindBytes:
+			var b []byte
+			if b, ok = a.Bytes(f.id); ok {
+				// Bytes aliases the reflection's storage; the field gets
+				// its own copy.
+				*(*[]byte)(fp) = append(make([]byte, 0, len(b)), b...)
+			}
+		case kindFloat64s:
+			var vs []float64
+			if vs, ok = a.Float64s(f.id); ok {
+				*(*[]float64)(fp) = vs
+			}
+		case kindInt64s:
+			var vs []int64
+			if vs, ok = a.Int64s(f.id); ok {
+				*(*[]int64)(fp) = vs
+			}
+		case kindStrings:
+			var vs []string
+			if vs, ok = a.Strings(f.id); ok {
+				*(*[]string)(fp) = vs
+			}
 		}
 		if !ok {
 			return fmt.Errorf("%w: %s.%s (attr %d)", ErrMissingAttr, c.typ, f.name, f.id)
 		}
 	}
 	return nil
-}
-
-func decodeReflect(a wire.AttrSet, f *fieldCodec, v reflect.Value) bool {
-	switch f.kind {
-	case kindString:
-		s, ok := a.String(f.id)
-		if ok {
-			v.SetString(s)
-		}
-		return ok
-	case kindBytes:
-		b, ok := a.Bytes(f.id)
-		if ok {
-			cp := make([]byte, len(b))
-			copy(cp, b)
-			v.Set(reflect.ValueOf(cp).Convert(v.Type()))
-		}
-		return ok
-	case kindFloat64s:
-		vs, ok := a.Float64s(f.id)
-		if ok {
-			v.Set(reflect.ValueOf(vs).Convert(v.Type()))
-		}
-		return ok
-	case kindInt64s:
-		vs, ok := a.Int64s(f.id)
-		if ok {
-			v.Set(reflect.ValueOf(vs).Convert(v.Type()))
-		}
-		return ok
-	default: // kindStrings
-		vs, ok := a.Strings(f.id)
-		if ok {
-			v.Set(reflect.ValueOf(vs).Convert(v.Type()))
-		}
-		return ok
-	}
 }

@@ -47,16 +47,22 @@
 //
 // The codec is reflection-free on the hot path. Publish/Subscribe walk T
 // once with the reflect package and record, per field, its attribute ID,
-// kind and byte offset; Update and Next then move scalars (bools,
-// integers, floats) through typed unsafe loads and stores at those
-// offsets — no reflect.Value, no per-field interface boxing, no
-// allocation. String and slice fields take a reflect-based path (their
-// payloads must be copied into the attribute arena anyway), and all
-// type validation stays at Publish/Subscribe time, so the fast path
-// never trades away the fail-fast contract above. Encode scratch comes
-// from a pool and is recycled when Update returns — safe because the
-// backbone serializes or clones before returning (see the
-// copy-at-boundary rule in the README).
+// kind and byte offset; Update and Next then move every field — scalars,
+// strings and slices alike — through typed unsafe loads and stores at
+// those offsets: no reflect.Value, no per-field interface boxing, and
+// nothing that forces the caller's value onto the heap. All type
+// validation stays at Publish/Subscribe time, so the fast path never
+// trades away the fail-fast contract above.
+//
+// Buffers are recycled at both ends. Encode scratch comes from a pool and
+// goes back when Update returns — safe because the backbone serializes or
+// clones before returning. On the other side Next, Poll and Latest decode
+// a reflection into T (strings and slices are copied out) and then hand
+// its attribute storage back to the backbone for the next update off the
+// link, so a steady typed publish→reflect allocates nothing beyond what
+// T's own strings and slices need. Callers reading attributes through
+// Raw() own that decision themselves: see cb.Reflection.Release and the
+// copy-at-boundary rule in the README.
 //
 // # Blocking and errors
 //

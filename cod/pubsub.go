@@ -204,17 +204,16 @@ func Subscribe[T any](node *Node, lp, class string, opts ...SubOption) (*Sub[T],
 	return &Sub[T]{sub: s, codec: c}, nil
 }
 
-// decode converts one backbone reflection into the typed form.
-func (s *Sub[T]) decode(r cb.Reflection) (Reflection[T], error) {
-	out := Reflection[T]{
-		Class:   r.Class,
-		PubNode: r.PubNode,
-		PubLP:   r.PubLP,
-		Seq:     r.Seq,
-		Time:    r.Time,
-	}
+// decode converts one backbone reflection into the typed form and hands
+// its attribute storage back to the backbone: decodeInto copies every
+// value out (strings and slices included), so nothing of r.Attrs escapes
+// into the result and this is the subscriber-side release point.
+func (s *Sub[T]) decode(r *cb.Reflection, out *Reflection[T]) error {
+	out.Class, out.PubNode, out.PubLP = r.Class, r.PubNode, r.PubLP
+	out.Seq, out.Time = r.Seq, r.Time
 	err := s.codec.decodeInto(r.Attrs, unsafe.Pointer(&out.Value))
-	return out, err
+	r.Release()
+	return err
 }
 
 // Next blocks until an update arrives, ctx is done (ctx.Err()), or the
@@ -222,16 +221,17 @@ func (s *Sub[T]) decode(r cb.Reflection) (Reflection[T], error) {
 // attributes — are skipped; use Raw for conservative-time consumers that
 // need them. A decode failure (class shape mismatch) is returned as an
 // ErrMissingAttr error.
-func (s *Sub[T]) Next(ctx context.Context) (Reflection[T], error) {
+func (s *Sub[T]) Next(ctx context.Context) (r Reflection[T], err error) {
 	for {
-		r, err := s.sub.NextContext(ctx)
+		raw, err := s.sub.NextContext(ctx)
 		if err != nil {
-			return Reflection[T]{}, err
+			return r, err
 		}
-		if r.Null {
+		if raw.Null {
 			continue
 		}
-		return s.decode(r)
+		err = s.decode(&raw, &r)
+		return r, err
 	}
 }
 
@@ -246,7 +246,7 @@ func (s *Sub[T]) Poll() (r Reflection[T], ok bool, err error) {
 		if raw.Null {
 			continue
 		}
-		r, err = s.decode(raw)
+		err = s.decode(&raw, &r)
 		return r, true, err
 	}
 }
@@ -266,12 +266,13 @@ func (s *Sub[T]) Latest() (r Reflection[T], ok bool, err error) {
 		if raw.Null {
 			continue
 		}
+		last.Release() // superseded undecoded
 		last, gotLast = raw, true
 	}
 	if !gotLast {
-		return Reflection[T]{}, false, nil
+		return r, false, nil
 	}
-	r, err = s.decode(last)
+	err = s.decode(&last, &r)
 	return r, true, err
 }
 

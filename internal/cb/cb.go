@@ -21,12 +21,42 @@
 // matching, an LP (an extra display, for example) can be added to a running
 // system without restarting anything — the paper's dynamic-join property —
 // and late-starting publishers still discover existing subscribers.
+//
+// # The per-frame path
+//
+// A steady publish→reflect takes no global lock, reads no clock and, for a
+// consumer that releases its reflections, allocates nothing. Publication
+// push encodes an update once and stamps Channel and Seq into a copy per
+// remote channel; the class's channel list and the channel-ID table are
+// copy-on-write (cowMap), read without Backbone.mu. A link's read loop
+// decodes from a buffered reader, so a length prefix, its body and the
+// frames queued behind them cost one conn.Read, and it copies each
+// update's attributes into storage a consumer handed back
+// (Reflection.Release) when there is some.
+//
+// Liveness is counted, not stamped: the read loop increments a per-link
+// frame counter, and the heartbeat sweep — every HeartbeatInterval —
+// dates a link whose counter moved with the sweep's own time. A frame is
+// therefore dated up to one HeartbeatInterval late and never early, so a
+// silent peer is reaped between HeartbeatTimeout and HeartbeatTimeout +
+// 2×HeartbeatInterval after its last frame (one interval more than when
+// every frame was stamped), and a peer that sends anything at all in
+// every interval is never reaped.
+//
+// Credits and heartbeats are as they were, frame for frame: a reliable
+// subscriber still grants on its first consumption and every quarter
+// window, as a HEARTBEAT carrying AttrCreditCounts, and the periodic
+// beacon still repeats every channel's count. They are already off the
+// per-frame path — about one credit frame per 256 updates at a window of
+// 1024 — and any new frame kind or field would break mixed-version
+// federations for nothing measurable.
 package cb
 
 import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"codsim/internal/metrics"
@@ -68,7 +98,9 @@ type Config struct {
 	HeartbeatInterval time.Duration
 	// HeartbeatTimeout declares a peer dead after this long without any
 	// inbound frame; its channels are torn down and affected
-	// subscriptions return to fast re-broadcast.
+	// subscriptions return to fast re-broadcast. Silence is measured by
+	// the heartbeat sweep, so to a granularity of HeartbeatInterval (see
+	// the package doc).
 	HeartbeatTimeout time.Duration
 	// MailboxDepth is the default per-subscription buffer depth.
 	MailboxDepth int
@@ -140,17 +172,20 @@ type Backbone struct {
 	cfg  Config
 
 	mu        sync.Mutex
-	closed    bool
 	pubs      map[classLP]*Publication
 	subs      map[classLP]*Subscription
-	outs      map[string][]*outChannel // class → established out channels
 	outKeys   map[chanKey]*outChannel  // dedup of pub-side channels
 	outByChan map[linkChan]*outChannel // credit routing: (link, id) → channel
 	inSubKeys map[chanKey]uint32       // dedup of sub-side channels
-	ins       map[uint32]*inChannel    // channel ID → subscriber binding
 	peers     map[string]*peerLink     // remote node → named link
 	links     map[*peerLink]struct{}   // every live link, named or pending
 	nextChan  uint32
+
+	// Written with mu held like the tables above, but read without it once
+	// per frame (push, handleUpdate).
+	closed atomic.Bool
+	outs   cowMap[string, []*outChannel] // class → established out channels
+	ins    cowMap[uint32, *inChannel]    // channel ID → subscriber binding
 
 	stats Stats
 
@@ -197,11 +232,9 @@ func New(lan transport.LAN, node string, cfg Config) (*Backbone, error) {
 		cfg:       cfg.withDefaults(),
 		pubs:      make(map[classLP]*Publication),
 		subs:      make(map[classLP]*Subscription),
-		outs:      make(map[string][]*outChannel),
 		outKeys:   make(map[chanKey]*outChannel),
 		outByChan: make(map[linkChan]*outChannel),
 		inSubKeys: make(map[chanKey]uint32),
-		ins:       make(map[uint32]*inChannel),
 		peers:     make(map[string]*peerLink),
 		links:     make(map[*peerLink]struct{}),
 		done:      make(chan struct{}),
@@ -230,11 +263,11 @@ func (b *Backbone) Stats() *Stats { return &b.stats }
 // and detaches from the LAN.
 func (b *Backbone) Close() error {
 	b.mu.Lock()
-	if b.closed {
+	if b.closed.Load() {
 		b.mu.Unlock()
 		return nil
 	}
-	b.closed = true
+	b.closed.Store(true)
 	// Every link must be shut down — including pending accepted links
 	// that never identified themselves — or their read pumps would keep
 	// wg.Wait below blocked forever.
@@ -248,7 +281,7 @@ func (b *Backbone) Close() error {
 	}
 	// Release publishers stalled on reliable windows: their channels will
 	// never be consumed from again.
-	for _, chans := range b.outs {
+	for _, chans := range b.outs.view() {
 		for _, oc := range chans {
 			oc.release()
 		}
@@ -300,7 +333,7 @@ type TableEntry struct {
 func (b *Backbone) Tables() (pubs, subs []TableEntry) {
 	b.mu.Lock()
 	peerOf := make(map[uint32]string) // channel ID → publishing node
-	for id, ic := range b.ins {
+	for id, ic := range b.ins.view() {
 		peerOf[id] = ic.key.peer
 	}
 	type subRow struct {
@@ -320,12 +353,13 @@ func (b *Backbone) Tables() (pubs, subs []TableEntry) {
 		})
 	}
 	for key := range b.pubs {
+		chans, _ := b.outs.get(key.class)
 		e := TableEntry{
 			LP:       key.lp,
 			Class:    key.class,
-			Channels: len(b.outs[key.class]),
+			Channels: len(chans),
 		}
-		for _, oc := range b.outs[key.class] {
+		for _, oc := range chans {
 			oc.credMu.Lock()
 			e.Stalls += oc.stalls
 			oc.credMu.Unlock()
@@ -453,7 +487,7 @@ func (b *Backbone) heartbeat(now time.Time) {
 		links = append(links, l)
 	}
 	credits := make(map[*peerLink][]int64)
-	for id, ic := range b.ins {
+	for id, ic := range b.ins.view() {
 		if ic.link == nil || ic.sub == nil || ic.sub.policy != wire.PolicyReliable {
 			continue
 		}
@@ -462,7 +496,7 @@ func (b *Backbone) heartbeat(now time.Time) {
 	b.mu.Unlock()
 
 	for _, l := range links {
-		if now.Sub(l.lastRecvTime()) > b.cfg.HeartbeatTimeout {
+		if !l.heard(now, b.cfg.HeartbeatTimeout) {
 			b.linkDown(l)
 			continue
 		}
@@ -486,11 +520,7 @@ func (b *Backbone) sendGrant(s *Subscription, id, cum uint32) {
 	ic := s.channels[id]
 	if ic == nil {
 		b.mu.Unlock()
-		// Channel torn down (its publisher was already released); the
-		// drain that got us here resurrected the mailbox's credit entry,
-		// so drop it again.
-		s.mbox.forgetChannel(id)
-		return
+		return // channel torn down meanwhile; its publisher was already released
 	}
 	link := ic.link
 	var local *outChannel

@@ -2,7 +2,6 @@ package cb
 
 import (
 	"context"
-	"time"
 
 	"codsim/internal/wire"
 )
@@ -19,7 +18,7 @@ func (b *Backbone) handleSubscriptionBroadcast(f wire.Frame) {
 	key := chanKey{peer: f.Node, subLP: f.LP, class: f.Class}
 
 	b.mu.Lock()
-	if b.closed {
+	if b.closed.Load() {
 		b.mu.Unlock()
 		return
 	}
@@ -54,25 +53,27 @@ func (b *Backbone) handleSubscriptionBroadcast(f wire.Frame) {
 	}
 }
 
-// handleFrame dispatches one inbound stream frame.
-func (b *Backbone) handleFrame(l *peerLink, f wire.Frame) {
+// handleFrame dispatches one inbound stream frame. f is the read loop's
+// reused frame: handlers copy what they keep.
+func (b *Backbone) handleFrame(l *peerLink, f *wire.Frame) {
 	switch f.Kind {
 	case wire.KindAcknowledge:
 		switch f.Phase {
 		case wire.AckSubscription:
-			b.handleSubAck(l, f)
+			b.handleSubAck(l, *f)
 		case wire.AckChannelUp:
-			b.handleChannelUp(l, f)
+			b.handleChannelUp(l, *f)
 		}
 	case wire.KindChannelConn:
-		b.handleChannelConnect(l, f)
+		b.handleChannelConnect(l, *f)
 	case wire.KindUpdateAttrs, wire.KindNull:
 		b.handleUpdate(f)
 	case wire.KindHeartbeat:
-		// lastRecv already refreshed by readLoop; apply any credit counts
-		// for reliable channels riding this link (immediate grants and the
-		// periodic piggyback both arrive this way — heartbeats are the one
-		// frame every build accepts, so credits never churn a legacy link).
+		// The read loop already counted the frame for liveness; apply any
+		// credit counts for reliable channels riding this link (immediate
+		// grants and the periodic piggyback both arrive this way —
+		// heartbeats are the one frame every build accepts, so credits
+		// never churn a legacy link).
 		if pairs, ok := f.Attrs.Int64s(wire.AttrCreditCounts); ok {
 			for i := 0; i+1 < len(pairs); i += 2 {
 				b.applyCredit(l, uint32(pairs[i]), uint32(pairs[i+1]))
@@ -103,7 +104,7 @@ func (b *Backbone) handleSubAck(l *peerLink, f wire.Frame) {
 	skey := classLP{class: f.Class, lp: f.LP}
 
 	b.mu.Lock()
-	if b.closed {
+	if b.closed.Load() {
 		b.mu.Unlock()
 		return
 	}
@@ -119,7 +120,7 @@ func (b *Backbone) handleSubAck(l *peerLink, f wire.Frame) {
 	b.nextChan++
 	id := b.nextChan
 	ic := newInChannel(id, key, l, sub)
-	b.ins[id] = ic
+	b.ins.set(id, ic)
 	b.inSubKeys[key] = id
 	sub.channels[id] = ic
 	b.mu.Unlock()
@@ -165,7 +166,7 @@ func (b *Backbone) handleChannelConnect(l *peerLink, f wire.Frame) {
 	}
 
 	b.mu.Lock()
-	if b.closed {
+	if b.closed.Load() {
 		b.mu.Unlock()
 		return
 	}
@@ -174,9 +175,7 @@ func (b *Backbone) handleChannelConnect(l *peerLink, f wire.Frame) {
 		return
 	}
 	oc := newOutChannel(f.Class, key, l, nil, f.Channel, policy, window)
-	b.outs[f.Class] = append(b.outs[f.Class], oc)
-	b.outKeys[key] = oc
-	b.outByChan[linkChan{link: l, id: f.Channel}] = oc
+	b.addOutLocked(oc)
 	b.mu.Unlock()
 	b.stats.ChannelsUp.Inc()
 
@@ -200,7 +199,7 @@ func (b *Backbone) handleChannelConnect(l *peerLink, f wire.Frame) {
 func (b *Backbone) handleChannelUp(l *peerLink, f wire.Frame) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	ic, ok := b.ins[f.Channel]
+	ic, ok := b.ins.get(f.Channel)
 	if !ok || ic.link != l {
 		return // torn down meanwhile, or misdirected
 	}
@@ -212,10 +211,8 @@ func (b *Backbone) handleChannelUp(l *peerLink, f wire.Frame) {
 
 // handleUpdate routes an inbound UPDATE/NULL frame to the subscriber LP
 // bound to the virtual channel and delivers it as a reflection.
-func (b *Backbone) handleUpdate(f wire.Frame) {
-	b.mu.Lock()
-	ic, ok := b.ins[f.Channel]
-	b.mu.Unlock()
+func (b *Backbone) handleUpdate(f *wire.Frame) {
+	ic, ok := b.ins.get(f.Channel)
 	if !ok {
 		return // stale channel (e.g. torn down moments ago)
 	}
@@ -227,11 +224,11 @@ func (b *Backbone) handleUpdate(f wire.Frame) {
 		Seq:     f.Seq,
 		Time:    f.Time,
 		Null:    f.Kind == wire.KindNull,
-		// Copy-at-boundary: the frame's attrs alias the read loop's
-		// reused decode buffers, which the next inbound frame overwrites.
-		// This Clone is the release point that makes that reuse safe.
-		Attrs: f.Attrs.Clone(),
 	}
+	// Copy-at-boundary: the frame's attrs alias the read loop's reused
+	// decode buffers, which the next inbound frame overwrites. This copy
+	// is the release point that makes that reuse safe.
+	r.retain(f.Attrs)
 	b.deliver(ic.sub, r)
 }
 
@@ -253,26 +250,10 @@ func (b *Backbone) dropChannel(l *peerLink, id uint32) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	// Publisher side: remove the out-channel riding this link.
-	for class, chans := range b.outs {
-		kept := chans[:0]
-		for _, oc := range chans {
-			if oc.link == l && oc.remoteChan == id {
-				b.removeOutLocked(oc)
-				continue
-			}
-			kept = append(kept, oc)
-		}
-		b.outs[class] = kept
-	}
+	b.removeOutsLocked(func(oc *outChannel) bool { return oc.link == l && oc.remoteChan == id })
 	// Subscriber side: remove the in-channel and re-arm discovery.
-	if ic, ok := b.ins[id]; ok && ic.link == l {
-		delete(b.ins, id)
-		delete(b.inSubKeys, ic.key)
-		if sub := ic.sub; sub != nil {
-			delete(sub.channels, id)
-			sub.mbox.forgetChannel(id)
-			sub.lastBroadcast = time.Time{} // due immediately
-		}
+	if ic, ok := b.ins.get(id); ok && ic.link == l {
+		b.removeInLocked(ic)
 	}
 }
 

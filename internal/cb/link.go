@@ -1,8 +1,11 @@
 package cb
 
 import (
+	"bufio"
 	"encoding/binary"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"codsim/internal/transport"
@@ -16,9 +19,15 @@ type peerLink struct {
 	b    *Backbone
 	conn transport.Conn
 
+	// recv counts inbound frames. The read loop only adds to it; the
+	// heartbeat sweep turns a count that moved into lastRecv, so carrying
+	// a frame costs the link neither a lock nor a clock read.
+	recv atomic.Uint64
+
 	mu       sync.Mutex
-	node     string // remote node name; "" until its first frame arrives
-	lastRecv time.Time
+	node     string    // remote node name; "" until its first frame arrives
+	seen     uint64    // recv as the last sweep found it
+	lastRecv time.Time // the last sweep that found recv moved (the link's start before any)
 	dead     bool
 
 	wmu sync.Mutex // serializes frame writes
@@ -32,7 +41,7 @@ type peerLink struct {
 func (b *Backbone) startLink(conn transport.Conn, peerName string) *peerLink {
 	l := &peerLink{b: b, conn: conn, node: peerName, lastRecv: b.now()}
 	b.mu.Lock()
-	if b.closed {
+	if b.closed.Load() {
 		b.mu.Unlock()
 		_ = conn.Close()
 		return nil
@@ -121,10 +130,9 @@ func (l *peerLink) send(f wire.Frame) error {
 }
 
 // pushScratch is the per-push working set, pooled so the routing hot
-// path allocates nothing: the snapshot of the class's out-channels plus
-// a write batch that coalesces consecutive frames bound for the same
-// link into one conn.Write (one syscall / transport copy for several
-// frames).
+// path allocates nothing: the update encoded once, plus a write batch
+// that coalesces consecutive frames bound for the same link into one
+// conn.Write (one syscall / transport copy for several frames).
 //
 // Ordering: every staged frame's out-channel keeps its sendMu held from
 // seq assignment until flush, so no later seq on that channel can be
@@ -134,9 +142,9 @@ func (l *peerLink) send(f wire.Frame) error {
 // sendMus monotonically (skips only move forward), and a push about to
 // park on a credit window flushes (releasing every held sendMu) first.
 type pushScratch struct {
-	chans   []*outChannel
+	enc     []byte    // the update, framed; Channel and Seq are stamped per copy
 	link    *peerLink // batch target; nil when the batch is empty
-	buf     *[]byte   // pooled encode buffer, lazily taken from encBufPool
+	buf     *[]byte   // pooled batch buffer, lazily taken from encBufPool
 	members []*outChannel
 }
 
@@ -144,13 +152,9 @@ var pushScratchPool = sync.Pool{New: func() any { return new(pushScratch) }}
 
 func getPushScratch() *pushScratch { return pushScratchPool.Get().(*pushScratch) }
 
-// put returns the scratch to the pool, dropping channel references so
-// the pool never keeps torn-down channels alive.
+// put returns the scratch to the pool.
 func (sc *pushScratch) put() {
-	for i := range sc.chans {
-		sc.chans[i] = nil
-	}
-	sc.chans = sc.chans[:0]
+	sc.enc = sc.enc[:0]
 	if sc.buf != nil {
 		*sc.buf = (*sc.buf)[:0]
 		encBufPool.Put(sc.buf)
@@ -161,22 +165,25 @@ func (sc *pushScratch) put() {
 	pushScratchPool.Put(sc)
 }
 
-// stage encodes f into the batch bound for oc.link. The caller holds
-// oc.sendMu; on success it stays held until flush. On error (the frame
-// cannot be encoded — it never reaches the wire, the link is fine) the
-// batch is unchanged and the caller keeps ownership of the lock.
-func (sc *pushScratch) stage(oc *outChannel, f wire.Frame) error {
+// encode frames f once for every remote channel of the push. Only
+// Channel and Seq differ between the copies, and stage stamps those.
+func (sc *pushScratch) encode(f wire.Frame) (err error) {
+	sc.enc, err = appendFramed(sc.enc[:0], f)
+	return err
+}
+
+// stage adds the encoded update, stamped with oc's channel ID and seq, to
+// the batch bound for oc.link. The caller holds oc.sendMu, and it stays
+// held until flush.
+func (sc *pushScratch) stage(oc *outChannel, seq uint32) {
 	if sc.buf == nil {
 		sc.buf = encBufPool.Get().(*[]byte)
 	}
-	buf, err := appendFramed(*sc.buf, f)
-	*sc.buf = buf
-	if err != nil {
-		return err
-	}
+	start := len(*sc.buf)
+	*sc.buf = append(*sc.buf, sc.enc...)
+	wire.SetChannelSeq((*sc.buf)[start+4:], oc.remoteChan, seq)
 	sc.link = oc.link
 	sc.members = append(sc.members, oc)
-	return nil
 }
 
 // flush writes the staged frames in a single conn.Write, releases every
@@ -206,11 +213,17 @@ func (sc *pushScratch) flush(b *Backbone) int {
 	return n
 }
 
-// lastRecvTime returns the time of the last inbound frame.
-func (l *peerLink) lastRecvTime() time.Time {
+// heard reports whether the link has carried a frame within timeout of
+// now. Only the heartbeat sweep calls it: a sweep that finds the frame
+// count moved stamps lastRecv with its own time, so a frame is dated up
+// to one HeartbeatInterval late and never early.
+func (l *peerLink) heard(now time.Time, timeout time.Duration) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.lastRecv
+	if n := l.recv.Load(); n != l.seen {
+		l.seen, l.lastRecv = n, now
+	}
+	return now.Sub(l.lastRecv) <= timeout
 }
 
 // peer returns the remote node name, which may still be empty.
@@ -225,32 +238,40 @@ func (l *peerLink) shutdown() {
 	l.closeOnce.Do(func() { _ = l.conn.Close() })
 }
 
+// linkReadBuffer sizes the read loop's buffer: one conn.Read fetches every
+// frame that fits (some sixty CraneStates), and a frame larger than the
+// buffer is read straight into the decoder's body.
+const linkReadBuffer = 16 << 10
+
 // readLoop pumps inbound frames to the backbone until the link dies. The
-// loop owns one wire.Decoder and one Frame, reused for every inbound
-// frame: the body buffer, the attr arena, and the interned Node/LP/Class
-// strings all amortize to zero allocations. The decoded frame is only
-// valid until the next iteration — any handler that retains attributes
-// clones them first (handleUpdate's Reflection; the copy-at-boundary
-// rule), which is what makes the reuse safe.
+// loop owns one buffered reader, one wire.Decoder and one Frame, reused
+// for every inbound frame: a length prefix, its body and the frames
+// queued behind them come out of a single conn.Read, and the body buffer,
+// the attr arena and the interned Node/LP/Class strings all amortize to
+// zero allocations. The decoded frame is only valid until the next
+// iteration — any handler that retains attributes copies them first
+// (handleUpdate's Reflection; the copy-at-boundary rule), which is what
+// makes the reuse safe.
 func (l *peerLink) readLoop() {
 	defer l.b.wg.Done()
 	dec := wire.NewDecoder()
+	br := bufio.NewReaderSize(l.conn, linkReadBuffer)
+	named := l.peer() != ""
 	var f wire.Frame
 	for {
-		if err := dec.DecodeFrom(l.conn, &f); err != nil {
+		if err := dec.DecodeFrom(br, &f); err != nil {
 			l.b.linkDown(l)
 			return
 		}
-		l.mu.Lock()
-		l.lastRecv = l.b.now()
-		if l.node == "" && f.Node != "" {
+		l.recv.Add(1)
+		if !named && f.Node != "" {
+			named = true
+			l.mu.Lock()
 			l.node = f.Node
 			l.mu.Unlock()
 			l.b.registerLink(l, f.Node)
-		} else {
-			l.mu.Unlock()
 		}
-		l.b.handleFrame(l, f)
+		l.b.handleFrame(l, &f)
 	}
 }
 
@@ -276,43 +297,67 @@ func (b *Backbone) linkDown(l *peerLink) {
 	}
 	// Publisher side: drop out-channels using this link, releasing any
 	// publisher stalled on a reliable window.
-	for class, chans := range b.outs {
-		kept := chans[:0]
-		for _, oc := range chans {
-			if oc.link == l {
-				b.removeOutLocked(oc)
-				continue
-			}
-			kept = append(kept, oc)
-		}
-		b.outs[class] = kept
-	}
+	b.removeOutsLocked(func(oc *outChannel) bool { return oc.link == l })
 	// Subscriber side: drop in-channels and re-arm fast broadcasting.
-	for id, ic := range b.ins {
-		if ic.link != l {
-			continue
-		}
-		delete(b.ins, id)
-		delete(b.inSubKeys, ic.key)
-		if sub := ic.sub; sub != nil {
-			delete(sub.channels, id)
-			sub.mbox.forgetChannel(id)
-			sub.lastBroadcast = time.Time{} // due immediately
+	for _, ic := range b.ins.view() {
+		if ic.link == l {
+			b.removeInLocked(ic)
 		}
 	}
-	closed := b.closed
 	b.mu.Unlock()
 
-	if !closed {
+	if !b.closed.Load() {
 		b.stats.LinksDown.Inc()
 	}
 }
 
-// removeOutLocked unindexes one publisher-side channel and releases any
-// publisher stalled on its credit window. The caller holds b.mu and owns
-// removing oc from b.outs.
-func (b *Backbone) removeOutLocked(oc *outChannel) {
-	delete(b.outKeys, oc.key)
-	delete(b.outByChan, linkChan{link: oc.link, id: oc.remoteChan})
-	oc.release()
+// addOutLocked indexes one publisher-side channel. The caller holds b.mu.
+func (b *Backbone) addOutLocked(oc *outChannel) {
+	chans, _ := b.outs.get(oc.class)
+	// The capped slice makes append copy: the published list is shared
+	// with pushes in flight.
+	b.outs.set(oc.class, append(chans[:len(chans):len(chans)], oc))
+	b.outKeys[oc.key] = oc
+	b.outByChan[linkChan{link: oc.link, id: oc.remoteChan}] = oc
+}
+
+// removeOutsLocked unindexes the publisher-side channels gone picks and
+// releases any publisher stalled on their credit windows. The caller
+// holds b.mu.
+func (b *Backbone) removeOutsLocked(gone func(*outChannel) bool) {
+	b.outs.edit(func(outs map[string][]*outChannel) {
+		for class, chans := range outs {
+			if !slices.ContainsFunc(chans, gone) {
+				continue
+			}
+			kept := make([]*outChannel, 0, len(chans)) // never edited in place: see cowMap
+			for _, oc := range chans {
+				if !gone(oc) {
+					kept = append(kept, oc)
+					continue
+				}
+				delete(b.outKeys, oc.key)
+				delete(b.outByChan, linkChan{link: oc.link, id: oc.remoteChan})
+				oc.release()
+			}
+			if len(kept) == 0 {
+				delete(outs, class)
+			} else {
+				outs[class] = kept
+			}
+		}
+	})
+}
+
+// removeInLocked unindexes one subscriber-side channel and returns its
+// subscription to fast re-broadcast, so a replacement publisher is found.
+// The caller holds b.mu.
+func (b *Backbone) removeInLocked(ic *inChannel) {
+	b.ins.del(ic.id)
+	delete(b.inSubKeys, ic.key)
+	if sub := ic.sub; sub != nil {
+		delete(sub.channels, ic.id)
+		sub.mbox.forgetChannel(ic.id)
+		sub.lastBroadcast = time.Time{} // due immediately
+	}
 }

@@ -3,7 +3,9 @@ package cb
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"codsim/internal/wire"
@@ -20,6 +22,56 @@ type Reflection struct {
 	Time    float64
 	Null    bool // Chandy–Misra null message: time only, no attributes
 	Attrs   wire.AttrSet
+
+	// recycle marks storage Release may hand back: set on reflections that
+	// arrived over a link. store is the holder Attrs' buffers were taken
+	// from, nil when they were cloned fresh.
+	recycle bool
+	store   *wire.AttrSet
+}
+
+// attrStore holds attribute storage handed back by Release. It has no New:
+// an empty store means nobody releases, and retain clones as it always did.
+var attrStore sync.Pool // of *wire.AttrSet
+
+// retain gives a reflection arriving over a link its own copy of the
+// frame's attributes — the copy-at-boundary point: src aliases the read
+// loop's decode buffers, which the next inbound frame overwrites. Released
+// storage is reused when there is some.
+func (r *Reflection) retain(src wire.AttrSet) {
+	if src.Len() == 0 {
+		return
+	}
+	r.recycle = true
+	if box, _ := attrStore.Get().(*wire.AttrSet); box != nil {
+		src.CloneInto(box)
+		r.Attrs, r.store = *box, box
+		return
+	}
+	r.Attrs = src.Clone()
+}
+
+// Release hands the reflection's attribute storage back to the backbone,
+// which reuses it for a later reflection; Attrs is empty afterwards. Only
+// the consumer that took the reflection out of its subscription may call
+// it, at most once, and only when nothing still reads Attrs or a slice
+// obtained from it (Bytes aliases the storage). Releasing is optional: a
+// reflection that is never released is ordinary garbage, and costs the
+// two allocations of a fresh clone per update, as it always has. Only
+// reflections that crossed a link are recycled; one delivered in-process
+// holds a plain clone of the publisher's set, and releasing it does
+// nothing.
+func (r *Reflection) Release() {
+	if !r.recycle {
+		return
+	}
+	box := r.store
+	if box == nil {
+		box = new(wire.AttrSet)
+	}
+	*box = r.Attrs
+	r.Attrs, r.store, r.recycle = wire.AttrSet{}, nil, false
+	attrStore.Put(box)
 }
 
 // outChannel is the publisher half of a virtual channel: the link (nil for
@@ -50,6 +102,10 @@ type outChannel struct {
 	stalls   uint64        // credit-stall episodes, surfaced in Tables
 	creditCh chan struct{} // capacity 1; poked on credit arrival / teardown
 }
+
+// remote reports whether the channel rides a link rather than the
+// in-process fast path.
+func (oc *outChannel) remote() bool { return oc.link != nil }
 
 // newOutChannel builds the publisher half with its policy contract.
 func newOutChannel(class string, key chanKey, link *peerLink, local *Subscription, remoteChan uint32, policy wire.Policy, window uint32) *outChannel {
@@ -169,10 +225,9 @@ type inChannel struct {
 // Publication is an LP's publisher registration for one object class
 // (HLA Publish Object Class). Obtain it from PublishObjectClass.
 type Publication struct {
-	b     *Backbone
-	key   classLP
-	mu    sync.Mutex
-	close bool
+	b      *Backbone
+	key    classLP
+	closed atomic.Bool
 }
 
 // Subscription is an LP's subscriber registration for one object class
@@ -183,11 +238,7 @@ type Subscription struct {
 
 	policy wire.Policy
 	window uint32 // reliable send window granted to each publisher
-	// grantEvery batches credit grants: one per quarter window keeps
-	// credit traffic at ~4 frames per window without letting it run dry;
-	// the heartbeat piggyback covers what the batching holds back.
-	grantEvery uint32
-	mbox       *mailbox
+	mbox   *mailbox
 
 	// Guarded by b.mu:
 	channels      map[uint32]*inChannel
@@ -195,8 +246,7 @@ type Subscription struct {
 	registeredAt  time.Time
 	everMatched   bool
 
-	mu     sync.Mutex
-	closed bool
+	closed atomic.Bool
 }
 
 // SubscribeOption configures a subscription.
@@ -274,7 +324,7 @@ func (b *Backbone) PublishObjectClass(lp, class string) (*Publication, error) {
 	key := classLP{class: class, lp: lp}
 
 	b.mu.Lock()
-	if b.closed {
+	if b.closed.Load() {
 		b.mu.Unlock()
 		return nil, ErrClosed
 	}
@@ -315,7 +365,7 @@ func (b *Backbone) SubscribeObjectClass(lp, class string, opts ...SubscribeOptio
 	key := classLP{class: class, lp: lp}
 
 	b.mu.Lock()
-	if b.closed {
+	if b.closed.Load() {
 		b.mu.Unlock()
 		return nil, ErrClosed
 	}
@@ -340,8 +390,7 @@ func (b *Backbone) SubscribeObjectClass(lp, class string, opts ...SubscribeOptio
 		key:          key,
 		policy:       cfg.policy,
 		window:       window,
-		grantEvery:   grantEvery,
-		mbox:         newMailbox(depth, cfg.policy, &b.stats),
+		mbox:         newMailbox(depth, cfg.policy, grantEvery, &b.stats),
 		channels:     make(map[uint32]*inChannel),
 		registeredAt: b.now(),
 	}
@@ -371,12 +420,10 @@ func (b *Backbone) establishLocalLocked(s *Subscription) {
 	b.nextChan++
 	id := b.nextChan
 	oc := newOutChannel(s.key.class, key, nil, s, id, s.policy, s.window)
-	b.outs[s.key.class] = append(b.outs[s.key.class], oc)
-	b.outKeys[key] = oc
-	b.outByChan[linkChan{id: id}] = oc
+	b.addOutLocked(oc)
 	ic := newInChannel(id, key, nil, s)
 	ic.established = true
-	b.ins[id] = ic
+	b.ins.set(id, ic)
 	b.inSubKeys[key] = id
 	s.channels[id] = ic
 	b.noteMatchedLocked(s)
@@ -409,7 +456,10 @@ func (b *Backbone) noteMatchedLocked(s *Subscription) {
 //
 // A reliable channel whose credit window is exhausted is skipped and the
 // call reports ErrWindowFull (after delivering to every other channel);
-// use UpdateContext to block for credits instead.
+// use UpdateContext to block for credits instead. An update that does not
+// fit a frame (wire.MaxFrameSize) while the class has a remote channel
+// fails with an error wrapping wire.ErrTooLarge and reaches no subscriber,
+// local ones included.
 func (p *Publication) Update(simTime float64, attrs wire.AttrSet) error {
 	_, err := p.push(nil, simTime, attrs, false)
 	return err
@@ -464,32 +514,41 @@ func (p *Publication) SendNull(simTime float64) error {
 // probes are never blocked behind it; the window is re-verified under the
 // slot before every send, keeping delivery order equal to seq order.
 func (p *Publication) push(ctx context.Context, simTime float64, attrs wire.AttrSet, null bool) (int, error) {
-	p.mu.Lock()
-	if p.close {
-		p.mu.Unlock()
+	if p.closed.Load() {
 		return 0, ErrHandleClosed
 	}
-	p.mu.Unlock()
-
 	b := p.b
+	if b.closed.Load() {
+		return 0, ErrClosed
+	}
+	// The class's channel list is read without b.mu and is never modified
+	// once published, so it needs no copy either.
+	chans, _ := b.outs.get(p.key.class)
 	sc := getPushScratch()
 	defer sc.put()
 
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return 0, ErrClosed
-	}
-	sc.chans = append(sc.chans[:0], b.outs[p.key.class]...)
-	b.mu.Unlock()
-
-	kind := wire.KindUpdateAttrs
-	if null {
-		kind = wire.KindNull
+	// Encode once, before any channel is touched: every remote channel
+	// gets a copy with its own Channel and Seq stamped in, and an update
+	// too large for a frame fails here, delivered to nobody.
+	if slices.ContainsFunc(chans, (*outChannel).remote) {
+		f := wire.Frame{
+			Kind:  wire.KindUpdateAttrs,
+			Time:  simTime,
+			Node:  b.node,
+			LP:    p.key.lp,
+			Class: p.key.class,
+			Attrs: attrs,
+		}
+		if null {
+			f.Kind = wire.KindNull
+		}
+		if err := sc.encode(f); err != nil {
+			return 0, fmt.Errorf("cb: update %s/%s: %w", p.key.lp, p.key.class, err)
+		}
 	}
 	routed := 0
 	windowFull := false
-	for _, oc := range sc.chans {
+	for _, oc := range chans {
 		if oc.policy == wire.PolicyReliable && !null {
 			// Non-blocking probe first: while the batch holds other
 			// channels' send slots we must not park. Only when the window
@@ -517,14 +576,13 @@ func (p *Publication) push(ctx context.Context, simTime float64, attrs wire.Attr
 			oc.sendMu.Lock()
 		}
 		oc.seq++
-		seq := oc.seq
 		if oc.link == nil {
 			r := Reflection{
 				Class:   p.key.class,
 				PubNode: b.node,
 				PubLP:   p.key.lp,
 				Channel: oc.remoteChan,
-				Seq:     seq,
+				Seq:     oc.seq,
 				Time:    simTime,
 				Null:    null,
 				Attrs:   attrs.Clone(),
@@ -538,24 +596,7 @@ func (p *Publication) push(ctx context.Context, simTime float64, attrs wire.Attr
 		if sc.link != nil && sc.link != oc.link {
 			routed += sc.flush(b)
 		}
-		f := wire.Frame{
-			Kind:    kind,
-			Channel: oc.remoteChan,
-			Seq:     seq,
-			Time:    simTime,
-			Node:    b.node,
-			LP:      p.key.lp,
-			Class:   p.key.class,
-			Attrs:   attrs,
-		}
-		if err := sc.stage(oc, f); err != nil {
-			// The frame cannot be encoded (oversized attrs); it never
-			// reached the wire and the link is healthy. Roll back the seq
-			// this frame would have carried and move on.
-			oc.seq--
-			oc.sendMu.Unlock()
-			continue
-		}
+		sc.stage(oc, oc.seq)
 	}
 	routed += sc.flush(b)
 	if windowFull {
@@ -567,10 +608,8 @@ func (p *Publication) push(ctx context.Context, simTime float64, attrs wire.Attr
 // Channels returns the number of virtual channels currently carrying this
 // publication's class (shared by all local publishers of the class).
 func (p *Publication) Channels() int {
-	b := p.b
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.outs[p.key.class])
+	chans, _ := p.b.outs.get(p.key.class)
+	return len(chans)
 }
 
 // WaitChannelsContext blocks until the class has at least n channels or ctx
@@ -607,13 +646,9 @@ func waitCond(ctx context.Context, cond func() bool) error {
 // Close withdraws the publisher registration. Channels from other
 // publishers of the same class are unaffected.
 func (p *Publication) Close() error {
-	p.mu.Lock()
-	if p.close {
-		p.mu.Unlock()
+	if !p.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	p.close = true
-	p.mu.Unlock()
 
 	b := p.b
 	b.mu.Lock()
@@ -633,23 +668,19 @@ func (p *Publication) Close() error {
 	}
 	var byes []byeTarget
 	if !stillPublished {
-		for _, oc := range b.outs[p.key.class] {
-			b.removeOutLocked(oc)
+		chans, _ := b.outs.get(p.key.class)
+		b.removeOutsLocked(func(oc *outChannel) bool { return oc.class == p.key.class })
+		for _, oc := range chans {
 			if oc.local != nil {
-				if ic, ok := b.ins[oc.remoteChan]; ok && ic.sub != nil {
-					delete(ic.sub.channels, oc.remoteChan)
-					ic.sub.mbox.forgetChannel(oc.remoteChan)
-					delete(b.inSubKeys, ic.key)
-					delete(b.ins, oc.remoteChan)
-					// Local subscriber resumes discovery for other
-					// (remote) publishers right away.
-					ic.sub.lastBroadcast = time.Time{}
+				// The local subscriber resumes discovery for other
+				// (remote) publishers right away.
+				if ic, ok := b.ins.get(oc.remoteChan); ok {
+					b.removeInLocked(ic)
 				}
 				continue
 			}
 			byes = append(byes, byeTarget{link: oc.link, id: oc.remoteChan})
 		}
-		delete(b.outs, p.key.class)
 	}
 	node := b.node
 	b.mu.Unlock()
@@ -667,41 +698,30 @@ func (b *Backbone) deliver(s *Subscription, r Reflection) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	if s.closed.Load() {
 		return
 	}
 	s.mbox.push(r)
 	b.stats.ReflectsDelivered.Inc()
 }
 
-// consumed reports one reflection drained from channel id, granting
-// credits back to the publisher on reliable subscriptions. The counter
-// lives under the mailbox's lock; the global backbone mutex is touched
-// only on the grantEvery-th consumption, when a grant actually goes out.
-func (s *Subscription) consumed(id uint32) {
-	if s.policy != wire.PolicyReliable {
-		return
-	}
-	if cum, due := s.mbox.noteConsumed(id, s.grantEvery); due {
-		s.b.sendGrant(s, id, cum)
-	}
-}
-
 // Poll returns the oldest buffered reflection without blocking; ok reports
-// whether one was available. This is the paper's "pull" side.
+// whether one was available. This is the paper's "pull" side. On a
+// reliable subscription taking a reflection is what grants credit back to
+// its publisher: the mailbox counts the consumption in the same critical
+// section, and the global backbone mutex is touched only when a grant
+// actually goes out.
 func (s *Subscription) Poll() (Reflection, bool) {
-	r, ok := s.mbox.poll()
-	if ok {
-		s.consumed(r.Channel)
+	r, cum, grant, ok := s.mbox.poll()
+	if grant {
+		s.b.sendGrant(s, r.Channel, cum)
 	}
 	return r, ok
 }
 
 // Latest drains the mailbox and returns the newest reflection; ok is false
-// when the mailbox was empty. Convenient for conflated state classes.
+// when the mailbox was empty. Convenient for conflated state classes. The
+// reflections it skips over are released.
 func (s *Subscription) Latest() (Reflection, bool) {
 	var (
 		last Reflection
@@ -712,6 +732,7 @@ func (s *Subscription) Latest() (Reflection, bool) {
 		if !ok {
 			return last, got
 		}
+		last.Release() // superseded, and nobody else has seen it
 		last, got = r, true
 	}
 }
@@ -720,9 +741,9 @@ func (s *Subscription) Latest() (Reflection, bool) {
 // or the subscription closes (ErrHandleClosed). A reflection that races
 // with the cancellation is still delivered.
 func (s *Subscription) NextContext(ctx context.Context) (Reflection, error) {
-	r, err := s.mbox.nextCtx(ctx)
-	if err == nil {
-		s.consumed(r.Channel)
+	r, cum, grant, err := s.mbox.nextCtx(ctx)
+	if grant {
+		s.b.sendGrant(s, r.Channel, cum)
 	}
 	return r, err
 }
@@ -754,13 +775,9 @@ func (s *Subscription) Matched() bool {
 
 // Close withdraws the subscriber registration and releases its channels.
 func (s *Subscription) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	s.closed = true
-	s.mu.Unlock()
 
 	b := s.b
 	b.mu.Lock()
@@ -771,7 +788,7 @@ func (s *Subscription) Close() error {
 	}
 	var byes []byeTarget
 	for id, ic := range s.channels {
-		delete(b.ins, id)
+		b.ins.del(id)
 		delete(b.inSubKeys, ic.key)
 		if ic.link != nil {
 			// Tell the publisher this channel is dead, or its stale
@@ -779,20 +796,10 @@ func (s *Subscription) Close() error {
 			// of the same LP forever.
 			byes = append(byes, byeTarget{link: ic.link, id: id})
 		}
-		// Local fast-path channels also have a publisher half to clean
-		// (and possibly a publisher stalled on its window to release).
-		if oc, ok := b.outKeys[ic.key]; ok && oc.local == s {
-			b.removeOutLocked(oc)
-			chans := b.outs[s.key.class]
-			kept := chans[:0]
-			for _, c := range chans {
-				if c != oc {
-					kept = append(kept, c)
-				}
-			}
-			b.outs[s.key.class] = kept
-		}
 	}
+	// Local fast-path channels also have a publisher half to clean (and
+	// possibly a publisher stalled on its window to release).
+	b.removeOutsLocked(func(oc *outChannel) bool { return oc.local == s })
 	s.channels = make(map[uint32]*inChannel)
 	node := b.node
 	b.mu.Unlock()
@@ -802,302 +809,4 @@ func (s *Subscription) Close() error {
 	}
 	s.mbox.close()
 	return nil
-}
-
-// mailbox is the bounded per-subscription buffer: a ring whose overflow
-// behavior follows the subscription's delivery policy, plus an
-// empty→non-empty notification channel.
-//
-//   - PolicyDropOldest: overflow drops the oldest reflection (legacy).
-//   - PolicyLatestValue: overflow coalesces to the newest reflection per
-//     channel — the oldest buffered entry of the incoming reflection's
-//     channel is replaced. When no same-channel entry exists (more
-//     publishers than depth), the oldest overall is dropped.
-//   - PolicyReliable: nothing is dropped; the ring grows. Growth is
-//     bounded by the credit windows the subscription granted — publishers
-//     stall before exceeding them — plus whatever a policy-ignorant
-//     legacy publisher pushes.
-type mailbox struct {
-	mu     sync.Mutex
-	policy wire.Policy
-	buf    []Reflection
-	head   int
-	n      int
-	closed bool
-	notify chan struct{}
-	stats  *Stats
-	// Per-channel loss accounting, surfaced in Backbone.Tables so a lossy
-	// channel can be named instead of inferred from the backbone total.
-	tallies map[uint32]*ChannelTally
-	// totals is the subscription-lifetime sum of the tallies: unlike the
-	// per-channel entries it survives forgetChannel, so row-level
-	// delivered/dropped/conflated counts stay monotonic across link
-	// churn (a standing dist worker outlives many coordinators' virtual
-	// channels). Channel and Peer are unused.
-	totals ChannelTally
-	// Per-channel credit accounting of a reliable subscription: the
-	// cumulative consumption count the publisher's window runs on, and
-	// the high-water mark of the last grant sent.
-	credits map[uint32]*chanCredit
-	// occupancy counts buffered reflections per channel, so latest-value
-	// victim selection stays O(depth) instead of an O(depth²) duplicate
-	// scan while the mailbox is full.
-	occupancy map[uint32]int
-}
-
-type chanCredit struct {
-	consumed  uint32
-	lastGrant uint32
-}
-
-// ChannelTally is one virtual channel's loss accounting at a subscription
-// mailbox.
-type ChannelTally struct {
-	Channel   uint32
-	Peer      string // publishing node; filled by Tables
-	Delivered uint64 // reflections buffered into the mailbox (frames in)
-	Dropped   uint64 // reflections dropped (drop-oldest overflow)
-	Conflated uint64 // reflections coalesced (latest-value overflow)
-}
-
-func newMailbox(depth int, policy wire.Policy, stats *Stats) *mailbox {
-	return &mailbox{
-		policy:    policy,
-		buf:       make([]Reflection, depth),
-		notify:    make(chan struct{}, 1),
-		stats:     stats,
-		tallies:   make(map[uint32]*ChannelTally),
-		credits:   make(map[uint32]*chanCredit),
-		occupancy: make(map[uint32]int),
-	}
-}
-
-// forgetChannel drops a torn-down channel's credit and loss bookkeeping.
-// Without this a long-lived subscription under link churn (a standing
-// dist worker across coordinator restarts) accumulates a ghost entry per
-// dead channel forever — and Tables would keep reporting them with no
-// peer to attribute. Buffered reflections (and their occupancy) stay:
-// they are real data the consumer may still drain.
-func (m *mailbox) forgetChannel(id uint32) {
-	m.mu.Lock()
-	delete(m.credits, id)
-	delete(m.tallies, id)
-	m.mu.Unlock()
-}
-
-// noteConsumed counts one reflection drained from channel id; due reports
-// whether a grant should go out — the batching threshold was crossed, or
-// the entry is fresh. The fresh-entry grant keeps a subtle leak closed:
-// draining leftovers of a torn-down channel resurrects its entry here,
-// and the immediate grant attempt finds the channel gone (sendGrant's
-// nil-channel path) and prunes it again.
-func (m *mailbox) noteConsumed(id uint32, grantEvery uint32) (cum uint32, due bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c := m.credits[id]
-	if c == nil {
-		c = &chanCredit{}
-		m.credits[id] = c
-	}
-	c.consumed++
-	if c.consumed-c.lastGrant >= grantEvery || c.consumed == 1 {
-		c.lastGrant = c.consumed
-		return c.consumed, true
-	}
-	return c.consumed, false
-}
-
-// consumedCount reads channel id's cumulative consumption (the heartbeat
-// piggyback reads this under b.mu; the lock order b.mu → m.mu is safe
-// because no mailbox method acquires b.mu).
-func (m *mailbox) consumedCount(id uint32) uint32 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c := m.credits[id]; c != nil {
-		return c.consumed
-	}
-	return 0
-}
-
-// tally returns channel id's loss counters, creating them on first use.
-// Caller holds m.mu.
-func (m *mailbox) tally(id uint32) *ChannelTally {
-	t := m.tallies[id]
-	if t == nil {
-		t = &ChannelTally{Channel: id}
-		m.tallies[id] = t
-	}
-	return t
-}
-
-// at returns a pointer to the i-th buffered reflection (0 = oldest).
-// Caller holds m.mu.
-func (m *mailbox) at(i int) *Reflection { return &m.buf[(m.head+i)%len(m.buf)] }
-
-// removeAt deletes the i-th buffered reflection, shifting newer entries
-// down. Caller holds m.mu.
-func (m *mailbox) removeAt(i int) {
-	m.noteRemoved(m.at(i).Channel)
-	for j := i; j < m.n-1; j++ {
-		*m.at(j) = *m.at(j + 1)
-	}
-	*m.at(m.n - 1) = Reflection{}
-	m.n--
-}
-
-// noteRemoved decrements a channel's occupancy count. Caller holds m.mu.
-func (m *mailbox) noteRemoved(id uint32) {
-	if n := m.occupancy[id] - 1; n > 0 {
-		m.occupancy[id] = n
-	} else {
-		delete(m.occupancy, id) // keep the map bounded by live channels
-	}
-}
-
-func (m *mailbox) push(r Reflection) {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	if m.n == len(m.buf) {
-		switch m.policy {
-		case wire.PolicyReliable:
-			// Never drop: grow the ring (see the type comment for why this
-			// stays bounded in practice).
-			grown := make([]Reflection, 2*len(m.buf))
-			for i := 0; i < m.n; i++ {
-				grown[i] = *m.at(i)
-			}
-			m.buf, m.head = grown, 0
-		case wire.PolicyLatestValue:
-			// Coalesce to newest-per-channel: replace the oldest buffered
-			// reflection of this channel, keeping per-channel seq order
-			// (an older entry leaves, the newest lands at the tail). With
-			// no same-channel entry, conflate the oldest entry of any
-			// channel buffered more than once — a transient arrival
-			// imbalance must not evict another channel's only sample. A
-			// drop happens only when every slot holds a distinct channel,
-			// i.e. the depth is smaller than the live publisher count.
-			// The occupancy index keeps victim selection one O(depth)
-			// scan, not an O(depth²) duplicate search per push.
-			victim := -1
-			if m.occupancy[r.Channel] > 0 {
-				for i := 0; i < m.n; i++ {
-					if m.at(i).Channel == r.Channel {
-						victim = i
-						break
-					}
-				}
-			} else {
-				for i := 0; i < m.n; i++ {
-					if m.occupancy[m.at(i).Channel] >= 2 {
-						victim = i
-						break
-					}
-				}
-			}
-			if victim >= 0 {
-				m.tally(m.at(victim).Channel).Conflated++
-				m.totals.Conflated++
-				m.stats.Conflations.Inc()
-				m.removeAt(victim)
-			} else {
-				m.tally(m.at(0).Channel).Dropped++
-				m.totals.Dropped++
-				m.stats.MailboxDropped.Inc()
-				m.removeAt(0)
-			}
-		default: // drop oldest
-			m.tally(m.at(0).Channel).Dropped++
-			m.totals.Dropped++
-			m.stats.MailboxDropped.Inc()
-			m.noteRemoved(m.at(0).Channel)
-			m.head = (m.head + 1) % len(m.buf)
-			m.n--
-		}
-	}
-	m.buf[(m.head+m.n)%len(m.buf)] = r
-	m.n++
-	m.occupancy[r.Channel]++
-	m.tally(r.Channel).Delivered++
-	m.totals.Delivered++
-	m.mu.Unlock()
-	select {
-	case m.notify <- struct{}{}:
-	default:
-	}
-}
-
-// channelTallies snapshots the per-channel loss counters.
-// rowTallies returns the subscription-lifetime totals — the cumulative
-// delivered/dropped/conflated counts across every virtual channel the
-// subscription ever had, including torn-down ones.
-func (m *mailbox) rowTallies() ChannelTally {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.totals
-}
-
-func (m *mailbox) channelTallies() []ChannelTally {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]ChannelTally, 0, len(m.tallies))
-	for _, t := range m.tallies {
-		out = append(out, *t)
-	}
-	return out
-}
-
-func (m *mailbox) poll() (Reflection, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.n == 0 {
-		return Reflection{}, false
-	}
-	r := m.buf[m.head]
-	m.buf[m.head] = Reflection{} // release references
-	m.head = (m.head + 1) % len(m.buf)
-	m.n--
-	m.noteRemoved(r.Channel)
-	return r, true
-}
-
-func (m *mailbox) nextCtx(ctx context.Context) (Reflection, error) {
-	for {
-		if r, ok := m.poll(); ok {
-			return r, nil
-		}
-		m.mu.Lock()
-		closed := m.closed
-		m.mu.Unlock()
-		if closed {
-			return Reflection{}, ErrHandleClosed
-		}
-		select {
-		case <-m.notify:
-		case <-ctx.Done():
-			// A push may have raced with the cancellation; prefer data.
-			if r, ok := m.poll(); ok {
-				return r, nil
-			}
-			return Reflection{}, ctx.Err()
-		}
-	}
-}
-
-func (m *mailbox) pending() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.n
-}
-
-func (m *mailbox) close() {
-	m.mu.Lock()
-	m.closed = true
-	m.mu.Unlock()
-	select {
-	case m.notify <- struct{}{}:
-	default:
-	}
 }

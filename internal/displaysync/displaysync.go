@@ -181,6 +181,7 @@ func (s *Server) serve() {
 // handleReady records one FRAME READY report.
 func (s *Server) handleReady(r cb.Reflection) {
 	mark, err := fom.DecodeFrameMark(r.Attrs)
+	r.Release() // the mark is plain numbers; nothing of r.Attrs is kept
 	if err != nil {
 		return // malformed; ignore
 	}
@@ -300,9 +301,11 @@ func (d *Display) WaitServer(timeout time.Duration) bool {
 	// display must synchronize to the *live* frame edge, not race through
 	// a stale backlog.
 	for {
-		if _, ok := d.sub.Poll(); !ok {
+		r, ok := d.sub.Poll()
+		if !ok {
 			return true
 		}
+		r.Release()
 	}
 }
 
@@ -352,6 +355,7 @@ func (d *Display) WaitSwap(timeout time.Duration) error {
 			return fmt.Errorf("%w: frame %d", ErrTimeout, d.Frame())
 		}
 		mark, err := fom.DecodeFrameMark(r.Attrs)
+		r.Release()
 		if err != nil {
 			continue
 		}

@@ -42,10 +42,10 @@ type CoordinatorConfig struct {
 	// MaxAttempts gives up on a job after this many dispatches and
 	// records a synthetic failure (default 3).
 	MaxAttempts int
-	// Window bounds how many jobs RunStream holds in flight (pending or
+	// Window bounds how many jobs a sweep holds in flight (pending or
 	// granted) ahead of the workers before pulling more from its source
-	// (default 64). Run ignores it — a materialized list is already paid
-	// for.
+	// (default 64). Run is RunStream over a slice, so it honours the
+	// window too: the list is materialized, its announces are not.
 	Window int
 	// Log receives dispatch-state transitions (grants, results,
 	// re-dispatches) as structured records with consistent field names

@@ -108,26 +108,17 @@ func (s *Summary) String() string {
 
 // Counter is a concurrency-safe monotone counter.
 type Counter struct {
-	mu sync.Mutex
-	n  int64
+	n atomic.Int64
 }
 
 // Add increments the counter by d.
-func (c *Counter) Add(d int64) {
-	c.mu.Lock()
-	c.n += d
-	c.mu.Unlock()
-}
+func (c *Counter) Add(d int64) { c.n.Add(d) }
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
+func (c *Counter) Inc() { c.n.Add(1) }
 
 // Value returns the current count.
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
+func (c *Counter) Value() int64 { return c.n.Load() }
 
 // Gauge is a concurrency-safe instantaneous value: the last Set wins, Add
 // adjusts it. Unlike Counter it may move in both directions — queue

@@ -39,14 +39,18 @@ func lpName(base string, i int) string {
 
 // drainCraneStates folds a queued CraneState subscription into the
 // newest-state-per-crane view (states is indexed by CraneID; out-of-range
-// IDs are dropped). A non-nil have marks every crane heard from.
+// IDs are dropped). A non-nil have marks every crane heard from. Each
+// reflection is released once decoded: the decoded state holds none of
+// its bytes.
 func drainCraneStates(sub *cb.Subscription, states []fom.CraneState, have []bool) {
 	for {
 		r, ok := sub.Poll()
 		if !ok {
 			return
 		}
-		if st, err := fom.DecodeCraneState(r.Attrs); err == nil {
+		st, err := fom.DecodeCraneState(r.Attrs)
+		r.Release()
+		if err == nil {
 			if st.CraneID >= 0 && st.CraneID < int64(len(states)) {
 				states[st.CraneID] = st
 				if have != nil {
@@ -64,7 +68,9 @@ func drainScenStates(sub *cb.Subscription, states []fom.ScenarioState) {
 		if !ok {
 			return
 		}
-		if s, err := fom.DecodeScenarioState(r.Attrs); err == nil {
+		s, err := fom.DecodeScenarioState(r.Attrs)
+		r.Release()
+		if err == nil {
 			if s.CraneID >= 0 && s.CraneID < int64(len(states)) {
 				states[s.CraneID] = s
 			}
@@ -252,7 +258,9 @@ func (c *Cluster) buildDynamicsLP(b *cb.Backbone, lp string, model *dynamics.Mod
 			if !ok {
 				break
 			}
-			if in, err := fom.DecodeControlInput(r.Attrs); err == nil && in.CraneID == craneID {
+			in, err := fom.DecodeControlInput(r.Attrs)
+			r.Release()
+			if err == nil && in.CraneID == craneID {
 				lastIn = in
 			}
 		}
@@ -419,7 +427,9 @@ func (c *Cluster) buildMotion() error {
 				if !ok {
 					break
 				}
-				if cue, err := fom.DecodeMotionCue(r.Attrs); err == nil && cue.CraneID == craneID {
+				cue, err := fom.DecodeMotionCue(r.Attrs)
+				r.Release()
+				if err == nil && cue.CraneID == craneID {
 					lastCue = cue
 					haveCue = true
 				}

@@ -13,37 +13,79 @@ type linkParams struct {
 	bandwidth float64       // bytes/second; 0 = infinite
 }
 
-// pipeHalf is one direction of an in-memory stream: a FIFO of byte chunks,
-// each stamped with its arrival time, so the reader observes propagation and
-// serialization delay without any background copier goroutine.
+// pipeHalf is one direction of an in-memory stream: a byte ring the writer
+// copies into and the reader copies out of, so a steady stream allocates
+// nothing and a read takes every byte that has arrived, however many
+// writes produced them.
+//
+// Delay is modelled by arrival marks, not by a copier goroutine: a write
+// on a link with latency, jitter or bandwidth records (byte count,
+// arrival time), and the reader counts a mark's bytes as arrived once its
+// time has come. An ideal link has nothing to wait for, so its writes add
+// to arrived directly — no mark, no clock read on either side.
 type pipeHalf struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
-	chunks    [][]byte
-	arrivals  []time.Time
+	mu   sync.Mutex
+	cond *sync.Cond
+
+	ring    []byte // len(ring) is the capacity: 0 or a power of two
+	head    int    // index of the oldest unread byte
+	n       int    // unread bytes, arrived or still in flight
+	arrived int    // unread bytes whose arrival time has passed
+	marks   []arrivalMark
+
 	busyUntil time.Time // link serialization horizon
 	lastArr   time.Time // monotone arrival guard (jitter must not reorder)
 	closed    bool
+	timed     bool // the link has latency, jitter or bandwidth
 	params    linkParams
 	// jitterFn returns the next jitter sample; nil means no jitter.
 	jitterFn func() time.Duration
 }
 
+// arrivalMark says that the next n in-flight bytes arrive at at.
+type arrivalMark struct {
+	n  int
+	at time.Time
+}
+
+const (
+	// minRing is the first capacity a ring takes.
+	minRing = 4 << 10
+	// maxIdleRing is the most capacity a drained ring keeps: a burst grows
+	// the ring as far as it must, and the read that empties it gives back
+	// anything above this.
+	maxIdleRing = 1 << 20
+)
+
 func newPipeHalf(p linkParams, jitterFn func() time.Duration) *pipeHalf {
-	h := &pipeHalf{params: p, jitterFn: jitterFn}
+	h := &pipeHalf{
+		params:   p,
+		jitterFn: jitterFn,
+		timed:    p.latency > 0 || p.bandwidth > 0 || jitterFn != nil,
+	}
 	h.cond = sync.NewCond(&h.mu)
 	return h
 }
 
-// write enqueues data (copied) with a computed arrival time.
+// write copies data into the ring and, on a timed link, marks when it
+// arrives.
 func (h *pipeHalf) write(data []byte) (int, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		return 0, io.ErrClosedPipe
 	}
-	now := time.Now()
+	if len(data) == 0 {
+		return 0, nil
+	}
+	h.put(data)
+	if !h.timed {
+		h.arrived += len(data)
+		h.cond.Broadcast()
+		return len(data), nil
+	}
 
+	now := time.Now()
 	depart := now
 	if h.busyUntil.After(depart) {
 		depart = h.busyUntil
@@ -62,13 +104,9 @@ func (h *pipeHalf) write(data []byte) (int, error) {
 		arrive = h.lastArr
 	}
 	h.lastArr = arrive
+	h.marks = append(h.marks, arrivalMark{n: len(data), at: arrive})
 
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	h.chunks = append(h.chunks, cp)
-	h.arrivals = append(h.arrivals, arrive)
-
-	if wait := time.Until(arrive); wait > 0 {
+	if wait := arrive.Sub(now); wait > 0 {
 		time.AfterFunc(wait, h.cond.Broadcast)
 	} else {
 		h.cond.Broadcast()
@@ -76,30 +114,74 @@ func (h *pipeHalf) write(data []byte) (int, error) {
 	return len(data), nil
 }
 
-// read copies available, already-arrived bytes into p, blocking until data
-// arrives or the half is closed.
+// put appends data to the ring, growing it to the next power of two that
+// holds everything unread. Caller holds h.mu.
+func (h *pipeHalf) put(data []byte) {
+	if need := h.n + len(data); need > len(h.ring) {
+		size := max(len(h.ring), minRing)
+		for size < need {
+			size *= 2
+		}
+		grown := make([]byte, size)
+		h.peek(grown[:h.n])
+		h.ring, h.head = grown, 0
+	}
+	tail := (h.head + h.n) & (len(h.ring) - 1)
+	if c := copy(h.ring[tail:], data); c < len(data) {
+		copy(h.ring, data[c:])
+	}
+	h.n += len(data)
+}
+
+// peek copies the oldest len(p) unread bytes into p without consuming
+// them. Caller holds h.mu and guarantees len(p) <= h.n.
+func (h *pipeHalf) peek(p []byte) {
+	if c := copy(p, h.ring[h.head:]); c < len(p) {
+		copy(p[c:], h.ring)
+	}
+}
+
+// read copies arrived bytes into p — all of them if p has the room —
+// blocking until some arrive or the half is closed and drained.
 func (h *pipeHalf) read(p []byte) (int, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for {
-		if len(h.chunks) > 0 {
-			now := time.Now()
-			if !h.arrivals[0].After(now) {
-				n := copy(p, h.chunks[0])
-				if n == len(h.chunks[0]) {
-					h.chunks = h.chunks[1:]
-					h.arrivals = h.arrivals[1:]
-				} else {
-					h.chunks[0] = h.chunks[0][n:]
-				}
-				return n, nil
-			}
-			// Head chunk still in flight; its AfterFunc will wake us.
-		} else if h.closed {
+		if len(h.marks) > 0 {
+			h.land(time.Now())
+		}
+		if h.arrived > 0 {
+			break
+		}
+		if h.n == 0 && h.closed {
 			return 0, io.EOF
 		}
+		// Nothing yet, or the head bytes are still in flight and their
+		// AfterFunc will wake us.
 		h.cond.Wait()
 	}
+	k := min(len(p), h.arrived)
+	h.peek(p[:k])
+	h.head = (h.head + k) & (len(h.ring) - 1)
+	h.n -= k
+	h.arrived -= k
+	if h.n == 0 {
+		h.head = 0
+		if len(h.ring) > maxIdleRing {
+			h.ring = nil
+		}
+	}
+	return k, nil
+}
+
+// land counts the marks due by now as arrived. Caller holds h.mu.
+func (h *pipeHalf) land(now time.Time) {
+	i := 0
+	for i < len(h.marks) && !h.marks[i].at.After(now) {
+		h.arrived += h.marks[i].n
+		i++
+	}
+	h.marks = h.marks[:copy(h.marks, h.marks[i:])]
 }
 
 func (h *pipeHalf) close() {

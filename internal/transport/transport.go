@@ -14,6 +14,19 @@
 // The model mirrors a 2001-era switched LAN: unreliable broadcast datagrams
 // (discovery traffic) plus reliable point-to-point streams (virtual-channel
 // traffic).
+//
+// A MemLAN stream direction is one byte ring (pipe.go): Write copies into
+// it, growing it by doubling when a backlog needs the room, and Read takes
+// every byte that has arrived, so a reader behind a burst of small frames
+// catches up in one call. A steady stream allocates nothing; a ring that
+// a burst pushed past 1 MB gives the memory back when it drains. Link
+// delay is kept as arrival marks — (byte count, arrival time) per write —
+// and only on a link configured with latency, jitter or bandwidth: the
+// reader counts a mark's bytes as arrived once its time has passed, which
+// delivers bytes exactly when the old per-chunk timestamps did. An ideal
+// link has nothing to time, so neither side of it reads the clock. Writes
+// never block, as before: a MemLAN pipe has no send-buffer limit, and a
+// publisher that must not outrun its reader needs a Reliable channel.
 package transport
 
 import (

@@ -76,6 +76,15 @@ func (a AttrSet) Clone() AttrSet {
 	return out
 }
 
+// CloneInto makes dst a deep copy of the set, reusing dst's buffers: the
+// recycling form of Clone, which allocates nothing once dst has held a
+// set of this size. dst must not alias a.
+func (a AttrSet) CloneInto(dst *AttrSet) {
+	dst.refs = append(dst.refs[:0], a.refs...)
+	dst.arena = append(dst.arena[:0], a.arena...)
+	dst.unsorted = a.unsorted
+}
+
 // All iterates the set's (id, value) pairs in insertion order. Values
 // alias the arena; Clone them before mutating the set.
 func (a AttrSet) All() iter.Seq2[AttrID, []byte] {
@@ -100,8 +109,20 @@ func (a *AttrSet) Delete(id AttrID) {
 	}
 }
 
-// get returns the value bytes for id, aliasing the arena.
+// get returns the value bytes for id, aliasing the arena. Object models
+// number their attributes densely (fom and the cod codec both count up
+// from a base), so id's ref sits at index id − refs[0].id in every set
+// the tree produces; that slot is probed first and the scan only runs
+// for sparse or out-of-order sets. IDs are unique (slot dedups), so a
+// probe hit is the one ref for id.
 func (a AttrSet) get(id AttrID) ([]byte, bool) {
+	if len(a.refs) == 0 {
+		return nil, false
+	}
+	if i := int(id) - int(a.refs[0].id); i >= 0 && i < len(a.refs) && a.refs[i].id == id {
+		r := a.refs[i]
+		return a.arena[r.start:r.end], true
+	}
 	for _, r := range a.refs {
 		if r.id == id {
 			return a.arena[r.start:r.end], true
@@ -126,7 +147,15 @@ func grow(b []byte, n int) []byte {
 // matches, else the value moves to fresh arena space and the old bytes
 // are orphaned until Reset. New IDs append; an ID below the current tail
 // marks the set for the encode-time sort shim.
+//
+// While the set is sorted, an ID above the tail cannot be a duplicate, so
+// it appends without looking — the ascending build every encoder and the
+// frame decoder perform is O(n), not O(n²). Anything else (a repeat, an
+// ID below the tail, any Put into an unsorted set) takes the scan.
 func (a *AttrSet) slot(id AttrID, n int) []byte {
+	if !a.unsorted && (len(a.refs) == 0 || id > a.refs[len(a.refs)-1].id) {
+		return a.appendSlot(id, n)
+	}
 	for i := range a.refs {
 		if a.refs[i].id == id {
 			r := &a.refs[i]
@@ -141,6 +170,11 @@ func (a *AttrSet) slot(id AttrID, n int) []byte {
 	if len(a.refs) > 0 && id < a.refs[len(a.refs)-1].id {
 		a.unsorted = true
 	}
+	return a.appendSlot(id, n)
+}
+
+// appendSlot adds a ref for id at the tail with n fresh arena bytes.
+func (a *AttrSet) appendSlot(id AttrID, n int) []byte {
 	start := uint32(len(a.arena))
 	a.arena = grow(a.arena, n)
 	a.refs = append(a.refs, attrRef{id: id, start: start, end: start + uint32(n)})

@@ -214,6 +214,22 @@ func (f Frame) AppendEncode(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
+// Channel and Seq sit at fixed offsets behind the 4-byte header and the
+// phase byte, ahead of every variable-length field.
+const (
+	channelOffset = 5
+	seqOffset     = 9
+)
+
+// SetChannelSeq overwrites the Channel and Seq fields of an encoded frame
+// in place. A publisher fanning one update out to several virtual
+// channels encodes it once and stamps each copy, since nothing else in
+// the frame differs between them.
+func SetChannelSeq(encoded []byte, channel, seq uint32) {
+	binary.BigEndian.PutUint32(encoded[channelOffset:], channel)
+	binary.BigEndian.PutUint32(encoded[seqOffset:], seq)
+}
+
 // Decode parses a frame from b, which must contain exactly one encoded frame.
 func Decode(b []byte) (Frame, error) {
 	var f Frame
@@ -230,6 +246,7 @@ func Decode(b []byte) (Frame, error) {
 // must be Cloned before the next DecodeInto/DecodeFrom call — the cb layer
 // does that at its copy-at-boundary point.
 type Decoder struct {
+	pfx    [4]byte // DecodeFrom's length prefix: a local would escape through io.Reader
 	body   []byte
 	intern map[string]string
 }
@@ -314,15 +331,14 @@ func (d *Decoder) DecodeInto(b []byte, f *Frame) error {
 // DecodeFrom reads one length-prefixed frame from r (stream framing)
 // into f, reusing the Decoder's body buffer and f's AttrSet storage.
 func (d *Decoder) DecodeFrom(r io.Reader, f *Frame) error {
-	var pfx [4]byte
-	if _, err := io.ReadFull(r, pfx[:]); err != nil {
+	if _, err := io.ReadFull(r, d.pfx[:]); err != nil {
 		// Propagate io.EOF untouched so callers can detect orderly close.
 		if errors.Is(err, io.EOF) {
 			return io.EOF
 		}
 		return fmt.Errorf("wire: read length: %w", err)
 	}
-	n := binary.BigEndian.Uint32(pfx[:])
+	n := binary.BigEndian.Uint32(d.pfx[:])
 	if n > MaxFrameSize {
 		return ErrTooLarge
 	}

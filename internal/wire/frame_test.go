@@ -296,25 +296,34 @@ func TestEmptyAttrSetRoundTrip(t *testing.T) {
 	}
 }
 
+// BenchmarkFrameEncode times the form a link's send runs: AppendEncode into
+// a buffer it reuses. Gated at 0 allocs/op (the Encode convenience
+// allocates its result; nothing per-frame calls it).
 func BenchmarkFrameEncode(b *testing.B) {
 	f := sampleFrame()
+	buf := make([]byte, 0, 1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.Encode(); err != nil {
+		var err error
+		if buf, err = f.AppendEncode(buf[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// BenchmarkFrameDecode times the form a link's read loop runs: one Decoder
+// decoding into one reused Frame, strings interned, attrs into the
+// frame's own arena. Gated at 0 allocs/op.
 func BenchmarkFrameDecode(b *testing.B) {
-	f := sampleFrame()
-	buf, err := f.Encode()
+	buf, err := sampleFrame().Encode()
 	if err != nil {
 		b.Fatal(err)
 	}
+	dec := NewDecoder()
+	var f Frame
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(buf); err != nil {
+		if err := dec.DecodeInto(buf, &f); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,7 +11,18 @@ import "sync"
 // The cb layer copies or serializes attribute bytes before Update/
 // UpdateContext returns (copy-at-boundary rule), so a caller may release
 // its set as soon as the send call comes back — that return is the
-// release point.
+// publisher-side release point.
+//
+// The subscriber side has one too, kept in internal/cb because it knows
+// who holds a reflection: cb.Reflection.Release hands a delivered
+// reflection's attribute storage back, and the next reflection off a link
+// is copied into it (AttrSet.CloneInto) instead of into a fresh Clone.
+// Only the consumer that took the reflection out of its subscription may
+// call it, once, after its last read of Attrs — cod.Sub does right after
+// decoding, the mailbox does for reflections it discards unseen. A
+// consumer that never calls it loses nothing but the saving: its
+// reflections are cloned (two allocations each) and collected, exactly as
+// before Release existed.
 var attrSetPool = sync.Pool{
 	New: func() any {
 		a := NewAttrSet(16)

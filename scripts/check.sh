@@ -88,10 +88,17 @@ go test -bench . -benchtime 1000x -run '^$' ./internal/obs >>"$out/bench.txt"
 # The gated CBRouting ceilings need steady-state numbers: at 10x the
 # channel-setup amortization still flickers allocs/op by ±3. benchdiff
 # keeps the last line per benchmark, so this run overrides the 10x one.
-go test -bench 'BenchmarkCBRouting' -benchtime 500x -run '^$' . >>"$out/bench.txt"
-# Sustained throughput at 1000x: the frames/sec/core headline plus gated
-# allocs/bytes ceilings on the pipelined publish→consume path.
-go test -bench 'BenchmarkCBThroughput' -benchtime 1000x -run '^$' . >>"$out/bench.txt"
+# BenchmarkCodRemoteUpdate is the typed path on the same channel, and the
+# wire benches are the frame codec in the forms the link runs (AppendEncode
+# into a reused buffer, DecodeInto a reused frame): ceiling 0, both.
+go test -bench 'BenchmarkCBRouting|BenchmarkCodRemoteUpdate' -benchtime 500x -run '^$' . >>"$out/bench.txt"
+go test -bench 'BenchmarkFrame' -benchtime 500x -run '^$' ./internal/wire >>"$out/bench.txt"
+# Sustained throughput at 10000x: the frames/sec/core headline plus gated
+# allocs/bytes ceilings on the pipelined publish→consume path. The
+# publisher runs up to a credit window ahead, so the link's byte ring
+# grows to hold it once (~1 MB of doublings); 10000x puts that under
+# 100 B/op.
+go test -bench 'BenchmarkCBThroughput' -benchtime 10000x -run '^$' . >>"$out/bench.txt"
 # The certification hot loop is gated at 0 allocs per 60 Hz step (20000x
 # amortizes the per-run rig rebuilds); one full oracle dry-run stays
 # under its setup ceiling at 20x.
@@ -134,10 +141,12 @@ grep -q '0 live dry-runs' "$out/campaign-warm.txt" || {
     exit 1
 }
 
-echo "== fuzz smoke (Spec JSON surface, rasterizer vs its reference; 10 s per target) =="
+echo "== fuzz smoke (Spec JSON surface, rasterizer vs its reference, wire frames and AttrSets; 10 s per target) =="
 go test -run '^$' -fuzz '^FuzzUnmarshalSpec$' -fuzztime 10s ./internal/scenario
 go test -run '^$' -fuzz '^FuzzValidate$' -fuzztime 10s ./internal/scenario
 go test -run '^$' -fuzz '^FuzzRasterTriangle$' -fuzztime 10s ./internal/render
+go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s ./internal/wire
+go test -run '^$' -fuzz '^FuzzAttrSetOps$' -fuzztime 10s ./internal/wire
 
 echo "== dist CLI smoke (codbatch coordinator + 2 worker processes, UDPLAN loopback) =="
 "$out/codbatch" -serve -lan 127.0.0.1:47901 -name smoke1 -headless -obs 127.0.0.1:47911 >"$out/w1.log" 2>&1 &
