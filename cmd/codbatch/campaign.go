@@ -51,8 +51,8 @@ type campaignRun struct {
 // set, metered through the obs plane. preview (and lazy) runs certify on
 // the free static oracle plus cached dry-run verdicts only — and open the
 // cache read-only, so weaker verdicts never poison what strict campaigns
-// trust. The cleanup func closes the stream's prefetch task and flushes
-// the cache.
+// trust. The cleanup func stops the stream's certification lanes and
+// flushes the cache.
 func newCampaignStream(plane *obs.Plane, cr campaignRun, width int, preview bool) (*gen.Stream, func(), error) {
 	stream := gen.NewStream(cr.seed, cr.params)
 	stream.Parallel = width
@@ -288,8 +288,8 @@ func runCampaignCoordinator(ctx context.Context, plane *obs.Plane, lanAddr, work
 }
 
 // runCampaignSweep is the shared dispatch tail: certified generator
-// stream in (prefetching the next batch while the current one
-// dispatches), JSONL records and percentile report out.
+// stream in (its lanes certifying ahead of dispatch), JSONL records and
+// percentile report out.
 func runCampaignSweep(ctx context.Context, plane *obs.Plane, coord *dist.Coordinator,
 	cr campaignRun, oracleWidth int, outPath, compare string, strict bool) error {
 	key := gen.Key(cr.seed, cr.count, cr.params)

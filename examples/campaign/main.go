@@ -37,8 +37,13 @@ func run() error {
 
 	// Stream certified scenarios: candidate k is Generate(SubSeed(seed,k),
 	// params); the default oracle flies each candidate headless and vetoes
-	// the uncompletable, which are resampled from the same stream.
+	// the uncompletable, which are resampled from the same stream. With
+	// Prefetch a lane per core certifies ahead of this loop; what comes out
+	// of Next, and in which order, is the same either way. A prefetching
+	// stream owns goroutines, so it is closed.
 	stream := gen.NewStream(seed, params)
+	stream.Prefetch = true
+	defer stream.Close()
 	specs := make([]scenario.Spec, 0, count)
 	for len(specs) < count {
 		spec, cand, err := stream.Next(context.Background())

@@ -374,6 +374,18 @@ type sweep struct {
 	order []*jobState
 	done  map[int64]jobGrant
 	recs  []Record
+	strs  map[string]string // one copy of each low-cardinality Record string
+}
+
+// intern returns the sweep's one copy of v. A decoded Record allocates its
+// strings afresh; a sweep's scenario names, worker names and phases are a
+// handful of values repeated once per job.
+func (sw *sweep) intern(v string) string {
+	if kept, ok := sw.strs[v]; ok {
+		return kept
+	}
+	sw.strs[v] = v
+	return v
 }
 
 // finish moves job s out of the open set with its Record.
@@ -405,63 +417,33 @@ func (c *Coordinator) Run(ctx context.Context, jobs []Job) ([]Record, error) {
 // blocks until the source is exhausted and every pulled job has a Record
 // (or ctx is done). A job is announced when it is loaded, again when it is
 // re-dispatched, and otherwise only on the Announce period; workers keep
-// the announces and refill their own slots from them. The source is only
-// ever polled from this goroutine; a source that blocks (a generator
-// certifying its next candidate) delays refills but never the draining of
-// results already in flight by more than one poll.
+// the announces and refill their own slots from them. The source is polled
+// from one feeder goroutine of this call — one job ahead of the window,
+// never concurrently, never after RunStream returns — so a source that
+// blocks (a generator certifying its next candidate) delays refills but
+// not the grants, results and re-dispatches of the jobs already loaded.
 func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, error) {
-	sw := &sweep{open: make(map[int64]*jobState), done: make(map[int64]jobGrant)}
+	sw := &sweep{open: make(map[int64]*jobState), done: make(map[int64]jobGrant), strs: make(map[string]string)}
+
+	feed := make(chan pulled)
+	fctx, stopFeeder := context.WithCancel(ctx)
+	var feeder sync.WaitGroup
+	feeder.Add(1)
+	go func() {
+		defer feeder.Done()
+		feedJobs(fctx, src, feed)
+	}()
+	defer func() {
+		stopFeeder()
+		feeder.Wait()
+	}()
+
 	exhausted := false
-
-	// load tops the in-flight set back up to the window. Malformed or
-	// duplicate jobs abort the sweep — a streaming source is code, not
-	// input, and dispatching around its bug would silently shrink the
-	// campaign.
-	load := func() error {
-		for !exhausted && len(sw.open) < c.cfg.Window {
-			j, ok, err := src.Next(ctx)
-			if err != nil {
-				return fmt.Errorf("dist: job source: %w", err)
-			}
-			if !ok {
-				exhausted = true
-				return nil
-			}
-			data, err := scenario.MarshalSpec(j.Spec)
-			if err != nil {
-				return fmt.Errorf("dist: %s: %w", j, err)
-			}
-			_, dup := sw.open[j.ID]
-			if _, dupDone := sw.done[j.ID]; dup || dupDone {
-				return fmt.Errorf("dist: duplicate job id %d", j.ID)
-			}
-			s := &jobState{
-				job: j, specJSON: data, attempt: 1,
-				created: time.Now(), span: obs.MintSpanID(),
-			}
-			sw.open[j.ID] = s
-			sw.order = append(sw.order, s)
-			c.moveJob(-1, jobPending)
-			c.noteAttempt(false)
-		}
-		return nil
-	}
-
 	tick := time.NewTicker(c.cfg.Announce)
 	defer tick.Stop()
 	for {
-		if err := load(); err != nil {
-			return sw.records(), err
-		}
 		c.drainHeartbeats()
-		if c.drainResults(sw) {
-			// A result made room in the window: load, and so announce, its
-			// replacement now rather than after the claims below. The
-			// worker that freed the slot has already bid from its backlog.
-			if err := load(); err != nil {
-				return sw.records(), err
-			}
-		}
+		c.drainResults(sw)
 		c.drainClaims(sw)
 		c.redispatch(sw)
 		if exhausted && len(sw.open) == 0 {
@@ -469,15 +451,85 @@ func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, e
 		}
 		c.announcePending(sw)
 
+		// The feeder is heard only while the window has room.
+		next := feed
+		if exhausted || len(sw.open) >= c.cfg.Window {
+			next = nil
+		}
 		select {
 		case <-ctx.Done():
 			return sw.records(), ctx.Err()
+		case p := <-next:
+			// A failing source, or a malformed or duplicate job, aborts the
+			// sweep — a streaming source is code, not input, and dispatching
+			// around its bug would silently shrink the campaign.
+			if p.err == nil && p.ok {
+				p.err = c.load(sw, p.job, p.spec)
+			}
+			if p.err != nil {
+				return sw.records(), p.err
+			}
+			exhausted = !p.ok
 		case <-tick.C:
 		case <-c.subClaim.NotifyC():
 		case <-c.subRes.NotifyC():
 		case <-c.subHB.NotifyC():
 		}
 	}
+}
+
+// pulled is one answer of a job source: a job with its spec marshaled, the
+// end of the list (!ok), or the error that aborts the sweep.
+type pulled struct {
+	job  Job
+	spec []byte
+	ok   bool
+	err  error
+}
+
+// feedJobs polls src and hands each answer to feed, until the source ends
+// or fails or ctx is done. It is RunStream's feeder: the one goroutine that
+// ever calls src.Next, and the one place a slow source is waited for.
+func feedJobs(ctx context.Context, src JobSource, feed chan<- pulled) {
+	for {
+		var p pulled
+		j, ok, err := src.Next(ctx)
+		switch {
+		case err != nil:
+			p.err = fmt.Errorf("dist: job source: %w", err)
+		case ok:
+			p.job, p.ok = j, true
+			if p.spec, err = scenario.MarshalSpec(j.Spec); err != nil {
+				p.err = fmt.Errorf("dist: %s: %w", j, err)
+			}
+		}
+		select {
+		case feed <- p:
+		case <-ctx.Done():
+			return
+		}
+		if !p.ok || p.err != nil {
+			return
+		}
+	}
+}
+
+// load puts a job pulled from the source into the open set, pending its
+// first announce.
+func (c *Coordinator) load(sw *sweep, j Job, specJSON []byte) error {
+	_, dup := sw.open[j.ID]
+	if _, dupDone := sw.done[j.ID]; dup || dupDone {
+		return fmt.Errorf("dist: duplicate job id %d", j.ID)
+	}
+	s := &jobState{
+		job: j, specJSON: specJSON, attempt: 1,
+		created: time.Now(), span: obs.MintSpanID(),
+	}
+	sw.open[j.ID] = s
+	sw.order = append(sw.order, s)
+	c.moveJob(-1, jobPending)
+	c.noteAttempt(false)
+	return nil
 }
 
 func (c *Coordinator) drainHeartbeats() {
@@ -495,14 +547,14 @@ func (c *Coordinator) drainHeartbeats() {
 
 // drainResults records finished jobs; the first Record per job wins and
 // stale attempts are accepted — the work is identical.
-func (c *Coordinator) drainResults(sw *sweep) (anyDone bool) {
+func (c *Coordinator) drainResults(sw *sweep) {
 	for {
 		r, ok, err := c.subRes.Poll()
 		if err != nil {
 			continue // shape mismatch from a foreign build: skip
 		}
 		if !ok {
-			return anyDone
+			return
 		}
 		res := r.Value
 		if res.Sweep != c.cfg.Sweep {
@@ -523,8 +575,14 @@ func (c *Coordinator) drainResults(sw *sweep) (anyDone bool) {
 		// stamped DispatchMS on its own clock before marshaling.
 		rec.Span = s.span
 		rec.QueueMS = s.queueMS
+		// Keep one copy of the strings that repeat job after job. A
+		// generated job's title is its own, so the table would only grow
+		// with it: that one is shared with the job's spec instead.
+		rec.Scenario, rec.Worker, rec.Phase = sw.intern(rec.Scenario), sw.intern(rec.Worker), sw.intern(rec.Phase)
+		if rec.Title == s.job.Spec.Title {
+			rec.Title = s.job.Spec.Title
+		}
 		c.finish(sw, s, rec)
-		anyDone = true
 		c.ack(res.Job)
 		c.noteWorkerDone(res.Worker)
 		c.log.Info("job done",

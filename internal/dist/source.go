@@ -10,9 +10,11 @@ import "context"
 // Next returns the next job to dispatch. ok=false means the source is
 // exhausted and the sweep should drain what remains in flight; a non-nil
 // err aborts the sweep (partial records are still returned). Next may
-// block — e.g. on a completability dry-run certifying the next candidate
-// — and is always called from the coordinator's loop goroutine, never
-// concurrently.
+// block — e.g. on a completability dry-run certifying the next candidate:
+// RunStream calls it from one goroutine of its own, never concurrently
+// and never after it has returned, while its protocol loop goes on
+// serving the jobs already loaded. The ctx it passes is canceled when the
+// sweep ends, so a blocked Next must honour it.
 type JobSource interface {
 	Next(ctx context.Context) (Job, bool, error)
 }

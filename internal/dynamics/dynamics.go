@@ -152,6 +152,9 @@ const (
 // cosine, (x, z, heading) for ground height and posture — so a reused
 // value is the value a fresh call would return. Only NewCrane and Step
 // touch the frame; no read accessor does.
+//
+// pitch and roll are stored and published exactly as integrated; what the
+// kernel computes with is level(pitch) and level(roll) — see level.
 type Model struct {
 	cfg Config
 	ter *terrain.Map
@@ -206,6 +209,37 @@ type Model struct {
 type carrierFrame struct {
 	heading, sinH, cosH float64 // sinH, cosH = Sincos(heading)
 	x, z, gh, y, tp, tr float64 // y = HeightAt(x, z); tp, tr = Posture(x, z, gh)
+}
+
+// levelEps is the magnitude under which a stored attitude angle reads as
+// level: 2⁻¹⁰⁰⁰, far enough above the subnormal range (2⁻¹⁰²²) that the
+// half angles QuatEuler takes of anything at or over it are normal numbers.
+const levelEps = 0x1p-1000
+
+// level is the attitude angle the kernel computes with: x, except that a
+// magnitude under levelEps reads as a zero of x's sign.
+//
+// On ground the terrain reports as exactly level, stepCarrier's blend
+// relaxes the stored pitch and roll toward 0 by ×0.889 a tick and never
+// gets there: a carrier parked some 100 simulated seconds holds a
+// subnormal angle (it sticks at a few units of 4.9e-324), and every
+// Sincos, quaternion product, Sin and Hypot fed from it takes a microcode
+// assist — a parked step cost three times a moving one. The three places
+// that compute with the attitude therefore read it through level, each
+// where the angle provably cannot reach a published bit: CarrierRot (an
+// offset under 2⁻⁹⁹⁰ m vanishes in the sum with a site coordinate),
+// Stability (a tilt penalty under 2⁻⁹⁹⁰ vanishes beside a margin with a
+// 2⁻⁵³ grid) and stepCarrier's slope force while the carrier stands on its
+// brake (the hold zeroes the force either way). The stored angles and
+// their decay are never touched, so State publishes the pitch and roll it
+// always did, subnormals included; internal/trace's trajectory golden,
+// whose corpus flies stalled candidates through the whole stall window,
+// holds the kernel to that bit for bit.
+func level(x float64) float64 {
+	if math.Abs(x) < levelEps {
+		return math.Copysign(0, x)
+	}
+	return x
 }
 
 // same reports bit equality: stricter than ==, so the memo needs no
@@ -316,7 +350,7 @@ func (m *Model) AddCargo(pos mathx.Vec3, mass float64) {
 // nose-up positive; roll is left-side-up positive, a rotation of -roll
 // about +Z in the body frame.
 func (m *Model) CarrierRot() mathx.Quat {
-	return mathx.QuatEuler(-m.heading, m.pitch, -m.roll)
+	return mathx.QuatEuler(-m.heading, level(m.pitch), -level(m.roll))
 }
 
 // BoomTip returns the boom tip position in world space.
@@ -377,7 +411,15 @@ func (m *Model) stepCarrier(in fom.ControlInput, dt float64) {
 	}
 	// Forces along the forward axis.
 	brake := mathx.Clamp(in.Brake, 0, 1) * cfg.MaxBrakeForce
-	slope := -cfg.Mass * Gravity * math.Sin(m.pitch) // uphill pitch slows forward motion
+	// A carrier standing on its brake with no drive stays put whatever a
+	// slope force of under a newton says — the hold below zeroes the sum —
+	// so there the pitch may read as level. Anywhere else the force is
+	// integrated into the published speed, and it keeps every bit.
+	pitch := m.pitch
+	if m.speed == 0 && drive == 0 && brake >= 1 {
+		pitch = level(pitch)
+	}
+	slope := -cfg.Mass * Gravity * math.Sin(pitch) // uphill pitch slows forward motion
 	resist := cfg.RollResist * m.speed
 	force := drive + slope - resist
 	// Brake always opposes motion and can hold the vehicle.
@@ -561,7 +603,7 @@ func (m *Model) Stability() float64 {
 	moment := load * arm
 	margin := 1 - moment/m.cfg.TipMomentMax
 	// Tilt penalty: 15° of combined tilt wipes out half the margin.
-	tilt := math.Hypot(m.pitch, m.roll)
+	tilt := math.Hypot(level(m.pitch), level(m.roll))
 	margin -= tilt / mathx.Rad(30)
 	return mathx.Clamp(margin, 0, 1)
 }

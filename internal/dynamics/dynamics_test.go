@@ -498,3 +498,85 @@ func BenchmarkDynamicsStep(b *testing.B) {
 		m.Step(in, dt)
 	}
 }
+
+// parkedInput holds a carrier where it stands.
+var parkedInput = fom.ControlInput{Ignition: true, Brake: 1}
+
+// parkedModel drives a crane off the sloping rim of the site's test ground
+// onto its levelled middle, brakes, and leaves it parked for 12 000 ticks
+// (200 simulated seconds) — what a stalled dry-run's carrier does.
+func parkedModel(t testing.TB) *Model {
+	t.Helper()
+	m, err := New(DefaultConfig(), terrain.DefaultMap(),
+		mathx.V3(terrain.TestGroundX-40, 0, terrain.TestGroundZ+3), math.Pi/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.pitch == 0 || m.roll == 0 {
+		t.Fatalf("start posture pitch %v roll %v: the rim should tilt the carrier", m.pitch, m.roll)
+	}
+	drive(m, fom.ControlInput{Ignition: true, Gear: 1, Throttle: 0.6}, 8)
+	drive(m, parkedInput, 4)
+	if d := math.Hypot(m.pos.X-terrain.TestGroundX, m.pos.Z-terrain.TestGroundZ); m.speed != 0 || d > 25 {
+		t.Fatalf("not parked on the levelled ground: speed %v, %.1f m from its centre", m.speed, d)
+	}
+	for i := 0; i < 12000; i++ {
+		m.Step(parkedInput, dt)
+	}
+	return m
+}
+
+func subnormal(x float64) bool { return x != 0 && math.Abs(x) < 0x1p-1022 }
+
+// A carrier parked on ground the terrain reports as exactly level keeps a
+// pitch and roll that decay toward 0 without ever reaching it: they go
+// subnormal and stay there, and that is what State publishes. What the
+// kernel computes with is the levelled read — no subnormal reaches the
+// carrier rotation or the stability margin, and the margin is bit for bit
+// the one a level carrier has.
+func TestParkedCarrierComputesLevel(t *testing.T) {
+	m := parkedModel(t)
+	st := m.State()
+	if !subnormal(st.Pitch) || !subnormal(st.Roll) {
+		t.Fatalf("published pitch %v roll %v: want both subnormal after 200 s parked", st.Pitch, st.Roll)
+	}
+	rot := m.CarrierRot()
+	for _, c := range []float64{rot.W, rot.X, rot.Y, rot.Z} {
+		if subnormal(c) {
+			t.Fatalf("CarrierRot %+v has a subnormal component", rot)
+		}
+	}
+	if want := mathx.QuatEuler(-m.heading, 0, 0); rot != want {
+		t.Fatalf("CarrierRot %+v, want the level rotation %+v", rot, want)
+	}
+	arm := math.Hypot(st.HookPos.X-st.Position.X, st.HookPos.Z-st.Position.Z)
+	want := mathx.Clamp(1-m.cfg.HookMass*Gravity*arm/m.cfg.TipMomentMax, 0, 1)
+	if got := m.Stability(); !same(got, want) || !same(st.Stability, want) {
+		t.Fatalf("stability %v (published %v), want the level-ground %v", got, st.Stability, want)
+	}
+	// The stored angles are left alone: they keep decaying as they did.
+	pitch, roll := m.pitch, m.roll
+	m.Step(parkedInput, dt)
+	if math.Abs(m.pitch) > math.Abs(pitch) || math.Abs(m.roll) > math.Abs(roll) || m.pitch == 0 || m.roll == 0 {
+		t.Fatalf("stored attitude (%v, %v) -> (%v, %v): want an undisturbed decay", pitch, roll, m.pitch, m.roll)
+	}
+	// Off the brake the slope force is integrated into the published speed,
+	// so there the pitch is read with every bit: the carrier creeps by the
+	// subnormal step it always did.
+	creep := -m.cfg.Mass * Gravity * math.Sin(m.pitch) / m.cfg.Mass * dt
+	m.Step(fom.ControlInput{Ignition: true}, dt)
+	if creep == 0 || !same(m.speed, creep) {
+		t.Fatalf("speed %v one tick off the brake, want the slope's %v", m.speed, creep)
+	}
+}
+
+// BenchmarkParkedStep is one 60 Hz step of the crane parkedModel leaves
+// behind: the step a stalled dry-run repeats until its stall window closes.
+func BenchmarkParkedStep(b *testing.B) {
+	m := parkedModel(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Step(parkedInput, dt)
+	}
+}

@@ -50,8 +50,8 @@ type cacheLine struct {
 // that don't parse (a crash mid-append truncates at most the final line),
 // are skipped on load; the file heals on the next append.
 //
-// Lookup and append are goroutine-safe: a Stream's prefetch task reads
-// while the merge path appends.
+// Lookup and append are goroutine-safe: a Stream's certification lanes
+// read while its merge path appends.
 type Cache struct {
 	// ReadOnly consults existing verdicts without recording new ones. Use
 	// it when the attached oracle is weaker than the dry-run (lazy or
@@ -151,7 +151,9 @@ func (c *Cache) add(cand int64, spec uint64, ok bool) error {
 	return nil
 }
 
-// Close flushes buffered verdicts and releases the file.
+// Close flushes buffered verdicts and releases the file and the loaded
+// verdicts: a closed cache answers no lookup, so a finished campaign phase
+// does not pin a map entry per candidate.
 func (c *Cache) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -162,6 +164,6 @@ func (c *Cache) Close() error {
 	if cerr := c.file.Close(); err == nil {
 		err = cerr
 	}
-	c.w, c.file = nil, nil
+	c.w, c.file, c.m = nil, nil, nil
 	return err
 }

@@ -27,6 +27,13 @@
 //     rejected candidate is simply skipped — resampling continues under
 //     the same stream, so the emitted sequence is a pure function of
 //     (seed, Params) no matter how many candidates the oracle vetoes.
+//     Certification is a pipeline, not a batch: with Stream.Prefetch,
+//     Stream.Parallel lanes each certify one candidate at a time, in
+//     whatever order they finish, into a ring; Next merges the outcomes
+//     one by one in candidate order on the caller's goroutine — tallies,
+//     hooks, cache appends — and only as far as the next emission. What
+//     the lanes certified beyond that is invisible until merged, and
+//     discarded by Close.
 //
 // cmd/codbatch's -campaign mode feeds a Stream straight into the dist
 // coordinator's work list; package dist never imports gen.

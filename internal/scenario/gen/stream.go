@@ -31,10 +31,10 @@ type Stats struct {
 // Hooks lets a caller observe stream work for the telemetry plane. gen is
 // a declared-deterministic package (codvet bans time.Now here), so the
 // wall clock is injected: cmd wiring passes a monotonic-seconds func and
-// metric sinks; the zero value disables everything. Candidate and
-// CacheResult fire on the merge path in candidate order; OracleWall fires
-// once per live dry-run and may be called from certification goroutines
-// concurrently, so its sink must be goroutine-safe (obs counters are).
+// metric sinks; the zero value disables everything. Candidate, CacheResult
+// and OracleWall fire on the merge path — the goroutine calling Next — in
+// candidate order; Clock is read around each live dry-run on whichever
+// goroutine flies it, so it must be goroutine-safe.
 type Hooks struct {
 	// Clock returns monotonic seconds; nil disables oracle-wall timing.
 	Clock func() float64
@@ -47,15 +47,33 @@ type Hooks struct {
 	OracleWall func(seconds float64)
 }
 
+// lookaheadPerLane sizes the certification ring: with Prefetch the lanes
+// together run at most this many candidates per lane ahead of the one Next
+// merges next. A rejected candidate's dry-run flies a whole stall window,
+// about seven times a passing one's, so eight lets the other lanes keep
+// certifying behind a slow head instead of waiting on it.
+const lookaheadPerLane = 8
+
 // Stream yields certified scenarios in candidate order. Candidate k's
 // spec is Generate(SubSeed(seed, k), params); rejected candidates are
-// skipped and sampling continues under the same sub-seed stream, so the
-// emitted sequence — and every tally in Stats — is a pure function of
-// (seed, params, oracle). Certification dry-runs for a batch of
-// candidates execute in parallel, and with Prefetch the next batch
-// certifies in background while the caller drains the current one, but
-// emission order and tallies never depend on scheduling: every verdict is
-// replayed into Stats in candidate order on the caller's goroutine.
+// skipped and sampling continues under the same sub-seed stream. One
+// routine certifies a candidate — Generate, StaticCheck, cache lookup,
+// oracle dry-run — and one routine, on the goroutine calling Next, merges
+// its outcome: tallies, hooks, the cache append, the consecutive-reject
+// guard, strictly in candidate order and only as far as the next emission.
+// The emitted sequence, and every tally in Stats after n emissions, is
+// therefore a pure function of (seed, params, oracle, n) whatever Parallel
+// and Prefetch say.
+//
+// Prefetch off, Next certifies inline: no goroutine, nothing to Close.
+// Prefetch on, Parallel lanes certify ahead of the merge. Each lane claims
+// the next unclaimed candidate index, certifies it and deposits the
+// outcome in a ring slot (index modulo the ring's depth); Next waits for
+// the slot of the candidate it merges next, and merging it is what lets
+// the lanes claim one more. There is no batch and no barrier: a lane that
+// finishes takes the next candidate at once, and the lanes stop only when
+// lookaheadPerLane × Parallel candidates are certified or in flight ahead
+// of the merge.
 //
 // Not safe for concurrent use; a campaign owns one Stream and feeds the
 // coordinator from it. A Stream with Prefetch enabled must be Closed.
@@ -63,12 +81,13 @@ type Stream struct {
 	// Oracle certifies candidates; nil means DefaultOracle(params) — the
 	// full static-check + expert dry-run. Set StaticOnly for free previews.
 	Oracle Oracle
-	// Parallel bounds concurrent dry-runs per refill batch; 0 means
-	// GOMAXPROCS.
+	// Parallel is the number of certification lanes Prefetch runs, and so
+	// the bound on concurrent dry-runs; 0 means GOMAXPROCS. Without
+	// Prefetch there are no lanes and it is not read.
 	Parallel int
-	// Prefetch certifies the next candidate batch in background while the
-	// current one drains, hiding oracle latency behind dispatch. Off, the
-	// stream refills synchronously (the original behavior).
+	// Prefetch certifies candidates on Parallel background lanes ahead of
+	// Next, hiding oracle latency behind dispatch. Off, each Next
+	// certifies what it needs on the caller's goroutine.
 	Prefetch bool
 	// Cache consults the persistent verdict store before every dry-run
 	// and records fresh verdicts into it (unless the cache is ReadOnly);
@@ -80,40 +99,35 @@ type Stream struct {
 
 	seed    int64
 	params  Params
-	next    int64 // next candidate index to sample
+	next    int64 // next candidate index to merge
 	rejects int   // consecutive rejects since the last emission
-	buf     []certified
 	stats   Stats
 
-	inflight chan *batchResult  // pending prefetch task, nil if none
-	cancel   context.CancelFunc // cancels the pending prefetch task
+	// The lanes, while Prefetch runs them. ring[k%len(ring)] receives
+	// candidate k's outcome. claims holds the candidate indices the lanes
+	// may take, in order: it starts with one ring's worth and gains index
+	// k+len(ring) when k is merged, so it is the lanes' shared cursor and
+	// the bound on their lookahead in one.
+	ring   []chan candRec
+	claims chan int64
+	cancel context.CancelFunc
+	lanes  sync.WaitGroup
 }
 
-type certified struct {
-	spec      scenario.Spec
-	candidate int64
-}
-
-// candRec is one candidate's outcome inside a certification batch. Batches
-// compute in any goroutine; Stats mutate only when recs replay in
-// candidate order on the stream's own goroutine.
+// candRec is one candidate's certification outcome, computed on any
+// goroutine; Stats mutate only when it is merged, in candidate order, on
+// the goroutine calling Next.
 type candRec struct {
 	cand    int64
 	spec    scenario.Spec
-	static  bool // vetoed by the static pre-check (no dry-run)
-	ok      bool // dry-run verdict (live or cached) when !static
-	cached  bool // verdict replayed from Cache
-	consult bool // cache was consulted for this candidate
-	wall    float64
-	genErr  error // Generate fault: raised during the sampling replay
-	err     error // certification fault (hashing, oracle, cancellation)
-}
-
-// batchResult carries one certification batch back to the merge path.
-type batchResult struct {
-	recs      []candRec
-	nextAfter int64 // candidate index sampling stopped at
-	err       error // ctx fault during sampling, raised after the recs replay
+	hash    uint64  // SpecHash(spec), when the cache was consulted
+	static  bool    // vetoed by the static pre-check (no dry-run)
+	ok      bool    // dry-run verdict (live or cached) when !static
+	cached  bool    // verdict replayed from Cache
+	consult bool    // cache was consulted for this candidate
+	wall    float64 // the live dry-run's seconds on Hooks.Clock
+	genErr  error   // Generate fault
+	err     error   // certification fault (hashing, oracle, cancellation)
 }
 
 // NewStream starts the certified-scenario stream for a campaign seed.
@@ -123,241 +137,206 @@ func NewStream(seed int64, params Params) *Stream {
 	return &Stream{seed: seed, params: params}
 }
 
-// Stats returns the tallies so far.
+// Stats returns the tallies so far: exactly the candidates up to and
+// including the last emission's, never the lanes' lookahead.
 func (s *Stream) Stats() Stats { return s.stats }
 
 // Next returns the stream's next certified scenario and the candidate
-// index it was sampled at. It blocks while a refill batch dry-runs; a
-// canceled ctx aborts mid-batch. err is terminal: a generator fault, an
+// index it was sampled at. It blocks while the candidates up to it
+// dry-run; a canceled ctx ends the wait (and, without Prefetch, the
+// dry-run) with ctx's error. err is terminal: a generator fault, an
 // oracle fault, ctx cancellation, or MaxConsecutiveRejects candidates
 // vetoed back-to-back.
 func (s *Stream) Next(ctx context.Context) (scenario.Spec, int64, error) {
-	for len(s.buf) == 0 {
-		br, err := s.takeBatch(ctx)
+	for {
+		rec, err := s.take(ctx)
 		if err != nil {
 			return scenario.Spec{}, 0, err
 		}
-		merr := s.merge(br)
-		if merr == nil && s.Prefetch {
-			s.launch(ctx)
+		emit, err := s.merge(&rec)
+		if err != nil {
+			return scenario.Spec{}, 0, err
 		}
-		if merr != nil {
-			return scenario.Spec{}, 0, merr
+		if emit {
+			return rec.spec, rec.cand, nil
 		}
 	}
-	out := s.buf[0]
-	s.buf = s.buf[1:]
-	s.stats.Emitted++
-	return out.spec, out.candidate, nil
 }
 
-// Close cancels and drains any in-flight prefetch batch; its verdicts are
-// discarded (and, being keyed work, re-derivable). A Stream that never
-// enabled Prefetch needs no Close, but Close is always safe.
+// Close cancels the certification lanes and waits for them to return.
+// What they certified beyond the last merged candidate is discarded:
+// nothing of it reached Stats, the hooks or the cache, and being keyed
+// work it is re-derivable. A Stream that never enabled Prefetch needs no
+// Close, but Close is always safe.
 func (s *Stream) Close() {
-	if s.inflight == nil {
+	if s.cancel == nil {
 		return
 	}
 	s.cancel()
-	<-s.inflight
-	s.inflight, s.cancel = nil, nil
+	s.lanes.Wait()
+	s.ring, s.claims, s.cancel = nil, nil, nil
 }
 
-// takeBatch returns the next certification batch: the in-flight prefetch
-// result when one is pending, else a batch certified synchronously.
-func (s *Stream) takeBatch(ctx context.Context) (*batchResult, error) {
-	if s.inflight != nil {
-		select {
-		case br := <-s.inflight:
-			s.inflight, s.cancel = nil, nil
-			return br, nil
-		case <-ctx.Done():
-			// Leave the task to finish against its own canceled context;
-			// Close drains it.
-			s.cancel()
-			return nil, ctx.Err()
-		}
+// take returns the outcome of the next candidate to merge: from its ring
+// slot when lanes run, else certified here and now.
+func (s *Stream) take(ctx context.Context) (candRec, error) {
+	if err := ctx.Err(); err != nil {
+		return candRec{}, err
 	}
-	return s.certifyBatch(ctx, s.next, s.rejects), nil
-}
-
-// launch starts certifying the next batch in background. Called only
-// after a merge, so s.next and s.rejects are settled — the task samples
-// exactly the candidates a synchronous refill would.
-func (s *Stream) launch(ctx context.Context) {
-	tctx, cancel := context.WithCancel(ctx)
-	ch := make(chan *batchResult, 1)
-	start, streak := s.next, s.rejects
-	go func() {
-		ch <- s.certifyBatch(tctx, start, streak)
-		cancel()
-	}()
-	s.inflight, s.cancel = ch, cancel
-}
-
-// certifyBatch samples candidates from start until one batch width of
-// them pass the static check, consults the cache, and flies the remaining
-// dry-runs in parallel. It reads only the stream's immutable fields
-// (seed, params, oracle config, cache) — never Stats or the buffer — so
-// prefetch tasks can run it while the caller drains emissions. streakIn
-// seeds the consecutive-reject guard exactly as the serial path would.
-func (s *Stream) certifyBatch(ctx context.Context, start int64, streakIn int) *batchResult {
-	oracle := s.Oracle
-	if oracle == nil {
-		oracle = DefaultOracle(s.params)
+	cand := s.next
+	if !s.Prefetch {
+		s.next++
+		return s.certify(ctx, cand), nil
 	}
+	if s.ring == nil {
+		s.start(ctx)
+	}
+	depth := int64(len(s.ring))
+	select {
+	case rec := <-s.ring[cand%depth]:
+		s.next++
+		s.claims <- cand + depth // never blocks: a lane received cand from it
+		return rec, nil
+	case <-ctx.Done():
+		return candRec{}, ctx.Err()
+	}
+}
+
+// start launches the lanes at the merge cursor. They outlive the Next
+// that started them, so they keep ctx's values but not its cancellation:
+// a canceled Next stops waiting, Close stops the lanes.
+func (s *Stream) start(ctx context.Context) {
 	width := s.Parallel
 	if width <= 0 {
 		width = runtime.GOMAXPROCS(0)
 	}
-
-	br := &batchResult{nextAfter: start}
-	// Sampling and static checks run serially — both are microseconds —
-	// so the record order is candidate order; only the dry-runs fan out.
-	streak := streakIn
-	pending := 0
-	for pending < width {
-		if err := ctx.Err(); err != nil {
-			br.err = err
-			break
-		}
-		cand := br.nextAfter
-		br.nextAfter++
-		spec, err := Generate(SubSeed(s.seed, cand), s.params)
-		if err != nil {
-			br.recs = append(br.recs, candRec{cand: cand, genErr: err})
-			break
-		}
-		if StaticCheck(spec) != nil {
-			br.recs = append(br.recs, candRec{cand: cand, static: true})
-			if streak++; streak >= MaxConsecutiveRejects {
-				break // merge replays the same guard and raises the error
-			}
-			continue
-		}
-		rec := candRec{cand: cand, spec: spec}
-		if s.Cache != nil {
-			hash, err := SpecHash(spec)
-			if err != nil {
-				rec.err = err
-			} else {
-				rec.consult = true
-				if ok, found := s.Cache.lookup(cand, hash); found {
-					rec.cached, rec.ok = true, ok
+	depth := int64(lookaheadPerLane * width)
+	s.ring = make([]chan candRec, depth)
+	s.claims = make(chan int64, depth)
+	for i := range s.ring {
+		s.ring[i] = make(chan candRec, 1)
+		s.claims <- s.next + int64(i)
+	}
+	lctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	s.cancel = cancel
+	ring, claims := s.ring, s.claims
+	for i := 0; i < width; i++ {
+		s.lanes.Add(1)
+		go func() {
+			defer s.lanes.Done()
+			for {
+				select {
+				case cand := <-claims:
+					// Never blocks: the slot's last tenant, a ring earlier,
+					// was merged before cand could be claimed.
+					ring[cand%depth] <- s.certify(lctx, cand)
+				case <-lctx.Done():
+					return
 				}
 			}
-		}
-		br.recs = append(br.recs, rec)
-		pending++
+		}()
 	}
-
-	var wg sync.WaitGroup
-	for i := range br.recs {
-		rec := &br.recs[i]
-		if rec.static || rec.cached || rec.err != nil {
-			continue
-		}
-		wg.Add(1)
-		go func(rec *candRec) {
-			defer wg.Done()
-			var began float64
-			if s.Hooks.Clock != nil {
-				began = s.Hooks.Clock()
-			}
-			rec.ok, rec.err = oracle(ctx, rec.spec)
-			if s.Hooks.Clock != nil {
-				rec.wall = s.Hooks.Clock() - began
-			}
-		}(rec)
-	}
-	wg.Wait()
-	return br
 }
 
-// merge replays a batch's records into the stream's tallies and buffer in
-// candidate order — the same order, counts and error points the serial
-// path produces, no matter which goroutine certified what. Fresh live
-// verdicts are persisted to the cache here, on one goroutine, so the
-// cache file's line order is deterministic too.
-func (s *Stream) merge(br *batchResult) error {
-	s.next = br.nextAfter
-	// Sampling-phase tallies first, exactly as the serial path counts
-	// them: every sampled candidate, static rejects and their streaks.
-	for i := range br.recs {
-		rec := &br.recs[i]
-		s.stats.Candidates++
-		if rec.genErr != nil {
-			return fmt.Errorf("gen: candidate %d: %w", rec.cand, rec.genErr)
+// certify computes candidate cand's outcome: Generate, StaticCheck, the
+// cache lookup, and for a miss the oracle dry-run. It reads only what is
+// fixed once the stream runs (seed, params, oracle, cache, hooks) — never
+// Stats or the cursor — so lanes run it while the caller merges.
+func (s *Stream) certify(ctx context.Context, cand int64) candRec {
+	rec := candRec{cand: cand}
+	spec, err := Generate(SubSeed(s.seed, cand), s.params)
+	if err != nil {
+		rec.genErr = err
+		return rec
+	}
+	if StaticCheck(spec) != nil {
+		rec.static = true
+		return rec
+	}
+	rec.spec = spec
+	if s.Cache != nil {
+		if rec.hash, rec.err = SpecHash(spec); rec.err != nil {
+			return rec
 		}
-		if rec.static {
-			s.stats.StaticRejects++
-			s.hookCandidate("static-reject")
-			if s.rejects++; s.rejects >= MaxConsecutiveRejects {
-				return fmt.Errorf("gen: %d candidates rejected back-to-back — params sample an uncompletable space", s.rejects)
-			}
+		rec.consult = true
+		if rec.ok, rec.cached = s.Cache.lookup(cand, rec.hash); rec.cached {
+			return rec
 		}
 	}
-	// Dry-run verdicts second, still in candidate order.
-	for i := range br.recs {
-		rec := &br.recs[i]
-		if rec.static {
-			continue
+	oracle := s.Oracle
+	if oracle == nil {
+		oracle = DefaultOracle(s.params)
+	}
+	var began float64
+	if s.Hooks.Clock != nil {
+		began = s.Hooks.Clock()
+	}
+	rec.ok, rec.err = oracle(ctx, spec)
+	if s.Hooks.Clock != nil {
+		rec.wall = s.Hooks.Clock() - began
+	}
+	return rec
+}
+
+// merge replays one candidate's outcome into the tallies, the hooks and
+// the cache — the counts, order and error points of a serial walk over the
+// candidates, whichever goroutine certified what — and reports whether the
+// candidate is an emission. Fresh live verdicts are persisted here, on one
+// goroutine, so the cache file's line order is deterministic too.
+func (s *Stream) merge(rec *candRec) (emit bool, err error) {
+	s.stats.Candidates++
+	if rec.genErr != nil {
+		return false, fmt.Errorf("gen: candidate %d: %w", rec.cand, rec.genErr)
+	}
+	if rec.static {
+		s.stats.StaticRejects++
+		return false, s.reject("static-reject")
+	}
+	if rec.consult {
+		if rec.cached {
+			s.stats.CacheHits++
+		} else {
+			s.stats.CacheMisses++
+		}
+		if s.Hooks.CacheResult != nil {
+			s.Hooks.CacheResult(rec.cached)
+		}
+	}
+	if rec.err != nil {
+		return false, fmt.Errorf("gen: candidate %d oracle: %w", rec.cand, rec.err)
+	}
+	if !rec.cached {
+		s.stats.OracleRuns++
+		if s.Hooks.OracleWall != nil && s.Hooks.Clock != nil {
+			s.Hooks.OracleWall(rec.wall)
 		}
 		if rec.consult {
-			if rec.cached {
-				s.stats.CacheHits++
-			} else {
-				s.stats.CacheMisses++
-			}
-			s.hookCache(rec.cached)
-		}
-		if rec.err != nil {
-			return fmt.Errorf("gen: candidate %d oracle: %w", rec.cand, rec.err)
-		}
-		if !rec.cached {
-			s.stats.OracleRuns++
-			if s.Hooks.OracleWall != nil && s.Hooks.Clock != nil {
-				s.Hooks.OracleWall(rec.wall)
-			}
-			if s.Cache != nil {
-				if err := s.Cache.add(rec.cand, mustSpecHash(rec.spec), rec.ok); err != nil {
-					return err
-				}
+			if err := s.Cache.add(rec.cand, rec.hash, rec.ok); err != nil {
+				return false, err
 			}
 		}
-		if !rec.ok {
-			s.stats.OracleRejects++
-			s.hookCandidate("oracle-reject")
-			if s.rejects++; s.rejects >= MaxConsecutiveRejects {
-				return fmt.Errorf("gen: %d candidates rejected back-to-back — params sample an uncompletable space", s.rejects)
-			}
-			continue
-		}
-		s.rejects = 0
-		s.hookCandidate("emitted")
-		s.buf = append(s.buf, certified{spec: rec.spec, candidate: rec.cand})
 	}
-	return br.err
+	if !rec.ok {
+		s.stats.OracleRejects++
+		return false, s.reject("oracle-reject")
+	}
+	s.rejects = 0
+	s.stats.Emitted++
+	s.hookCandidate("emitted")
+	return true, nil
 }
 
-// mustSpecHash re-hashes a spec that already round-tripped SpecHash during
-// certification; a failure here would have surfaced there.
-func mustSpecHash(spec scenario.Spec) uint64 {
-	h, err := SpecHash(spec)
-	if err != nil {
-		panic("gen: SpecHash failed on a spec it already hashed: " + err.Error())
+// reject counts one vetoed candidate against the consecutive-reject guard.
+func (s *Stream) reject(verdict string) error {
+	s.hookCandidate(verdict)
+	if s.rejects++; s.rejects >= MaxConsecutiveRejects {
+		return fmt.Errorf("gen: %d candidates rejected back-to-back — params sample an uncompletable space", s.rejects)
 	}
-	return h
+	return nil
 }
 
 func (s *Stream) hookCandidate(verdict string) {
 	if s.Hooks.Candidate != nil {
 		s.Hooks.Candidate(verdict)
-	}
-}
-
-func (s *Stream) hookCache(hit bool) {
-	if s.Hooks.CacheResult != nil {
-		s.Hooks.CacheResult(hit)
 	}
 }

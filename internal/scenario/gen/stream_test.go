@@ -39,12 +39,11 @@ func drain(t *testing.T, s *Stream, n int) []string {
 	return out
 }
 
-// Prefetch must be invisible: at the same batch width, a synchronous
-// stream and a prefetching one emit byte-identical specs at identical
-// candidate indices with identical tallies — and even across widths the
-// emitted sequence itself never changes, because rejected candidates
-// ride the same sub-seed stream. This is the determinism contract that
-// lets campaigns turn prefetch on without re-validating a golden file.
+// Prefetch and Parallel must be invisible: after the same number of Next
+// calls every width, prefetching or not, has emitted byte-identical specs
+// at identical candidate indices with identical tallies. This is the
+// determinism contract that lets campaigns turn the lanes on, or change
+// their number, without re-validating a golden file.
 func TestStreamPrefetchDeterministic(t *testing.T) {
 	const n = 40
 	run := func(width int, prefetch bool) ([]string, Stats) {
@@ -56,26 +55,23 @@ func TestStreamPrefetchDeterministic(t *testing.T) {
 		return drain(t, s, n), s.Stats()
 	}
 
-	sync4, ss := run(4, false)
-	pre4, ps := run(4, true)
-	for i := range sync4 {
-		if sync4[i] != pre4[i] {
-			t.Fatalf("emission %d differs: sync vs prefetch at width 4", i)
-		}
-	}
-	if ss != ps {
-		t.Fatalf("tallies differ at width 4:\nsync     %+v\nprefetch %+v", ss, ps)
-	}
+	serial, ss := run(1, false)
 	if ss.OracleRejects == 0 {
 		t.Fatal("stub oracle never vetoed — test is vacuous")
 	}
-
-	// Width only changes how far past the last emission sampling overran
-	// (the Candidates/OracleRuns tail), never what gets emitted where.
-	serial1, _ := run(1, false)
-	for i := range serial1 {
-		if serial1[i] != pre4[i] {
-			t.Fatalf("emission %d differs: width 1 vs prefetching width 4", i)
+	for _, width := range []int{1, 2, 4, 8} {
+		for _, prefetch := range []bool{false, true} {
+			got, gs := run(width, prefetch)
+			for i := range serial {
+				if got[i] != serial[i] {
+					t.Fatalf("emission %d differs: width %d prefetch %v vs serial", i, width, prefetch)
+				}
+			}
+			// The tallies stop at the last emission's candidate: no lane's
+			// lookahead, however wide, is ever counted.
+			if gs != ss {
+				t.Fatalf("tallies differ at width %d prefetch %v:\nserial %+v\ngot    %+v", width, prefetch, ss, gs)
+			}
 		}
 	}
 }

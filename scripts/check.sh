@@ -37,15 +37,23 @@ else
     echo "== govulncheck: not installed, skipping (CI runs it pinned) =="
 fi
 
-echo "== kernel exactness, fast fail (trajectory fingerprint, collision pose caches; -race) =="
+echo "== kernel exactness, fast fail (trajectory fingerprint, parked carrier, collision pose caches, certification stream; -race) =="
 # The step kernel may only change in ways that leave every trajectory bit
 # for bit where it was; these name the culprit in seconds, before the full
 # suite spends minutes. The tandem federation runs three times because the
 # race it once had (a latched unit read outside World.mu) fired about one
 # run in four.
 go test -race -count=1 -run 'TestTrajectoryFingerprint' ./internal/trace
+# A parked carrier publishes the subnormal pitch and roll it always did and
+# computes with neither.
+go test -race -count=1 -run 'TestParkedCarrierComputesLevel' ./internal/dynamics
 go test -race -count=1 -run 'TestPoseCachesMatchRecompute|TestCheckPairMatchesBruteForceRandom|TestDescentStatsPinned' ./internal/collision
 go test -race -count=3 -run 'TestClusterTandemCompletes' ./internal/sim
+# The certification pipeline is held to the serial stream's behaviour under
+# any lane count and any completion order; its tests are choreographed over
+# channels, so twenty rounds under the race detector take about twenty
+# seconds.
+go test -race -count=20 -run 'TestStream' ./internal/scenario/gen
 # The rasterizer is held to the same rule: every frame bit for bit where the
 # per-pixel bounding-box loop put it.
 go test -count=1 -run 'TestFrameFingerprint|TestRasterMatchesReference|TestVisitedCount' ./internal/render
@@ -110,6 +118,10 @@ go test -bench 'BenchmarkOracleCertify' -benchtime 20x -run '^$' . >>"$out/bench
 # collision judge alone with its proxies moved every op.
 go test -bench 'BenchmarkLibraryFlight' -benchtime 200000x -run '^$' . >>"$out/bench.txt"
 go test -bench 'BenchmarkJudgeCollisions' -benchtime 20000x -run '^$' . >>"$out/bench.txt"
+# The dynamics model alone, moving and parked, at HeadlessRun's steady-state
+# count: the parked step is what a stalled dry-run repeats for a whole stall
+# window, and it must cost no more than a moving one.
+go test -bench 'BenchmarkDynamicsStep|BenchmarkParkedStep' -benchtime 20000x -run '^$' ./internal/dynamics >>"$out/bench.txt"
 # One rendered frame must not allocate, near-clipped or not (100x amortizes
 # the renderer's first-frame scratch under one allocation).
 go test -bench 'BenchmarkRender' -benchtime 100x -run '^$' ./internal/render >>"$out/bench.txt"
