@@ -21,7 +21,6 @@ import (
 	"codsim/internal/collision"
 	"codsim/internal/crane"
 	"codsim/internal/displaysync"
-	"codsim/internal/dynamics"
 	"codsim/internal/fom"
 	"codsim/internal/mathx"
 	"codsim/internal/motion"
@@ -482,10 +481,12 @@ func BenchmarkHookOscillation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := dynamics.New(dynamics.DefaultConfig(), ter, mathx.V3(100, 0, 100), 0)
+	// The classic exam's crane on a flat plane; its cargo rests 150 m away.
+	rig, err := scenario.NewRig(scenario.Classic(), ter)
 	if err != nil {
 		b.Fatal(err)
 	}
+	m := rig.Models[0]
 	for i := 0; i < 300; i++ { // raise boom, excite the pendulum
 		m.Step(fom.ControlInput{Ignition: true, BoomJoyY: 1}, 1.0/60)
 	}
@@ -525,38 +526,22 @@ func benchCollision(b *testing.B, brute bool) {
 // --- EXP-6: licensing exam (§3.5) ---------------------------------------
 
 // BenchmarkExamScenario: one op = the complete licensing exam — drive,
-// lift, traverse, return — run headless with the autopilot at 60 Hz.
+// lift, traverse, return — flown headless by the autopilot at 60 Hz with
+// the instructor's live status text on, rig build included.
 func BenchmarkExamScenario(b *testing.B) {
-	ter, err := terrain.GenerateSite(terrain.DefaultSite())
-	if err != nil {
-		b.Fatal(err)
-	}
-	course := scenario.DefaultCourse()
+	spec := scenario.Classic()
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		model, err := dynamics.New(dynamics.DefaultConfig(), ter, course.Start, course.StartYaw)
+		fl, err := trace.NewFlight(spec, trace.SkillProfile{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		cargoPos := course.Circle
-		cargoPos.Y = ter.HeightAt(cargoPos.X, cargoPos.Z) + 0.6
-		model.PlaceCargo(cargoPos, course.CargoMass)
-		eng := scenario.NewEngine(course, crane.DefaultSpec(), scenario.DefaultScore())
-		eng.Start()
-		ap := trace.NewAutopilot(course)
-		const dt = 1.0 / 60
-		for simT := 0.0; simT < 600; simT += dt {
-			scen := eng.State()
-			if scen.Phase == fom.PhaseComplete || scen.Phase == fom.PhaseFailed {
-				break
-			}
-			in := ap.Control(model.State(), scen, dt)
-			model.Step(in, dt)
-			eng.Step(model.State(), dt)
+		fl.Engine.SetLiveStatus(true)
+		for fl.SimTime < 600 && !fl.Done() {
+			fl.Tick()
 		}
-		if eng.Phase() != fom.PhaseComplete {
-			b.Fatalf("exam did not complete: %v", eng.Phase())
+		if fl.Engine.Phase() != fom.PhaseComplete {
+			b.Fatalf("exam did not complete: %v", fl.Engine.Phase())
 		}
 	}
 }
@@ -610,66 +595,33 @@ func BenchmarkFullSimulatorBoot(b *testing.B) {
 
 // --- EXP-8: campaign certification at scale -------------------------------
 
-// BenchmarkHeadlessRun: one op = one 60 Hz step of the headless hot loop
-// — autopilot control, dynamics step, engine StepAll — on the shared
-// default site with live status text off, exactly the loop
-// trace.Runner.RunSkill runs and the certification oracle multiplies by
-// ~100k. The steady-state step must stay allocation-free (gated in
-// BENCH_baseline.json); the sim-s/s metric is the single-lane oracle
-// throughput ceiling.
+// BenchmarkHeadlessRun: one op = one trace.Flight.Tick — autopilot
+// control, dynamics step, engine StepAll on the shared default site with
+// live status text off — the kernel trace.Runner.RunSkill flies and the
+// certification oracle multiplies by ~100k. The steady-state step must
+// stay allocation-free (gated in BENCH_baseline.json); the sim-s/s metric
+// is the single-lane oracle throughput ceiling.
 func BenchmarkHeadlessRun(b *testing.B) {
 	spec := scenario.Classic()
-	const dt = 1.0 / 60
-
-	var (
-		models []*dynamics.Model
-		pilots []*trace.Autopilot
-		states []fom.CraneState
-		eng    *scenario.Engine
-	)
-	build := func() {
-		ter := terrain.DefaultMap()
-		decls := spec.CraneDecls()
-		world := dynamics.NewWorld()
-		models = make([]*dynamics.Model, len(decls))
-		pilots = make([]*trace.Autopilot, len(decls))
-		states = make([]fom.CraneState, len(decls))
-		for c, d := range decls {
-			m, err := dynamics.NewCrane(dynamics.DefaultConfig(), ter, world, d.Start, d.StartYaw, c)
-			if err != nil {
-				b.Fatal(err)
-			}
-			models[c] = m
-			pilots[c] = trace.ForCrane(spec, c)
-			states[c] = m.State()
-		}
-		spec.Install(ter, models...)
-		var err error
-		eng, err = scenario.NewEngineSpec(spec, crane.DefaultSpec())
+	build := func() *trace.Flight {
+		fl, err := trace.NewFlight(spec, trace.SkillProfile{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng.SetLiveStatus(false)
-		eng.Start()
+		return fl
 	}
-	build()
+	fl := build()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if p := eng.Phase(); p == fom.PhaseComplete || p == fom.PhaseFailed {
+		if fl.Done() {
 			b.StopTimer()
-			build() // fresh rig; amortized over the ~40k steps a run takes
+			fl = build() // fresh rig; amortized over the ~40k steps a run takes
 			b.StartTimer()
 		}
-		for c, m := range models {
-			in := pilots[c].Control(states[c], eng.StateFor(c), dt)
-			in.CraneID = int64(c)
-			m.Step(in, dt)
-			states[c] = m.State()
-		}
-		eng.StepAll(states, dt)
+		fl.Tick()
 	}
-	b.ReportMetric(float64(b.N)*dt/b.Elapsed().Seconds(), "sim-s/s")
+	b.ReportMetric(float64(b.N)*trace.Dt/b.Elapsed().Seconds(), "sim-s/s")
 }
 
 // BenchmarkLibraryFlight: one op = one 60 Hz tick of the shipped library
@@ -683,19 +635,18 @@ func BenchmarkLibraryFlight(b *testing.B) {
 	lib := scenario.Library()
 	runner := trace.NewRunner()
 	ctx := context.Background()
-	const dt = 1.0 / 60
 	simS := 0.0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for ticks, i := 0, 0; ticks < b.N; i++ {
 		spec := lib[i%len(lib)]
-		budget := math.Min(math.Max(3*spec.Course.ParTime, 900), float64(b.N-ticks)*dt)
+		budget := math.Min(trace.DefaultBudget(spec), float64(b.N-ticks)*trace.Dt)
 		res, err := runner.RunSkill(ctx, spec, budget, trace.SkillProfile{})
 		if err != nil && !errors.Is(err, trace.ErrIncomplete) {
 			b.Fatal(err)
 		}
 		simS += res.SimTime
-		ticks += int(math.Ceil(res.SimTime / dt))
+		ticks += int(math.Ceil(res.SimTime / trace.Dt))
 	}
 	b.ReportMetric(simS/b.Elapsed().Seconds(), "sim-s/s")
 }

@@ -7,7 +7,6 @@ import (
 
 	"codsim/internal/collision"
 	"codsim/internal/crane"
-	"codsim/internal/dynamics"
 	"codsim/internal/fom"
 	"codsim/internal/mathx"
 	"codsim/internal/metrics"
@@ -101,10 +100,12 @@ func exp5Dynamics(quick bool) error {
 	if err != nil {
 		return err
 	}
-	model, err := dynamics.New(dynamics.DefaultConfig(), ter, mathx.V3(100, 0, 100), 0)
+	// The classic exam's crane on a flat plane; its cargo rests 150 m away.
+	rig, err := scenario.NewRig(scenario.Classic(), ter)
 	if err != nil {
 		return err
 	}
+	model := rig.Models[0]
 	const dt = 1.0 / 60
 	// Raise the boom, slew hard for 2 s, release.
 	for i := 0; i < 60*5; i++ {
@@ -193,46 +194,32 @@ func exp6Exam(quick bool) error {
 }
 
 func examRun(careless bool, quick bool) error {
-	ter, err := terrain.GenerateSite(terrain.DefaultSite())
+	fl, err := trace.NewFlight(scenario.Classic(), trace.SkillProfile{})
 	if err != nil {
 		return err
 	}
-	course := scenario.DefaultCourse()
-	model, err := dynamics.New(dynamics.DefaultConfig(), ter, course.Start, course.StartYaw)
-	if err != nil {
-		return err
-	}
-	cargoPos := course.Circle
-	cargoPos.Y = ter.HeightAt(cargoPos.X, cargoPos.Z) + 0.6
-	model.PlaceCargo(cargoPos, course.CargoMass)
-
-	eng := scenario.NewEngine(course, crane.DefaultSpec(), scenario.DefaultScore())
-	eng.Start()
-	ap := trace.NewAutopilot(course)
-
-	const dt = 1.0 / 60
+	eng := fl.Engine
 	tbl := metrics.NewTable("t (s)", "phase", "score", "collisions", "swing°", "luff°", "cable m", "boom m")
 	nextLog := 0.0
 	logEvery := 10.0
-	for simT := 0.0; simT < 600; simT += dt {
-		st := model.State()
+	for fl.SimTime < 600 {
 		scen := eng.State()
-		if simT >= nextLog || scen.Phase == fom.PhaseComplete || scen.Phase == fom.PhaseFailed {
-			r := crane.DefaultSpec().StatusReport(st, scen.Score, eng.ExtraAlarms())
-			tbl.AddRow(simT, scen.Phase.String(), scen.Score, scen.Collisions,
+		if fl.SimTime >= nextLog || fl.Done() {
+			r := crane.DefaultSpec().StatusReport(fl.States[0], scen.Score, eng.ExtraAlarms())
+			tbl.AddRow(fl.SimTime, scen.Phase.String(), scen.Score, scen.Collisions,
 				r.SwingDeg, r.LuffDeg, r.CableLen, r.BoomLen)
 			nextLog += logEvery
 		}
-		if scen.Phase == fom.PhaseComplete || scen.Phase == fom.PhaseFailed {
+		if fl.Done() {
 			break
 		}
-		in := ap.Control(st, scen, dt)
-		if careless && scen.Phase == fom.PhaseTraverse {
-			// Pay the cable out so the cargo flies at bar height.
-			in.HoistJoyY = mathx.Clamp(st.CargoPos.Y-1.2, -1, 1)
-		}
-		model.Step(in, dt)
-		eng.Step(model.State(), dt)
+		fl.TickWith(func(c int, in fom.ControlInput) fom.ControlInput {
+			if careless && scen.Phase == fom.PhaseTraverse {
+				// Pay the cable out so the cargo flies at bar height.
+				in.HoistJoyY = mathx.Clamp(fl.States[c].CargoPos.Y-1.2, -1, 1)
+			}
+			return in
+		})
 	}
 	fmt.Print(tbl.String())
 	final := eng.State()

@@ -42,10 +42,13 @@
 // staggered two-crane yard), and specs serialize to JSON
 // (scenario.LoadSpecDir reads a directory of them); sim.Config.Scenario
 // loads any of them — or your own — into the full federation, trace.RunContext
-// executes one headless, and sim.RunBatch runs N federations
-// concurrently. cmd/codbatch is the CLI, locally or sharded across
-// worker hosts with -serve/-coordinator, persisting per-run JSON-lines
-// records with percentile, regression and trend reports (-trend dir/).
+// executes one headless (a budget around trace.Flight, whose Tick is the
+// one headless coupling of pilot, dynamics and engine; every batch run,
+// oracle dry-run, golden and alloc gate flies it), and sim.RunBatch runs
+// N federations concurrently. cmd/codbatch is the CLI, locally or sharded
+// across worker hosts with -serve/-coordinator, persisting per-run
+// JSON-lines records with percentile, regression and trend reports
+// (-trend dir/).
 //
 // Beyond the hand-built library, scenario/gen generates scenarios
 // procedurally: gen.Generate samples seeded, deterministic Specs

@@ -13,11 +13,8 @@ import (
 	"log"
 
 	"codsim/internal/crane"
-	"codsim/internal/dynamics"
-	"codsim/internal/fom"
 	"codsim/internal/instructor"
 	"codsim/internal/scenario"
-	"codsim/internal/terrain"
 	"codsim/internal/trace"
 )
 
@@ -34,50 +31,31 @@ func run(name string) error {
 	if err != nil {
 		return err
 	}
-	ter, err := terrain.GenerateSite(terrain.DefaultSite())
-	if err != nil {
-		return err
-	}
 	// One rig and one autopilot per declared crane, all over one shared
 	// cargo world — a single-crane spec declares exactly one.
-	decls := spec.CraneDecls()
-	world := dynamics.NewWorld()
-	models := make([]*dynamics.Model, len(decls))
-	pilots := make([]*trace.Autopilot, len(decls))
-	for c, d := range decls {
-		models[c], err = dynamics.NewCrane(dynamics.DefaultConfig(), ter, world, d.Start, d.StartYaw, c)
-		if err != nil {
-			return err
-		}
-		pilots[c] = trace.ForCrane(spec, c)
-	}
-	spec.Install(ter, models...)
-
-	craneSpec := crane.DefaultSpec()
-	eng, err := scenario.NewEngineSpec(spec, craneSpec)
+	fl, err := trace.NewFlight(spec, trace.SkillProfile{})
 	if err != nil {
 		return err
 	}
-	eng.Start()
-	mon := instructor.NewMonitor(craneSpec)
+	eng := fl.Engine
+	eng.SetLiveStatus(true) // the status window shows live distances
+	mon := instructor.NewMonitor(crane.DefaultSpec())
 
 	fmt.Printf("=== %s ===\n", spec.Title)
-	const dt = 1.0 / 60
 	nextWindow := 0.0
-	states := make([]fom.CraneState, len(models))
-	for simT := 0.0; simT < 900; simT += dt {
+	for fl.SimTime < 900 {
 		scen := eng.State()
-		for _, m := range models {
-			mon.ObserveCrane(m.State(), dt)
+		for _, st := range fl.States {
+			mon.ObserveCrane(st, trace.Dt)
 		}
 		mon.ObserveScenario(scen)
 
-		if simT >= nextWindow {
-			fmt.Printf("--- t = %.0f s ---\n", simT)
+		if fl.SimTime >= nextWindow {
+			fmt.Printf("--- t = %.0f s ---\n", fl.SimTime)
 			fmt.Print(mon.StatusWindow(eng.ExtraAlarms()))
 			nextWindow += 15
 		}
-		if scen.Phase == fom.PhaseComplete || scen.Phase == fom.PhaseFailed {
+		if fl.Done() {
 			fmt.Printf("\n=== %s %s: score %.1f, %d collisions, %.0f s ===\n",
 				spec.Title, scen.Phase, scen.Score, scen.Collisions, scen.Elapsed)
 			fmt.Println("\nmisconduct log:")
@@ -86,16 +64,7 @@ func run(name string) error {
 			}
 			return nil
 		}
-
-		for c, m := range models {
-			in := pilots[c].Control(m.State(), eng.StateFor(c), dt)
-			in.CraneID = int64(c)
-			m.Step(in, dt)
-		}
-		for c, m := range models {
-			states[c] = m.State()
-		}
-		eng.StepAll(states, dt)
+		fl.Tick()
 	}
 	return fmt.Errorf("scenario did not finish within 900 simulated seconds")
 }

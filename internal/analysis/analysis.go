@@ -13,7 +13,8 @@
 //     saturation contracts never regress to implicit defaults.
 //   - layering: the SDK boundary PR 1 established, as an import table —
 //     cmd/ and examples/ ride the public cod SDK, never internal/cb,
-//     internal/wire or internal/transport; internal/dist stays headless.
+//     internal/wire or internal/transport; examples/ assemble no rigs
+//     (no internal/dynamics); internal/dist stays headless.
 //   - errwrap: fmt.Errorf must wrap error operands with %w, and sentinel
 //     errors are matched with errors.Is, never ==.
 //   - nopool: sync.Pool is declared only in the packages that own the

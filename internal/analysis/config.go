@@ -70,8 +70,10 @@ type BoundaryRule struct {
 // Boundaries is the layering table: the SDK boundary PR 1 established,
 // now machine-checked. cmd/ and examples/ are SDK consumers — reaching
 // into the backbone internals bypasses the typed codec, the delivery-
-// policy surface and the compatibility contract. internal/dist runs on
-// headless workers and must not pull display-side rendering in.
+// policy surface and the compatibility contract. examples/ also stay off
+// internal/dynamics: a hand-assembled rig is how the headless tick came to
+// be written twelve times. internal/dist runs on headless workers and must
+// not pull display-side rendering in.
 var Boundaries = []BoundaryRule{
 	{
 		Scope:     "codsim/cmd/",
@@ -82,6 +84,11 @@ var Boundaries = []BoundaryRule{
 		Scope:     "codsim/examples/",
 		Forbidden: []string{"codsim/internal/cb", "codsim/internal/wire", "codsim/internal/transport"},
 		Reason:    "examples demonstrate the public SDK surface only",
+	},
+	{
+		Scope:     "codsim/examples/",
+		Forbidden: []string{"codsim/internal/dynamics"},
+		Reason:    "examples fly a scenario through trace.Flight or the federation; rigs are assembled in one place, scenario.NewRig",
 	},
 	{
 		Scope: "codsim/internal/dist",

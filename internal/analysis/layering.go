@@ -4,12 +4,12 @@ import "strconv"
 
 // Layering enforces the import-boundary table (Boundaries): cmd/ and
 // examples/ stay on the public cod SDK instead of the backbone
-// internals, and internal/dist stays headless. Exceptions go through
-// the allowlist with the forbidden import path as the detail, so every
-// boundary crossing is a documented decision.
+// internals, examples/ assemble no rigs, and internal/dist stays headless.
+// Exceptions go through the allowlist with the forbidden import path as
+// the detail, so every boundary crossing is a documented decision.
 var Layering = &Analyzer{
 	Name: "layering",
-	Doc:  "import-boundary table: cmd/ and examples/ must not import internal/cb, internal/wire or internal/transport; internal/dist must not import display-side packages",
+	Doc:  "import-boundary table: cmd/ and examples/ must not import internal/cb, internal/wire or internal/transport; examples/ must not import internal/dynamics; internal/dist must not import display-side packages",
 	Run:  runLayering,
 }
 

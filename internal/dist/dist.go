@@ -2,7 +2,7 @@
 // Communication Backbone, making the paper's cluster-of-desktops story
 // real at the batch layer: one coordinator process owns a work list of
 // scenario jobs, N worker processes each run their share through
-// sim.RunBatch, and every exchange rides typed cod channels on a shared
+// sim.RunOne, and every exchange rides typed cod channels on a shared
 // LAN segment (UDPLAN across processes, MemLAN inside tests).
 //
 // # Protocol

@@ -16,7 +16,7 @@ import (
 )
 
 // Runner executes one job and returns its Record. The default runner
-// pushes the job's spec through sim.RunBatch with the worker's
+// pushes the job's spec through sim.RunOne with the worker's
 // BatchConfig; tests substitute stubs to exercise the protocol without
 // simulating anything.
 type Runner func(ctx context.Context, job Job, cfg sim.BatchConfig) Record
@@ -62,7 +62,8 @@ func (c WorkerConfig) withDefaults(node *cod.Node) WorkerConfig {
 	return c
 }
 
-// DefaultRunner runs the job's scenario through sim.RunBatch. The job's
+// DefaultRunner runs the job's scenario through sim.RunOne on the slot's
+// own goroutine — the worker's Slots is the concurrency control. The job's
 // Seed is deliberately NOT fed into the federation template: sim.Config's
 // Seed drives terrain generation, and the scenario library's geometry is
 // tuned to the default site — varying it per repeat would change the
@@ -70,10 +71,7 @@ func (c WorkerConfig) withDefaults(node *cod.Node) WorkerConfig {
 // worker's skill profile carries Jitter, in which case Job.SkillSeed
 // selects this run's reproducible trainee variation.
 func DefaultRunner(ctx context.Context, job Job, cfg sim.BatchConfig) Record {
-	cfg.Parallel = 1 // the worker's Slots is the concurrency control
-	cfg.Seeds = []int64{job.SkillSeed()}
-	res := sim.RunBatch(ctx, []scenario.Spec{job.Spec}, cfg)
-	return NewRecord(job, res[0], "")
+	return NewRecord(job, sim.RunOne(ctx, job.Spec, cfg, job.SkillSeed()), "")
 }
 
 // announceDepth is the announce subscription's Reliable window and, for the

@@ -191,7 +191,7 @@ type Model struct {
 	// Cargo lives in the (possibly shared) World: the latch grabs the
 	// nearest grounded unit within LatchDist; releasing drops the cargo
 	// back as a new unit where it lands. Units keep the stable ID they
-	// were registered with (their position in the AddCargo sequence), so
+	// were registered with (their position in the AddCargoHooks sequence), so
 	// the scenario engine can tell which load is on which hook. cargoRef
 	// is this rig's latched unit (nil when the hook is empty); only this
 	// rig's goroutine touches it.
@@ -268,17 +268,11 @@ func (m *Model) ground() (y, pitch, roll float64) {
 	return f.y, f.tp, f.tr
 }
 
-// New creates a single-crane model resting at start on the given terrain,
-// heading along -Z, with boom stowed and cable short. The model owns a
-// private cargo World; use NewCrane to place several rigs on one site.
-func New(cfg Config, ter *terrain.Map, start mathx.Vec3, heading float64) (*Model, error) {
-	return NewCrane(cfg, ter, NewWorld(), start, heading, 0)
-}
-
 // NewCrane creates one rig of a (possibly multi-carrier) site: the model
-// rests at start on the terrain and latches cargo out of the shared
-// world. craneID tags the published CraneState so federation consumers
-// can tell the carriers apart; single-crane setups use 0.
+// rests at start on the terrain with boom stowed and cable short, and
+// latches cargo out of the shared world. craneID tags the published
+// CraneState so federation consumers can tell the carriers apart;
+// single-crane setups use 0.
 func NewCrane(cfg Config, ter *terrain.Map, w *World, start mathx.Vec3, heading float64, craneID int) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -322,26 +316,6 @@ func (m *Model) detachCargo() {
 	m.cargoHeld = false
 	m.cargoMass = 0
 	m.cargoRef = nil
-}
-
-// PlaceCargo registers a single cargo of the given mass resting at pos,
-// replacing any previously registered units in the world; the hook
-// latches onto it when the operator closes the latch nearby. Use AddCargo
-// to register further cargos for multi-lift scenarios.
-func (m *Model) PlaceCargo(pos mathx.Vec3, mass float64) {
-	m.world.Reset()
-	m.AddCargo(pos, mass)
-}
-
-// AddCargo registers one more resting cargo unit in the world. The latch
-// always grabs the nearest unit within the latch distance. Units are
-// identified by their registration order (0, 1, ...), matching the
-// scenario cargo-set index when the layout is installed in spec order.
-func (m *Model) AddCargo(pos mathx.Vec3, mass float64) {
-	m.world.AddCargo(pos, mass)
-	if !m.cargoHeld {
-		m.cargoPos = m.world.nearestRestingPos(m.hookPos, m.cargoPos)
-	}
 }
 
 // CarrierRot returns the carrier body rotation mapping body axes (forward

@@ -23,7 +23,7 @@ func flatTerrain(t testing.TB) *terrain.Map {
 
 func newModel(t testing.TB) *Model {
 	t.Helper()
-	m, err := New(DefaultConfig(), flatTerrain(t), mathx.V3(100, 0, 100), 0)
+	m, err := NewCrane(DefaultConfig(), flatTerrain(t), NewWorld(), mathx.V3(100, 0, 100), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
 	}
-	if _, err := New(DefaultConfig(), nil, mathx.Vec3{}, 0); err == nil {
+	if _, err := NewCrane(DefaultConfig(), nil, NewWorld(), mathx.Vec3{}, 0, 0); err == nil {
 		t.Error("nil terrain accepted")
 	}
 }
@@ -228,7 +228,7 @@ func TestBoomTipGeometry(t *testing.T) {
 // the boom tip must lie along the direction of travel for any heading.
 func TestBoomTracksHeading(t *testing.T) {
 	for _, heading := range []float64{0, math.Pi / 2, math.Pi, -math.Pi / 3} {
-		m, err := New(DefaultConfig(), flatTerrain(t), mathx.V3(100, 0, 100), heading)
+		m, err := NewCrane(DefaultConfig(), flatTerrain(t), NewWorld(), mathx.V3(100, 0, 100), heading, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +332,7 @@ func TestCargoLatchRelease(t *testing.T) {
 	m := newModel(t)
 	// Put cargo directly under the hook's rest position.
 	rest := m.hookPos
-	m.PlaceCargo(rest.Sub(mathx.V3(0, 0.6, 0)), 1200)
+	m.world.AddCargoHooks(rest.Sub(mathx.V3(0, 0.6, 0)), 1200, 1)
 
 	ev := m.Step(fom.ControlInput{Ignition: true, HookLatch: true}, dt)
 	found := false
@@ -373,7 +373,7 @@ func TestCargoLatchRelease(t *testing.T) {
 
 func TestLatchOutOfRangeFails(t *testing.T) {
 	m := newModel(t)
-	m.PlaceCargo(mathx.V3(50, 0, 50), 1000) // far away
+	m.world.AddCargoHooks(mathx.V3(50, 0, 50), 1000, 1) // far away
 	ev := m.Step(fom.ControlInput{Ignition: true, HookLatch: true}, dt)
 	for _, e := range ev {
 		if e == EventCargoLatched {
@@ -417,7 +417,7 @@ func TestTerrainFollowingOnSlope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(DefaultConfig(), ter, mathx.V3(60, 0, 60), math.Pi/2)
+	m, err := NewCrane(DefaultConfig(), ter, NewWorld(), mathx.V3(60, 0, 60), math.Pi/2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +488,7 @@ func BenchmarkDynamicsStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := New(DefaultConfig(), ter, mathx.V3(100, 0, 100), 0)
+	m, err := NewCrane(DefaultConfig(), ter, NewWorld(), mathx.V3(100, 0, 100), 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -507,8 +507,8 @@ var parkedInput = fom.ControlInput{Ignition: true, Brake: 1}
 // (200 simulated seconds) — what a stalled dry-run's carrier does.
 func parkedModel(t testing.TB) *Model {
 	t.Helper()
-	m, err := New(DefaultConfig(), terrain.DefaultMap(),
-		mathx.V3(terrain.TestGroundX-40, 0, terrain.TestGroundZ+3), math.Pi/2)
+	m, err := NewCrane(DefaultConfig(), terrain.DefaultMap(), NewWorld(),
+		mathx.V3(terrain.TestGroundX-40, 0, terrain.TestGroundZ+3), math.Pi/2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,9 @@ import (
 )
 
 // World is the cargo state shared by every rig working one site: the
-// resting pickup sites and the loads currently on hooks. A single-crane
-// Model owns a private World (dynamics.New builds one), so the classic
-// API is unchanged; a multi-crane scenario builds one World and attaches
-// every carrier's Model to it with NewCrane.
+// resting pickup sites and the loads currently on hooks. A site builds
+// one World and attaches every carrier's Model to it with NewCrane; a
+// single-crane site is the same with one Model.
 //
 // Multi-hook cargo is the tandem-lift primitive: a unit registered with
 // hooks = 2 stays on the ground until two rigs have latched it, then the
@@ -21,7 +20,7 @@ import (
 //
 // Step-time operations (latch, release, hook tracking, nearest-site
 // queries) are safe for concurrent use — each rig ticks on its own LP.
-// Setup operations (Reset, AddCargo) are not: install the scenario
+// Setup operations (Reset, AddCargoHooks) are not: install the scenario
 // before the federation starts stepping.
 type World struct {
 	mu      sync.Mutex
@@ -68,14 +67,10 @@ func (w *World) Reset() {
 	w.nextID = 0
 }
 
-// AddCargo registers one resting single-hook cargo and returns its stable
-// ID (the registration order: 0, 1, ...).
-func (w *World) AddCargo(pos mathx.Vec3, mass float64) int64 {
-	return w.AddCargoHooks(pos, mass, 1)
-}
-
 // AddCargoHooks registers a resting cargo that needs `hooks` latched rigs
-// before it leaves the ground (tandem lifts). hooks < 1 means 1.
+// before it leaves the ground (tandem lifts; hooks < 1 means 1) and
+// returns its stable ID — the registration order 0, 1, ..., matching the
+// scenario cargo-set index when the layout is installed in spec order.
 func (w *World) AddCargoHooks(pos mathx.Vec3, mass float64, hooks int) int64 {
 	if hooks < 1 {
 		hooks = 1

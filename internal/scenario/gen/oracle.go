@@ -7,6 +7,7 @@ import (
 
 	"codsim/internal/mathx"
 	"codsim/internal/scenario"
+	"codsim/internal/terrain"
 	"codsim/internal/trace"
 )
 
@@ -93,8 +94,7 @@ func StaticCheck(spec scenario.Spec) error {
 // levelled test-ground circle where generated work must happen (placing
 // on a slope defeats the settle detector).
 func onLevelGround(at mathx.Vec3) bool {
-	const cx, cz, r = 140, 140, 45
-	return math.Hypot(at.X-cx, at.Z-cz) <= r-2
+	return math.Hypot(at.X-terrain.TestGroundX, at.Z-terrain.TestGroundZ) <= terrain.TestGroundRadius-2
 }
 
 // Verify is the full completability oracle: the static reachability check
@@ -109,10 +109,7 @@ func Verify(ctx context.Context, spec scenario.Spec, budget float64) (bool, erro
 		return false, nil //nolint:nilerr // static rejection means resample, not abort
 	}
 	if budget <= 0 {
-		budget = 3 * spec.Course.ParTime
-		if budget < 900 {
-			budget = 900
-		}
+		budget = trace.DefaultBudget(spec)
 	}
 	_, ok, err := trace.Completable(ctx, spec, budget)
 	return ok, err

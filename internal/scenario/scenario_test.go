@@ -10,8 +10,18 @@ import (
 	"codsim/internal/mathx"
 )
 
-func newEngine() *Engine {
-	return NewEngine(DefaultCourse(), crane.DefaultSpec(), DefaultScore())
+func newEngine() *Engine { return newEngineScored(DefaultScore()) }
+
+// newEngineScored builds the classic exam's engine under a deduction
+// schedule.
+func newEngineScored(cfg ScoreConfig) *Engine {
+	spec := Classic()
+	spec.Score = cfg
+	e, err := NewEngineSpec(spec, crane.DefaultSpec())
+	if err != nil {
+		panic(err)
+	}
+	return e
 }
 
 // stateAt returns a quiet crane state with the carrier at pos and the hook
@@ -241,7 +251,7 @@ func TestSafetyAlarmDeduction(t *testing.T) {
 func TestOvertimePenaltyAndFail(t *testing.T) {
 	cfg := DefaultScore()
 	cfg.PassMark = 99.9 // make any overtime fail
-	e := NewEngine(DefaultCourse(), crane.DefaultSpec(), cfg)
+	e := newEngineScored(cfg)
 	e.Start()
 	st := stateAt(e.course.DriveTarget)
 	e.Step(st, 0.1)
@@ -286,7 +296,7 @@ func TestReset(t *testing.T) {
 func TestScoreFloorsAtZero(t *testing.T) {
 	cfg := DefaultScore()
 	cfg.SafetyAlarm = 1000
-	e := NewEngine(DefaultCourse(), crane.DefaultSpec(), cfg)
+	e := newEngineScored(cfg)
 	e.Start()
 	st := stateAt(e.course.Start)
 	st.Speed = 99

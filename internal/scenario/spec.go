@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 
+	"codsim/internal/crane"
 	"codsim/internal/dynamics"
 	"codsim/internal/fom"
 	"codsim/internal/mathx"
@@ -355,13 +356,44 @@ func (s Spec) score() ScoreConfig {
 	return s.Score
 }
 
+// Rig is the physical and judging side of one scenario on one site: a
+// dynamics model per declared crane, all latching out of one shared cargo
+// world, and the engine that scores them. Models[c] is crane c.
+type Rig struct {
+	Models []*dynamics.Model
+	Engine *Engine
+}
+
+// NewRig builds the spec's rig on the terrain: one default-configured
+// crane per entry of CraneDecls over a fresh shared world, the spec
+// installed into it, and an idle engine (call Start). Every host of a
+// scenario — the sim PC's LPs on its seeded site, trace.Flight on the
+// default map — builds through here, so one world per site and one model
+// per declaration hold by construction.
+func NewRig(spec Spec, ter *terrain.Map) (Rig, error) {
+	decls := spec.CraneDecls()
+	world := dynamics.NewWorld()
+	models := make([]*dynamics.Model, len(decls))
+	for c, d := range decls {
+		m, err := dynamics.NewCrane(dynamics.DefaultConfig(), ter, world, d.Start, d.StartYaw, c)
+		if err != nil {
+			return Rig{}, fmt.Errorf("crane %d: %w", c, err)
+		}
+		models[c] = m
+	}
+	spec.Install(ter, models...)
+	eng, err := NewEngineSpec(spec, crane.DefaultSpec())
+	if err != nil {
+		return Rig{}, err
+	}
+	return Rig{Models: models, Engine: eng}, nil
+}
+
 // Install loads the spec's physical side into the rigs of one site: the
 // wind disturbance onto every model and the cargo set into their shared
-// world, each cargo resting on the terrain. Every host of a scenario (the
-// sim PC, the headless runner, the examples) goes through here so the
-// resting-height convention lives in one place. All models must share one
-// dynamics.World — build them with dynamics.NewCrane over the same world,
-// one per entry of CraneDecls.
+// world, each cargo resting on the terrain. NewRig is its caller; it stays
+// exported for harnesses that time the rig's parts separately. All models
+// must share one dynamics.World.
 func (s Spec) Install(ter *terrain.Map, models ...*dynamics.Model) {
 	if len(models) == 0 {
 		return

@@ -104,13 +104,6 @@ func RunBatch(ctx context.Context, specs []scenario.Spec, cfg BatchConfig) []Bat
 			cfg.Parallel = 1
 		}
 	}
-	if cfg.Timeout <= 0 && !cfg.Headless {
-		cfg.Timeout = 120 * time.Second
-	}
-	run := runOne
-	if cfg.Headless {
-		run = runOneHeadless
-	}
 
 	results := make([]BatchResult, len(specs))
 	sem := make(chan struct{}, cfg.Parallel)
@@ -119,70 +112,67 @@ func RunBatch(ctx context.Context, specs []scenario.Spec, cfg BatchConfig) []Bat
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			canceled := func() {
-				results[i] = BatchResult{
-					Scenario: specs[i].Name, Title: specs[i].Title, Err: ctx.Err(),
-				}
-			}
 			select {
 			case sem <- struct{}{}:
 				defer func() { <-sem }()
 			case <-ctx.Done():
-				canceled()
-				return
+				// No slot needed: RunOne reports the cancellation
+				// without running anything.
 			}
-			// Re-check after the acquire: with both select cases ready the
-			// choice is random, and a canceled batch must not boot a whole
-			// federation just to tear it down.
-			if ctx.Err() != nil {
-				canceled()
-				return
-			}
-			seed := cfg.seedFor(i)
-			log := cfg.logOf()
-			log.Info("run started", "scenario", specs[i].Name, "seed", seed,
-				"headless", cfg.Headless)
-			results[i] = run(ctx, specs[i], cfg, seed)
-			r := &results[i]
-			log.Info("run finished", "scenario", r.Scenario, "seed", seed,
-				"passed", r.Passed, "score", r.State.Score,
-				"wall_s", r.Wall.Seconds(), "alarms", r.Alarms)
+			results[i] = RunOne(ctx, specs[i], cfg, cfg.seedFor(i))
 		}(i)
 	}
 	wg.Wait()
 	return results
 }
 
-// runOneHeadless executes one spec without a federation, budgeted in
-// simulation time (see BatchConfig.Timeout). seed drives the run's skill
-// jitter (see BatchConfig.Seeds).
-func runOneHeadless(ctx context.Context, spec scenario.Spec, cfg BatchConfig, seed int64) (res BatchResult) {
-	res = BatchResult{Scenario: spec.Name, Title: spec.Title}
+// RunOne executes one scenario to a verdict on the calling goroutine — a
+// full federation, or the headless kernel when cfg.Headless — with seed
+// driving the run's skill jitter (see BatchConfig.Seeds). It is the run
+// RunBatch repeats; cfg.Parallel and cfg.Seeds belong to the batch and are
+// not read. A ctx already canceled is reported in the result without
+// booting anything.
+func RunOne(ctx context.Context, spec scenario.Spec, cfg BatchConfig, seed int64) BatchResult {
+	res := BatchResult{Scenario: spec.Name, Title: spec.Title}
+	if res.Err = ctx.Err(); res.Err != nil {
+		return res
+	}
+	log := cfg.logOf()
+	log.Info("run started", "scenario", spec.Name, "seed", seed, "headless", cfg.Headless)
 	start := time.Now()
-	defer func() { res.Wall = time.Since(start) }()
+	if cfg.Headless {
+		runHeadless(ctx, spec, cfg, seed, &res)
+	} else {
+		runFederation(ctx, spec, cfg, seed, &res)
+	}
+	res.Wall = time.Since(start)
+	log.Info("run finished", "scenario", res.Scenario, "seed", seed,
+		"passed", res.Passed, "score", res.State.Score,
+		"wall_s", res.Wall.Seconds(), "alarms", res.Alarms)
+	return res
+}
 
+// runHeadless flies the spec without a federation, budgeted in simulation
+// time (see BatchConfig.Timeout).
+func runHeadless(ctx context.Context, spec scenario.Spec, cfg BatchConfig, seed int64, res *BatchResult) {
 	maxSim := cfg.Timeout.Seconds()
 	if maxSim <= 0 {
-		maxSim = 3 * spec.Course.ParTime
-		if maxSim < 900 {
-			maxSim = 900
-		}
+		maxSim = trace.DefaultBudget(spec)
 	}
 	r, err := trace.RunSkill(ctx, spec, maxSim, cfg.Skill.Seeded(seed))
 	res.State = r.State
 	res.Passed = r.Passed
 	res.Alarms = r.Alarms
 	res.Err = err
-	return res
 }
 
-// runOne boots one federation for the spec and runs it to a verdict.
-// seed drives the run's skill jitter (see BatchConfig.Seeds).
-func runOne(ctx context.Context, spec scenario.Spec, cfg BatchConfig, seed int64) (res BatchResult) {
-	res = BatchResult{Scenario: spec.Name, Title: spec.Title}
-	start := time.Now()
-	defer func() { res.Wall = time.Since(start) }()
-
+// runFederation boots one federation for the spec and runs it to a
+// verdict within the wall-clock Timeout.
+func runFederation(ctx context.Context, spec scenario.Spec, cfg BatchConfig, seed int64, res *BatchResult) {
+	timeout := cfg.Timeout
+	if timeout <= 0 {
+		timeout = 120 * time.Second
+	}
 	ccfg := cfg.Base
 	ccfg.LAN = nil // private segment per federation
 	ccfg.Scenario = &spec
@@ -193,19 +183,16 @@ func runOne(ctx context.Context, spec scenario.Spec, cfg BatchConfig, seed int64
 	cluster, err := New(ccfg)
 	if err != nil {
 		res.Err = fmt.Errorf("build: %w", err)
-		return res
+		return
 	}
 	defer cluster.Stop()
 	if err := cluster.Start(); err != nil {
 		res.Err = fmt.Errorf("start: %w", err)
-		return res
+		return
 	}
-	state, err := cluster.WaitExamContext(ctx, cfg.Timeout)
-	res.State = state
-	res.Err = err
-	res.Passed = err == nil && state.Phase == fom.PhaseComplete
+	res.State, res.Err = cluster.WaitExamContext(ctx, timeout)
+	res.Passed = res.Err == nil && res.State.Phase == fom.PhaseComplete
 	res.Alarms = cluster.AlarmEvents()
-	return res
 }
 
 // WriteBatchReport renders the score/pass-rate table for a finished batch.

@@ -89,28 +89,22 @@ func (c *Cluster) buildSimPC(ter *terrain.Map, spec scenario.Spec) error {
 		return err
 	}
 
-	// --- Dynamics LPs (60 Hz, one per carrier) ---
-	decls := spec.CraneDecls()
-	world := dynamics.NewWorld()
-	models := make([]*dynamics.Model, len(decls))
-	for i, d := range decls {
-		models[i], err = dynamics.NewCrane(dynamics.DefaultConfig(), ter, world, d.Start, d.StartYaw, i)
-		if err != nil {
-			return fmt.Errorf("sim: dynamics %d: %w", i, err)
-		}
+	// The rig the LPs below share: one model per carrier over one cargo
+	// world, and the engine that judges them.
+	rig, err := scenario.NewRig(spec, ter)
+	if err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
-	spec.Install(ter, models...)
-	for i := range models {
-		if err := c.buildDynamicsLP(b, lpName("dynamics", i), models[i], int64(i)); err != nil {
+
+	// --- Dynamics LPs (60 Hz, one per carrier) ---
+	for i, m := range rig.Models {
+		if err := c.buildDynamicsLP(b, lpName("dynamics", i), m, int64(i)); err != nil {
 			return err
 		}
 	}
 
 	// --- Scenario LP (30 Hz) ---
-	eng, err := scenario.NewEngineSpec(spec, crane.DefaultSpec())
-	if err != nil {
-		return fmt.Errorf("sim: scenario: %w", err)
-	}
+	eng := rig.Engine
 	if c.cfg.AutoStart {
 		eng.Start()
 	}
@@ -130,8 +124,8 @@ func (c *Cluster) buildSimPC(ter *terrain.Map, spec scenario.Spec) error {
 	if err != nil {
 		return err
 	}
-	states := make([]fom.CraneState, len(models))
-	have := make([]bool, len(models))
+	states := make([]fom.CraneState, len(rig.Models))
+	have := make([]bool, len(rig.Models))
 	haveAll := false
 	err = c.runner("scenario", 30, func(simTime, dt float64) error {
 		for {
@@ -207,7 +201,7 @@ func (c *Cluster) buildSimPC(ter *terrain.Map, spec scenario.Spec) error {
 	if c.cfg.CaptureAudioSec > 0 {
 		c.pcmRing = make([]float64, int(c.cfg.CaptureAudioSec*audio.SampleRate))
 	}
-	listener := make([]fom.CraneState, len(models))
+	listener := make([]fom.CraneState, len(rig.Models))
 	pcmBlock := make([]float64, 1024)
 	err = c.runner("audio", float64(audio.SampleRate)/1024, func(_, _ float64) error {
 		for {
@@ -328,7 +322,7 @@ func (c *Cluster) buildDashboard(spec scenario.Spec) error {
 	}
 	var ap *trace.Autopilot
 	if c.cfg.Autopilot {
-		ap = trace.New(spec)
+		ap = trace.ForCrane(spec, 0)
 		ap.SetSkill(c.cfg.Skill)
 	}
 	states := make([]fom.CraneState, c.craneCount)

@@ -7,6 +7,8 @@ import (
 
 	"codsim/internal/cb"
 	"codsim/internal/fom"
+	"codsim/internal/scenario"
+	"codsim/internal/trace"
 	"codsim/internal/transport"
 )
 
@@ -17,6 +19,22 @@ func fastCB() cb.Config {
 		HeartbeatInterval: 20 * time.Millisecond,
 		HeartbeatTimeout:  200 * time.Millisecond,
 	}
+}
+
+// sameVerdictHeadless flies spec on the headless kernel and holds the
+// federation's terminal state to its verdict. Verdict only: the LPs run
+// at 60/50/30 Hz and are not lock-stepped, so the scores may differ, and
+// both are logged.
+func sameVerdictHeadless(t *testing.T, spec scenario.Spec, fed fom.ScenarioState) {
+	t.Helper()
+	ref, err := trace.RunContext(context.Background(), spec, 900)
+	if err != nil {
+		t.Fatalf("headless %s: %v", spec.Name, err)
+	}
+	if fedPassed := fed.Phase == fom.PhaseComplete; fedPassed != ref.Passed {
+		t.Errorf("%s: federated %v, headless %v", spec.Name, fed.Phase, ref.State.Phase)
+	}
+	t.Logf("%s: score federated %.1f, headless %.1f", spec.Name, fed.Score, ref.State.Score)
 }
 
 // TestClusterBootAndTraffic brings the whole 8-computer federation up,
@@ -203,6 +221,7 @@ func TestClusterExamCompletes(t *testing.T) {
 	if sum.Status.Score != final.Score {
 		t.Errorf("instructor score %v != scenario score %v", sum.Status.Score, final.Score)
 	}
+	sameVerdictHeadless(t, scenario.Classic(), final)
 	t.Logf("exam over COD: score=%.1f elapsed=%.1fs fps=%v audio=%d",
 		final.Score, final.Elapsed, sum.DisplayFPS, sum.AudioVoices)
 }

@@ -56,6 +56,7 @@ func TestClusterTandemCompletes(t *testing.T) {
 	if got := c.Backbone(NodeSim).Stats().UpdatesSent.Value(); got == 0 {
 		t.Error("sim-pc published nothing")
 	}
+	sameVerdictHeadless(t, spec, final)
 	t.Logf("tandem over COD: score=%.1f elapsed=%.1fs alarms=%d",
 		final.Score, final.Elapsed, c.AlarmEvents())
 }

@@ -45,9 +45,6 @@ type Autopilot struct {
 	curPickup  mathx.Vec3 // live pickup estimate for the active lift node
 }
 
-// New builds an autopilot for crane 0 of the scenario spec.
-func New(spec scenario.Spec) *Autopilot { return ForCrane(spec, 0) }
-
 // ForCrane builds an autopilot assigned to one declared crane: it acts on
 // the ScenarioState telemetry carrying that CraneID and interprets only
 // the phase nodes owned by the crane.
@@ -85,12 +82,6 @@ func (a *Autopilot) SetSkill(p SkillProfile) { a.skill = p }
 
 // Crane returns the assigned carrier index.
 func (a *Autopilot) Crane() int { return a.crane }
-
-// NewAutopilot builds an autopilot for the classic linear exam over the
-// course. For any other workload use New with a Spec.
-func NewAutopilot(course scenario.Course) *Autopilot {
-	return New(scenario.SpecFromCourse("exam", "Licensing exam", course))
-}
 
 // estimatePickups walks the phase graph in list order tracking where each
 // cargo rests, so a lift that follows a place of the same cargo aims at

@@ -3,64 +3,39 @@ package trace
 import (
 	"testing"
 
-	"codsim/internal/crane"
-	"codsim/internal/dynamics"
 	"codsim/internal/fom"
 	"codsim/internal/mathx"
 	"codsim/internal/scenario"
-	"codsim/internal/terrain"
 )
 
 // TestAutopilotCompletesExam is the closed-loop end-to-end check: the
 // synthetic trainee must drive to the test ground, lift the cargo, carry
 // it through the whole trajectory and set it back down, passing the exam.
 func TestAutopilotCompletesExam(t *testing.T) {
-	ter, err := terrain.GenerateSite(terrain.DefaultSite())
+	spec := scenario.Classic()
+	fl, err := NewFlight(spec, SkillProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	course := scenario.DefaultCourse()
-	model, err := dynamics.New(dynamics.DefaultConfig(), ter,
-		course.Start, course.StartYaw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cargoPos := course.Circle
-	cargoPos.Y = ter.HeightAt(cargoPos.X, cargoPos.Z) + 0.6
-	model.PlaceCargo(cargoPos, course.CargoMass)
-
-	eng := scenario.NewEngine(course, crane.DefaultSpec(), scenario.DefaultScore())
-	eng.Start()
-	ap := NewAutopilot(course)
-
-	const (
-		dt     = 1.0 / 60
-		maxSim = 600.0 // sim seconds before declaring a hang
-	)
-	var simT float64
 	var lastPhase fom.Phase
-	for simT = 0; simT < maxSim; simT += dt {
-		st := model.State()
-		scen := eng.State()
-		if scen.Phase != lastPhase {
-			t.Logf("t=%6.1f phase=%v score=%.1f msg=%q", simT, scen.Phase, scen.Score, scen.Message)
+	for fl.SimTime < 600 { // sim seconds before declaring a hang
+		if scen := fl.Engine.State(); scen.Phase != lastPhase {
+			t.Logf("t=%6.1f phase=%v score=%.1f msg=%q", fl.SimTime, scen.Phase, scen.Score, scen.Message)
 			lastPhase = scen.Phase
 		}
-		if scen.Phase == fom.PhaseComplete || scen.Phase == fom.PhaseFailed {
+		if fl.Done() {
 			break
 		}
-		in := ap.Control(st, scen, dt)
-		model.Step(in, dt)
-		eng.Step(model.State(), dt)
+		fl.Tick()
 	}
 
-	final := eng.State()
-	st := model.State()
+	final := fl.Engine.State()
+	st := fl.States[0]
 	if final.Phase != fom.PhaseComplete {
 		t.Fatalf("exam did not complete: phase=%v score=%.1f waypoint=%d/%d msg=%q "+
 			"pos=%v hook=%v cargoHeld=%v after %.0f s",
-			final.Phase, final.Score, final.Waypoint, len(course.Waypoints),
-			final.Message, st.Position, st.HookPos, st.CargoHeld, simT)
+			final.Phase, final.Score, final.Waypoint, len(spec.Course.Waypoints),
+			final.Message, st.Position, st.HookPos, st.CargoHeld, fl.SimTime)
 	}
 	if final.Score < scenario.DefaultScore().PassMark {
 		t.Errorf("score = %.1f below pass mark", final.Score)
@@ -68,59 +43,38 @@ func TestAutopilotCompletesExam(t *testing.T) {
 	if final.Collisions != 0 {
 		t.Errorf("autopilot hit %d bars (carries above them)", final.Collisions)
 	}
-	if simT > course.ParTime+120 {
-		t.Errorf("exam took %.0f s, want near par %v", simT, course.ParTime)
+	if fl.SimTime > spec.Course.ParTime+120 {
+		t.Errorf("exam took %.0f s, want near par %v", fl.SimTime, spec.Course.ParTime)
 	}
-	t.Logf("exam complete: %.1f points in %.1f s", final.Score, simT)
+	t.Logf("exam complete: %.1f points in %.1f s", final.Score, fl.SimTime)
 }
 
 // TestAutopilotCompletesAdvancedCourse proves the harder shipped course
 // (six bars, heavier cargo, tighter gates) is actually completable.
 func TestAutopilotCompletesAdvancedCourse(t *testing.T) {
-	ter, err := terrain.GenerateSite(terrain.DefaultSite())
+	spec := scenario.Advanced()
+	fl, err := NewFlight(spec, SkillProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	course := scenario.AdvancedCourse()
-	model, err := dynamics.New(dynamics.DefaultConfig(), ter, course.Start, course.StartYaw)
-	if err != nil {
-		t.Fatal(err)
+	for fl.SimTime < 600 && !fl.Done() {
+		fl.Tick()
 	}
-	cargoPos := course.Circle
-	cargoPos.Y = ter.HeightAt(cargoPos.X, cargoPos.Z) + 0.6
-	model.PlaceCargo(cargoPos, course.CargoMass)
-
-	eng := scenario.NewEngine(course, crane.DefaultSpec(), scenario.DefaultScore())
-	eng.Start()
-	ap := NewAutopilot(course)
-
-	const dt = 1.0 / 60
-	var simT float64
-	for simT = 0; simT < 600; simT += dt {
-		scen := eng.State()
-		if scen.Phase == fom.PhaseComplete || scen.Phase == fom.PhaseFailed {
-			break
-		}
-		in := ap.Control(model.State(), scen, dt)
-		model.Step(in, dt)
-		eng.Step(model.State(), dt)
-	}
-	final := eng.State()
+	final := fl.Engine.State()
 	if final.Phase != fom.PhaseComplete {
 		t.Fatalf("advanced exam: phase=%v score=%.1f wp=%d/%d msg=%q after %.0f s",
-			final.Phase, final.Score, final.Waypoint, len(course.Waypoints),
-			final.Message, simT)
+			final.Phase, final.Score, final.Waypoint, len(spec.Course.Waypoints),
+			final.Message, fl.SimTime)
 	}
 	if final.Collisions != 0 {
 		t.Errorf("autopilot hit %d bars on the advanced course", final.Collisions)
 	}
-	t.Logf("advanced exam complete: %.1f points in %.1f s", final.Score, simT)
+	t.Logf("advanced exam complete: %.1f points in %.1f s", final.Score, fl.SimTime)
 }
 
 // TestAutopilotIdleAndDone covers the trivial phases.
 func TestAutopilotIdleAndDone(t *testing.T) {
-	course := scenario.DefaultCourse()
-	ap := NewAutopilot(course)
+	ap := ForCrane(scenario.Classic(), 0)
 	in := ap.Control(fom.CraneState{}, fom.ScenarioState{Phase: fom.PhaseIdle}, 0.1)
 	if !in.Ignition {
 		t.Error("idle should keep ignition on")
@@ -135,7 +89,7 @@ func TestAutopilotIdleAndDone(t *testing.T) {
 // steering sense without running the full exam.
 func TestAutopilotDriveSteersTowardTarget(t *testing.T) {
 	course := scenario.DefaultCourse()
-	ap := NewAutopilot(course)
+	ap := ForCrane(scenario.Classic(), 0)
 	// Carrier north-west of the target, facing north (away): must steer
 	// hard to come about, with throttle applied.
 	st := fom.CraneState{Position: mathx.V3(course.DriveTarget.X-50, 0, course.DriveTarget.Z-50)}

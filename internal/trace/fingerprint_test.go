@@ -9,13 +9,10 @@ import (
 	"sync"
 	"testing"
 
-	"codsim/internal/crane"
-	"codsim/internal/dynamics"
 	"codsim/internal/fom"
 	"codsim/internal/mathx"
 	"codsim/internal/scenario"
 	"codsim/internal/scenario/gen"
-	"codsim/internal/terrain"
 	"codsim/internal/trace"
 )
 
@@ -76,71 +73,42 @@ func (f *fingerprint) craneState(s *fom.CraneState) {
 	f.u64(uint64(s.CraneID))
 }
 
-// fly steps spec through the exported 60 Hz loop trace.Runner fuses —
-// Autopilot.Control → Model.Step/State → Engine.StepAll — folding every
-// tick into the fingerprint. Like the oracle's Runner it gives up on a run
-// whose phase cursors have not advanced for trace.DefaultStallBudget
-// sim-seconds, so the handful of candidates no pilot completes cost a stall
-// window each, not the full budget.
+// fly flies spec tick by tick on a trace.Flight — the kernel Runner.RunSkill
+// flies — folding every tick into the fingerprint. Like the oracle's Runner
+// it gives up on a run whose phase cursors have not advanced for
+// trace.DefaultStallBudget sim-seconds, so the handful of candidates no
+// pilot completes cost a stall window each, not the full budget.
 func (f *fingerprint) fly(t *testing.T, spec scenario.Spec, skill trace.SkillProfile) {
-	ter := terrain.DefaultMap()
-	decls := spec.CraneDecls()
-	world := dynamics.NewWorld()
-	models := make([]*dynamics.Model, len(decls))
-	pilots := make([]*trace.Autopilot, len(decls))
-	states := make([]fom.CraneState, len(decls))
-	for c, d := range decls {
-		m, err := dynamics.NewCrane(dynamics.DefaultConfig(), ter, world, d.Start, d.StartYaw, c)
-		if err != nil {
-			t.Errorf("%s: %v", spec.Name, err)
-			return
-		}
-		models[c], pilots[c] = m, trace.ForCrane(spec, c)
-		pilots[c].SetSkill(skill)
-	}
-	spec.Install(ter, models...)
-	eng, err := scenario.NewEngineSpec(spec, crane.DefaultSpec())
+	fl, err := trace.NewFlight(spec, skill)
 	if err != nil {
 		t.Errorf("%s: %v", spec.Name, err)
 		return
 	}
-	eng.SetLiveStatus(false)
-	eng.Start()
-	for c, m := range models {
-		states[c] = m.State()
-	}
-
-	const dt = 1.0 / 60
-	maxSim := math.Max(3*spec.Course.ParTime, 900)
-	simTime := 0.0
+	eng := fl.Engine
+	maxSim := trace.DefaultBudget(spec)
 	progress, progressAt := eng.Progress(), 0.0
-	for steps := 0; simTime < maxSim; simTime += dt {
-		if steps%60 == 0 {
+	for fl.SimTime < maxSim {
+		if fl.Ticks%60 == 0 {
 			if p := eng.Progress(); p != progress {
-				progress, progressAt = p, simTime
-			} else if simTime-progressAt >= trace.DefaultStallBudget {
+				progress, progressAt = p, fl.SimTime
+			} else if fl.SimTime-progressAt >= trace.DefaultStallBudget {
 				break
 			}
 		}
-		steps++
-		if p := eng.Phase(); p == fom.PhaseComplete || p == fom.PhaseFailed {
+		if fl.Done() {
 			break
 		}
-		for c, m := range models {
-			in := pilots[c].Control(states[c], eng.StateFor(c), dt)
-			in.CraneID = int64(c)
-			m.Step(in, dt)
-			states[c] = m.State()
-			f.craneState(&states[c])
+		fl.Tick()
+		for c := range fl.States {
+			f.craneState(&fl.States[c])
 		}
-		eng.StepAll(states, dt)
 		st := eng.State()
 		f.f64(st.Score)
 		f.u64(uint64(st.Collisions))
 		f.u64(uint64(st.Phase))
-		f.ticks++
 	}
-	f.f64(simTime)
+	f.ticks += int64(fl.Ticks)
+	f.f64(fl.SimTime)
 	f.u64(uint64(eng.AlarmEvents()))
 }
 

@@ -52,7 +52,7 @@ func TestLibraryScenariosComplete(t *testing.T) {
 // lies outside the autopilot's own graph — a mismatched or older spec
 // revision on the wire — and expects a controlled input, not a panic.
 func TestAutopilotClampsForeignPhaseIndex(t *testing.T) {
-	ap := New(scenario.Classic())
+	ap := ForCrane(scenario.Classic(), 0)
 	scen := fom.ScenarioState{Phase: fom.PhaseLifting, PhaseIndex: 99}
 	in := ap.Control(fom.CraneState{}, scen, 0.1)
 	if !in.Ignition {
@@ -64,7 +64,7 @@ func TestAutopilotClampsForeignPhaseIndex(t *testing.T) {
 // index — an older scenario LP on the wire — and expects the controller to
 // act on the coarse phase instead of being stuck in the graph's entry node.
 func TestAutopilotFallsBackToCoarsePhase(t *testing.T) {
-	ap := New(scenario.Classic())
+	ap := ForCrane(scenario.Classic(), 0)
 	scen := fom.ScenarioState{Phase: fom.PhaseLifting, PhaseIndex: fom.PhaseIndexUnknown}
 	in := ap.Control(fom.CraneState{}, scen, 0.1)
 	if in.Brake != 1 || in.Gear != 0 {

@@ -4,37 +4,9 @@ import (
 	"bytes"
 	"testing"
 
-	"codsim/internal/crane"
-	"codsim/internal/dynamics"
 	"codsim/internal/fom"
 	"codsim/internal/scenario"
-	"codsim/internal/terrain"
 )
-
-// examRig bundles one fresh headless exam setup.
-type examRig struct {
-	model *dynamics.Model
-	eng   *scenario.Engine
-}
-
-func newExamRig(t *testing.T) *examRig {
-	t.Helper()
-	ter, err := terrain.GenerateSite(terrain.DefaultSite())
-	if err != nil {
-		t.Fatal(err)
-	}
-	course := scenario.DefaultCourse()
-	model, err := dynamics.New(dynamics.DefaultConfig(), ter, course.Start, course.StartYaw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cargoPos := course.Circle
-	cargoPos.Y = ter.HeightAt(cargoPos.X, cargoPos.Z) + 0.6
-	model.PlaceCargo(cargoPos, course.CargoMass)
-	eng := scenario.NewEngine(course, crane.DefaultSpec(), scenario.DefaultScore())
-	eng.Start()
-	return &examRig{model: model, eng: eng}
-}
 
 // TestRecordedExamReplaysIdentically records the autopilot's control frames
 // during a live exam, serializes the trace, reads it back, and replays it
@@ -43,25 +15,26 @@ func newExamRig(t *testing.T) *examRig {
 // collision count — the property that makes recorded training sessions
 // reviewable.
 func TestRecordedExamReplaysIdentically(t *testing.T) {
-	const dt = 1.0 / 60
-	course := scenario.DefaultCourse()
+	// fly runs a fresh classic exam with seat on the controls.
+	fly := func(seat func(simT float64, in fom.ControlInput) fom.ControlInput) *Flight {
+		t.Helper()
+		fl, err := NewFlight(scenario.Classic(), SkillProfile{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for fl.SimTime < 600 && !fl.Done() {
+			fl.TickWith(func(_ int, in fom.ControlInput) fom.ControlInput { return seat(fl.SimTime, in) })
+		}
+		return fl
+	}
 
 	// --- Live run with recording. ---
-	live := newExamRig(t)
-	ap := NewAutopilot(course)
 	var rec Recorder
-	var liveFinal fom.ScenarioState
-	for simT := 0.0; simT < 600; simT += dt {
-		scen := live.eng.State()
-		if scen.Phase == fom.PhaseComplete || scen.Phase == fom.PhaseFailed {
-			break
-		}
-		in := ap.Control(live.model.State(), scen, dt)
+	live := fly(func(simT float64, in fom.ControlInput) fom.ControlInput {
 		rec.Record(simT, in)
-		live.model.Step(in, dt)
-		live.eng.Step(live.model.State(), dt)
-	}
-	liveFinal = live.eng.State()
+		return in
+	})
+	liveFinal := live.Engine.State()
 	if liveFinal.Phase != fom.PhaseComplete {
 		t.Fatalf("live run did not complete: %v", liveFinal.Phase)
 	}
@@ -80,19 +53,9 @@ func TestRecordedExamReplaysIdentically(t *testing.T) {
 	}
 	t.Logf("recorded %d control samples over %.1f s", tr.Len(), tr.Duration())
 
-	// --- Replay into a fresh world. ---
-	replay := newExamRig(t)
-	var replayFinal fom.ScenarioState
-	for simT := 0.0; simT < 600; simT += dt {
-		scen := replay.eng.State()
-		if scen.Phase == fom.PhaseComplete || scen.Phase == fom.PhaseFailed {
-			break
-		}
-		in := tr.At(simT)
-		replay.model.Step(in, dt)
-		replay.eng.Step(replay.model.State(), dt)
-	}
-	replayFinal = replay.eng.State()
+	// --- Replay into a fresh world: the recorded frame replaces the pilot's. ---
+	replay := fly(func(simT float64, _ fom.ControlInput) fom.ControlInput { return tr.At(simT) })
+	replayFinal := replay.Engine.State()
 
 	if replayFinal.Phase != liveFinal.Phase {
 		t.Errorf("replay phase = %v, live = %v", replayFinal.Phase, liveFinal.Phase)
@@ -104,9 +67,7 @@ func TestRecordedExamReplaysIdentically(t *testing.T) {
 		t.Errorf("replay collisions = %v, live = %v", replayFinal.Collisions, liveFinal.Collisions)
 	}
 	// The crane must end in the same place too, not just the same score.
-	liveState := live.model.State()
-	replayState := replay.model.State()
-	if liveState.Position.Dist(replayState.Position) > 1e-6 {
+	if liveState, replayState := live.States[0], replay.States[0]; liveState.Position.Dist(replayState.Position) > 1e-6 {
 		t.Errorf("replay position %v diverged from live %v",
 			replayState.Position, liveState.Position)
 	}

@@ -5,11 +5,8 @@ import (
 	"errors"
 	"fmt"
 
-	"codsim/internal/crane"
-	"codsim/internal/dynamics"
 	"codsim/internal/fom"
 	"codsim/internal/scenario"
-	"codsim/internal/terrain"
 )
 
 // ErrIncomplete marks a run that reached neither terminal phase within its
@@ -46,10 +43,11 @@ type RunResult struct {
 }
 
 // Runner owns the reusable scratch of one headless running goroutine: the
-// per-crane state slices a run steps over. Reusing a Runner across many
-// runs (a campaign worker slot, an oracle certification loop) keeps the
-// steady-state stepping path free of allocations; the zero value is ready
-// to use. Not safe for concurrent use — one Runner per goroutine.
+// Flight it re-seats for every run, per-crane slices kept. Reusing a
+// Runner across many runs (a campaign worker slot, an oracle certification
+// loop) keeps the steady-state stepping path free of allocations; the zero
+// value is ready to use. Not safe for concurrent use — one Runner per
+// goroutine.
 type Runner struct {
 	// StallBudget, when positive, aborts a run with ErrStalled once no
 	// crane's phase cursor has advanced for that many simulated seconds.
@@ -58,9 +56,7 @@ type Runner struct {
 	// DefaultStallBudget; sweeps that fly deliberately slow trainees keep 0.
 	StallBudget float64
 
-	states []fom.CraneState
-	models []*dynamics.Model
-	pilots []*Autopilot
+	flight Flight
 }
 
 // NewRunner returns an empty Runner. Equivalent to new(Runner); the
@@ -89,98 +85,52 @@ func RunSkill(ctx context.Context, spec scenario.Spec, maxSim float64, skill Ski
 }
 
 // RunSkill runs one scenario on the Runner's scratch; see the package
-// function of the same name for semantics. The shared default site is
-// used for every run, and the engine runs with live status text off —
-// messages still mark every phase transition, they just skip the per-tick
-// distance refresh no headless consumer reads.
+// function of the same name for semantics. The flying is Flight's; what is
+// here is the policy around it — the context poll, the stall window, the
+// budget and the result.
 func (r *Runner) RunSkill(ctx context.Context, spec scenario.Spec, maxSim float64, skill SkillProfile) (RunResult, error) {
 	res := RunResult{Scenario: spec.Name}
-	ter := terrain.DefaultMap()
-	decls := spec.CraneDecls()
-	world := dynamics.NewWorld()
-	models := r.grow(len(decls))
-	var err error
-	for c, d := range decls {
-		models[c], err = dynamics.NewCrane(dynamics.DefaultConfig(), ter, world, d.Start, d.StartYaw, c)
-		if err != nil {
-			return res, err
-		}
-		r.pilots[c] = ForCrane(spec, c)
-		r.pilots[c].SetSkill(skill)
-	}
-	spec.Install(ter, models...)
-
-	eng, err := scenario.NewEngineSpec(spec, crane.DefaultSpec())
-	if err != nil {
+	fl := &r.flight
+	if err := fl.reset(spec, skill); err != nil {
 		return res, err
 	}
-	eng.SetLiveStatus(false)
-	eng.Start()
-
-	const dt = 1.0 / 60
-	steps := 0
-	pilots, states := r.pilots, r.states
-	for c, m := range models {
-		states[c] = m.State()
+	eng := fl.Engine
+	result := func() {
+		res.SimTime = fl.SimTime
+		res.State = eng.State()
+		res.Alarms = eng.AlarmEvents()
 	}
 	progress, progressAt := eng.Progress(), 0.0
-	for res.SimTime = 0; res.SimTime < maxSim; res.SimTime += dt {
+	for fl.SimTime < maxSim {
 		// Checking the context (and the stall window) every simulated
 		// second keeps the hot loop free of per-step synchronization.
-		if steps%60 == 0 {
+		if fl.Ticks%60 == 0 {
 			if ctx.Err() != nil {
-				res.State = eng.State()
-				res.Alarms = eng.AlarmEvents()
+				result()
 				return res, ctx.Err()
 			}
 			if r.StallBudget > 0 {
 				if p := eng.Progress(); p != progress {
-					progress, progressAt = p, res.SimTime
-				} else if res.SimTime-progressAt >= r.StallBudget {
-					res.State = eng.State()
-					res.Alarms = eng.AlarmEvents()
+					progress, progressAt = p, fl.SimTime
+				} else if fl.SimTime-progressAt >= r.StallBudget {
+					result()
 					return res, fmt.Errorf("trace: scenario %s still %v at %.0f sim-seconds (%s): %w",
 						spec.Name, res.State.Phase, res.SimTime, res.State.Message, ErrStalled)
 				}
 			}
 		}
-		steps++
-		if p := eng.Phase(); p == fom.PhaseComplete || p == fom.PhaseFailed {
+		if fl.Done() {
 			break
 		}
-		// states[c] still holds crane c's post-step state from the previous
-		// tick — exactly what m.State() would return here — so the pilot
-		// reads it instead of copying the state out of the model twice.
-		for c, m := range models {
-			in := pilots[c].Control(states[c], eng.StateFor(c), dt)
-			in.CraneID = int64(c)
-			m.Step(in, dt)
-			states[c] = m.State()
-		}
-		eng.StepAll(states, dt)
+		fl.Tick()
 	}
-	res.State = eng.State()
-	res.Alarms = eng.AlarmEvents()
+	result()
 	res.Passed = res.State.Phase == fom.PhaseComplete
-	if res.State.Phase != fom.PhaseComplete && res.State.Phase != fom.PhaseFailed {
+	if !fl.Done() {
 		return res, fmt.Errorf("trace: scenario %s still %v after %.0f sim-seconds (%s): %w",
 			spec.Name, res.State.Phase, maxSim, res.State.Message, ErrIncomplete)
 	}
 	return res, nil
-}
-
-// grow resizes the Runner's scratch slices for n cranes and returns the
-// model slice; previous contents are dropped.
-func (r *Runner) grow(n int) []*dynamics.Model {
-	if cap(r.models) < n {
-		r.models = make([]*dynamics.Model, n)
-		r.pilots = make([]*Autopilot, n)
-		r.states = make([]fom.CraneState, n)
-	}
-	r.models = r.models[:n]
-	r.pilots = r.pilots[:n]
-	r.states = r.states[:n]
-	return r.models
 }
 
 // Completable is the completability oracle's dry-run entry point: it flies

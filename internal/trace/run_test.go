@@ -5,12 +5,8 @@ import (
 	"errors"
 	"testing"
 
-	"codsim/internal/crane"
-	"codsim/internal/dynamics"
-	"codsim/internal/fom"
 	"codsim/internal/mathx"
 	"codsim/internal/scenario"
-	"codsim/internal/terrain"
 )
 
 // The early-exit window must never change a verdict on the shipped
@@ -66,60 +62,28 @@ func TestStallBudgetClearsNoviceLibrary(t *testing.T) {
 	}
 }
 
-// maxProgressGap flies a scenario with the Runner loop's structure and
-// records the longest stretch of simulated seconds with no phase-cursor
-// advance, sampled at the same once-per-sim-second cadence the stall
-// check uses.
+// maxProgressGap flies a scenario on a Flight and records the longest
+// stretch of simulated seconds with no phase-cursor advance, sampled at
+// the same once-per-sim-second cadence the stall check uses.
 func maxProgressGap(t *testing.T, spec scenario.Spec, skill SkillProfile) (float64, error) {
 	t.Helper()
-	ter := terrain.DefaultMap()
-	decls := spec.CraneDecls()
-	world := dynamics.NewWorld()
-	models := make([]*dynamics.Model, len(decls))
-	pilots := make([]*Autopilot, len(decls))
-	var err error
-	for c, d := range decls {
-		models[c], err = dynamics.NewCrane(dynamics.DefaultConfig(), ter, world, d.Start, d.StartYaw, c)
-		if err != nil {
-			return 0, err
-		}
-		pilots[c] = ForCrane(spec, c)
-		pilots[c].SetSkill(skill)
-	}
-	spec.Install(ter, models...)
-	eng, err := scenario.NewEngineSpec(spec, crane.DefaultSpec())
+	fl, err := NewFlight(spec, skill)
 	if err != nil {
 		return 0, err
 	}
-	eng.SetLiveStatus(false)
-	eng.Start()
-
-	const dt = 1.0 / 60
-	states := make([]fom.CraneState, len(decls))
-	for c, m := range models {
-		states[c] = m.State()
-	}
-	progress, progressAt, worst := eng.Progress(), 0.0, 0.0
-	steps := 0
-	for simTime := 0.0; simTime < 900; simTime += dt {
-		if steps%60 == 0 {
-			if p := eng.Progress(); p != progress {
-				progress, progressAt = p, simTime
-			} else if gap := simTime - progressAt; gap > worst {
+	progress, progressAt, worst := fl.Engine.Progress(), 0.0, 0.0
+	for fl.SimTime < 900 {
+		if fl.Ticks%60 == 0 {
+			if p := fl.Engine.Progress(); p != progress {
+				progress, progressAt = p, fl.SimTime
+			} else if gap := fl.SimTime - progressAt; gap > worst {
 				worst = gap
 			}
 		}
-		steps++
-		if p := eng.Phase(); p == fom.PhaseComplete || p == fom.PhaseFailed {
+		if fl.Done() {
 			return worst, nil
 		}
-		for c, m := range models {
-			in := pilots[c].Control(states[c], eng.StateFor(c), dt)
-			in.CraneID = int64(c)
-			m.Step(in, dt)
-			states[c] = m.State()
-		}
-		eng.StepAll(states, dt)
+		fl.Tick()
 	}
 	return worst, errors.New("scenario incomplete at 900 sim-seconds")
 }

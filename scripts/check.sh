@@ -40,9 +40,12 @@ fi
 echo "== kernel exactness, fast fail (trajectory fingerprint, parked carrier, collision pose caches, certification stream; -race) =="
 # The step kernel may only change in ways that leave every trajectory bit
 # for bit where it was; these name the culprit in seconds, before the full
-# suite spends minutes. The tandem federation runs three times because the
-# race it once had (a latched unit read outside World.mu) fired about one
-# run in four.
+# suite spends minutes. The fingerprint hashes trace.Flight.Tick itself —
+# the tick Runner.RunSkill, codbatch and the oracle fly — not a copy of it,
+# and the same package's TestFlightTickAllocatesNothing holds that tick to
+# 0 allocations inside plain `go test`. The tandem federation runs three
+# times because the race it once had (a latched unit read outside World.mu)
+# fired about one run in four.
 go test -race -count=1 -run 'TestTrajectoryFingerprint' ./internal/trace
 # A parked carrier publishes the subnormal pitch and roll it always did and
 # computes with neither.
@@ -107,9 +110,10 @@ go test -bench 'BenchmarkFrame' -benchtime 500x -run '^$' ./internal/wire >>"$ou
 # grows to hold it once (~1 MB of doublings); 10000x puts that under
 # 100 B/op.
 go test -bench 'BenchmarkCBThroughput' -benchtime 10000x -run '^$' . >>"$out/bench.txt"
-# The certification hot loop is gated at 0 allocs per 60 Hz step (20000x
-# amortizes the per-run rig rebuilds); one full oracle dry-run stays
-# under its setup ceiling at 20x.
+# The certification hot loop is gated at 0 allocs per 60 Hz step: one op
+# is one trace.Flight.Tick, the tick Runner.RunSkill flies (rig rebuilds
+# between flights are untimed); one full oracle dry-run stays under its
+# setup ceiling at 20x.
 go test -bench 'BenchmarkHeadlessRun' -benchtime 20000x -run '^$' . >>"$out/bench.txt"
 go test -bench 'BenchmarkOracleCertify' -benchtime 20x -run '^$' . >>"$out/bench.txt"
 # The same gate on what a batch worker pays: whole library flights through
