@@ -69,10 +69,10 @@ func (r *renderRig) renderFrame(frame uint32) {
 	r.visited += stats.Visited
 }
 
-// measureFreeRun renders frames unsynchronized on one display. useful is
-// the rasterizer's useful-work ratio over the run: pixels written per
-// pixel the scan evaluated.
-func measureFreeRun(polygons, w, h, frames int) (fps, useful float64, err error) {
+// measureFreeRun renders frames unsynchronized on one display. passed is
+// the depth-pass ratio over the run, 1 − overdraw: pixels written per
+// pixel covered.
+func measureFreeRun(polygons, w, h, frames int) (fps, passed float64, err error) {
 	rig, err := newRenderRig(polygons, w, h, 0, 1)
 	if err != nil {
 		return 0, 0, err
@@ -177,9 +177,9 @@ func exp1SurroundView(quick bool) error {
 	}
 
 	fmt.Println("paper reference: 3 displays + sync server @ 3235 polygons -> 16 fps")
-	tbl := metrics.NewTable("polygons", "free-run 1 display (fps)", "synced 3 displays (fps)", "sync overhead %", "pixels written / visited")
+	tbl := metrics.NewTable("polygons", "free-run 1 display (fps)", "synced 3 displays (fps)", "sync overhead %", "depth-pass ratio (written / covered)")
 	for _, p := range polySweep {
-		free, useful, err := measureFreeRun(p, w, h, frames)
+		free, passed, err := measureFreeRun(p, w, h, frames)
 		if err != nil {
 			return err
 		}
@@ -188,7 +188,7 @@ func exp1SurroundView(quick bool) error {
 			return err
 		}
 		overhead := (1 - synced/free) * 100
-		tbl.AddRow(p, free, synced, overhead, useful)
+		tbl.AddRow(p, free, synced, overhead, passed)
 	}
 	fmt.Print(tbl.String())
 

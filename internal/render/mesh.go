@@ -8,55 +8,91 @@
 // measurement (16 fps at 3235 polygons across three synchronized displays)
 // depends on — which is what the EXP-1 benchmarks exercise.
 //
-// # The span rule
+// # The coverage contract
 //
-// A triangle's pixels are those of its clamped bounding box whose three
-// barycentric coordinates, computed from two edge functions and
-// w2 = 1 − w0 − w1, are all ≥ 0. On the paper's scene that is two pixels
-// in five of the boxes, so the scan does not walk the box: per row it
-// solves the three conditions for the columns they can admit and
-// evaluates only those.
+// Coverage is decided in integers, the way hardware rasterizers decide it,
+// so that it is exact by construction and not by an argument about
+// rounding.
 //
-// Along a row each condition is linear in x. Its value at the box's first
-// pixel centre is the edge function there, formed as the pixel loop forms
-// it; its slope is a difference of two vertex ys, fixed per triangle. (The
-// third condition is the one the loop tests, w0 + w1 ≤ 1, that is
-// g0 + g1 ≥ area — not a third edge function, which would round
-// differently.) The solve admits g + slope·Δx ≤ slack, not ≤ 0. slack is
-// 2⁻⁴⁵·rx·ry, rx and ry the extents of box and vertices together: every
-// product in an edge function is at most rx·ry, so rounding moves the
-// function by a few ulps of that, and 2⁻⁴⁵ is 256 ulps. A pixel the loop
-// accepts therefore lies inside the solved interval up to the solve's own
-// rounding, which is far below the one pixel of padding each end then
-// gets. An edge parallel to the rows has slope 0 and bounds nothing; a NaN
-// compares false and bounds nothing; where rx·ry is so large that the
-// products could overflow, slack is +Inf and the rows run the whole box.
-// The span is always inside the box, so the worst a loose bound costs is
-// time.
+// Snapping. After the perspective divide a vertex's screen x and y are
+// rounded to the nearest 1/256 pixel. From there on a triangle is three
+// points of that grid: twice its signed area is an int64, and zero or
+// positive (clockwise on the screen, or flat) is culled.
 //
-// # The exactness contract
+// Fill rule. The directed edge a→b has the edge function
+// E(p) = (b.y − a.y)·(p.x − a.x) − (b.x − a.x)·(p.y − a.y), positive inside
+// a front face. A pixel is covered when at its centre no E is negative and
+// every E that is zero belongs to an edge that owns its points: a left
+// edge (the inside lies towards +x) or a top edge (horizontal, the inside
+// below). Two triangles that share an edge see it with opposite signs, so
+// a centre on it belongs to exactly one of them: a mesh has no cracks and
+// no double hits, and moving a triangle by whole pixels moves its coverage
+// by as much.
 //
-// The colour plane, the depth plane and every FrameStats field but
-// Visited are, bit for bit, those of the loop that evaluates every pixel
-// of the box; reference_test.go keeps that loop, TestRasterMatchesReference
-// and FuzzRasterTriangle compare against it, and testdata/frames.golden
-// pins 108 frames it rendered before this kernel existed. Inside a span
-// the per-pixel expressions are that loop's: the same operations on the
-// same operands in the same order. A subexpression may be hoisted out of
-// a loop when it does not depend on the loop variable — y_i − fy out of the
-// row, the clip-space transform out of the triangles sharing a vertex, the
-// shade out of the triangles that are culled — because the same operation
-// on the same operands yields the same float wherever it runs. Nothing is
-// evaluated incrementally (w0 += step rounds differently from the product
-// it replaces), re-associated, or replaced by an algebraically equal
-// form. The one departure is where the old loop had no defined result: a
-// bounding box holding a NaN, or a bound no int can hold, made it index
-// the planes out of range or walk up from the smallest int; such a
-// triangle is now culled.
+// Spans. Along a row E changes by s = 256·(b.y − a.y) a column, so an edge
+// with s > 0 admits the columns from ⌈−e/s⌉ on and one with s < 0 those up
+// to ⌊(e − 1)/−s⌋, e being E at the centre of column 0; from one row to the
+// next e changes by a constant too. Set-up divides once per edge, keeping
+// quotient and remainder, and the scan carries both down the rows by
+// addition: the first and last covered column of every row, exactly, with
+// no division in the row loop and no coverage test, padding or slack in
+// the pixel loop. Rows and columns are those whose centres lie in
+// [min, max) of the vertices; the open end is the fill rule again, for the
+// bottom and right edges and for the corners where two edges meet, and it
+// is all a horizontal edge has to decide.
 //
-// The golden is written and checked on amd64 only. The Go specification
-// lets an implementation fuse x*y + z into one rounding; the amd64 port
-// (at its default GOAMD64=v1) does not, others may.
+// Bit budget and guard band. 8 sub-pixel bits and a guard band of 2²²
+// pixels keep a snapped coordinate below 2³⁰; a framebuffer side is at
+// most 2¹⁴ pixels (NewFramebuffer refuses more), so a pixel centre is
+// below 2²². A difference of two vertices is then below 2³¹, a pixel
+// centre less a vertex below 2³⁰ + 2²², every product in E or in the area
+// below 2⁶², every E and the area below 2⁶³, and the numerators set-up
+// divides (E plus at most 2³⁹) fit as well: no int64 in set-up or scan can
+// overflow. One more bit of guard band would break it. What keeps vertices
+// inside the band is a clip in clip space, next to the near clip and by
+// the same Sutherland–Hodgman pass: against |x| ≤ g·w and |y| ≤ g·w with g
+// chosen per framebuffer so that the planes sit 2⁻¹⁰ inside the band —
+// room for the clip's own rounding. It is no corner case: a near clip at
+// w = 10⁻⁵ throws vertices millions of pixels out several times a frame.
+// What guarantees the budget is not the clip but a comparison after the
+// divide: a coordinate at or past ±2²² pixels, or a NaN, culls the
+// triangle before anything is converted to an integer.
+//
+// Depth. z at a pixel centre is the plane through the three snapped
+// vertices, z(px, py) = zC + zB·py + zA·px — a function of the triangle and
+// the pixel alone, not of where a span, a band or a tile starts, and not
+// accumulated along the row (z += zA rounds differently and is a
+// loop-carried add). The depth test is z < stored, triangles are drawn in
+// submission order, shading is flat.
+//
+// Rounding. The language lets a port fuse x*y + z into one rounding (arm64,
+// ppc64, s390x and amd64 at GOAMD64=v3 do) and defines an explicit
+// float64(…) conversion as a rounding that prevents it. From the clip-space
+// transform on — toClip, the clip, the divide, the snap, the depth plane
+// and its evaluation — every product is converted before it is added to,
+// so given the same matrices and vertices the planes come out the same,
+// bit for bit, on every GOARCH. What builds those matrices and vertices
+// (internal/mathx, the terrain generator, math.Sincos) makes no such
+// promise.
+//
+// What holds it. reference_test.go draws the same snapped triangles by
+// brute force — every pixel centre of the bounding box against the three
+// edge functions and the fill rule as stated above, products checked
+// against 2⁶² — and TestRasterMatchesReference,
+// TestRandomClipTrianglesMatchReference and FuzzRasterTriangle require
+// colour, depth and every FrameStats field to agree bit for bit.
+// coverage_test.go has what is true by construction (watertight pairs,
+// fans and strips; coverage shifting with the triangle; the budget at the
+// guard band's corners) and holds the clip to an oracle without one.
+// testdata/frames.golden pins 108 frames' colour and depth planes and
+// ledgers. It is version 2: version 1 was the float bounding-box loop this
+// kernel replaced, from which it differs in 0–78 of a frame's 307 200
+// colour pixels, all of them next to an edge (CHANGES.md, PR 19). The
+// golden may be re-cut only by a change that means to alter what is
+// computed — the snapping grid, the fill rule, the depth expression, the
+// shading — and says so; a change to how spans are found, to the clip, to
+// set-up or to the traversal order (bands, tiles) must leave it as it is,
+// and cannot help doing so if it keeps to the rules above.
 package render
 
 import (

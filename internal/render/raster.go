@@ -8,6 +8,24 @@ import (
 	"codsim/internal/mathx"
 )
 
+// The bit budget of the coverage arithmetic (package doc, "The coverage
+// contract"): 8 sub-pixel bits and a guard band of 2²² pixels keep every
+// snapped coordinate below 2³⁰, a framebuffer side of at most 2¹⁴ pixels
+// keeps every pixel centre below 2²², so a difference of two vertices is
+// below 2³¹, a pixel centre less a vertex below 2³⁰ + 2²², and every
+// product an edge function or the area forms below 2⁶².
+const (
+	subBits = 8            // vertices snap to 1/256 pixel
+	subOne  = 1 << subBits // one pixel, in sub-pixel units
+	subHalf = subOne / 2   // a pixel centre's offset into its pixel
+	guardPx = 1 << 22      // set-up rejects a screen coordinate at or past ±guardPx
+	maxDim  = 1 << 14      // the largest framebuffer side
+
+	// The clip-space guard planes sit 2⁻¹⁰ inside ±guardPx: what the clip's
+	// own rounding adds to a vertex it makes stays within that margin.
+	clipPx = guardPx - guardPx>>10
+)
+
 // Framebuffer is the render target: a color plane plus a depth plane.
 type Framebuffer struct {
 	W, H  int
@@ -15,10 +33,12 @@ type Framebuffer struct {
 	Depth []float64 // NDC depth; smaller = nearer
 }
 
-// NewFramebuffer allocates a cleared framebuffer.
+// NewFramebuffer allocates a cleared framebuffer. A side may be at most
+// 2¹⁴ pixels, the size the coverage arithmetic is proved for; w*h then
+// fits any int.
 func NewFramebuffer(w, h int) (*Framebuffer, error) {
-	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("render: framebuffer %dx%d", w, h)
+	if w <= 0 || h <= 0 || w > maxDim || h > maxDim {
+		return nil, fmt.Errorf("render: framebuffer %dx%d: sides must be in [1, %d]", w, h, maxDim)
 	}
 	fb := &Framebuffer{W: w, H: h,
 		Color: make([]RGB, w*h),
@@ -70,10 +90,10 @@ func (fb *Framebuffer) WritePPM(w io.Writer) error {
 type FrameStats struct {
 	Submitted  int // triangles submitted
 	Culled     int // rejected by frustum or backface tests
-	Clipped    int // triangles that needed near-plane clipping
+	Clipped    int // triangles that needed near-plane or guard-band clipping
 	Rasterized int // triangles actually scanned
 	Pixels     int // pixels shaded (depth-test passes)
-	Visited    int // pixels the scan evaluated; Pixels/Visited is its useful-work ratio
+	Visited    int // pixels covered; Pixels/Visited is the depth-pass ratio, 1 − overdraw
 }
 
 // Instance places a mesh in the world.
@@ -103,9 +123,10 @@ func (s *Scene) PolygonCount() int {
 // use; each display LP owns one renderer (as each display PC owned one
 // graphics card).
 type Renderer struct {
-	fb   *Framebuffer
-	clip []clipVert  // one instance's vertices in clip space, reused
-	tris [2]triSetup // the set-up fan of the triangle being drawn
+	fb     *Framebuffer
+	gx, gy float64     // the guard planes |x| ≤ gx·w, |y| ≤ gy·w
+	clip   []clipVert  // one instance's vertices in clip space, reused
+	tris   [6]triSetup // the set-up fan of the triangle being drawn
 }
 
 // NewRenderer builds a renderer with a w×h framebuffer.
@@ -114,7 +135,12 @@ func NewRenderer(w, h int) (*Renderer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Renderer{fb: fb}, nil
+	// NDC ±g lands on the screen at (1 ± g)/2 of a side, so the farther
+	// guard plane reaches (g + 1)/2 sides from the origin: clipPx pixels.
+	return &Renderer{fb: fb,
+		gx: 2*clipPx/float64(w) - 1,
+		gy: 2*clipPx/float64(h) - 1,
+	}, nil
 }
 
 // Framebuffer exposes the render target (for probing and PPM dumps).
@@ -142,26 +168,33 @@ func (r *Renderer) Render(scene *Scene, cam Camera) FrameStats {
 			if n == 0 {
 				continue
 			}
-			// Flat shading from the world-space face normal, for the
-			// triangles that reach the scan only.
-			w0 := inst.Transform.MulPoint(mesh.verts[tri[0]])
-			w1 := inst.Transform.MulPoint(mesh.verts[tri[1]])
-			w2 := inst.Transform.MulPoint(mesh.verts[tri[2]])
-			normal := w1.Sub(w0).Cross(w2.Sub(w0)).Normalize()
-			diff := math.Max(0, normal.Dot(light))
-			shade := mathx.Clamp(scene.Ambient+(1-scene.Ambient)*diff, 0, 1)
-			base := mesh.colors[ti]
-			col := RGB{
-				R: uint8(float64(base.R) * shade),
-				G: uint8(float64(base.G) * shade),
-				B: uint8(float64(base.B) * shade),
-			}
+			// Shaded only now: most triangles never reach the scan.
+			col := flatShade(inst, ti, light, scene.Ambient)
 			for k := 0; k < n; k++ {
 				r.scan(&r.tris[k], col, &stats)
 			}
 		}
 	}
 	return stats
+}
+
+// flatShade is triangle ti's colour under flat shading from its
+// world-space face normal.
+func flatShade(inst *Instance, ti int, light mathx.Vec3, ambient float64) RGB {
+	mesh := inst.Mesh
+	tri := mesh.tris[ti]
+	w0 := inst.Transform.MulPoint(mesh.verts[tri[0]])
+	w1 := inst.Transform.MulPoint(mesh.verts[tri[1]])
+	w2 := inst.Transform.MulPoint(mesh.verts[tri[2]])
+	normal := w1.Sub(w0).Cross(w2.Sub(w0)).Normalize()
+	diff := math.Max(0, normal.Dot(light))
+	shade := mathx.Clamp(ambient+float64((1-ambient)*diff), 0, 1)
+	base := mesh.colors[ti]
+	return RGB{
+		R: uint8(float64(base.R) * shade),
+		G: uint8(float64(base.G) * shade),
+		B: uint8(float64(base.B) * shade),
+	}
 }
 
 type clipVert struct {
@@ -171,7 +204,7 @@ type clipVert struct {
 
 // toClip transforms verts by m into the renderer's scratch: once per
 // vertex, however many triangles share it. The sums are MulPointW's,
-// term for term.
+// term for term, with each product rounded before it is added.
 func (r *Renderer) toClip(m *mathx.Mat4, verts []mathx.Vec3) []clipVert {
 	if cap(r.clip) < len(verts) {
 		r.clip = make([]clipVert, len(verts))
@@ -181,28 +214,29 @@ func (r *Renderer) toClip(m *mathx.Mat4, verts []mathx.Vec3) []clipVert {
 		v := &verts[i]
 		clip[i] = clipVert{
 			p: mathx.Vec3{
-				X: m[0]*v.X + m[1]*v.Y + m[2]*v.Z + m[3],
-				Y: m[4]*v.X + m[5]*v.Y + m[6]*v.Z + m[7],
-				Z: m[8]*v.X + m[9]*v.Y + m[10]*v.Z + m[11],
+				X: float64(m[0]*v.X) + float64(m[1]*v.Y) + float64(m[2]*v.Z) + m[3],
+				Y: float64(m[4]*v.X) + float64(m[5]*v.Y) + float64(m[6]*v.Z) + m[7],
+				Z: float64(m[8]*v.X) + float64(m[9]*v.Y) + float64(m[10]*v.Z) + m[11],
 			},
-			w: m[12]*v.X + m[13]*v.Y + m[14]*v.Z + m[15],
+			w: float64(m[12]*v.X) + float64(m[13]*v.Y) + float64(m[14]*v.Z) + m[15],
 		}
 	}
 	return clip
 }
 
-// setUp takes one clip-space triangle through the frustum test, the near
-// clip and the screen set-up of its fan, leaving the survivors in r.tris.
-// It returns how many there are to scan and books every reject.
+// setUp takes one clip-space triangle through the frustum test, the clip
+// and the screen set-up of its fan, leaving the survivors in r.tris. It
+// returns how many there are to scan and books every reject.
 func (r *Renderer) setUp(a, b, c *clipVert, stats *FrameStats) int {
 	// Trivial frustum rejection: all vertices outside one plane.
 	if allOutside(a, b, c) {
 		stats.Culled++
 		return 0
 	}
-	// Near-plane clip (w <= nearEps would break the divide).
-	var poly [4]clipVert
-	m, clipped := clipNear(a, b, c, &poly)
+	// Near-plane clip (w <= nearEps would break the divide) and guard-band
+	// clip (a coordinate past the band would break the bit budget).
+	var poly [maxClipVerts]clipVert
+	m, clipped := r.clipTriangle(a, b, c, &poly)
 	if m < 3 {
 		stats.Culled++
 		return 0
@@ -213,7 +247,8 @@ func (r *Renderer) setUp(a, b, c *clipVert, stats *FrameStats) int {
 	// Fan-triangulate the clipped polygon.
 	n := 0
 	for k := 1; k+1 < m; k++ {
-		if r.tris[n].init(r.fb, &poly[0], &poly[k], &poly[k+1]) {
+		v, ok := project(r.fb, &poly[0], &poly[k], &poly[k+1])
+		if ok && r.tris[n].setup(r.fb, &v) {
 			n++
 		} else {
 			stats.Culled++
@@ -234,188 +269,286 @@ func allOutside(a, b, c *clipVert) bool {
 		a.p.Z < -a.w && b.p.Z < -b.w && c.p.Z < -c.w
 }
 
-const nearEps = 1e-5
+const (
+	nearEps = 1e-5
 
-// clipNear clips triangle abc against the w > nearEps half-space
-// (Sutherland–Hodgman on the near plane) into out, which one plane can
-// grow to four vertices at most, and returns how many it wrote.
-func clipNear(a, b, c *clipVert, out *[4]clipVert) (n int, clipped bool) {
-	if a.w > nearEps && b.w > nearEps && c.w > nearEps {
-		out[0], out[1], out[2] = *a, *b, *c
-		return 3, false
+	// The clip planes: near, then the four sides of the guard band. Each
+	// can add one vertex to a convex polygon.
+	clipPlanes   = 5
+	maxClipVerts = 3 + clipPlanes
+)
+
+// planeDist is how far inside clip plane k the vertex lies: positive
+// inside, and a NaN (which compares false) counts as outside.
+func (r *Renderer) planeDist(k int, v *clipVert) float64 {
+	switch k {
+	case 0:
+		return v.w - nearEps
+	case 1:
+		return float64(r.gx*v.w) - v.p.X
+	case 2:
+		return float64(r.gx*v.w) + v.p.X
+	case 3:
+		return float64(r.gy*v.w) - v.p.Y
+	default:
+		return float64(r.gy*v.w) + v.p.Y
 	}
-	in := [3]*clipVert{a, b, c}
-	for i, cur := range in {
-		next := in[(i+1)%3]
-		cIn, nIn := cur.w > nearEps, next.w > nearEps
-		if cIn {
-			out[n] = *cur
-			n++
+}
+
+// clipTriangle clips triangle abc against w > nearEps and the guard band
+// |x| < gx·w, |y| < gy·w (Sutherland–Hodgman, one plane after the other)
+// into out and returns how many vertices it wrote. A plane crosses the
+// boundary of a convex polygon twice and so adds one vertex at most;
+// vertices that rounding or a NaN have scattered can cross it more often,
+// and a polygon that would outgrow out that way is dropped.
+func (r *Renderer) clipTriangle(a, b, c *clipVert, out *[maxClipVerts]clipVert) (n int, clipped bool) {
+	out[0], out[1], out[2] = *a, *b, *c
+	n = 3
+	for k := 0; k < clipPlanes; k++ {
+		inside, crossings := 0, 0
+		prevIn := r.planeDist(k, &out[n-1]) > 0
+		for i := 0; i < n; i++ {
+			in := r.planeDist(k, &out[i]) > 0
+			if in {
+				inside++
+			}
+			if in != prevIn {
+				crossings++
+			}
+			prevIn = in
 		}
-		if cIn != nIn {
-			t := (nearEps - cur.w) / (next.w - cur.w)
-			out[n] = clipVert{p: cur.p.Lerp(next.p, t), w: nearEps}
-			n++
+		if inside == n {
+			continue
+		}
+		if inside == 0 || inside+crossings > maxClipVerts {
+			return 0, true
+		}
+		clipped = true
+		in, m := *out, n
+		n = 0
+		for i := 0; i < m; i++ {
+			cur, next := &in[i], &in[(i+1)%m]
+			dc, dn := r.planeDist(k, cur), r.planeDist(k, next)
+			if dc > 0 {
+				out[n] = *cur
+				n++
+			}
+			if (dc > 0) != (dn > 0) {
+				t := dc / (dc - dn)
+				out[n] = clipVert{
+					p: mathx.Vec3{
+						X: cur.p.X + float64((next.p.X-cur.p.X)*t),
+						Y: cur.p.Y + float64((next.p.Y-cur.p.Y)*t),
+						Z: cur.p.Z + float64((next.p.Z-cur.p.Z)*t),
+					},
+					w: cur.w + float64((next.w-cur.w)*t),
+				}
+				if k == 0 {
+					out[n].w = nearEps
+				}
+				n++
+			}
 		}
 	}
-	return n, true
+	return n, clipped
 }
 
-// triSetup is one screen-space triangle ready to scan: the vertices, the
-// clamped bounding box and the per-edge terms of the span solve, computed
-// once so that the rows only multiply and compare.
-type triSetup struct {
-	x0, y0, z0 float64
-	x1, y1, z1 float64
-	x2, y2, z2 float64
-	area       float64 // signed, negative for the front faces that get here
-	invArea    float64
-
-	minY, maxY int
-	fminX      float64 // the box's first and last pixel columns
-	fmaxX      float64
-
-	// Span solve. e0, e1, e2 are x0, x1, x2 relative to the first column's
-	// pixel centre; inv0, inv1, inv2 the reciprocal x-slopes of the three
-	// barycentric conditions (0: the condition does not bound x); slack
-	// is what rounding can add to an edge function anywhere in the box.
-	e0, e1, e2       float64
-	inv0, inv1, inv2 float64
-	slack            float64
+// edgeStep walks the column where one edge crosses the rows' pixel
+// centres, exactly: q = ⌊n/d⌋ and r = n − q·d for a numerator n that
+// changes by the same amount from each row to the next.
+type edgeStep struct {
+	q, r   int64 // the current row's quotient and remainder, 0 ≤ r < d
+	dq, dr int64 // quotient and remainder of the row-to-row change
+	d      int64
 }
 
-// toScreen is the perspective divide to NDC, then to screen.
-func toScreen(v *clipVert, w, h float64) (x, y, z float64) {
-	inv := 1 / v.w
-	return (v.p.X*inv + 1) * 0.5 * w, (1 - v.p.Y*inv) * 0.5 * h, v.p.Z * inv
+// newEdgeStep starts a walk at ⌊n/d⌋ with n growing by dn a row; d > 0.
+func newEdgeStep(n, dn, d int64) edgeStep {
+	s := edgeStep{d: d}
+	s.q, s.r = floorDiv(n, d)
+	s.dq, s.dr = floorDiv(dn, d)
+	return s
 }
 
-// init sets t up for clip-space triangle abc and reports whether there is
-// anything to scan: false for a backface, a degenerate triangle and one
-// whose bounding box misses the screen.
-func (t *triSetup) init(fb *Framebuffer, a, b, c *clipVert) bool {
+// next moves the walk down one row.
+func (s *edgeStep) next() {
+	s.q += s.dq
+	s.r += s.dr
+	if s.r >= s.d {
+		s.r -= s.d
+		s.q++
+	}
+}
+
+// floorDiv is ⌊n/d⌋ and the remainder in [0, d), for d > 0.
+func floorDiv(n, d int64) (q, r int64) {
+	q, r = n/d, n%d
+	if r < 0 {
+		q--
+		r += d
+	}
+	return q, r
+}
+
+// fixVert is a screen-space vertex snapped to the sub-pixel grid.
+type fixVert struct {
+	x, y int64 // in 1/256 pixel; (0,0) is the top-left corner of pixel (0,0)
+	z    float64
+}
+
+// project takes a clip-space triangle to the sub-pixel grid: perspective
+// divide to NDC, then to screen, then the snap. ok is false when a
+// coordinate is at or past the guard band's ±guardPx, or a NaN: the
+// comparison is made on the float, which no conversion has garbled yet.
+func project(fb *Framebuffer, a, b, c *clipVert) (v [3]fixVert, ok bool) {
 	w, h := float64(fb.W), float64(fb.H)
-	x0, y0, z0 := toScreen(a, w, h)
-	x1, y1, z1 := toScreen(b, w, h)
-	x2, y2, z2 := toScreen(c, w, h)
+	for i, cv := range [3]*clipVert{a, b, c} {
+		inv := 1 / cv.w
+		x := float64(float64(cv.p.X*inv)+1) * 0.5 * w
+		y := float64(1-float64(cv.p.Y*inv)) * 0.5 * h
+		if !(math.Abs(x) < guardPx && math.Abs(y) < guardPx) {
+			return v, false
+		}
+		// x*subOne is exact, so the sum rounds once whether fused or not.
+		v[i] = fixVert{int64(math.Floor(x*subOne + 0.5)), int64(math.Floor(y*subOne + 0.5)), float64(cv.p.Z * inv)}
+	}
+	return v, true
+}
 
-	// Signed area: cull backfaces (counter-clockwise in screen space after
-	// the Y flip means the area is negative for front faces).
-	area := (x1-x0)*(y2-y0) - (x2-x0)*(y1-y0)
-	if area >= -1e-12 { // backface or degenerate
+// triSetup is one screen-space triangle ready to scan: the rows and
+// columns its pixel centres can lie in, the walks of its edges down those
+// rows, and its depth plane.
+type triSetup struct {
+	minY, maxY int
+	minX, maxX int
+
+	// The span of a row is max(minX, left.q, third.q) … min(maxX, right.q)
+	// when the third edge bounds on the left, and max(minX, left.q) …
+	// min(maxX, right.q, third.q) when it bounds on the right.
+	left, right, third edgeStep
+	thirdLeft          bool
+
+	// Depth at the centre of pixel (px, py) is zC + zB·py + zA·px.
+	zA, zB, zC float64
+}
+
+// setup readies t for the triangle with snapped vertices v and reports
+// whether there is anything to scan: false for a backface, a degenerate
+// triangle and one with no pixel centre in reach.
+func (t *triSetup) setup(fb *Framebuffer, v *[3]fixVert) bool {
+	// Twice the signed area: negative for front faces (counter-clockwise in
+	// screen space after the Y flip).
+	area := (v[1].x-v[0].x)*(v[2].y-v[0].y) - (v[2].x-v[0].x)*(v[1].y-v[0].y)
+	if area >= 0 { // backface or degenerate
 		return false
 	}
 
-	// The box is clamped and compared as floats, so that a coordinate no
-	// int can hold (or a NaN) rejects the triangle instead of converting
-	// to garbage.
-	xlo, xhi := math.Min(x0, math.Min(x1, x2)), math.Max(x0, math.Max(x1, x2))
-	ylo, yhi := math.Min(y0, math.Min(y1, y2)), math.Max(y0, math.Max(y1, y2))
-	fminX, fmaxX := math.Max(0, math.Floor(xlo)), math.Min(w-1, math.Ceil(xhi))
-	fminY, fmaxY := math.Max(0, math.Floor(ylo)), math.Min(h-1, math.Ceil(yhi))
-	if !(fminX <= fmaxX && fminY <= fmaxY) {
+	// The rows and columns whose pixel centres lie in [min, max) of the
+	// vertices. The far end is open because a triangle's lowest and
+	// rightmost points are on a bottom or a right edge, or where two edges
+	// meet of which one is, and the fill rule gives those to the
+	// neighbour. This is also all that a horizontal edge decides: the
+	// rows from the top edge down are in, the bottom edge's row is out.
+	t.minY = int(max((min(v[0].y, v[1].y, v[2].y)+subHalf-1)>>subBits, 0))
+	t.maxY = int(min((max(v[0].y, v[1].y, v[2].y)+subHalf-1)>>subBits-1, int64(fb.H-1)))
+	t.minX = int(max((min(v[0].x, v[1].x, v[2].x)+subHalf-1)>>subBits, 0))
+	t.maxX = int(min((max(v[0].x, v[1].x, v[2].x)+subHalf-1)>>subBits-1, int64(fb.W-1)))
+	if t.minY > t.maxY || t.minX > t.maxX {
 		return false
 	}
 
-	*t = triSetup{
-		x0: x0, y0: y0, z0: z0,
-		x1: x1, y1: y1, z1: z1,
-		x2: x2, y2: y2, z2: z2,
-		area: area, invArea: 1 / area,
-		minY: int(fminY), maxY: int(fmaxY),
-		fminX: fminX, fmaxX: fmaxX,
+	// The directed edge a→b has the edge function
+	// E(x, y) = (b.y − a.y)·(x − a.x) − (b.x − a.x)·(y − a.y), positive
+	// inside a front face. Along a row it changes by s = 256·(b.y − a.y) a
+	// column, so with e its value at the centre of column 0 an edge with
+	// s > 0 bounds the row on the left, E ≥ 0 from column ⌈−e/s⌉ on, and
+	// one with s < 0 on the right, E > 0 up to column ⌊(e − 1)/−s⌋: a
+	// centre on a left edge is in, one on a right edge is the neighbour's.
+	// Of a front face's three edges at least one does each; the third does
+	// either, or is horizontal and bounds no column.
+	t.third, t.thirdLeft = edgeStep{q: math.MinInt64, d: 1}, true
+	cy := int64(t.minY)<<subBits + subHalf
+	lefts, rights := 0, 0
+	for i := range v {
+		a, b := &v[i], &v[(i+1)%3]
+		ea, eb := b.y-a.y, a.x-b.x
+		e := ea*(subHalf-a.x) + eb*(cy-a.y)
+		s, de := ea<<subBits, eb<<subBits // e grows by de from a row to the next
+		switch {
+		case s > 0:
+			walk := newEdgeStep(-e+s-1, -de, s)
+			if lefts++; lefts == 1 {
+				t.left = walk
+			} else {
+				t.third, t.thirdLeft = walk, true
+			}
+		case s < 0:
+			walk := newEdgeStep(e-1, de, -s)
+			if rights++; rights == 1 {
+				t.right = walk
+			} else {
+				t.third, t.thirdLeft = walk, false
+			}
+		}
 	}
-
-	// Span solve (package doc, "The span rule"). Every |x_i − fx| the scan
-	// can form is at most rx and every |y_i − fy| at most ry, so an edge
-	// function is off its real value by a few ulps of rx·ry; 2⁻⁴⁵ is 256
-	// ulps of 1. Past 2⁹⁰⁰ the products could overflow: no spans then,
-	// the rows run the whole box.
-	rx := math.Max(xhi, fmaxX+1) - math.Min(xlo, fminX)
-	ry := math.Max(yhi, fmaxY+1) - math.Min(ylo, fminY)
-	t.slack = math.Inf(1)
-	if rd := rx * ry; rd < 0x1p900 {
-		t.slack = 0x1p-45 * rd
-	}
-	fx := fminX + 0.5
-	t.e0, t.e1, t.e2 = x0-fx, x1-fx, x2-fx
-	t.inv0, t.inv1, t.inv2 = invSlope(y1-y2), invSlope(y2-y0), invSlope(y0-y1)
+	t.zA, t.zB, t.zC = depthPlane(v, area)
 	return true
 }
 
-// invSlope is 1/b, or 0 for an edge function that does not change along a
-// row and so bounds no x.
-func invSlope(b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return 1 / b
+// depthPlane is the plane through the three vertices' depths, as the
+// coefficients of z(px, py) = zC + zB·py + zA·px at pixel centres. Every
+// product is converted before it is added to, so that no port may fuse the
+// two into one rounding.
+func depthPlane(v *[3]fixVert, area int64) (zA, zB, zC float64) {
+	dx1, dy1 := float64(v[1].x-v[0].x), float64(v[1].y-v[0].y)
+	dx2, dy2 := float64(v[2].x-v[0].x), float64(v[2].y-v[0].y)
+	dz1, dz2 := v[1].z-v[0].z, v[2].z-v[0].z
+	// Per sub-pixel unit in x and in y.
+	a := (float64(dz1*dy2) - float64(dz2*dy1)) / float64(area)
+	b := (float64(dz2*dx1) - float64(dz1*dx2)) / float64(area)
+	zC = v[0].z + float64(a*float64(subHalf-v[0].x)) + float64(b*float64(subHalf-v[0].y))
+	return a * subOne, b * subOne, zC
 }
 
-// narrow tightens the column interval [lo, hi] by one barycentric
-// condition: g is its edge function at the box's first pixel centre (which
-// is column base), inv the reciprocal of its x-slope. The condition holds
-// only where g + slope·(fx − centre) ≤ slack; the bound lands a pixel
-// outside the solution, which is the padding. A NaN compares false and
-// leaves the interval alone.
-func narrow(lo, hi, base, g, slack, inv float64) (float64, float64) {
-	x := base + (slack-g)*inv
-	if inv > 0 {
-		if x+1 < hi {
-			hi = x + 1
-		}
-	} else if inv < 0 {
-		if x > lo {
-			lo = x
-		}
-	}
-	return lo, hi
-}
+// depthAt is the depth plane at the centre of pixel (px, py), written the
+// one way everything evaluates it: a function of the triangle and the
+// pixel alone — not of where a span starts — and not accumulated along
+// the row, which would round differently and wait on the previous pixel.
+func depthAt(zRow, zA float64, px int) float64 { return zRow + float64(zA*float64(px)) }
 
-// scan rasterizes a set-up triangle. Per row it solves the three
-// barycentric conditions for the columns they can admit and runs the
-// per-pixel expressions only there; see the package doc for why the
-// pixels it writes, and the values it writes, are exactly those of a scan
-// over the whole bounding box.
+// depthRow is the part of depthAt that is fixed along row py.
+func depthRow(zC, zB float64, py int) float64 { return zC + float64(zB*float64(py)) }
+
+// scan rasterizes a set-up triangle: per row, the columns from the last
+// left bound to the first right bound are covered, all of them and no
+// others, so the pixel loop only interpolates depth and tests it.
 func (r *Renderer) scan(t *triSetup, col RGB, stats *FrameStats) {
 	fb := r.fb
-	x0, x1, x2 := t.x0, t.x1, t.x2
-	z0, z1, z2 := t.z0, t.z1, t.z2
-	invArea := t.invArea
+	left, right, third := t.left, t.right, t.third
+	zA := t.zA
 	visited, pixels := 0, 0
 	for py := t.minY; py <= t.maxY; py++ {
-		fy := float64(py) + 0.5
-		dy0, dy1, dy2 := t.y0-fy, t.y1-fy, t.y2-fy
-
-		// The edge functions at the first column, as the pixel loop below
-		// forms them; the third condition, w2 ≥ 0, is w0 + w1 ≤ 1.
-		g0 := t.e1*dy2 - t.e2*dy1
-		g1 := t.e2*dy0 - t.e0*dy2
-		g2 := t.area - (g0 + g1)
-		flo, fhi := narrow(t.fminX, t.fmaxX, t.fminX, g0, t.slack, t.inv0)
-		flo, fhi = narrow(flo, fhi, t.fminX, g1, t.slack, t.inv1)
-		flo, fhi = narrow(flo, fhi, t.fminX, g2, t.slack, t.inv2)
-		if !(flo <= fhi) {
+		lo, hi := max(left.q, int64(t.minX)), min(right.q, int64(t.maxX))
+		if t.thirdLeft {
+			lo = max(lo, third.q)
+		} else {
+			hi = min(hi, third.q)
+		}
+		left.next()
+		right.next()
+		third.next()
+		if lo > hi {
 			continue
 		}
-		lo, hi := int(flo), int(fhi)
-		visited += hi - lo + 1
 
+		zRow := depthRow(t.zC, t.zB, py)
 		rowBase := py * fb.W
-		depth := fb.Depth[rowBase+lo : rowBase+hi+1]
-		color := fb.Color[rowBase+lo : rowBase+hi+1]
+		depth := fb.Depth[rowBase+int(lo) : rowBase+int(hi)+1]
+		color := fb.Color[rowBase+int(lo) : rowBase+int(hi)+1]
 		color = color[:len(depth)] // same length already; lets color[i] go unchecked
+		visited += len(depth)
 		for i := range depth {
-			fx := float64(lo+i) + 0.5
-			// Barycentric coordinates via edge functions.
-			w0 := ((x1-fx)*dy2 - (x2-fx)*dy1) * invArea
-			w1 := ((x2-fx)*dy0 - (x0-fx)*dy2) * invArea
-			w2 := 1 - w0 - w1
-			if w0 < 0 || w1 < 0 || w2 < 0 {
-				continue
-			}
-			z := w0*z0 + w1*z1 + w2*z2
-			if z < depth[i] {
+			if z := depthAt(zRow, zA, int(lo)+i); z < depth[i] {
 				depth[i] = z
 				color[i] = col
 				pixels++

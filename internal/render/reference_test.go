@@ -3,6 +3,7 @@ package render
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 
 	"codsim/internal/fom"
@@ -10,144 +11,152 @@ import (
 	"codsim/internal/terrain"
 )
 
-// The reference rasterizer: Render and rasterTriangle as they stood before
-// the span kernel — every vertex transformed per triangle, two edge
-// functions evaluated at every pixel of the bounding box. It exists to be
-// compared against; only the allOutside and clipNear call sites follow
-// those functions' new signatures, and the shade is computed ahead of the
-// frustum test so that refTriangle can take a clip-space triangle on its
-// own.
+// The reference: brute force over the same integers. It shares the
+// kernel's geometry stage (frustum test, clip, divide, snap) and the depth
+// plane's expressions, and from the snapped vertices on has none of its
+// set-up or span machinery: the area and the three edge functions are
+// formed at every pixel centre of the vertices' bounding box, their
+// products checked against the bit budget, and the fill rule is applied as
+// its definition reads.
 
-// refRender is the reference Render.
-func (r *Renderer) refRender(scene *Scene, cam Camera) FrameStats {
+// refRender is Render with refTriangle in the place of setup and scan.
+func (r *Renderer) refRender(scene *Scene, cam Camera) (FrameStats, error) {
 	var stats FrameStats
-	fb := r.fb
-	fb.Clear(scene.Background)
-
+	r.fb.Clear(scene.Background)
 	light := scene.LightDir.Normalize()
 	if light.LenSq() == 0 {
 		light = mathx.V3(0.3, 1, 0.2).Normalize()
 	}
 	vp := cam.ViewProj()
-
-	for _, inst := range scene.Instances {
+	for i := range scene.Instances {
+		inst := &scene.Instances[i]
 		mvp := vp.MulM(inst.Transform)
-		mesh := inst.Mesh
-		for ti, tri := range mesh.tris {
+		clip := r.toClip(&mvp, inst.Mesh.verts)
+		for ti, tri := range inst.Mesh.tris {
 			stats.Submitted++
-			// World-space vertices for lighting.
-			w0 := inst.Transform.MulPoint(mesh.verts[tri[0]])
-			w1 := inst.Transform.MulPoint(mesh.verts[tri[1]])
-			w2 := inst.Transform.MulPoint(mesh.verts[tri[2]])
-
-			// Clip-space positions.
-			c0, cw0 := mvp.MulPointW(mesh.verts[tri[0]])
-			c1, cw1 := mvp.MulPointW(mesh.verts[tri[1]])
-			c2, cw2 := mvp.MulPointW(mesh.verts[tri[2]])
-			cv := [3]clipVert{{c0, cw0}, {c1, cw1}, {c2, cw2}}
-
-			// Flat shading from the world-space face normal.
-			normal := w1.Sub(w0).Cross(w2.Sub(w0)).Normalize()
-			diff := math.Max(0, normal.Dot(light))
-			shade := mathx.Clamp(scene.Ambient+(1-scene.Ambient)*diff, 0, 1)
-			base := mesh.colors[ti]
-			col := RGB{
-				R: uint8(float64(base.R) * shade),
-				G: uint8(float64(base.G) * shade),
-				B: uint8(float64(base.B) * shade),
+			col := flatShade(inst, ti, light, scene.Ambient)
+			if err := r.refClipTriangle(&clip[tri[0]], &clip[tri[1]], &clip[tri[2]], col, &stats); err != nil {
+				return stats, err
 			}
-			r.refTriangle(&cv, col, &stats)
 		}
 	}
-	return stats
+	return stats, nil
 }
 
-// refTriangle takes one clip-space triangle through the reference's
-// frustum test, near clip and scan.
-func (r *Renderer) refTriangle(cv *[3]clipVert, col RGB, stats *FrameStats) {
-	// Trivial frustum rejection: all vertices outside one plane.
-	if allOutside(&cv[0], &cv[1], &cv[2]) {
+// refClipTriangle is setUp and the scan of its fan, by the reference.
+func (r *Renderer) refClipTriangle(a, b, c *clipVert, col RGB, stats *FrameStats) error {
+	if allOutside(a, b, c) {
 		stats.Culled++
-		return
+		return nil
 	}
-
-	// Near-plane clip (w <= nearEps would break the divide).
-	var poly [4]clipVert
-	n, clipped := clipNear(&cv[0], &cv[1], &cv[2], &poly)
-	if n < 3 {
+	var poly [maxClipVerts]clipVert
+	m, clipped := r.clipTriangle(a, b, c, &poly)
+	if m < 3 {
 		stats.Culled++
-		return
+		return nil
 	}
 	if clipped {
 		stats.Clipped++
 	}
-
-	// Fan-triangulate the clipped polygon and rasterize.
-	for k := 1; k+1 < n; k++ {
-		if r.refRasterTriangle(poly[0], poly[k], poly[k+1], col, stats) {
+	for k := 1; k+1 < m; k++ {
+		drew := false
+		if v, ok := project(r.fb, &poly[0], &poly[k], &poly[k+1]); ok {
+			var err error
+			if drew, err = r.refTriangle(&v, col, stats); err != nil {
+				return err
+			}
+		}
+		if drew {
 			stats.Rasterized++
 		} else {
 			stats.Culled++
 		}
 	}
+	return nil
 }
 
-// refRasterTriangle scan-converts one clip-space triangle; reports whether
-// it produced fragments (false = backface or degenerate). Visited is the
-// one addition: the bounding-box pixel count the span kernel is measured
-// against.
-func (r *Renderer) refRasterTriangle(a, b, c clipVert, col RGB, stats *FrameStats) bool {
+// mul62 is a·b, or an error if the product leaves the bit budget.
+func mul62(a, b int64) (int64, error) {
+	abs := func(v int64) uint64 { return uint64(max(v, -v)) }
+	if hi, lo := bits.Mul64(abs(a), abs(b)); hi != 0 || lo >= 1<<62 {
+		return 0, fmt.Errorf("product %d·%d is past 2^62", a, b)
+	}
+	return a * b, nil
+}
+
+// refEdge is the edge function of a→b at (x, y): twice the signed area of
+// the triangle a, b, (x, y), positive where a front face has its inside.
+func refEdge(a, b *fixVert, x, y int64) (int64, error) {
+	p, err := mul62(b.y-a.y, x-a.x)
+	if err != nil {
+		return 0, err
+	}
+	q, err := mul62(b.x-a.x, y-a.y)
+	return p - q, err
+}
+
+// refTriangle draws the triangle with snapped vertices v and reports
+// whether it counts as rasterized: a front face with a pixel centre in
+// [min, max) of its vertices, both ways. A pixel centre is covered when
+// no edge function is negative there and those that are zero belong to an
+// edge that owns its points: a left edge, which runs down the screen, or a
+// top edge, horizontal and running to the left.
+func (r *Renderer) refTriangle(v *[3]fixVert, col RGB, stats *FrameStats) (bool, error) {
 	fb := r.fb
-	w, h := float64(fb.W), float64(fb.H)
-
-	// Perspective divide to NDC, then to screen.
-	toScreen := func(v clipVert) (x, y, z float64) {
-		inv := 1 / v.w
-		return (v.p.X*inv + 1) * 0.5 * w, (1 - v.p.Y*inv) * 0.5 * h, v.p.Z * inv
+	area, err := refEdge(&v[0], &v[1], v[2].x, v[2].y)
+	if err != nil || area <= 0 {
+		return false, err
 	}
-	x0, y0, z0 := toScreen(a)
-	x1, y1, z1 := toScreen(b)
-	x2, y2, z2 := toScreen(c)
-
-	// Signed area: cull backfaces (counter-clockwise in screen space after
-	// the Y flip means the area is negative for front faces).
-	area := (x1-x0)*(y2-y0) - (x2-x0)*(y1-y0)
-	if area >= -1e-12 { // backface or degenerate
-		return false
+	zA, zB, zC := depthPlane(v, -area)
+	xmin, xmax := min(v[0].x, v[1].x, v[2].x), max(v[0].x, v[1].x, v[2].x)
+	ymin, ymax := min(v[0].y, v[1].y, v[2].y), max(v[0].y, v[1].y, v[2].y)
+	px0, px1 := max(xmin>>subBits, 0), min(xmax>>subBits, int64(fb.W-1))
+	py0, py1 := max(ymin>>subBits, 0), min(ymax>>subBits, int64(fb.H-1))
+	if px0 > px1 || py0 > py1 {
+		return false, nil
 	}
-	invArea := 1 / area
-
-	minX := int(math.Max(0, math.Floor(math.Min(x0, math.Min(x1, x2)))))
-	maxX := int(math.Min(w-1, math.Ceil(math.Max(x0, math.Max(x1, x2)))))
-	minY := int(math.Max(0, math.Floor(math.Min(y0, math.Min(y1, y2)))))
-	maxY := int(math.Min(h-1, math.Ceil(math.Max(y0, math.Max(y1, y2)))))
-	if minX > maxX || minY > maxY {
-		return false
+	// The budget is checked at the box's corner pixels: each of an edge
+	// function's two products is linear in x or in y alone, so it is
+	// largest there, and the walk below can multiply unchecked.
+	for i := range v {
+		for _, px := range [2]int64{px0, px1} {
+			for _, py := range [2]int64{py0, py1} {
+				if _, err := refEdge(&v[i], &v[(i+1)%3], px<<subBits+subHalf, py<<subBits+subHalf); err != nil {
+					return false, err
+				}
+			}
+		}
 	}
-	stats.Visited += (maxX - minX + 1) * (maxY - minY + 1)
-
-	for py := minY; py <= maxY; py++ {
-		fy := float64(py) + 0.5
-		rowBase := py * fb.W
-		for px := minX; px <= maxX; px++ {
-			fx := float64(px) + 0.5
-			// Barycentric coordinates via edge functions.
-			w0 := ((x1-fx)*(y2-fy) - (x2-fx)*(y1-fy)) * invArea
-			w1 := ((x2-fx)*(y0-fy) - (x0-fx)*(y2-fy)) * invArea
-			w2 := 1 - w0 - w1
-			if w0 < 0 || w1 < 0 || w2 < 0 {
+	var ax, ay, dx, dy [3]int64 // edge i runs from (ax, ay) by (dx, dy)
+	var owned [3]bool
+	for i := range v {
+		a, b := &v[i], &v[(i+1)%3]
+		ax[i], ay[i], dx[i], dy[i] = a.x, a.y, b.x-a.x, b.y-a.y
+		owned[i] = dy[i] > 0 || dy[i] == 0 && dx[i] < 0
+	}
+	inReach := false
+	for py := py0; py <= py1; py++ {
+		for px := px0; px <= px1; px++ {
+			x, y := px<<subBits+subHalf, py<<subBits+subHalf
+			inReach = inReach || xmin <= x && x < xmax && ymin <= y && y < ymax
+			covered := true
+			for i := 0; i < 3 && covered; i++ {
+				e := dy[i]*(x-ax[i]) - dx[i]*(y-ay[i])
+				covered = e > 0 || e == 0 && owned[i]
+			}
+			if !covered {
 				continue
 			}
-			z := w0*z0 + w1*z1 + w2*z2
-			idx := rowBase + px
-			if z < fb.Depth[idx] {
+			stats.Visited++
+			idx := int(py)*fb.W + int(px)
+			if z := depthAt(depthRow(zC, zB, int(py)), zA, int(px)); z < fb.Depth[idx] {
 				fb.Depth[idx] = z
 				fb.Color[idx] = col
 				stats.Pixels++
 			}
 		}
 	}
-	return true
+	return inReach, nil
 }
 
 // underRace is set by race_test.go in -race builds.
@@ -167,15 +176,8 @@ func samePlanes(got, want *Framebuffer) error {
 	return nil
 }
 
-// sameLedger compares every FrameStats field except Visited, the one the
-// two kernels are meant to differ in.
-func sameLedger(got, want FrameStats) bool {
-	got.Visited, want.Visited = 0, 0
-	return got == want
-}
-
 // TestRasterMatchesReference renders random crane poses through the three
-// surround cameras with both kernels and requires identical colour and
+// surround cameras with both scans and requires identical colour and
 // depth planes and identical ledgers — cab eyes, ground-level eyes, and a
 // ground-level eye in a bar course that the near plane cuts a hundred
 // times a frame.
@@ -203,12 +205,13 @@ func TestRasterMatchesReference(t *testing.T) {
 		}
 		b.UpdateCrane(0, p.st)
 		for ci, cam := range p.cameras() {
-			got, want := r.Render(b.Scene(), cam), ref.refRender(b.Scene(), cam)
-			if !sameLedger(got, want) {
-				t.Fatalf("pose %d camera %d: ledger %+v, reference %+v", i, ci, got, want)
+			got := r.Render(b.Scene(), cam)
+			want, err := ref.refRender(b.Scene(), cam)
+			if err != nil {
+				t.Fatalf("pose %d camera %d: %v", i, ci, err)
 			}
-			if got.Visited < got.Pixels || got.Visited > want.Visited {
-				t.Fatalf("pose %d camera %d: visited %d pixels, wrote %d, bounding boxes hold %d", i, ci, got.Visited, got.Pixels, want.Visited)
+			if got != want {
+				t.Fatalf("pose %d camera %d: ledger %+v, reference %+v", i, ci, got, want)
 			}
 			if err := samePlanes(r.Framebuffer(), ref.Framebuffer()); err != nil {
 				t.Fatalf("pose %d camera %d: %v", i, ci, err)
@@ -217,9 +220,10 @@ func TestRasterMatchesReference(t *testing.T) {
 	}
 }
 
-// TestVisitedCount pins the span kernel's mechanism without a clock: on
-// the EXP-1 rig's three cameras the scan evaluates at most half the pixels
-// the bounding boxes hold, and never fewer than it writes.
+// TestVisitedCount pins what FrameStats.Visited means: on the EXP-1 rig's
+// three cameras it is the reference's count of covered pixel centres,
+// exactly — the spans hold no pixel the triangle does not cover — and so
+// never less than the pixels written.
 func TestVisitedCount(t *testing.T) {
 	ter, err := terrain.GenerateSite(terrain.DefaultSite())
 	if err != nil {
@@ -230,16 +234,17 @@ func TestVisitedCount(t *testing.T) {
 	b.UpdateCrane(0, p.st)
 	r, ref := paperRenderer(t), paperRenderer(t)
 	for ci, cam := range p.cameras() {
-		got, want := r.Render(b.Scene(), cam), ref.refRender(b.Scene(), cam)
-		t.Logf("camera %d: wrote %d, visited %d, bounding boxes %d", ci, got.Pixels, got.Visited, want.Visited)
-		if got.Pixels != want.Pixels {
-			t.Errorf("camera %d: wrote %d pixels, reference %d", ci, got.Pixels, want.Pixels)
+		got := r.Render(b.Scene(), cam)
+		want, err := ref.refRender(b.Scene(), cam)
+		if err != nil {
+			t.Fatalf("camera %d: %v", ci, err)
 		}
-		if got.Visited < got.Pixels {
-			t.Errorf("camera %d: visited %d pixels but wrote %d", ci, got.Visited, got.Pixels)
+		t.Logf("camera %d: wrote %d of %d covered", ci, got.Pixels, got.Visited)
+		if got.Visited != want.Visited || got.Pixels != want.Pixels {
+			t.Errorf("camera %d: covered %d and wrote %d pixels, reference %d and %d", ci, got.Visited, got.Pixels, want.Visited, want.Pixels)
 		}
-		if 2*got.Visited > want.Visited {
-			t.Errorf("camera %d: visited %d pixels, more than half the bounding boxes' %d", ci, got.Visited, want.Visited)
+		if got.Visited < got.Pixels || got.Visited < paperW*paperH/4 {
+			t.Errorf("camera %d: covered %d pixels, wrote %d", ci, got.Visited, got.Pixels)
 		}
 	}
 }

@@ -68,6 +68,16 @@ func TestNewFramebufferValidation(t *testing.T) {
 	if _, err := NewRenderer(-1, 5); err == nil {
 		t.Error("negative size accepted")
 	}
+	// The coverage arithmetic is proved up to maxDim a side; past it — and
+	// long before w*h can wrap — a size is an error, not a panic.
+	for _, dim := range [][2]int{{maxDim + 1, 1}, {1, maxDim + 1}, {math.MaxInt, 2}, {math.MaxInt/2 + 1, 2}, {math.MaxInt, math.MaxInt}} {
+		if _, err := NewFramebuffer(dim[0], dim[1]); err == nil {
+			t.Errorf("%dx%d accepted", dim[0], dim[1])
+		}
+	}
+	if fb, err := NewFramebuffer(maxDim, 1); err != nil || len(fb.Color) != maxDim || len(fb.Depth) != maxDim {
+		t.Errorf("%dx1 refused: %v", maxDim, err)
+	}
 }
 
 func TestRenderSingleTriangle(t *testing.T) {
