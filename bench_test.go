@@ -140,6 +140,7 @@ func BenchmarkSurroundViewSynced(b *testing.B) {
 					b.Fatal("display never linked")
 				}
 			}
+			b.ReportAllocs() // polys-3235 carries a ceiling in BENCH_baseline.json
 			b.ResetTimer()
 			var wg sync.WaitGroup
 			for _, u := range units {

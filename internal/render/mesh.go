@@ -65,15 +65,15 @@
 // loop-carried add). The depth test is z < stored, triangles are drawn in
 // submission order, shading is flat.
 //
-// Rounding. The language lets a port fuse x*y + z into one rounding (arm64,
-// ppc64, s390x and amd64 at GOAMD64=v3 do) and defines an explicit
-// float64(…) conversion as a rounding that prevents it. From the clip-space
+// Rounding. The language lets a port fuse x*y + z into one rounding (arm64
+// does, amd64 does not) and defines an explicit float64(…) conversion as a
+// rounding that prevents it. From the clip-space
 // transform on — toClip, the clip, the divide, the snap, the depth plane
 // and its evaluation — every product is converted before it is added to,
 // so given the same matrices and vertices the planes come out the same,
 // bit for bit, on every GOARCH. What builds those matrices and vertices
-// (internal/mathx, the terrain generator, math.Sincos) makes no such
-// promise.
+// and computes a face's shade (internal/mathx, the scene builder, the
+// terrain generator, math.Sincos) makes no such promise.
 //
 // What holds it. reference_test.go draws the same snapped triangles by
 // brute force — every pixel centre of the bounding box against the three

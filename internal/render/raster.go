@@ -8,17 +8,14 @@ import (
 	"codsim/internal/mathx"
 )
 
-// The bit budget of the coverage arithmetic (package doc, "The coverage
-// contract"): 8 sub-pixel bits and a guard band of 2²² pixels keep every
-// snapped coordinate below 2³⁰, a framebuffer side of at most 2¹⁴ pixels
-// keeps every pixel centre below 2²², so a difference of two vertices is
-// below 2³¹, a pixel centre less a vertex below 2³⁰ + 2²², and every
-// product an edge function or the area forms below 2⁶².
+// The constants of the coverage arithmetic; the package doc ("Bit budget
+// and guard band") has the argument that with them no int64 overflows, and
+// TestBitBudget the check.
 const (
 	subBits = 8            // vertices snap to 1/256 pixel
 	subOne  = 1 << subBits // one pixel, in sub-pixel units
 	subHalf = subOne / 2   // a pixel centre's offset into its pixel
-	guardPx = 1 << 22      // set-up rejects a screen coordinate at or past ±guardPx
+	guardPx = 1 << 22      // set-up culls on a screen coordinate at or past ±guardPx
 	maxDim  = 1 << 14      // the largest framebuffer side
 
 	// The clip-space guard planes sit 2⁻¹⁰ inside ±guardPx: what the clip's
@@ -124,9 +121,9 @@ func (s *Scene) PolygonCount() int {
 // graphics card).
 type Renderer struct {
 	fb     *Framebuffer
-	gx, gy float64     // the guard planes |x| ≤ gx·w, |y| ≤ gy·w
-	clip   []clipVert  // one instance's vertices in clip space, reused
-	tris   [6]triSetup // the set-up fan of the triangle being drawn
+	gx, gy float64                    // the guard planes |x| ≤ gx·w, |y| ≤ gy·w
+	clip   []clipVert                 // one instance's vertices in clip space, reused
+	tris   [maxClipVerts - 2]triSetup // the set-up fan of the triangle being drawn
 }
 
 // NewRenderer builds a renderer with a w×h framebuffer.

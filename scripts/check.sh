@@ -57,9 +57,13 @@ go test -race -count=3 -run 'TestClusterTandemCompletes' ./internal/sim
 # channels, so twenty rounds under the race detector take about twenty
 # seconds.
 go test -race -count=20 -run 'TestStream' ./internal/scenario/gen
-# The rasterizer is held to the same rule: every frame bit for bit where the
-# per-pixel bounding-box loop put it.
-go test -count=1 -run 'TestFrameFingerprint|TestRasterMatchesReference|TestVisitedCount' ./internal/render
+# The rasterizer's coverage is integer and exact by construction: the span
+# kernel equals a brute-force walk over the same edge functions bit for bit
+# (colour, depth, every ledger field), meshes are watertight, coverage moves
+# with the triangle, the arithmetic stays inside its bit budget at the guard
+# band's corners, the clip does not move what is drawn, and 108 frames hash
+# to the committed golden (v2) on every GOARCH.
+go test -count=1 -run 'TestFrameFingerprint|TestRasterMatchesReference|TestVisitedCount|TestSharedEdgeWatertight|TestFanAndStripWatertight|TestTopLeftRule|TestCoverageShiftsWithTriangle|TestBitBudget|TestClipKeepsCoverage' ./internal/render
 
 echo "== go test =="
 go test ./...
@@ -130,6 +134,10 @@ go test -bench 'BenchmarkDynamicsStep|BenchmarkParkedStep' -benchtime 20000x -ru
 # the renderer's first-frame scratch under one allocation).
 go test -bench 'BenchmarkRender' -benchtime 100x -run '^$' ./internal/render >>"$out/bench.txt"
 go test -bench 'BenchmarkSurroundViewFreeRun/polys-3235' -benchtime 100x -run '^$' . >>"$out/bench.txt"
+# The same frame behind the swap-lock barrier does allocate (three displays'
+# barrier traffic, 99 a frame); the ceiling keeps it from growing until the
+# federation item takes it down.
+go test -bench 'BenchmarkSurroundViewSynced/polys-3235' -benchtime 100x -run '^$' . >>"$out/bench.txt"
 # The dispatch layer alone, one op per job: an announce storm (every result
 # re-announcing the window) shows as allocs per job far over the ceiling.
 go test -bench 'BenchmarkDistDispatch' -benchtime 5000x -run '^$' ./internal/dist >>"$out/bench.txt"
@@ -157,7 +165,7 @@ grep -q '0 live dry-runs' "$out/campaign-warm.txt" || {
     exit 1
 }
 
-echo "== fuzz smoke (Spec JSON surface, rasterizer vs its reference, wire frames and AttrSets; 10 s per target) =="
+echo "== fuzz smoke (Spec JSON surface, span rasterizer vs the integer box walk with its products checked against 2^62, wire frames and AttrSets; 10 s per target) =="
 go test -run '^$' -fuzz '^FuzzUnmarshalSpec$' -fuzztime 10s ./internal/scenario
 go test -run '^$' -fuzz '^FuzzValidate$' -fuzztime 10s ./internal/scenario
 go test -run '^$' -fuzz '^FuzzRasterTriangle$' -fuzztime 10s ./internal/render
