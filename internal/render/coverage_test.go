@@ -389,13 +389,7 @@ func TestClipKeepsCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := testRNG(22)
-	mag := func(lo, hi float64) float64 {
-		v := math.Pow(10, rng.float(lo, hi))
-		if rng.next()&1 == 0 {
-			v = -v
-		}
-		return v
-	}
+	mag := rng.mag
 	drawn, clipped := 0, 0
 	for n := 0; n < 4000; n++ {
 		var cv [3]clipVert

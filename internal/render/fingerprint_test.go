@@ -48,6 +48,15 @@ func (r *testRNG) float(lo, hi float64) float64 {
 	return lo + (hi-lo)*float64(r.next()>>11)/(1<<53)
 }
 
+// mag returns ±10^e with e uniform in [lo, hi).
+func (r *testRNG) mag(lo, hi float64) float64 {
+	v := math.Pow(10, r.float(lo, hi))
+	if r.next()&1 == 0 {
+		v = -v
+	}
+	return v
+}
+
 // framePose is one crane pose and the cab eye its surround cameras fan out
 // from.
 type framePose struct {

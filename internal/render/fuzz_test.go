@@ -114,14 +114,7 @@ func TestRandomClipTrianglesMatchReference(t *testing.T) {
 	}
 	rig := newClipTriangleRig(t, 64, 48)
 	rng := testRNG(640480)
-	// mag is ±10^e, e uniform in [lo, hi).
-	mag := func(lo, hi float64) float64 {
-		v := math.Pow(10, rng.float(lo, hi))
-		if rng.next()&1 == 0 {
-			v = -v
-		}
-		return v
-	}
+	mag := rng.mag
 	for i := 0; i < n; i++ {
 		var cv [3]clipVert
 		switch i % 4 {

@@ -86,7 +86,7 @@ func (fb *Framebuffer) WritePPM(w io.Writer) error {
 // behind the EXP-1 fps experiments.
 type FrameStats struct {
 	Submitted  int // triangles submitted
-	Culled     int // rejected by frustum or backface tests
+	Culled     int // rejected: outside the frustum, backface, degenerate, no pixel centre in reach
 	Clipped    int // triangles that needed near-plane or guard-band clipping
 	Rasterized int // triangles actually scanned
 	Pixels     int // pixels shaded (depth-test passes)
@@ -148,10 +148,7 @@ func (r *Renderer) Render(scene *Scene, cam Camera) FrameStats {
 	var stats FrameStats
 	r.fb.Clear(scene.Background)
 
-	light := scene.LightDir.Normalize()
-	if light.LenSq() == 0 {
-		light = mathx.V3(0.3, 1, 0.2).Normalize()
-	}
+	light := scene.light()
 	vp := cam.ViewProj()
 
 	for i := range scene.Instances {
@@ -173,6 +170,15 @@ func (r *Renderer) Render(scene *Scene, cam Camera) FrameStats {
 		}
 	}
 	return stats
+}
+
+// light is the unit vector towards the light, with a default for a scene
+// that names none.
+func (s *Scene) light() mathx.Vec3 {
+	if l := s.LightDir.Normalize(); l.LenSq() != 0 {
+		return l
+	}
+	return mathx.V3(0.3, 1, 0.2).Normalize()
 }
 
 // flatShade is triangle ti's colour under flat shading from its
@@ -302,10 +308,12 @@ func (r *Renderer) clipTriangle(a, b, c *clipVert, out *[maxClipVerts]clipVert) 
 	out[0], out[1], out[2] = *a, *b, *c
 	n = 3
 	for k := 0; k < clipPlanes; k++ {
+		var dist [maxClipVerts]float64
 		inside, crossings := 0, 0
 		prevIn := r.planeDist(k, &out[n-1]) > 0
 		for i := 0; i < n; i++ {
-			in := r.planeDist(k, &out[i]) > 0
+			dist[i] = r.planeDist(k, &out[i])
+			in := dist[i] > 0
 			if in {
 				inside++
 			}
@@ -324,8 +332,8 @@ func (r *Renderer) clipTriangle(a, b, c *clipVert, out *[maxClipVerts]clipVert) 
 		in, m := *out, n
 		n = 0
 		for i := 0; i < m; i++ {
-			cur, next := &in[i], &in[(i+1)%m]
-			dc, dn := r.planeDist(k, cur), r.planeDist(k, next)
+			j := (i + 1) % m
+			cur, next, dc, dn := &in[i], &in[j], dist[i], dist[j]
 			if dc > 0 {
 				out[n] = *cur
 				n++

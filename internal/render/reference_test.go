@@ -23,10 +23,7 @@ import (
 func (r *Renderer) refRender(scene *Scene, cam Camera) (FrameStats, error) {
 	var stats FrameStats
 	r.fb.Clear(scene.Background)
-	light := scene.LightDir.Normalize()
-	if light.LenSq() == 0 {
-		light = mathx.V3(0.3, 1, 0.2).Normalize()
-	}
+	light := scene.light()
 	vp := cam.ViewProj()
 	for i := range scene.Instances {
 		inst := &scene.Instances[i]
