@@ -76,9 +76,9 @@ type Server struct {
 }
 
 type dispState struct {
-	baseline   uint32 // server frame at admission minus its first frame
-	ready      uint32 // latest effective ready frame + 1 (0 = none yet)
-	lastReport time.Time
+	baseline   uint32    // server frame at admission minus its first frame
+	ready      uint32    // latest effective ready frame + 1 (0 = none yet)
+	lastReport time.Time // zero until its first FRAME READY
 }
 
 // NewServer registers the synchronization server on the given backbone
@@ -111,9 +111,8 @@ func NewServer(backbone *cb.Backbone, lpName string, cfg ServerConfig) (*Server,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	now := time.Now()
 	for _, name := range cfg.Expected {
-		s.displays[name] = &dispState{lastReport: now}
+		s.displays[name] = &dispState{}
 	}
 	return s, nil
 }
@@ -200,7 +199,9 @@ func (s *Server) handleReady(r cb.Reflection) {
 	d.lastReport = time.Now()
 }
 
-// reapStalls evicts displays that stopped reporting while others wait.
+// reapStalls evicts displays that stopped reporting while others wait. A
+// frame's stall clock starts when the first display reports it: a rack in
+// which nobody has reported yet is idle, however long, not stalled.
 func (s *Server) reapStalls() {
 	if s.cfg.StallTimeout <= 0 {
 		return
@@ -211,8 +212,16 @@ func (s *Server) reapStalls() {
 	if len(s.displays) < 2 {
 		return // nothing to unblock
 	}
+	stalled := func(d *dispState) bool { return now.Sub(d.lastReport) > s.cfg.StallTimeout }
+	waiting := false // some display has been ahead of s.frame for a whole timeout
+	for _, d := range s.displays {
+		waiting = waiting || d.ready > s.frame && stalled(d)
+	}
+	if !waiting {
+		return
+	}
 	for name, d := range s.displays {
-		if d.ready <= s.frame && now.Sub(d.lastReport) > s.cfg.StallTimeout {
+		if d.ready <= s.frame && stalled(d) {
 			delete(s.displays, name)
 			s.evicted.Inc()
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"codsim/internal/cb"
+	"codsim/internal/fom"
 	"codsim/internal/transport"
 )
 
@@ -289,6 +290,58 @@ func TestStallEviction(t *testing.T) {
 	if srv.Evicted() != 1 {
 		t.Errorf("Evicted = %d, want 1", srv.Evicted())
 	}
+}
+
+// TestIdleRackIsNotStalled: a rack that idles past StallTimeout before its
+// first FRAME READY — sim.New starts the server, the display loops begin
+// at Start — keeps every display, and the first swap still waits for all
+// of them; the stall clock of a frame starts with its first report. The
+// server's loop is never started: reports go to handleReady, their times
+// are moved back by hand, and nothing sleeps.
+func TestIdleRackIsNotStalled(t *testing.T) {
+	bb, err := cb.New(transport.NewMemLAN(), "sync-server", fastCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bb.Close()
+	const timeout = 50 * time.Millisecond
+	srv, err := NewServer(bb, "sync", ServerConfig{
+		Expected:     []string{"display-1", "display-2", "display-3"},
+		StallTimeout: timeout,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	age := func(names ...string) {
+		for _, n := range names {
+			srv.displays[n].lastReport = time.Now().Add(-4 * timeout)
+		}
+	}
+	ready := func(name string, frame uint32) {
+		srv.handleReady(cb.Reflection{PubLP: name, Attrs: fom.FrameMark{Frame: frame}.Encode()})
+	}
+	holds := func(when string, evicted int64, displays int, frame uint32) {
+		t.Helper()
+		srv.reapStalls()
+		srv.release()
+		if srv.Evicted() != evicted || len(srv.Displays()) != displays || srv.Frame() != frame {
+			t.Fatalf("%s: %d evicted, displays %v, next frame %d; want %d evicted, %d displays, frame %d",
+				when, srv.Evicted(), srv.Displays(), srv.Frame(), evicted, displays, frame)
+		}
+	}
+
+	age("display-1", "display-2", "display-3")
+	holds("idle, nobody has reported", 0, 3, 0)
+	ready("display-1", 0)
+	holds("display-1 has only just reported", 0, 3, 0)
+	ready("display-2", 0)
+	age("display-2")
+	holds("display-2 has waited a timeout, display-3 is stalled", 1, 2, 1)
+	ready("display-1", 1)
+	ready("display-2", 1)
+	holds("the survivors run on", 1, 2, 2)
+	age("display-1", "display-2")
+	holds("both idle again", 1, 2, 2)
 }
 
 // TestPipelinedBarrier exercises the §5 future-work extension: a deeper

@@ -53,7 +53,6 @@ func (rig *hitRig) draw(tris [][3]pt) {
 	clear(rig.hits)
 	fb := rig.r.fb
 	for _, tri := range tris {
-		fb.Clear(RGB{})
 		var v [3]fixVert
 		for i, p := range tri {
 			v[i] = fixVert{x: p.x, y: p.y, z: 0.5}
@@ -61,8 +60,9 @@ func (rig *hitRig) draw(tris [][3]pt) {
 		var ts triSetup
 		var stats FrameStats
 		if ts.setup(fb, &v) {
-			rig.r.scan(&ts, RGB{R: 255}, &stats)
+			rig.r.bin = append(rig.r.bin, binTri{ts, RGB{R: 255}})
 		}
+		rig.r.drawBands(RGB{}, &stats)
 		for i, c := range fb.Color {
 			if c != (RGB{}) {
 				rig.hits[i]++
@@ -317,12 +317,12 @@ func TestBitBudget(t *testing.T) {
 			}
 			var got, want FrameStats
 			var ts triSetup
-			rig.r.fb.Clear(RGB{})
-			rig.ref.fb.Clear(RGB{})
+			rig.ref.refClear(RGB{})
 			if ts.setup(rig.r.fb, &v) {
 				got.Rasterized++
-				rig.r.scan(&ts, RGB{G: 255}, &got)
+				rig.r.bin = append(rig.r.bin, binTri{ts, RGB{G: 255}})
 			}
+			rig.r.drawBands(RGB{}, &got)
 			drew, err := rig.ref.refTriangle(&v, RGB{G: 255}, &want)
 			if err != nil {
 				t.Fatalf("%dx%d, triangle %v: %v", dim[0], dim[1], tri, err)
@@ -333,7 +333,7 @@ func TestBitBudget(t *testing.T) {
 			if got != want {
 				t.Fatalf("%dx%d, triangle %v: ledger %+v, reference %+v", dim[0], dim[1], tri, got, want)
 			}
-			if err := samePlanes(rig.r.fb, rig.ref.fb); err != nil {
+			if err := samePlanes(rig.r, rig.ref); err != nil {
 				t.Fatalf("%dx%d, triangle %v: %v", dim[0], dim[1], tri, err)
 			}
 		}
@@ -420,12 +420,9 @@ func TestClipKeepsCoverage(t *testing.T) {
 			continue
 		}
 
-		r.fb.Clear(RGB{})
 		var stats FrameStats
-		k := r.setUp(&cv[0], &cv[1], &cv[2], &stats)
-		for i := 0; i < k; i++ {
-			r.scan(&r.tris[i], RGB{B: 255}, &stats)
-		}
+		r.shadeLast(r.setUp(&cv[0], &cv[1], &cv[2], &stats), RGB{B: 255})
+		r.drawBands(RGB{}, &stats)
 		clipped += stats.Clipped
 		if stats.Visited > 0 {
 			drawn++

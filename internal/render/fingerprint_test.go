@@ -145,16 +145,16 @@ const (
 )
 
 // frameHash is FNV-64a over every colour byte and the bits of every depth
-// value, plane by plane. Hand-rolled: hash/fnv's Write per 8 bytes costs
-// more than the frame it hashes.
-func frameHash(fb *Framebuffer) uint64 {
+// value of the frame r rendered last, plane by plane. Hand-rolled:
+// hash/fnv's Write per 8 bytes costs more than the frame it hashes.
+func frameHash(r *Renderer) uint64 {
 	h := uint64(fnvOffset)
-	for _, c := range fb.Color {
+	for _, c := range r.fb.Color {
 		h = (h ^ uint64(c.R)) * fnvPrime
 		h = (h ^ uint64(c.G)) * fnvPrime
 		h = (h ^ uint64(c.B)) * fnvPrime
 	}
-	for _, d := range fb.Depth {
+	for _, d := range r.capture {
 		v := math.Float64bits(d)
 		for i := 0; i < 8; i++ {
 			h = (h ^ (v & 0xff)) * fnvPrime
@@ -186,7 +186,7 @@ func TestFrameFingerprint(t *testing.T) {
 	bars, barEye := barCourse(ter, 100, 106, 0)
 	course := paperScene(t, ter, bars...)
 
-	r := paperRenderer(t)
+	r := withDepth(paperRenderer(t))
 	rng := testRNG(20010416)
 	var got strings.Builder
 	clippedAtGround := 0
@@ -197,7 +197,7 @@ func TestFrameFingerprint(t *testing.T) {
 				clippedAtGround += s.Clipped
 			}
 			fmt.Fprintf(&got, "%s pose=%02d cam=%d fnv64a=%016x sub=%d cull=%d clip=%d rast=%d pix=%d vis=%d\n",
-				name, pose, ci, frameHash(r.Framebuffer()), s.Submitted, s.Culled, s.Clipped, s.Rasterized, s.Pixels, s.Visited)
+				name, pose, ci, frameHash(r), s.Submitted, s.Culled, s.Clipped, s.Rasterized, s.Pixels, s.Visited)
 		}
 	}
 	for i := 0; i < 24; i++ {

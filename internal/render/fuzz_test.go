@@ -24,7 +24,7 @@ func newClipTriangleRig(tb testing.TB, w, h int) *clipTriangleRig {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return &clipTriangleRig{r: r, ref: ref}
+	return &clipTriangleRig{r: withDepth(r), ref: withDepth(ref)}
 }
 
 // check draws cv with the span kernel and with the reference and compares
@@ -33,14 +33,11 @@ func newClipTriangleRig(tb testing.TB, w, h int) *clipTriangleRig {
 func (rig *clipTriangleRig) check(cv [3]clipVert) error {
 	col := RGB{R: 200, G: 100, B: 50}
 	r, ref := rig.r, rig.ref
-	r.fb.Clear(RGB{})
 	var got FrameStats
-	n := r.setUp(&cv[0], &cv[1], &cv[2], &got)
-	for k := 0; k < n; k++ {
-		r.scan(&r.tris[k], col, &got)
-	}
+	r.shadeLast(r.setUp(&cv[0], &cv[1], &cv[2], &got), col)
+	r.drawBands(RGB{}, &got)
 
-	ref.fb.Clear(RGB{})
+	ref.refClear(RGB{})
 	var want FrameStats
 	if err := ref.refClipTriangle(&cv[0], &cv[1], &cv[2], col, &want); err != nil {
 		return err
@@ -48,13 +45,15 @@ func (rig *clipTriangleRig) check(cv [3]clipVert) error {
 	if got != want {
 		return fmt.Errorf("ledger %+v, reference %+v", got, want)
 	}
-	return samePlanes(r.fb, ref.fb)
+	return samePlanes(r, ref)
 }
 
 // FuzzRasterTriangle feeds single clip-space triangles — any float64 the
 // engine cares to make of x, y, z, w: huge, tiny, NaN, infinite — through
-// the span kernel and the reference scan. The seeds are the shapes a
-// renderer meets at its edges.
+// the span kernel and the reference scan, in bands of a fuzzed height, so
+// that band edges fall on vertices, on horizontal edges and around
+// one-row triangles. The seeds are the shapes a renderer meets at its
+// edges.
 func FuzzRasterTriangle(f *testing.F) {
 	nan, inf := math.NaN(), math.Inf(1)
 	seeds := [][12]float64{
@@ -87,18 +86,23 @@ func FuzzRasterTriangle(f *testing.F) {
 		{-0.734375, 1 - 8.5/24, 0.2, 1, -0.734375, 1 - 40.5/24, 0.2, 1, 0.265625, 1 - 8.5/24, 0.2, 1},
 		{0.265625, 1 - 40.5/24, 0.2, 1, 0.265625, 1 - 8.5/24, 0.2, 1, -0.734375, 1 - 40.5/24, 0.2, 1},
 	}
-	for _, s := range seeds {
-		f.Add(s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11])
+	// The seeds take these band heights, less one, in turn. The last two
+	// get 8 and 4 rows: band edges right above their corners' rows, 8 and 40.
+	bands := [...]uint8{0, 1, 12, 46, 7, 3}
+	for i, s := range seeds {
+		f.Add(s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], bands[i%len(bands)])
 	}
-	rig := newClipTriangleRig(f, 64, 48)
-	f.Fuzz(func(t *testing.T, x0, y0, z0, w0, x1, y1, z1, w1, x2, y2, z2, w2 float64) {
+	const w, h = 64, 48
+	rig := newClipTriangleRig(f, w, h)
+	f.Fuzz(func(t *testing.T, x0, y0, z0, w0, x1, y1, z1, w1, x2, y2, z2, w2 float64, band uint8) {
 		cv := [3]clipVert{
 			{mathx.V3(x0, y0, z0), w0},
 			{mathx.V3(x1, y1, z1), w1},
 			{mathx.V3(x2, y2, z2), w2},
 		}
+		rig.r.setBandRows(1 + int(band)%h)
 		if err := rig.check(cv); err != nil {
-			t.Fatalf("%v: %v", cv, err)
+			t.Fatalf("%v in bands of %d rows: %v", cv, rig.r.rows, err)
 		}
 	})
 }
@@ -106,7 +110,8 @@ func FuzzRasterTriangle(f *testing.F) {
 // TestRandomClipTrianglesMatchReference is the fuzz target's bulk run for
 // tier-1: seeded clip-space triangles whose coordinates and w spread over
 // twenty-four decades, ordinary ones, slivers thinner than an ulp of their
-// length, and ones with vertices behind the eye.
+// length, and ones with vertices behind the eye, each kind in bands of
+// every height from one row to the frame.
 func TestRandomClipTrianglesMatchReference(t *testing.T) {
 	n := 100000
 	if testing.Short() || underRace {
@@ -137,8 +142,9 @@ func TestRandomClipTrianglesMatchReference(t *testing.T) {
 				cv[k] = clipVert{mathx.V3(mag(-2, 3), mag(-2, 3), rng.float(-1, 1)), mag(-7, 2)}
 			}
 		}
+		rig.r.setBandRows(1 + i/4%48)
 		if err := rig.check(cv); err != nil {
-			t.Fatalf("triangle %d %v: %v", i, cv, err)
+			t.Fatalf("triangle %d %v in bands of %d rows: %v", i, cv, rig.r.rows, err)
 		}
 	}
 }

@@ -65,6 +65,31 @@
 // loop-carried add). The depth test is z < stored, triangles are drawn in
 // submission order, shading is flat.
 //
+// Traversal. A frame is drawn in two passes. The first takes every
+// triangle through the clip and set-up and appends the survivors, each
+// with its colour, to a bin that keeps submission order and is reused from
+// frame to frame. The second walks the framebuffer once, top to bottom, in
+// bands of as many rows as keep a band's colour and depth near 96 KiB —
+// ⌊96 KiB / 11·w⌋ rows for a width of w pixels and one at least: 13 rows at
+// 640 pixels, one at 2¹⁴, computed and not configured. For each band the
+// colour rows are cleared, then every binned triangle that reaches the
+// band scans its rows there, in submission order, its edge walks resuming
+// where the band above left them. That order is the whole argument that
+// the picture cannot change: coverage and z are functions of the triangle
+// and the pixel alone, a pixel lies in one band, and the triangles that
+// cover it arrive there in the order they were submitted — so every pixel
+// sees the sequence of depth tests it would see if each triangle were
+// scanned whole, and the ledger counts the same pixels. What changes is
+// where memory is touched: a band is cleared, scanned and left while it is
+// in cache, where a clear of the whole frame followed by a scan of the
+// whole frame streamed 3.3 MB out and pulled it back in. Depth needs no
+// plane for this: the renderer keeps one band's depth rows, cleared when a
+// band's first triangle arrives (in a band no triangle reaches, not at
+// all) and forgotten with the band. A whole depth plane exists only as a
+// test capture: this package's tests have each band's depth rows copied
+// out to one (Renderer.capture), and that is the plane the reference, the
+// fuzz target and the golden compare.
+//
 // Rounding. The language lets a port fuse x*y + z into one rounding (arm64
 // does, amd64 does not) and defines an explicit float64(…) conversion as a
 // rounding that prevents it. From the clip-space
@@ -83,11 +108,15 @@
 // colour, depth and every FrameStats field to agree bit for bit.
 // coverage_test.go has what is true by construction (watertight pairs,
 // fans and strips; coverage shifting with the triangle; the budget at the
-// guard band's corners) and holds the clip to an oracle without one.
-// testdata/frames.golden pins 108 frames' colour and depth planes and
-// ledgers. It is version 2: version 1 was the float bounding-box loop this
-// kernel replaced, from which it differs in 0–78 of a frame's 307 200
-// colour pixels, all of them next to an edge (CHANGES.md, PR 19). The
+// guard band's corners) and holds the clip to an oracle without one;
+// band_test.go renders the same frames in bands of 1, 2, 7, 13 and 480 rows
+// and requires one picture, and the fuzz target and its bulk run take the
+// band height as an input, so that band edges cut vertices, horizontal
+// edges and one-row triangles. testdata/frames.golden pins 108 frames'
+// colour and depth planes and ledgers. It is version 2: version 1 was the
+// float bounding-box loop this kernel replaced, from which it differs in
+// 0–78 of a frame's 307 200 colour pixels, all of them next to an edge
+// (CHANGES.md, PR 19). The
 // golden may be re-cut only by a change that means to alter what is
 // computed — the snapping grid, the fill rule, the depth expression, the
 // shading — and says so; a change to how spans are found, to the clip, to

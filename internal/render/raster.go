@@ -23,44 +23,34 @@ const (
 	clipPx = guardPx - guardPx>>10
 )
 
-// Framebuffer is the render target: a color plane plus a depth plane.
+// Framebuffer is the render target: the color plane. Depth is kept a band
+// at a time in the renderer (package doc, "Traversal").
 type Framebuffer struct {
 	W, H  int
-	Color []RGB     // row-major
-	Depth []float64 // NDC depth; smaller = nearer
+	Color []RGB // row-major
 }
 
-// NewFramebuffer allocates a cleared framebuffer. A side may be at most
-// 2¹⁴ pixels, the size the coverage arithmetic is proved for; w*h then
-// fits any int.
+// NewFramebuffer allocates a black framebuffer. A side may be at most 2¹⁴
+// pixels, the size the coverage arithmetic is proved for; w*h then fits
+// any int.
 func NewFramebuffer(w, h int) (*Framebuffer, error) {
 	if w <= 0 || h <= 0 || w > maxDim || h > maxDim {
 		return nil, fmt.Errorf("render: framebuffer %dx%d: sides must be in [1, %d]", w, h, maxDim)
 	}
-	fb := &Framebuffer{W: w, H: h,
-		Color: make([]RGB, w*h),
-		Depth: make([]float64, w*h),
-	}
-	fb.Clear(RGB{})
-	return fb, nil
+	return &Framebuffer{W: w, H: h, Color: make([]RGB, w*h)}, nil
 }
 
-// Clear fills the color plane and resets depth to the far plane.
-func (fb *Framebuffer) Clear(bg RGB) {
-	fill(fb.Color, bg)
-	fill(fb.Depth, math.Inf(1))
-}
-
-// fill sets every element of s to v: the first block in a loop, the rest
-// by copying that block, which stays in L1 while memmove stores 32 bytes
-// where the loop stores one element.
+// fill sets every element of s to v by copying what is filled already onto
+// what is not, twice as much each time: memmove stores 32 bytes where a
+// loop stores one element, and a band is small enough that the source is
+// still in cache when it is read back.
 func fill[T any](s []T, v T) {
-	n := min(len(s), 512)
-	for i := range s[:n] {
-		s[i] = v
+	if len(s) == 0 {
+		return
 	}
-	for i := n; i < len(s); i += n {
-		copy(s[i:], s[:n])
+	s[0] = v
+	for n := 1; n < len(s); n *= 2 {
+		copy(s[n:], s[:n])
 	}
 }
 
@@ -121,10 +111,30 @@ func (s *Scene) PolygonCount() int {
 // graphics card).
 type Renderer struct {
 	fb     *Framebuffer
-	gx, gy float64                    // the guard planes |x| ≤ gx·w, |y| ≤ gy·w
-	clip   []clipVert                 // one instance's vertices in clip space, reused
-	tris   [maxClipVerts - 2]triSetup // the set-up fan of the triangle being drawn
+	gx, gy float64    // the guard planes |x| ≤ gx·w, |y| ≤ gy·w
+	clip   []clipVert // one instance's vertices in clip space, reused
+	bin    []binTri   // the frame's set-up triangles in submission order, reused
+	rows   int        // the height of a band
+	depth  []float64  // the depth rows of the band being drawn; NDC, smaller = nearer
+
+	// capture, which only this package's tests set, is a whole depth plane
+	// that every band's depth rows are copied to when the band is done.
+	capture []float64
 }
+
+// binTri is a set-up triangle waiting for the bands, with its colour.
+type binTri struct {
+	triSetup
+	col RGB
+}
+
+// A band is as many rows as keep its colour and depth together near
+// bandBytes: a fraction of a core's L2, so that the rows a band clears are
+// still resident when it scans them, with room left for the bin.
+const (
+	bandBytes  = 96 << 10
+	pixelBytes = 3 + 8 // an RGB and a float64 of depth
+)
 
 // NewRenderer builds a renderer with a w×h framebuffer.
 func NewRenderer(w, h int) (*Renderer, error) {
@@ -132,22 +142,25 @@ func NewRenderer(w, h int) (*Renderer, error) {
 	if err != nil {
 		return nil, err
 	}
+	rows := min(max(bandBytes/(w*pixelBytes), 1), h)
 	// NDC ±g lands on the screen at (1 ± g)/2 of a side, so the farther
 	// guard plane reaches (g + 1)/2 sides from the origin: clipPx pixels.
 	return &Renderer{fb: fb,
-		gx: 2*clipPx/float64(w) - 1,
-		gy: 2*clipPx/float64(h) - 1,
+		gx:    2*clipPx/float64(w) - 1,
+		gy:    2*clipPx/float64(h) - 1,
+		rows:  rows,
+		depth: make([]float64, rows*w),
 	}, nil
 }
 
 // Framebuffer exposes the render target (for probing and PPM dumps).
 func (r *Renderer) Framebuffer() *Framebuffer { return r.fb }
 
-// Render draws the scene from the camera and returns the frame statistics.
+// Render draws the scene from the camera and returns the frame statistics:
+// every triangle is set up and binned, then the bands are drawn (package
+// doc, "Traversal").
 func (r *Renderer) Render(scene *Scene, cam Camera) FrameStats {
 	var stats FrameStats
-	r.fb.Clear(scene.Background)
-
 	light := scene.light()
 	vp := cam.ViewProj()
 
@@ -162,14 +175,53 @@ func (r *Renderer) Render(scene *Scene, cam Camera) FrameStats {
 			if n == 0 {
 				continue
 			}
-			// Shaded only now: most triangles never reach the scan.
-			col := flatShade(inst, ti, light, scene.Ambient)
-			for k := 0; k < n; k++ {
-				r.scan(&r.tris[k], col, &stats)
-			}
+			// Shaded only now: most triangles never reach the bin.
+			r.shadeLast(n, flatShade(inst, ti, light, scene.Ambient))
 		}
 	}
+	r.drawBands(scene.Background, &stats)
 	return stats
+}
+
+// shadeLast gives the n triangles binned last their colour.
+func (r *Renderer) shadeLast(n int, col RGB) {
+	fan := r.bin[len(r.bin)-n:]
+	for k := range fan {
+		fan[k].col = col
+	}
+}
+
+// drawBands draws the bin and empties it. The framebuffer is walked once,
+// top to bottom, a band at a time: the band's colour rows are cleared, then
+// every binned triangle that reaches the band scans its rows there, in
+// submission order, against depth rows that exist for this band only — and
+// are cleared only if a triangle arrives to test them.
+func (r *Renderer) drawBands(bg RGB, stats *FrameStats) {
+	w, h := r.fb.W, r.fb.H
+	for first := 0; first < h; first += r.rows {
+		last := min(first+r.rows, h) - 1
+		fill(r.fb.Color[first*w:(last+1)*w], bg)
+		depth := r.depth[:(last+1-first)*w]
+		reached := false
+		for i := range r.bin {
+			t := &r.bin[i]
+			if t.minY > last || t.minY > t.maxY {
+				continue // starts below the band, or ended above it
+			}
+			if !reached {
+				reached = true
+				fill(depth, math.Inf(1))
+			}
+			r.scan(t, first, last, stats)
+		}
+		if r.capture != nil {
+			if !reached {
+				fill(depth, math.Inf(1))
+			}
+			copy(r.capture[first*w:], depth)
+		}
+	}
+	r.bin = r.bin[:0]
 }
 
 // light is the unit vector towards the light, with a default for a scene
@@ -228,8 +280,8 @@ func (r *Renderer) toClip(m *mathx.Mat4, verts []mathx.Vec3) []clipVert {
 }
 
 // setUp takes one clip-space triangle through the frustum test, the clip
-// and the screen set-up of its fan, leaving the survivors in r.tris. It
-// returns how many there are to scan and books every reject.
+// and the screen set-up of its fan, and bins the survivors, colour to
+// follow. It returns how many there are and books every reject.
 func (r *Renderer) setUp(a, b, c *clipVert, stats *FrameStats) int {
 	// Trivial frustum rejection: all vertices outside one plane.
 	if allOutside(a, b, c) {
@@ -250,8 +302,10 @@ func (r *Renderer) setUp(a, b, c *clipVert, stats *FrameStats) int {
 	// Fan-triangulate the clipped polygon.
 	n := 0
 	for k := 1; k+1 < m; k++ {
+		var t triSetup
 		v, ok := project(r.fb, &poly[0], &poly[k], &poly[k+1])
-		if ok && r.tris[n].setup(r.fb, &v) {
+		if ok && t.setup(r.fb, &v) {
+			r.bin = append(r.bin, binTri{triSetup: t})
 			n++
 		} else {
 			stats.Culled++
@@ -422,7 +476,8 @@ func project(fb *Framebuffer, a, b, c *clipVert) (v [3]fixVert, ok bool) {
 
 // triSetup is one screen-space triangle ready to scan: the rows and
 // columns its pixel centres can lie in, the walks of its edges down those
-// rows, and its depth plane.
+// rows, and its depth plane. A scan that stops at a band's last row leaves
+// minY and the walks at the row the next band resumes from.
 type triSetup struct {
 	minY, maxY int
 	minX, maxX int
@@ -524,15 +579,17 @@ func depthAt(zRow, zA float64, px int) float64 { return zRow + float64(zA*float6
 // depthRow is the part of depthAt that is fixed along row py.
 func depthRow(zC, zB float64, py int) float64 { return zC + float64(zB*float64(py)) }
 
-// scan rasterizes a set-up triangle: per row, the columns from the last
-// left bound to the first right bound are covered, all of them and no
-// others, so the pixel loop only interpolates depth and tests it.
-func (r *Renderer) scan(t *triSetup, col RGB, stats *FrameStats) {
-	fb := r.fb
+// scan rasterizes a set-up triangle's rows in the band first … last: per
+// row, the columns from the last left bound to the first right bound are
+// covered, all of them and no others, so the pixel loop only interpolates
+// depth and tests it.
+func (r *Renderer) scan(t *binTri, first, last int, stats *FrameStats) {
+	w, col := r.fb.W, t.col
 	left, right, third := t.left, t.right, t.third
 	zA := t.zA
 	visited, pixels := 0, 0
-	for py := t.minY; py <= t.maxY; py++ {
+	end := min(t.maxY, last)
+	for py := t.minY; py <= end; py++ {
 		lo, hi := max(left.q, int64(t.minX)), min(right.q, int64(t.maxX))
 		if t.thirdLeft {
 			lo = max(lo, third.q)
@@ -547,9 +604,8 @@ func (r *Renderer) scan(t *triSetup, col RGB, stats *FrameStats) {
 		}
 
 		zRow := depthRow(t.zC, t.zB, py)
-		rowBase := py * fb.W
-		depth := fb.Depth[rowBase+int(lo) : rowBase+int(hi)+1]
-		color := fb.Color[rowBase+int(lo) : rowBase+int(hi)+1]
+		depth := r.depth[(py-first)*w+int(lo) : (py-first)*w+int(hi)+1]
+		color := r.fb.Color[py*w+int(lo) : py*w+int(hi)+1]
 		color = color[:len(depth)] // same length already; lets color[i] go unchecked
 		visited += len(depth)
 		for i := range depth {
@@ -560,6 +616,7 @@ func (r *Renderer) scan(t *triSetup, col RGB, stats *FrameStats) {
 			}
 		}
 	}
+	t.left, t.right, t.third, t.minY = left, right, third, end+1
 	stats.Visited += visited
 	stats.Pixels += pixels
 }

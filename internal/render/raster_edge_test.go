@@ -116,22 +116,26 @@ func TestFrameStatsConsistency(t *testing.T) {
 	}
 }
 
-// TestDepthBufferExposed: nearer geometry leaves smaller depth values.
-func TestDepthBufferExposed(t *testing.T) {
+// TestDepthCapture: the depth plane a test captures from the bands holds
+// smaller values where geometry is nearer and the far plane where there is
+// none — in a band the triangle reaches and in one it does not.
+func TestDepthCapture(t *testing.T) {
 	r, err := NewRenderer(64, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
+	withDepth(r).setBandRows(8)
 	scene := singleTriScene(RGB{R: 255})
 	r.Render(scene, frontCamera())
-	fb := r.Framebuffer()
-	center := fb.Depth[36*fb.W+32]
+	w := r.fb.W
+	center := r.capture[36*w+32]
 	if math.IsInf(center, 1) {
 		t.Fatal("center depth untouched")
 	}
-	corner := fb.Depth[2*fb.W+2]
-	if !math.IsInf(corner, 1) {
-		t.Errorf("background depth = %v, want +Inf", corner)
+	for _, at := range [][2]int{{2, 2}, {2, 36}} {
+		if corner := r.capture[at[1]*w+at[0]]; !math.IsInf(corner, 1) {
+			t.Errorf("background depth at %v = %v, want +Inf", at, corner)
+		}
 	}
 	if center >= 1 || center <= -1 {
 		t.Errorf("center depth %v outside NDC", center)

@@ -22,7 +22,7 @@ import (
 // refRender is Render with refTriangle in the place of setup and scan.
 func (r *Renderer) refRender(scene *Scene, cam Camera) (FrameStats, error) {
 	var stats FrameStats
-	r.fb.Clear(scene.Background)
+	r.refClear(scene.Background)
 	light := scene.light()
 	vp := cam.ViewProj()
 	for i := range scene.Instances {
@@ -146,8 +146,8 @@ func (r *Renderer) refTriangle(v *[3]fixVert, col RGB, stats *FrameStats) (bool,
 			}
 			stats.Visited++
 			idx := int(py)*fb.W + int(px)
-			if z := depthAt(depthRow(zC, zB, int(py)), zA, int(px)); z < fb.Depth[idx] {
-				fb.Depth[idx] = z
+			if z := depthAt(depthRow(zC, zB, int(py)), zA, int(px)); z < r.capture[idx] {
+				r.capture[idx] = z
 				fb.Color[idx] = col
 				stats.Pixels++
 			}
@@ -159,15 +159,41 @@ func (r *Renderer) refTriangle(v *[3]fixVert, col RGB, stats *FrameStats) (bool,
 // underRace is set by race_test.go in -race builds.
 var underRace bool
 
-// samePlanes compares two framebuffers bit for bit, depth by its bits so
-// that a NaN or a signed zero cannot hide.
-func samePlanes(got, want *Framebuffer) error {
-	for i := range want.Color {
-		if got.Color[i] != want.Color[i] {
-			return fmt.Errorf("colour differs at (%d,%d): got %v, reference %v", i%want.W, i/want.W, got.Color[i], want.Color[i])
+// The product keeps depth one band at a time. A test that compares depth
+// renders with withDepth, which has every band's depth rows copied to a
+// whole plane, Renderer.capture; the reference draws straight onto its own.
+
+// withDepth makes r keep the depth plane of the frames it renders.
+func withDepth(r *Renderer) *Renderer {
+	r.capture = make([]float64, r.fb.W*r.fb.H)
+	return r
+}
+
+// setBandRows makes r draw in bands of n rows, not of the height
+// NewRenderer derived.
+func (r *Renderer) setBandRows(n int) {
+	r.rows = n
+	if len(r.depth) < n*r.fb.W {
+		r.depth = make([]float64, n*r.fb.W)
+	}
+}
+
+// refClear readies the planes the reference draws on.
+func (r *Renderer) refClear(bg RGB) {
+	fill(r.fb.Color, bg)
+	fill(r.capture, math.Inf(1))
+}
+
+// samePlanes compares two renderers' colour and depth planes bit for bit,
+// depth by its bits so that a NaN or a signed zero cannot hide.
+func samePlanes(got, want *Renderer) error {
+	w := want.fb.W
+	for i := range want.fb.Color {
+		if got.fb.Color[i] != want.fb.Color[i] {
+			return fmt.Errorf("colour differs at (%d,%d): got %v, reference %v", i%w, i/w, got.fb.Color[i], want.fb.Color[i])
 		}
-		if math.Float64bits(got.Depth[i]) != math.Float64bits(want.Depth[i]) {
-			return fmt.Errorf("depth differs at (%d,%d): got %v, reference %v", i%want.W, i/want.W, got.Depth[i], want.Depth[i])
+		if math.Float64bits(got.capture[i]) != math.Float64bits(want.capture[i]) {
+			return fmt.Errorf("depth differs at (%d,%d): got %v, reference %v", i%w, i/w, got.capture[i], want.capture[i])
 		}
 	}
 	return nil
@@ -191,7 +217,7 @@ func TestRasterMatchesReference(t *testing.T) {
 	bars, barEye := barCourse(ter, 60, 140, 2.1)
 	course := paperScene(t, ter, bars...)
 
-	r, ref := paperRenderer(t), paperRenderer(t)
+	r, ref := withDepth(paperRenderer(t)), withDepth(paperRenderer(t))
 	rng := testRNG(3235)
 	for i := 0; i < poses; i++ {
 		b := site
@@ -210,7 +236,7 @@ func TestRasterMatchesReference(t *testing.T) {
 			if got != want {
 				t.Fatalf("pose %d camera %d: ledger %+v, reference %+v", i, ci, got, want)
 			}
-			if err := samePlanes(r.Framebuffer(), ref.Framebuffer()); err != nil {
+			if err := samePlanes(r, ref); err != nil {
 				t.Fatalf("pose %d camera %d: %v", i, ci, err)
 			}
 		}
@@ -229,7 +255,7 @@ func TestVisitedCount(t *testing.T) {
 	b := paperScene(t, ter)
 	p := exp1Pose(ter)
 	b.UpdateCrane(0, p.st)
-	r, ref := paperRenderer(t), paperRenderer(t)
+	r, ref := paperRenderer(t), withDepth(paperRenderer(t))
 	for ci, cam := range p.cameras() {
 		got := r.Render(b.Scene(), cam)
 		want, err := ref.refRender(b.Scene(), cam)

@@ -62,8 +62,13 @@ go test -race -count=20 -run 'TestStream' ./internal/scenario/gen
 # (colour, depth, every ledger field), meshes are watertight, coverage moves
 # with the triangle, the arithmetic stays inside its bit budget at the guard
 # band's corners, the clip does not move what is drawn, and 108 frames hash
-# to the committed golden (v2) on every GOARCH.
-go test -count=1 -run 'TestFrameFingerprint|TestRasterMatchesReference|TestVisitedCount|TestSharedEdgeWatertight|TestFanAndStripWatertight|TestTopLeftRule|TestCoverageShiftsWithTriangle|TestBitBudget|TestClipKeepsCoverage' ./internal/render
+# to the committed golden (v2) on every GOARCH. A frame is drawn from a bin
+# of set-up triangles in cache-sized row bands, each cleared and scanned in
+# submission order against one band's depth rows: the same frames in bands
+# of 1, 2, 7, 13 and 480 rows are one picture, the fuzz seeds put band
+# edges through vertices, horizontal edges and one-row triangles, and a
+# frame after the first allocates nothing.
+go test -count=1 -run 'TestFrameFingerprint|TestRasterMatchesReference|TestVisitedCount|TestSharedEdgeWatertight|TestFanAndStripWatertight|TestTopLeftRule|TestCoverageShiftsWithTriangle|TestBitBudget|TestClipKeepsCoverage|TestBandHeightDoesNotChangeTheFrame|FuzzRasterTriangle|TestRenderAllocatesNothing' ./internal/render
 
 echo "== go test =="
 go test ./...
@@ -131,12 +136,13 @@ go test -bench 'BenchmarkJudgeCollisions' -benchtime 20000x -run '^$' . >>"$out/
 # window, and it must cost no more than a moving one.
 go test -bench 'BenchmarkDynamicsStep|BenchmarkParkedStep' -benchtime 20000x -run '^$' ./internal/dynamics >>"$out/bench.txt"
 # One rendered frame must not allocate, near-clipped or not (100x amortizes
-# the renderer's first-frame scratch under one allocation).
+# the first frame's triangle bin and clip scratch under one allocation;
+# TestRenderAllocatesNothing holds the same inside plain `go test`).
 go test -bench 'BenchmarkRender' -benchtime 100x -run '^$' ./internal/render >>"$out/bench.txt"
 go test -bench 'BenchmarkSurroundViewFreeRun/polys-3235' -benchtime 100x -run '^$' . >>"$out/bench.txt"
 # The same frame behind the swap-lock barrier does allocate (three displays'
-# barrier traffic, 99 a frame); the ceiling keeps it from growing until the
-# federation item takes it down.
+# barrier traffic, 28 a frame); the ceiling, 48, keeps it from growing until
+# the federation item takes it down.
 go test -bench 'BenchmarkSurroundViewSynced/polys-3235' -benchtime 100x -run '^$' . >>"$out/bench.txt"
 # The dispatch layer alone, one op per job: an announce storm (every result
 # re-announcing the window) shows as allocs per job far over the ceiling.
