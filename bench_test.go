@@ -409,7 +409,9 @@ func BenchmarkCodRemoteUpdate(b *testing.B) {
 
 // BenchmarkChannelSetup measures the full initialization handshake: one op
 // = register a subscriber, broadcast SUBSCRIPTION, receive ACKNOWLEDGE,
-// build the virtual channel, and tear it down again.
+// build the virtual channel, and tear it down again (untimed). Each op
+// registers a new LP: the same LP registered again at once can overtake
+// its own BYE, and would then time the repair interval, not the handshake.
 func BenchmarkChannelSetup(b *testing.B) {
 	ctx := context.Background()
 	lan := transport.NewMemLAN()
@@ -426,9 +428,10 @@ func BenchmarkChannelSetup(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer subNode.Close()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sub, err := subNode.SubscribeObjectClass("s", "State")
+		sub, err := subNode.SubscribeObjectClass(fmt.Sprintf("s%d", i), "State")
 		if err != nil {
 			b.Fatal(err)
 		}

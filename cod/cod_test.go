@@ -362,3 +362,46 @@ func TestReliableWindowSDK(t *testing.T) {
 		t.Fatalf("frame 3: %v %v", r.Value.Frame, err)
 	}
 }
+
+// TestPubNotifyC is the publisher that must be heard: it says its state
+// when a subscriber joins, off NotifyC, with the re-broadcast intervals at
+// an hour so that only the join's own edge can deliver it. The subscriber
+// is registered first and the publisher's node attached afterwards, the
+// late publisher's dynamic join.
+func TestPubNotifyC(t *testing.T) {
+	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()), cod.WithTimers(time.Hour, time.Hour, 0))
+	defer fed.Close()
+	ctx := ctxLong(t)
+
+	vis, err := fed.Node("display-pc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := cod.Subscribe[craneState](vis, "visual", "CraneState", cod.Reliable(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn, err := fed.Node("dynamics-pc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := cod.Publish[craneState](dyn, "dynamics", "CraneState")
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-pub.NotifyC():
+	case <-ctx.Done():
+		t.Fatal("no token for the subscriber that joined")
+	}
+	if n := pub.Channels(); n != 1 {
+		t.Fatalf("token with %d channels, want 1", n)
+	}
+	if err := pub.Update(1, craneState{Frame: 7}); err != nil {
+		t.Fatalf("Update after the join: %v", err)
+	}
+	r, err := sub.Next(ctx)
+	if err != nil || r.Value.Frame != 7 {
+		t.Fatalf("Next = %+v, %v; want frame 7", r.Value, err)
+	}
+}

@@ -72,6 +72,21 @@
 // when it routed to zero channels, which fire-and-forget publishers
 // ignore with errors.Is.
 //
+// The waits sleep on the backbone's own edges, not on a poll: a join is
+// one round trip whichever side arrives first (internal/cb's package doc
+// has the protocol). Pub.NotifyC is the same edge for a select loop — a
+// token whenever the class's channel set changes, as Sub.NotifyC is for
+// the mailbox — so a publisher that must be heard says its piece when a
+// subscriber joins instead of repeating it on a timer:
+//
+//	select {
+//	case <-pub.NotifyC():
+//		if pub.Channels() > 0 {
+//			_ = pub.Update(now, current) // a subscriber just joined
+//		}
+//	case <-ctx.Done():
+//	}
+//
 // # Delivery ordering
 //
 // On any single virtual channel — one publisher node to one subscriber

@@ -164,6 +164,11 @@ func (p *Pub[T]) WaitChannels(ctx context.Context, n int) error {
 	return p.pub.WaitChannelsContext(ctx, n)
 }
 
+// NotifyC returns a channel receiving a token whenever the class's channel
+// set changes — a subscriber matched, left or died — so a select loop can
+// act on a join the moment it happens; Channels tells which way it went.
+func (p *Pub[T]) NotifyC() <-chan struct{} { return p.pub.NotifyC() }
+
 // Raw exposes the untyped backbone registration, for callers mixing typed
 // and attribute-level traffic.
 func (p *Pub[T]) Raw() *cb.Publication { return p.pub }
@@ -179,10 +184,11 @@ type Sub[T any] struct {
 }
 
 // Subscribe registers lp on node as a subscriber of class, receiving
-// values of struct type T. The node's backbone broadcasts SUBSCRIPTION
-// until a publisher is found and keeps refreshing afterwards, so late
-// publishers still match (dynamic join). It fails fast when T has a field
-// the codec cannot map.
+// values of struct type T. The node's backbone broadcasts SUBSCRIPTION at
+// once and answers a late publisher's solicit the same way, so either
+// order of arrival matches in one round trip (dynamic join); the periodic
+// re-broadcast afterwards only repairs a lost datagram. It fails fast when
+// T has a field the codec cannot map.
 //
 // The default delivery policy at this layer is LatestValue — typed state
 // subscribers want the newest value, and an SDK consumer that stalls

@@ -4,23 +4,58 @@
 //
 // Logical Processes (LPs) register with their resident CB as publishers or
 // subscribers of object classes. The CB records them in its Publication and
-// Subscription tables and builds virtual channels between matching entries:
-//
-//   - A subscriber's CB broadcasts a SUBSCRIPTION datagram at a constant
-//     interval until a publisher's CB answers ACKNOWLEDGE (§2.3).
-//   - The subscriber then sends CHANNEL CONNECTION with the information
-//     needed to construct the virtual channel; a second ACKNOWLEDGE
-//     confirms that the channel is up.
-//   - Publishers push data with UPDATE ATTRIBUTE VALUE; the CB routes each
-//     update through the virtual channels and the receiving CB delivers it
-//     to its subscriber LPs as REFLECT ATTRIBUTE VALUE (push/pull model).
-//
+// Subscription tables and builds virtual channels between matching entries.
 // LPs on the same computer are matched through an in-process fast path; LPs
-// across the network are matched through the broadcast protocol. Because
-// the subscriber keeps re-broadcasting at a slow refresh cadence even after
-// matching, an LP (an extra display, for example) can be added to a running
-// system without restarting anything — the paper's dynamic-join property —
-// and late-starting publishers still discover existing subscribers.
+// across the network through the initialization protocol below.
+//
+// # Initialization and dynamic join (§2.3), as implemented
+//
+// Every step of a join is an event. The intervals of Config are loss
+// repair: they carry a join only when a broadcast datagram was dropped or
+// a peer died without a word.
+//
+//  1. SubscribeObjectClass broadcasts SUBSCRIPTION itself, before it
+//     returns. A publisher's CB that hears it answers ACKNOWLEDGE over a
+//     stream link to the subscriber.
+//  2. The subscriber answers CHANNEL CONNECTION with the channel ID and its
+//     delivery policy; the publisher records its half and confirms with a
+//     second ACKNOWLEDGE, after which the subscription counts as matched.
+//  3. PublishObjectClass broadcasts PUBLICATION, a solicit. A CB holding a
+//     subscription of the class with no channel (built or building) from
+//     the soliciting node says that entry's SUBSCRIPTION again at once, so
+//     a late publisher — the paper's dynamic join, a batch worker added to
+//     a running sweep — is matched in one round trip. When the two CBs
+//     already share a link the entry tells the solicitor alone, over it;
+//     when they do not, an unmatched entry re-broadcasts, and a matched
+//     one is left to its RefreshInterval, because it is being served and
+//     hurrying would cost a broadcast from every subscriber of the class.
+//     A computer that subscribes before it publishes has been dialed by
+//     its publishers when its solicits arrive, and is answered this way
+//     (dist's coordinator and workers, displaysync's displays).
+//     An entry answers one solicit per peer until its next periodic
+//     broadcast or until a channel from that peer has come and gone. So
+//     the datagrams of a boot that builds one computer at a time are
+//     counted by its topology: one SUBSCRIPTION per subscription, one
+//     PUBLICATION per publication, one more SUBSCRIPTION per (unmatched
+//     subscription, computer that began publishing its class before the
+//     two had a link). PUBLICATION exists only as a datagram; a build
+//     without the kind drops it undecoded.
+//  4. A channel that goes away (a scoped BYE, a dead link) makes its
+//     subscription due at once and wakes the timer loop, which re-broadcasts
+//     without waiting for its tick.
+//  5. Both halves have an edge: Subscription.WaitMatchedContext and
+//     Publication.WaitChannelsContext sleep until a channel set changes,
+//     and Publication.NotifyC hands the same edge to select loops (the
+//     dist worker beats, and the coordinator re-announces, when their
+//     publications gain a channel).
+//
+// Repair only: an unmatched subscription is re-broadcast every
+// BroadcastInterval and a matched one every RefreshInterval, which finds a
+// publisher whose solicit or whose subscriber's answer was lost; a silent
+// link is reaped after HeartbeatTimeout. One race is left to the repair
+// interval: a subscription closed and registered again at once may reach
+// the publisher ahead of its own BYE, find the old channel still recorded,
+// and be answered only at its next BroadcastInterval.
 //
 // # The per-frame path
 //
@@ -48,11 +83,12 @@
 // window, as a HEARTBEAT carrying AttrCreditCounts, and the periodic
 // beacon still repeats every channel's count. They are already off the
 // per-frame path — about one credit frame per 256 updates at a window of
-// 1024 — and any new frame kind or field would break mixed-version
-// federations for nothing measurable.
+// 1024 — and any new frame kind or field on a link would break
+// mixed-version federations for nothing measurable.
 package cb
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -88,11 +124,12 @@ var (
 type Config struct {
 	// BroadcastInterval is the period of SUBSCRIPTION re-broadcasts while
 	// a subscription entry is still unmatched (§2.3 "constant time
-	// interval").
+	// interval"). The first broadcast does not wait for it.
 	BroadcastInterval time.Duration
 	// RefreshInterval is the slower re-broadcast period after the entry
-	// has at least one channel, which lets late-starting publishers find
-	// existing subscribers (dynamic join).
+	// has at least one channel. A late-starting publisher solicits and is
+	// answered at once (dynamic join); the refresh finds it when that
+	// exchange was lost.
 	RefreshInterval time.Duration
 	// HeartbeatInterval is the idle-link beacon period.
 	HeartbeatInterval time.Duration
@@ -137,6 +174,9 @@ func (c Config) withDefaults() Config {
 type Stats struct {
 	// BroadcastsSent counts SUBSCRIPTION datagrams sent.
 	BroadcastsSent metrics.Counter
+	// SolicitsSent counts PUBLICATION datagrams sent, one per
+	// PublishObjectClass.
+	SolicitsSent metrics.Counter
 	// ChannelsUp counts virtual channels fully established (both sides).
 	ChannelsUp metrics.Counter
 	// UpdatesSent counts UPDATE frames pushed by local publishers
@@ -189,6 +229,13 @@ type Backbone struct {
 
 	stats Stats
 
+	// changed is closed and replaced, under mu, whenever a channel set
+	// changes: the edge the condition waits sleep on.
+	changed chan struct{}
+	// kick wakes the timer loop for an entry made due ahead of its tick;
+	// one pending token covers any number of them.
+	kick chan struct{}
+
 	done chan struct{}
 	wg   sync.WaitGroup
 }
@@ -237,6 +284,8 @@ func New(lan transport.LAN, node string, cfg Config) (*Backbone, error) {
 		inSubKeys: make(map[chanKey]uint32),
 		peers:     make(map[string]*peerLink),
 		links:     make(map[*peerLink]struct{}),
+		changed:   make(chan struct{}),
+		kick:      make(chan struct{}, 1),
 		done:      make(chan struct{}),
 	}
 	b.wg.Add(3)
@@ -409,20 +458,20 @@ func (b *Backbone) datagramLoop() {
 		if err != nil {
 			continue // malformed datagram; drop
 		}
-		if f.Kind == wire.KindSubscription {
+		switch f.Kind {
+		case wire.KindSubscription:
 			b.handleSubscriptionBroadcast(f)
+		case wire.KindPublication:
+			b.handlePublicationBroadcast(f)
 		}
 	}
 }
 
-// timerLoop drives subscription re-broadcasts, heartbeats and link-death
-// detection off one ticker.
+// timerLoop drives the repair re-broadcasts, heartbeats and link-death
+// detection off one ticker, and re-broadcasts at once when kicked.
 func (b *Backbone) timerLoop() {
 	defer b.wg.Done()
-	tick := b.cfg.BroadcastInterval / 5
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
+	tick := max(min(b.cfg.BroadcastInterval/5, b.cfg.HeartbeatInterval), time.Millisecond)
 	ticker := time.NewTicker(tick)
 	defer ticker.Stop()
 	lastHB := b.now()
@@ -430,6 +479,8 @@ func (b *Backbone) timerLoop() {
 		select {
 		case <-b.done:
 			return
+		case <-b.kick:
+			b.broadcastPending(b.now())
 		case <-ticker.C:
 			now := b.now()
 			b.broadcastPending(now)
@@ -442,36 +493,102 @@ func (b *Backbone) timerLoop() {
 }
 
 // broadcastPending sends SUBSCRIPTION datagrams for entries that are due:
-// unmatched entries at BroadcastInterval, matched ones at RefreshInterval.
+// unmatched entries at BroadcastInterval, matched ones at RefreshInterval,
+// one that just lost a channel now.
 func (b *Backbone) broadcastPending(now time.Time) {
 	b.mu.Lock()
-	var frames []wire.Frame
+	var due []classLP
 	for key, s := range b.subs {
-		due := b.cfg.BroadcastInterval
+		every := b.cfg.BroadcastInterval
 		if len(s.channels) > 0 {
-			due = b.cfg.RefreshInterval
+			every = b.cfg.RefreshInterval
 		}
-		if now.Sub(s.lastBroadcast) < due {
+		if now.Sub(s.lastBroadcast) < every {
 			continue
 		}
 		s.lastBroadcast = now
-		frames = append(frames, wire.Frame{
-			Kind:  wire.KindSubscription,
-			Node:  b.node,
-			LP:    key.lp,
-			Class: key.class,
-			Addr:  b.ifc.Addr(),
-		})
+		clear(s.solicited) // everyone has been told again: the next solicit is new
+		due = append(due, key)
 	}
 	b.mu.Unlock()
+	b.broadcastSubscriptions(due)
+}
 
-	for _, f := range frames {
-		payload, err := f.Encode()
-		if err != nil {
-			continue
+// broadcastSubscriptions sends one SUBSCRIPTION datagram per entry. Called
+// without b.mu.
+func (b *Backbone) broadcastSubscriptions(keys []classLP) {
+	for _, key := range keys {
+		b.broadcast(b.subscriptionFrame(key), &b.stats.BroadcastsSent)
+	}
+}
+
+// subscriptionFrame is the SUBSCRIPTION message of one table entry.
+func (b *Backbone) subscriptionFrame(key classLP) wire.Frame {
+	return wire.Frame{
+		Kind:  wire.KindSubscription,
+		Node:  b.node,
+		LP:    key.lp,
+		Class: key.class,
+		Addr:  b.ifc.Addr(),
+	}
+}
+
+// broadcast sends one discovery datagram, best effort. It is counted in
+// sent before it leaves, so that nothing it causes can be seen ahead of its
+// count, and taken back out if it did not leave.
+func (b *Backbone) broadcast(f wire.Frame, sent *metrics.Counter) {
+	payload, err := f.Encode()
+	if err != nil {
+		return
+	}
+	sent.Inc()
+	if b.ifc.Broadcast(payload) != nil {
+		sent.Add(-1)
+	}
+}
+
+// edgeLocked wakes every condition wait to look again. The caller holds
+// b.mu.
+func (b *Backbone) edgeLocked() {
+	close(b.changed)
+	b.changed = make(chan struct{})
+}
+
+// channelsChangedLocked is the edge of a publisher-side change: class's
+// channel set grew or shrank, so the waits look again and each local
+// publication of the class is left a token. The caller holds b.mu.
+func (b *Backbone) channelsChangedLocked(class string) {
+	b.edgeLocked()
+	for key, p := range b.pubs {
+		if key.class == class {
+			select {
+			case p.notify <- struct{}{}:
+			default:
+			}
 		}
-		if err := b.ifc.Broadcast(payload); err == nil {
-			b.stats.BroadcastsSent.Inc()
+	}
+}
+
+// waitChange blocks until cond holds (nil) or ctx is done (ctx.Err()),
+// re-evaluating cond at every channel-set change. cond takes what locks it
+// needs itself.
+func (b *Backbone) waitChange(ctx context.Context, cond func() bool) error {
+	for {
+		b.mu.Lock()
+		changed := b.changed
+		b.mu.Unlock()
+		// Evaluated after the edge was read: a change that cond misses has
+		// closed the channel this pass waits on.
+		if cond() {
+			return nil
+		}
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			if cond() {
+				return nil
+			}
+			return ctx.Err()
 		}
 	}
 }

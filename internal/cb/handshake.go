@@ -53,6 +53,61 @@ func (b *Backbone) handleSubscriptionBroadcast(f wire.Frame) {
 	}
 }
 
+// handlePublicationBroadcast is the subscriber side of a solicit: a CB just
+// registered a publisher of f.Class. Every local subscription of the class
+// that has no channel from that node — built or building — and has not
+// already answered it says SUBSCRIPTION again now, without waiting for its
+// interval: to the solicitor alone when the two CBs already share a link,
+// to the whole segment, as its interval would, when they do not and the
+// entry is unmatched. A matched subscription with no such link is being
+// served and would have to broadcast to hurry; its RefreshInterval finds
+// the new publisher, so that a popular class does not have every
+// subscriber on the segment broadcasting at each publisher that joins.
+func (b *Backbone) handlePublicationBroadcast(f wire.Frame) {
+	if f.Node == b.node {
+		return
+	}
+	b.mu.Lock()
+	if b.closed.Load() {
+		b.mu.Unlock()
+		return
+	}
+	link := b.peers[f.Node]
+	var shout, tell []classLP
+	for key, s := range b.subs {
+		if key.class != f.Class {
+			continue
+		}
+		if _, has := b.inSubKeys[chanKey{peer: f.Node, subLP: key.lp, class: key.class}]; has {
+			continue
+		}
+		if _, told := s.solicited[f.Node]; told {
+			continue
+		}
+		switch {
+		case link != nil:
+			tell = append(tell, key)
+		case len(s.channels) == 0:
+			shout = append(shout, key)
+		default:
+			continue
+		}
+		if s.solicited == nil {
+			s.solicited = make(map[string]struct{})
+		}
+		s.solicited[f.Node] = struct{}{}
+	}
+	b.mu.Unlock()
+
+	b.broadcastSubscriptions(shout)
+	for _, key := range tell {
+		if err := link.send(b.subscriptionFrame(key)); err != nil {
+			b.linkDown(link)
+			return
+		}
+	}
+}
+
 // handleFrame dispatches one inbound stream frame. f is the read loop's
 // reused frame: handlers copy what they keep.
 func (b *Backbone) handleFrame(l *peerLink, f *wire.Frame) {
@@ -66,6 +121,10 @@ func (b *Backbone) handleFrame(l *peerLink, f *wire.Frame) {
 		}
 	case wire.KindChannelConn:
 		b.handleChannelConnect(l, *f)
+	case wire.KindSubscription:
+		// A subscription's answer to this CB's PUBLICATION, said over the
+		// link instead of to the segment.
+		b.handleSubscriptionBroadcast(*f)
 	case wire.KindUpdateAttrs, wire.KindNull:
 		b.handleUpdate(f)
 	case wire.KindHeartbeat:
@@ -207,6 +266,7 @@ func (b *Backbone) handleChannelUp(l *peerLink, f wire.Frame) {
 	if ic.sub != nil {
 		b.noteMatchedLocked(ic.sub)
 	}
+	b.edgeLocked()
 }
 
 // handleUpdate routes an inbound UPDATE/NULL frame to the subscriber LP
@@ -260,5 +320,5 @@ func (b *Backbone) dropChannel(l *peerLink, id uint32) {
 // WaitMatchedContext blocks until the subscription has at least one fully
 // established channel or ctx is done, in which case it returns ctx.Err().
 func (s *Subscription) WaitMatchedContext(ctx context.Context) error {
-	return waitCond(ctx, s.Matched)
+	return s.b.waitChange(ctx, s.Matched)
 }

@@ -1,6 +1,7 @@
 package cb
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -177,6 +178,22 @@ func TestRecycledStorageNeverShared(t *testing.T) {
 	}
 }
 
+// pollCond polls cond once per millisecond until it holds (nil) or ctx is
+// done. For what has no edge to wait on — a link accepted, named, or its
+// frame counter moved — and only in tests.
+func pollCond(ctx context.Context, cond func() bool) error {
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for !cond() {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-tick.C:
+		}
+	}
+	return nil
+}
+
 // TestLinkLivenessUnderInjectedClock drives the heartbeat sweep by hand
 // over a clock that only the test moves (the backbone's own timer is
 // parked on an hour-long tick). A link is dated by the sweep that finds
@@ -234,7 +251,7 @@ func TestLinkLivenessUnderInjectedClock(t *testing.T) {
 		}
 		return ls
 	}
-	if waitCond(ctx, func() bool { return len(links()) == 2 }) != nil {
+	if pollCond(ctx, func() bool { return len(links()) == 2 }) != nil {
 		t.Fatal("the two links were never accepted")
 	}
 
@@ -253,11 +270,11 @@ func TestLinkLivenessUnderInjectedClock(t *testing.T) {
 		}
 		said++
 		if talker == nil {
-			if waitCond(ctx, func() bool { talker = b.linkFor("talker"); return talker != nil }) != nil {
+			if pollCond(ctx, func() bool { talker = b.linkFor("talker"); return talker != nil }) != nil {
 				t.Fatal("the talker's link never took its name")
 			}
 		}
-		if waitCond(ctx, func() bool { return talker.recv.Load() == said }) != nil {
+		if pollCond(ctx, func() bool { return talker.recv.Load() == said }) != nil {
 			t.Fatalf("frame %d never counted", said)
 		}
 	}

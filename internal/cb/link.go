@@ -319,12 +319,14 @@ func (b *Backbone) addOutLocked(oc *outChannel) {
 	b.outs.set(oc.class, append(chans[:len(chans):len(chans)], oc))
 	b.outKeys[oc.key] = oc
 	b.outByChan[linkChan{link: oc.link, id: oc.remoteChan}] = oc
+	b.channelsChangedLocked(oc.class)
 }
 
 // removeOutsLocked unindexes the publisher-side channels gone picks and
 // releases any publisher stalled on their credit windows. The caller
 // holds b.mu.
 func (b *Backbone) removeOutsLocked(gone func(*outChannel) bool) {
+	var changed []string // classes that lost a channel; told once the new table is published
 	b.outs.edit(func(outs map[string][]*outChannel) {
 		for class, chans := range outs {
 			if !slices.ContainsFunc(chans, gone) {
@@ -345,19 +347,28 @@ func (b *Backbone) removeOutsLocked(gone func(*outChannel) bool) {
 			} else {
 				outs[class] = kept
 			}
+			changed = append(changed, class)
 		}
 	})
+	for _, class := range changed {
+		b.channelsChangedLocked(class)
+	}
 }
 
-// removeInLocked unindexes one subscriber-side channel and returns its
-// subscription to fast re-broadcast, so a replacement publisher is found.
-// The caller holds b.mu.
+// removeInLocked unindexes one subscriber-side channel and has its
+// subscription re-broadcast now, so a replacement publisher is found. The
+// caller holds b.mu.
 func (b *Backbone) removeInLocked(ic *inChannel) {
 	b.ins.del(ic.id)
 	delete(b.inSubKeys, ic.key)
 	if sub := ic.sub; sub != nil {
 		delete(sub.channels, ic.id)
 		sub.mbox.forgetChannel(ic.id)
-		sub.lastBroadcast = time.Time{} // due immediately
+		delete(sub.solicited, ic.key.peer) // the peer's next solicit is for a new channel
+		sub.lastBroadcast = time.Time{}    // due immediately
+		select {
+		case b.kick <- struct{}{}:
+		default:
+		}
 	}
 }

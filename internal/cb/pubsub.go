@@ -227,6 +227,7 @@ type inChannel struct {
 type Publication struct {
 	b      *Backbone
 	key    classLP
+	notify chan struct{} // capacity 1; a token per change of the class's channel set
 	closed atomic.Bool
 }
 
@@ -245,6 +246,12 @@ type Subscription struct {
 	lastBroadcast time.Time
 	registeredAt  time.Time
 	everMatched   bool
+	// solicited holds the peers whose PUBLICATION this entry has answered
+	// since its last periodic broadcast; a peer leaves it when a channel
+	// from it is torn down. One answer per (subscription, peer) keeps a
+	// node with many publishers of a class, or a repeated solicit, from
+	// drawing a broadcast each.
+	solicited map[string]struct{}
 
 	closed atomic.Bool
 }
@@ -312,8 +319,8 @@ func WithDropOldest() SubscribeOption {
 }
 
 // PublishObjectClass registers lp as a publisher of class. Matching local
-// subscribers are linked immediately; remote subscribers are linked when
-// their SUBSCRIPTION broadcasts arrive.
+// subscribers are linked immediately; remote ones are solicited with one
+// PUBLICATION datagram and linked as their SUBSCRIPTION broadcasts arrive.
 func (b *Backbone) PublishObjectClass(lp, class string) (*Publication, error) {
 	if class == "" {
 		return nil, ErrUnknownClass
@@ -332,7 +339,7 @@ func (b *Backbone) PublishObjectClass(lp, class string) (*Publication, error) {
 		b.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s/%s", ErrDuplicateLP, lp, class)
 	}
-	p := &Publication{b: b, key: key}
+	p := &Publication{b: b, key: key, notify: make(chan struct{}, 1)}
 	b.pubs[key] = p
 	// In-process fast path: link to every local subscriber of the class.
 	for skey, sub := range b.subs {
@@ -341,11 +348,13 @@ func (b *Backbone) PublishObjectClass(lp, class string) (*Publication, error) {
 		}
 	}
 	b.mu.Unlock()
+	b.broadcast(wire.Frame{Kind: wire.KindPublication, Node: b.node, LP: lp, Class: class}, &b.stats.SolicitsSent)
 	return p, nil
 }
 
-// SubscribeObjectClass registers lp as a subscriber of class and begins
-// broadcasting SUBSCRIPTION until matched (then keeps refreshing slowly).
+// SubscribeObjectClass registers lp as a subscriber of class and broadcasts
+// its first SUBSCRIPTION before returning; the timer loop repeats it until
+// matched, then keeps refreshing slowly.
 func (b *Backbone) SubscribeObjectClass(lp, class string, opts ...SubscribeOption) (*Subscription, error) {
 	if class == "" {
 		return nil, ErrUnknownClass
@@ -394,6 +403,7 @@ func (b *Backbone) SubscribeObjectClass(lp, class string, opts ...SubscribeOptio
 		channels:     make(map[uint32]*inChannel),
 		registeredAt: b.now(),
 	}
+	s.lastBroadcast = s.registeredAt
 	b.subs[key] = s
 	// In-process fast path: link to local publishers right away.
 	hasLocalPub := false
@@ -407,6 +417,7 @@ func (b *Backbone) SubscribeObjectClass(lp, class string, opts ...SubscribeOptio
 		b.establishLocalLocked(s)
 	}
 	b.mu.Unlock()
+	b.broadcastSubscriptions([]classLP{key})
 	return s, nil
 }
 
@@ -615,33 +626,15 @@ func (p *Publication) Channels() int {
 // WaitChannelsContext blocks until the class has at least n channels or ctx
 // is done, in which case it returns ctx.Err(). Handy for startup sequencing.
 func (p *Publication) WaitChannelsContext(ctx context.Context, n int) error {
-	return waitCond(ctx, func() bool { return p.Channels() >= n })
+	return p.b.waitChange(ctx, func() bool { return p.Channels() >= n })
 }
 
-// waitCond polls cond once per millisecond until it holds (nil) or ctx is
-// done (ctx.Err()). The backbone's state transitions have no subscribable
-// edge, so condition waits poll — at this period the cost is negligible
-// against the protocol's broadcast intervals.
-func waitCond(ctx context.Context, cond func() bool) error {
-	if cond() {
-		return nil
-	}
-	tick := time.NewTicker(time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			if cond() {
-				return nil
-			}
-			return ctx.Err()
-		case <-tick.C:
-			if cond() {
-				return nil
-			}
-		}
-	}
-}
+// NotifyC returns a channel that receives a token whenever the class's
+// channel set changes — a subscriber matched, left or died — for
+// select-based publishers that act on a join (Channels tells which way it
+// went). It mirrors Subscription.NotifyC: capacity one, so a burst of
+// changes leaves one token.
+func (p *Publication) NotifyC() <-chan struct{} { return p.notify }
 
 // Close withdraws the publisher registration. Channels from other
 // publishers of the same class are unaffected.

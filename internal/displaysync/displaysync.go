@@ -281,15 +281,19 @@ type Display struct {
 
 // NewDisplay registers a display client on the given backbone.
 func NewDisplay(backbone *cb.Backbone, lpName string) (*Display, error) {
-	pub, err := backbone.PublishObjectClass(lpName, fom.ClassFrameReady)
-	if err != nil {
-		return nil, fmt.Errorf("displaysync: publish ready: %w", err)
-	}
+	// Subscribe first: answering it gives the server's CB a link to this
+	// computer, over which its FRAME READY subscription — matched already
+	// when this is not the first display — answers the publication's
+	// solicit at once instead of at its refresh interval.
 	// Same legacy drop-oldest contract as the server side: see NewServer.
 	sub, err := backbone.SubscribeObjectClass(lpName, fom.ClassFrameSwap, cb.WithQueue(256), cb.WithDropOldest())
 	if err != nil {
-		_ = pub.Close()
 		return nil, fmt.Errorf("displaysync: subscribe swap: %w", err)
+	}
+	pub, err := backbone.PublishObjectClass(lpName, fom.ClassFrameReady)
+	if err != nil {
+		_ = sub.Close()
+		return nil, fmt.Errorf("displaysync: publish ready: %w", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Display{name: lpName, pub: pub, sub: sub, ctx: ctx, cancel: cancel}, nil

@@ -13,8 +13,9 @@ import (
 )
 
 // startPool starts a coordinator and the named workers on one MemLAN and
-// returns once every coordinator→worker dispatch channel is up, so the one
-// announce a job gets when it is loaded reaches every worker.
+// returns once WaitWorkers does: every coordinator→worker dispatch channel
+// is up, so the one announce a job gets when it is loaded reaches every
+// worker.
 func startPool(t testing.TB, ccfg CoordinatorConfig, wcfg WorkerConfig, names ...string) (*Coordinator, context.Context) {
 	t.Helper()
 	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()), fastTimers())
@@ -35,13 +36,6 @@ func startPool(t testing.TB, ccfg CoordinatorConfig, wcfg WorkerConfig, names ..
 	t.Cleanup(cancel)
 	if err := coord.WaitWorkers(ctx, names); err != nil {
 		t.Fatalf("WaitWorkers: %v", err)
-	}
-	for _, wait := range []func(context.Context, int) error{
-		coord.pubJob.WaitChannels, coord.pubGrant.WaitChannels, coord.pubAck.WaitChannels,
-	} {
-		if err := wait(ctx, len(names)); err != nil {
-			t.Fatalf("dispatch channels: %v", err)
-		}
 	}
 	return coord, ctx
 }
@@ -288,7 +282,7 @@ func TestBacklogBookkeeping(t *testing.T) {
 	expect("grant of the held attempt", [2]int64{2, 1})
 
 	for job := int64(100); job < 100+2*announceDepth; job++ {
-		w.stash(jobAnnounce{Sweep: 7, Job: job, Attempt: 1})
+		w.backlog = stash(w.backlog, jobAnnounce{Sweep: 7, Job: job, Attempt: 1})
 	}
 	if len(w.backlog) != announceDepth {
 		t.Fatalf("backlog holds %d entries, want the cap %d", len(w.backlog), announceDepth)

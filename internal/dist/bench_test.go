@@ -1,8 +1,11 @@
 package dist
 
 import (
+	"context"
 	"testing"
 	"time"
+
+	"codsim/cod"
 )
 
 // BenchmarkDistDispatch is the dispatch layer alone: one op is one job
@@ -24,4 +27,42 @@ func BenchmarkDistDispatch(b *testing.B) {
 		b.Fatalf("Run: %d records of %d, %v", len(recs), b.N, err)
 	}
 	b.ReportMetric(float64(coord.Sample().Announces)/float64(b.N), "announces/job")
+}
+
+// BenchmarkDistReady is a dispatch federation's bring-up, the cost a batch
+// pays per job list: one op builds a MemLAN federation with default
+// backbone timers, one two-slot worker with the default Heartbeat and a
+// coordinator with the default Announce, waits for the pool, runs a
+// one-job sweep to its record and tears everything down (untimed). Every
+// step of it is a join, so it reads a millisecond or two while discovery,
+// readiness and the first announce ride their events, and half a second
+// or more when any of them waits for an interval.
+func BenchmarkDistReady(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()))
+		stop := startWorker(b, fed, "w1", WorkerConfig{Slots: 2, Run: stubRunner(0)})
+		cnode, err := fed.Node("coord-node")
+		if err != nil {
+			b.Fatal(err)
+		}
+		coord, err := NewCoordinator(cnode, CoordinatorConfig{Sweep: int64(i + 1)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		if err := coord.WaitWorkers(ctx, []string{"w1"}); err != nil {
+			b.Fatalf("WaitWorkers: %v", err)
+		}
+		recs, err := coord.Run(ctx, testJobs(1))
+		if err != nil || len(recs) != 1 {
+			b.Fatalf("Run: %d records, %v", len(recs), err)
+		}
+		b.StopTimer()
+		cancel()
+		stop()
+		coord.Close()
+		fed.Close()
+		b.StartTimer()
+	}
 }

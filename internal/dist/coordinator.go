@@ -23,11 +23,11 @@ type CoordinatorConfig struct {
 	Sweep int64
 	// Announce is how often a job still unassigned is announced again
 	// (default 250 ms). Workers keep what they hear and refill their slots
-	// from it, so the period is not what feeds a live pool: it reaches a
-	// worker that joined after the announce, one whose announce window was
-	// full, and one that was still draining another sweep. A worker built
-	// before the backlog (same messages, so mixed builds stay correct)
-	// refills only at this period. This is also the coordinator's
+	// from it, and a worker that joins after the announce is told the
+	// pending jobs the moment its channel is up, so the period is not what
+	// feeds a pool: it reaches a worker whose announce window was full. A
+	// worker built before the backlog (same messages, so mixed builds stay
+	// correct) refills only at this period. This is also the coordinator's
 	// bookkeeping tick, so dead workers are detected within roughly one
 	// Announce of DeadAfter.
 	Announce time.Duration
@@ -110,6 +110,10 @@ type Coordinator struct {
 	subHB    *cod.Sub[heartbeat]
 
 	workers map[string]*workerInfo
+	// jobChans and grantChans are the channel counts of pubJob and
+	// pubGrant as the last pass saw them, to tell a worker joining from
+	// one leaving.
+	jobChans, grantChans int
 
 	// prog mirrors dispatch state for the telemetry sampler. RunStream
 	// updates it at every phase transition; Sample reads it from the
@@ -150,25 +154,18 @@ func NewCoordinator(node *cod.Node, cfg CoordinatorConfig) (*Coordinator, error)
 		workers: make(map[string]*workerInfo),
 		prog:    progress{start: time.Now(), workers: make(map[string]*workerProg)},
 	}
-	var err error
-	if c.pubJob, err = cod.Publish[jobAnnounce](node, coordinatorLP, ClassJob); err != nil {
-		return nil, fmt.Errorf("dist: coordinator: %w", err)
-	}
-	if c.pubGrant, err = cod.Publish[jobGrant](node, coordinatorLP, ClassGrant); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("dist: coordinator: %w", err)
-	}
-	if c.pubAck, err = cod.Publish[jobAck](node, coordinatorLP, ClassAck); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("dist: coordinator: %w", err)
-	}
+	// Subscriptions first: a worker's CB answers them by dialing this
+	// node, and then answers the publications' solicits over that link, at
+	// once and without a broadcast, even when an earlier coordinator still
+	// serves its subscriptions.
+	//
 	// Claims and results are must-not-lose: Reliable windows push
 	// saturation back to the workers (whose re-send loops retry) instead
 	// of dropping a finished run's record. Heartbeats are pure state —
 	// LatestValue keeps the newest beat per worker (each worker is its
 	// own virtual channel) under any backlog.
+	var err error
 	if c.subClaim, err = cod.Subscribe[jobClaim](node, coordinatorLP, ClassClaim, cod.Reliable(1024)); err != nil {
-		c.Close()
 		return nil, fmt.Errorf("dist: coordinator: %w", err)
 	}
 	if c.subRes, err = cod.Subscribe[jobResult](node, coordinatorLP, ClassResult, cod.Reliable(1024)); err != nil {
@@ -176,6 +173,18 @@ func NewCoordinator(node *cod.Node, cfg CoordinatorConfig) (*Coordinator, error)
 		return nil, fmt.Errorf("dist: coordinator: %w", err)
 	}
 	if c.subHB, err = cod.Subscribe[heartbeat](node, coordinatorLP, ClassHeartbeat, cod.WithQueue(256), cod.LatestValue()); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("dist: coordinator: %w", err)
+	}
+	if c.pubJob, err = cod.Publish[jobAnnounce](node, coordinatorLP, ClassJob); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("dist: coordinator: %w", err)
+	}
+	if c.pubGrant, err = cod.Publish[jobGrant](node, coordinatorLP, ClassGrant); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("dist: coordinator: %w", err)
+	}
+	if c.pubAck, err = cod.Publish[jobAck](node, coordinatorLP, ClassAck); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("dist: coordinator: %w", err)
 	}
@@ -207,13 +216,20 @@ func (c *Coordinator) Close() error {
 }
 
 // WaitWorkers blocks until every named worker has heartbeated at least
-// once (or ctx is done), so a sweep doesn't start before the pool it was
-// sized for is live.
+// once and the dispatch channels to that many workers are up (or ctx is
+// done), so a sweep doesn't start before the pool it was sized for is live
+// and its first announces and grants reach all of it. A worker beats the
+// moment its heartbeat channel to this coordinator is up, so the wait is
+// the channels' round trips, not a heartbeat period.
 func (c *Coordinator) WaitWorkers(ctx context.Context, names []string) error {
 	missing := make(map[string]bool, len(names))
 	for _, n := range names {
-		if _, seen := c.workers[n]; !seen {
-			missing[n] = true
+		missing[n] = true
+	}
+	pool := len(missing)
+	for n := range missing {
+		if _, seen := c.workers[n]; seen {
+			delete(missing, n)
 		}
 	}
 	for len(missing) > 0 {
@@ -226,6 +242,13 @@ func (c *Coordinator) WaitWorkers(ctx context.Context, names []string) error {
 		}
 		c.noteHeartbeat(hb.Value)
 		delete(missing, hb.Value.Worker)
+	}
+	for _, wait := range []func(context.Context, int) error{
+		c.pubJob.WaitChannels, c.pubGrant.WaitChannels, c.pubAck.WaitChannels,
+	} {
+		if err := wait(ctx, pool); err != nil {
+			return fmt.Errorf("dist: waiting for dispatch channels to %d workers: %w", pool, err)
+		}
 	}
 	return nil
 }
@@ -449,6 +472,7 @@ func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, e
 		if exhausted && len(sw.open) == 0 {
 			return sw.records(), nil
 		}
+		c.greetJoined(sw)
 		c.announcePending(sw)
 
 		// The feeder is heard only while the window has room.
@@ -474,6 +498,32 @@ func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, e
 		case <-c.subClaim.NotifyC():
 		case <-c.subRes.NotifyC():
 		case <-c.subHB.NotifyC():
+		case <-c.pubJob.NotifyC():
+		case <-c.pubGrant.NotifyC():
+		}
+	}
+}
+
+// greetJoined tells a worker whose channel just came up what was said
+// before it could hear: every pending job is due for its announce again
+// when pubJob gained a channel, and every standing grant is sent again
+// when pubGrant did — a worker may win a bid before its grant channel is
+// built. Both messages are idempotent for the workers that had them. This
+// is what starts a sweep that was loaded before its pool had joined, and
+// what a worker joining mid-sweep bids on, without an Announce period.
+func (c *Coordinator) greetJoined(sw *sweep) {
+	jobs, grants := c.pubJob.Channels(), c.pubGrant.Channels()
+	joinedJob, joinedGrant := jobs > c.jobChans, grants > c.grantChans
+	c.jobChans, c.grantChans = jobs, grants
+	if !joinedJob && !joinedGrant {
+		return
+	}
+	for _, s := range sw.order {
+		switch {
+		case s.phase == jobPending && joinedJob:
+			s.announce = time.Time{}
+		case s.phase == jobGranted && joinedGrant:
+			c.sendGrant(c.grantOf(s))
 		}
 	}
 }

@@ -29,18 +29,41 @@
 // loaded and again when it is re-dispatched, in load order. A worker keeps
 // every announce it cannot bid on yet in a backlog — spec undecoded, one
 // entry per job, oldest first, at most the announce channel's Reliable
-// window, emptied when the sweep changes — drops an entry when it sees
-// that attempt granted to another worker, and bids from the backlog
-// whenever a slot is free. So a slot that a finished run or a lost race
-// frees takes the next job with no word from the coordinator, and a sweep
-// runs first in, first out. The Announce period is the liveness net, not
-// the feed: a job still unassigned after a period is announced again,
-// which reaches a worker that joined mid-sweep (the backbone's dynamic
-// join finds the channels, the period fills them), one whose announce
-// window was full, and one that was still draining another sweep. The
-// messages are those of builds without a backlog, so mixed builds stay
-// correct; such a worker under this coordinator refills only at the
-// period.
+// window — drops an entry when it sees that attempt granted to another
+// worker, and bids from the backlog whenever a slot is free. So a slot
+// that a finished run or a lost race frees takes the next job with no word
+// from the coordinator, and a sweep runs first in, first out. A worker
+// still running a job of the previous sweep keeps the next sweep's
+// announces the same way and bids on them when its last run ends.
+//
+// # Readiness and joining
+//
+// A pool is ready when its channels are, and every step of becoming ready
+// is an event of the backbone's (cb's package doc has the protocol), not a
+// period of this package's:
+//
+//   - A worker beats the moment its heartbeat publication gains a
+//     channel — a coordinator's subscription matched — and retries a bid
+//     or a record it could not route when the claim or result publication
+//     gains one. Its Heartbeat period is for a coordinator that stopped
+//     listening without a word.
+//   - WaitWorkers returns when every named worker has beaten and the
+//     coordinator's announce, grant and ack publications each reach that
+//     many workers: a few round trips after the last of them was built,
+//     whichever side was built first.
+//   - A sweep's first announces are therefore heard. When pubJob gains a
+//     channel anyway — a sweep started before its pool, a worker joining
+//     mid-sweep — the coordinator announces every pending job again at
+//     once, and when pubGrant gains one it sends every standing grant
+//     again, since a newcomer can win a bid before its grant channel is
+//     built. Both are idempotent for the workers that had them.
+//
+// The Announce period is the net under all of this, not the feed: a job
+// still unassigned after a period is announced again, which reaches a
+// worker whose announce window was full or whose join raced another's
+// departure. The messages are those of builds without a backlog, so mixed
+// builds stay correct; such a worker under this coordinator refills only
+// at the period.
 //
 // Claims race; the coordinator grants each (job, attempt) to exactly one
 // worker, and no claim goes unanswered: one for a granted or finished job

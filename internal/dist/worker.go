@@ -103,8 +103,8 @@ type workerJob struct {
 
 // Worker serves one host's slots to whatever coordinator runs on the
 // segment. It keeps serving across sweeps: when a new coordinator starts
-// announcing a different sweep ID, the worker drops the previous sweep's
-// bookkeeping once its slots drain.
+// announcing a different sweep ID, the worker keeps those announces, drops
+// the previous sweep's bookkeeping once its slots drain, and bids.
 type Worker struct {
 	name  string
 	cfg   WorkerConfig
@@ -127,7 +127,11 @@ type Worker struct {
 	// from it, so the coordinator says each job once. At most
 	// announceDepth entries.
 	backlog []jobAnnounce
-	doneCh  chan Record // finished runs, keyed by Record.Job
+	// next holds, the same way, the announces of a sweep that began while
+	// this worker still runs jobs of the current one. They become the
+	// backlog when the last of those runs ends.
+	next   []jobAnnounce
+	doneCh chan Record // finished runs, keyed by Record.Job
 
 	// Scrape-facing mirrors of the ledger above, refreshed by the Run
 	// loop so the telemetry sampler's Sample never touches loop state.
@@ -220,9 +224,12 @@ func (w *Worker) Run(ctx context.Context) error {
 	runCtx, cancelRuns := context.WithCancel(ctx)
 	defer cancelRuns()
 
+	// The first beat goes out when pubHB gains a channel, below: before a
+	// coordinator's heartbeat subscription has matched, a beat reaches
+	// nobody. The ticker is for a coordinator that stopped listening
+	// without a word.
 	hb := time.NewTicker(w.cfg.Heartbeat)
 	defer hb.Stop()
-	w.beat() // announce liveness immediately, WaitWorkers is listening
 
 	for {
 		// Checked before the drains and the flush: once the worker is
@@ -246,6 +253,15 @@ func (w *Worker) Run(ctx context.Context) error {
 			return ctx.Err()
 		case <-hb.C:
 			w.beat()
+		case <-w.pubHB.NotifyC():
+			// A coordinator's heartbeat subscription matched (or one went
+			// away): whoever listens now hears at once that this worker is
+			// live, which is what WaitWorkers waits for.
+			w.beat()
+		case <-w.pubClaim.NotifyC():
+			// A route for the bids bidBacklog could not send ...
+		case <-w.pubRes.NotifyC():
+			// ... and for the records flushResults could not.
 		case rec := <-w.doneCh:
 			w.running--
 			w.obsFinished.Add(1)
@@ -286,7 +302,7 @@ func (w *Worker) beat() {
 func (w *Worker) publishStats() {
 	w.obsBusy.Store(int64(w.running))
 	w.obsClaimed.Store(int64(w.claimed))
-	w.obsBacklog.Store(int64(len(w.backlog)))
+	w.obsBacklog.Store(int64(len(w.backlog) + len(w.next)))
 }
 
 // Sample snapshots the worker's dispatch state for the telemetry sampler
@@ -313,11 +329,16 @@ func (w *Worker) release(job int64) {
 	w.claimed--
 }
 
-// drainAnnounces files every announce: one for a job this worker already
-// holds renews its bid or re-arms its cached result — the coordinator only
-// re-announces what it never recorded — and any other goes to the backlog
-// for bidBacklog.
+// drainAnnounces files every announce that has arrived, after those of a
+// sweep that was waiting for this worker's last run of the previous one.
 func (w *Worker) drainAnnounces() {
+	if w.running == 0 && len(w.next) > 0 {
+		held := w.next
+		w.next = nil
+		for _, ann := range held {
+			w.file(ann)
+		}
+	}
 	for {
 		r, ok, err := w.subJob.Poll()
 		if err != nil {
@@ -326,54 +347,72 @@ func (w *Worker) drainAnnounces() {
 		if !ok {
 			return
 		}
-		ann := r.Value
-		if ann.Sweep != w.sweep {
-			// A new sweep begins once the old one's slots drain; until
-			// then its announces wait for the next announce period.
-			if w.running > 0 {
-				continue
-			}
-			w.sweep = ann.Sweep
-			w.jobs = make(map[int64]*workerJob)
-			w.claimed = 0
-			clear(w.backlog) // let go of the old sweep's specs
-			w.backlog = w.backlog[:0]
-		}
-		j := w.jobs[ann.Job]
-		if j == nil {
-			w.stash(ann)
-			continue
-		}
-		switch {
-		case j.phase == wjFinished:
-			// The coordinator lost or timed out our result: replay it
-			// under the announced attempt.
-			j.attempt = ann.Attempt
-			j.lastSend = time.Time{}
-		case j.phase == wjClaimed && ann.Attempt > j.attempt:
-			// Our earlier bid went stale; renew it for the new attempt.
-			j.attempt = ann.Attempt
-			w.claim(j)
-		}
+		w.file(r.Value)
 	}
 }
 
-// stash keeps ann in the backlog, one entry per job: a newer attempt takes
-// the stale entry's place in the queue, a repeat of the held attempt (the
-// coordinator's period) changes nothing. A full backlog drops the
-// announce; the period brings it back.
-func (w *Worker) stash(ann jobAnnounce) {
-	for i := range w.backlog {
-		if w.backlog[i].Job == ann.Job {
-			if ann.Attempt > w.backlog[i].Attempt {
-				w.backlog[i] = ann
+// file takes one announce: one for a job this worker already holds renews
+// its bid or re-arms its cached result — the coordinator only re-announces
+// what it never recorded — and any other goes to the backlog for
+// bidBacklog.
+func (w *Worker) file(ann jobAnnounce) {
+	if ann.Sweep != w.sweep {
+		// A new sweep begins once the old one's slots drain; until then
+		// its announces are kept, not bid on, so the new coordinator says
+		// each job once whatever this worker was doing.
+		if w.running > 0 {
+			if len(w.next) > 0 && w.next[0].Sweep != ann.Sweep {
+				clear(w.next) // a third sweep: the one kept was abandoned
+				w.next = w.next[:0]
 			}
+			if len(w.next) == 0 {
+				w.log.Info("sweep waits for running jobs",
+					"sweep", ann.Sweep, "running", w.running)
+			}
+			w.next = stash(w.next, ann)
 			return
 		}
+		w.sweep = ann.Sweep
+		w.jobs = make(map[int64]*workerJob)
+		w.claimed = 0
+		clear(w.backlog) // let go of the old sweep's specs
+		w.backlog = w.backlog[:0]
 	}
-	if len(w.backlog) < announceDepth {
-		w.backlog = append(w.backlog, ann)
+	j := w.jobs[ann.Job]
+	if j == nil {
+		w.backlog = stash(w.backlog, ann)
+		return
 	}
+	switch {
+	case j.phase == wjFinished:
+		// The coordinator lost or timed out our result: replay it
+		// under the announced attempt.
+		j.attempt = ann.Attempt
+		j.lastSend = time.Time{}
+	case j.phase == wjClaimed && ann.Attempt > j.attempt:
+		// Our earlier bid went stale; renew it for the new attempt.
+		j.attempt = ann.Attempt
+		w.claim(j)
+	}
+}
+
+// stash keeps ann in list, one entry per job: a newer attempt takes the
+// stale entry's place in the queue, a repeat of the held attempt (the
+// coordinator's period, or its word to a worker that just joined) changes
+// nothing. A full list drops the announce; the period brings it back.
+func stash(list []jobAnnounce, ann jobAnnounce) []jobAnnounce {
+	for i := range list {
+		if list[i].Job == ann.Job {
+			if ann.Attempt > list[i].Attempt {
+				list[i] = ann
+			}
+			return list
+		}
+	}
+	if len(list) < announceDepth {
+		list = append(list, ann)
+	}
+	return list
 }
 
 // unstash drops the backlog entry for job when another worker was granted

@@ -224,7 +224,7 @@ func (s *Sampler) Stop() {
 var cbStatNames = [...]string{
 	"broadcasts_sent", "channels_up", "updates_sent", "reflects_delivered",
 	"mailbox_dropped", "conflations", "credit_stalls", "credits_granted",
-	"links_down",
+	"links_down", "solicits_sent",
 }
 
 // Cache key and child-group types for the resolved-gauge caches. Struct
@@ -307,6 +307,7 @@ func (s *Sampler) sampleNode(n nodeSource) {
 		st.CreditStalls.Value(),
 		st.CreditsGranted.Value(),
 		st.LinksDown.Value(),
+		st.SolicitsSent.Value(),
 	}
 	for i, v := range vals {
 		g.stats[i].Set(float64(v))

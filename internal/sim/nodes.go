@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"codsim/internal/audio"
@@ -17,9 +18,18 @@ import (
 	"codsim/internal/trace"
 )
 
-// runner registers a paced LP loop with the cluster group.
+// runner registers a paced LP loop with the cluster group. A failing tick
+// is on the cluster's record, where WaitExamContext is woken to find it,
+// before the loop ends.
 func (c *Cluster) runner(name string, hz float64, fn lp.TickFunc) error {
-	r, err := lp.NewRunner(name, hz, fn, lp.Realtime(), lp.TimeScale(c.cfg.TimeScale))
+	tick := func(simTime, dt float64) error {
+		err := fn(simTime, dt)
+		if err != nil && !errors.Is(err, lp.Stop) {
+			c.reportErr(fmt.Errorf("lp: %s: %w", name, err))
+		}
+		return err
+	}
+	r, err := lp.NewRunner(name, hz, tick, lp.Realtime(), lp.TimeScale(c.cfg.TimeScale))
 	if err != nil {
 		return fmt.Errorf("sim: runner %s: %w", name, err)
 	}
@@ -167,8 +177,12 @@ func (c *Cluster) buildSimPC(ter *terrain.Map, spec scenario.Spec) error {
 		}
 		s := eng.State()
 		c.mu.Lock()
+		newPhase := s.Phase != c.scenState.Phase
 		c.scenState = s
 		c.scenAlarms = eng.AlarmEvents()
+		if newPhase {
+			c.wakeLocked()
+		}
 		c.mu.Unlock()
 		for _, ps := range eng.States() {
 			if err := scenPub.Update(simTime, ps.Encode()); err != nil {

@@ -150,6 +150,9 @@ type Cluster struct {
 	pcmRing    []float64 // captured audio, ring of cfg.CaptureAudioSec
 	pcmPos     int
 	pcmFull    bool
+	// edge is closed and replaced when the exam changes phase or an LP
+	// fails: what WaitExamContext sleeps on.
+	edge chan struct{}
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -172,6 +175,7 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:       cfg,
 		backbones: make(map[string]*cb.Backbone, cfg.Displays+5),
+		edge:      make(chan struct{}),
 		stopCh:    make(chan struct{}),
 	}
 
@@ -227,8 +231,9 @@ func (c *Cluster) backbone(node string) (*cb.Backbone, error) {
 	return b, nil
 }
 
-// reportErr records a display loop's failure — unless Stop has begun,
-// when a closed barrier client is the shutdown's own doing.
+// reportErr records a display loop's or an LP's failure — unless Stop has
+// begun, when a closed barrier client or backbone is the shutdown's own
+// doing — and wakes WaitExamContext.
 func (c *Cluster) reportErr(err error) {
 	select {
 	case <-c.stopCh:
@@ -240,6 +245,16 @@ func (c *Cluster) reportErr(err error) {
 		c.firstErr = err
 	}
 	c.errMu.Unlock()
+	c.mu.Lock()
+	c.wakeLocked()
+	c.mu.Unlock()
+}
+
+// wakeLocked fires the edge WaitExamContext sleeps on. The caller holds
+// c.mu.
+func (c *Cluster) wakeLocked() {
+	close(c.edge)
+	c.edge = make(chan struct{})
 }
 
 // Err returns the first asynchronous error observed by any LP.
@@ -299,9 +314,12 @@ func (c *Cluster) ScenarioState() fom.ScenarioState {
 // with the last observed state, letting a batch coordinator abandon a run
 // instead of leaking the federation.
 func (c *Cluster) WaitExamContext(ctx context.Context, timeout time.Duration) (fom.ScenarioState, error) {
-	deadline := time.Now().Add(timeout)
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	for {
-		s := c.ScenarioState()
+		c.mu.Lock()
+		s, edge := c.scenState, c.edge
+		c.mu.Unlock()
 		if s.Phase == fom.PhaseComplete || s.Phase == fom.PhaseFailed {
 			return s, nil
 		}
@@ -311,10 +329,12 @@ func (c *Cluster) WaitExamContext(ctx context.Context, timeout time.Duration) (f
 		if err := c.Err(); err != nil {
 			return s, err
 		}
-		if time.Now().After(deadline) {
+		select {
+		case <-edge:
+		case <-ctx.Done():
+		case <-deadline.C:
 			return s, fmt.Errorf("sim: exam still %v after %v", s.Phase, timeout)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -9,7 +9,8 @@
 // liveness (HEARTBEAT, which also ferries flow-control credit grants for
 // reliable channels as control attributes), conservative time
 // synchronization (NULL, after Chandy–Misra), the display frame barrier
-// (FRAME READY / FRAME SWAP), and orderly departure (BYE).
+// (FRAME READY / FRAME SWAP), orderly departure (BYE), and a publisher's
+// solicit for SUBSCRIPTION re-broadcasts (PUBLICATION, datagram only).
 //
 // All multi-byte integers are big-endian; strings and byte blobs are
 // uvarint-length-prefixed. A frame on a stream transport is preceded by a
@@ -50,6 +51,7 @@ const (
 	KindFrameReady                   // display node → sync server
 	KindFrameSwap                    // sync server → display nodes
 	KindBye                          // orderly leave announcement
+	KindPublication                  // publisher CB broadcast: solicits SUBSCRIPTION (datagram only)
 
 	kindMax // sentinel, keep last
 )
@@ -60,6 +62,12 @@ const (
 // subscriber churn every channel it shares with a pre-policy peer.
 // Credits ride HEARTBEAT frames as AttrCreditCounts instead — a frame
 // every build accepts, attrs ignored by old ones.
+//
+// KindPublication is safe for the opposite reason: it is never written to
+// a link. It travels only as a broadcast datagram, and a build without it
+// fails to decode the datagram and drops it — one datagram, no link, no
+// state — then finds the publisher at its own next re-broadcast, as it
+// always did.
 
 var kindNames = map[Kind]string{
 	KindSubscription: "SUBSCRIPTION",
@@ -72,6 +80,7 @@ var kindNames = map[Kind]string{
 	KindFrameReady:   "FRAME_READY",
 	KindFrameSwap:    "FRAME_SWAP",
 	KindBye:          "BYE",
+	KindPublication:  "PUBLICATION",
 }
 
 // String returns the HLA-style service name of the kind.

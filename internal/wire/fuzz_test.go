@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"maps"
 	"math"
 	"slices"
@@ -79,6 +80,7 @@ func FuzzAttrSetOps(f *testing.F) {
 	f.Add([]byte{0, 1, 8, 0, 2, 8, 1, 1, 0, 0, 3, 8, 2, 1})  // delete the head: dense probe must miss
 	f.Add([]byte{0, 3, 8, 0, 1, 8, 0, 5, 8, 1, 3, 0, 0, 3})  // Put into an unsorted set after a delete
 	f.Add([]byte{0, 2, 24, 0, 3, 1, 0, 4, 4, 2, 2, 2, 3, 2}) // typed sizes, mis-sized reads
+	f.Add([]byte{2, 1, 0, 1, 1, 0})                          // the empty set a PUBLICATION carries: read and delete, nothing put
 	f.Fuzz(func(t *testing.T, script []byte) {
 		var a AttrSet
 		m := attrModel{}
@@ -165,6 +167,15 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add(hostileAttrs(7, []byte("first"), 3, []byte{1}, 7, []byte("last")))
 	f.Add(hostileAttrs(1000, []byte{}, 2, bytes.Repeat([]byte{9}, 300)))
+	// The datagram-only solicit, whole and cut short, and the same bytes
+	// under the kind after the last one, which a build before PUBLICATION
+	// sees in its place: the decoder must refuse it, not guess.
+	solicit := publicationDatagram(f)
+	f.Add(solicit)
+	f.Add(solicit[:len(solicit)/2])
+	unknown := bytes.Clone(solicit)
+	unknown[3] = byte(kindMax)
+	f.Add(unknown)
 
 	dec := NewDecoder()
 	var reused Frame
@@ -190,6 +201,42 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("encoding is not canonical\n 1st %x\n 2nd %x", enc, again)
 		}
 	})
+}
+
+// publicationDatagram is the solicit PublishObjectClass broadcasts.
+func publicationDatagram(t testing.TB) []byte {
+	t.Helper()
+	b, err := Frame{Kind: KindPublication, Node: "pub-pc", LP: "dynamics", Class: "CraneState"}.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestPublicationDatagram pins the solicit's bytes — a new kind after BYE,
+// every existing kind's value where it was — and the two ways a build can
+// meet it: this one decodes it, one that stops at BYE gets ErrBadKind and
+// nothing else, which is what lets its datagram loop drop it.
+func TestPublicationDatagram(t *testing.T) {
+	if KindBye != 10 || KindPublication != 11 {
+		t.Fatalf("KindBye = %d, KindPublication = %d; want 10, 11", KindBye, KindPublication)
+	}
+	raw := publicationDatagram(t)
+	const want = "cb15010b00000000000000000000000000000000000670" + "75622d7063" + "0864796e616d696373" + "0a4372616e655374617465" + "0000"
+	if got := hex.EncodeToString(raw); got != want {
+		t.Fatalf("PUBLICATION encodes to\n %s\nwant\n %s", got, want)
+	}
+	f, err := Decode(raw)
+	if err != nil || f.Kind != KindPublication || f.Node != "pub-pc" || f.LP != "dynamics" || f.Class != "CraneState" {
+		t.Fatalf("Decode = %+v, %v", f, err)
+	}
+	if got := f.Kind.String(); got != "PUBLICATION" {
+		t.Errorf("Kind.String() = %q", got)
+	}
+	raw[3] = byte(kindMax)
+	if _, err := Decode(raw); !errors.Is(err, ErrBadKind) {
+		t.Errorf("the kind after the last decodes with %v, want ErrBadKind", err)
+	}
 }
 
 func sameFrame(t *testing.T, what string, got, want Frame) {

@@ -70,6 +70,18 @@ go test -race -count=20 -run 'TestStream' ./internal/scenario/gen
 # frame after the first allocates nothing.
 go test -count=1 -run 'TestFrameFingerprint|TestRasterMatchesReference|TestVisitedCount|TestSharedEdgeWatertight|TestFanAndStripWatertight|TestTopLeftRule|TestCoverageShiftsWithTriangle|TestBitBudget|TestClipKeepsCoverage|TestBandHeightDoesNotChangeTheFrame|FuzzRasterTriangle|TestRenderAllocatesNothing' ./internal/render
 
+echo "== joins on the event path (cb, dist, sim; every repair interval at an hour; -race -count=20) =="
+# The initialization protocol and the dispatch layer above it must build
+# their channels, ready their pool, start a sweep and take in a late worker
+# with BroadcastInterval, RefreshInterval, Heartbeat and Announce all at an
+# hour: only the first SUBSCRIPTION, the PUBLICATION solicit, the kick after
+# a teardown and the publications' channel-set edge can make progress. The
+# same tests pin the discovery datagrams of the 8-computer boot and the
+# 3-node dist rig, and hold the repair intervals to converging under 70 %
+# datagram loss. None of them sleeps, so a hang is a bug, not slowness.
+go test -race -count=20 -run 'TestJoin' ./internal/cb ./internal/dist ./internal/sim
+go test -race -count=20 -run 'TestPubNotifyC' ./cod
+
 echo "== go test =="
 go test ./...
 
@@ -147,6 +159,11 @@ go test -bench 'BenchmarkSurroundViewSynced/polys-3235' -benchtime 100x -run '^$
 # The dispatch layer alone, one op per job: an announce storm (every result
 # re-announcing the window) shows as allocs per job far over the ceiling.
 go test -bench 'BenchmarkDistDispatch' -benchtime 5000x -run '^$' ./internal/dist >>"$out/bench.txt"
+# A dispatch federation's bring-up, one op per federation + worker +
+# coordinator + WaitWorkers + first record with default timers: allocs are
+# gated, and an op that takes half a second instead of a millisecond means
+# a join is waiting for a period again.
+go test -bench 'BenchmarkDistReady' -benchtime 20x -run '^$' ./internal/dist >>"$out/bench.txt"
 go run ./cmd/benchdiff BENCH_baseline.json "$out/bench.txt"
 
 echo "== batch smoke (headless sweep incl. multi-crane, JSONL report) =="
