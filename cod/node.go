@@ -213,7 +213,7 @@ func (n *Node) Stats() *Stats { return n.bb.Stats() }
 func (n *Node) Tables() (pubs, subs []TableEntry) { return n.bb.Tables() }
 
 // Backbone exposes the underlying Communication Backbone for the internal
-// simulator modules (displaysync, timesync, sim) that predate the SDK.
+// simulator modules (displaysync, sim) that predate the SDK.
 // New code should stay on the typed Publish/Subscribe surface.
 func (n *Node) Backbone() *cb.Backbone { return n.bb }
 

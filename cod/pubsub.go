@@ -150,10 +150,6 @@ func (p *Pub[T]) UpdateContext(ctx context.Context, simTime float64, v T) error 
 	return nil
 }
 
-// SendNull pushes a Chandy–Misra null message carrying only the
-// publisher's simulation-time lower bound.
-func (p *Pub[T]) SendNull(simTime float64) error { return p.pub.SendNull(simTime) }
-
 // Channels returns the number of virtual channels currently carrying the
 // class.
 func (p *Pub[T]) Channels() int { return p.pub.Channels() }
@@ -223,38 +219,26 @@ func (s *Sub[T]) decode(r *cb.Reflection, out *Reflection[T]) error {
 }
 
 // Next blocks until an update arrives, ctx is done (ctx.Err()), or the
-// subscription closes (ErrHandleClosed). Null messages — time-only, no
-// attributes — are skipped; use Raw for conservative-time consumers that
-// need them. A decode failure (class shape mismatch) is returned as an
-// ErrMissingAttr error.
+// subscription closes (ErrHandleClosed). A decode failure (class shape
+// mismatch) is returned as an ErrMissingAttr error.
 func (s *Sub[T]) Next(ctx context.Context) (r Reflection[T], err error) {
-	for {
-		raw, err := s.sub.NextContext(ctx)
-		if err != nil {
-			return r, err
-		}
-		if raw.Null {
-			continue
-		}
-		err = s.decode(&raw, &r)
+	raw, err := s.sub.NextContext(ctx)
+	if err != nil {
 		return r, err
 	}
+	err = s.decode(&raw, &r)
+	return r, err
 }
 
 // Poll returns the oldest buffered update without blocking; ok is false
-// when none is buffered. Null messages are skipped.
+// when none is buffered.
 func (s *Sub[T]) Poll() (r Reflection[T], ok bool, err error) {
-	for {
-		raw, got := s.sub.Poll()
-		if !got {
-			return Reflection[T]{}, false, nil
-		}
-		if raw.Null {
-			continue
-		}
-		err = s.decode(&raw, &r)
-		return r, true, err
+	raw, got := s.sub.Poll()
+	if !got {
+		return Reflection[T]{}, false, nil
 	}
+	err = s.decode(&raw, &r)
+	return r, true, err
 }
 
 // Latest drains the mailbox and returns the newest update; ok is false
@@ -268,9 +252,6 @@ func (s *Sub[T]) Latest() (r Reflection[T], ok bool, err error) {
 		raw, got := s.sub.Poll()
 		if !got {
 			break
-		}
-		if raw.Null {
-			continue
 		}
 		last.Release() // superseded undecoded
 		last, gotLast = raw, true
@@ -293,7 +274,7 @@ func (s *Sub[T]) WaitMatched(ctx context.Context) error {
 // established.
 func (s *Sub[T]) Matched() bool { return s.sub.Matched() }
 
-// Pending returns the number of buffered updates (nulls included).
+// Pending returns the number of buffered updates.
 func (s *Sub[T]) Pending() int { return s.sub.Pending() }
 
 // NotifyC returns a channel receiving a token whenever the mailbox goes

@@ -14,9 +14,10 @@
 // The implementation lives under internal/, which is no longer a
 // supported entry point:
 //
-//   - cb, lp, fom, wire, transport, timesync — the COD runtime: the CB's
-//     virtual channels, the HLA-style initialization protocol, the LAN
-//     substrates (simulated and real sockets), and conservative time sync;
+//   - cb, lp, fom, wire, transport — the COD runtime: the CB's virtual
+//     channels, the HLA-style initialization protocol, the LAN substrates
+//     (simulated and real sockets), and the LP tick loop that is the
+//     federation's clock (see package lp);
 //   - render, displaysync — the software graphics pipeline and the
 //     synchronization server behind the paper's 16 fps surround view;
 //   - dynamics, collision, terrain, crane — the crane physics: carrier,

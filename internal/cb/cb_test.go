@@ -275,19 +275,20 @@ func TestMultiplePublishersSameClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait until both publishers have channels.
-	deadline := time.Now().Add(waitLong)
-	for {
+	// Wait until both publishers' channels are established.
+	bothUp := func() bool {
 		n3.mu.Lock()
-		chans := len(sub.channels)
-		n3.mu.Unlock()
-		if chans >= 2 {
-			break
+		defer n3.mu.Unlock()
+		up := 0
+		for _, ic := range sub.channels {
+			if ic.established {
+				up++
+			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("second publisher channel never built")
-		}
-		time.Sleep(time.Millisecond)
+		return up >= 2
+	}
+	if err := n3.waitChange(ctx, bothUp); err != nil {
+		t.Fatal("second publisher channel never built")
 	}
 
 	if err := p1.Update(1, attrsWith(1)); err != nil {
@@ -481,35 +482,6 @@ func TestSequenceNumbersMonotone(t *testing.T) {
 	}
 }
 
-func TestNullMessages(t *testing.T) {
-	ctx := waitCtx(t)
-	lan := transport.NewMemLAN()
-	pubNode := newBackbone(t, lan, "pub")
-	subNode := newBackbone(t, lan, "sub")
-
-	pub, err := pubNode.PublishObjectClass("p", "Time")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := subNode.SubscribeObjectClass("s", "Time")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.WaitMatchedContext(ctx) != nil {
-		t.Fatal("not matched")
-	}
-	if err := pub.SendNull(4.5); err != nil {
-		t.Fatal(err)
-	}
-	r, err := sub.NextContext(ctx)
-	if err != nil {
-		t.Fatal("no null reflection")
-	}
-	if !r.Null || r.Time != 4.5 || r.Attrs.Len() != 0 {
-		t.Errorf("null reflection = %+v", r)
-	}
-}
-
 func TestRegistrationValidation(t *testing.T) {
 	lan := transport.NewMemLAN()
 	b := newBackbone(t, lan, "solo")
@@ -662,12 +634,8 @@ func TestPublisherNodeDeathRecovery(t *testing.T) {
 	if err := pubNode1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(waitLong)
-	for sub.Matched() {
-		if time.Now().After(deadline) {
-			t.Fatal("subscription never noticed publisher death")
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err := subNode.waitChange(ctx, func() bool { return !sub.Matched() }); err != nil {
+		t.Fatal("subscription never noticed publisher death")
 	}
 
 	// A replacement publisher node appears; the subscriber's ongoing

@@ -125,7 +125,7 @@ func (b *Backbone) handleFrame(l *peerLink, f *wire.Frame) {
 		// A subscription's answer to this CB's PUBLICATION, said over the
 		// link instead of to the segment.
 		b.handleSubscriptionBroadcast(*f)
-	case wire.KindUpdateAttrs, wire.KindNull:
+	case wire.KindUpdateAttrs:
 		b.handleUpdate(f)
 	case wire.KindHeartbeat:
 		// The read loop already counted the frame for liveness; apply any
@@ -269,7 +269,7 @@ func (b *Backbone) handleChannelUp(l *peerLink, f wire.Frame) {
 	b.edgeLocked()
 }
 
-// handleUpdate routes an inbound UPDATE/NULL frame to the subscriber LP
+// handleUpdate routes an inbound UPDATE frame to the subscriber LP
 // bound to the virtual channel and delivers it as a reflection.
 func (b *Backbone) handleUpdate(f *wire.Frame) {
 	ic, ok := b.ins.get(f.Channel)
@@ -283,7 +283,6 @@ func (b *Backbone) handleUpdate(f *wire.Frame) {
 		Channel: f.Channel,
 		Seq:     f.Seq,
 		Time:    f.Time,
-		Null:    f.Kind == wire.KindNull,
 	}
 	// Copy-at-boundary: the frame's attrs alias the read loop's reused
 	// decode buffers, which the next inbound frame overwrites. This copy

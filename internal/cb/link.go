@@ -355,12 +355,13 @@ func (b *Backbone) removeOutsLocked(gone func(*outChannel) bool) {
 	}
 }
 
-// removeInLocked unindexes one subscriber-side channel and has its
-// subscription re-broadcast now, so a replacement publisher is found. The
-// caller holds b.mu.
+// removeInLocked unindexes one subscriber-side channel, wakes the condition
+// waits and has its subscription re-broadcast now, so a replacement
+// publisher is found. The caller holds b.mu.
 func (b *Backbone) removeInLocked(ic *inChannel) {
 	b.ins.del(ic.id)
 	delete(b.inSubKeys, ic.key)
+	b.edgeLocked()
 	if sub := ic.sub; sub != nil {
 		delete(sub.channels, ic.id)
 		sub.mbox.forgetChannel(ic.id)

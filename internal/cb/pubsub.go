@@ -20,7 +20,6 @@ type Reflection struct {
 	Channel uint32
 	Seq     uint32
 	Time    float64
-	Null    bool // Chandy–Misra null message: time only, no attributes
 	Attrs   wire.AttrSet
 
 	// recycle marks storage Release may hand back: set on reflections that
@@ -165,8 +164,8 @@ func (oc *outChannel) windowOpen() bool {
 
 // acquireSend takes the channel's send slot once the credit window has
 // room. The slot is NOT held while parked — a blocking send stalled on
-// credits must not block nulls or non-blocking probes on the same
-// channel — so the window is re-checked each time the slot is re-taken.
+// credits must not block non-blocking probes on the same channel — so
+// the window is re-checked each time the slot is re-taken.
 // A nil ctx is the non-blocking form: it reports false on a full window.
 // stalled tells the retry form that this stall episode was already
 // counted by a preceding non-blocking probe. On (true, nil) the caller
@@ -472,7 +471,7 @@ func (b *Backbone) noteMatchedLocked(s *Subscription) {
 // fails with an error wrapping wire.ErrTooLarge and reaches no subscriber,
 // local ones included.
 func (p *Publication) Update(simTime float64, attrs wire.AttrSet) error {
-	_, err := p.push(nil, simTime, attrs, false)
+	_, err := p.push(nil, simTime, attrs)
 	return err
 }
 
@@ -482,7 +481,7 @@ func (p *Publication) Update(simTime float64, attrs wire.AttrSet) error {
 // the channels ahead of the stalled one; reliable consumers are expected
 // to deduplicate, as the dist protocol does).
 func (p *Publication) UpdateContext(ctx context.Context, simTime float64, attrs wire.AttrSet) error {
-	_, err := p.push(ctx, simTime, attrs, false)
+	_, err := p.push(ctx, simTime, attrs)
 	return err
 }
 
@@ -491,21 +490,12 @@ func (p *Publication) UpdateContext(ctx context.Context, simTime float64, attrs 
 // ErrNoSubscribers detection rides on this — a separate Channels() sample
 // would race with channel establishment).
 func (p *Publication) UpdateRouted(simTime float64, attrs wire.AttrSet) (int, error) {
-	return p.push(nil, simTime, attrs, false)
+	return p.push(nil, simTime, attrs)
 }
 
 // UpdateRoutedContext is UpdateContext reporting the routed channel count.
 func (p *Publication) UpdateRoutedContext(ctx context.Context, simTime float64, attrs wire.AttrSet) (int, error) {
-	return p.push(ctx, simTime, attrs, false)
-}
-
-// SendNull pushes a Chandy–Misra null message carrying only the publisher's
-// time lower bound, letting conservative subscribers advance (§2, ref [7]).
-// Nulls bypass credit windows: blocking time synchronization on data
-// backpressure would deadlock conservative consumers.
-func (p *Publication) SendNull(simTime float64) error {
-	_, err := p.push(nil, simTime, wire.AttrSet{}, true)
-	return err
+	return p.push(ctx, simTime, attrs)
 }
 
 // push routes one update into every virtual channel of the class.
@@ -521,10 +511,10 @@ func (p *Publication) SendNull(simTime float64) error {
 // window has room. With a nil ctx a full window skips the channel and the
 // call reports ErrWindowFull; with a ctx the send stalls until the
 // subscriber consumes, the channel dies, or ctx is done. The stall parks
-// outside the channel's send slot, so concurrent nulls and non-blocking
-// probes are never blocked behind it; the window is re-verified under the
-// slot before every send, keeping delivery order equal to seq order.
-func (p *Publication) push(ctx context.Context, simTime float64, attrs wire.AttrSet, null bool) (int, error) {
+// outside the channel's send slot, so concurrent non-blocking probes are
+// never blocked behind it; the window is re-verified under the slot
+// before every send, keeping delivery order equal to seq order.
+func (p *Publication) push(ctx context.Context, simTime float64, attrs wire.AttrSet) (int, error) {
 	if p.closed.Load() {
 		return 0, ErrHandleClosed
 	}
@@ -550,9 +540,6 @@ func (p *Publication) push(ctx context.Context, simTime float64, attrs wire.Attr
 			Class: p.key.class,
 			Attrs: attrs,
 		}
-		if null {
-			f.Kind = wire.KindNull
-		}
 		if err := sc.encode(f); err != nil {
 			return 0, fmt.Errorf("cb: update %s/%s: %w", p.key.lp, p.key.class, err)
 		}
@@ -560,7 +547,7 @@ func (p *Publication) push(ctx context.Context, simTime float64, attrs wire.Attr
 	routed := 0
 	windowFull := false
 	for _, oc := range chans {
-		if oc.policy == wire.PolicyReliable && !null {
+		if oc.policy == wire.PolicyReliable {
 			// Non-blocking probe first: while the batch holds other
 			// channels' send slots we must not park. Only when the window
 			// is full and the caller wants to block do we flush (releasing
@@ -595,7 +582,6 @@ func (p *Publication) push(ctx context.Context, simTime float64, attrs wire.Attr
 				Channel: oc.remoteChan,
 				Seq:     oc.seq,
 				Time:    simTime,
-				Null:    null,
 				Attrs:   attrs.Clone(),
 			}
 			b.deliver(oc.local, r)

@@ -4,6 +4,22 @@
 // directly. This package supplies the common machinery every LP shares — a
 // fixed-rate tick loop with real-time pacing or free-running (turbo)
 // execution — so modules contain only their simulation logic.
+//
+// # How the federation keeps time
+//
+// This package is all the time management the federation has. Every LP
+// owns a Runner, and a Runner counts its own simulation time: a Realtime
+// runner ticks on a wall-clock ticker, its period divided by TimeScale,
+// and one without Realtime free-runs as fast as the CPU allows. Nothing
+// orders ticks across LPs. The backbone stamps each update with its
+// publisher's simulation time and delivers it on arrival, a subscriber
+// reads the newest state its mailbox holds, and no LP waits for another's
+// clock. Which sample a tick sees therefore depends on how the host
+// scheduled the goroutines, and a federated run (sim.New, whose LPs are
+// all Realtime at sim.Config's TimeScale) is not reproducible run to run.
+// The deterministic path is the headless one, trace.Flight, which steps
+// pilot, dynamics and scenario engine in one goroutine and is what the
+// goldens, the verdict cache and the batch sweeps fly.
 package lp
 
 import (

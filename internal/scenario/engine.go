@@ -303,20 +303,12 @@ func (e *Engine) title() string {
 	return "scenario"
 }
 
-// Step advances a single-crane scenario with the latest crane state and
-// returns the events raised; dt is the scenario tick in seconds. It is
-// the legacy shim over StepAll — multi-crane scenarios must supply every
-// carrier's telemetry.
-func (e *Engine) Step(st fom.CraneState, dt float64) []Event {
-	return e.StepAll([]fom.CraneState{st}, dt)
-}
-
 // StepAll advances the scenario with one CraneState per declared crane,
 // indexed by crane (states[c] drives cursor c; extra entries are
 // ignored, missing ones freeze that crane's judging for the tick).
 //
 // The returned slice is the engine's reusable scratch: it is valid until
-// the next Step/StepAll call. Callers that retain events across ticks
+// the next StepAll call. Callers that retain events across ticks
 // must copy them; all in-tree consumers drain the slice immediately.
 func (e *Engine) StepAll(states []fom.CraneState, dt float64) []Event {
 	if e.phase == fom.PhaseIdle || e.phase == fom.PhaseComplete || e.phase == fom.PhaseFailed {

@@ -24,6 +24,12 @@ func newEngineScored(cfg ScoreConfig) *Engine {
 	return e
 }
 
+// Step advances a single-crane scenario with one crane's state: the
+// tests' shorthand for StepAll, the engine's one step entry point.
+func (e *Engine) Step(st fom.CraneState, dt float64) []Event {
+	return e.StepAll([]fom.CraneState{st}, dt)
+}
+
 // stateAt returns a quiet crane state with the carrier at pos and the hook
 // and cargo hovering safely above it.
 func stateAt(pos mathx.Vec3) fom.CraneState {

@@ -7,8 +7,7 @@
 // ACKNOWLEDGE. After that, publishers push UPDATE ATTRIBUTE VALUE frames and
 // subscribers receive them as REFLECT ATTRIBUTE VALUE. Additional kinds carry
 // liveness (HEARTBEAT, which also ferries flow-control credit grants for
-// reliable channels as control attributes), conservative time
-// synchronization (NULL, after Chandy–Misra), the display frame barrier
+// reliable channels as control attributes), the display frame barrier
 // (FRAME READY / FRAME SWAP), orderly departure (BYE), and a publisher's
 // solicit for SUBSCRIPTION re-broadcasts (PUBLICATION, datagram only).
 //
@@ -47,7 +46,7 @@ const (
 	KindUpdateAttrs                  // publisher LP → CB data push
 	KindReflectAttrs                 // CB → subscriber LP data delivery
 	KindHeartbeat                    // node liveness beacon
-	KindNull                         // Chandy–Misra null message (time only)
+	kindReserved                     // 7, once NULL (time only): never reused, refused like an unknown kind
 	KindFrameReady                   // display node → sync server
 	KindFrameSwap                    // sync server → display nodes
 	KindBye                          // orderly leave announcement
@@ -76,7 +75,6 @@ var kindNames = map[Kind]string{
 	KindUpdateAttrs:  "UPDATE_ATTRIBUTE_VALUE",
 	KindReflectAttrs: "REFLECT_ATTRIBUTE_VALUE",
 	KindHeartbeat:    "HEARTBEAT",
-	KindNull:         "NULL",
 	KindFrameReady:   "FRAME_READY",
 	KindFrameSwap:    "FRAME_SWAP",
 	KindBye:          "BYE",
@@ -92,7 +90,7 @@ func (k Kind) String() string {
 }
 
 // Valid reports whether k is a defined message kind.
-func (k Kind) Valid() bool { return k >= KindSubscription && k < kindMax }
+func (k Kind) Valid() bool { return k >= KindSubscription && k < kindMax && k != kindReserved }
 
 // Ack phases carried in Frame.Phase for KindAcknowledge.
 const (
@@ -172,7 +170,7 @@ type Frame struct {
 	Phase   uint8   // ACK phase (AckSubscription / AckChannelUp)
 	Channel uint32  // virtual-channel ID; 0 = not channel-scoped
 	Seq     uint32  // per-channel sequence number
-	Time    float64 // simulation time for UPDATE/NULL; frame index for barrier frames
+	Time    float64 // simulation time for UPDATE; frame index for barrier frames
 	Node    string  // origin node name
 	LP      string  // origin logical-process name
 	Class   string  // object-class name

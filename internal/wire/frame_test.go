@@ -46,12 +46,38 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// kindBytes pins every spoken kind to its byte on the wire. 7 is missing
+// on purpose: it is reserved and refused (TestEncodeInvalidKind).
+var kindBytes = []struct {
+	kind Kind
+	b    byte
+	name string
+}{
+	{KindSubscription, 1, "SUBSCRIPTION"},
+	{KindAcknowledge, 2, "ACKNOWLEDGE"},
+	{KindChannelConn, 3, "CHANNEL_CONNECTION"},
+	{KindUpdateAttrs, 4, "UPDATE_ATTRIBUTE_VALUE"},
+	{KindReflectAttrs, 5, "REFLECT_ATTRIBUTE_VALUE"},
+	{KindHeartbeat, 6, "HEARTBEAT"},
+	{KindFrameReady, 8, "FRAME_READY"},
+	{KindFrameSwap, 9, "FRAME_SWAP"},
+	{KindBye, 10, "BYE"},
+	{KindPublication, 11, "PUBLICATION"},
+}
+
 func TestEncodeDecodeAllKinds(t *testing.T) {
-	for k := KindSubscription; k < kindMax; k++ {
+	if want := int(kindMax) - 2; len(kindBytes) != want { // all but the reserved value
+		t.Fatalf("kindBytes pins %d kinds, the package defines %d", len(kindBytes), want)
+	}
+	for _, tc := range kindBytes {
+		k := tc.kind
 		f := Frame{Kind: k, Node: "n", Class: "c", Phase: AckChannelUp}
 		b, err := f.Encode()
 		if err != nil {
 			t.Fatalf("Encode(%v): %v", k, err)
+		}
+		if b[3] != tc.b || k.String() != tc.name {
+			t.Errorf("kind %v encodes as byte %d, want %s as byte %d", k, b[3], tc.name, tc.b)
 		}
 		got, err := Decode(b)
 		if err != nil {
@@ -64,13 +90,22 @@ func TestEncodeDecodeAllKinds(t *testing.T) {
 }
 
 func TestEncodeInvalidKind(t *testing.T) {
-	f := Frame{Kind: 0}
-	if _, err := f.Encode(); !errors.Is(err, ErrBadKind) {
-		t.Errorf("Encode zero kind err = %v, want ErrBadKind", err)
+	valid, err := Frame{Kind: KindHeartbeat, Node: "n"}.Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
-	f = Frame{Kind: kindMax}
-	if _, err := f.Encode(); !errors.Is(err, ErrBadKind) {
-		t.Errorf("Encode kindMax err = %v, want ErrBadKind", err)
+	for _, k := range []Kind{0, kindReserved, kindMax, 200} {
+		if _, err := (Frame{Kind: k, Node: "n"}).Encode(); !errors.Is(err, ErrBadKind) {
+			t.Errorf("Encode kind %d err = %v, want ErrBadKind", k, err)
+		}
+		b := append([]byte(nil), valid...)
+		b[3] = byte(k)
+		if _, err := Decode(b); !errors.Is(err, ErrBadKind) {
+			t.Errorf("Decode kind byte %d err = %v, want ErrBadKind", k, err)
+		}
+	}
+	if kindReserved != 7 {
+		t.Errorf("reserved kind = %d, want 7", kindReserved)
 	}
 }
 

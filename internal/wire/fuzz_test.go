@@ -176,6 +176,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	unknown := bytes.Clone(solicit)
 	unknown[3] = byte(kindMax)
 	f.Add(unknown)
+	// The reserved value in the middle of the range: a peer that still
+	// speaks it is refused the same way.
+	reserved := bytes.Clone(solicit)
+	reserved[3] = byte(kindReserved)
+	f.Add(reserved)
 
 	dec := NewDecoder()
 	var reused Frame

@@ -12,7 +12,7 @@ import (
 func TestFrameRoundTripProperty(t *testing.T) {
 	f := func(kindRaw uint8, phase uint8, channel, seq uint32, timeBits uint64,
 		node, lp, class, addr string, a1 float64, a2 uint32, a3 []byte) bool {
-		kind := Kind(kindRaw%uint8(kindMax-1)) + 1 // valid kinds only
+		kind := kindBytes[int(kindRaw)%len(kindBytes)].kind // valid kinds only: the table skips the reserved 7
 		tm := math.Float64frombits(timeBits)
 		attrs := AttrSet{}
 		attrs.PutFloat64(1, a1)

@@ -21,6 +21,17 @@ go vet ./...
 echo "== codvet (project invariants: determinism, policydecl, layering, errwrap, nopool) =="
 go run ./cmd/codvet ./...
 
+echo "== orphan packages (every internal package is reached from a command, an example, the benchmark or the SDK) =="
+# A package only its own tests import is code nothing runs: wire it in or
+# delete it.
+reached=$(go list -deps ./cmd/... ./examples/... ./benchmark ./cod)
+orphans=$(go list ./internal/... | grep -vxF "$reached" || true)
+if [ -n "$orphans" ]; then
+    echo "imported by no command, example, benchmark or SDK file:" >&2
+    echo "$orphans" >&2
+    exit 1
+fi
+
 # staticcheck and govulncheck are external tools; CI installs them pinned
 # and puts them on PATH (see ci.yml). Locally they gate when present and
 # are skipped offline.
