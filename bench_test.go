@@ -195,59 +195,36 @@ func BenchmarkCBRoutingLocal(b *testing.B) {
 // one UPDATE serialized, routed over the (zero-latency in-memory) LAN, and
 // reflected on the other computer.
 func BenchmarkCBRoutingRemote(b *testing.B) {
-	ctx := context.Background()
-	lan := transport.NewMemLAN()
-	pubNode, err := cb.New(lan, "pub-pc", benchCB())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer pubNode.Close()
-	subNode, err := cb.New(lan, "sub-pc", benchCB())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer subNode.Close()
-	pub, err := pubNode.PublishObjectClass("p", "State")
-	if err != nil {
-		b.Fatal(err)
-	}
-	sub, err := subNode.SubscribeObjectClass("s", "State", cb.WithQueue(1024))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sub.WaitMatchedContext(ctx); err != nil {
-		b.Fatal("channel never established")
-	}
-	attrs := fom.CraneState{Stability: 1}.Encode()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := pub.Update(float64(i), attrs); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sub.NextContext(ctx); err != nil {
-			b.Fatal("reflection lost")
-		}
-	}
+	benchRemoteDelivery(b, true, cb.WithQueue(1024))
+}
+
+// BenchmarkCBRoutingUnreleased is the same channel under a consumer that
+// never calls Release: each frame then costs the link the body it is read
+// into and its ref table, two allocations sized to the frame, and the gate
+// holds it to exactly that.
+func BenchmarkCBRoutingUnreleased(b *testing.B) {
+	benchRemoteDelivery(b, false, cb.WithQueue(1024))
 }
 
 // BenchmarkCBRoutingLatestValue is the conflating delivery path: one op =
 // one UPDATE through a remote latest-value channel with a consuming
 // subscriber — the 60 Hz state-channel configuration of the simulator.
 func BenchmarkCBRoutingLatestValue(b *testing.B) {
-	benchRemoteDelivery(b, cb.WithQueue(1024), cb.WithLatestValue())
+	benchRemoteDelivery(b, true, cb.WithQueue(1024), cb.WithLatestValue())
 }
 
 // BenchmarkCBRoutingReliable is the credit-windowed delivery path: one op
 // = one UPDATE through a remote reliable channel with a consuming
 // subscriber, including the amortized credit-grant traffic flowing back.
 func BenchmarkCBRoutingReliable(b *testing.B) {
-	benchRemoteDelivery(b, cb.WithReliable(1024))
+	benchRemoteDelivery(b, true, cb.WithReliable(1024))
 }
 
 // benchRemoteDelivery measures one UPDATE over a cross-node virtual
-// channel under the given subscription options, consuming as it goes.
-func benchRemoteDelivery(b *testing.B, opts ...cb.SubscribeOption) {
+// channel under the given subscription options, consuming as it goes;
+// release says whether the consumer hands each reflection's storage back,
+// as cod.Sub does after decoding.
+func benchRemoteDelivery(b *testing.B, release bool, opts ...cb.SubscribeOption) {
 	ctx := context.Background()
 	lan := transport.NewMemLAN()
 	pubNode, err := cb.New(lan, "pub-pc", benchCB())
@@ -281,8 +258,12 @@ func benchRemoteDelivery(b *testing.B, opts ...cb.SubscribeOption) {
 		if err := pub.Update(float64(i), attrs); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sub.NextContext(ctx); err != nil {
+		r, err := sub.NextContext(ctx)
+		if err != nil {
 			b.Fatal("reflection lost")
+		}
+		if release {
+			r.Release()
 		}
 	}
 }
@@ -328,10 +309,12 @@ func BenchmarkCBThroughput(b *testing.B) {
 	go func() {
 		defer close(done)
 		for i := 0; i < b.N; i++ {
-			if _, err := sub.NextContext(ctx); err != nil {
+			r, err := sub.NextContext(ctx)
+			if err != nil {
 				b.Error("reflection lost")
 				return
 			}
+			r.Release()
 		}
 	}()
 	for i := 0; i < b.N; i++ {

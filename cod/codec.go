@@ -1,8 +1,10 @@
 package cod
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"unsafe"
@@ -236,103 +238,58 @@ func (c *codec) encodeInto(a *wire.AttrSet, p unsafe.Pointer) {
 // c.typ). Every declared field must be present and well-sized, or the
 // reflection is rejected: a silent partial fill would hand modules
 // half-stale state.
-func (c *codec) decodeInto(a wire.AttrSet, p unsafe.Pointer) error {
+//
+// A set the codec encoded itself holds field i's attribute i-th, so the
+// walk reads the set in step with the field table and decodes scalars
+// straight from the value bytes (the layouts are wire's PutBool, PutInt64
+// and PutFloat64); a set in any other order — a hand-built one, a peer
+// declaring more fields — is looked up by ID, and strings and slices always
+// go through wire's readers.
+func (c *codec) decodeInto(a *wire.AttrSet, p unsafe.Pointer) error {
+	n := a.Len()
 	for i := range c.fields {
 		f := &c.fields[i]
 		fp := unsafe.Add(p, f.off)
-		var ok bool
-		switch f.kind {
-		case kindBool:
-			var b bool
-			if b, ok = a.Bool(f.id); ok {
-				*(*bool)(fp) = b
-			}
-		case kindInt:
-			var n int64
-			if n, ok = a.Int64(f.id); ok {
-				*(*int)(fp) = int(n)
-			}
-		case kindInt8:
-			var n int64
-			if n, ok = a.Int64(f.id); ok {
-				*(*int8)(fp) = int8(n)
-			}
-		case kindInt16:
-			var n int64
-			if n, ok = a.Int64(f.id); ok {
-				*(*int16)(fp) = int16(n)
-			}
-		case kindInt32:
-			var n int64
-			if n, ok = a.Int64(f.id); ok {
-				*(*int32)(fp) = int32(n)
-			}
-		case kindInt64:
-			var n int64
-			if n, ok = a.Int64(f.id); ok {
-				*(*int64)(fp) = n
-			}
-		case kindUint:
-			var n int64
-			if n, ok = a.Int64(f.id); ok {
-				*(*uint)(fp) = uint(n)
-			}
-		case kindUint8:
-			var n int64
-			if n, ok = a.Int64(f.id); ok {
-				*(*uint8)(fp) = uint8(n)
-			}
-		case kindUint16:
-			var n int64
-			if n, ok = a.Int64(f.id); ok {
-				*(*uint16)(fp) = uint16(n)
-			}
-		case kindUint32:
-			var n int64
-			if n, ok = a.Int64(f.id); ok {
-				*(*uint32)(fp) = uint32(n)
-			}
-		case kindUint64:
-			var n int64
-			if n, ok = a.Int64(f.id); ok {
-				*(*uint64)(fp) = uint64(n)
-			}
-		case kindFloat32:
-			var x float64
-			if x, ok = a.Float64(f.id); ok {
-				*(*float32)(fp) = float32(x)
-			}
-		case kindFloat64:
-			var x float64
-			if x, ok = a.Float64(f.id); ok {
-				*(*float64)(fp) = x
-			}
-		case kindString:
-			var v string
-			if v, ok = a.String(f.id); ok {
-				*(*string)(fp) = v
-			}
-		case kindBytes:
-			var b []byte
-			if b, ok = a.Bytes(f.id); ok {
-				// Bytes aliases the reflection's storage; the field gets
-				// its own copy.
-				*(*[]byte)(fp) = append(make([]byte, 0, len(b)), b...)
-			}
-		case kindFloat64s:
-			var vs []float64
-			if vs, ok = a.Float64s(f.id); ok {
-				*(*[]float64)(fp) = vs
-			}
-		case kindInt64s:
-			var vs []int64
-			if vs, ok = a.Int64s(f.id); ok {
-				*(*[]int64)(fp) = vs
-			}
-		case kindStrings:
-			var vs []string
-			if vs, ok = a.Strings(f.id); ok {
-				*(*[]string)(fp) = vs
+		var v []byte
+		ok := false
+		if i < n {
+			var id wire.AttrID
+			id, v = a.At(i)
+			ok = id == f.id
+		}
+		if !ok {
+			v, ok = a.Bytes(f.id)
+		}
+		if ok {
+			switch f.kind {
+			case kindBool:
+				if ok = len(v) == 1; ok {
+					*(*bool)(fp) = v[0] != 0
+				}
+			case kindString:
+				*(*string)(fp) = string(v)
+			case kindBytes:
+				// v aliases the reflection's storage; the field gets its own copy.
+				*(*[]byte)(fp) = append(make([]byte, 0, len(v)), v...)
+			case kindFloat64s:
+				var vs []float64
+				if vs, ok = a.Float64s(f.id); ok {
+					*(*[]float64)(fp) = vs
+				}
+			case kindInt64s:
+				var vs []int64
+				if vs, ok = a.Int64s(f.id); ok {
+					*(*[]int64)(fp) = vs
+				}
+			case kindStrings:
+				var vs []string
+				if vs, ok = a.Strings(f.id); ok {
+					*(*[]string)(fp) = vs
+				}
+			default: // the numeric kinds, eight bytes each
+				if ok = len(v) == 8; ok {
+					storeScalar(f.kind, fp, binary.BigEndian.Uint64(v))
+				}
 			}
 		}
 		if !ok {
@@ -340,4 +297,35 @@ func (c *codec) decodeInto(a wire.AttrSet, p unsafe.Pointer) error {
 		}
 	}
 	return nil
+}
+
+// storeScalar stores the 8-byte wire value bits into the numeric field at
+// fp: integers travel as int64, floats as float64.
+func storeScalar(kind fieldKind, fp unsafe.Pointer, bits uint64) {
+	switch kind {
+	case kindInt:
+		*(*int)(fp) = int(bits)
+	case kindInt8:
+		*(*int8)(fp) = int8(bits)
+	case kindInt16:
+		*(*int16)(fp) = int16(bits)
+	case kindInt32:
+		*(*int32)(fp) = int32(bits)
+	case kindInt64:
+		*(*int64)(fp) = int64(bits)
+	case kindUint:
+		*(*uint)(fp) = uint(bits)
+	case kindUint8:
+		*(*uint8)(fp) = uint8(bits)
+	case kindUint16:
+		*(*uint16)(fp) = uint16(bits)
+	case kindUint32:
+		*(*uint32)(fp) = uint32(bits)
+	case kindUint64:
+		*(*uint64)(fp) = bits
+	case kindFloat32:
+		*(*float32)(fp) = float32(math.Float64frombits(bits))
+	case kindFloat64:
+		*(*float64)(fp) = math.Float64frombits(bits)
+	}
 }

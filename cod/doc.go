@@ -62,7 +62,7 @@
 // link, so a steady typed publish→reflect allocates nothing beyond what
 // T's own strings and slices need. Callers reading attributes through
 // Raw() own that decision themselves: see cb.Reflection.Release and the
-// copy-at-boundary rule in the README.
+// ownership rule in internal/wire's package doc.
 //
 // # Blocking and errors
 //

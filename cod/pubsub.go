@@ -114,9 +114,8 @@ func Publish[T any](node *Node, lp, class string) (*Pub[T], error) {
 // UpdateContext for the blocking form.
 func (p *Pub[T]) Update(simTime float64, v T) error {
 	// The scratch AttrSet comes from wire's pool and goes back as soon as
-	// UpdateRouted returns: the backbone's copy-at-boundary rule (local
-	// delivery clones, remote delivery serializes before returning) makes
-	// the return the release point, so a steady-state Update reuses the
+	// UpdateRouted returns: under the ownership rule (package wire) the
+	// return is the release point, so a steady-state Update reuses the
 	// same arena every call.
 	a := wire.GetAttrSet()
 	p.codec.encodeInto(a, unsafe.Pointer(&v))
@@ -213,7 +212,7 @@ func Subscribe[T any](node *Node, lp, class string, opts ...SubOption) (*Sub[T],
 func (s *Sub[T]) decode(r *cb.Reflection, out *Reflection[T]) error {
 	out.Class, out.PubNode, out.PubLP = r.Class, r.PubNode, r.PubLP
 	out.Seq, out.Time = r.Seq, r.Time
-	err := s.codec.decodeInto(r.Attrs, unsafe.Pointer(&out.Value))
+	err := s.codec.decodeInto(&r.Attrs, unsafe.Pointer(&out.Value))
 	r.Release()
 	return err
 }

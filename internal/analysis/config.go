@@ -47,8 +47,9 @@ var DeterministicPackages = []string{
 
 // PoolPackages are the only packages permitted to declare a sync.Pool.
 // They own the buffer lifecycle of the zero-alloc wire path and define
-// its release points (the copy-at-boundary contract: cb clones anything
-// it retains past a handler, wire.PutAttrSet resets before recycling).
+// its release points (the ownership rule in package wire's doc: cb copies
+// or takes over what it keeps past a handler, wire.PutAttrSet resets
+// before recycling).
 // Elsewhere a pool has no such contract, so the nopool analyzer flags it.
 var PoolPackages = []string{
 	"codsim/internal/wire",

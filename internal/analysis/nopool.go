@@ -6,9 +6,9 @@ import (
 )
 
 // NoPool confines sync.Pool to the wire/cb boundary. Pooled buffers are
-// only sound under the copy-at-boundary ownership contract those two
-// packages define (a frame's attrs are valid until the handler returns;
-// anything retained is cloned first). A pool elsewhere has no such
+// only sound under the ownership rule those two packages define (package
+// wire's doc: a link's frame is valid until its handler returns, and what
+// is kept past that is copied or taken over). A pool elsewhere has no such
 // release point: a reference that outlives the put turns into silent
 // cross-request corruption that only shows under load. Packages that
 // need reusable scratch take it from wire.GetAttrSet/PutAttrSet — inside
@@ -44,7 +44,7 @@ func runNoPool(pass *Pass) error {
 				return true
 			}
 			pass.Reportf(sel.Pos(),
-				"sync.Pool in %s: pools are confined to internal/wire and internal/cb (the copy-at-boundary ownership contract); use wire.GetAttrSet for scratch or allocate locally",
+				"sync.Pool in %s: pools are confined to internal/wire and internal/cb (the ownership rule in package wire's doc); use wire.GetAttrSet for scratch or allocate locally",
 				pass.Path)
 			return true
 		})

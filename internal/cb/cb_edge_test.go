@@ -279,7 +279,7 @@ func TestMailboxNextAfterClose(t *testing.T) {
 
 // TestAttrsIsolatedFromPublisherMutation: the paper's push model must not
 // alias the publisher's buffers — mutating the attribute set after Update
-// must not change what subscribers see (copy-at-boundary).
+// must not change what subscribers see (the ownership rule, package wire).
 func TestAttrsIsolatedFromPublisherMutation(t *testing.T) {
 	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()

@@ -109,7 +109,7 @@ func (b *Backbone) handlePublicationBroadcast(f wire.Frame) {
 }
 
 // handleFrame dispatches one inbound stream frame. f is the read loop's
-// reused frame: handlers copy what they keep.
+// reused frame: handlers copy what they keep, or, handleUpdate, take it.
 func (b *Backbone) handleFrame(l *peerLink, f *wire.Frame) {
 	switch f.Kind {
 	case wire.KindAcknowledge:
@@ -126,7 +126,7 @@ func (b *Backbone) handleFrame(l *peerLink, f *wire.Frame) {
 		// link instead of to the segment.
 		b.handleSubscriptionBroadcast(*f)
 	case wire.KindUpdateAttrs:
-		b.handleUpdate(f)
+		b.handleUpdate(l, f)
 	case wire.KindHeartbeat:
 		// The read loop already counted the frame for liveness; apply any
 		// credit counts for reliable channels riding this link (immediate
@@ -270,8 +270,11 @@ func (b *Backbone) handleChannelUp(l *peerLink, f wire.Frame) {
 }
 
 // handleUpdate routes an inbound UPDATE frame to the subscriber LP
-// bound to the virtual channel and delivers it as a reflection.
-func (b *Backbone) handleUpdate(f *wire.Frame) {
+// bound to the virtual channel and delivers it as a reflection. The
+// reflection owns the frame it arrived in (the ownership rule, package
+// wire): the frame's attributes move into it, storage and all, and the read
+// loop's frame is left with storage a consumer released, or with none.
+func (b *Backbone) handleUpdate(l *peerLink, f *wire.Frame) {
 	ic, ok := b.ins.get(f.Channel)
 	if !ok {
 		return // stale channel (e.g. torn down moments ago)
@@ -284,11 +287,14 @@ func (b *Backbone) handleUpdate(f *wire.Frame) {
 		Seq:     f.Seq,
 		Time:    f.Time,
 	}
-	// Copy-at-boundary: the frame's attrs alias the read loop's reused
-	// decode buffers, which the next inbound frame overwrites. This copy
-	// is the release point that makes that reuse safe.
-	r.retain(f.Attrs)
-	b.deliver(ic.sub, r)
+	if f.Attrs.Len() > 0 {
+		r.Attrs, r.store, r.recycle = f.Attrs, l.store, true
+		f.Attrs = wire.AttrSet{}
+		if l.store, _ = attrStore.Get().(*wire.AttrSet); l.store != nil {
+			f.Attrs = *l.store
+		}
+	}
+	b.deliver(ic.sub, &r)
 }
 
 // applyCredit folds a cumulative consumption report — an immediate grant

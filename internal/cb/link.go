@@ -32,6 +32,11 @@ type peerLink struct {
 
 	wmu sync.Mutex // serializes frame writes
 
+	// store is the pooled holder the read loop's frame has its attribute
+	// storage from, nil when the frame allocated its own; it goes with the
+	// storage when a reflection takes that. Read loop only.
+	store *wire.AttrSet
+
 	closeOnce sync.Once
 }
 
@@ -240,18 +245,18 @@ func (l *peerLink) shutdown() {
 
 // linkReadBuffer sizes the read loop's buffer: one conn.Read fetches every
 // frame that fits (some sixty CraneStates), and a frame larger than the
-// buffer is read straight into the decoder's body.
+// buffer is read straight into the frame's storage.
 const linkReadBuffer = 16 << 10
 
 // readLoop pumps inbound frames to the backbone until the link dies. The
 // loop owns one buffered reader, one wire.Decoder and one Frame, reused
 // for every inbound frame: a length prefix, its body and the frames
-// queued behind them come out of a single conn.Read, and the body buffer,
-// the attr arena and the interned Node/LP/Class strings all amortize to
-// zero allocations. The decoded frame is only valid until the next
-// iteration — any handler that retains attributes copies them first
-// (handleUpdate's Reflection; the copy-at-boundary rule), which is what
-// makes the reuse safe.
+// queued behind them come out of a single conn.Read, the body is read
+// into the frame's own storage and decoded where it lies, and the
+// Node/LP/Class strings are the previous frame's. The decoded frame is
+// only valid until the next iteration, under the ownership rule in package
+// wire's doc: a handler copies what it keeps, except that handleUpdate
+// moves the attributes, storage and all, into the reflection.
 func (l *peerLink) readLoop() {
 	defer l.b.wg.Done()
 	dec := wire.NewDecoder()

@@ -163,10 +163,11 @@ func (m *mailbox) left(id uint32, bk *chanBook) {
 	}
 }
 
-func (m *mailbox) push(r Reflection) {
+func (m *mailbox) push(r *Reflection) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
+		r.Release()
 		return
 	}
 	bk := m.chans[r.Channel]
@@ -214,7 +215,7 @@ func (m *mailbox) push(r Reflection) {
 			m.discard(0, false)
 		}
 	}
-	m.buf[(m.head+m.n)%len(m.buf)] = r
+	m.buf[(m.head+m.n)%len(m.buf)] = *r
 	m.n++
 	bk.buffered++
 	bk.tally.Delivered++
@@ -249,18 +250,18 @@ func (m *mailbox) channelTallies() []ChannelTally {
 	return out
 }
 
-// poll takes the oldest buffered reflection, if there is one. On a
+// poll moves the oldest buffered reflection, if there is one, into r. On a
 // reliable subscription the same critical section counts it consumed, and
 // grant reports that cum, the channel's cumulative consumption, is due to
 // be sent to its publisher: every grantEvery-th consumption, and the
 // first, which tells a publisher at once that its subscriber drains.
-func (m *mailbox) poll() (r Reflection, cum uint32, grant, ok bool) {
+func (m *mailbox) poll(r *Reflection) (cum uint32, grant, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.n == 0 {
-		return Reflection{}, 0, false, false
+		return 0, false, false
 	}
-	r = m.buf[m.head]
+	*r = m.buf[m.head]
 	m.buf[m.head] = Reflection{} // release references
 	m.head = (m.head + 1) % len(m.buf)
 	m.n--
@@ -274,29 +275,29 @@ func (m *mailbox) poll() (r Reflection, cum uint32, grant, ok bool) {
 		cum = bk.consumed
 	}
 	m.left(r.Channel, bk)
-	return r, cum, grant, true
+	return cum, grant, true
 }
 
 // nextCtx is poll that waits for a reflection, for ctx, or for close.
-func (m *mailbox) nextCtx(ctx context.Context) (Reflection, uint32, bool, error) {
+func (m *mailbox) nextCtx(ctx context.Context, r *Reflection) (uint32, bool, error) {
 	for {
-		if r, cum, grant, ok := m.poll(); ok {
-			return r, cum, grant, nil
+		if cum, grant, ok := m.poll(r); ok {
+			return cum, grant, nil
 		}
 		m.mu.Lock()
 		closed := m.closed
 		m.mu.Unlock()
 		if closed {
-			return Reflection{}, 0, false, ErrHandleClosed
+			return 0, false, ErrHandleClosed
 		}
 		select {
 		case <-m.notify:
 		case <-ctx.Done():
 			// A push may have raced with the cancellation; prefer data.
-			if r, cum, grant, ok := m.poll(); ok {
-				return r, cum, grant, nil
+			if cum, grant, ok := m.poll(r); ok {
+				return cum, grant, nil
 			}
-			return Reflection{}, 0, false, ctx.Err()
+			return 0, false, ctx.Err()
 		}
 	}
 }

@@ -1,75 +1,240 @@
 package cb
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"codsim/internal/transport"
 	"codsim/internal/wire"
 )
 
-// TestPoolNoAlias is the aliasing property test for the pooled wire path:
-// reflections handed to a subscriber must never share memory with the
-// pooled encode buffers, the read loop's reused decoder arena, or the
-// publisher's (possibly pooled) attr scratch. It retains every decoded
-// AttrSet while traffic keeps flowing — overwriting any shared buffer many
-// times over — then asserts the retained values still read back exactly.
-// Run with -race and -count=100 to shake out reuse races:
+// TestPoolNoAlias is the ownership test for the link path: a reflection
+// owns the frame it arrived in, so one that is never released must keep
+// its bytes whatever happens after it — thousands of later frames read off
+// the same link, another consumer of the same stream releasing every
+// reflection it takes (that storage is what the links read later frames
+// into), and the publisher rewriting its scratch set between Updates.
+// Every 512th frame is larger than the link's read buffer and than any
+// storage released so far, and is followed by small ones again. The
+// holder retains everything and reads it all back at the end. Run with
+// -race and -count=100 to shake out reuse races:
 //
 //	go test -race -run Pool -count=100 ./internal/cb/
 func TestPoolNoAlias(t *testing.T) {
 	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	pubBB := newBackbone(t, lan, "pub-pc")
-	subBB := newBackbone(t, lan, "sub-pc")
-
 	pub, err := pubBB.PublishObjectClass("dynamics", "CraneState")
 	if err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
-	sub, err := subBB.SubscribeObjectClass("visual", "CraneState", WithReliable(64))
-	if err != nil {
-		t.Fatalf("Subscribe: %v", err)
+	var subs [2]*Subscription // 0 holds, 1 releases
+	for i, node := range []string{"hold-pc", "release-pc"} {
+		sub, err := newBackbone(t, lan, node).SubscribeObjectClass("visual", "CraneState", WithReliable(64))
+		if err != nil {
+			t.Fatalf("Subscribe: %v", err)
+		}
+		if sub.WaitMatchedContext(ctx) != nil {
+			t.Fatal("subscription never matched")
+		}
+		subs[i] = sub
 	}
-	if sub.WaitMatchedContext(ctx) != nil {
-		t.Fatal("subscription never matched")
+	if pub.WaitChannelsContext(ctx, 2) != nil {
+		t.Fatal("publisher never saw both channels")
 	}
 
-	const frames = 64
+	const frames = 4096
+	label := func(i int) string { return fmt.Sprintf("frame-%04d", i) }
+	blob := func(i int) []byte {
+		n := 16
+		if i%512 == 511 {
+			n = 3*linkReadBuffer + i
+		}
+		return bytes.Repeat([]byte{byte(i)}, n)
+	}
 	// Publish from a reused scratch AttrSet — the cod SDK's pooled pattern:
-	// the set is mutated in place between Updates, so any retained alias of
-	// it would be visibly corrupted.
-	scratch := wire.NewAttrSet(3)
-	got := make([]Reflection, 0, frames)
+	// the set is rewritten between Updates, so any retained alias of it
+	// would be visibly corrupted.
+	var scratch wire.AttrSet
+	held := make([]Reflection, 0, frames)
 	for i := 0; i < frames; i++ {
+		scratch.Reset()
 		scratch.PutInt64(1, int64(i))
-		scratch.PutFloat64(2, float64(i)+0.5)
-		scratch.PutString(3, fmt.Sprintf("frame-%03d", i))
-		if err := pub.Update(float64(i), scratch); err != nil {
+		scratch.PutString(2, label(i))
+		scratch.PutBytes(3, blob(i))
+		if err := pub.UpdateContext(ctx, float64(i), scratch); err != nil {
 			t.Fatalf("Update %d: %v", i, err)
 		}
-		r, err := sub.NextContext(ctx)
-		if err != nil {
-			t.Fatalf("no reflection for frame %d", i)
+		for who, sub := range subs {
+			r, err := sub.NextContext(ctx)
+			if err != nil {
+				t.Fatalf("no reflection for frame %d", i)
+			}
+			if who == 0 {
+				held = append(held, r)
+				continue
+			}
+			if n, _ := r.Attrs.Int64(1); n != int64(i) {
+				t.Fatalf("the releasing consumer read frame %d as %d", i, n)
+			}
+			r.Release()
 		}
-		got = append(got, r) // retain: decoder/pool reuse must not touch it
 	}
 
-	// All buffers have been reacquired and overwritten dozens of times by
-	// now; every retained reflection must still carry its original values.
-	for i, r := range got {
+	for i, r := range held {
 		n, ok := r.Attrs.Int64(1)
 		if !ok || n != int64(i) {
-			t.Fatalf("retained frame %d: attr1 = %d,%v (pooled buffer aliased)", i, n, ok)
+			t.Fatalf("held frame %d: attr1 = %d,%v (storage reused under it)", i, n, ok)
 		}
-		f, ok := r.Attrs.Float64(2)
-		if !ok || f != float64(i)+0.5 {
-			t.Fatalf("retained frame %d: attr2 = %v,%v (pooled buffer aliased)", i, f, ok)
+		s, ok := r.Attrs.String(2)
+		if !ok || s != label(i) {
+			t.Fatalf("held frame %d: attr2 = %q,%v (storage reused under it)", i, s, ok)
 		}
-		s, ok := r.Attrs.String(3)
-		if !ok || s != fmt.Sprintf("frame-%03d", i) {
-			t.Fatalf("retained frame %d: attr3 = %q,%v (pooled buffer aliased)", i, s, ok)
+		b, ok := r.Attrs.Bytes(3)
+		if !ok || !bytes.Equal(b, blob(i)) {
+			t.Fatalf("held frame %d: attr3 is %d bytes of %v… (storage reused under it)", i, len(b), b[:min(len(b), 4)])
 		}
+	}
+}
+
+// mallocs is the process's allocation count so far. The ownership tests
+// divide its growth by the frames streamed; this package's tests do not
+// run in parallel, and what the backbones' timers allocate meanwhile is
+// a few dozen objects.
+func mallocs() uint64 {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.Mallocs
+}
+
+// TestConflatedStorageGoesBack: a LatestValue mailbox that nobody polls
+// conflates nearly every reflection away unseen, and hands each one's
+// storage back itself, so the link reads the whole stream into a handful
+// of bodies: what the subscriber side allocates does not grow with the
+// frames published. (The race detector makes sync.Pool drop a quarter of
+// what it is given, so the count is only held without it.)
+func TestConflatedStorageGoesBack(t *testing.T) {
+	ctx := waitCtx(t)
+	lan := transport.NewMemLAN()
+	pubBB := newBackbone(t, lan, "pub-pc")
+	subBB := newBackbone(t, lan, "sub-pc")
+	pub, err := pubBB.PublishObjectClass("p", "State")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := subBB.SubscribeObjectClass("s", "State", WithLatestValue(), WithQueue(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sub.WaitMatchedContext(ctx); err != nil {
+		t.Fatal("subscription never matched")
+	}
+	if err := pub.WaitChannelsContext(ctx, 1); err != nil {
+		t.Fatal("publisher never linked")
+	}
+
+	const frames = 20000
+	stream := func(from, to int) {
+		t.Helper()
+		var a wire.AttrSet
+		for i := from; i < to; i++ {
+			a.Reset()
+			a.PutInt64(1, int64(i))
+			a.PutInt64(2, ^int64(i))
+			if err := pub.Update(float64(i), a); err != nil {
+				t.Fatalf("Update %d: %v", i, err)
+			}
+		}
+		arrived := func() bool { return subBB.Stats().ReflectsDelivered.Value() == int64(to) }
+		if pollCond(ctx, arrived) != nil {
+			t.Fatalf("%d of %d frames arrived", subBB.Stats().ReflectsDelivered.Value(), to)
+		}
+	}
+	stream(0, 100) // the mailbox fills and the first bodies start to circulate
+	before := mallocs()
+	stream(100, frames)
+	perFrame := float64(mallocs()-before) / (frames - 100)
+	// A body that did not come back, and its ref table, would be two.
+	if !raceEnabled && perFrame > 0.1 {
+		t.Errorf("%.2f allocations per conflated frame: discarded reflections do not give their storage back", perFrame)
+	}
+	if got := subBB.Stats().Conflations.Value(); got != frames-4 {
+		t.Errorf("%d conflations, want %d", got, frames-4)
+	}
+	for i := frames - 4; i < frames; i++ {
+		r, ok := sub.Poll()
+		if n, _ := r.Attrs.Int64(1); !ok || n != int64(i) {
+			t.Fatalf("buffered reflection reads frame %d,%v, want %d", n, ok, i)
+		}
+		if n, _ := r.Attrs.Int64(2); n != ^int64(i) {
+			t.Fatalf("frame %d carries %d for its complement", i, n)
+		}
+	}
+}
+
+// TestConsumerThatNeverReleases: Release is optional. A consumer that never
+// calls it sees every frame intact and costs the link two allocations a
+// frame — the body the frame is read into and its ref table, both sized to
+// that frame — and nothing else; one that releases costs none.
+func TestConsumerThatNeverReleases(t *testing.T) {
+	for _, release := range []bool{false, true} {
+		t.Run(fmt.Sprintf("release=%v", release), func(t *testing.T) {
+			ctx := waitCtx(t)
+			lan := transport.NewMemLAN()
+			pubBB := newBackbone(t, lan, "pub-pc")
+			subBB := newBackbone(t, lan, "sub-pc")
+			pub, err := pubBB.PublishObjectClass("p", "State")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Drop-oldest, one frame in flight: no credit traffic to count.
+			sub, err := subBB.SubscribeObjectClass("s", "State", WithQueue(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sub.WaitMatchedContext(ctx); err != nil {
+				t.Fatal("subscription never matched")
+			}
+			if err := pub.WaitChannelsContext(ctx, 1); err != nil {
+				t.Fatal("publisher never linked")
+			}
+			const frames = 5000
+			var a wire.AttrSet
+			var before uint64
+			for i := 0; i < frames; i++ {
+				if i == 100 { // channels, rings and pools are warm
+					before = mallocs()
+				}
+				a.Reset()
+				a.PutInt64(1, int64(i))
+				a.PutFloat64(2, float64(i)/2)
+				if err := pub.Update(float64(i), a); err != nil {
+					t.Fatalf("Update %d: %v", i, err)
+				}
+				r, err := sub.NextContext(ctx)
+				if err != nil {
+					t.Fatalf("frame %d: %v", i, err)
+				}
+				n, _ := r.Attrs.Int64(1)
+				x, _ := r.Attrs.Float64(2)
+				if n != int64(i) || x != float64(i)/2 {
+					t.Fatalf("frame %d arrived as (%d, %v)", i, n, x)
+				}
+				if release {
+					r.Release()
+				}
+			}
+			perFrame := float64(mallocs()-before) / (frames - 100)
+			want := 2.05
+			if release {
+				want = 0.05
+			}
+			if !raceEnabled && perFrame > want {
+				t.Errorf("%.2f allocations per frame, want at most %.2f", perFrame, want)
+			}
+		})
 	}
 }
 

@@ -23,43 +23,28 @@ type Reflection struct {
 	Attrs   wire.AttrSet
 
 	// recycle marks storage Release may hand back: set on reflections that
-	// arrived over a link. store is the holder Attrs' buffers were taken
-	// from, nil when they were cloned fresh.
+	// arrived over a link, which own the storage their frame was read into
+	// (the ownership rule, package wire). store is the pooled holder that
+	// storage last came out of, nil when the link allocated it.
 	recycle bool
 	store   *wire.AttrSet
 }
 
-// attrStore holds attribute storage handed back by Release. It has no New:
-// an empty store means nobody releases, and retain clones as it always did.
+// attrStore holds frame storage handed back by Release, for the links' read
+// loops to read later frames into. It has no New: an empty store means
+// nobody releases, and each frame is read into an allocation of its size.
 var attrStore sync.Pool // of *wire.AttrSet
 
-// retain gives a reflection arriving over a link its own copy of the
-// frame's attributes — the copy-at-boundary point: src aliases the read
-// loop's decode buffers, which the next inbound frame overwrites. Released
-// storage is reused when there is some.
-func (r *Reflection) retain(src wire.AttrSet) {
-	if src.Len() == 0 {
-		return
-	}
-	r.recycle = true
-	if box, _ := attrStore.Get().(*wire.AttrSet); box != nil {
-		src.CloneInto(box)
-		r.Attrs, r.store = *box, box
-		return
-	}
-	r.Attrs = src.Clone()
-}
-
 // Release hands the reflection's attribute storage back to the backbone,
-// which reuses it for a later reflection; Attrs is empty afterwards. Only
-// the consumer that took the reflection out of its subscription may call
-// it, at most once, and only when nothing still reads Attrs or a slice
+// which reads a later frame into it; Attrs is empty afterwards. Only the
+// consumer that took the reflection out of its subscription may call it,
+// at most once, and only when nothing still reads Attrs or a slice
 // obtained from it (Bytes aliases the storage). Releasing is optional: a
 // reflection that is never released is ordinary garbage, and costs the
-// two allocations of a fresh clone per update, as it always has. Only
-// reflections that crossed a link are recycled; one delivered in-process
-// holds a plain clone of the publisher's set, and releasing it does
-// nothing.
+// link the two allocations of a fresh frame body and ref table per update.
+// Only reflections that crossed a link are recycled; one delivered
+// in-process holds a plain clone of the publisher's set, and releasing it
+// does nothing.
 func (r *Reflection) Release() {
 	if !r.recycle {
 		return
@@ -575,7 +560,7 @@ func (p *Publication) push(ctx context.Context, simTime float64, attrs wire.Attr
 		}
 		oc.seq++
 		if oc.link == nil {
-			r := Reflection{
+			b.deliver(oc.local, &Reflection{
 				Class:   p.key.class,
 				PubNode: b.node,
 				PubLP:   p.key.lp,
@@ -583,8 +568,7 @@ func (p *Publication) push(ctx context.Context, simTime float64, attrs wire.Attr
 				Seq:     oc.seq,
 				Time:    simTime,
 				Attrs:   attrs.Clone(),
-			}
-			b.deliver(oc.local, r)
+			})
 			oc.sendMu.Unlock()
 			routed++
 			b.stats.UpdatesSent.Inc()
@@ -672,12 +656,11 @@ func (p *Publication) Close() error {
 	return nil
 }
 
-// deliver hands a reflection to the subscription's mailbox.
-func (b *Backbone) deliver(s *Subscription, r Reflection) {
-	if s == nil {
-		return
-	}
-	if s.closed.Load() {
+// deliver hands a reflection to the subscription's mailbox, which copies
+// it into its ring; a reflection nobody will see gives its storage back.
+func (b *Backbone) deliver(s *Subscription, r *Reflection) {
+	if s == nil || s.closed.Load() {
+		r.Release()
 		return
 	}
 	s.mbox.push(r)
@@ -690,8 +673,8 @@ func (b *Backbone) deliver(s *Subscription, r Reflection) {
 // its publisher: the mailbox counts the consumption in the same critical
 // section, and the global backbone mutex is touched only when a grant
 // actually goes out.
-func (s *Subscription) Poll() (Reflection, bool) {
-	r, cum, grant, ok := s.mbox.poll()
+func (s *Subscription) Poll() (r Reflection, ok bool) {
+	cum, grant, ok := s.mbox.poll(&r)
 	if grant {
 		s.b.sendGrant(s, r.Channel, cum)
 	}
@@ -719,8 +702,8 @@ func (s *Subscription) Latest() (Reflection, bool) {
 // NextContext blocks until a reflection arrives, ctx is done (ctx.Err()),
 // or the subscription closes (ErrHandleClosed). A reflection that races
 // with the cancellation is still delivered.
-func (s *Subscription) NextContext(ctx context.Context) (Reflection, error) {
-	r, cum, grant, err := s.mbox.nextCtx(ctx)
+func (s *Subscription) NextContext(ctx context.Context) (r Reflection, err error) {
+	cum, grant, err := s.mbox.nextCtx(ctx, &r)
 	if grant {
 		s.b.sendGrant(s, r.Channel, cum)
 	}

@@ -14,24 +14,31 @@ type AttrID uint16
 // AttrSet carries the attribute values of one UPDATE/REFLECT frame. Values
 // are opaque byte strings at this layer; package fom assigns them types.
 //
-// The representation is a flat arena: every value lives in one contiguous
-// byte buffer, and a small ref table records (id, start, end) per
-// attribute in insertion order. Building a full CraneState therefore
-// costs at most two allocations (refs + arena), both amortized to zero
-// when the set is Reset and refilled — which is what the pooled wire hot
-// path does. The zero value is a valid empty set.
+// The set has one representation, the wire's: the arena holds the encoded
+// attribute section from offset sec on — one [id u16][len uvarint][value]
+// record per attribute — and a small ref table locates each record's
+// value bytes. A set built in ascending ID order, which is how every
+// producer in the tree builds (fom encoders, the cod codec), therefore
+// encodes as its count plus one copy of the arena, and a frame whose IDs
+// ascend decodes by pointing the arena at the frame and filling the refs:
+// no value is copied either way (see the package doc for who owns the
+// bytes then). Building a full CraneState costs at most two allocations
+// (refs + arena), both amortized to zero when the set is Reset and
+// refilled — which is what the pooled wire hot path does. The zero value
+// is a valid empty set.
 //
-// Determinism: the encoded form orders attributes by ascending ID, which
-// is byte-identical to the historical map+sort encoder. Every producer in
-// the tree (fom encoders, the cod codec) inserts attributes in ascending
-// ID order already, so encoding walks the refs as-is and the per-frame
-// sort is gone; a set built out of order (sparse/legacy call sites) is
-// flagged and lazily sorted once at encode time instead. One writer per
+// Determinism: the encoded form orders attributes by ascending ID,
+// byte-identical to the historical map+sort encoder. A set that stops
+// being its own encoding — an ID put below the tail, or a value re-put at
+// another size, which moves it and strands the old bytes until Reset — is
+// flagged and encoded ref by ref, sorted first, instead. One writer per
 // frame is the concurrency contract — AttrSet has no internal locking.
 type AttrSet struct {
 	refs     []attrRef
 	arena    []byte
-	unsorted bool // some Put arrived with an ID below the tail; encode must sort
+	sec      uint32 // arena[sec:] is the attribute section; a decoded frame's header lies before it
+	unsorted bool   // arena[sec:] is not the ascending encoding any more; encode sorts and walks the refs
+	borrowed bool   // arena is the caller's buffer DecodeInto was given: copied before a write, dropped on Reset
 }
 
 // attrRef locates one attribute's value bytes inside the arena.
@@ -53,36 +60,56 @@ func NewAttrSet(n int) AttrSet {
 // Len returns the number of attributes in the set.
 func (a AttrSet) Len() int { return len(a.refs) }
 
-// Reset empties the set, keeping both buffers' capacity for reuse.
+// Reset empties the set, keeping both buffers' capacity for reuse (a
+// borrowed arena is not the set's to reuse and is let go).
 func (a *AttrSet) Reset() {
-	a.refs = a.refs[:0]
-	a.arena = a.arena[:0]
-	a.unsorted = false
+	arena := a.arena[:0]
+	if a.borrowed {
+		arena = nil
+	}
+	*a = AttrSet{refs: a.refs[:0], arena: arena}
 }
 
-// Clone returns a deep copy of the set, so received frames can be retained
-// past the decoder's buffer lifetime (copy-at-boundary rule).
+// Clone returns a deep copy of the set, for whoever keeps attributes past
+// the lifetime of the storage they sit in (see the package doc).
 func (a AttrSet) Clone() AttrSet {
 	if len(a.refs) == 0 {
 		return AttrSet{}
 	}
 	out := AttrSet{
 		refs:     make([]attrRef, len(a.refs)),
-		arena:    make([]byte, len(a.arena)),
+		arena:    make([]byte, len(a.arena)-int(a.sec)),
 		unsorted: a.unsorted,
 	}
-	copy(out.refs, a.refs)
-	copy(out.arena, a.arena)
+	copy(out.arena, a.arena[a.sec:])
+	for i, r := range a.refs { // a frame's header is left behind
+		out.refs[i] = attrRef{id: r.id, start: r.start - a.sec, end: r.end - a.sec}
+	}
 	return out
 }
 
-// CloneInto makes dst a deep copy of the set, reusing dst's buffers: the
-// recycling form of Clone, which allocates nothing once dst has held a
-// set of this size. dst must not alias a.
-func (a AttrSet) CloneInto(dst *AttrSet) {
-	dst.refs = append(dst.refs[:0], a.refs...)
-	dst.arena = append(dst.arena[:0], a.arena...)
-	dst.unsorted = a.unsorted
+// detach takes the set's arena away from it, sized to n bytes, for a frame
+// to be read into; adopt gives it back once the frame is decoded.
+func (a *AttrSet) detach(n int) []byte {
+	buf := a.arena
+	if a.borrowed || cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	*a = AttrSet{refs: a.refs[:0]}
+	return buf[:n]
+}
+
+// adopt makes the set the owner of buf, which the set was just decoded
+// from: a set indexing buf keeps it at full capacity, an empty one keeps
+// it for the next frame, and one that had to be copied out has its own
+// arena already and lets buf go.
+func (a *AttrSet) adopt(buf []byte) {
+	switch {
+	case a.borrowed:
+		a.arena, a.borrowed = buf, false
+	case len(a.refs) == 0:
+		a.arena = buf[:0]
+	}
 }
 
 // All iterates the set's (id, value) pairs in insertion order. Values
@@ -97,16 +124,12 @@ func (a AttrSet) All() iter.Seq2[AttrID, []byte] {
 	}
 }
 
-// Delete removes id from the set, if present (compat shim for sparse
-// call sites that subset a full set). Remaining attributes keep their
-// order; the value bytes stay orphaned in the arena until Reset.
-func (a *AttrSet) Delete(id AttrID) {
-	for i := range a.refs {
-		if a.refs[i].id == id {
-			a.refs = append(a.refs[:i], a.refs[i+1:]...)
-			return
-		}
-	}
+// At returns the i-th attribute in insertion order, 0 ≤ i < Len; the
+// value aliases the arena. A reader that knows the order its peer builds
+// in walks the set with it instead of looking each ID up.
+func (a *AttrSet) At(i int) (AttrID, []byte) {
+	r := a.refs[i]
+	return r.id, a.arena[r.start:r.end]
 }
 
 // get returns the value bytes for id, aliasing the arena. Object models
@@ -144,17 +167,21 @@ func grow(b []byte, n int) []byte {
 
 // slot returns an n-byte writable region for id's value. A repeated Put
 // replaces the previous value (map semantics): in place when the size
-// matches, else the value moves to fresh arena space and the old bytes
-// are orphaned until Reset. New IDs append; an ID below the current tail
-// marks the set for the encode-time sort shim.
+// matches, else the value moves to fresh arena space, the old record is
+// stranded until Reset and the set stops being its own encoding. New IDs
+// append a record; an ID below the current tail does too, and marks the
+// set for the encode-time sort.
 //
 // While the set is sorted, an ID above the tail cannot be a duplicate, so
-// it appends without looking — the ascending build every encoder and the
-// frame decoder perform is O(n), not O(n²). Anything else (a repeat, an
-// ID below the tail, any Put into an unsorted set) takes the scan.
+// it appends without looking — the ascending build every encoder performs
+// is O(n), not O(n²). Anything else (a repeat, an ID below the tail, any
+// Put into an unsorted set) takes the scan.
 func (a *AttrSet) slot(id AttrID, n int) []byte {
+	if a.borrowed {
+		a.arena, a.borrowed = append(make([]byte, 0, 2*len(a.arena)+n), a.arena...), false
+	}
 	if !a.unsorted && (len(a.refs) == 0 || id > a.refs[len(a.refs)-1].id) {
-		return a.appendSlot(id, n)
+		return a.appendRecord(id, n)
 	}
 	for i := range a.refs {
 		if a.refs[i].id == id {
@@ -163,6 +190,7 @@ func (a *AttrSet) slot(id AttrID, n int) []byte {
 				start := uint32(len(a.arena))
 				a.arena = grow(a.arena, n)
 				r.start, r.end = start, start+uint32(n)
+				a.unsorted = true
 			}
 			return a.arena[r.start:r.end]
 		}
@@ -170,19 +198,32 @@ func (a *AttrSet) slot(id AttrID, n int) []byte {
 	if len(a.refs) > 0 && id < a.refs[len(a.refs)-1].id {
 		a.unsorted = true
 	}
-	return a.appendSlot(id, n)
+	return a.appendRecord(id, n)
 }
 
-// appendSlot adds a ref for id at the tail with n fresh arena bytes.
-func (a *AttrSet) appendSlot(id AttrID, n int) []byte {
-	start := uint32(len(a.arena))
-	a.arena = grow(a.arena, n)
+// appendRecord adds id's record at the arena's tail — ID, length, n value
+// bytes for the caller to fill — and its ref.
+func (a *AttrSet) appendRecord(id AttrID, n int) []byte {
+	at, hdr := len(a.arena), 3
+	if n >= 0x80 {
+		hdr = 2 + uvarintLen(uint64(n))
+	}
+	a.arena = grow(a.arena, hdr+n)
+	rec := a.arena[at : at+hdr+n]
+	rec[0], rec[1], rec[2] = byte(id>>8), byte(id), byte(n)
+	if n >= 0x80 {
+		binary.PutUvarint(rec[2:], uint64(n))
+	}
+	start := uint32(at + hdr)
 	a.refs = append(a.refs, attrRef{id: id, start: start, end: start + uint32(n)})
-	return a.arena[start : start+uint32(n)]
+	return rec[hdr:]
 }
 
 func (a AttrSet) encodedSize() int {
 	n := binary.MaxVarintLen32
+	if !a.unsorted {
+		return n + len(a.arena) - int(a.sec)
+	}
 	for _, r := range a.refs {
 		n += 2 + binary.MaxVarintLen32 + int(r.end-r.start)
 	}
@@ -201,15 +242,16 @@ func sortRefs(refs []attrRef) {
 }
 
 // append serializes the set: uvarint count, then per attribute a big-endian
-// uint16 ID and a uvarint-length-prefixed value, ascending by ID. The
-// common ascending-insertion set encodes in ref order with no sort; an
-// out-of-order set is sorted in place first (compat shim — same bytes as
-// the historical map encoder).
+// uint16 ID and a uvarint-length-prefixed value, ascending by ID. For the
+// common ascending-built set that is the arena as it stands, one copy; an
+// unsorted set has its refs sorted in place and is written record by
+// record (the same bytes as the historical map encoder).
 func (a AttrSet) append(buf []byte) []byte {
-	if a.unsorted {
-		sortRefs(a.refs)
-	}
 	buf = binary.AppendUvarint(buf, uint64(len(a.refs)))
+	if !a.unsorted {
+		return append(buf, a.arena[a.sec:]...)
+	}
+	sortRefs(a.refs)
 	for _, r := range a.refs {
 		buf = binary.BigEndian.AppendUint16(buf, uint16(r.id))
 		v := a.arena[r.start:r.end]
@@ -219,39 +261,88 @@ func (a AttrSet) append(buf []byte) []byte {
 	return buf
 }
 
-// readAttrSetInto parses an encoded set into dst, reusing dst's buffers.
-func readAttrSetInto(dst *AttrSet, b []byte) ([]byte, error) {
+// readAttrSetInto parses the encoded set that starts at b[at:] into dst and
+// returns the offset it ends at. A section in the form every encoder in
+// the tree writes — strictly ascending IDs, minimal length prefixes — is
+// indexed where it lies: dst's arena becomes b itself, borrowed. Anything
+// else a peer may send, and every malformed section, goes through
+// copyAttrs, record by record into dst's own arena.
+func readAttrSetInto(dst *AttrSet, b []byte, at int) (int, error) {
 	dst.Reset()
-	count, sz := binary.Uvarint(b)
+	count, sz := binary.Uvarint(b[at:])
 	if sz <= 0 {
-		return nil, ErrTruncated
+		return 0, ErrTruncated
 	}
-	b = b[sz:]
+	at += sz
 	if count == 0 {
-		return b, nil
+		return at, nil
 	}
 	if count > MaxFrameSize/3 {
-		return nil, fmt.Errorf("%w: %d attributes", ErrTooLarge, count)
+		return 0, fmt.Errorf("%w: %d attributes", ErrTooLarge, count)
 	}
-	for i := uint64(0); i < count; i++ {
-		if len(b) < 2 {
-			return nil, ErrTruncated
+	if end, ok := dst.index(b, at, count); ok {
+		return end, nil
+	}
+	return dst.copyAttrs(b, at, count)
+}
+
+// index makes b the set's arena if b[at:] opens with count records in
+// canonical form, and reports where they end and whether it did; the set
+// is left empty when not. Only refs are written: the decoded values are
+// b's own bytes.
+func (a *AttrSet) index(b []byte, at int, count uint64) (int, bool) {
+	if uint64(len(b)-at) < 3*count {
+		return 0, false // a record is three bytes at least
+	}
+	refs := a.refs[:0]
+	if uint64(cap(refs)) < count {
+		refs = make([]attrRef, 0, count)
+	}
+	sec, tail := at, -1
+	for ; count > 0; count-- {
+		if len(b)-at < 3 {
+			return 0, false
 		}
-		id := AttrID(binary.BigEndian.Uint16(b))
-		b = b[2:]
-		n, sz := binary.Uvarint(b)
+		id := int(binary.BigEndian.Uint16(b[at:]))
+		n, sz := uint64(b[at+2]), 1
+		if n >= 0x80 {
+			n, sz = binary.Uvarint(b[at+2:])
+			if sz <= 0 || n>>(7*(sz-1)) == 0 { // overflowing, cut short or padded
+				return 0, false
+			}
+		}
+		at += 2 + sz
+		if id <= tail || uint64(len(b)-at) < n {
+			return 0, false
+		}
+		refs = append(refs, attrRef{id: AttrID(id), start: uint32(at), end: uint32(at) + uint32(n)})
+		at, tail = at+int(n), id
+	}
+	a.refs, a.arena, a.sec, a.borrowed = refs, b[:at:at], uint32(sec), true
+	return at, true
+}
+
+// copyAttrs is the decoder for whatever index turns down: count records
+// Put one at a time, so a repeated ID keeps its last value and descending
+// IDs leave a set that still encodes ascending.
+func (a *AttrSet) copyAttrs(b []byte, at int, count uint64) (int, error) {
+	for ; count > 0; count-- {
+		if len(b)-at < 2 {
+			return 0, ErrTruncated
+		}
+		id := AttrID(binary.BigEndian.Uint16(b[at:]))
+		n, sz := binary.Uvarint(b[at+2:])
 		if sz <= 0 {
-			return nil, ErrTruncated
+			return 0, ErrTruncated
 		}
-		b = b[sz:]
-		if uint64(len(b)) < n {
-			return nil, ErrTruncated
+		at += 2 + sz
+		if uint64(len(b)-at) < n {
+			return 0, ErrTruncated
 		}
-		// slot keeps the old decoder's duplicate-ID semantics: last wins.
-		copy(dst.slot(id, int(n)), b[:n])
-		b = b[n:]
+		copy(a.slot(id, int(n)), b[at:at+int(n)])
+		at += int(n)
 	}
-	return b, nil
+	return at, nil
 }
 
 // PutFloat64 stores a float64 value under id.

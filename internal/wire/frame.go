@@ -14,6 +14,36 @@
 // All multi-byte integers are big-endian; strings and byte blobs are
 // uvarint-length-prefixed. A frame on a stream transport is preceded by a
 // uint32 payload length.
+//
+// # The ownership rule
+//
+// An AttrSet has one form, its encoded attribute section, so attribute
+// bytes are copied only where they change owner, and each of those places
+// is one copy:
+//
+//   - Sending. Frame.AppendEncode copies the set into the caller's buffer
+//     (for a set built in ascending ID order, its count and one append of
+//     the arena). The cb layer does that, or Clones for a subscriber in
+//     the same process, before Update returns: the set is the publisher's
+//     again the moment the call comes back (pool.go).
+//   - Decoding a buffer (Decode, Decoder.DecodeInto). The frame's Attrs
+//     borrow the buffer: its values are the buffer's own bytes, good for
+//     as long as the caller leaves the buffer alone; Clone keeps them
+//     longer. The buffer is never written — a Put into a borrowed set
+//     copies it out first.
+//   - Decoding a stream (Decoder.DecodeFrom, ReadFrame). The frame owns
+//     the storage its body was read into, so moving its Attrs out moves
+//     the storage with them, and the frame reads its next body into
+//     whatever AttrSet it is left holding. That is how a reflection owns
+//     the frame it arrived in: cb's read loop moves an UPDATE's Attrs
+//     into the cb.Reflection, uncopied, and leaves its frame a set some
+//     consumer handed back with Reflection.Release, or the zero value,
+//     which allocates storage sized to the frame that is read into it.
+//
+// A section no encoder in this tree would write — IDs repeated or not
+// ascending, a padded length — is not indexed where it lies but copied
+// out record by record (last value wins, the set re-encodes ascending),
+// into storage the set owns, whichever way it was decoded.
 package wire
 
 import (
@@ -244,17 +274,14 @@ func Decode(b []byte) (Frame, error) {
 	return f, err
 }
 
-// Decoder decodes frames with reusable state: the stream read buffer, the
-// target frame's AttrSet arena, and a bounded string-intern table that
-// collapses the Node/LP/Class/Addr strings repeated on every frame of a
-// link into single allocations. One Decoder serves one goroutine (each
-// cb read loop owns its own); the decoded Frame's strings are immutable
-// and safe to retain, while its Attrs alias the Decoder's buffers and
-// must be Cloned before the next DecodeInto/DecodeFrom call — the cb layer
-// does that at its copy-at-boundary point.
+// Decoder decodes frames with reusable state: a bounded string-intern
+// table that collapses the Node/LP/Class/Addr strings repeated on every
+// frame of a link into single allocations. One Decoder serves one
+// goroutine (each cb read loop owns its own). The decoded Frame's strings
+// are immutable and safe to retain; who owns the bytes its Attrs sit in is
+// the package doc's ownership rule.
 type Decoder struct {
 	pfx    [4]byte // DecodeFrom's length prefix: a local would escape through io.Reader
-	body   []byte
 	intern map[string]string
 }
 
@@ -287,9 +314,10 @@ func (d *Decoder) str(b []byte) string {
 	return s
 }
 
-// DecodeInto parses one encoded frame from b into f, reusing f's AttrSet
-// buffers. b must contain exactly one frame. A nil receiver is valid
-// (no interning).
+// DecodeInto parses one encoded frame from b into f, reusing f's ref table
+// and, for a frame reused from the last call, its header strings. b must
+// contain exactly one frame, and f.Attrs may be left borrowing it (see the
+// package doc). A nil receiver is valid (no interning).
 func (d *Decoder) DecodeInto(b []byte, f *Frame) error {
 	if len(b) > MaxFrameSize {
 		return ErrTooLarge
@@ -311,32 +339,36 @@ func (d *Decoder) DecodeInto(b []byte, f *Frame) error {
 	f.Channel = binary.BigEndian.Uint32(b[5:9])
 	f.Seq = binary.BigEndian.Uint32(b[9:13])
 	f.Time = math.Float64frombits(binary.BigEndian.Uint64(b[13:21]))
-	rest := b[21:]
+	at := 21
 
 	var err error
-	if f.Node, rest, err = d.readString(rest); err != nil {
+	if f.Node, at, err = d.readString(b, at, f.Node); err != nil {
 		return fmt.Errorf("wire: node: %w", err)
 	}
-	if f.LP, rest, err = d.readString(rest); err != nil {
+	if f.LP, at, err = d.readString(b, at, f.LP); err != nil {
 		return fmt.Errorf("wire: lp: %w", err)
 	}
-	if f.Class, rest, err = d.readString(rest); err != nil {
+	if f.Class, at, err = d.readString(b, at, f.Class); err != nil {
 		return fmt.Errorf("wire: class: %w", err)
 	}
-	if f.Addr, rest, err = d.readString(rest); err != nil {
+	if f.Addr, at, err = d.readString(b, at, f.Addr); err != nil {
 		return fmt.Errorf("wire: addr: %w", err)
 	}
-	if rest, err = readAttrSetInto(&f.Attrs, rest); err != nil {
+	if at, err = readAttrSetInto(&f.Attrs, b, at); err != nil {
 		return fmt.Errorf("wire: attrs: %w", err)
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("wire: %d trailing bytes", len(rest))
+	if at != len(b) {
+		return fmt.Errorf("wire: %d trailing bytes", len(b)-at)
 	}
 	return nil
 }
 
-// DecodeFrom reads one length-prefixed frame from r (stream framing)
-// into f, reusing the Decoder's body buffer and f's AttrSet storage.
+// DecodeFrom reads one length-prefixed frame from r (stream framing) into
+// f. The body is read into f.Attrs' own storage — allocated to the frame's
+// size when what is there is too small — and decoded where it lies, so f
+// owns every byte its Attrs refer to: moving f.Attrs elsewhere hands the
+// frame's storage over with it, and whatever AttrSet takes its place (the
+// zero value, or one handed back) is what the next frame is read into.
 func (d *Decoder) DecodeFrom(r io.Reader, f *Frame) error {
 	if _, err := io.ReadFull(r, d.pfx[:]); err != nil {
 		// Propagate io.EOF untouched so callers can detect orderly close.
@@ -349,14 +381,13 @@ func (d *Decoder) DecodeFrom(r io.Reader, f *Frame) error {
 	if n > MaxFrameSize {
 		return ErrTooLarge
 	}
-	if uint32(cap(d.body)) < n {
-		d.body = make([]byte, n)
-	}
-	body := d.body[:n]
+	body := f.Attrs.detach(int(n))
 	if _, err := io.ReadFull(r, body); err != nil {
 		return fmt.Errorf("wire: read body: %w", err)
 	}
-	return d.DecodeInto(body, f)
+	err := d.DecodeInto(body, f)
+	f.Attrs.adopt(body)
+	return err
 }
 
 // WriteTo writes the frame to w with a uint32 length prefix, the stream
@@ -391,14 +422,22 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-func (d *Decoder) readString(b []byte) (string, []byte, error) {
-	n, sz := binary.Uvarint(b)
+// readString reads the length-prefixed string at b[at:]. prev is what the
+// field held in the frame decoded before this one: on a link it is nearly
+// always the same name again, and comparing costs less than the intern
+// table's hash.
+func (d *Decoder) readString(b []byte, at int, prev string) (string, int, error) {
+	n, sz := binary.Uvarint(b[at:])
 	if sz <= 0 {
-		return "", nil, ErrTruncated
+		return "", 0, ErrTruncated
 	}
-	b = b[sz:]
-	if uint64(len(b)) < n {
-		return "", nil, ErrTruncated
+	at += sz
+	if uint64(len(b)-at) < n {
+		return "", 0, ErrTruncated
 	}
-	return d.str(b[:n]), b[n:], nil
+	end := at + int(n)
+	if string(b[at:end]) == prev {
+		return prev, end, nil
+	}
+	return d.str(b[at:end]), end, nil
 }

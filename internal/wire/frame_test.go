@@ -3,9 +3,9 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -41,9 +41,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if !reflect.DeepEqual(got, f) {
-		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, f)
-	}
+	sameFrame(t, "round trip", got, f)
 }
 
 // kindBytes pins every spoken kind to its byte on the wire. 7 is missing
@@ -198,9 +196,7 @@ func TestStreamFraming(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ReadFrame[%d]: %v", i, err)
 		}
-		if !reflect.DeepEqual(got, frames[i]) {
-			t.Errorf("frame %d mismatch: got %+v want %+v", i, got, frames[i])
-		}
+		sameFrame(t, fmt.Sprintf("frame %d", i), got, frames[i])
 	}
 	if _, err := ReadFrame(&buf); !errors.Is(err, io.EOF) {
 		t.Errorf("ReadFrame on empty stream = %v, want io.EOF", err)
@@ -331,6 +327,69 @@ func TestEmptyAttrSetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOneRepresentation holds the AttrSet to being its own encoding. Built
+// ascending, its arena is the frame's attribute section byte for byte, so
+// encoding is the count and one append; decoded from such a frame, every
+// value is the input's own bytes — nothing was copied — and the section is
+// again the arena from sec on. What no encoder in the tree writes
+// (repeated, descending or padded-length records) is copied out instead
+// and leaves the input alone.
+func TestOneRepresentation(t *testing.T) {
+	f := sampleFrame()
+	enc, err := f.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := f
+	empty.Attrs = AttrSet{}
+	hdr, _ := empty.Encode()
+	section := enc[len(hdr):] // the empty set's count byte is as long as this set's
+	if !bytes.Equal(f.Attrs.arena, section) {
+		t.Fatalf("built arena\n %x\nis not the encoded section\n %x", f.Attrs.arena, section)
+	}
+
+	// touched writes through every decoded value and counts the input
+	// bytes that changed.
+	touched := func(b []byte, a AttrSet) (values, changed int) {
+		before := bytes.Clone(b)
+		for _, v := range a.All() {
+			if len(v) > 0 {
+				v[0] ^= 0xff
+				values++
+			}
+		}
+		for i := range b {
+			if b[i] != before[i] {
+				changed++
+			}
+		}
+		return values, changed
+	}
+	var got Frame
+	if err := (*Decoder)(nil).DecodeInto(enc, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Attrs.borrowed || !bytes.Equal(got.Attrs.arena[got.Attrs.sec:], section) {
+		t.Fatalf("decoded arena from sec on is not the frame's section (borrowed=%v)", got.Attrs.borrowed)
+	}
+	if values, changed := touched(enc, got.Attrs); changed != values || values != f.Attrs.Len() {
+		t.Fatalf("%d of %d decoded values are the input's own bytes", changed, values)
+	}
+
+	for name, raw := range map[string][]byte{
+		"repeated ID":   hostileAttrs(3, []byte{1}, 3, []byte{2}),
+		"descending":    hostileAttrs(3, []byte{1}, 2, []byte{2}),
+		"padded length": append(hostileAttrs()[:len(hostileAttrs())-1], 1, 0, 3, 0x81, 0x00, 7),
+	} {
+		if err := (*Decoder)(nil).DecodeInto(raw, &got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if values, changed := touched(raw, got.Attrs); got.Attrs.borrowed || changed != 0 || values == 0 {
+			t.Errorf("%s: borrowed=%v, %d of %d values alias the input; want a copy", name, got.Attrs.borrowed, changed, values)
+		}
+	}
+}
+
 // BenchmarkFrameEncode times the form a link's send runs: AppendEncode into
 // a buffer it reuses. Gated at 0 allocs/op (the Encode convenience
 // allocates its result; nothing per-frame calls it).
@@ -347,8 +406,8 @@ func BenchmarkFrameEncode(b *testing.B) {
 }
 
 // BenchmarkFrameDecode times the form a link's read loop runs: one Decoder
-// decoding into one reused Frame, strings interned, attrs into the
-// frame's own arena. Gated at 0 allocs/op.
+// decoding into one reused Frame, header strings kept from the frame
+// before, attrs indexed where they lie. Gated at 0 allocs/op.
 func BenchmarkFrameDecode(b *testing.B) {
 	buf, err := sampleFrame().Encode()
 	if err != nil {

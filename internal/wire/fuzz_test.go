@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"io"
 	"maps"
 	"math"
 	"slices"
@@ -67,25 +68,33 @@ func (m attrModel) check(t *testing.T, a AttrSet) {
 	}
 }
 
-// FuzzAttrSetOps runs a Put/Delete/get script against the map model. Each
-// op is three bytes: opcode, ID selector, value length. The selector's
-// high bit spreads IDs far apart (sparse sets miss the dense index), its
-// low bits collide often (repeated Puts, last wins), and scripts are free
-// to descend (the unsorted flag and the encode-time sort).
+// FuzzAttrSetOps runs a Put/remove/get script against the map model. Each
+// op is three bytes: opcode (its high bit stretches the value sevenfold),
+// ID selector, value length. The selector's high bit spreads IDs far apart
+// (sparse sets miss the dense index), its low bits collide often (repeated
+// Puts, last wins, a value re-put at another size strands its old record),
+// and scripts are free to descend (the unsorted flag and the encode-time
+// sort). A set has no delete: removing an ID rebuilds the set without it,
+// in the order it had.
 func FuzzAttrSetOps(f *testing.F) {
-	f.Add([]byte{0, 1, 8, 0, 2, 4, 0, 3, 1})                 // ascending: the append fast path
-	f.Add([]byte{0, 9, 8, 0, 5, 8, 0, 2, 8, 0, 1, 8})        // descending
-	f.Add([]byte{0, 4, 8, 0, 4, 3, 0, 4, 8, 0, 4, 0})        // one ID rewritten at several sizes
-	f.Add([]byte{0, 0x81, 8, 0, 0x85, 8, 0, 0x83, 4})        // sparse, out of order
-	f.Add([]byte{0, 1, 8, 0, 2, 8, 1, 1, 0, 0, 3, 8, 2, 1})  // delete the head: dense probe must miss
-	f.Add([]byte{0, 3, 8, 0, 1, 8, 0, 5, 8, 1, 3, 0, 0, 3})  // Put into an unsorted set after a delete
-	f.Add([]byte{0, 2, 24, 0, 3, 1, 0, 4, 4, 2, 2, 2, 3, 2}) // typed sizes, mis-sized reads
-	f.Add([]byte{2, 1, 0, 1, 1, 0})                          // the empty set a PUBLICATION carries: read and delete, nothing put
+	f.Add([]byte{0, 1, 8, 0, 2, 4, 0, 3, 1})                      // ascending: the arena is the encoding
+	f.Add([]byte{0, 9, 8, 0, 5, 8, 0, 2, 8, 0, 1, 8})             // descending
+	f.Add([]byte{0, 4, 8, 0, 4, 3, 0, 4, 8, 0, 4, 0})             // one ID rewritten at several sizes
+	f.Add([]byte{0, 1, 8, 0, 2, 8, 0, 1, 8, 0, 3, 8})             // rewritten at its own size: still the encoding
+	f.Add([]byte{0, 0x81, 8, 0, 0x85, 8, 0, 0x83, 4})             // sparse, out of order
+	f.Add([]byte{0, 1, 8, 0, 2, 8, 1, 1, 0, 0, 3, 8, 2, 1})       // remove the head: dense probe must miss
+	f.Add([]byte{0, 3, 8, 0, 1, 8, 0, 5, 8, 1, 3, 0, 0, 3})       // Put into an unsorted set after a removal
+	f.Add([]byte{0, 2, 24, 0, 3, 1, 0, 4, 4, 2, 2, 2, 3, 2})      // typed sizes, mis-sized reads
+	f.Add([]byte{0x81, 1, 18, 0x81, 2, 19, 0x81, 2, 18, 0, 3, 0}) // 126 and 133 bytes: lengths either side of one prefix byte
+	f.Add([]byte{2, 1, 0, 1, 1, 0})                               // the empty set a PUBLICATION carries: read and remove, nothing put
 	f.Fuzz(func(t *testing.T, script []byte) {
 		var a AttrSet
 		m := attrModel{}
 		for ; len(script) >= 3; script = script[3:] {
 			op, sel, n := script[0]%3, script[1], int(script[2])%40
+			if script[0]&0x80 != 0 {
+				n *= 7 // past 127 bytes a record's length prefix takes two
+			}
 			id := AttrID(sel & 0x0f)
 			if sel&0x80 != 0 {
 				id = 1000 + AttrID(sel&0x7f)*37
@@ -96,7 +105,13 @@ func FuzzAttrSetOps(f *testing.F) {
 				a.PutBytes(id, v)
 				m[id] = v
 			case 1:
-				a.Delete(id)
+				var without AttrSet
+				for have, v := range a.All() {
+					if have != id {
+						without.PutBytes(have, v)
+					}
+				}
+				a = without
 				delete(m, id)
 			case 2:
 				got, ok := a.Bytes(id)
@@ -108,17 +123,29 @@ func FuzzAttrSetOps(f *testing.F) {
 		}
 		m.check(t, a)
 		m.check(t, a.Clone())
-		var into AttrSet
-		into.PutBytes(99, []byte("stale"))
-		a.CloneInto(&into)
-		m.check(t, into)
 
+		// The set's own encoding is canonical, so it decodes in place; the
+		// decoded set is held to the same model, and so is one written to
+		// after decoding, which must leave the bytes it was decoded from.
+		enc := a.append(nil)
+		pristine := bytes.Clone(enc)
 		var back AttrSet
-		rest, err := readAttrSetInto(&back, a.append(nil))
-		if err != nil || len(rest) != 0 {
-			t.Fatalf("decoding the set's own encoding: %v, %d bytes left", err, len(rest))
+		end, err := readAttrSetInto(&back, enc, 0)
+		if err != nil || end != len(enc) {
+			t.Fatalf("decoding the set's own encoding: %v, ends at %d of %d", err, end, len(enc))
+		}
+		if back.Len() > 0 && !back.borrowed {
+			t.Fatal("the set's own encoding was not indexed in place")
 		}
 		m.check(t, back)
+		m.check(t, back.Clone())
+		back.PutBytes(0xffff, []byte("tail"))
+		back.PutBytes(0xffff, []byte("t"))
+		m[0xffff] = []byte("t")
+		m.check(t, back)
+		if !bytes.Equal(enc, pristine) {
+			t.Fatal("a Put into a decoded set wrote into the buffer it was decoded from")
+		}
 	})
 }
 
@@ -152,10 +179,35 @@ func TestHostileFrameDuplicateIDsLastWins(t *testing.T) {
 	}
 }
 
+// copyingDecode decodes the attribute section of data, a frame Decode
+// accepted, through copyAttrs whatever its form: the decoder every set
+// went through before sections were indexed in place, kept as the path for
+// what index turns down and used here as the reference for what it takes.
+func copyingDecode(t *testing.T, data []byte) AttrSet {
+	t.Helper()
+	at := 21
+	for range 4 { // node, lp, class, addr
+		n, sz := binary.Uvarint(data[at:])
+		at += sz + int(n)
+	}
+	count, sz := binary.Uvarint(data[at:])
+	var a AttrSet
+	end, err := a.copyAttrs(data, at+sz, count)
+	if err != nil || end != len(data) {
+		t.Fatalf("copying decode of an accepted frame: %v, ends at %d of %d", err, end, len(data))
+	}
+	if a.borrowed {
+		t.Fatal("the copying decode left the set borrowing its input")
+	}
+	return a
+}
+
 // FuzzDecodeFrame feeds the frame decoder arbitrary bytes: it must never
-// panic, and whatever it accepts must re-encode to bytes that decode to
-// the same frame — through the allocating Decode and through a Decoder
-// reusing its frame, which the link runs.
+// panic, and whatever it accepts must hold the same attributes the copying
+// decoder reads from those bytes, encode them to the same section, and
+// re-encode to bytes that decode to the same frame — through the
+// allocating Decode, through a Decoder reusing its frame, and off a
+// stream into storage the frame owns, which is what the link runs.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, tc := range goldenCases() {
 		raw, err := hex.DecodeString(tc.hex)
@@ -167,6 +219,14 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add(hostileAttrs(7, []byte("first"), 3, []byte{1}, 7, []byte("last")))
 	f.Add(hostileAttrs(1000, []byte{}, 2, bytes.Repeat([]byte{9}, 300)))
+	// Ascending, so indexed in place — and the same frame cut inside its
+	// last value, inside a two-byte length prefix, and with that prefix
+	// padded to three bytes, which only the copying path accepts.
+	long := hostileAttrs(2, []byte{1}, 9, bytes.Repeat([]byte{9}, 300))
+	f.Add(long)
+	f.Add(long[:len(long)-7])
+	f.Add(long[:len(long)-301])
+	f.Add(append(append(bytes.Clone(long[:len(long)-302]), 0xac, 0x82, 0x00), long[len(long)-300:]...))
 	// The datagram-only solicit, whole and cut short, and the same bytes
 	// under the kind after the last one, which a build before PUBLICATION
 	// sees in its place: the decoder must refuse it, not guess.
@@ -183,16 +243,32 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(reserved)
 
 	dec := NewDecoder()
-	var reused Frame
+	var reused, streamed Frame
 	f.Fuzz(func(t *testing.T, data []byte) {
+		pristine := bytes.Clone(data)
 		got, err := Decode(data)
 		if reuseErr := dec.DecodeInto(data, &reused); (reuseErr == nil) != (err == nil) {
 			t.Fatalf("Decode: %v, DecodeInto a reused frame: %v", err, reuseErr)
+		}
+		var pfx [4]byte
+		binary.BigEndian.PutUint32(pfx[:], uint32(len(data)))
+		streamErr := dec.DecodeFrom(io.MultiReader(bytes.NewReader(pfx[:]), bytes.NewReader(data)), &streamed)
+		if (streamErr == nil) != (err == nil) {
+			t.Fatalf("Decode: %v, DecodeFrom a stream: %v", err, streamErr)
+		}
+		if streamed.Attrs.borrowed {
+			t.Fatal("a frame read off a stream does not own its storage")
 		}
 		if err != nil {
 			return
 		}
 		sameFrame(t, "reused frame", reused, got)
+		sameFrame(t, "streamed frame", streamed, got)
+		copied := copyingDecode(t, data)
+		modelOf(copied).check(t, got.Attrs)
+		if in, cp := got.Attrs.append(nil), copied.append(nil); !bytes.Equal(in, cp) {
+			t.Fatalf("the decoded set encodes to\n %x\nthe copying decoder's to\n %x", in, cp)
+		}
 		enc, err := got.Encode()
 		if err != nil {
 			t.Fatalf("re-encoding a decoded frame: %v", err)
@@ -204,6 +280,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		sameFrame(t, "round trip", back, got)
 		if again, _ := back.Encode(); !bytes.Equal(again, enc) {
 			t.Fatalf("encoding is not canonical\n 1st %x\n 2nd %x", enc, again)
+		}
+		if !bytes.Equal(data, pristine) {
+			t.Fatal("decoding or encoding wrote into the input")
 		}
 	})
 }

@@ -6,42 +6,59 @@ import (
 	"testing"
 )
 
-// TestPoolDecoderNoAlias pins the decoder-reuse contract at the wire
-// level: a Clone taken from one decoded frame must survive the decoder's
-// buffers being overwritten by later frames (DecodeInto reuses the body
-// buffer and the destination frame's attr arena in place).
+// TestPoolDecoderNoAlias pins the ownership rule at the wire level, on a
+// stream of frames read into one reused Frame: a Clone taken from a
+// decoded frame, and an AttrSet moved out of one (the frame's storage
+// going with it), must both survive every later frame; what the frame is
+// left holding — nothing, or a set handed back — is what the next frame is
+// read into, and storage handed back is reused, not reallocated.
 func TestPoolDecoderNoAlias(t *testing.T) {
 	const frames = 32
-	blobs := make([][]byte, frames)
-	for i := range blobs {
+	payload := func(i int) string { return fmt.Sprintf("payload-%03d", i) }
+	var stream bytes.Buffer
+	for i := range frames {
 		a := AttrSet{}
 		a.PutInt64(1, int64(i))
-		a.PutString(2, fmt.Sprintf("payload-%03d", i))
+		a.PutString(2, payload(i))
 		f := Frame{Kind: KindUpdateAttrs, Node: "n", Class: "C", Seq: uint32(i), Attrs: a}
-		b, err := f.Encode()
-		if err != nil {
-			t.Fatalf("Encode %d: %v", i, err)
+		if _, err := f.WriteTo(&stream); err != nil {
+			t.Fatalf("WriteTo %d: %v", i, err)
 		}
-		blobs[i] = b
 	}
 
 	dec := NewDecoder()
 	var f Frame
-	clones := make([]AttrSet, frames)
-	for i, b := range blobs {
-		if err := dec.DecodeInto(b, &f); err != nil {
-			t.Fatalf("DecodeInto %d: %v", i, err)
+	kept := make([]AttrSet, frames)
+	var spare AttrSet // a set whose consumer is done with it
+	for i := range frames {
+		var handed *byte
+		if i%4 == 3 { // frame i-1's storage goes back under the frame
+			handed, f.Attrs = &spare.arena[0], spare
 		}
-		clones[i] = f.Attrs.Clone()
+		if err := dec.DecodeFrom(&stream, &f); err != nil {
+			t.Fatalf("DecodeFrom %d: %v", i, err)
+		}
+		if handed != nil && &f.Attrs.arena[0] != handed {
+			t.Errorf("frame %d was not read into the storage handed back", i)
+		}
+		switch i % 4 {
+		case 0:
+			kept[i] = f.Attrs.Clone() // the frame keeps its storage and reuses it
+		case 1, 3:
+			kept[i], f.Attrs = f.Attrs, AttrSet{} // moved out for good
+		case 2:
+			spare, f.Attrs = f.Attrs, AttrSet{} // moved out, read, handed back next round
+			kept[i] = spare.Clone()
+		}
 	}
-	for i, c := range clones {
+	for i, c := range kept {
 		n, ok := c.Int64(1)
 		if !ok || n != int64(i) {
-			t.Fatalf("clone %d: attr1 = %d,%v (aliased reused decode arena)", i, n, ok)
+			t.Fatalf("frame %d: attr1 = %d,%v (storage reused under it)", i, n, ok)
 		}
 		s, ok := c.String(2)
-		if !ok || s != fmt.Sprintf("payload-%03d", i) {
-			t.Fatalf("clone %d: attr2 = %q,%v (aliased reused decode arena)", i, s, ok)
+		if !ok || s != payload(i) {
+			t.Fatalf("frame %d: attr2 = %q,%v (storage reused under it)", i, s, ok)
 		}
 	}
 }

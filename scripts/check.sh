@@ -199,12 +199,13 @@ grep -q '0 live dry-runs' "$out/campaign-warm.txt" || {
     exit 1
 }
 
-echo "== fuzz smoke (Spec JSON surface, span rasterizer vs the integer box walk with its products checked against 2^62, wire frames and AttrSets; 10 s per target) =="
+echo "== fuzz smoke (Spec JSON surface, span rasterizer vs the integer box walk with its products checked against 2^62, wire frames in place vs copied out, AttrSets, the cod codec's decode of any set; 10 s per target) =="
 go test -run '^$' -fuzz '^FuzzUnmarshalSpec$' -fuzztime 10s ./internal/scenario
 go test -run '^$' -fuzz '^FuzzValidate$' -fuzztime 10s ./internal/scenario
 go test -run '^$' -fuzz '^FuzzRasterTriangle$' -fuzztime 10s ./internal/render
 go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s ./internal/wire
 go test -run '^$' -fuzz '^FuzzAttrSetOps$' -fuzztime 10s ./internal/wire
+go test -run '^$' -fuzz '^FuzzDecodeInto$' -fuzztime 10s ./cod
 
 echo "== dist CLI smoke (codbatch coordinator + 2 worker processes, UDPLAN loopback) =="
 "$out/codbatch" -serve -lan 127.0.0.1:47901 -name smoke1 -headless -obs 127.0.0.1:47911 >"$out/w1.log" 2>&1 &
