@@ -87,9 +87,8 @@ func measureFreeRun(polygons, w, h, frames int) (fps, passed float64, err error)
 }
 
 // measureSynced runs n displays + the synchronization server over the CB
-// and returns the mean achieved fps across displays. pipeline = 1 is the
-// paper's strict swap-lock; deeper values are the §5 acceleration.
-func measureSynced(displays, polygons, w, h, frames, pipeline int) (fps float64, err error) {
+// and returns the mean achieved fps across displays.
+func measureSynced(displays, polygons, w, h, frames int) (fps float64, err error) {
 	lan := cod.NewMemLAN()
 	serverNode, err := fastNode(lan, "sync-server")
 	if err != nil {
@@ -105,7 +104,7 @@ func measureSynced(displays, polygons, w, h, frames, pipeline int) (fps float64,
 	// documented Backbone() escape hatch exists for exactly these
 	// internal modules.
 	srv, err := displaysync.NewServer(serverNode.Backbone(), "sync", displaysync.ServerConfig{
-		Expected: expected, StallTimeout: 5 * time.Second, Pipeline: pipeline,
+		Expected: expected, StallTimeout: 5 * time.Second,
 	})
 	if err != nil {
 		return 0, err
@@ -183,7 +182,7 @@ func exp1SurroundView(quick bool) error {
 		if err != nil {
 			return err
 		}
-		synced, err := measureSynced(3, p, w, h, frames, 1)
+		synced, err := measureSynced(3, p, w, h, frames)
 		if err != nil {
 			return err
 		}
@@ -199,28 +198,12 @@ func exp1SurroundView(quick bool) error {
 	}
 	tbl2 := metrics.NewTable("displays", "synced fps", "server swaps/frame")
 	for _, d := range dispSweep {
-		synced, err := measureSynced(d, 3235, w, h, frames, 1)
+		synced, err := measureSynced(d, 3235, w, h, frames)
 		if err != nil {
 			return err
 		}
 		tbl2.AddRow(d, synced, 1)
 	}
 	fmt.Print(tbl2.String())
-
-	// The §5 future-work ablation: pipeline depth vs throughput.
-	fmt.Println("\npipelined swap-lock (§5 'further accelerating the frame rate'), 3 displays @ 3235 polygons:")
-	pipeSweep := []int{1, 2, 3}
-	if quick {
-		pipeSweep = []int{1, 2}
-	}
-	tbl3 := metrics.NewTable("pipeline depth", "synced fps", "frame skew bound")
-	for _, p := range pipeSweep {
-		synced, err := measureSynced(3, 3235, w, h, frames, p)
-		if err != nil {
-			return err
-		}
-		tbl3.AddRow(p, synced, p)
-	}
-	fmt.Print(tbl3.String())
 	return nil
 }

@@ -3,7 +3,9 @@
 // static background bed, the looped engine and hoist-motor noise, and the
 // dynamic one-shot effects (collision bangs, alarm beeps) triggered by
 // AudioEvent messages from the other LPs. Output is mono float64 PCM that
-// the examples can export as a WAV file.
+// the examples can export as a WAV file. The sound bank is stored as
+// float32, half the memory of float64 and still finer than the 16-bit WAV
+// output can resolve; the mixer accumulates in float64.
 package audio
 
 import (
@@ -24,7 +26,7 @@ const SampleRate = 44100
 // Clip is a mono PCM asset.
 type Clip struct {
 	Name    string
-	Samples []float64 // [-1, 1]
+	Samples []float32 // [-1, 1]
 }
 
 // Duration returns the clip length in seconds.
@@ -45,8 +47,8 @@ func SynthesizeAssets(seed int64) map[fom.Sound]*Clip {
 	}
 }
 
-func samples(seconds float64) []float64 {
-	return make([]float64, int(seconds*SampleRate))
+func samples(seconds float64) []float32 {
+	return make([]float32, int(seconds*SampleRate))
 }
 
 // engineLoop is a diesel-ish bed: low harmonic stack plus combustion noise.
@@ -60,7 +62,7 @@ func engineLoop(rng *rand.Rand) *Clip {
 			0.16*math.Sin(2*math.Pi*114*t+1.9)
 		noise := rng.Float64()*2 - 1
 		lp += (noise - lp) * 0.12
-		out[i] = 0.75*v + 0.25*lp
+		out[i] = float32(0.75*v + 0.25*lp)
 	}
 	fadeLoopSeam(out)
 	return &Clip{Name: "engine-loop", Samples: out}
@@ -75,7 +77,7 @@ func engineStart(rng *rand.Rand) *Clip {
 		noise := rng.Float64()*2 - 1
 		lp += (noise - lp) * 0.2
 		env := math.Min(1, t/0.15)
-		out[i] = env * (0.5*math.Sin(2*math.Pi*f*t*8) + 0.5*lp)
+		out[i] = float32(env * (0.5*math.Sin(2*math.Pi*f*t*8) + 0.5*lp))
 	}
 	return &Clip{Name: "engine-start", Samples: out}
 }
@@ -86,7 +88,7 @@ func engineStop(rng *rand.Rand) *Clip {
 		t := float64(i) / SampleRate
 		f := 38 * (1 - t/1.1)
 		env := 1 - t/0.9
-		out[i] = env * (0.6*math.Sin(2*math.Pi*f*t*4) + 0.2*(rng.Float64()*2-1))
+		out[i] = float32(env * (0.6*math.Sin(2*math.Pi*f*t*4) + 0.2*(rng.Float64()*2-1)))
 	}
 	return &Clip{Name: "engine-stop", Samples: out}
 }
@@ -99,7 +101,7 @@ func collisionBang(rng *rand.Rand) *Clip {
 		noise := rng.Float64()*2 - 1
 		lp += (noise - lp) * 0.4
 		env := math.Exp(-t * 9)
-		out[i] = env * (0.7*lp + 0.3*math.Sin(2*math.Pi*130*t)*math.Exp(-t*16))
+		out[i] = float32(env * (0.7*lp + 0.3*math.Sin(2*math.Pi*130*t)*math.Exp(-t*16)))
 	}
 	return &Clip{Name: "collision", Samples: out}
 }
@@ -112,7 +114,7 @@ func alarmBeep() *Clip {
 		if math.Mod(t, 0.25) < 0.12 {
 			gate = 1
 		}
-		out[i] = 0.5 * gate * math.Sin(2*math.Pi*880*t)
+		out[i] = float32(0.5 * gate * math.Sin(2*math.Pi*880*t))
 	}
 	return &Clip{Name: "alarm", Samples: out}
 }
@@ -121,9 +123,9 @@ func hoistMotor(rng *rand.Rand) *Clip {
 	out := samples(0.8)
 	for i := range out {
 		t := float64(i) / SampleRate
-		out[i] = 0.35*math.Sin(2*math.Pi*210*t) +
+		out[i] = float32(0.35*math.Sin(2*math.Pi*210*t) +
 			0.18*math.Sin(2*math.Pi*420*t) +
-			0.1*(rng.Float64()*2-1)
+			0.1*(rng.Float64()*2-1))
 	}
 	fadeLoopSeam(out)
 	return &Clip{Name: "hoist-motor", Samples: out}
@@ -135,21 +137,21 @@ func backgroundBed(rng *rand.Rand) *Clip {
 	for i := range out {
 		noise := rng.Float64()*2 - 1
 		lp += (noise - lp) * 0.02 // deep low-pass: distant site rumble
-		out[i] = 0.6 * lp
+		out[i] = float32(0.6 * lp)
 	}
 	fadeLoopSeam(out)
 	return &Clip{Name: "background", Samples: out}
 }
 
 // fadeLoopSeam crossfades the clip tail into its head so loops do not click.
-func fadeLoopSeam(s []float64) {
+func fadeLoopSeam(s []float32) {
 	n := len(s) / 50
 	if n == 0 {
 		return
 	}
 	for i := 0; i < n; i++ {
 		t := float64(i) / float64(n)
-		s[len(s)-n+i] = s[len(s)-n+i]*(1-t) + s[i]*t
+		s[len(s)-n+i] = float32(float64(s[len(s)-n+i])*(1-t) + float64(s[i])*t)
 	}
 }
 
@@ -280,7 +282,7 @@ func (m *Mixer) Render(out []float64) {
 				}
 				v.pos = 0
 			}
-			out[i] += v.clip.Samples[v.pos] * v.gain
+			out[i] += float64(v.clip.Samples[v.pos]) * v.gain
 			v.pos++
 		}
 		if alive {

@@ -18,10 +18,10 @@ func newMixer(t *testing.T) *Mixer {
 	return m
 }
 
-func rms(s []float64) float64 {
+func rms[T float32 | float64](s []T) float64 {
 	var sum float64
 	for _, v := range s {
-		sum += v * v
+		sum += float64(v) * float64(v)
 	}
 	return math.Sqrt(sum / float64(len(s)))
 }
@@ -44,7 +44,7 @@ func TestSynthesizeAssets(t *testing.T) {
 			t.Errorf("%s rms = %v", clip.Name, r)
 		}
 		for i, v := range clip.Samples {
-			if math.Abs(v) > 1.2 {
+			if math.Abs(float64(v)) > 1.2 {
 				t.Fatalf("%s sample %d = %v out of range", clip.Name, i, v)
 			}
 		}

@@ -14,6 +14,27 @@
 // ClassFrameReady and subscribe ClassFrameSwap; the server does the
 // opposite. A display added at runtime (dynamic join, §2.3) is admitted
 // automatically and its frame counter is rebased onto the server's.
+//
+// # Render-ahead
+//
+// The server keeps the paper's strict swap-lock: it releases SWAP f when
+// every admitted display has reported READY f, so all monitors swap the
+// same frame at the same release. What the paper left as §5 future work —
+// "further accelerating of the frame rate" — is taken on the display side:
+// Display.RunFrames renders one frame ahead. After READY f it calls
+// render(f+1), then waits for SWAP f, then reports READY f+1; it never
+// renders f+2 before SWAP f, and it reports nothing before it has consumed
+// the previous swap. A display therefore draws while it would otherwise
+// idle at the barrier — three equal renders on two cores no longer leave
+// one core waiting for the third display — and it needs two colour planes:
+// the plane holding frame f must not be written between READY f and
+// SWAP f, so frame f+1 goes to the other one (internal/sim alternates them
+// by frame parity). RunFrames(1) renders no frame ahead.
+//
+// The trade is latency: state drained for frame f+1 is still shown at
+// SWAP f+1, but it is drained before SWAP f instead of after, so its age
+// at the swap grows by at most one barrier wait — about a millisecond at
+// fed_exam's frame rates, against a 60 Hz state stream.
 package displaysync
 
 import (
@@ -47,15 +68,6 @@ type ServerConfig struct {
 	// PollInterval is the period of the server's stall check. Defaults to
 	// 10 ms.
 	PollInterval time.Duration
-	// Pipeline is the §5 frame-rate acceleration the paper left as
-	// future work ("further accelerating of the frame rate is possible
-	// and currently under investigation"): with Pipeline = n, a display
-	// may run up to n frames ahead of the slowest one before the barrier
-	// blocks it, overlapping render work that the strict swap-lock
-	// serializes. 0 or 1 is the paper's strict barrier; 2 is classic
-	// double buffering. The displays stay within n frames of each other,
-	// trading a bounded skew for throughput (see the EXP-1 ablation).
-	Pipeline int
 }
 
 // Server is the synchronization-server LP.
@@ -86,9 +98,6 @@ type dispState struct {
 func NewServer(backbone *cb.Backbone, lpName string, cfg ServerConfig) (*Server, error) {
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 10 * time.Millisecond
-	}
-	if cfg.Pipeline < 1 {
-		cfg.Pipeline = 1 // the paper's strict swap-lock
 	}
 	pub, err := backbone.PublishObjectClass(lpName, fom.ClassFrameSwap)
 	if err != nil {
@@ -229,10 +238,7 @@ func (s *Server) reapStalls() {
 }
 
 // release publishes FRAME SWAP while every admitted display has reported
-// deep enough into the pipeline window: with Pipeline = 1 every display
-// must have reported the current frame (strict swap-lock); with a deeper
-// pipeline a display may lag up to Pipeline-1 frames before it gates the
-// swap.
+// the current frame: the strict swap-lock.
 func (s *Server) release() {
 	for {
 		s.mu.Lock()
@@ -240,10 +246,9 @@ func (s *Server) release() {
 			s.mu.Unlock()
 			return
 		}
-		lag := uint32(s.cfg.Pipeline - 1)
 		allReady := true
 		for _, d := range s.displays {
-			if d.ready+lag <= s.frame {
+			if d.ready <= s.frame {
 				allReady = false
 				break
 			}
@@ -357,15 +362,39 @@ func (d *Display) Ready(renderTime float64) error {
 // stays silent for the whole timeout and ErrStopped once the display is
 // closed.
 func (d *Display) WaitSwap(timeout time.Duration) error {
-	ctx, cancel := context.WithTimeout(d.ctx, timeout)
-	defer cancel()
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	return d.waitSwap(timer)
+}
+
+// polled is a context that is already done: NextContext under it takes a
+// buffered reflection without waiting and, unlike Poll, reports a
+// subscription whose backbone was closed.
+var polled = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
+
+// waitSwap is WaitSwap against a timer the caller has armed, so that
+// RunFrames re-arms one timer a frame instead of building a deadline.
+func (d *Display) waitSwap(timer *time.Timer) error {
 	for {
-		r, err := d.sub.NextContext(ctx)
-		if d.ctx.Err() != nil || errors.Is(err, cb.ErrHandleClosed) {
+		if d.ctx.Err() != nil {
 			return ErrStopped
 		}
-		if err != nil {
-			return fmt.Errorf("%w: frame %d", ErrTimeout, d.Frame())
+		r, err := d.sub.NextContext(polled)
+		if errors.Is(err, cb.ErrHandleClosed) {
+			return ErrStopped
+		}
+		if err != nil { // nothing buffered
+			select {
+			case <-d.sub.NotifyC():
+			case <-d.ctx.Done():
+			case <-timer.C:
+				return fmt.Errorf("%w: frame %d", ErrTimeout, d.Frame())
+			}
+			continue
 		}
 		mark, err := fom.DecodeFrameMark(r.Attrs)
 		r.Release()
@@ -373,35 +402,63 @@ func (d *Display) WaitSwap(timeout time.Duration) error {
 			continue
 		}
 		d.mu.Lock()
-		if mark.Frame+1 > d.lastSwap {
+		newer := mark.Frame+1 > d.lastSwap
+		if newer {
 			d.lastSwap = mark.Frame + 1
 			d.frame++
-			d.mu.Unlock()
-			return nil
 		}
 		d.mu.Unlock()
+		if newer {
+			return nil
+		}
 	}
 }
 
-// RunFrames drives the render→ready→swap loop for n frames, invoking
-// render for each and timing the full barrier-synchronized frame. timeout
-// bounds each barrier wait.
+// RunFrames drives n frames through the barrier, rendering one frame ahead
+// (package doc, "Render-ahead"): render f, READY f, render f+1, SWAP f,
+// READY f+1, and so on. It renders exactly n frames and waits for n swaps;
+// timeout bounds each barrier wait. A frame is timed from the previous
+// swap — from the call, for the first — to its own.
 func (d *Display) RunFrames(n int, timeout time.Duration, render func(frame uint32)) error {
-	for i := 0; i < n; i++ {
-		frameStart := time.Now()
-		frame := d.Frame()
-		render(frame)
-		if err := d.Ready(time.Since(frameStart).Seconds()); err != nil {
+	if n <= 0 {
+		return nil
+	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	frame := d.Frame()
+	last := time.Now()
+	took := timed(render, frame)
+	for i := 1; ; i++ {
+		if err := d.Ready(took.Seconds()); err != nil {
+			if d.ctx.Err() != nil {
+				return ErrStopped
+			}
 			return fmt.Errorf("displaysync: ready: %w", err)
 		}
-		if err := d.WaitSwap(timeout); err != nil {
+		if i < n {
+			took = timed(render, frame+1)
+		}
+		timer.Reset(timeout)
+		if err := d.waitSwap(timer); err != nil {
 			return err
 		}
+		now := time.Now()
 		d.mu.Lock()
-		d.tracker.TickInterval(time.Since(frameStart))
+		d.tracker.TickInterval(now.Sub(last))
 		d.mu.Unlock()
+		if i == n {
+			return nil
+		}
+		frame++
+		last = now
 	}
-	return nil
+}
+
+// timed renders frame and returns how long it took.
+func timed(render func(frame uint32), frame uint32) time.Duration {
+	start := time.Now()
+	render(frame)
+	return time.Since(start)
 }
 
 // RunFree drives n frames without any barrier (the free-running ablation:

@@ -344,103 +344,6 @@ func TestIdleRackIsNotStalled(t *testing.T) {
 	holds("both idle again", 1, 2, 2)
 }
 
-// TestPipelinedBarrier exercises the §5 future-work extension: a deeper
-// pipeline hides the barrier round trip and render jitter, raising
-// throughput while keeping displays within the pipeline-depth skew bound.
-func TestPipelinedBarrier(t *testing.T) {
-	run := func(pipeline int) (fps float64, maxSkew uint32) {
-		lan := transport.NewMemLAN()
-		serverBB, err := cb.New(lan, "sync-server", fastCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer serverBB.Close()
-		srv, err := NewServer(serverBB, "sync", ServerConfig{
-			Expected: []string{"display-1", "display-2"},
-			Pipeline: pipeline,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv.Start()
-		defer srv.Stop()
-
-		displays := make([]*Display, 2)
-		for i := range displays {
-			bb, err := cb.New(lan, fmt.Sprintf("display-pc-%d", i+1), fastCfg())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer bb.Close()
-			d, err := NewDisplay(bb, fmt.Sprintf("display-%d", i+1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			displays[i] = d
-		}
-		for _, d := range displays {
-			if !d.WaitServer(waitLong) {
-				t.Fatal("not linked")
-			}
-		}
-		const frames = 60
-		var (
-			wg   sync.WaitGroup
-			mu   sync.Mutex
-			skew uint32
-		)
-		for i, d := range displays {
-			wg.Add(1)
-			go func(i int, d *Display) {
-				defer wg.Done()
-				err := d.RunFrames(frames, waitLong, func(frame uint32) {
-					// Alternating jitter: each display is slow on
-					// different frames, the case pipelining hides.
-					if (frame+uint32(i))%2 == 0 {
-						time.Sleep(2 * time.Millisecond)
-					}
-					mu.Lock()
-					lo, hi := displays[0].Frame(), displays[0].Frame()
-					for _, dd := range displays {
-						f := dd.Frame()
-						if f < lo {
-							lo = f
-						}
-						if f > hi {
-							hi = f
-						}
-					}
-					if s := hi - lo; s > skew {
-						skew = s
-					}
-					mu.Unlock()
-				})
-				if err != nil {
-					t.Error(err)
-				}
-			}(i, d)
-		}
-		wg.Wait()
-		var total float64
-		for _, d := range displays {
-			total += d.FPS()
-		}
-		return total / 2, skew
-	}
-
-	strictFPS, strictSkew := run(1)
-	pipeFPS, pipeSkew := run(3)
-	if strictSkew > 1 {
-		t.Errorf("strict barrier skew = %d, want <= 1", strictSkew)
-	}
-	if pipeSkew > 3 {
-		t.Errorf("pipelined skew = %d, want <= pipeline depth 3", pipeSkew)
-	}
-	if pipeFPS <= strictFPS {
-		t.Errorf("pipeline did not help: strict %.1f fps vs pipelined %.1f fps", strictFPS, pipeFPS)
-	}
-}
-
 func TestWaitSwapTimeout(t *testing.T) {
 	lan := transport.NewMemLAN()
 	bb, err := cb.New(lan, "display-pc", fastCfg())

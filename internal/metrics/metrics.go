@@ -212,18 +212,23 @@ func (h *Histogram) Snapshot() (cumulative []uint64, count uint64, sum float64) 
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // FrameTracker measures frame intervals in simulated or wall time and
-// reports achieved frames-per-second statistics. Not concurrency safe; one
-// tracker belongs to one display loop.
+// reports achieved frames-per-second statistics. It keeps running sums, not
+// the intervals, so a display loop that runs all day holds a few words.
+// Not concurrency safe; one tracker belongs to one display loop.
 type FrameTracker struct {
-	intervals []float64 // seconds
-	last      time.Time
-	started   bool
+	frames  int
+	total   float64 // seconds
+	worst   float64 // seconds
+	mean    float64 // of the intervals, seconds (Welford)
+	m2      float64 // sum of squared deviations from mean (Welford)
+	last    time.Time
+	started bool
 }
 
 // TickAt records a frame boundary at the given instant.
 func (t *FrameTracker) TickAt(now time.Time) {
 	if t.started {
-		t.intervals = append(t.intervals, now.Sub(t.last).Seconds())
+		t.add(now.Sub(t.last).Seconds())
 	}
 	t.last = now
 	t.started = true
@@ -231,56 +236,41 @@ func (t *FrameTracker) TickAt(now time.Time) {
 
 // TickInterval records a frame that took dt of simulated time.
 func (t *FrameTracker) TickInterval(dt time.Duration) {
-	t.intervals = append(t.intervals, dt.Seconds())
+	t.add(dt.Seconds())
 	t.started = true
 }
 
+func (t *FrameTracker) add(s float64) {
+	t.frames++
+	t.total += s
+	t.worst = max(t.worst, s)
+	d := s - t.mean
+	t.mean += d / float64(t.frames)
+	t.m2 += d * (s - t.mean)
+}
+
 // Frames returns the number of completed frame intervals.
-func (t *FrameTracker) Frames() int { return len(t.intervals) }
+func (t *FrameTracker) Frames() int { return t.frames }
 
 // FPS returns the mean achieved frame rate, or 0 before two ticks.
 func (t *FrameTracker) FPS() float64 {
-	if len(t.intervals) == 0 {
+	if t.frames == 0 || t.total <= 0 {
 		return 0
 	}
-	var total float64
-	for _, s := range t.intervals {
-		total += s
-	}
-	if total <= 0 {
-		return 0
-	}
-	return float64(len(t.intervals)) / total
+	return float64(t.frames) / t.total
 }
 
 // WorstFrame returns the longest frame interval observed.
 func (t *FrameTracker) WorstFrame() time.Duration {
-	var worst float64
-	for _, s := range t.intervals {
-		if s > worst {
-			worst = s
-		}
-	}
-	return time.Duration(worst * float64(time.Second))
+	return time.Duration(t.worst * float64(time.Second))
 }
 
 // Jitter returns the standard deviation of the frame intervals.
 func (t *FrameTracker) Jitter() time.Duration {
-	n := len(t.intervals)
-	if n < 2 {
+	if t.frames < 2 {
 		return 0
 	}
-	var mean float64
-	for _, s := range t.intervals {
-		mean += s
-	}
-	mean /= float64(n)
-	var m2 float64
-	for _, s := range t.intervals {
-		d := s - mean
-		m2 += d * d
-	}
-	return time.Duration(math.Sqrt(m2/float64(n-1)) * float64(time.Second))
+	return time.Duration(math.Sqrt(t.m2/float64(t.frames-1)) * float64(time.Second))
 }
 
 // Table builds fixed-width text tables for the experiment reports.

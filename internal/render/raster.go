@@ -156,6 +156,17 @@ func NewRenderer(w, h int) (*Renderer, error) {
 // Framebuffer exposes the render target (for probing and PPM dumps).
 func (r *Renderer) Framebuffer() *Framebuffer { return r.fb }
 
+// Retarget makes fb the render target of the frames that follow, so that
+// one renderer can draw into several colour planes in turn. fb must have
+// the renderer's size: the bands, their depth rows and the guard planes
+// are cut to it.
+func (r *Renderer) Retarget(fb *Framebuffer) {
+	if fb.W != r.fb.W || fb.H != r.fb.H {
+		panic(fmt.Sprintf("render: retarget a %dx%d renderer to a %dx%d framebuffer", r.fb.W, r.fb.H, fb.W, fb.H))
+	}
+	r.fb = fb
+}
+
 // Render draws the scene from the camera and returns the frame statistics:
 // every triangle is set up and binned, then the bands are drawn (package
 // doc, "Traversal").

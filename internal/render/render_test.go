@@ -437,6 +437,56 @@ func TestRenderDeterministic(t *testing.T) {
 	}
 }
 
+// TestRetarget draws two frames into two planes through one renderer:
+// each plane holds what a renderer of its own would have drawn, the first
+// is not touched by the second frame, and a plane of another size is
+// refused.
+func TestRetarget(t *testing.T) {
+	scene, cam := siteFrame(t)
+	raised := cam
+	raised.Eye = cam.Eye.Add(mathx.V3(0, 3, 0))
+	alone := func(c Camera) []RGB {
+		r, err := NewRenderer(paperW, paperH)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Render(scene, c)
+		return r.Framebuffer().Color
+	}
+	r, err := NewRenderer(paperW, paperH)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := r.Framebuffer()
+	r.Render(scene, cam)
+	second, err := NewFramebuffer(paperW, paperH)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Retarget(second)
+	r.Render(scene, raised)
+	for name, c := range map[string]struct{ got, want []RGB }{
+		"first plane":  {first.Color, alone(cam)},
+		"second plane": {second.Color, alone(raised)},
+	} {
+		for i := range c.want {
+			if c.got[i] != c.want[i] {
+				t.Fatalf("%s: pixel %d is %v, want %v", name, i, c.got[i], c.want[i])
+			}
+		}
+	}
+	small, err := NewFramebuffer(paperW, paperH-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a plane of another size was accepted")
+		}
+	}()
+	r.Retarget(small)
+}
+
 // siteFrame is the paper's site seen from beside the crane, through the
 // middle camera of the surround set.
 func siteFrame(tb testing.TB) (*Scene, Camera) {

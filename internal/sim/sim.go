@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -159,12 +160,22 @@ type Cluster struct {
 	wg       sync.WaitGroup
 	errMu    sync.Mutex
 	firstErr error
+
+	// onFrame, which only this package's tests set, runs at the start of
+	// every frame a display draws, once its plane is the render target.
+	onFrame func(d *displayNode, frame uint32)
 }
 
 type displayNode struct {
 	client  *displaysync.Display
 	builder *render.SceneBuilder
 	rend    *render.Renderer
+	// planes are the colour planes frames alternate between by parity:
+	// the display draws frame f+1 while frame f waits for its swap
+	// (displaysync's package doc, "Render-ahead"). planes[0] is the
+	// renderer's own; planes[1] is allocated by the first frame drawn
+	// ahead.
+	planes  [2]*render.Framebuffer
 	camIdx  int
 	stateIn *cb.Subscription
 }
@@ -514,6 +525,7 @@ func (c *Cluster) buildDisplays(ter *terrain.Map, spec scenario.Spec) error {
 			client:  client,
 			builder: builder,
 			rend:    rend,
+			planes:  [2]*render.Framebuffer{rend.Framebuffer()},
 			camIdx:  i,
 			stateIn: stateIn,
 		})
@@ -522,40 +534,46 @@ func (c *Cluster) buildDisplays(ter *terrain.Map, spec scenario.Spec) error {
 }
 
 // displayLoop is one display computer's render loop: latest crane state →
-// scene → rasterize → barrier.
+// scene → rasterize → barrier, RenderFrames times or until Stop closes the
+// barrier client (displaysync.ErrStopped, which reportErr drops).
 func (c *Cluster) displayLoop(d *displayNode) {
 	defer c.wg.Done()
 	if !d.client.WaitServer(10 * time.Second) {
 		c.reportErr(errors.New("sim: display never linked to sync server"))
 		return
 	}
-	last := make([]fom.CraneState, c.craneCount)
-	frames := 0
-	for {
-		select {
-		case <-c.stopCh:
-			return
-		default:
-		}
-		if c.cfg.RenderFrames > 0 && frames >= c.cfg.RenderFrames {
-			return
-		}
-		err := d.client.RunFrames(1, 10*time.Second, func(uint32) {
-			drainCraneStates(d.stateIn, last, nil)
-			for idx := range last {
-				d.builder.UpdateCrane(idx, last[idx])
-			}
-			scene := d.builder.Scene()
-			// The surround view rides crane 0 — the operator cab.
-			eye := last[0].Position.Add(mathx.V3(0, 3.2, 0))
-			cam := render.SurroundCamera(eye, last[0].Heading, d.camIdx, c.cfg.Displays,
-				mathx.Rad(40), float64(c.cfg.Width)/float64(c.cfg.Height))
-			d.rend.Render(scene, cam)
-		})
-		if err != nil {
-			c.reportErr(err)
-			return
-		}
-		frames++
+	frames := c.cfg.RenderFrames
+	if frames <= 0 {
+		frames = math.MaxInt
 	}
+	last := make([]fom.CraneState, c.craneCount)
+	err := d.client.RunFrames(frames, 10*time.Second, func(frame uint32) {
+		c.drawFrame(d, last, frame)
+	})
+	if err != nil {
+		c.reportErr(err)
+	}
+}
+
+// drawFrame draws one frame of display d into the plane of its parity,
+// from the newest crane states folded into last.
+func (c *Cluster) drawFrame(d *displayNode, last []fom.CraneState, frame uint32) {
+	plane := &d.planes[frame%2]
+	if *plane == nil {
+		*plane = &render.Framebuffer{W: c.cfg.Width, H: c.cfg.Height, Color: make([]render.RGB, c.cfg.Width*c.cfg.Height)}
+	}
+	d.rend.Retarget(*plane)
+	if c.onFrame != nil {
+		c.onFrame(d, frame)
+	}
+	drainCraneStates(d.stateIn, last, nil)
+	for idx := range last {
+		d.builder.UpdateCrane(idx, last[idx])
+	}
+	scene := d.builder.Scene()
+	// The surround view rides crane 0 — the operator cab.
+	eye := last[0].Position.Add(mathx.V3(0, 3.2, 0))
+	cam := render.SurroundCamera(eye, last[0].Heading, d.camIdx, c.cfg.Displays,
+		mathx.Rad(40), float64(c.cfg.Width)/float64(c.cfg.Height))
+	d.rend.Render(scene, cam)
 }

@@ -81,7 +81,7 @@ go test -race -count=20 -run 'TestStream' ./internal/scenario/gen
 # frame after the first allocates nothing.
 go test -count=1 -run 'TestFrameFingerprint|TestRasterMatchesReference|TestVisitedCount|TestSharedEdgeWatertight|TestFanAndStripWatertight|TestTopLeftRule|TestCoverageShiftsWithTriangle|TestBitBudget|TestClipKeepsCoverage|TestBandHeightDoesNotChangeTheFrame|FuzzRasterTriangle|TestRenderAllocatesNothing' ./internal/render
 
-echo "== joins on the event path (cb, dist, sim; every repair interval at an hour; -race -count=20) =="
+echo "== joins on the event path and render-ahead (cb, dist, sim, displaysync; every repair interval at an hour; -race -count=20) =="
 # The initialization protocol and the dispatch layer above it must build
 # their channels, ready their pool, start a sweep and take in a late worker
 # with BroadcastInterval, RefreshInterval, Heartbeat and Announce all at an
@@ -92,6 +92,9 @@ echo "== joins on the event path (cb, dist, sim; every repair interval at an hou
 # datagram loss. None of them sleeps, so a hang is a bug, not slowness.
 go test -race -count=20 -run 'TestJoin' ./internal/cb ./internal/dist ./internal/sim
 go test -race -count=20 -run 'TestPubNotifyC' ./cod
+# Render-ahead under the strict swap-lock (displaysync's package doc),
+# choreographed over channels like the joins: no sleeps, a hang is a bug.
+go test -race -count=20 -run 'TestRenderAhead' ./internal/displaysync ./internal/sim
 
 echo "== go test =="
 go test ./...
@@ -163,9 +166,8 @@ go test -bench 'BenchmarkDynamicsStep|BenchmarkParkedStep' -benchtime 20000x -ru
 # TestRenderAllocatesNothing holds the same inside plain `go test`).
 go test -bench 'BenchmarkRender' -benchtime 100x -run '^$' ./internal/render >>"$out/bench.txt"
 go test -bench 'BenchmarkSurroundViewFreeRun/polys-3235' -benchtime 100x -run '^$' . >>"$out/bench.txt"
-# The same frame behind the swap-lock barrier does allocate (three displays'
-# barrier traffic, 28 a frame); the ceiling, 48, keeps it from growing until
-# the federation item takes it down.
+# The same frame behind the swap-lock barrier does allocate: three READY
+# marks and one SWAP mark a frame, 10 allocs; the ceiling is 12.
 go test -bench 'BenchmarkSurroundViewSynced/polys-3235' -benchtime 100x -run '^$' . >>"$out/bench.txt"
 # The dispatch layer alone, one op per job: an announce storm (every result
 # re-announcing the window) shows as allocs per job far over the ceiling.
