@@ -1,9 +1,8 @@
 // Benchmarks regenerating the paper's quantitative artifacts, one family
-// per experiment (EXP-1..7). Run:
+// per paper figure (EXP-1..7; README's "Paper figures" table names the
+// tests that assert each one's shape). Run:
 //
 //	go test -bench=. -benchmem
-//
-// cmd/experiments prints the corresponding full tables.
 package codsim
 
 import (

@@ -10,7 +10,8 @@
 //	         [-udp] [-quiet]
 //
 // With -udp the cluster runs over real UDP/TCP loopback sockets instead of
-// the in-memory LAN.
+// the in-memory LAN. It exits non-zero when the exam fails or the
+// synchronization server evicts a display.
 package main
 
 import (
@@ -81,11 +82,12 @@ func run() error {
 	ticker := time.NewTicker(time.Second)
 	defer ticker.Stop()
 	deadline := time.Now().Add(*duration)
+	var s fom.ScenarioState
 	for now := range ticker.C {
 		if err := cluster.Err(); err != nil {
 			return err
 		}
-		s := cluster.ScenarioState()
+		s = cluster.ScenarioState()
 		if !*quiet {
 			fmt.Print("\n", cluster.Monitor().StatusWindow(0))
 			sum := cluster.Summary()
@@ -125,6 +127,12 @@ func run() error {
 		}
 		fmt.Printf("wrote %.1f s of cab audio to %s\n",
 			float64(len(pcm))/audio.SampleRate, *wavPath)
+	}
+	if s.Phase == fom.PhaseFailed {
+		return fmt.Errorf("exam failed: %s", s.Message)
+	}
+	if sum.Evicted > 0 {
+		return fmt.Errorf("%d displays evicted from the frame barrier", sum.Evicted)
 	}
 	return nil
 }

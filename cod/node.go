@@ -29,8 +29,8 @@ type ChannelTally = cb.ChannelTally
 
 // MemLANOption tunes a simulated in-memory segment: latency, jitter,
 // datagram loss, bandwidth and the impairment seed. The SDK re-exports
-// the transport options so experiment harnesses never import internal
-// packages.
+// the transport options so test and benchmark harnesses never import
+// internal packages.
 type MemLANOption = transport.MemOption
 
 // WithLatency delays every datagram by d on a simulated segment.
@@ -50,7 +50,7 @@ func WithBandwidth(bytesPerSec float64) MemLANOption { return transport.WithBand
 func WithSeed(seed int64) MemLANOption { return transport.WithSeed(seed) }
 
 // NewMemLAN creates an in-memory LAN segment for nodes of one process,
-// optionally impaired (latency, loss, ...) for experiments. Pass it to
+// optionally impaired (latency, loss, ...) for ablations. Pass it to
 // every node of the federation via WithLAN, or let a Federation manage
 // the sharing.
 func NewMemLAN(opts ...MemLANOption) LAN { return transport.NewMemLAN(opts...) }
@@ -148,7 +148,7 @@ func WithTimers(broadcast, refresh, heartbeat time.Duration) Option {
 // WithHeartbeatTimeout sets how long a silent link is tolerated before
 // the peer is declared dead and its channels are torn down. Zero keeps
 // the default. Tighten it together with WithTimers' heartbeat period in
-// fast-failover experiment rigs.
+// fast-failover rigs.
 func WithHeartbeatTimeout(d time.Duration) Option {
 	return func(c *nodeConfig) { c.cfg.HeartbeatTimeout = d }
 }

@@ -82,6 +82,7 @@
 // yield realistic score distributions.
 //
 // The benchmarks in bench_test.go regenerate the paper's quantitative
-// artifacts; cmd/experiments prints the full tables, and
-// BENCH_baseline.json records a reference run.
+// artifacts and BENCH_baseline.json records a reference run; README's
+// "Paper figures" table names the test, benchmark or workload behind each
+// figure.
 package codsim

@@ -4,7 +4,8 @@
 // Fig. 8/9: drive to the test ground, lift the cargo from the white
 // circle, carry it along the bar trajectory and back, and set it down —
 // with the live score and alarm lamps. Pick any other library entry with
-// -scenario (windy-lift, night-precision, ...).
+// -scenario (windy-lift, night-precision, ...). It exits non-zero when
+// the autopilot fails the scenario.
 package main
 
 import (
@@ -13,6 +14,7 @@ import (
 	"log"
 
 	"codsim/internal/crane"
+	"codsim/internal/fom"
 	"codsim/internal/instructor"
 	"codsim/internal/scenario"
 	"codsim/internal/trace"
@@ -61,6 +63,9 @@ func run(name string) error {
 			fmt.Println("\nmisconduct log:")
 			for _, ev := range mon.AlarmLog() {
 				fmt.Printf("  t=%6.1f  crane %d  alarm bits %06b\n", ev.At, ev.Crane, ev.Raised)
+			}
+			if scen.Phase == fom.PhaseFailed {
+				return fmt.Errorf("the autopilot failed %s: %s", spec.Name, scen.Message)
 			}
 			return nil
 		}

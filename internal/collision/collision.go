@@ -8,7 +8,8 @@
 //	L3: exact mesh test           — edge/triangle intersections
 //
 // A brute-force mode that jumps straight to L3 for every pair exists solely
-// as the baseline of the EXP-5 ablation benchmark.
+// as the baseline of the §3.6 ablation (BenchmarkCollisionBruteForce,
+// TestDescentStatsPinned).
 //
 // An object pays for a level only when a pair reaches it. SetPose computes
 // the world sphere centre, all L1 needs. L2 needs the world AABB: for a
@@ -183,8 +184,8 @@ type Contact struct {
 	Point mathx.Vec3 // approximate contact point (world)
 }
 
-// Stats counts how far pairs descended the level hierarchy, for the EXP-5
-// ablation report.
+// Stats counts how far pairs descended the level hierarchy: the §3.6
+// ablation's measure, which TestDescentStatsPinned pins.
 type Stats struct {
 	Pairs     int64 // pairs examined
 	L1Reject  int64 // rejected by bounding spheres

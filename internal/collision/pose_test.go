@@ -142,8 +142,8 @@ func TestCheckPairMatchesBruteForceRandom(t *testing.T) {
 	}
 }
 
-// exp5Scene is cmd/experiments' EXP-5 field: a 4 m grid of unit boxes with
-// every tenth one pulled in to touch its neighbour.
+// exp5Scene is the EXP-5 collision field (README, "Paper figures"): a 4 m
+// grid of unit boxes with every tenth one pulled in to touch its neighbour.
 func exp5Scene(n int, brute bool) *World {
 	w := &World{BruteForce: brute}
 	for i := 0; i < n; i++ {
@@ -182,8 +182,8 @@ func barFieldStats() Stats {
 // TestDescentStatsPinned pins how far pairs descend the hierarchy, on the
 // EXP-5 scene and on a bar field, to the numbers the kernel produced
 // before bounds followed the pose: a cache that moved a bound by one ulp
-// would move a pair across a level and show up here, and EXP-5's printed
-// table is made of these counters.
+// would move a pair across a level and show up here, and the multi-level
+// vs brute-force ablation is measured in these counters.
 func TestDescentStatsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -341,13 +341,6 @@ func (d *Display) FPS() float64 {
 	return d.tracker.FPS()
 }
 
-// Tracker returns a copy of the frame tracker for reporting.
-func (d *Display) Tracker() metrics.FrameTracker {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.tracker
-}
-
 // Ready reports the local frame as rendered (renderTime in seconds).
 func (d *Display) Ready(renderTime float64) error {
 	d.mu.Lock()

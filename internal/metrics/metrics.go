@@ -1,28 +1,23 @@
-// Package metrics provides the lightweight instrumentation used by the
-// experiment harness: streaming summaries (Welford), counters, rate
-// meters, frame-time trackers and fixed-width text tables. Everything is
-// safe for concurrent use unless stated otherwise.
+// Package metrics provides the instrumentation the runtime records into:
+// counters, gauges and histograms (the backbone's stats, the display
+// barrier, the obs telemetry plane), a count-and-sum summary (channel
+// establishment latency) and a display loop's frame-rate tracker.
+// Everything is safe for concurrent use unless stated otherwise.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Summary accumulates a stream of float64 observations and reports count,
-// mean, min, max and standard deviation without retaining the samples.
+// Summary accumulates a stream of float64 observations and reports their
+// count and sum without retaining the samples.
 type Summary struct {
 	mu    sync.Mutex
 	n     int64
-	mean  float64
-	m2    float64
-	min   float64
-	max   float64
 	total float64
 }
 
@@ -32,19 +27,6 @@ func (s *Summary) Observe(v float64) {
 	defer s.mu.Unlock()
 	s.n++
 	s.total += v
-	if s.n == 1 {
-		s.min, s.max = v, v
-	} else {
-		if v < s.min {
-			s.min = v
-		}
-		if v > s.max {
-			s.max = v
-		}
-	}
-	delta := v - s.mean
-	s.mean += delta / float64(s.n)
-	s.m2 += delta * (v - s.mean)
 }
 
 // Count returns the number of samples observed.
@@ -54,56 +36,11 @@ func (s *Summary) Count() int64 {
 	return s.n
 }
 
-// Mean returns the arithmetic mean, or 0 with no samples.
-func (s *Summary) Mean() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mean
-}
-
 // Sum returns the total of all samples.
 func (s *Summary) Sum() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.total
-}
-
-// Min returns the smallest sample, or 0 with no samples.
-func (s *Summary) Min() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.min
-}
-
-// Max returns the largest sample, or 0 with no samples.
-func (s *Summary) Max() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.max
-}
-
-// StdDev returns the sample standard deviation, or 0 with <2 samples.
-func (s *Summary) StdDev() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n < 2 {
-		return 0
-	}
-	return math.Sqrt(s.m2 / float64(s.n-1))
-}
-
-// String formats the summary on one line.
-func (s *Summary) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return "n=0"
-	}
-	sd := 0.0
-	if s.n >= 2 {
-		sd = math.Sqrt(s.m2 / float64(s.n-1))
-	}
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.3g min=%.4g max=%.4g", s.n, s.mean, sd, s.min, s.max)
 }
 
 // Counter is a concurrency-safe monotone counter.
@@ -211,141 +148,25 @@ func (h *Histogram) Snapshot() (cumulative []uint64, count uint64, sum float64) 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// FrameTracker measures frame intervals in simulated or wall time and
-// reports achieved frames-per-second statistics. It keeps running sums, not
-// the intervals, so a display loop that runs all day holds a few words.
-// Not concurrency safe; one tracker belongs to one display loop.
+// FrameTracker measures frame intervals and reports the achieved frame
+// rate. It keeps a count and a sum, not the intervals, so a display loop
+// that runs all day holds two words. Not concurrency safe; one tracker
+// belongs to one display loop.
 type FrameTracker struct {
-	frames  int
-	total   float64 // seconds
-	worst   float64 // seconds
-	mean    float64 // of the intervals, seconds (Welford)
-	m2      float64 // sum of squared deviations from mean (Welford)
-	last    time.Time
-	started bool
+	frames int
+	total  time.Duration
 }
 
-// TickAt records a frame boundary at the given instant.
-func (t *FrameTracker) TickAt(now time.Time) {
-	if t.started {
-		t.add(now.Sub(t.last).Seconds())
-	}
-	t.last = now
-	t.started = true
-}
-
-// TickInterval records a frame that took dt of simulated time.
+// TickInterval records a frame that took dt.
 func (t *FrameTracker) TickInterval(dt time.Duration) {
-	t.add(dt.Seconds())
-	t.started = true
-}
-
-func (t *FrameTracker) add(s float64) {
 	t.frames++
-	t.total += s
-	t.worst = max(t.worst, s)
-	d := s - t.mean
-	t.mean += d / float64(t.frames)
-	t.m2 += d * (s - t.mean)
+	t.total += dt
 }
 
-// Frames returns the number of completed frame intervals.
-func (t *FrameTracker) Frames() int { return t.frames }
-
-// FPS returns the mean achieved frame rate, or 0 before two ticks.
+// FPS returns the mean achieved frame rate, or 0 before the first frame.
 func (t *FrameTracker) FPS() float64 {
 	if t.frames == 0 || t.total <= 0 {
 		return 0
 	}
-	return float64(t.frames) / t.total
-}
-
-// WorstFrame returns the longest frame interval observed.
-func (t *FrameTracker) WorstFrame() time.Duration {
-	return time.Duration(t.worst * float64(time.Second))
-}
-
-// Jitter returns the standard deviation of the frame intervals.
-func (t *FrameTracker) Jitter() time.Duration {
-	if t.frames < 2 {
-		return 0
-	}
-	return time.Duration(math.Sqrt(t.m2/float64(t.frames-1)) * float64(time.Second))
-}
-
-// Table builds fixed-width text tables for the experiment reports.
-type Table struct {
-	header []string
-	rows   [][]string
-}
-
-// NewTable creates a table with the given column headers.
-func NewTable(header ...string) *Table {
-	return &Table{header: header}
-}
-
-// AddRow appends one row; cells format with %v.
-func (t *Table) AddRow(cells ...any) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = formatFloat(v)
-		case float32:
-			row[i] = formatFloat(float64(v))
-		default:
-			row[i] = fmt.Sprintf("%v", c)
-		}
-	}
-	t.rows = append(t.rows, row)
-}
-
-func formatFloat(v float64) string {
-	switch {
-	case v == math.Trunc(v) && math.Abs(v) < 1e9:
-		return fmt.Sprintf("%.0f", v)
-	case math.Abs(v) >= 100:
-		return fmt.Sprintf("%.1f", v)
-	case math.Abs(v) >= 1:
-		return fmt.Sprintf("%.2f", v)
-	default:
-		return fmt.Sprintf("%.4f", v)
-	}
-}
-
-// String renders the table.
-func (t *Table) String() string {
-	widths := make([]int, len(t.header))
-	for i, h := range t.header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.header)
-	for i, w := range widths {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", w))
-	}
-	b.WriteByte('\n')
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-	return b.String()
+	return float64(t.frames) / t.total.Seconds()
 }

@@ -252,8 +252,18 @@ func TestServerEndpoints(t *testing.T) {
 	if out := get("/healthz"); !strings.HasPrefix(out, "ok") {
 		t.Errorf("/healthz returned %q", out)
 	}
+	// Each table is its header and rows in columns two spaces apart, the
+	// last column unpadded.
 	tablez := get("/debug/tablez")
-	for _, want := range []string{"node disp-pc", "dynamics", "visual", "latest-value", "dyn-pc"} {
+	for _, want := range []string{
+		"== node disp-pc ==\n",
+		"\npublications\n" +
+			"LP        CLASS       CHANNELS  STALLS\n" +
+			"dynamics  CraneState  2         3\n",
+		"\nsubscriptions\n" +
+			"LP      CLASS       POLICY        CHANNELS  FRAMES  DROPPED  CONFLATED  BY-CHANNEL\n" +
+			"visual  CraneState  latest-value  2         14      5        2          ch7(dyn-pc):9/5/2 ch9(sim-pc):5/0/0\n",
+	} {
 		if !strings.Contains(tablez, want) {
 			t.Errorf("/debug/tablez missing %q:\n%s", want, tablez)
 		}

@@ -8,9 +8,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"text/tabwriter"
 	"time"
-
-	"codsim/internal/metrics"
 )
 
 // Server is the opt-in HTTP face of the telemetry plane:
@@ -117,7 +116,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleTablez renders every registered node's live pub/sub tables as
-// fixed-width text — the instructor-station view of who publishes what
+// aligned text columns — the instructor-station view of who publishes what
 // to whom, and which channels are shedding.
 func (s *Server) handleTablez(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
@@ -133,23 +132,25 @@ func (s *Server) handleTablez(w http.ResponseWriter, _ *http.Request) {
 	for _, n := range nodes {
 		pubs, subs := n.bb.Tables()
 		fmt.Fprintf(w, "== node %s ==\n\npublications\n", n.name)
-		pt := metrics.NewTable("LP", "CLASS", "CHANNELS", "STALLS")
+		// Flush errors are write errors: the client has gone.
+		tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+		fmt.Fprintln(tw, "LP\tCLASS\tCHANNELS\tSTALLS")
 		for _, row := range pubs {
-			pt.AddRow(row.LP, row.Class, row.Channels, row.Stalls)
+			fmt.Fprintf(tw, "%s\t%s\t%d\t%d\n", row.LP, row.Class, row.Channels, row.Stalls)
 		}
-		fmt.Fprint(w, pt.String())
+		_ = tw.Flush()
 		fmt.Fprintf(w, "\nsubscriptions\n")
-		st := metrics.NewTable("LP", "CLASS", "POLICY", "CHANNELS", "FRAMES", "DROPPED", "CONFLATED", "BY-CHANNEL")
+		fmt.Fprintln(tw, "LP\tCLASS\tPOLICY\tCHANNELS\tFRAMES\tDROPPED\tCONFLATED\tBY-CHANNEL")
 		for _, row := range subs {
 			var by []string
 			for _, ch := range row.ByChannel {
 				by = append(by, fmt.Sprintf("ch%d(%s):%d/%d/%d",
 					ch.Channel, ch.Peer, ch.Delivered, ch.Dropped, ch.Conflated))
 			}
-			st.AddRow(row.LP, row.Class, row.Policy, row.Channels,
-				row.Delivered, row.Dropped, row.Conflated, strings.Join(by, " "))
+			fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%d\t%d\t%d\t%s\n", row.LP, row.Class, row.Policy,
+				row.Channels, row.Delivered, row.Dropped, row.Conflated, strings.Join(by, " "))
 		}
-		fmt.Fprint(w, st.String())
+		_ = tw.Flush()
 		fmt.Fprintln(w)
 	}
 }

@@ -6,7 +6,8 @@
 // Because every polygon is transformed and rasterized on the CPU, frame
 // cost scales with scene complexity exactly the way the paper's headline
 // measurement (16 fps at 3235 polygons across three synchronized displays)
-// depends on — which is what the EXP-1 benchmarks exercise.
+// depends on — which is what BenchmarkSurroundView* and the fed_exam
+// workload exercise.
 //
 // # The coverage contract
 //

@@ -73,7 +73,7 @@ func (fb *Framebuffer) WritePPM(w io.Writer) error {
 }
 
 // FrameStats counts the work of one Render call — the render-cost ledger
-// behind the EXP-1 fps experiments.
+// behind the §4 frame-rate benchmarks (BenchmarkSurroundView*).
 type FrameStats struct {
 	Submitted  int // triangles submitted
 	Culled     int // rejected: outside the frustum, backface, degenerate, no pixel centre in reach

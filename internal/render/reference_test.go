@@ -273,7 +273,7 @@ func TestVisitedCount(t *testing.T) {
 }
 
 // exp1Pose is the pose and cab eye of the EXP-1 render rig
-// (cmd/experiments, bench_test.go).
+// (BenchmarkSurroundView* in bench_test.go).
 func exp1Pose(ter *terrain.Map) framePose {
 	st := fom.CraneState{
 		Position: mathx.V3(100, ter.HeightAt(100, 100), 100),

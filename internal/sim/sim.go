@@ -43,17 +43,12 @@ const (
 	NodeSim        = "sim-pc"
 )
 
-// CBConfig aliases the backbone's protocol-timer configuration so that
-// cluster assemblers above the SDK boundary (cmd/, experiment rigs) can
-// fill Config.CB without importing internal/cb.
-type CBConfig = cb.Config
-
 // Config assembles a cluster.
 type Config struct {
 	// LAN is the network segment; nil uses a fresh in-memory LAN.
 	LAN transport.LAN
 	// CB tunes the Communication Backbone protocol timers.
-	CB CBConfig
+	CB cb.Config
 	// Displays is the surround-view width in monitors (default 3).
 	Displays int
 	// Polygons is the scene budget (default 3235, the paper's scene).

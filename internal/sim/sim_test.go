@@ -177,14 +177,32 @@ func TestClusterStopDuringStartup(t *testing.T) {
 }
 
 // TestClusterExamCompletes runs the full licensing exam over the real
-// federation at high time scale.
+// federation at high time scale, on an ideal LAN and on one that delays
+// every datagram and stream byte by 5 ms (the §2.1/§5 latency ablation).
+// Both complete without evicting a display; the delayed one releases far
+// fewer swaps, because every frame's READY and SWAP cross the LAN.
 func TestClusterExamCompletes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full exam run")
 	}
+	swaps := make(map[time.Duration]int64)
+	for _, latency := range []time.Duration{0, 5 * time.Millisecond} {
+		t.Run(latency.String(), func(t *testing.T) {
+			swaps[latency] = flyClusterExam(t, transport.NewMemLAN(transport.WithLatency(latency)))
+		})
+	}
+	if !t.Failed() && swaps[5*time.Millisecond] >= swaps[0] {
+		t.Errorf("swaps at 5 ms = %d, not fewer than at 0 ms = %d", swaps[5*time.Millisecond], swaps[0])
+	}
+}
+
+// flyClusterExam flies the classic exam on a federation over lan, checks
+// its verdict, and returns the swaps the barrier released.
+func flyClusterExam(t *testing.T, lan transport.LAN) int64 {
 	// TimeScale 15 keeps the LP tick demand (~900 ticks/s aggregate)
 	// satisfiable even when other test packages share the CPUs.
 	c, err := New(Config{
+		LAN:       lan,
 		CB:        fastCB(),
 		TimeScale: 15,
 		Width:     96,
@@ -215,6 +233,9 @@ func TestClusterExamCompletes(t *testing.T) {
 	if sum.ServerSwaps == 0 {
 		t.Error("no display swaps during exam")
 	}
+	if sum.Evicted != 0 {
+		t.Errorf("%d displays evicted", sum.Evicted)
+	}
 	if sum.AudioVoices == 0 {
 		t.Error("audio module never played a sound")
 	}
@@ -222,8 +243,9 @@ func TestClusterExamCompletes(t *testing.T) {
 		t.Errorf("instructor score %v != scenario score %v", sum.Status.Score, final.Score)
 	}
 	sameVerdictHeadless(t, scenario.Classic(), final)
-	t.Logf("exam over COD: score=%.1f elapsed=%.1fs fps=%v audio=%d",
-		final.Score, final.Elapsed, sum.DisplayFPS, sum.AudioVoices)
+	t.Logf("exam over COD: score=%.1f elapsed=%.1fs fps=%v swaps=%d audio=%d",
+		final.Score, final.Elapsed, sum.DisplayFPS, sum.ServerSwaps, sum.AudioVoices)
+	return sum.ServerSwaps
 }
 
 // TestAudioCapture verifies the training-review recording: the audio LP's

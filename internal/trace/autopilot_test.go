@@ -49,6 +49,47 @@ func TestAutopilotCompletesExam(t *testing.T) {
 	t.Logf("exam complete: %.1f points in %.1f s", final.Score, fl.SimTime)
 }
 
+// TestCarelessRunFailsExam is the scoring of Fig. 8/9 seen from both
+// sides: the expert flies the classic exam clean, and the same pilot with
+// the cable paid out during the traverse, so the cargo flies at bar
+// height, hits the bars and fails on a lower score.
+func TestCarelessRunFailsExam(t *testing.T) {
+	fly := func(careless bool) fom.ScenarioState {
+		t.Helper()
+		fl, err := NewFlight(scenario.Classic(), SkillProfile{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seat func(c int, in fom.ControlInput) fom.ControlInput
+		if careless {
+			// The engine judges after the seat, so Phase is the tick's
+			// starting phase.
+			seat = func(c int, in fom.ControlInput) fom.ControlInput {
+				if fl.Engine.Phase() == fom.PhaseTraverse {
+					in.HoistJoyY = mathx.Clamp(fl.States[c].CargoPos.Y-1.2, -1, 1)
+				}
+				return in
+			}
+		}
+		for fl.SimTime < 600 && !fl.Done() {
+			fl.TickWith(seat)
+		}
+		return fl.Engine.State()
+	}
+	clean, careless := fly(false), fly(true)
+	if clean.Phase != fom.PhaseComplete || clean.Collisions != 0 {
+		t.Errorf("clean run: %v with %d collisions, want complete with 0", clean.Phase, clean.Collisions)
+	}
+	if careless.Phase != fom.PhaseFailed || careless.Collisions == 0 {
+		t.Errorf("careless run: %v with %d collisions, want failed with some", careless.Phase, careless.Collisions)
+	}
+	if careless.Score >= clean.Score {
+		t.Errorf("careless score %.1f not below clean %.1f", careless.Score, clean.Score)
+	}
+	t.Logf("clean %.1f (%d collisions), careless %.1f (%d collisions)",
+		clean.Score, clean.Collisions, careless.Score, careless.Collisions)
+}
+
 // TestAutopilotCompletesAdvancedCourse proves the harder shipped course
 // (six bars, heavier cargo, tighter gates) is actually completable.
 func TestAutopilotCompletesAdvancedCourse(t *testing.T) {

@@ -3,7 +3,7 @@
 // Autopilot that stands in for the human trainee — it drives the carrier to
 // the test ground, works the boom through the licensing trajectory of
 // Fig. 9, and sets the cargo back down, providing a repeatable workload for
-// the scoring and performance experiments.
+// the scoring tests and the benchmarks.
 //
 // It is also where the simulator runs headless. A Flight is a scenario's
 // rig (scenario.NewRig) with one Autopilot per crane, and Flight.Tick is
@@ -12,7 +12,7 @@
 // (and RunContext, Completable, codbatch, every dist worker slot and the
 // certification oracle through it) is a budget, a stall window and a
 // context poll around that tick; the trajectory golden, the 0-alloc gates,
-// the exam example and EXP-6 fly the same Flight. The federation in
+// the exam example and TestCarelessRunFailsExam fly the same Flight. The federation in
 // package sim is not a second copy of it: its LPs make the same three
 // calls, but through the backbone at 60/50/30 Hz, and share only the rig
 // constructor.

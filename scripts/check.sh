@@ -179,6 +179,26 @@ go test -bench 'BenchmarkDistDispatch' -benchtime 5000x -run '^$' ./internal/dis
 go test -bench 'BenchmarkDistReady' -benchtime 20x -run '^$' ./internal/dist >>"$out/bench.txt"
 go run ./cmd/benchdiff BENCH_baseline.json "$out/bench.txt"
 
+echo "== examples and cranesim (each runs to its own checked exit; 60 s cap) =="
+for ex in quickstart distributed dynamicjoin faultinjection exam campaign; do
+    go build -o "$out/example-$ex" "./examples/$ex"
+    timeout 60 "$out/example-$ex" >"$out/example-$ex.txt" 2>&1 || {
+        echo "example $ex failed:" >&2
+        tail -n 20 "$out/example-$ex.txt" >&2
+        exit 1
+    }
+done
+# The whole federation flies the exam; cranesim exits non-zero on a failed
+# exam or an evicted display, and it must finish inside its 40 s.
+go build -o "$out/cranesim" ./cmd/cranesim
+timeout 60 "$out/cranesim" -timescale 10 -duration 40s -quiet -width 320 -height 240 >"$out/cranesim.txt" 2>&1 &&
+    grep -q 'exam finished: complete' "$out/cranesim.txt" || {
+    echo "cranesim did not complete the exam:" >&2
+    cat "$out/cranesim.txt" >&2
+    exit 1
+}
+tail -n 2 "$out/cranesim.txt"
+
 echo "== batch smoke (headless sweep incl. multi-crane, JSONL report) =="
 go build -o "$out/codbatch" ./cmd/codbatch
 "$out/codbatch" -headless -strict -repeat 3 -out "$out/results.jsonl" >"$out/report.txt"
