@@ -31,7 +31,9 @@ import (
 // the caller's value escape to the heap. That covers strings and slices
 // too: a named type (type Path []float64) has its underlying type's
 // memory layout, and named element types are rejected at build time, so
-// the field is read and written as the canonical type.
+// the field is read and written as the canonical type. The leading run of
+// fixed-size fields is laid out once too, as a wire.Layout (encodeInto and
+// decodeInto say how they use it).
 
 // ErrUnsupportedType reports a struct field the codec cannot map.
 var ErrUnsupportedType = errors.New("cod: unsupported field type")
@@ -65,16 +67,32 @@ const (
 	kindStrings
 )
 
+// size is the wire size of a fixed-size kind's value, 0 for the variable
+// kinds (strings and slices).
+func (k fieldKind) size() int {
+	switch {
+	case k == kindBool:
+		return 1
+	case k <= kindFloat64:
+		return 8
+	default:
+		return 0
+	}
+}
+
 type fieldCodec struct {
 	name string
 	id   wire.AttrID
 	off  uintptr // byte offset within the struct, fixed at build time
 	kind fieldKind
+	at   int // a prefix field's value offset in the attribute section
 }
 
 type codec struct {
 	typ    reflect.Type
 	fields []fieldCodec
+	prefix wire.Layout // fields[:nfixed], the leading run of fixed-size fields
+	nfixed int
 }
 
 // codecCache memoizes built codecs by struct type; reflection runs once
@@ -82,19 +100,21 @@ type codec struct {
 var codecCache sync.Map // reflect.Type → *codec or error
 
 func codecFor(t reflect.Type) (*codec, error) {
-	if cached, ok := codecCache.Load(t); ok {
-		if err, bad := cached.(error); bad {
-			return nil, err
+	cached, ok := codecCache.Load(t)
+	if !ok {
+		// Callers that miss at once each build; the first to store wins,
+		// so every Pub and Sub of a type shares one codec.
+		c, err := buildCodec(t)
+		var built any = c
+		if err != nil {
+			built = err
 		}
-		return cached.(*codec), nil
+		cached, _ = codecCache.LoadOrStore(t, built)
 	}
-	c, err := buildCodec(t)
-	if err != nil {
-		codecCache.Store(t, err)
+	if err, bad := cached.(error); bad {
 		return nil, err
 	}
-	codecCache.Store(t, c)
-	return c, nil
+	return cached.(*codec), nil
 }
 
 func buildCodec(t reflect.Type) (*codec, error) {
@@ -120,6 +140,23 @@ func buildCodec(t reflect.Type) (*codec, error) {
 	}
 	if len(c.fields) == 0 {
 		return nil, fmt.Errorf("%w: %s has no encodable fields", ErrUnsupportedType, t)
+	}
+	var ids []wire.AttrID
+	var sizes []int
+	for _, f := range c.fields {
+		n := f.kind.size()
+		if n == 0 {
+			break
+		}
+		ids, sizes = append(ids, f.id), append(sizes, n)
+	}
+	var err error
+	if c.prefix, err = wire.NewLayout(ids, sizes); err != nil {
+		return nil, fmt.Errorf("cod: %s: %w", t, err)
+	}
+	c.nfixed = len(ids)
+	for i := range c.nfixed {
+		c.fields[i].at = c.prefix.Offset(i)
 	}
 	return c, nil
 }
@@ -187,39 +224,35 @@ func sliceKind(t reflect.Type) (fieldKind, error) {
 	}
 }
 
-// encodeInto packs the struct at p (a *T matching c.typ) into a, loading
-// every field straight through its offset.
+// encodeInto packs the struct at p (a *T matching c.typ) into a, which it
+// empties first, loading every field straight through its offset: the
+// fixed-size prefix is the layout's records with the values stored at
+// their offsets, and each field after it is Put in turn, appending, since
+// the IDs ascend.
 func (c *codec) encodeInto(a *wire.AttrSet, p unsafe.Pointer) {
-	for i := range c.fields {
+	sec := a.FillLayout(&c.prefix)
+	for i := range c.nfixed {
+		f := &c.fields[i]
+		fp := unsafe.Add(p, f.off)
+		switch f.kind {
+		case kindBool:
+			var b byte
+			if *(*bool)(fp) {
+				b = 1
+			}
+			sec[f.at] = b
+		case kindInt64, kindUint64, kindFloat64: // the wire value is the field's own bits
+			binary.BigEndian.PutUint64(sec[f.at:], *(*uint64)(fp))
+		default:
+			binary.BigEndian.PutUint64(sec[f.at:], loadScalar(f.kind, fp))
+		}
+	}
+	for i := c.nfixed; i < len(c.fields); i++ {
 		f := &c.fields[i]
 		fp := unsafe.Add(p, f.off)
 		switch f.kind {
 		case kindBool:
 			a.PutBool(f.id, *(*bool)(fp))
-		case kindInt:
-			a.PutInt64(f.id, int64(*(*int)(fp)))
-		case kindInt8:
-			a.PutInt64(f.id, int64(*(*int8)(fp)))
-		case kindInt16:
-			a.PutInt64(f.id, int64(*(*int16)(fp)))
-		case kindInt32:
-			a.PutInt64(f.id, int64(*(*int32)(fp)))
-		case kindInt64:
-			a.PutInt64(f.id, *(*int64)(fp))
-		case kindUint:
-			a.PutInt64(f.id, int64(*(*uint)(fp)))
-		case kindUint8:
-			a.PutInt64(f.id, int64(*(*uint8)(fp)))
-		case kindUint16:
-			a.PutInt64(f.id, int64(*(*uint16)(fp)))
-		case kindUint32:
-			a.PutInt64(f.id, int64(*(*uint32)(fp)))
-		case kindUint64:
-			a.PutInt64(f.id, int64(*(*uint64)(fp)))
-		case kindFloat32:
-			a.PutFloat64(f.id, float64(*(*float32)(fp)))
-		case kindFloat64:
-			a.PutFloat64(f.id, *(*float64)(fp))
 		case kindString:
 			a.PutString(f.id, *(*string)(fp))
 		case kindBytes:
@@ -230,6 +263,8 @@ func (c *codec) encodeInto(a *wire.AttrSet, p unsafe.Pointer) {
 			a.PutInt64s(f.id, *(*[]int64)(fp))
 		case kindStrings:
 			a.PutStrings(f.id, *(*[]string)(fp))
+		default: // the numeric kinds: eight big-endian bytes, PutFloat64's layout as much as PutInt64's
+			a.PutInt64(f.id, int64(loadScalar(f.kind, fp)))
 		}
 	}
 }
@@ -239,27 +274,32 @@ func (c *codec) encodeInto(a *wire.AttrSet, p unsafe.Pointer) {
 // reflection is rejected: a silent partial fill would hand modules
 // half-stale state.
 //
-// A set the codec encoded itself holds field i's attribute i-th, so the
-// walk reads the set in step with the field table and decodes scalars
-// straight from the value bytes (the layouts are wire's PutBool, PutInt64
-// and PutFloat64); a set in any other order — a hand-built one, a peer
-// declaring more fields — is looked up by ID, and strings and slices always
-// go through wire's readers.
+// A set that opens with the codec's fixed-size prefix, as every set it
+// encodes does, has those values loaded straight from their offsets in the
+// section (wire.Layout); any other set — a hand-built one, a peer
+// declaring other fields — has them read by ID, and so does every field
+// after the prefix, strings and slices through wire's readers.
 func (c *codec) decodeInto(a *wire.AttrSet, p unsafe.Pointer) error {
-	n := a.Len()
-	for i := range c.fields {
+	byID := 0
+	if sec, ok := a.MatchLayout(&c.prefix); ok {
+		for i := range c.nfixed {
+			f := &c.fields[i]
+			fp := unsafe.Add(p, f.off)
+			switch f.kind {
+			case kindBool:
+				*(*bool)(fp) = sec[f.at] != 0
+			case kindInt64, kindUint64, kindFloat64:
+				*(*uint64)(fp) = binary.BigEndian.Uint64(sec[f.at:])
+			default:
+				storeScalar(f.kind, fp, binary.BigEndian.Uint64(sec[f.at:]))
+			}
+		}
+		byID = c.nfixed
+	}
+	for i := byID; i < len(c.fields); i++ {
 		f := &c.fields[i]
 		fp := unsafe.Add(p, f.off)
-		var v []byte
-		ok := false
-		if i < n {
-			var id wire.AttrID
-			id, v = a.At(i)
-			ok = id == f.id
-		}
-		if !ok {
-			v, ok = a.Bytes(f.id)
-		}
+		v, ok := a.Bytes(f.id)
 		if ok {
 			switch f.kind {
 			case kindBool:
@@ -299,8 +339,39 @@ func (c *codec) decodeInto(a *wire.AttrSet, p unsafe.Pointer) error {
 	return nil
 }
 
-// storeScalar stores the 8-byte wire value bits into the numeric field at
-// fp: integers travel as int64, floats as float64.
+// loadScalar loads the numeric field at fp as its 8-byte wire value bits:
+// integers travel as int64, floats as float64.
+func loadScalar(kind fieldKind, fp unsafe.Pointer) uint64 {
+	switch kind {
+	case kindInt:
+		return uint64(*(*int)(fp))
+	case kindInt8:
+		return uint64(*(*int8)(fp))
+	case kindInt16:
+		return uint64(*(*int16)(fp))
+	case kindInt32:
+		return uint64(*(*int32)(fp))
+	case kindInt64:
+		return uint64(*(*int64)(fp))
+	case kindUint:
+		return uint64(*(*uint)(fp))
+	case kindUint8:
+		return uint64(*(*uint8)(fp))
+	case kindUint16:
+		return uint64(*(*uint16)(fp))
+	case kindUint32:
+		return uint64(*(*uint32)(fp))
+	case kindUint64:
+		return *(*uint64)(fp)
+	case kindFloat32:
+		return math.Float64bits(float64(*(*float32)(fp)))
+	default: // kindFloat64
+		return math.Float64bits(*(*float64)(fp))
+	}
+}
+
+// storeScalar is loadScalar's inverse: it stores the 8-byte wire value bits
+// into the numeric field at fp.
 func storeScalar(kind fieldKind, fp unsafe.Pointer, bits uint64) {
 	switch kind {
 	case kindInt:

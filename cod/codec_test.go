@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -168,10 +171,194 @@ type everyKind struct {
 	Names  []string
 }
 
+// everyKindSample sets every field of an everyKind, each integer at a
+// value its width sign- or zero-extends.
+func everyKindSample() everyKind {
+	return everyKind{
+		B: true, I: -1, I8: -8, I16: 1600, I32: -32, I64: 1 << 40, U: 7, U8: 255, U16: 65535, U32: 1 << 31, U64: 1 << 63,
+		F32: 1.5, F64: -2.25, S: "boom", Raw: []byte{1, 2, 3}, Floats: []float64{1, 2}, Ints: []int64{-1}, Names: []string{"hook", ""},
+	}
+}
+
+// craneState is a CraneState-sized class: 19 scalars, all of them in the
+// codec's fixed-size prefix.
+type craneState struct {
+	Seq                                  int64
+	X, Y, Z, Heading, Pitch, Roll, Speed float64
+	Swing, Luff, BoomLen, CableLen       float64
+	HookX, HookY, HookZ, Mass, RPM       float64
+	Held, EngineOn                       bool
+}
+
+// heartbeatShape opens with a string, as dist's worker heartbeat does, so
+// its prefix is empty and every field is Put.
+type heartbeatShape struct {
+	Worker             string
+	Sweep, Slots, Busy int64
+	Working            []int64
+}
+
+// jobResultShape is dist's job result: a three-scalar prefix, then a
+// string and a []byte.
+type jobResultShape struct {
+	Sweep, Job, Attempt int64
+	Worker              string
+	Record              []byte
+}
+
+// putEncode is the reference encoder: every encoded field Put in
+// declaration order through wire's typed writers, the fields found with
+// the reflect package rather than the codec's tables.
+func putEncode(t *testing.T, v any) wire.AttrSet {
+	t.Helper()
+	var a wire.AttrSet
+	rv := reflect.ValueOf(v)
+	id := wire.AttrID(0)
+	for i := range rv.NumField() {
+		if sf := rv.Type().Field(i); !sf.IsExported() || sf.Tag.Get("cod") == "-" {
+			continue
+		}
+		id++
+		f := rv.Field(i)
+		switch f.Kind() {
+		case reflect.Bool:
+			a.PutBool(id, f.Bool())
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			a.PutInt64(id, f.Int())
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			a.PutInt64(id, int64(f.Uint()))
+		case reflect.Float32, reflect.Float64:
+			a.PutFloat64(id, f.Float())
+		case reflect.String:
+			a.PutString(id, f.String())
+		case reflect.Slice:
+			switch vs := f.Interface().(type) {
+			case []byte:
+				a.PutBytes(id, vs)
+			case []float64:
+				a.PutFloat64s(id, vs)
+			case []int64:
+				a.PutInt64s(id, vs)
+			case []string:
+				a.PutStrings(id, vs)
+			default:
+				t.Fatalf("putEncode: field %d is a %T", i, vs)
+			}
+		default:
+			t.Fatalf("putEncode: field %d is a %s", i, f.Kind())
+		}
+	}
+	return a
+}
+
+func updateBytes(t *testing.T, a wire.AttrSet) []byte {
+	t.Helper()
+	b, err := wire.Frame{Kind: wire.KindUpdateAttrs, Node: "n", Class: "C", Attrs: a}.AppendEncode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// checkLayoutEncode holds encodeInto to the reference encoder, byte for
+// byte, on each value, and checks that the frame, decoded, opens with the
+// codec's prefix, so decode takes the offsets, not the IDs.
+func checkLayoutEncode[T any](t *testing.T, nfixed int, vals ...T) {
+	t.Helper()
+	c, err := codecFor(reflect.TypeFor[T]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.nfixed != nfixed {
+		t.Fatalf("%T: %d fields in the fixed-size prefix, want %d", *new(T), c.nfixed, nfixed)
+	}
+	for _, v := range vals {
+		var a wire.AttrSet
+		a.PutString(999, "stale") // encodeInto empties the set first
+		c.encodeInto(&a, unsafe.Pointer(&v))
+		got, want := updateBytes(t, a), updateBytes(t, putEncode(t, v))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%T %+v encodes to\n %x\nPut field by field it is\n %x", v, v, got, want)
+		}
+		fr, err := wire.Decode(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := fr.Attrs.MatchLayout(&c.prefix); !ok {
+			t.Fatalf("%T: the codec's own frame does not open with its prefix", v)
+		}
+	}
+}
+
+// TestLayoutEncodeMatchesPuts: copying the prefix's records and storing
+// the values at their offsets writes the wire bytes the per-field Puts
+// write, for every shape of prefix — the whole class, most of it, none,
+// part of it before a []byte, a single bool.
+func TestLayoutEncodeMatchesPuts(t *testing.T) {
+	checkLayoutEncode(t, 19, craneState{}, craneState{
+		Seq: -1, X: 100, Y: math.Inf(-1), Z: math.NaN(), Heading: math.Copysign(0, -1), Luff: 0.8,
+		BoomLen: 14, Mass: 1800, RPM: math.MaxFloat64, Held: true, EngineOn: true,
+	})
+	checkLayoutEncode(t, 13, everyKind{}, everyKindSample())
+	checkLayoutEncode(t, 0, heartbeatShape{}, heartbeatShape{Worker: "w1", Sweep: 3, Slots: 2, Busy: 1, Working: []int64{4, 5}})
+	checkLayoutEncode(t, 3, jobResultShape{}, jobResultShape{Sweep: 1, Job: 42, Attempt: -1, Worker: "w2", Record: bytes.Repeat([]byte{9}, 300)})
+	checkLayoutEncode(t, 1, struct{ On bool }{}, struct{ On bool }{true})
+}
+
+// freshTypes numbers the struct types TestCodecForConcurrent makes, so
+// every round of every run starts from a type no codec was built for.
+var freshTypes atomic.Int64
+
+// TestCodecForConcurrent: goroutines that miss the cache for the same type
+// at once all get the one codec stored for it, and encode and decode
+// through it, its layout shared, at once.
+func TestCodecForConcurrent(t *testing.T) {
+	for range 32 {
+		typ := reflect.StructOf([]reflect.StructField{
+			{Name: fmt.Sprintf("F%d", freshTypes.Add(1)), Type: reflect.TypeFor[float64]()},
+		})
+		start := make(chan struct{})
+		got := make([]*codec, 8)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				c, err := codecFor(typ)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g] = c
+				in, out := reflect.New(typ), reflect.New(typ)
+				in.Elem().Field(0).SetFloat(float64(g))
+				var a wire.AttrSet
+				c.encodeInto(&a, in.UnsafePointer())
+				if err := c.decodeInto(&a, out.UnsafePointer()); err != nil || out.Elem().Field(0).Float() != float64(g) {
+					t.Errorf("goroutine %d: decoded %v, %v", g, out.Elem(), err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		stored, err := codecFor(typ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g, c := range got {
+			if c != stored {
+				t.Fatalf("%s: goroutine %d got codec %p, the cache holds %p", typ, g, c, stored)
+			}
+		}
+	}
+}
+
 // attrRecord is one attribute as it lies in a frame.
 type attrRecord struct {
-	id uint16
-	v  []byte
+	id  uint16
+	v   []byte
+	pad bool // the length (under 0x80) written in two bytes instead of one
 }
 
 // updateFrame wraps an attribute section — the records exactly as given,
@@ -181,7 +368,11 @@ func updateFrame(count int, recs ...attrRecord) []byte {
 	b = binary.AppendUvarint(b[:len(b)-1], uint64(count)) // in place of the empty set's count
 	for _, r := range recs {
 		b = binary.BigEndian.AppendUint16(b, r.id)
-		b = binary.AppendUvarint(b, uint64(len(r.v)))
+		if r.pad {
+			b = append(b, byte(len(r.v))|0x80, 0)
+		} else {
+			b = binary.AppendUvarint(b, uint64(len(r.v)))
+		}
 		b = append(b, r.v...)
 	}
 	return b
@@ -198,31 +389,40 @@ func FuzzDecodeInto(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	sample := everyKind{
-		B: true, I: -1, I8: -8, I16: 1600, I32: -32, I64: 1 << 40, U: 7, U8: 255, U16: 65535, U32: 1 << 31, U64: 1 << 63,
-		F32: 1.5, F64: -2.25, S: "boom", Raw: []byte{1, 2, 3}, Floats: []float64{1, 2}, Ints: []int64{-1}, Names: []string{"hook", ""},
-	}
+	sample := everyKindSample()
 	var own wire.AttrSet
 	c.encodeInto(&own, unsafe.Pointer(&sample))
 	var recs []attrRecord
 	for id, v := range own.All() {
-		recs = append(recs, attrRecord{uint16(id), v})
+		recs = append(recs, attrRecord{id: uint16(id), v: v})
 	}
 	n := len(recs)
-	f.Add(updateFrame(n, recs...))                                          // the codec's own dense run: walked in step
-	f.Add(updateFrame(n-1, recs[1:]...))                                    // the first attribute absent: every step misses
-	f.Add(updateFrame(n-1, append(slices.Clone(recs[:4]), recs[5:]...)...)) // one absent in the middle
-	f.Add(updateFrame(n+1, append([]attrRecord{{0, nil}}, recs...)...))     // an attribute in front shifts every position
+	// The codec's own records: the prefix matches its layout.
+	f.Add(updateFrame(n, recs...))
+	// The first attribute absent: every field read by ID.
+	f.Add(updateFrame(n-1, recs[1:]...))
+	// One absent in the middle of the prefix.
+	f.Add(updateFrame(n-1, append(slices.Clone(recs[:4]), recs[5:]...)...))
+	// The prefix intact, a tail attribute (the []byte) absent.
+	f.Add(updateFrame(n-1, append(slices.Clone(recs[:14]), recs[15:]...)...))
+	// An attribute in front shifts every offset.
+	f.Add(updateFrame(n+1, append([]attrRecord{{id: 0}}, recs...)...))
+	// The first record's length padded: index refuses it, copyAttrs copies
+	// the set out, and the copy matches the layout again.
+	f.Add(updateFrame(n, append([]attrRecord{{id: 1, v: []byte{1}, pad: true}}, recs[1:]...)...))
 	reversed := slices.Clone(recs)
 	slices.Reverse(reversed)
-	f.Add(updateFrame(n, reversed...))                                         // descending: copied out, then found by ID
-	f.Add(updateFrame(n+1, append(slices.Clone(recs), attrRecord{1, nil})...)) // the bool repeated, empty the second time
+	f.Add(updateFrame(n, reversed...))                                        // descending: copied out, then found by ID
+	f.Add(updateFrame(n+1, append(slices.Clone(recs), attrRecord{id: 1})...)) // the bool repeated, empty the second time
 	missized := slices.Clone(recs)
-	missized[5] = attrRecord{6, []byte{1, 2, 3, 4}} // an int64 in four bytes
+	missized[5] = attrRecord{id: 6, v: []byte{1, 2, 3, 4}} // an int64 in four bytes
 	f.Add(updateFrame(n, missized...))
+	short := slices.Clone(recs)
+	short[1] = attrRecord{id: 2, v: []byte{7}} // the int's ID, but one byte where eight belong
+	f.Add(updateFrame(n, short...))
 	badSlices := slices.Clone(recs)
-	badSlices[15] = attrRecord{16, make([]byte, 12)}       // []float64 of one and a half elements
-	badSlices[17] = attrRecord{18, []byte{2, 9, 'a', 'b'}} // []string promising more than it holds
+	badSlices[15] = attrRecord{id: 16, v: make([]byte, 12)}       // []float64 of one and a half elements
+	badSlices[17] = attrRecord{id: 18, v: []byte{2, 9, 'a', 'b'}} // []string promising more than it holds
 	f.Add(updateFrame(n, badSlices...))
 	f.Add(updateFrame(n, recs[:n-1]...)) // the section cut short: refused by the frame decoder
 
@@ -287,4 +487,33 @@ func FuzzDecodeInto(f *testing.F) {
 			t.Fatal("a []byte field aliases the reflection's storage")
 		}
 	})
+}
+
+// BenchmarkCodec times the typed codec alone: one op encodes a value into a
+// reused set and decodes the set back into a struct. A CraneState-sized
+// class is all prefix and allocates nothing; a job result's string and
+// []byte are copied out on decode, one allocation each.
+func BenchmarkCodec(b *testing.B) {
+	b.Run("craneState", func(b *testing.B) {
+		benchCodec(b, craneState{X: 100, Z: 100, Luff: 0.8, BoomLen: 14, Mass: 1800, EngineOn: true})
+	})
+	b.Run("jobResult", func(b *testing.B) {
+		benchCodec(b, jobResultShape{Sweep: 1, Job: 42, Attempt: 1, Worker: "worker-1", Record: bytes.Repeat([]byte{'x'}, 200)})
+	})
+}
+
+func benchCodec[T any](b *testing.B, v T) {
+	c, err := codecFor(reflect.TypeFor[T]())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var a wire.AttrSet
+	var out T
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.encodeInto(&a, unsafe.Pointer(&v))
+		if err := c.decodeInto(&a, unsafe.Pointer(&out)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

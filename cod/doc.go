@@ -50,9 +50,14 @@
 // kind and byte offset; Update and Next then move every field — scalars,
 // strings and slices alike — through typed unsafe loads and stores at
 // those offsets: no reflect.Value, no per-field interface boxing, and
-// nothing that forces the caller's value onto the heap. All type
-// validation stays at Publish/Subscribe time, so the fast path never
-// trades away the fail-fast contract above.
+// nothing that forces the caller's value onto the heap. T's leading run of
+// fixed-size fields (bool, integers, floats) is laid out on the wire once
+// too, as an internal/wire Layout (its doc has the contract): Update copies
+// those records whole and stores each value at its fixed offset, and Next
+// loads them from those offsets whenever a reflection opens with the same
+// records, reading anything else by attribute ID. All type validation
+// stays at Publish/Subscribe time, so the fast path never trades away the
+// fail-fast contract above.
 //
 // Buffers are recycled at both ends. Encode scratch comes from a pool and
 // goes back when Update returns — safe because the backbone serializes or

@@ -124,14 +124,6 @@ func (a AttrSet) All() iter.Seq2[AttrID, []byte] {
 	}
 }
 
-// At returns the i-th attribute in insertion order, 0 ≤ i < Len; the
-// value aliases the arena. A reader that knows the order its peer builds
-// in walks the set with it instead of looking each ID up.
-func (a *AttrSet) At(i int) (AttrID, []byte) {
-	r := a.refs[i]
-	return r.id, a.arena[r.start:r.end]
-}
-
 // get returns the value bytes for id, aliasing the arena. Object models
 // number their attributes densely (fom and the cod codec both count up
 // from a base), so id's ref sits at index id − refs[0].id in every set

@@ -30,7 +30,7 @@
 //     borrow the buffer: its values are the buffer's own bytes, good for
 //     as long as the caller leaves the buffer alone; Clone keeps them
 //     longer. The buffer is never written — a Put into a borrowed set
-//     copies it out first.
+//     copies it out first, and FillLayout gives it fresh storage.
 //   - Decoding a stream (Decoder.DecodeFrom, ReadFrame). The frame owns
 //     the storage its body was read into, so moving its Attrs out moves
 //     the storage with them, and the frame reads its next body into

@@ -134,10 +134,12 @@ go test -bench . -benchtime 1000x -run '^$' ./internal/obs >>"$out/bench.txt"
 # The gated CBRouting ceilings need steady-state numbers: at 10x the
 # channel-setup amortization still flickers allocs/op by ±3. benchdiff
 # keeps the last line per benchmark, so this run overrides the 10x one.
-# BenchmarkCodRemoteUpdate is the typed path on the same channel, and the
+# BenchmarkCodRemoteUpdate is the typed path on the same channel and
+# BenchmarkCodec its codec alone (an all-scalar class at ceiling 0); the
 # wire benches are the frame codec in the forms the link runs (AppendEncode
 # into a reused buffer, DecodeInto a reused frame): ceiling 0, both.
 go test -bench 'BenchmarkCBRouting|BenchmarkCodRemoteUpdate' -benchtime 500x -run '^$' . >>"$out/bench.txt"
+go test -bench '^BenchmarkCodec$' -benchtime 10000x -run '^$' ./cod >>"$out/bench.txt"
 go test -bench 'BenchmarkFrame' -benchtime 500x -run '^$' ./internal/wire >>"$out/bench.txt"
 # Sustained throughput at 10000x: the frames/sec/core headline plus gated
 # allocs/bytes ceilings on the pipelined publish→consume path. The
