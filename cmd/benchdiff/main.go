@@ -1,19 +1,28 @@
 // Command benchdiff compares a `go test -bench` run against the repo's
 // BENCH_baseline.json and reports allocation regressions. ns/op on shared
-// CI runners is noise, so timing is never judged; allocs/op (and bytes/op
-// where a ceiling is set) is the stable signal. Most benchmarks are
-// compared warn-only, but entries carrying a "max_allocs_per_op" or
+// CI runners is noise, so absolute timing is never judged; allocs/op (and
+// bytes/op where a ceiling is set) is the stable signal. Most benchmarks
+// are compared warn-only, but entries carrying a "max_allocs_per_op" or
 // "max_bytes_per_op" ceiling in the baseline — the BenchmarkCBRouting*
 // hot paths — are gating: a run above a ceiling exits nonzero, which
 // turns "the CB hot path gained three allocations" from an archaeology
 // project into a failed CI step.
+//
+// Time is judged only as a ratio between two rows of the same run, which
+// a busy host slows together: an entry carrying "ns_ratio_to" (a partner
+// benchmark's name) and "max_ns_ratio" fails the run when its minimum
+// ns/op over every line the run holds for it exceeds max_ns_ratio times
+// the partner's minimum. Run such rows with -count 5 or more so the
+// minimum is a quiet reading.
 //
 //	go test -bench . -benchtime 1x -run '^$' . > bench.txt
 //	go run ./cmd/benchdiff BENCH_baseline.json bench.txt
 //
 // With -update the baseline file is rewritten in place from the run:
 // measured numbers (iterations, ns/op, bytes/op, allocs/op, fps) refresh,
-// ceilings and entries missing from the run are preserved verbatim.
+// ns/op as the least over the run's lines for the row, so a -count row
+// records its quiet reading; ceilings and entries missing from the run
+// are preserved verbatim.
 //
 //	go run ./cmd/benchdiff -update BENCH_baseline.json bench.txt
 //
@@ -53,11 +62,14 @@ type baselineResult struct {
 	MaxAllocs   int64   `json:"max_allocs_per_op"`
 	MaxBytes    float64 `json:"max_bytes_per_op"`
 	FPS         float64 `json:"fps"`
+	NsRatioTo   string  `json:"ns_ratio_to"`
+	MaxNsRatio  float64 `json:"max_ns_ratio"`
 	HasBytes    bool    `json:"-"`
 	HasAllocs   bool    `json:"-"`
 	HasMax      bool    `json:"-"`
 	HasMaxBytes bool    `json:"-"`
 	HasFPS      bool    `json:"-"`
+	HasRatio    bool    `json:"-"`
 }
 
 // UnmarshalJSON remembers which optional fields were present: entries
@@ -77,6 +89,10 @@ func (r *baselineResult) UnmarshalJSON(b []byte) error {
 	_, r.HasMax = probe["max_allocs_per_op"]
 	_, r.HasMaxBytes = probe["max_bytes_per_op"]
 	_, r.HasFPS = probe["fps"]
+	_, r.HasRatio = probe["max_ns_ratio"]
+	if r.HasRatio && r.NsRatioTo == "" {
+		return fmt.Errorf("%s: max_ns_ratio without ns_ratio_to", r.Name)
+	}
 	return nil
 }
 
@@ -105,6 +121,10 @@ func (r baselineResult) fields() []string {
 	if r.HasFPS {
 		out = append(out, fmt.Sprintf(`"fps": %s`, jsonFloat(r.FPS)))
 	}
+	if r.HasRatio {
+		out = append(out, fmt.Sprintf(`"ns_ratio_to": %s`, jsonString(r.NsRatioTo)),
+			fmt.Sprintf(`"max_ns_ratio": %s`, jsonFloat(r.MaxNsRatio)))
+	}
 	return out
 }
 
@@ -124,7 +144,7 @@ func jsonFloat(v float64) string {
 
 type runResult struct {
 	iters    int64
-	ns       float64
+	ns       float64 // the least ns/op over every line of the benchmark
 	bytes    float64
 	allocs   int64
 	fps      float64
@@ -135,7 +155,9 @@ type runResult struct {
 
 // parseRun reads `go test -bench` output. A result line is the benchmark
 // name, the iteration count, then (value, unit) pairs — "ns/op", "B/op",
-// "allocs/op", plus any b.ReportMetric units ("fps", "frames/s", ...).
+// "allocs/op", plus any b.ReportMetric units ("fps", "frames/s", ...). The
+// last line of a benchmark wins, except ns/op, which is the least of them
+// all.
 func parseRun(path string) (map[string]runResult, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -172,6 +194,9 @@ func parseRun(path string) (map[string]runResult, error) {
 			}
 		}
 		if sawNs {
+			if prev, ok := out[fields[0]]; ok {
+				r.ns = math.Min(prev.ns, r.ns)
+			}
 			out[fields[0]] = r
 		}
 	}
@@ -270,11 +295,12 @@ func main() {
 		}
 		fmt.Printf("%-40s %14d %14d  %s\n", b.Name, cur.allocs, b.AllocsPerOp, verdict)
 	}
+	failed += compareRatios(base.Benchmarks, run)
 	switch {
 	case compared == 0:
 		fmt.Println("benchdiff: no comparable benchmarks (run with -benchmem or b.ReportAllocs)")
 	case failed > 0:
-		fmt.Printf("benchdiff: %d gated benchmarks above an allocation or bytes ceiling\n", failed)
+		fmt.Printf("benchdiff: failed gates: %d (allocation, bytes or time-ratio ceiling)\n", failed)
 	case warned > 0:
 		fmt.Printf("benchdiff: %d of %d benchmarks allocate more than the baseline (warn-only)\n", warned, compared)
 	default:
@@ -285,10 +311,40 @@ func main() {
 	}
 }
 
+// compareRatios prints every time-ratio gate and returns how many failed.
+// Like a gated alloc row, a gate whose row or partner is missing from the
+// run is printed as a hole rather than skipped.
+func compareRatios(rows []baselineResult, run map[string]runResult) (failed int) {
+	header := false
+	for _, b := range rows {
+		if !b.HasRatio {
+			continue
+		}
+		if !header {
+			fmt.Printf("\n%-40s %14s %14s  %s\n", "BENCHMARK", "MIN NS/OP", "PARTNER MIN", "TIME RATIO")
+			header = true
+		}
+		cur, ok := lookup(run, b.Name)
+		ref, refOK := lookup(run, b.NsRatioTo)
+		if !ok || !refOK {
+			fmt.Printf("%-40s %14s %14s  ratio-gated pair missing from run (partner %s)\n", b.Name, "-", "-", b.NsRatioTo)
+			continue
+		}
+		ratio := cur.ns / ref.ns
+		verdict := fmt.Sprintf("ok %.2f× %s (gated ≤ %.2f×)", ratio, b.NsRatioTo, b.MaxNsRatio)
+		if !(ratio <= b.MaxNsRatio) {
+			verdict = fmt.Sprintf("FAIL %.2f× %s, over the %.2f× ceiling", ratio, b.NsRatioTo, b.MaxNsRatio)
+			failed++
+		}
+		fmt.Printf("%-40s %14.1f %14.1f  %s\n", b.Name, cur.ns, ref.ns, verdict)
+	}
+	return failed
+}
+
 // writeBaseline refreshes base's measured numbers from run and rewrites
-// the file. Ceilings (max_allocs_per_op, max_bytes_per_op) and entries
-// the run did not exercise are preserved verbatim, so -update cannot
-// silently loosen a gate.
+// the file. Ceilings (max_allocs_per_op, max_bytes_per_op, ns_ratio_to
+// with max_ns_ratio) and entries the run did not exercise are preserved
+// verbatim, so -update cannot silently loosen a gate.
 func writeBaseline(path string, base *baseline, run map[string]runResult) error {
 	updated := 0
 	for i := range base.Benchmarks {

@@ -145,13 +145,15 @@ const (
 // Model integrates the crane. Not safe for concurrent use: it belongs to
 // the dynamics LP's tick loop.
 //
-// A parked carrier asks the terrain the same question every tick, so the
-// model keeps the last answers (frame) beside the inputs they were
-// computed from. An answer is reused only while those inputs are
-// bit-identical to the live ones — (heading) for the heading's sine and
-// cosine, (x, z, heading) for ground height and posture — so a reused
-// value is the value a fresh call would return. Only NewCrane and Step
-// touch the frame; no read accessor does.
+// A parked carrier asks the terrain the same question every tick, and a
+// boom at rest the same trigonometry, so the model keeps the last answers
+// (frame) beside the inputs they were computed from. An answer is reused
+// only while those inputs are bit-identical to the live ones — (heading)
+// for the sine and cosine of the heading and of CarrierRot's yaw half
+// angle, (x, z, heading) for ground height and posture, (swing) and (luff)
+// for BoomTip's boom direction — so a reused value is the value a fresh
+// call would return. Only NewCrane, Step and the two pose accessors they
+// call, BoomTip and CarrierRot, touch the frame; State does not.
 //
 // pitch and roll are stored and published exactly as integrated; what the
 // kernel computes with is level(pitch) and level(roll) — see level.
@@ -208,7 +210,17 @@ type Model struct {
 // carrierFrame is the Model's memo of per-pose answers; see Model.
 type carrierFrame struct {
 	heading, sinH, cosH float64 // sinH, cosH = Sincos(heading)
+	sinY, cosY          float64 // = Sincos(-heading/2), CarrierRot's yaw
 	x, z, gh, y, tp, tr float64 // y = HeightAt(x, z); tp, tr = Posture(x, z, gh)
+	swing, sinS, cosS   float64 // sinS, cosS = Sincos(swing)
+	luff, sinL, cosL    float64 // sinL, cosL = Sincos(luff)
+}
+
+// unsetFrame is a frame whose NaN inputs match no finite pose: its first
+// queries compute.
+func unsetFrame() carrierFrame {
+	nan := math.NaN()
+	return carrierFrame{heading: nan, x: nan, swing: nan, luff: nan}
 }
 
 // levelEps is the magnitude under which a stored attitude angle reads as
@@ -224,8 +236,13 @@ const levelEps = 0x1p-1000
 // gets there: a carrier parked some 100 simulated seconds holds a
 // subnormal angle (it sticks at a few units of 4.9e-324), and every
 // Sincos, quaternion product, Sin and Hypot fed from it takes a microcode
-// assist — a parked step cost three times a moving one. The three places
-// that compute with the attitude therefore read it through level, each
+// assist — a parked step cost three times a moving one. Normal angles take
+// them too on the way down: the squares and fourth powers the
+// trigonometric polynomials take of a normal half angle under about 2⁻²⁵⁵
+// are subnormal. mathx.Sincos and mathx.Sin skip the polynomials under
+// 2⁻²⁷, where their answer is known, so that trigonometry takes none.
+//
+// The three places that compute with the attitude read it through level, each
 // where the angle provably cannot reach a published bit: CarrierRot (an
 // offset under 2⁻⁹⁹⁰ m vanishes in the sum with a site coordinate),
 // Stability (a tilt penalty under 2⁻⁹⁹⁰ vanishes beside a margin with a
@@ -246,14 +263,15 @@ func level(x float64) float64 {
 // argument that -0 and +0 get the same answer, and a NaN matches itself.
 func same(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// sincosHeading returns math.Sincos(m.heading).
-func (m *Model) sincosHeading() (sin, cos float64) {
+// turned returns the frame with its heading answers current.
+func (m *Model) turned() *carrierFrame {
 	f := &m.frame
 	if !same(f.heading, m.heading) {
 		f.heading = m.heading
-		f.sinH, f.cosH = math.Sincos(m.heading)
+		f.sinH, f.cosH = mathx.Sincos(m.heading)
+		f.sinY, f.cosY = mathx.Sincos(-m.heading / 2)
 	}
-	return f.sinH, f.cosH
+	return f
 }
 
 // ground returns the terrain height under the carrier and the posture the
@@ -293,8 +311,7 @@ func NewCrane(cfg Config, ter *terrain.Map, w *World, start mathx.Vec3, heading 
 		luff:     cfg.LuffMin,
 		boomLen:  cfg.BoomLenMin,
 		cableLen: 4.0,
-		// NaN inputs match no finite pose: the first queries compute.
-		frame: carrierFrame{heading: math.NaN(), x: math.NaN()},
+		frame:    unsetFrame(),
 	}
 	m.pos.Y, m.pitch, m.roll = m.ground()
 	tip := m.BoomTip()
@@ -324,16 +341,25 @@ func (m *Model) detachCargo() {
 // nose-up positive; roll is left-side-up positive, a rotation of -roll
 // about +Z in the body frame.
 func (m *Model) CarrierRot() mathx.Quat {
-	return mathx.QuatEuler(-m.heading, level(m.pitch), -level(m.roll))
+	// QuatEuler(-m.heading, level(m.pitch), -level(m.roll)).
+	f := m.turned()
+	return mathx.QuatEulerHalfYaw(f.sinY, f.cosY, level(m.pitch), -level(m.roll))
 }
 
 // BoomTip returns the boom tip position in world space.
 func (m *Model) BoomTip() mathx.Vec3 {
+	f := &m.frame
+	if !same(f.swing, m.swing) {
+		f.swing = m.swing
+		f.sinS, f.cosS = mathx.Sincos(m.swing)
+	}
+	if !same(f.luff, m.luff) {
+		f.luff = m.luff
+		f.sinL, f.cosL = mathx.Sincos(m.luff)
+	}
 	// Boom direction in carrier frame: at swing 0 the boom points forward
 	// (-Z), luff elevates toward +Y.
-	sinS, cosS := math.Sincos(m.swing)
-	sinL, cosL := math.Sincos(m.luff)
-	dir := mathx.V3(sinS*cosL, sinL, -cosS*cosL)
+	dir := mathx.V3(f.sinS*f.cosL, f.sinL, -f.cosS*f.cosL)
 	local := m.cfg.BoomPivot.Add(dir.Scale(m.boomLen))
 	return m.pos.Add(m.CarrierRot().Rotate(local))
 }
@@ -393,7 +419,7 @@ func (m *Model) stepCarrier(in fom.ControlInput, dt float64) {
 	if m.speed == 0 && drive == 0 && brake >= 1 {
 		pitch = level(pitch)
 	}
-	slope := -cfg.Mass * Gravity * math.Sin(pitch) // uphill pitch slows forward motion
+	slope := -cfg.Mass * Gravity * mathx.Sin(pitch) // uphill pitch slows forward motion
 	resist := cfg.RollResist * m.speed
 	force := drive + slope - resist
 	// Brake always opposes motion and can hold the vehicle.
@@ -424,8 +450,8 @@ func (m *Model) stepCarrier(in fom.ControlInput, dt float64) {
 	m.heading = mathx.WrapAngle(m.heading + yawRate*dt)
 
 	// Advance over the ground; the forward axis at heading 0 is -Z.
-	sinH, cosH := m.sincosHeading()
-	fwd := mathx.V3(sinH, 0, -cosH)
+	f := m.turned()
+	fwd := mathx.V3(f.sinH, 0, -f.cosH)
 	m.pos = m.pos.Add(fwd.Scale(m.speed * dt))
 
 	// Terrain following with a small settling lag so grid cell borders do
@@ -587,31 +613,37 @@ func (m *Model) Stability() float64 {
 // latched, waiting for its partner hooks); CargoMass is this rig's share
 // of the load.
 func (m *Model) State() fom.CraneState {
-	heldID := int64(-1)
+	var st fom.CraneState
+	m.StateTo(&st)
+	return st
+}
+
+// StateTo is State written into st, for a loop that keeps its states in
+// place instead of copying one out per tick. It sets every field of st
+// one by one: a composite literal would be built aside and copied over.
+func (m *Model) StateTo(st *fom.CraneState) {
+	st.CargoID = -1
 	if m.cargoRef != nil {
-		heldID = m.cargoRef.id
+		st.CargoID = m.cargoRef.id
 	}
-	return fom.CraneState{
-		Position:  m.pos,
-		Heading:   m.heading,
-		Pitch:     m.pitch,
-		Roll:      m.roll,
-		Speed:     m.speed,
-		BoomSwing: m.swing,
-		BoomLuff:  m.luff,
-		BoomLen:   m.boomLen,
-		CableLen:  m.cableLen,
-		HookPos:   m.hookPos,
-		HookVel:   m.hookVel,
-		CargoMass: m.cargoMass,
-		CargoHeld: m.cargoHeld,
-		EngineRPM: m.rpm,
-		EngineOn:  m.engineOn,
-		Stability: m.Stability(),
-		CargoPos:  m.cargoPos,
-		CargoID:   heldID,
-		CraneID:   m.craneID,
-	}
+	st.Position = m.pos
+	st.Heading = m.heading
+	st.Pitch = m.pitch
+	st.Roll = m.roll
+	st.Speed = m.speed
+	st.BoomSwing = m.swing
+	st.BoomLuff = m.luff
+	st.BoomLen = m.boomLen
+	st.CableLen = m.cableLen
+	st.HookPos = m.hookPos
+	st.HookVel = m.hookVel
+	st.CargoMass = m.cargoMass
+	st.CargoHeld = m.cargoHeld
+	st.EngineRPM = m.rpm
+	st.EngineOn = m.engineOn
+	st.Stability = m.Stability()
+	st.CargoPos = m.cargoPos
+	st.CraneID = m.craneID
 }
 
 // MotionCue exports the cab's inertial cues for the motion platform (§3.4).

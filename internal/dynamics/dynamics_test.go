@@ -2,6 +2,8 @@ package dynamics
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"codsim/internal/fom"
@@ -502,10 +504,21 @@ func BenchmarkDynamicsStep(b *testing.B) {
 // parkedInput holds a carrier where it stands.
 var parkedInput = fom.ControlInput{Ignition: true, Brake: 1}
 
-// parkedModel drives a crane off the sloping rim of the site's test ground
-// onto its levelled middle, brakes, and leaves it parked for 12 000 ticks
-// (200 simulated seconds) — what a stalled dry-run's carrier does.
+// parkedModel is drivenIn's crane left parked for 12 000 ticks (200
+// simulated seconds) — what a stalled dry-run's carrier does.
 func parkedModel(t testing.TB) *Model {
+	t.Helper()
+	m := drivenIn(t)
+	for i := 0; i < 12000; i++ {
+		m.Step(parkedInput, dt)
+	}
+	return m
+}
+
+// drivenIn drives a crane off the sloping rim of the site's test ground
+// onto its levelled middle and brakes it to a stop there. Its pitch and
+// roll are still decaying from the rim's tilt, at about 2⁻⁹⁰.
+func drivenIn(t testing.TB) *Model {
 	t.Helper()
 	m, err := NewCrane(DefaultConfig(), terrain.DefaultMap(), NewWorld(),
 		mathx.V3(terrain.TestGroundX-40, 0, terrain.TestGroundZ+3), math.Pi/2, 0)
@@ -519,9 +532,6 @@ func parkedModel(t testing.TB) *Model {
 	drive(m, parkedInput, 4)
 	if d := math.Hypot(m.pos.X-terrain.TestGroundX, m.pos.Z-terrain.TestGroundZ); m.speed != 0 || d > 25 {
 		t.Fatalf("not parked on the levelled ground: speed %v, %.1f m from its centre", m.speed, d)
-	}
-	for i := 0; i < 12000; i++ {
-		m.Step(parkedInput, dt)
 	}
 	return m
 }
@@ -578,5 +588,138 @@ func BenchmarkParkedStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Step(parkedInput, dt)
+	}
+}
+
+// settleTicks is the window BenchmarkSettlingStep steps through after
+// drivenIn: the pitch and roll decay from about 2⁻⁹⁰ through the normal
+// magnitudes whose powers are subnormal, and both read as level from
+// tick 5344 on.
+const settleTicks = 6000
+
+// BenchmarkSettlingStep is one 60 Hz step of drivenIn's crane in the
+// settleTicks after it stops, rebuilt untimed every settleTicks ops: the
+// first 100 seconds of a stall window, which BenchmarkParkedStep, 12 000
+// ticks on, does not see.
+func BenchmarkSettlingStep(b *testing.B) {
+	var m *Model
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%settleTicks == 0 {
+			b.StopTimer()
+			m = drivenIn(b)
+			b.StartTimer()
+		}
+		m.Step(parkedInput, dt)
+	}
+}
+
+func vecBits(v mathx.Vec3) [3]uint64 {
+	return [3]uint64{math.Float64bits(v.X), math.Float64bits(v.Y), math.Float64bits(v.Z)}
+}
+
+func quatBits(q mathx.Quat) [4]uint64 {
+	return [4]uint64{math.Float64bits(q.W), math.Float64bits(q.X), math.Float64bits(q.Y), math.Float64bits(q.Z)}
+}
+
+// TestPoseMemoMatchesRecompute drives a model's heading, swing, luff, pitch
+// and roll through random sequences — repeated values, swaps between +0
+// and -0, tiny and ordinary angles, queries between poses in every
+// combination — and checks that the memoized BoomTip and CarrierRot always
+// equal the same pose on a copy with an empty frame, and the formulas they
+// memoize, with the stdlib's trigonometry, bit for bit.
+func TestPoseMemoMatchesRecompute(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	m := newModel(t)
+	angle := func(prev float64) float64 {
+		switch r.Intn(6) {
+		case 0, 1:
+			return prev // unchanged: the memo answers
+		case 2:
+			return math.Copysign(0, -prev) // a zero of the other sign
+		case 3:
+			return math.Ldexp(r.Float64()-0.5, -r.Intn(1060)) // tiny, subnormal or ±0
+		default:
+			return r.Float64()*2*math.Pi - math.Pi
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		m.heading, m.swing, m.luff = angle(m.heading), angle(m.swing), angle(m.luff)
+		m.pitch, m.roll = angle(m.pitch), angle(m.roll)
+		if r.Intn(3) == 0 {
+			continue // a pose nobody asked about
+		}
+		fresh := *m
+		fresh.frame = unsetFrame()
+		rotRef := mathx.QuatEuler(-m.heading, level(m.pitch), -level(m.roll))
+		sinS, cosS := math.Sincos(m.swing)
+		sinL, cosL := math.Sincos(m.luff)
+		local := m.cfg.BoomPivot.Add(mathx.V3(sinS*cosL, sinL, -cosS*cosL).Scale(m.boomLen))
+		tipRef := m.pos.Add(rotRef.Rotate(local))
+
+		tipFirst := r.Intn(2) == 0
+		var tip mathx.Vec3
+		if tipFirst {
+			tip = m.BoomTip()
+		}
+		rot := m.CarrierRot()
+		if !tipFirst {
+			tip = m.BoomTip()
+		}
+		if quatBits(rot) != quatBits(fresh.CarrierRot()) || quatBits(rot) != quatBits(rotRef) {
+			t.Fatalf("tick %d: CarrierRot %+v, fresh %+v, formula %+v (heading %b pitch %b roll %b)",
+				i, rot, fresh.CarrierRot(), rotRef, m.heading, m.pitch, m.roll)
+		}
+		if vecBits(tip) != vecBits(fresh.BoomTip()) || vecBits(tip) != vecBits(tipRef) {
+			t.Fatalf("tick %d: BoomTip %+v, fresh %+v, formula %+v (swing %b luff %b)",
+				i, tip, fresh.BoomTip(), tipRef, m.swing, m.luff)
+		}
+		// The tip's sum with the carrier position can hide the sign of a
+		// zero sine, so the kept answers are held to the stdlib directly.
+		f := &m.frame
+		for _, c := range []struct {
+			in       float64
+			sin, cos float64
+		}{{m.heading, f.sinH, f.cosH}, {-m.heading / 2, f.sinY, f.cosY}, {m.swing, f.sinS, f.cosS}, {m.luff, f.sinL, f.cosL}} {
+			if s, co := math.Sincos(c.in); !same(s, c.sin) || !same(co, c.cos) {
+				t.Fatalf("tick %d: kept Sincos(%b) = (%b, %b), stdlib (%b, %b)", i, c.in, c.sin, c.cos, s, co)
+			}
+		}
+	}
+}
+
+// fill sets every leaf of v to x, read as the leaf's kind.
+func fill(v reflect.Value, x float64) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fill(v.Field(i), x)
+		}
+	case reflect.Float64:
+		v.SetFloat(x)
+	case reflect.Int64:
+		v.SetInt(int64(x))
+	case reflect.Bool:
+		v.SetBool(x > 0)
+	default:
+		panic("fill: unhandled kind " + v.Kind().String())
+	}
+}
+
+// TestStateToSetsEveryField: StateTo assigns the state field by field, so
+// a field it missed would keep what st held before. From two different
+// fillings it must write State both times.
+func TestStateToSetsEveryField(t *testing.T) {
+	m := newModel(t)
+	drive(m, fom.ControlInput{Ignition: true, Gear: 1, Throttle: 0.5, BoomJoyX: 0.3}, 2)
+	want := m.State()
+	for _, x := range []float64{-7, 1e9} {
+		var st fom.CraneState
+		fill(reflect.ValueOf(&st).Elem(), x)
+		m.StateTo(&st)
+		if st != want {
+			t.Fatalf("StateTo over a state filled with %v wrote %+v, State is %+v", x, st, want)
+		}
 	}
 }

@@ -25,12 +25,18 @@ func QuatAxisAngle(axis Vec3, angle float64) Quat {
 // (about Z), applied in yaw→pitch→roll order. This is the convention used by
 // the motion platform pose (heave/sway/surge + yaw/pitch/roll).
 func QuatEuler(yaw, pitch, roll float64) Quat {
+	sy, cy := Sincos(yaw / 2)
+	return QuatEulerHalfYaw(sy, cy, pitch, roll)
+}
+
+// QuatEulerHalfYaw is QuatEuler with the yaw given as the sine and cosine
+// of its half angle, for a caller that keeps them across calls.
+func QuatEulerHalfYaw(sy, cy, pitch, roll float64) Quat {
 	// QuatAxisAngle about the unit axes, minus its Normalize (dividing by
 	// a length of 1 is exact). 0*s is the off-axis component axis·s: a
 	// zero that carries the sine's sign into the products below.
-	sy, cy := math.Sincos(yaw / 2)
-	sp, cp := math.Sincos(pitch / 2)
-	sr, cr := math.Sincos(roll / 2)
+	sp, cp := Sincos(pitch / 2)
+	sr, cr := Sincos(roll / 2)
 	qy := Quat{W: cy, X: 0 * sy, Y: sy, Z: 0 * sy}
 	qp := Quat{W: cp, X: sp, Y: 0 * sp, Z: 0 * sp}
 	qr := Quat{W: cr, X: 0 * sr, Y: 0 * sr, Z: sr}

@@ -120,9 +120,35 @@ func SmoothStep(t float64) float64 {
 	return t * t * (3 - 2*t)
 }
 
+// tinyAngle is 2⁻²⁷: under it sin x rounds to x and cos x to 1, and the
+// stdlib's polynomials return exactly those bits.
+const tinyAngle = 0x1p-27
+
+// Sincos returns math.Sincos(x), bit for bit. A tiny x skips the
+// polynomials, whose powers of a tiny normal x go subnormal and cost the
+// CPU a microcode assist each.
+func Sincos(x float64) (sin, cos float64) {
+	if math.Abs(x) < tinyAngle {
+		return x, 1
+	}
+	return math.Sincos(x)
+}
+
+// Sin returns math.Sin(x), bit for bit, skipping the polynomial for a tiny
+// x as Sincos does.
+func Sin(x float64) float64 {
+	if math.Abs(x) < tinyAngle {
+		return x
+	}
+	return math.Sin(x)
+}
+
 // WrapAngle normalizes an angle to (-π, π].
 func WrapAngle(a float64) float64 {
-	a = math.Mod(a, 2*math.Pi)
+	// Under 2π in magnitude math.Mod returns its argument unchanged.
+	if !(math.Abs(a) < 2*math.Pi) {
+		a = math.Mod(a, 2*math.Pi)
+	}
 	switch {
 	case a > math.Pi:
 		a -= 2 * math.Pi

@@ -206,6 +206,67 @@ func TestWrapAngleProperty(t *testing.T) {
 	}
 }
 
+// sameBits reports bit equality: signed zeros apart, a NaN equal to itself.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestSincosMatchesStdlib holds Sincos and Sin to the stdlib bit for bit
+// on both sides of their tiny-angle cut: every binade from 2⁻¹⁰⁷⁴ to 2⁻²⁷
+// with random mantissas and both signs, the cut and its neighbours, signed
+// zeros, infinities and NaN.
+func TestSincosMatchesStdlib(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	xs := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64,
+		math.Nextafter(tinyAngle, 0), tinyAngle, math.Nextafter(tinyAngle, 1),
+		math.Inf(1), math.Inf(-1), math.NaN(), 0.3, math.Pi, 1e300}
+	for e := -1074; e <= -27; e++ {
+		for i := 0; i < 16; i++ {
+			xs = append(xs, math.Ldexp(1+r.Float64(), e))
+		}
+	}
+	for _, x := range xs {
+		for _, x := range []float64{x, -x} {
+			s, c := Sincos(x)
+			ws, wc := math.Sincos(x)
+			if !sameBits(s, ws) || !sameBits(c, wc) {
+				t.Fatalf("Sincos(%b) = (%b, %b), stdlib (%b, %b)", x, s, c, ws, wc)
+			}
+			if got, want := Sin(x), math.Sin(x); !sameBits(got, want) {
+				t.Fatalf("Sin(%b) = %b, stdlib %b", x, got, want)
+			}
+		}
+	}
+}
+
+// TestWrapAngleMatchesMod holds WrapAngle, which skips math.Mod under 2π,
+// to the form that always takes it, bit for bit.
+func TestWrapAngleMatchesMod(t *testing.T) {
+	withMod := func(a float64) float64 {
+		a = math.Mod(a, 2*math.Pi)
+		switch {
+		case a > math.Pi:
+			a -= 2 * math.Pi
+		case a <= -math.Pi:
+			a += 2 * math.Pi
+		}
+		return a
+	}
+	twoPi := 2 * math.Pi
+	xs := []float64{0, math.Copysign(0, -1), math.Pi, -math.Pi, 1e300, -1e300,
+		math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, a := range []float64{twoPi, -twoPi} {
+		xs = append(xs, a, math.Nextafter(a, 0), math.Nextafter(a, 2*a))
+	}
+	r := rand.New(rand.NewSource(28))
+	for i := 0; i < 100000; i++ {
+		xs = append(xs, r.Float64()*16-8)
+	}
+	for _, a := range xs {
+		if got, want := WrapAngle(a), withMod(a); !sameBits(got, want) {
+			t.Fatalf("WrapAngle(%b) = %b, the math.Mod form gives %b", a, got, want)
+		}
+	}
+}
+
 func TestAngleDiff(t *testing.T) {
 	if got := AngleDiff(0.1, -0.1); math.Abs(got-0.2) > eps {
 		t.Errorf("AngleDiff = %v, want 0.2", got)

@@ -30,14 +30,19 @@ type Autopilot struct {
 	// place phase that most recently moved it earlier in the graph.
 	pickups []mathx.Vec3
 
-	// Working geometry of the boom (matches dynamics.DefaultConfig).
+	// Working geometry of the boom (from dynamics.DefaultConfig).
 	pivotUp    float64 // boom pivot height over the carrier origin
 	pivotFwd   float64 // boom pivot offset toward the rear (+Z body)
 	workLuff   float64 // preferred luff angle during cargo work
 	boomLenMin float64 // shortest boom, bounding the reachable radius band
+	workMinR   float64 // boomLenMin·cos(workLuff): the shortest boom's working radius
 	snatchDist float64 // skill-mode latch reach, just inside LatchDist
 	barTop     float64 // safe carry height: 1.6 m above the tallest bar
 	ownLast    int     // last phase node owned by the assigned crane
+
+	// heading, sinH, cosH = the last telemetry heading and its Sincos,
+	// reused while the heading is bit-identical.
+	heading, sinH, cosH float64
 
 	lastIdx    int // phase index the transient state below belongs to
 	settleTime float64
@@ -49,19 +54,22 @@ type Autopilot struct {
 // the ScenarioState telemetry carrying that CraneID and interprets only
 // the phase nodes owned by the crane.
 func ForCrane(spec scenario.Spec, crane int) *Autopilot {
+	cfg := dynamics.DefaultConfig()
 	a := &Autopilot{
-		spec:     spec,
-		crane:    crane,
-		pivotUp:  2.4,
-		pivotFwd: 1.0,
-		workLuff: mathx.Rad(50),
+		spec:       spec,
+		crane:      crane,
+		pivotUp:    cfg.BoomPivot.Y,
+		pivotFwd:   cfg.BoomPivot.Z,
+		workLuff:   mathx.Rad(50),
+		boomLenMin: cfg.BoomLenMin,
 		// Slightly inside the rig's latch reach: asserting the latch any
 		// farther out would burn the rising edge on a miss and stall the
 		// lift (the dynamics only retry on a fresh edge).
-		snatchDist: dynamics.DefaultConfig().LatchDist * 0.97,
-		boomLenMin: 10.2,
+		snatchDist: cfg.LatchDist * 0.97,
+		heading:    math.NaN(), // matches no telemetry: the first boomTo computes
 		lastIdx:    -1,
 	}
+	a.workMinR = a.boomLenMin * math.Cos(a.workLuff)
 	a.pickups = estimatePickups(spec)
 	for i := range spec.Phases {
 		if spec.Phases[i].Crane == crane {
@@ -140,6 +148,11 @@ func (a *Autopilot) phaseIdx(scen *fom.ScenarioState) int {
 
 // Control produces the next operator input for the current telemetry.
 func (a *Autopilot) Control(st fom.CraneState, scen fom.ScenarioState, dt float64) fom.ControlInput {
+	return a.control(&st, &scen, dt)
+}
+
+// control is Control reading the telemetry in place.
+func (a *Autopilot) control(st *fom.CraneState, scen *fom.ScenarioState, dt float64) fom.ControlInput {
 	in := fom.ControlInput{Ignition: true}
 	switch scen.Phase {
 	case fom.PhaseIdle:
@@ -152,7 +165,7 @@ func (a *Autopilot) Control(st fom.CraneState, scen fom.ScenarioState, dt float6
 
 	// Transient controller state (latch settling, release edge) belongs to
 	// one phase node; starting another node resets it.
-	idx := a.phaseIdx(&scen)
+	idx := a.phaseIdx(scen)
 	if idx != a.lastIdx {
 		if a.spec.Phases[idx].Kind == scenario.PhaseLift {
 			if a.lastIdx > idx {
@@ -172,7 +185,7 @@ func (a *Autopilot) Control(st fom.CraneState, scen fom.ScenarioState, dt float6
 	ps := &a.spec.Phases[idx]
 	switch ps.Kind {
 	case scenario.PhaseDrive:
-		a.drive(&in, &st, ps.Target, ps.Radius)
+		a.drive(&in, st, ps.Target, ps.Radius)
 	case scenario.PhaseLift:
 		a.parkBrake(&in)
 		if ps.Tandem && st.CargoHeld && st.CargoID == int64(ps.Cargo) {
@@ -180,16 +193,16 @@ func (a *Autopilot) Control(st fom.CraneState, scen fom.ScenarioState, dt float6
 			// the scenario has not advanced, so a partner hook is still
 			// missing. Hold the latch and hover over the pick instead of
 			// hauling on a load that must not leave the ground yet.
-			a.holdTandem(&in, &st)
+			a.holdTandem(&in, st)
 		} else {
-			a.lift(&in, &st, a.curPickup, dt)
+			a.lift(&in, st, a.curPickup, dt)
 		}
 	case scenario.PhaseTraverse:
 		a.parkBrake(&in)
-		a.traverse(&in, &st, int(scen.Waypoint), ps)
+		a.traverse(&in, st, int(scen.Waypoint), ps)
 	case scenario.PhasePlace:
 		a.parkBrake(&in)
-		a.putDown(&in, &st, ps.Target, dt)
+		a.putDown(&in, st, ps.Target, dt)
 	}
 	return a.skill.apply(in, dt, &a.skillSt)
 }
@@ -247,8 +260,11 @@ func (a *Autopilot) drive(in *fom.ControlInput, st *fom.CraneState, target mathx
 func (a *Autopilot) boomTo(in *fom.ControlInput, st *fom.CraneState, target mathx.Vec3, targetY, slack float64) {
 	// Pivot position in world space (carrier assumed near-level while
 	// parked on the test ground).
-	sinH, cosH := math.Sincos(st.Heading)
-	fwd := mathx.V3(sinH, 0, -cosH)
+	if math.Float64bits(a.heading) != math.Float64bits(st.Heading) {
+		a.heading = st.Heading
+		a.sinH, a.cosH = mathx.Sincos(st.Heading)
+	}
+	fwd := mathx.V3(a.sinH, 0, -a.cosH)
 	pivot := st.Position.Add(fwd.Scale(-a.pivotFwd)) // pivot sits behind center
 	pivot.Y += a.pivotUp
 
@@ -278,7 +294,7 @@ func (a *Autopilot) boomTo(in *fom.ControlInput, st *fom.CraneState, target math
 	}
 	wantLuff := a.workLuff
 	steepening := false
-	if minR := a.boomLenMin * math.Cos(a.workLuff); wantRadius < minR-slack {
+	if wantRadius < a.workMinR-slack {
 		wantLuff = math.Acos(mathx.Clamp(wantRadius/a.boomLenMin, 0.1, 0.99))
 		wantLuff = mathx.Clamp(wantLuff, mathx.Rad(20), mathx.Rad(74))
 		steepening = wantLuff > st.BoomLuff

@@ -54,7 +54,7 @@ func (f *Flight) reset(spec scenario.Spec, skill SkillProfile) error {
 	for c, m := range rig.Models {
 		f.Pilots[c] = ForCrane(spec, c)
 		f.Pilots[c].SetSkill(skill)
-		f.States[c] = m.State()
+		m.StateTo(&f.States[c])
 	}
 	f.Engine.SetLiveStatus(false)
 	f.Engine.Start()
@@ -77,16 +77,18 @@ func (f *Flight) Tick() { f.TickWith(nil) }
 // recorder returns it unchanged, a replay returns the recorded frame, a
 // careless trainee pays the cable out). States still holds the pre-step
 // states while seat runs. The input goes in and out by value so it stays
-// on the stack: Tick allocates nothing.
+// on the stack: Tick allocates nothing. The crane states stay in place:
+// the pilot reads States[c] and the model writes it, neither copies it.
 func (f *Flight) TickWith(seat func(c int, in fom.ControlInput) fom.ControlInput) {
 	for c, m := range f.Models {
-		in := f.Pilots[c].Control(f.States[c], f.Engine.StateFor(c), Dt)
+		scen := f.Engine.StateFor(c)
+		in := f.Pilots[c].control(&f.States[c], &scen, Dt)
 		in.CraneID = int64(c)
 		if seat != nil {
 			in = seat(c, in)
 		}
 		m.Step(in, Dt)
-		f.States[c] = m.State()
+		m.StateTo(&f.States[c])
 	}
 	f.Engine.StepAll(f.States, Dt)
 	f.Ticks++

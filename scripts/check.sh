@@ -48,7 +48,7 @@ else
     echo "== govulncheck: not installed, skipping (CI runs it pinned) =="
 fi
 
-echo "== kernel exactness, fast fail (trajectory fingerprint, parked carrier, collision pose caches, certification stream; -race) =="
+echo "== kernel exactness, fast fail (trajectory fingerprint, parked carrier, trig shortcuts and pose memo, collision pose caches, certification stream; -race) =="
 # The step kernel may only change in ways that leave every trajectory bit
 # for bit where it was; these name the culprit in seconds, before the full
 # suite spends minutes. The fingerprint hashes trace.Flight.Tick itself —
@@ -59,8 +59,11 @@ echo "== kernel exactness, fast fail (trajectory fingerprint, parked carrier, co
 # fired about one run in four.
 go test -race -count=1 -run 'TestTrajectoryFingerprint' ./internal/trace
 # A parked carrier publishes the subnormal pitch and roll it always did and
-# computes with neither.
-go test -race -count=1 -run 'TestParkedCarrierComputesLevel' ./internal/dynamics
+# computes with neither. The trigonometry that skips tiny angles and the
+# modulus WrapAngle skips under 2π are the stdlib's bit for bit, and the
+# pose memo answers what a fresh model would.
+go test -race -count=1 -run 'TestParkedCarrierComputesLevel|TestPoseMemoMatchesRecompute|TestStateToSetsEveryField' ./internal/dynamics
+go test -race -count=1 -run 'TestSincosMatchesStdlib|TestWrapAngleMatchesMod|TestQuatEulerIsAxisAngleComposition' ./internal/mathx
 go test -race -count=1 -run 'TestPoseCachesMatchRecompute|TestCheckPairMatchesBruteForceRandom|TestDescentStatsPinned' ./internal/collision
 go test -race -count=3 -run 'TestClusterTandemCompletes' ./internal/sim
 # The certification pipeline is held to the serial stream's behaviour under
@@ -159,10 +162,11 @@ go test -bench 'BenchmarkOracleCertify' -benchtime 20x -run '^$' . >>"$out/bench
 # collision judge alone with its proxies moved every op.
 go test -bench 'BenchmarkLibraryFlight' -benchtime 200000x -run '^$' . >>"$out/bench.txt"
 go test -bench 'BenchmarkJudgeCollisions' -benchtime 20000x -run '^$' . >>"$out/bench.txt"
-# The dynamics model alone, moving and parked, at HeadlessRun's steady-state
-# count: the parked step is what a stalled dry-run repeats for a whole stall
-# window, and it must cost no more than a moving one.
-go test -bench 'BenchmarkDynamicsStep|BenchmarkParkedStep' -benchtime 20000x -run '^$' ./internal/dynamics >>"$out/bench.txt"
+# The dynamics model alone, moving, settling and parked, at HeadlessRun's
+# steady-state count: the settling and parked steps are what a stalled
+# dry-run repeats for a whole stall window. The settling step is the one
+# time gate, at most 0.75 of a moving step in the same run (minimum of five).
+go test -bench 'BenchmarkDynamicsStep|BenchmarkParkedStep|BenchmarkSettlingStep' -benchtime 20000x -count 5 -run '^$' ./internal/dynamics >>"$out/bench.txt"
 # One rendered frame must not allocate, near-clipped or not (100x amortizes
 # the first frame's triangle bin and clip scratch under one allocation;
 # TestRenderAllocatesNothing holds the same inside plain `go test`).
