@@ -558,6 +558,7 @@ func BenchmarkScenarioLibrary(b *testing.B) {
 // BenchmarkFullSimulatorBoot: one op = construct, start and stop the whole
 // eight-computer federation (all channels established, all LPs launched).
 func BenchmarkFullSimulatorBoot(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cluster, err := sim.New(sim.Config{
 			CB:           benchCB(),

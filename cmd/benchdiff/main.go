@@ -27,6 +27,20 @@
 //	go run ./cmd/benchdiff -update BENCH_baseline.json bench.txt
 //
 // Only benchmarks present in both inputs are compared.
+//
+// With -snapshot it summarizes end-to-end codbench pairs instead. Each
+// input holds one side's runs, parent then change, in the order they were
+// run alternately: codbench's combined output (its "codbench …" header
+// line and its last stdout line, the result object) appended run after
+// run. Run i of one side pairs with run i of the other. The file written
+// holds, per workload and side, n, median, q1 and q3 of the five
+// end-to-end metrics, the pairs the change won on each, the attempted and
+// failed op counts, and each side's commit and host. The commit is the one
+// codbench was built from: build it with go build in a clean checkout of
+// each side, as go run reports "unknown".
+//
+//	./codbench-parent -workload fed_exam -seed 81 >>parent.txt 2>&1
+//	go run ./cmd/benchdiff -snapshot BENCH_<pr>.json parent.txt change.txt
 package main
 
 import (
@@ -225,13 +239,22 @@ func lookup(run map[string]runResult, name string) (runResult, bool) {
 
 func main() {
 	update := flag.Bool("update", false, "rewrite the baseline file from the run (ceilings preserved)")
+	snap := flag.String("snapshot", "", "write codbench pairs to this file: benchdiff -snapshot BENCH_<pr>.json parent.txt change.txt")
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: benchdiff [-update] BENCH_baseline.json bench-output.txt")
+		fmt.Fprintln(os.Stderr, "       benchdiff -snapshot BENCH_<pr>.json parent-codbench.txt change-codbench.txt")
 	}
 	flag.Parse()
 	if flag.NArg() != 2 {
 		flag.Usage()
 		os.Exit(2)
+	}
+	if *snap != "" {
+		if err := writeSnapshot(*snap, flag.Arg(0), flag.Arg(1)); err != nil {
+			fmt.Fprintln(os.Stderr, "benchdiff: snapshot:", err)
+			os.Exit(2)
+		}
+		return
 	}
 	basePath, runPath := flag.Arg(0), flag.Arg(1)
 	raw, err := os.ReadFile(basePath)

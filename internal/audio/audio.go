@@ -33,7 +33,8 @@ type Clip struct {
 func (c *Clip) Duration() float64 { return float64(len(c.Samples)) / SampleRate }
 
 // SynthesizeAssets builds the simulator's sound bank procedurally (no
-// sample files ship with the repository). Deterministic under seed.
+// sample files ship with the repository). Deterministic under seed; each
+// call builds a fresh bank.
 func SynthesizeAssets(seed int64) map[fom.Sound]*Clip {
 	rng := rand.New(rand.NewSource(seed))
 	return map[fom.Sound]*Clip{
@@ -45,6 +46,21 @@ func SynthesizeAssets(seed int64) map[fom.Sound]*Clip {
 		fom.SoundHoistMotor:  hoistMotor(rng),
 		fom.SoundBackground:  backgroundBed(rng),
 	}
+}
+
+var (
+	defaultBankOnce sync.Once
+	defaultBank     map[fom.Sound]*Clip
+)
+
+// DefaultBank returns SynthesizeAssets(1), built on the first call and
+// shared by every later one: the same map and the same *Clip values, so a
+// process that boots many federations synthesizes its sound bank once. The
+// bank and its clips are shared across goroutines and must be treated as
+// read-only.
+func DefaultBank() map[fom.Sound]*Clip {
+	defaultBankOnce.Do(func() { defaultBank = SynthesizeAssets(1) })
+	return defaultBank
 }
 
 func samples(seconds float64) []float32 {
@@ -179,7 +195,9 @@ type Mixer struct {
 // evicted, like period sound hardware did.
 const MaxVoices = 16
 
-// NewMixer builds a mixer over the given sound bank.
+// NewMixer builds a mixer over the given sound bank. The mixer only reads
+// the bank and its clips, so one bank (DefaultBank) may back many mixers;
+// the caller must treat it as read-only while any of them is in use.
 func NewMixer(bank map[fom.Sound]*Clip) (*Mixer, error) {
 	if len(bank) == 0 {
 		return nil, fmt.Errorf("audio: empty sound bank")

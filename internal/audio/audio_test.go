@@ -3,6 +3,7 @@ package audio
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"codsim/internal/fom"
@@ -49,10 +50,47 @@ func TestSynthesizeAssets(t *testing.T) {
 			}
 		}
 	}
-	// Deterministic under the same seed.
-	again := SynthesizeAssets(1)
-	if again[fom.SoundCollision].Samples[100] != bank[fom.SoundCollision].Samples[100] {
-		t.Error("synthesis not deterministic")
+	// Deterministic under the same seed, every sample of every clip.
+	sameBank(t, SynthesizeAssets(1), bank)
+}
+
+// sameBank fails unless got holds want's sounds with the same names and
+// every sample bit for bit.
+func sameBank(t *testing.T, got, want map[fom.Sound]*Clip) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("bank holds %d sounds, want %d", len(got), len(want))
+	}
+	for s, w := range want {
+		g, ok := got[s]
+		if !ok {
+			t.Fatalf("missing sound %d", s)
+		}
+		if g.Name != w.Name || len(g.Samples) != len(w.Samples) {
+			t.Fatalf("sound %d: %s with %d samples, want %s with %d", s, g.Name, len(g.Samples), w.Name, len(w.Samples))
+		}
+		for i := range w.Samples {
+			if math.Float32bits(g.Samples[i]) != math.Float32bits(w.Samples[i]) {
+				t.Fatalf("%s sample %d = %v, want %v", w.Name, i, g.Samples[i], w.Samples[i])
+			}
+		}
+	}
+}
+
+// TestDefaultBank holds the shared bank to a fresh SynthesizeAssets(1), bit
+// for bit, and to one instance: a second call returns the same map with the
+// same clips.
+func TestDefaultBank(t *testing.T) {
+	bank := DefaultBank()
+	sameBank(t, bank, SynthesizeAssets(1))
+	again := DefaultBank()
+	if reflect.ValueOf(again).Pointer() != reflect.ValueOf(bank).Pointer() {
+		t.Error("second DefaultBank call returned another map")
+	}
+	for s, clip := range bank {
+		if again[s] != clip {
+			t.Errorf("sound %d: second DefaultBank call returned another *Clip", s)
+		}
 	}
 }
 

@@ -387,6 +387,62 @@ func TestSceneBuilderFrame(t *testing.T) {
 	}
 }
 
+// TestSceneBuilderClone bakes a two-crane scene at reduced visibility and
+// clones it: the clone is the fresh builder of the same inputs (cranes,
+// polygons, ambient and sky applied once, not again), it draws the same
+// frame pixel for pixel, and posing it moves no instance of the original.
+func TestSceneBuilderClone(t *testing.T) {
+	ter := terrain.DefaultMap()
+	bars, _ := barCourse(ter, 100, 106, 0)
+	bake := func() *SceneBuilder {
+		b, err := NewSceneBuilder(ter, bars, 2000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.AddCrane()
+		b.SetVisibility(0.4)
+		return b
+	}
+	orig := bake()
+	clone := orig.Clone()
+	fresh := bake()
+	if clone.Cranes() != fresh.Cranes() || clone.PolygonCount() != fresh.PolygonCount() ||
+		clone.scene.Ambient != fresh.scene.Ambient || clone.scene.Background != fresh.scene.Background {
+		t.Fatalf("clone: %d cranes, %d polygons, ambient %v, sky %v; fresh: %d, %d, %v, %v",
+			clone.Cranes(), clone.PolygonCount(), clone.scene.Ambient, clone.scene.Background,
+			fresh.Cranes(), fresh.PolygonCount(), fresh.scene.Ambient, fresh.scene.Background)
+	}
+
+	before := append([]Instance(nil), orig.scene.Instances...)
+	states := []fom.CraneState{
+		{Position: mathx.V3(100, 0, 100), BoomLuff: 0.6, BoomLen: 14, CableLen: 6, HookPos: mathx.V3(100, 4, 90)},
+		{Position: mathx.V3(92, 0, 96), Heading: 0.4, BoomLuff: 0.5, BoomLen: 12, CableLen: 5, HookPos: mathx.V3(90, 3, 88)},
+	}
+	cam := SurroundCamera(mathx.V3(100, 4, 106), 0, 1, paperDisplays, mathx.Rad(40), 4.0/3.0)
+	draw := func(b *SceneBuilder) []RGB {
+		for i, st := range states {
+			b.UpdateCrane(i, st)
+		}
+		r, err := NewRenderer(160, 120)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Render(b.Scene(), cam)
+		return r.Framebuffer().Color
+	}
+	got, want := draw(clone), draw(fresh)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("pixel %d: clone drew %v, a fresh builder %v", i, got[i], want[i])
+		}
+	}
+	for i := range before {
+		if orig.scene.Instances[i] != before[i] {
+			t.Fatalf("posing the clone moved instance %d of the original", i)
+		}
+	}
+}
+
 func TestWritePPM(t *testing.T) {
 	r, err := NewRenderer(8, 4)
 	if err != nil {

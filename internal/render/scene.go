@@ -175,6 +175,20 @@ func NewSceneBuilder(ter *terrain.Map, obstacles []Obstacle, targetPolys int) (*
 	return b, nil
 }
 
+// Clone returns a builder over the same baked scene for another display:
+// it shares every mesh, which nothing mutates after construction, and owns
+// copies of the instance list and the crane parts, so posing the clone's
+// cranes leaves this builder's scene untouched and the two can be used from
+// different goroutines. The clone carries this builder's cranes and
+// visibility as they stand; apply AddCrane and SetVisibility before
+// cloning, not to the clone again.
+func (b *SceneBuilder) Clone() *SceneBuilder {
+	c := *b
+	c.scene.Instances = append([]Instance(nil), b.scene.Instances...)
+	c.parts = append([]craneParts(nil), b.parts...)
+	return &c
+}
+
 // boomUnitMesh is a 1 m boom segment along -Z with its foot at the origin,
 // scaled to the live boom length each frame.
 func boomUnitMesh(c RGB) *Mesh {

@@ -14,7 +14,6 @@ import (
 	"codsim/internal/lp"
 	"codsim/internal/motion"
 	"codsim/internal/scenario"
-	"codsim/internal/terrain"
 	"codsim/internal/trace"
 )
 
@@ -93,7 +92,7 @@ func drainScenStates(sub *cb.Subscription, states []fom.ScenarioState) {
 // cranes gets N dynamics LPs — one rig per carrier — over one shared
 // cargo world, plus the single scenario interpreter stepping every
 // carrier's cursor.
-func (c *Cluster) buildSimPC(ter *terrain.Map, spec scenario.Spec) error {
+func (c *Cluster) buildSimPC(spec scenario.Spec) error {
 	b, err := c.backbone(NodeSim)
 	if err != nil {
 		return err
@@ -101,7 +100,7 @@ func (c *Cluster) buildSimPC(ter *terrain.Map, spec scenario.Spec) error {
 
 	// The rig the LPs below share: one model per carrier over one cargo
 	// world, and the engine that judges them.
-	rig, err := scenario.NewRig(spec, ter)
+	rig, err := scenario.NewRig(spec, c.site)
 	if err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
@@ -196,7 +195,7 @@ func (c *Cluster) buildSimPC(ter *terrain.Map, spec scenario.Spec) error {
 	}
 
 	// --- Audio LP (~43 Hz: one 1024-sample block per tick) ---
-	mixer, err := audio.NewMixer(audio.SynthesizeAssets(c.cfg.Seed))
+	mixer, err := audio.NewMixer(c.bank)
 	if err != nil {
 		return fmt.Errorf("sim: audio: %w", err)
 	}
@@ -418,7 +417,8 @@ func (c *Cluster) buildMotion() error {
 	}
 	for i := 0; i < c.craneCount; i++ {
 		lp := lpName("motion", i)
-		ctrl, err := motion.NewController(motion.DefaultGeometry(), motion.DefaultWashout(), 16, c.cfg.Seed)
+		// Seed 1 fixes the engine-vibration jitter, the same in every run.
+		ctrl, err := motion.NewController(motion.DefaultGeometry(), motion.DefaultWashout(), 16, 1)
 		if err != nil {
 			return fmt.Errorf("sim: motion: %w", err)
 		}

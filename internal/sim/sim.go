@@ -57,8 +57,6 @@ type Config struct {
 	Width, Height int
 	// TimeScale accelerates the paced LPs for tests (default 1).
 	TimeScale float64
-	// Seed drives all stochastic pieces.
-	Seed int64
 	// RenderFrames caps how many frames each display renders; 0 = until
 	// Stop.
 	RenderFrames int
@@ -104,9 +102,6 @@ func (c Config) withDefaults() Config {
 	if c.TimeScale <= 0 {
 		c.TimeScale = 1
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	return c
 }
 
@@ -126,6 +121,11 @@ type Summary struct {
 // Cluster is a running simulator.
 type Cluster struct {
 	cfg Config
+
+	// site and bank are the constant inputs every cluster in the process
+	// is built from, each built once and shared read-only.
+	site *terrain.Map
+	bank map[fom.Sound]*audio.Clip
 
 	backbones map[string]*cb.Backbone
 	group     lp.Group
@@ -180,17 +180,13 @@ func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
 		cfg:       cfg,
+		site:      terrain.DefaultMap(),
+		bank:      audio.DefaultBank(),
 		backbones: make(map[string]*cb.Backbone, cfg.Displays+5),
 		edge:      make(chan struct{}),
 		stopCh:    make(chan struct{}),
 	}
 
-	ter, err := terrain.GenerateSite(terrain.SiteConfig{
-		Width: 200, Depth: 200, Spacing: 2, Roughness: 0.4, Seed: cfg.Seed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("sim: terrain: %w", err)
-	}
 	spec := scenario.Classic()
 	if cfg.Scenario != nil {
 		spec = *cfg.Scenario
@@ -204,11 +200,11 @@ func New(cfg Config) (*Cluster, error) {
 		c.teardown()
 		return nil, err
 	}
-	if err := c.buildDisplays(ter, spec); err != nil {
+	if err := c.buildDisplays(spec); err != nil {
 		c.teardown()
 		return nil, err
 	}
-	if err := c.buildSimPC(ter, spec); err != nil {
+	if err := c.buildSimPC(spec); err != nil {
 		c.teardown()
 		return nil, err
 	}
@@ -471,7 +467,9 @@ func (c *Cluster) buildSyncServer() error {
 }
 
 // buildDisplays sets up the display computers with their surround cameras.
-func (c *Cluster) buildDisplays(ter *terrain.Map, spec scenario.Spec) error {
+// The static scene is baked once, with every carrier and the scenario's
+// visibility, and each further display poses its cranes on a clone of it.
+func (c *Cluster) buildDisplays(spec scenario.Spec) error {
 	course := spec.Course
 	obstacles := make([]render.Obstacle, 0, len(course.Bars))
 	for _, bar := range course.Bars {
@@ -481,6 +479,16 @@ func (c *Cluster) buildDisplays(ter *terrain.Map, spec scenario.Spec) error {
 			Yaw:   bar.Yaw,
 			Color: render.RGB{R: 220, G: 40, B: 40},
 		})
+	}
+	baked, err := render.NewSceneBuilder(c.site, obstacles, c.cfg.Polygons)
+	if err != nil {
+		return fmt.Errorf("sim: scene: %w", err)
+	}
+	for extra := 1; extra < c.craneCount; extra++ {
+		baked.AddCrane()
+	}
+	if spec.Visibility > 0 && spec.Visibility < 1 {
+		baked.SetVisibility(spec.Visibility)
 	}
 	for i := 0; i < c.cfg.Displays; i++ {
 		nodeName := fmt.Sprintf("display-pc-%d", i+1)
@@ -492,15 +500,9 @@ func (c *Cluster) buildDisplays(ter *terrain.Map, spec scenario.Spec) error {
 		if err != nil {
 			return fmt.Errorf("sim: display %d: %w", i+1, err)
 		}
-		builder, err := render.NewSceneBuilder(ter, obstacles, c.cfg.Polygons)
-		if err != nil {
-			return fmt.Errorf("sim: scene %d: %w", i+1, err)
-		}
-		for extra := 1; extra < c.craneCount; extra++ {
-			builder.AddCrane()
-		}
-		if spec.Visibility > 0 && spec.Visibility < 1 {
-			builder.SetVisibility(spec.Visibility)
+		builder := baked
+		if i > 0 {
+			builder = baked.Clone()
 		}
 		rend, err := render.NewRenderer(c.cfg.Width, c.cfg.Height)
 		if err != nil {

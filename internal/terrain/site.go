@@ -65,8 +65,9 @@ var (
 
 // DefaultMap returns the construction-site terrain for DefaultSite(),
 // built once and shared: a Map is immutable after construction, so every
-// headless run and oracle dry-run — across goroutines — can read the same
-// instance instead of regenerating the ~10k-sample height field per run.
+// headless run, oracle dry-run and federation — across goroutines — can
+// read the same instance instead of regenerating the ~10k-sample height
+// field per run.
 func DefaultMap() *Map {
 	defaultSiteOnce.Do(func() {
 		m, err := GenerateSite(DefaultSite())

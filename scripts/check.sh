@@ -183,6 +183,10 @@ go test -bench 'BenchmarkDistDispatch' -benchtime 5000x -run '^$' ./internal/dis
 # gated, and an op that takes half a second instead of a millisecond means
 # a join is waiting for a period again.
 go test -bench 'BenchmarkDistReady' -benchtime 20x -run '^$' ./internal/dist >>"$out/bench.txt"
+# The federation's boot, gated on allocs, bytes and time as a ratio to one
+# rendered frame: what it catches is a boot that rebuilds its constant
+# assets again (the sound bank alone is 1.4 MB and 15 ms a boot).
+go test -bench 'BenchmarkFullSimulatorBoot' -benchtime 20x -count 5 -run '^$' . >>"$out/bench.txt"
 go run ./cmd/benchdiff BENCH_baseline.json "$out/bench.txt"
 
 echo "== examples and cranesim (each runs to its own checked exit; 60 s cap) =="
