@@ -36,28 +36,26 @@ func parseCampaign(arg string) (seed int64, count int, err error) {
 }
 
 // campaignRun bundles one campaign's identity (seed, count, params) with
-// its certification options: the persistent verdict cache path and the
-// lazy-certify mode.
+// the path of its persistent verdict cache.
 type campaignRun struct {
 	seed      int64
 	count     int
 	params    gen.Params
 	cachePath string
-	lazy      bool
 }
 
 // newCampaignStream builds the certified-candidate stream for a campaign:
 // prefetching (unless previewing), cache-backed when -campaign-cache is
-// set, metered through the obs plane. preview (and lazy) runs certify on
-// the free static oracle plus cached dry-run verdicts only — and open the
-// cache read-only, so weaker verdicts never poison what strict campaigns
+// set, metered through the obs plane. A preview certifies on the free
+// static oracle plus cached dry-run verdicts only — and opens the cache
+// read-only, so weaker verdicts never poison what strict campaigns
 // trust. The cleanup func stops the stream's certification lanes and
 // flushes the cache.
 func newCampaignStream(plane *obs.Plane, cr campaignRun, width int, preview bool) (*gen.Stream, func(), error) {
 	stream := gen.NewStream(cr.seed, cr.params)
 	stream.Parallel = width
 	stream.Prefetch = !preview
-	if cr.lazy || preview {
+	if preview {
 		stream.Oracle = gen.StaticOnly
 	}
 	closeCache := func() {}
@@ -66,7 +64,7 @@ func newCampaignStream(plane *obs.Plane, cr campaignRun, width int, preview bool
 		if err != nil {
 			return nil, nil, err
 		}
-		cache.ReadOnly = cr.lazy || preview
+		cache.ReadOnly = preview
 		stream.Cache = cache
 		closeCache = func() { _ = cache.Close() }
 	}
@@ -293,11 +291,7 @@ func runCampaignCoordinator(ctx context.Context, plane *obs.Plane, lanAddr, work
 func runCampaignSweep(ctx context.Context, plane *obs.Plane, coord *dist.Coordinator,
 	cr campaignRun, oracleWidth int, outPath, compare string, strict bool) error {
 	key := gen.Key(cr.seed, cr.count, cr.params)
-	mode := "oracle-certified"
-	if cr.lazy {
-		mode = "lazy-certified: each job's own run is the verdict"
-	}
-	fmt.Printf("campaign %s: dispatching %d certified scenarios (window-streamed, %s)\n", key, cr.count, mode)
+	fmt.Printf("campaign %s: dispatching %d certified scenarios (window-streamed, oracle-certified)\n", key, cr.count)
 
 	stream, cleanup, err := newCampaignStream(plane, cr, oracleWidth, false)
 	if err != nil {
@@ -329,7 +323,7 @@ func reproduceCampaign(ctx context.Context, seed int64, count int, params gen.Pa
 }
 
 // replayCampaign is reproduceCampaign through the full stream
-// configuration — cache, prefetch, lazy mode — so cold-vs-warm cache and
+// configuration — cache and prefetch — so cold-vs-warm cache and
 // prefetch determinism checks exercise exactly the code path a dispatched
 // campaign uses.
 func replayCampaign(ctx context.Context, cr campaignRun, width int) ([]dist.Job, gen.Stats, error) {

@@ -23,10 +23,9 @@
 // dispatches count scenarios instead of the library — locally or via
 // -coordinator. The certification stream prefetches ahead of dispatch;
 // -campaign-cache file persists dry-run verdicts so reruns fly none;
-// -lazy-certify defers certification to each job's own run (conflicts
-// with -strict); -campaign-wind/-night/-two/-tandem, -campaign-mass
-// lo:hi, -campaign-gates lo:hi and -campaign-bars n tune the generator
-// and are folded into the campaign key:
+// -campaign-wind/-night/-two/-tandem, -campaign-mass lo:hi,
+// -campaign-gates lo:hi and -campaign-bars n tune the generator and are
+// folded into the campaign key:
 //
 //	codbatch -campaign 42:1000 -headless -strict -campaign-cache verdicts.jsonl
 //	codbatch -campaign 42:50 -list
@@ -96,7 +95,6 @@ func run() error {
 		name      = flag.String("name", "", "worker name on the segment (default worker-<pid>)")
 		campaign  = flag.String("campaign", "", "procedural campaign seed:count — generate, oracle-certify and dispatch that many scenarios instead of a library selection")
 		campCache = flag.String("campaign-cache", "", "persistent oracle-verdict cache (append-only JSONL): re-running a campaign replays cached verdicts instead of re-flying dry-runs")
-		lazyCert  = flag.Bool("lazy-certify", false, "campaign mode: skip the pre-dispatch dry-run (static check and cached verdicts only) and let each job's own run be the verdict; conflicts with -strict")
 		campWind  = flag.Float64("campaign-wind", defaultParams.WindProb, "campaign knob: probability of a wind regime (0..1)")
 		campNight = flag.Float64("campaign-night", defaultParams.NightProb, "campaign knob: probability of low visibility (0..1)")
 		campTwo   = flag.Float64("campaign-two", defaultParams.TwoCraneProb, "campaign knob: archetype weight — probability of a two-crane candidate (0..1)")
@@ -182,16 +180,13 @@ func run() error {
 			return errors.New("-campaign generates its own work list; it conflicts with -specs, -scenarios and -repeat")
 		case *serve:
 			return errors.New("-campaign is a coordinator/local mode; workers just -serve")
-		case *lazyCert && *strict:
-			return errors.New("-lazy-certify skips pre-dispatch certification; it conflicts with -strict")
 		}
 		params, err := campaignParams(defaultParams,
 			*campWind, *campNight, *campTwo, *campTand, *campMass, *campGates, *campBars)
 		if err != nil {
 			return err
 		}
-		cr := campaignRun{seed: seed, count: count, params: params,
-			cachePath: *campCache, lazy: *lazyCert}
+		cr := campaignRun{seed: seed, count: count, params: params, cachePath: *campCache}
 		if *list {
 			return listCampaign(cr)
 		}

@@ -3,6 +3,8 @@ package cod_test
 import (
 	"context"
 	"errors"
+	"net"
+	"strconv"
 	"testing"
 	"time"
 
@@ -208,14 +210,8 @@ func TestFederationPropagatesErrorsAndCloses(t *testing.T) {
 		t.Fatal("duplicate node name was accepted")
 	}
 
-	boom := errors.New("module crashed")
-	fed.Go(func() error { return boom })
-	if err := fed.Wait(); !errors.Is(err, boom) {
-		t.Fatalf("Wait: got %v, want the module error", err)
-	}
-
-	if err := fed.Close(); !errors.Is(err, boom) {
-		t.Fatalf("Close: got %v, want the module error joined in", err)
+	if err := fed.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 	// Nodes are gone and the federation refuses new ones.
 	if err := a.Close(); err != nil {
@@ -227,16 +223,46 @@ func TestFederationPropagatesErrorsAndCloses(t *testing.T) {
 }
 
 // TestFederationSharesUDPSegment pins the defaults-resolved-once rule: a
-// WithUDPSegment default must yield ONE segment whose bookkeeping rejects
+// WithUDP default must yield ONE segment whose bookkeeping rejects
 // duplicate node names, not a fresh LAN per node.
 func TestFederationSharesUDPSegment(t *testing.T) {
-	fed := cod.NewFederation(cod.WithUDPSegment("127.0.0.1", 39700, 4))
+	fed := cod.NewFederation(cod.WithUDP("127.0.0.1:39700"))
 	defer fed.Close()
 	if _, err := fed.Node("a"); err != nil {
 		t.Skipf("loopback UDP unavailable: %v", err)
 	}
 	if _, err := fed.Node("a"); err == nil {
 		t.Fatal("duplicate node name accepted on a UDP federation")
+	}
+}
+
+// TestWithUDPRejectsBadAddress pins the parse errors of the one address
+// that reaches the SDK from outside the program (codbatch -lan): both
+// entry points return the parser's error wrapped, with no node and so no
+// socket behind it.
+func TestWithUDPRejectsBadAddress(t *testing.T) {
+	for _, tc := range []struct {
+		addr string
+		want any
+	}{
+		{"127.0.0.1", new(*net.AddrError)},
+		{"127.0.0.1:base", new(*strconv.NumError)},
+	} {
+		n, err := cod.NewNode("pc", cod.WithUDP(tc.addr))
+		if n != nil || !errors.As(err, tc.want) {
+			t.Errorf("NewNode(WithUDP(%q)) = %v, %v; want no node and the parser's error wrapped", tc.addr, n, err)
+		}
+		fed := cod.NewFederation(cod.WithUDP(tc.addr))
+		n, err = fed.Node("pc")
+		if n != nil || !errors.As(err, tc.want) {
+			t.Errorf("Federation.Node with WithUDP(%q) = %v, %v; want no node and the parser's error wrapped", tc.addr, n, err)
+		}
+		if got := fed.Nodes(); len(got) != 0 {
+			t.Errorf("WithUDP(%q): federation tracks %d nodes after a failed Node", tc.addr, len(got))
+		}
+		if err := fed.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
 	}
 }
 
@@ -269,7 +295,7 @@ func TestLatestConflation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := cod.Subscribe[craneState](n, "visual", "CraneState", cod.WithConflation())
+	sub, err := cod.Subscribe[craneState](n, "visual", "CraneState", cod.WithQueue(1), cod.LatestValue())
 	if err != nil {
 		t.Fatal(err)
 	}

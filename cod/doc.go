@@ -29,9 +29,10 @@
 //
 // Nodes on one in-memory LAN model the paper's Ethernet segment; WithUDP
 // runs the same protocol over real sockets for multi-process clusters
-// (see cmd/codnode). Discovery, virtual-channel construction, heartbeats
-// and dynamic join all happen inside the backbone — callers never see a
-// socket, which is the transparency the paper claims for the CB.
+// (cmd/codbatch -serve and -coordinator run one). Discovery,
+// virtual-channel construction, heartbeats and dynamic join all happen
+// inside the backbone — callers never see a socket, which is the
+// transparency the paper claims for the CB.
 //
 // # Codec contract
 //
@@ -65,9 +66,7 @@
 // a reflection into T (strings and slices are copied out) and then hand
 // its attribute storage back to the backbone for the next update off the
 // link, so a steady typed publish→reflect allocates nothing beyond what
-// T's own strings and slices need. Callers reading attributes through
-// Raw() own that decision themselves: see cb.Reflection.Release and the
-// ownership rule in internal/wire's package doc.
+// T's own strings and slices need.
 //
 // # Blocking and errors
 //
@@ -102,9 +101,9 @@
 //
 // # Delivery policies
 //
-// Every subscription declares what saturation does. The subscriber
-// states its policy in the channel handshake; the publisher's backbone
-// enforces it:
+// Every subscription declares what saturation does, as one of two
+// policies. The subscriber states its policy in the channel handshake;
+// the publisher's backbone enforces it:
 //
 //   - LatestValue (the SDK default): a full mailbox coalesces to the
 //     newest reflection per virtual channel, counted as conflations.
@@ -122,15 +121,16 @@
 //     commands and the whole dist dispatch protocol (jobs, claims,
 //     grants, results, acks) run this way; dist heartbeats stay
 //     LatestValue — newest beat per worker.
-//   - DropOldest: the legacy contract — a full mailbox silently drops
-//     its oldest reflection.
 //
-// Legacy rule: a handshake carrying no policy attribute (every
-// pre-policy peer) yields DropOldest on both sides, so old recordings
-// and mixed-version federations keep their original semantics — the
-// same convention as the absent-CraneID rule below. Node.Tables exposes
-// per-channel drop and conflation counts, so a lossy channel is named
-// rather than inferred from backbone totals.
+// The backbone (internal/cb) has a third policy, drop-oldest: a full
+// mailbox silently drops its oldest reflection. The simulator's frame
+// barrier and audio events use it there on purpose. Legacy rule: a
+// handshake carrying no policy attribute (every pre-policy peer) yields
+// drop-oldest on both sides, so old recordings and mixed-version
+// federations keep their original semantics — the same convention as
+// the absent-CraneID rule below. Node.Tables exposes per-channel drop and
+// conflation counts, so a lossy channel is named rather than inferred
+// from backbone totals.
 //
 // # Multiple publishers per class
 //
@@ -156,8 +156,8 @@
 // Node.Stats and Node.Tables are the SDK's telemetry surface: process
 // counters plus the live pub/sub tables with per-channel delivered,
 // dropped and conflated tallies (Stats, TableEntry, ChannelTally). The
-// telemetry plane (internal/obs, enabled with -obs on cmd/codbatch and
-// cmd/codnode) scrapes exactly this surface into Prometheus series —
+// telemetry plane (internal/obs, enabled with -obs on cmd/codbatch)
+// scrapes exactly this surface into Prometheus series —
 // it never reaches into the backbone internals, so anything visible at
 // /metrics is equally available to SDK callers here.
 package cod

@@ -10,9 +10,8 @@ import (
 var ErrFederationClosed = errors.New("cod: federation closed")
 
 // Federation groups the nodes of one simulator instance: it hands every
-// node the same LAN segment, collects background errors, and tears the
-// whole cluster down on one Close. It replaces the hand-rolled
-// "slice of backbones plus deferred Closes" pattern of the old examples.
+// node the same LAN segment and tears the whole cluster down on one
+// Close.
 type Federation struct {
 	defaults []Option
 
@@ -21,9 +20,6 @@ type Federation struct {
 	resolved bool
 	nodes    []*Node
 	closed   bool
-	err      error // first background error
-
-	wg sync.WaitGroup
 }
 
 // NewFederation creates an empty federation. The defaults apply to every
@@ -77,42 +73,6 @@ func (f *Federation) Node(name string, opts ...Option) (*Node, error) {
 	return n, nil
 }
 
-// Go runs fn on a goroutine of the federation. The first non-nil error
-// any such goroutine returns is recorded and reported by Err and Wait —
-// the propagation channel for module loops.
-func (f *Federation) Go(fn func() error) {
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		if err := fn(); err != nil {
-			f.fail(err)
-		}
-	}()
-}
-
-// fail records the first background error.
-func (f *Federation) fail(err error) {
-	f.mu.Lock()
-	if f.err == nil {
-		f.err = err
-	}
-	f.mu.Unlock()
-}
-
-// Err returns the first background error recorded so far, nil if none.
-func (f *Federation) Err() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err
-}
-
-// Wait blocks until every Go goroutine has returned, then reports the
-// first background error.
-func (f *Federation) Wait() error {
-	f.wg.Wait()
-	return f.Err()
-}
-
 // Nodes returns the federation's live nodes in creation order.
 func (f *Federation) Nodes() []*Node {
 	f.mu.Lock()
@@ -121,15 +81,13 @@ func (f *Federation) Nodes() []*Node {
 }
 
 // Close stops every node of the federation (newest first, so late joiners
-// release channels before the nodes they discovered), waits for Go
-// goroutines, and reports the joined node-close errors plus the first
-// background error. Close is idempotent.
+// release channels before the nodes they discovered) and reports the
+// joined node-close errors. Close is idempotent.
 func (f *Federation) Close() error {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
-		f.wg.Wait()
-		return f.Err()
+		return nil
 	}
 	f.closed = true
 	nodes := f.nodes
@@ -141,10 +99,6 @@ func (f *Federation) Close() error {
 		if err := nodes[i].Close(); err != nil {
 			errs = append(errs, fmt.Errorf("close %s: %w", nodes[i].Name(), err))
 		}
-	}
-	f.wg.Wait()
-	if err := f.Err(); err != nil {
-		errs = append(errs, err)
 	}
 	return errors.Join(errs...)
 }

@@ -56,9 +56,8 @@ func WithSeed(seed int64) MemLANOption { return transport.WithSeed(seed) }
 func NewMemLAN(opts ...MemLANOption) LAN { return transport.NewMemLAN(opts...) }
 
 // NewUDPLAN joins a real UDP/TCP segment of slots consecutive ports
-// starting at basePort on host, returning the LAN handle directly — the
-// standalone form of WithUDPSegment, for callers that hand one segment
-// to several nodes or to sim.Config.
+// starting at basePort on host, returning the LAN handle directly, for
+// callers that hand one segment to several nodes or to sim.Config.
 func NewUDPLAN(host string, basePort, slots int) (LAN, error) {
 	return transport.NewUDPLAN(host, basePort, slots)
 }
@@ -101,8 +100,7 @@ const defaultUDPSlots = 16
 // WithUDP attaches the node to a real UDP/TCP segment. addr is
 // "host:basePort"; the segment spans defaultUDPSlots consecutive UDP
 // ports starting at basePort, one per computer. Every process of the
-// federation must name the same segment. See WithUDPSegment to size the
-// segment explicitly.
+// federation must name the same segment.
 func WithUDP(addr string) Option {
 	return func(c *nodeConfig) {
 		host, portStr, err := net.SplitHostPort(addr)
@@ -115,17 +113,9 @@ func WithUDP(addr string) Option {
 			c.lanErr = fmt.Errorf("cod: WithUDP %q: bad port: %w", addr, err)
 			return
 		}
-		WithUDPSegment(host, base, defaultUDPSlots)(c)
-	}
-}
-
-// WithUDPSegment attaches the node to a UDP/TCP segment of slots
-// consecutive ports starting at basePort.
-func WithUDPSegment(host string, basePort, slots int) Option {
-	return func(c *nodeConfig) {
-		lan, err := transport.NewUDPLAN(host, basePort, slots)
+		lan, err := transport.NewUDPLAN(host, base, defaultUDPSlots)
 		if err != nil {
-			c.lanErr = fmt.Errorf("cod: UDP segment %s:%d+%d: %w", host, basePort, slots, err)
+			c.lanErr = fmt.Errorf("cod: WithUDP %q: %w", addr, err)
 			return
 		}
 		c.lan = lan
@@ -143,26 +133,6 @@ func WithTimers(broadcast, refresh, heartbeat time.Duration) Option {
 		c.cfg.RefreshInterval = refresh
 		c.cfg.HeartbeatInterval = heartbeat
 	}
-}
-
-// WithHeartbeatTimeout sets how long a silent link is tolerated before
-// the peer is declared dead and its channels are torn down. Zero keeps
-// the default. Tighten it together with WithTimers' heartbeat period in
-// fast-failover rigs.
-func WithHeartbeatTimeout(d time.Duration) Option {
-	return func(c *nodeConfig) { c.cfg.HeartbeatTimeout = d }
-}
-
-// WithClock pins the node's timestamp clock (establish-latency metrics,
-// liveness bookkeeping). Timer scheduling still runs on real tickers;
-// the hook makes timestamps deterministic for tests.
-func WithClock(now func() time.Time) Option {
-	return func(c *nodeConfig) { c.cfg.Now = now }
-}
-
-// WithMailboxDepth sets the default per-subscription buffer depth.
-func WithMailboxDepth(depth int) Option {
-	return func(c *nodeConfig) { c.cfg.MailboxDepth = depth }
 }
 
 // Node is one computer of the Cluster Of Desktops: a handle on its

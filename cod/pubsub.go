@@ -37,14 +37,8 @@ type SubOption = cb.SubscribeOption
 // WithQueue sets the mailbox depth. What happens on overflow is the
 // subscription's delivery policy: LatestValue (the SDK default) conflates
 // to the newest reflection per channel, Reliable never overflows (the
-// publisher stalls first), DropOldest discards the oldest.
+// publisher stalls first).
 func WithQueue(depth int) SubOption { return cb.WithQueue(depth) }
-
-// WithConflation keeps only the newest reflection (a depth-1 LatestValue
-// mailbox) — the natural mode for single-publisher state classes sampled
-// by a display loop. With several publishers of the class prefer
-// LatestValue with a queue of at least the publisher count.
-func WithConflation() SubOption { return cb.WithConflation() }
 
 // LatestValue selects the conflating delivery policy, the SDK default: a
 // full mailbox coalesces to the newest reflection per virtual channel.
@@ -61,11 +55,6 @@ func LatestValue() SubOption { return cb.WithLatestValue() }
 // uses the backbone default (64). Right for must-not-lose traffic:
 // instructor commands, exam results, batch jobs.
 func Reliable(window int) SubOption { return cb.WithReliable(window) }
-
-// DropOldest selects the legacy policy: a full mailbox silently drops its
-// oldest reflection. This is what policy-less legacy peers get; new code
-// should prefer LatestValue or Reliable.
-func DropOldest() SubOption { return cb.WithDropOldest() }
 
 // Reflection is one delivered update, decoded into the subscriber's type:
 // the typed view of REFLECT ATTRIBUTE VALUE.
@@ -164,10 +153,6 @@ func (p *Pub[T]) WaitChannels(ctx context.Context, n int) error {
 // act on a join the moment it happens; Channels tells which way it went.
 func (p *Pub[T]) NotifyC() <-chan struct{} { return p.pub.NotifyC() }
 
-// Raw exposes the untyped backbone registration, for callers mixing typed
-// and attribute-level traffic.
-func (p *Pub[T]) Raw() *cb.Publication { return p.pub }
-
 // Close withdraws the publisher registration.
 func (p *Pub[T]) Close() error { return p.pub.Close() }
 
@@ -188,8 +173,7 @@ type Sub[T any] struct {
 // The default delivery policy at this layer is LatestValue — typed state
 // subscribers want the newest value, and an SDK consumer that stalls
 // should cost memory-bounded conflation, not unbounded growth or blind
-// drops. Pass Reliable(window) for must-not-lose classes, or DropOldest
-// for the backbone's legacy contract.
+// drops. Pass Reliable(window) for must-not-lose classes.
 func Subscribe[T any](node *Node, lp, class string, opts ...SubOption) (*Sub[T], error) {
 	c, err := codecFor(reflect.TypeFor[T]())
 	if err != nil {
@@ -279,9 +263,6 @@ func (s *Sub[T]) Pending() int { return s.sub.Pending() }
 // NotifyC returns a channel receiving a token whenever the mailbox goes
 // from empty to non-empty, for select-based consumers.
 func (s *Sub[T]) NotifyC() <-chan struct{} { return s.sub.NotifyC() }
-
-// Raw exposes the untyped backbone registration.
-func (s *Sub[T]) Raw() *cb.Subscription { return s.sub }
 
 // Close withdraws the subscriber registration and releases its channels.
 func (s *Sub[T]) Close() error { return s.sub.Close() }

@@ -9,7 +9,9 @@
 // "computer"), register plain Go structs as published or subscribed object
 // classes with cod.Publish[T] and cod.Subscribe[T], and group nodes into a
 // cod.Federation that shares a LAN and tears down on one Close. Start with
-// examples/quickstart, then cmd/codnode for real multi-process sockets.
+// examples/quickstart. For several processes over real sockets, run
+// cmd/codbatch -serve workers under a -coordinator: typed cod classes on
+// one UDP segment.
 //
 // The implementation lives under internal/, which is no longer a
 // supported entry point:

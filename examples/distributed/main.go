@@ -4,7 +4,8 @@
 // of the segment. Compare examples/quickstart, which uses the in-memory
 // LAN; the only difference is the transport option.
 //
-// For a true multi-process run, see cmd/codnode.
+// For a true multi-process run, see cmd/codbatch: -serve workers and a
+// -coordinator, each its own process, on one -lan segment.
 package main
 
 import (

@@ -9,8 +9,8 @@
 //     trace, collision, mathx) — campaign keys must stay a pure function
 //     of the seed.
 //   - policydecl: every subscription call site declares its delivery
-//     policy explicitly (LatestValue / Reliable / DropOldest), so
-//     saturation contracts never regress to implicit defaults.
+//     policy explicitly (cod's LatestValue / Reliable, or one of cb's
+//     three), so saturation contracts never regress to implicit defaults.
 //   - layering: the SDK boundary PR 1 established, as an import table —
 //     cmd/ and examples/ ride the public cod SDK, never internal/cb,
 //     internal/wire or internal/transport; examples/ assemble no rigs

@@ -20,16 +20,7 @@ type AllowEntry struct {
 
 // DefaultAllowlist is the production allowlist codvet runs with. Keep it
 // short: an entry is a debt note, not a dismissal.
-var DefaultAllowlist = []AllowEntry{
-	{
-		Analyzer: "policydecl",
-		Pkg:      "codsim/cmd/codnode",
-		Detail:   "runSubscriber",
-		Reason: "the delivery policy is chosen at runtime from the -policy flag " +
-			"through an exhaustive switch over the three constructors; the " +
-			"analyzer cannot prove a variable option is a policy",
-	},
-}
+var DefaultAllowlist []AllowEntry
 
 // DeterministicPackages are the packages whose outputs must be a pure
 // function of their seeds: campaign keys, scenario generation, scoring

@@ -10,8 +10,8 @@ import (
 // its options; mailbox-depth tuning (WithQueue) alone does not count —
 // the question "what happens at saturation" must be answered in source.
 var policyConstructors = map[string][]string{
-	"codsim/cod":         {"LatestValue", "Reliable", "DropOldest", "WithConflation"},
-	"codsim/internal/cb": {"WithLatestValue", "WithReliable", "WithDropOldest", "WithConflation"},
+	"codsim/cod":         {"LatestValue", "Reliable"},
+	"codsim/internal/cb": {"WithLatestValue", "WithReliable", "WithDropOldest"},
 }
 
 // subscribeEntryPoints are the functions whose call sites must declare a
@@ -72,11 +72,11 @@ func runPolicyDecl(pass *Pass) error {
 			}
 			if len(call.Args) > fixed || call.Ellipsis.IsValid() {
 				pass.Reportf(call.Pos(),
-					"%s.%s call site passes options but none is a provable delivery policy: pass cod.LatestValue()/cod.Reliable(n)/cod.DropOldest() directly, or allowlist the enclosing function with a reason",
+					"%s.%s call site passes options but none is a provable delivery policy: pass cod.LatestValue()/cod.Reliable(n) directly, or allowlist the enclosing function with a reason",
 					fn.Pkg().Name(), fn.Name())
 			} else {
 				pass.Reportf(call.Pos(),
-					"%s.%s call site relies on the implicit default delivery policy: declare cod.LatestValue()/cod.Reliable(n)/cod.DropOldest() explicitly",
+					"%s.%s call site relies on the implicit default delivery policy: declare cod.LatestValue()/cod.Reliable(n) explicitly",
 					fn.Pkg().Name(), fn.Name())
 			}
 			return true

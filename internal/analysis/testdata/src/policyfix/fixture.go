@@ -30,7 +30,7 @@ func spreadOptions(n *cod.Node, opts []cod.SubOption) {
 // among the options, in any position.
 func explicitPolicies(n *cod.Node) {
 	cod.Subscribe[state](n, "visual", "CraneState", cod.LatestValue())
-	cod.Subscribe[state](n, "visual", "CraneState", cod.WithQueue(8), cod.DropOldest())
+	cod.Subscribe[state](n, "visual", "CraneState", cod.WithQueue(8), cod.LatestValue())
 	cod.Subscribe[state](n, "visual", "CraneState", cod.Reliable(4), cod.WithQueue(64))
 }
 

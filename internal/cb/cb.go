@@ -139,12 +139,10 @@ type Config struct {
 	// the heartbeat sweep, so to a granularity of HeartbeatInterval (see
 	// the package doc).
 	HeartbeatTimeout time.Duration
-	// MailboxDepth is the default per-subscription buffer depth.
-	MailboxDepth int
 	// Now supplies the backbone's clock for timestamping (last-receive
 	// times, establish-latency measurements, broadcast due times). Nil
 	// means time.Now. Timer *scheduling* still runs on real tickers; the
-	// hook exists so tests and the cod SDK can pin timestamps.
+	// hook exists so tests can pin timestamps.
 	Now func() time.Time
 }
 
@@ -160,9 +158,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 4 * c.HeartbeatInterval
-	}
-	if c.MailboxDepth <= 0 {
-		c.MailboxDepth = 64
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -352,8 +347,8 @@ func (b *Backbone) Close() error {
 }
 
 // TableEntry describes one row of the Publication or Subscription table,
-// for introspection (the instructor monitor, cmd/codnode and the tests
-// use this).
+// for introspection: the telemetry plane (internal/obs) reads it for
+// /metrics and /debug/tablez, and the tests read it.
 type TableEntry struct {
 	LP       string
 	Class    string

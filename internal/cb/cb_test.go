@@ -345,7 +345,7 @@ func TestConflation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := b.SubscribeObjectClass("s", "State", WithConflation())
+	sub, err := b.SubscribeObjectClass("s", "State", WithQueue(1), WithLatestValue())
 	if err != nil {
 		t.Fatal(err)
 	}

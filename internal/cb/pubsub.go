@@ -249,6 +249,10 @@ type subCfg struct {
 	window int
 }
 
+// defaultMailboxDepth is a subscription's buffer depth when WithQueue does
+// not set one.
+const defaultMailboxDepth = 64
+
 // DefaultCreditWindow is the reliable send window used when WithReliable
 // is given a non-positive window (and when a policy-bearing handshake
 // omits the window attribute).
@@ -259,18 +263,6 @@ const DefaultCreditWindow = 64
 // policy option to change what overflow means.
 func WithQueue(depth int) SubscribeOption {
 	return func(c *subCfg) { c.depth = depth }
-}
-
-// WithConflation keeps only the newest reflection (a depth-1 latest-value
-// mailbox). This is the natural mode for single-publisher state classes
-// sampled by a display loop: the pull side only ever wants the latest
-// value. With several publishers, prefer WithLatestValue and a depth of at
-// least the publisher count, which conflates per channel.
-func WithConflation() SubscribeOption {
-	return func(c *subCfg) {
-		c.policy = wire.PolicyLatestValue
-		c.depth = 1
-	}
 }
 
 // WithLatestValue selects the conflating delivery policy: a full mailbox
@@ -367,7 +359,7 @@ func (b *Backbone) SubscribeObjectClass(lp, class string, opts ...SubscribeOptio
 		return nil, fmt.Errorf("%w: %s/%s", ErrDuplicateLP, lp, class)
 	}
 	if depth <= 0 {
-		depth = b.cfg.MailboxDepth
+		depth = defaultMailboxDepth
 	}
 	if cfg.policy == wire.PolicyReliable && depth < int(window) {
 		// The mailbox must absorb a full window per publisher before the

@@ -65,10 +65,10 @@ type ServerConfig struct {
 	// wait, so one dead node cannot freeze the surround view. Zero
 	// disables eviction.
 	StallTimeout time.Duration
-	// PollInterval is the period of the server's stall check. Defaults to
-	// 10 ms.
-	PollInterval time.Duration
 }
+
+// pollInterval is the period of the server's stall check.
+const pollInterval = 10 * time.Millisecond
 
 // Server is the synchronization-server LP.
 type Server struct {
@@ -96,9 +96,6 @@ type dispState struct {
 // NewServer registers the synchronization server on the given backbone
 // under LP name lpName.
 func NewServer(backbone *cb.Backbone, lpName string, cfg ServerConfig) (*Server, error) {
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 10 * time.Millisecond
-	}
 	pub, err := backbone.PublishObjectClass(lpName, fom.ClassFrameSwap)
 	if err != nil {
 		return nil, fmt.Errorf("displaysync: publish swap: %w", err)
@@ -165,7 +162,7 @@ func (s *Server) Evicted() int64 { return s.evicted.Value() }
 func (s *Server) Swaps() int64 { return s.swaps.Value() }
 
 func (s *Server) serve() {
-	reap := time.NewTicker(s.cfg.PollInterval)
+	reap := time.NewTicker(pollInterval)
 	defer reap.Stop()
 	for {
 		select {
@@ -452,22 +449,6 @@ func timed(render func(frame uint32), frame uint32) time.Duration {
 	start := time.Now()
 	render(frame)
 	return time.Since(start)
-}
-
-// RunFree drives n frames without any barrier (the free-running ablation:
-// what a single display achieves when not synchronized).
-func (d *Display) RunFree(n int, render func(frame uint32)) {
-	for i := 0; i < n; i++ {
-		frameStart := time.Now()
-		d.mu.Lock()
-		frame := d.frame
-		d.frame++
-		d.mu.Unlock()
-		render(frame)
-		d.mu.Lock()
-		d.tracker.TickInterval(time.Since(frameStart))
-		d.mu.Unlock()
-	}
 }
 
 // Close withdraws the display's registrations and ends its blocked waits.

@@ -396,26 +396,6 @@ func TestCloseEndsWaits(t *testing.T) {
 	}
 }
 
-func TestRunFreeNoBarrier(t *testing.T) {
-	lan := transport.NewMemLAN()
-	bb, err := cb.New(lan, "display-pc", fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bb.Close()
-	d, err := NewDisplay(bb, "display-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.RunFree(20, func(uint32) { time.Sleep(time.Millisecond) })
-	if d.Frame() != 20 {
-		t.Errorf("frames = %d", d.Frame())
-	}
-	if fps := d.FPS(); fps <= 0 || fps > 1100 {
-		t.Errorf("free-run fps = %v", fps)
-	}
-}
-
 func TestDisplayClose(t *testing.T) {
 	lan := transport.NewMemLAN()
 	bb, err := cb.New(lan, "display-pc", fastCfg())

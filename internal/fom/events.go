@@ -326,18 +326,9 @@ const (
 // Has reports whether all bits of q are set in a.
 func (a Alarm) Has(q Alarm) bool { return a&q == q }
 
-// Attribute handles of ClassStatusReport.
-const (
-	SRAttrSwingDeg wire.AttrID = 1 // boom swing angle (degrees)
-	SRAttrLuffDeg  wire.AttrID = 2 // boom raise angle (degrees)
-	SRAttrCableLen wire.AttrID = 3 // plumb-cable length (m)
-	SRAttrBoomLen  wire.AttrID = 4 // boom elongation (m)
-	SRAttrAlarms   wire.AttrID = 5 // Alarm bitmask
-	SRAttrScore    wire.AttrID = 6 // live exam score
-)
-
 // StatusReport is the digest behind the instructor's status window (Fig. 5):
-// the four sub-window dials, the alarm lamps, and the live score.
+// the four sub-window dials, the alarm lamps, and the live score. It is
+// computed where it is shown (instructor.Monitor.Report), not published.
 type StatusReport struct {
 	SwingDeg float64
 	LuffDeg  float64
@@ -345,45 +336,6 @@ type StatusReport struct {
 	BoomLen  float64
 	Alarms   Alarm
 	Score    float64
-}
-
-// Encode packs the struct into an attribute set.
-func (r StatusReport) Encode() wire.AttrSet {
-	a := wire.NewAttrSet(6)
-	a.PutFloat64(SRAttrSwingDeg, r.SwingDeg)
-	a.PutFloat64(SRAttrLuffDeg, r.LuffDeg)
-	a.PutFloat64(SRAttrCableLen, r.CableLen)
-	a.PutFloat64(SRAttrBoomLen, r.BoomLen)
-	a.PutUint32(SRAttrAlarms, uint32(r.Alarms))
-	a.PutFloat64(SRAttrScore, r.Score)
-	return a
-}
-
-// DecodeStatusReport unpacks an attribute set produced by Encode.
-func DecodeStatusReport(a wire.AttrSet) (StatusReport, error) {
-	var r StatusReport
-	var ok bool
-	if r.SwingDeg, ok = a.Float64(SRAttrSwingDeg); !ok {
-		return r, missing(ClassStatusReport, SRAttrSwingDeg)
-	}
-	if r.LuffDeg, ok = a.Float64(SRAttrLuffDeg); !ok {
-		return r, missing(ClassStatusReport, SRAttrLuffDeg)
-	}
-	if r.CableLen, ok = a.Float64(SRAttrCableLen); !ok {
-		return r, missing(ClassStatusReport, SRAttrCableLen)
-	}
-	if r.BoomLen, ok = a.Float64(SRAttrBoomLen); !ok {
-		return r, missing(ClassStatusReport, SRAttrBoomLen)
-	}
-	var al uint32
-	if al, ok = a.Uint32(SRAttrAlarms); !ok {
-		return r, missing(ClassStatusReport, SRAttrAlarms)
-	}
-	r.Alarms = Alarm(al)
-	if r.Score, ok = a.Float64(SRAttrScore); !ok {
-		return r, missing(ClassStatusReport, SRAttrScore)
-	}
-	return r, nil
 }
 
 // Attribute handles of ClassFrameReady and ClassFrameSwap.

@@ -10,15 +10,18 @@
 //
 // Classes and their producers/consumers (Fig. 3):
 //
-//	ControlInput   dashboard → dynamics, instructor
-//	CraneState     dynamics  → visual displays, motion, instructor, scenario, audio
+//	ControlInput   dashboard → dynamics
+//	CraneState     dynamics  → visual displays, instructor, scenario, audio, dashboard
 //	MotionCue      dynamics  → motion platform controller
 //	AudioEvent     dynamics, scenario → audio
-//	ScenarioState  scenario  → instructor, visual displays
+//	ScenarioState  scenario  → instructor, dashboard
 //	InstructorCmd  instructor → dashboard, scenario
-//	StatusReport   instructor-side digest (status window, Fig. 5)
 //	FrameReady     display n → synchronization server (§4)
 //	FrameSwap      synchronization server → displays (§4)
+//
+// The instructor's status window (Fig. 5) is not a class: the instructor
+// LP computes its StatusReport digest from the CraneState and
+// ScenarioState it subscribes.
 package fom
 
 import (
@@ -36,7 +39,6 @@ const (
 	ClassAudioEvent    = "AudioEvent"
 	ClassScenarioState = "ScenarioState"
 	ClassInstructorCmd = "InstructorCmd"
-	ClassStatusReport  = "StatusReport"
 	ClassFrameReady    = "FrameReady"
 	ClassFrameSwap     = "FrameSwap"
 )

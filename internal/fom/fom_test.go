@@ -121,24 +121,6 @@ func TestInstructorCmdRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStatusReportRoundTrip(t *testing.T) {
-	in := StatusReport{
-		SwingDeg: 45.5,
-		LuffDeg:  60.1,
-		CableLen: 7.3,
-		BoomLen:  18.0,
-		Alarms:   AlarmSwingZone | AlarmOverload,
-		Score:    92,
-	}
-	got, err := DecodeStatusReport(in.Encode())
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if got != in {
-		t.Errorf("round trip mismatch: %+v vs %+v", got, in)
-	}
-}
-
 func TestFrameMarkRoundTrip(t *testing.T) {
 	in := FrameMark{Frame: 12345, RenderTime: 0.0625}
 	got, err := DecodeFrameMark(in.Encode())
@@ -192,9 +174,6 @@ func TestDecodeMissingAttr(t *testing.T) {
 		t.Errorf("empty set: %v", err)
 	}
 	if _, err := DecodeInstructorCmd(wire.AttrSet{}); !errors.Is(err, ErrMissingAttr) {
-		t.Errorf("empty set: %v", err)
-	}
-	if _, err := DecodeStatusReport(wire.AttrSet{}); !errors.Is(err, ErrMissingAttr) {
 		t.Errorf("empty set: %v", err)
 	}
 	if _, err := DecodeFrameMark(wire.AttrSet{}); !errors.Is(err, ErrMissingAttr) {

@@ -54,9 +54,9 @@ type cacheLine struct {
 // read while its merge path appends.
 type Cache struct {
 	// ReadOnly consults existing verdicts without recording new ones. Use
-	// it when the attached oracle is weaker than the dry-run (lazy or
-	// static-only campaigns): their verdicts must never poison the cache
-	// that strict campaigns trust.
+	// it when the attached oracle is weaker than the dry-run (a static-only
+	// preview): its verdicts must never poison the cache that strict
+	// campaigns trust.
 	ReadOnly bool
 
 	sig  string

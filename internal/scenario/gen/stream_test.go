@@ -179,9 +179,9 @@ func TestCacheSkipsCorruptAndForeignLines(t *testing.T) {
 	}
 }
 
-// A ReadOnly cache must consult without recording: lazy and preview
-// campaigns run a weaker oracle than the strict dry-run, and their
-// verdicts must never poison the store strict campaigns trust.
+// A ReadOnly cache must consult without recording: a preview runs a
+// weaker oracle than the strict dry-run, and its verdicts must never
+// poison the store strict campaigns trust.
 func TestCacheReadOnlyRecordsNothing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "verdicts.jsonl")
 	p := DefaultParams()

@@ -70,12 +70,12 @@ func TestJoinBootDatagramCounts(t *testing.T) {
 	// Two per computer are the barrier's own: the registration and the
 	// answer to the ninth computer's solicit.
 	subscriptions -= 2 * int64(len(c.backbones))
-	// 18 subscriptions and 12 publications. Five answers: the three
+	// 18 subscriptions and 11 publications. Five answers: the three
 	// displays' CraneState to sim-pc, sim-pc's ControlInput to
 	// dashboard-pc, dashboard-pc's InstructorCmd to instructor-pc. The
 	// sync server's FRAME READY and sim-pc's InstructorCmd subscriptions
 	// answer over links they already have, with no datagram.
-	if subscriptions != 23 || solicits != 12 {
-		t.Errorf("boot sent %d SUBSCRIPTION and %d PUBLICATION datagrams, want 23 and 12", subscriptions, solicits)
+	if subscriptions != 23 || solicits != 11 {
+		t.Errorf("boot sent %d SUBSCRIPTION and %d PUBLICATION datagrams, want 23 and 11", subscriptions, solicits)
 	}
 }

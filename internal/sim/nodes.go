@@ -15,6 +15,7 @@ import (
 	"codsim/internal/motion"
 	"codsim/internal/scenario"
 	"codsim/internal/trace"
+	"codsim/internal/wire"
 )
 
 // runner registers a paced LP loop with the cluster group. A failing tick
@@ -46,45 +47,45 @@ func lpName(base string, i int) string {
 	return fmt.Sprintf("%s-%d", base, i+1)
 }
 
-// drainCraneStates folds a queued CraneState subscription into the
-// newest-state-per-crane view (states is indexed by CraneID; out-of-range
-// IDs are dropped). A non-nil have marks every crane heard from. Each
-// reflection is released once decoded: the decoded state holds none of
-// its bytes.
-func drainCraneStates(sub *cb.Subscription, states []fom.CraneState, have []bool) {
+// drain decodes every reflection queued on sub and hands each value that
+// decodes to use; one that does not is skipped. Each reflection is
+// released once decoded: the fom decoders copy what they keep (strings
+// included), so no value holds the reflection's bytes.
+func drain[T any](sub *cb.Subscription, decode func(wire.AttrSet) (T, error), use func(T)) {
 	for {
 		r, ok := sub.Poll()
 		if !ok {
 			return
 		}
-		st, err := fom.DecodeCraneState(r.Attrs)
+		v, err := decode(r.Attrs)
 		r.Release()
 		if err == nil {
-			if st.CraneID >= 0 && st.CraneID < int64(len(states)) {
-				states[st.CraneID] = st
-				if have != nil {
-					have[st.CraneID] = true
-				}
-			}
+			use(v)
 		}
 	}
 }
 
-// drainScenStates folds a queued ScenarioState subscription the same way.
-func drainScenStates(sub *cb.Subscription, states []fom.ScenarioState) {
-	for {
-		r, ok := sub.Poll()
-		if !ok {
-			return
-		}
-		s, err := fom.DecodeScenarioState(r.Attrs)
-		r.Release()
-		if err == nil {
-			if s.CraneID >= 0 && s.CraneID < int64(len(states)) {
-				states[s.CraneID] = s
+// drainCraneStates folds a queued CraneState subscription into the
+// newest-state-per-crane view (states is indexed by CraneID; out-of-range
+// IDs are dropped). A non-nil have marks every crane heard from.
+func drainCraneStates(sub *cb.Subscription, states []fom.CraneState, have []bool) {
+	drain(sub, fom.DecodeCraneState, func(st fom.CraneState) {
+		if st.CraneID >= 0 && st.CraneID < int64(len(states)) {
+			states[st.CraneID] = st
+			if have != nil {
+				have[st.CraneID] = true
 			}
 		}
-	}
+	})
+}
+
+// drainScenStates folds a queued ScenarioState subscription the same way.
+func drainScenStates(sub *cb.Subscription, states []fom.ScenarioState) {
+	drain(sub, fom.DecodeScenarioState, func(s fom.ScenarioState) {
+		if s.CraneID >= 0 && s.CraneID < int64(len(states)) {
+			states[s.CraneID] = s
+		}
+	})
 }
 
 // buildSimPC hosts the dynamics, scenario and audio LPs on one computer
@@ -137,22 +138,14 @@ func (c *Cluster) buildSimPC(spec scenario.Spec) error {
 	have := make([]bool, len(rig.Models))
 	haveAll := false
 	err = c.runner("scenario", 30, func(simTime, dt float64) error {
-		for {
-			r, ok := cmdSub.Poll()
-			if !ok {
-				break
-			}
-			cmd, err := fom.DecodeInstructorCmd(r.Attrs)
-			if err != nil {
-				continue
-			}
+		drain(cmdSub, fom.DecodeInstructorCmd, func(cmd fom.InstructorCmd) {
 			switch cmd.Op {
 			case fom.OpStartScenario:
 				eng.Start()
 			case fom.OpResetScenario:
 				eng.Reset()
 			}
-		}
+		})
 		drainCraneStates(scenStateSub, states, have)
 		if !haveAll {
 			haveAll = true
@@ -217,15 +210,7 @@ func (c *Cluster) buildSimPC(spec scenario.Spec) error {
 	listener := make([]fom.CraneState, len(rig.Models))
 	pcmBlock := make([]float64, 1024)
 	err = c.runner("audio", float64(audio.SampleRate)/1024, func(_, _ float64) error {
-		for {
-			r, ok := audioSub.Poll()
-			if !ok {
-				break
-			}
-			if ev, err := fom.DecodeAudioEvent(r.Attrs); err == nil {
-				mixer.Handle(ev)
-			}
-		}
+		drain(audioSub, fom.DecodeAudioEvent, mixer.Handle)
 		// The listener sits in crane 0's cab.
 		drainCraneStates(audioStateSub, listener, nil)
 		mixer.SetListener(listener[0].Position)
@@ -260,17 +245,11 @@ func (c *Cluster) buildDynamicsLP(b *cb.Backbone, lp string, model *dynamics.Mod
 	var lastIn fom.ControlInput
 	var frame uint32
 	return c.runner(lp, 60, func(simTime, dt float64) error {
-		for {
-			r, ok := controlSub.Poll()
-			if !ok {
-				break
-			}
-			in, err := fom.DecodeControlInput(r.Attrs)
-			r.Release()
-			if err == nil && in.CraneID == craneID {
+		drain(controlSub, fom.DecodeControlInput, func(in fom.ControlInput) {
+			if in.CraneID == craneID {
 				lastIn = in
 			}
-		}
+		})
 		events := model.Step(lastIn, dt)
 		st := model.State()
 		frame++
@@ -306,74 +285,32 @@ func (c *Cluster) buildDynamicsLP(b *cb.Backbone, lp string, model *dynamics.Mod
 	})
 }
 
-// buildDashboard hosts the dashboard LP for crane 0 — operator input →
-// ControlInput, with the mockup instrument panel — plus one lean
-// autopilot LP per extra declared crane.
+// buildDashboard hosts one pilot LP per carrier: crane 0's is the
+// dashboard LP behind the cab mockup's instrument panel, each extra
+// carrier's a lean autopilot LP.
 func (c *Cluster) buildDashboard(spec scenario.Spec) error {
 	b, err := c.backbone(NodeDashboard)
 	if err != nil {
 		return err
 	}
-	panel := dashboard.NewPanel()
-	c.panel = panel
-	shaping := dashboard.DefaultShaping()
-	ctrlPub, err := b.PublishObjectClass("dashboard", fom.ClassControlInput)
-	if err != nil {
-		return err
-	}
-	stateSub, err := b.SubscribeObjectClass("dashboard", fom.ClassCraneState, cb.WithQueue(128), cb.WithLatestValue())
-	if err != nil {
-		return err
-	}
-	scenSub, err := b.SubscribeObjectClass("dashboard", fom.ClassScenarioState, cb.WithQueue(128), cb.WithLatestValue())
-	if err != nil {
-		return err
-	}
-	cmdSub, err := b.SubscribeObjectClass("dashboard", fom.ClassInstructorCmd, cb.WithReliable(32))
-	if err != nil {
-		return err
-	}
-	var ap *trace.Autopilot
-	if c.cfg.Autopilot {
-		ap = trace.ForCrane(spec, 0)
-		ap.SetSkill(c.cfg.Skill)
-	}
-	states := make([]fom.CraneState, c.craneCount)
-	scens := make([]fom.ScenarioState, c.craneCount)
-	err = c.runner("dashboard", 50, func(simTime, dt float64) error {
-		for {
-			r, ok := cmdSub.Poll()
-			if !ok {
-				break
-			}
-			if cmd, err := fom.DecodeInstructorCmd(r.Attrs); err == nil {
-				_ = panel.Apply(cmd) // unknown instruments are instructor typos
-			}
+	c.panel = dashboard.NewPanel()
+	for i := 0; i < c.craneCount; i++ {
+		var panel *dashboard.Panel
+		if i == 0 {
+			panel = c.panel
 		}
-		drainCraneStates(stateSub, states, nil)
-		drainScenStates(scenSub, scens)
-		panel.UpdateFromState(states[0], dt)
-		var in fom.ControlInput
-		if ap != nil {
-			in = ap.Control(states[0], scens[0], dt)
-		}
-		return ctrlPub.Update(simTime, shaping.Shape(in).Encode())
-	})
-	if err != nil {
-		return err
-	}
-	// Extra carriers: an autopilot each, no instrument panel — the cab
-	// mockup is crane 0's.
-	for i := 1; i < c.craneCount; i++ {
-		if err := c.buildPilotLP(b, i, spec); err != nil {
+		if err := c.buildPilotLP(b, i, spec, panel); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// buildPilotLP wires the synthetic operator of one extra carrier.
-func (c *Cluster) buildPilotLP(b *cb.Backbone, craneIdx int, spec scenario.Spec) error {
+// buildPilotLP wires the operator of one carrier: CraneState and
+// ScenarioState in, the autopilot's shaped ControlInput out. A non-nil
+// panel makes it the cab's dashboard LP, which also takes the
+// instructor's panel commands and moves the panel's instruments.
+func (c *Cluster) buildPilotLP(b *cb.Backbone, craneIdx int, spec scenario.Spec, panel *dashboard.Panel) error {
 	lp := lpName("dashboard", craneIdx)
 	ctrlPub, err := b.PublishObjectClass(lp, fom.ClassControlInput)
 	if err != nil {
@@ -387,6 +324,13 @@ func (c *Cluster) buildPilotLP(b *cb.Backbone, craneIdx int, spec scenario.Spec)
 	if err != nil {
 		return err
 	}
+	var cmdSub *cb.Subscription
+	if panel != nil {
+		cmdSub, err = b.SubscribeObjectClass(lp, fom.ClassInstructorCmd, cb.WithReliable(32))
+		if err != nil {
+			return err
+		}
+	}
 	shaping := dashboard.DefaultShaping()
 	var ap *trace.Autopilot
 	if c.cfg.Autopilot {
@@ -396,8 +340,16 @@ func (c *Cluster) buildPilotLP(b *cb.Backbone, craneIdx int, spec scenario.Spec)
 	states := make([]fom.CraneState, c.craneCount)
 	scens := make([]fom.ScenarioState, c.craneCount)
 	return c.runner(lp, 50, func(simTime, dt float64) error {
+		if panel != nil {
+			drain(cmdSub, fom.DecodeInstructorCmd, func(cmd fom.InstructorCmd) {
+				_ = panel.Apply(cmd) // unknown instruments are instructor typos
+			})
+		}
 		drainCraneStates(stateSub, states, nil)
 		drainScenStates(scenSub, scens)
+		if panel != nil {
+			panel.UpdateFromState(states[craneIdx], dt)
+		}
 		var in fom.ControlInput
 		if ap != nil {
 			in = ap.Control(states[craneIdx], scens[craneIdx], dt)
@@ -430,18 +382,12 @@ func (c *Cluster) buildMotion() error {
 		var lastCue fom.MotionCue
 		haveCue := false
 		err = c.runner(lp, 120, func(_, dt float64) error {
-			for {
-				r, ok := cueSub.Poll()
-				if !ok {
-					break
-				}
-				cue, err := fom.DecodeMotionCue(r.Attrs)
-				r.Release()
-				if err == nil && cue.CraneID == craneID {
+			drain(cueSub, fom.DecodeMotionCue, func(cue fom.MotionCue) {
+				if cue.CraneID == craneID {
 					lastCue = cue
 					haveCue = true
 				}
-			}
+			})
 			if haveCue {
 				ctrl.Cue(lastCue, dt)
 				haveCue = false
@@ -474,32 +420,20 @@ func (c *Cluster) buildInstructor() error {
 	if err != nil {
 		return err
 	}
-	reportPub, err := b.PublishObjectClass("instructor", fom.ClassStatusReport)
-	if err != nil {
-		return err
-	}
 	c.cmdPub, err = b.PublishObjectClass("instructor", fom.ClassInstructorCmd)
 	if err != nil {
 		return err
 	}
 	states := make([]fom.CraneState, c.craneCount)
 	have := make([]bool, c.craneCount)
-	return c.runner("instructor", 10, func(simTime, dt float64) error {
+	return c.runner("instructor", 10, func(_, dt float64) error {
 		drainCraneStates(stateSub, states, have)
 		for i := range states {
 			if have[i] {
 				c.monitor.ObserveCrane(states[i], dt)
 			}
 		}
-		for {
-			r, ok := scenSub.Poll()
-			if !ok {
-				break
-			}
-			if s, err := fom.DecodeScenarioState(r.Attrs); err == nil {
-				c.monitor.ObserveScenario(s)
-			}
-		}
-		return reportPub.Update(simTime, c.monitor.Report(0).Encode())
+		drain(scenSub, fom.DecodeScenarioState, c.monitor.ObserveScenario)
+		return nil
 	})
 }

@@ -32,6 +32,25 @@ if [ -n "$orphans" ]; then
     exit 1
 fi
 
+echo "== runnable surfaces (every main package under cmd/ and examples/ is built and run below) =="
+# A command or example stays only if this script runs it to a checked
+# result. The examples loop below runs every main package under examples/.
+# A command counts as run when a line here does `go run ./cmd/NAME ...`,
+# or builds "$out/NAME" from ./cmd/NAME and invokes it with a flag.
+examples=$(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./examples/...)
+unrun=
+for pkg in $(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./cmd/...); do
+    name=${pkg##*/}
+    grep -qF "go run ./cmd/$name " scripts/check.sh && continue
+    grep -qF "go build -o \"\$out/$name\" ./cmd/$name" scripts/check.sh &&
+        grep -qF "\"\$out/$name\" -" scripts/check.sh && continue
+    unrun="$unrun ${pkg#*/}"
+done
+if [ -n "$unrun" ]; then
+    echo "built and run by no step of check.sh; run it to a checked result or delete it:$unrun" >&2
+    exit 1
+fi
+
 # staticcheck and govulncheck are external tools; CI installs them pinned
 # and puts them on PATH (see ci.yml). Locally they gate when present and
 # are skipped offline.
@@ -190,7 +209,8 @@ go test -bench 'BenchmarkFullSimulatorBoot' -benchtime 20x -count 5 -run '^$' . 
 go run ./cmd/benchdiff BENCH_baseline.json "$out/bench.txt"
 
 echo "== examples and cranesim (each runs to its own checked exit; 60 s cap) =="
-for ex in quickstart distributed dynamicjoin faultinjection exam campaign; do
+for pkg in $examples; do
+    ex=${pkg##*/}
     go build -o "$out/example-$ex" "./examples/$ex"
     timeout 60 "$out/example-$ex" >"$out/example-$ex.txt" 2>&1 || {
         echo "example $ex failed:" >&2
