@@ -2,19 +2,14 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"codsim/cod"
 	"codsim/internal/dist"
 	"codsim/internal/obs"
 	"codsim/internal/scenario/gen"
-	"codsim/internal/sim"
 )
 
 // parseCampaign splits the -campaign argument: "seed:count".
@@ -177,141 +172,6 @@ func campaignSummary(key string, st gen.Stats, wall time.Duration) {
 		fmt.Printf("verdict cache: %d hits, %d misses, %d live dry-runs\n",
 			st.CacheHits, st.CacheMisses, st.OracleRuns)
 	}
-}
-
-// runCampaignLocal runs a generated campaign on this host, still through
-// the dist protocol: an in-process MemLAN federation carries one
-// coordinator streaming certified jobs to one worker serving -parallel
-// slots. Identical dispatch semantics to the multi-host path — the LAN is
-// just memory.
-func runCampaignLocal(ctx context.Context, plane *obs.Plane, cr campaignRun,
-	slots int, batch sim.BatchConfig, outPath, compare string, strict bool) error {
-	if slots <= 0 {
-		if batch.Headless {
-			slots = runtime.NumCPU()
-		} else {
-			slots = max(1, runtime.NumCPU()/4)
-		}
-	}
-	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()))
-	defer fed.Close()
-
-	wnode, err := fed.Node("campaign-worker-node")
-	if err != nil {
-		return err
-	}
-	plane.AddNode("campaign-worker-node", wnode)
-	wcfg := dist.WorkerConfig{
-		Name:  "local",
-		Slots: slots,
-		Batch: batch,
-	}
-	if plane != nil {
-		wcfg.Log = plane.Log()
-		wcfg.Spans = plane.SpanSink()
-	}
-	worker, err := dist.NewWorker(wnode, wcfg)
-	if err != nil {
-		return err
-	}
-	defer worker.Close()
-	plane.AddDispatch(worker.Sample)
-	wctx, stopWorker := context.WithCancel(ctx)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = worker.Run(wctx)
-	}()
-	defer wg.Wait()
-	defer stopWorker()
-
-	cnode, err := fed.Node("campaign-coordinator-node")
-	if err != nil {
-		return err
-	}
-	plane.AddNode("campaign-coordinator-node", cnode)
-	ccfg := dist.CoordinatorConfig{}
-	if plane != nil {
-		ccfg.Log = plane.Log()
-		ccfg.Spans = plane.SpanSink()
-	}
-	coord, err := dist.NewCoordinator(cnode, ccfg)
-	if err != nil {
-		return err
-	}
-	defer coord.Close()
-	plane.AddDispatch(coord.Sample)
-	if err := coord.WaitWorkers(ctx, []string{"local"}); err != nil {
-		return err
-	}
-	return runCampaignSweep(ctx, plane, coord, cr, slots, outPath, compare, strict)
-}
-
-// runCampaignCoordinator streams a generated campaign over the segment to
-// the named worker hosts.
-func runCampaignCoordinator(ctx context.Context, plane *obs.Plane, lanAddr, workerList string,
-	cr campaignRun, outPath, compare string, strict bool) error {
-	var workers []string
-	for _, w := range strings.Split(workerList, ",") {
-		if w = strings.TrimSpace(w); w != "" {
-			workers = append(workers, w)
-		}
-	}
-	if len(workers) == 0 {
-		return errors.New("-coordinator needs at least one worker name")
-	}
-	node, err := cod.NewNode("codbatch-coordinator", cod.WithUDP(lanAddr))
-	if err != nil {
-		return err
-	}
-	defer node.Close()
-	plane.AddNode("codbatch-coordinator", node)
-	ccfg := dist.CoordinatorConfig{}
-	if plane != nil {
-		ccfg.Log = plane.Log()
-		ccfg.Spans = plane.SpanSink()
-	}
-	coord, err := dist.NewCoordinator(node, ccfg)
-	if err != nil {
-		return err
-	}
-	defer coord.Close()
-	plane.AddDispatch(coord.Sample)
-	fmt.Printf("waiting for workers %s on %s\n", strings.Join(workers, ", "), lanAddr)
-	if err := coord.WaitWorkers(ctx, workers); err != nil {
-		return err
-	}
-	return runCampaignSweep(ctx, plane, coord, cr, runtime.NumCPU(), outPath, compare, strict)
-}
-
-// runCampaignSweep is the shared dispatch tail: certified generator
-// stream in (its lanes certifying ahead of dispatch), JSONL records and
-// percentile report out.
-func runCampaignSweep(ctx context.Context, plane *obs.Plane, coord *dist.Coordinator,
-	cr campaignRun, oracleWidth int, outPath, compare string, strict bool) error {
-	key := gen.Key(cr.seed, cr.count, cr.params)
-	fmt.Printf("campaign %s: dispatching %d certified scenarios (window-streamed, oracle-certified)\n", key, cr.count)
-
-	stream, cleanup, err := newCampaignStream(plane, cr, oracleWidth, false)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	src := &campaignSource{stream: stream, count: cr.count}
-	start := time.Now()
-	recs, err := coord.RunStream(ctx, src)
-	if err != nil {
-		if outPath != "" && len(recs) > 0 {
-			_ = dist.SaveRecords(outPath, recs)
-		}
-		return fmt.Errorf("campaign aborted with %d/%d records: %w", len(recs), cr.count, err)
-	}
-	campaignSummary(key, stream.Stats(), time.Since(start))
-	if outPath == "" {
-		fmt.Printf("hint: -out %s.jsonl persists this sweep for -compare/-trend\n", key)
-	}
-	return finishSweep(recs, outPath, compare, strict)
 }
 
 // reproduceCampaign regenerates the certified job list without

@@ -1,9 +1,11 @@
 // Command codbatch runs batches of training scenarios at cluster scale —
 // locally or sharded across worker hosts — and reports scores, pass rates
 // and percentile analytics: one full COD federation (or headless coupling)
-// per scenario run.
+// per scenario run. Every sweep streams its jobs through one dist
+// coordinator; only where the coordinator's workers live differs.
 //
-// Local batch (the default): N runs in parallel inside this process.
+// Local batch (the default): one in-process worker serves -parallel slots
+// on the same dist path, over a LAN that is just memory.
 //
 //	codbatch [-scenarios all|name,...] [-specs dir] [-repeat N] [-headless]
 //	         [-parallel N] [-timescale 15] [-timeout 3m] [-strict]
@@ -78,7 +80,7 @@ func run() error {
 	var (
 		names     = flag.String("scenarios", "all", `comma-separated scenario names, or "all"`)
 		specsDir  = flag.String("specs", "", "load scenario JSON files from this directory instead of the built-in library")
-		parallel  = flag.Int("parallel", 0, "concurrent runs (0 = auto); worker slots in -serve mode")
+		parallel  = flag.Int("parallel", 0, "runs at once on this host (0 = every core headless, a quarter for federations)")
 		timescale = flag.Float64("timescale", 15, "simulation speed multiplier per federation")
 		repeat    = flag.Int("repeat", 1, "run the selection N times (load/regression sweeps)")
 		timeout   = flag.Duration("timeout", 3*time.Minute, "per-run cap: wall clock for federations, simulation seconds for -headless (0 = scenario default)")
@@ -170,6 +172,28 @@ func run() error {
 		*timeout = 0
 	}
 
+	batch := sim.BatchConfig{
+		Base: sim.Config{
+			TimeScale: *timescale,
+			Displays:  *displays,
+			Width:     96,
+			Height:    72,
+			Polygons:  *polygons,
+		},
+		Timeout:  *timeout,
+		Headless: *headless,
+		Skill:    skill,
+		Log:      plane.Log(),
+	}
+	slots := *parallel
+	if slots <= 0 {
+		slots = sim.DefaultParallel(*headless)
+	}
+
+	var (
+		cr        *campaignRun
+		selection []scenario.Spec
+	)
 	if *campaign != "" {
 		seed, count, err := parseCampaign(*campaign)
 		if err != nil {
@@ -186,73 +210,74 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		cr := campaignRun{seed: seed, count: count, params: params, cachePath: *campCache}
+		cr = &campaignRun{seed: seed, count: count, params: params, cachePath: *campCache}
 		if *list {
-			return listCampaign(cr)
+			return listCampaign(*cr)
 		}
-		batch := sim.BatchConfig{
-			Base: sim.Config{
-				TimeScale: *timescale,
-				Displays:  *displays,
-				Width:     96,
-				Height:    72,
-				Polygons:  *polygons,
-			},
-			Timeout:  *timeout,
-			Headless: *headless,
-			Skill:    skill,
+	} else {
+		if selection, err = selectSpecs(*specsDir, *names); err != nil {
+			return err
 		}
-		if plane != nil {
-			batch.Log = plane.Log()
+		if *list {
+			for _, s := range selection {
+				fmt.Printf("%-18s %-34s %d phases%s\n", s.Name, s.Title, len(s.Phases), describe(s))
+			}
+			return nil
 		}
-		if *coordAt != "" {
-			return runCampaignCoordinator(ctx, plane, *lanAddr, *coordAt, cr,
-				*outPath, *compare, *strict)
-		}
-		return runCampaignLocal(ctx, plane, cr, *parallel, batch,
-			*outPath, *compare, *strict)
-	}
-
-	selection, err := selectSpecs(*specsDir, *names)
-	if err != nil {
-		return err
-	}
-
-	if *list {
-		for _, s := range selection {
-			fmt.Printf("%-18s %-34s %d phases%s\n", s.Name, s.Title, len(s.Phases), describe(s))
-		}
-		return nil
-	}
-
-	batch := sim.BatchConfig{
-		Base: sim.Config{
-			TimeScale: *timescale,
-			Displays:  *displays,
-			Width:     96,
-			Height:    72,
-			Polygons:  *polygons,
-		},
-		Parallel: *parallel,
-		Timeout:  *timeout,
-		Headless: *headless,
-		Skill:    skill,
-	}
-	if plane != nil {
-		batch.Log = plane.Log()
 	}
 
 	switch {
 	case *serve && *coordAt != "":
 		return errors.New("-serve and -coordinator are mutually exclusive")
 	case *serve:
-		return runWorker(ctx, plane, *lanAddr, *name, *parallel, batch)
-	case *coordAt != "":
-		return runCoordinator(ctx, plane, *lanAddr, *coordAt, selection, *repeat, *timeout,
-			*outPath, *compare, *strict)
-	default:
-		return runLocal(ctx, selection, *repeat, batch, *outPath, *compare, *strict)
+		return runWorker(ctx, plane, *lanAddr, *name, slots, batch)
 	}
+
+	coord, width, closeCoord, err := openCoordinator(ctx, plane, *lanAddr, *coordAt, slots, batch)
+	if err != nil {
+		return err
+	}
+	defer closeCoord()
+
+	var (
+		src     dist.JobSource
+		total   int
+		summary func(wall time.Duration)
+	)
+	if cr != nil {
+		stream, cleanup, err := newCampaignStream(plane, *cr, width, false)
+		if err != nil {
+			return err
+		}
+		defer cleanup()
+		key := gen.Key(cr.seed, cr.count, cr.params)
+		fmt.Printf("campaign %s: dispatching %d certified scenarios (window-streamed, oracle-certified)\n", key, cr.count)
+		src, total = &campaignSource{stream: stream, count: cr.count}, cr.count
+		summary = func(wall time.Duration) {
+			campaignSummary(key, stream.Stats(), wall)
+			if *outPath == "" {
+				fmt.Printf("hint: -out %s.jsonl persists this sweep for -compare/-trend\n", key)
+			}
+		}
+	} else {
+		jobs := dist.JobsFor(selection, *repeat)
+		fmt.Printf("dispatching %d jobs (%d scenarios × %d)\n", len(jobs), len(selection), max(1, *repeat))
+		src, total = dist.SliceJobs(jobs), len(jobs)
+		summary = func(wall time.Duration) {
+			fmt.Printf("completed %d jobs in %.1fs wall\n", total, wall.Seconds())
+		}
+	}
+	start := time.Now()
+	recs, err := coord.RunStream(ctx, src)
+	if err != nil {
+		// Persist whatever completed before reporting the failure.
+		if *outPath != "" && len(recs) > 0 {
+			_ = dist.SaveRecords(*outPath, recs)
+		}
+		return fmt.Errorf("sweep aborted with %d/%d records: %w", len(recs), total, err)
+	}
+	summary(time.Since(start))
+	return finishSweep(recs, *outPath, *compare, *strict)
 }
 
 // campaignParams applies the -campaign-* knobs over the default sampling
@@ -339,81 +364,22 @@ func startObs(addr, role string) (*obs.Plane, error) {
 	return plane, nil
 }
 
-// runLocal is the classic in-process batch, now with record persistence
-// and regression compare.
-func runLocal(ctx context.Context, selection []scenario.Spec, repeat int,
-	batch sim.BatchConfig, outPath, compare string, strict bool) error {
-	jobs := dist.JobsFor(selection, repeat)
-	specs := make([]scenario.Spec, len(jobs))
-	batch.Seeds = make([]int64, len(jobs))
-	for i, j := range jobs {
-		specs[i] = j.Spec
-		// The same derivation a dist worker uses, so local and sharded
-		// sweeps of one job fly the same jittered trainee.
-		batch.Seeds[i] = j.SkillSeed()
-	}
-
-	start := time.Now()
-	results := sim.RunBatch(ctx, specs, batch)
-	fmt.Printf("ran %d scenario runs in %.1fs wall\n", len(results), time.Since(start).Seconds())
-	sim.WriteBatchReport(os.Stdout, results)
-
-	if err := ctx.Err(); err != nil {
-		// Interrupted mid-sweep: persist only the runs that really
-		// finished (matching the coordinator path) and fail — the
-		// canceled placeholders must not overwrite a good baseline.
-		var done []dist.Record
-		for i, res := range results {
-			if !errors.Is(res.Err, context.Canceled) {
-				done = append(done, dist.NewRecord(jobs[i], res, "local"))
-			}
-		}
-		if outPath != "" && len(done) > 0 {
-			_ = dist.SaveRecords(outPath, done)
-		}
-		return fmt.Errorf("sweep aborted with %d/%d records: %w", len(done), len(jobs), err)
-	}
-	recs := make([]dist.Record, len(results))
-	for i, res := range results {
-		recs[i] = dist.NewRecord(jobs[i], res, "local")
-	}
-	return finishSweep(recs, outPath, compare, strict)
-}
-
 // runWorker serves this host's slots to whatever coordinator shows up on
 // the segment, until interrupted.
 func runWorker(ctx context.Context, plane *obs.Plane, lanAddr, name string, slots int, batch sim.BatchConfig) error {
 	if name == "" {
 		name = fmt.Sprintf("worker-%d", os.Getpid())
 	}
-	if slots <= 0 {
-		if batch.Headless {
-			slots = runtime.NumCPU()
-		} else {
-			slots = max(1, runtime.NumCPU()/4)
-		}
-	}
 	node, err := cod.NewNode(name+"-node", cod.WithUDP(lanAddr))
 	if err != nil {
 		return err
 	}
 	defer node.Close()
-	plane.AddNode(name+"-node", node)
-	wcfg := dist.WorkerConfig{
-		Name:  name,
-		Slots: slots,
-		Batch: batch,
-	}
-	if plane != nil {
-		wcfg.Log = plane.Log()
-		wcfg.Spans = plane.SpanSink()
-	}
-	w, err := dist.NewWorker(node, wcfg)
+	w, err := newWorker(plane, node, name, slots, batch)
 	if err != nil {
 		return err
 	}
 	defer w.Close()
-	plane.AddDispatch(w.Sample)
 
 	mode := "federation"
 	if batch.Headless {
@@ -427,68 +393,112 @@ func runWorker(ctx context.Context, plane *obs.Plane, lanAddr, name string, slot
 	return nil
 }
 
-// runCoordinator shards the work list over the named workers and reports
-// the merged results.
-func runCoordinator(ctx context.Context, plane *obs.Plane, lanAddr, workerList string,
-	selection []scenario.Spec, repeat int, timeout time.Duration,
-	outPath, compare string, strict bool) error {
-	var workers []string
-	for _, w := range strings.Split(workerList, ",") {
-		if w = strings.TrimSpace(w); w != "" {
-			workers = append(workers, w)
+// newWorker registers a dist worker named name on node, wired into the
+// telemetry plane.
+func newWorker(plane *obs.Plane, node *cod.Node, name string, slots int, batch sim.BatchConfig) (*dist.Worker, error) {
+	plane.AddNode(node.Name(), node)
+	w, err := dist.NewWorker(node, dist.WorkerConfig{
+		Name: name, Slots: slots, Batch: batch, Log: plane.Log(), Spans: plane.SpanSink(),
+	})
+	if err != nil {
+		return nil, err
+	}
+	plane.AddDispatch(w.Sample)
+	return w, nil
+}
+
+// openCoordinator opens the one coordinator every sweep dispatches
+// through and returns once its workers have joined. With workerList set,
+// they are the named hosts on the UDPLAN segment at lanAddr; empty, one
+// in-process worker named "local" serves slots over a MemLAN — the same
+// protocol, on a LAN that is just memory. width is how many lanes a
+// campaign certifies on: the local worker's slots, or this host's cores
+// when the runs are elsewhere. closeAll tears down what was opened.
+func openCoordinator(ctx context.Context, plane *obs.Plane, lanAddr, workerList string,
+	slots int, batch sim.BatchConfig) (coord *dist.Coordinator, width int, closeAll func(), err error) {
+	var closers []func()
+	closeOpened := func() {
+		for i := len(closers) - 1; i >= 0; i-- {
+			closers[i]()
 		}
 	}
-	if len(workers) == 0 {
-		return errors.New("-coordinator needs at least one worker name")
-	}
+	defer func() {
+		if err != nil {
+			closeOpened()
+		}
+	}()
 
-	node, err := cod.NewNode("codbatch-coordinator", cod.WithUDP(lanAddr))
-	if err != nil {
-		return err
+	var node *cod.Node
+	workers := []string{"local"}
+	if workerList != "" {
+		workers = nil
+		for _, w := range strings.Split(workerList, ",") {
+			if w = strings.TrimSpace(w); w != "" {
+				workers = append(workers, w)
+			}
+		}
+		if len(workers) == 0 {
+			return nil, 0, nil, errors.New("-coordinator needs at least one worker name")
+		}
+		if node, err = cod.NewNode("codbatch-coordinator", cod.WithUDP(lanAddr)); err != nil {
+			return nil, 0, nil, err
+		}
+		closers = append(closers, func() { node.Close() })
+		width = runtime.NumCPU()
+	} else {
+		fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()))
+		closers = append(closers, func() { fed.Close() })
+		wnode, err := fed.Node("local-node")
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		w, err := newWorker(plane, wnode, "local", slots, batch)
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		wctx, stopWorker := context.WithCancel(ctx)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_ = w.Run(wctx)
+		}()
+		closers = append(closers, func() {
+			stopWorker()
+			<-done
+			w.Close()
+		})
+		if node, err = fed.Node("codbatch-coordinator"); err != nil {
+			return nil, 0, nil, err
+		}
+		width = slots
 	}
-	defer node.Close()
+	plane.AddNode(node.Name(), node)
+
 	// Give every run its per-run budget plus generous dispatch slack
 	// before declaring the attempt lost; workers run what they claim
-	// immediately, so queue wait does not count against this. timeout 0
-	// means "scenario default" (up to 120 s of federation wall clock),
-	// so substitute a budget at least that large.
-	budget := timeout
+	// immediately, so queue wait does not count against this. A zero
+	// Timeout means "scenario default" (up to 120 s of federation wall
+	// clock), so substitute a budget at least that large.
+	budget := batch.Timeout
 	if budget <= 0 {
 		budget = 2 * time.Minute
 	}
-	jobTimeout := 2*budget + time.Minute
-	plane.AddNode("codbatch-coordinator", node)
-	ccfg := dist.CoordinatorConfig{JobTimeout: jobTimeout}
-	if plane != nil {
-		ccfg.Log = plane.Log()
-		ccfg.Spans = plane.SpanSink()
+	ccfg := dist.CoordinatorConfig{
+		JobTimeout: 2*budget + time.Minute, Log: plane.Log(), Spans: plane.SpanSink(),
 	}
-	coord, err := dist.NewCoordinator(node, ccfg)
-	if err != nil {
-		return err
+	if coord, err = dist.NewCoordinator(node, ccfg); err != nil {
+		return nil, 0, nil, err
 	}
-	defer coord.Close()
+	closers = append(closers, func() { coord.Close() })
 	plane.AddDispatch(coord.Sample)
 
-	fmt.Printf("waiting for workers %s on %s\n", strings.Join(workers, ", "), lanAddr)
-	if err := coord.WaitWorkers(ctx, workers); err != nil {
-		return err
+	if workerList != "" {
+		fmt.Printf("waiting for workers %s on %s\n", strings.Join(workers, ", "), lanAddr)
 	}
-
-	jobs := dist.JobsFor(selection, repeat)
-	fmt.Printf("dispatching %d jobs (%d scenarios × %d) to %d workers\n",
-		len(jobs), len(selection), repeat, len(workers))
-	start := time.Now()
-	recs, err := coord.Run(ctx, jobs)
-	if err != nil {
-		// Persist whatever completed before reporting the failure.
-		if outPath != "" && len(recs) > 0 {
-			_ = dist.SaveRecords(outPath, recs)
-		}
-		return fmt.Errorf("sweep aborted with %d/%d records: %w", len(recs), len(jobs), err)
+	if err = coord.WaitWorkers(ctx, workers); err != nil {
+		return nil, 0, nil, err
 	}
-	fmt.Printf("completed %d jobs in %.1fs wall\n", len(recs), time.Since(start).Seconds())
-	return finishSweep(recs, outPath, compare, strict)
+	return coord, width, closeOpened, nil
 }
 
 // finishSweep is the shared tail of every batch mode: aggregate report,

@@ -114,7 +114,7 @@ func TestCampaignStreamMemLAN(t *testing.T) {
 	// The StaticOnly stream admits some specs the expert cannot finish, so
 	// the sweep carries a pass/fail mix — the verdicts (not just the
 	// passes) must agree run for run.
-	local := sim.RunBatch(ctx, specs, sim.BatchConfig{Headless: true, Parallel: 4})
+	local := sim.RunBatch(ctx, specs, sim.BatchConfig{Headless: true})
 	fails := 0
 	for i, r := range recs {
 		if r.Passed != local[i].Passed {

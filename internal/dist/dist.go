@@ -134,18 +134,17 @@ const coordinatorLP = "coordinator"
 // Job is one unit of distributable work: a scenario to run once.
 type Job struct {
 	// ID is unique within the sweep. Seed tags which repeat of the sweep
-	// the job belongs to, and is carried into the persisted Record;
-	// today's runs are deterministic per spec (the runner does not
-	// consume it — see DefaultRunner), so it exists for bookkeeping and
-	// for future stochastic workloads (autopilot skill levels,
-	// procedural scenario generation).
+	// the job belongs to (or, in a campaign, which generator candidate),
+	// and is carried into the persisted Record; with ID it makes the
+	// job's SkillSeed, the trainee a jittered skill profile flies (see
+	// DefaultRunner).
 	ID   int64
 	Seed int64
 	Spec scenario.Spec
 	// Span is the job's trace span ID, minted by the coordinator at
 	// dispatch and threaded through to the worker and its Record so log
-	// lines and phase-latency observations join on one key. Empty for
-	// jobs that never crossed a coordinator (local batches).
+	// lines and phase-latency observations join on one key. Empty until
+	// a coordinator dispatches the job.
 	Span string
 }
 

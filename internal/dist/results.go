@@ -32,8 +32,8 @@ type Record struct {
 	Err    string `json:"err,omitempty"`
 	// Span is the job's trace span ID; QueueMS is the coordinator-side
 	// load→grant wait and DispatchMS the worker-side claim→grant latency
-	// of the attempt that produced this record. All three are absent for
-	// local (non-dist) runs.
+	// of the attempt that produced this record. All three are absent from
+	// a record made outside a dist sweep (NewRecord of a sim.RunBatch run).
 	Span       string  `json:"span,omitempty"`
 	QueueMS    float64 `json:"queue_ms,omitempty"`
 	DispatchMS float64 `json:"dispatch_ms,omitempty"`
@@ -219,8 +219,8 @@ func groupOf(name string, recs []Record) Group {
 		scores = append(scores, r.Score)
 		walls = append(walls, r.WallSec)
 		sims = append(sims, r.SimSec)
-		// Only dist records carry dispatch latency; a mixed or local
-		// result set must not drag the percentiles to zero.
+		// Only dist records carry dispatch latency; records made outside
+		// a dist sweep must not drag the percentiles to zero.
 		if r.DispatchMS > 0 || r.Span != "" {
 			disp = append(disp, r.DispatchMS)
 		}
@@ -233,8 +233,8 @@ func groupOf(name string, recs []Record) Group {
 }
 
 // WriteReport renders the aggregate table. The dispatch-latency column
-// only appears when some record carried it — local sweeps keep the
-// narrow table.
+// only appears when some record carried it — records made outside a dist
+// sweep keep the narrow table.
 func WriteReport(w io.Writer, rep Report) {
 	withDispatch := rep.Total.Dispatch != Stats{}
 	fmt.Fprintf(w, "%-18s %5s %6s %7s %7s  %-17s %-17s",

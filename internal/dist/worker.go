@@ -28,13 +28,12 @@ type WorkerConfig struct {
 	Name string
 	// Slots is how many jobs run concurrently (default 1). Each slot is a
 	// whole scenario run — a full federation or a headless loop — so
-	// size it like sim.BatchConfig.Parallel.
+	// size it like sim.DefaultParallel.
 	Slots int
 	// Heartbeat is the liveness beacon period (default 500 ms).
 	Heartbeat time.Duration
 	// Batch is how this worker runs its shard: Headless or the full
-	// federation, with what timeout. Parallel is ignored — Slots is the
-	// worker's concurrency.
+	// federation, with what timeout and skill.
 	Batch sim.BatchConfig
 	// Run substitutes the job runner (tests); nil uses DefaultRunner.
 	Run Runner
@@ -64,12 +63,9 @@ func (c WorkerConfig) withDefaults(node *cod.Node) WorkerConfig {
 
 // DefaultRunner runs the job's scenario through sim.RunOne on the slot's
 // own goroutine — the worker's Slots is the concurrency control. The job's
-// Seed is deliberately NOT fed into the federation template: sim.Config's
-// Seed drives terrain generation, and the scenario library's geometry is
-// tuned to the default site — varying it per repeat would change the
-// course under the exam. Runs are deterministic per spec unless the
-// worker's skill profile carries Jitter, in which case Job.SkillSeed
-// selects this run's reproducible trainee variation.
+// SkillSeed picks the trainee when the worker's skill profile carries
+// Jitter; nothing else varies per job (every run flies the one site,
+// terrain.DefaultMap), so a run is deterministic per spec and seed.
 func DefaultRunner(ctx context.Context, job Job, cfg sim.BatchConfig) Record {
 	return NewRecord(job, sim.RunOne(ctx, job.Spec, cfg, job.SkillSeed()), "")
 }

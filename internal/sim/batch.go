@@ -21,11 +21,6 @@ type BatchConfig struct {
 	// is ignored; Autopilot and AutoStart are forced on. Unused when
 	// Headless is set.
 	Base Config
-	// Parallel caps how many runs execute concurrently. Default for
-	// federations: max(1, NumCPU/4) — a full federation is eight busy
-	// virtual computers, so oversubscribing stalls the paced LP loops.
-	// Default for headless runs: NumCPU (they are plain CPU-bound loops).
-	Parallel int
 	// Timeout bounds each run. This is the one rule, for both modes:
 	//
 	//   - Federation runs: a wall-clock cap on the run (default 120 s).
@@ -41,12 +36,6 @@ type BatchConfig struct {
 	// widened slack); the zero value is the flawless expert. Sweeping the
 	// presets over a scenario matrix yields realistic score spreads.
 	Skill trace.SkillProfile
-	// Seeds optionally gives each run its skill-jitter seed, parallel to
-	// the spec slice (missing entries read as 0). With Skill.Jitter > 0,
-	// run i flies Skill.Seeded(Seeds[i]) — a deterministic per-run
-	// variation that widens sweep distributions reproducibly. The dist
-	// worker and codbatch thread each job's seed through here.
-	Seeds []int64
 	// Log, when set, receives one structured record per run start and
 	// finish (scenario, seed, score, wall_s); nil is silent.
 	Log *slog.Logger
@@ -61,12 +50,16 @@ func (c BatchConfig) logOf() *slog.Logger {
 	return c.Log
 }
 
-// seedFor returns run i's skill-jitter seed.
-func (c BatchConfig) seedFor(i int) int64 {
-	if i < len(c.Seeds) {
-		return c.Seeds[i]
+// DefaultParallel is how many runs execute at once on one host when the
+// caller does not say: every core for headless runs (plain CPU-bound
+// loops), a quarter of them, at least one, for federations — a full
+// federation is eight busy virtual computers, so oversubscribing stalls
+// the paced LP loops.
+func DefaultParallel(headless bool) int {
+	if headless {
+		return runtime.NumCPU()
 	}
-	return 0
+	return max(1, runtime.NumCPU()/4)
 }
 
 // BatchResult is one scenario's outcome in a batch.
@@ -83,30 +76,20 @@ type BatchResult struct {
 	Alarms uint32
 }
 
-// RunBatch executes one full federation per scenario spec, Parallel at a
-// time, and reports per-scenario outcomes in input order. This is the
-// cluster-scale counterpart of trace.RunContext: every run boots the whole
-// eight-computer COD — displays, sync server, dashboard, motion,
-// instructor, sim PC — on its own in-memory LAN, drives the scenario with
-// the autopilot, and waits for the terminal phase.
+// RunBatch executes one full federation per scenario spec, DefaultParallel
+// at a time, each with seed 0 (see RunOne), and reports per-scenario
+// outcomes in input order. This is the cluster-scale counterpart of
+// trace.RunContext: every run boots the whole eight-computer COD —
+// displays, sync server, dashboard, motion, instructor, sim PC — on its
+// own in-memory LAN, drives the scenario with the autopilot, and waits for
+// the terminal phase.
 //
 // Canceling ctx abandons the batch: queued runs never start and in-flight
 // runs stop early; both report ctx's error in their BatchResult. The
 // result slice always has one entry per spec.
 func RunBatch(ctx context.Context, specs []scenario.Spec, cfg BatchConfig) []BatchResult {
-	if cfg.Parallel <= 0 {
-		if cfg.Headless {
-			cfg.Parallel = runtime.NumCPU()
-		} else {
-			cfg.Parallel = runtime.NumCPU() / 4
-		}
-		if cfg.Parallel < 1 {
-			cfg.Parallel = 1
-		}
-	}
-
 	results := make([]BatchResult, len(specs))
-	sem := make(chan struct{}, cfg.Parallel)
+	sem := make(chan struct{}, DefaultParallel(cfg.Headless))
 	var wg sync.WaitGroup
 	for i := range specs {
 		wg.Add(1)
@@ -119,7 +102,7 @@ func RunBatch(ctx context.Context, specs []scenario.Spec, cfg BatchConfig) []Bat
 				// No slot needed: RunOne reports the cancellation
 				// without running anything.
 			}
-			results[i] = RunOne(ctx, specs[i], cfg, cfg.seedFor(i))
+			results[i] = RunOne(ctx, specs[i], cfg, 0)
 		}(i)
 	}
 	wg.Wait()
@@ -128,10 +111,9 @@ func RunBatch(ctx context.Context, specs []scenario.Spec, cfg BatchConfig) []Bat
 
 // RunOne executes one scenario to a verdict on the calling goroutine — a
 // full federation, or the headless kernel when cfg.Headless — with seed
-// driving the run's skill jitter (see BatchConfig.Seeds). It is the run
-// RunBatch repeats; cfg.Parallel and cfg.Seeds belong to the batch and are
-// not read. A ctx already canceled is reported in the result without
-// booting anything.
+// picking the run's trainee when cfg.Skill carries Jitter
+// (trace.SkillProfile.Seeded). It is the run RunBatch repeats. A ctx
+// already canceled is reported in the result without booting anything.
 func RunOne(ctx context.Context, spec scenario.Spec, cfg BatchConfig, seed int64) BatchResult {
 	res := BatchResult{Scenario: spec.Name, Title: spec.Title}
 	if res.Err = ctx.Err(); res.Err != nil {

@@ -12,7 +12,8 @@ import (
 )
 
 // TestBatchRunsScenariosConcurrently executes two different scenarios as
-// two concurrent full federations and checks the per-scenario report.
+// full federations, DefaultParallel at a time (both at once from eight
+// cores up), and checks the per-scenario report.
 func TestBatchRunsScenariosConcurrently(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full federation runs")
@@ -26,8 +27,7 @@ func TestBatchRunsScenariosConcurrently(t *testing.T) {
 			Height:    72,
 			Polygons:  400,
 		},
-		Parallel: 2,
-		Timeout:  180 * time.Second,
+		Timeout: 180 * time.Second,
 	})
 	if len(results) != 2 {
 		t.Fatalf("results = %d", len(results))

@@ -26,7 +26,7 @@ func TestBatchGeneratedCampaign(t *testing.T) {
 		}
 		specs = append(specs, spec)
 	}
-	results := RunBatch(context.Background(), specs, BatchConfig{Headless: true, Parallel: 2})
+	results := RunBatch(context.Background(), specs, BatchConfig{Headless: true})
 	for i, r := range results {
 		if r.Err != nil || !r.Passed {
 			t.Errorf("generated %s (#%d): passed=%v err=%v", r.Scenario, i, r.Passed, r.Err)

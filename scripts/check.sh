@@ -266,9 +266,11 @@ w1=$!
 w2=$!
 # timeout: if a worker failed at startup (port clash with a stray run),
 # the coordinator would otherwise wait for its heartbeat forever.
+# -compare: the two-process sweep must not fall below the local batch
+# smoke's pass rate or p50 score on any scenario both ran.
 timeout 120 "$out/codbatch" -coordinator smoke1,smoke2 -lan 127.0.0.1:47901 \
     -scenarios classic-exam,blind-lift,tandem-beam,twin-yard -repeat 2 -headless -strict \
-    -out "$out/dist-results.jsonl" >"$out/dist-report.txt"
+    -out "$out/dist-results.jsonl" -compare "$out/results.jsonl" >"$out/dist-report.txt"
 tail -n 3 "$out/dist-report.txt"
 
 echo "== obs smoke (telemetry plane on worker smoke1: /metrics + /healthz) =="
