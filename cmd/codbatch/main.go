@@ -355,7 +355,7 @@ func startObs(addr, role string) (*obs.Plane, error) {
 	if addr == "" {
 		return nil, nil
 	}
-	plane := obs.NewPlane(role, os.Stderr, 0)
+	plane := obs.NewPlane(role, os.Stderr)
 	bound, err := plane.Start(addr)
 	if err != nil {
 		return nil, err

@@ -115,9 +115,9 @@ type Coordinator struct {
 	// one leaving.
 	jobChans, grantChans int
 
-	// prog mirrors dispatch state for the telemetry sampler. RunStream
-	// updates it at every phase transition; Sample reads it from the
-	// sampler's goroutine, so it has its own lock.
+	// prog mirrors dispatch state for the telemetry plane. RunStream
+	// updates it at every phase transition; Sample reads it from whichever
+	// goroutine serves a /metrics scrape, so it has its own lock.
 	progMu sync.Mutex
 	prog   progress
 }
@@ -318,7 +318,8 @@ func (c *Coordinator) noteWorkerDone(worker string) {
 }
 
 // Sample snapshots the coordinator's dispatch state for the telemetry
-// sampler (obs.Sampler.AddDispatch). Safe to call from any goroutine.
+// plane (obs.Plane.AddDispatch), which reads it when /metrics is scraped.
+// Safe to call from any goroutine.
 func (c *Coordinator) Sample() obs.DispatchSample {
 	c.progMu.Lock()
 	defer c.progMu.Unlock()

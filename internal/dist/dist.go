@@ -107,9 +107,10 @@
 // histogram — each phase is timed on a single machine's clock, so skew
 // between hosts never distorts it.
 // Coordinator.Sample and Worker.Sample expose live dispatch state for
-// the obs sampler's codsim_dist_* gauges, among them the coordinator's
-// announce count (against its attempts: about one each, unless announces
-// are being lost or re-sent in a storm) and each worker's backlog depth.
+// the obs plane's codsim_dist_* gauges, read when /metrics is scraped,
+// among them the coordinator's announce count (against its attempts:
+// about one each, unless announces are being lost or re-sent in a storm)
+// and each worker's backlog depth.
 package dist
 
 import (

@@ -15,18 +15,16 @@ import (
 
 // TestObsLiveSweepScrape drives a full MemLAN sweep with the telemetry
 // plane attached and scrapes /metrics concurrently the whole time — under
-// -race this doubles as the data-race check on the sampler, the span
-// recorder, and the Sample() snapshots. Afterwards it asserts the core
-// series the CI smoke greps for, and that every record came home with a
-// span and phase latencies.
+// -race this doubles as the data-race check on the plane's scrape pass,
+// the span recorder, and the Sample() snapshots. Afterwards it asserts
+// the core series the CI smoke greps for, and that every record came
+// home with a span and phase latencies.
 func TestObsLiveSweepScrape(t *testing.T) {
 	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()), fastTimers())
 	defer fed.Close()
 
-	reg := obs.NewRegistry()
-	spans := obs.NewSpans(reg)
-	sampler := obs.NewSampler(reg, 5*time.Millisecond)
-	server := obs.NewServer(reg)
+	plane := obs.NewPlane("test", io.Discard)
+	spans := plane.SpanSink()
 
 	wnode, err := fed.Node("w1-node")
 	if err != nil {
@@ -65,15 +63,12 @@ func TestObsLiveSweepScrape(t *testing.T) {
 	}
 	defer coord.Close()
 
-	sampler.AddNode("w1-node", wnode)
-	sampler.AddNode("coord-node", cnode)
-	sampler.AddDispatch(worker.Sample)
-	sampler.AddDispatch(coord.Sample)
-	server.AddNode("w1-node", wnode)
-	sampler.Start()
-	defer sampler.Stop()
+	plane.AddNode("w1-node", wnode)
+	plane.AddNode("coord-node", cnode)
+	plane.AddDispatch(worker.Sample)
+	plane.AddDispatch(coord.Sample)
 
-	ts := httptest.NewServer(server.Handler())
+	ts := httptest.NewServer(plane.Handler())
 	defer ts.Close()
 	scrape := func() string {
 		resp, err := ts.Client().Get(ts.URL + "/metrics")
@@ -89,22 +84,25 @@ func TestObsLiveSweepScrape(t *testing.T) {
 		return b.String()
 	}
 
-	// Hammer /metrics (and /debug/tablez) while the sweep runs.
+	// Hammer /metrics (and /debug/tablez) from two goroutines while the
+	// sweep runs, so scrape passes also overlap each other.
 	scrapeCtx, stopScrapes := context.WithCancel(context.Background())
 	var scrapers sync.WaitGroup
-	scrapers.Add(1)
-	go func() {
-		defer scrapers.Done()
-		for scrapeCtx.Err() == nil {
-			scrape()
-			resp, err := ts.Client().Get(ts.URL + "/debug/tablez")
-			if err == nil {
-				_, _ = io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
+	for i := 0; i < 2; i++ {
+		scrapers.Add(1)
+		go func() {
+			defer scrapers.Done()
+			for scrapeCtx.Err() == nil {
+				scrape()
+				resp, err := ts.Client().Get(ts.URL + "/debug/tablez")
+				if err == nil {
+					_, _ = io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+				time.Sleep(2 * time.Millisecond)
 			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
+		}()
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -130,7 +128,7 @@ func TestObsLiveSweepScrape(t *testing.T) {
 		}
 	}
 
-	sampler.SampleOnce() // final pass so the last scrape sees the sweep's end state
+	// The scrape reads every source itself, so it sees the end state.
 	out := scrape()
 	for _, want := range []string{
 		"codsim_cb_channel_frames_total{",

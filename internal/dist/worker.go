@@ -130,7 +130,8 @@ type Worker struct {
 	doneCh chan Record // finished runs, keyed by Record.Job
 
 	// Scrape-facing mirrors of the ledger above, refreshed by the Run
-	// loop so the telemetry sampler's Sample never touches loop state.
+	// loop so Sample, read when /metrics is scraped, never touches loop
+	// state.
 	obsBusy     atomic.Int64
 	obsClaimed  atomic.Int64
 	obsBacklog  atomic.Int64
@@ -301,8 +302,9 @@ func (w *Worker) publishStats() {
 	w.obsBacklog.Store(int64(len(w.backlog) + len(w.next)))
 }
 
-// Sample snapshots the worker's dispatch state for the telemetry sampler
-// (obs.Sampler.AddDispatch). Safe to call from any goroutine.
+// Sample snapshots the worker's dispatch state for the telemetry plane
+// (obs.Plane.AddDispatch), which reads it when /metrics is scraped. Safe
+// to call from any goroutine.
 func (w *Worker) Sample() obs.DispatchSample {
 	return obs.DispatchSample{
 		Role:         "worker",

@@ -1,8 +1,8 @@
-// Package obs is the cluster's telemetry plane: a process-wide metric
-// registry with Prometheus text exposition, an opt-in HTTP endpoint
-// (/metrics, /healthz, /debug/tablez, pprof), a background sampler that
-// scrapes backbone and dispatch state into gauges, structured logging
-// helpers on log/slog, and lightweight per-job trace spans.
+// Package obs is the cluster's telemetry plane: a metric registry with
+// Prometheus text exposition, an opt-in HTTP endpoint (/metrics, /healthz,
+// /debug/tablez, pprof) whose /metrics reads backbone and dispatch state
+// into gauges on every scrape, structured logging helpers on log/slog,
+// and lightweight per-job trace spans.
 //
 // The paper's cluster of desktops was debugged by watching consoles; a
 // 1000-job campaign across a multi-host sweep is not. This package turns
@@ -19,7 +19,7 @@
 // (internal/cb, internal/wire, internal/transport) — the codvet layering
 // analyzer enforces this. internal/dist imports obs for span sinks and
 // the slog shim; obs must therefore never import dist, which is why the
-// sampler consumes dispatch state as plain DispatchSample values.
+// Plane consumes dispatch state as plain DispatchSample values.
 //
 // # Metric naming
 //
@@ -29,6 +29,8 @@
 //	               per-channel series add {lp,class,peer,channel})
 //	codsim_dist_*  dispatch state ({role} label; per-worker series {worker})
 //	codsim_job_*   per-job trace phases ({phase} label)
+//	codsim_gen_*   campaign candidate verdicts, cache consults, oracle time
+//	codsim_obs_*   the plane's own scrape count
 //
 // Counters sampled from cumulative sources keep the _total suffix;
 // instantaneous values (jobs in flight, slots busy) are plain gauges;
@@ -42,6 +44,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"codsim/internal/metrics"
 )
@@ -76,36 +79,71 @@ func (c *Counter) Add(d int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.c.Value() }
 
-// Gauge is an instantaneous value that can move both ways.
+// Gauge is an instantaneous value that can move both ways: the last Set
+// wins. The zero value is ready to use; Set and Value are lock-free.
 type Gauge struct {
-	g metrics.Gauge
+	bits atomic.Uint64 // math.Float64bits of the current value
 }
 
 // Set replaces the value.
-func (g *Gauge) Set(v float64) { g.g.Set(v) }
-
-// Add adjusts the value by d.
-func (g *Gauge) Add(d float64) { g.g.Add(d) }
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.g.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.g.Add(-1) }
+func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Value returns the current value.
-func (g *Gauge) Value() float64 { return g.g.Value() }
+func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram accumulates observations into cumulative buckets.
+// Histogram accumulates observations into fixed cumulative buckets — the
+// Prometheus histogram shape: bucket i tallies observations ≤ bounds[i],
+// with an implicit +Inf bucket catching the rest. Observe is lock-free and
+// allocation-free, so it can sit on delivery hot paths.
 type Histogram struct {
-	h *metrics.Histogram
+	bounds []float64
+	counts []atomic.Uint64 // len(bounds)+1; last is the +Inf bucket
+	sum    atomic.Uint64   // math.Float64bits-encoded running sum
+}
+
+// defaultLatencyBuckets spans 1 ms to 60 s exponentially — wide enough
+// for both in-process dispatch hops and whole-scenario run phases.
+var defaultLatencyBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025,
+	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
+
+// newHistogram returns a histogram over the given upper bounds, sorted
+// here; nil or empty bounds mean defaultLatencyBuckets.
+func newHistogram(bounds []float64) *Histogram {
+	if len(bounds) == 0 {
+		bounds = defaultLatencyBuckets
+	}
+	b := append([]float64(nil), bounds...)
+	sort.Float64s(b)
+	return &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
 }
 
 // Observe adds one sample.
-func (h *Histogram) Observe(v float64) { h.h.Observe(v) }
+func (h *Histogram) Observe(v float64) {
+	i := 0
+	for i < len(h.bounds) && v > h.bounds[i] {
+		i++
+	}
+	h.counts[i].Add(1)
+	for {
+		old := h.sum.Load()
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
+	}
+}
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.h.Count() }
+// snapshot returns the cumulative bucket counts (one per bound, plus the
+// +Inf tail entry, which is the total count) and the sum of all
+// observations.
+func (h *Histogram) snapshot() (cumulative []uint64, sum float64) {
+	cumulative = make([]uint64, len(h.counts))
+	var run uint64
+	for i := range h.counts {
+		run += h.counts[i].Load()
+		cumulative[i] = run
+	}
+	return cumulative, math.Float64frombits(h.sum.Load())
+}
 
 // series is one labeled instance of a family.
 type series struct {
@@ -140,7 +178,7 @@ func (f *family) get(labelBlock string) *series {
 		case kindGauge:
 			s.gauge = &Gauge{}
 		case kindHistogram:
-			s.hist = &Histogram{h: metrics.NewHistogram(f.buckets)}
+			s.hist = newHistogram(f.buckets)
 		}
 		f.series[labelBlock] = s
 	}
@@ -160,19 +198,6 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
-}
-
-// defaultRegistry is the process-wide registry Default returns.
-var defaultRegistry = struct {
-	once sync.Once
-	reg  *Registry
-}{}
-
-// Default returns the process-wide registry, for instrumentation points
-// with no wiring path to an explicit one.
-func Default() *Registry {
-	defaultRegistry.once.Do(func() { defaultRegistry.reg = NewRegistry() })
-	return defaultRegistry.reg
 }
 
 // lookup finds or creates a family, enforcing kind/label consistency.
@@ -217,7 +242,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 }
 
 // Histogram registers (or fetches) an unlabeled histogram over the given
-// bucket upper bounds (nil = metrics.DefaultLatencyBuckets).
+// bucket upper bounds (nil = 1 ms to 60 s, exponentially).
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	return r.lookup(name, help, kindHistogram, nil, buckets).get("").hist
 }
@@ -364,9 +389,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			case kindGauge:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatValue(s.gauge.Value()))
 			case kindHistogram:
-				cum, _, sum := s.hist.h.Snapshot()
-				bounds := s.hist.h.Bounds()
-				for i, bound := range bounds {
+				cum, sum := s.hist.snapshot()
+				for i, bound := range s.hist.bounds {
 					fmt.Fprintf(&b, "%s_bucket%s %d\n",
 						f.name, insertLabel(s.labels, "le", formatValue(bound)), cum[i])
 				}

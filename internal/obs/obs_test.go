@@ -2,8 +2,10 @@ package obs
 
 import (
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -87,7 +89,7 @@ func TestLabelEscaping(t *testing.T) {
 }
 
 // fakeBackbone serves canned stats/tables through the narrow interface the
-// sampler consumes — the same shape a *cod.Node presents.
+// plane consumes — the same shape a *cod.Node presents.
 type fakeBackbone struct {
 	stats cod.Stats
 	subs  []cod.TableEntry
@@ -119,13 +121,12 @@ func newFakeBackbone() *fakeBackbone {
 // TestSamplerChannelSeries asserts that one scrape pass turns a backbone's
 // per-channel tallies into labeled codsim_cb_* series.
 func TestSamplerChannelSeries(t *testing.T) {
-	reg := NewRegistry()
-	s := NewSampler(reg, time.Hour)
-	s.AddNode("disp-pc", newFakeBackbone())
-	s.SampleOnce()
+	p := NewPlane("test", io.Discard)
+	p.AddNode("disp-pc", newFakeBackbone())
+	p.sample()
 
 	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
+	if err := p.Registry.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -153,22 +154,21 @@ func TestSamplerChannelSeries(t *testing.T) {
 // TestSamplerDispatchSeries asserts coordinator and worker dispatch
 // samples land as codsim_dist_* series.
 func TestSamplerDispatchSeries(t *testing.T) {
-	reg := NewRegistry()
-	s := NewSampler(reg, time.Hour)
-	s.AddDispatch(func() DispatchSample {
+	p := NewPlane("test", io.Discard)
+	p.AddDispatch(func() DispatchSample {
 		return DispatchSample{
 			Role: "coordinator", Name: "sweep-1",
 			Pending: 3, Granted: 2, Done: 5, Attempts: 11, Redispatches: 1, Announces: 14,
 			Workers: []WorkerSample{{Name: "host1", Done: 5, Throughput: 2.5, Busy: 2, Slots: 4, SinceSeen: 0.25}},
 		}
 	})
-	s.AddDispatch(func() DispatchSample {
+	p.AddDispatch(func() DispatchSample {
 		return DispatchSample{Role: "worker", Name: "host1", Slots: 4, Busy: 2, Claimed: 1, Backlog: 7, Finished: 5, ResultsAcked: 5}
 	})
-	s.SampleOnce()
+	p.sample()
 
 	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
+	if err := p.Registry.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -221,40 +221,41 @@ func TestSpans(t *testing.T) {
 	}
 }
 
+// get GETs url and returns the body, failing the test on any error or a
+// status other than 200.
+func get(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+	}
+	var b strings.Builder
+	if _, err := io.Copy(&b, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 func TestServerEndpoints(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("test_up", "").Inc()
-	srv := NewServer(reg)
-	srv.AddNode("disp-pc", newFakeBackbone())
-	ts := httptest.NewServer(srv.Handler())
+	p := NewPlane("test", io.Discard)
+	p.Registry.Counter("test_up", "").Inc()
+	p.AddNode("disp-pc", newFakeBackbone())
+	ts := httptest.NewServer(p.Handler())
 	defer ts.Close()
 
-	get := func(path string) string {
-		t.Helper()
-		resp, err := ts.Client().Get(ts.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		var b strings.Builder
-		if _, err := io.Copy(&b, resp.Body); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-
-	if out := get("/metrics"); !strings.Contains(out, "test_up 1") {
+	if out := get(t, ts.URL+"/metrics"); !strings.Contains(out, "test_up 1") {
 		t.Errorf("/metrics missing test_up:\n%s", out)
 	}
-	if out := get("/healthz"); !strings.HasPrefix(out, "ok") {
+	if out := get(t, ts.URL+"/healthz"); !strings.HasPrefix(out, "ok") {
 		t.Errorf("/healthz returned %q", out)
 	}
 	// Each table is its header and rows in columns two spaces apart, the
 	// last column unpadded.
-	tablez := get("/debug/tablez")
+	tablez := get(t, ts.URL+"/debug/tablez")
 	for _, want := range []string{
 		"== node disp-pc ==\n",
 		"\npublications\n" +
@@ -271,28 +272,48 @@ func TestServerEndpoints(t *testing.T) {
 }
 
 // TestPlaneCollectsOnScrape pins the collect-on-scrape contract: /metrics
-// must reflect the state at scrape time even if the background sampler
-// never ticked — per-channel tallies vanish when a virtual channel tears
-// down, so a scrape that only read old ticks could miss a short-lived
-// channel entirely.
+// must reflect the state at scrape time — per-channel tallies vanish when
+// a virtual channel tears down, so a scrape that read older state could
+// miss a short-lived channel entirely.
 func TestPlaneCollectsOnScrape(t *testing.T) {
-	p := NewPlane("test", io.Discard, time.Hour) // sampler deliberately never started
+	p := NewPlane("test", io.Discard)
 	p.AddNode("disp-pc", newFakeBackbone())
-	ts := httptest.NewServer(p.Server.Handler())
+	ts := httptest.NewServer(p.Handler())
 	defer ts.Close()
 
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	out := get(t, ts.URL+"/metrics")
+	want := `codsim_cb_channel_frames_total{node="disp-pc",lp="visual",class="CraneState",peer="dyn-pc",channel="7"} 9`
+	if !strings.Contains(out, want) {
+		t.Errorf("scrape missing %q:\n%s", want, out)
+	}
+}
+
+// TestPlaneReadsSourcesOnScrape pins that /metrics is the only reader of
+// the registered sources: one read per scrape, none from the other
+// endpoints, none in the background and none at Close.
+func TestPlaneReadsSourcesOnScrape(t *testing.T) {
+	p := NewPlane("test", io.Discard)
+	var calls atomic.Int64
+	p.AddDispatch(func() DispatchSample {
+		calls.Add(1)
+		return DispatchSample{Role: "worker", Name: "host1"}
+	})
+	addr, err := p.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var b strings.Builder
-	if _, err := io.Copy(&b, resp.Body); err != nil {
-		t.Fatal(err)
+	url := "http://" + addr
+	get(t, url+"/metrics")
+	out := get(t, url+"/metrics")
+	get(t, url+"/healthz")
+	get(t, url+"/debug/tablez")
+	p.Close()
+
+	if n := calls.Load(); n != 2 {
+		t.Errorf("dispatch source read %d times, want 2 (one per /metrics scrape)", n)
 	}
-	want := `codsim_cb_channel_frames_total{node="disp-pc",lp="visual",class="CraneState",peer="dyn-pc",channel="7"} 9`
-	if !strings.Contains(b.String(), want) {
-		t.Errorf("scrape without a sampler tick missing %q:\n%s", want, b.String())
+	if !strings.Contains(out, "codsim_obs_samples_total 2") {
+		t.Errorf("second scrape does not count two scrapes:\n%s", out)
 	}
 }
 
@@ -309,18 +330,21 @@ func BenchmarkObsCounter(b *testing.B) {
 	}
 }
 
-// BenchmarkObsSampler is one full scrape pass over a realistic node.
+// BenchmarkObsSampler is the sample pass of one /metrics scrape over a
+// realistic node and a coordinator. The pass must not allocate (the
+// BENCH_baseline.json ceiling is 0 allocs/op): the resolved-gauge caches
+// exist for that. The source returns one prebuilt Workers slice, as a
+// source that allocated per call would charge its own garbage here.
 func BenchmarkObsSampler(b *testing.B) {
-	reg := NewRegistry()
-	s := NewSampler(reg, time.Hour)
-	s.AddNode("disp-pc", newFakeBackbone())
-	s.AddDispatch(func() DispatchSample {
-		return DispatchSample{Role: "coordinator", Name: "sweep-1", Pending: 3,
-			Workers: []WorkerSample{{Name: "host1", Done: 5}}}
+	p := NewPlane("bench", io.Discard)
+	p.AddNode("disp-pc", newFakeBackbone())
+	workers := []WorkerSample{{Name: "host1", Done: 5}}
+	p.AddDispatch(func() DispatchSample {
+		return DispatchSample{Role: "coordinator", Name: "sweep-1", Pending: 3, Workers: workers}
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.SampleOnce()
+		p.sample()
 	}
 }

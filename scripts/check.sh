@@ -151,7 +151,8 @@ echo "== bench regression (allocs/op vs BENCH_baseline.json; CBRouting gates) ==
 go test -bench 'BenchmarkCB|BenchmarkChannelSetup' -benchtime 10x -run '^$' . >"$out/bench.txt"
 go test -bench . -benchtime 10x -run '^$' ./internal/transport >>"$out/bench.txt"
 # ObsCounter carries a 0-allocs/op ceiling: metric points must stay cheap
-# enough to sit on delivery hot paths. 1000x for a steady-state reading.
+# enough to sit on delivery hot paths. ObsSampler, a /metrics scrape's
+# sample pass, carries one too. 1000x for a steady-state reading.
 go test -bench . -benchtime 1000x -run '^$' ./internal/obs >>"$out/bench.txt"
 # The gated CBRouting ceilings need steady-state numbers: at 10x the
 # channel-setup amortization still flickers allocs/op by ±3. benchdiff
