@@ -253,6 +253,10 @@ type subCfg struct {
 // not set one.
 const defaultMailboxDepth = 64
 
+// reliableStartDepth is the ring a reliable subscription's mailbox starts
+// with, whatever WithQueue says; it grows by doubling as frames arrive.
+const reliableStartDepth = 8
+
 // DefaultCreditWindow is the reliable send window used when WithReliable
 // is given a non-positive window (and when a policy-bearing handshake
 // omits the window attribute).
@@ -260,7 +264,8 @@ const DefaultCreditWindow = 64
 
 // WithQueue sets the mailbox depth. Under the default drop-oldest policy
 // the oldest reflection is dropped on overflow; combine with a delivery
-// policy option to change what overflow means.
+// policy option to change what overflow means. A reliable subscription
+// never overflows (its mailbox grows), so it ignores the depth.
 func WithQueue(depth int) SubscribeOption {
 	return func(c *subCfg) { c.depth = depth }
 }
@@ -361,10 +366,13 @@ func (b *Backbone) SubscribeObjectClass(lp, class string, opts ...SubscribeOptio
 	if depth <= 0 {
 		depth = defaultMailboxDepth
 	}
-	if cfg.policy == wire.PolicyReliable && depth < int(window) {
-		// The mailbox must absorb a full window per publisher before the
-		// credits stall them; start at one window and let it grow.
-		depth = int(window)
+	if cfg.policy == wire.PolicyReliable {
+		// A reliable mailbox never drops, so its depth is only where the
+		// ring starts: push doubles it up to what the credit windows let
+		// the publishers put in flight. Most reliable classes carry a
+		// handful of frames at a time; sizing every ring to a full window
+		// up front was most of a subscription's memory.
+		depth = reliableStartDepth
 	}
 	grantEvery := window / 4
 	if grantEvery == 0 {

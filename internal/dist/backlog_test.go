@@ -349,7 +349,7 @@ func TestNoClaimGoesUnanswered(t *testing.T) {
 
 	// Job 5 was re-dispatched to attempt 2 and announced a moment ago.
 	s := &jobState{job: testJobs(6)[5], attempt: 2, announce: time.Now(), created: time.Now()}
-	sw := &sweep{open: map[int64]*jobState{5: s}, order: []*jobState{s}, done: map[int64]jobGrant{}}
+	sw := &sweep{open: map[int64]*jobState{5: s}, order: []*jobState{s}, done: map[int64]doneJob{}}
 	if err := pubClaim.Update(0, jobClaim{Sweep: ccfg.Sweep, Job: 5, Attempt: 1, Worker: "w1"}); err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestNoClaimGoesUnanswered(t *testing.T) {
 	// Job 9 was recorded while pending at attempt 2 (the first attempt's
 	// result came late), so it has no grantee. A worker still holding its
 	// announce bids; the answer must release that bid too.
-	sw.done[9] = jobGrant{Sweep: ccfg.Sweep, Job: 9, Attempt: 2}
+	sw.done[9] = doneJob{attempt: 2}
 	if err := pubClaim.Update(0, jobClaim{Sweep: ccfg.Sweep, Job: 9, Attempt: 2, Worker: "w1"}); err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"codsim/internal/scenario"
 	"codsim/internal/scenario/gen"
 	"codsim/internal/sim"
+	"codsim/internal/trace"
 )
 
 // streamSource feeds a bounded number of generated scenarios into a
@@ -126,4 +127,86 @@ func TestCampaignStreamMemLAN(t *testing.T) {
 		}
 	}
 	t.Logf("%d/%d generated jobs failed under the free oracle (verdicts all matched)", fails, count)
+}
+
+// TestHandOffMatchesFlight is the differential test behind trace's
+// hand-off: every certified job of campaign-42x1000-8c425b59 (default
+// params, default skill) crosses the wire as MarshalSpec JSON and runs
+// through DefaultRunner, which answers it with its own oracle dry-run. Its
+// record, after the result's JSON round trip, must equal a fresh flight of
+// the same spec on every field a verdict reads, and the hand-off must have
+// answered exactly every job. The same jobs with a jittered novice
+// (-skill novice -jitter 0.3), each asked while its dry-run is still
+// parked, must take nothing. Under the race detector it flies the first
+// 32 jobs of the same stream.
+func TestHandOffMatchesFlight(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1128 dry-runs and 3000 flights in -short")
+	}
+	const seed = 42
+	count := 1000
+	params := gen.DefaultParams()
+	if key := gen.Key(seed, count, params); key != "campaign-42x1000-8c425b59" {
+		t.Fatalf("campaign key %s: the default params moved", key)
+	}
+	if raceEnabled {
+		count = 32
+	}
+	ctx := context.Background()
+	stream := gen.NewStream(seed, params)
+	stream.Parallel = 2
+	stream.Prefetch = true
+	defer stream.Close()
+	expert := sim.BatchConfig{Headless: true}
+	novice := sim.BatchConfig{Headless: true, Skill: trace.SkillNovice()}
+	novice.Skill.Jitter = 0.3
+
+	var expertTakes, noviceTakes int64
+	for i := range count {
+		spec, cand, err := stream.Next(ctx)
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		data, err := scenario.MarshalSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent, err := scenario.UnmarshalSpec(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := Job{ID: int64(i), Seed: cand, Spec: sent}
+
+		before := trace.HandOffs()
+		DefaultRunner(ctx, job, novice)
+		noviceTakes += trace.HandOffs() - before
+
+		before = trace.HandOffs()
+		rec := DefaultRunner(ctx, job, expert)
+		expertTakes += trace.HandOffs() - before
+		b, err := marshalRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Record
+		if err := unmarshalRecord(b, &got); err != nil {
+			t.Fatal(err)
+		}
+
+		fresh, err := trace.NewRunner().RunSkill(ctx, spec, trace.DefaultBudget(spec), trace.SkillProfile{})
+		if err != nil {
+			t.Fatalf("job %d (%s): fresh flight: %v", i, spec.Name, err)
+		}
+		if got.Err != "" || got.Passed != fresh.Passed || got.Score != fresh.State.Score ||
+			got.Phase != fresh.State.Phase.String() || got.SimSec != fresh.State.Elapsed ||
+			got.Alarms != int64(fresh.Alarms) {
+			t.Fatalf("job %d (%s): handed-off record %+v, fresh flight %+v", i, spec.Name, got, fresh)
+		}
+	}
+	if expertTakes != int64(count) {
+		t.Errorf("%d of %d expert jobs taken from their dry-run, want all", expertTakes, count)
+	}
+	if noviceTakes != 0 {
+		t.Errorf("%d of %d novice jobs took an expert dry-run, want 0", noviceTakes, count)
+	}
 }

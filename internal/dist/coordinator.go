@@ -388,17 +388,24 @@ type jobState struct {
 
 // sweep is one RunStream's job table. A job lives in open, with its spec,
 // only until it has a Record; after that done keeps what a late duplicate
-// claim or result still needs (the attempt and grantee to re-send), so a
-// stream's memory follows its window, not its length, and every per-tick
-// pass ranges over the open jobs alone. order lists them as they were
+// claim or result still needs (the attempt and grantee to re-send; the
+// sweep and job IDs are the config's and the key), so a stream's memory
+// follows its window, not its length, and every per-tick pass ranges over
+// the open jobs alone. order lists them as they were
 // loaded: workers bid on the oldest announce they hold, so announcing in
 // load order is what makes a sweep run first in, first out.
 type sweep struct {
 	open  map[int64]*jobState
 	order []*jobState
-	done  map[int64]jobGrant
+	done  map[int64]doneJob
 	recs  []Record
 	strs  map[string]string // one copy of each low-cardinality Record string
+}
+
+// doneJob is what a finished job's standing grant needs beyond its ID.
+type doneJob struct {
+	attempt int64
+	worker  string
 }
 
 // intern returns the sweep's one copy of v. A decoded Record allocates its
@@ -418,7 +425,7 @@ func (c *Coordinator) finish(sw *sweep, s *jobState, rec Record) {
 	delete(sw.open, s.job.ID)
 	i := slices.Index(sw.order, s)
 	sw.order = slices.Delete(sw.order, i, i+1)
-	sw.done[s.job.ID] = c.grantOf(s)
+	sw.done[s.job.ID] = doneJob{attempt: s.attempt, worker: s.worker}
 	sw.recs = append(sw.recs, rec)
 }
 
@@ -447,7 +454,7 @@ func (c *Coordinator) Run(ctx context.Context, jobs []Job) ([]Record, error) {
 // blocks (a generator certifying its next candidate) delays refills but
 // not the grants, results and re-dispatches of the jobs already loaded.
 func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, error) {
-	sw := &sweep{open: make(map[int64]*jobState), done: make(map[int64]jobGrant), strs: make(map[string]string)}
+	sw := &sweep{open: make(map[int64]*jobState), done: make(map[int64]doneJob), strs: make(map[string]string)}
 
 	feed := make(chan pulled)
 	fctx, stopFeeder := context.WithCancel(ctx)
@@ -660,12 +667,12 @@ func (c *Coordinator) drainClaims(sw *sweep) {
 		}
 		s := sw.open[claim.Job]
 		if s == nil {
-			if g, done := sw.done[claim.Job]; done {
+			if d, done := sw.done[claim.Job]; done {
 				// Idempotent re-send releases the loser. A job recorded while
 				// it was pending (a stale attempt's result, or given up) has no
 				// grantee; the empty name still tells every worker holding its
 				// announce that the job went elsewhere.
-				c.sendGrant(g)
+				c.sendGrant(jobGrant{Sweep: c.cfg.Sweep, Job: claim.Job, Attempt: d.attempt, Worker: d.worker})
 			}
 			continue
 		}

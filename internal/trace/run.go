@@ -80,7 +80,16 @@ func RunContext(ctx context.Context, spec scenario.Spec, maxSim float64) (RunRes
 // autopilot flies with the given sloppiness (the zero profile is the
 // classic expert). Sweeping the presets over a scenario matrix yields
 // realistic score distributions instead of near-perfect runs.
+//
+// It is the one call that takes a hand-off: when Completable has parked a
+// passing dry-run of the same spec bytes, the profile is the expert
+// (IsZero, no Jitter), maxSim is at least the dry-run's budget and ctx is
+// live, RunSkill returns that result once instead of flying the spec
+// again. Every other call, and Runner.RunSkill always, flies.
 func RunSkill(ctx context.Context, spec scenario.Spec, maxSim float64, skill SkillProfile) (RunResult, error) {
+	if res, ok := take(ctx, spec, maxSim, skill); ok {
+		return res, nil
+	}
 	return (&Runner{}).RunSkill(ctx, spec, maxSim, skill)
 }
 
@@ -144,6 +153,11 @@ func (r *Runner) RunSkill(ctx context.Context, spec scenario.Spec, maxSim float6
 // never reached a terminal phase; err carries only genuine faults — a spec
 // or rig that cannot be built, or ctx canceled mid-run — so a campaign
 // generator can resample on !ok and abort on err.
+//
+// A passing run is parked for the package-level RunSkill: the job that
+// flies the certified spec next takes it instead of flying it again (see
+// RunSkill for when). Parked results nobody takes are overwritten,
+// oldest first, so they cost a fixed amount of memory.
 func Completable(ctx context.Context, spec scenario.Spec, maxSim float64) (RunResult, bool, error) {
 	res, err := (&Runner{StallBudget: DefaultStallBudget}).RunSkill(ctx, spec, maxSim, SkillProfile{})
 	if errors.Is(err, ErrIncomplete) {
@@ -151,6 +165,9 @@ func Completable(ctx context.Context, spec scenario.Spec, maxSim float64) (RunRe
 	}
 	if err != nil {
 		return res, false, err
+	}
+	if res.Passed {
+		park(spec, maxSim, res)
 	}
 	return res, res.Passed, nil
 }

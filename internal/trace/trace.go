@@ -16,6 +16,17 @@
 // package sim is not a second copy of it: its LPs make the same three
 // calls, but through the backbone at 60/50/30 Hz, and share only the rig
 // constructor.
+//
+// A certified campaign flies each job once. Completable, the oracle's
+// dry-run, parks every passing result in a small ring keyed by the
+// SHA-256 of the spec's MarshalSpec bytes; the package-level RunSkill —
+// what sim.RunOne flies headless, so every dist worker slot — takes it,
+// once, instead of flying the same spec again, when the run would repeat
+// the dry-run tick for tick: same spec bytes, the expert profile without
+// jitter, a budget at least the dry-run's, a live context. Everything
+// else flies, and costs one atomic load while nothing is parked. The
+// hand-off works within one process (a local campaign, whose worker runs
+// beside its oracle); HandOffs counts what it answered.
 package trace
 
 import (

@@ -243,12 +243,24 @@ tail -n 2 "$out/tandem.txt"
 echo "== campaign smoke (100 generated scenarios, oracle-certified, strict, verdict cache) =="
 "$out/codbatch" -campaign 7:100 -headless -strict -campaign-cache "$out/verdicts.jsonl" >"$out/campaign.txt"
 tail -n 3 "$out/campaign.txt"
+# Cold run: every certified job takes its own dry-run's result, none flies twice.
+grep -q '^100 of 100 jobs taken from their certification dry-run' "$out/campaign.txt" || {
+    echo "campaign smoke: cold run flew certified jobs again" >&2
+    grep 'jobs taken' "$out/campaign.txt" >&2 || true
+    exit 1
+}
 "$out/codbatch" -campaign 7:100 -list >/dev/null
-# Warm rerun: every verdict replays from the cache — zero live dry-runs.
+# Warm rerun: every verdict replays from the cache — zero live dry-runs, so
+# nothing is parked and every job flies.
 "$out/codbatch" -campaign 7:100 -headless -strict -campaign-cache "$out/verdicts.jsonl" >"$out/campaign-warm.txt"
-grep -q '0 live dry-runs' "$out/campaign-warm.txt" || {
+grep -q ' 0 live dry-runs' "$out/campaign-warm.txt" || {
     echo "campaign smoke: warm cache rerun still flew dry-runs" >&2
     grep 'verdict cache' "$out/campaign-warm.txt" >&2 || true
+    exit 1
+}
+grep -q '^0 of 100 jobs taken from their certification dry-run' "$out/campaign-warm.txt" || {
+    echo "campaign smoke: warm rerun took a hand-off with no dry-run flown" >&2
+    grep 'jobs taken' "$out/campaign-warm.txt" >&2 || true
     exit 1
 }
 
