@@ -370,8 +370,9 @@ func (b *Backbone) SubscribeObjectClass(lp, class string, opts ...SubscribeOptio
 		// A reliable mailbox never drops, so its depth is only where the
 		// ring starts: push doubles it up to what the credit windows let
 		// the publishers put in flight. Most reliable classes carry a
-		// handful of frames at a time; sizing every ring to a full window
-		// up front was most of a subscription's memory.
+		// handful of frames at a time; a ring sized to the full window up
+		// front held that window's memory on every subscription, used or
+		// not.
 		depth = reliableStartDepth
 	}
 	grantEvery := window / 4

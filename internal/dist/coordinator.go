@@ -391,9 +391,9 @@ type jobState struct {
 // claim or result still needs (the attempt and grantee to re-send; the
 // sweep and job IDs are the config's and the key), so a stream's memory
 // follows its window, not its length, and every per-tick pass ranges over
-// the open jobs alone. order lists them as they were
-// loaded: workers bid on the oldest announce they hold, so announcing in
-// load order is what makes a sweep run first in, first out.
+// the open jobs alone. order lists them as they were loaded: workers bid
+// on the oldest announce they hold, so announcing in load order is what
+// makes a sweep run first in, first out.
 type sweep struct {
 	open  map[int64]*jobState
 	order []*jobState

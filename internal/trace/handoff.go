@@ -28,15 +28,18 @@ type parkedRun struct {
 	full   bool
 }
 
-// handOff is the process's ring of parked dry-runs. Parking overwrites
-// the oldest slot, so results nobody takes (a multi-host coordinator's,
-// a lookahead past the end of a campaign) cost a fixed amount of memory.
+// handOff is the process's ring of parked dry-runs. It is process-wide,
+// like a sync.Pool, because its two ends share no value: the oracle runs
+// inside gen's certification lanes and the job inside a dist worker slot,
+// and neither knows the other is in the process. Parking overwrites the
+// oldest slot, so results nobody takes (a multi-host coordinator's, a
+// lookahead past the end of a campaign) cost a fixed amount of memory.
 var handOff = struct {
-	mu    sync.Mutex
-	slots []parkedRun
-	next  int          // slot the next park writes
-	full  atomic.Int64 // occupied slots; read without mu by every RunSkill
-	taken atomic.Int64 // cumulative takes, for HandOffs
+	mu     sync.Mutex
+	slots  []parkedRun
+	next   int          // slot the next park writes
+	parked atomic.Int64 // occupied slots; read without mu by every RunSkill
+	taken  atomic.Int64 // cumulative takes, for HandOffs
 }{slots: make([]parkedRun, handOffSlots)}
 
 // HandOffs is how many runs the package-level RunSkill has answered with
@@ -64,21 +67,20 @@ func park(spec scenario.Spec, budget float64, res RunResult) {
 	handOff.mu.Lock()
 	p := &handOff.slots[handOff.next]
 	if !p.full {
-		handOff.full.Add(1)
+		handOff.parked.Add(1)
 	}
 	*p = parkedRun{key: key, budget: budget, res: res, full: true}
 	handOff.next = (handOff.next + 1) % len(handOff.slots)
 	handOff.mu.Unlock()
 }
 
-// take removes and returns the parked result a RunSkill call may stand
-// on, if there is one: the expert profile without jitter, a live ctx, the
-// same spec bytes and a budget at least the dry-run's. Flying such a call
-// would repeat the dry-run tick for tick — the stall window only ever
-// ends a run early, and a passed run ended before it could — so its
-// result is the parked one.
+// take removes and returns the parked result the RunSkill call may stand
+// on under RunSkill's rule, if there is one. Flying such a call would
+// repeat the dry-run tick for tick — the stall window only ever ends a run
+// early, and a passed run ended before it could — so its result is the
+// parked one.
 func take(ctx context.Context, spec scenario.Spec, maxSim float64, skill SkillProfile) (RunResult, bool) {
-	if handOff.full.Load() == 0 || !skill.IsZero() || skill.Jitter != 0 || ctx.Err() != nil {
+	if handOff.parked.Load() == 0 || !skill.IsZero() || skill.Jitter != 0 || ctx.Err() != nil {
 		return RunResult{}, false
 	}
 	key, ok := specKey(spec)
@@ -92,7 +94,7 @@ func take(ctx context.Context, spec scenario.Spec, maxSim float64, skill SkillPr
 		if p.full && p.key == key && maxSim >= p.budget {
 			res := p.res
 			*p = parkedRun{}
-			handOff.full.Add(-1)
+			handOff.parked.Add(-1)
 			handOff.taken.Add(1)
 			return res, true
 		}

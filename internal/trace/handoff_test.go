@@ -18,7 +18,7 @@ func emptyHandOff(t *testing.T) {
 	defer handOff.mu.Unlock()
 	clear(handOff.slots)
 	handOff.next = 0
-	handOff.full.Store(0)
+	handOff.parked.Store(0)
 }
 
 // marker is a parked result no flight produces: a RunSkill that returns
@@ -54,8 +54,8 @@ func TestHandOffIsTheDryRun(t *testing.T) {
 	if got != dry || got != flown {
 		t.Fatalf("hand-off %+v, dry-run %+v, flight %+v", got, dry, flown)
 	}
-	if handOff.full.Load() != 0 {
-		t.Fatalf("%d results still parked after the take", handOff.full.Load())
+	if handOff.parked.Load() != 0 {
+		t.Fatalf("%d results still parked after the take", handOff.parked.Load())
 	}
 }
 
@@ -101,6 +101,7 @@ func TestHandOffRefusals(t *testing.T) {
 	t.Run("second take", func(t *testing.T) {
 		emptyHandOff(t)
 		park(spec, 900, marker(spec.Name))
+		park(changed, 900, marker(changed.Name)) // the ring is not empty after the take
 		if res, _ := RunSkill(ctx, spec, 900, SkillProfile{}); !took(res) {
 			t.Fatalf("first call flew: %+v", res)
 		}
@@ -138,7 +139,7 @@ func TestHandOffRingIsBounded(t *testing.T) {
 	for _, s := range specs {
 		park(s, 900, marker(s.Name))
 	}
-	if got := handOff.full.Load(); got != int64(n) {
+	if got := handOff.parked.Load(); got != int64(n) {
 		t.Fatalf("%d results parked after %d parks, want the ring's %d", got, 2*n, n)
 	}
 	for _, s := range []scenario.Spec{specs[0], specs[n-1]} {
@@ -151,7 +152,7 @@ func TestHandOffRingIsBounded(t *testing.T) {
 			t.Fatalf("%s: took %v, %+v", s.Name, ok, res)
 		}
 	}
-	if got := handOff.full.Load(); got != int64(n-2) {
+	if got := handOff.parked.Load(); got != int64(n-2) {
 		t.Fatalf("%d results parked after two takes, want %d", got, n-2)
 	}
 }
@@ -194,7 +195,7 @@ func TestHandOffConcurrent(t *testing.T) {
 	if got := HandOffs() - before; got != int64(total) {
 		t.Fatalf("HandOffs counted %d takes, the takers saw %d", got, total)
 	}
-	if left := handOff.full.Load(); left != int64(workers*each-total) {
+	if left := handOff.parked.Load(); left != int64(workers*each-total) {
 		t.Fatalf("%d results parked, want %d parked minus %d taken", left, workers*each, total)
 	}
 }
