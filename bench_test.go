@@ -32,15 +32,6 @@ import (
 	"codsim/internal/transport"
 )
 
-func benchCB() cb.Config {
-	return cb.Config{
-		BroadcastInterval: 5 * time.Millisecond,
-		RefreshInterval:   50 * time.Millisecond,
-		HeartbeatInterval: 25 * time.Millisecond,
-		HeartbeatTimeout:  250 * time.Millisecond,
-	}
-}
-
 // --- EXP-1: surround-view frame rate (§4) -------------------------------
 
 type benchRig struct {
@@ -103,7 +94,7 @@ func BenchmarkSurroundViewSynced(b *testing.B) {
 	for _, polys := range []int{800, 3235} {
 		b.Run(fmt.Sprintf("polys-%d", polys), func(b *testing.B) {
 			lan := transport.NewMemLAN()
-			serverBB, err := cb.New(lan, "sync-server", benchCB())
+			serverBB, err := cb.New(lan, "sync-server", cb.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -123,7 +114,7 @@ func BenchmarkSurroundViewSynced(b *testing.B) {
 			}
 			units := make([]*unit, 3)
 			for i := range units {
-				bb, err := cb.New(lan, fmt.Sprintf("pc-%d", i+1), benchCB())
+				bb, err := cb.New(lan, fmt.Sprintf("pc-%d", i+1), cb.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -164,7 +155,7 @@ func BenchmarkSurroundViewSynced(b *testing.B) {
 func BenchmarkCBRoutingLocal(b *testing.B) {
 	ctx := context.Background()
 	lan := transport.NewMemLAN()
-	node, err := cb.New(lan, "solo", benchCB())
+	node, err := cb.New(lan, "solo", cb.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -226,12 +217,12 @@ func BenchmarkCBRoutingReliable(b *testing.B) {
 func benchRemoteDelivery(b *testing.B, release bool, opts ...cb.SubscribeOption) {
 	ctx := context.Background()
 	lan := transport.NewMemLAN()
-	pubNode, err := cb.New(lan, "pub-pc", benchCB())
+	pubNode, err := cb.New(lan, "pub-pc", cb.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer pubNode.Close()
-	subNode, err := cb.New(lan, "sub-pc", benchCB())
+	subNode, err := cb.New(lan, "sub-pc", cb.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -277,12 +268,12 @@ func benchRemoteDelivery(b *testing.B, release bool, opts ...cb.SubscribeOption)
 func BenchmarkCBThroughput(b *testing.B) {
 	ctx := context.Background()
 	lan := transport.NewMemLAN()
-	pubNode, err := cb.New(lan, "pub-pc", benchCB())
+	pubNode, err := cb.New(lan, "pub-pc", cb.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer pubNode.Close()
-	subNode, err := cb.New(lan, "sub-pc", benchCB())
+	subNode, err := cb.New(lan, "sub-pc", cb.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -397,7 +388,7 @@ func BenchmarkCodRemoteUpdate(b *testing.B) {
 func BenchmarkChannelSetup(b *testing.B) {
 	ctx := context.Background()
 	lan := transport.NewMemLAN()
-	pubNode, err := cb.New(lan, "pub-pc", benchCB())
+	pubNode, err := cb.New(lan, "pub-pc", cb.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -405,7 +396,7 @@ func BenchmarkChannelSetup(b *testing.B) {
 	if _, err := pubNode.PublishObjectClass("p", "State"); err != nil {
 		b.Fatal(err)
 	}
-	subNode, err := cb.New(lan, "sub-pc", benchCB())
+	subNode, err := cb.New(lan, "sub-pc", cb.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -561,7 +552,6 @@ func BenchmarkFullSimulatorBoot(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cluster, err := sim.New(sim.Config{
-			CB:           benchCB(),
 			TimeScale:    8,
 			Width:        96,
 			Height:       72,

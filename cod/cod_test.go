@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"codsim/cod"
+	"codsim/internal/clock"
 )
 
 // craneState is the typed quickstart class: every supported field family
@@ -35,7 +36,7 @@ func ctxLong(t *testing.T) context.Context {
 // node, reflect delivery on another, with context-based waiting end to
 // end.
 func TestTypedRoundTrip(t *testing.T) {
-	fed := cod.NewFederation(cod.WithTimers(5*time.Millisecond, 50*time.Millisecond, 25*time.Millisecond))
+	fed := cod.NewFederation()
 	defer fed.Close()
 
 	dyn, err := fed.Node("dynamics-pc")
@@ -170,7 +171,7 @@ func TestShapeMismatchSurfaces(t *testing.T) {
 	type narrow struct{ A float64 }
 	type wide struct{ A, B float64 }
 
-	fed := cod.NewFederation(cod.WithTimers(5*time.Millisecond, 50*time.Millisecond, 25*time.Millisecond))
+	fed := cod.NewFederation()
 	defer fed.Close()
 	p, err := fed.Node("pub-pc")
 	if err != nil {
@@ -390,12 +391,12 @@ func TestReliableWindowSDK(t *testing.T) {
 }
 
 // TestPubNotifyC is the publisher that must be heard: it says its state
-// when a subscriber joins, off NotifyC, with the re-broadcast intervals at
-// an hour so that only the join's own edge can deliver it. The subscriber
+// when a subscriber joins, off NotifyC, on a clock nobody advances so that
+// only the join's own edge can deliver it. The subscriber
 // is registered first and the publisher's node attached afterwards, the
 // late publisher's dynamic join.
 func TestPubNotifyC(t *testing.T) {
-	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()), cod.WithTimers(time.Hour, time.Hour, 0))
+	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()), cod.WithClock(clock.NewManual()))
 	defer fed.Close()
 	ctx := ctxLong(t)
 

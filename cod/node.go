@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"codsim/internal/cb"
+	"codsim/internal/clock"
 	"codsim/internal/transport"
 )
 
@@ -122,17 +123,11 @@ func WithUDP(addr string) Option {
 	}
 }
 
-// WithTimers tunes the discovery and liveness timers: broadcast is the
-// SUBSCRIPTION re-broadcast period while unmatched, refresh the slower
-// period after matching (dynamic join), heartbeat the idle-link beacon
-// period (peer death is declared at four missed beacons). Zero values
-// keep the defaults.
-func WithTimers(broadcast, refresh, heartbeat time.Duration) Option {
-	return func(c *nodeConfig) {
-		c.cfg.BroadcastInterval = broadcast
-		c.cfg.RefreshInterval = refresh
-		c.cfg.HeartbeatInterval = heartbeat
-	}
+// WithClock runs the node's backbone, and what runs on it, on c instead of
+// the wall clock: a test hands every node of a federation one
+// clock.Manual and moves time with Advance.
+func WithClock(c clock.Clock) Option {
+	return func(n *nodeConfig) { n.cfg.Clock = c }
 }
 
 // Node is one computer of the Cluster Of Desktops: a handle on its

@@ -103,6 +103,14 @@ func TestNoPoolFixture(t *testing.T) {
 		"codsim/internal/obs")
 }
 
+// TestClockPackageFixture holds a clock package (a shadow of
+// internal/dist, in its own root like nopool's) to reading time through
+// internal/clock.
+func TestClockPackageFixture(t *testing.T) {
+	analysis.RunFixture(t, filepath.Join(analysis.Testdata(), "..", "src_clock"),
+		analysis.Determinism, nil, "codsim/internal/dist")
+}
+
 // TestNoPoolExemptPackages proves the boundary packages stay unflagged:
 // the wire shadow declares a pool with no want comments, so any
 // diagnostic fails the run.

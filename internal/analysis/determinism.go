@@ -24,7 +24,8 @@ var sanctionedRandFuncs = []string{
 }
 
 // Determinism forbids wall-clock and global-math/rand use inside the
-// declared-deterministic packages. The campaign key of a generated
+// declared-deterministic packages, and wall-clock use outside
+// internal/clock inside ClockPackages. The campaign key of a generated
 // scenario sweep is a pure function of (seed, params); one stray
 // time.Now() or rand.Intn() in scenario/gen silently breaks replay and
 // the distributed==local verdict contract, so the sanctioned sources —
@@ -32,12 +33,13 @@ var sanctionedRandFuncs = []string{
 // APIs — are the only ones allowed.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid time.Now/time.Sleep/global math/rand in declared-deterministic packages",
+	Doc:  "forbid time.Now/time.Sleep/global math/rand in declared-deterministic packages, and time.Now/time.Sleep in clock packages",
 	Run:  runDeterminism,
 }
 
 func runDeterminism(pass *Pass) error {
-	if !slices.Contains(DeterministicPackages, pass.Path) {
+	deterministic := slices.Contains(DeterministicPackages, pass.Path)
+	if !deterministic && !slices.Contains(ClockPackages, pass.Path) {
 		return nil
 	}
 	for _, f := range pass.Files {
@@ -60,12 +62,14 @@ func runDeterminism(pass *Pass) error {
 			switch pn.Imported().Path() {
 			case "time":
 				if slices.Contains(forbiddenTimeFuncs, name) && !pass.Allowed(pass.EnclosingFunc(sel.Pos())) {
-					pass.Reportf(sel.Pos(),
-						"time.%s in deterministic package %s: use the simulation clock (seeded replay must not observe wall time)",
-						name, pass.Path)
+					kind, fix := "deterministic", "use the simulation clock (seeded replay must not observe wall time)"
+					if !deterministic {
+						kind, fix = "clock", "read time through internal/clock (a test must be able to move it)"
+					}
+					pass.Reportf(sel.Pos(), "time.%s in %s package %s: %s", name, kind, pass.Path, fix)
 				}
 			case "math/rand", "math/rand/v2":
-				if !slices.Contains(sanctionedRandFuncs, name) && !pass.Allowed(pass.EnclosingFunc(sel.Pos())) {
+				if deterministic && !slices.Contains(sanctionedRandFuncs, name) && !pass.Allowed(pass.EnclosingFunc(sel.Pos())) {
 					pass.Reportf(sel.Pos(),
 						"global rand.%s in deterministic package %s: draw from a seeded *rand.Rand instead",
 						name, pass.Path)

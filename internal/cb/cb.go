@@ -10,7 +10,7 @@
 //
 // # Initialization and dynamic join (§2.3), as implemented
 //
-// Every step of a join is an event. The intervals of Config are loss
+// Every step of a join is an event. The protocol's periods are loss
 // repair: they carry a join only when a broadcast datagram was dropped or
 // a peer died without a word.
 //
@@ -27,7 +27,7 @@
 //     a running sweep — is matched in one round trip. When the two CBs
 //     already share a link the entry tells the solicitor alone, over it;
 //     when they do not, an unmatched entry re-broadcasts, and a matched
-//     one is left to its RefreshInterval, because it is being served and
+//     one is left to its refresh period, because it is being served and
 //     hurrying would cost a broadcast from every subscriber of the class.
 //     A computer that subscribes before it publishes has been dialed by
 //     its publishers when its solicits arrive, and is answered this way
@@ -49,13 +49,12 @@
 //     dist worker beats, and the coordinator re-announces, when their
 //     publications gain a channel).
 //
-// Repair only: an unmatched subscription is re-broadcast every
-// BroadcastInterval and a matched one every RefreshInterval, which finds a
-// publisher whose solicit or whose subscriber's answer was lost; a silent
-// link is reaped after HeartbeatTimeout. One race is left to the repair
-// interval: a subscription closed and registered again at once may reach
-// the publisher ahead of its own BYE, find the old channel still recorded,
-// and be answered only at its next BroadcastInterval.
+// Repair only: an unmatched subscription is re-broadcast every 50 ms and a
+// matched one every 500 ms, which finds a publisher whose solicit or whose
+// subscriber's answer was lost; a silent link is reaped after 1 s. One
+// race is left to the repair period: a subscription closed and registered
+// again at once may reach the publisher ahead of its own BYE, find the old
+// channel still recorded, and be answered only at its next broadcast.
 //
 // # The per-frame path
 //
@@ -70,13 +69,11 @@
 // (Reflection.Release) when there is some.
 //
 // Liveness is counted, not stamped: the read loop increments a per-link
-// frame counter, and the heartbeat sweep — every HeartbeatInterval —
-// dates a link whose counter moved with the sweep's own time. A frame is
-// therefore dated up to one HeartbeatInterval late and never early, so a
-// silent peer is reaped between HeartbeatTimeout and HeartbeatTimeout +
-// 2×HeartbeatInterval after its last frame (one interval more than when
-// every frame was stamped), and a peer that sends anything at all in
-// every interval is never reaped.
+// frame counter, and the heartbeat sweep — every 250 ms — dates a link
+// whose counter moved with the sweep's own time. A frame is therefore
+// dated up to one sweep late and never early, so a silent peer is reaped
+// between 1 s and 1.5 s after its last frame, and a peer that sends
+// anything at all in every 250 ms is never reaped.
 //
 // Credits and heartbeats are as they were, frame for frame: a reliable
 // subscriber still grants on its first consumption and every quarter
@@ -95,6 +92,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"codsim/internal/clock"
 	"codsim/internal/metrics"
 	"codsim/internal/transport"
 	"codsim/internal/wire"
@@ -120,49 +118,23 @@ var (
 	ErrWindowFull = errors.New("cb: reliable send window full")
 )
 
-// Config tunes the protocol timers. The zero value is replaced by defaults.
-type Config struct {
-	// BroadcastInterval is the period of SUBSCRIPTION re-broadcasts while
-	// a subscription entry is still unmatched (§2.3 "constant time
-	// interval"). The first broadcast does not wait for it.
-	BroadcastInterval time.Duration
-	// RefreshInterval is the slower re-broadcast period after the entry
-	// has at least one channel. A late-starting publisher solicits and is
-	// answered at once (dynamic join); the refresh finds it when that
-	// exchange was lost.
-	RefreshInterval time.Duration
-	// HeartbeatInterval is the idle-link beacon period.
-	HeartbeatInterval time.Duration
-	// HeartbeatTimeout declares a peer dead after this long without any
-	// inbound frame; its channels are torn down and affected
-	// subscriptions return to fast re-broadcast. Silence is measured by
-	// the heartbeat sweep, so to a granularity of HeartbeatInterval (see
-	// the package doc).
-	HeartbeatTimeout time.Duration
-	// Now supplies the backbone's clock for timestamping (last-receive
-	// times, establish-latency measurements, broadcast due times). Nil
-	// means time.Now. Timer *scheduling* still runs on real tickers; the
-	// hook exists so tests can pin timestamps.
-	Now func() time.Time
-}
+// The protocol's repair periods (package doc): SUBSCRIPTION re-broadcast
+// while an entry is unmatched and once it is matched, the link beacon and
+// sweep, and the silence after which a link is reaped. The timer loop
+// ticks at a fifth of the broadcast period.
+const (
+	broadcastInterval = 50 * time.Millisecond
+	refreshInterval   = 500 * time.Millisecond
+	heartbeatInterval = 250 * time.Millisecond
+	heartbeatTimeout  = 4 * heartbeatInterval
+	tickInterval      = broadcastInterval / 5
+)
 
-func (c Config) withDefaults() Config {
-	if c.BroadcastInterval <= 0 {
-		c.BroadcastInterval = 50 * time.Millisecond
-	}
-	if c.RefreshInterval <= 0 {
-		c.RefreshInterval = 500 * time.Millisecond
-	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = 250 * time.Millisecond
-	}
-	if c.HeartbeatTimeout <= 0 {
-		c.HeartbeatTimeout = 4 * c.HeartbeatInterval
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
+// Config configures a backbone.
+type Config struct {
+	// Clock is what the backbone and displaysync, dist and sim above it
+	// read time from; nil means clock.Wall.
+	Clock clock.Clock
 }
 
 // Stats exposes the backbone's instrumentation counters.
@@ -202,9 +174,9 @@ type Stats struct {
 // Backbone is one computer's Communication Backbone. Create it with New and
 // release it with Close. All methods are safe for concurrent use.
 type Backbone struct {
-	node string
-	ifc  transport.Interface
-	cfg  Config
+	node  string
+	ifc   transport.Interface
+	clock clock.Clock
 
 	mu        sync.Mutex
 	pubs      map[classLP]*Publication
@@ -268,10 +240,13 @@ func New(lan transport.LAN, node string, cfg Config) (*Backbone, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cb: attach %q: %w", node, err)
 	}
+	if cfg.Clock == nil {
+		cfg.Clock = clock.Wall
+	}
 	b := &Backbone{
 		node:      node,
 		ifc:       ifc,
-		cfg:       cfg.withDefaults(),
+		clock:     cfg.Clock,
 		pubs:      make(map[classLP]*Publication),
 		subs:      make(map[classLP]*Subscription),
 		outKeys:   make(map[chanKey]*outChannel),
@@ -293,8 +268,8 @@ func New(lan transport.LAN, node string, cfg Config) (*Backbone, error) {
 // Node returns the backbone's node name.
 func (b *Backbone) Node() string { return b.node }
 
-// now reads the configured clock.
-func (b *Backbone) now() time.Time { return b.cfg.Now() }
+// Clock returns the clock the backbone reads time from.
+func (b *Backbone) Clock() clock.Clock { return b.clock }
 
 // Addr returns the backbone's dialable stream address.
 func (b *Backbone) Addr() string { return b.ifc.Addr() }
@@ -466,20 +441,19 @@ func (b *Backbone) datagramLoop() {
 // detection off one ticker, and re-broadcasts at once when kicked.
 func (b *Backbone) timerLoop() {
 	defer b.wg.Done()
-	tick := max(min(b.cfg.BroadcastInterval/5, b.cfg.HeartbeatInterval), time.Millisecond)
-	ticker := time.NewTicker(tick)
+	ticker := b.clock.NewTicker(tickInterval)
 	defer ticker.Stop()
-	lastHB := b.now()
+	lastHB := b.clock.Now()
 	for {
 		select {
 		case <-b.done:
 			return
 		case <-b.kick:
-			b.broadcastPending(b.now())
-		case <-ticker.C:
-			now := b.now()
+			b.broadcastPending(b.clock.Now())
+		case <-ticker.C():
+			now := b.clock.Now()
 			b.broadcastPending(now)
-			if now.Sub(lastHB) >= b.cfg.HeartbeatInterval {
+			if now.Sub(lastHB) >= heartbeatInterval {
 				lastHB = now
 				b.heartbeat(now)
 			}
@@ -488,15 +462,15 @@ func (b *Backbone) timerLoop() {
 }
 
 // broadcastPending sends SUBSCRIPTION datagrams for entries that are due:
-// unmatched entries at BroadcastInterval, matched ones at RefreshInterval,
+// unmatched entries at broadcastInterval, matched ones at refreshInterval,
 // one that just lost a channel now.
 func (b *Backbone) broadcastPending(now time.Time) {
 	b.mu.Lock()
 	var due []classLP
 	for key, s := range b.subs {
-		every := b.cfg.BroadcastInterval
+		every := broadcastInterval
 		if len(s.channels) > 0 {
-			every = b.cfg.RefreshInterval
+			every = refreshInterval
 		}
 		if now.Sub(s.lastBroadcast) < every {
 			continue
@@ -608,7 +582,7 @@ func (b *Backbone) heartbeat(now time.Time) {
 	b.mu.Unlock()
 
 	for _, l := range links {
-		if !l.heard(now, b.cfg.HeartbeatTimeout) {
+		if !l.heard(now) {
 			b.linkDown(l)
 			continue
 		}

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"codsim/internal/clock"
 	"codsim/internal/transport"
 	"codsim/internal/wire"
 )
@@ -68,8 +69,10 @@ func TestTablesAcrossNodes(t *testing.T) {
 // TestSilentPendingLinkReaped plants a raw connection that never speaks:
 // the heartbeat reaper must close it instead of leaking it forever.
 func TestSilentPendingLinkReaped(t *testing.T) {
+	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
-	b := newBackbone(t, lan, "server")
+	clk := clock.NewManual()
+	b := joinNode(t, lan, "server", Config{Clock: clk})
 
 	ifc, err := lan.Attach("mute-client")
 	if err != nil {
@@ -81,8 +84,16 @@ func TestSilentPendingLinkReaped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// Never send anything. After the heartbeat timeout the backbone
-	// must drop the pending link, observable as EOF on our side.
+	if pollCond(ctx, func() bool { return len(liveLinks(b)) == 1 }) != nil {
+		t.Fatal("the link was never accepted")
+	}
+	if err := clk.WaitTimers(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	// Never send anything. At the first sweep past the heartbeat timeout
+	// the backbone must drop the pending link, observable as EOF on our
+	// side.
+	clk.Advance(heartbeatTimeout + heartbeatInterval)
 	buf := make([]byte, 1)
 	errCh := make(chan error, 1)
 	go func() {
@@ -239,12 +250,8 @@ func TestPublisherRestartRematches(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The subscriber must observe the teardown before the next round.
-		deadline := time.Now().Add(waitLong)
-		for sub.Matched() {
-			if time.Now().After(deadline) {
-				t.Fatalf("round %d: subscription never noticed publisher close", round)
-			}
-			time.Sleep(time.Millisecond)
+		if subNode.waitChange(ctx, func() bool { return !sub.Matched() }) != nil {
+			t.Fatalf("round %d: subscription never noticed publisher close", round)
 		}
 	}
 }

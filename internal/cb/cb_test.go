@@ -8,28 +8,14 @@ import (
 	"testing"
 	"time"
 
+	"codsim/internal/clock"
 	"codsim/internal/transport"
 	"codsim/internal/wire"
 )
 
-// fastConfig keeps protocol timers tight so tests run quickly.
-func fastConfig() Config {
-	return Config{
-		BroadcastInterval: 5 * time.Millisecond,
-		RefreshInterval:   30 * time.Millisecond,
-		HeartbeatInterval: 10 * time.Millisecond,
-		HeartbeatTimeout:  80 * time.Millisecond,
-	}
-}
-
+// newBackbone is a backbone on the wall clock, closed at the test's end.
 func newBackbone(t *testing.T, lan transport.LAN, node string) *Backbone {
-	t.Helper()
-	b, err := New(lan, node, fastConfig())
-	if err != nil {
-		t.Fatalf("New(%q): %v", node, err)
-	}
-	t.Cleanup(func() { _ = b.Close() })
-	return b
+	return joinNode(t, lan, node, Config{})
 }
 
 const waitLong = 3 * time.Second
@@ -146,15 +132,25 @@ func TestRemotePubSub(t *testing.T) {
 func TestRemotePublisherStartsLate(t *testing.T) {
 	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
-	subNode := newBackbone(t, lan, "display-pc")
+	clk := clock.NewManual()
+	subNode := joinNode(t, lan, "display-pc", Config{Clock: clk})
 
 	sub, err := subNode.SubscribeObjectClass("visual", "CraneState")
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond) // several unmatched broadcasts elapse
+	// Several unmatched broadcasts elapse, each counted before the next.
+	if err := clk.WaitTimers(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	for sent := int64(2); sent <= 4; sent++ {
+		clk.Advance(broadcastInterval)
+		if pollCond(ctx, func() bool { return subNode.Stats().BroadcastsSent.Value() == sent }) != nil {
+			t.Fatalf("broadcast %d never sent", sent)
+		}
+	}
 
-	pubNode := newBackbone(t, lan, "dynamics-pc")
+	pubNode := joinNode(t, lan, "dynamics-pc", Config{Clock: clk})
 	pub, err := pubNode.PublishObjectClass("dynamics", "CraneState")
 	if err != nil {
 		t.Fatal(err)
@@ -585,7 +581,7 @@ func TestSubscriptionCloseStopsDelivery(t *testing.T) {
 
 func TestBackboneCloseIdempotent(t *testing.T) {
 	lan := transport.NewMemLAN()
-	b, err := New(lan, "solo", fastConfig())
+	b, err := New(lan, "solo", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,16 +599,20 @@ func TestBackboneCloseIdempotent(t *testing.T) {
 	}
 }
 
+// TestPublisherNodeDeathRecovery runs on a clock nobody moves: the dead
+// node's BYE tears its channel down, the subscription's kick re-broadcasts
+// it, and the replacement's solicit is answered, with no period between.
 func TestPublisherNodeDeathRecovery(t *testing.T) {
 	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
-	subNode := newBackbone(t, lan, "display")
+	cfg := Config{Clock: clock.NewManual()}
+	subNode := joinNode(t, lan, "display", cfg)
 	sub, err := subNode.SubscribeObjectClass("visual", "CraneState")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	pubNode1, err := New(lan, "dyn-1", fastConfig())
+	pubNode1, err := New(lan, "dyn-1", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,7 +630,7 @@ func TestPublisherNodeDeathRecovery(t *testing.T) {
 		t.Fatal("no initial traffic")
 	}
 
-	// Kill the publisher node (whole backbone goes away: BYE or timeout).
+	// Kill the publisher node: the whole backbone goes away.
 	if err := pubNode1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -640,7 +640,7 @@ func TestPublisherNodeDeathRecovery(t *testing.T) {
 
 	// A replacement publisher node appears; the subscriber's ongoing
 	// broadcasts must find it.
-	pubNode2 := newBackbone(t, lan, "dyn-2")
+	pubNode2 := joinNode(t, lan, "dyn-2", cfg)
 	pub2, err := pubNode2.PublishObjectClass("dynamics", "CraneState")
 	if err != nil {
 		t.Fatal(err)

@@ -60,7 +60,7 @@ func (b *Backbone) handleSubscriptionBroadcast(f wire.Frame) {
 // interval: to the solicitor alone when the two CBs already share a link,
 // to the whole segment, as its interval would, when they do not and the
 // entry is unmatched. A matched subscription with no such link is being
-// served and would have to broadcast to hurry; its RefreshInterval finds
+// served and would have to broadcast to hurry; its refresh period finds
 // the new publisher, so that a popular class does not have every
 // subscriber on the segment broadcasting at each publisher that joins.
 func (b *Backbone) handlePublicationBroadcast(f wire.Frame) {

@@ -1,13 +1,14 @@
 package cb
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"codsim/internal/clock"
 	"codsim/internal/transport"
 	"codsim/internal/wire"
 )
@@ -194,37 +195,34 @@ func pollCond(ctx context.Context, cond func() bool) error {
 	return nil
 }
 
-// TestLinkLivenessUnderInjectedClock drives the heartbeat sweep by hand
-// over a clock that only the test moves (the backbone's own timer is
-// parked on an hour-long tick). A link is dated by the sweep that finds
-// its frame count moved, so: a link carrying a frame per interval is never
-// reaped; a link silent since time s survives every sweep up to
-// s + HeartbeatTimeout and falls to the first one after it, which comes
-// before s + HeartbeatTimeout + HeartbeatInterval; and a frame that lands
-// just after a sweep is dated by the next one — up to one interval late,
-// never early.
-func TestLinkLivenessUnderInjectedClock(t *testing.T) {
-	const (
-		interval = 100 * time.Millisecond
-		timeout  = 4 * interval
-	)
-	ctx := waitCtx(t)
-	start := time.Unix(1_000_000, 0)
-	var elapsed atomic.Int64
-	now := func() time.Time { return start.Add(time.Duration(elapsed.Load())) }
-	at := func(d time.Duration) time.Time { elapsed.Store(int64(d)); return now() }
+// liveLinks lists b's links, named or pending.
+func liveLinks(b *Backbone) []*peerLink {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var ls []*peerLink
+	for l := range b.links {
+		ls = append(ls, l)
+	}
+	return ls
+}
 
+// TestLinkLivenessUnderInjectedClock moves the backbone's clock one
+// heartbeat period at a time and reads each sweep off the wire: a live
+// link's beacon, or EOF once the sweep has reaped it. A link is dated by
+// the sweep that finds its frame count moved, so: a link carrying a frame
+// per period is never reaped; a link silent since time s survives every
+// sweep up to s + heartbeatTimeout and falls to the first one after it;
+// and a frame that lands just after a sweep is dated by the next one — up
+// to one period late, never early.
+func TestLinkLivenessUnderInjectedClock(t *testing.T) {
+	const interval = heartbeatInterval
+	ctx := waitCtx(t)
+	clk := clock.NewManual()
 	lan := transport.NewMemLAN()
-	b, err := New(lan, "server", Config{
-		BroadcastInterval: time.Hour,
-		HeartbeatInterval: interval,
-		HeartbeatTimeout:  timeout,
-		Now:               now,
-	})
-	if err != nil {
+	b := joinNode(t, lan, "server", Config{Clock: clk})
+	if err := clk.WaitTimers(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = b.Close() })
 
 	dial := func(name string) transport.Conn {
 		t.Helper()
@@ -240,18 +238,8 @@ func TestLinkLivenessUnderInjectedClock(t *testing.T) {
 		t.Cleanup(func() { _ = conn.Close() })
 		return conn
 	}
-	talkerConn := dial("talker")
-	dial("mute")
-	links := func() []*peerLink {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		var ls []*peerLink
-		for l := range b.links {
-			ls = append(ls, l)
-		}
-		return ls
-	}
-	if pollCond(ctx, func() bool { return len(links()) == 2 }) != nil {
+	talkerConn, muteConn := dial("talker"), dial("mute")
+	if pollCond(ctx, func() bool { return len(liveLinks(b)) == 2 }) != nil {
 		t.Fatal("the two links were never accepted")
 	}
 
@@ -278,46 +266,55 @@ func TestLinkLivenessUnderInjectedClock(t *testing.T) {
 			t.Fatalf("frame %d never counted", said)
 		}
 	}
-	say()
-	var mute *peerLink
-	for _, l := range links() {
-		if l != talker {
-			mute = l
+	// beaten reads the next frame the backbone sends on conn: true for the
+	// sweep's beacon, false for the EOF of a reaped link.
+	beaten := func(conn transport.Conn) func() bool {
+		br, dec := bufio.NewReader(conn), wire.NewDecoder()
+		return func() bool {
+			var f wire.Frame
+			return dec.DecodeFrom(br, &f) == nil
 		}
 	}
-	alive := func(l *peerLink) bool {
-		for _, live := range links() {
-			if live == l {
-				return true
-			}
-		}
-		return false
+	talkerBeaten, muteBeaten := beaten(talkerConn), beaten(muteConn)
+	// moveTo advances the clock to at; the timer loop sweeps at every
+	// multiple of the period.
+	elapsed := time.Duration(0)
+	moveTo := func(at time.Duration) {
+		clk.Advance(at - elapsed)
+		elapsed = at
 	}
 
-	// One frame per interval for well over the timeout: never reaped. The
+	// One frame per period for well over the timeout: never reaped. The
 	// mute link, silent since 0, lives through the sweep at exactly the
 	// timeout and falls to the next.
+	muteAlive := true
 	for k := time.Duration(1); k <= 10; k++ {
-		sweep := at(k * interval)
 		say()
-		b.heartbeat(sweep)
-		if !alive(talker) {
-			t.Fatalf("sweep at %v reaped a link that carried a frame in every interval", k*interval)
+		moveTo(k * interval)
+		if !talkerBeaten() {
+			t.Fatalf("sweep at %v reaped a link that carried a frame in every period", k*interval)
 		}
-		if want := k*interval <= timeout; alive(mute) != want {
-			t.Fatalf("sweep at %v: silent link alive=%v, want %v (timeout %v)", k*interval, !want, want, timeout)
+		if !muteAlive {
+			continue
+		}
+		want := k*interval <= heartbeatTimeout
+		if muteAlive = muteBeaten(); muteAlive != want {
+			t.Fatalf("sweep at %v: silent link alive=%v, want %v", k*interval, muteAlive, want)
 		}
 	}
+	if muteAlive {
+		t.Fatal("the silent link outlived every sweep")
+	}
 
-	// The talker's last dated frame is the one the sweep at 10 intervals
+	// The talker's last dated frame is the one the sweep at 10 periods
 	// counted. One more lands just after that sweep: the sweep at 11 dates
 	// it 11, so the link outlives 11 + timeout and falls to the sweep after.
-	at(10*interval + time.Millisecond)
+	moveTo(10*interval + time.Millisecond)
 	say()
 	for k := time.Duration(11); k <= 16; k++ {
-		b.heartbeat(at(k * interval))
-		if want := k*interval <= 11*interval+timeout; alive(talker) != want {
-			t.Fatalf("sweep at %v: link silent since just after 10 intervals alive=%v, want %v", k*interval, !want, want)
+		moveTo(k * interval)
+		if want := k*interval <= 11*interval+heartbeatTimeout; talkerBeaten() != want {
+			t.Fatalf("sweep at %v: link silent since just after 10 periods alive=%v, want %v", k*interval, !want, want)
 		}
 	}
 }

@@ -4,22 +4,21 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
+	"codsim/internal/clock"
 	"codsim/internal/transport"
 	"codsim/internal/wire"
 )
 
 // The TestJoin tests hold the initialization protocol to its event path:
-// with both re-broadcast intervals at an hour, only a first SUBSCRIPTION
-// sent by SubscribeObjectClass, a PUBLICATION sent by PublishObjectClass
-// and the kick after a teardown can build a channel inside a test's
-// deadline. Nothing in them sleeps; scripts/check.sh runs them -race
-// -count=20.
+// on a clock nobody advances, only a first SUBSCRIPTION sent by
+// SubscribeObjectClass, a PUBLICATION sent by PublishObjectClass and the
+// kick after a teardown can build a channel. Nothing in them sleeps;
+// scripts/check.sh runs them -race -count=20.
 
-// eventOnly parks every repair interval on an hour.
+// eventOnly runs a backbone on a manual clock nobody advances.
 func eventOnly() Config {
-	return Config{BroadcastInterval: time.Hour, RefreshInterval: time.Hour}
+	return Config{Clock: clock.NewManual()}
 }
 
 // joinLANs are the segments a join is held to: the in-memory one and real
@@ -322,15 +321,15 @@ func TestJoinManyPublishersOneAnswer(t *testing.T) {
 	}
 }
 
-// TestJoinRepairUnderLoss: with the default-shaped (fast) timers and a
-// segment dropping most datagrams, the eager ones included, the repair
-// intervals still converge — in either order, over several loss patterns.
+// TestJoinRepairUnderLoss: on the wall clock, with a segment dropping most
+// datagrams, the eager ones included, the repair periods still converge —
+// in either order, over several loss patterns.
 func TestJoinRepairUnderLoss(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		for _, subFirst := range []bool{true, false} {
 			t.Run(fmt.Sprintf("seed=%d/subscriberFirst=%v", seed, subFirst), func(t *testing.T) {
 				lan := transport.NewMemLAN(transport.WithLoss(0.7), transport.WithSeed(seed))
-				joinPair(t, lan, fastConfig(), "", subFirst, false)
+				joinPair(t, lan, Config{}, "", subFirst, false)
 				if lan.Dropped() == 0 {
 					t.Log("the segment dropped nothing this time")
 				}

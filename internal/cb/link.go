@@ -44,7 +44,7 @@ type peerLink struct {
 // empty for accepted connections; it is learned from the first frame.
 // Returns nil when the backbone is already closed (the conn is dropped).
 func (b *Backbone) startLink(conn transport.Conn, peerName string) *peerLink {
-	l := &peerLink{b: b, conn: conn, node: peerName, lastRecv: b.now()}
+	l := &peerLink{b: b, conn: conn, node: peerName, lastRecv: b.clock.Now()}
 	b.mu.Lock()
 	if b.closed.Load() {
 		b.mu.Unlock()
@@ -218,17 +218,17 @@ func (sc *pushScratch) flush(b *Backbone) int {
 	return n
 }
 
-// heard reports whether the link has carried a frame within timeout of
-// now. Only the heartbeat sweep calls it: a sweep that finds the frame
-// count moved stamps lastRecv with its own time, so a frame is dated up
-// to one HeartbeatInterval late and never early.
-func (l *peerLink) heard(now time.Time, timeout time.Duration) bool {
+// heard reports whether the link has carried a frame within
+// heartbeatTimeout of now. Only the heartbeat sweep calls it: a sweep that
+// finds the frame count moved stamps lastRecv with its own time, so a frame
+// is dated up to one heartbeatInterval late and never early.
+func (l *peerLink) heard(now time.Time) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if n := l.recv.Load(); n != l.seen {
 		l.seen, l.lastRecv = n, now
 	}
-	return now.Sub(l.lastRecv) <= timeout
+	return now.Sub(l.lastRecv) <= heartbeatTimeout
 }
 
 // peer returns the remote node name, which may still be empty.

@@ -65,10 +65,7 @@ func TestLatestValueStalledSubscriberConflates(t *testing.T) {
 
 	// Remote delivery is asynchronous; wait for the pipeline to drain
 	// into the mailbox before judging.
-	deadline := time.Now().Add(waitLong)
-	for subNode.Stats().ReflectsDelivered.Value() < 2*rounds && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	_ = pollCond(ctx, func() bool { return subNode.Stats().ReflectsDelivered.Value() >= 2*rounds })
 	if pend := sub.Pending(); pend > 4 {
 		t.Fatalf("stalled latest-value mailbox holds %d > depth 4", pend)
 	}
@@ -165,10 +162,7 @@ func TestReliableBackpressureStallsAndDrains(t *testing.T) {
 	}
 
 	// Everything sent sits in the mailbox — nothing was dropped.
-	deadline = time.Now().Add(waitLong)
-	for sub.Pending() < window && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	_ = pollCond(ctx, func() bool { return sub.Pending() >= window })
 	if pend := sub.Pending(); pend != window {
 		t.Fatalf("pending %d, want the full window %d", pend, window)
 	}
@@ -184,19 +178,12 @@ func TestReliableBackpressureStallsAndDrains(t *testing.T) {
 			t.Fatalf("drained %v, want %d (in order)", v, i+1)
 		}
 	}
-	deadline = time.Now().Add(waitLong)
-	for {
-		err := pub.Update(99, attrsWith(99))
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, ErrWindowFull) {
-			t.Fatal(err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("window never reopened after consumption")
-		}
-		time.Sleep(time.Millisecond)
+	var reopened error
+	if pollCond(ctx, func() bool { reopened = pub.Update(99, attrsWith(99)); return !errors.Is(reopened, ErrWindowFull) }) != nil {
+		t.Fatal("window never reopened after consumption")
+	}
+	if reopened != nil {
+		t.Fatal(reopened)
 	}
 
 	// Full drain: everything that was accepted arrives exactly once, in
@@ -353,10 +340,7 @@ func TestLegacyHandshakeGetsDropOldest(t *testing.T) {
 			t.Fatalf("update %d: %v", i, err)
 		}
 	}
-	deadline := time.Now().Add(waitLong)
-	for subNode.Stats().ReflectsDelivered.Value() < rounds && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	_ = pollCond(ctx, func() bool { return subNode.Stats().ReflectsDelivered.Value() >= rounds })
 	if got := pubNode.Stats().CreditStalls.Value(); got != 0 {
 		t.Errorf("legacy channel stalled %d times", got)
 	}
@@ -461,15 +445,12 @@ func TestSlowSubscriberMemLANSmoke(t *testing.T) {
 	// The final state frame may still be crossing the (asynchronous)
 	// link; Latest converges on it within the settle window.
 	var newest float64
-	for deadline := time.Now().Add(waitLong); time.Now().Before(deadline); {
+	_ = pollCond(ctx, func() bool {
 		if r, ok := stateSub.Latest(); ok {
 			newest, _ = r.Attrs.Float64(1)
 		}
-		if newest == float64(stateSent) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+		return newest == float64(stateSent)
+	})
 	if newest != float64(stateSent) {
 		t.Fatalf("resumed on state %v, want newest %d", newest, stateSent)
 	}

@@ -386,7 +386,7 @@ func (b *Backbone) SubscribeObjectClass(lp, class string, opts ...SubscribeOptio
 		window:       window,
 		mbox:         newMailbox(depth, cfg.policy, grantEvery, &b.stats),
 		channels:     make(map[uint32]*inChannel),
-		registeredAt: b.now(),
+		registeredAt: b.clock.Now(),
 	}
 	s.lastBroadcast = s.registeredAt
 	b.subs[key] = s
@@ -437,7 +437,7 @@ func (b *Backbone) noteMatchedLocked(s *Subscription) {
 		return
 	}
 	s.everMatched = true
-	b.stats.EstablishLatency.Observe(b.now().Sub(s.registeredAt).Seconds())
+	b.stats.EstablishLatency.Observe(b.clock.Now().Sub(s.registeredAt).Seconds())
 }
 
 // Update pushes one attribute update into every virtual channel of the

@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"codsim/internal/cb"
+	"codsim/internal/clock"
 	"codsim/internal/fom"
 	"codsim/internal/metrics"
 )
@@ -72,9 +73,10 @@ const pollInterval = 10 * time.Millisecond
 
 // Server is the synchronization-server LP.
 type Server struct {
-	cfg ServerConfig
-	pub *cb.Publication
-	sub *cb.Subscription
+	cfg   ServerConfig
+	pub   *cb.Publication
+	sub   *cb.Subscription
+	clock clock.Clock
 
 	mu       sync.Mutex
 	frame    uint32                // next frame to release
@@ -113,6 +115,7 @@ func NewServer(backbone *cb.Backbone, lpName string, cfg ServerConfig) (*Server,
 		cfg:      cfg,
 		pub:      pub,
 		sub:      sub,
+		clock:    backbone.Clock(),
 		displays: make(map[string]*dispState, len(cfg.Expected)),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -162,7 +165,7 @@ func (s *Server) Evicted() int64 { return s.evicted.Value() }
 func (s *Server) Swaps() int64 { return s.swaps.Value() }
 
 func (s *Server) serve() {
-	reap := time.NewTicker(pollInterval)
+	reap := s.clock.NewTicker(pollInterval)
 	defer reap.Stop()
 	for {
 		select {
@@ -176,7 +179,7 @@ func (s *Server) serve() {
 				}
 				s.handleReady(r)
 			}
-		case <-reap.C:
+		case <-reap.C():
 			s.reapStalls()
 		}
 		s.release()
@@ -202,7 +205,7 @@ func (s *Server) handleReady(r cb.Reflection) {
 	if eff+1 > d.ready {
 		d.ready = eff + 1
 	}
-	d.lastReport = time.Now()
+	d.lastReport = s.clock.Now()
 }
 
 // reapStalls evicts displays that stopped reporting while others wait. A
@@ -212,7 +215,7 @@ func (s *Server) reapStalls() {
 	if s.cfg.StallTimeout <= 0 {
 		return
 	}
-	now := time.Now()
+	now := s.clock.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.displays) < 2 {
@@ -268,9 +271,10 @@ func (s *Server) release() {
 
 // Display is the barrier client run by each display computer.
 type Display struct {
-	name string
-	pub  *cb.Publication
-	sub  *cb.Subscription
+	name  string
+	pub   *cb.Publication
+	sub   *cb.Subscription
+	clock clock.Clock
 	// ctx ends at Close, so no wait outlives the display.
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -298,7 +302,7 @@ func NewDisplay(backbone *cb.Backbone, lpName string) (*Display, error) {
 		return nil, fmt.Errorf("displaysync: publish ready: %w", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Display{name: lpName, pub: pub, sub: sub, ctx: ctx, cancel: cancel}, nil
+	return &Display{name: lpName, pub: pub, sub: sub, clock: backbone.Clock(), ctx: ctx, cancel: cancel}, nil
 }
 
 // WaitServer blocks until both barrier channels — the swap subscription
@@ -307,8 +311,17 @@ func NewDisplay(backbone *cb.Backbone, lpName string) (*Display, error) {
 // risks publishing the first FRAME READY into the void before the
 // server's subscription channel exists.
 func (d *Display) WaitServer(timeout time.Duration) bool {
-	ctx, cancel := context.WithTimeout(d.ctx, timeout)
+	ctx, cancel := context.WithCancel(d.ctx)
 	defer cancel()
+	timer := d.clock.NewTimer(timeout)
+	defer timer.Stop()
+	go func() {
+		select {
+		case <-timer.C():
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
 	if d.sub.WaitMatchedContext(ctx) != nil || d.pub.WaitChannelsContext(ctx, 1) != nil {
 		return false
 	}
@@ -352,7 +365,7 @@ func (d *Display) Ready(renderTime float64) error {
 // stays silent for the whole timeout and ErrStopped once the display is
 // closed.
 func (d *Display) WaitSwap(timeout time.Duration) error {
-	timer := time.NewTimer(timeout)
+	timer := d.clock.NewTimer(timeout)
 	defer timer.Stop()
 	return d.waitSwap(timer)
 }
@@ -368,7 +381,7 @@ var polled = func() context.Context {
 
 // waitSwap is WaitSwap against a timer the caller has armed, so that
 // RunFrames re-arms one timer a frame instead of building a deadline.
-func (d *Display) waitSwap(timer *time.Timer) error {
+func (d *Display) waitSwap(timer clock.Timer) error {
 	for {
 		if d.ctx.Err() != nil {
 			return ErrStopped
@@ -381,7 +394,7 @@ func (d *Display) waitSwap(timer *time.Timer) error {
 			select {
 			case <-d.sub.NotifyC():
 			case <-d.ctx.Done():
-			case <-timer.C:
+			case <-timer.C():
 				return fmt.Errorf("%w: frame %d", ErrTimeout, d.Frame())
 			}
 			continue
@@ -413,11 +426,11 @@ func (d *Display) RunFrames(n int, timeout time.Duration, render func(frame uint
 	if n <= 0 {
 		return nil
 	}
-	timer := time.NewTimer(timeout)
+	timer := d.clock.NewTimer(timeout)
 	defer timer.Stop()
 	frame := d.Frame()
-	last := time.Now()
-	took := timed(render, frame)
+	last := d.clock.Now()
+	took := d.timed(render, frame)
 	for i := 1; ; i++ {
 		if err := d.Ready(took.Seconds()); err != nil {
 			if d.ctx.Err() != nil {
@@ -426,13 +439,13 @@ func (d *Display) RunFrames(n int, timeout time.Duration, render func(frame uint
 			return fmt.Errorf("displaysync: ready: %w", err)
 		}
 		if i < n {
-			took = timed(render, frame+1)
+			took = d.timed(render, frame+1)
 		}
 		timer.Reset(timeout)
 		if err := d.waitSwap(timer); err != nil {
 			return err
 		}
-		now := time.Now()
+		now := d.clock.Now()
 		d.mu.Lock()
 		d.tracker.TickInterval(now.Sub(last))
 		d.mu.Unlock()
@@ -445,10 +458,10 @@ func (d *Display) RunFrames(n int, timeout time.Duration, render func(frame uint
 }
 
 // timed renders frame and returns how long it took.
-func timed(render func(frame uint32), frame uint32) time.Duration {
-	start := time.Now()
+func (d *Display) timed(render func(frame uint32), frame uint32) time.Duration {
+	start := d.clock.Now()
 	render(frame)
-	return time.Since(start)
+	return d.clock.Now().Sub(start)
 }
 
 // Close withdraws the display's registrations and ends its blocked waits.

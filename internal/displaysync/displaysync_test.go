@@ -1,38 +1,55 @@
 package displaysync
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"codsim/internal/cb"
+	"codsim/internal/clock"
 	"codsim/internal/fom"
 	"codsim/internal/transport"
 )
 
-func fastCfg() cb.Config {
-	return cb.Config{
-		BroadcastInterval: 5 * time.Millisecond,
-		RefreshInterval:   30 * time.Millisecond,
-		HeartbeatInterval: 10 * time.Millisecond,
-		HeartbeatTimeout:  80 * time.Millisecond,
+const waitLong = 5 * time.Second
+
+// eventually polls cond until it holds, and fails the test if it does not
+// within waitLong. For server state that has no edge to wait on.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	deadline := time.After(waitLong)
+	for !cond() {
+		select {
+		case <-tick.C:
+		case <-deadline:
+			t.Fatalf("never %s", what)
+		}
 	}
 }
 
-const waitLong = 5 * time.Second
+// newBackbone attaches a node on clk (nil: the wall clock), closed at the
+// test's end.
+func newBackbone(t *testing.T, lan transport.LAN, node string, clk clock.Clock) *cb.Backbone {
+	t.Helper()
+	bb, err := cb.New(lan, node, cb.Config{Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = bb.Close() })
+	return bb
+}
 
 // rig builds a sync server on its own node plus n display nodes, mirroring
 // the paper's rack: display computers 1..n and the synchronization server.
 func rig(t *testing.T, lan transport.LAN, n int) (*Server, []*Display) {
 	t.Helper()
-	serverBB, err := cb.New(lan, "sync-server", fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = serverBB.Close() })
-
+	serverBB := newBackbone(t, lan, "sync-server", nil)
 	expected := make([]string, n)
 	for i := range expected {
 		expected[i] = fmt.Sprintf("display-%d", i+1)
@@ -46,12 +63,7 @@ func rig(t *testing.T, lan transport.LAN, n int) (*Server, []*Display) {
 
 	displays := make([]*Display, n)
 	for i := range displays {
-		bb, err := cb.New(lan, fmt.Sprintf("display-pc-%d", i+1), fastCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = bb.Close() })
-		d, err := NewDisplay(bb, expected[i])
+		d, err := NewDisplay(newBackbone(t, lan, fmt.Sprintf("display-pc-%d", i+1), nil), expected[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,18 +204,10 @@ func TestDynamicJoinDisplay(t *testing.T) {
 	}
 
 	// Let the original pair run some frames.
-	time.Sleep(100 * time.Millisecond)
-	if srv.Frame() == 0 {
-		t.Fatal("no progress before join")
-	}
+	eventually(t, "progressed before the join", func() bool { return srv.Frame() > 0 })
 
 	// Hot-add display-3 on a new node.
-	bb, err := cb.New(lan, "display-pc-3", fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bb.Close()
-	d3, err := NewDisplay(bb, "display-3")
+	d3, err := NewDisplay(newBackbone(t, lan, "display-pc-3", nil), "display-3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,41 +232,25 @@ func TestDynamicJoinDisplay(t *testing.T) {
 			}
 		}
 	}()
-	admitted := false
-	deadline := time.Now().Add(waitLong)
-	for time.Now().Before(deadline) {
-		for _, name := range srv.Displays() {
-			if name == "display-3" {
-				admitted = true
-			}
-		}
-		if admitted {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	eventually(t, "admitted display-3", func() bool { return slices.Contains(srv.Displays(), "display-3") })
 	close(d3stop)
 	d3wg.Wait()
 	close(stop)
 	wg.Wait()
-	if !admitted {
-		t.Errorf("server displays = %v, missing display-3", srv.Displays())
-	}
 	if got := d3.Frame(); got == 0 {
 		t.Error("joined display rendered no frames")
 	}
 }
 
+// TestStallEviction runs the rack on a manual clock: display-2 never
+// shows up, and once display-1 has waited StallTimeout for it the server
+// evicts it so display-1 can run.
 func TestStallEviction(t *testing.T) {
 	lan := transport.NewMemLAN()
-	serverBB, err := cb.New(lan, "sync-server", fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer serverBB.Close()
-	srv, err := NewServer(serverBB, "sync", ServerConfig{
+	clk := clock.NewManual()
+	srv, err := NewServer(newBackbone(t, lan, "sync-server", clk), "sync", ServerConfig{
 		Expected:     []string{"display-1", "display-2"},
-		StallTimeout: 100 * time.Millisecond,
+		StallTimeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -270,21 +258,22 @@ func TestStallEviction(t *testing.T) {
 	srv.Start()
 	defer srv.Stop()
 
-	bb, err := cb.New(lan, "display-pc-1", fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bb.Close()
-	d1, err := NewDisplay(bb, "display-1")
+	d1, err := NewDisplay(newBackbone(t, lan, "display-pc-1", clk), "display-1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !d1.WaitServer(waitLong) {
 		t.Fatal("display-1 not linked")
 	}
-	// display-2 never shows up: after StallTimeout it must be evicted so
-	// display-1 can run.
-	if err := d1.RunFrames(5, waitLong, func(uint32) {}); err != nil {
+	done := make(chan error, 1)
+	go func() { done <- d1.RunFrames(5, 10*time.Second, func(uint32) {}) }()
+	eventually(t, "heard display-1's first READY", func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return srv.displays["display-1"].ready > 0
+	})
+	clk.Advance(5*time.Second + pollInterval)
+	if err := <-done; err != nil {
 		t.Fatalf("survivor display stalled: %v", err)
 	}
 	if srv.Evicted() != 1 {
@@ -296,27 +285,19 @@ func TestStallEviction(t *testing.T) {
 // first FRAME READY — sim.New starts the server, the display loops begin
 // at Start — keeps every display, and the first swap still waits for all
 // of them; the stall clock of a frame starts with its first report. The
-// server's loop is never started: reports go to handleReady, their times
-// are moved back by hand, and nothing sleeps.
+// server's loop is never started: reports go to handleReady, and a manual
+// clock ages them.
 func TestIdleRackIsNotStalled(t *testing.T) {
-	bb, err := cb.New(transport.NewMemLAN(), "sync-server", fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bb.Close()
-	const timeout = 50 * time.Millisecond
-	srv, err := NewServer(bb, "sync", ServerConfig{
+	clk := clock.NewManual()
+	const timeout = 5 * time.Second
+	srv, err := NewServer(newBackbone(t, transport.NewMemLAN(), "sync-server", clk), "sync", ServerConfig{
 		Expected:     []string{"display-1", "display-2", "display-3"},
 		StallTimeout: timeout,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	age := func(names ...string) {
-		for _, n := range names {
-			srv.displays[n].lastReport = time.Now().Add(-4 * timeout)
-		}
-	}
+	age := func() { clk.Advance(2 * timeout) }
 	ready := func(name string, frame uint32) {
 		srv.handleReady(cb.Reflection{PubLP: name, Attrs: fom.FrameMark{Frame: frame}.Encode()})
 	}
@@ -330,33 +311,44 @@ func TestIdleRackIsNotStalled(t *testing.T) {
 		}
 	}
 
-	age("display-1", "display-2", "display-3")
+	age()
 	holds("idle, nobody has reported", 0, 3, 0)
 	ready("display-1", 0)
 	holds("display-1 has only just reported", 0, 3, 0)
 	ready("display-2", 0)
-	age("display-2")
-	holds("display-2 has waited a timeout, display-3 is stalled", 1, 2, 1)
+	age()
+	holds("display-1 and -2 have waited a timeout, display-3 is stalled", 1, 2, 1)
 	ready("display-1", 1)
 	ready("display-2", 1)
 	holds("the survivors run on", 1, 2, 2)
-	age("display-1", "display-2")
+	age()
 	holds("both idle again", 1, 2, 2)
 }
 
+// TestWaitSwapTimeout: with no server, WaitSwap times out when its
+// timeout has passed on the display's clock, and not before.
 func TestWaitSwapTimeout(t *testing.T) {
-	lan := transport.NewMemLAN()
-	bb, err := cb.New(lan, "display-pc", fastCfg())
+	clk := clock.NewManual()
+	d, err := NewDisplay(newBackbone(t, transport.NewMemLAN(), "display-pc", clk), "display-1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer bb.Close()
-	d, err := NewDisplay(bb, "display-1")
-	if err != nil {
+	const timeout = 10 * time.Second
+	done := make(chan error, 1)
+	go func() { done <- d.WaitSwap(timeout) }()
+	ctx, cancel := context.WithTimeout(context.Background(), waitLong)
+	defer cancel()
+	if err := clk.WaitTimers(ctx, 2); err != nil { // the backbone's ticker and WaitSwap's timer
 		t.Fatal(err)
 	}
-	// No server exists: WaitSwap must time out, not hang.
-	if err := d.WaitSwap(50 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+	clk.Advance(timeout - time.Millisecond)
+	select {
+	case err := <-done:
+		t.Fatalf("WaitSwap returned %v before its timeout", err)
+	default:
+	}
+	clk.Advance(time.Millisecond)
+	if err := <-done; !errors.Is(err, ErrTimeout) {
 		t.Errorf("err = %v, want ErrTimeout", err)
 	}
 }
@@ -370,12 +362,7 @@ func TestCloseEndsWaits(t *testing.T) {
 	}
 	for name, wait := range waits {
 		t.Run(name, func(t *testing.T) {
-			bb, err := cb.New(transport.NewMemLAN(), "display-pc", fastCfg())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer bb.Close()
-			d, err := NewDisplay(bb, "display-1")
+			d, err := NewDisplay(newBackbone(t, transport.NewMemLAN(), "display-pc", nil), "display-1")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -397,13 +384,7 @@ func TestCloseEndsWaits(t *testing.T) {
 }
 
 func TestDisplayClose(t *testing.T) {
-	lan := transport.NewMemLAN()
-	bb, err := cb.New(lan, "display-pc", fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bb.Close()
-	d, err := NewDisplay(bb, "display-1")
+	d, err := NewDisplay(newBackbone(t, transport.NewMemLAN(), "display-pc", nil), "display-1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,11 +68,7 @@ func TestRenderAheadBeforeSwap(t *testing.T) {
 // the display has drawn exactly frame f+1.
 func TestRenderAheadReadyAfterSwap(t *testing.T) {
 	lan := transport.NewMemLAN()
-	serverBB, err := cb.New(lan, "sync-server", fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer serverBB.Close()
+	serverBB := newBackbone(t, lan, "sync-server", nil)
 	swapPub, err := serverBB.PublishObjectClass("sync", fom.ClassFrameSwap)
 	if err != nil {
 		t.Fatal(err)
@@ -81,12 +77,7 @@ func TestRenderAheadReadyAfterSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, err := cb.New(lan, "display-pc-1", fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bb.Close()
-	d, err := NewDisplay(bb, "display-1")
+	d, err := NewDisplay(newBackbone(t, lan, "display-pc-1", nil), "display-1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,28 +12,18 @@ import (
 	"codsim/internal/sim"
 )
 
-// startPool starts a coordinator and the named workers on one MemLAN and
-// returns once WaitWorkers does: every coordinator→worker dispatch channel
-// is up, so the one announce a job gets when it is loaded reaches every
-// worker.
+// startPool starts a coordinator and the named workers on one MemLAN, on a
+// clock nobody advances (eventFed), and returns once WaitWorkers does:
+// every coordinator→worker dispatch channel is up, so the one announce a
+// job gets when it is loaded reaches every worker.
 func startPool(t testing.TB, ccfg CoordinatorConfig, wcfg WorkerConfig, names ...string) (*Coordinator, context.Context) {
 	t.Helper()
-	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()), fastTimers())
-	t.Cleanup(func() { fed.Close() })
+	fed := eventFed(t)
 	for _, name := range names {
 		startWorker(t, fed, name, wcfg)
 	}
-	cnode, err := fed.Node("coord-node")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := NewCoordinator(cnode, ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { coord.Close() })
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	t.Cleanup(cancel)
+	coord := eventCoordinator(t, fed, "coord-node", ccfg)
+	ctx := joinCtx(t)
 	if err := coord.WaitWorkers(ctx, names); err != nil {
 		t.Fatalf("WaitWorkers: %v", err)
 	}
@@ -41,8 +31,8 @@ func startPool(t testing.TB, ccfg CoordinatorConfig, wcfg WorkerConfig, names ..
 }
 
 // TestSweepNeverWaitsForReannounce runs 40 jobs through two one-slot
-// workers under an Announce period far longer than the test: every job is
-// said once, so each slot refill must come from the worker's backlog. The
+// workers whose clock never reaches an announce period: every job is said
+// once, so each slot refill must come from the worker's backlog. The
 // workers bid oldest first, so each one starts its jobs in load order.
 func TestSweepNeverWaitsForReannounce(t *testing.T) {
 	const n = 40
@@ -54,10 +44,7 @@ func TestSweepNeverWaitsForReannounce(t *testing.T) {
 		mu.Unlock()
 		return stubRunner(0)(ctx, job, cfg)
 	}
-	ccfg := fastCoordinator()
-	ccfg.Announce = time.Hour
-	coord, ctx := startPool(t, ccfg,
-		WorkerConfig{Slots: 1, Heartbeat: 25 * time.Millisecond, Run: run}, "w1", "w2")
+	coord, ctx := startPool(t, CoordinatorConfig{}, WorkerConfig{Slots: 1, Run: run}, "w1", "w2")
 
 	recs, err := coord.Run(ctx, testJobs(n))
 	if err != nil {
@@ -82,18 +69,15 @@ func TestSweepNeverWaitsForReannounce(t *testing.T) {
 
 // TestAnnouncesStayNearOnePerJob is the announce storm's regression guard:
 // over a sweep of N attempts the coordinator publishes at most one announce
-// per attempt plus one window's worth per Announce period elapsed. Before
-// workers kept a backlog it re-announced the whole window on every result,
-// about Window announces per job.
+// per attempt plus one window's worth per announce period elapsed (none
+// here, on a clock nobody advances). Before workers kept a backlog it
+// re-announced the whole window on every result, about window announces
+// per job.
 func TestAnnouncesStayNearOnePerJob(t *testing.T) {
 	const n = 600
-	ccfg := fastCoordinator()
-	coord, ctx := startPool(t, ccfg,
-		WorkerConfig{Slots: 2, Heartbeat: 25 * time.Millisecond, Run: stubRunner(0)}, "w1", "w2")
+	coord, ctx := startPool(t, CoordinatorConfig{}, WorkerConfig{Slots: 2, Run: stubRunner(0)}, "w1", "w2")
 
-	start := time.Now()
 	recs, err := coord.Run(ctx, testJobs(n))
-	periods := int64(time.Since(start) / ccfg.Announce)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -101,11 +85,10 @@ func TestAnnouncesStayNearOnePerJob(t *testing.T) {
 		t.Fatalf("records = %d, want %d", len(recs), n)
 	}
 	s := coord.Sample()
-	window := int64(ccfg.withDefaults().Window)
-	if bound := s.Attempts + (periods+1)*window; s.Announces > bound {
-		t.Errorf("%d announces for %d attempts over %d periods; want <= %d", s.Announces, s.Attempts, periods, bound)
+	if bound := s.Attempts + window; s.Announces > bound {
+		t.Errorf("%d announces for %d attempts; want <= %d", s.Announces, s.Attempts, bound)
 	}
-	t.Logf("%d jobs: %d attempts, %d announces, %d periods", n, s.Attempts, s.Announces, periods)
+	t.Logf("%d jobs: %d attempts, %d announces", n, s.Attempts, s.Announces)
 }
 
 // rival is the coordinator's side of the protocol driven by hand, so a test
@@ -171,10 +154,9 @@ func (r *rival) grant(t *testing.T, sweep, job, attempt int64, worker string) {
 // bids on the first and loses it to another worker. It must release that
 // bid and bid on the second job it kept, with nothing announced again.
 func TestLostRaceBidsNextFromBacklog(t *testing.T) {
-	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()), fastTimers())
-	defer fed.Close()
+	fed := eventFed(t)
 	r := newRival(t, fed)
-	startWorker(t, fed, "w1", WorkerConfig{Slots: 1, Heartbeat: 25 * time.Millisecond, Run: stubRunner(0)})
+	startWorker(t, fed, "w1", WorkerConfig{Slots: 1, Run: stubRunner(0)})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	r.matched(ctx, t)
@@ -216,8 +198,7 @@ func waitPending[T any](ctx context.Context, t *testing.T, sub *cod.Sub[T], n in
 // held attempt or a later one prunes, the cap holds, and a new sweep starts
 // from nothing.
 func TestBacklogBookkeeping(t *testing.T) {
-	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()), fastTimers())
-	defer fed.Close()
+	fed := eventFed(t)
 	r := newRival(t, fed)
 	node, err := fed.Node("w1-node")
 	if err != nil {
@@ -306,19 +287,8 @@ func TestBacklogBookkeeping(t *testing.T) {
 // else. Dropped silently, either bid held the worker's slot until its claim
 // expired.
 func TestNoClaimGoesUnanswered(t *testing.T) {
-	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()), fastTimers())
-	defer fed.Close()
-	cnode, err := fed.Node("coord-node")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ccfg := fastCoordinator()
-	ccfg.Announce = time.Hour // nothing here may come from the period
-	coord, err := NewCoordinator(cnode, ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
+	fed := eventFed(t) // nothing here may come from a period
+	coord := eventCoordinator(t, fed, "coord-node", CoordinatorConfig{})
 	wnode, err := fed.Node("w1-node")
 	if err != nil {
 		t.Fatal(err)
@@ -350,7 +320,7 @@ func TestNoClaimGoesUnanswered(t *testing.T) {
 	// Job 5 was re-dispatched to attempt 2 and announced a moment ago.
 	s := &jobState{job: testJobs(6)[5], attempt: 2, announce: time.Now(), created: time.Now()}
 	sw := &sweep{open: map[int64]*jobState{5: s}, order: []*jobState{s}, done: map[int64]doneJob{}}
-	if err := pubClaim.Update(0, jobClaim{Sweep: ccfg.Sweep, Job: 5, Attempt: 1, Worker: "w1"}); err != nil {
+	if err := pubClaim.Update(0, jobClaim{Sweep: coord.cfg.Sweep, Job: 5, Attempt: 1, Worker: "w1"}); err != nil {
 		t.Fatal(err)
 	}
 	waitPending(ctx, t, coord.subClaim, 1)
@@ -366,7 +336,7 @@ func TestNoClaimGoesUnanswered(t *testing.T) {
 		t.Fatalf("announce = job %d attempt %d, want job 5 attempt 2", ann.Value.Job, ann.Value.Attempt)
 	}
 
-	if err := pubClaim.Update(0, jobClaim{Sweep: ccfg.Sweep, Job: 5, Attempt: 2, Worker: "w1"}); err != nil {
+	if err := pubClaim.Update(0, jobClaim{Sweep: coord.cfg.Sweep, Job: 5, Attempt: 2, Worker: "w1"}); err != nil {
 		t.Fatal(err)
 	}
 	waitPending(ctx, t, coord.subClaim, 1)
@@ -382,7 +352,7 @@ func TestNoClaimGoesUnanswered(t *testing.T) {
 	// result came late), so it has no grantee. A worker still holding its
 	// announce bids; the answer must release that bid too.
 	sw.done[9] = doneJob{attempt: 2}
-	if err := pubClaim.Update(0, jobClaim{Sweep: ccfg.Sweep, Job: 9, Attempt: 2, Worker: "w1"}); err != nil {
+	if err := pubClaim.Update(0, jobClaim{Sweep: coord.cfg.Sweep, Job: 9, Attempt: 2, Worker: "w1"}); err != nil {
 		t.Fatal(err)
 	}
 	waitPending(ctx, t, coord.subClaim, 1)

@@ -13,11 +13,10 @@ import (
 // that returns at once and the library's multi-KB spec JSON on every
 // announce. ns/op and allocs/op are per job; announces/job is the
 // coordinator's announce publications over the jobs run — about 1 when
-// workers refill from their backlog, about Window when every result
-// re-announces the window.
+// workers refill from their backlog, about 64 (the window) when every
+// result re-announces the window.
 func BenchmarkDistDispatch(b *testing.B) {
-	coord, ctx := startPool(b, fastCoordinator(),
-		WorkerConfig{Slots: 2, Heartbeat: 25 * time.Millisecond, Run: stubRunner(0)}, "w1", "w2")
+	coord, ctx := startPool(b, CoordinatorConfig{}, WorkerConfig{Slots: 2, Run: stubRunner(0)}, "w1", "w2")
 	jobs := testJobs(b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -30,9 +29,8 @@ func BenchmarkDistDispatch(b *testing.B) {
 }
 
 // BenchmarkDistReady is a dispatch federation's bring-up, the cost a batch
-// pays per job list: one op builds a MemLAN federation with default
-// backbone timers, one two-slot worker with the default Heartbeat and a
-// coordinator with the default Announce, waits for the pool, runs a
+// pays per job list: one op builds a MemLAN federation on the wall clock,
+// one two-slot worker and a coordinator, waits for the pool, runs a
 // one-job sweep to its record and tears everything down (untimed). Every
 // step of it is a join, so it reads a millisecond or two while discovery,
 // readiness and the first announce ride their events, and half a second

@@ -3,9 +3,7 @@ package dist
 import (
 	"context"
 	"testing"
-	"time"
 
-	"codsim/cod"
 	"codsim/internal/scenario"
 	"codsim/internal/scenario/gen"
 	"codsim/internal/sim"
@@ -33,57 +31,21 @@ func (ss *streamSource) Next(ctx context.Context) (Job, bool, error) {
 	return j, true, nil
 }
 
-// TestCampaignStreamMemLAN runs a 50-job generated campaign through the
-// coordinator with a dispatch window far smaller than the sweep — jobs
-// are pulled from the generator as results free slots, never materialized
-// up front — and cross-checks every distributed verdict against a local
-// sim.RunBatch of the same specs. The StaticOnly oracle keeps the stream
-// cheap; the workers' DefaultRunner does the real flying.
+// TestCampaignStreamMemLAN runs a generated campaign a quarter longer than
+// the coordinator's dispatch window through it — jobs are pulled from the
+// generator as results free slots, never materialized up front — and
+// cross-checks every distributed verdict against a local sim.RunBatch of
+// the same specs. The StaticOnly oracle keeps the stream cheap; the
+// workers' DefaultRunner does the real flying. The pool's clock never
+// moves: the test is about streaming, and under -race on a loaded core no
+// claim expiry, death verdict or job timeout may come of a slow run.
 func TestCampaignStreamMemLAN(t *testing.T) {
 	if testing.Short() {
-		t.Skip("50 headless runs in -short")
+		t.Skip("80 headless runs in -short")
 	}
-	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()), fastTimers())
-	defer fed.Close()
+	coord, ctx := startPool(t, CoordinatorConfig{}, WorkerConfig{Slots: 2, Batch: sim.BatchConfig{Headless: true}}, "w1", "w2")
 
-	// Heartbeat also scales the worker's claim TTL (4x): under -race on a
-	// loaded single core a grant can take hundreds of milliseconds to
-	// reach its claimant, and an expired claim burns an attempt via the
-	// coordinator's lost-grant detector. Generous liveness knobs keep the
-	// test about streaming, not failure detection.
-	wcfg := WorkerConfig{
-		Slots:     2,
-		Heartbeat: 250 * time.Millisecond,
-		Batch:     sim.BatchConfig{Headless: true},
-	}
-	startWorker(t, fed, "w1", wcfg)
-	startWorker(t, fed, "w2", wcfg)
-
-	cnode, err := fed.Node("coord-node")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ccfg := fastCoordinator()
-	ccfg.Window = 8
-	// This test exercises windowed streaming, not timeout redispatch:
-	// under -race on a loaded single core a legitimate headless run can
-	// outlive fastCoordinator's 10 s budget, and a spurious redispatch
-	// would burn MaxAttempts on a healthy job.
-	ccfg.JobTimeout = 90 * time.Second
-	ccfg.DeadAfter = 10 * time.Second
-	coord, err := NewCoordinator(cnode, ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 240*time.Second)
-	defer cancel()
-	if err := coord.WaitWorkers(ctx, []string{"w1", "w2"}); err != nil {
-		t.Fatalf("WaitWorkers: %v", err)
-	}
-
-	const count = 50
+	const count = window + window/4
 	stream := gen.NewStream(1234, gen.DefaultParams())
 	stream.Oracle = gen.StaticOnly
 	recs, err := coord.RunStream(ctx, &streamSource{s: stream, count: count})

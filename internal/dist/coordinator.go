@@ -5,48 +5,42 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
+	"math/rand/v2"
 	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"codsim/cod"
+	"codsim/internal/clock"
 	"codsim/internal/obs"
 	"codsim/internal/scenario"
 )
 
-// CoordinatorConfig tunes dispatch and failure detection.
+// The coordinator's periods and bounds (package doc). The announce period
+// is also its bookkeeping tick, so a dead worker is found within a period
+// of deadAfter, six of the workers' default beats. A grant counts as lost
+// when the grantee's beats still omit it grantSlack after it was sent.
+const (
+	announcePeriod = 250 * time.Millisecond
+	deadAfter      = 3 * time.Second
+	grantSlack     = 2 * announcePeriod
+	maxAttempts    = 3
+	window         = 64
+)
+
+// CoordinatorConfig configures a coordinator, which reads time from its
+// node's clock.
 type CoordinatorConfig struct {
 	// Sweep identifies this work list on the segment; workers key their
-	// job state by it, so two sweeps reusing job IDs never mix. 0 derives
-	// one from the wall clock.
+	// job state by it, so two sweeps reusing job IDs never mix. 0 draws
+	// a random one.
 	Sweep int64
-	// Announce is how often a job still unassigned is announced again
-	// (default 250 ms). Workers keep what they hear and refill their slots
-	// from it, and a worker that joins after the announce is told the
-	// pending jobs the moment its channel is up, so the period is not what
-	// feeds a pool: it reaches a worker whose announce window was full. A
-	// worker built before the backlog (same messages, so mixed builds stay
-	// correct) refills only at this period. This is also the coordinator's
-	// bookkeeping tick, so dead workers are detected within roughly one
-	// Announce of DeadAfter.
-	Announce time.Duration
-	// DeadAfter declares a worker dead this long after its last
-	// heartbeat, re-dispatching its granted jobs (default 3 s — six of
-	// the workers' default 500 ms beacons).
-	DeadAfter time.Duration
 	// JobTimeout re-dispatches a granted job that has produced no result
 	// after this long, even from a live worker (default 10 min; a full
 	// federation run at timescale 1 is slow, headless shards are not).
 	JobTimeout time.Duration
-	// MaxAttempts gives up on a job after this many dispatches and
-	// records a synthetic failure (default 3).
-	MaxAttempts int
-	// Window bounds how many jobs a sweep holds in flight (pending or
-	// granted) ahead of the workers before pulling more from its source
-	// (default 64). Run is RunStream over a slice, so it honours the
-	// window too: the list is materialized, its announces are not.
-	Window int
 	// Log receives dispatch-state transitions (grants, results,
 	// re-dispatches) as structured records with consistent field names
 	// (sweep, job, worker, attempt, span). Nil is silent.
@@ -67,22 +61,10 @@ func (c CoordinatorConfig) logger() *slog.Logger {
 
 func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	if c.Sweep == 0 {
-		c.Sweep = time.Now().UnixNano()
-	}
-	if c.Announce <= 0 {
-		c.Announce = 250 * time.Millisecond
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 3 * time.Second
+		c.Sweep = 1 + rand.Int64N(math.MaxInt64)
 	}
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = 10 * time.Minute
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.Window <= 0 {
-		c.Window = 64
 	}
 	return c
 }
@@ -101,6 +83,7 @@ type Coordinator struct {
 	cfg   CoordinatorConfig
 	log   *slog.Logger
 	spans *obs.Spans
+	clock clock.Clock
 
 	pubJob   *cod.Pub[jobAnnounce]
 	pubGrant *cod.Pub[jobGrant]
@@ -147,12 +130,14 @@ type workerProg struct {
 // registrations.
 func NewCoordinator(node *cod.Node, cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
+	clk := node.Backbone().Clock()
 	c := &Coordinator{
 		cfg:     cfg,
 		log:     cfg.logger(),
 		spans:   cfg.Spans,
+		clock:   clk,
 		workers: make(map[string]*workerInfo),
-		prog:    progress{start: time.Now(), workers: make(map[string]*workerProg)},
+		prog:    progress{start: clk.Now(), workers: make(map[string]*workerProg)},
 	}
 	// Subscriptions first: a worker's CB answers them by dialing this
 	// node, and then answers the publications' solicits over that link, at
@@ -260,7 +245,7 @@ func (c *Coordinator) noteHeartbeat(hb heartbeat) {
 	for _, id := range hb.Working {
 		working[id] = true
 	}
-	now := time.Now()
+	now := c.clock.Now()
 	c.workers[hb.Worker] = &workerInfo{seen: now, sweep: hb.Sweep, working: working}
 
 	c.progMu.Lock()
@@ -333,7 +318,8 @@ func (c *Coordinator) Sample() obs.DispatchSample {
 		Redispatches: c.prog.redispatches,
 		Announces:    c.prog.announces,
 	}
-	elapsed := time.Since(c.prog.start).Seconds()
+	now := c.clock.Now()
+	elapsed := now.Sub(c.prog.start).Seconds()
 	names := make([]string, 0, len(c.prog.workers))
 	for name := range c.prog.workers {
 		names = append(names, name)
@@ -343,7 +329,7 @@ func (c *Coordinator) Sample() obs.DispatchSample {
 		wp := c.prog.workers[name]
 		ws := obs.WorkerSample{
 			Name: name, Done: wp.done, Busy: wp.busy, Slots: wp.slots,
-			SinceSeen: time.Since(wp.seen).Seconds(),
+			SinceSeen: now.Sub(wp.seen).Seconds(),
 		}
 		if elapsed > 0 {
 			ws.Throughput = float64(wp.done) / elapsed
@@ -437,17 +423,17 @@ func (sw *sweep) records() []Record {
 
 // Run dispatches the jobs and blocks until every one has a Record or ctx
 // is done. Records come back sorted by job ID; on cancellation the
-// partial set is returned with ctx.Err(). Jobs that exhaust MaxAttempts
+// partial set is returned with ctx.Err(). Jobs that exhaust maxAttempts
 // get a synthetic failed Record rather than stalling the sweep.
 func (c *Coordinator) Run(ctx context.Context, jobs []Job) ([]Record, error) {
 	return c.RunStream(ctx, SliceJobs(jobs))
 }
 
-// RunStream is Run over an incremental work list: it keeps at most Window
+// RunStream is Run over an incremental work list: it keeps at most window
 // jobs in flight, pulling more from the source as results free slots, and
 // blocks until the source is exhausted and every pulled job has a Record
 // (or ctx is done). A job is announced when it is loaded, again when it is
-// re-dispatched, and otherwise only on the Announce period; workers keep
+// re-dispatched, and otherwise only every announcePeriod; workers keep
 // the announces and refill their own slots from them. The source is polled
 // from one feeder goroutine of this call — one job ahead of the window,
 // never concurrently, never after RunStream returns — so a source that
@@ -470,7 +456,7 @@ func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, e
 	}()
 
 	exhausted := false
-	tick := time.NewTicker(c.cfg.Announce)
+	tick := c.clock.NewTicker(announcePeriod)
 	defer tick.Stop()
 	for {
 		c.drainHeartbeats()
@@ -485,7 +471,7 @@ func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, e
 
 		// The feeder is heard only while the window has room.
 		next := feed
-		if exhausted || len(sw.open) >= c.cfg.Window {
+		if exhausted || len(sw.open) >= window {
 			next = nil
 		}
 		select {
@@ -502,7 +488,7 @@ func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, e
 				return sw.records(), p.err
 			}
 			exhausted = !p.ok
-		case <-tick.C:
+		case <-tick.C():
 		case <-c.subClaim.NotifyC():
 		case <-c.subRes.NotifyC():
 		case <-c.subHB.NotifyC():
@@ -518,7 +504,7 @@ func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, e
 // when pubGrant did — a worker may win a bid before its grant channel is
 // built. Both messages are idempotent for the workers that had them. This
 // is what starts a sweep that was loaded before its pool had joined, and
-// what a worker joining mid-sweep bids on, without an Announce period.
+// what a worker joining mid-sweep bids on, without an announce period.
 func (c *Coordinator) greetJoined(sw *sweep) {
 	jobs, grants := c.pubJob.Channels(), c.pubGrant.Channels()
 	joinedJob, joinedGrant := jobs > c.jobChans, grants > c.grantChans
@@ -581,7 +567,7 @@ func (c *Coordinator) load(sw *sweep, j Job, specJSON []byte) error {
 	}
 	s := &jobState{
 		job: j, specJSON: specJSON, attempt: 1,
-		created: time.Now(), span: obs.MintSpanID(),
+		created: c.clock.Now(), span: obs.MintSpanID(),
 	}
 	sw.open[j.ID] = s
 	sw.order = append(sw.order, s)
@@ -683,13 +669,13 @@ func (c *Coordinator) drainClaims(sw *sweep) {
 				// the worker still held the old one) ties up the bidder's slot
 				// until its claim expires. Saying the current attempt again
 				// makes the worker renew the bid at once.
-				c.announce(s, time.Now())
+				c.announce(s, c.clock.Now())
 				continue
 			}
 			c.moveJob(s.phase, jobGranted)
 			s.phase = jobGranted
 			s.worker = claim.Worker
-			s.granted = time.Now()
+			s.granted = c.clock.Now()
 			s.deadline = s.granted.Add(c.cfg.JobTimeout)
 			// The queue phase ends here: the job waited from load until a
 			// worker won it. Re-dispatches overwrite it — the latency that
@@ -727,28 +713,21 @@ func (c *Coordinator) sendGrant(grant jobGrant) {
 }
 
 // redispatch returns granted jobs to pending when their worker died or
-// the job outlived its timeout, failing them outright past MaxAttempts.
+// the job outlived its timeout, failing them outright past maxAttempts.
 // A re-dispatched job that stays unclaimed for another JobTimeout burns
 // an attempt too — a sole worker stuck running the job ignores its
 // re-announces, and the sweep must fail the job rather than hang.
 // First-attempt pending jobs never expire: an empty segment is a pool
 // that has not joined yet, not a failure.
 func (c *Coordinator) redispatch(sw *sweep) {
-	now := time.Now()
-	// grantSlack is how long after a grant the grantee's heartbeats may
-	// still omit the job before the grant counts as lost: long enough
-	// for grant delivery plus one beat, well under any real job.
-	grantSlack := 2 * c.cfg.Announce
-	if grantSlack < 500*time.Millisecond {
-		grantSlack = 500 * time.Millisecond
-	}
+	now := c.clock.Now()
 	// Backwards, because finish takes a job out of sw.order mid-pass.
 	for i := len(sw.order) - 1; i >= 0; i-- {
 		s := sw.order[i]
 		switch s.phase {
 		case jobGranted:
 			w := c.workers[s.worker]
-			dead := w != nil && now.Sub(w.seen) > c.cfg.DeadAfter
+			dead := w != nil && now.Sub(w.seen) > deadAfter
 			// Lost grant: the grantee beats on this sweep, its latest
 			// beat postdates the grant by the slack, yet it never lists
 			// the job — its claim expired before the grant arrived
@@ -771,7 +750,7 @@ func (c *Coordinator) redispatch(sw *sweep) {
 			c.log.Warn("re-dispatch unclaimed past deadline",
 				"job", s.job.ID, "attempt", s.attempt, "span", s.span)
 		}
-		if int(s.attempt) >= c.cfg.MaxAttempts {
+		if s.attempt >= maxAttempts {
 			c.finish(sw, s, Record{
 				Job:      s.job.ID,
 				Attempt:  s.attempt,
@@ -797,9 +776,9 @@ func (c *Coordinator) redispatch(sw *sweep) {
 // announcePending publishes, in load order, every pending job never
 // announced or whose announce period elapsed.
 func (c *Coordinator) announcePending(sw *sweep) {
-	now := time.Now()
+	now := c.clock.Now()
 	for _, s := range sw.order {
-		if s.phase == jobPending && now.Sub(s.announce) >= c.cfg.Announce {
+		if s.phase == jobPending && now.Sub(s.announce) >= announcePeriod {
 			c.announce(s, now)
 		}
 	}

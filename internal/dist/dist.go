@@ -58,12 +58,10 @@
 //     again, since a newcomer can win a bid before its grant channel is
 //     built. Both are idempotent for the workers that had them.
 //
-// The Announce period is the net under all of this, not the feed: a job
-// still unassigned after a period is announced again, which reaches a
-// worker whose announce window was full or whose join raced another's
-// departure. The messages are those of builds without a backlog, so mixed
-// builds stay correct; such a worker under this coordinator refills only
-// at the period.
+// The announce period (announcePeriod, 250 ms) is the net under all of
+// this, not the feed: a job still unassigned after a period is announced
+// again, which reaches a worker whose announce window was full or whose
+// join raced another's departure.
 //
 // Claims race; the coordinator grants each (job, attempt) to exactly one
 // worker, and no claim goes unanswered: one for a granted or finished job
@@ -71,8 +69,9 @@
 // attempt the coordinator has moved past draws the current announce so
 // the bidder renews.
 // A granted job is re-dispatched — announced again with the next attempt
-// number — when its worker misses heartbeats long enough to be declared
-// dead, or when the job outlives JobTimeout. Results ride at-least-once
+// number — when its worker misses heartbeats for deadAfter (3 s), or when
+// the job outlives JobTimeout; after maxAttempts (3) dispatches it is
+// recorded as failed. Results ride at-least-once
 // delivery: the worker re-sends a finished job's Record until the
 // coordinator acknowledges it on dist.Ack, because the backbone tears
 // down virtual channels on link churn and a frame written just before a
@@ -85,10 +84,10 @@
 // leave the coordinator.
 //
 // The work list itself can be incremental: Coordinator.RunStream pulls
-// jobs from a JobSource and keeps at most CoordinatorConfig.Window of
-// them in flight, so a procedural campaign (scenario/gen via codbatch
-// -campaign) streams thousands of generated jobs through the sweep
-// without materializing them up front. Run is RunStream over a
+// jobs from a JobSource and keeps at most window (64) of them in flight,
+// so a procedural campaign (scenario/gen via codbatch -campaign) streams
+// thousands of generated jobs through the sweep without materializing
+// them up front. Run is RunStream over a
 // materialized slice.
 //
 // Every run persists as one JSON-lines Record (scenario, seed, score,

@@ -10,24 +10,24 @@ import (
 	"time"
 
 	"codsim/cod"
+	"codsim/internal/clock"
 	"codsim/internal/scenario"
 	"codsim/internal/sim"
 	"codsim/internal/transport"
 )
 
-// fastTimers keeps discovery and liveness snappy for in-process tests.
-func fastTimers() cod.Option {
-	return cod.WithTimers(5*time.Millisecond, 30*time.Millisecond, 10*time.Millisecond)
-}
-
-// fastCoordinator shortens every failure-detection knob for tests.
-func fastCoordinator() CoordinatorConfig {
-	return CoordinatorConfig{
-		Sweep:       42,
-		Announce:    15 * time.Millisecond,
-		DeadAfter:   250 * time.Millisecond,
-		JobTimeout:  10 * time.Second,
-		MaxAttempts: 3,
+// waitFor polls cond until it holds, failing the test when ctx ends first.
+// For coordinator state that has no edge to wait on.
+func waitFor(ctx context.Context, t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for !cond() {
+		select {
+		case <-tick.C:
+		case <-ctx.Done():
+			t.Fatalf("never %s: %v", what, ctx.Err())
+		}
 	}
 }
 
@@ -87,33 +87,7 @@ func startWorker(t testing.TB, fed *cod.Federation, name string, cfg WorkerConfi
 // TestCoordinatorWorkersMemLAN is the dist smoke: a coordinator and two
 // in-process workers on one MemLAN run a 12-job sweep to completion.
 func TestCoordinatorWorkersMemLAN(t *testing.T) {
-	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()), fastTimers())
-	defer fed.Close()
-
-	wcfg := WorkerConfig{
-		Slots:     2,
-		Heartbeat: 25 * time.Millisecond,
-		Run:       stubRunner(5 * time.Millisecond),
-	}
-	startWorker(t, fed, "w1", wcfg)
-	startWorker(t, fed, "w2", wcfg)
-
-	cnode, err := fed.Node("coord-node")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := NewCoordinator(cnode, fastCoordinator())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := coord.WaitWorkers(ctx, []string{"w1", "w2"}); err != nil {
-		t.Fatalf("WaitWorkers: %v", err)
-	}
-
+	coord, ctx := startPool(t, CoordinatorConfig{}, WorkerConfig{Slots: 2, Run: stubRunner(5 * time.Millisecond)}, "w1", "w2")
 	jobs := testJobs(12)
 	recs, err := coord.Run(ctx, jobs)
 	if err != nil {
@@ -145,10 +119,11 @@ func TestCoordinatorWorkersMemLAN(t *testing.T) {
 
 // TestRedispatchOnWorkerDeath kills one of two workers mid-sweep — its
 // runner never finishes — and asserts its granted jobs are re-dispatched
-// to the survivor so the final report is complete.
+// to the survivor so the final report is complete. The pool runs on a
+// manual clock, moved one survivor heartbeat at a time: the victim falls
+// silent for deadAfter while the survivor is heard at every step.
 func TestRedispatchOnWorkerDeath(t *testing.T) {
-	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()), fastTimers())
-	defer fed.Close()
+	fed, clk := clockFed(t)
 
 	// The victim's runner blocks until the worker dies, so every job it
 	// is granted is only recoverable through re-dispatch.
@@ -158,46 +133,45 @@ func TestRedispatchOnWorkerDeath(t *testing.T) {
 		<-ctx.Done()
 		return Record{Scenario: job.Spec.Name}
 	}
-	killVictim := startWorker(t, fed, "victim", WorkerConfig{
-		Slots:     2,
-		Heartbeat: 25 * time.Millisecond,
-		Run:       victimRun,
-	})
-	startWorker(t, fed, "survivor", WorkerConfig{
-		Slots:     2,
-		Heartbeat: 25 * time.Millisecond,
-		Run:       stubRunner(20 * time.Millisecond),
-	})
+	const beat = 500 * time.Millisecond // WorkerConfig.Heartbeat's default
+	killVictim := startWorker(t, fed, "victim", WorkerConfig{Slots: 2, Run: victimRun})
+	startWorker(t, fed, "survivor", WorkerConfig{Slots: 2, Run: stubRunner(20 * time.Millisecond)})
 
-	cnode, err := fed.Node("coord-node")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := NewCoordinator(cnode, fastCoordinator())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
+	coord := eventCoordinator(t, fed, "coord-node", CoordinatorConfig{})
+	ctx := joinCtx(t)
 	if err := coord.WaitWorkers(ctx, []string{"victim", "survivor"}); err != nil {
 		t.Fatalf("WaitWorkers: %v", err)
 	}
+	done := goSweep(func() ([]Record, error) { return coord.Run(ctx, testJobs(12)) })
 
 	// Kill the victim as soon as it has been granted its first job.
-	go func() {
-		select {
-		case <-victimStarted:
-			killVictim()
-		case <-ctx.Done():
-		}
-	}()
-
-	recs, err := coord.Run(ctx, testJobs(12))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	select {
+	case <-victimStarted:
+		killVictim()
+	case <-ctx.Done():
+		t.Fatal("the victim was never granted a job")
 	}
+	heard := func(worker string) bool {
+		for _, w := range coord.Sample().Workers {
+			if w.Name == worker {
+				return w.SinceSeen == 0
+			}
+		}
+		return false
+	}
+	for steps := 0; coord.Sample().Redispatches == 0; steps++ {
+		if time.Duration(steps)*beat > 2*deadAfter {
+			t.Fatalf("nothing re-dispatched %v after the victim died", time.Duration(steps)*beat)
+		}
+		clk.Advance(beat)
+		waitFor(ctx, t, "the survivor's beat reached the coordinator", func() bool { return heard("survivor") })
+	}
+
+	res := <-done
+	if res.err != nil {
+		t.Fatalf("Run: %v", res.err)
+	}
+	recs := res.recs
 	if len(recs) != 12 {
 		t.Fatalf("records = %d, want 12 (report must be complete)", len(recs))
 	}
@@ -246,16 +220,15 @@ func TestUDPLANSweepMatchesLocal(t *testing.T) {
 
 	batch := sim.BatchConfig{Headless: true}
 	wcfg := WorkerConfig{
-		Slots:     3,
-		Heartbeat: 50 * time.Millisecond,
-		Batch:     batch, // DefaultRunner: the real headless simulator
+		Slots: 3,
+		Batch: batch, // DefaultRunner: the real headless simulator
 	}
-	// Discovery stays fast but link-death detection gets real margins:
-	// with six concurrent sims starving the scheduler, the MemLAN-test
-	// timers' 40 ms heartbeat timeout would churn links constantly.
-	timers := cod.WithTimers(10*time.Millisecond, 50*time.Millisecond, 100*time.Millisecond)
+	// One manual clock nobody advances: six concurrent sims under the race
+	// detector starve the loops, and no link reaping or worker death
+	// verdict may come of it. Discovery and dispatch are events.
+	clk := cod.WithClock(clock.NewManual())
 	for _, name := range []string{"w1", "w2"} {
-		node, err := cod.NewNode(name+"-node", cod.WithLAN(segment()), timers)
+		node, err := cod.NewNode(name+"-node", cod.WithLAN(segment()), clk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,19 +250,12 @@ func TestUDPLANSweepMatchesLocal(t *testing.T) {
 		defer func() { cancel(); wg.Wait() }()
 	}
 
-	cnode, err := cod.NewNode("coord-node", cod.WithLAN(segment()), timers)
+	cnode, err := cod.NewNode("coord-node", cod.WithLAN(segment()), clk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cnode.Close()
-	// Wide failure-detection margins: under the race detector six
-	// concurrent headless sims starve the worker loops, and a spurious
-	// death verdict here would burn attempts on perfectly live workers.
-	ccfg := fastCoordinator()
-	ccfg.DeadAfter = 5 * time.Second
-	ccfg.JobTimeout = 30 * time.Second
-	ccfg.MaxAttempts = 5
-	coord, err := NewCoordinator(cnode, ccfg)
+	coord, err := NewCoordinator(cnode, CoordinatorConfig{Sweep: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,68 +331,74 @@ func TestUDPLANSweepMatchesLocal(t *testing.T) {
 
 // TestCoordinatorGivesUpAfterMaxAttempts pins the synthetic-failure path:
 // with only a black-hole worker on the segment, every job must come back
-// as a failed record instead of hanging the sweep.
+// as a failed record instead of hanging the sweep. On a manual clock each
+// JobTimeout is one Advance: the first fails the grants, the second and
+// third the unclaimed re-dispatches, and the third attempt is the last.
 func TestCoordinatorGivesUpAfterMaxAttempts(t *testing.T) {
-	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()), fastTimers())
-	defer fed.Close()
+	fed, clk := clockFed(t)
 
 	// Claims and heartbeats flow, but no result ever comes back.
 	blackhole := func(ctx context.Context, job Job, _ sim.BatchConfig) Record {
 		<-ctx.Done()
 		return Record{}
 	}
-	startWorker(t, fed, "blackhole", WorkerConfig{
-		Slots:     4,
-		Heartbeat: 25 * time.Millisecond,
-		Run:       blackhole,
-	})
-
-	cnode, err := fed.Node("coord-node")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ccfg := fastCoordinator()
-	ccfg.JobTimeout = 150 * time.Millisecond
-	ccfg.MaxAttempts = 2
-	coord, err := NewCoordinator(cnode, ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
+	startWorker(t, fed, "blackhole", WorkerConfig{Slots: 4, Run: blackhole})
+	coord := eventCoordinator(t, fed, "coord-node", CoordinatorConfig{})
+	ctx := joinCtx(t)
 	if err := coord.WaitWorkers(ctx, []string{"blackhole"}); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := coord.Run(ctx, testJobs(3))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	const n = 3
+	done := goSweep(func() ([]Record, error) { return coord.Run(ctx, testJobs(n)) })
+	waitFor(ctx, t, "granted every job", func() bool { return coord.Sample().Granted == n })
+	jobTimeout := coord.cfg.JobTimeout
+	for attempt := int64(1); attempt < maxAttempts; attempt++ {
+		clk.Advance(jobTimeout)
+		waitFor(ctx, t, fmt.Sprintf("re-dispatched attempt %d", attempt), func() bool {
+			return coord.Sample().Redispatches == n*attempt
+		})
 	}
-	if len(recs) != 3 {
-		t.Fatalf("records = %d", len(recs))
+	clk.Advance(jobTimeout)
+	res := <-done
+	if res.err != nil {
+		t.Fatalf("Run: %v", res.err)
 	}
-	for _, r := range recs {
-		if r.Passed || !strings.Contains(r.Err, "gave up") {
-			t.Errorf("job %d: %+v, want a gave-up failure", r.Job, r)
+	if len(res.recs) != n {
+		t.Fatalf("records = %d", len(res.recs))
+	}
+	for _, r := range res.recs {
+		if r.Passed || !strings.Contains(r.Err, "gave up") || r.Attempt != maxAttempts {
+			t.Errorf("job %d: %+v, want a gave-up failure at attempt %d", r.Job, r, maxAttempts)
 		}
+	}
+}
+
+// TestDefaultSweepsDiffer: a sweep ID is an identity, not a time. Two
+// default coordinators on one clock that never moves must not share one,
+// or workers would mix their job state.
+func TestDefaultSweepsDiffer(t *testing.T) {
+	fed := eventFed(t)
+	var sweeps [2]int64
+	for i := range sweeps {
+		node, err := fed.Node(fmt.Sprintf("coord-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord, err := NewCoordinator(node, CoordinatorConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer coord.Close()
+		sweeps[i] = coord.cfg.Sweep
+	}
+	if a, b := sweeps[0], sweeps[1]; a == 0 || a == b {
+		t.Fatalf("default sweeps %d and %d: want two distinct non-zero IDs", a, b)
 	}
 }
 
 // TestCoordinatorRunCancel returns partial records and ctx.Err on cancel.
 func TestCoordinatorRunCancel(t *testing.T) {
-	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()), fastTimers())
-	defer fed.Close()
-
-	cnode, err := fed.Node("coord-node")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := NewCoordinator(cnode, fastCoordinator())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
+	coord := eventCoordinator(t, eventFed(t), "coord-node", CoordinatorConfig{})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
@@ -443,14 +415,8 @@ func TestCoordinatorRunCancel(t *testing.T) {
 // standing worker pool — the second coordinator has a new sweep ID and
 // reuses job IDs, which must not collide with the first sweep's state.
 func TestWorkerSurvivesCoordinatorRestart(t *testing.T) {
-	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()), fastTimers())
-	defer fed.Close()
-
-	startWorker(t, fed, "w1", WorkerConfig{
-		Slots:     2,
-		Heartbeat: 25 * time.Millisecond,
-		Run:       stubRunner(time.Millisecond),
-	})
+	fed := eventFed(t)
+	startWorker(t, fed, "w1", WorkerConfig{Slots: 2, Run: stubRunner(time.Millisecond)})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -459,9 +425,7 @@ func TestWorkerSurvivesCoordinatorRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ccfg := fastCoordinator()
-		ccfg.Sweep = sweep
-		coord, err := NewCoordinator(cnode, ccfg)
+		coord, err := NewCoordinator(cnode, CoordinatorConfig{Sweep: sweep})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -518,25 +482,7 @@ func TestRunStreamRetainsOnlyItsWindow(t *testing.T) {
 	if data, err := scenario.MarshalSpec(testJobs(1)[0].Spec); err != nil || len(data) < 3<<10 {
 		t.Fatalf("test spec marshals to %d bytes (err %v); the bound below assumes ≈4 KB", len(data), err)
 	}
-	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()), fastTimers())
-	defer fed.Close()
-	wcfg := WorkerConfig{Slots: 4, Heartbeat: 25 * time.Millisecond, Run: stubRunner(0)}
-	startWorker(t, fed, "w1", wcfg)
-	startWorker(t, fed, "w2", wcfg)
-	cnode, err := fed.Node("coord-node")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := NewCoordinator(cnode, fastCoordinator())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	if err := coord.WaitWorkers(ctx, []string{"w1", "w2"}); err != nil {
-		t.Fatalf("WaitWorkers: %v", err)
-	}
+	coord, ctx := startPool(t, CoordinatorConfig{}, WorkerConfig{Slots: 4, Run: stubRunner(0)}, "w1", "w2")
 
 	var before runtime.MemStats
 	runtime.GC()

@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"codsim/internal/sim"
 )
@@ -73,8 +72,7 @@ func (s *gatedSource) Next(ctx context.Context) (Job, bool, error) {
 // loop neither happened until the source answered.
 func TestBlockedSourceDoesNotParkDispatch(t *testing.T) {
 	events := make(logEvents, 64) // room for every record of a two-job sweep: logging never blocks the coordinator
-	ccfg := fastCoordinator()
-	ccfg.Log = slog.New(events)
+	ccfg := CoordinatorConfig{Log: slog.New(events)}
 	release := make(chan struct{})
 	run := func(ctx context.Context, job Job, cfg sim.BatchConfig) Record {
 		if job.ID == 1 {
@@ -85,7 +83,7 @@ func TestBlockedSourceDoesNotParkDispatch(t *testing.T) {
 		}
 		return stubRunner(0)(ctx, job, cfg)
 	}
-	coord, ctx := startPool(t, ccfg, WorkerConfig{Slots: 1, Heartbeat: 25 * time.Millisecond, Run: run}, "w1")
+	coord, ctx := startPool(t, ccfg, WorkerConfig{Slots: 1, Run: run}, "w1")
 
 	src := &gatedSource{t: t, jobs: testJobs(2), blocked: make(chan struct{}), open: make(chan struct{})}
 	type swept struct {
@@ -121,8 +119,7 @@ func TestBlockedSourceDoesNotParkDispatch(t *testing.T) {
 // blocked, the source has seen the cancellation and left Next by the time
 // RunStream returns, and is not polled again.
 func TestRunStreamJoinsItsFeeder(t *testing.T) {
-	coord, ctx := startPool(t, fastCoordinator(),
-		WorkerConfig{Slots: 1, Heartbeat: 25 * time.Millisecond, Run: stubRunner(0)}, "w1")
+	coord, ctx := startPool(t, CoordinatorConfig{}, WorkerConfig{Slots: 1, Run: stubRunner(0)}, "w1")
 	src := &gatedSource{t: t, blocked: make(chan struct{}), open: make(chan struct{})}
 	sctx, cancel := context.WithCancel(ctx)
 	go func() {

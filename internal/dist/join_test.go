@@ -9,28 +9,39 @@ import (
 	"time"
 
 	"codsim/cod"
+	"codsim/internal/clock"
 	"codsim/internal/sim"
 )
 
-// The TestJoin tests hold dispatch to its event path: the backbone's
-// re-broadcast intervals, the workers' Heartbeat and the coordinator's
-// Announce all sit at an hour, so a pool becomes ready, a sweep starts and
-// a late worker gets work only through what the join itself triggers — a
-// beat when the heartbeat channel comes up, an announce (and a standing
-// grant) said again when a dispatch channel does. Nothing in them sleeps;
+// The TestJoin tests hold dispatch to its event path: the pool runs on a
+// manual clock nobody advances, so the backbone's re-broadcasts, the
+// workers' heartbeat period and the coordinator's announce period never
+// come round, and a pool becomes ready, a sweep starts and a late worker
+// gets work only through what the join itself triggers — a beat when the
+// heartbeat channel comes up, an announce (and a standing grant) said
+// again when a dispatch channel does. Nothing in them sleeps;
 // scripts/check.sh runs them -race -count=20.
 
-// eventFed is a federation on its own MemLAN whose backbones repair
-// nothing inside a test's deadline.
+// clockFed is a federation on its own MemLAN whose nodes share one manual
+// clock.
+func clockFed(t testing.TB) (*cod.Federation, *clock.Manual) {
+	t.Helper()
+	clk := clock.NewManual()
+	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()), cod.WithClock(clk))
+	t.Cleanup(func() { fed.Close() })
+	return fed, clk
+}
+
+// eventFed is a federation on a clock nobody advances: it repairs nothing,
+// and no period of its coordinator or workers comes round.
 func eventFed(t testing.TB) *cod.Federation {
 	t.Helper()
-	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()), cod.WithTimers(time.Hour, time.Hour, 0))
-	t.Cleanup(func() { fed.Close() })
+	fed, _ := clockFed(t)
 	return fed
 }
 
 func eventWorker(slots int, run Runner) WorkerConfig {
-	return WorkerConfig{Slots: slots, Heartbeat: time.Hour, Run: run}
+	return WorkerConfig{Slots: slots, Run: run}
 }
 
 func eventCoordinator(t testing.TB, fed *cod.Federation, node string, cfg CoordinatorConfig) *Coordinator {
@@ -78,12 +89,12 @@ func TestJoinWaitWorkers(t *testing.T) {
 			ctx := joinCtx(t)
 			var coord *Coordinator
 			if coordFirst {
-				coord = eventCoordinator(t, fed, "coord-node", CoordinatorConfig{Announce: time.Hour})
+				coord = eventCoordinator(t, fed, "coord-node", CoordinatorConfig{})
 			}
 			startWorker(t, fed, "w1", eventWorker(1, stubRunner(0)))
 			startWorker(t, fed, "w2", eventWorker(1, stubRunner(0)))
 			if !coordFirst {
-				coord = eventCoordinator(t, fed, "coord-node", CoordinatorConfig{Announce: time.Hour})
+				coord = eventCoordinator(t, fed, "coord-node", CoordinatorConfig{})
 			}
 			if err := coord.WaitWorkers(ctx, []string{"w1", "w2"}); err != nil {
 				t.Fatalf("WaitWorkers: %v", err)
@@ -129,16 +140,20 @@ func goSweep(run func() ([]Record, error)) <-chan sweepDone {
 
 // TestJoinSweepRightAfterWaitWorkers starts a 64-job sweep the moment
 // WaitWorkers returns and wants every job recorded with no announce said
-// twice: none went into the void and none waited for a period. Under the
-// default 250 ms Announce a slow run may see the period re-announce what
-// is still unassigned, so there the claim is held at the first record:
-// until then every announce was a first one, which is to say the head of
-// the sweep did not wait for a period.
+// twice: none went into the void and none waited for a period. On the
+// wall clock a slow run may see the 250 ms announce period re-announce
+// what is still unassigned, so there the claim is held at the first
+// record: until then every announce was a first one, which is to say the
+// head of the sweep did not wait for a period.
 func TestJoinSweepRightAfterWaitWorkers(t *testing.T) {
 	const n = 64
-	for _, announce := range []time.Duration{time.Hour, 0} {
-		t.Run(fmt.Sprintf("announce=%v", announce), func(t *testing.T) {
+	for _, wall := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wall=%v", wall), func(t *testing.T) {
 			fed := eventFed(t)
+			if wall {
+				fed = cod.NewFederation()
+				t.Cleanup(func() { fed.Close() })
+			}
 			ctx := joinCtx(t)
 			startWorker(t, fed, "w1", eventWorker(2, stubRunner(0)))
 			startWorker(t, fed, "w2", eventWorker(2, stubRunner(0)))
@@ -148,7 +163,6 @@ func TestJoinSweepRightAfterWaitWorkers(t *testing.T) {
 			var once sync.Once
 			first := make(chan [2]int64, 1)
 			coord = eventCoordinator(t, fed, "coord-node", CoordinatorConfig{
-				Announce: announce,
 				Log: slog.New(onLog(func(r slog.Record) {
 					if r.Message == "job done" {
 						once.Do(func() {
@@ -176,7 +190,7 @@ func TestJoinSweepRightAfterWaitWorkers(t *testing.T) {
 			if s.Redispatches != 0 || s.Attempts != n {
 				t.Errorf("%d attempts, %d re-dispatches; want %d, 0", s.Attempts, s.Redispatches, n)
 			}
-			if announce == time.Hour && s.Announces != n {
+			if !wall && s.Announces != n {
 				t.Errorf("%d announces, want %d: one per job", s.Announces, n)
 			}
 		})
@@ -191,7 +205,7 @@ func TestJoinSweepBeforeThePool(t *testing.T) {
 	const n = 8
 	fed := eventFed(t)
 	ctx := joinCtx(t)
-	coord := eventCoordinator(t, fed, "coord-node", CoordinatorConfig{Announce: time.Hour, Window: n})
+	coord := eventCoordinator(t, fed, "coord-node", CoordinatorConfig{})
 
 	// The source is asked for its end only after the sweep has taken the
 	// last job, so by then every announce but perhaps that job's has gone
@@ -251,7 +265,7 @@ func TestJoinWorkerMidSweep(t *testing.T) {
 	}
 
 	startWorker(t, fed, "w1", eventWorker(1, hold))
-	coord := eventCoordinator(t, fed, "coord-node", CoordinatorConfig{Announce: time.Hour})
+	coord := eventCoordinator(t, fed, "coord-node", CoordinatorConfig{})
 	if err := coord.WaitWorkers(ctx, []string{"w1"}); err != nil {
 		t.Fatalf("WaitWorkers: %v", err)
 	}
@@ -278,7 +292,7 @@ func TestJoinWorkerMidSweep(t *testing.T) {
 
 // TestJoinBackToBackSweeps: a worker still running a job of an abandoned
 // sweep keeps the next sweep's announces and bids on them when its slot
-// frees. The second coordinator says each job once (Announce is an hour),
+// frees. The second coordinator says each job once (its clock never moves),
 // and the run is released only after the worker has reported holding them,
 // so a worker that dropped them would leave the sweep waiting for ever.
 func TestJoinBackToBackSweeps(t *testing.T) {
@@ -311,7 +325,7 @@ func TestJoinBackToBackSweeps(t *testing.T) {
 	startWorker(t, fed, "w1", wcfg)
 
 	// The first sweep is abandoned with its one job still running.
-	a := eventCoordinator(t, fed, "coord-a", CoordinatorConfig{Sweep: 1, Announce: time.Hour})
+	a := eventCoordinator(t, fed, "coord-a", CoordinatorConfig{Sweep: 1})
 	if err := a.WaitWorkers(ctx, []string{"w1"}); err != nil {
 		t.Fatalf("first WaitWorkers: %v", err)
 	}
@@ -330,7 +344,7 @@ func TestJoinBackToBackSweeps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b := eventCoordinator(t, fed, "coord-b", CoordinatorConfig{Sweep: 2, Announce: time.Hour})
+	b := eventCoordinator(t, fed, "coord-b", CoordinatorConfig{Sweep: 2})
 	if err := b.WaitWorkers(ctx, []string{"w1"}); err != nil {
 		t.Fatalf("second WaitWorkers: %v", err)
 	}
@@ -366,7 +380,7 @@ func TestJoinDatagramCounts(t *testing.T) {
 	ctx := joinCtx(t)
 	startWorker(t, fed, "w1", eventWorker(2, stubRunner(0)))
 	startWorker(t, fed, "w2", eventWorker(2, stubRunner(0)))
-	coord := eventCoordinator(t, fed, "coord-node", CoordinatorConfig{Announce: time.Hour})
+	coord := eventCoordinator(t, fed, "coord-node", CoordinatorConfig{})
 	if err := coord.WaitWorkers(ctx, []string{"w1", "w2"}); err != nil {
 		t.Fatalf("WaitWorkers: %v", err)
 	}
@@ -385,20 +399,41 @@ func TestJoinDatagramCounts(t *testing.T) {
 	}
 }
 
-// TestJoinRepairUnderLoss: with the default-shaped (fast) timers on a
-// segment that drops most datagrams, the eager ones included, the
-// intervals still bring the pool up and the sweep through.
+// fastForward runs clk ten times faster than the wall clock until the test
+// ends: every period at its default, in a tenth of its wall time.
+func fastForward(t testing.TB, clk *clock.Manual) {
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				clk.Advance(10 * time.Millisecond)
+			case <-stop:
+				return
+			}
+		}
+	}()
+	t.Cleanup(func() { close(stop); <-done })
+}
+
+// TestJoinRepairUnderLoss: on a segment that drops most datagrams, the
+// eager ones included, the backbone's repair periods still bring the pool
+// up and the sweep through.
 func TestJoinRepairUnderLoss(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			fed := cod.NewFederation(
-				cod.WithLAN(cod.NewMemLAN(cod.WithLoss(0.7), cod.WithSeed(seed))), fastTimers())
+			clk := clock.NewManual()
+			fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN(cod.WithLoss(0.7), cod.WithSeed(seed))), cod.WithClock(clk))
 			t.Cleanup(func() { fed.Close() })
+			fastForward(t, clk)
 			ctx := joinCtx(t)
-			wcfg := WorkerConfig{Slots: 2, Heartbeat: 25 * time.Millisecond, Run: stubRunner(0)}
+			wcfg := WorkerConfig{Slots: 2, Run: stubRunner(0)}
 			startWorker(t, fed, "w1", wcfg)
 			startWorker(t, fed, "w2", wcfg)
-			coord := eventCoordinator(t, fed, "coord-node", fastCoordinator())
+			coord := eventCoordinator(t, fed, "coord-node", CoordinatorConfig{})
 			if err := coord.WaitWorkers(ctx, []string{"w1", "w2"}); err != nil {
 				t.Fatalf("WaitWorkers: %v", err)
 			}

@@ -20,7 +20,7 @@ import (
 // the core series the CI smoke greps for, and that every record came
 // home with a span and phase latencies.
 func TestObsLiveSweepScrape(t *testing.T) {
-	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()), fastTimers())
+	fed := cod.NewFederation()
 	defer fed.Close()
 
 	plane := obs.NewPlane("test", io.Discard)
@@ -55,9 +55,7 @@ func TestObsLiveSweepScrape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccfg := fastCoordinator()
-	ccfg.Spans = spans
-	coord, err := NewCoordinator(cnode, ccfg)
+	coord, err := NewCoordinator(cnode, CoordinatorConfig{Sweep: 42, Spans: spans})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,10 @@
 package dist
 
 import (
-	"context"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
-	"codsim/cod"
 	"codsim/internal/scenario"
 	"codsim/internal/sim"
 )
@@ -97,33 +94,7 @@ func TestMemLANTandemSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real headless runs")
 	}
-	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()), fastTimers())
-	defer fed.Close()
-
-	wcfg := WorkerConfig{
-		Slots:     2,
-		Heartbeat: 25 * time.Millisecond,
-		Batch:     sim.BatchConfig{Headless: true},
-	}
-	startWorker(t, fed, "w1", wcfg)
-
-	cnode, err := fed.Node("coord-node")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ccfg := fastCoordinator()
-	ccfg.JobTimeout = 60 * time.Second
-	coord, err := NewCoordinator(cnode, ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	if err := coord.WaitWorkers(ctx, []string{"w1"}); err != nil {
-		t.Fatalf("WaitWorkers: %v", err)
-	}
+	coord, ctx := startPool(t, CoordinatorConfig{}, WorkerConfig{Slots: 2, Batch: sim.BatchConfig{Headless: true}}, "w1")
 	specs := []scenario.Spec{scenario.TandemBeam(), scenario.TwinYard()}
 	recs, err := coord.Run(ctx, JobsFor(specs, 1))
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"codsim/cod"
+	"codsim/internal/clock"
 	"codsim/internal/obs"
 	"codsim/internal/scenario"
 	"codsim/internal/sim"
@@ -106,6 +107,7 @@ type Worker struct {
 	cfg   WorkerConfig
 	log   *slog.Logger
 	spans *obs.Spans
+	clock clock.Clock
 
 	subJob   *cod.Sub[jobAnnounce]
 	subGrant *cod.Sub[jobGrant]
@@ -152,6 +154,7 @@ func NewWorker(node *cod.Node, cfg WorkerConfig) (*Worker, error) {
 		cfg:    cfg,
 		log:    log.With("worker", cfg.Name),
 		spans:  cfg.Spans,
+		clock:  node.Backbone().Clock(),
 		jobs:   make(map[int64]*workerJob),
 		doneCh: make(chan Record, cfg.Slots),
 	}
@@ -225,7 +228,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	// coordinator's heartbeat subscription has matched, a beat reaches
 	// nobody. The ticker is for a coordinator that stopped listening
 	// without a word.
-	hb := time.NewTicker(w.cfg.Heartbeat)
+	hb := w.clock.NewTicker(w.cfg.Heartbeat)
 	defer hb.Stop()
 
 	for {
@@ -248,7 +251,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-hb.C:
+		case <-hb.C():
 			w.beat()
 		case <-w.pubHB.NotifyC():
 			// A coordinator's heartbeat subscription matched (or one went
@@ -462,7 +465,7 @@ func (w *Worker) claim(j *workerJob) bool {
 		w.release(j.job.ID)
 		return false
 	}
-	j.claimedAt = time.Now()
+	j.claimedAt = w.clock.Now()
 	return true
 }
 
@@ -474,7 +477,7 @@ func (w *Worker) expireClaims() {
 		return
 	}
 	ttl := 4 * w.cfg.Heartbeat
-	now := time.Now()
+	now := w.clock.Now()
 	for id, j := range w.jobs {
 		if j.phase == wjClaimed && now.Sub(j.claimedAt) > ttl {
 			w.release(id)
@@ -513,7 +516,7 @@ func (w *Worker) drainGrants(runCtx context.Context) {
 		w.running++
 		// The dispatch phase ends here: the bid waited from claim to
 		// grant, all on this worker's clock.
-		dispatched := time.Since(j.claimedAt)
+		dispatched := w.clock.Now().Sub(j.claimedAt)
 		w.spans.Observe(obs.PhaseDispatch, dispatched)
 		// Fractional ms, for the same reason as the coordinator's queueMS.
 		dispatchMS := float64(dispatched.Microseconds()) / 1e3
@@ -521,9 +524,9 @@ func (w *Worker) drainGrants(runCtx context.Context) {
 			"sweep", w.sweep, "job", g.Job, "attempt", g.Attempt,
 			"span", j.job.Span, "dispatch_ms", dispatchMS)
 		go func(job Job, attempt int64) {
-			start := time.Now()
+			start := w.clock.Now()
 			rec := w.cfg.Run(runCtx, job, w.cfg.Batch)
-			w.spans.Observe(obs.PhaseRun, time.Since(start))
+			w.spans.Observe(obs.PhaseRun, w.clock.Now().Sub(start))
 			rec.Job = job.ID
 			rec.Attempt = attempt
 			rec.Worker = w.name
@@ -555,7 +558,7 @@ func (w *Worker) drainAcks() {
 			// The ack phase ends here: the record waited from its first
 			// send until the coordinator confirmed receipt.
 			if !j.firstSend.IsZero() {
-				w.spans.Observe(obs.PhaseAck, time.Since(j.firstSend))
+				w.spans.Observe(obs.PhaseAck, w.clock.Now().Sub(j.firstSend))
 			}
 			w.obsAcked.Add(1)
 			delete(w.jobs, r.Value.Job)
@@ -575,7 +578,7 @@ func (w *Worker) drainAcks() {
 // saturated, and the next pass retries without burning the backoff.
 func (w *Worker) flushResults() {
 	resend := 4 * w.cfg.Heartbeat
-	now := time.Now()
+	now := w.clock.Now()
 	for id, j := range w.jobs {
 		if j.phase != wjFinished || now.Sub(j.lastSend) < resend {
 			continue

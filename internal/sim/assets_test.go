@@ -16,7 +16,7 @@ func TestClustersShareConstantAssets(t *testing.T) {
 	spec := scenario.TandemBeam()
 	spec.Visibility = 0.5
 	boot := func(spec *scenario.Spec) *Cluster {
-		c, err := New(Config{CB: fastCB(), Width: 96, Height: 72, Polygons: 600, Scenario: spec})
+		c, err := New(Config{Width: 96, Height: 72, Polygons: 600, Scenario: spec})
 		if err != nil {
 			t.Fatal(err)
 		}

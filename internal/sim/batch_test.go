@@ -21,7 +21,6 @@ func TestBatchRunsScenariosConcurrently(t *testing.T) {
 	specs := []scenario.Spec{scenario.BlindLift(), scenario.Classic()}
 	results := RunBatch(context.Background(), specs, BatchConfig{
 		Base: Config{
-			CB:        fastCB(),
 			TimeScale: 15,
 			Width:     96,
 			Height:    72,
@@ -134,7 +133,7 @@ func TestBatchScenarioValidationError(t *testing.T) {
 	bad := scenario.Classic()
 	bad.Phases = nil
 	results := RunBatch(context.Background(), []scenario.Spec{bad}, BatchConfig{
-		Base:    Config{CB: fastCB(), TimeScale: 8, Width: 96, Height: 72, Polygons: 400},
+		Base:    Config{TimeScale: 8, Width: 96, Height: 72, Polygons: 400},
 		Timeout: 5 * time.Second,
 	})
 	if len(results) != 1 || results[0].Err == nil {

@@ -3,15 +3,22 @@ package sim
 import (
 	"testing"
 	"time"
+
+	"codsim/internal/cb"
+	"codsim/internal/clock"
 )
 
 // TestDisplayNodeDeath kills one display computer mid-run: the
 // synchronization server must evict it after its stall timeout so the
 // remaining displays keep rendering — one dead PC must not freeze the
-// surround view.
+// surround view. The backbones and the barrier run on a manual clock that
+// the wait for the eviction moves half a second a poll, so the five-second
+// stall passes in a few polls of wall time, and every survivor's READY is
+// handled long before it could look stale.
 func TestDisplayNodeDeath(t *testing.T) {
-	c, err := New(Config{
-		CB:        fastCB(),
+	clk := clock.NewManual()
+	c := startCluster(t, Config{
+		CB:        cb.Config{Clock: clk},
 		TimeScale: 8,
 		Width:     96,
 		Height:    72,
@@ -19,22 +26,8 @@ func TestDisplayNodeDeath(t *testing.T) {
 		Autopilot: true,
 		AutoStart: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
 
-	// Let the federation reach steady state.
-	deadline := time.Now().Add(15 * time.Second)
-	for c.server.Swaps() < 10 {
-		if time.Now().After(deadline) {
-			t.Fatal("no steady state before fault injection")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitUntil(t, nil, "no steady state before fault injection", func() bool { return c.server.Swaps() >= 10 })
 
 	// Kill display computer 2 (backbone and all).
 	if err := c.Backbone("display-pc-2").Close(); err != nil {
@@ -42,21 +35,12 @@ func TestDisplayNodeDeath(t *testing.T) {
 	}
 
 	// The server must evict it and the survivors must keep swapping.
-	evictDeadline := time.Now().Add(20 * time.Second)
-	for c.server.Evicted() == 0 {
-		if time.Now().After(evictDeadline) {
-			t.Fatalf("dead display never evicted (displays=%v)", c.server.Displays())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitUntil(t, nil, "dead display never evicted", func() bool {
+		clk.Advance(500 * time.Millisecond)
+		return c.server.Evicted() > 0
+	})
 	afterEvict := c.server.Swaps()
-	progressDeadline := time.Now().Add(20 * time.Second)
-	for c.server.Swaps() < afterEvict+10 {
-		if time.Now().After(progressDeadline) {
-			t.Fatalf("surround view frozen after display death: swaps stuck at %d", c.server.Swaps())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitUntil(t, nil, "surround view frozen after display death", func() bool { return c.server.Swaps() >= afterEvict+10 })
 	for _, name := range c.server.Displays() {
 		if name == "display-2" {
 			t.Error("dead display still admitted")
@@ -69,8 +53,7 @@ func TestDisplayNodeDeath(t *testing.T) {
 // window; the command crosses the CB to dashboard-pc and forces the
 // mockup's needle; clearing restores live display.
 func TestInstructorFaultInjection(t *testing.T) {
-	c, err := New(Config{
-		CB:        fastCB(),
+	c := startCluster(t, Config{
 		TimeScale: 8,
 		Width:     96,
 		Height:    72,
@@ -78,49 +61,23 @@ func TestInstructorFaultInjection(t *testing.T) {
 		Autopilot: true,
 		AutoStart: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
 
-	// Wait for steady traffic so the InstructorCmd channel exists.
-	deadline := time.Now().Add(15 * time.Second)
-	for c.cmdPub.Channels() < 2 { // dashboard + scenario both subscribe
-		if time.Now().After(deadline) {
-			t.Fatalf("instructor command channels = %d", c.cmdPub.Channels())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	// Wait for steady traffic so the InstructorCmd channel exists: the
+	// dashboard and the scenario both subscribe.
+	waitUntil(t, nil, "instructor command channels never up", func() bool { return c.cmdPub.Channels() >= 2 })
 
 	if err := c.InjectFault("rpm", 2950); err != nil {
 		t.Fatal(err)
 	}
-	faultDeadline := time.Now().Add(10 * time.Second)
-	for {
+	waitUntil(t, nil, "fault never reached the mockup dashboard", func() bool {
 		inst := c.Panel().Instrument("rpm")
-		if inst != nil && inst.Faulted() && inst.Value() == 2950 {
-			break
-		}
-		if time.Now().After(faultDeadline) {
-			t.Fatalf("fault never reached the mockup dashboard (faulted=%v)",
-				c.Panel().Instrument("rpm").Faulted())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		return inst != nil && inst.Faulted() && inst.Value() == 2950
+	})
 
 	if err := c.ClearFault("rpm"); err != nil {
 		t.Fatal(err)
 	}
-	clearDeadline := time.Now().Add(10 * time.Second)
-	for c.Panel().Instrument("rpm").Faulted() {
-		if time.Now().After(clearDeadline) {
-			t.Fatal("fault never cleared on the mockup dashboard")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitUntil(t, nil, "fault never cleared on the mockup dashboard", func() bool { return !c.Panel().Instrument("rpm").Faulted() })
 }
 
 // TestDynamicsNodeDeath kills the simulation computer: the displays lose
@@ -128,8 +85,7 @@ func TestInstructorFaultInjection(t *testing.T) {
 // last known state), and the affected subscriptions must re-arm their
 // broadcasts — the §2.3 re-discovery behaviour.
 func TestDynamicsNodeDeath(t *testing.T) {
-	c, err := New(Config{
-		CB:        fastCB(),
+	c := startCluster(t, Config{
 		TimeScale: 8,
 		Width:     96,
 		Height:    72,
@@ -137,21 +93,8 @@ func TestDynamicsNodeDeath(t *testing.T) {
 		Autopilot: true,
 		AutoStart: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
 
-	deadline := time.Now().Add(15 * time.Second)
-	for c.server.Swaps() < 10 {
-		if time.Now().After(deadline) {
-			t.Fatal("no steady state")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitUntil(t, nil, "no steady state", func() bool { return c.server.Swaps() >= 10 })
 
 	// Stop the dynamics/scenario/audio LP loops first so they do not
 	// report errors into the cluster when their backbone vanishes.
@@ -161,30 +104,16 @@ func TestDynamicsNodeDeath(t *testing.T) {
 	}
 
 	before := c.server.Swaps()
-	progressDeadline := time.Now().Add(20 * time.Second)
-	for c.server.Swaps() < before+10 {
-		if time.Now().After(progressDeadline) {
-			t.Fatalf("displays froze after dynamics death: swaps stuck at %d", c.server.Swaps())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitUntil(t, nil, "displays froze after dynamics death", func() bool { return c.server.Swaps() >= before+10 })
 
 	// The display state subscriptions must have noticed the publisher's
 	// departure and returned to unmatched (fast re-broadcast).
-	unmatchDeadline := time.Now().Add(10 * time.Second)
-	for {
-		anyMatched := false
+	waitUntil(t, nil, "state subscriptions never noticed publisher death", func() bool {
 		for _, d := range c.displays {
 			if d.stateIn.Matched() {
-				anyMatched = true
+				return false
 			}
 		}
-		if !anyMatched {
-			break
-		}
-		if time.Now().After(unmatchDeadline) {
-			t.Fatal("state subscriptions never noticed publisher death")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+		return true
+	})
 }

@@ -6,11 +6,12 @@ import (
 	"time"
 
 	"codsim/internal/cb"
+	"codsim/internal/clock"
 	"codsim/internal/transport"
 )
 
 // TestJoinBootDatagramCounts pins the discovery datagrams of the
-// 8-computer boot with both re-broadcast intervals at an hour, so that the
+// 8-computer boot on a clock nobody advances, so that the
 // backbone's eagerness cannot become a storm unnoticed. sim.New builds one
 // computer at a time, each registering everything it has before the next
 // attaches, so the count is the topology's: every subscription says
@@ -25,19 +26,12 @@ import (
 // eight channels only when every computer has handled it.
 func TestJoinBootDatagramCounts(t *testing.T) {
 	lan := transport.NewMemLAN()
-	eventOnly := cb.Config{BroadcastInterval: time.Hour, RefreshInterval: time.Hour}
-	c, err := New(Config{
+	eventOnly := cb.Config{Clock: clock.NewManual()}
+	c := startCluster(t, Config{
 		LAN: lan, CB: eventOnly,
 		TimeScale: 8, Width: 160, Height: 120, Polygons: 800,
 		Autopilot: true, AutoStart: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
 	if len(c.backbones) != 8 {
 		t.Fatalf("%d computers, want 8", len(c.backbones))
 	}

@@ -12,7 +12,6 @@ const hangAfter = 20 * time.Second
 func renderAheadCluster(t *testing.T, frames int) *Cluster {
 	t.Helper()
 	c, err := New(Config{
-		CB:           fastCB(),
 		TimeScale:    8,
 		Width:        96,
 		Height:       72,

@@ -47,7 +47,8 @@ const (
 type Config struct {
 	// LAN is the network segment; nil uses a fresh in-memory LAN.
 	LAN transport.LAN
-	// CB tunes the Communication Backbone protocol timers.
+	// CB configures every node's backbone. Its Clock also times
+	// WaitExamContext and the frame barrier.
 	CB cb.Config
 	// Displays is the surround-view width in monitors (default 3).
 	Displays int
@@ -316,7 +317,7 @@ func (c *Cluster) ScenarioState() fom.ScenarioState {
 // with the last observed state, letting a batch coordinator abandon a run
 // instead of leaking the federation.
 func (c *Cluster) WaitExamContext(ctx context.Context, timeout time.Duration) (fom.ScenarioState, error) {
-	deadline := time.NewTimer(timeout)
+	deadline := c.backbones[NodeSim].Clock().NewTimer(timeout)
 	defer deadline.Stop()
 	for {
 		c.mu.Lock()
@@ -334,7 +335,7 @@ func (c *Cluster) WaitExamContext(ctx context.Context, timeout time.Duration) (f
 		select {
 		case <-edge:
 		case <-ctx.Done():
-		case <-deadline.C:
+		case <-deadline.C():
 			return s, fmt.Errorf("sim: exam still %v after %v", s.Phase, timeout)
 		}
 	}

@@ -12,12 +12,38 @@ import (
 	"codsim/internal/transport"
 )
 
-func fastCB() cb.Config {
-	return cb.Config{
-		BroadcastInterval: 5 * time.Millisecond,
-		RefreshInterval:   40 * time.Millisecond,
-		HeartbeatInterval: 20 * time.Millisecond,
-		HeartbeatTimeout:  200 * time.Millisecond,
+// startCluster boots cfg's federation and stops it when the test ends.
+func startCluster(t *testing.T, cfg Config) *Cluster {
+	t.Helper()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	return c
+}
+
+// waitUntil polls cond until it holds, and fails the test with what if it
+// does not within 20 s, or at once if c (when not nil) reports an error.
+func waitUntil(t *testing.T, c *Cluster, what string, cond func() bool) {
+	t.Helper()
+	tick := time.NewTicker(10 * time.Millisecond)
+	defer tick.Stop()
+	deadline := time.After(20 * time.Second)
+	for !cond() {
+		if c != nil {
+			if err := c.Err(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		select {
+		case <-tick.C:
+		case <-deadline:
+			t.Fatal(what)
+		}
 	}
 }
 
@@ -41,8 +67,7 @@ func sameVerdictHeadless(t *testing.T, spec scenario.Spec, fed fom.ScenarioState
 // lets it run briefly, and checks every module exchanged traffic over the
 // Communication Backbone.
 func TestClusterBootAndTraffic(t *testing.T) {
-	c, err := New(Config{
-		CB:           fastCB(),
+	c := startCluster(t, Config{
 		TimeScale:    8,
 		Width:        160,
 		Height:       120,
@@ -51,40 +76,11 @@ func TestClusterBootAndTraffic(t *testing.T) {
 		Autopilot:    true,
 		AutoStart:    true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
 
 	// Give the federation a moment to exchange traffic (scaled time).
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		if c.ScenarioState().Phase >= fom.PhaseDriving {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("scenario never started")
-		}
-		if err := c.Err(); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
+	waitUntil(t, c, "scenario never started", func() bool { return c.ScenarioState().Phase >= fom.PhaseDriving })
 	// Displays must complete their frames through the barrier.
-	waitDeadline := time.Now().Add(20 * time.Second)
-	for c.server.Swaps() < 12 {
-		if time.Now().After(waitDeadline) {
-			t.Fatalf("server released only %d swaps", c.server.Swaps())
-		}
-		if err := c.Err(); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitUntil(t, c, "server never released 12 swaps", func() bool { return c.server.Swaps() >= 12 })
 
 	sum := c.Summary()
 	if len(sum.DisplayFPS) != 3 {
@@ -118,7 +114,6 @@ func TestClusterBootAndTraffic(t *testing.T) {
 // (StallTimeout, 5 s).
 func TestClusterStopIsPrompt(t *testing.T) {
 	c, err := New(Config{
-		CB:        fastCB(),
 		TimeScale: 8,
 		Width:     96,
 		Height:    72,
@@ -159,7 +154,7 @@ func TestClusterStopIsPrompt(t *testing.T) {
 // linking to the sync server: closing their clients must end that wait too,
 // and the abandoned link is not an error.
 func TestClusterStopDuringStartup(t *testing.T) {
-	c, err := New(Config{CB: fastCB(), Width: 96, Height: 72, Polygons: 600})
+	c, err := New(Config{Width: 96, Height: 72, Polygons: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,9 +196,8 @@ func TestClusterExamCompletes(t *testing.T) {
 func flyClusterExam(t *testing.T, lan transport.LAN) int64 {
 	// TimeScale 15 keeps the LP tick demand (~900 ticks/s aggregate)
 	// satisfiable even when other test packages share the CPUs.
-	c, err := New(Config{
+	c := startCluster(t, Config{
 		LAN:       lan,
-		CB:        fastCB(),
 		TimeScale: 15,
 		Width:     96,
 		Height:    72,
@@ -211,13 +205,6 @@ func flyClusterExam(t *testing.T, lan transport.LAN) int64 {
 		Autopilot: true,
 		AutoStart: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
 
 	final, err := c.WaitExamContext(context.Background(), 180*time.Second)
 	if err != nil {
@@ -251,8 +238,7 @@ func flyClusterExam(t *testing.T, lan transport.LAN) int64 {
 // TestAudioCapture verifies the training-review recording: the audio LP's
 // mixed output is captured in a ring and exported chronologically.
 func TestAudioCapture(t *testing.T) {
-	c, err := New(Config{
-		CB:              fastCB(),
+	c := startCluster(t, Config{
 		TimeScale:       8,
 		Width:           96,
 		Height:          72,
@@ -262,24 +248,8 @@ func TestAudioCapture(t *testing.T) {
 		AutoStart:       true,
 		CaptureAudioSec: 1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
 
-	deadline := time.Now().Add(15 * time.Second)
-	for len(c.AudioPCM()) < 4096 {
-		if time.Now().After(deadline) {
-			t.Fatalf("captured only %d samples", len(c.AudioPCM()))
-		}
-		if err := c.Err(); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitUntil(t, c, "never captured 4096 samples", func() bool { return len(c.AudioPCM()) >= 4096 })
 	pcm := c.AudioPCM()
 	// The autopilot starts the engine, so the capture is not silence.
 	var energy float64
@@ -302,9 +272,8 @@ func TestClusterOverUDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Config{
+	c := startCluster(t, Config{
 		LAN:          lan,
-		CB:           fastCB(),
 		TimeScale:    8,
 		Width:        96,
 		Height:       72,
@@ -313,22 +282,6 @@ func TestClusterOverUDP(t *testing.T) {
 		Autopilot:    true,
 		AutoStart:    true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
 
-	deadline := time.Now().Add(20 * time.Second)
-	for c.server.Swaps() < 6 {
-		if time.Now().After(deadline) {
-			t.Fatalf("swaps = %d over UDP", c.server.Swaps())
-		}
-		if err := c.Err(); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitUntil(t, c, "never 6 swaps over UDP", func() bool { return c.server.Swaps() >= 6 })
 }

@@ -19,8 +19,7 @@ func TestClusterTandemCompletes(t *testing.T) {
 		t.Skip("full tandem federation run")
 	}
 	spec := scenario.TandemBeam()
-	c, err := New(Config{
-		CB:        fastCB(),
+	c := startCluster(t, Config{
 		TimeScale: 15,
 		Width:     96,
 		Height:    72,
@@ -29,13 +28,6 @@ func TestClusterTandemCompletes(t *testing.T) {
 		Autopilot: true,
 		AutoStart: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
 
 	final, err := c.WaitExamContext(context.Background(), 180*time.Second)
 	if err != nil {

@@ -103,20 +103,27 @@ go test -race -count=20 -run 'TestStream' ./internal/scenario/gen
 # frame after the first allocates nothing.
 go test -count=1 -run 'TestFrameFingerprint|TestRasterMatchesReference|TestVisitedCount|TestSharedEdgeWatertight|TestFanAndStripWatertight|TestTopLeftRule|TestCoverageShiftsWithTriangle|TestBitBudget|TestClipKeepsCoverage|TestBandHeightDoesNotChangeTheFrame|FuzzRasterTriangle|TestRenderAllocatesNothing' ./internal/render
 
-echo "== joins on the event path and render-ahead (cb, dist, sim, displaysync; every repair interval at an hour; -race -count=20) =="
+echo "== joins, render-ahead and the manual clock (cb, dist, sim, displaysync, trace; -race -count=20) =="
 # The initialization protocol and the dispatch layer above it must build
 # their channels, ready their pool, start a sweep and take in a late worker
-# with BroadcastInterval, RefreshInterval, Heartbeat and Announce all at an
-# hour: only the first SUBSCRIPTION, the PUBLICATION solicit, the kick after
-# a teardown and the publications' channel-set edge can make progress. The
-# same tests pin the discovery datagrams of the 8-computer boot and the
-# 3-node dist rig, and hold the repair intervals to converging under 70 %
-# datagram loss. None of them sleeps, so a hang is a bug, not slowness.
+# on a manual clock (internal/clock) that nobody advances: no period comes
+# round, so only the first SUBSCRIPTION, the PUBLICATION solicit, the kick
+# after a teardown and the publications' channel-set edge can make
+# progress. The same tests pin the discovery datagrams of the 8-computer
+# boot and the 3-node dist rig, and hold the repair periods to converging
+# under 70 % datagram loss. None of them sleeps, so a hang is a bug, not
+# slowness.
 go test -race -count=20 -run 'TestJoin' ./internal/cb ./internal/dist ./internal/sim
 go test -race -count=20 -run 'TestPubNotifyC' ./cod
 # Render-ahead under the strict swap-lock (displaysync's package doc),
 # choreographed over channels like the joins: no sleeps, a hang is a bug.
 go test -race -count=20 -run 'TestRenderAhead' ./internal/displaysync ./internal/sim
+# Link reaping, eviction, re-dispatch and the barrier's timeouts at their
+# default periods on a manual clock the test advances, and the clock
+# itself; then the hand-off's concurrent lanes (trace's package doc).
+go test -race -count=20 -run 'TestManual|TestRemotePublisherStartsLate|TestPublisherNodeDeathRecovery|TestSilentPendingLinkReaped|TestLinkLivenessUnderInjectedClock|TestRedispatchOnWorkerDeath|TestCoordinatorGivesUpAfterMaxAttempts|TestStallEviction|TestIdleRackIsNotStalled|TestWaitSwapTimeout|TestDisplayNodeDeath' \
+	./internal/clock ./internal/cb ./internal/dist ./internal/displaysync ./internal/sim
+go test -race -count=20 -run 'TestHandOffConcurrent' ./internal/trace
 
 echo "== go test =="
 go test ./...
