@@ -229,7 +229,7 @@ func TestJoinNotifyOnLoss(t *testing.T) {
 // one publisher joins a late second one without a broadcast when its CB
 // shares a link with the newcomer — the dist coordinator gaining a worker.
 // The newcomer first subscribes to a class the subscriber's node publishes,
-// which is what builds the link. With the intervals at an hour and the
+// which is what builds the link. With the clock never moving and the
 // newcomer attached after the hub's own broadcast, nothing else can.
 func TestJoinMatchedSubscriberToldOverLink(t *testing.T) {
 	ctx := waitCtx(t)
