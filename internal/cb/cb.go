@@ -438,11 +438,11 @@ func (b *Backbone) datagramLoop() {
 }
 
 // timerLoop drives the repair re-broadcasts, heartbeats and link-death
-// detection off one ticker, and re-broadcasts at once when kicked.
+// detection off one timer, and re-broadcasts at once when kicked.
 func (b *Backbone) timerLoop() {
 	defer b.wg.Done()
-	ticker := b.clock.NewTicker(tickInterval)
-	defer ticker.Stop()
+	tick := b.clock.NewTimer(tickInterval)
+	defer tick.Stop()
 	lastHB := b.clock.Now()
 	for {
 		select {
@@ -450,7 +450,8 @@ func (b *Backbone) timerLoop() {
 			return
 		case <-b.kick:
 			b.broadcastPending(b.clock.Now())
-		case <-ticker.C():
+		case <-tick.C():
+			tick.Reset(tickInterval)
 			now := b.clock.Now()
 			b.broadcastPending(now)
 			if now.Sub(lastHB) >= heartbeatInterval {

@@ -1,6 +1,8 @@
 // Package clock is the one notion of time that cb, dist, displaysync and
 // sim read. Wall, the default, is package time; a test hands its backbones
-// a Manual (cb.Config.Clock, cod.WithClock) and moves time with Advance.
+// a Manual (cb.Config.Clock, cod.WithClock) and moves time with Advance. A
+// periodic loop re-arms one Timer with Reset as it takes each tick, so a
+// tick it has acted on leaves its timer armed again.
 package clock
 
 import (
@@ -13,19 +15,13 @@ import (
 type Clock interface {
 	Now() time.Time
 	NewTimer(d time.Duration) Timer
-	NewTicker(d time.Duration) Ticker
 }
 
-// Timer and Ticker are time.Timer and time.Ticker on some Clock; Stop and
-// Reset answer as time's do.
+// Timer is a time.Timer on some Clock; Stop and Reset answer as time's do.
 type Timer interface {
 	C() <-chan time.Time
 	Stop() bool
 	Reset(d time.Duration) bool
-}
-type Ticker interface {
-	C() <-chan time.Time
-	Stop()
 }
 
 // Wall is package time.
@@ -33,13 +29,10 @@ var Wall Clock = wall{}
 
 type wall struct{}
 type wallTimer struct{ *time.Timer }
-type wallTicker struct{ *time.Ticker }
 
-func (wall) Now() time.Time                   { return time.Now() }
-func (wall) NewTimer(d time.Duration) Timer   { return wallTimer{time.NewTimer(d)} }
-func (wall) NewTicker(d time.Duration) Ticker { return wallTicker{time.NewTicker(d)} }
-func (t wallTimer) C() <-chan time.Time       { return t.Timer.C }
-func (t wallTicker) C() <-chan time.Time      { return t.Ticker.C }
+func (wall) Now() time.Time                 { return time.Now() }
+func (wall) NewTimer(d time.Duration) Timer { return wallTimer{time.NewTimer(d)} }
+func (t wallTimer) C() <-chan time.Time     { return t.Timer.C }
 
 // Manual is a Clock that moves only when Advance moves it. It starts at a
 // fixed instant, not the zero time, which callers take to mean never.
@@ -61,13 +54,15 @@ func (m *Manual) Now() time.Time {
 	return m.now
 }
 
-func (m *Manual) NewTimer(d time.Duration) Timer   { return m.start(d, 0) }
-func (m *Manual) NewTicker(d time.Duration) Ticker { return ticker{m.start(d, d)} }
+func (m *Manual) NewTimer(d time.Duration) Timer {
+	t := &timer{m: m, c: make(chan time.Time, 1)}
+	t.Reset(d)
+	return t
+}
 
 // Advance moves the clock forward by d and fires, in deadline order, every
-// timer that falls due on the way. As with package time a channel holds
-// one tick, so a ticker due several times keeps the first and drops the
-// rest.
+// timer that falls due on the way. A loop that reads Now on its tick reads
+// the end of the move: Advance holds the clock until it is done.
 func (m *Manual) Advance(d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -84,19 +79,13 @@ func (m *Manual) Advance(d time.Duration) {
 			return
 		}
 		m.now = next.when
-		select {
-		case next.c <- m.now:
-		default:
-		}
-		if next.when = next.when.Add(next.period); next.period == 0 {
-			delete(m.armed, next)
-		}
+		delete(m.armed, next)
+		next.c <- m.now // empty: arming drained it
 	}
 }
 
-// WaitTimers blocks until at least n timers and tickers are armed, or ctx
-// ends, so that a test advances only once the loops it moves have built
-// theirs.
+// WaitTimers blocks until at least n timers are armed, or ctx ends, so that
+// a test advances only once the loops it moves have armed theirs.
 func (m *Manual) WaitTimers(ctx context.Context, n int) error {
 	for {
 		m.mu.Lock()
@@ -113,22 +102,13 @@ func (m *Manual) WaitTimers(ctx context.Context, n int) error {
 	}
 }
 
-func (m *Manual) start(d, period time.Duration) *timer {
-	t := &timer{m: m, c: make(chan time.Time, 1), period: period}
-	t.Reset(d)
-	return t
-}
-
-// timer is a timer of a Manual clock, and with a period its ticker.
+// timer is a Timer of a Manual clock.
 type timer struct {
-	m      *Manual
-	c      chan time.Time
-	when   time.Time
-	period time.Duration
+	m    *Manual
+	c    chan time.Time
+	when time.Time
 }
-type ticker struct{ *timer }
 
-func (t ticker) Stop()               { t.timer.Stop() }
 func (t *timer) C() <-chan time.Time { return t.c }
 
 // Stop disarms t and takes back a tick that nobody received, as a
@@ -136,6 +116,20 @@ func (t *timer) C() <-chan time.Time { return t.c }
 func (t *timer) Stop() bool {
 	t.m.mu.Lock()
 	defer t.m.mu.Unlock()
+	return t.stop()
+}
+
+func (t *timer) Reset(d time.Duration) bool {
+	t.m.mu.Lock()
+	defer t.m.mu.Unlock()
+	active := t.stop()
+	t.when, t.m.armed[t] = t.m.now.Add(d), true
+	close(t.m.edge)
+	t.m.edge = make(chan struct{})
+	return active
+}
+
+func (t *timer) stop() bool {
 	active := t.m.armed[t]
 	delete(t.m.armed, t)
 	select {
@@ -144,14 +138,4 @@ func (t *timer) Stop() bool {
 	default:
 		return active
 	}
-}
-
-func (t *timer) Reset(d time.Duration) bool {
-	active := t.Stop()
-	t.m.mu.Lock()
-	defer t.m.mu.Unlock()
-	t.when, t.m.armed[t] = t.m.now.Add(d), true
-	close(t.m.edge)
-	t.m.edge = make(chan struct{})
-	return active
 }

@@ -45,27 +45,27 @@ func TestManualFiresInDeadlineOrder(t *testing.T) {
 	}
 }
 
-// TestManualTickerDropsMissedTicks: a ticker due several times over one
-// Advance holds one tick, as a time.Ticker whose reader is slow does, and
-// keeps its period.
-func TestManualTickerDropsMissedTicks(t *testing.T) {
+// TestManualRearmedTimerDropsMissedTicks: a loop that re-arms its timer as
+// it takes each tick, as the periodic loops on a Clock do, sees one tick for
+// an Advance across several periods, as from a time.Ticker whose reader is
+// slow, and the next a period after it re-armed.
+func TestManualRearmedTimerDropsMissedTicks(t *testing.T) {
 	m := NewManual()
 	start := m.Now()
-	tk := m.NewTicker(10 * time.Millisecond)
+	tm := m.NewTimer(10 * time.Millisecond)
 	m.Advance(55 * time.Millisecond)
-	if at := tick(tk.C(), start); at != 10*time.Millisecond {
+	if at := tick(tm.C(), start); at != 10*time.Millisecond {
 		t.Fatalf("first tick at +%v, want the one at +10ms", at)
 	}
-	if at := tick(tk.C(), start); at != -1 {
+	if at := tick(tm.C(), start); at != -1 {
 		t.Fatalf("a second tick (+%v) was pending: missed ticks must be dropped", at)
 	}
-	m.Advance(5 * time.Millisecond)
-	if at := tick(tk.C(), start); at != 60*time.Millisecond {
-		t.Fatalf("next tick at +%v, want +60ms", at)
+	tm.Reset(10 * time.Millisecond)
+	if m.Advance(9 * time.Millisecond); tick(tm.C(), start) != -1 {
+		t.Fatal("ticked before a period had passed since the re-arm")
 	}
-	tk.Stop()
-	if m.Advance(time.Second); tick(tk.C(), start) != -1 {
-		t.Fatal("a stopped ticker ticked")
+	if m.Advance(time.Millisecond); tick(tm.C(), start) != 65*time.Millisecond {
+		t.Fatal("no tick a period after the re-arm")
 	}
 }
 
@@ -98,8 +98,8 @@ func TestManualStopResetMatchTime(t *testing.T) {
 
 func TestManualWaitTimers(t *testing.T) {
 	m := NewManual()
-	armed := make(chan Ticker)
-	go func() { armed <- m.NewTicker(time.Second) }()
+	armed := make(chan Timer)
+	go func() { armed <- m.NewTimer(time.Second) }()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := m.WaitTimers(ctx, 1); err != nil {
@@ -108,6 +108,6 @@ func TestManualWaitTimers(t *testing.T) {
 	(<-armed).Stop()
 	cancel()
 	if m.WaitTimers(ctx, 1) == nil {
-		t.Fatal("WaitTimers counted a stopped ticker")
+		t.Fatal("WaitTimers counted a stopped timer")
 	}
 }

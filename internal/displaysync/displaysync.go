@@ -165,7 +165,7 @@ func (s *Server) Evicted() int64 { return s.evicted.Value() }
 func (s *Server) Swaps() int64 { return s.swaps.Value() }
 
 func (s *Server) serve() {
-	reap := s.clock.NewTicker(pollInterval)
+	reap := s.clock.NewTimer(pollInterval)
 	defer reap.Stop()
 	for {
 		select {
@@ -180,6 +180,7 @@ func (s *Server) serve() {
 				s.handleReady(r)
 			}
 		case <-reap.C():
+			reap.Reset(pollInterval)
 			s.reapStalls()
 		}
 		s.release()

@@ -284,8 +284,9 @@ func TestStallEviction(t *testing.T) {
 // TestIdleRackIsNotStalled: a rack that idles past StallTimeout before its
 // first FRAME READY — sim.New starts the server, the display loops begin
 // at Start — keeps every display, and the first swap still waits for all
-// of them; the stall clock of a frame starts with its first report. The
-// server's loop is never started: reports go to handleReady, and a manual
+// of them; the stall clock of a frame starts with its first report, and
+// one display that has waited a timeout is enough to evict. The server's
+// loop is never started: reports go to handleReady, and a manual
 // clock ages them.
 func TestIdleRackIsNotStalled(t *testing.T) {
 	clk := clock.NewManual()
@@ -315,9 +316,9 @@ func TestIdleRackIsNotStalled(t *testing.T) {
 	holds("idle, nobody has reported", 0, 3, 0)
 	ready("display-1", 0)
 	holds("display-1 has only just reported", 0, 3, 0)
-	ready("display-2", 0)
 	age()
-	holds("display-1 and -2 have waited a timeout, display-3 is stalled", 1, 2, 1)
+	ready("display-2", 0)
+	holds("display-1 has waited a timeout, display-2 has only just reported, display-3 is stalled", 1, 2, 1)
 	ready("display-1", 1)
 	ready("display-2", 1)
 	holds("the survivors run on", 1, 2, 2)
@@ -338,7 +339,7 @@ func TestWaitSwapTimeout(t *testing.T) {
 	go func() { done <- d.WaitSwap(timeout) }()
 	ctx, cancel := context.WithTimeout(context.Background(), waitLong)
 	defer cancel()
-	if err := clk.WaitTimers(ctx, 2); err != nil { // the backbone's ticker and WaitSwap's timer
+	if err := clk.WaitTimers(ctx, 2); err != nil { // the backbone's timer and WaitSwap's
 		t.Fatal(err)
 	}
 	clk.Advance(timeout - time.Millisecond)

@@ -12,13 +12,12 @@ import (
 	"codsim/internal/sim"
 )
 
-// startPool starts a coordinator and the named workers on one MemLAN, on a
-// clock nobody advances (eventFed), and returns once WaitWorkers does:
-// every coordinator→worker dispatch channel is up, so the one announce a
-// job gets when it is loaded reaches every worker.
-func startPool(t testing.TB, ccfg CoordinatorConfig, wcfg WorkerConfig, names ...string) (*Coordinator, context.Context) {
+// startPool starts a coordinator and the named workers on fed, usually an
+// eventFed, and returns once WaitWorkers does: every coordinator→worker
+// dispatch channel is up, so the one announce a job gets when it is loaded
+// reaches every worker.
+func startPool(t testing.TB, fed *cod.Federation, ccfg CoordinatorConfig, wcfg WorkerConfig, names ...string) (*Coordinator, context.Context) {
 	t.Helper()
-	fed := eventFed(t)
 	for _, name := range names {
 		startWorker(t, fed, name, wcfg)
 	}
@@ -44,7 +43,7 @@ func TestSweepNeverWaitsForReannounce(t *testing.T) {
 		mu.Unlock()
 		return stubRunner(0)(ctx, job, cfg)
 	}
-	coord, ctx := startPool(t, CoordinatorConfig{}, WorkerConfig{Slots: 1, Run: run}, "w1", "w2")
+	coord, ctx := startPool(t, eventFed(t), CoordinatorConfig{}, WorkerConfig{Slots: 1, Run: run}, "w1", "w2")
 
 	recs, err := coord.Run(ctx, testJobs(n))
 	if err != nil {
@@ -75,7 +74,7 @@ func TestSweepNeverWaitsForReannounce(t *testing.T) {
 // per job.
 func TestAnnouncesStayNearOnePerJob(t *testing.T) {
 	const n = 600
-	coord, ctx := startPool(t, CoordinatorConfig{}, WorkerConfig{Slots: 2, Run: stubRunner(0)}, "w1", "w2")
+	coord, ctx := startPool(t, eventFed(t), CoordinatorConfig{}, WorkerConfig{Slots: 2, Run: stubRunner(0)}, "w1", "w2")
 
 	recs, err := coord.Run(ctx, testJobs(n))
 	if err != nil {

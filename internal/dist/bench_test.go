@@ -14,9 +14,12 @@ import (
 // announce. ns/op and allocs/op are per job; announces/job is the
 // coordinator's announce publications over the jobs run — about 1 when
 // workers refill from their backlog, about 64 (the window) when every
-// result re-announces the window.
+// result re-announces the window. It runs on the wall clock, every period
+// at its default, as a deployment does.
 func BenchmarkDistDispatch(b *testing.B) {
-	coord, ctx := startPool(b, CoordinatorConfig{}, WorkerConfig{Slots: 2, Run: stubRunner(0)}, "w1", "w2")
+	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()))
+	b.Cleanup(func() { fed.Close() })
+	coord, ctx := startPool(b, fed, CoordinatorConfig{}, WorkerConfig{Slots: 2, Run: stubRunner(0)}, "w1", "w2")
 	jobs := testJobs(b.N)
 	b.ReportAllocs()
 	b.ResetTimer()

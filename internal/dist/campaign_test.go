@@ -43,7 +43,7 @@ func TestCampaignStreamMemLAN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("80 headless runs in -short")
 	}
-	coord, ctx := startPool(t, CoordinatorConfig{}, WorkerConfig{Slots: 2, Batch: sim.BatchConfig{Headless: true}}, "w1", "w2")
+	coord, ctx := startPool(t, eventFed(t), CoordinatorConfig{}, WorkerConfig{Slots: 2, Batch: sim.BatchConfig{Headless: true}}, "w1", "w2")
 
 	const count = window + window/4
 	stream := gen.NewStream(1234, gen.DefaultParams())

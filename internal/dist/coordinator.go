@@ -456,7 +456,7 @@ func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, e
 	}()
 
 	exhausted := false
-	tick := c.clock.NewTicker(announcePeriod)
+	tick := c.clock.NewTimer(announcePeriod)
 	defer tick.Stop()
 	for {
 		c.drainHeartbeats()
@@ -489,6 +489,7 @@ func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, e
 			}
 			exhausted = !p.ok
 		case <-tick.C():
+			tick.Reset(announcePeriod)
 		case <-c.subClaim.NotifyC():
 		case <-c.subRes.NotifyC():
 		case <-c.subHB.NotifyC():

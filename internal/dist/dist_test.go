@@ -87,7 +87,7 @@ func startWorker(t testing.TB, fed *cod.Federation, name string, cfg WorkerConfi
 // TestCoordinatorWorkersMemLAN is the dist smoke: a coordinator and two
 // in-process workers on one MemLAN run a 12-job sweep to completion.
 func TestCoordinatorWorkersMemLAN(t *testing.T) {
-	coord, ctx := startPool(t, CoordinatorConfig{}, WorkerConfig{Slots: 2, Run: stubRunner(5 * time.Millisecond)}, "w1", "w2")
+	coord, ctx := startPool(t, eventFed(t), CoordinatorConfig{}, WorkerConfig{Slots: 2, Run: stubRunner(5 * time.Millisecond)}, "w1", "w2")
 	jobs := testJobs(12)
 	recs, err := coord.Run(ctx, jobs)
 	if err != nil {
@@ -482,7 +482,7 @@ func TestRunStreamRetainsOnlyItsWindow(t *testing.T) {
 	if data, err := scenario.MarshalSpec(testJobs(1)[0].Spec); err != nil || len(data) < 3<<10 {
 		t.Fatalf("test spec marshals to %d bytes (err %v); the bound below assumes ≈4 KB", len(data), err)
 	}
-	coord, ctx := startPool(t, CoordinatorConfig{}, WorkerConfig{Slots: 4, Run: stubRunner(0)}, "w1", "w2")
+	coord, ctx := startPool(t, eventFed(t), CoordinatorConfig{}, WorkerConfig{Slots: 4, Run: stubRunner(0)}, "w1", "w2")
 
 	var before runtime.MemStats
 	runtime.GC()

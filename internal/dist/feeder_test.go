@@ -83,7 +83,7 @@ func TestBlockedSourceDoesNotParkDispatch(t *testing.T) {
 		}
 		return stubRunner(0)(ctx, job, cfg)
 	}
-	coord, ctx := startPool(t, ccfg, WorkerConfig{Slots: 1, Run: run}, "w1")
+	coord, ctx := startPool(t, eventFed(t), ccfg, WorkerConfig{Slots: 1, Run: run}, "w1")
 
 	src := &gatedSource{t: t, jobs: testJobs(2), blocked: make(chan struct{}), open: make(chan struct{})}
 	type swept struct {
@@ -119,7 +119,7 @@ func TestBlockedSourceDoesNotParkDispatch(t *testing.T) {
 // blocked, the source has seen the cancellation and left Next by the time
 // RunStream returns, and is not polled again.
 func TestRunStreamJoinsItsFeeder(t *testing.T) {
-	coord, ctx := startPool(t, CoordinatorConfig{}, WorkerConfig{Slots: 1, Run: stubRunner(0)}, "w1")
+	coord, ctx := startPool(t, eventFed(t), CoordinatorConfig{}, WorkerConfig{Slots: 1, Run: stubRunner(0)}, "w1")
 	src := &gatedSource{t: t, blocked: make(chan struct{}), open: make(chan struct{})}
 	sctx, cancel := context.WithCancel(ctx)
 	go func() {

@@ -94,7 +94,7 @@ func TestMemLANTandemSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real headless runs")
 	}
-	coord, ctx := startPool(t, CoordinatorConfig{}, WorkerConfig{Slots: 2, Batch: sim.BatchConfig{Headless: true}}, "w1")
+	coord, ctx := startPool(t, eventFed(t), CoordinatorConfig{}, WorkerConfig{Slots: 2, Batch: sim.BatchConfig{Headless: true}}, "w1")
 	specs := []scenario.Spec{scenario.TandemBeam(), scenario.TwinYard()}
 	recs, err := coord.Run(ctx, JobsFor(specs, 1))
 	if err != nil {

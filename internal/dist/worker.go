@@ -226,9 +226,9 @@ func (w *Worker) Run(ctx context.Context) error {
 
 	// The first beat goes out when pubHB gains a channel, below: before a
 	// coordinator's heartbeat subscription has matched, a beat reaches
-	// nobody. The ticker is for a coordinator that stopped listening
+	// nobody. The timer is for a coordinator that stopped listening
 	// without a word.
-	hb := w.clock.NewTicker(w.cfg.Heartbeat)
+	hb := w.clock.NewTimer(w.cfg.Heartbeat)
 	defer hb.Stop()
 
 	for {
@@ -252,6 +252,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-hb.C():
+			hb.Reset(w.cfg.Heartbeat)
 			w.beat()
 		case <-w.pubHB.NotifyC():
 			// A coordinator's heartbeat subscription matched (or one went

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,13 +13,12 @@ import (
 // TestDisplayNodeDeath kills one display computer mid-run: the
 // synchronization server must evict it after its stall timeout so the
 // remaining displays keep rendering — one dead PC must not freeze the
-// surround view. The backbones and the barrier run on a manual clock that
-// the wait for the eviction moves half a second a poll, so the five-second
-// stall passes in a few polls of wall time, and every survivor's READY is
-// handled long before it could look stale.
+// surround view. The backbones and the barrier run on a manual clock,
+// moved only once both survivors have sent the READY the dead display
+// holds up (a display draws frame f+1 only once it has sent READY f).
 func TestDisplayNodeDeath(t *testing.T) {
 	clk := clock.NewManual()
-	c := startCluster(t, Config{
+	c, err := New(Config{
 		CB:        cb.Config{Clock: clk},
 		TimeScale: 8,
 		Width:     96,
@@ -26,6 +27,15 @@ func TestDisplayNodeDeath(t *testing.T) {
 		Autopilot: true,
 		AutoStart: true,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var drawing [3]atomic.Uint32 // the frame each display last began to draw
+	c.onFrame = func(d *displayNode, frame uint32) { drawing[d.camIdx].Store(frame) }
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
 
 	waitUntil(t, nil, "no steady state before fault injection", func() bool { return c.server.Swaps() >= 10 })
 
@@ -33,19 +43,25 @@ func TestDisplayNodeDeath(t *testing.T) {
 	if err := c.Backbone("display-pc-2").Close(); err != nil {
 		t.Fatal(err)
 	}
+	waitUntil(t, nil, "the survivors never reported the held frame", func() bool {
+		held := c.server.Frame()
+		return drawing[0].Load() > held && drawing[2].Load() > held
+	})
 
-	// The server must evict it and the survivors must keep swapping.
+	// The server must evict it and the survivors must keep swapping. The
+	// clock moves a tenth of a second a poll, ten times the wall's pace: a
+	// link falls only if its peer's timer loop misses some ten ticks in a
+	// row, and the survivors' READYs are handled long before they are
+	// a stall timeout old.
 	waitUntil(t, nil, "dead display never evicted", func() bool {
-		clk.Advance(500 * time.Millisecond)
+		clk.Advance(100 * time.Millisecond)
 		return c.server.Evicted() > 0
 	})
+	if got := c.server.Displays(); len(got) != 2 || slices.Contains(got, "display-2") {
+		t.Errorf("admitted after the eviction: %v, want the two survivors", got)
+	}
 	afterEvict := c.server.Swaps()
 	waitUntil(t, nil, "surround view frozen after display death", func() bool { return c.server.Swaps() >= afterEvict+10 })
-	for _, name := range c.server.Displays() {
-		if name == "display-2" {
-			t.Error("dead display still admitted")
-		}
-	}
 }
 
 // TestInstructorFaultInjection drives the §3.3 trouble-shooting loop over
