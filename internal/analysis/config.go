@@ -20,7 +20,12 @@ type AllowEntry struct {
 
 // DefaultAllowlist is the production allowlist codvet runs with. Keep it
 // short: an entry is a debt note, not a dismissal.
-var DefaultAllowlist = []AllowEntry{{Analyzer: "determinism", Pkg: "codsim/internal/sim", Detail: "RunOne", Reason: "BatchResult.Wall is a run's wall seconds by definition"}}
+var DefaultAllowlist = []AllowEntry{{
+	Analyzer: "determinism",
+	Pkg:      "codsim/internal/sim",
+	Detail:   "RunOne",
+	Reason:   "BatchResult.Wall is a run's wall seconds by definition",
+}}
 
 // DeterministicPackages are the packages whose outputs must be a pure
 // function of their seeds: campaign keys, scenario generation, scoring
@@ -37,8 +42,14 @@ var DeterministicPackages = []string{
 }
 
 // ClockPackages read time only through internal/clock, so that a test can
-// move it; the determinism analyzer holds them to that alone.
-var ClockPackages = []string{"codsim/internal/cb", "codsim/internal/dist", "codsim/internal/displaysync", "codsim/internal/sim"}
+// run them on a clock it moves; the determinism analyzer holds them to
+// that, and leaves their math/rand alone.
+var ClockPackages = []string{
+	"codsim/internal/cb",
+	"codsim/internal/dist",
+	"codsim/internal/displaysync",
+	"codsim/internal/sim",
+}
 
 // PoolPackages are the only packages permitted to declare a sync.Pool.
 // They own the buffer lifecycle of the zero-alloc wire path and define

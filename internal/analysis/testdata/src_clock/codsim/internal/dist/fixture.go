@@ -1,5 +1,7 @@
-// Seeded violations for a clock package, a shadow of internal/dist: each
-// want must match. Time's types and the global math/rand stay allowed.
+// Seeded-violation fixture for the determinism analyzer's clock packages:
+// a shadow of codsim/internal/dist whose want comments must each be
+// matched, so gutting the check fails the suite. Time's types and the
+// global math/rand stay allowed.
 package dist
 
 import (
@@ -7,8 +9,10 @@ import (
 	"time"
 )
 
-func wall() time.Duration {
-	time.Sleep(time.Since(time.Now()))             // want `time\.Sleep in clock package codsim/internal/dist` `time\.Since in clock package` `time\.Now in clock package`
-	<-time.NewTimer(time.Until(<-time.After(0))).C // want `time\.NewTimer in clock package` `time\.Until in clock package` `time\.After in clock package`
-	return time.Duration(rand.Int64())
+func wall(now interface{ Now() time.Time }) (time.Duration, int64) {
+	time.Sleep(time.Millisecond)                             // want `time\.Sleep in clock package codsim/internal/dist`
+	defer time.NewTimer(time.Since(now.Now())).Stop()        // want `time\.NewTimer in clock package` `time\.Since in clock package`
+	<-time.After(0)                                          // want `time\.After in clock package`
+	_ = time.Now()                                           // want `time\.Now in clock package`
+	return time.Until(now.Now()) + time.Second, rand.Int64() // want `time\.Until in clock package`
 }
