@@ -245,7 +245,10 @@ func benchRemoteDelivery(b *testing.B, release bool, opts ...cb.SubscribeOption)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := pub.Update(float64(i), attrs); err != nil {
+		// The blocking form: in a ping-pong the publisher's read loop, which
+		// takes in the credits, can be starved of the CPU until its view of
+		// a reliable window falls a whole window behind.
+		if err := pub.UpdateContext(ctx, float64(i), attrs); err != nil {
 			b.Fatal(err)
 		}
 		r, err := sub.NextContext(ctx)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
@@ -387,6 +388,84 @@ func TestReliableWindowSDK(t *testing.T) {
 	}
 	if r, err := sub.Next(ctxLong(t)); err != nil || r.Value.Frame != 3 {
 		t.Fatalf("frame 3: %v %v", r.Value.Frame, err)
+	}
+}
+
+// TestConcurrentUpdatesShareNoScratch: several goroutines Update one Pub,
+// whose encode scratch is one set reused by every update. Each writer's
+// values differ in every field and in their slices' lengths, so an update
+// encoded over another's leftovers, or a scratch rewritten while the
+// backbone still reads it, arrives visibly wrong. Run under -race.
+func TestConcurrentUpdatesShareNoScratch(t *testing.T) {
+	const writers, each = 4, 200
+	fed := cod.NewFederation()
+	defer fed.Close()
+	pubPC, err := fed.Node("pub-pc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	subPC, err := fed.Node("sub-pc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := cod.Publish[craneState](pubPC, "dynamics", "CraneState")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := cod.Subscribe[craneState](subPC, "visual", "CraneState", cod.Reliable(writers*each))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := ctxLong(t)
+	if err := sub.WaitMatched(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := pub.WaitChannels(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	value := func(w, i int) craneState {
+		v := craneState{X: float64(w), Y: float64(i), Frame: i, EngineOn: w%2 == 0,
+			Operator: "writer-" + strconv.Itoa(w) + "-" + strconv.Itoa(i)}
+		for range w + 1 {
+			v.Loads = append(v.Loads, float64(i))
+			v.Tags = append(v.Tags, v.Operator)
+		}
+		return v
+	}
+	errs := make(chan error, writers)
+	for w := range writers {
+		go func() {
+			for i := range each {
+				if err := pub.Update(float64(i), value(w, i)); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range writers {
+		if err := <-errs; err != nil {
+			t.Fatalf("Update: %v", err)
+		}
+	}
+
+	next := make([]int, writers) // each writer's updates arrive in its order
+	for range writers * each {
+		r, err := sub.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := int(r.Value.X)
+		if w < 0 || w >= writers {
+			t.Fatalf("an update from no writer: %+v", r.Value)
+		}
+		want := value(w, next[w])
+		if !reflect.DeepEqual(r.Value, want) {
+			t.Fatalf("writer %d update %d arrived as %+v, want %+v", w, next[w], r.Value, want)
+		}
+		next[w]++
 	}
 }
 

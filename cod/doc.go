@@ -60,9 +60,9 @@
 // stays at Publish/Subscribe time, so the fast path never trades away the
 // fail-fast contract above.
 //
-// Buffers are recycled at both ends. Encode scratch comes from a pool and
-// goes back when Update returns — safe because the backbone serializes or
-// clones before returning. On the other side Next, Poll and Latest decode
+// Buffers are recycled at both ends. Each Pub encodes into one scratch
+// set of its own, reused by its next update — safe because the backbone
+// serializes or clones before returning. On the other side Next, Poll and Latest decode
 // a reflection into T (strings and slices are copied out) and then hand
 // its attribute storage back to the backbone for the next update off the
 // link, so a steady typed publish→reflect allocates nothing beyond what

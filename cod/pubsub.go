@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"unsafe"
 
 	"codsim/internal/cb"
@@ -77,6 +78,9 @@ type Reflection[T any] struct {
 type Pub[T any] struct {
 	pub   *cb.Publication
 	codec *codec
+
+	mu      sync.Mutex   // one update at a time, credit stalls included
+	scratch wire.AttrSet // the encode scratch, guarded by mu
 }
 
 // Publish registers lp on node as a publisher of class, exchanging values
@@ -102,33 +106,34 @@ func Publish[T any](node *Node, lp, class string) (*Pub[T], error) {
 // whose credit window is exhausted is skipped with ErrWindowFull; see
 // UpdateContext for the blocking form.
 func (p *Pub[T]) Update(simTime float64, v T) error {
-	// The scratch AttrSet comes from wire's pool and goes back as soon as
-	// UpdateRouted returns: under the ownership rule (package wire) the
-	// return is the release point, so a steady-state Update reuses the
-	// same arena every call.
-	a := wire.GetAttrSet()
-	p.codec.encodeInto(a, unsafe.Pointer(&v))
-	routed, err := p.pub.UpdateRouted(simTime, *a)
-	wire.PutAttrSet(a)
-	if err != nil {
-		return err
-	}
-	if routed == 0 {
-		return ErrNoSubscribers
-	}
-	return nil
+	return p.update(nil, simTime, &v)
 }
 
 // UpdateContext is Update that blocks while any Reliable subscriber's
 // credit window is exhausted, resuming as credits are granted; ctx bounds
 // the stall (ctx.Err() on cancellation). This is the publish side of the
 // backpressure contract: a saturated subscriber slows the producer down
-// instead of losing data.
+// instead of losing data. A Pub publishes one update at a time, so a
+// stalled UpdateContext holds up every other call on the same Pub.
 func (p *Pub[T]) UpdateContext(ctx context.Context, simTime float64, v T) error {
-	a := wire.GetAttrSet()
-	p.codec.encodeInto(a, unsafe.Pointer(&v))
-	routed, err := p.pub.UpdateRoutedContext(ctx, simTime, *a)
-	wire.PutAttrSet(a)
+	return p.update(ctx, simTime, &v)
+}
+
+// update encodes v into the Pub's scratch set and pushes it, blocking for
+// credits when ctx is not nil. The backbone serializes or clones the set
+// before it returns (the ownership rule, package wire), so the next update
+// reuses the same arena.
+func (p *Pub[T]) update(ctx context.Context, simTime float64, v *T) error {
+	p.mu.Lock()
+	p.codec.encodeInto(&p.scratch, unsafe.Pointer(v))
+	var routed int
+	var err error
+	if ctx == nil {
+		routed, err = p.pub.UpdateRouted(simTime, p.scratch)
+	} else {
+		routed, err = p.pub.UpdateRoutedContext(ctx, simTime, p.scratch)
+	}
+	p.mu.Unlock()
 	if err != nil {
 		return err
 	}

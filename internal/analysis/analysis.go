@@ -17,8 +17,8 @@
 //     (no internal/dynamics); internal/dist stays headless.
 //   - errwrap: fmt.Errorf must wrap error operands with %w, and sentinel
 //     errors are matched with errors.Is, never ==.
-//   - nopool: sync.Pool is declared only in the packages that own the
-//     zero-alloc wire path's buffer lifecycle (wire, cb).
+//   - nopool: no sync.Pool anywhere; reused storage has one owner, as
+//     a backbone link's free list and a publication's scratch do.
 //
 // The suite deliberately analyzes production files only (no _test.go):
 // the invariants guard what ships, and tests legitimately measure wall

@@ -51,17 +51,6 @@ var ClockPackages = []string{
 	"codsim/internal/sim",
 }
 
-// PoolPackages are the only packages permitted to declare a sync.Pool.
-// They own the buffer lifecycle of the zero-alloc wire path and define
-// its release points (the ownership rule in package wire's doc: cb copies
-// or takes over what it keeps past a handler, wire.PutAttrSet resets
-// before recycling).
-// Elsewhere a pool has no such contract, so the nopool analyzer flags it.
-var PoolPackages = []string{
-	"codsim/internal/wire",
-	"codsim/internal/cb",
-}
-
 // BoundaryRule forbids a set of imports within a scope of packages.
 type BoundaryRule struct {
 	// Scope matches packages: a trailing "/" makes it a prefix rule,

@@ -1,28 +1,20 @@
 package analysis
 
-import (
-	"go/ast"
-	"slices"
-)
+import "go/ast"
 
-// NoPool confines sync.Pool to the wire/cb boundary. Pooled buffers are
-// only sound under the ownership rule those two packages define (package
-// wire's doc: a link's frame is valid until its handler returns, and what
-// is kept past that is copied or taken over). A pool elsewhere has no such
-// release point: a reference that outlives the put turns into silent
-// cross-request corruption that only shows under load. Packages that
-// need reusable scratch take it from wire.GetAttrSet/PutAttrSet — inside
-// the audited boundary — or keep allocations local.
+// NoPool forbids sync.Pool. A pooled buffer has no owner, so nothing says
+// when it may be put back: a reference that outlives the put turns into
+// silent cross-request corruption that only shows under load. Reused
+// storage has one owner instead — a backbone link keeps what consumers
+// hand back, a publication its encode scratch (the ownership rule in
+// package wire's doc) — or the allocation stays local.
 var NoPool = &Analyzer{
 	Name: "nopool",
-	Doc:  "confine sync.Pool to internal/wire and internal/cb, the audited buffer-ownership boundary",
+	Doc:  "forbid sync.Pool: reused buffers have one owner, as a backbone link and a publication do",
 	Run:  runNoPool,
 }
 
 func runNoPool(pass *Pass) error {
-	if slices.Contains(PoolPackages, pass.Path) {
-		return nil
-	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -44,7 +36,7 @@ func runNoPool(pass *Pass) error {
 				return true
 			}
 			pass.Reportf(sel.Pos(),
-				"sync.Pool in %s: pools are confined to internal/wire and internal/cb (the ownership rule in package wire's doc); use wire.GetAttrSet for scratch or allocate locally",
+				"sync.Pool in %s: give reused storage one owner (the ownership rule in package wire's doc) or allocate locally",
 				pass.Path)
 			return true
 		})

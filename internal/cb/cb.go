@@ -64,9 +64,12 @@
 // remote channel; the class's channel list and the channel-ID table are
 // copy-on-write (cowMap), read without Backbone.mu. A link's read loop
 // decodes from a buffered reader, so a length prefix, its body and the
-// frames queued behind them cost one conn.Read, and it copies each
-// update's attributes into storage a consumer handed back
-// (Reflection.Release) when there is some.
+// frames queued behind them cost one conn.Read, and it reads each update
+// into storage a consumer of that link handed back (Reflection.Release)
+// when there is some. Every reused buffer has one owner: the link keeps
+// the storage handed back and the buffer its control frames are encoded
+// into, and a Publication keeps the scratch its pushes encode and batch
+// in.
 //
 // Liveness is counted, not stamped: the read loop increments a per-link
 // frame counter, and the heartbeat sweep — every 250 ms — dates a link

@@ -288,11 +288,13 @@ func (b *Backbone) handleUpdate(l *peerLink, f *wire.Frame) {
 		Time:    f.Time,
 	}
 	if f.Attrs.Len() > 0 {
-		r.Attrs, r.store, r.recycle = f.Attrs, l.store, true
+		r.Attrs, r.link = f.Attrs, l
 		f.Attrs = wire.AttrSet{}
-		if l.store, _ = attrStore.Get().(*wire.AttrSet); l.store != nil {
-			f.Attrs = *l.store
+		l.mu.Lock()
+		if n := len(l.free); n > 0 {
+			f.Attrs, l.free = l.free[n-1], l.free[:n-1]
 		}
+		l.mu.Unlock()
 	}
 	b.deliver(ic.sub, &r)
 }

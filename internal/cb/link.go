@@ -29,13 +29,13 @@ type peerLink struct {
 	seen     uint64    // recv as the last sweep found it
 	lastRecv time.Time // the last sweep that found recv moved (the link's start before any)
 	dead     bool
+	// free is the attribute storage consumers handed back with
+	// Reflection.Release, which the read loop reads later frames into. It
+	// grows to the link's peak of storage in flight and is not trimmed.
+	free []wire.AttrSet
 
-	wmu sync.Mutex // serializes frame writes
-
-	// store is the pooled holder the read loop's frame has its attribute
-	// storage from, nil when the frame allocated its own; it goes with the
-	// storage when a reflection takes that. Read loop only.
-	store *wire.AttrSet
+	wmu  sync.Mutex // serializes frame writes
+	wbuf []byte     // send's encode buffer, guarded by wmu
 
 	closeOnce sync.Once
 }
@@ -97,15 +97,6 @@ func (b *Backbone) dialPeer(node, addr string) (*peerLink, error) {
 	return l, nil
 }
 
-// encBufPool recycles frame-encode buffers across sends and batches, so
-// a steady-state link write allocates nothing.
-var encBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
-
 // appendFramed appends one length-prefixed encoded frame onto buf (the
 // stream framing). On error buf is returned truncated to its input length.
 func appendFramed(buf []byte, f wire.Frame) ([]byte, error) {
@@ -119,25 +110,24 @@ func appendFramed(buf []byte, f wire.Frame) ([]byte, error) {
 	return buf, nil
 }
 
-// send writes one frame to the link: encoded into a pooled buffer, length
+// send writes one frame to the link: encoded into the link's buffer, length
 // prefix and body issued as a single conn.Write (one transport copy).
 func (l *peerLink) send(f wire.Frame) error {
-	bp := encBufPool.Get().(*[]byte)
-	buf, err := appendFramed((*bp)[:0], f)
-	if err == nil {
-		l.wmu.Lock()
-		_, err = l.conn.Write(buf)
-		l.wmu.Unlock()
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	buf, err := appendFramed(l.wbuf[:0], f)
+	l.wbuf = buf[:0]
+	if err != nil {
+		return err
 	}
-	*bp = buf[:0]
-	encBufPool.Put(bp)
+	_, err = l.conn.Write(buf)
 	return err
 }
 
-// pushScratch is the per-push working set, pooled so the routing hot
-// path allocates nothing: the update encoded once, plus a write batch
-// that coalesces consecutive frames bound for the same link into one
-// conn.Write (one syscall / transport copy for several frames).
+// pushScratch is a Publication's working set, kept across its pushes so
+// the routing hot path allocates nothing: the update encoded once, plus a
+// write batch that coalesces consecutive frames bound for the same link
+// into one conn.Write (one syscall / transport copy for several frames).
 //
 // Ordering: every staged frame's out-channel keeps its sendMu held from
 // seq assignment until flush, so no later seq on that channel can be
@@ -149,25 +139,8 @@ func (l *peerLink) send(f wire.Frame) error {
 type pushScratch struct {
 	enc     []byte    // the update, framed; Channel and Seq are stamped per copy
 	link    *peerLink // batch target; nil when the batch is empty
-	buf     *[]byte   // pooled batch buffer, lazily taken from encBufPool
+	buf     []byte    // the batch
 	members []*outChannel
-}
-
-var pushScratchPool = sync.Pool{New: func() any { return new(pushScratch) }}
-
-func getPushScratch() *pushScratch { return pushScratchPool.Get().(*pushScratch) }
-
-// put returns the scratch to the pool.
-func (sc *pushScratch) put() {
-	sc.enc = sc.enc[:0]
-	if sc.buf != nil {
-		*sc.buf = (*sc.buf)[:0]
-		encBufPool.Put(sc.buf)
-		sc.buf = nil
-	}
-	sc.link = nil
-	sc.members = sc.members[:0]
-	pushScratchPool.Put(sc)
 }
 
 // encode frames f once for every remote channel of the push. Only
@@ -181,12 +154,9 @@ func (sc *pushScratch) encode(f wire.Frame) (err error) {
 // the batch bound for oc.link. The caller holds oc.sendMu, and it stays
 // held until flush.
 func (sc *pushScratch) stage(oc *outChannel, seq uint32) {
-	if sc.buf == nil {
-		sc.buf = encBufPool.Get().(*[]byte)
-	}
-	start := len(*sc.buf)
-	*sc.buf = append(*sc.buf, sc.enc...)
-	wire.SetChannelSeq((*sc.buf)[start+4:], oc.remoteChan, seq)
+	start := len(sc.buf)
+	sc.buf = append(sc.buf, sc.enc...)
+	wire.SetChannelSeq(sc.buf[start+4:], oc.remoteChan, seq)
 	sc.link = oc.link
 	sc.members = append(sc.members, oc)
 }
@@ -200,7 +170,7 @@ func (sc *pushScratch) flush(b *Backbone) int {
 	}
 	l := sc.link
 	l.wmu.Lock()
-	_, err := l.conn.Write(*sc.buf)
+	_, err := l.conn.Write(sc.buf)
 	l.wmu.Unlock()
 	n := len(sc.members)
 	for i, oc := range sc.members {
@@ -208,7 +178,7 @@ func (sc *pushScratch) flush(b *Backbone) int {
 		sc.members[i] = nil
 	}
 	sc.members = sc.members[:0]
-	*sc.buf = (*sc.buf)[:0]
+	sc.buf = sc.buf[:0]
 	sc.link = nil
 	if err != nil {
 		b.linkDown(l)

@@ -266,6 +266,64 @@ func TestReliableUpdateContextBlocksUntilConsumed(t *testing.T) {
 	}
 }
 
+// TestStalledPublicationHoldsOnlyItself: an UpdateContext parked on a full
+// window holds its own Publication and no more. Another LP's publication
+// of the same class shares the channel, and its non-blocking Update
+// reports the full window at once instead of waiting behind the stall.
+func TestStalledPublicationHoldsOnlyItself(t *testing.T) {
+	ctx := waitCtx(t)
+	b := newBackbone(t, transport.NewMemLAN(), "solo")
+	p, err := b.PublishObjectClass("p", "Jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := b.PublishObjectClass("q", "Jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := b.SubscribeObjectClass("s", "Jobs", WithReliable(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Update(0, attrsWith(1)); err != nil {
+		t.Fatal(err)
+	}
+	stalled := make(chan error, 1)
+	go func() { stalled <- p.UpdateContext(ctx, 0, attrsWith(2)) }()
+	if pollCond(ctx, func() bool { return b.Stats().CreditStalls.Value() == 1 }) != nil {
+		t.Fatal("UpdateContext never met the full window")
+	}
+
+	probed := make(chan error, 1)
+	go func() { probed <- q.Update(0, attrsWith(3)) }()
+	select {
+	case err := <-probed:
+		if !errors.Is(err, ErrWindowFull) {
+			t.Fatalf("the other publication's Update returned %v, want ErrWindowFull", err)
+		}
+	case <-time.After(waitLong):
+		t.Fatal("the other publication's Update waited behind the stalled one")
+	}
+	select {
+	case err := <-stalled:
+		t.Fatalf("UpdateContext returned %v before consumption", err)
+	default:
+	}
+
+	for want := 1.0; want <= 2; want++ {
+		r, err := sub.NextContext(ctx)
+		if err != nil {
+			t.Fatalf("update %v never arrived: %v", want, err)
+		}
+		if v, _ := r.Attrs.Float64(1); v != want || r.PubLP != "p" {
+			t.Fatalf("got %v from %q, want %v from p", v, r.PubLP, want)
+		}
+	}
+	if err := <-stalled; err != nil {
+		t.Fatalf("UpdateContext: %v", err)
+	}
+}
+
 // TestReliableSubscriberDeathReleasesPublisher: a subscriber that dies
 // mid-stall (its registration closes) must release the blocked publisher
 // rather than wedge it forever.

@@ -22,40 +22,31 @@ type Reflection struct {
 	Time    float64
 	Attrs   wire.AttrSet
 
-	// recycle marks storage Release may hand back: set on reflections that
-	// arrived over a link, which own the storage their frame was read into
-	// (the ownership rule, package wire). store is the pooled holder that
-	// storage last came out of, nil when the link allocated it.
-	recycle bool
-	store   *wire.AttrSet
+	// link is the link the reflection's frame was read on, whose storage
+	// Release hands back (the ownership rule, package wire); nil for a
+	// reflection delivered in-process.
+	link *peerLink
 }
 
-// attrStore holds frame storage handed back by Release, for the links' read
-// loops to read later frames into. It has no New: an empty store means
-// nobody releases, and each frame is read into an allocation of its size.
-var attrStore sync.Pool // of *wire.AttrSet
-
-// Release hands the reflection's attribute storage back to the backbone,
-// which reads a later frame into it; Attrs is empty afterwards. Only the
-// consumer that took the reflection out of its subscription may call it,
-// at most once, and only when nothing still reads Attrs or a slice
-// obtained from it (Bytes aliases the storage). Releasing is optional: a
-// reflection that is never released is ordinary garbage, and costs the
-// link the two allocations of a fresh frame body and ref table per update.
-// Only reflections that crossed a link are recycled; one delivered
-// in-process holds a plain clone of the publisher's set, and releasing it
-// does nothing.
+// Release hands the reflection's attribute storage back to the link it
+// arrived on, which reads a later frame into it; Attrs is empty
+// afterwards. Only the consumer that took the reflection out of its
+// subscription may call it, at most once, and only when nothing still
+// reads Attrs or a slice obtained from it (Bytes aliases the storage).
+// Releasing is optional: a reflection that is never released is ordinary
+// garbage, and costs the link the two allocations of a fresh frame body
+// and ref table per update. Only reflections that crossed a link are
+// recycled; one delivered in-process holds a plain clone of the
+// publisher's set, and releasing it does nothing.
 func (r *Reflection) Release() {
-	if !r.recycle {
+	l := r.link
+	if l == nil {
 		return
 	}
-	box := r.store
-	if box == nil {
-		box = new(wire.AttrSet)
-	}
-	*box = r.Attrs
-	r.Attrs, r.store, r.recycle = wire.AttrSet{}, nil, false
-	attrStore.Put(box)
+	l.mu.Lock()
+	l.free = append(l.free, r.Attrs)
+	l.mu.Unlock()
+	r.Attrs, r.link = wire.AttrSet{}, nil
 }
 
 // outChannel is the publisher half of a virtual channel: the link (nil for
@@ -148,9 +139,10 @@ func (oc *outChannel) windowOpen() bool {
 }
 
 // acquireSend takes the channel's send slot once the credit window has
-// room. The slot is NOT held while parked — a blocking send stalled on
-// credits must not block non-blocking probes on the same channel — so
-// the window is re-checked each time the slot is re-taken.
+// room. The slot is NOT held while parked: a push stalled on credits
+// holds its own Publication, but another LP's publication of the same
+// class shares the channel and must still get its non-blocking probe
+// through. So the window is re-checked each time the slot is re-taken.
 // A nil ctx is the non-blocking form: it reports false on a full window.
 // stalled tells the retry form that this stall episode was already
 // counted by a preceding non-blocking probe. On (true, nil) the caller
@@ -213,6 +205,9 @@ type Publication struct {
 	key    classLP
 	notify chan struct{} // capacity 1; a token per change of the class's channel set
 	closed atomic.Bool
+
+	mu sync.Mutex  // one push at a time, credit stalls included
+	sc pushScratch // guarded by mu
 }
 
 // Subscription is an LP's subscriber registration for one object class
@@ -445,10 +440,11 @@ func (b *Backbone) noteMatchedLocked(s *Subscription) {
 // time. The attrs map is cloned before the call returns, so the caller may
 // reuse it.
 //
-// Updates on one virtual channel are delivered to the subscriber in
-// sequence (Seq) order, even when Update is called from several goroutines
-// concurrently. Ordering across different channels — different subscriber
-// LPs, or different publishers of the same class — is unspecified.
+// A Publication pushes one update at a time: concurrent calls on it take
+// turns. Updates on one virtual channel are delivered to the subscriber in
+// sequence (Seq) order, whichever goroutines publish. Ordering across
+// different channels — different subscriber LPs, or different publishers
+// of the same class — is unspecified.
 //
 // A reliable channel whose credit window is exhausted is skipped and the
 // call reports ErrWindowFull (after delivering to every other channel);
@@ -465,7 +461,9 @@ func (p *Publication) Update(simTime float64, attrs wire.AttrSet) error {
 // window is exhausted, resuming as the subscriber consumes. It returns
 // ctx.Err() when canceled mid-stall (the update may by then have reached
 // the channels ahead of the stalled one; reliable consumers are expected
-// to deduplicate, as the dist protocol does).
+// to deduplicate, as the dist protocol does). While it is stalled, every
+// other call on the same Publication waits behind it; another LP's
+// publication of the class is not held up.
 func (p *Publication) UpdateContext(ctx context.Context, simTime float64, attrs wire.AttrSet) error {
 	_, err := p.push(ctx, simTime, attrs)
 	return err
@@ -496,10 +494,11 @@ func (p *Publication) UpdateRoutedContext(ctx context.Context, simTime float64, 
 // Delivery policy: reliable channels are sent only while their credit
 // window has room. With a nil ctx a full window skips the channel and the
 // call reports ErrWindowFull; with a ctx the send stalls until the
-// subscriber consumes, the channel dies, or ctx is done. The stall parks
-// outside the channel's send slot, so concurrent non-blocking probes are
-// never blocked behind it; the window is re-verified under the slot
-// before every send, keeping delivery order equal to seq order.
+// subscriber consumes, the channel dies, or ctx is done. The stall holds
+// p but parks outside the channel's send slot, so the other publications
+// of the class are never blocked behind it; the window is re-verified
+// under the slot before every send, keeping delivery order equal to seq
+// order.
 func (p *Publication) push(ctx context.Context, simTime float64, attrs wire.AttrSet) (int, error) {
 	if p.closed.Load() {
 		return 0, ErrHandleClosed
@@ -508,11 +507,12 @@ func (p *Publication) push(ctx context.Context, simTime float64, attrs wire.Attr
 	if b.closed.Load() {
 		return 0, ErrClosed
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	sc := &p.sc
 	// The class's channel list is read without b.mu and is never modified
 	// once published, so it needs no copy either.
 	chans, _ := b.outs.get(p.key.class)
-	sc := getPushScratch()
-	defer sc.put()
 
 	// Encode once, before any channel is touched: every remote channel
 	// gets a copy with its own Channel and Seq stamped in, and an update

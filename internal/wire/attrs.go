@@ -24,8 +24,8 @@ type AttrID uint16
 // no value is copied either way (see the package doc for who owns the
 // bytes then). Building a full CraneState costs at most two allocations
 // (refs + arena), both amortized to zero when the set is Reset and
-// refilled — which is what the pooled wire hot path does. The zero value
-// is a valid empty set.
+// refilled, as every scratch set on the hot path is. The zero value is a
+// valid empty set.
 //
 // Determinism: the encoded form orders attributes by ascending ID,
 // byte-identical to the historical map+sort encoder. A set that stops

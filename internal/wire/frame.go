@@ -25,7 +25,8 @@
 //     (for a set built in ascending ID order, its count and one append of
 //     the arena). The cb layer does that, or Clones for a subscriber in
 //     the same process, before Update returns: the set is the publisher's
-//     again the moment the call comes back (pool.go).
+//     again the moment the call comes back, which is why a cod.Pub can
+//     encode every update into one scratch set.
 //   - Decoding a buffer (Decode, Decoder.DecodeInto). The frame's Attrs
 //     borrow the buffer: its values are the buffer's own bytes, good for
 //     as long as the caller leaves the buffer alone; Clone keeps them
@@ -37,8 +38,9 @@
 //     whatever AttrSet it is left holding. That is how a reflection owns
 //     the frame it arrived in: cb's read loop moves an UPDATE's Attrs
 //     into the cb.Reflection, uncopied, and leaves its frame a set some
-//     consumer handed back with Reflection.Release, or the zero value,
-//     which allocates storage sized to the frame that is read into it.
+//     consumer of the same link handed back with Reflection.Release, or
+//     the zero value, which allocates storage sized to the frame that is
+//     read into it.
 //
 // A section no encoder in this tree would write — IDs repeated or not
 // ascending, a padded length — is not indexed where it lies but copied
@@ -224,8 +226,8 @@ func (f Frame) Encode() ([]byte, error) {
 
 // AppendEncode serializes the frame onto buf and returns the extended
 // slice. The frame itself (not buf's prior contents) is held to
-// MaxFrameSize. This is the zero-alloc path: callers hand in a pooled or
-// stack buffer and reuse it across frames.
+// MaxFrameSize. This is the zero-alloc path: callers hand in a buffer
+// they own and reuse it across frames.
 func (f Frame) AppendEncode(buf []byte) ([]byte, error) {
 	if !f.Kind.Valid() {
 		return buf, ErrBadKind
