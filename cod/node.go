@@ -5,7 +5,6 @@ import (
 	"net"
 	"strconv"
 	"sync"
-	"time"
 
 	"codsim/internal/cb"
 	"codsim/internal/clock"
@@ -28,33 +27,12 @@ type TableEntry = cb.TableEntry
 // harnesses) never import the backbone internals.
 type ChannelTally = cb.ChannelTally
 
-// MemLANOption tunes a simulated in-memory segment: latency, jitter,
-// datagram loss, bandwidth and the impairment seed. The SDK re-exports
-// the transport options so test and benchmark harnesses never import
-// internal packages.
-type MemLANOption = transport.MemOption
-
-// WithLatency delays every datagram by d on a simulated segment.
-func WithLatency(d time.Duration) MemLANOption { return transport.WithLatency(d) }
-
-// WithJitter adds up to d of random extra delay per datagram.
-func WithJitter(d time.Duration) MemLANOption { return transport.WithJitter(d) }
-
-// WithLoss drops each broadcast datagram with probability p in [0,1).
-func WithLoss(p float64) MemLANOption { return transport.WithLoss(p) }
-
-// WithBandwidth caps the segment's throughput in bytes per second.
-func WithBandwidth(bytesPerSec float64) MemLANOption { return transport.WithBandwidth(bytesPerSec) }
-
-// WithSeed pins the segment's impairment randomness, making a lossy or
-// jittery run reproducible.
-func WithSeed(seed int64) MemLANOption { return transport.WithSeed(seed) }
-
-// NewMemLAN creates an in-memory LAN segment for nodes of one process,
-// optionally impaired (latency, loss, ...) for ablations. Pass it to
+// NewMemLAN creates an in-memory LAN segment for nodes of one process;
+// harnesses inside the module may impair it with transport options
+// (latency, loss, ...). Pass it to
 // every node of the federation via WithLAN, or let a Federation manage
 // the sharing.
-func NewMemLAN(opts ...MemLANOption) LAN { return transport.NewMemLAN(opts...) }
+func NewMemLAN(opts ...transport.MemOption) LAN { return transport.NewMemLAN(opts...) }
 
 // NewUDPLAN joins a real UDP/TCP segment of slots consecutive ports
 // starting at basePort on host, returning the LAN handle directly, for

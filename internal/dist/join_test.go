@@ -11,6 +11,7 @@ import (
 	"codsim/cod"
 	"codsim/internal/clock"
 	"codsim/internal/sim"
+	"codsim/internal/transport"
 )
 
 // The TestJoin tests hold dispatch to its event path: the pool runs on a
@@ -426,7 +427,7 @@ func TestJoinRepairUnderLoss(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			clk := clock.NewManual()
-			fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN(cod.WithLoss(0.7), cod.WithSeed(seed))), cod.WithClock(clk))
+			fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN(transport.WithLoss(0.7), transport.WithSeed(seed))), cod.WithClock(clk))
 			t.Cleanup(func() { fed.Close() })
 			fastForward(t, clk)
 			ctx := joinCtx(t)

@@ -11,31 +11,52 @@ import (
 
 	"codsim/cod"
 	"codsim/internal/obs"
+	"codsim/internal/sim"
 )
 
 // TestObsLiveSweepScrape drives a full MemLAN sweep with the telemetry
-// plane attached and scrapes /metrics concurrently the whole time — under
-// -race this doubles as the data-race check on the plane's scrape pass,
-// the span recorder, and the Sample() snapshots. Afterwards it asserts
-// the core series the CI smoke greps for, and that every record came
-// home with a span and phase latencies.
+// plane attached, and every job's run scrapes /metrics and /debug/tablez
+// once: the scrapes overlap the sweep and, across the worker's two slots,
+// each other, so under -race this doubles as the data-race check on the
+// plane's scrape, the span recorder, and the Sample() snapshots.
+// Afterwards it asserts the core series the CI smoke greps for, and that
+// every record came home with a span and phase latencies.
 func TestObsLiveSweepScrape(t *testing.T) {
 	fed := cod.NewFederation()
 	defer fed.Close()
 
 	plane := obs.NewPlane("test", io.Discard)
 	spans := plane.SpanSink()
+	ts := httptest.NewServer(plane.Handler())
+	defer ts.Close()
+	get := func(path string) string {
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Errorf("GET %s: %v", path, err)
+			return ""
+		}
+		defer resp.Body.Close()
+		var b strings.Builder
+		if _, err := io.Copy(&b, resp.Body); err != nil {
+			t.Errorf("GET %s: read: %v", path, err)
+		}
+		return b.String()
+	}
+	run := stubRunner(0)
 
 	wnode, err := fed.Node("w1-node")
 	if err != nil {
 		t.Fatal(err)
 	}
 	worker, err := NewWorker(wnode, WorkerConfig{
-		Name:      "w1",
-		Slots:     2,
-		Heartbeat: 25 * time.Millisecond,
-		Run:       stubRunner(5 * time.Millisecond),
-		Spans:     spans,
+		Name:  "w1",
+		Slots: 2,
+		Run: func(ctx context.Context, job Job, cfg sim.BatchConfig) Record {
+			get("/metrics")
+			get("/debug/tablez")
+			return run(ctx, job, cfg)
+		},
+		Spans: spans,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,50 +87,12 @@ func TestObsLiveSweepScrape(t *testing.T) {
 	plane.AddDispatch(worker.Sample)
 	plane.AddDispatch(coord.Sample)
 
-	ts := httptest.NewServer(plane.Handler())
-	defer ts.Close()
-	scrape := func() string {
-		resp, err := ts.Client().Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Errorf("scrape: %v", err)
-			return ""
-		}
-		defer resp.Body.Close()
-		var b strings.Builder
-		if _, err := io.Copy(&b, resp.Body); err != nil {
-			t.Errorf("scrape read: %v", err)
-		}
-		return b.String()
-	}
-
-	// Hammer /metrics (and /debug/tablez) from two goroutines while the
-	// sweep runs, so scrape passes also overlap each other.
-	scrapeCtx, stopScrapes := context.WithCancel(context.Background())
-	var scrapers sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		scrapers.Add(1)
-		go func() {
-			defer scrapers.Done()
-			for scrapeCtx.Err() == nil {
-				scrape()
-				resp, err := ts.Client().Get(ts.URL + "/debug/tablez")
-				if err == nil {
-					_, _ = io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-		}()
-	}
-
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := coord.WaitWorkers(ctx, []string{"w1"}); err != nil {
 		t.Fatalf("WaitWorkers: %v", err)
 	}
 	recs, err := coord.Run(ctx, testJobs(8))
-	stopScrapes()
-	scrapers.Wait()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -127,7 +110,7 @@ func TestObsLiveSweepScrape(t *testing.T) {
 	}
 
 	// The scrape reads every source itself, so it sees the end state.
-	out := scrape()
+	out := get("/metrics")
 	for _, want := range []string{
 		"codsim_cb_channel_frames_total{",
 		`codsim_dist_jobs{role="coordinator",state="done"} 8`,

@@ -18,9 +18,9 @@ import (
 func TestWritePrometheusGolden(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("test_events_total", "events seen").Add(3)
-	g := reg.GaugeVec("test_depth", "queue depth", "queue", "node")
-	g.With("claims", "n1").Set(4)
-	g.With("results", "n1").Set(2.5)
+	c := reg.CounterVec("test_depth", "queue depth", "queue", "node")
+	c.With("claims", "n1").Add(4)
+	c.With("results", "n1").Add(2)
 	h := reg.Histogram("test_latency_seconds", "request latency", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -31,9 +31,9 @@ func TestWritePrometheusGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := `# HELP test_depth queue depth
-# TYPE test_depth gauge
+# TYPE test_depth counter
 test_depth{queue="claims",node="n1"} 4
-test_depth{queue="results",node="n1"} 2.5
+test_depth{queue="results",node="n1"} 2
 # HELP test_events_total events seen
 # TYPE test_events_total counter
 test_events_total 3
@@ -60,10 +60,10 @@ func TestRegistryIdempotentAndChecked(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("re-registering a counter as a gauge did not panic")
+				t.Error("re-registering a counter as a histogram did not panic")
 			}
 		}()
-		reg.Gauge("x_total", "")
+		reg.Histogram("x_total", "", nil)
 	}()
 	func() {
 		defer func() {
@@ -77,7 +77,7 @@ func TestRegistryIdempotentAndChecked(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	reg := NewRegistry()
-	reg.GaugeVec("esc", "", "v").With("a\"b\\c\nd").Set(1)
+	reg.CounterVec("esc", "", "v").With("a\"b\\c\nd").Inc()
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -118,18 +118,19 @@ func newFakeBackbone() *fakeBackbone {
 	return f
 }
 
-// TestSamplerChannelSeries asserts that one scrape pass turns a backbone's
+// scrapeMetrics serves one /metrics request and returns the body.
+func scrapeMetrics(p *Plane) string {
+	rec := httptest.NewRecorder()
+	p.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	return rec.Body.String()
+}
+
+// TestSamplerChannelSeries asserts that one scrape turns a backbone's
 // per-channel tallies into labeled codsim_cb_* series.
 func TestSamplerChannelSeries(t *testing.T) {
 	p := NewPlane("test", io.Discard)
 	p.AddNode("disp-pc", newFakeBackbone())
-	p.sample()
-
-	var b strings.Builder
-	if err := p.Registry.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := scrapeMetrics(p)
 	for _, want := range []string{
 		`codsim_cb_channel_frames_total{node="disp-pc",lp="visual",class="CraneState",peer="dyn-pc",channel="7"} 9`,
 		`codsim_cb_channel_dropped_total{node="disp-pc",lp="visual",class="CraneState",peer="dyn-pc",channel="7"} 5`,
@@ -165,13 +166,7 @@ func TestSamplerDispatchSeries(t *testing.T) {
 	p.AddDispatch(func() DispatchSample {
 		return DispatchSample{Role: "worker", Name: "host1", Slots: 4, Busy: 2, Claimed: 1, Backlog: 7, Finished: 5, ResultsAcked: 5}
 	})
-	p.sample()
-
-	var b strings.Builder
-	if err := p.Registry.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := scrapeMetrics(p)
 	for _, want := range []string{
 		`codsim_dist_jobs{role="coordinator",state="in_flight"} 5`,
 		`codsim_dist_jobs{role="coordinator",state="pending"} 3`,
@@ -187,6 +182,58 @@ func TestSamplerDispatchSeries(t *testing.T) {
 			t.Errorf("series %q missing from scrape:\n%s", want, out)
 		}
 	}
+}
+
+// TestScrapeDropsDepartedSeries pins that a series lives exactly as long
+// as its source reports it: once a channel leaves Tables, a subscription
+// row closes or a worker leaves DispatchSample.Workers, the next scrape
+// has none of its series, while a second node's stay.
+func TestScrapeDropsDepartedSeries(t *testing.T) {
+	disp := newFakeBackbone()
+	workers := []WorkerSample{{Name: "host1", Done: 5}, {Name: "host2", Done: 3}}
+	p := NewPlane("test", io.Discard)
+	p.AddNode("disp-pc", disp)
+	p.AddNode("sim-pc", newFakeBackbone())
+	p.AddDispatch(func() DispatchSample {
+		return DispatchSample{Role: "coordinator", Name: "sweep-1", Workers: workers}
+	})
+	scrape := func(stage string, present, absent []string) {
+		t.Helper()
+		out := scrapeMetrics(p)
+		for _, want := range present {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s: series %q missing from scrape:\n%s", stage, want, out)
+			}
+		}
+		for _, gone := range absent {
+			if strings.Contains(out, gone) {
+				t.Errorf("%s: departed series %q still in scrape:\n%s", stage, gone, out)
+			}
+		}
+		// Two nodes report every family, each written under one header.
+		if n := strings.Count(out, "# TYPE codsim_cb_sub_frames_total gauge\n"); n != 1 {
+			t.Errorf("%s: codsim_cb_sub_frames_total has %d TYPE lines, want 1", stage, n)
+		}
+	}
+	const (
+		ch7  = `{node="disp-pc",lp="visual",class="CraneState",peer="dyn-pc",channel="7"}`
+		ch9  = `{node="disp-pc",lp="visual",class="CraneState",peer="sim-pc",channel="9"}`
+		sub  = `{node="disp-pc",lp="visual",class="CraneState",policy="latest-value"}`
+		sim7 = `codsim_cb_channel_frames_total{node="sim-pc",lp="visual",class="CraneState",peer="dyn-pc",channel="7"} 9`
+		host = `codsim_dist_worker{worker="host1",stat="done"} 5`
+	)
+	scrape("start", []string{ch7, ch9, sub, sim7, host, `worker="host2"`}, nil)
+
+	// Channel 7 tears down and host2 leaves the sweep.
+	disp.subs[0].ByChannel = disp.subs[0].ByChannel[1:]
+	workers = workers[:1]
+	scrape("channel and worker gone", []string{ch9, sub, sim7, host}, []string{ch7, `worker="host2"`})
+
+	// The subscription closes; its publication row stays.
+	disp.subs = nil
+	scrape("subscription closed",
+		[]string{sim7, host, `codsim_cb_pub_credit_stalls_total{node="disp-pc",lp="dynamics",class="CraneState"} 3`},
+		[]string{ch9, sub})
 }
 
 func TestSpans(t *testing.T) {
@@ -330,11 +377,12 @@ func BenchmarkObsCounter(b *testing.B) {
 	}
 }
 
-// BenchmarkObsSampler is the sample pass of one /metrics scrape over a
-// realistic node and a coordinator. The pass must not allocate (the
-// BENCH_baseline.json ceiling is 0 allocs/op): the resolved-gauge caches
-// exist for that. The source returns one prebuilt Workers slice, as a
-// source that allocated per call would charge its own garbage here.
+// BenchmarkObsSampler is the source write of one /metrics scrape over a
+// realistic node and a coordinator: every source read once and its
+// families written into the scrape's reused buffer. It must not allocate
+// (the BENCH_baseline.json ceiling is 0 allocs/op). The source returns
+// one prebuilt Workers slice, as a source that allocated per call would
+// charge its own garbage here.
 func BenchmarkObsSampler(b *testing.B) {
 	p := NewPlane("bench", io.Discard)
 	p.AddNode("disp-pc", newFakeBackbone())
@@ -342,9 +390,11 @@ func BenchmarkObsSampler(b *testing.B) {
 	p.AddDispatch(func() DispatchSample {
 		return DispatchSample{Role: "coordinator", Name: "sweep-1", Pending: 3, Workers: workers}
 	})
+	s := new(scrape)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.sample()
+		s.b = s.b[:0]
+		p.writeSources(s)
 	}
 }

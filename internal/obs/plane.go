@@ -76,65 +76,56 @@ type WorkerSample struct {
 	SinceSeen float64
 }
 
-// nodeSource is one registered backbone with its metric label.
-type nodeSource struct {
-	name string
-	bb   Backbone
+// node is one registered backbone with its metric label; a scrape's copy
+// also holds that scrape's one reading of it.
+type node struct {
+	name       string
+	bb         Backbone
+	st         *cod.Stats
+	pubs, subs []cod.TableEntry
+}
+
+// scrape is one /metrics response's storage, reused by the next scrape:
+// the sources registered at its start, their readings and the output.
+type scrape struct {
+	nodes []node
+	fns   []func() DispatchSample
+	disp  []DispatchSample
+	expo
 }
 
 // Plane is a process's telemetry plane: the metric registry, the span
 // recorder, the structured logger, and the opt-in HTTP face over them:
 //
-//	/metrics       Prometheus text exposition of the registry
+//	/metrics       Prometheus text exposition of the registry and sources
 //	/healthz       liveness: 200 "ok" with uptime
 //	/debug/tablez  live Backbone.Tables pub/sub tables of registered nodes
 //	/debug/pprof/  the standard runtime profiles
 //
-// Registered sources are read only when /metrics is scraped: one pass
-// over every node and dispatch source, then the render. So a scrape sees
-// the state at scrape time — per-channel tallies are dropped when a
-// virtual channel tears down, so anything older could miss a short-lived
-// channel entirely. Nothing listens unless Start is called. A nil *Plane
-// is a valid disabled plane: AddNode, AddDispatch, Close, Log and
-// SpanSink are safe no-ops on it.
+// Registered sources are read only when /metrics is scraped: each node
+// and dispatch source once, and the codsim_cb_* and codsim_dist_*
+// families are written from that reading after the registry's, in the
+// order the sources were registered. So a scrape sees the state at scrape
+// time, and a series appears exactly while its source reports it: the
+// per-channel series of a virtual channel that tore down, a closed
+// subscription's or a departed worker's are gone from the next scrape.
+// Nothing listens unless Start is called. A nil *Plane is a valid
+// disabled plane: AddNode, AddDispatch, Close, Log and SpanSink are safe
+// no-ops on it.
 type Plane struct {
 	Registry *Registry
 
-	spans *Spans
-	log   *slog.Logger
-	start time.Time
-	mux   *http.ServeMux
+	spans   *Spans
+	log     *slog.Logger
+	start   time.Time
+	mux     *http.ServeMux
+	samples *Counter
 
 	mu       sync.Mutex
-	nodes    []nodeSource
+	nodes    []node
 	dispatch []func() DispatchSample
 	srv      *http.Server
-
-	// sampleMu serializes scrape passes and owns everything below it: the
-	// source snapshots reused across passes and the resolved-gauge caches.
-	// GaugeVec.With allocates (variadic labels + rendered key), so a pass
-	// that resolved every child each time cost >100 allocs; caching the
-	// children makes the steady-state pass allocation-free.
-	sampleMu    sync.Mutex
-	nodeScratch []nodeSource
-	dispScratch []func() DispatchSample
-	nodeGauges  map[string]*nodeGauges
-	dispGauges  map[dispKey]*Gauge
-	workerCache map[string]*workerGauges
-
-	// Pre-registered families; children resolve per label set on sample.
-	cbCounters  *GaugeVec
-	chFrames    *GaugeVec
-	chDropped   *GaugeVec
-	chConflated *GaugeVec
-	pubStalls   *GaugeVec
-	subRows     *GaugeVec
-	subFrames   *GaugeVec
-	subDropped  *GaugeVec
-	subConfl    *GaugeVec
-	dispatchG   *GaugeVec
-	workerG     *GaugeVec
-	samples     *Counter
+	idle     *scrape // the last scrape's storage, taken by the next
 }
 
 // NewPlane builds a plane around a fresh registry. role tags log lines;
@@ -142,48 +133,10 @@ type Plane struct {
 func NewPlane(role string, logW io.Writer) *Plane {
 	reg := NewRegistry()
 	p := &Plane{
-		Registry:    reg,
-		spans:       NewSpans(reg),
-		log:         NewLogger(logW, role),
-		start:       time.Now(),
-		nodeGauges:  make(map[string]*nodeGauges),
-		dispGauges:  make(map[dispKey]*Gauge),
-		workerCache: make(map[string]*workerGauges),
-		cbCounters: reg.GaugeVec("codsim_cb_stat",
-			"backbone cumulative counters, sampled from cod.Stats", "node", "stat"),
-		chFrames: reg.GaugeVec("codsim_cb_channel_frames_total",
-			"reflections delivered into a subscription mailbox, per virtual channel",
-			"node", "lp", "class", "peer", "channel"),
-		chDropped: reg.GaugeVec("codsim_cb_channel_dropped_total",
-			"reflections dropped at a full mailbox, per virtual channel",
-			"node", "lp", "class", "peer", "channel"),
-		chConflated: reg.GaugeVec("codsim_cb_channel_conflated_total",
-			"reflections coalesced by latest-value conflation, per virtual channel",
-			"node", "lp", "class", "peer", "channel"),
-		pubStalls: reg.GaugeVec("codsim_cb_pub_credit_stalls_total",
-			"sends that found a reliable subscriber's credit window exhausted",
-			"node", "lp", "class"),
-		subRows: reg.GaugeVec("codsim_cb_sub_channels",
-			"established virtual channels per subscription table row",
-			"node", "lp", "class", "policy"),
-		// The sub_* lifetime totals survive channel teardown (the
-		// per-channel series above vanish with their channel), so a
-		// post-sweep scrape still sees what a finished sweep delivered.
-		subFrames: reg.GaugeVec("codsim_cb_sub_frames_total",
-			"reflections delivered into a subscription's mailbox since it subscribed",
-			"node", "lp", "class", "policy"),
-		subDropped: reg.GaugeVec("codsim_cb_sub_dropped_total",
-			"reflections dropped at the subscription's full mailbox since it subscribed",
-			"node", "lp", "class", "policy"),
-		subConfl: reg.GaugeVec("codsim_cb_sub_conflated_total",
-			"reflections coalesced by latest-value conflation since the subscription began",
-			"node", "lp", "class", "policy"),
-		dispatchG: reg.GaugeVec("codsim_dist_jobs",
-			"dist dispatch state by role (in_flight, pending, granted, done, attempts, redispatches, announces, slots, busy, claimed, backlog, finished, results_acked)",
-			"role", "state"),
-		workerG: reg.GaugeVec("codsim_dist_worker",
-			"coordinator's per-worker progress view (done, throughput_jobs_per_sec, busy, slots, since_seen_sec)",
-			"worker", "stat"),
+		Registry: reg,
+		spans:    NewSpans(reg),
+		log:      NewLogger(logW, role),
+		start:    time.Now(),
 		samples: reg.Counter("codsim_obs_samples_total",
 			"/metrics scrapes served, each one pass over every registered source"),
 	}
@@ -207,7 +160,7 @@ func (p *Plane) AddNode(name string, bb Backbone) {
 		return
 	}
 	p.mu.Lock()
-	p.nodes = append(p.nodes, nodeSource{name: name, bb: bb})
+	p.nodes = append(p.nodes, node{name: name, bb: bb})
 	p.mu.Unlock()
 }
 
@@ -273,10 +226,27 @@ func (p *Plane) SpanSink() *Spans {
 	return p.spans
 }
 
+// handleMetrics writes the registry's families, then every source's. A
+// scrape takes the idle storage and puts it back after writing, so
+// concurrent scrapes never share a buffer and a steady-state scrape
+// allocates nothing for its sources.
 func (p *Plane) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	p.sample()
+	p.mu.Lock()
+	s := p.idle
+	p.idle = nil
+	p.mu.Unlock()
+	if s == nil {
+		s = new(scrape)
+	}
+	p.samples.Inc()
+	s.b = s.b[:0]
+	p.Registry.appendTo(&s.expo)
+	p.writeSources(s)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = p.Registry.WritePrometheus(w)
+	_, _ = w.Write(s.b)
+	p.mu.Lock()
+	p.idle = s
+	p.mu.Unlock()
 }
 
 func (p *Plane) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -289,7 +259,7 @@ func (p *Plane) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // to whom, and which channels are shedding.
 func (p *Plane) handleTablez(w http.ResponseWriter, _ *http.Request) {
 	p.mu.Lock()
-	nodes := append([]nodeSource(nil), p.nodes...)
+	nodes := append([]node(nil), p.nodes...)
 	p.mu.Unlock()
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].name < nodes[j].name })
 
@@ -324,196 +294,155 @@ func (p *Plane) handleTablez(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// cbStatNames orders the codsim_cb_stat children; nodeGauges.stats is
-// resolved in the same order.
-var cbStatNames = [...]string{
-	"broadcasts_sent", "channels_up", "updates_sent", "reflects_delivered",
-	"mailbox_dropped", "conflations", "credit_stalls", "credits_granted",
-	"links_down", "solicits_sent",
+// cbStats are the codsim_cb_stat series, one per cod.Stats counter.
+var cbStats = [...]struct {
+	name  string
+	value func(*cod.Stats) int64
+}{
+	{"broadcasts_sent", func(s *cod.Stats) int64 { return s.BroadcastsSent.Value() }},
+	{"channels_up", func(s *cod.Stats) int64 { return s.ChannelsUp.Value() }},
+	{"updates_sent", func(s *cod.Stats) int64 { return s.UpdatesSent.Value() }},
+	{"reflects_delivered", func(s *cod.Stats) int64 { return s.ReflectsDelivered.Value() }},
+	{"mailbox_dropped", func(s *cod.Stats) int64 { return s.MailboxDropped.Value() }},
+	{"conflations", func(s *cod.Stats) int64 { return s.Conflations.Value() }},
+	{"credit_stalls", func(s *cod.Stats) int64 { return s.CreditStalls.Value() }},
+	{"credits_granted", func(s *cod.Stats) int64 { return s.CreditsGranted.Value() }},
+	{"links_down", func(s *cod.Stats) int64 { return s.LinksDown.Value() }},
+	{"solicits_sent", func(s *cod.Stats) int64 { return s.SolicitsSent.Value() }},
 }
 
-// Cache key and child-group types for the resolved-gauge caches. Struct
-// map keys compare without allocating, so a steady-state lookup is free.
-type (
-	pubKey  struct{ lp, class string }
-	subKey  struct{ lp, class, policy string }
-	chanKey struct {
-		lp, class, peer string
-		ch              uint32
-	}
-	dispKey struct{ role, state string }
-)
-
-type subGauges struct{ rows, frames, dropped, confl *Gauge }
-
-type chanGauges struct{ frames, dropped, confl *Gauge }
-
-type workerGauges struct{ done, tput, busy, slots, since *Gauge }
-
-// nodeGauges holds one node's resolved children, built lazily as label
-// sets first appear and reused on every later pass.
-type nodeGauges struct {
-	stats     [len(cbStatNames)]*Gauge
-	pubStalls map[pubKey]*Gauge
-	subs      map[subKey]*subGauges
-	chans     map[chanKey]*chanGauges
+// subFamilies are the per-subscription-row families. The sub_* lifetime
+// totals survive channel teardown (the per-channel series below vanish
+// with their channel), so a post-sweep scrape still sees what a finished
+// sweep delivered.
+var subFamilies = [...]struct {
+	name, help string
+	value      func(*cod.TableEntry) uint64
+}{
+	{"codsim_cb_sub_channels", "established virtual channels per subscription table row",
+		func(r *cod.TableEntry) uint64 { return uint64(r.Channels) }},
+	{"codsim_cb_sub_frames_total", "reflections delivered into a subscription's mailbox since it subscribed",
+		func(r *cod.TableEntry) uint64 { return r.Delivered }},
+	{"codsim_cb_sub_dropped_total", "reflections dropped at the subscription's full mailbox since it subscribed",
+		func(r *cod.TableEntry) uint64 { return r.Dropped }},
+	{"codsim_cb_sub_conflated_total", "reflections coalesced by latest-value conflation since the subscription began",
+		func(r *cod.TableEntry) uint64 { return r.Conflated }},
 }
 
-// sample runs the scrape pass /metrics renders after: every registered
-// backbone's stats and tables, then every dispatch source. Concurrent
-// scrapes serialize on sampleMu; gauge writes are atomic.
-func (p *Plane) sample() {
-	p.sampleMu.Lock()
-	defer p.sampleMu.Unlock()
+// chanFamilies are the per-virtual-channel families.
+var chanFamilies = [...]struct {
+	name, help string
+	value      func(*cod.ChannelTally) uint64
+}{
+	{"codsim_cb_channel_frames_total", "reflections delivered into a subscription mailbox, per virtual channel",
+		func(c *cod.ChannelTally) uint64 { return c.Delivered }},
+	{"codsim_cb_channel_dropped_total", "reflections dropped at a full mailbox, per virtual channel",
+		func(c *cod.ChannelTally) uint64 { return c.Dropped }},
+	{"codsim_cb_channel_conflated_total", "reflections coalesced by latest-value conflation, per virtual channel",
+		func(c *cod.ChannelTally) uint64 { return c.Conflated }},
+}
 
+// writeSources reads every registered node and dispatch source once and
+// writes the codsim_cb_* and codsim_dist_* families from that reading into
+// s, in registration order. The readings are cleared afterwards, so the
+// plane keeps no table or worker list between scrapes.
+func (p *Plane) writeSources(s *scrape) {
 	p.mu.Lock()
-	p.nodeScratch = append(p.nodeScratch[:0], p.nodes...)
-	p.dispScratch = append(p.dispScratch[:0], p.dispatch...)
+	s.nodes = append(s.nodes, p.nodes...)
+	s.fns = append(s.fns, p.dispatch...)
 	p.mu.Unlock()
-
-	for _, n := range p.nodeScratch {
-		p.sampleNode(n)
+	for i := range s.nodes {
+		n := &s.nodes[i]
+		n.st = n.bb.Stats()
+		n.pubs, n.subs = n.bb.Tables()
 	}
-	for _, fn := range p.dispScratch {
-		p.sampleDispatch(fn())
+	for _, fn := range s.fns {
+		s.disp = append(s.disp, fn())
 	}
-	p.samples.Inc()
-}
 
-// nodeGaugesFor resolves (once) the per-node child cache.
-func (p *Plane) nodeGaugesFor(name string) *nodeGauges {
-	g := p.nodeGauges[name]
-	if g == nil {
-		g = &nodeGauges{
-			pubStalls: make(map[pubKey]*Gauge),
-			subs:      make(map[subKey]*subGauges),
-			chans:     make(map[chanKey]*chanGauges),
+	s.family("codsim_cb_stat", "backbone cumulative counters, sampled from cod.Stats", kindGauge)
+	for _, n := range s.nodes {
+		for _, c := range cbStats {
+			s.sample(float64(c.value(n.st)), "node", n.name, "stat", c.name)
 		}
-		for i, stat := range cbStatNames {
-			g.stats[i] = p.cbCounters.With(name, stat)
-		}
-		p.nodeGauges[name] = g
 	}
-	return g
-}
-
-// sampleNode reads one backbone's counters and channel tallies.
-func (p *Plane) sampleNode(n nodeSource) {
-	g := p.nodeGaugesFor(n.name)
-	st := n.bb.Stats()
-	vals := [len(cbStatNames)]int64{
-		st.BroadcastsSent.Value(),
-		st.ChannelsUp.Value(),
-		st.UpdatesSent.Value(),
-		st.ReflectsDelivered.Value(),
-		st.MailboxDropped.Value(),
-		st.Conflations.Value(),
-		st.CreditStalls.Value(),
-		st.CreditsGranted.Value(),
-		st.LinksDown.Value(),
-		st.SolicitsSent.Value(),
-	}
-	for i, v := range vals {
-		g.stats[i].Set(float64(v))
-	}
-
-	pubs, subs := n.bb.Tables()
-	for _, row := range pubs {
-		if row.Stalls > 0 {
-			k := pubKey{lp: row.LP, class: row.Class}
-			ch := g.pubStalls[k]
-			if ch == nil {
-				ch = p.pubStalls.With(n.name, row.LP, row.Class)
-				g.pubStalls[k] = ch
+	s.family("codsim_cb_pub_credit_stalls_total",
+		"sends that found a reliable subscriber's credit window exhausted", kindGauge)
+	for _, n := range s.nodes {
+		for _, row := range n.pubs {
+			if row.Stalls > 0 {
+				s.sample(float64(row.Stalls), "node", n.name, "lp", row.LP, "class", row.Class)
 			}
-			ch.Set(float64(row.Stalls))
 		}
 	}
-	for _, row := range subs {
-		k := subKey{lp: row.LP, class: row.Class, policy: row.Policy}
-		sg := g.subs[k]
-		if sg == nil {
-			sg = &subGauges{
-				rows:    p.subRows.With(n.name, row.LP, row.Class, row.Policy),
-				frames:  p.subFrames.With(n.name, row.LP, row.Class, row.Policy),
-				dropped: p.subDropped.With(n.name, row.LP, row.Class, row.Policy),
-				confl:   p.subConfl.With(n.name, row.LP, row.Class, row.Policy),
+	for _, f := range subFamilies {
+		s.family(f.name, f.help, kindGauge)
+		for _, n := range s.nodes {
+			for i := range n.subs {
+				row := &n.subs[i]
+				s.sample(float64(f.value(row)), "node", n.name, "lp", row.LP, "class", row.Class, "policy", row.Policy)
 			}
-			g.subs[k] = sg
 		}
-		sg.rows.Set(float64(row.Channels))
-		sg.frames.Set(float64(row.Delivered))
-		sg.dropped.Set(float64(row.Dropped))
-		sg.confl.Set(float64(row.Conflated))
-		for _, ch := range row.ByChannel {
-			ck := chanKey{lp: row.LP, class: row.Class, peer: ch.Peer, ch: ch.Channel}
-			cg := g.chans[ck]
-			if cg == nil {
-				chID := strconv.FormatUint(uint64(ch.Channel), 10)
-				cg = &chanGauges{
-					frames:  p.chFrames.With(n.name, row.LP, row.Class, ch.Peer, chID),
-					dropped: p.chDropped.With(n.name, row.LP, row.Class, ch.Peer, chID),
-					confl:   p.chConflated.With(n.name, row.LP, row.Class, ch.Peer, chID),
+	}
+	var chID [10]byte
+	for _, f := range chanFamilies {
+		s.family(f.name, f.help, kindGauge)
+		for _, n := range s.nodes {
+			for _, row := range n.subs {
+				for i := range row.ByChannel {
+					ch := &row.ByChannel[i]
+					s.sample(float64(f.value(ch)), "node", n.name, "lp", row.LP, "class", row.Class,
+						"peer", ch.Peer, "channel", string(strconv.AppendUint(chID[:0], uint64(ch.Channel), 10)))
 				}
-				g.chans[ck] = cg
 			}
-			cg.frames.Set(float64(ch.Delivered))
-			cg.dropped.Set(float64(ch.Dropped))
-			cg.confl.Set(float64(ch.Conflated))
 		}
 	}
-}
 
-// dispGauge resolves (once) one codsim_dist_jobs child.
-func (p *Plane) dispGauge(role, state string) *Gauge {
-	k := dispKey{role: role, state: state}
-	g := p.dispGauges[k]
-	if g == nil {
-		g = p.dispatchG.With(role, state)
-		p.dispGauges[k] = g
-	}
-	return g
-}
-
-// sampleDispatch folds one dispatch-state reading into the gauges.
-func (p *Plane) sampleDispatch(d DispatchSample) {
-	role := d.Role
-	if role == "" {
-		return // zero sample from an unwired source
-	}
-	switch role {
-	case "coordinator":
-		p.dispGauge(role, "in_flight").Set(float64(d.Pending + d.Granted))
-		p.dispGauge(role, "pending").Set(float64(d.Pending))
-		p.dispGauge(role, "granted").Set(float64(d.Granted))
-		p.dispGauge(role, "done").Set(float64(d.Done))
-		p.dispGauge(role, "attempts").Set(float64(d.Attempts))
-		p.dispGauge(role, "redispatches").Set(float64(d.Redispatches))
-		p.dispGauge(role, "announces").Set(float64(d.Announces))
-	default: // worker roles
-		p.dispGauge(role, "slots").Set(float64(d.Slots))
-		p.dispGauge(role, "busy").Set(float64(d.Busy))
-		p.dispGauge(role, "claimed").Set(float64(d.Claimed))
-		p.dispGauge(role, "backlog").Set(float64(d.Backlog))
-		p.dispGauge(role, "finished").Set(float64(d.Finished))
-		p.dispGauge(role, "results_acked").Set(float64(d.ResultsAcked))
-	}
-	for _, w := range d.Workers {
-		wg := p.workerCache[w.Name]
-		if wg == nil {
-			wg = &workerGauges{
-				done:  p.workerG.With(w.Name, "done"),
-				tput:  p.workerG.With(w.Name, "throughput_jobs_per_sec"),
-				busy:  p.workerG.With(w.Name, "busy"),
-				slots: p.workerG.With(w.Name, "slots"),
-				since: p.workerG.With(w.Name, "since_seen_sec"),
-			}
-			p.workerCache[w.Name] = wg
+	s.family("codsim_dist_jobs",
+		"dist dispatch state by role (in_flight, pending, granted, done, attempts, redispatches, announces, slots, busy, claimed, backlog, finished, results_acked)",
+		kindGauge)
+	for _, d := range s.disp {
+		switch d.Role {
+		case "": // zero sample from an unwired source
+		case "coordinator":
+			s.job(d.Role, "in_flight", d.Pending+d.Granted)
+			s.job(d.Role, "pending", d.Pending)
+			s.job(d.Role, "granted", d.Granted)
+			s.job(d.Role, "done", d.Done)
+			s.job(d.Role, "attempts", d.Attempts)
+			s.job(d.Role, "redispatches", d.Redispatches)
+			s.job(d.Role, "announces", d.Announces)
+		default: // worker roles
+			s.job(d.Role, "slots", d.Slots)
+			s.job(d.Role, "busy", d.Busy)
+			s.job(d.Role, "claimed", d.Claimed)
+			s.job(d.Role, "backlog", d.Backlog)
+			s.job(d.Role, "finished", d.Finished)
+			s.job(d.Role, "results_acked", d.ResultsAcked)
 		}
-		wg.done.Set(float64(w.Done))
-		wg.tput.Set(w.Throughput)
-		wg.busy.Set(float64(w.Busy))
-		wg.slots.Set(float64(w.Slots))
-		wg.since.Set(w.SinceSeen)
 	}
+	s.family("codsim_dist_worker",
+		"coordinator's per-worker progress view (done, throughput_jobs_per_sec, busy, slots, since_seen_sec)",
+		kindGauge)
+	for _, d := range s.disp {
+		if d.Role == "" {
+			continue
+		}
+		for _, w := range d.Workers {
+			s.sample(float64(w.Done), "worker", w.Name, "stat", "done")
+			s.sample(w.Throughput, "worker", w.Name, "stat", "throughput_jobs_per_sec")
+			s.sample(float64(w.Busy), "worker", w.Name, "stat", "busy")
+			s.sample(float64(w.Slots), "worker", w.Name, "stat", "slots")
+			s.sample(w.SinceSeen, "worker", w.Name, "stat", "since_seen_sec")
+		}
+	}
+
+	clear(s.nodes)
+	clear(s.disp)
+	s.nodes, s.fns, s.disp = s.nodes[:0], s.fns[:0], s.disp[:0]
+}
+
+// job writes one codsim_dist_jobs series.
+func (s *scrape) job(role, state string, v int64) {
+	s.sample(float64(v), "role", role, "state", state)
 }

@@ -103,7 +103,7 @@ go test -race -count=20 -run 'TestStream' ./internal/scenario/gen
 # frame after the first allocates nothing.
 go test -count=1 -run 'TestFrameFingerprint|TestRasterMatchesReference|TestVisitedCount|TestSharedEdgeWatertight|TestFanAndStripWatertight|TestTopLeftRule|TestCoverageShiftsWithTriangle|TestBitBudget|TestClipKeepsCoverage|TestBandHeightDoesNotChangeTheFrame|FuzzRasterTriangle|TestRenderAllocatesNothing' ./internal/render
 
-echo "== joins, render-ahead, the manual clock and link storage (cb, dist, sim, displaysync, trace; -race -count=20) =="
+echo "== joins, render-ahead, the manual clock, link storage and live scrapes (cb, dist, sim, displaysync, trace, obs; -race -count=20) =="
 # The initialization protocol and the dispatch layer above it must build
 # their channels, ready their pool, start a sweep and take in a late worker
 # on a manual clock (internal/clock) that nobody advances: no period comes
@@ -124,6 +124,11 @@ go test -race -count=20 -run 'TestRenderAhead' ./internal/displaysync ./internal
 go test -race -count=20 -run 'TestManual|TestRemotePublisherStartsLate|TestPublisherNodeDeathRecovery|TestSilentPendingLinkReaped|TestLinkLivenessUnderInjectedClock|TestRedispatchOnWorkerDeath|TestCoordinatorGivesUpAfterMaxAttempts|TestStallEviction|TestIdleRackIsNotStalled|TestWaitSwapTimeout|TestDisplayNodeDeath' \
 	./internal/clock ./internal/cb ./internal/dist ./internal/displaysync ./internal/sim
 go test -race -count=20 -run 'TestHandOffConcurrent' ./internal/trace
+# The telemetry plane: a sweep whose every run scrapes /metrics and
+# /debug/tablez, and a series that leaves its source leaves the next scrape
+# (internal/obs's package doc). No sleeps; a hang is a bug.
+go test -race -count=20 -run 'TestObsLiveSweepScrape' ./internal/dist
+go test -race -count=20 -run 'TestScrapeDropsDepartedSeries' ./internal/obs
 # The ownership rule on a link (internal/wire's package doc): storage a
 # consumer releases goes to the link's free list and is never under a
 # reflection still held. The per-frame allocation counts hold under the
@@ -164,7 +169,7 @@ go test -bench 'BenchmarkCB|BenchmarkChannelSetup' -benchtime 10x -run '^$' . >"
 go test -bench . -benchtime 10x -run '^$' ./internal/transport >>"$out/bench.txt"
 # ObsCounter carries a 0-allocs/op ceiling: metric points must stay cheap
 # enough to sit on delivery hot paths. ObsSampler, a /metrics scrape's
-# sample pass, carries one too. 1000x for a steady-state reading.
+# source write, carries one too. 1000x for a steady-state reading.
 go test -bench . -benchtime 1000x -run '^$' ./internal/obs >>"$out/bench.txt"
 # The gated CBRouting ceilings need steady-state numbers: at 10x the
 # channel-setup amortization still flickers allocs/op by ±3. benchdiff
@@ -302,7 +307,7 @@ tail -n 3 "$out/dist-report.txt"
 
 echo "== obs smoke (telemetry plane on worker smoke1: /metrics + /healthz) =="
 curl -fsS http://127.0.0.1:47911/healthz | grep -q '^ok'
-# One post-sweep scrape suffices: collect-on-scrape refreshes the gauges,
+# One post-sweep scrape suffices: the scrape reads every source itself,
 # and the codsim_cb_sub_* lifetime totals survive the sweep's channel
 # teardown (the per-channel codsim_cb_channel_* series die with their
 # channels, so the smoke doesn't race the sweep to see them).
