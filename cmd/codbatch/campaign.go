@@ -164,17 +164,20 @@ func listCampaign(cr campaignRun) error {
 
 // campaignSummary prints the generator's tallies after a sweep — the
 // acceptance bar is zero uncompletable specs dispatched, so the vetoes
-// are reported, not hidden — and how many of the jobs took their own
-// certification dry-run's result instead of flying (trace.HandOffs over
-// the sweep; only a worker in this process can take one).
-func campaignSummary(key string, st gen.Stats, handOffs int64, wall time.Duration) {
+// are reported, not hidden — and how many jobs were answered by their
+// certification instead of flying (trace.HandOffs over the sweep: the
+// dry-run's result cold, the verdict-cache row's warm; only a worker in
+// this process can take one) and how many flew to audit their row
+// (trace.Audits).
+func campaignSummary(key string, st gen.Stats, answered, audited int64, wall time.Duration) {
 	fmt.Printf("campaign %s: %d certified jobs from %d candidates (%d static + %d oracle rejects resampled) in %.1fs wall\n",
 		key, st.Emitted, st.Candidates, st.StaticRejects, st.OracleRejects, wall.Seconds())
 	if st.CacheHits+st.CacheMisses > 0 {
 		fmt.Printf("verdict cache: %d hits, %d misses, %d live dry-runs\n",
 			st.CacheHits, st.CacheMisses, st.OracleRuns)
 	}
-	fmt.Printf("%d of %d jobs taken from their certification dry-run\n", handOffs, st.Emitted)
+	fmt.Printf("%d of %d jobs answered by their certification, %d flown to audit their cache row\n",
+		answered, st.Emitted, audited)
 }
 
 // reproduceCampaign regenerates the certified job list without

@@ -253,9 +253,9 @@ func run() error {
 		key := gen.Key(cr.seed, cr.count, cr.params)
 		fmt.Printf("campaign %s: dispatching %d certified scenarios (window-streamed, oracle-certified)\n", key, cr.count)
 		src, total = &campaignSource{stream: stream, count: cr.count}, cr.count
-		handOffs := trace.HandOffs()
+		handOffs, audits := trace.HandOffs(), trace.Audits()
 		summary = func(wall time.Duration) {
-			campaignSummary(key, stream.Stats(), trace.HandOffs()-handOffs, wall)
+			campaignSummary(key, stream.Stats(), trace.HandOffs()-handOffs, trace.Audits()-audits, wall)
 			if *outPath == "" {
 				fmt.Printf("hint: -out %s.jsonl persists this sweep for -compare/-trend\n", key)
 			}

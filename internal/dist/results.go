@@ -26,9 +26,11 @@ type Record struct {
 	Phase    string  `json:"phase"`
 	SimSec   float64 `json:"sim_sec"`
 	// WallSec is the run's wall-clock seconds on its worker. A job a
-	// headless worker answered with its own certification dry-run
-	// (trace.RunSkill's hand-off) reports the hand-off's microseconds, not
-	// a flight's, so a cold local campaign's dist.run_ms falls with it.
+	// headless worker answered from its certification — its own dry-run
+	// cold, its verdict-cache row's answer warm (trace.RunSkill's
+	// hand-off) — reports the hand-off's microseconds, not a flight's, so a
+	// local campaign's dist.run_ms falls with it; an audited job flies and
+	// reports its flight.
 	WallSec float64 `json:"wall_sec"`
 	// Alarms is the instructor-side misconduct count of the run: alarm
 	// lamps lit (safety alarms plus collisions) across every crane.

@@ -439,7 +439,7 @@ func TestStreamCloseMidFlightPersistsNothingUnmerged(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	if got := int64(reopened.Len()); got != st.OracleRuns || got != last+1 {
+	if got := int64(len(reopened.m)); got != st.OracleRuns || got != last+1 {
 		t.Fatalf("cache holds %d verdicts, want the %d merged ones (candidates 0..%d)", got, st.OracleRuns, last)
 	}
 }

@@ -108,11 +108,17 @@ func Verify(ctx context.Context, spec scenario.Spec, budget float64) (bool, erro
 	if err := StaticCheck(spec); err != nil {
 		return false, nil //nolint:nilerr // static rejection means resample, not abort
 	}
-	if budget <= 0 {
-		budget = trace.DefaultBudget(spec)
-	}
-	_, ok, err := trace.Completable(ctx, spec, budget)
+	_, ok, err := trace.Completable(ctx, spec, budgetFor(spec, budget))
 	return ok, err
+}
+
+// budgetFor is the sim-time budget Verify flies spec within: budget, or
+// the headless default when budget ≤ 0.
+func budgetFor(spec scenario.Spec, budget float64) float64 {
+	if budget <= 0 {
+		return trace.DefaultBudget(spec)
+	}
+	return budget
 }
 
 // DefaultOracle adapts Verify into an Oracle with the params' sim-time

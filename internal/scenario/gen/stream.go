@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"codsim/internal/scenario"
+	"codsim/internal/trace"
 )
 
 // MaxConsecutiveRejects bounds how many candidates in a row a Stream will
@@ -120,14 +121,16 @@ type Stream struct {
 type candRec struct {
 	cand    int64
 	spec    scenario.Spec
-	hash    uint64  // SpecHash(spec), when the cache was consulted
-	static  bool    // vetoed by the static pre-check (no dry-run)
-	ok      bool    // dry-run verdict (live or cached) when !static
-	cached  bool    // verdict replayed from Cache
-	consult bool    // cache was consulted for this candidate
-	wall    float64 // the live dry-run's seconds on Hooks.Clock
-	genErr  error   // Generate fault
-	err     error   // certification fault (hashing, oracle, cancellation)
+	hash    uint64           // SpecHash(spec), when the cache was consulted
+	static  bool             // vetoed by the static pre-check (no dry-run)
+	ok      bool             // dry-run verdict (live or cached) when !static
+	cached  bool             // verdict replayed from Cache
+	consult bool             // cache was consulted for this candidate
+	wall    float64          // the live dry-run's seconds on Hooks.Clock
+	ans     *trace.RunResult // the live dry-run's parked result, for its row
+	line    []byte           // the live verdict's cache row, encoded
+	genErr  error            // Generate fault
+	err     error            // certification fault (hashing, oracle, cancellation)
 }
 
 // NewStream starts the certified-scenario stream for a campaign seed.
@@ -239,7 +242,10 @@ func (s *Stream) start(ctx context.Context) {
 }
 
 // certify computes candidate cand's outcome: Generate, StaticCheck, the
-// cache lookup, and for a miss the oracle dry-run. It reads only what is
+// cache lookup, and for a miss the oracle dry-run and the row that records
+// it. A hit whose row holds an answer parks it for the job (trace.Park),
+// audited for one row in auditOneIn; a fresh passing row keeps the result
+// the dry-run parked (trace.Note). It reads only what is
 // fixed once the stream runs (seed, params, oracle, cache, hooks) — never
 // Stats or the cursor — so lanes run it while the caller merges.
 func (s *Stream) certify(ctx context.Context, cand int64) candRec {
@@ -254,12 +260,19 @@ func (s *Stream) certify(ctx context.Context, cand int64) candRec {
 		return rec
 	}
 	rec.spec = spec
+	var raw []byte // the spec's MarshalSpec bytes: the cache and hand-off keys
 	if s.Cache != nil {
-		if rec.hash, rec.err = SpecHash(spec); rec.err != nil {
+		if raw, rec.err = scenario.MarshalSpec(spec); rec.err != nil {
 			return rec
 		}
-		rec.consult = true
-		if rec.ok, rec.cached = s.Cache.lookup(cand, rec.hash); rec.cached {
+		rec.hash, rec.consult = specHash(raw), true
+		var ans trace.RunResult
+		var answered bool
+		if rec.ok, rec.cached, ans, answered = s.Cache.lookup(cand, rec.hash); rec.cached {
+			if answered {
+				ans.Scenario = spec.Name
+				trace.Park(trace.KeyOf(raw), budgetFor(spec, s.params.OracleBudget), ans, s.Cache.audit(cand, rec.hash))
+			}
 			return rec
 		}
 	}
@@ -267,13 +280,26 @@ func (s *Stream) certify(ctx context.Context, cand int64) candRec {
 	if oracle == nil {
 		oracle = DefaultOracle(s.params)
 	}
+	record := rec.consult && !s.Cache.ReadOnly
+	var note *trace.Note
+	octx := ctx
+	if record {
+		note = new(trace.Note)
+		octx = trace.WithNote(ctx, note)
+	}
 	var began float64
 	if s.Hooks.Clock != nil {
 		began = s.Hooks.Clock()
 	}
-	rec.ok, rec.err = oracle(ctx, spec)
+	rec.ok, rec.err = oracle(octx, spec)
 	if s.Hooks.Clock != nil {
 		rec.wall = s.Hooks.Clock() - began
+	}
+	if record && rec.err == nil {
+		if res, ok := note.For(trace.KeyOf(raw), budgetFor(spec, s.params.OracleBudget)); ok && rec.ok {
+			rec.ans = &res
+		}
+		rec.line, rec.err = s.Cache.encode(cand, rec.hash, rec.ok, rec.ans)
 	}
 	return rec
 }
@@ -311,7 +337,7 @@ func (s *Stream) merge(rec *candRec) (emit bool, err error) {
 			s.Hooks.OracleWall(rec.wall)
 		}
 		if rec.consult {
-			if err := s.Cache.add(rec.cand, rec.hash, rec.ok); err != nil {
+			if err := s.Cache.add(rec.cand, rec.hash, rec.ok, rec.ans, rec.line); err != nil {
 				return false, err
 			}
 		}

@@ -143,7 +143,10 @@ func runHeadless(ctx context.Context, spec scenario.Spec, cfg BatchConfig, seed 
 	}
 	r, err := trace.RunSkill(ctx, spec, maxSim, cfg.Skill.Seeded(seed))
 	res.State = r.State
-	res.Passed = r.Passed
+	// As on the federation path, a run that errs has not passed: an
+	// audited job whose flight passed but differs from its cache row
+	// (trace.ErrStaleAnswer) fails a strict campaign.
+	res.Passed = r.Passed && err == nil
 	res.Alarms = r.Alarms
 	res.Err = err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -19,6 +20,16 @@ func emptyHandOff(t *testing.T) {
 	clear(handOff.slots)
 	handOff.next = 0
 	handOff.parked.Store(0)
+}
+
+// keyOf is spec's hand-off key.
+func keyOf(t *testing.T, spec scenario.Spec) SpecKey {
+	t.Helper()
+	key, ok := specKey(spec)
+	if !ok {
+		t.Fatalf("spec %s does not marshal", spec.Name)
+	}
+	return key
 }
 
 // marker is a parked result no flight produces: a RunSkill that returns
@@ -84,7 +95,7 @@ func TestHandOffRefusals(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			emptyHandOff(t)
-			park(spec, 900, marker(spec.Name))
+			Park(keyOf(t, spec), 900, marker(spec.Name), "")
 			before := HandOffs()
 			res, err := RunSkill(c.ctx, c.spec, c.maxSim, c.skill)
 			if took(res) || HandOffs() != before {
@@ -100,8 +111,8 @@ func TestHandOffRefusals(t *testing.T) {
 	}
 	t.Run("second take", func(t *testing.T) {
 		emptyHandOff(t)
-		park(spec, 900, marker(spec.Name))
-		park(changed, 900, marker(changed.Name)) // the ring is not empty after the take
+		Park(keyOf(t, spec), 900, marker(spec.Name), "")
+		Park(keyOf(t, changed), 900, marker(changed.Name), "") // the ring is not empty after the take
 		if res, _ := RunSkill(ctx, spec, 900, SkillProfile{}); !took(res) {
 			t.Fatalf("first call flew: %+v", res)
 		}
@@ -112,7 +123,7 @@ func TestHandOffRefusals(t *testing.T) {
 	})
 	t.Run("larger budget", func(t *testing.T) {
 		emptyHandOff(t)
-		park(spec, 900, marker(spec.Name))
+		Park(keyOf(t, spec), 900, marker(spec.Name), "")
 		if res, _ := RunSkill(ctx, spec, 1800, SkillExpert()); !took(res) {
 			t.Fatalf("a larger budget flew: %+v", res)
 		}
@@ -137,7 +148,7 @@ func TestHandOffRingIsBounded(t *testing.T) {
 	n := len(handOff.slots)
 	specs := namedSpecs(t, "ring", 2*n)
 	for _, s := range specs {
-		park(s, 900, marker(s.Name))
+		Park(keyOf(t, s), 900, marker(s.Name), "")
 	}
 	if got := handOff.parked.Load(); got != int64(n) {
 		t.Fatalf("%d results parked after %d parks, want the ring's %d", got, 2*n, n)
@@ -148,8 +159,8 @@ func TestHandOffRingIsBounded(t *testing.T) {
 		}
 	}
 	for _, s := range []scenario.Spec{specs[n], specs[2*n-1]} {
-		if res, ok := take(context.Background(), s, 900, SkillProfile{}); !ok || res.Scenario != s.Name {
-			t.Fatalf("%s: took %v, %+v", s.Name, ok, res)
+		if p, ok := take(context.Background(), s, 900, SkillProfile{}); !ok || p.res.Scenario != s.Name {
+			t.Fatalf("%s: took %v, %+v", s.Name, ok, p.res)
 		}
 	}
 	if got := handOff.parked.Load(); got != int64(n-2) {
@@ -168,19 +179,23 @@ func TestHandOffConcurrent(t *testing.T) {
 	takes := make([]int, workers)
 	for w := range workers {
 		specs := namedSpecs(t, fmt.Sprintf("w%d", w), each)
+		keys := make([]SpecKey, each)
+		for i, s := range specs {
+			keys[i] = keyOf(t, s)
+		}
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			for _, s := range specs {
-				park(s, 900, marker(s.Name))
+			for i, s := range specs {
+				Park(keys[i], 900, marker(s.Name), "")
 			}
 		}()
 		go func() {
 			defer wg.Done()
 			for _, s := range specs {
-				if res, ok := take(context.Background(), s, 900, SkillProfile{}); ok {
-					if res.Scenario != s.Name {
-						t.Errorf("took %s's result for %s", res.Scenario, s.Name)
+				if p, ok := take(context.Background(), s, 900, SkillProfile{}); ok {
+					if p.res.Scenario != s.Name {
+						t.Errorf("took %s's result for %s", p.res.Scenario, s.Name)
 					}
 					takes[w]++
 				}
@@ -197,5 +212,73 @@ func TestHandOffConcurrent(t *testing.T) {
 	}
 	if left := handOff.parked.Load(); left != int64(workers*each-total) {
 		t.Fatalf("%d results parked, want %d parked minus %d taken", left, workers*each, total)
+	}
+}
+
+// An audited answer is flown, never returned as is: a true answer gives
+// the flight, a stale one an ErrStaleAnswer naming its row. Audits counts
+// both, HandOffs neither.
+func TestHandOffAuditFlies(t *testing.T) {
+	ctx := context.Background()
+	spec := scenario.Classic()
+	flown, err := NewRunner().RunSkill(ctx, spec, 900, SkillProfile{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := flown
+	stale.State.Score++
+	for _, c := range []struct {
+		name   string
+		answer RunResult
+		stale  bool
+	}{{"true answer", flown, false}, {"stale answer", stale, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			emptyHandOff(t)
+			Park(keyOf(t, spec), 900, c.answer, "row 7")
+			handOffs, audits := HandOffs(), Audits()
+			res, err := RunSkill(ctx, spec, 900, SkillProfile{})
+			if HandOffs() != handOffs || Audits() != audits+1 {
+				t.Fatalf("HandOffs +%d, Audits +%d, want +0 and +1", HandOffs()-handOffs, Audits()-audits)
+			}
+			if res != flown {
+				t.Fatalf("audited run returned %+v, the flight is %+v", res, flown)
+			}
+			if c.stale != errors.Is(err, ErrStaleAnswer) {
+				t.Fatalf("audit of the %s: err %v", c.name, err)
+			}
+			if c.stale && !strings.Contains(err.Error(), "row 7 is stale") {
+				t.Fatalf("stale-answer error does not name the row: %v", err)
+			}
+			if handOff.parked.Load() != 0 {
+				t.Fatal("the audit left its answer parked")
+			}
+		})
+	}
+}
+
+// A Note on the dry-run's context receives what Completable parks, and
+// answers only for the same spec bytes within the noted budget.
+func TestHandOffNote(t *testing.T) {
+	emptyHandOff(t)
+	spec := scenario.Classic()
+	var n Note
+	dry, ok, err := Completable(WithNote(context.Background(), &n), spec, 900)
+	if err != nil || !ok {
+		t.Fatalf("Completable(classic) = %v, %v", ok, err)
+	}
+	if res, ok := n.For(keyOf(t, spec), 900); !ok || res != dry {
+		t.Fatalf("note holds %v %+v, want the dry-run %+v", ok, res, dry)
+	}
+	changed := spec
+	changed.Course.ParTime++
+	if _, ok := n.For(keyOf(t, changed), 900); ok {
+		t.Fatal("the note answered for another spec")
+	}
+	if _, ok := n.For(keyOf(t, spec), 899); ok {
+		t.Fatal("the note answered for a smaller budget than the dry-run's")
+	}
+	var empty Note
+	if _, ok := empty.For(keyOf(t, spec), 900); ok {
+		t.Fatal("an unwritten note answered")
 	}
 }

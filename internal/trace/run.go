@@ -81,16 +81,26 @@ func RunContext(ctx context.Context, spec scenario.Spec, maxSim float64) (RunRes
 // classic expert). Sweeping the presets over a scenario matrix yields
 // realistic score distributions instead of near-perfect runs.
 //
-// It is the one call that takes a hand-off: when Completable has parked a
-// passing dry-run of the same spec bytes, the profile is the expert
-// (IsZero, no Jitter), maxSim is at least the dry-run's budget and ctx is
-// live, RunSkill returns that result once instead of flying the spec
-// again. Every other call, and Runner.RunSkill always, flies.
+// It is the one call that takes a hand-off: when a passing run of the
+// same spec bytes is parked (Park: Completable's dry-run, or the answer a
+// verdict-cache row stored for it), the profile is the expert (IsZero, no
+// Jitter), maxSim is at least the parked run's budget and ctx is live,
+// RunSkill returns that result once instead of flying the spec again. An
+// audited answer is the exception: RunSkill flies it here, and fails with
+// ErrStaleAnswer, naming the row, if the flight differs from the answer in
+// any field. Every other call, and Runner.RunSkill always, flies.
 func RunSkill(ctx context.Context, spec scenario.Spec, maxSim float64, skill SkillProfile) (RunResult, error) {
-	if res, ok := take(ctx, spec, maxSim, skill); ok {
-		return res, nil
+	parked, ok := take(ctx, spec, maxSim, skill)
+	if ok && parked.audit == "" {
+		return parked.res, nil
 	}
-	return (&Runner{}).RunSkill(ctx, spec, maxSim, skill)
+	res, err := (&Runner{}).RunSkill(ctx, spec, maxSim, skill)
+	if ok && ctx.Err() == nil {
+		if aerr := parked.check(res, err); aerr != nil {
+			return res, aerr
+		}
+	}
+	return res, err
 }
 
 // RunSkill runs one scenario on the Runner's scratch; see the package
@@ -157,7 +167,8 @@ func (r *Runner) RunSkill(ctx context.Context, spec scenario.Spec, maxSim float6
 // A passing run is parked for the package-level RunSkill: the job that
 // flies the certified spec next takes it instead of flying it again (see
 // RunSkill for when). Parked results nobody takes are overwritten,
-// oldest first, so they cost a fixed amount of memory.
+// oldest first, so they cost a fixed amount of memory. A Note on ctx
+// (WithNote) receives the parked run too.
 func Completable(ctx context.Context, spec scenario.Spec, maxSim float64) (RunResult, bool, error) {
 	res, err := (&Runner{StallBudget: DefaultStallBudget}).RunSkill(ctx, spec, maxSim, SkillProfile{})
 	if errors.Is(err, ErrIncomplete) {
@@ -166,8 +177,14 @@ func Completable(ctx context.Context, spec scenario.Spec, maxSim float64) (RunRe
 	if err != nil {
 		return res, false, err
 	}
-	if res.Passed {
-		park(spec, maxSim, res)
+	if !res.Passed {
+		return res, false, nil
 	}
-	return res, res.Passed, nil
+	if key, ok := specKey(spec); ok {
+		Park(key, maxSim, res, "")
+		if n, _ := ctx.Value(noteKey{}).(*Note); n != nil {
+			*n = Note{key: key, budget: maxSim, res: res, full: true}
+		}
+	}
+	return res, true, nil
 }

@@ -17,16 +17,23 @@
 // calls, but through the backbone at 60/50/30 Hz, and share only the rig
 // constructor.
 //
-// A certified campaign flies each job once. Completable, the oracle's
-// dry-run, parks every passing result in a small ring keyed by the
-// SHA-256 of the spec's MarshalSpec bytes; the package-level RunSkill —
-// what sim.RunOne flies headless, so every dist worker slot — takes it,
-// once, instead of flying the same spec again, when the run would repeat
-// the dry-run tick for tick: same spec bytes, the expert profile without
-// jitter, a budget at least the dry-run's, a live context. Everything
-// else flies, and costs one atomic load while nothing is parked. The
-// hand-off works within one process (a local campaign, whose worker runs
-// beside its oracle); HandOffs counts what it answered.
+// A certified campaign flies each job at most once. Completable, the
+// oracle's dry-run, parks every passing result in a small ring keyed by
+// the SHA-256 of the spec's MarshalSpec bytes (Park); on a warm campaign,
+// where no dry-run flies, gen's certification lane parks the answer the
+// candidate's verdict-cache row stored from that dry-run instead. The
+// package-level RunSkill — what sim.RunOne flies headless, so every dist
+// worker slot — takes a parked result, once, instead of flying the same
+// spec again, when the run would repeat the parked run tick for tick:
+// same spec bytes, the expert profile without jitter, a budget at least
+// the parked run's, a live context. One row answer in 32 is parked
+// audited: RunSkill flies that job anyway and fails with ErrStaleAnswer,
+// naming the row, if the flight differs from the answer, so a cache left
+// stale by a kernel change fails a strict campaign. Everything else flies,
+// and costs one atomic load while nothing is parked. The hand-off works
+// within one process (a local campaign, whose worker runs beside its
+// certification lanes); HandOffs counts what it answered, Audits what it
+// flew to check.
 package trace
 
 import (

@@ -123,7 +123,11 @@ go test -race -count=20 -run 'TestRenderAhead' ./internal/displaysync ./internal
 # itself; then the hand-off's concurrent lanes (trace's package doc).
 go test -race -count=20 -run 'TestManual|TestRemotePublisherStartsLate|TestPublisherNodeDeathRecovery|TestSilentPendingLinkReaped|TestLinkLivenessUnderInjectedClock|TestRedispatchOnWorkerDeath|TestCoordinatorGivesUpAfterMaxAttempts|TestStallEviction|TestIdleRackIsNotStalled|TestWaitSwapTimeout|TestDisplayNodeDeath' \
 	./internal/clock ./internal/cb ./internal/dist ./internal/displaysync ./internal/sim
-go test -race -count=20 -run 'TestHandOffConcurrent' ./internal/trace
+go test -race -count=20 -run 'TestHandOffConcurrent|TestHandOffAuditFlies|TestHandOffNote' ./internal/trace
+# A warm campaign's answers from its verdict-cache rows: an edited audited
+# row fails its job, an edited unaudited row is believed (trace's package
+# doc).
+go test -race -count=20 -run 'TestHandOffStaleRow' ./internal/dist
 # The telemetry plane: a sweep whose every run scrapes /metrics and
 # /debug/tablez, and a series that leaves its source leaves the next scrape
 # (internal/obs's package doc). No sleeps; a hang is a bug.
@@ -263,33 +267,36 @@ echo "== campaign smoke (100 generated scenarios, oracle-certified, strict, verd
 "$out/codbatch" -campaign 7:100 -headless -strict -campaign-cache "$out/verdicts.jsonl" >"$out/campaign.txt"
 tail -n 3 "$out/campaign.txt"
 # Cold run: every certified job takes its own dry-run's result, none flies twice.
-grep -q '^100 of 100 jobs taken from their certification dry-run' "$out/campaign.txt" || {
+grep -q '^100 of 100 jobs answered by their certification, 0 flown to audit their cache row' "$out/campaign.txt" || {
     echo "campaign smoke: cold run flew certified jobs again" >&2
-    grep 'jobs taken' "$out/campaign.txt" >&2 || true
+    grep 'jobs answered' "$out/campaign.txt" >&2 || true
     exit 1
 }
 "$out/codbatch" -campaign 7:100 -list >/dev/null
-# Warm rerun: every verdict replays from the cache — zero live dry-runs, so
-# nothing is parked and every job flies.
+# Warm rerun: every verdict replays from the cache — zero live dry-runs —
+# and every job takes the answer its row holds, except the audited
+# fraction (one row in 32 by spec hash: exactly 1 of seed 7's 100), which
+# flies and is held to its row.
 "$out/codbatch" -campaign 7:100 -headless -strict -campaign-cache "$out/verdicts.jsonl" >"$out/campaign-warm.txt"
 grep -q ' 0 live dry-runs' "$out/campaign-warm.txt" || {
     echo "campaign smoke: warm cache rerun still flew dry-runs" >&2
     grep 'verdict cache' "$out/campaign-warm.txt" >&2 || true
     exit 1
 }
-grep -q '^0 of 100 jobs taken from their certification dry-run' "$out/campaign-warm.txt" || {
-    echo "campaign smoke: warm rerun took a hand-off with no dry-run flown" >&2
-    grep 'jobs taken' "$out/campaign-warm.txt" >&2 || true
+grep -q '^99 of 100 jobs answered by their certification, 1 flown to audit their cache row' "$out/campaign-warm.txt" || {
+    echo "campaign smoke: warm rerun did not answer every unaudited job from its row" >&2
+    grep 'jobs answered' "$out/campaign-warm.txt" >&2 || true
     exit 1
 }
 
-echo "== fuzz smoke (Spec JSON surface, span rasterizer vs the integer box walk with its products checked against 2^62, wire frames in place vs copied out, AttrSets, the cod codec's decode of any set; 10 s per target) =="
+echo "== fuzz smoke (Spec JSON surface, span rasterizer vs the integer box walk with its products checked against 2^62, wire frames in place vs copied out, AttrSets, the cod codec's decode of any set, the verdict-cache loader; 10 s per target) =="
 go test -run '^$' -fuzz '^FuzzUnmarshalSpec$' -fuzztime 10s ./internal/scenario
 go test -run '^$' -fuzz '^FuzzValidate$' -fuzztime 10s ./internal/scenario
 go test -run '^$' -fuzz '^FuzzRasterTriangle$' -fuzztime 10s ./internal/render
 go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s ./internal/wire
 go test -run '^$' -fuzz '^FuzzAttrSetOps$' -fuzztime 10s ./internal/wire
 go test -run '^$' -fuzz '^FuzzDecodeInto$' -fuzztime 10s ./cod
+go test -run '^$' -fuzz '^FuzzOpenCache$' -fuzztime 10s ./internal/scenario/gen
 
 echo "== dist CLI smoke (codbatch coordinator + 2 worker processes, UDPLAN loopback) =="
 "$out/codbatch" -serve -lan 127.0.0.1:47901 -name smoke1 -headless -obs 127.0.0.1:47911 >"$out/w1.log" 2>&1 &
