@@ -216,7 +216,8 @@ func (c *Cache) load(r io.Reader) error {
 	return sc.Err()
 }
 
-// put stores a row in memory; c.mu is held or c not yet shared.
+// put stores a row in memory, with res as its answer when not nil; c.mu
+// is held or c not yet shared.
 func (c *Cache) put(key cacheKey, ok bool, res *trace.RunResult) {
 	v := verdict{ok: ok, ans: -1}
 	if res != nil && uint64(len(c.msgs)+len(res.State.Message)) <= math.MaxUint32 {
@@ -274,9 +275,11 @@ func (c *Cache) encode(cand int64, spec uint64, ok bool, res *trace.RunResult) (
 	return append(raw, '\n'), err
 }
 
-// add records a fresh dry-run verdict, encoded by encode, and its answer
-// (no-op when ReadOnly). The line is buffered; Close flushes.
-func (c *Cache) add(cand int64, spec uint64, ok bool, res *trace.RunResult, line []byte) error {
+// add records a fresh dry-run verdict, encoded by encode (no-op when
+// ReadOnly). The line is buffered; Close flushes. In memory the row keeps
+// its verdict only: its answer is in the line, for the next OpenCache, as
+// a stream never looks up a candidate it has recorded.
+func (c *Cache) add(cand int64, spec uint64, ok bool, line []byte) error {
 	if c.ReadOnly {
 		return nil
 	}
@@ -286,7 +289,7 @@ func (c *Cache) add(cand int64, spec uint64, ok bool, res *trace.RunResult, line
 	if _, dup := c.m[key]; dup {
 		return nil
 	}
-	c.put(key, ok, res)
+	c.put(key, ok, nil)
 	if _, err := c.w.Write(line); err != nil {
 		return fmt.Errorf("gen: campaign cache %s: %w", c.path, err)
 	}

@@ -121,16 +121,15 @@ type Stream struct {
 type candRec struct {
 	cand    int64
 	spec    scenario.Spec
-	hash    uint64           // SpecHash(spec), when the cache was consulted
-	static  bool             // vetoed by the static pre-check (no dry-run)
-	ok      bool             // dry-run verdict (live or cached) when !static
-	cached  bool             // verdict replayed from Cache
-	consult bool             // cache was consulted for this candidate
-	wall    float64          // the live dry-run's seconds on Hooks.Clock
-	ans     *trace.RunResult // the live dry-run's parked result, for its row
-	line    []byte           // the live verdict's cache row, encoded
-	genErr  error            // Generate fault
-	err     error            // certification fault (hashing, oracle, cancellation)
+	hash    uint64  // SpecHash(spec), when the cache was consulted
+	static  bool    // vetoed by the static pre-check (no dry-run)
+	ok      bool    // dry-run verdict (live or cached) when !static
+	cached  bool    // verdict replayed from Cache
+	consult bool    // cache was consulted for this candidate
+	wall    float64 // the live dry-run's seconds on Hooks.Clock
+	line    []byte  // the live verdict's cache row, encoded
+	genErr  error   // Generate fault
+	err     error   // certification fault (hashing, oracle, cancellation)
 }
 
 // NewStream starts the certified-scenario stream for a campaign seed.
@@ -296,10 +295,11 @@ func (s *Stream) certify(ctx context.Context, cand int64) candRec {
 		rec.wall = s.Hooks.Clock() - began
 	}
 	if record && rec.err == nil {
+		var ans *trace.RunResult
 		if res, ok := note.For(trace.KeyOf(raw), budgetFor(spec, s.params.OracleBudget)); ok && rec.ok {
-			rec.ans = &res
+			ans = &res
 		}
-		rec.line, rec.err = s.Cache.encode(cand, rec.hash, rec.ok, rec.ans)
+		rec.line, rec.err = s.Cache.encode(cand, rec.hash, rec.ok, ans)
 	}
 	return rec
 }
@@ -337,7 +337,7 @@ func (s *Stream) merge(rec *candRec) (emit bool, err error) {
 			s.Hooks.OracleWall(rec.wall)
 		}
 		if rec.consult {
-			if err := s.Cache.add(rec.cand, rec.hash, rec.ok, rec.ans, rec.line); err != nil {
+			if err := s.Cache.add(rec.cand, rec.hash, rec.ok, rec.line); err != nil {
 				return false, err
 			}
 		}
