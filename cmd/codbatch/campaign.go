@@ -164,11 +164,10 @@ func listCampaign(cr campaignRun) error {
 
 // campaignSummary prints the generator's tallies after a sweep — the
 // acceptance bar is zero uncompletable specs dispatched, so the vetoes
-// are reported, not hidden — and how many jobs were answered by their
-// certification instead of flying (trace.HandOffs over the sweep: the
-// dry-run's result cold, the verdict-cache row's warm; only a worker in
-// this process can take one) and how many flew to audit their row
-// (trace.Audits).
+// are reported, not hidden — and how many jobs the coordinator answered
+// from their certification instead of dispatching them (the dry-run's
+// result cold, the verdict-cache row's warm) and how many it dispatched to
+// audit their row (Coordinator.Answered).
 func campaignSummary(key string, st gen.Stats, answered, audited int64, wall time.Duration) {
 	fmt.Printf("campaign %s: %d certified jobs from %d candidates (%d static + %d oracle rejects resampled) in %.1fs wall\n",
 		key, st.Emitted, st.Candidates, st.StaticRejects, st.OracleRejects, wall.Seconds())

@@ -3,11 +3,18 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"codsim/internal/dist"
 	"codsim/internal/scenario"
 	"codsim/internal/scenario/gen"
+	"codsim/internal/sim"
+	"codsim/internal/trace"
 )
 
 func TestParseCampaign(t *testing.T) {
@@ -144,6 +151,78 @@ func TestCampaignParams(t *testing.T) {
 	} {
 		if _, err := campaignParams(base, b.wind, b.night, b.two, b.tandem, b.mass, b.gates, b.bars); err == nil {
 			t.Errorf("campaignParams accepted %+v", b)
+		}
+	}
+}
+
+// A warm campaign whose audited verdict-cache row was edited fails
+// -strict, and the error says why: it carries the failing record's
+// stale-row error, which names the row. Job 15 of campaign 42 is
+// candidate 17, the first whose row is audited.
+func TestHandOffStaleRowFailsStrict(t *testing.T) {
+	if testing.Short() {
+		t.Skip("expert dry-runs in -short")
+	}
+	const auditedJob, auditedCand = 15, 17
+	ctx := t.Context()
+	cr := campaignRun{seed: 42, count: 16, params: gen.DefaultParams(), cachePath: filepath.Join(t.TempDir(), "verdicts.jsonl")}
+	sweep := func() []dist.Record {
+		t.Helper()
+		coord, width, closeCoord, err := openCoordinator(ctx, nil, "", "", 2, sim.BatchConfig{Headless: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeCoord()
+		stream, cleanup, err := newCampaignStream(nil, cr, width, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cleanup()
+		recs, err := coord.RunStream(ctx, &campaignSource{stream: stream, count: cr.count})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs
+	}
+	cold := sweep()
+	if err := finishSweep(cold, "", "", true); err != nil {
+		t.Fatalf("cold campaign: %v", err)
+	}
+	if cold[auditedJob].Seed != auditedCand {
+		t.Fatalf("job %d is candidate %d, want %d: the stream moved", auditedJob, cold[auditedJob].Seed, auditedCand)
+	}
+
+	blob, err := os.ReadFile(cr.cachePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(blob), "\n"), "\n")
+	for i, line := range lines {
+		var row map[string]any
+		if err := json.Unmarshal([]byte(line), &row); err != nil {
+			t.Fatal(err)
+		}
+		if row["cand"] != float64(auditedCand) {
+			continue
+		}
+		row["res"].(map[string]any)["score"] = cold[auditedJob].Score + 1
+		b, err := json.Marshal(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines[i] = string(b)
+	}
+	if err := os.WriteFile(cr.cachePath, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	err = finishSweep(sweep(), "", "", true)
+	if err == nil {
+		t.Fatal("-strict passed a campaign with a stale audited row")
+	}
+	for _, want := range []string{fmt.Sprintf("job %d ", auditedJob), fmt.Sprintf("(cand %d, spec ", auditedCand), trace.ErrStaleAnswer.Error()} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("-strict error %q does not say %q", err, want)
 		}
 	}
 }

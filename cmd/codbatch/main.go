@@ -253,9 +253,9 @@ func run() error {
 		key := gen.Key(cr.seed, cr.count, cr.params)
 		fmt.Printf("campaign %s: dispatching %d certified scenarios (window-streamed, oracle-certified)\n", key, cr.count)
 		src, total = &campaignSource{stream: stream, count: cr.count}, cr.count
-		handOffs, audits := trace.HandOffs(), trace.Audits()
 		summary = func(wall time.Duration) {
-			campaignSummary(key, stream.Stats(), trace.HandOffs()-handOffs, trace.Audits()-audits, wall)
+			answered, audited := coord.Answered()
+			campaignSummary(key, stream.Stats(), answered, audited, wall)
 			if *outPath == "" {
 				fmt.Printf("hint: -out %s.jsonl persists this sweep for -compare/-trend\n", key)
 			}
@@ -524,6 +524,9 @@ func finishSweep(recs []dist.Record, outPath, compare string, strict bool) error
 	if strict {
 		for _, r := range recs {
 			if !r.Passed {
+				if r.Err != "" {
+					return fmt.Errorf("job %d (%s) did not pass: %s", r.Job, r.Scenario, r.Err)
+				}
 				return fmt.Errorf("job %d (%s) did not pass", r.Job, r.Scenario)
 			}
 		}

@@ -1,12 +1,16 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"codsim/internal/scenario"
@@ -21,6 +25,7 @@ type streamSource struct {
 	s       *gen.Stream
 	count   int
 	emitted int
+	specs   []scenario.Spec // what it emitted, in job order
 }
 
 func (ss *streamSource) Next(ctx context.Context) (Job, bool, error) {
@@ -33,6 +38,7 @@ func (ss *streamSource) Next(ctx context.Context) (Job, bool, error) {
 	}
 	j := Job{ID: int64(ss.emitted), Seed: cand, Spec: spec}
 	ss.emitted++
+	ss.specs = append(ss.specs, spec)
 	return j, true, nil
 }
 
@@ -96,21 +102,6 @@ func TestCampaignStreamMemLAN(t *testing.T) {
 	t.Logf("%d/%d generated jobs failed under the free oracle (verdicts all matched)", fails, count)
 }
 
-// wireJob is job i of a campaign as a worker receives it: the spec after
-// its MarshalSpec JSON round trip.
-func wireJob(t *testing.T, i int, cand int64, spec scenario.Spec) Job {
-	t.Helper()
-	data, err := scenario.MarshalSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sent, err := scenario.UnmarshalSpec(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Job{ID: int64(i), Seed: cand, Spec: sent}
-}
-
 // roundTrip is rec after its JSON round trip.
 func roundTrip(t *testing.T, rec Record) Record {
 	t.Helper()
@@ -140,34 +131,102 @@ func matchesFlight(t *testing.T, pass string, rec Record, spec scenario.Spec) {
 	}
 }
 
-// campaignStream is a cache-backed certified stream of a campaign.
-func campaignStream(t *testing.T, seed int64, params gen.Params, cachePath string, prefetch bool) (*gen.Stream, *gen.Cache) {
+// flights is a counting Runner: it notes every job a worker flies, then
+// flies it through DefaultRunner.
+type flights struct {
+	mu   sync.Mutex
+	jobs []int64
+}
+
+func (f *flights) run(ctx context.Context, job Job, cfg sim.BatchConfig) Record {
+	f.mu.Lock()
+	f.jobs = append(f.jobs, job.ID)
+	f.mu.Unlock()
+	return DefaultRunner(ctx, job, cfg)
+}
+
+// flown lists the jobs flown so far, in ID order.
+func (f *flights) flown() []int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return slices.Sorted(slices.Values(f.jobs))
+}
+
+// campaignPass is one pass of a certified campaign through a coordinator:
+// its records and specs in job order, the coordinator's answered and
+// audited counts, the jobs its workers flew and the stream's tallies.
+type campaignPass struct {
+	recs              []Record
+	specs             []scenario.Spec
+	answered, audited int64
+	flown             []int64
+	stats             gen.Stats
+}
+
+// runCampaign streams count jobs of the seed's campaign, certified with
+// two prefetching lanes against the verdict cache at cachePath, through a
+// coordinator and one two-slot worker flying batch. Coordinator and worker
+// sit on nodes of their own, each with its own backbone, and meet over a
+// MemLAN: what the worker learns of a job is the announce it receives.
+func runCampaign(t *testing.T, seed int64, params gen.Params, cachePath string, count int, batch sim.BatchConfig) campaignPass {
 	t.Helper()
+	var f flights
+	coord, ctx := startPool(t, eventFed(t), CoordinatorConfig{}, WorkerConfig{Slots: 2, Batch: batch, Run: f.run}, "w1")
 	cache, err := gen.OpenCache(cachePath, seed, params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stream := gen.NewStream(seed, params)
-	stream.Parallel, stream.Prefetch, stream.Cache = 2, prefetch, cache
-	return stream, cache
+	stream.Parallel, stream.Prefetch, stream.Cache = 2, true, cache
+	src := &streamSource{s: stream, count: count}
+	recs, err := coord.RunStream(ctx, src)
+	stream.Close()
+	if cerr := cache.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatalf("RunStream: %v", err)
+	}
+	if len(recs) != count {
+		t.Fatalf("%d records for %d jobs", len(recs), count)
+	}
+	p := campaignPass{recs: recs, specs: src.specs, flown: f.flown(), stats: stream.Stats()}
+	p.answered, p.audited = coord.Answered()
+	return p
 }
 
-// TestHandOffMatchesFlight is the differential test behind trace's
-// hand-off: every certified job of campaign-42x1000-8c425b59 (default
-// params, default skill) crosses the wire as MarshalSpec JSON and runs
-// through DefaultRunner. Cold, the job is answered by its own oracle
-// dry-run; warm, by the answer its verdict-cache row holds in the file the
-// cold pass wrote, except the audited rows' jobs, which fly. Each record,
-// after the result's JSON round trip, must equal a fresh flight of the
-// same spec on every field a verdict reads; cold, the hand-off must have
-// answered every job, and warm every job but the audited ones, whose
-// count is pinned. The same jobs with a jittered novice (-skill novice
-// -jitter 0.3), each asked while its dry-run is still parked, must take
-// nothing. Under the race detector it runs the first 32 jobs of the same
-// stream.
+// auditedJobs lists the jobs whose verdict-cache row is audited.
+func auditedJobs(t *testing.T, specs []scenario.Spec) []int64 {
+	t.Helper()
+	var jobs []int64
+	for i, spec := range specs {
+		hash, err := gen.SpecHash(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hash%32 == 0 {
+			jobs = append(jobs, int64(i))
+		}
+	}
+	return jobs
+}
+
+// TestHandOffMatchesFlight is the differential test behind answering a
+// certified job at the coordinator: every certified job of
+// campaign-42x1000-8c425b59 (default params, default skill) streams
+// through a coordinator. Cold, each job is answered by its own oracle
+// dry-run; warm, by the answer its verdict-cache row holds in the file
+// the cold pass wrote, except the audited rows' jobs, which the worker
+// flies. Each record, after its JSON round trip, must equal a fresh
+// flight of the same spec on every field a verdict reads; cold, every job
+// must have been answered, and warm every job but the audited ones, which
+// alone are flown and whose count is pinned. A pool flying a jittered
+// novice (-skill novice -jitter 0.3) must be answered nothing: each of a
+// window of cold jobs is pulled while its expert dry-run is parked, and
+// flies. Under the race detector it runs the first 32 jobs.
 func TestHandOffMatchesFlight(t *testing.T) {
 	if testing.Short() {
-		t.Skip("1128 dry-runs and 4000 flights in -short")
+		t.Skip("1128 dry-runs and 3000 flights in -short")
 	}
 	const seed = 42
 	count, audited := 1000, int64(31)
@@ -178,67 +237,77 @@ func TestHandOffMatchesFlight(t *testing.T) {
 	if raceEnabled {
 		count, audited = 32, 2
 	}
-	ctx := context.Background()
 	cachePath := filepath.Join(t.TempDir(), "verdicts.jsonl")
 	expert := sim.BatchConfig{Headless: true}
+
+	cold := runCampaign(t, seed, params, cachePath, count, expert)
+	for i, rec := range cold.recs {
+		matchesFlight(t, "cold", roundTrip(t, rec), cold.specs[i])
+	}
+	if cold.answered != int64(count) || cold.audited != 0 || len(cold.flown) != 0 {
+		t.Errorf("cold: %d jobs answered, %d audited, %d flown; want all %d answered", cold.answered, cold.audited, len(cold.flown), count)
+	}
+
+	warm := runCampaign(t, seed, params, cachePath, count, expert)
+	if warm.stats.OracleRuns != 0 {
+		t.Fatalf("warm pass flew %d dry-runs, want 0", warm.stats.OracleRuns)
+	}
+	for i, rec := range warm.recs {
+		matchesFlight(t, "warm", roundTrip(t, rec), warm.specs[i])
+	}
+	if warm.audited != audited || warm.answered != int64(count)-audited {
+		t.Errorf("warm: %d jobs answered by their row and %d audited, want %d and %d", warm.answered, warm.audited, int64(count)-audited, audited)
+	}
+	if want := auditedJobs(t, warm.specs); !slices.Equal(warm.flown, want) {
+		t.Errorf("warm: the worker flew jobs %v, want the audited %v", warm.flown, want)
+	}
+
 	novice := sim.BatchConfig{Headless: true, Skill: trace.SkillNovice()}
 	novice.Skill.Jitter = 0.3
+	n := min(count, window)
+	nov := runCampaign(t, seed, params, filepath.Join(t.TempDir(), "novice.jsonl"), n, novice)
+	if nov.answered != 0 || nov.audited != 0 || len(nov.flown) != n {
+		t.Errorf("novice: %d jobs answered, %d audited, %d of %d flown; want every job flown", nov.answered, nov.audited, len(nov.flown), n)
+	}
+}
 
-	stream, cache := campaignStream(t, seed, params, cachePath, true)
-	var expertTakes, noviceTakes int64
-	for i := range count {
-		spec, cand, err := stream.Next(ctx)
-		if err != nil {
-			t.Fatalf("cold job %d: %v", i, err)
+// TestHandOffAuditFlies runs a warm campaign through a coordinator and a
+// worker on separate backbones: the coordinator answers every unaudited
+// job from its verdict-cache row, exactly, and the worker flies the
+// audited job alone, whose flight agrees with its row.
+func TestHandOffAuditFlies(t *testing.T) {
+	const seed, count, auditedJob = 42, 16, 15
+	params := gen.DefaultParams()
+	cachePath := filepath.Join(t.TempDir(), "verdicts.jsonl")
+	expert := sim.BatchConfig{Headless: true}
+	cold := runCampaign(t, seed, params, cachePath, count, expert)
+	if cold.answered != count || len(cold.flown) != 0 {
+		t.Fatalf("cold: %d answered, flew %v; want all %d answered", cold.answered, cold.flown, count)
+	}
+	warm := runCampaign(t, seed, params, cachePath, count, expert)
+	if warm.answered != count-1 || warm.audited != 1 {
+		t.Fatalf("warm: %d answered, %d audited, want %d and 1", warm.answered, warm.audited, count-1)
+	}
+	if !slices.Equal(warm.flown, []int64{auditedJob}) {
+		t.Fatalf("warm: the worker flew jobs %v, want only the audited job %d", warm.flown, auditedJob)
+	}
+	for i, rec := range warm.recs {
+		want := cold.recs[i]
+		if !rec.Passed || rec.Err != "" || rec.Score != want.Score || rec.Phase != want.Phase || rec.SimSec != want.SimSec || rec.Alarms != want.Alarms {
+			t.Errorf("job %d: warm record %+v, cold %+v", i, rec, want)
 		}
-		job := wireJob(t, i, cand, spec)
-		before := trace.HandOffs()
-		DefaultRunner(ctx, job, novice)
-		noviceTakes += trace.HandOffs() - before
-
-		before = trace.HandOffs()
-		rec := DefaultRunner(ctx, job, expert)
-		expertTakes += trace.HandOffs() - before
-		matchesFlight(t, "cold", roundTrip(t, rec), spec)
-	}
-	stream.Close()
-	if err := cache.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if expertTakes != int64(count) {
-		t.Errorf("%d of %d expert jobs taken from their dry-run, want all", expertTakes, count)
-	}
-	if noviceTakes != 0 {
-		t.Errorf("%d of %d novice jobs took an expert dry-run, want 0", noviceTakes, count)
-	}
-
-	stream, cache = campaignStream(t, seed, params, cachePath, true)
-	defer cache.Close()
-	defer stream.Close()
-	handOffs, audits := trace.HandOffs(), trace.Audits()
-	for i := range count {
-		spec, cand, err := stream.Next(ctx)
-		if err != nil {
-			t.Fatalf("warm job %d: %v", i, err)
+		if flew := i == auditedJob; flew != (rec.Worker == "w1") || flew != (rec.Attempt == 1) {
+			t.Errorf("job %d: record from worker %q, attempt %d", i, rec.Worker, rec.Attempt)
 		}
-		matchesFlight(t, "warm", roundTrip(t, DefaultRunner(ctx, wireJob(t, i, cand, spec), expert)), spec)
-	}
-	if st := stream.Stats(); st.OracleRuns != 0 {
-		t.Fatalf("warm pass flew %d dry-runs, want 0", st.OracleRuns)
-	}
-	answered, flown := trace.HandOffs()-handOffs, trace.Audits()-audits
-	if flown != audited || answered != int64(count)-audited {
-		t.Errorf("warm: %d jobs answered by their row and %d audited, want %d and %d", answered, flown, int64(count)-audited, audited)
 	}
 }
 
 // TestHandOffStaleRow edits the score of two rows in a warm campaign's
 // cache file: job 15's row, which is audited, and job 0's, which is not.
-// The audited job flies, so its record carries the stale-row error that
-// fails a strict campaign; the unaudited job is answered by its row, so
-// its record carries the edited score — the limit of an audit fraction.
-// No lookahead: each pass parks answers for its own jobs only, so the
-// ring is empty when the test ends.
+// The audited job flies, and the coordinator fails its record with the
+// stale-row error that fails a strict campaign; the unaudited job is
+// answered by its row, so its record carries the edited score — the limit
+// of an audit fraction.
 func TestHandOffStaleRow(t *testing.T) {
 	const (
 		seed, count        = 42, 16
@@ -246,84 +315,118 @@ func TestHandOffStaleRow(t *testing.T) {
 		auditedCand, delta = 17, 1.0
 	)
 	params := gen.DefaultParams()
-	ctx := context.Background()
 	cachePath := filepath.Join(t.TempDir(), "verdicts.jsonl")
 	expert := sim.BatchConfig{Headless: true}
-	run := func(pass string) ([]Record, []scenario.Spec) {
-		stream, cache := campaignStream(t, seed, params, cachePath, false)
-		defer cache.Close()
-		recs, specs := make([]Record, count), make([]scenario.Spec, count)
-		for i := range count {
-			spec, cand, err := stream.Next(ctx)
-			if err != nil {
-				t.Fatalf("%s job %d: %v", pass, i, err)
-			}
-			recs[i], specs[i] = DefaultRunner(ctx, wireJob(t, i, cand, spec), expert), spec
-		}
-		return recs, specs
+	cold := runCampaign(t, seed, params, cachePath, count, expert)
+	if rec := cold.recs[auditedJob]; rec.Seed != auditedCand {
+		t.Fatalf("job %d is candidate %d, want %d: the stream moved", auditedJob, rec.Seed, auditedCand)
 	}
-	cold, specs := run("cold")
-	if recs := cold; recs[auditedJob].Seed != auditedCand {
-		t.Fatalf("job %d is candidate %d, want %d: the stream moved", auditedJob, recs[auditedJob].Seed, auditedCand)
+	for _, job := range []int{plain, auditedJob} {
+		if audited := slices.Contains(auditedJobs(t, cold.specs), int64(job)); audited != (job == auditedJob) {
+			t.Fatalf("job %d audited = %v: the audit choice moved", job, audited)
+		}
+		editRowScore(t, cachePath, cold.specs[job], cold.recs[job].Score+delta)
 	}
 
-	blob, err := os.ReadFile(cachePath)
+	warm := runCampaign(t, seed, params, cachePath, count, expert)
+	if warm.answered != count-1 || warm.audited != 1 {
+		t.Fatalf("warm: %d answered, %d audited, want %d and 1", warm.answered, warm.audited, count-1)
+	}
+	for i, rec := range warm.recs {
+		switch i {
+		case auditedJob:
+			if rec.Passed || !strings.Contains(rec.Err, fmt.Sprintf("(cand %d, spec ", auditedCand)) ||
+				!strings.Contains(rec.Err, trace.ErrStaleAnswer.Error()) || rec.Score != cold.recs[i].Score {
+				t.Errorf("audited job %d: record %+v, want the flight's score %v and a stale-row error", i, rec, cold.recs[i].Score)
+			}
+		case plain:
+			if !rec.Passed || rec.Err != "" || rec.Score != cold.recs[i].Score+delta {
+				t.Errorf("unaudited job %d: record %+v, want the edited score %v", i, rec, cold.recs[i].Score+delta)
+			}
+		default:
+			if rec.Err != "" || rec.Score != cold.recs[i].Score || rec.SimSec != cold.recs[i].SimSec {
+				t.Errorf("job %d: warm record %+v, cold %+v", i, rec, cold.recs[i])
+			}
+		}
+	}
+}
+
+// editRowScore sets the score of spec's answer in the verdict cache at
+// path.
+func editRowScore(t *testing.T, path string, spec scenario.Spec, score float64) {
+	t.Helper()
+	hash, err := gen.SpecHash(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSuffix(string(blob), "\n"), "\n")
-	for _, job := range []int{plain, auditedJob} {
-		hash, err := gen.SpecHash(specs[job])
+	edited := false
+	for i, line := range lines {
+		var row map[string]any
+		if err := json.Unmarshal([]byte(line), &row); err != nil {
+			t.Fatal(err)
+		}
+		if row["spec"] != fmt.Sprintf("%016x", hash) {
+			continue
+		}
+		row["res"].(map[string]any)["score"] = score
+		b, err := json.Marshal(row)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if audited := hash%32 == 0; audited != (job == auditedJob) {
-			t.Fatalf("job %d audited = %v: the audit choice moved", job, audited)
-		}
-		edited := false
-		for i, line := range lines {
-			var row map[string]any
-			if err := json.Unmarshal([]byte(line), &row); err != nil {
-				t.Fatal(err)
-			}
-			if row["spec"] != fmt.Sprintf("%016x", hash) {
-				continue
-			}
-			row["res"].(map[string]any)["score"] = cold[job].Score + delta
-			b, err := json.Marshal(row)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lines[i], edited = string(b), true
-		}
-		if !edited {
-			t.Fatalf("no row for job %d", job)
-		}
+		lines[i], edited = string(b), true
 	}
-	if err := os.WriteFile(cachePath, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+	if !edited {
+		t.Fatalf("no row for %s", spec.Name)
+	}
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	handOffs, audits := trace.HandOffs(), trace.Audits()
-	warm, _ := run("warm")
-	if answered, flown := trace.HandOffs()-handOffs, trace.Audits()-audits; answered != count-1 || flown != 1 {
-		t.Fatalf("warm: %d answered, %d audited, want %d and 1", answered, flown, count-1)
+// Workers that declare different run configs fly different exams, so the
+// coordinator answers none of their jobs — each flies, though its dry-run
+// is parked — and warns once, naming every worker with its config.
+func TestRunConfigDisagreementFliesEveryJob(t *testing.T) {
+	const seed, count = 42, 8
+	var f flights
+	fed := eventFed(t)
+	startWorker(t, fed, "w1", WorkerConfig{Slots: 2, Batch: sim.BatchConfig{Headless: true}, Run: f.run})
+	startWorker(t, fed, "w2", WorkerConfig{Slots: 2, Batch: sim.BatchConfig{Headless: true, Skill: trace.SkillNovice()}, Run: f.run})
+	var logged bytes.Buffer
+	coord := eventCoordinator(t, fed, "coord-node", CoordinatorConfig{Log: slog.New(slog.NewTextHandler(&logged, nil))})
+	ctx := joinCtx(t)
+	if err := coord.WaitWorkers(ctx, []string{"w1", "w2"}); err != nil {
+		t.Fatalf("WaitWorkers: %v", err)
 	}
-	for i, rec := range warm {
-		switch i {
-		case auditedJob:
-			if rec.Passed || !strings.Contains(rec.Err, fmt.Sprintf("(cand %d, spec ", auditedCand)) ||
-				!strings.Contains(rec.Err, trace.ErrStaleAnswer.Error()) || rec.Score != cold[i].Score {
-				t.Errorf("audited job %d: record %+v, want the flight's score %v and a stale-row error", i, rec, cold[i].Score)
-			}
-		case plain:
-			if !rec.Passed || rec.Err != "" || rec.Score != cold[i].Score+delta {
-				t.Errorf("unaudited job %d: record %+v, want the edited score %v", i, rec, cold[i].Score+delta)
-			}
-		default:
-			if rec.Err != "" || rec.Score != cold[i].Score || rec.SimSec != cold[i].SimSec {
-				t.Errorf("job %d: warm record %+v, cold %+v", i, rec, cold[i])
-			}
+	stream := gen.NewStream(seed, gen.DefaultParams())
+	defer stream.Close()
+	stream.Parallel, stream.Prefetch = 2, true
+	recs, err := coord.RunStream(ctx, &streamSource{s: stream, count: count})
+	if err != nil {
+		t.Fatalf("RunStream: %v", err)
+	}
+	if len(recs) != count {
+		t.Fatalf("%d records for %d jobs", len(recs), count)
+	}
+	if answered, audited := coord.Answered(); answered != 0 || audited != 0 || len(f.flown()) != count {
+		t.Fatalf("%d answered, %d audited, %d of %d flown; want every job flown", answered, audited, len(f.flown()), count)
+	}
+	log := logged.String()
+	if n := strings.Count(log, "workers fly different run configs"); n != 1 {
+		t.Fatalf("warned %d times, want once:\n%s", n, log)
+	}
+	novice := trace.SkillNovice()
+	for _, want := range []string{
+		"w1: headless, skill lag 0 overshoot 0 slack 0 jitter 0, budget default",
+		fmt.Sprintf("w2: headless, skill lag %g overshoot %g slack %g jitter 0, budget default", novice.ReactionLag, novice.Overshoot, novice.SlackBand),
+	} {
+		if !strings.Contains(log, want) {
+			t.Errorf("the warning does not name %q:\n%s", want, log)
 		}
 	}
 }

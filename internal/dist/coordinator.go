@@ -9,6 +9,7 @@ import (
 	"math/rand/v2"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -16,6 +17,8 @@ import (
 	"codsim/internal/clock"
 	"codsim/internal/obs"
 	"codsim/internal/scenario"
+	"codsim/internal/sim"
+	"codsim/internal/trace"
 )
 
 // The coordinator's periods and bounds (package doc). The announce period
@@ -74,6 +77,7 @@ type workerInfo struct {
 	seen    time.Time // when the last heartbeat arrived
 	sweep   int64     // the sweep that heartbeat reported
 	working map[int64]bool
+	run     runConfig // how the worker flies, as it declared
 }
 
 // Coordinator owns a sweep's work list: it announces jobs, grants claims,
@@ -113,6 +117,8 @@ type progress struct {
 	attempts     int64 // dispatch attempts started (first + re-dispatches)
 	redispatches int64 // re-dispatches of lost or timed-out grants
 	announces    int64 // announce publications, each to every worker
+	answered     int64 // jobs of the last sweep recorded from their answer
+	audited      int64 // jobs of the last sweep dispatched to audit theirs
 	start        time.Time
 	workers      map[string]*workerProg
 }
@@ -246,7 +252,7 @@ func (c *Coordinator) noteHeartbeat(hb heartbeat) {
 		working[id] = true
 	}
 	now := c.clock.Now()
-	c.workers[hb.Worker] = &workerInfo{seen: now, sweep: hb.Sweep, working: working}
+	c.workers[hb.Worker] = &workerInfo{seen: now, sweep: hb.Sweep, working: working, run: hb.runConfig()}
 
 	c.progMu.Lock()
 	wp := c.prog.workers[hb.Worker]
@@ -339,6 +345,16 @@ func (c *Coordinator) Sample() obs.DispatchSample {
 	return d
 }
 
+// Answered reports how many jobs of the sweep RunStream ran last (or is
+// running) were recorded from their certification's answer without a
+// dispatch, and how many were dispatched to audit their answer (see
+// load). Safe to call from any goroutine.
+func (c *Coordinator) Answered() (answered, audited int64) {
+	c.progMu.Lock()
+	defer c.progMu.Unlock()
+	return c.prog.answered, c.prog.audited
+}
+
 func keys(m map[string]bool) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
@@ -363,13 +379,14 @@ type jobState struct {
 	specJSON []byte
 	phase    jobPhase
 	attempt  int64
-	worker   string    // grantee while granted
-	created  time.Time // when the job was pulled from its source
-	granted  time.Time // when the grant was sent
-	deadline time.Time // JobTimeout while granted, and while re-dispatched
-	announce time.Time // last announce while pending
-	span     string    // trace span ID, minted at load, rides every message
-	queueMS  float64   // load→grant latency of the winning attempt
+	worker   string        // grantee while granted
+	created  time.Time     // when the job was pulled from its source
+	granted  time.Time     // when the grant was sent
+	deadline time.Time     // JobTimeout while granted, and while re-dispatched
+	announce time.Time     // last announce while pending
+	span     string        // trace span ID, minted at load, rides every message
+	queueMS  float64       // load→grant latency of the winning attempt
+	audit    *trace.Answer // the answer an audited job's Record is held to
 }
 
 // sweep is one RunStream's job table. A job lives in open, with its spec,
@@ -386,6 +403,7 @@ type sweep struct {
 	done  map[int64]doneJob
 	recs  []Record
 	strs  map[string]string // one copy of each low-cardinality Record string
+	mixed bool              // the workers' run configs differ: warned once
 }
 
 // doneJob is what a finished job's standing grant needs beyond its ID.
@@ -439,8 +457,13 @@ func (c *Coordinator) Run(ctx context.Context, jobs []Job) ([]Record, error) {
 // never concurrently, never after RunStream returns — so a source that
 // blocks (a generator certifying its next candidate) delays refills but
 // not the grants, results and re-dispatches of the jobs already loaded.
+// A job its certification answered is recorded at load and never takes a
+// place in the window (the package doc's "Answered jobs").
 func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, error) {
 	sw := &sweep{open: make(map[int64]*jobState), done: make(map[int64]doneJob), strs: make(map[string]string)}
+	c.progMu.Lock()
+	c.prog.answered, c.prog.audited = 0, 0
+	c.progMu.Unlock()
 
 	feed := make(chan pulled)
 	fctx, stopFeeder := context.WithCancel(ctx)
@@ -448,7 +471,7 @@ func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, e
 	feeder.Add(1)
 	go func() {
 		defer feeder.Done()
-		feedJobs(fctx, src, feed)
+		c.feedJobs(fctx, src, feed)
 	}()
 	defer func() {
 		stopFeeder()
@@ -482,7 +505,7 @@ func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, e
 			// sweep — a streaming source is code, not input, and dispatching
 			// around its bug would silently shrink the campaign.
 			if p.err == nil && p.ok {
-				p.err = c.load(sw, p.job, p.spec)
+				p.err = c.load(sw, p)
 			}
 			if p.err != nil {
 				return sw.records(), p.err
@@ -523,19 +546,25 @@ func (c *Coordinator) greetJoined(sw *sweep) {
 	}
 }
 
-// pulled is one answer of a job source: a job with its spec marshaled, the
-// end of the list (!ok), or the error that aborts the sweep.
+// pulled is one answer of a job source: a job with its spec marshaled and
+// the answer its certification parked for it, if any (answered, taken in
+// took); the end of the list (!ok); or the error that aborts the sweep.
 type pulled struct {
-	job  Job
-	spec []byte
-	ok   bool
-	err  error
+	job      Job
+	spec     []byte
+	answer   trace.Answer
+	answered bool
+	took     time.Duration
+	ok       bool
+	err      error
 }
 
 // feedJobs polls src and hands each answer to feed, until the source ends
 // or fails or ctx is done. It is RunStream's feeder: the one goroutine that
-// ever calls src.Next, and the one place a slow source is waited for.
-func feedJobs(ctx context.Context, src JobSource, feed chan<- pulled) {
+// ever calls src.Next, and the one place a slow source is waited for. It
+// takes each job's parked answer (trace.Take) by the spec bytes it
+// marshals for the announce anyway.
+func (c *Coordinator) feedJobs(ctx context.Context, src JobSource, feed chan<- pulled) {
 	for {
 		var p pulled
 		j, ok, err := src.Next(ctx)
@@ -546,6 +575,10 @@ func feedJobs(ctx context.Context, src JobSource, feed chan<- pulled) {
 			p.job, p.ok = j, true
 			if p.spec, err = scenario.MarshalSpec(j.Spec); err != nil {
 				p.err = fmt.Errorf("dist: %s: %w", j, err)
+			} else {
+				began := c.clock.Now()
+				p.answer, p.answered = trace.Take(p.spec)
+				p.took = c.clock.Now().Sub(began)
 			}
 		}
 		select {
@@ -560,14 +593,38 @@ func feedJobs(ctx context.Context, src JobSource, feed chan<- pulled) {
 }
 
 // load puts a job pulled from the source into the open set, pending its
-// first announce.
-func (c *Coordinator) load(sw *sweep, j Job, specJSON []byte) error {
+// first announce — unless its certification answered it and the answer
+// stands for the pool's flight (answerable). Then an unaudited job is
+// recorded from the answer at once, and never dispatched; an audited one
+// is dispatched as usual, holding the answer its Record must match.
+func (c *Coordinator) load(sw *sweep, p pulled) error {
+	j := p.job
 	_, dup := sw.open[j.ID]
 	if _, dupDone := sw.done[j.ID]; dup || dupDone {
 		return fmt.Errorf("dist: duplicate job id %d", j.ID)
 	}
+	var audit *trace.Answer
+	if p.answered && c.answerable(sw, p.answer, j.Spec) {
+		c.progMu.Lock()
+		if p.answer.Audit != "" {
+			audit = &p.answer
+			c.prog.audited++
+		} else {
+			c.prog.answered++
+		}
+		c.progMu.Unlock()
+		if audit == nil {
+			rec := answerRecord(j, p.answer)
+			rec.WallSec = p.took.Seconds()
+			rec.Scenario, rec.Phase = sw.intern(rec.Scenario), sw.intern(rec.Phase)
+			sw.done[j.ID] = doneJob{}
+			sw.recs = append(sw.recs, rec)
+			c.moveJob(-1, jobDone)
+			return nil
+		}
+	}
 	s := &jobState{
-		job: j, specJSON: specJSON, attempt: 1,
+		job: j, specJSON: p.spec, attempt: 1, audit: audit,
 		created: c.clock.Now(), span: obs.MintSpanID(),
 	}
 	sw.open[j.ID] = s
@@ -575,6 +632,91 @@ func (c *Coordinator) load(sw *sweep, j Job, specJSON []byte) error {
 	c.moveJob(-1, jobPending)
 	c.noteAttempt(false)
 	return nil
+}
+
+// answerable reports whether answer a stands for the flight of spec in
+// this pool: at least one worker is live, and every live worker declared
+// one run config under which a stands (runConfig.stands). Workers that
+// declare different configs fly different exams; then nothing is
+// answered, and the sweep says so once.
+func (c *Coordinator) answerable(sw *sweep, a trace.Answer, spec scenario.Spec) bool {
+	now := c.clock.Now()
+	var run runConfig
+	live := 0
+	for _, w := range c.workers {
+		if now.Sub(w.seen) > deadAfter {
+			continue
+		}
+		if live > 0 && w.run != run {
+			c.warnMixed(sw, now)
+			return false
+		}
+		run = w.run
+		live++
+	}
+	return live > 0 && run.stands(a, spec)
+}
+
+// warnMixed logs, once a sweep, that the live workers declare different
+// run configs, naming each with its own.
+func (c *Coordinator) warnMixed(sw *sweep, now time.Time) {
+	if sw.mixed {
+		return
+	}
+	sw.mixed = true
+	names := make([]string, 0, len(c.workers))
+	for name, w := range c.workers {
+		if now.Sub(w.seen) <= deadAfter {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	configs := make([]string, len(names))
+	for i, name := range names {
+		configs[i] = fmt.Sprintf("%s: %s", name, c.workers[name].run)
+	}
+	c.log.Warn("workers fly different run configs: every job flies, none is answered from its certification",
+		"workers", strings.Join(configs, "; "))
+}
+
+// answerRecord is job j's Record made from its certification's answer:
+// what a worker's flight would have recorded, with no worker, attempt or
+// wall time.
+func answerRecord(j Job, a trace.Answer) Record {
+	res := a.Result
+	return NewRecord(j, sim.BatchResult{
+		Scenario: res.Scenario, Title: j.Spec.Title,
+		State: res.State, Passed: res.Passed, Alarms: res.Alarms,
+	}, "")
+}
+
+// holdTo fails rec, the flight of an audited job, unless it matches the
+// job's answer a on every field a Record keeps of a run: the answer came
+// from a verdict-cache row that no longer says what the kernel flies.
+func holdTo(rec *Record, j Job, a trace.Answer) {
+	var err error
+	if rec.Err != "" {
+		err = fmt.Errorf("dist: %s is stale: its flight failed (%s): %w", a.Audit, rec.Err, trace.ErrStaleAnswer)
+	} else {
+		row := answerRecord(j, a)
+		var diff []string
+		field := func(name string, flown, row any) {
+			if flown != row {
+				diff = append(diff, fmt.Sprintf("%s %v (row %v)", name, flown, row))
+			}
+		}
+		field("scenario", rec.Scenario, row.Scenario)
+		field("passed", rec.Passed, row.Passed)
+		field("score", rec.Score, row.Score)
+		field("phase", rec.Phase, row.Phase)
+		field("sim-seconds", rec.SimSec, row.SimSec)
+		field("alarms", rec.Alarms, row.Alarms)
+		if len(diff) == 0 {
+			return
+		}
+		err = fmt.Errorf("dist: %s is stale: the flight gave %s: %w", a.Audit, strings.Join(diff, ", "), trace.ErrStaleAnswer)
+	}
+	rec.Passed, rec.Err = false, err.Error()
 }
 
 func (c *Coordinator) drainHeartbeats() {
@@ -615,6 +757,9 @@ func (c *Coordinator) drainResults(sw *sweep) {
 		var rec Record
 		if err := unmarshalRecord(res.Record, &rec); err != nil {
 			continue // corrupt record: let the job be re-dispatched
+		}
+		if s.audit != nil {
+			holdTo(&rec, s.job, *s.audit)
 		}
 		// The coordinator owns the span and the queue phase; the worker
 		// stamped DispatchMS on its own clock before marshaling.

@@ -14,7 +14,7 @@
 //	dist.Grant      coordinator → workers   assignment of a job to one worker
 //	dist.Result     worker → coordinator    the finished job's Record (JSON)
 //	dist.Ack        coordinator → workers   receipt of a job's Record
-//	dist.Heartbeat  worker → coordinator    liveness + slot occupancy
+//	dist.Heartbeat  worker → coordinator    liveness, slot occupancy, run config
 //
 // Dispatch and result channels (dist.Job, dist.Claim, dist.Grant,
 // dist.Result, dist.Ack) declare the backbone's Reliable delivery policy:
@@ -90,6 +90,29 @@
 // them up front. Run is RunStream over a
 // materialized slice.
 //
+// # Answered jobs
+//
+// A certified campaign job may already have its answer: the expert run
+// its certification parked (trace.Park) — the oracle's dry-run cold, the
+// verdict-cache row's stored result warm. The coordinator's feeder takes
+// it (trace.Take) by the spec bytes it marshals for the announce anyway,
+// and the job is finished at load, with a Record made from the answer
+// and no announce, claim, grant, run or ack, when the answer stands for
+// what the pool would fly. Every heartbeat declares its worker's run
+// config — headless or not, the trainee's skill profile, the headless
+// sim-time budget — and the answer stands when every live worker declares
+// the same one and, under it, would repeat the answered run tick for tick
+// (trace.Answer.Stands: headless, the expert without jitter, a budget at
+// least the answer's). WaitWorkers has heard every beat before the first
+// job. Workers that declare different configs fly different exams: then
+// every job flies and the sweep logs a warning once, naming each worker
+// with its config. An audited answer (one verdict-cache row in 32) is
+// dispatched as usual, and the coordinator fails the Record that comes
+// back, with trace.ErrStaleAnswer naming the row, unless it carries the
+// answer's scenario, verdict, score, phase, sim-seconds and alarms.
+// Coordinator.Answered counts both kinds per sweep. A worker never looks
+// for an answer: it flies every job it is granted.
+//
 // Every run persists as one JSON-lines Record (scenario, seed, score,
 // phase, sim/wall time, worker); Report aggregates pass rate and
 // p50/p90/p99 percentiles, and Compare diffs two result files for
@@ -116,6 +139,8 @@ import (
 	"fmt"
 
 	"codsim/internal/scenario"
+	"codsim/internal/sim"
+	"codsim/internal/trace"
 )
 
 // Object classes of the dist protocol.
@@ -221,12 +246,74 @@ type jobAck struct {
 // running, or finished): the coordinator uses it to detect a grant that
 // never reached its worker — the grantee is alive and beating, yet never
 // lists the job — and re-dispatch far sooner than JobTimeout.
+//
+// The fields after Working declare how the worker flies its jobs (its
+// WorkerConfig.Batch): headless or not, the trainee's skill profile, and
+// the headless sim-time budget in seconds (0: each spec's
+// trace.DefaultBudget). The coordinator answers a job from its
+// certification only when every live worker would fly exactly the run the
+// answer stands for. They ride at the end, like jobAnnounce's Span.
 type heartbeat struct {
-	Worker  string
-	Sweep   int64
-	Slots   int64
-	Busy    int64
-	Working []int64
+	Worker      string
+	Sweep       int64
+	Slots       int64
+	Busy        int64
+	Working     []int64
+	Headless    bool
+	ReactionLag float64
+	Overshoot   float64
+	SlackBand   float64
+	Jitter      float64
+	Budget      float64
+}
+
+// runConfig is how a worker flies its jobs, as its heartbeat declares it.
+type runConfig struct {
+	headless bool
+	skill    trace.SkillProfile // without its Name, which changes no flight
+	budget   float64            // headless sim-time seconds; ≤ 0 is each spec's default
+}
+
+// runConfigOf is the run config a worker flying with batch declares.
+func runConfigOf(batch sim.BatchConfig) runConfig {
+	skill := batch.Skill
+	skill.Name = ""
+	return runConfig{headless: batch.Headless, skill: skill, budget: batch.Timeout.Seconds()}
+}
+
+// runConfig is the run config hb declares.
+func (hb heartbeat) runConfig() runConfig {
+	return runConfig{
+		headless: hb.Headless,
+		skill: trace.SkillProfile{
+			ReactionLag: hb.ReactionLag, Overshoot: hb.Overshoot,
+			SlackBand: hb.SlackBand, Jitter: hb.Jitter,
+		},
+		budget: hb.Budget,
+	}
+}
+
+// stands reports whether answer a stands for the flight of spec under
+// this run config: headless, and a trace.Answer.Stands skill and budget.
+func (rc runConfig) stands(a trace.Answer, spec scenario.Spec) bool {
+	budget := rc.budget
+	if budget <= 0 {
+		budget = trace.DefaultBudget(spec)
+	}
+	return rc.headless && a.Stands(budget, rc.skill)
+}
+
+func (rc runConfig) String() string {
+	mode := "federation"
+	if rc.headless {
+		mode = "headless"
+	}
+	budget := "default"
+	if rc.budget > 0 {
+		budget = fmt.Sprintf("%gs", rc.budget)
+	}
+	return fmt.Sprintf("%s, skill lag %g overshoot %g slack %g jitter %g, budget %s",
+		mode, rc.skill.ReactionLag, rc.skill.Overshoot, rc.skill.SlackBand, rc.skill.Jitter, budget)
 }
 
 func (j Job) String() string {

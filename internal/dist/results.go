@@ -15,21 +15,24 @@ import (
 // batch layers write for every job, local or distributed. One line per
 // run keeps result files append-only and diffable across sweeps.
 type Record struct {
-	Job      int64   `json:"job"`
-	Attempt  int64   `json:"attempt,omitempty"`
-	Scenario string  `json:"scenario"`
-	Title    string  `json:"title,omitempty"`
-	Seed     int64   `json:"seed,omitempty"`
-	Worker   string  `json:"worker,omitempty"`
-	Passed   bool    `json:"passed"`
-	Score    float64 `json:"score"`
-	Phase    string  `json:"phase"`
-	SimSec   float64 `json:"sim_sec"`
-	// WallSec is the run's wall-clock seconds on its worker. A job a
-	// headless worker answered from its certification — its own dry-run
-	// cold, its verdict-cache row's answer warm (trace.RunSkill's
-	// hand-off) — reports the hand-off's microseconds, not a flight's, so a
-	// local campaign's dist.run_ms falls with it; an audited job flies and
+	Job      int64  `json:"job"`
+	Attempt  int64  `json:"attempt,omitempty"`
+	Scenario string `json:"scenario"`
+	Title    string `json:"title,omitempty"`
+	Seed     int64  `json:"seed,omitempty"`
+	// Worker names the worker that flew the job. It is empty, like
+	// Attempt, for a job the coordinator answered from its certification —
+	// its dry-run cold, its verdict-cache row's answer warm — without
+	// dispatching it (see Coordinator.RunStream).
+	Worker string  `json:"worker,omitempty"`
+	Passed bool    `json:"passed"`
+	Score  float64 `json:"score"`
+	Phase  string  `json:"phase"`
+	SimSec float64 `json:"sim_sec"`
+	// WallSec is the run's wall-clock seconds on its worker. A job
+	// answered from its certification, which no worker ran, reports the
+	// seconds its coordinator took to take the answer (trace.Take), so a
+	// campaign's dist.run_ms falls with it; an audited job flies and
 	// reports its flight.
 	WallSec float64 `json:"wall_sec"`
 	// Alarms is the instructor-side misconduct count of the run: alarm
@@ -181,6 +184,15 @@ func (g Group) PassRate() float64 {
 	return float64(g.Passed) / float64(g.Runs)
 }
 
+// passPercent is the pass rate in whole percent, rounded down, so a
+// sweep with a failed run never reads 100%.
+func (g Group) passPercent() int {
+	if g.Runs == 0 {
+		return 0
+	}
+	return g.Passed * 100 / g.Runs
+}
+
 // Report aggregates a result set: per-scenario groups plus the sweep-wide
 // total, the analytics layer over repeated sweeps.
 type Report struct {
@@ -250,8 +262,8 @@ func WriteReport(w io.Writer, rep Report) {
 	}
 	fmt.Fprintln(w)
 	line := func(g Group) {
-		fmt.Fprintf(w, "%-18s %5d %5.0f%% %7d %7d  %5.1f/%5.1f/%5.1f %5.1f/%5.1f/%5.1f",
-			g.Scenario, g.Runs, g.PassRate()*100, g.Errors, g.Alarms,
+		fmt.Fprintf(w, "%-18s %5d %5d%% %7d %7d  %5.1f/%5.1f/%5.1f %5.1f/%5.1f/%5.1f",
+			g.Scenario, g.Runs, g.passPercent(), g.Errors, g.Alarms,
 			g.Score.P50, g.Score.P90, g.Score.P99,
 			g.Wall.P50, g.Wall.P90, g.Wall.P99)
 		if withDispatch {

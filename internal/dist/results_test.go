@@ -102,6 +102,27 @@ func TestBuildReportAndWrite(t *testing.T) {
 	}
 }
 
+// PASS% rounds down: one failed run in a thousand reads 99%, not 100%,
+// and 29 passes in 100 read 29% although 0.29*100 is a hair under 29.
+func TestReportPassPercentRoundsDown(t *testing.T) {
+	for _, c := range []struct {
+		passed, runs int
+		want         string
+	}{{999, 1000, "99%"}, {1000, 1000, "100%"}, {29, 100, "29%"}, {1, 3, "33%"}, {0, 5, "0%"}} {
+		recs := make([]Record, c.runs)
+		for i := range recs {
+			recs[i] = Record{Scenario: "a", Passed: i < c.passed}
+		}
+		var sb strings.Builder
+		WriteReport(&sb, BuildReport(recs))
+		lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+		total := strings.Fields(lines[len(lines)-1])
+		if total[0] != "TOTAL" || total[2] != c.want {
+			t.Errorf("%d of %d passed: total line %q, want PASS%% %s", c.passed, c.runs, lines[len(lines)-1], c.want)
+		}
+	}
+}
+
 func TestCompareFlagsRegressions(t *testing.T) {
 	old := []Record{
 		{Scenario: "a", Passed: true, Score: 90},

@@ -105,6 +105,7 @@ type workerJob struct {
 type Worker struct {
 	name  string
 	cfg   WorkerConfig
+	run   runConfig // cfg.Batch as every heartbeat declares it
 	log   *slog.Logger
 	spans *obs.Spans
 	clock clock.Clock
@@ -152,6 +153,7 @@ func NewWorker(node *cod.Node, cfg WorkerConfig) (*Worker, error) {
 	w := &Worker{
 		name:   cfg.Name,
 		cfg:    cfg,
+		run:    runConfigOf(cfg.Batch),
 		log:    log.With("worker", cfg.Name),
 		spans:  cfg.Spans,
 		clock:  node.Backbone().Clock(),
@@ -290,12 +292,19 @@ func (w *Worker) beat() {
 	for id := range w.jobs {
 		working = append(working, id)
 	}
+	run := w.run
 	_ = w.pubHB.Update(0, heartbeat{
-		Worker:  w.name,
-		Sweep:   w.sweep,
-		Slots:   int64(w.cfg.Slots),
-		Busy:    int64(w.running),
-		Working: working,
+		Worker:      w.name,
+		Sweep:       w.sweep,
+		Slots:       int64(w.cfg.Slots),
+		Busy:        int64(w.running),
+		Working:     working,
+		Headless:    run.headless,
+		ReactionLag: run.skill.ReactionLag,
+		Overshoot:   run.skill.Overshoot,
+		SlackBand:   run.skill.SlackBand,
+		Jitter:      run.skill.Jitter,
+		Budget:      run.budget,
 	})
 }
 

@@ -244,9 +244,11 @@ func (s *Stream) start(ctx context.Context) {
 // cache lookup, and for a miss the oracle dry-run and the row that records
 // it. A hit whose row holds an answer parks it for the job (trace.Park),
 // audited for one row in auditOneIn; a fresh passing row keeps the result
-// the dry-run parked (trace.Note). It reads only what is
-// fixed once the stream runs (seed, params, oracle, cache, hooks) — never
-// Stats or the cursor — so lanes run it while the caller merges.
+// the dry-run parked (trace.NoteFor, keyed from the bytes the cache key
+// was hashed from, so the dry-run does not marshal the spec again). It
+// reads only what is fixed once the stream runs (seed, params, oracle,
+// cache, hooks) — never Stats or the cursor — so lanes run it while the
+// caller merges.
 func (s *Stream) certify(ctx context.Context, cand int64) candRec {
 	rec := candRec{cand: cand}
 	spec, err := Generate(SubSeed(s.seed, cand), s.params)
@@ -281,9 +283,11 @@ func (s *Stream) certify(ctx context.Context, cand int64) candRec {
 	}
 	record := rec.consult && !s.Cache.ReadOnly
 	var note *trace.Note
+	var key trace.SpecKey
 	octx := ctx
 	if record {
-		note = new(trace.Note)
+		key = trace.KeyOf(raw)
+		note = trace.NoteFor(key) // the dry-run parks under it: no second marshal
 		octx = trace.WithNote(ctx, note)
 	}
 	var began float64
@@ -296,7 +300,7 @@ func (s *Stream) certify(ctx context.Context, cand int64) candRec {
 	}
 	if record && rec.err == nil {
 		var ans *trace.RunResult
-		if res, ok := note.For(trace.KeyOf(raw), budgetFor(spec, s.params.OracleBudget)); ok && rec.ok {
+		if res, ok := note.For(key, budgetFor(spec, s.params.OracleBudget)); ok && rec.ok {
 			ans = &res
 		}
 		rec.line, rec.err = s.Cache.encode(cand, rec.hash, rec.ok, ans)

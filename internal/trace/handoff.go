@@ -4,62 +4,70 @@ import (
 	"context"
 	"crypto/sha256"
 	"errors"
-	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
-
-	"codsim/internal/scenario"
 )
 
-// ErrStaleAnswer marks an audited hand-off whose flight differed from the
-// parked answer: the answer came from a verdict-cache row that no longer
-// says what the kernel flies (see Park).
+// ErrStaleAnswer marks an audited answer whose job's flight differed from
+// it: the answer came from a verdict-cache row that no longer says what
+// the kernel flies (see Park). The coordinator that audits the answer
+// wraps it.
 var ErrStaleAnswer = errors.New("stale answer")
 
 // handOffSlots is how many passing runs the hand-off holds at once. A
 // certified campaign job is parked by its certification lane and taken by
-// the worker slot that flies it; in between it waits at most in the
+// the coordinator that pulls the job; in between it waits at most in the
 // stream's lookahead (eight candidates a lane, one lane a core by
-// default), the coordinator's window of 64 open jobs and one slot a core.
-// The ring holds more than that sum, so in a local campaign no result is
-// overwritten before its job takes it.
+// default) and the coordinator's feeder. The ring holds more than that
+// with room to spare, so in a campaign no result is overwritten before
+// its job takes it.
 var handOffSlots = max(128, 9*runtime.GOMAXPROCS(0)+64)
 
-// parkedRun is one passing run waiting for its job: the SHA-256 of the
-// spec's MarshalSpec bytes, the budget it passed within, its result and,
-// for an audited answer, the name of the row it came from.
+// An Answer is a passing expert run parked for the job that would fly the
+// same spec again (Park, Take).
+type Answer struct {
+	// Result is the run: its Scenario, terminal state, simulated seconds
+	// and alarms.
+	Result RunResult
+	// Budget is the sim-time budget the run passed within.
+	Budget float64
+	// Audit, when not empty, names the verdict-cache row the answer came
+	// from and marks it audited: its job flies anyway, and is held to
+	// Result.
+	Audit string
+}
+
+// Stands reports whether the answer stands for a RunSkill of its spec
+// budgeted maxSim simulated seconds with skill: the expert profile without
+// jitter and a budget at least the answer's. Such a flight would repeat
+// the parked run tick for tick — the stall window only ever ends a run
+// early, and a passed run ended before it could — so its result is the
+// answer's.
+func (a Answer) Stands(maxSim float64, skill SkillProfile) bool {
+	return skill.IsZero() && skill.Jitter == 0 && maxSim >= a.Budget
+}
+
+// parkedRun is one answer waiting for its job, under the SHA-256 of the
+// spec's MarshalSpec bytes.
 type parkedRun struct {
 	key    SpecKey
-	budget float64
-	res    RunResult
-	audit  string
+	answer Answer
 	full   bool
 }
 
 // handOff is the process's ring of parked runs. It is process-wide, like
 // a sync.Pool, because its two ends share no value: the answer is parked
-// inside gen's certification lanes and the job runs inside a dist worker
-// slot, and neither knows the other is in the process. Parking overwrites
-// the oldest slot, so results nobody takes (a multi-host coordinator's, a
+// inside gen's certification lanes and the job is pulled by a dist
+// coordinator's feeder, and neither knows the other is in the process.
+// Parking overwrites the oldest slot, so results nobody takes (a
 // lookahead past the end of a campaign) cost a fixed amount of memory.
 var handOff = struct {
-	mu      sync.Mutex
-	slots   []parkedRun
-	next    int          // slot the next park writes
-	parked  atomic.Int64 // occupied slots; read without mu by every RunSkill
-	taken   atomic.Int64 // cumulative answered takes, for HandOffs
-	audited atomic.Int64 // cumulative audited takes, for Audits
+	mu     sync.Mutex
+	slots  []parkedRun
+	next   int          // slot the next park writes
+	parked atomic.Int64 // occupied slots; read without mu by every Take
 }{slots: make([]parkedRun, handOffSlots)}
-
-// HandOffs is how many runs the package-level RunSkill has answered with
-// a parked result instead of flying, since the process started.
-func HandOffs() int64 { return handOff.taken.Load() }
-
-// Audits is how many runs the package-level RunSkill has flown to check
-// an audited answer against (see Park), since the process started.
-func Audits() int64 { return handOff.audited.Load() }
 
 // A SpecKey names a spec to the hand-off: the SHA-256 of its MarshalSpec
 // bytes.
@@ -69,96 +77,44 @@ type SpecKey [sha256.Size]byte
 // caller that has marshaled the spec already.
 func KeyOf(raw []byte) SpecKey { return sha256.Sum256(raw) }
 
-// specKey is the hand-off key of a spec; ok is false for a spec that does
-// not marshal (it is then never parked, and always flown).
-func specKey(spec scenario.Spec) (key SpecKey, ok bool) {
-	b, err := scenario.MarshalSpec(spec)
-	if err != nil {
-		return key, false
-	}
-	return KeyOf(b), true
-}
-
 // Park offers res, a passing expert run within budget simulated seconds
-// of the spec whose key is key, to the next package-level RunSkill of that
-// spec (see RunSkill for when one takes it). Completable parks its own
-// passing dry-runs; gen's certification lane parks the answer a
-// verdict-cache row stored for one. A non-empty audit names that row and
-// marks the answer audited: the RunSkill that takes it flies the spec
-// anyway and fails with ErrStaleAnswer, naming the row, if the flight
-// differs from res.
+// of the spec whose key is key, to the job that flies that spec next (see
+// Take). Completable parks its own passing dry-runs; gen's certification
+// lane parks the answer a verdict-cache row stored for one. A non-empty
+// audit names that row and marks the answer audited (Answer.Audit).
 func Park(key SpecKey, budget float64, res RunResult, audit string) {
 	handOff.mu.Lock()
 	p := &handOff.slots[handOff.next]
 	if !p.full {
 		handOff.parked.Add(1)
 	}
-	*p = parkedRun{key: key, budget: budget, res: res, audit: audit, full: true}
+	*p = parkedRun{key: key, answer: Answer{Result: res, Budget: budget, Audit: audit}, full: true}
 	handOff.next = (handOff.next + 1) % len(handOff.slots)
 	handOff.mu.Unlock()
 }
 
-// take removes and returns the parked run the RunSkill call may stand on
-// under RunSkill's rule, if there is one. Flying such a call would repeat
-// the parked run tick for tick — the stall window only ever ends a run
-// early, and a passed run ended before it could — so its result is the
-// parked one.
-func take(ctx context.Context, spec scenario.Spec, maxSim float64, skill SkillProfile) (parkedRun, bool) {
-	if handOff.parked.Load() == 0 || !skill.IsZero() || skill.Jitter != 0 || ctx.Err() != nil {
-		return parkedRun{}, false
+// Take removes and returns the answer parked for the spec whose
+// MarshalSpec bytes are raw, if there is one; while nothing is parked it
+// costs one atomic load and no hash. The taker decides whether the answer
+// stands for the job's flight (Answer.Stands); an answer it does not use
+// is gone, and the job flies.
+func Take(raw []byte) (Answer, bool) {
+	if handOff.parked.Load() == 0 {
+		return Answer{}, false
 	}
-	key, ok := specKey(spec)
-	if !ok {
-		return parkedRun{}, false
-	}
+	key := KeyOf(raw)
 	handOff.mu.Lock()
 	defer handOff.mu.Unlock()
 	for i := range handOff.slots {
 		p := &handOff.slots[i]
-		if p.full && p.key == key && maxSim >= p.budget {
-			run := *p
+		if p.full && p.key == key {
+			a := p.answer
 			*p = parkedRun{}
 			handOff.parked.Add(-1)
-			if run.audit != "" {
-				handOff.audited.Add(1)
-			} else {
-				handOff.taken.Add(1)
-			}
-			return run, true
+			return a, true
 		}
 	}
-	return parkedRun{}, false
-}
-
-// check compares the flight of an audited job with the answer it was
-// parked with.
-func (p *parkedRun) check(res RunResult, err error) error {
-	if err != nil {
-		return fmt.Errorf("trace: %s is stale: its flight failed (%w): %w", p.audit, err, ErrStaleAnswer)
-	}
-	if res == p.res {
-		return nil
-	}
-	var diff []string
-	field := func(name string, flown, row any) {
-		if flown != row {
-			diff = append(diff, fmt.Sprintf("%s %v (row %v)", name, flown, row))
-		}
-	}
-	fs, rs := res.State, p.res.State
-	field("scenario", res.Scenario, p.res.Scenario)
-	field("phase", fs.Phase, rs.Phase)
-	field("score", fs.Score, rs.Score)
-	field("elapsed", fs.Elapsed, rs.Elapsed)
-	field("collisions", fs.Collisions, rs.Collisions)
-	field("waypoint", fs.Waypoint, rs.Waypoint)
-	field("message", fs.Message, rs.Message)
-	field("phase index", fs.PhaseIndex, rs.PhaseIndex)
-	field("crane", fs.CraneID, rs.CraneID)
-	field("sim-seconds", res.SimTime, p.res.SimTime)
-	field("passed", res.Passed, p.res.Passed)
-	field("alarms", res.Alarms, p.res.Alarms)
-	return fmt.Errorf("trace: %s is stale: the flight gave %s: %w", p.audit, strings.Join(diff, ", "), ErrStaleAnswer)
+	return Answer{}, false
 }
 
 // A Note receives the result Completable parks while the note rides the
@@ -167,6 +123,7 @@ func (p *parkedRun) check(res RunResult, err error) error {
 // candidate's verdict-cache row. One dry-run at a time per Note.
 type Note struct {
 	key    SpecKey
+	keyed  bool // key was given (NoteFor), so Completable need not marshal
 	budget float64
 	res    RunResult
 	full   bool
@@ -174,14 +131,19 @@ type Note struct {
 
 type noteKey struct{}
 
+// NoteFor returns a Note for the dry-run of the spec whose key is key, for
+// a caller that holds the spec's MarshalSpec bytes already: Completable
+// parks under key instead of marshaling the spec again.
+func NoteFor(key SpecKey) *Note { return &Note{key: key, keyed: true} }
+
 // WithNote returns ctx carrying n for the dry-runs flown under it.
 func WithNote(ctx context.Context, n *Note) context.Context {
 	return context.WithValue(ctx, noteKey{}, n)
 }
 
 // For returns the noted result if it was parked for the spec whose key is
-// key within a budget of at most maxSim simulated seconds, so a RunSkill
-// budgeted maxSim would have taken it.
+// key within a budget of at most maxSim simulated seconds, so it stands
+// for an expert flight budgeted maxSim.
 func (n *Note) For(key SpecKey, maxSim float64) (RunResult, bool) {
 	if !n.full || n.key != key || n.budget > maxSim {
 		return RunResult{}, false

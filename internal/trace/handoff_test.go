@@ -2,9 +2,7 @@ package trace
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -22,26 +20,28 @@ func emptyHandOff(t *testing.T) {
 	handOff.parked.Store(0)
 }
 
-// keyOf is spec's hand-off key.
-func keyOf(t *testing.T, spec scenario.Spec) SpecKey {
+// rawOf is spec's MarshalSpec bytes.
+func rawOf(t *testing.T, spec scenario.Spec) []byte {
 	t.Helper()
-	key, ok := specKey(spec)
-	if !ok {
-		t.Fatalf("spec %s does not marshal", spec.Name)
+	raw, err := scenario.MarshalSpec(spec)
+	if err != nil {
+		t.Fatalf("spec %s does not marshal: %v", spec.Name, err)
 	}
-	return key
+	return raw
 }
 
-// marker is a parked result no flight produces: a RunSkill that returns
-// it took the hand-off, one that returns anything else flew.
+// keyOf is spec's hand-off key.
+func keyOf(t *testing.T, spec scenario.Spec) SpecKey { return KeyOf(rawOf(t, spec)) }
+
+// marker is a parked result no flight produces.
 func marker(name string) RunResult {
 	return RunResult{Scenario: name, SimTime: -1, Passed: true, State: fom.ScenarioState{Phase: fom.PhaseComplete, Score: 123}}
 }
 
 func took(res RunResult) bool { return res.SimTime == -1 }
 
-// A passing Completable is answered once by the RunSkill of the same
-// spec, and that answer is what flying it would have returned.
+// A passing Completable parks its dry-run, which is what flying the spec
+// returns, and the job that pulls the spec takes it once.
 func TestHandOffIsTheDryRun(t *testing.T) {
 	emptyHandOff(t)
 	ctx := context.Background()
@@ -50,82 +50,74 @@ func TestHandOffIsTheDryRun(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Completable(classic) = %v, %v", ok, err)
 	}
-	before := HandOffs()
-	got, err := RunSkill(ctx, spec, 900, SkillExpert())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if HandOffs() != before+1 {
-		t.Fatalf("HandOffs went %d → %d, want one take", before, HandOffs())
-	}
 	flown, err := NewRunner().RunSkill(ctx, spec, 900, SkillProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != dry || got != flown {
-		t.Fatalf("hand-off %+v, dry-run %+v, flight %+v", got, dry, flown)
+	got, ok := Take(rawOf(t, spec))
+	if !ok || got.Result != dry || got.Result != flown || got.Budget != 900 || got.Audit != "" {
+		t.Fatalf("took %v %+v; dry-run %+v, flight %+v", ok, got, dry, flown)
 	}
 	if handOff.parked.Load() != 0 {
 		t.Fatalf("%d results still parked after the take", handOff.parked.Load())
 	}
 }
 
-// Every call the hand-off's rule does not cover flies, and leaves the
-// parked result for the call it does cover.
+// An answer stands only for the run it repeats, and is taken only by the
+// spec bytes it was parked for, once. The package-level RunSkill takes
+// nothing: it flies, and leaves the answer parked.
 func TestHandOffRefusals(t *testing.T) {
 	ctx := context.Background()
 	spec := scenario.Classic()
 	changed := spec
 	changed.Course.ParTime++
-	canceled, cancel := context.WithCancel(ctx)
-	cancel()
-	jittered := SkillProfile{Jitter: 0.3}
+	parked := Answer{Result: marker(spec.Name), Budget: 900}
 	for _, c := range []struct {
 		name   string
-		ctx    context.Context
-		spec   scenario.Spec
 		maxSim float64
 		skill  SkillProfile
+		stands bool
 	}{
-		{"one field changed", ctx, changed, 900, SkillProfile{}},
-		{"smaller budget", ctx, spec, 899, SkillProfile{}},
-		{"non-zero profile", ctx, spec, 900, SkillIntermediate()},
-		{"jittered profile", ctx, spec, 900, jittered},
-		{"canceled context", canceled, spec, 900, SkillProfile{}},
+		{"smaller budget", 899, SkillProfile{}, false},
+		{"non-zero profile", 900, SkillIntermediate(), false},
+		{"jittered profile", 900, SkillProfile{Jitter: 0.3}, false},
+		{"larger budget", 1800, SkillExpert(), true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			emptyHandOff(t)
-			Park(keyOf(t, spec), 900, marker(spec.Name), "")
-			before := HandOffs()
-			res, err := RunSkill(c.ctx, c.spec, c.maxSim, c.skill)
-			if took(res) || HandOffs() != before {
-				t.Fatalf("took the hand-off: %+v", res)
-			}
-			if c.ctx.Err() != nil && !errors.Is(err, context.Canceled) {
-				t.Fatalf("canceled run returned %v, want context.Canceled", err)
-			}
-			if res, _ := RunSkill(ctx, spec, 900, SkillProfile{}); !took(res) {
-				t.Fatalf("the refusal spent the parked result: %+v", res)
+			if got := parked.Stands(c.maxSim, c.skill); got != c.stands {
+				t.Fatalf("Stands(%v, %+v) = %v, want %v", c.maxSim, c.skill, got, c.stands)
 			}
 		})
 	}
+	t.Run("one field changed", func(t *testing.T) {
+		emptyHandOff(t)
+		Park(keyOf(t, spec), 900, marker(spec.Name), "")
+		if a, ok := Take(rawOf(t, changed)); ok {
+			t.Fatalf("a changed spec took %+v", a)
+		}
+		if _, ok := Take(rawOf(t, spec)); !ok {
+			t.Fatal("the refusal spent the parked result")
+		}
+	})
 	t.Run("second take", func(t *testing.T) {
 		emptyHandOff(t)
 		Park(keyOf(t, spec), 900, marker(spec.Name), "")
 		Park(keyOf(t, changed), 900, marker(changed.Name), "") // the ring is not empty after the take
-		if res, _ := RunSkill(ctx, spec, 900, SkillProfile{}); !took(res) {
-			t.Fatalf("first call flew: %+v", res)
+		if _, ok := Take(rawOf(t, spec)); !ok {
+			t.Fatal("first take found nothing")
 		}
-		before := HandOffs()
-		if res, _ := RunSkill(ctx, spec, 900, SkillProfile{}); took(res) || HandOffs() != before {
-			t.Fatalf("second call took the same result again: %+v", res)
+		if a, ok := Take(rawOf(t, spec)); ok {
+			t.Fatalf("second take took the same result again: %+v", a)
 		}
 	})
-	t.Run("larger budget", func(t *testing.T) {
+	t.Run("run skill flies", func(t *testing.T) {
 		emptyHandOff(t)
 		Park(keyOf(t, spec), 900, marker(spec.Name), "")
-		if res, _ := RunSkill(ctx, spec, 1800, SkillExpert()); !took(res) {
-			t.Fatalf("a larger budget flew: %+v", res)
+		if res, err := RunSkill(ctx, spec, 900, SkillProfile{}); took(res) || err != nil {
+			t.Fatalf("RunSkill returned %+v, %v; want a flight", res, err)
+		}
+		if handOff.parked.Load() != 1 {
+			t.Fatal("RunSkill spent the parked result")
 		}
 	})
 }
@@ -154,13 +146,13 @@ func TestHandOffRingIsBounded(t *testing.T) {
 		t.Fatalf("%d results parked after %d parks, want the ring's %d", got, 2*n, n)
 	}
 	for _, s := range []scenario.Spec{specs[0], specs[n-1]} {
-		if _, ok := take(context.Background(), s, 900, SkillProfile{}); ok {
+		if _, ok := Take(rawOf(t, s)); ok {
 			t.Fatalf("%s was overwritten but could still be taken", s.Name)
 		}
 	}
 	for _, s := range []scenario.Spec{specs[n], specs[2*n-1]} {
-		if p, ok := take(context.Background(), s, 900, SkillProfile{}); !ok || p.res.Scenario != s.Name {
-			t.Fatalf("%s: took %v, %+v", s.Name, ok, p.res)
+		if a, ok := Take(rawOf(t, s)); !ok || a.Result.Scenario != s.Name {
+			t.Fatalf("%s: took %v, %+v", s.Name, ok, a)
 		}
 	}
 	if got := handOff.parked.Load(); got != int64(n-2) {
@@ -169,33 +161,32 @@ func TestHandOffRingIsBounded(t *testing.T) {
 }
 
 // Parks and takes from many goroutines keep the ring consistent: each
-// parked result is taken at most once, and what was not taken is still
-// parked.
+// parked result is taken at most once, by its own spec, and what was not
+// taken is still parked.
 func TestHandOffConcurrent(t *testing.T) {
 	emptyHandOff(t)
 	const workers, each = 4, 16 // 64 parked at most: under the ring's size
-	before := HandOffs()
 	var wg sync.WaitGroup
 	takes := make([]int, workers)
 	for w := range workers {
 		specs := namedSpecs(t, fmt.Sprintf("w%d", w), each)
-		keys := make([]SpecKey, each)
+		raws := make([][]byte, each)
 		for i, s := range specs {
-			keys[i] = keyOf(t, s)
+			raws[i] = rawOf(t, s)
 		}
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
 			for i, s := range specs {
-				Park(keys[i], 900, marker(s.Name), "")
+				Park(KeyOf(raws[i]), 900, marker(s.Name), "")
 			}
 		}()
 		go func() {
 			defer wg.Done()
-			for _, s := range specs {
-				if p, ok := take(context.Background(), s, 900, SkillProfile{}); ok {
-					if p.res.Scenario != s.Name {
-						t.Errorf("took %s's result for %s", p.res.Scenario, s.Name)
+			for i, s := range specs {
+				if a, ok := Take(raws[i]); ok {
+					if a.Result.Scenario != s.Name {
+						t.Errorf("took %s's result for %s", a.Result.Scenario, s.Name)
 					}
 					takes[w]++
 				}
@@ -207,57 +198,25 @@ func TestHandOffConcurrent(t *testing.T) {
 	for _, n := range takes {
 		total += n
 	}
-	if got := HandOffs() - before; got != int64(total) {
-		t.Fatalf("HandOffs counted %d takes, the takers saw %d", got, total)
-	}
 	if left := handOff.parked.Load(); left != int64(workers*each-total) {
 		t.Fatalf("%d results parked, want %d parked minus %d taken", left, workers*each, total)
 	}
 }
 
-// An audited answer is flown, never returned as is: a true answer gives
-// the flight, a stale one an ErrStaleAnswer naming its row. Audits counts
-// both, HandOffs neither.
-func TestHandOffAuditFlies(t *testing.T) {
-	ctx := context.Background()
+// An audited park is taken with the name of its row, so the taker can
+// hold the job's flight to it.
+func TestHandOffAuditNamesRow(t *testing.T) {
+	emptyHandOff(t)
 	spec := scenario.Classic()
-	flown, err := NewRunner().RunSkill(ctx, spec, 900, SkillProfile{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale := flown
-	stale.State.Score++
-	for _, c := range []struct {
-		name   string
-		answer RunResult
-		stale  bool
-	}{{"true answer", flown, false}, {"stale answer", stale, true}} {
-		t.Run(c.name, func(t *testing.T) {
-			emptyHandOff(t)
-			Park(keyOf(t, spec), 900, c.answer, "row 7")
-			handOffs, audits := HandOffs(), Audits()
-			res, err := RunSkill(ctx, spec, 900, SkillProfile{})
-			if HandOffs() != handOffs || Audits() != audits+1 {
-				t.Fatalf("HandOffs +%d, Audits +%d, want +0 and +1", HandOffs()-handOffs, Audits()-audits)
-			}
-			if res != flown {
-				t.Fatalf("audited run returned %+v, the flight is %+v", res, flown)
-			}
-			if c.stale != errors.Is(err, ErrStaleAnswer) {
-				t.Fatalf("audit of the %s: err %v", c.name, err)
-			}
-			if c.stale && !strings.Contains(err.Error(), "row 7 is stale") {
-				t.Fatalf("stale-answer error does not name the row: %v", err)
-			}
-			if handOff.parked.Load() != 0 {
-				t.Fatal("the audit left its answer parked")
-			}
-		})
+	Park(keyOf(t, spec), 900, marker(spec.Name), "row 7")
+	if a, ok := Take(rawOf(t, spec)); !ok || a.Audit != "row 7" || !took(a.Result) {
+		t.Fatalf("took %v %+v, want the marker audited as row 7", ok, a)
 	}
 }
 
 // A Note on the dry-run's context receives what Completable parks, and
-// answers only for the same spec bytes within the noted budget.
+// answers only for the same spec bytes within the noted budget. A note
+// made with the spec's key parks under that key, not a fresh marshal's.
 func TestHandOffNote(t *testing.T) {
 	emptyHandOff(t)
 	spec := scenario.Classic()
@@ -280,5 +239,22 @@ func TestHandOffNote(t *testing.T) {
 	var empty Note
 	if _, ok := empty.For(keyOf(t, spec), 900); ok {
 		t.Fatal("an unwritten note answered")
+	}
+
+	// The key a NoteFor gives is taken on trust: a key that is not the
+	// spec's shows that Completable did not marshal the spec again.
+	emptyHandOff(t)
+	keyed := NoteFor(keyOf(t, changed))
+	if _, ok, err := Completable(WithNote(context.Background(), keyed), spec, 900); err != nil || !ok {
+		t.Fatalf("Completable(classic) = %v, %v", ok, err)
+	}
+	if res, ok := keyed.For(keyOf(t, changed), 900); !ok || res != dry {
+		t.Fatalf("keyed note holds %v %+v, want the dry-run %+v", ok, res, dry)
+	}
+	if _, ok := Take(rawOf(t, spec)); ok {
+		t.Fatal("Completable parked under the spec's own key, not the note's")
+	}
+	if a, ok := Take(rawOf(t, changed)); !ok || a.Result != dry {
+		t.Fatalf("nothing parked under the note's key: %v %+v", ok, a)
 	}
 }

@@ -79,28 +79,11 @@ func RunContext(ctx context.Context, spec scenario.Spec, maxSim float64) (RunRes
 // RunSkill is RunContext with a trainee skill profile: every crane's
 // autopilot flies with the given sloppiness (the zero profile is the
 // classic expert). Sweeping the presets over a scenario matrix yields
-// realistic score distributions instead of near-perfect runs.
-//
-// It is the one call that takes a hand-off: when a passing run of the
-// same spec bytes is parked (Park: Completable's dry-run, or the answer a
-// verdict-cache row stored for it), the profile is the expert (IsZero, no
-// Jitter), maxSim is at least the parked run's budget and ctx is live,
-// RunSkill returns that result once instead of flying the spec again. An
-// audited answer is the exception: RunSkill flies it here, and fails with
-// ErrStaleAnswer, naming the row, if the flight differs from the answer in
-// any field. Every other call, and Runner.RunSkill always, flies.
+// realistic score distributions instead of near-perfect runs. It always
+// flies: a certified job answered from its certification never reaches
+// it (see Take).
 func RunSkill(ctx context.Context, spec scenario.Spec, maxSim float64, skill SkillProfile) (RunResult, error) {
-	parked, ok := take(ctx, spec, maxSim, skill)
-	if ok && parked.audit == "" {
-		return parked.res, nil
-	}
-	res, err := (&Runner{}).RunSkill(ctx, spec, maxSim, skill)
-	if ok && ctx.Err() == nil {
-		if aerr := parked.check(res, err); aerr != nil {
-			return res, aerr
-		}
-	}
-	return res, err
+	return (&Runner{}).RunSkill(ctx, spec, maxSim, skill)
 }
 
 // RunSkill runs one scenario on the Runner's scratch; see the package
@@ -164,11 +147,12 @@ func (r *Runner) RunSkill(ctx context.Context, spec scenario.Spec, maxSim float6
 // or rig that cannot be built, or ctx canceled mid-run — so a campaign
 // generator can resample on !ok and abort on err.
 //
-// A passing run is parked for the package-level RunSkill: the job that
-// flies the certified spec next takes it instead of flying it again (see
-// RunSkill for when). Parked results nobody takes are overwritten,
+// A passing run is parked (Park) for the coordinator that dispatches the
+// certified spec next: it takes the run (Take) and answers the job with it
+// instead of dispatching it. Parked results nobody takes are overwritten,
 // oldest first, so they cost a fixed amount of memory. A Note on ctx
-// (WithNote) receives the parked run too.
+// (WithNote) receives the parked run too; one made by NoteFor also gives
+// the key, so the spec is not marshaled again.
 func Completable(ctx context.Context, spec scenario.Spec, maxSim float64) (RunResult, bool, error) {
 	res, err := (&Runner{StallBudget: DefaultStallBudget}).RunSkill(ctx, spec, maxSim, SkillProfile{})
 	if errors.Is(err, ErrIncomplete) {
@@ -180,11 +164,20 @@ func Completable(ctx context.Context, spec scenario.Spec, maxSim float64) (RunRe
 	if !res.Passed {
 		return res, false, nil
 	}
-	if key, ok := specKey(spec); ok {
-		Park(key, maxSim, res, "")
-		if n, _ := ctx.Value(noteKey{}).(*Note); n != nil {
-			*n = Note{key: key, budget: maxSim, res: res, full: true}
+	n, _ := ctx.Value(noteKey{}).(*Note)
+	var key SpecKey
+	if n != nil && n.keyed {
+		key = n.key
+	} else {
+		raw, err := scenario.MarshalSpec(spec)
+		if err != nil {
+			return res, true, nil // never parked: its job flies
 		}
+		key = KeyOf(raw)
+	}
+	Park(key, maxSim, res, "")
+	if n != nil {
+		*n = Note{key: key, keyed: n.keyed, budget: maxSim, res: res, full: true}
 	}
 	return res, true, nil
 }

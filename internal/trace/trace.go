@@ -22,18 +22,17 @@
 // the SHA-256 of the spec's MarshalSpec bytes (Park); on a warm campaign,
 // where no dry-run flies, gen's certification lane parks the answer the
 // candidate's verdict-cache row stored from that dry-run instead. The
-// package-level RunSkill — what sim.RunOne flies headless, so every dist
-// worker slot — takes a parked result, once, instead of flying the same
-// spec again, when the run would repeat the parked run tick for tick:
-// same spec bytes, the expert profile without jitter, a budget at least
-// the parked run's, a live context. One row answer in 32 is parked
-// audited: RunSkill flies that job anyway and fails with ErrStaleAnswer,
-// naming the row, if the flight differs from the answer, so a cache left
-// stale by a kernel change fails a strict campaign. Everything else flies,
-// and costs one atomic load while nothing is parked. The hand-off works
-// within one process (a local campaign, whose worker runs beside its
-// certification lanes); HandOffs counts what it answered, Audits what it
-// flew to check.
+// dist coordinator that pulls the certified job takes the answer (Take)
+// and, when every worker of its pool would fly exactly the parked run —
+// the expert profile without jitter, headless, a budget at least the
+// answer's (Answer.Stands) — records the job from it without dispatching
+// it. One row answer in 32 is parked audited: its job is dispatched and
+// flown anyway, and the coordinator fails it with ErrStaleAnswer, naming
+// the row, if the flight differs from the answer, so a cache left stale by
+// a kernel change fails a strict campaign. RunSkill itself always flies
+// and reads no process-wide state; the ring is only the channel from the
+// certification lanes to the coordinator, and costs one atomic load a job
+// while nothing is parked.
 package trace
 
 import (

@@ -123,11 +123,12 @@ go test -race -count=20 -run 'TestRenderAhead' ./internal/displaysync ./internal
 # itself; then the hand-off's concurrent lanes (trace's package doc).
 go test -race -count=20 -run 'TestManual|TestRemotePublisherStartsLate|TestPublisherNodeDeathRecovery|TestSilentPendingLinkReaped|TestLinkLivenessUnderInjectedClock|TestRedispatchOnWorkerDeath|TestCoordinatorGivesUpAfterMaxAttempts|TestStallEviction|TestIdleRackIsNotStalled|TestWaitSwapTimeout|TestDisplayNodeDeath' \
 	./internal/clock ./internal/cb ./internal/dist ./internal/displaysync ./internal/sim
-go test -race -count=20 -run 'TestHandOffConcurrent|TestHandOffAuditFlies|TestHandOffNote' ./internal/trace
-# A warm campaign's answers from its verdict-cache rows: an edited audited
-# row fails its job, an edited unaudited row is believed (trace's package
-# doc).
-go test -race -count=20 -run 'TestHandOffStaleRow' ./internal/dist
+go test -race -count=20 -run 'TestHandOffConcurrent|TestHandOffNote' ./internal/trace
+# A warm campaign answered at its coordinator from its verdict-cache rows:
+# a worker on its own backbone flies the audited job alone, an edited
+# audited row fails its job and -strict says why, an edited unaudited row
+# is believed (trace's package doc).
+go test -race -count=20 -run 'TestHandOffAuditFlies|TestHandOffStaleRow' ./internal/dist ./cmd/codbatch
 # The telemetry plane: a sweep whose every run scrapes /metrics and
 # /debug/tablez, and a series that leaves its source leaves the next scrape
 # (internal/obs's package doc). No sleeps; a hang is a bug.
