@@ -105,7 +105,6 @@ type workerJob struct {
 type Worker struct {
 	name  string
 	cfg   WorkerConfig
-	run   runConfig // cfg.Batch as every heartbeat declares it
 	log   *slog.Logger
 	spans *obs.Spans
 	clock clock.Clock
@@ -153,7 +152,6 @@ func NewWorker(node *cod.Node, cfg WorkerConfig) (*Worker, error) {
 	w := &Worker{
 		name:   cfg.Name,
 		cfg:    cfg,
-		run:    runConfigOf(cfg.Batch),
 		log:    log.With("worker", cfg.Name),
 		spans:  cfg.Spans,
 		clock:  node.Backbone().Clock(),
@@ -292,7 +290,7 @@ func (w *Worker) beat() {
 	for id := range w.jobs {
 		working = append(working, id)
 	}
-	run := w.run
+	run := runConfigOf(w.cfg.Batch)
 	_ = w.pubHB.Update(0, heartbeat{
 		Worker:      w.name,
 		Sweep:       w.sweep,

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -110,16 +111,24 @@ func TestHandOffRefusals(t *testing.T) {
 			t.Fatalf("second take took the same result again: %+v", a)
 		}
 	})
-	t.Run("run skill flies", func(t *testing.T) {
-		emptyHandOff(t)
-		Park(keyOf(t, spec), 900, marker(spec.Name), "")
-		if res, err := RunSkill(ctx, spec, 900, SkillProfile{}); took(res) || err != nil {
-			t.Fatalf("RunSkill returned %+v, %v; want a flight", res, err)
-		}
-		if handOff.parked.Load() != 1 {
-			t.Fatal("RunSkill spent the parked result")
-		}
-	})
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+	}{{"run skill flies", ctx}, {"canceled context", canceled}} {
+		t.Run(c.name, func(t *testing.T) {
+			emptyHandOff(t)
+			Park(keyOf(t, spec), 900, marker(spec.Name), "")
+			res, err := RunSkill(c.ctx, spec, 900, SkillProfile{})
+			if took(res) || !errors.Is(err, c.ctx.Err()) {
+				t.Fatalf("RunSkill returned %+v, %v; want a flight ending in %v", res, err, c.ctx.Err())
+			}
+			if handOff.parked.Load() != 1 {
+				t.Fatal("RunSkill spent the parked result")
+			}
+		})
+	}
 }
 
 // namedSpecs returns n specs whose MarshalSpec bytes all differ.
@@ -200,17 +209,6 @@ func TestHandOffConcurrent(t *testing.T) {
 	}
 	if left := handOff.parked.Load(); left != int64(workers*each-total) {
 		t.Fatalf("%d results parked, want %d parked minus %d taken", left, workers*each, total)
-	}
-}
-
-// An audited park is taken with the name of its row, so the taker can
-// hold the job's flight to it.
-func TestHandOffAuditNamesRow(t *testing.T) {
-	emptyHandOff(t)
-	spec := scenario.Classic()
-	Park(keyOf(t, spec), 900, marker(spec.Name), "row 7")
-	if a, ok := Take(rawOf(t, spec)); !ok || a.Audit != "row 7" || !took(a.Result) {
-		t.Fatalf("took %v %+v, want the marker audited as row 7", ok, a)
 	}
 }
 
