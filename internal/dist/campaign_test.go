@@ -226,7 +226,7 @@ func auditedJobs(t *testing.T, specs []scenario.Spec) []int64 {
 // flies. Under the race detector it runs the first 32 jobs.
 func TestHandOffMatchesFlight(t *testing.T) {
 	if testing.Short() {
-		t.Skip("1128 dry-runs and 3000 flights in -short")
+		t.Skip("about 1200 dry-runs and 2100 flights in -short")
 	}
 	const seed = 42
 	count, audited := 1000, int64(31)
