@@ -212,6 +212,52 @@ func TestHandOffConcurrent(t *testing.T) {
 	}
 }
 
+// An audited answer reaches the job that pulls its spec as parked: taken
+// once, with the row it came from named, and standing for the expert
+// flight. What the coordinator holds that flight to is the answer's
+// Result, so the true row's answer is the flight tick for tick and a row
+// edited since is not.
+func TestHandOffAuditFlies(t *testing.T) {
+	ctx := context.Background()
+	spec := scenario.Classic()
+	flown, err := NewRunner().RunSkill(ctx, spec, 900, SkillProfile{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := flown
+	stale.State.Score++
+	for _, c := range []struct {
+		name   string
+		answer RunResult
+		stale  bool
+	}{{"true answer", flown, false}, {"stale answer", stale, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			emptyHandOff(t)
+			Park(keyOf(t, spec), 900, c.answer, "row 7")
+			a, ok := Take(rawOf(t, spec))
+			if !ok || a.Audit != "row 7" || a.Result != c.answer || a.Budget != 900 {
+				t.Fatalf("took %v %+v, want the answer parked for row 7", ok, a)
+			}
+			if !a.Stands(900, SkillProfile{}) {
+				t.Fatal("the audited answer does not stand for the expert flight")
+			}
+			if handOff.parked.Load() != 0 {
+				t.Fatal("the take left the audited answer parked")
+			}
+			res, err := RunSkill(ctx, spec, 900, SkillProfile{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res != flown {
+				t.Fatalf("the audited job's flight returned %+v, the flight is %+v", res, flown)
+			}
+			if c.stale != (res != a.Result) {
+				t.Fatalf("audit of the %s: flight %+v, row %+v", c.name, res, a.Result)
+			}
+		})
+	}
+}
+
 // A Note on the dry-run's context receives what Completable parks, and
 // answers only for the same spec bytes within the noted budget. A note
 // made with the spec's key parks under that key, not a fresh marshal's.
