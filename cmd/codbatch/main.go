@@ -40,9 +40,9 @@
 //
 // -obs addr serves the live telemetry plane in any mode (/metrics
 // Prometheus exposition, /healthz, /debug/tablez backbone tables,
-// /debug/pprof), switches the dist layer to structured slog lines on
-// stderr, and records per-job trace-span phase latencies; ":0" picks a
-// free port and prints it.
+// /debug/pprof), switches the dist layer from warnings alone to every
+// structured slog line on stderr, and records per-job trace-span phase
+// latencies; ":0" picks a free port and prints it.
 package main
 
 import (
@@ -50,6 +50,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"log/slog"
 	"os"
 	"os/signal"
 	"runtime"
@@ -183,7 +185,7 @@ func run() error {
 		Timeout:  *timeout,
 		Headless: *headless,
 		Skill:    skill,
-		Log:      plane.Log(),
+		Log:      logTo(plane, os.Stderr, role),
 	}
 	slots := *parallel
 	if slots <= 0 {
@@ -365,6 +367,18 @@ func startObs(addr, role string) (*obs.Plane, error) {
 	return plane, nil
 }
 
+// logTo is the logger of this process's runs and of its dist coordinator
+// or worker: the plane's, with every structured line, when -obs is set,
+// and otherwise one that writes warnings and errors alone to stderr, so a
+// pool that flies mixed run configs or a grant that failed is never
+// silent.
+func logTo(plane *obs.Plane, stderr io.Writer, role string) *slog.Logger {
+	if plane != nil {
+		return plane.Log()
+	}
+	return slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: slog.LevelWarn})).With("role", role)
+}
+
 // runWorker serves this host's slots to whatever coordinator shows up on
 // the segment, until interrupted.
 func runWorker(ctx context.Context, plane *obs.Plane, lanAddr, name string, slots int, batch sim.BatchConfig) error {
@@ -395,11 +409,11 @@ func runWorker(ctx context.Context, plane *obs.Plane, lanAddr, name string, slot
 }
 
 // newWorker registers a dist worker named name on node, wired into the
-// telemetry plane.
+// telemetry plane and logging through batch.Log.
 func newWorker(plane *obs.Plane, node *cod.Node, name string, slots int, batch sim.BatchConfig) (*dist.Worker, error) {
 	plane.AddNode(node.Name(), node)
 	w, err := dist.NewWorker(node, dist.WorkerConfig{
-		Name: name, Slots: slots, Batch: batch, Log: plane.Log(), Spans: plane.SpanSink(),
+		Name: name, Slots: slots, Batch: batch, Log: batch.Log, Spans: plane.SpanSink(),
 	})
 	if err != nil {
 		return nil, err
@@ -414,7 +428,8 @@ func newWorker(plane *obs.Plane, node *cod.Node, name string, slots int, batch s
 // in-process worker named "local" serves slots over a MemLAN — the same
 // protocol, on a LAN that is just memory. width is how many lanes a
 // campaign certifies on: the local worker's slots, or this host's cores
-// when the runs are elsewhere. closeAll tears down what was opened.
+// when the runs are elsewhere. The coordinator logs through batch.Log.
+// closeAll tears down what was opened.
 func openCoordinator(ctx context.Context, plane *obs.Plane, lanAddr, workerList string,
 	slots int, batch sim.BatchConfig) (coord *dist.Coordinator, width int, closeAll func(), err error) {
 	var closers []func()
@@ -476,8 +491,8 @@ func openCoordinator(ctx context.Context, plane *obs.Plane, lanAddr, workerList 
 	plane.AddNode(node.Name(), node)
 
 	// Give every run its per-run budget plus generous dispatch slack
-	// before declaring the attempt lost; workers run what they claim
-	// immediately, so queue wait does not count against this. A zero
+	// before declaring the attempt lost; workers run what they are
+	// granted immediately, so queue wait does not count against this. A zero
 	// Timeout means "scenario default" (up to 120 s of federation wall
 	// clock), so substitute a budget at least that large.
 	budget := batch.Timeout
@@ -485,7 +500,7 @@ func openCoordinator(ctx context.Context, plane *obs.Plane, lanAddr, workerList 
 		budget = 2 * time.Minute
 	}
 	ccfg := dist.CoordinatorConfig{
-		JobTimeout: 2*budget + time.Minute, Log: plane.Log(), Spans: plane.SpanSink(),
+		JobTimeout: 2*budget + time.Minute, Log: batch.Log, Spans: plane.SpanSink(),
 	}
 	if coord, err = dist.NewCoordinator(node, ccfg); err != nil {
 		return nil, 0, nil, err

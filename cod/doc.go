@@ -118,9 +118,9 @@
 //     carried on link heartbeats — a frame legacy builds accept — so a
 //     lost grant costs one beat at most). Saturation propagates to the
 //     producer instead of the kernel's socket buffer. Instructor
-//     commands and the whole dist dispatch protocol (jobs, claims,
-//     grants, results, acks) run this way; dist heartbeats stay
-//     LatestValue — newest beat per worker.
+//     commands and the whole dist dispatch protocol (grants, results,
+//     acks) run this way; dist heartbeats stay LatestValue — newest beat
+//     per worker.
 //
 // The backbone (internal/cb) has a third policy, drop-oldest: a full
 // mailbox silently drops its oldest reflection. The simulator's frame
@@ -146,10 +146,9 @@
 //
 // The SDK carries application traffic beyond the simulator's FOM: the
 // distributed batch layer (internal/dist, cmd/codbatch) runs its whole
-// coordinator/worker protocol — job announces, claims, grants, results,
-// result acks and worker heartbeats, as the dist.Job, dist.Claim,
-// dist.Grant, dist.Result, dist.Ack and dist.Heartbeat classes — over
-// these same typed channels.
+// coordinator/worker protocol — job grants, results, result acks and
+// worker heartbeats, as the dist.Grant, dist.Result, dist.Ack and
+// dist.Heartbeat classes — over these same typed channels.
 //
 // # Observability
 //

@@ -30,9 +30,9 @@
 //   - sim — the full eight-computer federation and the parallel batch
 //     runner;
 //   - dist — the distributed batch layer: a coordinator shards scenario
-//     jobs over worker hosts through typed cod channels (dist.Job /
-//     dist.Claim / dist.Grant / dist.Result / dist.Ack /
-//     dist.Heartbeat), with re-dispatch on worker death, acknowledged
+//     jobs over worker hosts through typed cod channels (dist.Grant /
+//     dist.Result / dist.Ack / dist.Heartbeat), granting each to a free
+//     worker slot, with re-dispatch on worker death, acknowledged
 //     at-least-once results, and JSON-lines score analytics.
 //
 // # Scenarios

@@ -11,11 +11,10 @@ import (
 // BenchmarkDistDispatch is the dispatch layer alone: one op is one job
 // through a coordinator and two two-slot workers on a MemLAN, with a runner
 // that returns at once and the library's multi-KB spec JSON on every
-// announce. ns/op and allocs/op are per job; announces/job is the
-// coordinator's announce publications over the jobs run — about 1 when
-// workers refill from their backlog, about 64 (the window) when every
-// result re-announces the window. It runs on the wall clock, every period
-// at its default, as a deployment does.
+// grant. ns/op and allocs/op are per job; grants/job is the coordinator's
+// grant publications over the jobs run — 1 when every grant reaches its
+// worker the first time. It runs on the wall clock, every period at its
+// default, as a deployment does.
 func BenchmarkDistDispatch(b *testing.B) {
 	fed := cod.NewFederation(cod.WithLAN(cod.NewMemLAN()))
 	b.Cleanup(func() { fed.Close() })
@@ -28,7 +27,7 @@ func BenchmarkDistDispatch(b *testing.B) {
 	if err != nil || len(recs) != b.N {
 		b.Fatalf("Run: %d records of %d, %v", len(recs), b.N, err)
 	}
-	b.ReportMetric(float64(coord.Sample().Announces)/float64(b.N), "announces/job")
+	b.ReportMetric(float64(coord.Sample().Grants)/float64(b.N), "grants/job")
 }
 
 // BenchmarkDistReady is a dispatch federation's bring-up, the cost a batch
@@ -36,8 +35,8 @@ func BenchmarkDistDispatch(b *testing.B) {
 // one two-slot worker and a coordinator, waits for the pool, runs a
 // one-job sweep to its record and tears everything down (untimed). Every
 // step of it is a join, so it reads a millisecond or two while discovery,
-// readiness and the first announce ride their events, and half a second
-// or more when any of them waits for an interval.
+// readiness and the first grant ride their events, and half a second or
+// more when any of them waits for an interval.
 func BenchmarkDistReady(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

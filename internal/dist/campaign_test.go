@@ -49,7 +49,7 @@ func (ss *streamSource) Next(ctx context.Context) (Job, bool, error) {
 // the same specs. The StaticOnly oracle keeps the stream cheap; the
 // workers' DefaultRunner does the real flying. The pool's clock never
 // moves: the test is about streaming, and under -race on a loaded core no
-// claim expiry, death verdict or job timeout may come of a slow run.
+// lost-grant or death verdict or job timeout may come of a slow run.
 func TestCampaignStreamMemLAN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("80 headless runs in -short")
@@ -167,7 +167,7 @@ type campaignPass struct {
 // two prefetching lanes against the verdict cache at cachePath, through a
 // coordinator and one two-slot worker flying batch. Coordinator and worker
 // sit on nodes of their own, each with its own backbone, and meet over a
-// MemLAN: what the worker learns of a job is the announce it receives.
+// MemLAN: what the worker learns of a job is the grant it receives.
 func runCampaign(t *testing.T, seed int64, params gen.Params, cachePath string, count int, batch sim.BatchConfig) campaignPass {
 	t.Helper()
 	var f flights

@@ -21,16 +21,16 @@ import (
 	"codsim/internal/trace"
 )
 
-// The coordinator's periods and bounds (package doc). The announce period
-// is also its bookkeeping tick, so a dead worker is found within a period
-// of deadAfter, six of the workers' default beats. A grant counts as lost
-// when the grantee's beats still omit it grantSlack after it was sent.
+// The coordinator's periods and bounds (package doc). A dead worker is
+// found within a bookkeeping tick of deadAfter, six of the workers'
+// default beats. A grant counts as lost when the grantee's beats still
+// omit it grantSlack after it was sent.
 const (
-	announcePeriod = 250 * time.Millisecond
-	deadAfter      = 3 * time.Second
-	grantSlack     = 2 * announcePeriod
-	maxAttempts    = 3
-	window         = 64
+	checkPeriod = 250 * time.Millisecond
+	deadAfter   = 3 * time.Second
+	grantSlack  = 2 * checkPeriod
+	maxAttempts = 3
+	window      = 64
 )
 
 // CoordinatorConfig configures a coordinator, which reads time from its
@@ -72,16 +72,20 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	return c
 }
 
-// workerInfo is the coordinator's liveness view of one worker.
+// workerInfo is the coordinator's view of one worker, from its last
+// heartbeat.
 type workerInfo struct {
 	seen    time.Time // when the last heartbeat arrived
 	sweep   int64     // the sweep that heartbeat reported
+	slots   int64
+	busy    int64 // runs on the worker's slots
+	stale   int64 // runs of busy that belong to an earlier sweep than sweep
 	working map[int64]bool
 	run     runConfig // how the worker flies, as it declared
 }
 
-// Coordinator owns a sweep's work list: it announces jobs, grants claims,
-// collects results, and re-dispatches work lost to dead or stalled
+// Coordinator owns a sweep's work list: it grants jobs to free worker
+// slots, collects results, and re-dispatches work lost to dead or stalled
 // workers. One coordinator per segment at a time.
 type Coordinator struct {
 	cfg   CoordinatorConfig
@@ -89,18 +93,15 @@ type Coordinator struct {
 	spans *obs.Spans
 	clock clock.Clock
 
-	pubJob   *cod.Pub[jobAnnounce]
 	pubGrant *cod.Pub[jobGrant]
 	pubAck   *cod.Pub[jobAck]
-	subClaim *cod.Sub[jobClaim]
 	subRes   *cod.Sub[jobResult]
 	subHB    *cod.Sub[heartbeat]
 
 	workers map[string]*workerInfo
-	// jobChans and grantChans are the channel counts of pubJob and
-	// pubGrant as the last pass saw them, to tell a worker joining from
-	// one leaving.
-	jobChans, grantChans int
+	// grantChans is pubGrant's channel count as the last pass saw it, to
+	// tell a worker joining from one leaving.
+	grantChans int
 
 	// prog mirrors dispatch state for the telemetry plane. RunStream
 	// updates it at every phase transition; Sample reads it from whichever
@@ -116,7 +117,7 @@ type progress struct {
 	done         int64 // jobs with a Record
 	attempts     int64 // dispatch attempts started (first + re-dispatches)
 	redispatches int64 // re-dispatches of lost or timed-out grants
-	announces    int64 // announce publications, each to every worker
+	grants       int64 // grant publications, each to every worker
 	answered     int64 // jobs of the last sweep recorded from their answer
 	audited      int64 // jobs of the last sweep dispatched to audit theirs
 	start        time.Time
@@ -150,24 +151,16 @@ func NewCoordinator(node *cod.Node, cfg CoordinatorConfig) (*Coordinator, error)
 	// once and without a broadcast, even when an earlier coordinator still
 	// serves its subscriptions.
 	//
-	// Claims and results are must-not-lose: Reliable windows push
-	// saturation back to the workers (whose re-send loops retry) instead
-	// of dropping a finished run's record. Heartbeats are pure state —
+	// Results are must-not-lose: a Reliable window pushes saturation back
+	// to the workers (whose re-send loops retry) instead of dropping a
+	// finished run's record. Heartbeats are pure state —
 	// LatestValue keeps the newest beat per worker (each worker is its
 	// own virtual channel) under any backlog.
 	var err error
-	if c.subClaim, err = cod.Subscribe[jobClaim](node, coordinatorLP, ClassClaim, cod.Reliable(1024)); err != nil {
-		return nil, fmt.Errorf("dist: coordinator: %w", err)
-	}
 	if c.subRes, err = cod.Subscribe[jobResult](node, coordinatorLP, ClassResult, cod.Reliable(1024)); err != nil {
-		c.Close()
 		return nil, fmt.Errorf("dist: coordinator: %w", err)
 	}
 	if c.subHB, err = cod.Subscribe[heartbeat](node, coordinatorLP, ClassHeartbeat, cod.WithQueue(256), cod.LatestValue()); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("dist: coordinator: %w", err)
-	}
-	if c.pubJob, err = cod.Publish[jobAnnounce](node, coordinatorLP, ClassJob); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("dist: coordinator: %w", err)
 	}
@@ -185,17 +178,11 @@ func NewCoordinator(node *cod.Node, cfg CoordinatorConfig) (*Coordinator, error)
 // Close withdraws the coordinator's channel registrations.
 func (c *Coordinator) Close() error {
 	var errs []error
-	if c.pubJob != nil {
-		errs = append(errs, c.pubJob.Close())
-	}
 	if c.pubGrant != nil {
 		errs = append(errs, c.pubGrant.Close())
 	}
 	if c.pubAck != nil {
 		errs = append(errs, c.pubAck.Close())
-	}
-	if c.subClaim != nil {
-		errs = append(errs, c.subClaim.Close())
 	}
 	if c.subRes != nil {
 		errs = append(errs, c.subRes.Close())
@@ -209,7 +196,7 @@ func (c *Coordinator) Close() error {
 // WaitWorkers blocks until every named worker has heartbeated at least
 // once and the dispatch channels to that many workers are up (or ctx is
 // done), so a sweep doesn't start before the pool it was sized for is live
-// and its first announces and grants reach all of it. A worker beats the
+// and its first grants reach all of it. A worker beats the
 // moment its heartbeat channel to this coordinator is up, so the wait is
 // the channels' round trips, not a heartbeat period.
 func (c *Coordinator) WaitWorkers(ctx context.Context, names []string) error {
@@ -235,7 +222,7 @@ func (c *Coordinator) WaitWorkers(ctx context.Context, names []string) error {
 		delete(missing, hb.Value.Worker)
 	}
 	for _, wait := range []func(context.Context, int) error{
-		c.pubJob.WaitChannels, c.pubGrant.WaitChannels, c.pubAck.WaitChannels,
+		c.pubGrant.WaitChannels, c.pubAck.WaitChannels,
 	} {
 		if err := wait(ctx, pool); err != nil {
 			return fmt.Errorf("dist: waiting for dispatch channels to %d workers: %w", pool, err)
@@ -247,12 +234,21 @@ func (c *Coordinator) WaitWorkers(ctx context.Context, names []string) error {
 // noteHeartbeat folds one heartbeat into the worker table and the
 // telemetry progress view.
 func (c *Coordinator) noteHeartbeat(hb heartbeat) {
-	working := make(map[int64]bool, len(hb.Working))
+	w := c.workers[hb.Worker]
+	if w == nil {
+		w = &workerInfo{working: make(map[int64]bool)}
+		c.workers[hb.Worker] = w
+	}
+	if hb.Sweep != c.cfg.Sweep && hb.Busy > 0 && (hb.Sweep != w.sweep || hb.Busy != w.busy) {
+		c.log.Info("worker busy with another sweep", "worker", hb.Worker, "its_sweep", hb.Sweep, "busy", hb.Busy)
+	}
+	clear(w.working)
 	for _, id := range hb.Working {
-		working[id] = true
+		w.working[id] = true
 	}
 	now := c.clock.Now()
-	c.workers[hb.Worker] = &workerInfo{seen: now, sweep: hb.Sweep, working: working, run: hb.runConfig()}
+	w.seen, w.sweep, w.run = now, hb.Sweep, hb.runConfig()
+	w.slots, w.busy, w.stale = hb.Slots, hb.Busy, hb.Stale
 
 	c.progMu.Lock()
 	wp := c.prog.workers[hb.Worker]
@@ -322,7 +318,7 @@ func (c *Coordinator) Sample() obs.DispatchSample {
 		Done:         c.prog.done,
 		Attempts:     c.prog.attempts,
 		Redispatches: c.prog.redispatches,
-		Announces:    c.prog.announces,
+		Grants:       c.prog.grants,
 	}
 	now := c.clock.Now()
 	elapsed := now.Sub(c.prog.start).Seconds()
@@ -383,33 +379,27 @@ type jobState struct {
 	created  time.Time     // when the job was pulled from its source
 	granted  time.Time     // when the grant was sent
 	deadline time.Time     // JobTimeout while granted, and while re-dispatched
-	announce time.Time     // last announce while pending
-	span     string        // trace span ID, minted at load, rides every message
+	span     string        // trace span ID, minted at load, rides every grant
 	queueMS  float64       // load→grant latency of the winning attempt
 	audit    *trace.Answer // the answer an audited job's Record is held to
 }
 
 // sweep is one RunStream's job table. A job lives in open, with its spec,
-// only until it has a Record; after that done keeps what a late duplicate
-// claim or result still needs (the attempt and grantee to re-send; the
-// sweep and job IDs are the config's and the key), so a stream's memory
+// only until it has a Record; after that done keeps its ID, which is all
+// a late duplicate result needs to be re-acked, so a stream's memory
 // follows its window, not its length, and every per-tick pass ranges over
-// the open jobs alone. order lists them as they were loaded: workers bid
-// on the oldest announce they hold, so announcing in load order is what
-// makes a sweep run first in, first out.
+// the open jobs alone. order lists them as they were loaded, the order
+// they are granted in: a sweep runs first in, first out. grants counts,
+// per worker, the open jobs granted to it: the slots of that worker this
+// sweep holds.
 type sweep struct {
-	open  map[int64]*jobState
-	order []*jobState
-	done  map[int64]doneJob
-	recs  []Record
-	strs  map[string]string // one copy of each low-cardinality Record string
-	mixed bool              // the workers' run configs differ: warned once
-}
-
-// doneJob is what a finished job's standing grant needs beyond its ID.
-type doneJob struct {
-	attempt int64
-	worker  string
+	open   map[int64]*jobState
+	order  []*jobState
+	done   map[int64]struct{}
+	grants map[string]int64
+	recs   []Record
+	strs   map[string]string // one copy of each low-cardinality Record string
+	mixed  bool              // the workers' run configs differ: warned once
 }
 
 // intern returns the sweep's one copy of v. A decoded Record allocates its
@@ -425,12 +415,20 @@ func (sw *sweep) intern(v string) string {
 
 // finish moves job s out of the open set with its Record.
 func (c *Coordinator) finish(sw *sweep, s *jobState, rec Record) {
+	sw.ungrant(s)
 	c.moveJob(s.phase, jobDone)
 	delete(sw.open, s.job.ID)
 	i := slices.Index(sw.order, s)
 	sw.order = slices.Delete(sw.order, i, i+1)
-	sw.done[s.job.ID] = doneJob{attempt: s.attempt, worker: s.worker}
+	sw.done[s.job.ID] = struct{}{}
 	sw.recs = append(sw.recs, rec)
+}
+
+// ungrant gives back the slot a granted job s holds on its grantee.
+func (sw *sweep) ungrant(s *jobState) {
+	if s.phase == jobGranted {
+		sw.grants[s.worker]--
+	}
 }
 
 // records returns the finished records in job-ID order.
@@ -450,9 +448,8 @@ func (c *Coordinator) Run(ctx context.Context, jobs []Job) ([]Record, error) {
 // RunStream is Run over an incremental work list: it keeps at most window
 // jobs in flight, pulling more from the source as results free slots, and
 // blocks until the source is exhausted and every pulled job has a Record
-// (or ctx is done). A job is announced when it is loaded, again when it is
-// re-dispatched, and otherwise only every announcePeriod; workers keep
-// the announces and refill their own slots from them. The source is polled
+// (or ctx is done). A job is granted as soon as a live worker has a free
+// slot for it, from the pass after its load on. The source is polled
 // from one feeder goroutine of this call — one job ahead of the window,
 // never concurrently, never after RunStream returns — so a source that
 // blocks (a generator certifying its next candidate) delays refills but
@@ -460,7 +457,10 @@ func (c *Coordinator) Run(ctx context.Context, jobs []Job) ([]Record, error) {
 // A job its certification answered is recorded at load and never takes a
 // place in the window (the package doc's "Answered jobs").
 func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, error) {
-	sw := &sweep{open: make(map[int64]*jobState), done: make(map[int64]doneJob), strs: make(map[string]string)}
+	sw := &sweep{
+		open: make(map[int64]*jobState), done: make(map[int64]struct{}),
+		grants: make(map[string]int64), strs: make(map[string]string),
+	}
 	c.progMu.Lock()
 	c.prog.answered, c.prog.audited = 0, 0
 	c.progMu.Unlock()
@@ -479,18 +479,17 @@ func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, e
 	}()
 
 	exhausted := false
-	tick := c.clock.NewTimer(announcePeriod)
+	tick := c.clock.NewTimer(checkPeriod)
 	defer tick.Stop()
 	for {
 		c.drainHeartbeats()
 		c.drainResults(sw)
-		c.drainClaims(sw)
 		c.redispatch(sw)
 		if exhausted && len(sw.open) == 0 {
 			return sw.records(), nil
 		}
 		c.greetJoined(sw)
-		c.announcePending(sw)
+		c.dispatch(sw)
 
 		// The feeder is heard only while the window has room.
 		next := feed
@@ -512,36 +511,29 @@ func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, e
 			}
 			exhausted = !p.ok
 		case <-tick.C():
-			tick.Reset(announcePeriod)
-		case <-c.subClaim.NotifyC():
+			tick.Reset(checkPeriod)
 		case <-c.subRes.NotifyC():
 		case <-c.subHB.NotifyC():
-		case <-c.pubJob.NotifyC():
 		case <-c.pubGrant.NotifyC():
 		}
 	}
 }
 
-// greetJoined tells a worker whose channel just came up what was said
-// before it could hear: every pending job is due for its announce again
-// when pubJob gained a channel, and every standing grant is sent again
-// when pubGrant did — a worker may win a bid before its grant channel is
-// built. Both messages are idempotent for the workers that had them. This
-// is what starts a sweep that was loaded before its pool had joined, and
-// what a worker joining mid-sweep bids on, without an announce period.
+// greetJoined sends every standing grant again when pubGrant gained a
+// channel: a worker is granted work from its first beat, which may come
+// before its grant channel is built. Grants are idempotent for the
+// workers that had them. This is what starts the jobs granted to a worker
+// that joined mid-sweep, without waiting for a lost-grant verdict.
 func (c *Coordinator) greetJoined(sw *sweep) {
-	jobs, grants := c.pubJob.Channels(), c.pubGrant.Channels()
-	joinedJob, joinedGrant := jobs > c.jobChans, grants > c.grantChans
-	c.jobChans, c.grantChans = jobs, grants
-	if !joinedJob && !joinedGrant {
+	grants := c.pubGrant.Channels()
+	joined := grants > c.grantChans
+	c.grantChans = grants
+	if !joined {
 		return
 	}
 	for _, s := range sw.order {
-		switch {
-		case s.phase == jobPending && joinedJob:
-			s.announce = time.Time{}
-		case s.phase == jobGranted && joinedGrant:
-			c.sendGrant(c.grantOf(s))
+		if s.phase == jobGranted {
+			c.sendGrant(s)
 		}
 	}
 }
@@ -563,7 +555,7 @@ type pulled struct {
 // or fails or ctx is done. It is RunStream's feeder: the one goroutine that
 // ever calls src.Next, and the one place a slow source is waited for. It
 // takes each job's parked answer (trace.Take) by the spec bytes it
-// marshals for the announce anyway.
+// marshals for the grant anyway.
 func (c *Coordinator) feedJobs(ctx context.Context, src JobSource, feed chan<- pulled) {
 	for {
 		var p pulled
@@ -593,7 +585,7 @@ func (c *Coordinator) feedJobs(ctx context.Context, src JobSource, feed chan<- p
 }
 
 // load puts a job pulled from the source into the open set, pending its
-// first announce — unless its certification answered it and the answer
+// first grant — unless its certification answered it and the answer
 // stands for the pool's flight (answerable). Then an unaudited job is
 // recorded from the answer at once, and never dispatched; an audited one
 // is dispatched as usual, holding the answer its Record must match.
@@ -617,7 +609,7 @@ func (c *Coordinator) load(sw *sweep, p pulled) error {
 			rec := answerRecord(j, p.answer)
 			rec.WallSec = p.took.Seconds()
 			rec.Scenario, rec.Phase = sw.intern(rec.Scenario), sw.intern(rec.Phase)
-			sw.done[j.ID] = doneJob{}
+			sw.done[j.ID] = struct{}{}
 			sw.recs = append(sw.recs, rec)
 			c.moveJob(-1, jobDone)
 			return nil
@@ -781,64 +773,58 @@ func (c *Coordinator) drainResults(sw *sweep) {
 	}
 }
 
-// drainClaims grants each claimed pending job to its first bidder; claims
-// for already-granted or done jobs re-send the standing grant so losing
-// bidders release their slot.
-func (c *Coordinator) drainClaims(sw *sweep) {
-	for {
-		r, ok, err := c.subClaim.Poll()
-		if err != nil {
+// dispatch grants the pending jobs, in load order, each to the live worker
+// with the most free slots (ties to the first name), until none has one.
+func (c *Coordinator) dispatch(sw *sweep) {
+	now := c.clock.Now()
+	for _, s := range sw.order {
+		if s.phase != jobPending {
 			continue
 		}
-		if !ok {
+		worker := c.freest(sw, now)
+		if worker == "" {
 			return
 		}
-		claim := r.Value
-		if claim.Sweep != c.cfg.Sweep {
+		c.moveJob(s.phase, jobGranted)
+		s.phase = jobGranted
+		s.worker = worker
+		sw.grants[worker]++
+		s.granted = now
+		s.deadline = now.Add(c.cfg.JobTimeout)
+		// The queue phase ends here: the job waited from load until a slot
+		// took it. Re-dispatches overwrite it — the latency that matters is
+		// the attempt that went on to run. Nanoseconds, because an idle
+		// pool grants a job on the pass after its load.
+		queued := now.Sub(s.created)
+		s.queueMS = float64(queued.Nanoseconds()) / 1e6
+		c.spans.Observe(obs.PhaseQueue, queued)
+		c.sendGrant(s)
+		c.log.Info("job granted",
+			"job", s.job.ID, "worker", worker, "attempt", s.attempt,
+			"span", s.span, "queue_ms", s.queueMS)
+	}
+}
+
+// freest names the live worker with the most free slots, ties to the
+// first name, or "" when no live worker has one. A worker's free slots are
+// its declared slots less the grants of this sweep it holds and less the
+// runs of another sweep still on them.
+func (c *Coordinator) freest(sw *sweep, now time.Time) string {
+	best, most := "", int64(0)
+	for name, w := range c.workers {
+		if now.Sub(w.seen) > deadAfter {
 			continue
 		}
-		s := sw.open[claim.Job]
-		if s == nil {
-			if d, done := sw.done[claim.Job]; done {
-				// Idempotent re-send releases the loser. A job recorded while
-				// it was pending (a stale attempt's result, or given up) has no
-				// grantee; the empty name still tells every worker holding its
-				// announce that the job went elsewhere.
-				c.sendGrant(jobGrant{Sweep: c.cfg.Sweep, Job: claim.Job, Attempt: d.attempt, Worker: d.worker})
-			}
-			continue
+		other := w.stale
+		if w.sweep != c.cfg.Sweep {
+			other = w.busy
 		}
-		switch s.phase {
-		case jobPending:
-			if claim.Attempt != s.attempt {
-				// A bid on a stale announce (the job was re-dispatched while
-				// the worker still held the old one) ties up the bidder's slot
-				// until its claim expires. Saying the current attempt again
-				// makes the worker renew the bid at once.
-				c.announce(s, c.clock.Now())
-				continue
-			}
-			c.moveJob(s.phase, jobGranted)
-			s.phase = jobGranted
-			s.worker = claim.Worker
-			s.granted = c.clock.Now()
-			s.deadline = s.granted.Add(c.cfg.JobTimeout)
-			// The queue phase ends here: the job waited from load until a
-			// worker won it. Re-dispatches overwrite it — the latency that
-			// matters is the attempt that went on to run.
-			queued := s.granted.Sub(s.created)
-			// Fractional ms: in-process grants land in microseconds, and a
-			// truncated 0 would hide the report's DISP-MS column.
-			s.queueMS = float64(queued.Microseconds()) / 1e3
-			c.spans.Observe(obs.PhaseQueue, queued)
-			c.sendGrant(c.grantOf(s))
-			c.log.Info("job granted",
-				"job", s.job.ID, "worker", s.worker, "attempt", s.attempt,
-				"span", s.span, "queue_ms", s.queueMS)
-		case jobGranted:
-			c.sendGrant(c.grantOf(s)) // idempotent re-send releases the loser
+		free := w.slots - sw.grants[name] - other
+		if free > most || (free == most && name < best) {
+			best, most = name, free
 		}
 	}
+	return best
 }
 
 // ack confirms a recorded result. A lost ack only costs another result
@@ -847,22 +833,29 @@ func (c *Coordinator) ack(job int64) {
 	_ = c.pubAck.Update(0, jobAck{Sweep: c.cfg.Sweep, Job: job})
 }
 
-// grantOf is the grant message for job s as it stands.
-func (c *Coordinator) grantOf(s *jobState) jobGrant {
-	return jobGrant{Sweep: c.cfg.Sweep, Job: s.job.ID, Attempt: s.attempt, Worker: s.worker}
-}
-
-func (c *Coordinator) sendGrant(grant jobGrant) {
-	// A failed grant is recovered by JobTimeout; no subscribers means the
-	// last worker vanished between claim and grant.
-	_ = c.pubGrant.Update(0, grant)
+// sendGrant publishes job s's grant as it stands. A grant that reaches no
+// grantee is recovered by re-dispatch: the grantee's beats never list the
+// job, or it dies, or the job outlives JobTimeout.
+func (c *Coordinator) sendGrant(s *jobState) {
+	c.progMu.Lock()
+	c.prog.grants++
+	c.progMu.Unlock()
+	_ = c.pubGrant.Update(0, jobGrant{
+		Sweep:   c.cfg.Sweep,
+		Job:     s.job.ID,
+		Attempt: s.attempt,
+		Worker:  s.worker,
+		Seed:    s.job.Seed,
+		Spec:    s.specJSON,
+		Span:    s.span,
+	})
 }
 
 // redispatch returns granted jobs to pending when their worker died or
 // the job outlived its timeout, failing them outright past maxAttempts.
-// A re-dispatched job that stays unclaimed for another JobTimeout burns
-// an attempt too — a sole worker stuck running the job ignores its
-// re-announces, and the sweep must fail the job rather than hang.
+// A re-dispatched job that stays ungranted for another JobTimeout burns
+// an attempt too — a sole worker whose slots are all stuck has none for
+// it, and the sweep must fail the job rather than hang.
 // First-attempt pending jobs never expire: an empty segment is a pool
 // that has not joined yet, not a failure.
 func (c *Coordinator) redispatch(sw *sweep) {
@@ -874,14 +867,15 @@ func (c *Coordinator) redispatch(sw *sweep) {
 		case jobGranted:
 			w := c.workers[s.worker]
 			dead := w != nil && now.Sub(w.seen) > deadAfter
-			// Lost grant: the grantee beats on this sweep, its latest
-			// beat postdates the grant by the slack, yet it never lists
-			// the job — its claim expired before the grant arrived
-			// (e.g. the grant channel was still being established), so
+			// Lost grant: the grantee's latest beat postdates the grant
+			// by the slack, yet it does not list the job — or still
+			// declares another sweep, so it took no grant of this one —
+			// so the grant never arrived (e.g. it went out before the
+			// grant channel was built, and so did its re-send), and
 			// nobody is running this job. Without this check the sweep
 			// stalls for the whole JobTimeout.
-			lost := w != nil && w.sweep == c.cfg.Sweep &&
-				w.seen.After(s.granted.Add(grantSlack)) && !w.working[s.job.ID]
+			lost := w != nil && w.seen.After(s.granted.Add(grantSlack)) &&
+				(w.sweep != c.cfg.Sweep || !w.working[s.job.ID])
 			if !dead && !lost && now.Before(s.deadline) {
 				continue
 			}
@@ -893,7 +887,7 @@ func (c *Coordinator) redispatch(sw *sweep) {
 			if s.attempt == 1 || now.Before(s.deadline) {
 				continue
 			}
-			c.log.Warn("re-dispatch unclaimed past deadline",
+			c.log.Warn("re-dispatch ungranted past deadline",
 				"job", s.job.ID, "attempt", s.attempt, "span", s.span)
 		}
 		if s.attempt >= maxAttempts {
@@ -909,43 +903,12 @@ func (c *Coordinator) redispatch(sw *sweep) {
 			})
 			continue
 		}
+		sw.ungrant(s)
 		c.moveJob(s.phase, jobPending)
 		s.phase = jobPending
 		s.attempt++
 		s.worker = ""
 		s.deadline = now.Add(c.cfg.JobTimeout)
-		s.announce = time.Time{} // re-announce immediately
 		c.noteAttempt(true)
 	}
-}
-
-// announcePending publishes, in load order, every pending job never
-// announced or whose announce period elapsed.
-func (c *Coordinator) announcePending(sw *sweep) {
-	now := c.clock.Now()
-	for _, s := range sw.order {
-		if s.phase == jobPending && now.Sub(s.announce) >= announcePeriod {
-			c.announce(s, now)
-		}
-	}
-}
-
-// announce publishes job s at its current attempt. ErrNoSubscribers just
-// means no worker has joined yet, and ErrWindowFull that a worker's
-// Reliable announce window is saturated (the update reached every other
-// worker) — the next period retries either way, and announces are
-// idempotent.
-func (c *Coordinator) announce(s *jobState, now time.Time) {
-	s.announce = now
-	c.progMu.Lock()
-	c.prog.announces++
-	c.progMu.Unlock()
-	_ = c.pubJob.Update(0, jobAnnounce{
-		Sweep:   c.cfg.Sweep,
-		Job:     s.job.ID,
-		Attempt: s.attempt,
-		Seed:    s.job.Seed,
-		Spec:    s.specJSON,
-		Span:    s.span,
-	})
 }

@@ -7,34 +7,42 @@
 //
 // # Protocol
 //
-// Six object classes carry the whole protocol:
+// Four object classes carry the whole protocol:
 //
-//	dist.Job        coordinator → workers   announce of an unassigned job
-//	dist.Claim      worker → coordinator    bid to run an announced job
-//	dist.Grant      coordinator → workers   assignment of a job to one worker
+//	dist.Grant      coordinator → workers   a job, its spec and the worker that runs it
 //	dist.Result     worker → coordinator    the finished job's Record (JSON)
 //	dist.Ack        coordinator → workers   receipt of a job's Record
 //	dist.Heartbeat  worker → coordinator    liveness, slot occupancy, run config
 //
-// Dispatch and result channels (dist.Job, dist.Claim, dist.Grant,
-// dist.Result, dist.Ack) declare the backbone's Reliable delivery policy:
-// each publisher holds a credit window per subscriber, so a saturated
-// peer stalls the sender instead of a mailbox shedding distinct protocol
-// messages. dist.Heartbeat declares LatestValue — each worker is its own
-// virtual channel, so conflation keeps exactly the newest beat per
-// worker. The window covers slow-consumer loss; the ack/re-send loop
-// below stays for link-churn loss, which no window can see.
+// The dispatch and result channels (dist.Grant, dist.Result, dist.Ack)
+// declare the backbone's Reliable delivery policy: each publisher holds a
+// credit window per subscriber, so a saturated peer stalls the sender
+// instead of a mailbox shedding distinct protocol messages. dist.Heartbeat
+// declares LatestValue — each worker is its own virtual channel, so
+// conflation keeps exactly the newest beat per worker. The window covers
+// slow-consumer loss; the ack/re-send loop below stays for link-churn
+// loss, which no window can see.
 //
-// Dispatch is pull-based. The coordinator announces a job when it is
-// loaded and again when it is re-dispatched, in load order. A worker keeps
-// every announce it cannot bid on yet in a backlog — spec undecoded, one
-// entry per job, oldest first, at most the announce channel's Reliable
-// window — drops an entry when it sees that attempt granted to another
-// worker, and bids from the backlog whenever a slot is free. So a slot
-// that a finished run or a lost race frees takes the next job with no word
-// from the coordinator, and a sweep runs first in, first out. A worker
-// still running a job of the previous sweep keeps the next sweep's
-// announces the same way and bids on them when its last run ends.
+// Dispatch is push-based. Every heartbeat declares the worker's slots, how
+// many runs it has on them and which of those belong to an earlier sweep,
+// and the coordinator counts the grants of its own sweep each worker
+// holds. A worker's free slots are its declared slots less those grants
+// and less the runs of another sweep. On every pass the coordinator walks
+// the pending jobs in load order and grants each to the live worker with
+// the most free slots, ties to the first name, until no live worker has
+// one; the grant carries the job's seed, spec and span. A worker runs what
+// it is granted, at once. Every worker hears every grant and ignores those
+// naming another. A grant frees its slot when the job's Record is
+// recorded, so a finished run's slot takes the next job one result round
+// trip after the run ends, and a sweep runs first in, first out.
+//
+// A worker beats whenever a run ends, after sending its record, so a
+// coordinator whose workers are busy with a previous sweep hears each of
+// their slots free as it frees.
+// A run the coordinator stopped counting — one it re-dispatched from a
+// live worker past JobTimeout, or recorded from another worker first —
+// still holds its slot until it ends, so that worker may run one job over
+// its slots meanwhile.
 //
 // # Readiness and joining
 //
@@ -43,35 +51,28 @@
 // period of this package's:
 //
 //   - A worker beats the moment its heartbeat publication gains a
-//     channel — a coordinator's subscription matched — and retries a bid
-//     or a record it could not route when the claim or result publication
-//     gains one. Its Heartbeat period is for a coordinator that stopped
-//     listening without a word.
+//     channel — a coordinator's subscription matched — and retries a
+//     record it could not route when the result publication gains one.
+//     Its Heartbeat period is for a coordinator that stopped listening
+//     without a word.
 //   - WaitWorkers returns when every named worker has beaten and the
-//     coordinator's announce, grant and ack publications each reach that
-//     many workers: a few round trips after the last of them was built,
+//     coordinator's grant and ack publications each reach that many
+//     workers: a few round trips after the last of them was built,
 //     whichever side was built first.
-//   - A sweep's first announces are therefore heard. When pubJob gains a
-//     channel anyway — a sweep started before its pool, a worker joining
-//     mid-sweep — the coordinator announces every pending job again at
-//     once, and when pubGrant gains one it sends every standing grant
-//     again, since a newcomer can win a bid before its grant channel is
-//     built. Both are idempotent for the workers that had them.
+//   - A worker is granted work from its first beat. When pubGrant gains a
+//     channel — a sweep started before its pool, a worker joining
+//     mid-sweep — the coordinator sends every standing grant again, since
+//     a grant may have gone out before the grantee could hear it. Grants
+//     are idempotent for the workers that had them.
 //
-// The announce period (announcePeriod, 250 ms) is the net under all of
-// this, not the feed: a job still unassigned after a period is announced
-// again, which reaches a worker whose announce window was full or whose
-// join raced another's departure.
-//
-// Claims race; the coordinator grants each (job, attempt) to exactly one
-// worker, and no claim goes unanswered: one for a granted or finished job
-// draws the standing grant so the loser releases its bid, one for an
-// attempt the coordinator has moved past draws the current announce so
-// the bidder renews.
-// A granted job is re-dispatched — announced again with the next attempt
-// number — when its worker misses heartbeats for deadAfter (3 s), or when
-// the job outlives JobTimeout; after maxAttempts (3) dispatches it is
-// recorded as failed. Results ride at-least-once
+// The coordinator's bookkeeping tick (checkPeriod, 250 ms) finds dead
+// workers and lost grants; nothing is dispatched by a period. A granted
+// job is re-dispatched — granted again with the next attempt number —
+// when its worker misses heartbeats for deadAfter (3 s), when the worker's
+// beats still omit it two ticks after it was granted (the grant was lost),
+// or when the job outlives JobTimeout; after maxAttempts (3) dispatches it
+// is recorded as failed. A grant for a job the worker has finished, at a
+// newer attempt, replays its cached Record. Results ride at-least-once
 // delivery: the worker re-sends a finished job's Record until the
 // coordinator acknowledges it on dist.Ack, because the backbone tears
 // down virtual channels on link churn and a frame written just before a
@@ -95,9 +96,9 @@
 // A certified campaign job may already have its answer: the expert run
 // its certification parked (trace.Park) — the oracle's dry-run cold, the
 // verdict-cache row's stored result warm. The coordinator's feeder takes
-// it (trace.Take) by the spec bytes it marshals for the announce anyway,
-// and the job is finished at load, with a Record made from the answer
-// and no announce, claim, grant, run or ack, when the answer stands for
+// it (trace.Take) by the spec bytes it marshals for the grant anyway, and
+// the job is finished at load, with a Record made from the answer and no
+// grant, run or ack, when the answer stands for
 // what the pool would fly. Every heartbeat declares its worker's run
 // config — headless or not, the trainee's skill profile, the headless
 // sim-time budget — and the answer stands when every live worker declares
@@ -123,16 +124,15 @@
 //
 // Both sides log through log/slog with structured fields (sweep, job,
 // worker, attempt, span) — CoordinatorConfig.Log / WorkerConfig.Log.
-// Each job carries a trace-span ID minted at dispatch and threaded
-// through announce, grant and the returned Record, with phase latencies
+// Each job carries a trace-span ID minted at load and threaded through
+// its grant and the returned Record, with phase latencies
 // (queue, dispatch, run, ack) recorded into an optional obs.Spans
 // histogram — each phase is timed on a single machine's clock, so skew
 // between hosts never distorts it.
 // Coordinator.Sample and Worker.Sample expose live dispatch state for
 // the obs plane's codsim_dist_* gauges, read when /metrics is scraped,
-// among them the coordinator's announce count (against its attempts:
-// about one each, unless announces are being lost or re-sent in a storm)
-// and each worker's backlog depth.
+// among them the coordinator's grant publications (against its
+// attempts: one each, unless grants are being lost and re-sent).
 package dist
 
 import (
@@ -145,8 +145,6 @@ import (
 
 // Object classes of the dist protocol.
 const (
-	ClassJob       = "dist.Job"
-	ClassClaim     = "dist.Claim"
 	ClassGrant     = "dist.Grant"
 	ClassResult    = "dist.Result"
 	ClassAck       = "dist.Ack"
@@ -167,7 +165,7 @@ type Job struct {
 	Seed int64
 	Spec scenario.Spec
 	// Span is the job's trace span ID, minted by the coordinator at
-	// dispatch and threaded through to the worker and its Record so log
+	// load and threaded through to the worker and its Record so log
 	// lines and phase-latency observations join on one key. Empty until
 	// a coordinator dispatches the job.
 	Span string
@@ -196,33 +194,18 @@ func JobsFor(specs []scenario.Spec, repeat int) []Job {
 // attribute IDs positionally), so reordering fields here is a protocol
 // break between mixed coordinator/worker builds.
 
-// jobAnnounce advertises an unassigned (job, attempt) with its spec JSON.
-// Span rides at the end: appended fields keep positional attribute IDs
-// stable for the fields older builds know.
-type jobAnnounce struct {
-	Sweep   int64
-	Job     int64
-	Attempt int64
-	Seed    int64
-	Spec    []byte
-	Span    string
-}
-
-// jobClaim is a worker's bid to run an announced job.
-type jobClaim struct {
-	Sweep   int64
-	Job     int64
-	Attempt int64
-	Worker  string
-}
-
-// jobGrant assigns a claimed job to exactly one worker. Every worker hears
-// it; an empty Worker (a job recorded without a grantee) releases them all.
+// jobGrant assigns a job to exactly one worker and carries what the worker
+// needs to run it. Every worker hears it; only the named one acts on it.
+// Seed, Spec and Span ride at the end: appended fields keep positional
+// attribute IDs stable for the fields older builds know.
 type jobGrant struct {
 	Sweep   int64
 	Job     int64
 	Attempt int64
 	Worker  string
+	Seed    int64
+	Spec    []byte
+	Span    string
 }
 
 // jobResult carries the finished job's Record as JSON.
@@ -241,18 +224,23 @@ type jobAck struct {
 	Job   int64
 }
 
-// heartbeat is a worker's periodic liveness beacon. Working lists the
-// jobs of Sweep the worker has accepted and still remembers (claimed,
-// running, or finished): the coordinator uses it to detect a grant that
-// never reached its worker — the grantee is alive and beating, yet never
-// lists the job — and re-dispatch far sooner than JobTimeout.
+// heartbeat is a worker's liveness beacon, sent on its period and whenever
+// a run ends. Sweep is the sweep of the last grant the worker took, Busy
+// every run on its slots, and Stale those of Busy that belong to an
+// earlier sweep: what the coordinator of Sweep cannot count itself.
+// Working lists the jobs of Sweep the worker was granted and still
+// remembers (running, or finished and unacknowledged): the coordinator
+// uses it to detect a grant that never reached its worker — the grantee
+// is alive and beating, yet never lists the job — and re-dispatch far
+// sooner than JobTimeout.
 //
 // The fields after Working declare how the worker flies its jobs (its
 // WorkerConfig.Batch): headless or not, the trainee's skill profile, and
 // the headless sim-time budget in seconds (0: each spec's
 // trace.DefaultBudget). The coordinator answers a job from its
 // certification only when every live worker would fly exactly the run the
-// answer stands for. They ride at the end, like jobAnnounce's Span.
+// answer stands for. They ride at the end, like jobGrant's Spec, and
+// Stale after them.
 type heartbeat struct {
 	Worker      string
 	Sweep       int64
@@ -265,6 +253,7 @@ type heartbeat struct {
 	SlackBand   float64
 	Jitter      float64
 	Budget      float64
+	Stale       int64
 }
 
 // runConfig is how a worker flies its jobs, as its heartbeat declares it.

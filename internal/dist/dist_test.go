@@ -332,12 +332,13 @@ func TestUDPLANSweepMatchesLocal(t *testing.T) {
 // TestCoordinatorGivesUpAfterMaxAttempts pins the synthetic-failure path:
 // with only a black-hole worker on the segment, every job must come back
 // as a failed record instead of hanging the sweep. On a manual clock each
-// JobTimeout is one Advance: the first fails the grants, the second and
-// third the unclaimed re-dispatches, and the third attempt is the last.
+// JobTimeout is one Advance that fails every standing grant; each
+// re-dispatch goes to the black hole again, which goes on with the run it
+// has under the new attempt, and the third attempt is the last.
 func TestCoordinatorGivesUpAfterMaxAttempts(t *testing.T) {
 	fed, clk := clockFed(t)
 
-	// Claims and heartbeats flow, but no result ever comes back.
+	// Grants and heartbeats flow, but no result ever comes back.
 	blackhole := func(ctx context.Context, job Job, _ sim.BatchConfig) Record {
 		<-ctx.Done()
 		return Record{}

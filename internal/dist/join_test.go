@@ -16,12 +16,12 @@ import (
 
 // The TestJoin tests hold dispatch to its event path: the pool runs on a
 // manual clock nobody advances, so the backbone's re-broadcasts, the
-// workers' heartbeat period and the coordinator's announce period never
+// workers' heartbeat period and the coordinator's bookkeeping tick never
 // come round, and a pool becomes ready, a sweep starts and a late worker
 // gets work only through what the join itself triggers — a beat when the
-// heartbeat channel comes up, an announce (and a standing grant) said
-// again when a dispatch channel does. Nothing in them sleeps;
-// scripts/check.sh runs them -race -count=20.
+// heartbeat channel comes up, the standing grants sent again when the
+// grant channel does. Nothing in them sleeps; scripts/check.sh runs them
+// -race -count=20.
 
 // clockFed is a federation on its own MemLAN whose nodes share one manual
 // clock.
@@ -101,7 +101,7 @@ func TestJoinWaitWorkers(t *testing.T) {
 				t.Fatalf("WaitWorkers: %v", err)
 			}
 			for name, pub := range map[string]interface{ Channels() int }{
-				ClassJob: coord.pubJob, ClassGrant: coord.pubGrant, ClassAck: coord.pubAck,
+				ClassGrant: coord.pubGrant, ClassAck: coord.pubAck,
 			} {
 				if n := pub.Channels(); n != 2 {
 					t.Errorf("%s has %d channels after WaitWorkers, want 2", name, n)
@@ -140,12 +140,11 @@ func goSweep(run func() ([]Record, error)) <-chan sweepDone {
 }
 
 // TestJoinSweepRightAfterWaitWorkers starts a 64-job sweep the moment
-// WaitWorkers returns and wants every job recorded with no announce said
+// WaitWorkers returns and wants every job recorded with no grant sent
 // twice: none went into the void and none waited for a period. On the
-// wall clock a slow run may see the 250 ms announce period re-announce
-// what is still unassigned, so there the claim is held at the first
-// record: until then every announce was a first one, which is to say the
-// head of the sweep did not wait for a period.
+// wall clock that is also held at the first record: until then every
+// grant was a first one, which is to say the head of the sweep did not
+// wait for a period.
 func TestJoinSweepRightAfterWaitWorkers(t *testing.T) {
 	const n = 64
 	for _, wall := range []bool{false, true} {
@@ -159,7 +158,7 @@ func TestJoinSweepRightAfterWaitWorkers(t *testing.T) {
 			startWorker(t, fed, "w1", eventWorker(2, stubRunner(0)))
 			startWorker(t, fed, "w2", eventWorker(2, stubRunner(0)))
 			// The coordinator's dispatch counters as its first "job done"
-			// goes by: announces, attempts.
+			// goes by: grants, attempts.
 			var coord *Coordinator
 			var once sync.Once
 			first := make(chan [2]int64, 1)
@@ -168,7 +167,7 @@ func TestJoinSweepRightAfterWaitWorkers(t *testing.T) {
 					if r.Message == "job done" {
 						once.Do(func() {
 							s := coord.Sample()
-							first <- [2]int64{s.Announces, s.Attempts}
+							first <- [2]int64{s.Grants, s.Attempts}
 						})
 					}
 				})),
@@ -181,27 +180,28 @@ func TestJoinSweepRightAfterWaitWorkers(t *testing.T) {
 				t.Fatalf("Run: %v", err)
 			}
 			checkRecords(t, recs, n)
-			// A job just loaded is announced on the loop's next pass, so
-			// fewer is fine; more means one was said twice.
+			// A job just loaded is granted on the loop's next pass at the
+			// earliest, so fewer is fine; more means one was sent twice.
 			if at := <-first; at[0] > at[1] {
-				t.Errorf("at the first record: %d announces for %d jobs loaded; a job was said twice before anything finished",
+				t.Errorf("at the first record: %d grants for %d jobs loaded; a job was sent twice before anything finished",
 					at[0], at[1])
 			}
 			s := coord.Sample()
 			if s.Redispatches != 0 || s.Attempts != n {
 				t.Errorf("%d attempts, %d re-dispatches; want %d, 0", s.Attempts, s.Redispatches, n)
 			}
-			if !wall && s.Announces != n {
-				t.Errorf("%d announces, want %d: one per job", s.Announces, n)
+			if !wall && s.Grants != n {
+				t.Errorf("%d grants, want %d: one per job", s.Grants, n)
 			}
 		})
 	}
 }
 
 // TestJoinSweepBeforeThePool: a sweep started with nobody on the segment
-// is announced into the void, and runs when a worker joins — the announces
-// are said again because pubJob gained a channel, not because a period
-// came round.
+// waits with every job pending, and runs when a worker joins — its first
+// beat makes it a grantee, and a grant sent before its grant channel was
+// built is sent again because pubGrant gained the channel, not because a
+// period came round.
 func TestJoinSweepBeforeThePool(t *testing.T) {
 	const n = 8
 	fed := eventFed(t)
@@ -209,8 +209,8 @@ func TestJoinSweepBeforeThePool(t *testing.T) {
 	coord := eventCoordinator(t, fed, "coord-node", CoordinatorConfig{})
 
 	// The source is asked for its end only after the sweep has taken the
-	// last job, so by then every announce but perhaps that job's has gone
-	// out, to nobody: the worker is started after that.
+	// last job, so by then every job but perhaps that one is pending: the
+	// worker is started after that.
 	loaded := make(chan struct{})
 	jobs := testJobs(n)
 	next := 0
@@ -241,8 +241,8 @@ type jobSourceFunc func(context.Context) (Job, bool, error)
 
 func (f jobSourceFunc) Next(ctx context.Context) (Job, bool, error) { return f(ctx) }
 
-// TestJoinWorkerMidSweep: a worker that joins a running sweep is told the
-// pending jobs and granted work. The first worker's one slot is held until
+// TestJoinWorkerMidSweep: a worker that joins a running sweep is granted
+// the pending jobs. The first worker's one slot is held until
 // the newcomer has started a job, so the sweep cannot finish without it.
 func TestJoinWorkerMidSweep(t *testing.T) {
 	const n = 6
@@ -292,10 +292,11 @@ func TestJoinWorkerMidSweep(t *testing.T) {
 }
 
 // TestJoinBackToBackSweeps: a worker still running a job of an abandoned
-// sweep keeps the next sweep's announces and bids on them when its slot
-// frees. The second coordinator says each job once (its clock never moves),
-// and the run is released only after the worker has reported holding them,
-// so a worker that dropped them would leave the sweep waiting for ever.
+// sweep is granted the next sweep's jobs when its slot frees. The second
+// coordinator grants each job once (its clock never moves), and the run is
+// released only after that coordinator has seen the worker busy with the
+// old sweep, so a worker that did not beat as its run ended would leave
+// the sweep waiting for ever.
 func TestJoinBackToBackSweeps(t *testing.T) {
 	const n = 3
 	fed := eventFed(t)
@@ -313,17 +314,7 @@ func TestJoinBackToBackSweeps(t *testing.T) {
 		}
 		return stubRunner(0)(ctx, job, cfg)
 	}
-	held := make(chan struct{}, 1)
-	wcfg := eventWorker(1, run)
-	wcfg.Log = slog.New(onLog(func(r slog.Record) {
-		if r.Message == "sweep waits for running jobs" {
-			select {
-			case held <- struct{}{}:
-			default:
-			}
-		}
-	}))
-	startWorker(t, fed, "w1", wcfg)
+	startWorker(t, fed, "w1", eventWorker(1, run))
 
 	// The first sweep is abandoned with its one job still running.
 	a := eventCoordinator(t, fed, "coord-a", CoordinatorConfig{Sweep: 1})
@@ -345,7 +336,15 @@ func TestJoinBackToBackSweeps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b := eventCoordinator(t, fed, "coord-b", CoordinatorConfig{Sweep: 2})
+	held := make(chan struct{}, 1)
+	b := eventCoordinator(t, fed, "coord-b", CoordinatorConfig{Sweep: 2, Log: slog.New(onLog(func(r slog.Record) {
+		if r.Message == "worker busy with another sweep" {
+			select {
+			case held <- struct{}{}:
+			default:
+			}
+		}
+	}))})
 	if err := b.WaitWorkers(ctx, []string{"w1"}); err != nil {
 		t.Fatalf("second WaitWorkers: %v", err)
 	}
@@ -353,7 +352,7 @@ func TestJoinBackToBackSweeps(t *testing.T) {
 	select {
 	case <-held:
 	case <-ctx.Done():
-		t.Fatal("the worker never reported holding the next sweep's announces")
+		t.Fatal("the second coordinator never saw the worker busy with the first sweep")
 	}
 	close(release)
 	res := <-done
@@ -361,21 +360,23 @@ func TestJoinBackToBackSweeps(t *testing.T) {
 		t.Fatalf("second sweep: %v", res.err)
 	}
 	checkRecords(t, res.recs, n)
-	if s := b.Sample(); s.Announces != n {
-		t.Errorf("second sweep: %d announces, want %d: one per job", s.Announces, n)
+	if s := b.Sample(); s.Grants != n {
+		t.Errorf("second sweep: %d grants, want %d: one per job", s.Grants, n)
 	}
 }
 
 // TestJoinDatagramCounts pins the discovery datagrams of the three-node
 // rig the benchmark and codbatch build — two workers, then the coordinator
-// — so that eagerness cannot become a storm unnoticed. Each of the nine
-// subscriptions says SUBSCRIPTION once when registered and each of the
-// nine publications solicits once; that is all. The workers' six dispatch
-// subscriptions answer the coordinator's solicits over a link, not the
-// segment: the coordinator subscribes before it publishes, so each worker's
-// CB has dialed it by the time a solicit arrives. The count is the
-// topology's: no interval runs, and WaitWorkers returns only after those
-// six answers have built their channels.
+// — so that eagerness cannot become a storm unnoticed. Four classes make
+// six subscriptions (results and heartbeats at the coordinator, grants and
+// acks at each worker) and six publications; each subscription says
+// SUBSCRIPTION once when registered and each publication solicits once;
+// that is all. The workers' four dispatch subscriptions answer the
+// coordinator's solicits over a link, not the segment: the coordinator
+// subscribes before it publishes, so each worker's CB has dialed it by the
+// time a solicit arrives. The count is the topology's: no interval runs,
+// and WaitWorkers returns only after those four answers have built their
+// channels.
 func TestJoinDatagramCounts(t *testing.T) {
 	fed := eventFed(t)
 	ctx := joinCtx(t)
@@ -395,8 +396,8 @@ func TestJoinDatagramCounts(t *testing.T) {
 		subscriptions += node.Stats().BroadcastsSent.Value()
 		solicits += node.Stats().SolicitsSent.Value()
 	}
-	if subscriptions != 9 || solicits != 9 {
-		t.Errorf("%d SUBSCRIPTION and %d PUBLICATION datagrams, want 9 and 9", subscriptions, solicits)
+	if subscriptions != 6 || solicits != 6 {
+		t.Errorf("%d SUBSCRIPTION and %d PUBLICATION datagrams, want 6 and 6", subscriptions, solicits)
 	}
 }
 

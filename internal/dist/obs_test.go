@@ -115,8 +115,8 @@ func TestObsLiveSweepScrape(t *testing.T) {
 		"codsim_cb_channel_frames_total{",
 		`codsim_dist_jobs{role="coordinator",state="done"} 8`,
 		`codsim_dist_jobs{role="worker",state="finished"} 8`,
-		`codsim_dist_jobs{role="worker",state="backlog"} 0`,
-		`codsim_dist_jobs{role="coordinator",state="announces"} `,
+		`codsim_dist_jobs{role="worker",state="slots"} 2`,
+		`codsim_dist_jobs{role="coordinator",state="grants"} `,
 		`codsim_dist_worker{worker="w1",stat="done"} 8`,
 		`codsim_job_phase_seconds_count{phase="queue"} 8`,
 		`codsim_job_phase_seconds_count{phase="dispatch"} 8`,

@@ -40,8 +40,8 @@ type Record struct {
 	Alarms int64  `json:"alarms,omitempty"`
 	Err    string `json:"err,omitempty"`
 	// Span is the job's trace span ID; QueueMS is the coordinator-side
-	// load→grant wait and DispatchMS the worker-side claim→grant latency
-	// of the attempt that produced this record. All three are absent from
+	// load→grant wait and DispatchMS the worker-side grant→run-start
+	// latency of the attempt that produced this record. All three are absent from
 	// a record made outside a dist sweep (NewRecord of a sim.RunBatch run).
 	Span       string  `json:"span,omitempty"`
 	QueueMS    float64 `json:"queue_ms,omitempty"`

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -71,37 +70,29 @@ func DefaultRunner(ctx context.Context, job Job, cfg sim.BatchConfig) Record {
 	return NewRecord(job, sim.RunOne(ctx, job.Spec, cfg, job.SkillSeed()), "")
 }
 
-// announceDepth is the announce subscription's Reliable window and, for the
-// same reason, the cap on a worker's backlog: a coordinator cannot have more
-// announces than this outstanding to one worker, so a backlog this deep
-// holds everything the channel can deliver in one burst.
-const announceDepth = 256
-
-// wjPhase is a worker-side job state.
-type wjPhase int
-
-const (
-	wjClaimed wjPhase = iota // bid sent, awaiting grant
-	wjRunning
-	wjFinished
-)
-
-// workerJob tracks one job the worker has bid on, is running, or has
-// finished (finished jobs cache their result for replay).
+// workerJob is one job of the worker's sweep that it was granted: running,
+// or finished with its Record cached for re-sends and replays until the
+// coordinator acknowledges it.
 type workerJob struct {
-	phase     wjPhase
+	finished  bool
 	attempt   int64
-	job       Job
+	span      string
 	rec       Record
 	lastSend  time.Time // last result send, for the re-send backoff
-	claimedAt time.Time // bid time, for claim expiry and dispatch latency
 	firstSend time.Time // first result send, for the ack phase span
 }
 
+// doneRun is a run's Record as its slot hands it back, with the sweep
+// whose grant started it.
+type doneRun struct {
+	sweep int64
+	rec   Record
+}
+
 // Worker serves one host's slots to whatever coordinator runs on the
-// segment. It keeps serving across sweeps: when a new coordinator starts
-// announcing a different sweep ID, the worker keeps those announces, drops
-// the previous sweep's bookkeeping once its slots drain, and bids.
+// segment. It keeps serving across sweeps: the first grant of a new sweep
+// ID drops the previous sweep's bookkeeping, and the runs still going of
+// that sweep count as stale until they end.
 type Worker struct {
 	name  string
 	cfg   WorkerConfig
@@ -109,34 +100,21 @@ type Worker struct {
 	spans *obs.Spans
 	clock clock.Clock
 
-	subJob   *cod.Sub[jobAnnounce]
 	subGrant *cod.Sub[jobGrant]
 	subAck   *cod.Sub[jobAck]
-	pubClaim *cod.Pub[jobClaim]
 	pubRes   *cod.Pub[jobResult]
 	pubHB    *cod.Pub[heartbeat]
 
 	sweep   int64
 	jobs    map[int64]*workerJob
-	running int
-	claimed int // jobs in wjClaimed: bids awaiting their grant
-	// backlog holds the announces this worker has not bid on, oldest
-	// first, one entry per job with the spec still undecoded. Slots refill
-	// from it, so the coordinator says each job once. At most
-	// announceDepth entries.
-	backlog []jobAnnounce
-	// next holds, the same way, the announces of a sweep that began while
-	// this worker still runs jobs of the current one. They become the
-	// backlog when the last of those runs ends.
-	next   []jobAnnounce
-	doneCh chan Record // finished runs, keyed by Record.Job
+	running int          // runs on the slots, of any sweep
+	stale   int          // runs of an earlier sweep than sweep
+	doneCh  chan doneRun // finished runs
 
 	// Scrape-facing mirrors of the ledger above, refreshed by the Run
 	// loop so Sample, read when /metrics is scraped, never touches loop
 	// state.
 	obsBusy     atomic.Int64
-	obsClaimed  atomic.Int64
-	obsBacklog  atomic.Int64
 	obsFinished atomic.Int64 // cumulative runs finished
 	obsAcked    atomic.Int64 // cumulative results acknowledged
 }
@@ -156,25 +134,17 @@ func NewWorker(node *cod.Node, cfg WorkerConfig) (*Worker, error) {
 		spans:  cfg.Spans,
 		clock:  node.Backbone().Clock(),
 		jobs:   make(map[int64]*workerJob),
-		doneCh: make(chan Record, cfg.Slots),
+		doneCh: make(chan doneRun, cfg.Slots),
 	}
-	// Dispatch traffic is must-not-lose: announces, grants and acks ride
-	// Reliable channels, so a worker that falls behind stalls the
-	// coordinator's publisher (which retries next period) instead of
-	// silently shedding distinct jobs from a drop-oldest mailbox.
+	// Dispatch traffic is must-not-lose: grants and acks ride Reliable
+	// channels, so a worker that falls behind stalls the coordinator's
+	// publisher instead of silently shedding distinct jobs from a
+	// drop-oldest mailbox.
 	var err error
-	if w.subJob, err = cod.Subscribe[jobAnnounce](node, cfg.Name, ClassJob, cod.Reliable(announceDepth)); err != nil {
-		return nil, fmt.Errorf("dist: worker %s: %w", cfg.Name, err)
-	}
 	if w.subGrant, err = cod.Subscribe[jobGrant](node, cfg.Name, ClassGrant, cod.Reliable(256)); err != nil {
-		w.Close()
 		return nil, fmt.Errorf("dist: worker %s: %w", cfg.Name, err)
 	}
 	if w.subAck, err = cod.Subscribe[jobAck](node, cfg.Name, ClassAck, cod.Reliable(256)); err != nil {
-		w.Close()
-		return nil, fmt.Errorf("dist: worker %s: %w", cfg.Name, err)
-	}
-	if w.pubClaim, err = cod.Publish[jobClaim](node, cfg.Name, ClassClaim); err != nil {
 		w.Close()
 		return nil, fmt.Errorf("dist: worker %s: %w", cfg.Name, err)
 	}
@@ -192,17 +162,11 @@ func NewWorker(node *cod.Node, cfg WorkerConfig) (*Worker, error) {
 // Close withdraws the worker's channel registrations.
 func (w *Worker) Close() error {
 	var errs []error
-	if w.subJob != nil {
-		errs = append(errs, w.subJob.Close())
-	}
 	if w.subGrant != nil {
 		errs = append(errs, w.subGrant.Close())
 	}
 	if w.subAck != nil {
 		errs = append(errs, w.subAck.Close())
-	}
-	if w.pubClaim != nil {
-		errs = append(errs, w.pubClaim.Close())
 	}
 	if w.pubRes != nil {
 		errs = append(errs, w.pubRes.Close())
@@ -218,8 +182,8 @@ func (w *Worker) Name() string { return w.name }
 
 // Run serves jobs until ctx is done, then cancels any in-flight runs and
 // returns ctx.Err(). The worker survives coordinator restarts: channels
-// re-match through the backbone's dynamic join and new sweeps reset its
-// bookkeeping.
+// re-match through the backbone's dynamic join and a new sweep's first
+// grant resets its bookkeeping.
 func (w *Worker) Run(ctx context.Context) error {
 	runCtx, cancelRuns := context.WithCancel(ctx)
 	defer cancelRuns()
@@ -231,6 +195,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	hb := w.clock.NewTimer(w.cfg.Heartbeat)
 	defer hb.Stop()
 
+	freed := false // a run ended since the last pass
 	for {
 		// Checked before the drains and the flush: once the worker is
 		// dying, a runner aborted by cancelRuns hands back a record via
@@ -240,12 +205,16 @@ func (w *Worker) Run(ctx context.Context) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		w.drainAnnounces()
 		w.drainGrants(runCtx)
 		w.drainAcks()
-		w.expireClaims()
-		w.bidBacklog()
 		w.flushResults()
+		if freed {
+			// Say the slot freed, after the record that frees it at the
+			// coordinator of its sweep, for a coordinator that cannot
+			// count it itself — one whose sweep is not this run's.
+			w.beat()
+			freed = false
+		}
 		w.publishStats()
 
 		select {
@@ -259,21 +228,11 @@ func (w *Worker) Run(ctx context.Context) error {
 			// away): whoever listens now hears at once that this worker is
 			// live, which is what WaitWorkers waits for.
 			w.beat()
-		case <-w.pubClaim.NotifyC():
-			// A route for the bids bidBacklog could not send ...
 		case <-w.pubRes.NotifyC():
-			// ... and for the records flushResults could not.
-		case rec := <-w.doneCh:
-			w.running--
-			w.obsFinished.Add(1)
-			if j := w.jobs[rec.Job]; j != nil {
-				j.phase = wjFinished
-				j.rec = rec
-			}
-			w.log.Info("job finished",
-				"sweep", w.sweep, "job", rec.Job, "attempt", rec.Attempt,
-				"span", rec.Span, "wall_s", rec.WallSec, "passed", rec.Passed)
-		case <-w.subJob.NotifyC():
+			// A route for the records flushResults could not send.
+		case d := <-w.doneCh:
+			w.finish(d)
+			freed = true
 		case <-w.subGrant.NotifyC():
 		case <-w.subAck.NotifyC():
 		}
@@ -283,9 +242,9 @@ func (w *Worker) Run(ctx context.Context) error {
 // beat publishes one heartbeat; no subscriber just means no coordinator
 // is up yet.
 func (w *Worker) beat() {
-	// Every job this worker has accepted and still remembers — claimed,
-	// running, or finished. Finished jobs stay listed so a result still
-	// in flight is never mistaken for a lost grant.
+	// Every job of the sweep this worker was granted and still remembers —
+	// running, or finished. Finished jobs stay listed so a result still in
+	// flight is never mistaken for a lost grant.
 	working := make([]int64, 0, len(w.jobs))
 	for id := range w.jobs {
 		working = append(working, id)
@@ -303,14 +262,13 @@ func (w *Worker) beat() {
 		SlackBand:   run.skill.SlackBand,
 		Jitter:      run.skill.Jitter,
 		Budget:      run.budget,
+		Stale:       int64(w.stale),
 	})
 }
 
 // publishStats refreshes the scrape-facing mirrors of the job ledger.
 func (w *Worker) publishStats() {
 	w.obsBusy.Store(int64(w.running))
-	w.obsClaimed.Store(int64(w.claimed))
-	w.obsBacklog.Store(int64(len(w.backlog) + len(w.next)))
 }
 
 // Sample snapshots the worker's dispatch state for the telemetry plane
@@ -322,178 +280,13 @@ func (w *Worker) Sample() obs.DispatchSample {
 		Name:         w.name,
 		Slots:        int64(w.cfg.Slots),
 		Busy:         w.obsBusy.Load(),
-		Claimed:      w.obsClaimed.Load(),
-		Backlog:      w.obsBacklog.Load(),
 		Finished:     w.obsFinished.Load(),
 		ResultsAcked: w.obsAcked.Load(),
 	}
 }
 
-// free reports how many slots are neither running nor bid away.
-func (w *Worker) free() int { return w.cfg.Slots - w.running - w.claimed }
-
-// release forgets a bid that will draw no grant, freeing its slot.
-func (w *Worker) release(job int64) {
-	delete(w.jobs, job)
-	w.claimed--
-}
-
-// drainAnnounces files every announce that has arrived, after those of a
-// sweep that was waiting for this worker's last run of the previous one.
-func (w *Worker) drainAnnounces() {
-	if w.running == 0 && len(w.next) > 0 {
-		held := w.next
-		w.next = nil
-		for _, ann := range held {
-			w.file(ann)
-		}
-	}
-	for {
-		r, ok, err := w.subJob.Poll()
-		if err != nil {
-			continue
-		}
-		if !ok {
-			return
-		}
-		w.file(r.Value)
-	}
-}
-
-// file takes one announce: one for a job this worker already holds renews
-// its bid or re-arms its cached result — the coordinator only re-announces
-// what it never recorded — and any other goes to the backlog for
-// bidBacklog.
-func (w *Worker) file(ann jobAnnounce) {
-	if ann.Sweep != w.sweep {
-		// A new sweep begins once the old one's slots drain; until then
-		// its announces are kept, not bid on, so the new coordinator says
-		// each job once whatever this worker was doing.
-		if w.running > 0 {
-			if len(w.next) > 0 && w.next[0].Sweep != ann.Sweep {
-				clear(w.next) // a third sweep: the one kept was abandoned
-				w.next = w.next[:0]
-			}
-			if len(w.next) == 0 {
-				w.log.Info("sweep waits for running jobs",
-					"sweep", ann.Sweep, "running", w.running)
-			}
-			w.next = stash(w.next, ann)
-			return
-		}
-		w.sweep = ann.Sweep
-		w.jobs = make(map[int64]*workerJob)
-		w.claimed = 0
-		clear(w.backlog) // let go of the old sweep's specs
-		w.backlog = w.backlog[:0]
-	}
-	j := w.jobs[ann.Job]
-	if j == nil {
-		w.backlog = stash(w.backlog, ann)
-		return
-	}
-	switch {
-	case j.phase == wjFinished:
-		// The coordinator lost or timed out our result: replay it
-		// under the announced attempt.
-		j.attempt = ann.Attempt
-		j.lastSend = time.Time{}
-	case j.phase == wjClaimed && ann.Attempt > j.attempt:
-		// Our earlier bid went stale; renew it for the new attempt.
-		j.attempt = ann.Attempt
-		w.claim(j)
-	}
-}
-
-// stash keeps ann in list, one entry per job: a newer attempt takes the
-// stale entry's place in the queue, a repeat of the held attempt (the
-// coordinator's period, or its word to a worker that just joined) changes
-// nothing. A full list drops the announce; the period brings it back.
-func stash(list []jobAnnounce, ann jobAnnounce) []jobAnnounce {
-	for i := range list {
-		if list[i].Job == ann.Job {
-			if ann.Attempt > list[i].Attempt {
-				list[i] = ann
-			}
-			return list
-		}
-	}
-	if len(list) < announceDepth {
-		list = append(list, ann)
-	}
-	return list
-}
-
-// unstash drops the backlog entry for job when another worker was granted
-// that attempt or a later one. A late grant for an older attempt says
-// nothing about the entry held.
-func (w *Worker) unstash(job, attempt int64) {
-	for i := range w.backlog {
-		if w.backlog[i].Job == job {
-			if w.backlog[i].Attempt <= attempt {
-				w.backlog = slices.Delete(w.backlog, i, i+1)
-			}
-			return
-		}
-	}
-}
-
-// bidBacklog bids on the oldest announces while slots are free, so a slot
-// that a finished run or a lost race just freed takes its next job without
-// the coordinator saying anything again.
-func (w *Worker) bidBacklog() {
-	for w.free() > 0 && len(w.backlog) > 0 {
-		ann := w.backlog[0]
-		spec, err := scenario.UnmarshalSpec(ann.Spec)
-		if err != nil {
-			w.backlog = slices.Delete(w.backlog, 0, 1) // foreign or corrupt job; someone else may parse it
-			continue
-		}
-		j := &workerJob{
-			phase:   wjClaimed,
-			attempt: ann.Attempt,
-			job:     Job{ID: ann.Job, Seed: ann.Seed, Spec: spec, Span: ann.Span},
-		}
-		w.jobs[ann.Job] = j
-		w.claimed++
-		if !w.claim(j) {
-			return // no route to the coordinator: the entry stays for the next pass
-		}
-		w.backlog = slices.Delete(w.backlog, 0, 1)
-	}
-}
-
-// claim publishes one bid and reports whether it went out; a routing
-// failure forgets the bid so the next announce can retry it.
-func (w *Worker) claim(j *workerJob) bool {
-	err := w.pubClaim.Update(0, jobClaim{
-		Sweep: w.sweep, Job: j.job.ID, Attempt: j.attempt, Worker: w.name,
-	})
-	if err != nil {
-		w.release(j.job.ID)
-		return false
-	}
-	j.claimedAt = w.clock.Now()
-	return true
-}
-
-// expireClaims drops bids that never drew a grant — the race was lost
-// before this worker's grant channel was established, so the release
-// grant never arrived. The coordinator's next announce can renew the bid.
-func (w *Worker) expireClaims() {
-	if w.claimed == 0 {
-		return
-	}
-	ttl := 4 * w.cfg.Heartbeat
-	now := w.clock.Now()
-	for id, j := range w.jobs {
-		if j.phase == wjClaimed && now.Sub(j.claimedAt) > ttl {
-			w.release(id)
-		}
-	}
-}
-
-// drainGrants starts granted runs and releases bids granted elsewhere.
+// drainGrants starts the runs granted to this worker. Every worker hears
+// every grant; one naming another worker says nothing to this one.
 func (w *Worker) drainGrants(runCtx context.Context) {
 	for {
 		r, ok, err := w.subGrant.Poll()
@@ -504,45 +297,70 @@ func (w *Worker) drainGrants(runCtx context.Context) {
 			return
 		}
 		g := r.Value
-		if g.Sweep != w.sweep {
-			continue
-		}
-		j := w.jobs[g.Job]
 		if g.Worker != w.name {
-			if j == nil {
-				w.unstash(g.Job, g.Attempt)
-			} else if j.phase == wjClaimed {
-				w.release(g.Job) // lost the race; free the slot
-			}
 			continue
 		}
-		if j == nil || j.phase != wjClaimed {
-			continue // duplicate grant re-send
+		if g.Sweep != w.sweep {
+			// A new coordinator's first grant: the previous sweep's records
+			// go unsent, and its runs still going count as stale.
+			w.log.Info("new sweep", "sweep", g.Sweep, "stale_runs", w.running)
+			w.sweep, w.jobs, w.stale = g.Sweep, make(map[int64]*workerJob), w.running
 		}
-		j.phase = wjRunning
-		w.claimed--
+		if j := w.jobs[g.Job]; j != nil {
+			if g.Attempt > j.attempt {
+				// Re-dispatched to this worker again: a run goes on under the
+				// new attempt, a finished one's Record is sent again under it.
+				j.attempt, j.lastSend = g.Attempt, time.Time{}
+			}
+			continue // otherwise a grant sent again
+		}
+		j := &workerJob{attempt: g.Attempt, span: g.Span}
+		w.jobs[g.Job] = j
+		spec, err := scenario.UnmarshalSpec(g.Spec)
+		if err != nil {
+			j.finished = true
+			j.rec = Record{Job: g.Job, Attempt: g.Attempt, Seed: g.Seed, Worker: w.name, Span: g.Span,
+				Err: fmt.Sprintf("dist: worker %s: job %d: %v", w.name, g.Job, err)}
+			continue
+		}
 		w.running++
-		// The dispatch phase ends here: the bid waited from claim to
-		// grant, all on this worker's clock.
-		dispatched := w.clock.Now().Sub(j.claimedAt)
-		w.spans.Observe(obs.PhaseDispatch, dispatched)
-		// Fractional ms, for the same reason as the coordinator's queueMS.
-		dispatchMS := float64(dispatched.Microseconds()) / 1e3
 		w.log.Info("job started",
-			"sweep", w.sweep, "job", g.Job, "attempt", g.Attempt,
-			"span", j.job.Span, "dispatch_ms", dispatchMS)
-		go func(job Job, attempt int64) {
+			"sweep", w.sweep, "job", g.Job, "attempt", g.Attempt, "span", g.Span)
+		// The dispatch phase runs from here to the run's start, all on this
+		// worker's clock. Nanoseconds, as the coordinator's queue phase.
+		taken := w.clock.Now()
+		go func(sweep int64, job Job, attempt int64) {
 			start := w.clock.Now()
+			dispatched := start.Sub(taken)
+			w.spans.Observe(obs.PhaseDispatch, dispatched)
 			rec := w.cfg.Run(runCtx, job, w.cfg.Batch)
 			w.spans.Observe(obs.PhaseRun, w.clock.Now().Sub(start))
 			rec.Job = job.ID
 			rec.Attempt = attempt
 			rec.Worker = w.name
 			rec.Span = job.Span
-			rec.DispatchMS = dispatchMS
-			w.doneCh <- rec
-		}(j.job, j.attempt)
+			rec.DispatchMS = float64(dispatched.Nanoseconds()) / 1e6
+			w.doneCh <- doneRun{sweep, rec}
+		}(w.sweep, Job{ID: g.Job, Seed: g.Seed, Spec: spec, Span: g.Span}, g.Attempt)
 	}
+}
+
+// finish takes a run's Record back from its slot. One of an earlier sweep
+// is dropped: that sweep's coordinator is gone.
+func (w *Worker) finish(d doneRun) {
+	w.running--
+	w.obsFinished.Add(1)
+	if d.sweep != w.sweep {
+		w.stale--
+		return
+	}
+	rec := d.rec
+	if j := w.jobs[rec.Job]; j != nil {
+		j.finished, j.rec = true, rec
+	}
+	w.log.Info("job finished",
+		"sweep", w.sweep, "job", rec.Job, "attempt", rec.Attempt,
+		"span", rec.Span, "wall_s", rec.WallSec, "passed", rec.Passed)
 }
 
 // drainAcks stops the re-send loop of acknowledged results.
@@ -558,11 +376,11 @@ func (w *Worker) drainAcks() {
 		if r.Value.Sweep != w.sweep {
 			continue
 		}
-		// The coordinator has the record and will never announce this job
+		// The coordinator has the record and will never grant this job
 		// again, so the whole entry can go: keeping it would grow every
 		// heartbeat's Working list (and the cached Records) with all jobs
 		// ever run in the sweep.
-		if j := w.jobs[r.Value.Job]; j != nil && j.phase == wjFinished {
+		if j := w.jobs[r.Value.Job]; j != nil && j.finished {
 			// The ack phase ends here: the record waited from its first
 			// send until the coordinator confirmed receipt.
 			if !j.firstSend.IsZero() {
@@ -581,14 +399,14 @@ func (w *Worker) drainAcks() {
 // have stalled us — but the ack loop stays for the one loss the window
 // cannot see: link churn tears the virtual channel down, and a frame
 // written just before the teardown vanishes without an error on either
-// side. So only an ack (or a replay request via re-announce) ends a
+// side. So only an ack (or a replay's grant at a newer attempt) ends a
 // record's delivery loop; ErrWindowFull just means the coordinator is
 // saturated, and the next pass retries without burning the backoff.
 func (w *Worker) flushResults() {
 	resend := 4 * w.cfg.Heartbeat
 	now := w.clock.Now()
 	for id, j := range w.jobs {
-		if j.phase != wjFinished || now.Sub(j.lastSend) < resend {
+		if !j.finished || now.Sub(j.lastSend) < resend {
 			continue
 		}
 		data, err := marshalRecord(j.rec)
@@ -597,7 +415,7 @@ func (w *Worker) flushResults() {
 			continue
 		}
 		err = w.pubRes.Update(0, jobResult{
-			Sweep: w.sweep, Job: j.job.ID, Attempt: j.attempt,
+			Sweep: w.sweep, Job: id, Attempt: j.attempt,
 			Worker: w.name, Record: data,
 		})
 		switch {
@@ -607,14 +425,14 @@ func (w *Worker) flushResults() {
 				j.firstSend = now
 			}
 			w.log.Info("result sent",
-				"sweep", w.sweep, "job", j.job.ID, "attempt", j.attempt,
-				"span", j.job.Span)
+				"sweep", w.sweep, "job", id, "attempt", j.attempt,
+				"span", j.span)
 		case errors.Is(err, cod.ErrWindowFull):
 			w.log.Warn("result deferred: coordinator window full",
-				"sweep", w.sweep, "job", j.job.ID, "span", j.job.Span)
+				"sweep", w.sweep, "job", id, "span", j.span)
 		default:
 			w.log.Warn("result not sent",
-				"sweep", w.sweep, "job", j.job.ID, "span", j.job.Span, "err", err)
+				"sweep", w.sweep, "job", id, "span", j.span, "err", err)
 		}
 	}
 }

@@ -36,24 +36,21 @@ type DispatchSample struct {
 	Role string
 	Name string
 
-	// Coordinator state: jobs currently pending announce or granted
+	// Coordinator state: jobs currently pending a grant or granted
 	// (InFlight = Pending + Granted), finished jobs, attempts dispatched,
-	// re-dispatches of lost grants, and announce publications — a healthy
-	// sweep says each attempt about once, so Announces far above Attempts
-	// is an announce storm.
+	// re-dispatches of lost grants, and grant publications — a healthy
+	// sweep grants each attempt once, so Grants above Attempts counts
+	// grants sent again to a worker whose grant channel came up late.
 	Pending      int64
 	Granted      int64
 	Done         int64
 	Attempts     int64
 	Redispatches int64
-	Announces    int64
+	Grants       int64
 
-	// Worker state: slot occupancy, the local job ledger, and how many
-	// announces are held for the next free slot.
+	// Worker state: slot occupancy and the local job ledger.
 	Slots        int64
 	Busy         int64
-	Claimed      int64
-	Backlog      int64
 	Finished     int64
 	ResultsAcked int64
 
@@ -399,7 +396,7 @@ func (p *Plane) writeSources(s *scrape) {
 	}
 
 	s.family("codsim_dist_jobs",
-		"dist dispatch state by role (in_flight, pending, granted, done, attempts, redispatches, announces, slots, busy, claimed, backlog, finished, results_acked)",
+		"dist dispatch state by role (in_flight, pending, granted, done, attempts, redispatches, grants, slots, busy, finished, results_acked)",
 		kindGauge)
 	for _, d := range s.disp {
 		switch d.Role {
@@ -411,12 +408,10 @@ func (p *Plane) writeSources(s *scrape) {
 			s.job(d.Role, "done", d.Done)
 			s.job(d.Role, "attempts", d.Attempts)
 			s.job(d.Role, "redispatches", d.Redispatches)
-			s.job(d.Role, "announces", d.Announces)
+			s.job(d.Role, "grants", d.Grants)
 		default: // worker roles
 			s.job(d.Role, "slots", d.Slots)
 			s.job(d.Role, "busy", d.Busy)
-			s.job(d.Role, "claimed", d.Claimed)
-			s.job(d.Role, "backlog", d.Backlog)
 			s.job(d.Role, "finished", d.Finished)
 			s.job(d.Role, "results_acked", d.ResultsAcked)
 		}

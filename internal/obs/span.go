@@ -9,8 +9,8 @@ import (
 // Job phases, in wall-clock order. Each phase is one histogram series
 // under codsim_job_phase_seconds{phase=...}:
 //
-//	queue    coordinator-side: job loaded until a worker's claim is granted
-//	dispatch worker-side: claim sent until the grant arrived
+//	queue    coordinator-side: job loaded until its grant is sent
+//	dispatch worker-side: grant taken until the run starts
 //	run      worker-side: simulation wall time
 //	ack      worker-side: first result send until the coordinator's ack
 //
@@ -31,9 +31,9 @@ var (
 )
 
 // MintSpanID returns a new process-unique span ID such as "a1b2c3d4-0007".
-// It is minted at dispatch, threaded through dist.Job to the worker, and
-// comes home on the dist.Record so a sweep's log lines and latency
-// observations join on one key.
+// It is minted when a job is loaded, threaded through its grant to the
+// worker, and comes home on the dist.Record so a sweep's log lines and
+// latency observations join on one key.
 func MintSpanID() string {
 	return fmt.Sprintf("%08x-%04x", spanEpoch, spanSeq.Add(1))
 }

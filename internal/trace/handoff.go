@@ -93,11 +93,14 @@ func Park(key SpecKey, budget float64, res RunResult, audit string) {
 	handOff.mu.Unlock()
 }
 
-// Take removes and returns the answer parked for the spec whose
+// Take removes and returns the answer parked last for the spec whose
 // MarshalSpec bytes are raw, if there is one; while nothing is parked it
 // costs one atomic load and no hash. The taker decides whether the answer
 // stands for the job's flight (Answer.Stands); an answer it does not use
-// is gone, and the job flies.
+// is gone, and the job flies. The newest answer is the one the job's own
+// certification parked: an older one for the same spec, left by an
+// earlier stream's lookahead that nobody took, must not shadow it, for
+// only the job's own answer carries its row's audit.
 func Take(raw []byte) (Answer, bool) {
 	if handOff.parked.Load() == 0 {
 		return Answer{}, false
@@ -105,8 +108,9 @@ func Take(raw []byte) (Answer, bool) {
 	key := KeyOf(raw)
 	handOff.mu.Lock()
 	defer handOff.mu.Unlock()
-	for i := range handOff.slots {
-		p := &handOff.slots[i]
+	n := len(handOff.slots)
+	for back := 1; back <= n; back++ {
+		p := &handOff.slots[(handOff.next-back+n)%n]
 		if p.full && p.key == key {
 			a := p.answer
 			*p = parkedRun{}

@@ -169,6 +169,29 @@ func TestHandOffRingIsBounded(t *testing.T) {
 	}
 }
 
+// Take hands out the answer parked last for a spec, wherever the ring's
+// write position stands: an older answer for the same spec, left by a
+// lookahead nobody took, does not shadow the audited answer parked for
+// the job after it, and is taken only next.
+func TestHandOffTakesTheNewest(t *testing.T) {
+	spec := namedSpecs(t, "twice", 1)[0]
+	fillers := namedSpecs(t, "filler", len(handOff.slots))
+	for _, before := range []int{0, len(handOff.slots) - 1} {
+		emptyHandOff(t)
+		for _, f := range fillers[:before] {
+			Park(keyOf(t, f), 900, marker(f.Name), "")
+		}
+		Park(keyOf(t, spec), 900, marker(spec.Name), "")
+		Park(keyOf(t, spec), 900, marker(spec.Name), "row 7")
+		if a, ok := Take(rawOf(t, spec)); !ok || a.Audit != "row 7" {
+			t.Fatalf("%d parked before: took %v, %+v; want the audited answer parked last", before, ok, a)
+		}
+		if a, ok := Take(rawOf(t, spec)); !ok || a.Audit != "" {
+			t.Fatalf("%d parked before: took %v, %+v; want the older answer next", before, ok, a)
+		}
+	}
+}
+
 // Parks and takes from many goroutines keep the ring consistent: each
 // parked result is taken at most once, by its own spec, and what was not
 // taken is still parked.

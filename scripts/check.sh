@@ -133,6 +133,10 @@ go test -race -count=20 -run 'TestHandOffAuditFlies|TestHandOffStaleRow' ./inter
 # /debug/tablez, and a series that leaves its source leaves the next scrape
 # (internal/obs's package doc). No sleeps; a hang is a bug.
 go test -race -count=20 -run 'TestObsLiveSweepScrape' ./internal/dist
+# Push dispatch counted exactly: one grant per job on a clock nobody
+# advances, and no worker running more jobs than its slots while every
+# slot is kept busy (internal/dist's package doc, "Protocol").
+go test -race -count=20 -run 'TestOneGrantPerJob|TestWorkerNeverRunsMoreThanItsSlots' ./internal/dist
 go test -race -count=20 -run 'TestScrapeDropsDepartedSeries' ./internal/obs
 # The ownership rule on a link (internal/wire's package doc): storage a
 # consumer releases goes to the link's free list and is never under a
@@ -219,8 +223,9 @@ go test -bench 'BenchmarkSurroundViewFreeRun/polys-3235' -benchtime 100x -run '^
 # The same frame behind the swap-lock barrier does allocate: three READY
 # marks and one SWAP mark a frame, 10 allocs; the ceiling is 12.
 go test -bench 'BenchmarkSurroundViewSynced/polys-3235' -benchtime 100x -run '^$' . >>"$out/bench.txt"
-# The dispatch layer alone, one op per job: an announce storm (every result
-# re-announcing the window) shows as allocs per job far over the ceiling.
+# The dispatch layer alone, one op per job (a grant, a result and an ack):
+# a grant storm (grants sent again and again) shows as allocs per job far
+# over the ceiling.
 go test -bench 'BenchmarkDistDispatch' -benchtime 5000x -run '^$' ./internal/dist >>"$out/bench.txt"
 # A dispatch federation's bring-up, one op per federation + worker +
 # coordinator + WaitWorkers + first record with default timers: allocs are
