@@ -27,12 +27,12 @@ func startPool(t testing.TB, fed *cod.Federation, ccfg CoordinatorConfig, wcfg W
 	return coord, ctx
 }
 
-// TestOneGrantPerJob counts the dispatch work of a sweep exactly: two
-// one-slot workers on a clock nobody advances finish n jobs with one grant
-// and one attempt per job, nothing sent again and nothing re-dispatched.
-// Grants go out in load order, so each worker starts its jobs in load
-// order too.
-func TestOneGrantPerJob(t *testing.T) {
+// TestSweepNeverWaitsForReannounce counts the dispatch work of a sweep
+// exactly: two one-slot workers on a clock nobody advances, so nothing is
+// sent again on a period, finish n jobs with one grant and one attempt per
+// job and nothing re-dispatched. Grants go out in load order, so each
+// worker starts its jobs in load order too.
+func TestSweepNeverWaitsForReannounce(t *testing.T) {
 	const n = 40
 	var mu sync.Mutex
 	var started []int64
@@ -59,6 +59,25 @@ func TestOneGrantPerJob(t *testing.T) {
 			t.Errorf("%s started job %d after job %d: not in load order", w, id, last[w])
 		}
 		last[w] = id
+	}
+}
+
+// TestAnnouncesStayNearOnePerJob is the dispatch storm's regression guard
+// on a longer sweep over two-slot workers: a job is said to a worker once,
+// by its grant, so a sweep of n jobs on a clock nobody advances costs
+// exactly n grants and n attempts. Announcing, which this replaced, was
+// bounded only by one per attempt plus a window a period.
+func TestAnnouncesStayNearOnePerJob(t *testing.T) {
+	const n = 600
+	coord, ctx := startPool(t, eventFed(t), CoordinatorConfig{}, WorkerConfig{Slots: 2, Run: stubRunner(0)}, "w1", "w2")
+
+	recs, err := coord.Run(ctx, testJobs(n))
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	checkRecords(t, recs, n)
+	if s := coord.Sample(); s.Grants != n || s.Attempts != n {
+		t.Errorf("%d grants for %d attempts over %d jobs; want %d each", s.Grants, s.Attempts, n, n)
 	}
 }
 

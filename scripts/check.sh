@@ -136,7 +136,7 @@ go test -race -count=20 -run 'TestObsLiveSweepScrape' ./internal/dist
 # Push dispatch counted exactly: one grant per job on a clock nobody
 # advances, and no worker running more jobs than its slots while every
 # slot is kept busy (internal/dist's package doc, "Protocol").
-go test -race -count=20 -run 'TestOneGrantPerJob|TestWorkerNeverRunsMoreThanItsSlots' ./internal/dist
+go test -race -count=20 -run 'TestSweepNeverWaitsForReannounce|TestAnnouncesStayNearOnePerJob|TestWorkerNeverRunsMoreThanItsSlots' ./internal/dist
 go test -race -count=20 -run 'TestScrapeDropsDepartedSeries' ./internal/obs
 # The ownership rule on a link (internal/wire's package doc): storage a
 # consumer releases goes to the link's free list and is never under a
