@@ -42,7 +42,10 @@ func seedCorpus(f *testing.F) {
 
 // FuzzUnmarshalSpec: arbitrary bytes must never panic the decoder, and
 // any accepted spec must re-marshal, re-parse, and re-marshal to the same
-// bytes — the dist protocol depends on specs surviving the trip.
+// bytes — the dist protocol depends on specs surviving the trip. The
+// re-marshaled bytes must also be json.MarshalIndent's: MarshalSpec
+// writes the canonical encoding itself, and any spec the decoder accepts
+// is one it must write exactly as the reference does.
 func FuzzUnmarshalSpec(f *testing.F) {
 	seedCorpus(f)
 	f.Add([]byte(`{"Name":"x"}`))
@@ -55,6 +58,9 @@ func FuzzUnmarshalSpec(f *testing.F) {
 		out, err := scenario.MarshalSpec(s)
 		if err != nil {
 			t.Fatalf("accepted spec %q does not re-marshal: %v", s.Name, err)
+		}
+		if ref, err := json.MarshalIndent(s, "", "  "); err != nil || !bytes.Equal(out, ref) {
+			t.Fatalf("spec %q: MarshalSpec differs from json.MarshalIndent (%v):\n%s\n%s", s.Name, err, out, ref)
 		}
 		s2, err := scenario.UnmarshalSpec(out)
 		if err != nil {

@@ -15,11 +15,12 @@ import (
 )
 
 // SpecHash is the content hash the verdict cache keys on: FNV-1a 64 over
-// the spec's canonical JSON (scenario.MarshalSpec). A cached verdict is
-// only ever replayed when the candidate's regenerated spec bytes hash to
-// the stored value, so generator changes invalidate stale entries
-// automatically instead of replaying verdicts for specs that no longer
-// exist.
+// the spec's canonical JSON (scenario.MarshalSpec, written field by field
+// and held byte for byte to json.MarshalIndent, its tested reference;
+// TestSpecHashPinned pins a few values). A cached verdict is only ever
+// replayed when the candidate's regenerated spec bytes hash to the stored
+// value, so generator changes invalidate stale entries automatically
+// instead of replaying verdicts for specs that no longer exist.
 func SpecHash(spec scenario.Spec) (uint64, error) {
 	raw, err := scenario.MarshalSpec(spec)
 	if err != nil {

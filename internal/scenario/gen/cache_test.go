@@ -268,3 +268,26 @@ func FuzzOpenCache(f *testing.F) {
 		}
 	})
 }
+
+// The verdict cache keys on SpecHash, so a drift in MarshalSpec's bytes
+// would turn every existing cache cold. These values were recorded while
+// MarshalSpec was json.MarshalIndent; a change that moves them names
+// itself here rather than showing up as a campaign of misses.
+func TestSpecHashPinned(t *testing.T) {
+	specs := []scenario.Spec{scenario.Classic(), scenario.TandemBeam()}
+	s := NewStream(42, DefaultParams()) // the first three certified candidates
+	for range 3 {
+		spec, _, err := s.Next(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+	pinned := []uint64{0x7ae8a0b73e79d003, 0x58929a1c10912307, 0x55a58a0d9bcdc97f, 0x2d1a94c8d6dcbcdc, 0x309a503a37bb9dee}
+	for i, spec := range specs {
+		got, err := SpecHash(spec)
+		if err != nil || got != pinned[i] {
+			t.Errorf("spec %d (%s): SpecHash %#016x (%v), pinned %#016x", i, spec.Title, got, err, pinned[i])
+		}
+	}
+}

@@ -236,6 +236,10 @@ go test -bench 'BenchmarkDistReady' -benchtime 20x -run '^$' ./internal/dist >>"
 # rendered frame: what it catches is a boot that rebuilds its constant
 # assets again (the sound bank alone is 1.4 MB and 15 ms a boot).
 go test -bench 'BenchmarkFullSimulatorBoot' -benchtime 20x -count 5 -run '^$' . >>"$out/bench.txt"
+# A spec's canonical JSON, the verdict-cache and hand-off key every
+# campaign job pays for twice: one buffer an op, gated on allocs and bytes
+# (a return to encoding/json's reflect-and-indent pass is 23 allocs).
+go test -bench 'BenchmarkMarshalSpec' -benchtime 5000x -run '^$' ./internal/scenario >>"$out/bench.txt"
 go run ./cmd/benchdiff BENCH_baseline.json "$out/bench.txt"
 
 echo "== examples and cranesim (each runs to its own checked exit; 60 s cap) =="
@@ -295,7 +299,7 @@ grep -q '^99 of 100 jobs answered by their certification, 1 flown to audit their
     exit 1
 }
 
-echo "== fuzz smoke (Spec JSON surface, span rasterizer vs the integer box walk with its products checked against 2^62, wire frames in place vs copied out, AttrSets, the cod codec's decode of any set, the verdict-cache loader; 10 s per target) =="
+echo "== fuzz smoke (Spec JSON surface with MarshalSpec held to json.MarshalIndent, span rasterizer vs the integer box walk with its products checked against 2^62, wire frames in place vs copied out, AttrSets, the cod codec's decode of any set, the verdict-cache loader; 10 s per target) =="
 go test -run '^$' -fuzz '^FuzzUnmarshalSpec$' -fuzztime 10s ./internal/scenario
 go test -run '^$' -fuzz '^FuzzValidate$' -fuzztime 10s ./internal/scenario
 go test -run '^$' -fuzz '^FuzzRasterTriangle$' -fuzztime 10s ./internal/render
