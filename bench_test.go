@@ -613,7 +613,7 @@ func BenchmarkHeadlessRun(b *testing.B) {
 // allocation. sim-s/s is the single-lane sweep throughput.
 func BenchmarkLibraryFlight(b *testing.B) {
 	lib := scenario.Library()
-	runner := trace.NewRunner()
+	runner := new(trace.Runner)
 	ctx := context.Background()
 	simS := 0.0
 	b.ReportAllocs()

@@ -58,8 +58,10 @@
 // (randomized courses, cargo sets, tandem beams, wind and night
 // regimes, one- or two-crane phase graphs) and a completability oracle
 // — a static reachability check plus an expert-autopilot dry-run
-// (trace.Completable) — certifies every emitted spec before it is
-// dispatched. codbatch -campaign seed:count streams a certified
+// (trace.Completable, which only flies and reports) — certifies every
+// emitted spec before it is dispatched; the certification lane that asked
+// for the dry-run is the one producer of the answers that let the
+// coordinator skip flying a certified job again (trace.Park). codbatch -campaign seed:count streams a certified
 // campaign through the dist coordinator in windowed chunks
 // (Coordinator.RunStream over a dist.JobSource), reproducible and
 // diffable per seed+params; rejected candidates are resampled from the
@@ -78,7 +80,7 @@
 // participant per crane, all publishing on the same FOM classes (the
 // paper's multiple-publishers-per-object-class rule) and demultiplexed
 // by the CraneID attribute; absent on the wire means crane 0, so
-// pre-multi-crane peers and recordings keep decoding. The autopilot
+// pre-multi-crane peers keep decoding. The autopilot
 // takes a trace.SkillProfile (expert / intermediate / novice presets)
 // parameterizing reaction lag, overshoot and slack, so batch sweeps
 // yield realistic score distributions.

@@ -120,7 +120,7 @@ func roundTrip(t *testing.T, rec Record) Record {
 // gives on every field a verdict reads.
 func matchesFlight(t *testing.T, pass string, rec Record, spec scenario.Spec) {
 	t.Helper()
-	fresh, err := trace.NewRunner().RunSkill(context.Background(), spec, trace.DefaultBudget(spec), trace.SkillProfile{})
+	fresh, err := (&trace.Runner{}).RunSkill(context.Background(), spec, trace.DefaultBudget(spec), trace.SkillProfile{})
 	if err != nil {
 		t.Fatalf("%s job %d (%s): fresh flight: %v", pass, rec.Job, spec.Name, err)
 	}

@@ -94,8 +94,9 @@
 // # Answered jobs
 //
 // A certified campaign job may already have its answer: the expert run
-// its certification parked (trace.Park) — the oracle's dry-run cold, the
-// verdict-cache row's stored result warm. The coordinator's feeder takes
+// gen's certification lane parked for it (trace.Park), the one producer
+// of answers — the oracle's dry-run cold, the verdict-cache row's stored
+// result warm; the dry-run itself (trace.Completable) only reports. The coordinator's feeder takes
 // it (trace.Take) by the spec bytes it marshals for the grant anyway, and
 // the job is finished at load, with a Record made from the answer and no
 // grant, run or ack, when the answer stands for

@@ -195,7 +195,7 @@ type ScenarioState struct {
 	// declared crane, each carrying that crane's PhaseIndex, Waypoint and
 	// Message (Score, Elapsed and Collisions are shared by the whole
 	// scenario). Absent on the wire means crane 0 — the legacy
-	// single-crane rule, so older publishers and recordings keep working.
+	// single-crane rule, so older publishers keep working.
 	CraneID int64
 }
 
@@ -242,8 +242,8 @@ func DecodeScenarioState(a wire.AttrSet) (ScenarioState, error) {
 		return s, missing(ClassScenarioState, SSAttrMessage)
 	}
 	// PhaseIndex was added after the first FOM revision; absent means
-	// PhaseIndexUnknown so recordings and peers from older builds still
-	// decode without masquerading as phase 0.
+	// PhaseIndexUnknown so peers from older builds still decode without
+	// masquerading as phase 0.
 	if s.PhaseIndex, ok = a.Uint32(SSAttrPhaseIndex); !ok {
 		s.PhaseIndex = PhaseIndexUnknown
 	}

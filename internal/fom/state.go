@@ -36,8 +36,8 @@ type ControlInput struct {
 	HookLatch bool
 	// CraneID addresses the carrier this input drives in a multi-crane
 	// federation. Absent on the wire means crane 0 — the legacy
-	// single-crane rule, so recordings and peers from older builds keep
-	// working unchanged.
+	// single-crane rule, so peers from older builds keep working
+	// unchanged.
 	CraneID int64
 }
 
@@ -234,7 +234,7 @@ func DecodeCraneState(a wire.AttrSet) (CraneState, error) {
 		return s, missing(ClassCraneState, CSAttrCargoPos)
 	}
 	// CargoID was added after the first FOM revision; absent means -1
-	// (none/unknown) so recordings made by older builds still decode.
+	// (none/unknown) so state from older builds still decodes.
 	if s.CargoID, ok = a.Int64(CSAttrCargoID); !ok {
 		s.CargoID = -1
 	}

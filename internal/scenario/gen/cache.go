@@ -57,9 +57,9 @@ type cacheLine struct {
 	// OK is the dry-run verdict: certified completable or vetoed.
 	OK bool `json:"ok"`
 	// Res is the expert's result on a passing row (a lineAnswer), stored
-	// from the result the dry-run parked. Rejects, rows written before
-	// answers were stored and rows of an oracle that parks nothing have
-	// none, and their jobs fly.
+	// from the run the dry-run noted (trace.WithNote). Rejects, rows
+	// written before answers were stored and rows of an oracle that flies
+	// nothing have none, and their jobs fly.
 	Res json.RawMessage `json:"res,omitempty"`
 }
 
@@ -117,9 +117,10 @@ func decodeAnswer(raw json.RawMessage) (res trace.RunResult, ok bool) {
 // A Stream consults it before every dry-run and — unless ReadOnly —
 // appends every fresh verdict, so re-running a campaign replays verdicts
 // instead of re-flying dry-runs. A passing row also holds the expert's
-// result, which the Stream parks for the job (trace.Park), so the job is
-// answered instead of flown; one answer in auditOneIn is parked audited
-// and flown against the row. Lines whose signature doesn't match, or
+// result. The Stream's certification lane, the one producer of answers,
+// parks it for the job on a hit (trace.Park), as it parks the dry-run
+// itself on a miss, so the job is answered instead of flown; one row
+// answer in auditOneIn is parked audited and flown against the row. Lines whose signature doesn't match, or
 // that don't parse (a crash mid-append truncates at most the final line),
 // are skipped on load; the file heals on the next append.
 //

@@ -133,15 +133,15 @@ func TestCacheRowsHoldTheDryRun(t *testing.T) {
 		}
 		_, _, got, answered := warm.lookup(cand, hash)
 		got.Scenario = spec.Name
-		flown, err := trace.NewRunner().RunSkill(context.Background(), spec, trace.DefaultBudget(spec), trace.SkillProfile{})
+		flown, err := (&trace.Runner{}).RunSkill(context.Background(), spec, trace.DefaultBudget(spec), trace.SkillProfile{})
 		if err != nil || !answered || got != flown {
 			t.Fatalf("cand %d: row answer %v %+v, flight %+v (%v)", cand, answered, got, flown, err)
 		}
 	}
 }
 
-// An oracle that parks nothing — the static one, or a stub — writes rows
-// without answers, and their jobs fly.
+// An oracle that flies no dry-run — the static one, or a stub — notes
+// nothing, so its rows hold no answers, and their jobs fly.
 func TestCacheRowsOfNonParkingOraclesHoldNoAnswer(t *testing.T) {
 	for name, oracle := range map[string]Oracle{
 		"StaticOnly": StaticOnly,

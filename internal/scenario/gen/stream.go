@@ -242,13 +242,14 @@ func (s *Stream) start(ctx context.Context) {
 
 // certify computes candidate cand's outcome: Generate, StaticCheck, the
 // cache lookup, and for a miss the oracle dry-run and the row that records
-// it. A hit whose row holds an answer parks it for the job (trace.Park),
-// audited for one row in auditOneIn; a fresh passing row keeps the result
-// the dry-run parked (trace.NoteFor, keyed from the bytes the cache key
-// was hashed from, so the dry-run does not marshal the spec again). It
-// reads only what is fixed once the stream runs (seed, params, oracle,
-// cache, hooks) — never Stats or the cursor — so lanes run it while the
-// caller merges.
+// it. It is the one producer of the jobs' answers (trace.Park): a hit
+// whose row holds an answer parks it, audited for one row in auditOneIn;
+// a miss parks the passing run its dry-run noted (trace.WithNote), keyed
+// from the bytes the cache key was hashed from (marshaled once, only for a
+// passing candidate, when there is no cache), and keeps it in the fresh
+// row. It reads only what is fixed once the stream runs (seed, params,
+// oracle, cache, hooks) — never Stats or the cursor — so lanes run it
+// while the caller merges.
 func (s *Stream) certify(ctx context.Context, cand int64) candRec {
 	rec := candRec{cand: cand}
 	spec, err := Generate(SubSeed(s.seed, cand), s.params)
@@ -261,6 +262,7 @@ func (s *Stream) certify(ctx context.Context, cand int64) candRec {
 		return rec
 	}
 	rec.spec = spec
+	budget := budgetFor(spec, s.params.OracleBudget)
 	var raw []byte // the spec's MarshalSpec bytes: the cache and hand-off keys
 	if s.Cache != nil {
 		if raw, rec.err = scenario.MarshalSpec(spec); rec.err != nil {
@@ -272,7 +274,7 @@ func (s *Stream) certify(ctx context.Context, cand int64) candRec {
 		if rec.ok, rec.cached, ans, answered = s.Cache.lookup(cand, rec.hash); rec.cached {
 			if answered {
 				ans.Scenario = spec.Name
-				trace.Park(trace.KeyOf(raw), budgetFor(spec, s.params.OracleBudget), ans, s.Cache.audit(cand, rec.hash))
+				trace.Park(trace.KeyOf(raw), budget, ans, s.Cache.audit(cand, rec.hash))
 			}
 			return rec
 		}
@@ -281,28 +283,29 @@ func (s *Stream) certify(ctx context.Context, cand int64) candRec {
 	if oracle == nil {
 		oracle = DefaultOracle(s.params)
 	}
-	record := rec.consult && !s.Cache.ReadOnly
-	var note *trace.Note
-	var key trace.SpecKey
-	octx := ctx
-	if record {
-		key = trace.KeyOf(raw)
-		note = trace.NoteFor(key) // the dry-run parks under it: no second marshal
-		octx = trace.WithNote(ctx, note)
-	}
+	var note trace.Note
 	var began float64
 	if s.Hooks.Clock != nil {
 		began = s.Hooks.Clock()
 	}
-	rec.ok, rec.err = oracle(octx, spec)
+	rec.ok, rec.err = oracle(trace.WithNote(ctx, &note), spec)
 	if s.Hooks.Clock != nil {
 		rec.wall = s.Hooks.Clock() - began
 	}
-	if record && rec.err == nil {
-		var ans *trace.RunResult
-		if res, ok := note.For(key, budgetFor(spec, s.params.OracleBudget)); ok && rec.ok {
-			ans = &res
+	if rec.err != nil {
+		return rec
+	}
+	var ans *trace.RunResult
+	if res, noted := note.For(budget); noted && rec.ok {
+		if raw == nil { // no cache: the key's bytes, for a passing candidate only
+			raw, err = scenario.MarshalSpec(spec)
 		}
+		if err == nil { // a spec that does not marshal is never parked: its job flies
+			trace.Park(trace.KeyOf(raw), budget, res, "")
+		}
+		ans = &res
+	}
+	if rec.consult && !s.Cache.ReadOnly {
 		rec.line, rec.err = s.Cache.encode(cand, rec.hash, rec.ok, ans)
 	}
 	return rec

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"codsim/internal/scenario"
+	"codsim/internal/trace"
 )
 
 // vetoOracle is the deterministic stub used across stream tests: veto
@@ -226,5 +227,42 @@ func TestSigStable(t *testing.T) {
 	}
 	if Sig(5, p) == Sig(6, p) {
 		t.Fatal("sig ignores seed")
+	}
+}
+
+// A stream with no cache is still the one producer of its jobs' answers:
+// each emitted candidate's passing dry-run is parked under the spec's
+// MarshalSpec bytes, unaudited (that a dry-run is what flying the spec
+// returns is trace's TestHandOffIsTheDryRun). An oracle that flies nothing
+// parks nothing. The seed is this test's own,
+// so no other test's lookahead sits in the ring under its specs.
+func TestStreamParksDryRunsWithoutCache(t *testing.T) {
+	const seed, n = 454, 3
+	ctx := context.Background()
+	for _, static := range []bool{true, false} {
+		s := NewStream(seed, DefaultParams())
+		if static {
+			s.Oracle = StaticOnly
+		}
+		for i := range n {
+			spec, _, err := s.Next(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := scenario.MarshalSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, ok := trace.Take(raw)
+			if static {
+				if ok {
+					t.Fatalf("StaticOnly emission %d (%s) parked %+v", i, spec.Name, a)
+				}
+				continue
+			}
+			if !ok || a.Audit != "" || a.Budget != trace.DefaultBudget(spec) || !a.Result.Passed || a.Result.Scenario != spec.Name {
+				t.Fatalf("emission %d (%s): took %v %+v, want its unaudited passing dry-run", i, spec.Name, ok, a)
+			}
+		}
 	}
 }

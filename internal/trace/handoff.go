@@ -79,9 +79,10 @@ func KeyOf(raw []byte) SpecKey { return sha256.Sum256(raw) }
 
 // Park offers res, a passing expert run within budget simulated seconds
 // of the spec whose key is key, to the job that flies that spec next (see
-// Take). Completable parks its own passing dry-runs; gen's certification
-// lane parks the answer a verdict-cache row stored for one. A non-empty
-// audit names that row and marks the answer audited (Answer.Audit).
+// Take). gen's certification lane is its one caller: it parks the run its
+// dry-run noted (WithNote), or the answer a verdict-cache row stored for
+// one. A non-empty audit names that row and marks the answer audited
+// (Answer.Audit).
 func Park(key SpecKey, budget float64, res RunResult, audit string) {
 	handOff.mu.Lock()
 	p := &handOff.slots[handOff.next]
@@ -121,13 +122,12 @@ func Take(raw []byte) (Answer, bool) {
 	return Answer{}, false
 }
 
-// A Note receives the result Completable parks while the note rides the
-// dry-run's context (WithNote), so the caller that asked for the dry-run
-// can keep what it parked: gen's certification lane stores it in the
-// candidate's verdict-cache row. One dry-run at a time per Note.
+// A Note receives the passing run Completable flies while the note rides
+// the dry-run's context (WithNote), so the caller that asked for the
+// dry-run can keep it: gen's certification lane parks it for the job and
+// stores it in the candidate's verdict-cache row. One dry-run at a time
+// per Note.
 type Note struct {
-	key    SpecKey
-	keyed  bool // key was given (NoteFor), so Completable need not marshal
 	budget float64
 	res    RunResult
 	full   bool
@@ -135,21 +135,16 @@ type Note struct {
 
 type noteKey struct{}
 
-// NoteFor returns a Note for the dry-run of the spec whose key is key, for
-// a caller that holds the spec's MarshalSpec bytes already: Completable
-// parks under key instead of marshaling the spec again.
-func NoteFor(key SpecKey) *Note { return &Note{key: key, keyed: true} }
-
 // WithNote returns ctx carrying n for the dry-runs flown under it.
 func WithNote(ctx context.Context, n *Note) context.Context {
 	return context.WithValue(ctx, noteKey{}, n)
 }
 
-// For returns the noted result if it was parked for the spec whose key is
-// key within a budget of at most maxSim simulated seconds, so it stands
-// for an expert flight budgeted maxSim.
-func (n *Note) For(key SpecKey, maxSim float64) (RunResult, bool) {
-	if !n.full || n.key != key || n.budget > maxSim {
+// For returns the noted result if it passed within a budget of at most
+// maxSim simulated seconds, so it stands for an expert flight budgeted
+// maxSim.
+func (n *Note) For(maxSim float64) (RunResult, bool) {
+	if !n.full || n.budget > maxSim {
 		return RunResult{}, false
 	}
 	return n.res, true

@@ -41,26 +41,33 @@ func marker(name string) RunResult {
 
 func took(res RunResult) bool { return res.SimTime == -1 }
 
-// A passing Completable parks its dry-run, which is what flying the spec
-// returns, and the job that pulls the spec takes it once.
+// Completable only reports: a Note on its context receives exactly what
+// flying the spec returns, and the ring stays empty with a Note or
+// without one, for parking is the certification lane's.
 func TestHandOffIsTheDryRun(t *testing.T) {
-	emptyHandOff(t)
 	ctx := context.Background()
 	spec := scenario.Classic()
-	dry, ok, err := Completable(ctx, spec, 900)
-	if err != nil || !ok {
-		t.Fatalf("Completable(classic) = %v, %v", ok, err)
-	}
-	flown, err := NewRunner().RunSkill(ctx, spec, 900, SkillProfile{})
+	flown, err := (&Runner{}).RunSkill(ctx, spec, 900, SkillProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := Take(rawOf(t, spec))
-	if !ok || got.Result != dry || got.Result != flown || got.Budget != 900 || got.Audit != "" {
-		t.Fatalf("took %v %+v; dry-run %+v, flight %+v", ok, got, dry, flown)
-	}
-	if handOff.parked.Load() != 0 {
-		t.Fatalf("%d results still parked after the take", handOff.parked.Load())
+	for _, noted := range []bool{false, true} {
+		emptyHandOff(t)
+		var n Note
+		dctx := ctx
+		if noted {
+			dctx = WithNote(ctx, &n)
+		}
+		dry, ok, err := Completable(dctx, spec, 900)
+		if err != nil || !ok || dry != flown {
+			t.Fatalf("noted %v: Completable(classic) = %+v, %v, %v; the flight is %+v", noted, dry, ok, err, flown)
+		}
+		if res, ok := n.For(900); ok != noted || (noted && res != flown) {
+			t.Fatalf("noted %v: the note holds %v %+v, the flight is %+v", noted, ok, res, flown)
+		}
+		if got := handOff.parked.Load(); got != 0 {
+			t.Fatalf("noted %v: Completable parked %d results", noted, got)
+		}
 	}
 }
 
@@ -243,7 +250,7 @@ func TestHandOffConcurrent(t *testing.T) {
 func TestHandOffAuditFlies(t *testing.T) {
 	ctx := context.Background()
 	spec := scenario.Classic()
-	flown, err := NewRunner().RunSkill(ctx, spec, 900, SkillProfile{})
+	flown, err := (&Runner{}).RunSkill(ctx, spec, 900, SkillProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,47 +288,26 @@ func TestHandOffAuditFlies(t *testing.T) {
 	}
 }
 
-// A Note on the dry-run's context receives what Completable parks, and
-// answers only for the same spec bytes within the noted budget. A note
-// made with the spec's key parks under that key, not a fresh marshal's.
+// A Note on the dry-run's context receives the passing run, and answers
+// only within the noted budget.
 func TestHandOffNote(t *testing.T) {
-	emptyHandOff(t)
 	spec := scenario.Classic()
 	var n Note
 	dry, ok, err := Completable(WithNote(context.Background(), &n), spec, 900)
 	if err != nil || !ok {
 		t.Fatalf("Completable(classic) = %v, %v", ok, err)
 	}
-	if res, ok := n.For(keyOf(t, spec), 900); !ok || res != dry {
+	if res, ok := n.For(900); !ok || res != dry {
 		t.Fatalf("note holds %v %+v, want the dry-run %+v", ok, res, dry)
 	}
-	changed := spec
-	changed.Course.ParTime++
-	if _, ok := n.For(keyOf(t, changed), 900); ok {
-		t.Fatal("the note answered for another spec")
+	if res, ok := n.For(1800); !ok || res != dry {
+		t.Fatalf("note for a larger budget holds %v %+v, want the dry-run %+v", ok, res, dry)
 	}
-	if _, ok := n.For(keyOf(t, spec), 899); ok {
+	if _, ok := n.For(899); ok {
 		t.Fatal("the note answered for a smaller budget than the dry-run's")
 	}
 	var empty Note
-	if _, ok := empty.For(keyOf(t, spec), 900); ok {
+	if _, ok := empty.For(900); ok {
 		t.Fatal("an unwritten note answered")
-	}
-
-	// The key a NoteFor gives is taken on trust: a key that is not the
-	// spec's shows that Completable did not marshal the spec again.
-	emptyHandOff(t)
-	keyed := NoteFor(keyOf(t, changed))
-	if _, ok, err := Completable(WithNote(context.Background(), keyed), spec, 900); err != nil || !ok {
-		t.Fatalf("Completable(classic) = %v, %v", ok, err)
-	}
-	if res, ok := keyed.For(keyOf(t, changed), 900); !ok || res != dry {
-		t.Fatalf("keyed note holds %v %+v, want the dry-run %+v", ok, res, dry)
-	}
-	if _, ok := Take(rawOf(t, spec)); ok {
-		t.Fatal("Completable parked under the spec's own key, not the note's")
-	}
-	if a, ok := Take(rawOf(t, changed)); !ok || a.Result != dry {
-		t.Fatalf("nothing parked under the note's key: %v %+v", ok, a)
 	}
 }

@@ -1,60 +1,46 @@
 package trace
 
 import (
-	"bytes"
 	"testing"
 
 	"codsim/internal/fom"
 	"codsim/internal/scenario"
 )
 
-// TestRecordedExamReplaysIdentically records the autopilot's control frames
-// during a live exam, serializes the trace, reads it back, and replays it
-// into a completely fresh simulation: because the physics is deterministic
+// TestRecordedExamReplaysIdentically records the autopilot's control frame
+// of every tick of a live exam and replays them, tick by tick, into a
+// completely fresh flight: because the physics is deterministic
 // fixed-step, the replay must reproduce the same final phase, score and
-// collision count — the property that makes recorded training sessions
-// reviewable.
+// collision count — the property that makes a run's (spec, seed, config)
+// a reviewable replay.
 func TestRecordedExamReplaysIdentically(t *testing.T) {
 	// fly runs a fresh classic exam with seat on the controls.
-	fly := func(seat func(simT float64, in fom.ControlInput) fom.ControlInput) *Flight {
+	fly := func(seat func(tick int, in fom.ControlInput) fom.ControlInput) *Flight {
 		t.Helper()
 		fl, err := NewFlight(scenario.Classic(), SkillProfile{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for fl.SimTime < 600 && !fl.Done() {
-			fl.TickWith(func(_ int, in fom.ControlInput) fom.ControlInput { return seat(fl.SimTime, in) })
+			fl.TickWith(func(_ int, in fom.ControlInput) fom.ControlInput { return seat(fl.Ticks, in) })
 		}
 		return fl
 	}
 
-	// --- Live run with recording. ---
-	var rec Recorder
-	live := fly(func(simT float64, in fom.ControlInput) fom.ControlInput {
-		rec.Record(simT, in)
+	// --- Live run with recording: one frame a tick. ---
+	var rec []fom.ControlInput
+	live := fly(func(_ int, in fom.ControlInput) fom.ControlInput {
+		rec = append(rec, in)
 		return in
 	})
 	liveFinal := live.Engine.State()
 	if liveFinal.Phase != fom.PhaseComplete {
 		t.Fatalf("live run did not complete: %v", liveFinal.Phase)
 	}
-
-	// --- Serialize and reload. ---
-	var buf bytes.Buffer
-	if err := Write(&buf, rec.Trace()); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() == 0 {
-		t.Fatal("empty recorded trace")
-	}
-	t.Logf("recorded %d control samples over %.1f s", tr.Len(), tr.Duration())
+	t.Logf("recorded %d control frames over %.1f s", len(rec), live.SimTime)
 
 	// --- Replay into a fresh world: the recorded frame replaces the pilot's. ---
-	replay := fly(func(simT float64, _ fom.ControlInput) fom.ControlInput { return tr.At(simT) })
+	replay := fly(func(tick int, _ fom.ControlInput) fom.ControlInput { return rec[tick] })
 	replayFinal := replay.Engine.State()
 
 	if replayFinal.Phase != liveFinal.Phase {

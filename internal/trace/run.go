@@ -59,10 +59,6 @@ type Runner struct {
 	flight Flight
 }
 
-// NewRunner returns an empty Runner. Equivalent to new(Runner); the
-// constructor exists for call-site clarity.
-func NewRunner() *Runner { return &Runner{} }
-
 // RunContext executes a scenario spec headless — one dynamics rig and one
 // autopilot per declared crane coupled directly to the engine at 60 Hz,
 // no federation — until the scenario reaches a terminal phase or maxSim
@@ -147,37 +143,20 @@ func (r *Runner) RunSkill(ctx context.Context, spec scenario.Spec, maxSim float6
 // or rig that cannot be built, or ctx canceled mid-run — so a campaign
 // generator can resample on !ok and abort on err.
 //
-// A passing run is parked (Park) for the coordinator that dispatches the
-// certified spec next: it takes the run (Take) and answers the job with it
-// instead of dispatching it. Parked results nobody takes are overwritten,
-// oldest first, so they cost a fixed amount of memory. A Note on ctx
-// (WithNote) receives the parked run too; one made by NoteFor also gives
-// the key, so the spec is not marshaled again.
+// Completable only flies and reports: a passing run is recorded into the
+// Note on ctx (WithNote), if there is one, and nothing else. Parking it
+// for the job that flies the certified spec (Park) is left to gen's
+// certification lane, the one producer of answers.
 func Completable(ctx context.Context, spec scenario.Spec, maxSim float64) (RunResult, bool, error) {
 	res, err := (&Runner{StallBudget: DefaultStallBudget}).RunSkill(ctx, spec, maxSim, SkillProfile{})
 	if errors.Is(err, ErrIncomplete) {
 		return res, false, nil
 	}
-	if err != nil {
+	if err != nil || !res.Passed {
 		return res, false, err
 	}
-	if !res.Passed {
-		return res, false, nil
-	}
-	n, _ := ctx.Value(noteKey{}).(*Note)
-	var key SpecKey
-	if n != nil && n.keyed {
-		key = n.key
-	} else {
-		raw, err := scenario.MarshalSpec(spec)
-		if err != nil {
-			return res, true, nil // never parked: its job flies
-		}
-		key = KeyOf(raw)
-	}
-	Park(key, maxSim, res, "")
-	if n != nil {
-		*n = Note{key: key, keyed: n.keyed, budget: maxSim, res: res, full: true}
+	if n, _ := ctx.Value(noteKey{}).(*Note); n != nil {
+		*n = Note{budget: maxSim, res: res, full: true}
 	}
 	return res, true, nil
 }

@@ -130,7 +130,7 @@ func TestStallBudgetAbortsHopelessRun(t *testing.T) {
 // A Runner must be reusable across runs of different crane counts — the
 // whole point of the scratch — without state bleeding between runs.
 func TestRunnerReuseAcrossRuns(t *testing.T) {
-	r := NewRunner()
+	r := new(Runner)
 	lib := scenario.Library()
 	for pass := 0; pass < 2; pass++ {
 		for _, spec := range lib {

@@ -214,7 +214,12 @@ go test -bench 'BenchmarkJudgeCollisions' -benchtime 20000x -run '^$' . >>"$out/
 # steady-state count: the settling and parked steps are what a stalled
 # dry-run repeats for a whole stall window. The settling step is the one
 # time gate, at most 0.75 of a moving step in the same run (minimum of five).
-go test -bench 'BenchmarkDynamicsStep|BenchmarkParkedStep|BenchmarkSettlingStep' -benchtime 20000x -count 5 -run '^$' ./internal/dynamics >>"$out/bench.txt"
+# Five -count 1 passes, not one -count 5: -count runs all samples of one
+# benchmark before the next starts, so a load spell over one block of five
+# would bias the ratio; pass by pass the samples sit side by side.
+for _ in 1 2 3 4 5; do
+    go test -bench 'BenchmarkDynamicsStep|BenchmarkParkedStep|BenchmarkSettlingStep' -benchtime 20000x -count 1 -run '^$' ./internal/dynamics >>"$out/bench.txt"
+done
 # One rendered frame must not allocate, near-clipped or not (100x amortizes
 # the first frame's triangle bin and clip scratch under one allocation;
 # TestRenderAllocatesNothing holds the same inside plain `go test`).
@@ -300,13 +305,16 @@ grep -q '^99 of 100 jobs answered by their certification, 1 flown to audit their
 }
 
 echo "== fuzz smoke (Spec JSON surface with MarshalSpec held to json.MarshalIndent, span rasterizer vs the integer box walk with its products checked against 2^62, wire frames in place vs copied out, AttrSets, the cod codec's decode of any set, the verdict-cache loader; 10 s per target) =="
-go test -run '^$' -fuzz '^FuzzUnmarshalSpec$' -fuzztime 10s ./internal/scenario
-go test -run '^$' -fuzz '^FuzzValidate$' -fuzztime 10s ./internal/scenario
-go test -run '^$' -fuzz '^FuzzRasterTriangle$' -fuzztime 10s ./internal/render
-go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s ./internal/wire
-go test -run '^$' -fuzz '^FuzzAttrSetOps$' -fuzztime 10s ./internal/wire
-go test -run '^$' -fuzz '^FuzzDecodeInto$' -fuzztime 10s ./cod
-go test -run '^$' -fuzz '^FuzzOpenCache$' -fuzztime 10s ./internal/scenario/gen
+# -fuzzminimizetime bounds the shrinking of each new interesting input: by
+# default it may take up to 60 s, so one early find could spend the whole
+# 10 s budget minimizing instead of fuzzing.
+go test -run '^$' -fuzz '^FuzzUnmarshalSpec$' -fuzztime 10s -fuzzminimizetime 1s ./internal/scenario
+go test -run '^$' -fuzz '^FuzzValidate$' -fuzztime 10s -fuzzminimizetime 1s ./internal/scenario
+go test -run '^$' -fuzz '^FuzzRasterTriangle$' -fuzztime 10s -fuzzminimizetime 1s ./internal/render
+go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s -fuzzminimizetime 1s ./internal/wire
+go test -run '^$' -fuzz '^FuzzAttrSetOps$' -fuzztime 10s -fuzzminimizetime 1s ./internal/wire
+go test -run '^$' -fuzz '^FuzzDecodeInto$' -fuzztime 10s -fuzzminimizetime 1s ./cod
+go test -run '^$' -fuzz '^FuzzOpenCache$' -fuzztime 10s -fuzzminimizetime 1s ./internal/scenario/gen
 
 echo "== dist CLI smoke (codbatch coordinator + 2 worker processes, UDPLAN loopback) =="
 "$out/codbatch" -serve -lan 127.0.0.1:47901 -name smoke1 -headless -obs 127.0.0.1:47911 >"$out/w1.log" 2>&1 &
