@@ -78,8 +78,7 @@ type workerInfo struct {
 	seen    time.Time // when the last heartbeat arrived
 	sweep   int64     // the sweep that heartbeat reported
 	slots   int64
-	busy    int64 // runs on the worker's slots
-	stale   int64 // runs of busy that belong to an earlier sweep than sweep
+	busy    int64 // runs on the worker's slots, of any sweep
 	working map[int64]bool
 	run     runConfig // how the worker flies, as it declared
 }
@@ -248,7 +247,7 @@ func (c *Coordinator) noteHeartbeat(hb heartbeat) {
 	}
 	now := c.clock.Now()
 	w.seen, w.sweep, w.run = now, hb.Sweep, hb.runConfig()
-	w.slots, w.busy, w.stale = hb.Slots, hb.Busy, hb.Stale
+	w.slots, w.busy = hb.Slots, hb.Busy
 
 	c.progMu.Lock()
 	wp := c.prog.workers[hb.Worker]
@@ -389,17 +388,14 @@ type jobState struct {
 // a late duplicate result needs to be re-acked, so a stream's memory
 // follows its window, not its length, and every per-tick pass ranges over
 // the open jobs alone. order lists them as they were loaded, the order
-// they are granted in: a sweep runs first in, first out. grants counts,
-// per worker, the open jobs granted to it: the slots of that worker this
-// sweep holds.
+// they are granted in: a sweep runs first in, first out.
 type sweep struct {
-	open   map[int64]*jobState
-	order  []*jobState
-	done   map[int64]struct{}
-	grants map[string]int64
-	recs   []Record
-	strs   map[string]string // one copy of each low-cardinality Record string
-	mixed  bool              // the workers' run configs differ: warned once
+	open  map[int64]*jobState
+	order []*jobState
+	done  map[int64]struct{}
+	recs  []Record
+	strs  map[string]string // one copy of each low-cardinality Record string
+	mixed bool              // the workers' run configs differ: warned once
 }
 
 // intern returns the sweep's one copy of v. A decoded Record allocates its
@@ -415,20 +411,12 @@ func (sw *sweep) intern(v string) string {
 
 // finish moves job s out of the open set with its Record.
 func (c *Coordinator) finish(sw *sweep, s *jobState, rec Record) {
-	sw.ungrant(s)
 	c.moveJob(s.phase, jobDone)
 	delete(sw.open, s.job.ID)
 	i := slices.Index(sw.order, s)
 	sw.order = slices.Delete(sw.order, i, i+1)
 	sw.done[s.job.ID] = struct{}{}
 	sw.recs = append(sw.recs, rec)
-}
-
-// ungrant gives back the slot a granted job s holds on its grantee.
-func (sw *sweep) ungrant(s *jobState) {
-	if s.phase == jobGranted {
-		sw.grants[s.worker]--
-	}
 }
 
 // records returns the finished records in job-ID order.
@@ -457,10 +445,7 @@ func (c *Coordinator) Run(ctx context.Context, jobs []Job) ([]Record, error) {
 // A job its certification answered is recorded at load and never takes a
 // place in the window (the package doc's "Answered jobs").
 func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, error) {
-	sw := &sweep{
-		open: make(map[int64]*jobState), done: make(map[int64]struct{}),
-		grants: make(map[string]int64), strs: make(map[string]string),
-	}
+	sw := &sweep{open: make(map[int64]*jobState), done: make(map[int64]struct{}), strs: make(map[string]string)}
 	c.progMu.Lock()
 	c.prog.answered, c.prog.audited = 0, 0
 	c.progMu.Unlock()
@@ -788,7 +773,6 @@ func (c *Coordinator) dispatch(sw *sweep) {
 		c.moveJob(s.phase, jobGranted)
 		s.phase = jobGranted
 		s.worker = worker
-		sw.grants[worker]++
 		s.granted = now
 		s.deadline = now.Add(c.cfg.JobTimeout)
 		// The queue phase ends here: the job waited from load until a slot
@@ -807,24 +791,31 @@ func (c *Coordinator) dispatch(sw *sweep) {
 
 // freest names the live worker with the most free slots, ties to the
 // first name, or "" when no live worker has one. A worker's free slots are
-// its declared slots less the grants of this sweep it holds and less the
-// runs of another sweep still on them.
+// its declared slots less the runs its last beat reported, of any sweep,
+// and less the grants of this sweep to it that the beat has not heard.
 func (c *Coordinator) freest(sw *sweep, now time.Time) string {
 	best, most := "", int64(0)
 	for name, w := range c.workers {
 		if now.Sub(w.seen) > deadAfter {
 			continue
 		}
-		other := w.stale
-		if w.sweep != c.cfg.Sweep {
-			other = w.busy
+		free := w.slots - w.busy
+		for _, s := range sw.order {
+			if s.phase == jobGranted && s.worker == name && !c.heard(w, s) {
+				free--
+			}
 		}
-		free := w.slots - sw.grants[name] - other
 		if free > most || (free == most && name < best) {
 			best, most = name, free
 		}
 	}
 	return best
+}
+
+// heard reports whether the last beat of worker w lists job s: the beat
+// counts the grant's run in its Busy from then on (or the run has ended).
+func (c *Coordinator) heard(w *workerInfo, s *jobState) bool {
+	return w.sweep == c.cfg.Sweep && w.working[s.job.ID]
 }
 
 // ack confirms a recorded result. A lost ack only costs another result
@@ -868,14 +859,12 @@ func (c *Coordinator) redispatch(sw *sweep) {
 			w := c.workers[s.worker]
 			dead := w != nil && now.Sub(w.seen) > deadAfter
 			// Lost grant: the grantee's latest beat postdates the grant
-			// by the slack, yet it does not list the job — or still
-			// declares another sweep, so it took no grant of this one —
-			// so the grant never arrived (e.g. it went out before the
-			// grant channel was built, and so did its re-send), and
-			// nobody is running this job. Without this check the sweep
-			// stalls for the whole JobTimeout.
-			lost := w != nil && w.seen.After(s.granted.Add(grantSlack)) &&
-				(w.sweep != c.cfg.Sweep || !w.working[s.job.ID])
+			// by the slack, yet has not heard it, so the grant never
+			// arrived (e.g. it went out before the grant channel was
+			// built, and so did its re-send), and nobody is running this
+			// job. Without this check the sweep stalls for the whole
+			// JobTimeout.
+			lost := w != nil && w.seen.After(s.granted.Add(grantSlack)) && !c.heard(w, s)
 			if !dead && !lost && now.Before(s.deadline) {
 				continue
 			}
@@ -903,7 +892,6 @@ func (c *Coordinator) redispatch(sw *sweep) {
 			})
 			continue
 		}
-		sw.ungrant(s)
 		c.moveJob(s.phase, jobPending)
 		s.phase = jobPending
 		s.attempt++

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"codsim/cod"
+	"codsim/internal/obs"
 	"codsim/internal/sim"
 )
 
@@ -127,9 +129,10 @@ func (sw *slotWatch) runner(name string, slots int) Runner {
 	}
 }
 
-// TestWorkerNeverRunsMoreThanItsSlots: the coordinator counts the slots it
-// has granted on each worker, so no worker ever runs more jobs than it has
-// slots, and every slot is granted a job as soon as it frees.
+// TestWorkerNeverRunsMoreThanItsSlots: the coordinator counts each
+// worker's runs from its beats, and its grants the beats have not heard
+// yet, so no worker ever runs more jobs than it has slots, and every slot
+// is granted a job as soon as it frees.
 func TestWorkerNeverRunsMoreThanItsSlots(t *testing.T) {
 	for _, slots := range []int{1, 2} {
 		t.Run(fmt.Sprintf("slots=%d+%d", slots, slots), func(t *testing.T) {
@@ -151,5 +154,112 @@ func TestWorkerNeverRunsMoreThanItsSlots(t *testing.T) {
 			}
 			checkRecords(t, recs, n)
 		})
+	}
+}
+
+// TestWorkerNeverRunsMoreThanItsSlotsOrphaned: a run the coordinator
+// stopped waiting for still holds its slot. Job 0 runs on w1, the one-slot
+// holder, until the worker stops; past JobTimeout the coordinator
+// re-dispatches it to w0 and records it from there. w1's beats still say
+// it is busy, so the jobs loaded after that all go to w0, and no worker
+// runs more jobs than its one slot.
+func TestWorkerNeverRunsMoreThanItsSlotsOrphaned(t *testing.T) {
+	const (
+		n    = 6
+		beat = 500 * time.Millisecond // WorkerConfig.Heartbeat's default
+	)
+	fed, clk := clockFed(t)
+	ctx := joinCtx(t)
+
+	var mu sync.Mutex
+	runs := map[string]int{}
+	oneSlot := func(name string, run Runner) Runner {
+		return func(ctx context.Context, job Job, cfg sim.BatchConfig) Record {
+			mu.Lock()
+			if runs[name]++; runs[name] > 1 {
+				t.Errorf("%s runs %d jobs on 1 slot", name, runs[name])
+			}
+			mu.Unlock()
+			defer func() {
+				mu.Lock()
+				runs[name]--
+				mu.Unlock()
+			}()
+			return run(ctx, job, cfg)
+		}
+	}
+	held := make(chan struct{})
+	var once sync.Once
+	hold := func(ctx context.Context, job Job, cfg sim.BatchConfig) Record {
+		if job.ID == 0 {
+			once.Do(func() { close(held) })
+			<-ctx.Done() // job 0 ends on w1 only when the worker stops
+		}
+		return stubRunner(0)(ctx, job, cfg)
+	}
+
+	// The source yields job 0, then waits for the gate.
+	gate := make(chan struct{})
+	jobs, next := testJobs(n), 0
+	src := jobSourceFunc(func(ctx context.Context) (Job, bool, error) {
+		if next == 1 {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return Job{}, false, ctx.Err()
+			}
+		}
+		if next == n {
+			return Job{}, false, nil
+		}
+		next++
+		return jobs[next-1], true, nil
+	})
+
+	startWorker(t, fed, "w1", WorkerConfig{Slots: 1, Run: oneSlot("w1", hold)})
+	coord := eventCoordinator(t, fed, "coord-node", CoordinatorConfig{JobTimeout: time.Second})
+	if err := coord.WaitWorkers(ctx, []string{"w1"}); err != nil {
+		t.Fatalf("WaitWorkers: %v", err)
+	}
+	done := goSweep(func() ([]Record, error) { return coord.RunStream(ctx, src) })
+	select {
+	case <-held:
+	case <-ctx.Done():
+		t.Fatal("w1 never started job 0")
+	}
+	startWorker(t, fed, "w0", WorkerConfig{Slots: 1, Run: oneSlot("w0", stubRunner(0))})
+
+	sample := func(name string) (obs.WorkerSample, bool) {
+		for _, w := range coord.Sample().Workers {
+			if w.Name == name {
+				return w, true
+			}
+		}
+		return obs.WorkerSample{}, false
+	}
+	waitFor(ctx, t, "heard w0", func() bool { _, ok := sample("w0"); return ok })
+	for steps := 0; ; steps++ {
+		if w, _ := sample("w1"); w.Busy == 1 {
+			break
+		}
+		if steps == 4 {
+			t.Fatal("w1's beats never said it is busy")
+		}
+		clk.Advance(beat)
+		waitFor(ctx, t, "heard w1's beat", func() bool { w, _ := sample("w1"); return w.SinceSeen == 0 })
+	}
+	clk.Advance(time.Second) // past job 0's JobTimeout
+	waitFor(ctx, t, "job 0 recorded from w0", func() bool { return coord.Sample().Done == 1 })
+
+	close(gate)
+	res := <-done
+	if res.err != nil {
+		t.Fatalf("RunStream: %v", res.err)
+	}
+	checkRecords(t, res.recs, n)
+	for _, rec := range res.recs {
+		if rec.Worker != "w0" {
+			t.Errorf("job %d ran on %s, whose one slot job 0 still holds", rec.Job, rec.Worker)
+		}
 	}
 }

@@ -23,26 +23,25 @@
 // slow-consumer loss; the ack/re-send loop below stays for link-churn
 // loss, which no window can see.
 //
-// Dispatch is push-based. Every heartbeat declares the worker's slots, how
-// many runs it has on them and which of those belong to an earlier sweep,
-// and the coordinator counts the grants of its own sweep each worker
-// holds. A worker's free slots are its declared slots less those grants
-// and less the runs of another sweep. On every pass the coordinator walks
-// the pending jobs in load order and grants each to the live worker with
-// the most free slots, ties to the first name, until no live worker has
-// one; the grant carries the job's seed, spec and span. A worker runs what
-// it is granted, at once. Every worker hears every grant and ignores those
-// naming another. A grant frees its slot when the job's Record is
-// recorded, so a finished run's slot takes the next job one result round
-// trip after the run ends, and a sweep runs first in, first out.
-//
-// A worker beats whenever a run ends, after sending its record, so a
-// coordinator whose workers are busy with a previous sweep hears each of
-// their slots free as it frees.
-// A run the coordinator stopped counting — one it re-dispatched from a
-// live worker past JobTimeout, or recorded from another worker first —
-// still holds its slot until it ends, so that worker may run one job over
-// its slots meanwhile.
+// Dispatch is push-based, and a worker's slots are counted from its own
+// heartbeats. Every beat declares the worker's slots, its runs (Busy,
+// of any sweep) and the jobs of its sweep it holds (Working). A live
+// worker's free slots are its declared slots, less the Busy of its last
+// beat, less the grants of this sweep to it that the beat does not list
+// yet. On every pass the coordinator walks the pending jobs in load order
+// and grants each to the live worker with the most free slots, ties to the
+// first name, until no live worker has one; the grant carries the job's
+// seed, spec and span. A worker runs what it is granted, at once. Every
+// worker hears every grant and ignores those naming another. A worker
+// beats whenever a run ends, after sending its record, so a finished
+// run's slot takes the next job when that beat arrives, whichever sweep
+// the run was of, and a sweep runs first in, first out. A run the
+// coordinator stopped waiting for (re-dispatched from a live worker past
+// JobTimeout, or recorded from another worker first) holds its slot in
+// its worker's beats until it ends. One limit: a grant counts on its own
+// only until its grantee's first beat lists it, so a run moved away
+// before its grantee has beaten once (a JobTimeout shorter than the
+// worker's Heartbeat) goes uncounted until that beat.
 //
 // # Readiness and joining
 //
@@ -226,22 +225,19 @@ type jobAck struct {
 }
 
 // heartbeat is a worker's liveness beacon, sent on its period and whenever
-// a run ends. Sweep is the sweep of the last grant the worker took, Busy
-// every run on its slots, and Stale those of Busy that belong to an
-// earlier sweep: what the coordinator of Sweep cannot count itself.
-// Working lists the jobs of Sweep the worker was granted and still
-// remembers (running, or finished and unacknowledged): the coordinator
-// uses it to detect a grant that never reached its worker — the grantee
-// is alive and beating, yet never lists the job — and re-dispatch far
-// sooner than JobTimeout.
+// a run ends. Sweep is the sweep of the last grant the worker took, and
+// Busy every run on its slots, of any sweep. Working lists the jobs of
+// Sweep the worker was granted and still remembers (running, or finished
+// and unacknowledged): a grant it lists counts in Busy while its run
+// lasts, not on its own, and a grant the beats of a live grantee never list never reached
+// it, so the coordinator re-dispatches it far sooner than JobTimeout.
 //
 // The fields after Working declare how the worker flies its jobs (its
 // WorkerConfig.Batch): headless or not, the trainee's skill profile, and
 // the headless sim-time budget in seconds (0: each spec's
 // trace.DefaultBudget). The coordinator answers a job from its
 // certification only when every live worker would fly exactly the run the
-// answer stands for. They ride at the end, like jobGrant's Spec, and
-// Stale after them.
+// answer stands for. They ride at the end, like jobGrant's Spec.
 type heartbeat struct {
 	Worker      string
 	Sweep       int64
@@ -254,7 +250,6 @@ type heartbeat struct {
 	SlackBand   float64
 	Jitter      float64
 	Budget      float64
-	Stale       int64
 }
 
 // runConfig is how a worker flies its jobs, as its heartbeat declares it.

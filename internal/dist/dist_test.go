@@ -151,20 +151,25 @@ func TestRedispatchOnWorkerDeath(t *testing.T) {
 	case <-ctx.Done():
 		t.Fatal("the victim was never granted a job")
 	}
-	heard := func(worker string) bool {
+	silent := func(worker string) time.Duration {
 		for _, w := range coord.Sample().Workers {
 			if w.Name == worker {
-				return w.SinceSeen == 0
+				return time.Duration(w.SinceSeen * float64(time.Second))
 			}
 		}
-		return false
+		return -1
 	}
-	for steps := 0; coord.Sample().Redispatches == 0; steps++ {
+	// Step until the coordinator hears the survivor with the victim silent
+	// for longer than deadAfter: the pass that heard that beat re-dispatches
+	// the victim's grants. Any re-dispatch is not enough: a grant still on
+	// its way to the survivor two steps after it was sent is re-dispatched
+	// as lost, and with the clock stopped there the victim never dies.
+	for steps := 0; silent("victim") <= deadAfter; steps++ {
 		if time.Duration(steps)*beat > 2*deadAfter {
-			t.Fatalf("nothing re-dispatched %v after the victim died", time.Duration(steps)*beat)
+			t.Fatalf("the victim is still live %v after it died", time.Duration(steps)*beat)
 		}
 		clk.Advance(beat)
-		waitFor(ctx, t, "the survivor's beat reached the coordinator", func() bool { return heard("survivor") })
+		waitFor(ctx, t, "the survivor's beat reached the coordinator", func() bool { return silent("survivor") == 0 })
 	}
 
 	res := <-done

@@ -92,7 +92,7 @@ type doneRun struct {
 // Worker serves one host's slots to whatever coordinator runs on the
 // segment. It keeps serving across sweeps: the first grant of a new sweep
 // ID drops the previous sweep's bookkeeping, and the runs still going of
-// that sweep count as stale until they end.
+// that sweep hold their slots until they end.
 type Worker struct {
 	name  string
 	cfg   WorkerConfig
@@ -105,16 +105,13 @@ type Worker struct {
 	pubRes   *cod.Pub[jobResult]
 	pubHB    *cod.Pub[heartbeat]
 
-	sweep   int64
-	jobs    map[int64]*workerJob
-	running int          // runs on the slots, of any sweep
-	stale   int          // runs of an earlier sweep than sweep
-	doneCh  chan doneRun // finished runs
+	sweep  int64
+	jobs   map[int64]*workerJob
+	doneCh chan doneRun // finished runs
 
-	// Scrape-facing mirrors of the ledger above, refreshed by the Run
-	// loop so Sample, read when /metrics is scraped, never touches loop
-	// state.
-	obsBusy     atomic.Int64
+	// Counters that Sample, read when /metrics is scraped, reads too; only
+	// the Run loop writes them.
+	running     atomic.Int64 // runs on the slots, of any sweep
 	obsFinished atomic.Int64 // cumulative runs finished
 	obsAcked    atomic.Int64 // cumulative results acknowledged
 }
@@ -209,13 +206,12 @@ func (w *Worker) Run(ctx context.Context) error {
 		w.drainAcks()
 		w.flushResults()
 		if freed {
-			// Say the slot freed, after the record that frees it at the
-			// coordinator of its sweep, for a coordinator that cannot
-			// count it itself — one whose sweep is not this run's.
+			// Say the slot freed, after its run's record: a coordinator,
+			// of this run's sweep or another, counts the run on its slot
+			// until a beat leaves it out of Busy.
 			w.beat()
 			freed = false
 		}
-		w.publishStats()
 
 		select {
 		case <-ctx.Done():
@@ -254,7 +250,7 @@ func (w *Worker) beat() {
 		Worker:      w.name,
 		Sweep:       w.sweep,
 		Slots:       int64(w.cfg.Slots),
-		Busy:        int64(w.running),
+		Busy:        w.running.Load(),
 		Working:     working,
 		Headless:    run.headless,
 		ReactionLag: run.skill.ReactionLag,
@@ -262,13 +258,7 @@ func (w *Worker) beat() {
 		SlackBand:   run.skill.SlackBand,
 		Jitter:      run.skill.Jitter,
 		Budget:      run.budget,
-		Stale:       int64(w.stale),
 	})
-}
-
-// publishStats refreshes the scrape-facing mirrors of the job ledger.
-func (w *Worker) publishStats() {
-	w.obsBusy.Store(int64(w.running))
 }
 
 // Sample snapshots the worker's dispatch state for the telemetry plane
@@ -279,7 +269,7 @@ func (w *Worker) Sample() obs.DispatchSample {
 		Role:         "worker",
 		Name:         w.name,
 		Slots:        int64(w.cfg.Slots),
-		Busy:         w.obsBusy.Load(),
+		Busy:         w.running.Load(),
 		Finished:     w.obsFinished.Load(),
 		ResultsAcked: w.obsAcked.Load(),
 	}
@@ -302,9 +292,9 @@ func (w *Worker) drainGrants(runCtx context.Context) {
 		}
 		if g.Sweep != w.sweep {
 			// A new coordinator's first grant: the previous sweep's records
-			// go unsent, and its runs still going count as stale.
-			w.log.Info("new sweep", "sweep", g.Sweep, "stale_runs", w.running)
-			w.sweep, w.jobs, w.stale = g.Sweep, make(map[int64]*workerJob), w.running
+			// go unsent, and its runs still going hold their slots.
+			w.log.Info("new sweep", "sweep", g.Sweep, "busy", w.running.Load())
+			w.sweep, w.jobs = g.Sweep, make(map[int64]*workerJob)
 		}
 		if j := w.jobs[g.Job]; j != nil {
 			if g.Attempt > j.attempt {
@@ -323,7 +313,7 @@ func (w *Worker) drainGrants(runCtx context.Context) {
 				Err: fmt.Sprintf("dist: worker %s: job %d: %v", w.name, g.Job, err)}
 			continue
 		}
-		w.running++
+		w.running.Add(1)
 		w.log.Info("job started",
 			"sweep", w.sweep, "job", g.Job, "attempt", g.Attempt, "span", g.Span)
 		// The dispatch phase runs from here to the run's start, all on this
@@ -348,10 +338,9 @@ func (w *Worker) drainGrants(runCtx context.Context) {
 // finish takes a run's Record back from its slot. One of an earlier sweep
 // is dropped: that sweep's coordinator is gone.
 func (w *Worker) finish(d doneRun) {
-	w.running--
+	w.running.Add(-1)
 	w.obsFinished.Add(1)
 	if d.sweep != w.sweep {
-		w.stale--
 		return
 	}
 	rec := d.rec

@@ -159,14 +159,13 @@ func TestRunnerRealtimePacing(t *testing.T) {
 
 func TestGroup(t *testing.T) {
 	var g Group
-	var counts [3]uint64
-	var mu sync.Mutex
-	for i := 0; i < 3; i++ {
-		i := i
+	var ticked [3]chan struct{} // each closed by its runner's first tick
+	for i := range ticked {
+		first := make(chan struct{})
+		ticked[i] = first
+		var once sync.Once
 		r, err := NewRunner("g", 1000, func(_, _ float64) error {
-			mu.Lock()
-			counts[i]++
-			mu.Unlock()
+			once.Do(func() { close(first) })
 			return nil
 		})
 		if err != nil {
@@ -177,15 +176,15 @@ func TestGroup(t *testing.T) {
 	if err := g.Start(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond)
-	g.Stop()
-	mu.Lock()
-	defer mu.Unlock()
-	for i, c := range counts {
-		if c == 0 {
-			t.Errorf("runner %d never ticked", i)
+	for i, first := range ticked {
+		select {
+		case <-first:
+		case <-time.After(10 * time.Second):
+			g.Stop()
+			t.Fatalf("runner %d never ticked", i)
 		}
 	}
+	g.Stop()
 	if err := g.Err(); err != nil {
 		t.Errorf("group err = %v", err)
 	}

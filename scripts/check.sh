@@ -51,6 +51,17 @@ if [ -n "$unrun" ]; then
     exit 1
 fi
 
+echo "== test sleeps (time.Sleep lines in *_test.go: at most 8) =="
+# A test paced by time.Sleep passes or fails with the host's load. Each
+# one left moves to channel choreography or the manual clock
+# (internal/clock); lower the ceiling as they go, never raise it.
+sleeps=$(git grep -c 'time\.Sleep' -- '*_test.go' | awk -F: '{n += $NF} END {print n + 0}')
+if [ "$sleeps" -gt 8 ]; then
+    echo "$sleeps time.Sleep lines in tests, over the ceiling of 8:" >&2
+    git grep -n 'time\.Sleep' -- '*_test.go' >&2
+    exit 1
+fi
+
 # staticcheck and govulncheck are external tools; CI installs them pinned
 # and puts them on PATH (see ci.yml). Locally they gate when present and
 # are skipped offline.
