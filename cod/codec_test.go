@@ -280,8 +280,8 @@ func checkLayoutEncode[T any](t *testing.T, nfixed int, vals ...T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%T %+v encodes to\n %x\nPut field by field it is\n %x", v, v, got, want)
 		}
-		fr, err := wire.Decode(got)
-		if err != nil {
+		var fr wire.Frame
+		if err := wire.NewDecoder().DecodeInto(got, &fr); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := fr.Attrs.MatchLayout(&c.prefix); !ok {
@@ -427,8 +427,8 @@ func FuzzDecodeInto(f *testing.F) {
 	f.Add(updateFrame(n, recs[:n-1]...)) // the section cut short: refused by the frame decoder
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := wire.Decode(data)
-		if err != nil {
+		var fr wire.Frame
+		if err := wire.NewDecoder().DecodeInto(data, &fr); err != nil {
 			return
 		}
 		a := &fr.Attrs

@@ -59,17 +59,25 @@
 // # The per-frame path
 //
 // A steady publish→reflect takes no global lock, reads no clock and, for a
-// consumer that releases its reflections, allocates nothing. Publication
-// push encodes an update once and stamps Channel and Seq into a copy per
-// remote channel; the class's channel list and the channel-ID table are
+// consumer that releases its reflections, allocates nothing, in process or
+// across a link. Publication push encodes an update once and stamps
+// Channel and Seq into a copy per remote channel, and copies it for each
+// in-process subscriber into storage an earlier in-process reflection
+// handed back; the class's channel list and the channel-ID table are
 // copy-on-write (cowMap), read without Backbone.mu. A link's read loop
 // decodes from a buffered reader, so a length prefix, its body and the
 // frames queued behind them cost one conn.Read, and it reads each update
-// into storage a consumer of that link handed back (Reflection.Release)
-// when there is some. Every reused buffer has one owner: the link keeps
-// the storage handed back and the buffer its control frames are encoded
-// into, and a Publication keeps the scratch its pushes encode and batch
-// in.
+// into storage a consumer of that link handed back when there is some.
+// One ownership rule covers both: a reflection owns its Attrs' storage
+// until Reflection.Release hands it back to its source. Every reused
+// buffer has one owner: a link keeps the storage handed back to it and the
+// buffer its control frames are encoded into, the backbone keeps the
+// in-process storage handed back and its broadcast buffer, the timer loop
+// keeps the scratch its beacons are built in, and a Publication keeps the
+// scratch its pushes encode and batch in. The datagram loop decodes into
+// one reused frame through its own interning decoder, so a steady
+// federation's discovery refreshes and heartbeats allocate nothing on the
+// backbone either; what is left is the transport's copy of each datagram.
 //
 // Liveness is counted, not stamped: the read loop increments a per-link
 // frame counter, and the heartbeat sweep — every 250 ms — dates a link
@@ -179,6 +187,7 @@ type Stats struct {
 type Backbone struct {
 	node  string
 	ifc   transport.Interface
+	addr  string // ifc.Addr(), which every SUBSCRIPTION carries
 	clock clock.Clock
 
 	mu        sync.Mutex
@@ -198,6 +207,13 @@ type Backbone struct {
 	ins    cowMap[uint32, *inChannel]    // channel ID → subscriber binding
 
 	stats Stats
+
+	// local is the attribute storage in-process delivery copies updates
+	// into, handed back by the consumers' Reflection.Release.
+	local attrStore
+
+	bmu  sync.Mutex // serializes discovery broadcasts
+	bbuf []byte     // broadcast's encode buffer, guarded by bmu
 
 	// changed is closed and replaced, under mu, whenever a channel set
 	// changes: the edge the condition waits sleep on.
@@ -249,6 +265,7 @@ func New(lan transport.LAN, node string, cfg Config) (*Backbone, error) {
 	b := &Backbone{
 		node:      node,
 		ifc:       ifc,
+		addr:      ifc.Addr(),
 		clock:     cfg.Clock,
 		pubs:      make(map[classLP]*Publication),
 		subs:      make(map[classLP]*Subscription),
@@ -275,7 +292,7 @@ func (b *Backbone) Node() string { return b.node }
 func (b *Backbone) Clock() clock.Clock { return b.clock }
 
 // Addr returns the backbone's dialable stream address.
-func (b *Backbone) Addr() string { return b.ifc.Addr() }
+func (b *Backbone) Addr() string { return b.addr }
 
 // Stats returns the live instrumentation counters. The pointer stays valid
 // for the backbone's lifetime.
@@ -423,12 +440,16 @@ func (b *Backbone) acceptLoop() {
 	}
 }
 
-// datagramLoop handles broadcast discovery traffic.
+// datagramLoop handles broadcast discovery traffic. Like a link's read
+// loop it owns one wire.Decoder and one Frame, reused for every datagram,
+// so the names a segment repeats are interned once and a refresh
+// broadcast decodes without allocating. The handlers copy what they keep.
 func (b *Backbone) datagramLoop() {
 	defer b.wg.Done()
+	dec := wire.NewDecoder()
+	var f wire.Frame
 	for dg := range b.ifc.Recv() {
-		f, err := wire.Decode(dg.Payload)
-		if err != nil {
+		if dec.DecodeInto(dg.Payload, &f) != nil {
 			continue // malformed datagram; drop
 		}
 		switch f.Kind {
@@ -447,30 +468,48 @@ func (b *Backbone) timerLoop() {
 	tick := b.clock.NewTimer(tickInterval)
 	defer tick.Stop()
 	lastHB := b.clock.Now()
+	var sc timerScratch
 	for {
 		select {
 		case <-b.done:
 			return
 		case <-b.kick:
-			b.broadcastPending(b.clock.Now())
+			b.broadcastPending(&sc, b.clock.Now())
 		case <-tick.C():
 			tick.Reset(tickInterval)
 			now := b.clock.Now()
-			b.broadcastPending(now)
+			b.broadcastPending(&sc, now)
 			if now.Sub(lastHB) >= heartbeatInterval {
 				lastHB = now
-				b.heartbeat(now)
+				b.heartbeat(&sc, now)
 			}
 		}
 	}
 }
 
+// timerScratch is the timer loop's working storage, kept across its ticks
+// so that the repair traffic of a steady federation allocates nothing.
+type timerScratch struct {
+	due     []classLP    // entries due for a SUBSCRIPTION broadcast
+	links   []*peerLink  // every live link, to beacon or reap
+	credits []linkCredit // the reliable in-channels' consumption counts
+	pairs   []int64      // one link's [channel, consumed] pairs
+	hb      wire.AttrSet // a beacon's AttrCreditCounts
+}
+
+// linkCredit is one reliable in-channel's cumulative consumption, to be
+// repeated on the beacon of the link it rides.
+type linkCredit struct {
+	link     *peerLink
+	id, used uint32
+}
+
 // broadcastPending sends SUBSCRIPTION datagrams for entries that are due:
 // unmatched entries at broadcastInterval, matched ones at refreshInterval,
 // one that just lost a channel now.
-func (b *Backbone) broadcastPending(now time.Time) {
+func (b *Backbone) broadcastPending(sc *timerScratch, now time.Time) {
 	b.mu.Lock()
-	var due []classLP
+	due := sc.due[:0]
 	for key, s := range b.subs {
 		every := broadcastInterval
 		if len(s.channels) > 0 {
@@ -485,6 +524,8 @@ func (b *Backbone) broadcastPending(now time.Time) {
 	}
 	b.mu.Unlock()
 	b.broadcastSubscriptions(due)
+	clear(due) // let go of withdrawn entries' names
+	sc.due = due[:0]
 }
 
 // broadcastSubscriptions sends one SUBSCRIPTION datagram per entry. Called
@@ -502,15 +543,19 @@ func (b *Backbone) subscriptionFrame(key classLP) wire.Frame {
 		Node:  b.node,
 		LP:    key.lp,
 		Class: key.class,
-		Addr:  b.ifc.Addr(),
+		Addr:  b.addr,
 	}
 }
 
-// broadcast sends one discovery datagram, best effort. It is counted in
-// sent before it leaves, so that nothing it causes can be seen ahead of its
-// count, and taken back out if it did not leave.
+// broadcast sends one discovery datagram, best effort, encoded into the
+// backbone's broadcast buffer (the transport copies what it keeps). It is
+// counted in sent before it leaves, so that nothing it causes can be seen
+// ahead of its count, and taken back out if it did not leave.
 func (b *Backbone) broadcast(f wire.Frame, sent *metrics.Counter) {
-	payload, err := f.Encode()
+	b.bmu.Lock()
+	defer b.bmu.Unlock()
+	payload, err := f.AppendEncode(b.bbuf[:0])
+	b.bbuf = payload[:0]
 	if err != nil {
 		return
 	}
@@ -570,18 +615,17 @@ func (b *Backbone) waitChange(ctx context.Context, cond func() bool) error {
 // links whose peer never spoke. Each beacon piggybacks the cumulative
 // consumption counts of the link's reliable in-channels, so a lost CREDIT
 // frame stalls a publisher for at most one heartbeat period.
-func (b *Backbone) heartbeat(now time.Time) {
+func (b *Backbone) heartbeat(sc *timerScratch, now time.Time) {
 	b.mu.Lock()
-	links := make([]*peerLink, 0, len(b.links))
+	links, credits := sc.links[:0], sc.credits[:0]
 	for l := range b.links {
 		links = append(links, l)
 	}
-	credits := make(map[*peerLink][]int64)
 	for id, ic := range b.ins.view() {
 		if ic.link == nil || ic.sub == nil || ic.sub.policy != wire.PolicyReliable {
 			continue
 		}
-		credits[ic.link] = append(credits[ic.link], int64(id), int64(ic.sub.mbox.consumedCount(id)))
+		credits = append(credits, linkCredit{link: ic.link, id: id, used: ic.sub.mbox.consumedCount(id)})
 	}
 	b.mu.Unlock()
 
@@ -591,12 +635,23 @@ func (b *Backbone) heartbeat(now time.Time) {
 			continue
 		}
 		hb := wire.Frame{Kind: wire.KindHeartbeat, Node: b.node}
-		if pairs := credits[l]; len(pairs) > 0 {
-			hb.Attrs = wire.AttrSet{}
-			hb.Attrs.PutInt64s(wire.AttrCreditCounts, pairs)
+		pairs := sc.pairs[:0]
+		for _, c := range credits {
+			if c.link == l {
+				pairs = append(pairs, int64(c.id), int64(c.used))
+			}
 		}
+		if len(pairs) > 0 {
+			sc.hb.Reset()
+			sc.hb.PutInt64s(wire.AttrCreditCounts, pairs)
+			hb.Attrs = sc.hb
+		}
+		sc.pairs = pairs
 		_ = l.send(hb)
 	}
+	clear(links) // let go of dead links
+	clear(credits)
+	sc.links, sc.credits = links[:0], credits[:0]
 }
 
 // sendGrant pushes one cumulative credit grant for a reliable

@@ -87,13 +87,22 @@ func TestSilentPendingLinkReaped(t *testing.T) {
 	if pollCond(ctx, func() bool { return len(liveLinks(b)) == 1 }) != nil {
 		t.Fatal("the link was never accepted")
 	}
-	if err := clk.WaitTimers(ctx, 1); err != nil {
-		t.Fatal(err)
+	// Never send anything. A sweep past the heartbeat timeout must drop the
+	// pending link, observable as EOF on our side. The clock steps one
+	// heartbeat period at a time, each step once the timer loop has armed
+	// its timer again, until the link is gone. How many steps that takes
+	// depends on where the loop stood at the first: one that reads its
+	// start time only after it has begun the silence later. Twelve steps
+	// are three seconds of silence, three times the timeout.
+	for step := 0; len(liveLinks(b)) > 0; step++ {
+		if step == 12 {
+			t.Fatal("silent pending link never reaped")
+		}
+		if err := clk.WaitTimers(ctx, 1); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(heartbeatInterval)
 	}
-	// Never send anything. At the first sweep past the heartbeat timeout
-	// the backbone must drop the pending link, observable as EOF on our
-	// side.
-	clk.Advance(heartbeatTimeout + heartbeatInterval)
 	buf := make([]byte, 1)
 	errCh := make(chan error, 1)
 	go func() {
@@ -107,7 +116,7 @@ func TestSilentPendingLinkReaped(t *testing.T) {
 	case <-errCh:
 		// Connection closed by the reaper: success.
 	case <-time.After(waitLong):
-		t.Fatal("silent pending link never reaped")
+		t.Fatal("the reaped link's connection stayed open")
 	}
 }
 
@@ -179,7 +188,9 @@ func TestSubscriptionCloseDuringTraffic(t *testing.T) {
 			}
 		}
 	}()
-	time.Sleep(2 * time.Millisecond)
+	if _, err := sub.NextContext(ctx); err != nil { // the burst is arriving
+		t.Fatal(err)
+	}
 	if err := sub.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func (b *Backbone) handleSubscriptionBroadcast(f wire.Frame) {
 		Node:  b.node,
 		LP:    f.LP, // echo the subscriber LP so its CB can match
 		Class: f.Class,
-		Addr:  b.ifc.Addr(),
+		Addr:  b.addr,
 	}
 	if err := link.send(ack); err != nil {
 		b.linkDown(link)
@@ -190,7 +190,7 @@ func (b *Backbone) handleSubAck(l *peerLink, f wire.Frame) {
 		Node:    b.node,
 		LP:      f.LP,
 		Class:   f.Class,
-		Addr:    b.ifc.Addr(),
+		Addr:    b.addr,
 	}
 	// The delivery policy rides the handshake as control attributes. A
 	// drop-oldest subscription sends none — exactly what a legacy peer
@@ -288,13 +288,8 @@ func (b *Backbone) handleUpdate(l *peerLink, f *wire.Frame) {
 		Time:    f.Time,
 	}
 	if f.Attrs.Len() > 0 {
-		r.Attrs, r.link = f.Attrs, l
-		f.Attrs = wire.AttrSet{}
-		l.mu.Lock()
-		if n := len(l.free); n > 0 {
-			f.Attrs, l.free = l.free[n-1], l.free[:n-1]
-		}
-		l.mu.Unlock()
+		r.Attrs, r.store = f.Attrs, &l.store
+		f.Attrs = l.store.take()
 	}
 	b.deliver(ic.sub, &r)
 }

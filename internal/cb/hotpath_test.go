@@ -76,14 +76,15 @@ func TestOversizedUpdateReachesNobody(t *testing.T) {
 
 // TestRecycledStorageNeverShared streams frames whose two attributes both
 // name the frame, to a consumer that releases most reflections and holds
-// on to the rest. Storage handed back must only ever come out again
-// rewritten: every reflection polled is self-consistent and newer than
-// the last, no two live reflections share bytes, and the held ones still
-// read what they carried when hundreds of recycled frames have passed.
-// Under LatestValue with a shallow mailbox the publisher runs flat out, so
-// most reflections are conflated away unreleased and the mailbox gives
-// their storage back itself. Run with -race: a released arena rewritten
-// while someone still reads it is a data race before it is a wrong value.
+// on to the rest, across a link and in-process. Storage handed back must
+// only ever come out again rewritten: every reflection polled is
+// self-consistent and newer than the last, no two live reflections share
+// bytes, and the held ones still read what they carried when hundreds of
+// recycled frames have passed. Under LatestValue with a shallow mailbox
+// the publisher runs flat out, so most reflections are conflated away
+// unreleased and the mailbox gives their storage back itself. Run with
+// -race: a released arena rewritten while someone still reads it is a data
+// race before it is a wrong value.
 func TestRecycledStorageNeverShared(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -94,88 +95,96 @@ func TestRecycledStorageNeverShared(t *testing.T) {
 		{"latest-value", []SubscribeOption{WithLatestValue(), WithQueue(4)}, 50000},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ctx := waitCtx(t)
-			lan := transport.NewMemLAN()
-			pubBB := newBackbone(t, lan, "pub-pc")
-			subBB := newBackbone(t, lan, "sub-pc")
-			pub, err := pubBB.PublishObjectClass("p", "State")
-			if err != nil {
-				t.Fatal(err)
+		for _, path := range paths {
+			name := tc.name // the link path's subtests keep their first names
+			if path.local {
+				name = path.name + "-" + tc.name
 			}
-			sub, err := subBB.SubscribeObjectClass("s", "State", tc.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sub.WaitMatchedContext(ctx); err != nil {
-				t.Fatal("subscription never matched")
-			}
-			if err := pub.WaitChannelsContext(ctx, 1); err != nil {
-				t.Fatal("publisher never linked")
-			}
+			t.Run(name, func(t *testing.T) { testRecycledStorageNeverShared(t, path.local, tc.opts, tc.frames) })
+		}
+	}
+}
 
-			label := func(i int64) string { return fmt.Sprintf("frame-%07d", i) }
-			pubErr := make(chan error, 1)
-			go func() {
-				var a wire.AttrSet
-				for i := int64(0); i < int64(tc.frames); i++ {
-					a.Reset()
-					a.PutInt64(1, i)
-					a.PutString(2, label(i))
-					if err := pub.UpdateContext(ctx, float64(i), a); err != nil {
-						pubErr <- err
-						return
-					}
-				}
-				pubErr <- nil
-			}()
+func testRecycledStorageNeverShared(t *testing.T, local bool, opts []SubscribeOption, frames int) {
+	ctx := waitCtx(t)
+	lan := transport.NewMemLAN()
+	pubBB := newBackbone(t, lan, "pub-pc")
+	subBB := subscriberNode(t, lan, pubBB, local, "sub-pc")
+	pub, err := pubBB.PublishObjectClass("p", "State")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := subBB.SubscribeObjectClass("s", "State", opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sub.WaitMatchedContext(ctx); err != nil {
+		t.Fatal("subscription never matched")
+	}
+	if err := pub.WaitChannelsContext(ctx, 1); err != nil {
+		t.Fatal("publisher never linked")
+	}
 
-			type held struct {
-				r Reflection
-				n int64
+	label := func(i int64) string { return fmt.Sprintf("frame-%07d", i) }
+	pubErr := make(chan error, 1)
+	go func() {
+		var a wire.AttrSet
+		for i := int64(0); i < int64(frames); i++ {
+			a.Reset()
+			a.PutInt64(1, i)
+			a.PutString(2, label(i))
+			if err := pub.UpdateContext(ctx, float64(i), a); err != nil {
+				pubErr <- err
+				return
 			}
-			var keep []held
-			newest := int64(-1)
-			for polled := 0; newest != int64(tc.frames)-1; polled++ {
-				r, err := sub.NextContext(ctx)
-				if err != nil {
-					t.Fatalf("after frame %d: %v", newest, err)
-				}
-				n, ok := r.Attrs.Int64(1)
-				s, _ := r.Attrs.String(2)
-				if !ok || s != label(n) || n <= newest {
-					t.Fatalf("polled a reflection reading (%d, %q) after frame %d: recycled storage observed", n, s, newest)
-				}
-				newest = n
-				if polled%16 != 0 {
-					r.Release()
-					if r.Attrs.Len() != 0 {
-						t.Fatal("a released reflection still has attributes")
-					}
-					continue
-				}
-				mine, _ := r.Attrs.Bytes(2)
-				for _, h := range keep {
-					if theirs, _ := h.r.Attrs.Bytes(2); &mine[0] == &theirs[0] {
-						t.Fatalf("frames %d and %d are both live and share storage", n, h.n)
-					}
-				}
-				keep = append(keep, held{r, n})
+		}
+		pubErr <- nil
+	}()
+
+	type held struct {
+		r Reflection
+		n int64
+	}
+	var keep []held
+	newest := int64(-1)
+	for polled := 0; newest != int64(frames)-1; polled++ {
+		r, err := sub.NextContext(ctx)
+		if err != nil {
+			t.Fatalf("after frame %d: %v", newest, err)
+		}
+		n, ok := r.Attrs.Int64(1)
+		s, _ := r.Attrs.String(2)
+		if !ok || s != label(n) || n <= newest {
+			t.Fatalf("polled a reflection reading (%d, %q) after frame %d: recycled storage observed", n, s, newest)
+		}
+		newest = n
+		if polled%16 != 0 {
+			r.Release()
+			if r.Attrs.Len() != 0 {
+				t.Fatal("a released reflection still has attributes")
 			}
-			if err := <-pubErr; err != nil {
-				t.Fatalf("publisher: %v", err)
+			continue
+		}
+		mine, _ := r.Attrs.Bytes(2)
+		for _, h := range keep {
+			if theirs, _ := h.r.Attrs.Bytes(2); &mine[0] == &theirs[0] {
+				t.Fatalf("frames %d and %d are both live and share storage", n, h.n)
 			}
-			for _, h := range keep {
-				n, _ := h.r.Attrs.Int64(1)
-				s, _ := h.r.Attrs.String(2)
-				if n != h.n || s != label(h.n) {
-					t.Errorf("held frame %d now reads (%d, %q): its storage was recycled under it", h.n, n, s)
-				}
-			}
-			if tc.name == "latest-value" && subBB.Stats().Conflations.Value() == 0 {
-				t.Error("no reflection was conflated: the mailbox's own release path went untested")
-			}
-		})
+		}
+		keep = append(keep, held{r, n})
+	}
+	if err := <-pubErr; err != nil {
+		t.Fatalf("publisher: %v", err)
+	}
+	for _, h := range keep {
+		n, _ := h.r.Attrs.Int64(1)
+		s, _ := h.r.Attrs.String(2)
+		if n != h.n || s != label(h.n) {
+			t.Errorf("held frame %d now reads (%d, %q): its storage was recycled under it", h.n, n, s)
+		}
+	}
+	if sub.Policy() == wire.PolicyLatestValue && subBB.Stats().Conflations.Value() == 0 {
+		t.Error("no reflection was conflated: the mailbox's own release path went untested")
 	}
 }
 

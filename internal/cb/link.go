@@ -29,10 +29,10 @@ type peerLink struct {
 	seen     uint64    // recv as the last sweep found it
 	lastRecv time.Time // the last sweep that found recv moved (the link's start before any)
 	dead     bool
-	// free is the attribute storage consumers handed back with
-	// Reflection.Release, which the read loop reads later frames into. It
-	// grows to the link's peak of storage in flight and is not trimmed.
-	free []wire.AttrSet
+
+	// store is the attribute storage consumers handed back with
+	// Reflection.Release, which the read loop reads later frames into.
+	store attrStore
 
 	wmu  sync.Mutex // serializes frame writes
 	wbuf []byte     // send's encode buffer, guarded by wmu

@@ -257,8 +257,10 @@ func TestReliableUpdateContextBlocksUntilConsumed(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	stalls := b.Stats().CreditStalls.Value()
 	go func() {
-		time.Sleep(20 * time.Millisecond)
+		// Cancel once the send has met the full window, parked or about to.
+		_ = pollCond(waitCtx(t), func() bool { return b.Stats().CreditStalls.Value() > stalls })
 		cancel()
 	}()
 	if err := pub.UpdateContext(ctx, 0, attrsWith(4)); !errors.Is(err, context.Canceled) {

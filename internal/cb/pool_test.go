@@ -10,19 +10,43 @@ import (
 	"codsim/internal/wire"
 )
 
-// TestPoolNoAlias is the ownership test for the link path: a reflection
-// owns the frame it arrived in, so one that is never released must keep
-// its bytes whatever happens after it — thousands of later frames read off
-// the same link, another consumer of the same stream releasing every
-// reflection it takes (that storage is what the links read later frames
-// into), and the publisher rewriting its scratch set between Updates.
-// Every 512th frame is larger than the link's read buffer and than any
-// storage released so far, and is followed by small ones again. The
-// holder retains everything and reads it all back at the end. Run with
-// -race and -count=100 to shake out reuse races:
+// paths are the two ways an update reaches a subscriber: across a link to
+// another backbone, or in-process on the publisher's own. Both hand their
+// storage out and take it back by the same rule (Reflection.Release).
+var paths = []struct {
+	name  string
+	local bool
+}{{"link", false}, {"in-process", true}}
+
+// subscriberNode is the backbone a test's subscriptions register on: the
+// publisher's own for the in-process path, a new node for the link path.
+func subscriberNode(t *testing.T, lan transport.LAN, pubBB *Backbone, local bool, node string) *Backbone {
+	if local {
+		return pubBB
+	}
+	return newBackbone(t, lan, node)
+}
+
+// TestPoolNoAlias is the ownership test for both delivery paths: a
+// reflection owns its attribute storage, so one that is never released
+// must keep its bytes whatever happens after it — thousands of later
+// updates through the same source, another consumer of the same stream
+// releasing every reflection it takes (that storage is what the link
+// reads, and the in-process path copies, later updates into), and the
+// publisher rewriting its scratch set between Updates. Every 512th frame
+// is larger than the link's read buffer and than any storage released so
+// far, and is followed by small ones again. The holder retains everything
+// and reads it all back at the end. Run with -race and -count=100 to shake
+// out reuse races:
 //
 //	go test -race -run Pool -count=100 ./internal/cb/
 func TestPoolNoAlias(t *testing.T) {
+	for _, path := range paths {
+		t.Run(path.name, func(t *testing.T) { testPoolNoAlias(t, path.local) })
+	}
+}
+
+func testPoolNoAlias(t *testing.T, local bool) {
 	ctx := waitCtx(t)
 	lan := transport.NewMemLAN()
 	pubBB := newBackbone(t, lan, "pub-pc")
@@ -31,8 +55,8 @@ func TestPoolNoAlias(t *testing.T) {
 		t.Fatalf("Publish: %v", err)
 	}
 	var subs [2]*Subscription // 0 holds, 1 releases
-	for i, node := range []string{"hold-pc", "release-pc"} {
-		sub, err := newBackbone(t, lan, node).SubscribeObjectClass("visual", "CraneState", WithReliable(64))
+	for i, lp := range []string{"hold", "release"} {
+		sub, err := subscriberNode(t, lan, pubBB, local, lp+"-pc").SubscribeObjectClass(lp, "CraneState", WithReliable(64))
 		if err != nil {
 			t.Fatalf("Subscribe: %v", err)
 		}
@@ -249,7 +273,8 @@ func TestPoolAttrSetReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := newBackbone(t, lan, "sub-pc").SubscribeObjectClass("s", "State", WithReliable(8))
+	subBB := newBackbone(t, lan, "sub-pc")
+	sub, err := subBB.SubscribeObjectClass("s", "State", WithReliable(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,10 +284,10 @@ func TestPoolAttrSetReuse(t *testing.T) {
 	if pub.WaitChannelsContext(ctx, 1) != nil {
 		t.Fatal("publisher never linked")
 	}
-	freeLen := func(l *peerLink) int {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return len(l.free)
+	freeLen := func(s *attrStore) int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.free)
 	}
 
 	var a wire.AttrSet
@@ -275,13 +300,13 @@ func TestPoolAttrSetReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := r.link
-	if l == nil {
+	l := r.store
+	if l == nil || l == &subBB.local {
 		t.Fatal("the reflection did not cross a link")
 	}
 	clone := r.Attrs.Clone()
 	r.Release()
-	if r.Attrs.Len() != 0 || r.link != nil {
+	if r.Attrs.Len() != 0 || r.store != nil {
 		t.Fatalf("a released reflection still holds %d attrs", r.Attrs.Len())
 	}
 	if n := freeLen(l); n != 1 {
@@ -319,4 +344,66 @@ func TestPoolAttrSetReuse(t *testing.T) {
 		t.Fatalf("clone aliases the reused storage: attr9 = %d", v)
 	}
 	r.Release()
+}
+
+// TestInProcessStorageOwnsItsCopy: Update never retains the set it is
+// given, so an in-process subscriber reads what was published even after
+// the publisher has rewritten its one set for later updates, and a
+// subscriber that releases what it takes costs nothing a frame, one that
+// does not the two allocations of its copy.
+func TestInProcessStorageOwnsItsCopy(t *testing.T) {
+	ctx := waitCtx(t)
+	b := newBackbone(t, transport.NewMemLAN(), "solo")
+	pub, err := b.PublishObjectClass("p", "State")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := b.SubscribeObjectClass("s", "State", WithReliable(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var set wire.AttrSet
+	for i, word := range []string{"one", "two", "three"} {
+		set.Reset()
+		set.PutInt64(1, int64(i))
+		set.PutString(2, word)
+		if err := pub.Update(float64(i), set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set.Reset()
+	set.PutString(2, "overwritten")
+	for i, word := range []string{"one", "two", "three"} {
+		r, err := sub.NextContext(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _ := r.Attrs.Int64(1)
+		s, _ := r.Attrs.String(2)
+		if n != int64(i) || s != word {
+			t.Errorf("reflection %d reads (%d, %q): it shares the publisher's set", i, n, s)
+		}
+		r.Release()
+	}
+
+	hop := func(release bool) func() {
+		return func() {
+			if err := pub.Update(0, set); err != nil {
+				t.Fatal(err)
+			}
+			r, err := sub.NextContext(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if release {
+				r.Release()
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(1000, hop(true)); n != 0 {
+		t.Errorf("a released in-process reflection costs %v allocations a frame, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, hop(false)); n > 2 {
+		t.Errorf("an unreleased in-process reflection costs %v allocations a frame, want at most 2", n)
+	}
 }

@@ -22,31 +22,55 @@ type Reflection struct {
 	Time    float64
 	Attrs   wire.AttrSet
 
-	// link is the link the reflection's frame was read on, whose storage
-	// Release hands back (the ownership rule, package wire); nil for a
-	// reflection delivered in-process.
-	link *peerLink
+	// store is where Attrs' storage came from and goes back to on Release:
+	// the link the frame was read on, or the backbone's in-process store.
+	store *attrStore
 }
 
-// Release hands the reflection's attribute storage back to the link it
-// arrived on, which reads a later frame into it; Attrs is empty
-// afterwards. Only the consumer that took the reflection out of its
-// subscription may call it, at most once, and only when nothing still
-// reads Attrs or a slice obtained from it (Bytes aliases the storage).
-// Releasing is optional: a reflection that is never released is ordinary
-// garbage, and costs the link the two allocations of a fresh frame body
-// and ref table per update. Only reflections that crossed a link are
-// recycled; one delivered in-process holds a plain clone of the
-// publisher's set, and releasing it does nothing.
+// Release hands the reflection's attribute storage back to where it came
+// from, to be filled with a later update of the same source: a link reads
+// a later frame into it, and the in-process path copies a later update
+// into it. Attrs is empty afterwards. Only the consumer that took the
+// reflection out of its subscription may call it, at most once, and only
+// when nothing still reads Attrs or a slice obtained from it (Bytes
+// aliases the storage). Releasing is optional: a reflection that is never
+// released is ordinary garbage, and costs its source the two allocations
+// of a fresh set — a frame body and its ref table — per update. The rule
+// is the same for every reflection, whether it crossed a link or not.
 func (r *Reflection) Release() {
-	l := r.link
-	if l == nil {
+	if r.store == nil {
 		return
 	}
-	l.mu.Lock()
-	l.free = append(l.free, r.Attrs)
-	l.mu.Unlock()
-	r.Attrs, r.link = wire.AttrSet{}, nil
+	r.store.put(r.Attrs)
+	r.Attrs, r.store = wire.AttrSet{}, nil
+}
+
+// attrStore is the attribute storage consumers handed back with
+// Reflection.Release, kept for the later updates of one source: each link
+// has one, which its read loop reads frames into, and the backbone has
+// one, which in-process delivery copies updates into. It grows to its
+// source's peak of storage in flight and is not trimmed.
+type attrStore struct {
+	mu   sync.Mutex
+	free []wire.AttrSet
+}
+
+func (s *attrStore) put(a wire.AttrSet) {
+	s.mu.Lock()
+	s.free = append(s.free, a)
+	s.mu.Unlock()
+}
+
+// take returns a set handed back earlier, or the zero set when none is.
+func (s *attrStore) take() (a wire.AttrSet) {
+	s.mu.Lock()
+	if n := len(s.free); n > 0 {
+		a = s.free[n-1]
+		s.free[n-1] = wire.AttrSet{}
+		s.free = s.free[:n-1]
+	}
+	s.mu.Unlock()
+	return a
 }
 
 // outChannel is the publisher half of a virtual channel: the link (nil for
@@ -437,8 +461,10 @@ func (b *Backbone) noteMatchedLocked(s *Subscription) {
 
 // Update pushes one attribute update into every virtual channel of the
 // class (UPDATE ATTRIBUTE VALUE). simTime is the publisher's simulation
-// time. The attrs map is cloned before the call returns, so the caller may
-// reuse it.
+// time. Update never retains attrs: a remote channel gets it encoded into
+// the publication's scratch, a local one a copy in storage of the
+// backbone's, all before the call returns, so the caller may rewrite the
+// set for its next update — every publisher in the simulator reuses one.
 //
 // A Publication pushes one update at a time: concurrent calls on it take
 // turns. Updates on one virtual channel are delivered to the subscriber in
@@ -561,15 +587,18 @@ func (p *Publication) push(ctx context.Context, simTime float64, attrs wire.Attr
 		}
 		oc.seq++
 		if oc.link == nil {
-			b.deliver(oc.local, &Reflection{
+			r := Reflection{
 				Class:   p.key.class,
 				PubNode: b.node,
 				PubLP:   p.key.lp,
 				Channel: oc.remoteChan,
 				Seq:     oc.seq,
 				Time:    simTime,
-				Attrs:   attrs.Clone(),
-			})
+				Attrs:   b.local.take(),
+				store:   &b.local,
+			}
+			attrs.CloneInto(&r.Attrs)
+			b.deliver(oc.local, &r)
 			oc.sendMu.Unlock()
 			routed++
 			b.stats.UpdatesSent.Inc()

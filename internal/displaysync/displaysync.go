@@ -48,6 +48,7 @@ import (
 	"codsim/internal/clock"
 	"codsim/internal/fom"
 	"codsim/internal/metrics"
+	"codsim/internal/wire"
 )
 
 // Errors returned by the package.
@@ -83,6 +84,7 @@ type Server struct {
 	displays map[string]*dispState // display LP → progress
 	evicted  metrics.Counter
 	swaps    metrics.Counter
+	swap     wire.AttrSet // the SWAP mark, encoded by release alone
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -262,8 +264,8 @@ func (s *Server) release() {
 		s.frame++
 		s.mu.Unlock()
 
-		mark := fom.FrameMark{Frame: frame}
-		if err := s.pub.Update(float64(frame), mark.Encode()); err != nil {
+		fom.FrameMark{Frame: frame}.EncodeInto(&s.swap)
+		if err := s.pub.Update(float64(frame), s.swap); err != nil {
 			return
 		}
 		s.swaps.Inc()
@@ -284,6 +286,9 @@ type Display struct {
 	frame    uint32 // local frame counter
 	lastSwap uint32 // newest swap index seen + 1 (0 = none)
 	tracker  metrics.FrameTracker
+
+	rmu   sync.Mutex   // one Ready at a time
+	ready wire.AttrSet // the READY mark, guarded by rmu
 }
 
 // NewDisplay registers a display client on the given backbone.
@@ -357,8 +362,10 @@ func (d *Display) Ready(renderTime float64) error {
 	d.mu.Lock()
 	frame := d.frame
 	d.mu.Unlock()
-	mark := fom.FrameMark{Frame: frame, RenderTime: renderTime}
-	return d.pub.Update(float64(frame), mark.Encode())
+	d.rmu.Lock()
+	defer d.rmu.Unlock()
+	fom.FrameMark{Frame: frame, RenderTime: renderTime}.EncodeInto(&d.ready)
+	return d.pub.Update(float64(frame), d.ready)
 }
 
 // WaitSwap blocks until a swap newer than the last seen arrives, then

@@ -48,8 +48,13 @@ func newBackbone(t *testing.T, lan transport.LAN, node string, clk clock.Clock) 
 // rig builds a sync server on its own node plus n display nodes, mirroring
 // the paper's rack: display computers 1..n and the synchronization server.
 func rig(t *testing.T, lan transport.LAN, n int) (*Server, []*Display) {
+	return rigOn(t, lan, n, nil)
+}
+
+// rigOn is rig with every node on clk (nil: the wall clock).
+func rigOn(t *testing.T, lan transport.LAN, n int, clk clock.Clock) (*Server, []*Display) {
 	t.Helper()
-	serverBB := newBackbone(t, lan, "sync-server", nil)
+	serverBB := newBackbone(t, lan, "sync-server", clk)
 	expected := make([]string, n)
 	for i := range expected {
 		expected[i] = fmt.Sprintf("display-%d", i+1)
@@ -63,7 +68,7 @@ func rig(t *testing.T, lan transport.LAN, n int) (*Server, []*Display) {
 
 	displays := make([]*Display, n)
 	for i := range displays {
-		d, err := NewDisplay(newBackbone(t, lan, fmt.Sprintf("display-pc-%d", i+1), nil), expected[i])
+		d, err := NewDisplay(newBackbone(t, lan, fmt.Sprintf("display-pc-%d", i+1), clk), expected[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,9 +82,12 @@ func rig(t *testing.T, lan transport.LAN, n int) (*Server, []*Display) {
 	return srv, displays
 }
 
+// TestBarrierLockstep renders on a manual clock that each render moves on
+// by a millisecond, its simulated cost.
 func TestBarrierLockstep(t *testing.T) {
 	lan := transport.NewMemLAN()
-	srv, displays := rig(t, lan, 3)
+	clk := clock.NewManual()
+	srv, displays := rigOn(t, lan, 3, clk)
 
 	const frames = 30
 	var (
@@ -111,7 +119,7 @@ func TestBarrierLockstep(t *testing.T) {
 					maxSkew = skew
 				}
 				mu.Unlock()
-				time.Sleep(time.Millisecond) // simulated render cost
+				clk.Advance(time.Millisecond) // simulated render cost
 			})
 		}(i, d)
 	}
@@ -139,15 +147,19 @@ func TestBarrierLockstep(t *testing.T) {
 	}
 }
 
+// TestBarrierWaitsForSlowest renders on a manual clock: the slow display's
+// render moves it on by 20 ms a frame, the fast one's not at all, so the
+// run's length and both displays' frame rates are the slow display's.
 func TestBarrierWaitsForSlowest(t *testing.T) {
 	lan := transport.NewMemLAN()
-	_, displays := rig(t, lan, 2)
+	clk := clock.NewManual()
+	_, displays := rigOn(t, lan, 2, clk)
 
 	const frames = 10
 	slow := 20 * time.Millisecond
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
-	start := time.Now()
+	start := clk.Now()
 	for i, d := range displays {
 		wg.Add(1)
 		go func(i int, d *Display) {
@@ -156,11 +168,11 @@ func TestBarrierWaitsForSlowest(t *testing.T) {
 			if i == 1 {
 				cost = slow // one display is 20 ms slower per frame
 			}
-			errs[i] = d.RunFrames(frames, waitLong, func(uint32) { time.Sleep(cost) })
+			errs[i] = d.RunFrames(frames, waitLong, func(uint32) { clk.Advance(cost) })
 		}(i, d)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
+	elapsed := clk.Now().Sub(start)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("display %d: %v", i+1, err)

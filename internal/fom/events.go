@@ -27,15 +27,22 @@ type MotionCue struct {
 	CraneID int64
 }
 
-// Encode packs the struct into an attribute set.
+// Encode packs the struct into a new attribute set.
 func (m MotionCue) Encode() wire.AttrSet {
-	a := wire.NewAttrSet(4)
+	a := wire.NewAttrSet(5)
+	m.EncodeInto(&a)
+	return a
+}
+
+// EncodeInto packs the struct into a, replacing what a held, in a's own
+// storage (see the package doc).
+func (m MotionCue) EncodeInto(a *wire.AttrSet) {
+	a.Reset()
 	a.PutVec3(MCAttrSpecificForce, m.SpecificForce.X, m.SpecificForce.Y, m.SpecificForce.Z)
 	a.PutVec3(MCAttrAngularRate, m.AngularRate.X, m.AngularRate.Y, m.AngularRate.Z)
 	a.PutFloat64(MCAttrVibration, m.Vibration)
 	a.PutUint32(MCAttrFrame, m.Frame)
 	a.PutInt64(MCAttrCraneID, m.CraneID)
-	return a
 }
 
 // DecodeMotionCue unpacks an attribute set produced by Encode.
@@ -94,15 +101,22 @@ type AudioEvent struct {
 	Stop     bool
 }
 
-// Encode packs the struct into an attribute set.
+// Encode packs the struct into a new attribute set.
 func (e AudioEvent) Encode() wire.AttrSet {
 	a := wire.NewAttrSet(5)
+	e.EncodeInto(&a)
+	return a
+}
+
+// EncodeInto packs the struct into a, replacing what a held, in a's own
+// storage (see the package doc).
+func (e AudioEvent) EncodeInto(a *wire.AttrSet) {
+	a.Reset()
 	a.PutUint32(AEAttrSound, uint32(e.Sound))
 	a.PutFloat64(AEAttrGain, e.Gain)
 	a.PutVec3(AEAttrPosition, e.Position.X, e.Position.Y, e.Position.Z)
 	a.PutBool(AEAttrLoop, e.Loop)
 	a.PutBool(AEAttrStop, e.Stop)
-	return a
 }
 
 // DecodeAudioEvent unpacks an attribute set produced by Encode.
@@ -203,9 +217,17 @@ type ScenarioState struct {
 // no phase-graph index (older publishers).
 const PhaseIndexUnknown = ^uint32(0)
 
-// Encode packs the struct into an attribute set.
+// Encode packs the struct into a new attribute set.
 func (s ScenarioState) Encode() wire.AttrSet {
-	a := wire.NewAttrSet(7)
+	a := wire.NewAttrSet(8)
+	s.EncodeInto(&a)
+	return a
+}
+
+// EncodeInto packs the struct into a, replacing what a held, in a's own
+// storage (see the package doc).
+func (s ScenarioState) EncodeInto(a *wire.AttrSet) {
+	a.Reset()
 	a.PutUint32(SSAttrPhase, uint32(s.Phase))
 	a.PutFloat64(SSAttrScore, s.Score)
 	a.PutFloat64(SSAttrElapsed, s.Elapsed)
@@ -214,32 +236,45 @@ func (s ScenarioState) Encode() wire.AttrSet {
 	a.PutString(SSAttrMessage, s.Message)
 	a.PutUint32(SSAttrPhaseIndex, s.PhaseIndex)
 	a.PutInt64(SSAttrCraneID, s.CraneID)
-	return a
 }
 
 // DecodeScenarioState unpacks an attribute set produced by Encode.
 func DecodeScenarioState(a wire.AttrSet) (ScenarioState, error) {
 	var s ScenarioState
+	err := DecodeScenarioStateInto(a, &s)
+	return s, err
+}
+
+// DecodeScenarioStateInto is DecodeScenarioState over s, the state the
+// decoded one replaces: a Message that reads as s.Message already is
+// kept, not copied again, so a subscriber folding a stream of states
+// allocates only when the status text changes. On an error s is left
+// partly decoded.
+func DecodeScenarioStateInto(a wire.AttrSet, s *ScenarioState) error {
 	var ok bool
 	var p uint32
 	if p, ok = a.Uint32(SSAttrPhase); !ok {
-		return s, missing(ClassScenarioState, SSAttrPhase)
+		return missing(ClassScenarioState, SSAttrPhase)
 	}
 	s.Phase = Phase(p)
 	if s.Score, ok = a.Float64(SSAttrScore); !ok {
-		return s, missing(ClassScenarioState, SSAttrScore)
+		return missing(ClassScenarioState, SSAttrScore)
 	}
 	if s.Elapsed, ok = a.Float64(SSAttrElapsed); !ok {
-		return s, missing(ClassScenarioState, SSAttrElapsed)
+		return missing(ClassScenarioState, SSAttrElapsed)
 	}
 	if s.Collisions, ok = a.Uint32(SSAttrCollisions); !ok {
-		return s, missing(ClassScenarioState, SSAttrCollisions)
+		return missing(ClassScenarioState, SSAttrCollisions)
 	}
 	if s.Waypoint, ok = a.Uint32(SSAttrWaypoint); !ok {
-		return s, missing(ClassScenarioState, SSAttrWaypoint)
+		return missing(ClassScenarioState, SSAttrWaypoint)
 	}
-	if s.Message, ok = a.String(SSAttrMessage); !ok {
-		return s, missing(ClassScenarioState, SSAttrMessage)
+	msg, ok := a.Bytes(SSAttrMessage)
+	if !ok {
+		return missing(ClassScenarioState, SSAttrMessage)
+	}
+	if string(msg) != s.Message {
+		s.Message = string(msg)
 	}
 	// PhaseIndex was added after the first FOM revision; absent means
 	// PhaseIndexUnknown so peers from older builds still decode without
@@ -252,7 +287,7 @@ func DecodeScenarioState(a wire.AttrSet) (ScenarioState, error) {
 	if s.CraneID, ok = a.Int64(SSAttrCraneID); !ok {
 		s.CraneID = 0
 	}
-	return s, nil
+	return nil
 }
 
 // InstructorOp enumerates instructor commands (§3.3): scenario control and
@@ -282,13 +317,20 @@ type InstructorCmd struct {
 	Value      float64
 }
 
-// Encode packs the struct into an attribute set.
+// Encode packs the struct into a new attribute set.
 func (c InstructorCmd) Encode() wire.AttrSet {
 	a := wire.NewAttrSet(3)
+	c.EncodeInto(&a)
+	return a
+}
+
+// EncodeInto packs the struct into a, replacing what a held, in a's own
+// storage (see the package doc).
+func (c InstructorCmd) EncodeInto(a *wire.AttrSet) {
+	a.Reset()
 	a.PutUint32(ICAttrOp, uint32(c.Op))
 	a.PutString(ICAttrInstrument, c.Instrument)
 	a.PutFloat64(ICAttrValue, c.Value)
-	return a
 }
 
 // DecodeInstructorCmd unpacks an attribute set produced by Encode.
@@ -352,12 +394,19 @@ type FrameMark struct {
 	RenderTime float64
 }
 
-// Encode packs the struct into an attribute set.
+// Encode packs the struct into a new attribute set.
 func (m FrameMark) Encode() wire.AttrSet {
 	a := wire.NewAttrSet(2)
+	m.EncodeInto(&a)
+	return a
+}
+
+// EncodeInto packs the struct into a, replacing what a held, in a's own
+// storage (see the package doc).
+func (m FrameMark) EncodeInto(a *wire.AttrSet) {
+	a.Reset()
 	a.PutUint32(FSAttrFrame, m.Frame)
 	a.PutFloat64(FSAttrRender, m.RenderTime)
-	return a
 }
 
 // DecodeFrameMark unpacks an attribute set produced by Encode.

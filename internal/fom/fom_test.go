@@ -1,8 +1,10 @@
 package fom
 
 import (
+	"bytes"
 	"errors"
 	"testing"
+	"unsafe"
 
 	"codsim/internal/mathx"
 	"codsim/internal/wire"
@@ -214,8 +216,8 @@ func TestEncodedSetsSurviveWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := wire.Decode(b)
-	if err != nil {
+	var got wire.Frame
+	if err := wire.NewDecoder().DecodeInto(b, &got); err != nil {
 		t.Fatal(err)
 	}
 	dec, err := DecodeCraneState(got.Attrs)
@@ -224,5 +226,76 @@ func TestEncodedSetsSurviveWire(t *testing.T) {
 	}
 	if dec != state {
 		t.Errorf("wire round trip mismatch: %+v vs %+v", dec, state)
+	}
+}
+
+// encodeIntos is every class's encode-into form, each with a value that
+// fills every attribute.
+var encodeIntos = map[string]func(*wire.AttrSet){
+	ClassControlInput: ControlInput{Steering: -0.5, Throttle: 1, Ignition: true, Gear: 2, CraneID: 1}.EncodeInto,
+	ClassCraneState: CraneState{Position: mathx.V3(1, 2, 3), HookPos: mathx.V3(4, 5, 6), CargoHeld: true,
+		EngineOn: true, Stability: 0.8, CargoID: 2, CraneID: 1}.EncodeInto,
+	ClassMotionCue:     MotionCue{SpecificForce: mathx.V3(0, -9.8, 0), Vibration: 0.3, Frame: 7}.EncodeInto,
+	ClassAudioEvent:    AudioEvent{Sound: SoundAlarm, Gain: 0.5, Loop: true}.EncodeInto,
+	ClassScenarioState: ScenarioState{Phase: PhaseTraverse, Score: 92, Message: "waypoint 2/5 (3.1 m)", PhaseIndex: 2}.EncodeInto,
+	ClassInstructorCmd: InstructorCmd{Op: OpInjectFault, Instrument: "fuel", Value: 0.1}.EncodeInto,
+	ClassFrameReady:    FrameMark{Frame: 41, RenderTime: 0.004}.EncodeInto,
+}
+
+// TestEncodeIntoAllocatesNothing: a publisher's set, once it has held the
+// largest class, takes every class's update in place, and what EncodeInto
+// leaves there is exactly what a fresh set holds — nothing of the class
+// encoded before it.
+func TestEncodeIntoAllocatesNothing(t *testing.T) {
+	var shared wire.AttrSet
+	for _, into := range encodeIntos {
+		into(&shared) // grown to the largest class
+	}
+	for class, into := range encodeIntos {
+		if n := testing.AllocsPerRun(100, func() { into(&shared) }); n != 0 {
+			t.Errorf("%s: EncodeInto allocates %v times an update", class, n)
+		}
+		var fresh wire.AttrSet
+		into(&fresh)
+		got, err := wire.Frame{Kind: wire.KindUpdateAttrs, Attrs: shared}.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := wire.Frame{Kind: wire.KindUpdateAttrs, Attrs: fresh}.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: encoded over another class's set it reads\n %x\nnot\n %x", class, got, want)
+		}
+	}
+}
+
+// TestDecodeScenarioStateIntoKeepsMessage: decoding over the state it
+// replaces keeps an unchanged status text — the same string, no
+// allocation — and takes a changed one.
+func TestDecodeScenarioStateIntoKeepsMessage(t *testing.T) {
+	st := ScenarioState{Phase: PhaseDriving, Score: 100, Message: "drive to the test ground (12 m to go)", CraneID: 1}
+	a := st.Encode()
+	var got ScenarioState
+	if err := DecodeScenarioStateInto(a, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got != st {
+		t.Fatalf("decoded %+v, want %+v", got, st)
+	}
+	kept := got.Message
+	if n := testing.AllocsPerRun(100, func() { _ = DecodeScenarioStateInto(a, &got) }); n != 0 {
+		t.Errorf("an unchanged state decodes with %v allocations", n)
+	}
+	if unsafe.StringData(got.Message) != unsafe.StringData(kept) {
+		t.Error("an unchanged status text was copied again")
+	}
+	st.Message = "drive to the test ground (11 m to go)"
+	if err := DecodeScenarioStateInto(st.Encode(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Message != st.Message {
+		t.Errorf("a changed status text decodes as %q", got.Message)
 	}
 }

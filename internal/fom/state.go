@@ -41,9 +41,17 @@ type ControlInput struct {
 	CraneID int64
 }
 
-// Encode packs the struct into an attribute set.
+// Encode packs the struct into a new attribute set.
 func (c ControlInput) Encode() wire.AttrSet {
-	a := wire.NewAttrSet(10)
+	a := wire.NewAttrSet(11)
+	c.EncodeInto(&a)
+	return a
+}
+
+// EncodeInto packs the struct into a, replacing what a held, in a's own
+// storage (see the package doc).
+func (c ControlInput) EncodeInto(a *wire.AttrSet) {
+	a.Reset()
 	a.PutFloat64(CIAttrSteering, c.Steering)
 	a.PutFloat64(CIAttrThrottle, c.Throttle)
 	a.PutFloat64(CIAttrBrake, c.Brake)
@@ -55,7 +63,6 @@ func (c ControlInput) Encode() wire.AttrSet {
 	a.PutUint32(CIAttrGear, c.Gear)
 	a.PutBool(CIAttrHookLatch, c.HookLatch)
 	a.PutInt64(CIAttrCraneID, c.CraneID)
-	return a
 }
 
 // DecodeControlInput unpacks an attribute set produced by Encode.
@@ -153,9 +160,17 @@ type CraneState struct {
 	CraneID int64
 }
 
-// Encode packs the struct into an attribute set.
+// Encode packs the struct into a new attribute set.
 func (s CraneState) Encode() wire.AttrSet {
-	a := wire.NewAttrSet(17)
+	a := wire.NewAttrSet(19)
+	s.EncodeInto(&a)
+	return a
+}
+
+// EncodeInto packs the struct into a, replacing what a held, in a's own
+// storage (see the package doc).
+func (s CraneState) EncodeInto(a *wire.AttrSet) {
+	a.Reset()
 	a.PutVec3(CSAttrPosition, s.Position.X, s.Position.Y, s.Position.Z)
 	a.PutFloat64(CSAttrHeading, s.Heading)
 	a.PutFloat64(CSAttrPitch, s.Pitch)
@@ -175,7 +190,6 @@ func (s CraneState) Encode() wire.AttrSet {
 	a.PutVec3(CSAttrCargoPos, s.CargoPos.X, s.CargoPos.Y, s.CargoPos.Z)
 	a.PutInt64(CSAttrCargoID, s.CargoID)
 	a.PutInt64(CSAttrCraneID, s.CraneID)
-	return a
 }
 
 // DecodeCraneState unpacks an attribute set produced by Encode.

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"strconv"
 
 	"codsim/internal/collision"
 	"codsim/internal/crane"
@@ -97,8 +98,10 @@ type Engine struct {
 	events []Event
 	// liveStatus refreshes cursor messages with live distances every tick
 	// (instructor console); off, messages change only on phase entry,
-	// keeping fmt.Sprintf off the headless hot loop.
+	// keeping the formatting off the headless hot loop.
 	liveStatus bool
+	// text is where say's callers format a live status text.
+	text []byte
 	// progress counts cursor advances — phase-graph transitions and
 	// traverse waypoints — since Start. The early-exit oracle polls it to
 	// detect dry-runs that stopped making headway (see trace).
@@ -382,7 +385,11 @@ func (e *Engine) stepCursor(c int, states []fom.CraneState) {
 	case PhaseDrive:
 		d := horizDist(st.Position, ps.Target)
 		if e.liveStatus {
-			cur.message = fmt.Sprintf("drive to %s (%.0f m to go)", phaseLabel(ps), d)
+			b := append(e.text[:0], "drive to "...)
+			b = append(b, phaseLabel(ps)...)
+			b = append(b, " ("...)
+			b = strconv.AppendFloat(b, d, 'f', 0, 64)
+			e.say(cur, append(b, " m to go)"...))
 		}
 		if d <= ps.Radius {
 			e.enter(c, e.spec.next(cur.idx))
@@ -403,8 +410,13 @@ func (e *Engine) stepCursor(c int, states []fom.CraneState) {
 			if holders >= need {
 				e.enter(c, e.spec.next(cur.idx))
 			} else if e.liveStatus {
-				cur.message = fmt.Sprintf("holding %s — waiting for partner hooks (%d/%d)",
-					e.cargoName(ps.Cargo), holders, need)
+				b := append(e.text[:0], "holding "...)
+				b = append(b, e.cargoName(ps.Cargo)...)
+				b = append(b, " — waiting for partner hooks ("...)
+				b = strconv.AppendInt(b, int64(holders), 10)
+				b = append(b, '/')
+				b = strconv.AppendInt(b, int64(need), 10)
+				e.say(cur, append(b, ')'))
 			}
 		case holdsTarget:
 			// CargoID < 0 means the telemetry cannot identify the load
@@ -412,8 +424,10 @@ func (e *Engine) stepCursor(c int, states []fom.CraneState) {
 			e.enter(c, e.spec.next(cur.idx))
 		case st.CargoHeld:
 			if e.liveStatus {
-				cur.message = fmt.Sprintf("that is not %s — set it down and lift %s",
-					e.cargoName(int(st.CargoID)), e.cargoName(ps.Cargo))
+				b := append(e.text[:0], "that is not "...)
+				b = append(b, e.cargoName(int(st.CargoID))...)
+				b = append(b, " — set it down and lift "...)
+				e.say(cur, append(b, e.cargoName(ps.Cargo)...))
 			}
 		}
 	case PhaseTraverse:
@@ -426,7 +440,13 @@ func (e *Engine) stepCursor(c int, states []fom.CraneState) {
 		wp := ps.Waypoints[cur.waypoint]
 		d := horizDist(st.CargoPos, wp)
 		if e.liveStatus {
-			cur.message = fmt.Sprintf("waypoint %d/%d (%.1f m)", cur.waypoint+1, len(ps.Waypoints), d)
+			b := append(e.text[:0], "waypoint "...)
+			b = strconv.AppendInt(b, int64(cur.waypoint+1), 10)
+			b = append(b, '/')
+			b = strconv.AppendInt(b, int64(len(ps.Waypoints)), 10)
+			b = append(b, " ("...)
+			b = strconv.AppendFloat(b, d, 'f', 1, 64)
+			e.say(cur, append(b, " m)"...))
 		}
 		if d <= ps.Radius {
 			cur.waypoint++
@@ -447,12 +467,24 @@ func (e *Engine) stepCursor(c int, states []fom.CraneState) {
 			e.fallback(c)
 		default:
 			if e.liveStatus {
-				cur.message = fmt.Sprintf("lower and release the cargo at %s", phaseLabel(ps))
+				b := append(e.text[:0], "lower and release the cargo at "...)
+				e.say(cur, append(b, phaseLabel(ps)...))
 			}
 		}
 	}
 	if !cur.done {
 		cur.phase = e.spec.Phases[cur.idx].Kind.FOMPhase()
+	}
+}
+
+// say makes b, a live status text formatted into e.text, cur's message.
+// It makes a new string only when b reads differently from the message it
+// replaces: the distances move every tick, the text that prints them
+// far less often.
+func (e *Engine) say(cur *cursor, b []byte) {
+	e.text = b
+	if string(b) != cur.message {
+		cur.message = string(b)
 	}
 }
 
@@ -596,15 +628,6 @@ func (e *Engine) StateFor(c int) fom.ScenarioState {
 		s.Message = e.message
 	}
 	return s
-}
-
-// States exports every crane's view (see StateFor), indexed by crane.
-func (e *Engine) States() []fom.ScenarioState {
-	out := make([]fom.ScenarioState, len(e.cursors))
-	for c := range out {
-		out[c] = e.StateFor(c)
-	}
-	return out
 }
 
 // CraneCount returns how many carriers the engine interprets.

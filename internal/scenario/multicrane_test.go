@@ -247,11 +247,11 @@ func TestEngineStateForSharesVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	states := e.States()
-	if len(states) != 2 {
-		t.Fatalf("States() = %d entries", len(states))
+	if n := e.CraneCount(); n != 2 {
+		t.Fatalf("CraneCount() = %d", n)
 	}
-	for c, st := range states {
+	for c := range e.CraneCount() {
+		st := e.StateFor(c)
 		if st.CraneID != int64(c) {
 			t.Errorf("state %d CraneID = %d", c, st.CraneID)
 		}

@@ -79,13 +79,24 @@ func drainCraneStates(sub *cb.Subscription, states []fom.CraneState, have []bool
 	})
 }
 
-// drainScenStates folds a queued ScenarioState subscription the same way.
+// drainScenStates folds a queued ScenarioState subscription the same way,
+// decoding each state over the one it replaces, so a status text that has
+// not changed is kept rather than copied again.
 func drainScenStates(sub *cb.Subscription, states []fom.ScenarioState) {
-	drain(sub, fom.DecodeScenarioState, func(s fom.ScenarioState) {
-		if s.CraneID >= 0 && s.CraneID < int64(len(states)) {
-			states[s.CraneID] = s
+	for {
+		r, ok := sub.Poll()
+		if !ok {
+			return
 		}
-	})
+		id, _ := r.Attrs.Int64(fom.SSAttrCraneID) // absent means crane 0
+		if id >= 0 && id < int64(len(states)) {
+			s := states[id]
+			if fom.DecodeScenarioStateInto(r.Attrs, &s) == nil {
+				states[id] = s
+			}
+		}
+		r.Release()
+	}
 }
 
 // buildSimPC hosts the dynamics, scenario and audio LPs on one computer
@@ -137,6 +148,7 @@ func (c *Cluster) buildSimPC(spec scenario.Spec) error {
 	states := make([]fom.CraneState, len(rig.Models))
 	have := make([]bool, len(rig.Models))
 	haveAll := false
+	var scenSet, bangSet wire.AttrSet // each publication's one set
 	err = c.runner("scenario", 30, func(simTime, dt float64) error {
 		drain(cmdSub, fom.DecodeInstructorCmd, func(cmd fom.InstructorCmd) {
 			switch cmd.Op {
@@ -162,7 +174,8 @@ func (c *Cluster) buildSimPC(spec scenario.Spec) error {
 					continue
 				}
 				bang := fom.AudioEvent{Sound: fom.SoundCollision, Gain: 1, Position: states[ev.Crane].CargoPos}
-				if err := scenAudioPub.Update(simTime, bang.Encode()); err != nil {
+				bang.EncodeInto(&bangSet)
+				if err := scenAudioPub.Update(simTime, bangSet); err != nil {
 					return err
 				}
 			}
@@ -176,8 +189,9 @@ func (c *Cluster) buildSimPC(spec scenario.Spec) error {
 			c.wakeLocked()
 		}
 		c.mu.Unlock()
-		for _, ps := range eng.States() {
-			if err := scenPub.Update(simTime, ps.Encode()); err != nil {
+		for i := range eng.CraneCount() {
+			eng.StateFor(i).EncodeInto(&scenSet)
+			if err := scenPub.Update(simTime, scenSet); err != nil {
 				return err
 			}
 		}
@@ -244,6 +258,7 @@ func (c *Cluster) buildDynamicsLP(b *cb.Backbone, lp string, model *dynamics.Mod
 	}
 	var lastIn fom.ControlInput
 	var frame uint32
+	var stateSet, cueSet, audioSet wire.AttrSet // each publication's one set
 	return c.runner(lp, 60, func(simTime, dt float64) error {
 		drain(controlSub, fom.DecodeControlInput, func(in fom.ControlInput) {
 			if in.CraneID == craneID {
@@ -251,12 +266,13 @@ func (c *Cluster) buildDynamicsLP(b *cb.Backbone, lp string, model *dynamics.Mod
 			}
 		})
 		events := model.Step(lastIn, dt)
-		st := model.State()
 		frame++
-		if err := statePub.Update(simTime, st.Encode()); err != nil {
+		model.State().EncodeInto(&stateSet)
+		if err := statePub.Update(simTime, stateSet); err != nil {
 			return err
 		}
-		if err := cuePub.Update(simTime, model.MotionCue(frame).Encode()); err != nil {
+		model.MotionCue(frame).EncodeInto(&cueSet)
+		if err := cuePub.Update(simTime, cueSet); err != nil {
 			return err
 		}
 		for _, ev := range events {
@@ -271,12 +287,14 @@ func (c *Cluster) buildDynamicsLP(b *cb.Backbone, lp string, model *dynamics.Mod
 			default:
 				continue
 			}
-			if err := audioPub.Update(simTime, ae.Encode()); err != nil {
+			ae.EncodeInto(&audioSet)
+			if err := audioPub.Update(simTime, audioSet); err != nil {
 				return err
 			}
 			if ev == dynamics.EventEngineStarted {
 				loop := fom.AudioEvent{Sound: fom.SoundEngineLoop, Gain: 0.7, Loop: true}
-				if err := audioPub.Update(simTime, loop.Encode()); err != nil {
+				loop.EncodeInto(&audioSet)
+				if err := audioPub.Update(simTime, audioSet); err != nil {
 					return err
 				}
 			}
@@ -339,6 +357,7 @@ func (c *Cluster) buildPilotLP(b *cb.Backbone, craneIdx int, spec scenario.Spec,
 	}
 	states := make([]fom.CraneState, c.craneCount)
 	scens := make([]fom.ScenarioState, c.craneCount)
+	var ctrlSet wire.AttrSet // the publication's one set
 	return c.runner(lp, 50, func(simTime, dt float64) error {
 		if panel != nil {
 			drain(cmdSub, fom.DecodeInstructorCmd, func(cmd fom.InstructorCmd) {
@@ -356,7 +375,8 @@ func (c *Cluster) buildPilotLP(b *cb.Backbone, craneIdx int, spec scenario.Spec,
 		}
 		in = shaping.Shape(in)
 		in.CraneID = int64(craneIdx)
-		return ctrlPub.Update(simTime, in.Encode())
+		in.EncodeInto(&ctrlSet)
+		return ctrlPub.Update(simTime, ctrlSet)
 	})
 }
 
@@ -426,6 +446,7 @@ func (c *Cluster) buildInstructor() error {
 	}
 	states := make([]fom.CraneState, c.craneCount)
 	have := make([]bool, c.craneCount)
+	scens := make([]fom.ScenarioState, c.craneCount)
 	return c.runner("instructor", 10, func(_, dt float64) error {
 		drainCraneStates(stateSub, states, have)
 		for i := range states {
@@ -433,7 +454,8 @@ func (c *Cluster) buildInstructor() error {
 				c.monitor.ObserveCrane(states[i], dt)
 			}
 		}
-		drain(scenSub, fom.DecodeScenarioState, c.monitor.ObserveScenario)
+		drainScenStates(scenSub, scens)
+		c.monitor.ObserveScenario(scens[0]) // the status window shows crane 0's
 		return nil
 	})
 }

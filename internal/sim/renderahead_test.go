@@ -22,6 +22,9 @@ func renderAheadCluster(t *testing.T, frames int) *Cluster {
 		t.Fatal(err)
 	}
 	for i, d := range c.displays {
+		if d.planes[0] != d.rend.Framebuffer() {
+			t.Fatalf("display %d draws its first plane outside the renderer's own framebuffer", i+1)
+		}
 		if d.planes[1] != nil {
 			t.Fatalf("display %d has its second plane before its first frame", i+1)
 		}

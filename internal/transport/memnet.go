@@ -189,6 +189,10 @@ func (i *memIface) Broadcast(payload []byte) error {
 	if i.dead {
 		return ErrClosed
 	}
+	// One copy, made for the first receiver and shared by the rest: the
+	// sender may reuse payload once Broadcast returns, and receivers only
+	// read theirs (Datagram).
+	var cp []byte
 	for name, peer := range l.nodes {
 		if name == i.name || peer.dead {
 			continue
@@ -197,8 +201,9 @@ func (i *memIface) Broadcast(payload []byte) error {
 			l.dropped++
 			continue
 		}
-		cp := make([]byte, len(payload))
-		copy(cp, payload)
+		if cp == nil {
+			cp = append(make([]byte, 0, len(payload)), payload...)
+		}
 		dg := Datagram{From: i.name, Payload: cp}
 
 		delay := l.cfg.latency

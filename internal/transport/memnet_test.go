@@ -166,6 +166,28 @@ func TestMemLANBroadcastPayloadIsolated(t *testing.T) {
 	}
 }
 
+// TestMemLANBroadcastCopiesOnce: a broadcast is copied once, however many
+// receivers it reaches, and they all read that one copy.
+func TestMemLANBroadcastCopiesOnce(t *testing.T) {
+	l := NewMemLAN()
+	a := attach(t, l, "a")
+	b := attach(t, l, "b")
+	c := attach(t, l, "c")
+	payload := []byte("subscription")
+	n := testing.AllocsPerRun(100, func() {
+		if err := a.Broadcast(payload); err != nil {
+			t.Fatal(err)
+		}
+		gotB, gotC := <-b.Recv(), <-c.Recv()
+		if &gotB.Payload[0] != &gotC.Payload[0] || string(gotB.Payload) != "subscription" {
+			t.Fatalf("receivers read %q and %q, not one copy", gotB.Payload, gotC.Payload)
+		}
+	})
+	if n > 1 {
+		t.Errorf("a broadcast to two receivers costs %v allocations, want 1", n)
+	}
+}
+
 func TestMemLANBroadcastLoss(t *testing.T) {
 	l := NewMemLAN(WithLoss(1.0), WithSeed(42))
 	a := attach(t, l, "a")

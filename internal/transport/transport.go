@@ -34,10 +34,12 @@ import (
 	"io"
 )
 
-// Datagram is one broadcast message as received by a node.
+// Datagram is one broadcast message as received by a node. Its payload is
+// the receiver's to read for as long as it likes, never to write: on a
+// MemLAN every receiver of one broadcast reads the same copy.
 type Datagram struct {
 	From    string // sender node name
-	Payload []byte // application bytes; the receiver owns the slice
+	Payload []byte // application bytes: the receiver may keep them but must not write them
 }
 
 // Conn is a reliable, ordered byte stream between two nodes (the TCP

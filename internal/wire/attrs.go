@@ -73,19 +73,35 @@ func (a *AttrSet) Reset() {
 // Clone returns a deep copy of the set, for whoever keeps attributes past
 // the lifetime of the storage they sit in (see the package doc).
 func (a AttrSet) Clone() AttrSet {
-	if len(a.refs) == 0 {
-		return AttrSet{}
-	}
-	out := AttrSet{
-		refs:     make([]attrRef, len(a.refs)),
-		arena:    make([]byte, len(a.arena)-int(a.sec)),
-		unsorted: a.unsorted,
-	}
-	copy(out.arena, a.arena[a.sec:])
-	for i, r := range a.refs { // a frame's header is left behind
-		out.refs[i] = attrRef{id: r.id, start: r.start - a.sec, end: r.end - a.sec}
-	}
+	var out AttrSet
+	a.CloneInto(&out)
 	return out
+}
+
+// CloneInto makes dst a deep copy of the set in dst's own storage, which
+// grows only when it is too small, so a copier that recycles its sets
+// copies without allocating once they have grown to its largest set. dst
+// must not share storage with a.
+func (a AttrSet) CloneInto(dst *AttrSet) {
+	dst.Reset()
+	if len(a.refs) == 0 {
+		return
+	}
+	refs, arena := dst.refs[:0], dst.arena[:0]
+	if cap(refs) < len(a.refs) {
+		refs = make([]attrRef, len(a.refs))
+	}
+	refs = refs[:len(a.refs)]
+	for i, r := range a.refs { // a frame's header is left behind
+		refs[i] = attrRef{id: r.id, start: r.start - a.sec, end: r.end - a.sec}
+	}
+	if n := len(a.arena) - int(a.sec); cap(arena) < n {
+		arena = make([]byte, n)
+	} else {
+		arena = arena[:n]
+	}
+	copy(arena, a.arena[a.sec:])
+	*dst = AttrSet{refs: refs, arena: arena, unsorted: a.unsorted}
 }
 
 // detach takes the set's arena away from it, sized to n bytes, for a frame

@@ -23,11 +23,13 @@
 //
 //   - Sending. Frame.AppendEncode copies the set into the caller's buffer
 //     (for a set built in ascending ID order, its count and one append of
-//     the arena). The cb layer does that, or Clones for a subscriber in
-//     the same process, before Update returns: the set is the publisher's
-//     again the moment the call comes back, which is why a cod.Pub can
-//     encode every update into one scratch set.
-//   - Decoding a buffer (Decode, Decoder.DecodeInto). The frame's Attrs
+//     the arena). The cb layer does that, or, for a subscriber in the
+//     same process, CloneInto storage an earlier reflection handed back,
+//     before Update returns: the set is the publisher's again the moment
+//     the call comes back, which is why a cod.Pub, and every fom
+//     publisher of the simulator, can encode every update into one
+//     scratch set.
+//   - Decoding a buffer (Decoder.DecodeInto). The frame's Attrs
 //     borrow the buffer: its values are the buffer's own bytes, good for
 //     as long as the caller leaves the buffer alone; Clone keeps them
 //     longer. The buffer is never written — a Put into a borrowed set
@@ -267,13 +269,6 @@ const (
 func SetChannelSeq(encoded []byte, channel, seq uint32) {
 	binary.BigEndian.PutUint32(encoded[channelOffset:], channel)
 	binary.BigEndian.PutUint32(encoded[seqOffset:], seq)
-}
-
-// Decode parses a frame from b, which must contain exactly one encoded frame.
-func Decode(b []byte) (Frame, error) {
-	var f Frame
-	err := (*Decoder)(nil).DecodeInto(b, &f)
-	return f, err
 }
 
 // Decoder decodes frames with reusable state: a bounded string-intern

@@ -10,6 +10,15 @@ import (
 	"testing/quick"
 )
 
+// Decode parses a frame from b, which must contain exactly one encoded
+// frame, with no intern table: the tests' short form of
+// Decoder.DecodeInto, whose Attrs borrow b.
+func Decode(b []byte) (Frame, error) {
+	var f Frame
+	err := (*Decoder)(nil).DecodeInto(b, &f)
+	return f, err
+}
+
 func sampleFrame() Frame {
 	attrs := AttrSet{}
 	attrs.PutFloat64(1, 3.14159)
