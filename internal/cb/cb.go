@@ -465,9 +465,12 @@ func (b *Backbone) datagramLoop() {
 // detection off one timer, and re-broadcasts at once when kicked.
 func (b *Backbone) timerLoop() {
 	defer b.wg.Done()
+	// The start is read before the timer is armed: a manual clock's test
+	// that waits for the armed timer and then advances finds the first
+	// sweep due from the clock it started on, not from its own step.
+	lastHB := b.clock.Now()
 	tick := b.clock.NewTimer(tickInterval)
 	defer tick.Stop()
-	lastHB := b.clock.Now()
 	var sc timerScratch
 	for {
 		select {

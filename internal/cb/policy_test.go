@@ -258,9 +258,10 @@ func TestReliableUpdateContextBlocksUntilConsumed(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	stalls := b.Stats().CreditStalls.Value()
+	bound := waitCtx(t)
 	go func() {
 		// Cancel once the send has met the full window, parked or about to.
-		_ = pollCond(waitCtx(t), func() bool { return b.Stats().CreditStalls.Value() > stalls })
+		_ = pollCond(bound, func() bool { return b.Stats().CreditStalls.Value() > stalls })
 		cancel()
 	}()
 	if err := pub.UpdateContext(ctx, 0, attrsWith(4)); !errors.Is(err, context.Canceled) {

@@ -36,7 +36,9 @@ type Reflection struct {
 // aliases the storage). Releasing is optional: a reflection that is never
 // released is ordinary garbage, and costs its source the two allocations
 // of a fresh set — a frame body and its ref table — per update. The rule
-// is the same for every reflection, whether it crossed a link or not.
+// is the same for every reflection, whether it crossed a link or not, and
+// what is handed back is never the publisher's: Update never retains the
+// set it is given, so a reflection's Attrs are always a copy.
 func (r *Reflection) Release() {
 	if r.store == nil {
 		return

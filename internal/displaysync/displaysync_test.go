@@ -46,13 +46,9 @@ func newBackbone(t *testing.T, lan transport.LAN, node string, clk clock.Clock) 
 }
 
 // rig builds a sync server on its own node plus n display nodes, mirroring
-// the paper's rack: display computers 1..n and the synchronization server.
-func rig(t *testing.T, lan transport.LAN, n int) (*Server, []*Display) {
-	return rigOn(t, lan, n, nil)
-}
-
-// rigOn is rig with every node on clk (nil: the wall clock).
-func rigOn(t *testing.T, lan transport.LAN, n int, clk clock.Clock) (*Server, []*Display) {
+// the paper's rack: display computers 1..n and the synchronization server,
+// every node on clk (nil: the wall clock).
+func rig(t *testing.T, lan transport.LAN, n int, clk clock.Clock) (*Server, []*Display) {
 	t.Helper()
 	serverBB := newBackbone(t, lan, "sync-server", clk)
 	expected := make([]string, n)
@@ -87,7 +83,7 @@ func rigOn(t *testing.T, lan transport.LAN, n int, clk clock.Clock) (*Server, []
 func TestBarrierLockstep(t *testing.T) {
 	lan := transport.NewMemLAN()
 	clk := clock.NewManual()
-	srv, displays := rigOn(t, lan, 3, clk)
+	srv, displays := rig(t, lan, 3, clk)
 
 	const frames = 30
 	var (
@@ -153,7 +149,7 @@ func TestBarrierLockstep(t *testing.T) {
 func TestBarrierWaitsForSlowest(t *testing.T) {
 	lan := transport.NewMemLAN()
 	clk := clock.NewManual()
-	_, displays := rigOn(t, lan, 2, clk)
+	_, displays := rig(t, lan, 2, clk)
 
 	const frames = 10
 	slow := 20 * time.Millisecond
@@ -194,7 +190,7 @@ func TestDynamicJoinDisplay(t *testing.T) {
 	// §2.3: "an LP (an extra display, for example) can be dynamically
 	// added to the system without restarting the entire system."
 	lan := transport.NewMemLAN()
-	srv, displays := rig(t, lan, 2)
+	srv, displays := rig(t, lan, 2, nil)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -29,7 +29,7 @@ func recv[T any](t *testing.T, ch <-chan T, what string) T {
 // reported: the other display draws frame 1 while SWAP 0 is unreleased,
 // and frame 2 only once it has consumed SWAP 0.
 func TestRenderAheadBeforeSwap(t *testing.T) {
-	srv, displays := rig(t, transport.NewMemLAN(), 2)
+	srv, displays := rig(t, transport.NewMemLAN(), 2, nil)
 	held, ahead := displays[0], displays[1]
 	rendered := make(chan uint32)
 	done := make(chan error, 2)
@@ -128,7 +128,7 @@ func TestRenderAheadReadyAfterSwap(t *testing.T) {
 // frame lasts until the other display has begun its next one — and holds
 // them to one swap apart throughout.
 func TestRenderAheadSkew(t *testing.T) {
-	srv, displays := rig(t, transport.NewMemLAN(), 2)
+	srv, displays := rig(t, transport.NewMemLAN(), 2, nil)
 	const frames = 40
 	var begun [2][frames]chan struct{}
 	for i := range begun {
@@ -174,7 +174,7 @@ func TestRenderAheadSkew(t *testing.T) {
 // TestRenderAheadNotInRunFramesOne: RunFrames(1) draws one frame, and only
 // once every earlier swap is consumed.
 func TestRenderAheadNotInRunFramesOne(t *testing.T) {
-	_, displays := rig(t, transport.NewMemLAN(), 1)
+	_, displays := rig(t, transport.NewMemLAN(), 1, nil)
 	d := displays[0]
 	for call := uint32(0); call < 5; call++ {
 		var drawn []uint32

@@ -15,8 +15,7 @@ import (
 // simulated second together: far below one a tick. The classic exam runs
 // with small displays at fed_exam's pace (TimeScale 4, where its 60 Hz
 // LPs tick 240 times a wall second); the count is per simulated second,
-// so it does not depend on the host's speed. Before the publishers reused
-// their sets it was about 2800.
+// so it does not depend on the host's speed.
 func TestFederatedTickAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")

@@ -149,11 +149,12 @@ go test -race -count=20 -run 'TestObsLiveSweepScrape' ./internal/dist
 # slot is kept busy (internal/dist's package doc, "Protocol").
 go test -race -count=20 -run 'TestSweepNeverWaitsForReannounce|TestAnnouncesStayNearOnePerJob|TestWorkerNeverRunsMoreThanItsSlots' ./internal/dist
 go test -race -count=20 -run 'TestScrapeDropsDepartedSeries' ./internal/obs
-# The ownership rule on a link (internal/wire's package doc): storage a
-# consumer releases goes to the link's free list and is never under a
-# reflection still held. The per-frame allocation counts hold under the
-# race detector too, because a free list keeps everything it is given.
-go test -race -count=20 -run 'TestPoolNoAlias|TestRecycledStorageNeverShared|TestConflatedStorageGoesBack|TestConsumerThatNeverReleases|TestPoolAttrSetReuse' ./internal/cb
+# The ownership rule, on a link and in process (internal/wire's package
+# doc): storage a consumer releases goes back to its source's store and is
+# never under a reflection still held. The per-frame allocation counts
+# hold under the race detector too, because a store keeps everything it
+# is given.
+go test -race -count=20 -run 'TestPoolNoAlias|TestRecycledStorageNeverShared|TestConflatedStorageGoesBack|TestConsumerThatNeverReleases|TestPoolAttrSetReuse|TestInProcessStorageOwnsItsCopy' ./internal/cb
 
 echo "== go test =="
 go test ./...
