@@ -55,21 +55,30 @@ func (r *Reflection) Release() {
 type attrStore struct {
 	mu   sync.Mutex
 	free []wire.AttrSet
+	n    atomic.Int32 // len(free), for take's lock-free look when it is empty
 }
 
 func (s *attrStore) put(a wire.AttrSet) {
 	s.mu.Lock()
 	s.free = append(s.free, a)
+	s.n.Store(int32(len(s.free)))
 	s.mu.Unlock()
 }
 
 // take returns a set handed back earlier, or the zero set when none is.
+// The store of a source whose consumers never release stays empty, and
+// take then costs one atomic load instead of a lock round trip; a put it
+// races with is seen by the next take.
 func (s *attrStore) take() (a wire.AttrSet) {
+	if s.n.Load() == 0 {
+		return a
+	}
 	s.mu.Lock()
 	if n := len(s.free); n > 0 {
 		a = s.free[n-1]
 		s.free[n-1] = wire.AttrSet{}
 		s.free = s.free[:n-1]
+		s.n.Store(int32(n - 1))
 	}
 	s.mu.Unlock()
 	return a
