@@ -166,7 +166,6 @@ func (p *Pub[T]) Close() error { return p.pub.Close() }
 type Sub[T any] struct {
 	sub   *cb.Subscription
 	codec *codec
-	node  string // the node's name, which marks a same-node publisher
 }
 
 // Subscribe registers lp on node as a subscriber of class, receiving
@@ -192,32 +191,19 @@ func Subscribe[T any](node *Node, lp, class string, opts ...SubOption) (*Sub[T],
 	if err != nil {
 		return nil, err
 	}
-	return &Sub[T]{sub: s, codec: c, node: node.bb.Node()}, nil
+	return &Sub[T]{sub: s, codec: c}, nil
 }
 
-// decode converts one backbone reflection into the typed form:
-// decodeInto copies every value out (strings and slices included), so
-// nothing of r.Attrs escapes into the result and this is the
-// subscriber-side release point.
+// decode converts one backbone reflection into the typed form and hands
+// its attribute storage back to the backbone: decodeInto copies every
+// value out (strings and slices included), so nothing of r.Attrs escapes
+// into the result and this is the subscriber-side release point.
 func (s *Sub[T]) decode(r *cb.Reflection, out *Reflection[T]) error {
 	out.Class, out.PubNode, out.PubLP = r.Class, r.PubNode, r.PubLP
 	out.Seq, out.Time = r.Seq, r.Time
 	err := s.codec.decodeInto(&r.Attrs, unsafe.Pointer(&out.Value))
-	s.release(r)
+	r.Release()
 	return err
-}
-
-// release hands the storage of a reflection that crossed a link back to
-// that link. One published on this node is left to the collector, as it
-// was before the backbone recycled in-process storage: the typed
-// same-node hop then costs what a raw cb consumer that never releases
-// pays, so the benchmark's cod.codec_ns (typed minus raw on one node)
-// times the codec rather than the storage reuse (about 0 when only the
-// typed half reused storage).
-func (s *Sub[T]) release(r *cb.Reflection) {
-	if r.PubNode != s.node {
-		r.Release()
-	}
 }
 
 // Next blocks until an update arrives, ctx is done (ctx.Err()), or the
@@ -255,7 +241,7 @@ func (s *Sub[T]) Latest() (r Reflection[T], ok bool, err error) {
 		if !got {
 			break
 		}
-		s.release(&last) // superseded undecoded
+		last.Release() // superseded undecoded
 		last, gotLast = raw, true
 	}
 	if !gotLast {

@@ -90,18 +90,18 @@ func TestSilentPendingLinkReaped(t *testing.T) {
 	// Never send anything. A sweep past the heartbeat timeout must drop the
 	// pending link, observable as EOF on our side. The clock steps one
 	// heartbeat period at a time, each step once the timer loop has armed
-	// its timer again, until the link is gone. How many steps that takes
-	// depends on where the loop stood at the first: one that reads its
-	// start time only after it has begun the silence later. Twelve steps
-	// are three seconds of silence, three times the timeout.
-	for step := 0; len(liveLinks(b)) > 0; step++ {
-		if step == 12 {
-			t.Fatal("silent pending link never reaped")
-		}
+	// its timer again. The link's silence passes the timeout at the fifth
+	// sweep; one step more covers a loop that began its silence a step
+	// late, and a reaper slower than that fails.
+	steps := int(heartbeatTimeout/heartbeatInterval) + 2
+	for step := 0; step < steps && len(liveLinks(b)) > 0; step++ {
 		if err := clk.WaitTimers(ctx, 1); err != nil {
 			t.Fatal(err)
 		}
 		clk.Advance(heartbeatInterval)
+	}
+	if pollCond(ctx, func() bool { return len(liveLinks(b)) == 0 }) != nil {
+		t.Fatalf("silent pending link not reaped within %d heartbeat periods", steps)
 	}
 	buf := make([]byte, 1)
 	errCh := make(chan error, 1)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"codsim/internal/crane"
 	"codsim/internal/fom"
 	"codsim/internal/mathx"
 )
@@ -56,5 +57,41 @@ func TestLiveStatusTextMatchesSprintf(t *testing.T) {
 	}
 	if cases == 0 {
 		t.Fatal("the classic exam has no phases")
+	}
+
+	// The tandem gate's text, on a two-crane spec: crane 0 holds its end
+	// of the shared load and its partner does not.
+	te, err := NewEngineSpec(tandemSpec(), crane.DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	te.Start()
+	pair := make([]fom.CraneState, 2)
+	cases = 0
+	for i := range te.spec.Phases {
+		ps := &te.spec.Phases[i]
+		if ps.Kind != PhaseLift || !ps.Tandem {
+			continue
+		}
+		te.cursors[0] = cursor{idx: i}
+		pair[0] = fom.CraneState{CargoHeld: true, CargoID: int64(ps.Cargo)}
+		pair[1] = fom.CraneState{CargoID: -1}
+		want := fmt.Sprintf("holding %s — waiting for partner hooks (%d/%d)",
+			te.cargoName(ps.Cargo), 1, te.spec.Cargos[ps.Cargo].HooksNeeded())
+		te.stepCursor(0, pair)
+		if got := te.cursors[0].message; got != want {
+			t.Errorf("tandem phase %d: status %q, want %q", i, got, want)
+		}
+		kept := te.cursors[0].message
+		if n := testing.AllocsPerRun(10, func() { te.stepCursor(0, pair) }); n != 0 {
+			t.Errorf("tandem phase %d: a tick whose status reads the same allocates %v times", i, n)
+		}
+		if unsafe.StringData(te.cursors[0].message) != unsafe.StringData(kept) {
+			t.Errorf("tandem phase %d: an unchanged status text was made again", i)
+		}
+		cases++
+	}
+	if cases == 0 {
+		t.Fatal("the tandem spec has no tandem lift")
 	}
 }
