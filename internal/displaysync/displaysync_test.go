@@ -154,17 +154,21 @@ func TestBarrierWaitsForSlowest(t *testing.T) {
 
 	const frames = 10
 	slow := 20 * time.Millisecond
+	// The slow display's first render waits for the fast display's, so
+	// both displays start their frame timing before the clock first moves.
+	started := make(chan struct{})
+	var once sync.Once
+	renders := []func(uint32){
+		func(uint32) { once.Do(func() { close(started) }) },
+		func(uint32) { <-started; clk.Advance(slow) },
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	for i, d := range displays {
 		wg.Add(1)
 		go func(i int, d *Display) {
 			defer wg.Done()
-			cost := time.Duration(0)
-			if i == 1 {
-				cost = slow // one display is 20 ms slower per frame
-			}
-			errs[i] = d.RunFrames(frames, waitLong, func(uint32) { clk.Advance(cost) })
+			errs[i] = d.RunFrames(frames, waitLong, renders[i])
 		}(i, d)
 	}
 	wg.Wait()
@@ -173,21 +177,16 @@ func TestBarrierWaitsForSlowest(t *testing.T) {
 			t.Fatalf("display %d: %v", i+1, err)
 		}
 	}
-	// Only the slow display moves the clock, from its own start: its
-	// frames took exactly frames×20 ms.
-	slowFPS := displays[1].FPS()
-	if want := 1 / slow.Seconds(); math.Abs(slowFPS-want) > 1e-9 {
-		t.Errorf("slow display fps %v, want %v", slowFPS, want)
+	// Only the slow display moves the clock: its frames took exactly
+	// frames×20 ms. The fast display's end at the same swaps, so its rate
+	// is the same; one that did not wait for the slow display finished
+	// sooner, at fps 0 if before the clock first moved.
+	want := 1 / slow.Seconds()
+	if fps := displays[1].FPS(); math.Abs(fps-want) > 1e-9 {
+		t.Errorf("slow display fps %v, want %v", fps, want)
 	}
-	// The fast display's frames end at the slow one's swaps. It may start
-	// up to two of the slow renders late (the slow display renders one
-	// frame ahead), so it ran between frames-2 and frames slow frames. A
-	// fast display that did not wait finished sooner: at fps 0 if it ran
-	// every frame before the slow display's first render.
-	fastFPS := displays[0].FPS()
-	if fastFPS < slowFPS || fastFPS > slowFPS*frames/(frames-2) {
-		t.Errorf("fast display fps %v, want within [%v, %v]: not synchronized",
-			fastFPS, slowFPS, slowFPS*frames/(frames-2))
+	if fps := displays[0].FPS(); math.Abs(fps-want) > 1e-9 {
+		t.Errorf("fast display fps %v, want the slow display's %v: not synchronized", fps, want)
 	}
 }
 
