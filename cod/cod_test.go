@@ -6,6 +6,7 @@ import (
 	"net"
 	"reflect"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -120,6 +121,24 @@ func TestUpdateNoSubscribers(t *testing.T) {
 	}
 }
 
+// doneWatch is a context that tells when its Done channel is first asked
+// for: a wait selects on Done only once it has found nothing to return,
+// so asked closing means the waiter is at (or in) its select.
+type doneWatch struct {
+	context.Context
+	once  sync.Once
+	asked chan struct{}
+}
+
+func watchDone(ctx context.Context) *doneWatch {
+	return &doneWatch{Context: ctx, asked: make(chan struct{})}
+}
+
+func (w *doneWatch) Done() <-chan struct{} {
+	w.once.Do(func() { close(w.asked) })
+	return w.Context.Done()
+}
+
 func TestNextContextCancel(t *testing.T) {
 	fed := cod.NewFederation()
 	defer fed.Close()
@@ -133,12 +152,13 @@ func TestNextContextCancel(t *testing.T) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
+	waiting := watchDone(ctx)
 	done := make(chan error, 1)
 	go func() {
-		_, err := sub.Next(ctx)
+		_, err := sub.Next(waiting)
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond) // let Next block
+	<-waiting.asked // Next is at its wait
 	cancel()
 	select {
 	case err := <-done:
@@ -150,11 +170,12 @@ func TestNextContextCancel(t *testing.T) {
 	}
 
 	// A closed subscription unblocks Next with ErrHandleClosed.
+	waiting = watchDone(context.Background())
 	go func() {
-		_, err := sub.Next(context.Background())
+		_, err := sub.Next(waiting)
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	<-waiting.asked
 	if err := sub.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -265,6 +286,32 @@ func TestWithUDPRejectsBadAddress(t *testing.T) {
 		if err := fed.Close(); err != nil {
 			t.Errorf("Close: %v", err)
 		}
+	}
+}
+
+// TestNewNodeNeedsASegment: a node names its segment. Without one, or
+// with WithLAN(nil), NewNode returns an error and attaches nothing, so the
+// name stays free on any segment; a Federation makes its own.
+func TestNewNodeNeedsASegment(t *testing.T) {
+	for _, opts := range [][]cod.Option{nil, {cod.WithLAN(nil)}} {
+		for range 2 { // a node attached anywhere would make the second a duplicate
+			if n, err := cod.NewNode("pc", opts...); n != nil || err == nil {
+				t.Fatalf("NewNode(%d options) = %v, %v; want no node and an error", len(opts), n, err)
+			}
+		}
+	}
+	lan := cod.NewMemLAN()
+	n, err := cod.NewNode("pc", cod.WithLAN(lan))
+	if err != nil {
+		t.Fatalf("NewNode on a segment: %v", err)
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fed := cod.NewFederation(cod.WithLAN(nil))
+	defer fed.Close()
+	if _, err := fed.Node("pc"); err != nil {
+		t.Fatalf("a Federation whose defaults name no segment: %v", err)
 	}
 }
 

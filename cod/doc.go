@@ -29,7 +29,9 @@
 //
 // Nodes on one in-memory LAN model the paper's Ethernet segment; WithUDP
 // runs the same protocol over real sockets for multi-process clusters
-// (cmd/codbatch -serve and -coordinator run one). Discovery,
+// (cmd/codbatch -serve and -coordinator run one). Every node names its
+// segment: NewNode needs WithLAN or WithUDP, and a Federation whose
+// defaults name none makes one in-memory segment for all its nodes. Discovery,
 // virtual-channel construction, heartbeats and dynamic join all happen
 // inside the backbone — callers never see a socket, which is the
 // transparency the paper claims for the CB.

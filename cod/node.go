@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"strconv"
-	"sync"
 
 	"codsim/internal/cb"
 	"codsim/internal/clock"
@@ -29,9 +28,8 @@ type ChannelTally = cb.ChannelTally
 
 // NewMemLAN creates an in-memory LAN segment for nodes of one process;
 // harnesses inside the module may impair it with transport options
-// (latency, loss, ...). Pass it to
-// every node of the federation via WithLAN, or let a Federation manage
-// the sharing.
+// (loss, latency and the seed of the loss draws). Pass it to every node
+// of the federation via WithLAN, or let a Federation make one.
 func NewMemLAN(opts ...transport.MemOption) LAN { return transport.NewMemLAN(opts...) }
 
 // NewUDPLAN joins a real UDP/TCP segment of slots consecutive ports
@@ -39,18 +37,6 @@ func NewMemLAN(opts ...transport.MemOption) LAN { return transport.NewMemLAN(opt
 // callers that hand one segment to several nodes or to sim.Config.
 func NewUDPLAN(host string, basePort, slots int) (LAN, error) {
 	return transport.NewUDPLAN(host, basePort, slots)
-}
-
-// defaultLAN is the process-wide segment used by nodes created without an
-// explicit transport option, so the two-line quickstart just works.
-var defaultLAN = struct {
-	once sync.Once
-	lan  LAN
-}{}
-
-func processLAN() LAN {
-	defaultLAN.once.Do(func() { defaultLAN.lan = transport.NewMemLAN() })
-	return defaultLAN.lan
 }
 
 // nodeConfig accumulates the functional options of NewNode.
@@ -67,7 +53,8 @@ type Option func(*nodeConfig)
 // WithLAN attaches the node to an existing LAN segment — an in-memory one
 // from NewMemLAN or any other transport.LAN the caller already holds.
 // Every node of the federation must share the same segment. A nil lan
-// falls back to the process-wide default in-memory segment.
+// names no segment: NewNode refuses it, and a Federation given it as a
+// default makes its own in-memory one.
 func WithLAN(lan LAN) Option {
 	return func(c *nodeConfig) { c.lan = lan }
 }
@@ -116,9 +103,9 @@ type Node struct {
 	bb *cb.Backbone
 }
 
-// NewNode attaches a node to the LAN under the given unique name. Without
-// a transport option the node joins a process-wide in-memory segment, so
-// nodes of a quick single-process program find each other with no setup.
+// NewNode attaches a node to the LAN under the given unique name. It needs
+// a segment, WithLAN or WithUDP, and returns an error without one; a
+// Federation makes an in-memory segment for its nodes itself.
 func NewNode(name string, opts ...Option) (*Node, error) {
 	var c nodeConfig
 	for _, o := range opts {
@@ -132,7 +119,7 @@ func newNode(name string, c *nodeConfig) (*Node, error) {
 		return nil, c.lanErr
 	}
 	if c.lan == nil {
-		c.lan = processLAN()
+		return nil, fmt.Errorf("cod: node %q names no segment: pass WithLAN or WithUDP", name)
 	}
 	bb, err := cb.New(c.lan, name, c.cfg)
 	if err != nil {

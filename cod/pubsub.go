@@ -230,24 +230,14 @@ func (s *Sub[T]) Poll() (r Reflection[T], ok bool, err error) {
 }
 
 // Latest drains the mailbox and returns the newest update; ok is false
-// when the mailbox held none. Convenient for conflated state classes.
+// when the mailbox held none. Convenient for conflated state classes. The
+// updates it skips over are released undecoded.
 func (s *Sub[T]) Latest() (r Reflection[T], ok bool, err error) {
-	var (
-		last    cb.Reflection
-		gotLast bool
-	)
-	for {
-		raw, got := s.sub.Poll()
-		if !got {
-			break
-		}
-		last.Release() // superseded undecoded
-		last, gotLast = raw, true
-	}
-	if !gotLast {
+	raw, ok := s.sub.Latest()
+	if !ok {
 		return r, false, nil
 	}
-	err = s.decode(&last, &r)
+	err = s.decode(&raw, &r)
 	return r, true, err
 }
 

@@ -2,9 +2,10 @@
 // headless: the gen package samples scenario candidates from the proven
 // library envelopes, certifies each with the completability oracle (a
 // static reachability check, then an expert-autopilot dry-run), and the
-// certified stream feeds sim.RunBatch. The same seed always reproduces
-// the same campaign — rejected candidates are resampled under the seed
-// stream, so the oracle never costs determinism.
+// certified stream feeds sim.RunBatch, whose results print as the same
+// table codbatch prints (dist.WriteReport). The same seed always
+// reproduces the same campaign — rejected candidates are resampled under
+// the seed stream, so the oracle never costs determinism.
 //
 // cmd/codbatch wraps this flow as `codbatch -campaign seed:count`, there
 // dispatched through the dist coordinator instead of run in-process.
@@ -16,6 +17,7 @@ import (
 	"log"
 	"os"
 
+	"codsim/internal/dist"
 	"codsim/internal/scenario"
 	"codsim/internal/scenario/gen"
 	"codsim/internal/sim"
@@ -61,7 +63,11 @@ func run() error {
 	// Fly the certified campaign — every run must pass, since the oracle
 	// already proved each spec with the same expert coupling.
 	results := sim.RunBatch(context.Background(), specs, sim.BatchConfig{Headless: true})
-	sim.WriteBatchReport(os.Stdout, results)
+	recs := make([]dist.Record, len(results))
+	for i, r := range results {
+		recs[i] = dist.NewRecord(dist.Job{ID: int64(i), Spec: specs[i]}, r, "")
+	}
+	dist.WriteReport(os.Stdout, dist.BuildReport(recs))
 	for _, r := range results {
 		if !r.Passed {
 			return fmt.Errorf("certified scenario %s did not pass", r.Scenario)

@@ -60,14 +60,16 @@
 //
 // A steady publish→reflect takes no global lock, reads no clock and, for a
 // consumer that releases its reflections, allocates nothing, in process or
-// across a link. Publication push encodes an update once and stamps
-// Channel and Seq into a copy per remote channel, and copies it for each
+// across a link. A link's stream framing is wire's: frames go out through
+// wire.Frame.AppendFramed and come in through wire.Decoder.DecodeFrom.
+// Publication push frames an update once and stamps Channel and Seq into
+// a copy per remote channel (wire.SetChannelSeq), and copies it for each
 // in-process subscriber into storage an earlier in-process reflection
 // handed back; the class's channel list and the channel-ID table are
 // copy-on-write (cowMap), read without Backbone.mu. A link's read loop
-// decodes from a buffered reader, so a length prefix, its body and the
-// frames queued behind them cost one conn.Read, and it reads each update
-// into storage a consumer of that link handed back when there is some.
+// decodes from a buffered reader, so a frame and the frames queued behind
+// it cost one conn.Read, and it reads each update into storage a consumer
+// of that link handed back when there is some.
 // One ownership rule covers both: a reflection owns its Attrs' storage
 // until Reflection.Release hands it back to its source. Every reused
 // buffer has one owner: a link keeps the storage handed back to it and the

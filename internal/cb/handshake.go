@@ -147,9 +147,6 @@ func (b *Backbone) handleFrame(l *peerLink, f *wire.Frame) {
 		} else {
 			b.linkDown(l)
 		}
-	case wire.KindFrameReady, wire.KindFrameSwap:
-		// Barrier traffic is routed as regular channel updates by the
-		// displaysync package; bare frames of these kinds are ignored.
 	}
 }
 

@@ -258,7 +258,7 @@ func TestLinkLivenessUnderInjectedClock(t *testing.T) {
 	said := uint64(0)
 	say := func() {
 		t.Helper()
-		frame, err := appendFramed(nil, wire.Frame{Kind: wire.KindHeartbeat, Node: "talker"})
+		frame, err := wire.Frame{Kind: wire.KindHeartbeat, Node: "talker"}.AppendFramed(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package cb
 
 import (
 	"bufio"
-	"encoding/binary"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -97,25 +96,12 @@ func (b *Backbone) dialPeer(node, addr string) (*peerLink, error) {
 	return l, nil
 }
 
-// appendFramed appends one length-prefixed encoded frame onto buf (the
-// stream framing). On error buf is returned truncated to its input length.
-func appendFramed(buf []byte, f wire.Frame) ([]byte, error) {
-	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0)
-	buf, err := f.AppendEncode(buf)
-	if err != nil {
-		return buf[:start], err
-	}
-	binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
-	return buf, nil
-}
-
-// send writes one frame to the link: encoded into the link's buffer, length
-// prefix and body issued as a single conn.Write (one transport copy).
+// send writes one frame to the link: framed (wire.Frame.AppendFramed) into
+// the link's buffer and issued as a single conn.Write (one transport copy).
 func (l *peerLink) send(f wire.Frame) error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
-	buf, err := appendFramed(l.wbuf[:0], f)
+	buf, err := f.AppendFramed(l.wbuf[:0])
 	l.wbuf = buf[:0]
 	if err != nil {
 		return err
@@ -146,7 +132,7 @@ type pushScratch struct {
 // encode frames f once for every remote channel of the push. Only
 // Channel and Seq differ between the copies, and stage stamps those.
 func (sc *pushScratch) encode(f wire.Frame) (err error) {
-	sc.enc, err = appendFramed(sc.enc[:0], f)
+	sc.enc, err = f.AppendFramed(sc.enc[:0])
 	return err
 }
 
@@ -156,7 +142,7 @@ func (sc *pushScratch) encode(f wire.Frame) (err error) {
 func (sc *pushScratch) stage(oc *outChannel, seq uint32) {
 	start := len(sc.buf)
 	sc.buf = append(sc.buf, sc.enc...)
-	wire.SetChannelSeq(sc.buf[start+4:], oc.remoteChan, seq)
+	wire.SetChannelSeq(sc.buf[start:], oc.remoteChan, seq)
 	sc.link = oc.link
 	sc.members = append(sc.members, oc)
 }
@@ -220,9 +206,9 @@ const linkReadBuffer = 16 << 10
 
 // readLoop pumps inbound frames to the backbone until the link dies. The
 // loop owns one buffered reader, one wire.Decoder and one Frame, reused
-// for every inbound frame: a length prefix, its body and the frames
-// queued behind them come out of a single conn.Read, the body is read
-// into the frame's own storage and decoded where it lies, and the
+// for every inbound frame: a frame and the frames queued behind it come
+// out of a single conn.Read, its body is read into the frame's own
+// storage and decoded where it lies (wire.Decoder.DecodeFrom), and the
 // Node/LP/Class strings are the previous frame's. The decoded frame is
 // only valid until the next iteration, under the ownership rule in package
 // wire's doc: a handler copies what it keeps, except that handleUpdate

@@ -14,6 +14,7 @@ import (
 	"codsim/internal/clock"
 	"codsim/internal/fom"
 	"codsim/internal/transport"
+	"codsim/internal/wire"
 )
 
 const waitLong = 5 * time.Second
@@ -312,7 +313,9 @@ func TestIdleRackIsNotStalled(t *testing.T) {
 	}
 	age := func() { clk.Advance(2 * timeout) }
 	ready := func(name string, frame uint32) {
-		srv.handleReady(cb.Reflection{PubLP: name, Attrs: fom.FrameMark{Frame: frame}.Encode()})
+		var mark wire.AttrSet
+		fom.FrameMark{Frame: frame}.EncodeInto(&mark)
+		srv.handleReady(cb.Reflection{PubLP: name, Attrs: mark})
 	}
 	holds := func(when string, evicted int64, displays int, frame uint32) {
 		t.Helper()

@@ -8,6 +8,7 @@ import (
 	"codsim/internal/cb"
 	"codsim/internal/fom"
 	"codsim/internal/transport"
+	"codsim/internal/wire"
 )
 
 // The render-ahead tests are choreographed over channels: nothing sleeps,
@@ -94,6 +95,7 @@ func TestRenderAheadReadyAfterSwap(t *testing.T) {
 	if got := recv(t, rendered, "frame 0"); got != 0 {
 		t.Fatalf("drew frame %d first", got)
 	}
+	var swap wire.AttrSet // one set, encoded into for every SWAP
 	for f := uint32(0); f < frames; f++ {
 		r, err := readySub.NextContext(ctx)
 		if err != nil {
@@ -112,7 +114,8 @@ func TestRenderAheadReadyAfterSwap(t *testing.T) {
 				t.Fatalf("after READY %d drew frame %d, want %d", f, got, f+1)
 			}
 		}
-		if err := swapPub.Update(float64(f), fom.FrameMark{Frame: f}.Encode()); err != nil {
+		fom.FrameMark{Frame: f}.EncodeInto(&swap)
+		if err := swapPub.Update(float64(f), swap); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -23,8 +23,9 @@ import (
 
 // The coordinator's periods and bounds (package doc). A dead worker is
 // found within a bookkeeping tick of deadAfter, six of the workers'
-// default beats. A grant counts as lost when the grantee's beats still
-// omit it grantSlack after it was sent.
+// default beats. A grant whose grantee's beats still omit it grantSlack
+// after it was sent is sent again once, and counts as lost when they
+// omit it for another grantSlack.
 const (
 	checkPeriod = 250 * time.Millisecond
 	deadAfter   = 3 * time.Second
@@ -376,7 +377,8 @@ type jobState struct {
 	attempt  int64
 	worker   string        // grantee while granted
 	created  time.Time     // when the job was pulled from its source
-	granted  time.Time     // when the grant was sent
+	granted  time.Time     // when the grant was last sent
+	resent   bool          // the grant went out again: unheard since, it is lost
 	deadline time.Time     // JobTimeout while granted, and while re-dispatched
 	span     string        // trace span ID, minted at load, rides every grant
 	queueMS  float64       // load→grant latency of the winning attempt
@@ -773,7 +775,7 @@ func (c *Coordinator) dispatch(sw *sweep) {
 		c.moveJob(s.phase, jobGranted)
 		s.phase = jobGranted
 		s.worker = worker
-		s.granted = now
+		s.granted, s.resent = now, false
 		s.deadline = now.Add(c.cfg.JobTimeout)
 		// The queue phase ends here: the job waited from load until a slot
 		// took it. Re-dispatches overwrite it — the latency that matters is
@@ -858,14 +860,23 @@ func (c *Coordinator) redispatch(sw *sweep) {
 		case jobGranted:
 			w := c.workers[s.worker]
 			dead := w != nil && now.Sub(w.seen) > deadAfter
-			// Lost grant: the grantee's latest beat postdates the grant
-			// by the slack, yet has not heard it, so the grant never
-			// arrived (e.g. it went out before the grant channel was
-			// built, and so did its re-send), and nobody is running this
-			// job. Without this check the sweep stalls for the whole
-			// JobTimeout.
-			lost := w != nil && w.seen.After(s.granted.Add(grantSlack)) && !c.heard(w, s)
+			// Unheard grant: the grantee's latest beat postdates the
+			// grant by the slack, yet does not list it. The grant may
+			// still be on its way, so the first time it is sent again,
+			// at the same attempt, and its slack starts over. A grant
+			// unheard a second time never arrived (e.g. it went out
+			// before the grant channel was built, and so did its
+			// re-send), and nobody is running this job. Without this
+			// check the sweep stalls for the whole JobTimeout.
+			unheard := w != nil && w.seen.After(s.granted.Add(grantSlack)) && !c.heard(w, s)
+			lost := unheard && s.resent
 			if !dead && !lost && now.Before(s.deadline) {
+				if unheard {
+					s.granted, s.resent = now, true
+					c.sendGrant(s)
+					c.log.Info("grant sent again",
+						"job", s.job.ID, "worker", s.worker, "attempt", s.attempt, "span", s.span)
+				}
 				continue
 			}
 			c.log.Warn("grant failed",

@@ -65,11 +65,13 @@
 //     are idempotent for the workers that had them.
 //
 // The coordinator's bookkeeping tick (checkPeriod, 250 ms) finds dead
-// workers and lost grants; nothing is dispatched by a period. A granted
-// job is re-dispatched — granted again with the next attempt number —
-// when its worker misses heartbeats for deadAfter (3 s), when the worker's
-// beats still omit it two ticks after it was granted (the grant was lost),
-// or when the job outlives JobTimeout; after maxAttempts (3) dispatches it
+// workers and lost grants; nothing is dispatched by a period. A grant the
+// worker's beats still omit two ticks after it was sent may only be slow,
+// so it is sent again once, at the same attempt. A granted job is
+// re-dispatched — granted again with the next attempt number — when its
+// worker misses heartbeats for deadAfter (3 s), when the worker's beats
+// still omit it two ticks after that second send (the grant was lost), or
+// when the job outlives JobTimeout; after maxAttempts (3) dispatches it
 // is recorded as failed. A grant for a job the worker has finished, at a
 // newer attempt, replays its cached Record. Results ride at-least-once
 // delivery: the worker re-sends a finished job's Record until the

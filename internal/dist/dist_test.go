@@ -161,8 +161,8 @@ func TestRedispatchOnWorkerDeath(t *testing.T) {
 	}
 	// Step until the coordinator hears the survivor with the victim silent
 	// for longer than deadAfter: the pass that heard that beat re-dispatches
-	// the victim's grants. Any re-dispatch is not enough: a grant still on
-	// its way to the survivor two steps after it was sent is re-dispatched
+	// the victim's grants. Any re-dispatch is not enough: a grant to the
+	// survivor that its beats have not listed twice running is re-dispatched
 	// as lost, and with the clock stopped there the victim never dies.
 	for steps := 0; silent("victim") <= deadAfter; steps++ {
 		if time.Duration(steps)*beat > 2*deadAfter {
@@ -194,6 +194,116 @@ func TestRedispatchOnWorkerDeath(t *testing.T) {
 	}
 	if redispatched == 0 {
 		t.Error("no job carries attempt > 1: the victim's grants were not re-dispatched")
+	}
+}
+
+// TestRedispatchOnWorkerDeathSparesASlowGrant: a live worker that beats
+// past grantSlack without listing its grant may simply not have heard it
+// yet, so the grant is sent again at its attempt, and re-dispatched only
+// if the beats still omit it another grantSlack on. A scripted worker
+// beats once without the grant, then either takes it (every grant it
+// hears is attempt 1, nothing is re-dispatched) or never does (attempt 2
+// comes one slack after the grant was sent again).
+func TestRedispatchOnWorkerDeathSparesASlowGrant(t *testing.T) {
+	t.Run("slow", func(t *testing.T) { spareASlowGrant(t, false) })
+	t.Run("lost", func(t *testing.T) { spareASlowGrant(t, true) })
+}
+
+func spareASlowGrant(t *testing.T, lost bool) {
+	fed, clk := clockFed(t)
+	ctx := joinCtx(t)
+	node, err := fed.Node("slow-node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grants, err := cod.Subscribe[jobGrant](node, "slow", ClassGrant, cod.Reliable(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cod.Subscribe[jobAck](node, "slow", ClassAck, cod.Reliable(256)); err != nil {
+		t.Fatal(err)
+	}
+	beats, err := cod.Publish[heartbeat](node, "slow", ClassHeartbeat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := cod.Publish[jobResult](node, "slow", ClassResult)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := eventCoordinator(t, fed, "coord-node", CoordinatorConfig{})
+	if err := beats.WaitChannels(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	// beat says the worker's state and, once a sweep runs, waits until
+	// the coordinator has taken it in.
+	sweeping := false
+	beat := func(working ...int64) {
+		t.Helper()
+		hb := heartbeat{Worker: "slow", Sweep: coord.cfg.Sweep, Slots: 1, Busy: int64(len(working)), Working: working}
+		if err := beats.Update(0, hb); err != nil {
+			t.Fatal(err)
+		}
+		if !sweeping {
+			return // WaitWorkers takes the first beat in
+		}
+		waitFor(ctx, t, "the beat reached the coordinator", func() bool {
+			w := coord.Sample().Workers
+			return len(w) == 1 && w[0].SinceSeen == 0 && w[0].Busy == hb.Busy
+		})
+	}
+	grant := func(what string, attempt int64) {
+		t.Helper()
+		g, err := grants.Next(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if g.Value.Attempt != attempt {
+			t.Fatalf("%s at attempt %d, want %d", what, g.Value.Attempt, attempt)
+		}
+	}
+	beat()
+	if err := coord.WaitWorkers(ctx, []string{"slow"}); err != nil {
+		t.Fatalf("WaitWorkers: %v", err)
+	}
+	done := goSweep(func() ([]Record, error) { return coord.Run(ctx, testJobs(1)) })
+	sweeping = true
+
+	grant("the first grant", 1)
+	// The worker beats past the slack without the grant, as one whose
+	// grant is still on the wire would.
+	clk.Advance(grantSlack + checkPeriod)
+	beat()
+	grant("the grant after a beat that did not list it", 1)
+	attempt, wantGrants, wantRedispatches := int64(1), int64(2), int64(0)
+	if lost {
+		// It never hears it: one more slack, and the job's next attempt.
+		clk.Advance(grantSlack + checkPeriod)
+		beat()
+		grant("the grant after a second beat that did not list it", 2)
+		attempt, wantGrants, wantRedispatches = 2, 3, 1
+	}
+	// Now it has the grant, and lists it from here on.
+	beat(0)
+	clk.Advance(grantSlack + checkPeriod)
+	beat(0)
+	if s := coord.Sample(); s.Grants != wantGrants || s.Redispatches != wantRedispatches {
+		t.Fatalf("%d grants, %d re-dispatches; want %d, %d", s.Grants, s.Redispatches, wantGrants, wantRedispatches)
+	}
+
+	rec, err := marshalRecord(Record{Job: 0, Attempt: attempt, Worker: "slow", Passed: true, Phase: "complete"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := results.WaitChannels(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := results.UpdateContext(ctx, 0, jobResult{Sweep: coord.cfg.Sweep, Job: 0, Attempt: attempt, Worker: "slow", Record: rec}); err != nil {
+		t.Fatal(err)
+	}
+	res := <-done
+	if res.err != nil || len(res.recs) != 1 || res.recs[0].Attempt != attempt || res.recs[0].Err != "" {
+		t.Fatalf("sweep = %+v, %v; want one record of attempt %d", res.recs, res.err, attempt)
 	}
 }
 

@@ -102,6 +102,33 @@ func TestBuildReportAndWrite(t *testing.T) {
 	}
 }
 
+// TestBatchReportCountsFailures pins the report a local batch prints
+// (examples/campaign): sim.BatchResults through NewRecord and BuildReport
+// into WriteReport count a pass, an error and a failed exam, without
+// running any federation.
+func TestBatchReportCountsFailures(t *testing.T) {
+	results := []sim.BatchResult{
+		{Scenario: "a", Passed: true, State: fom.ScenarioState{Score: 90}},
+		{Scenario: "b", Err: errors.New("boom")},
+		{Scenario: "c", State: fom.ScenarioState{Phase: fom.PhaseFailed, Score: 12}},
+	}
+	recs := make([]Record, len(results))
+	for i, res := range results {
+		recs[i] = NewRecord(Job{ID: int64(i)}, res, "")
+	}
+	rep := BuildReport(recs)
+	if rep.Total.Runs != 3 || rep.Total.Passed != 1 || rep.Total.Errors != 1 {
+		t.Fatalf("total = %+v, want 3 runs, 1 passed, 1 error", rep.Total)
+	}
+	var sb strings.Builder
+	WriteReport(&sb, rep)
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	total := strings.Fields(lines[len(lines)-1])
+	if len(lines) != 5 || total[0] != "TOTAL" || total[1] != "3" || total[2] != "33%" || total[3] != "1" {
+		t.Errorf("want a header, three scenario lines and TOTAL 3 runs, 33%%, 1 error:\n%s", sb.String())
+	}
+}
+
 // PASS% rounds down: one failed run in a thousand reads 99%, not 100%,
 // and 29 passes in 100 read 29% although 0.29*100 is a hair under 29.
 func TestReportPassPercentRoundsDown(t *testing.T) {

@@ -27,13 +27,6 @@ type MotionCue struct {
 	CraneID int64
 }
 
-// Encode packs the struct into a new attribute set.
-func (m MotionCue) Encode() wire.AttrSet {
-	a := wire.NewAttrSet(5)
-	m.EncodeInto(&a)
-	return a
-}
-
 // EncodeInto packs the struct into a, replacing what a held, in a's own
 // storage (see the package doc).
 func (m MotionCue) EncodeInto(a *wire.AttrSet) {
@@ -45,7 +38,7 @@ func (m MotionCue) EncodeInto(a *wire.AttrSet) {
 	a.PutInt64(MCAttrCraneID, m.CraneID)
 }
 
-// DecodeMotionCue unpacks an attribute set produced by Encode.
+// DecodeMotionCue unpacks an attribute set produced by EncodeInto.
 func DecodeMotionCue(a wire.AttrSet) (MotionCue, error) {
 	var m MotionCue
 	var ok bool
@@ -101,13 +94,6 @@ type AudioEvent struct {
 	Stop     bool
 }
 
-// Encode packs the struct into a new attribute set.
-func (e AudioEvent) Encode() wire.AttrSet {
-	a := wire.NewAttrSet(5)
-	e.EncodeInto(&a)
-	return a
-}
-
 // EncodeInto packs the struct into a, replacing what a held, in a's own
 // storage (see the package doc).
 func (e AudioEvent) EncodeInto(a *wire.AttrSet) {
@@ -119,7 +105,7 @@ func (e AudioEvent) EncodeInto(a *wire.AttrSet) {
 	a.PutBool(AEAttrStop, e.Stop)
 }
 
-// DecodeAudioEvent unpacks an attribute set produced by Encode.
+// DecodeAudioEvent unpacks an attribute set produced by EncodeInto.
 func DecodeAudioEvent(a wire.AttrSet) (AudioEvent, error) {
 	var e AudioEvent
 	var ok bool
@@ -217,13 +203,6 @@ type ScenarioState struct {
 // no phase-graph index (older publishers).
 const PhaseIndexUnknown = ^uint32(0)
 
-// Encode packs the struct into a new attribute set.
-func (s ScenarioState) Encode() wire.AttrSet {
-	a := wire.NewAttrSet(8)
-	s.EncodeInto(&a)
-	return a
-}
-
 // EncodeInto packs the struct into a, replacing what a held, in a's own
 // storage (see the package doc).
 func (s ScenarioState) EncodeInto(a *wire.AttrSet) {
@@ -238,18 +217,11 @@ func (s ScenarioState) EncodeInto(a *wire.AttrSet) {
 	a.PutInt64(SSAttrCraneID, s.CraneID)
 }
 
-// DecodeScenarioState unpacks an attribute set produced by Encode.
-func DecodeScenarioState(a wire.AttrSet) (ScenarioState, error) {
-	var s ScenarioState
-	err := DecodeScenarioStateInto(a, &s)
-	return s, err
-}
-
-// DecodeScenarioStateInto is DecodeScenarioState over s, the state the
-// decoded one replaces: a Message that reads as s.Message already is
-// kept, not copied again, so a subscriber folding a stream of states
-// allocates only when the status text changes. On an error s is left
-// partly decoded.
+// DecodeScenarioStateInto unpacks an attribute set produced by
+// EncodeInto over s, the state the decoded one replaces: a Message that
+// reads as s.Message already is kept, not copied again, so a subscriber
+// folding a stream of states allocates only when the status text
+// changes. On an error s is left partly decoded.
 func DecodeScenarioStateInto(a wire.AttrSet, s *ScenarioState) error {
 	var ok bool
 	var p uint32
@@ -317,13 +289,6 @@ type InstructorCmd struct {
 	Value      float64
 }
 
-// Encode packs the struct into a new attribute set.
-func (c InstructorCmd) Encode() wire.AttrSet {
-	a := wire.NewAttrSet(3)
-	c.EncodeInto(&a)
-	return a
-}
-
 // EncodeInto packs the struct into a, replacing what a held, in a's own
 // storage (see the package doc).
 func (c InstructorCmd) EncodeInto(a *wire.AttrSet) {
@@ -333,7 +298,7 @@ func (c InstructorCmd) EncodeInto(a *wire.AttrSet) {
 	a.PutFloat64(ICAttrValue, c.Value)
 }
 
-// DecodeInstructorCmd unpacks an attribute set produced by Encode.
+// DecodeInstructorCmd unpacks an attribute set produced by EncodeInto.
 func DecodeInstructorCmd(a wire.AttrSet) (InstructorCmd, error) {
 	var c InstructorCmd
 	var ok bool
@@ -394,13 +359,6 @@ type FrameMark struct {
 	RenderTime float64
 }
 
-// Encode packs the struct into a new attribute set.
-func (m FrameMark) Encode() wire.AttrSet {
-	a := wire.NewAttrSet(2)
-	m.EncodeInto(&a)
-	return a
-}
-
 // EncodeInto packs the struct into a, replacing what a held, in a's own
 // storage (see the package doc).
 func (m FrameMark) EncodeInto(a *wire.AttrSet) {
@@ -409,7 +367,7 @@ func (m FrameMark) EncodeInto(a *wire.AttrSet) {
 	a.PutFloat64(FSAttrRender, m.RenderTime)
 }
 
-// DecodeFrameMark unpacks an attribute set produced by Encode.
+// DecodeFrameMark unpacks an attribute set produced by EncodeInto.
 func DecodeFrameMark(a wire.AttrSet) (FrameMark, error) {
 	var m FrameMark
 	var ok bool

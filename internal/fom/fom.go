@@ -23,15 +23,16 @@
 // LP computes its StatusReport digest from the CraneState and
 // ScenarioState it subscribes.
 //
-// Each publisher encodes into its own set. Every class has two encoders
-// with one body: EncodeInto packs the value into a set the caller owns,
-// replacing what it held, and Encode packs it into a new one. The
-// simulator's LPs and the display barrier keep one set per publication
-// and EncodeInto it on every update; cb's Update never retains the set it
-// is given, so the set is the publisher's again when the call returns and
-// a warm publisher allocates nothing. On the subscriber side the
-// decoders copy what they keep, and DecodeScenarioStateInto keeps a
-// status text that has not changed instead of copying it again.
+// Each publisher encodes into its own set. Every class has one encoder and
+// one decoder. The encoder, EncodeInto, packs the value into a set the
+// caller owns, replacing what it held: the simulator's LPs and the display
+// barrier keep one set per publication and EncodeInto it on every update;
+// cb's Update never retains the set it is given, so the set is the
+// publisher's again when the call returns and a warm publisher allocates
+// nothing. CraneState also has Encode, EncodeInto into a new set, which
+// the backbone benchmarks time. On the subscriber side the decoders copy
+// what they keep, and DecodeScenarioStateInto keeps a status text that
+// has not changed instead of copying it again.
 package fom
 
 import (

@@ -1,14 +1,28 @@
 package fom
 
 import (
-	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"unsafe"
 
 	"codsim/internal/mathx"
 	"codsim/internal/wire"
 )
+
+// encoded is what into leaves in a new set.
+func encoded(into func(*wire.AttrSet)) wire.AttrSet {
+	var a wire.AttrSet
+	into(&a)
+	return a
+}
+
+// decodeScenarioState decodes a into a zero state.
+func decodeScenarioState(a wire.AttrSet) (ScenarioState, error) {
+	var s ScenarioState
+	err := DecodeScenarioStateInto(a, &s)
+	return s, err
+}
 
 func TestControlInputRoundTrip(t *testing.T) {
 	in := ControlInput{
@@ -23,7 +37,7 @@ func TestControlInputRoundTrip(t *testing.T) {
 		Gear:      2,
 		HookLatch: true,
 	}
-	got, err := DecodeControlInput(in.Encode())
+	got, err := DecodeControlInput(encoded(in.EncodeInto))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -68,7 +82,7 @@ func TestMotionCueRoundTrip(t *testing.T) {
 		Vibration:     0.35,
 		Frame:         991,
 	}
-	got, err := DecodeMotionCue(in.Encode())
+	got, err := DecodeMotionCue(encoded(in.EncodeInto))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -85,7 +99,7 @@ func TestAudioEventRoundTrip(t *testing.T) {
 		Loop:     false,
 		Stop:     false,
 	}
-	got, err := DecodeAudioEvent(in.Encode())
+	got, err := DecodeAudioEvent(encoded(in.EncodeInto))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -103,7 +117,7 @@ func TestScenarioStateRoundTrip(t *testing.T) {
 		Waypoint:   5,
 		Message:    "carry the cargo along the bars",
 	}
-	got, err := DecodeScenarioState(in.Encode())
+	got, err := decodeScenarioState(encoded(in.EncodeInto))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -114,7 +128,7 @@ func TestScenarioStateRoundTrip(t *testing.T) {
 
 func TestInstructorCmdRoundTrip(t *testing.T) {
 	in := InstructorCmd{Op: OpInjectFault, Instrument: "fuel-gauge", Value: 0}
-	got, err := DecodeInstructorCmd(in.Encode())
+	got, err := DecodeInstructorCmd(encoded(in.EncodeInto))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -125,7 +139,7 @@ func TestInstructorCmdRoundTrip(t *testing.T) {
 
 func TestFrameMarkRoundTrip(t *testing.T) {
 	in := FrameMark{Frame: 12345, RenderTime: 0.0625}
-	got, err := DecodeFrameMark(in.Encode())
+	got, err := DecodeFrameMark(encoded(in.EncodeInto))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -172,7 +186,7 @@ func TestDecodeMissingAttr(t *testing.T) {
 	if _, err := DecodeAudioEvent(wire.AttrSet{}); !errors.Is(err, ErrMissingAttr) {
 		t.Errorf("empty set: %v", err)
 	}
-	if _, err := DecodeScenarioState(wire.AttrSet{}); !errors.Is(err, ErrMissingAttr) {
+	if _, err := decodeScenarioState(wire.AttrSet{}); !errors.Is(err, ErrMissingAttr) {
 		t.Errorf("empty set: %v", err)
 	}
 	if _, err := DecodeInstructorCmd(wire.AttrSet{}); !errors.Is(err, ErrMissingAttr) {
@@ -229,44 +243,64 @@ func TestEncodedSetsSurviveWire(t *testing.T) {
 	}
 }
 
-// encodeIntos is every class's encode-into form, each with a value that
-// fills every attribute.
-var encodeIntos = map[string]func(*wire.AttrSet){
-	ClassControlInput: ControlInput{Steering: -0.5, Throttle: 1, Ignition: true, Gear: 2, CraneID: 1}.EncodeInto,
-	ClassCraneState: CraneState{Position: mathx.V3(1, 2, 3), HookPos: mathx.V3(4, 5, 6), CargoHeld: true,
-		EngineOn: true, Stability: 0.8, CargoID: 2, CraneID: 1}.EncodeInto,
-	ClassMotionCue:     MotionCue{SpecificForce: mathx.V3(0, -9.8, 0), Vibration: 0.3, Frame: 7}.EncodeInto,
-	ClassAudioEvent:    AudioEvent{Sound: SoundAlarm, Gain: 0.5, Loop: true}.EncodeInto,
-	ClassScenarioState: ScenarioState{Phase: PhaseTraverse, Score: 92, Message: "waypoint 2/5 (3.1 m)", PhaseIndex: 2}.EncodeInto,
-	ClassInstructorCmd: InstructorCmd{Op: OpInjectFault, Instrument: "fuel", Value: 0.1}.EncodeInto,
-	ClassFrameReady:    FrameMark{Frame: 41, RenderTime: 0.004}.EncodeInto,
+// fomClass is one class's encoder bound to a value that fills every
+// attribute, and a check that decodes a set and wants that value back.
+type fomClass struct {
+	into  func(*wire.AttrSet)
+	check func(wire.AttrSet) error
+}
+
+func classOf[T comparable](v T, into func(T, *wire.AttrSet), decode func(wire.AttrSet) (T, error)) fomClass {
+	return fomClass{
+		into: func(a *wire.AttrSet) { into(v, a) },
+		check: func(a wire.AttrSet) error {
+			got, err := decode(a)
+			if err != nil {
+				return err
+			}
+			if got != v {
+				return fmt.Errorf("decodes as %+v, want %+v", got, v)
+			}
+			return nil
+		},
+	}
+}
+
+// fomClasses is every class's encoder, each with a value that fills every
+// attribute.
+var fomClasses = map[string]fomClass{
+	ClassControlInput: classOf(ControlInput{Steering: -0.5, Throttle: 1, Ignition: true, Gear: 2, CraneID: 1},
+		ControlInput.EncodeInto, DecodeControlInput),
+	ClassCraneState: classOf(CraneState{Position: mathx.V3(1, 2, 3), HookPos: mathx.V3(4, 5, 6), CargoHeld: true,
+		EngineOn: true, Stability: 0.8, CargoID: 2, CraneID: 1}, CraneState.EncodeInto, DecodeCraneState),
+	ClassMotionCue: classOf(MotionCue{SpecificForce: mathx.V3(0, -9.8, 0), Vibration: 0.3, Frame: 7},
+		MotionCue.EncodeInto, DecodeMotionCue),
+	ClassAudioEvent: classOf(AudioEvent{Sound: SoundAlarm, Gain: 0.5, Loop: true}, AudioEvent.EncodeInto, DecodeAudioEvent),
+	ClassScenarioState: classOf(ScenarioState{Phase: PhaseTraverse, Score: 92, Message: "waypoint 2/5 (3.1 m)", PhaseIndex: 2},
+		ScenarioState.EncodeInto, decodeScenarioState),
+	ClassInstructorCmd: classOf(InstructorCmd{Op: OpInjectFault, Instrument: "fuel", Value: 0.1},
+		InstructorCmd.EncodeInto, DecodeInstructorCmd),
+	ClassFrameReady: classOf(FrameMark{Frame: 41, RenderTime: 0.004}, FrameMark.EncodeInto, DecodeFrameMark),
 }
 
 // TestEncodeIntoAllocatesNothing: a publisher's set, once it has held the
-// largest class, takes every class's update in place, and what EncodeInto
-// leaves there is exactly what a fresh set holds — nothing of the class
-// encoded before it.
+// largest class, takes every class's update in place. What EncodeInto
+// leaves there decodes as the value encoded, and holds nothing of the
+// class encoded before it: as many attributes as a new set is given.
 func TestEncodeIntoAllocatesNothing(t *testing.T) {
 	var shared wire.AttrSet
-	for _, into := range encodeIntos {
-		into(&shared) // grown to the largest class
+	for _, c := range fomClasses {
+		c.into(&shared) // grown to the largest class
 	}
-	for class, into := range encodeIntos {
-		if n := testing.AllocsPerRun(100, func() { into(&shared) }); n != 0 {
+	for class, c := range fomClasses {
+		if n := testing.AllocsPerRun(100, func() { c.into(&shared) }); n != 0 {
 			t.Errorf("%s: EncodeInto allocates %v times an update", class, n)
 		}
-		var fresh wire.AttrSet
-		into(&fresh)
-		got, err := wire.Frame{Kind: wire.KindUpdateAttrs, Attrs: shared}.Encode()
-		if err != nil {
-			t.Fatal(err)
+		if err := c.check(shared); err != nil {
+			t.Errorf("%s: encoded over another class's set, it %v", class, err)
 		}
-		want, err := wire.Frame{Kind: wire.KindUpdateAttrs, Attrs: fresh}.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: encoded over another class's set it reads\n %x\nnot\n %x", class, got, want)
+		if got, want := shared.Len(), encoded(c.into).Len(); got != want {
+			t.Errorf("%s: encoded over another class's set, it holds %d attributes, want %d", class, got, want)
 		}
 	}
 }
@@ -276,7 +310,7 @@ func TestEncodeIntoAllocatesNothing(t *testing.T) {
 // allocation — and takes a changed one.
 func TestDecodeScenarioStateIntoKeepsMessage(t *testing.T) {
 	st := ScenarioState{Phase: PhaseDriving, Score: 100, Message: "drive to the test ground (12 m to go)", CraneID: 1}
-	a := st.Encode()
+	a := encoded(st.EncodeInto)
 	var got ScenarioState
 	if err := DecodeScenarioStateInto(a, &got); err != nil {
 		t.Fatal(err)
@@ -292,7 +326,7 @@ func TestDecodeScenarioStateIntoKeepsMessage(t *testing.T) {
 		t.Error("an unchanged status text was copied again")
 	}
 	st.Message = "drive to the test ground (11 m to go)"
-	if err := DecodeScenarioStateInto(st.Encode(), &got); err != nil {
+	if err := DecodeScenarioStateInto(encoded(st.EncodeInto), &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Message != st.Message {

@@ -41,13 +41,6 @@ type ControlInput struct {
 	CraneID int64
 }
 
-// Encode packs the struct into a new attribute set.
-func (c ControlInput) Encode() wire.AttrSet {
-	a := wire.NewAttrSet(11)
-	c.EncodeInto(&a)
-	return a
-}
-
 // EncodeInto packs the struct into a, replacing what a held, in a's own
 // storage (see the package doc).
 func (c ControlInput) EncodeInto(a *wire.AttrSet) {
@@ -65,7 +58,7 @@ func (c ControlInput) EncodeInto(a *wire.AttrSet) {
 	a.PutInt64(CIAttrCraneID, c.CraneID)
 }
 
-// DecodeControlInput unpacks an attribute set produced by Encode.
+// DecodeControlInput unpacks an attribute set produced by EncodeInto.
 func DecodeControlInput(a wire.AttrSet) (ControlInput, error) {
 	var c ControlInput
 	var ok bool
@@ -160,7 +153,7 @@ type CraneState struct {
 	CraneID int64
 }
 
-// Encode packs the struct into a new attribute set.
+// Encode packs the struct into a new attribute set (EncodeInto).
 func (s CraneState) Encode() wire.AttrSet {
 	a := wire.NewAttrSet(19)
 	s.EncodeInto(&a)
@@ -192,7 +185,7 @@ func (s CraneState) EncodeInto(a *wire.AttrSet) {
 	a.PutInt64(CSAttrCraneID, s.CraneID)
 }
 
-// DecodeCraneState unpacks an attribute set produced by Encode.
+// DecodeCraneState unpacks an attribute set produced by EncodeInto.
 func DecodeCraneState(a wire.AttrSet) (CraneState, error) {
 	var s CraneState
 	var ok bool

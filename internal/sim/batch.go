@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"runtime"
 	"sync"
@@ -176,29 +175,4 @@ func runFederation(ctx context.Context, spec scenario.Spec, cfg BatchConfig, see
 	res.State, res.Err = cluster.WaitExamContext(ctx, timeout)
 	res.Passed = res.Err == nil && res.State.Phase == fom.PhaseComplete
 	res.Alarms = cluster.AlarmEvents()
-}
-
-// WriteBatchReport renders the score/pass-rate table for a finished batch.
-func WriteBatchReport(w io.Writer, results []BatchResult) {
-	fmt.Fprintf(w, "%-18s %-34s %8s %8s %8s  %s\n",
-		"SCENARIO", "TITLE", "SCORE", "SIM-SEC", "WALL", "VERDICT")
-	passed := 0
-	for _, r := range results {
-		verdict := "FAIL"
-		switch {
-		case r.Err != nil:
-			verdict = "ERROR: " + r.Err.Error()
-		case r.Passed:
-			verdict = "pass"
-			passed++
-		}
-		fmt.Fprintf(w, "%-18s %-34s %8.1f %8.1f %7.1fs  %s\n",
-			r.Scenario, r.Title, r.State.Score, r.State.Elapsed,
-			r.Wall.Seconds(), verdict)
-	}
-	rate := 0.0
-	if len(results) > 0 {
-		rate = float64(passed) / float64(len(results)) * 100
-	}
-	fmt.Fprintf(w, "pass rate: %d/%d (%.0f%%)\n", passed, len(results), rate)
 }

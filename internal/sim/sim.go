@@ -29,6 +29,7 @@ import (
 	"codsim/internal/terrain"
 	"codsim/internal/trace"
 	"codsim/internal/transport"
+	"codsim/internal/wire"
 )
 
 // Node names of the eight computers (Fig. 11).
@@ -440,7 +441,9 @@ func (c *Cluster) ClearFault(instrument string) error {
 func (c *Cluster) publishCmd(cmd fom.InstructorCmd) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	return c.cmdPub.UpdateContext(ctx, 0, cmd.Encode())
+	var attrs wire.AttrSet // a click is rare, and InjectFault may race ClearFault
+	cmd.EncodeInto(&attrs)
+	return c.cmdPub.UpdateContext(ctx, 0, attrs)
 }
 
 // displayName returns the display LP name for index i (0-based).

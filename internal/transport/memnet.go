@@ -21,11 +21,9 @@ type MemLAN struct {
 }
 
 type memConfig struct {
-	latency   time.Duration
-	jitter    time.Duration
-	loss      float64 // datagram loss probability [0,1)
-	bandwidth float64 // stream bytes/second; 0 = infinite
-	seed      int64
+	latency time.Duration
+	loss    float64 // datagram loss probability [0,1)
+	seed    int64
 }
 
 // MemOption configures a MemLAN.
@@ -36,23 +34,13 @@ func WithLatency(d time.Duration) MemOption {
 	return func(c *memConfig) { c.latency = d }
 }
 
-// WithJitter sets the maximum additional random delay per message.
-func WithJitter(d time.Duration) MemOption {
-	return func(c *memConfig) { c.jitter = d }
-}
-
 // WithLoss sets the independent loss probability for broadcast datagrams.
 // Streams stay reliable (the TCP analog).
 func WithLoss(p float64) MemOption {
 	return func(c *memConfig) { c.loss = p }
 }
 
-// WithBandwidth caps stream throughput in bytes per second per direction.
-func WithBandwidth(bytesPerSec float64) MemOption {
-	return func(c *memConfig) { c.bandwidth = bytesPerSec }
-}
-
-// WithSeed fixes the RNG seed for loss and jitter, making runs repeatable.
+// WithSeed fixes the RNG seed of the loss draws, making runs repeatable.
 func WithSeed(seed int64) MemOption {
 	return func(c *memConfig) { c.seed = seed }
 }
@@ -140,31 +128,12 @@ func (i *memIface) Dial(addr string) (Conn, error) {
 	if !ok || peer.dead {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownAddr, addr)
 	}
-	params := linkParams{
-		latency:   l.cfg.latency,
-		jitter:    l.cfg.jitter,
-		bandwidth: l.cfg.bandwidth,
-	}
-	client, server := newMemPipe(i.Addr(), peer.Addr(), params, l.jitterFn())
+	client, server := newMemPipe(i.Addr(), peer.Addr(), l.cfg.latency)
 	select {
 	case peer.acceptCh <- server:
 		return client, nil
 	default:
 		return nil, fmt.Errorf("%w: %q", ErrBacklogFull, addr)
-	}
-}
-
-// jitterFn returns a sampler bound to the LAN RNG, or nil without jitter.
-// Callers must hold l.mu when invoking the returned function is NOT
-// required: the sampler takes the lock itself.
-func (l *MemLAN) jitterFn() func() time.Duration {
-	if l.cfg.jitter <= 0 {
-		return nil
-	}
-	return func() time.Duration {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return time.Duration(l.rng.Int63n(int64(l.cfg.jitter)))
 	}
 }
 
@@ -206,16 +175,12 @@ func (i *memIface) Broadcast(payload []byte) error {
 		}
 		dg := Datagram{From: i.name, Payload: cp}
 
-		delay := l.cfg.latency
-		if l.cfg.jitter > 0 {
-			delay += time.Duration(l.rng.Int63n(int64(l.cfg.jitter)))
-		}
-		if delay <= 0 {
+		if l.cfg.latency <= 0 {
 			l.deliverLocked(peer, dg)
 			continue
 		}
 		peerRef := peer
-		time.AfterFunc(delay, func() {
+		time.AfterFunc(l.cfg.latency, func() {
 			l.mu.Lock()
 			defer l.mu.Unlock()
 			l.deliverLocked(peerRef, dg)

@@ -262,44 +262,6 @@ func TestMemLANLatency(t *testing.T) {
 	}
 }
 
-func TestMemLANJitterPreservesOrder(t *testing.T) {
-	l := NewMemLAN(WithLatency(time.Millisecond), WithJitter(5*time.Millisecond), WithSeed(7))
-	a := attach(t, l, "a")
-	b := attach(t, l, "b")
-
-	accepted := make(chan Conn, 1)
-	go func() {
-		c, err := b.Accept()
-		if err == nil {
-			accepted <- c
-		}
-	}()
-	conn, err := a.Dial(b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	server := <-accepted
-	defer server.Close()
-
-	var want []byte
-	for i := 0; i < 32; i++ {
-		want = append(want, byte(i))
-		if _, err := conn.Write([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := make([]byte, len(want))
-	if _, err := io.ReadFull(server, got); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("byte %d out of order: got %d", i, got[i])
-		}
-	}
-}
-
 func TestMemLANClose(t *testing.T) {
 	l := NewMemLAN()
 	a := attach(t, l, "a")
@@ -311,6 +273,10 @@ func TestMemLANClose(t *testing.T) {
 		_, err := b.Accept()
 		acceptErr <- err
 	}()
+	// A goroutine parked in Accept shows no edge a test can wait on, so
+	// this gives it a moment to park. If it has not yet, Close still
+	// fails the Accept it comes to, so the sleep decides only which of
+	// the two paths runs, never the verdict.
 	time.Sleep(10 * time.Millisecond)
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
@@ -381,40 +347,5 @@ func TestMemLANConcurrentBroadcast(t *testing.T) {
 	wg.Wait()
 	if got := l.Delivered() + l.Dropped(); got != nodes*50*(nodes-1) {
 		t.Errorf("delivered+dropped = %d, want %d", got, nodes*50*(nodes-1))
-	}
-}
-
-func TestMemLANBandwidth(t *testing.T) {
-	// 10 KiB at 100 KiB/s ≈ 100 ms serialization delay.
-	l := NewMemLAN(WithBandwidth(100 * 1024))
-	a := attach(t, l, "a")
-	b := attach(t, l, "b")
-
-	accepted := make(chan Conn, 1)
-	go func() {
-		c, err := b.Accept()
-		if err == nil {
-			accepted <- c
-		}
-	}()
-	conn, err := a.Dial(b.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	server := <-accepted
-	defer server.Close()
-
-	payload := make([]byte, 10*1024)
-	start := time.Now()
-	if _, err := conn.Write(payload); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, len(payload))
-	if _, err := io.ReadFull(server, buf); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 80*time.Millisecond {
-		t.Errorf("10KiB over 100KiB/s link took %v, want >= ~100ms", elapsed)
 	}
 }

@@ -6,23 +6,17 @@ import (
 	"time"
 )
 
-// linkParams model one direction of a simulated link.
-type linkParams struct {
-	latency   time.Duration // propagation delay
-	jitter    time.Duration // max extra random delay (resolved by caller)
-	bandwidth float64       // bytes/second; 0 = infinite
-}
-
 // pipeHalf is one direction of an in-memory stream: a byte ring the writer
 // copies into and the reader copies out of, so a steady stream allocates
 // nothing and a read takes every byte that has arrived, however many
 // writes produced them.
 //
-// Delay is modelled by arrival marks, not by a copier goroutine: a write
-// on a link with latency, jitter or bandwidth records (byte count,
-// arrival time), and the reader counts a mark's bytes as arrived once its
-// time has come. An ideal link has nothing to wait for, so its writes add
-// to arrived directly — no mark, no clock read on either side.
+// Latency is modelled by arrival marks, not by a copier goroutine: a write
+// on a link with latency records (byte count, arrival time), and the
+// reader counts a mark's bytes as arrived once its time has come. One
+// latency for every write keeps the marks in write order. An ideal link
+// has nothing to wait for, so its writes add to arrived directly — no
+// mark, no clock read on either side.
 type pipeHalf struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -33,13 +27,8 @@ type pipeHalf struct {
 	arrived int    // unread bytes whose arrival time has passed
 	marks   []arrivalMark
 
-	busyUntil time.Time // link serialization horizon
-	lastArr   time.Time // monotone arrival guard (jitter must not reorder)
-	closed    bool
-	timed     bool // the link has latency, jitter or bandwidth
-	params    linkParams
-	// jitterFn returns the next jitter sample; nil means no jitter.
-	jitterFn func() time.Duration
+	closed  bool
+	latency time.Duration // one-way delay of every write; 0 is an ideal link
 }
 
 // arrivalMark says that the next n in-flight bytes arrive at at.
@@ -57,18 +46,14 @@ const (
 	maxIdleRing = 1 << 20
 )
 
-func newPipeHalf(p linkParams, jitterFn func() time.Duration) *pipeHalf {
-	h := &pipeHalf{
-		params:   p,
-		jitterFn: jitterFn,
-		timed:    p.latency > 0 || p.bandwidth > 0 || jitterFn != nil,
-	}
+func newPipeHalf(latency time.Duration) *pipeHalf {
+	h := &pipeHalf{latency: latency}
 	h.cond = sync.NewCond(&h.mu)
 	return h
 }
 
-// write copies data into the ring and, on a timed link, marks when it
-// arrives.
+// write copies data into the ring and, on a link with latency, marks when
+// it arrives.
 func (h *pipeHalf) write(data []byte) (int, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -79,38 +64,13 @@ func (h *pipeHalf) write(data []byte) (int, error) {
 		return 0, nil
 	}
 	h.put(data)
-	if !h.timed {
+	if h.latency <= 0 {
 		h.arrived += len(data)
 		h.cond.Broadcast()
 		return len(data), nil
 	}
-
-	now := time.Now()
-	depart := now
-	if h.busyUntil.After(depart) {
-		depart = h.busyUntil
-	}
-	if h.params.bandwidth > 0 {
-		tx := time.Duration(float64(len(data)) / h.params.bandwidth * float64(time.Second))
-		depart = depart.Add(tx)
-	}
-	h.busyUntil = depart
-
-	arrive := depart.Add(h.params.latency)
-	if h.jitterFn != nil {
-		arrive = arrive.Add(h.jitterFn())
-	}
-	if arrive.Before(h.lastArr) { // keep FIFO despite jitter
-		arrive = h.lastArr
-	}
-	h.lastArr = arrive
-	h.marks = append(h.marks, arrivalMark{n: len(data), at: arrive})
-
-	if wait := arrive.Sub(now); wait > 0 {
-		time.AfterFunc(wait, h.cond.Broadcast)
-	} else {
-		h.cond.Broadcast()
-	}
+	h.marks = append(h.marks, arrivalMark{n: len(data), at: time.Now().Add(h.latency)})
+	time.AfterFunc(h.latency, h.cond.Broadcast)
 	return len(data), nil
 }
 
@@ -217,11 +177,11 @@ func (c *memConn) Close() error {
 	return nil
 }
 
-// newMemPipe builds a connected pair of stream endpoints with the given link
-// parameters applied independently to each direction.
-func newMemPipe(localAddr, remoteAddr string, p linkParams, jitterFn func() time.Duration) (client, server *memConn) {
-	aToB := newPipeHalf(p, jitterFn)
-	bToA := newPipeHalf(p, jitterFn)
+// newMemPipe builds a connected pair of stream endpoints, each direction
+// delaying its bytes by latency.
+func newMemPipe(localAddr, remoteAddr string, latency time.Duration) (client, server *memConn) {
+	aToB := newPipeHalf(latency)
+	bToA := newPipeHalf(latency)
 	client = &memConn{readHalf: bToA, writeHalf: aToB, local: localAddr, remote: remoteAddr}
 	server = &memConn{readHalf: aToB, writeHalf: bToA, local: remoteAddr, remote: localAddr}
 	return client, server

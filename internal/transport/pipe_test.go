@@ -22,7 +22,7 @@ func pattern(off, n int) []byte {
 // several writes and reads across the ring's wrap all return the stream's
 // bytes in order, each read taking everything that has arrived.
 func TestPipeReadsSpanWrites(t *testing.T) {
-	h := newPipeHalf(linkParams{}, nil)
+	h := newPipeHalf(0)
 	var written, read int
 	write := func(n int) {
 		t.Helper()
@@ -67,7 +67,7 @@ func TestPipeReadsSpanWrites(t *testing.T) {
 // TestPipeCloseDrainsThenEOF: bytes written before close are still read,
 // then the reader sees io.EOF; writes after close fail.
 func TestPipeCloseDrainsThenEOF(t *testing.T) {
-	h := newPipeHalf(linkParams{}, nil)
+	h := newPipeHalf(0)
 	if _, err := h.write(pattern(0, 10)); err != nil {
 		t.Fatal(err)
 	}
@@ -91,21 +91,12 @@ func TestPipeCloseDrainsThenEOF(t *testing.T) {
 	}
 }
 
-// TestPipeTimedLinkDeliversInOrderAndOnTime: with latency, jitter and a
-// bandwidth cap, bytes still arrive in order, and none is readable before
-// the earliest moment its write could arrive — the write's own
-// transmission time plus latency plus its jitter sample, counted from
-// just before the write. Jitter samples fall so that a later write would
-// overtake an earlier one if arrival times were not kept monotone.
+// TestPipeTimedLinkDeliversInOrderAndOnTime: with latency, bytes still
+// arrive in order, and none is readable before its write's latency has
+// passed, counted from just before the write.
 func TestPipeTimedLinkDeliversInOrderAndOnTime(t *testing.T) {
-	const (
-		latency   = 3 * time.Millisecond
-		bandwidth = 1e6 // bytes/s: 1 µs per byte
-	)
-	jitters := []time.Duration{4 * time.Millisecond, 0, 2 * time.Millisecond, 0, 0, time.Millisecond}
-	next := 0
-	h := newPipeHalf(linkParams{latency: latency, jitter: 4 * time.Millisecond, bandwidth: bandwidth},
-		func() time.Duration { next++; return jitters[next-1] })
+	const latency = 3 * time.Millisecond
+	h := newPipeHalf(latency)
 
 	type sent struct {
 		end      int       // stream offset one past the write
@@ -113,15 +104,14 @@ func TestPipeTimedLinkDeliversInOrderAndOnTime(t *testing.T) {
 	}
 	var writes []sent
 	written := 0
-	for i, j := range jitters {
+	for i := range 6 {
 		n := 200 + 300*i
 		before := time.Now()
 		if _, err := h.write(pattern(written, n)); err != nil {
 			t.Fatal(err)
 		}
 		written += n
-		tx := time.Duration(float64(n) / bandwidth * float64(time.Second))
-		writes = append(writes, sent{end: written, earliest: before.Add(tx + latency + j)})
+		writes = append(writes, sent{end: written, earliest: before.Add(latency)})
 	}
 
 	buf := make([]byte, 700) // smaller than the later writes: reads split them
@@ -151,10 +141,10 @@ func TestPipeTimedLinkDeliversInOrderAndOnTime(t *testing.T) {
 	}
 }
 
-// TestPipeIdealLinkKeepsNoMarks: a link without latency, jitter or
-// bandwidth records no arrival marks — its writes are readable at once.
+// TestPipeIdealLinkKeepsNoMarks: a link without latency records no
+// arrival marks — its writes are readable at once.
 func TestPipeIdealLinkKeepsNoMarks(t *testing.T) {
-	h := newPipeHalf(linkParams{}, nil)
+	h := newPipeHalf(0)
 	for i := 0; i < 100; i++ {
 		if _, err := h.write(pattern(0, 300)); err != nil {
 			t.Fatal(err)
@@ -172,7 +162,7 @@ func TestPipeIdealLinkKeepsNoMarks(t *testing.T) {
 // it must, and the read that drains it gives the capacity back, whatever
 // the burst was.
 func TestPipeBurstCapacityReleased(t *testing.T) {
-	h := newPipeHalf(linkParams{}, nil)
+	h := newPipeHalf(0)
 	const burst = 32 << 20
 	chunk := pattern(0, 1<<20) // the burst repeats this 1 MB; 64 KB reads never straddle two
 	for written := 0; written < burst; written += len(chunk) {

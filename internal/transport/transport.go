@@ -3,10 +3,11 @@
 // cb) talks only to the interfaces defined here, so the same protocol code
 // runs over two back-ends:
 //
-//   - MemLAN: an in-memory network with configurable latency, jitter,
-//     bandwidth and datagram loss, deterministic under a seed. This stands
-//     in for the paper's eight-PC Ethernet segment and makes every
-//     experiment repeatable.
+//   - MemLAN: an in-memory network whose impairments are a one-way
+//     latency (WithLatency) and datagram loss (WithLoss), the loss draws
+//     deterministic under a seed (WithSeed). This stands in for the
+//     paper's eight-PC Ethernet segment and makes every experiment
+//     repeatable.
 //   - UDPLAN: real UDP datagrams and TCP streams on the loopback device,
 //     one UDP port per "computer", proving the protocol runs on actual
 //     sockets.
@@ -21,10 +22,9 @@
 // catches up in one call. A steady stream allocates nothing; a ring that
 // a burst pushed past 1 MB gives the memory back when it drains. Link
 // delay is kept as arrival marks — (byte count, arrival time) per write —
-// and only on a link configured with latency, jitter or bandwidth: the
-// reader counts a mark's bytes as arrived once its time has passed, which
-// delivers bytes exactly when the old per-chunk timestamps did. An ideal
-// link has nothing to time, so neither side of it reads the clock. Writes
+// and only on a link configured with latency: the reader counts a mark's
+// bytes as arrived once its time has passed. An ideal link has nothing to
+// time, so neither side of it reads the clock. Writes
 // never block, as before: a MemLAN pipe has no send-buffer limit, and a
 // publisher that must not outrun its reader needs a Reliable channel.
 package transport

@@ -161,6 +161,9 @@ func TestUDPLANClose(t *testing.T) {
 		_, err := a.Accept()
 		acceptErr <- err
 	}()
+	// As in TestMemLANClose: a goroutine parked in Accept shows no edge to
+	// wait on, and an Accept that comes after Close fails too, so the
+	// sleep picks the path, never the verdict.
 	time.Sleep(10 * time.Millisecond)
 	if err := a.Close(); err != nil {
 		t.Fatalf("Close: %v", err)

@@ -4,16 +4,18 @@
 // The message kinds mirror the protocol of the paper (§2.3): a subscriber's
 // CB broadcasts SUBSCRIPTION until it receives ACKNOWLEDGE, then sends
 // CHANNEL CONNECTION to build the virtual channel, confirmed by a second
-// ACKNOWLEDGE. After that, publishers push UPDATE ATTRIBUTE VALUE frames and
-// subscribers receive them as REFLECT ATTRIBUTE VALUE. Additional kinds carry
-// liveness (HEARTBEAT, which also ferries flow-control credit grants for
-// reliable channels as control attributes), the display frame barrier
-// (FRAME READY / FRAME SWAP), orderly departure (BYE), and a publisher's
-// solicit for SUBSCRIPTION re-broadcasts (PUBLICATION, datagram only).
+// ACKNOWLEDGE. After that, publishers push UPDATE ATTRIBUTE VALUE frames,
+// which the subscriber's CB hands its LPs as reflections. Additional kinds
+// carry liveness (HEARTBEAT, which also ferries flow-control credit grants
+// for reliable channels as control attributes), orderly departure (BYE),
+// and a publisher's solicit for SUBSCRIPTION re-broadcasts (PUBLICATION,
+// datagram only). The display frame barrier has no kind of its own: its
+// READY and SWAP marks are ordinary updates of their object classes.
 //
 // All multi-byte integers are big-endian; strings and byte blobs are
 // uvarint-length-prefixed. A frame on a stream transport is preceded by a
-// uint32 payload length.
+// uint32 payload length. That framing has one writer, Frame.AppendFramed,
+// and one reader, Decoder.DecodeFrom.
 //
 // # The ownership rule
 //
@@ -21,20 +23,20 @@
 // bytes are copied only where they change owner, and each of those places
 // is one copy:
 //
-//   - Sending. Frame.AppendEncode copies the set into the caller's buffer
-//     (for a set built in ascending ID order, its count and one append of
-//     the arena). The cb layer does that, or, for a subscriber in the
-//     same process, CloneInto storage an earlier reflection handed back,
-//     before Update returns: the set is the publisher's again the moment
-//     the call comes back, which is why a cod.Pub, and every fom
-//     publisher of the simulator, can encode every update into one
-//     scratch set.
+//   - Sending. Frame.AppendEncode, and AppendFramed through it, copies
+//     the set into the caller's buffer (for a set built in ascending ID
+//     order, its count and one append of the arena). The cb layer does
+//     that, or, for a subscriber in the same process, CloneInto storage
+//     an earlier reflection handed back, before Update returns: the set
+//     is the publisher's again the moment the call comes back, which is
+//     why a cod.Pub, and every fom publisher of the simulator, can encode
+//     every update into one scratch set.
 //   - Decoding a buffer (Decoder.DecodeInto). The frame's Attrs
 //     borrow the buffer: its values are the buffer's own bytes, good for
 //     as long as the caller leaves the buffer alone; Clone keeps them
 //     longer. The buffer is never written — a Put into a borrowed set
 //     copies it out first, and FillLayout gives it fresh storage.
-//   - Decoding a stream (Decoder.DecodeFrom, ReadFrame). The frame owns
+//   - Decoding a stream (Decoder.DecodeFrom). The frame owns
 //     the storage its body was read into, so moving its Attrs out moves
 //     the storage with them, and the frame reads its next body into
 //     whatever AttrSet it is left holding. That is how a reflection owns
@@ -78,16 +80,20 @@ const (
 	KindAcknowledge                  // publisher CB acknowledgement
 	KindChannelConn                  // subscriber → publisher channel build
 	KindUpdateAttrs                  // publisher LP → CB data push
-	KindReflectAttrs                 // CB → subscriber LP data delivery
+	_                                // 5, once REFLECT_ATTRIBUTE_VALUE
 	KindHeartbeat                    // node liveness beacon
-	kindReserved                     // 7, once NULL (time only): never reused, refused like an unknown kind
-	KindFrameReady                   // display node → sync server
-	KindFrameSwap                    // sync server → display nodes
+	kindReserved                     // 7, once NULL (time only)
+	_                                // 8, once FRAME_READY
+	_                                // 9, once FRAME_SWAP
 	KindBye                          // orderly leave announcement
 	KindPublication                  // publisher CB broadcast: solicits SUBSCRIPTION (datagram only)
-
-	kindMax // sentinel, keep last
 )
+
+// validKinds has bit k set for each kind a frame may carry. The values
+// no build sends (5, 7, 8, 9) are never reused: they are refused like an
+// unknown kind.
+const validKinds = 1<<KindSubscription | 1<<KindAcknowledge | 1<<KindChannelConn |
+	1<<KindUpdateAttrs | 1<<KindHeartbeat | 1<<KindBye | 1<<KindPublication
 
 // NOTE: credit grants deliberately do NOT get their own frame kind. A
 // legacy decoder rejects unknown kinds and its read loop treats that as
@@ -107,10 +113,7 @@ var kindNames = map[Kind]string{
 	KindAcknowledge:  "ACKNOWLEDGE",
 	KindChannelConn:  "CHANNEL_CONNECTION",
 	KindUpdateAttrs:  "UPDATE_ATTRIBUTE_VALUE",
-	KindReflectAttrs: "REFLECT_ATTRIBUTE_VALUE",
 	KindHeartbeat:    "HEARTBEAT",
-	KindFrameReady:   "FRAME_READY",
-	KindFrameSwap:    "FRAME_SWAP",
 	KindBye:          "BYE",
 	KindPublication:  "PUBLICATION",
 }
@@ -124,7 +127,7 @@ func (k Kind) String() string {
 }
 
 // Valid reports whether k is a defined message kind.
-func (k Kind) Valid() bool { return k >= KindSubscription && k < kindMax && k != kindReserved }
+func (k Kind) Valid() bool { return uint16(validKinds)>>k&1 != 0 }
 
 // Ack phases carried in Frame.Phase for KindAcknowledge.
 const (
@@ -255,20 +258,35 @@ func (f Frame) AppendEncode(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// Channel and Seq sit at fixed offsets behind the 4-byte header and the
-// phase byte, ahead of every variable-length field.
+// AppendFramed appends f to buf in the stream framing: a uint32 body
+// length, then the body as AppendEncode writes it. On error buf is
+// returned at its input length. This is the one writer of what
+// Decoder.DecodeFrom reads.
+func (f Frame) AppendFramed(buf []byte) ([]byte, error) {
+	start := len(buf)
+	buf, err := f.AppendEncode(append(buf, 0, 0, 0, 0))
+	if err != nil {
+		return buf[:start], err
+	}
+	binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
+	return buf, nil
+}
+
+// Channel and Seq sit at fixed offsets in a framed frame: behind the
+// length prefix, the 4-byte header and the phase byte, ahead of every
+// variable-length field.
 const (
-	channelOffset = 5
-	seqOffset     = 9
+	channelOffset = 4 + 5
+	seqOffset     = 4 + 9
 )
 
-// SetChannelSeq overwrites the Channel and Seq fields of an encoded frame
-// in place. A publisher fanning one update out to several virtual
-// channels encodes it once and stamps each copy, since nothing else in
-// the frame differs between them.
-func SetChannelSeq(encoded []byte, channel, seq uint32) {
-	binary.BigEndian.PutUint32(encoded[channelOffset:], channel)
-	binary.BigEndian.PutUint32(encoded[seqOffset:], seq)
+// SetChannelSeq overwrites the Channel and Seq fields of a frame
+// AppendFramed wrote, in place. A publisher fanning one update out to
+// several virtual channels frames it once and stamps each copy, since
+// nothing else in the frame differs between them.
+func SetChannelSeq(framed []byte, channel, seq uint32) {
+	binary.BigEndian.PutUint32(framed[channelOffset:], channel)
+	binary.BigEndian.PutUint32(framed[seqOffset:], seq)
 }
 
 // Decoder decodes frames with reusable state: a bounded string-intern
@@ -290,7 +308,7 @@ const (
 	maxInternEntries = 4096
 )
 
-// NewDecoder returns a Decoder ready for ReadFrom/DecodeInto.
+// NewDecoder returns a Decoder ready for DecodeFrom/DecodeInto.
 func NewDecoder() *Decoder {
 	return &Decoder{intern: make(map[string]string)}
 }
@@ -360,8 +378,8 @@ func (d *Decoder) DecodeInto(b []byte, f *Frame) error {
 	return nil
 }
 
-// DecodeFrom reads one length-prefixed frame from r (stream framing) into
-// f. The body is read into f.Attrs' own storage — allocated to the frame's
+// DecodeFrom reads one frame in the stream framing (AppendFramed) from r
+// into f. The body is read into f.Attrs' own storage — allocated to the frame's
 // size when what is there is too small — and decoded where it lies, so f
 // owns every byte its Attrs refer to: moving f.Attrs elsewhere hands the
 // frame's storage over with it, and whatever AttrSet takes its place (the
@@ -385,33 +403,6 @@ func (d *Decoder) DecodeFrom(r io.Reader, f *Frame) error {
 	err := d.DecodeInto(body, f)
 	f.Attrs.adopt(body)
 	return err
-}
-
-// WriteTo writes the frame to w with a uint32 length prefix, the stream
-// (TCP) framing. It returns the total bytes written.
-func (f Frame) WriteTo(w io.Writer) (int64, error) {
-	body, err := f.Encode()
-	if err != nil {
-		return 0, err
-	}
-	var pfx [4]byte
-	binary.BigEndian.PutUint32(pfx[:], uint32(len(body)))
-	n1, err := w.Write(pfx[:])
-	if err != nil {
-		return int64(n1), fmt.Errorf("wire: write length: %w", err)
-	}
-	n2, err := w.Write(body)
-	if err != nil {
-		return int64(n1 + n2), fmt.Errorf("wire: write body: %w", err)
-	}
-	return int64(n1 + n2), nil
-}
-
-// ReadFrame reads one length-prefixed frame from r (stream framing).
-func ReadFrame(r io.Reader) (Frame, error) {
-	var f Frame
-	err := (&Decoder{}).DecodeFrom(r, &f)
-	return f, err
 }
 
 func appendString(buf []byte, s string) []byte {

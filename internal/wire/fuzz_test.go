@@ -234,13 +234,15 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(solicit)
 	f.Add(solicit[:len(solicit)/2])
 	unknown := bytes.Clone(solicit)
-	unknown[3] = byte(kindMax)
+	unknown[3] = byte(KindPublication + 1)
 	f.Add(unknown)
-	// The reserved value in the middle of the range: a peer that still
-	// speaks it is refused the same way.
-	reserved := bytes.Clone(solicit)
-	reserved[3] = byte(kindReserved)
-	f.Add(reserved)
+	// The retired values in the middle of the range: a peer that still
+	// speaks one is refused the same way.
+	for _, k := range []Kind{5, kindReserved, 8, 9} {
+		retired := bytes.Clone(solicit)
+		retired[3] = byte(k)
+		f.Add(retired)
+	}
 
 	dec := NewDecoder()
 	var reused, streamed Frame
@@ -317,7 +319,7 @@ func TestPublicationDatagram(t *testing.T) {
 	if got := f.Kind.String(); got != "PUBLICATION" {
 		t.Errorf("Kind.String() = %q", got)
 	}
-	raw[3] = byte(kindMax)
+	raw[3] = byte(KindPublication + 1)
 	if _, err := Decode(raw); !errors.Is(err, ErrBadKind) {
 		t.Errorf("the kind after the last decodes with %v, want ErrBadKind", err)
 	}

@@ -15,16 +15,18 @@ import (
 func TestPoolDecoderNoAlias(t *testing.T) {
 	const frames = 32
 	payload := func(i int) string { return fmt.Sprintf("payload-%03d", i) }
-	var stream bytes.Buffer
+	var framed []byte
 	for i := range frames {
 		a := AttrSet{}
 		a.PutInt64(1, int64(i))
 		a.PutString(2, payload(i))
 		f := Frame{Kind: KindUpdateAttrs, Node: "n", Class: "C", Seq: uint32(i), Attrs: a}
-		if _, err := f.WriteTo(&stream); err != nil {
-			t.Fatalf("WriteTo %d: %v", i, err)
+		var err error
+		if framed, err = f.AppendFramed(framed); err != nil {
+			t.Fatalf("AppendFramed %d: %v", i, err)
 		}
 	}
+	stream := bytes.NewReader(framed)
 
 	dec := NewDecoder()
 	var f Frame
@@ -35,7 +37,7 @@ func TestPoolDecoderNoAlias(t *testing.T) {
 		if i%4 == 3 { // frame i-1's storage goes back under the frame
 			handed, f.Attrs = &spare.arena[0], spare
 		}
-		if err := dec.DecodeFrom(&stream, &f); err != nil {
+		if err := dec.DecodeFrom(stream, &f); err != nil {
 			t.Fatalf("DecodeFrom %d: %v", i, err)
 		}
 		if handed != nil && &f.Attrs.arena[0] != handed {

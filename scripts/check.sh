@@ -51,13 +51,16 @@ if [ -n "$unrun" ]; then
     exit 1
 fi
 
-echo "== test sleeps (time.Sleep lines in *_test.go: at most 4) =="
+echo "== test sleeps (time.Sleep lines in *_test.go: at most 2) =="
 # A test paced by time.Sleep passes or fails with the host's load. Each
 # one left moves to channel choreography or the manual clock
-# (internal/clock); lower the ceiling as they go, never raise it.
+# (internal/clock); lower the ceiling as they go, never raise it. The two
+# left (transport's TestMemLANClose and TestUDPLANClose) give a goroutine
+# a moment to park in Accept, which has no edge to wait on; a comment at
+# each says why the verdict does not hang on it.
 sleeps=$(git grep -c 'time\.Sleep' -- '*_test.go' | awk -F: '{n += $NF} END {print n + 0}')
-if [ "$sleeps" -gt 4 ]; then
-    echo "$sleeps time.Sleep lines in tests, over the ceiling of 4:" >&2
+if [ "$sleeps" -gt 2 ]; then
+    echo "$sleeps time.Sleep lines in tests, over the ceiling of 2:" >&2
     git grep -n 'time\.Sleep' -- '*_test.go' >&2
     exit 1
 fi
